@@ -19,9 +19,24 @@
 //! first run seeds `baseline`, later runs overwrite `current`
 //! (`--set-baseline` re-seeds, `--out <path>` redirects).
 //!
+//! The partitioned figure is taken over several *sessions* (fresh
+//! process pairs on the wire) of a few reps each: `part_bw_mbps` is the
+//! best rep of all (comparable with every earlier record),
+//! `part_bw_mean_mbps` ± `part_bw_ci_mbps` the mean of the sessions'
+//! best reps and its 90 % Student-t half-width (`perfmodel::stats`).
+//! `--guard` compares intervals, so a noisy run widens its own
+//! allowance instead of being retried.
+//!
+//! `--append-series <label>` measures as usual but *appends* the result
+//! as a row keyed by commit to the file's `series` array, touching
+//! nothing else — a before/after pair stays a pair. `--table <path>`
+//! prints the README tables from such a file and exits.
+//!
 //! ```text
 //! cargo run --release -p pcomm-bench --bin netbench
 //! cargo run --release -p pcomm-bench --bin netbench -- --quick --out /tmp/n.json
+//! cargo run --release -p pcomm-bench --bin netbench -- --append-series "after: ..."
+//! cargo run --release -p pcomm-bench --bin netbench -- --table BENCH_net.json
 //! ```
 
 use std::process::{Command, Stdio};
@@ -30,13 +45,18 @@ use std::time::{Duration, Instant};
 use pcomm_core::part::PartOptions;
 use pcomm_core::Universe;
 use pcomm_net::{launch, Backend, MultiprocEnv};
+use pcomm_perfmodel::stats::ConfidenceInterval;
 
 /// One fabric's worth of measurements.
 #[derive(Debug, Clone, Copy)]
 struct NetNumbers {
     pingpong_small_ns: f64,
     pingpong_large_us: f64,
+    /// Best rep of the partitioned transfer, any session.
     part_bw_mbps: f64,
+    /// Mean of the sessions' best reps, and its 90 % half-width.
+    part_bw_mean_mbps: f64,
+    part_bw_ci_mbps: f64,
 }
 
 impl NetNumbers {
@@ -46,11 +66,30 @@ impl NetNumbers {
                 "{{\n",
                 "      \"pingpong_small_ns\": {:.1},\n",
                 "      \"pingpong_large_us\": {:.2},\n",
-                "      \"part_bw_mbps\": {:.1}\n",
+                "      \"part_bw_mbps\": {:.1},\n",
+                "      \"part_bw_mean_mbps\": {:.1},\n",
+                "      \"part_bw_ci_mbps\": {:.1}\n",
                 "    }}"
             ),
-            self.pingpong_small_ns, self.pingpong_large_us, self.part_bw_mbps,
+            self.pingpong_small_ns,
+            self.pingpong_large_us,
+            self.part_bw_mbps,
+            self.part_bw_mean_mbps,
+            self.part_bw_ci_mbps,
         )
+    }
+
+    /// Read one fabric's figures back from a JSON object; records
+    /// older than the session protocol carry no mean/half-width.
+    fn from_json(obj: &str) -> Option<NetNumbers> {
+        let best = json_f64(obj, "part_bw_mbps")?;
+        Some(NetNumbers {
+            pingpong_small_ns: json_f64(obj, "pingpong_small_ns")?,
+            pingpong_large_us: json_f64(obj, "pingpong_large_us")?,
+            part_bw_mbps: best,
+            part_bw_mean_mbps: json_f64(obj, "part_bw_mean_mbps").unwrap_or(best),
+            part_bw_ci_mbps: json_f64(obj, "part_bw_ci_mbps").unwrap_or(f64::NAN),
+        })
     }
 }
 
@@ -217,7 +256,25 @@ fn part_only() -> bool {
     std::env::var("PCOMM_NETBENCH_PART_ONLY").is_ok_and(|v| v == "1")
 }
 
-fn wire_sections(quick: bool) -> NetNumbers {
+/// Sessions of the partitioned transfer per fabric, and reps in each.
+fn part_depth(quick: bool) -> (usize, usize) {
+    if quick {
+        (3, 3)
+    } else {
+        (7, 32)
+    }
+}
+
+/// One session of the headline partitioned transfer (16 × 64 KiB):
+/// its best rep, MB/s.
+fn part_session(quick: bool) -> f64 {
+    bench_part_bw(part_depth(quick).1, 16, 64 * 1024, false)
+}
+
+/// Both ping-pongs (skipped under `PCOMM_NETBENCH_PART_ONLY=1`) and one
+/// session of the partitioned transfer, on whatever fabric the
+/// environment selects.
+fn wire_sections(quick: bool) -> (f64, f64, f64) {
     let (reps, pp_iters) = if quick { (3, 300) } else { (10, 2_000) };
     let (pingpong_small_ns, pingpong_large_us) = if part_only() {
         (0.0, 0.0)
@@ -227,14 +284,21 @@ fn wire_sections(quick: bool) -> NetNumbers {
             bench_pingpong(reps, pp_iters / 10 + 1, 256 * 1024) / 1_000.0,
         )
     };
-    // One transfer is ~hundreds of µs; a deep rep count is cheap and the
-    // min is what rejects this box's scheduler noise (1 shared CPU).
-    let part_reps = if quick { 3 } else { 40 };
-    let part_bw_mbps = bench_part_bw(part_reps, 16, 64 * 1024, false);
+    (pingpong_small_ns, pingpong_large_us, part_session(quick))
+}
+
+/// Fold a fabric's sessions into its figures. One transfer is
+/// ~hundreds of µs, so a deep rep count is cheap and the best rep of a
+/// session is what rejects scheduler noise; how far the sessions' bests
+/// disagree is the run's own width.
+fn fold_sessions(pingpong_small_ns: f64, pingpong_large_us: f64, bests: &[f64]) -> NetNumbers {
+    let ci = ConfidenceInterval::of(bests);
     NetNumbers {
         pingpong_small_ns,
         pingpong_large_us,
-        part_bw_mbps,
+        part_bw_mbps: bests.iter().copied().fold(0.0, f64::max),
+        part_bw_mean_mbps: ci.mean,
+        part_bw_ci_mbps: ci.halfwidth,
     }
 }
 
@@ -244,12 +308,18 @@ fn wire_sections(quick: bool) -> NetNumbers {
 /// processes execute the same run sequence.
 fn run_child(quick: bool) {
     let env = MultiprocEnv::from_env().expect("--child requires the PCOMM_NET_* environment");
-    let n = wire_sections(quick);
+    let (small, large, part) = wire_sections(quick);
     let sweep = bench_sweep(quick);
     if env.rank == 0 {
         let body = format!(
-            "{{\n  \"figures\": {},\n  \"sweep\": {}\n}}",
-            n.to_json(),
+            concat!(
+                "{{\n  \"pingpong_small_ns\": {:.1},\n  \"pingpong_large_us\": {:.2},\n",
+                "  \"part_best_mbps\": {:.1},\n",
+                "  \"sweep\": {}\n}}"
+            ),
+            small,
+            large,
+            part,
             sweep_json(fabric_label(), &sweep)
         );
         std::fs::write(env.dir.join("out-0"), body).expect("write child results");
@@ -272,9 +342,14 @@ fn spawn_uds_children(
         backend: Backend::Uds,
     };
     let exe = std::env::current_exe().expect("netbench binary path");
+    let cpus = launch::pin_cpus();
     let children: Vec<_> = (0..2)
         .map(|rank| {
-            let mut cmd = Command::new(&exe);
+            // One rank per core where the host has them: unpinned,
+            // where the six threads land differs per universe and moves
+            // the partitioned figure by a third.
+            let cpu = cpus.get(rank % cpus.len().max(1)).copied();
+            let mut cmd = launch::pinned_command(&exe, cpu);
             cmd.arg("--child");
             if quick {
                 cmd.arg("--quick");
@@ -313,34 +388,67 @@ fn spawn_uds_children(
     raw
 }
 
-/// Read `"key": <number>` from `json`, panicking with context if absent.
+/// Read `"key": <number>` from a child's output, panicking if absent.
 fn field(json: &str, key: &str) -> f64 {
     json_f64(json, key).unwrap_or_else(|| panic!("missing or bad {key} in child output"))
 }
 
-/// Spawn a wire pass: this binary, twice, as a 2-rank SPMD mesh over a
-/// UDS bootstrap, with `common_env` selecting the fabric. Returns the
-/// three figures plus the crossover sweep (as a JSON object, passed
-/// through to the output file verbatim).
+/// A wire pass over a UDS bootstrap, `common_env` selecting the fabric:
+/// one child pair for the ping-pongs, the crossover sweep and the first
+/// partitioned session, then one fresh pair per further session — a
+/// session is a fresh pair of *processes*, so what the sessions
+/// disagree by includes where the kernel put them. Returns the
+/// figures plus the sweep (as a JSON object, passed through to the
+/// output file verbatim).
 fn run_wire_pass(quick: bool, common_env: &[(&str, &str)]) -> (NetNumbers, String) {
     let raw = spawn_uds_children(quick, common_env, &[]);
     let sweep = extract_object(&raw, "sweep")
         .expect("missing sweep in child output")
         .to_owned();
-    (
-        NetNumbers {
-            pingpong_small_ns: field(&raw, "pingpong_small_ns"),
-            pingpong_large_us: field(&raw, "pingpong_large_us"),
-            part_bw_mbps: field(&raw, "part_bw_mbps"),
-        },
-        sweep,
-    )
+    let mut part_env = common_env.to_vec();
+    part_env.push(("PCOMM_NETBENCH_PART_ONLY", "1"));
+    let mut runs = vec![field(&raw, "part_best_mbps")];
+    for _ in 1..part_depth(quick).0 {
+        let raw = spawn_uds_children(quick, &part_env, &[]);
+        runs.push(field(&raw, "part_best_mbps"));
+    }
+    let figures = fold_sessions(
+        field(&raw, "pingpong_small_ns"),
+        field(&raw, "pingpong_large_us"),
+        &runs,
+    );
+    (figures, sweep)
+}
+
+/// One fabric's figures plus its crossover sweep (a JSON object).
+type WirePass = (NetNumbers, String);
+
+/// All three passes: in-process, UDS, and ipc where the platform has
+/// the raw-syscall layer.
+fn measure_fabrics(quick: bool) -> (NetNumbers, WirePass, Option<WirePass>) {
+    eprintln!("netbench: shared-memory pass ...");
+    let shm = {
+        let (small, large, first) = wire_sections(quick);
+        let mut runs = vec![first];
+        runs.extend((1..part_depth(quick).0).map(|_| part_session(quick)));
+        fold_sessions(small, large, &runs)
+    };
+    eprintln!("netbench: UDS pass (2 processes) ...");
+    let uds = run_wire_pass(quick, &[]);
+    let ipc = pcomm_net::sys::supported().then(|| {
+        eprintln!("netbench: ipc pass (2 processes, shared segment) ...");
+        run_wire_pass(quick, &[("PCOMM_NET_FABRIC", "ipc")])
+    });
+    if ipc.is_none() {
+        eprintln!("netbench: ipc fabric unsupported on this platform, skipping");
+    }
+    (shm, uds, ipc)
 }
 
 /// The `--degraded` pass: the same partitioned-bandwidth workload over a
 /// 3-lane mesh whose data lane 2 is killed (seeded) 128 KiB into the
 /// sender's stream. The writer fails the lane over to the survivor
-/// mid-transfer; the min-of-reps figure is therefore the steady-state
+/// mid-transfer; the best-of-reps figure is therefore the steady-state
 /// bandwidth of the degraded mesh, not the hiccup itself.
 fn run_degraded_pass(quick: bool) -> f64 {
     let raw = spawn_uds_children(
@@ -348,28 +456,44 @@ fn run_degraded_pass(quick: bool) -> f64 {
         &[("PCOMM_NETBENCH_PART_ONLY", "1"), ("PCOMM_NET_LANES", "3")],
         &[("PCOMM_FAULTS", "seed=7,lanekill=2:131072")],
     );
-    field(&raw, "part_bw_mbps")
+    field(&raw, "part_best_mbps")
 }
 
-/// Extract the balanced-brace object following `"<key>":` in `json`.
-fn extract_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let open = at + json[at..].find('{')?;
+/// The balanced `open`…`close` span `json` starts with.
+fn balanced(json: &str, open: char, close: char) -> Option<&str> {
     let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[open..open + i + 1]);
-                }
+    for (i, c) in json.char_indices() {
+        if c == open {
+            depth += 1;
+        } else if c == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(&json[..i + 1]);
             }
-            _ => {}
         }
     }
     None
+}
+
+/// Extract the balanced object (`{`) or array (`[`) following
+/// `"<key>":` in `json`.
+fn extract_span<'a>(json: &'a str, key: &str, open: char, close: char) -> Option<&'a str> {
+    let at = json.find(&format!("\"{key}\""))?;
+    let start = at + json[at..].find(open)?;
+    balanced(&json[start..], open, close)
+}
+
+fn extract_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    extract_span(json, key, '{', '}')
+}
+
+fn extract_array<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    extract_span(json, key, '[', ']')
+}
+
+/// Where `inner`, a subslice of `outer`, starts in it.
+fn offset_in(outer: &str, inner: &str) -> usize {
+    inner.as_ptr() as usize - outer.as_ptr() as usize
 }
 
 fn trio_json(label: &str, shm: NetNumbers, uds: NetNumbers, ipc: Option<NetNumbers>) -> String {
@@ -403,41 +527,267 @@ fn json_f64(json: &str, key: &str) -> Option<f64> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// Regression guard: the freshly measured partitioned bandwidth must
-/// not fall below the recorded baseline (10 % noise allowance), per
-/// fabric — `uds` always, `ipc` whenever the baseline has recorded ipc
-/// figures and this run measured them. Exits nonzero on regression so
-/// CI fails loudly.
+/// The top-level objects of a JSON array's text, in order.
+fn array_rows(array: &str) -> Vec<&str> {
+    let mut rows = Vec::new();
+    let mut rest = &array[1..];
+    while let Some(row) = rest
+        .find('{')
+        .and_then(|at| balanced(&rest[at..], '{', '}'))
+    {
+        rows.push(row);
+        rest = &rest[offset_in(rest, row) + row.len()..];
+    }
+    rows
+}
+
+/// Read `"key": "<string>"` anywhere in `json`.
+fn json_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let at = json.find(&pat)? + pat.len();
+    let rest = json[at..].trim_start().strip_prefix('"')?;
+    rest.split('"').next()
+}
+
+/// The records the guard holds `fabric` to: every `series` row of the
+/// newest commit that measured it (a commit measured at several times
+/// of day spans the host's moods), else the `baseline`.
+fn guard_records(raw: &str, fabric: &str) -> Vec<NetNumbers> {
+    let of = |trio: &str| extract_object(trio, fabric).and_then(NetNumbers::from_json);
+    let rows = extract_array(raw, "series").map_or(Vec::new(), array_rows);
+    let newest = rows
+        .iter()
+        .rev()
+        .find(|row| of(row).is_some())
+        .and_then(|row| json_str(row, "commit"));
+    let recs: Vec<NetNumbers> = rows
+        .iter()
+        .filter(|row| json_str(row, "commit") == newest)
+        .filter_map(|row| of(row))
+        .collect();
+    if recs.is_empty() {
+        extract_object(raw, "baseline")
+            .and_then(of)
+            .into_iter()
+            .collect()
+    } else {
+        recs
+    }
+}
+
+/// Regression guard, per fabric — `uds` always, `ipc` whenever a record
+/// exists and this run measured it. Against records taken with the
+/// session protocol the floor is the lowest recorded `mean - 90 %
+/// half-width`, and the run passes when its own interval reaches it
+/// (`mean + half-width >= floor`). A run whose sessions disagree widens
+/// its own allowance, so nothing is retried; a build that is really
+/// slower has sessions that agree on it — which is also why a run
+/// whose half-width exceeds a quarter of its mean is reported as
+/// unresolved rather than failed. An older record holds only a
+/// best rep, so like is compared with like: this run's best rep
+/// against 0.9 × the recorded one. Exits nonzero on regression.
 fn run_guard(guard_path: &str, uds: NetNumbers, ipc: Option<NetNumbers>) {
     let raw = std::fs::read_to_string(guard_path)
         .unwrap_or_else(|e| panic!("--guard: cannot read {guard_path}: {e}"));
-    let baseline = extract_object(&raw, "baseline")
-        .unwrap_or_else(|| panic!("--guard: no baseline in {guard_path}"));
-    let check = |fabric: &str, measured: f64| {
-        let Some(base) = extract_object(baseline, fabric).and_then(|u| json_f64(u, "part_bw_mbps"))
-        else {
+    let check = |fabric: &str, run: NetNumbers| {
+        let recs = guard_records(&raw, fabric);
+        let Some(rec) = recs.iter().copied().min_by(|a, b| {
+            (a.part_bw_mean_mbps - a.part_bw_ci_mbps)
+                .total_cmp(&(b.part_bw_mean_mbps - b.part_bw_ci_mbps))
+        }) else {
             if fabric == "uds" {
-                panic!("--guard: no baseline.uds.part_bw_mbps in {guard_path}");
+                panic!("--guard: no uds record in {guard_path}");
             }
-            eprintln!("netbench: guard: no {fabric} baseline recorded yet, skipping");
+            eprintln!("netbench: guard: no {fabric} record yet, skipping");
             return;
         };
-        let floor = base * 0.9;
-        if measured < floor {
+        let (reach, floor, verdict) = if rec.part_bw_ci_mbps.is_nan() {
+            (
+                run.part_bw_mbps,
+                0.9 * rec.part_bw_mbps,
+                format!("best rep vs 0.9 x recorded best {:.1}", rec.part_bw_mbps),
+            )
+        } else {
+            (
+                run.part_bw_mean_mbps + run.part_bw_ci_mbps,
+                rec.part_bw_mean_mbps - rec.part_bw_ci_mbps,
+                format!(
+                    "{:.1} +- {:.1} vs the lowest of {} record(s), {:.1} +- {:.1}",
+                    run.part_bw_mean_mbps,
+                    run.part_bw_ci_mbps,
+                    recs.len(),
+                    rec.part_bw_mean_mbps,
+                    rec.part_bw_ci_mbps
+                ),
+            )
+        };
+        if reach < floor && run.part_bw_ci_mbps > 0.25 * run.part_bw_mean_mbps {
+            // Sessions a quarter apart measured the host, not the build
+            // (a slower build's sessions agree with each other).
             eprintln!(
-                "netbench: GUARD FAILED: {fabric} part_bw_mbps {measured:.1} < {floor:.1} \
-                 (baseline {base:.1} from {guard_path}, 10% allowance)"
+                "netbench: guard UNRESOLVED: {fabric} part_bw {verdict}: this run's sessions \
+                 disagree by more than a quarter of their mean; not a verdict either way"
+            );
+            return;
+        }
+        if reach < floor {
+            eprintln!(
+                "netbench: GUARD FAILED: {fabric} part_bw {verdict}: {reach:.1} < floor {floor:.1} \
+                 MB/s ({guard_path})"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "netbench: guard ok: {fabric} part_bw_mbps {measured:.1} >= {floor:.1} \
-             (baseline {base:.1})"
+            "netbench: guard ok: {fabric} part_bw {verdict}: {reach:.1} >= floor {floor:.1} MB/s"
         );
     };
-    check("uds", uds.part_bw_mbps);
+    check("uds", uds);
     if let Some(ipc) = ipc {
-        check("ipc", ipc.part_bw_mbps);
+        check("ipc", ipc);
+    }
+}
+
+/// `git rev-parse --short HEAD`, `+` appended when the tree differs
+/// from it; `unknown` outside a checkout.
+fn commit_id() -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if !head.is_empty() => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            format!("{head}{}", if dirty { "+" } else { "" })
+        }
+        _ => "unknown".to_owned(),
+    }
+}
+
+/// `--append-series`: measure every fabric and append the result to
+/// `out_path`'s `series` array as one row keyed by commit; every other
+/// byte of the file stays as it was.
+fn append_series(out_path: &str, label: &str, commit: &str, quick: bool) {
+    let (shm, (uds, _), ipc) = measure_fabrics(quick);
+    let (ipc, sweep) =
+        ipc.expect("--append-series records the ipc fabric, which this platform lacks");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let row = format!(
+        concat!(
+            "    {{\n",
+            "    \"commit\": \"{}\",\n",
+            "    \"label\": \"{}\",\n",
+            "    \"mode\": \"{}\",\n",
+            "    \"host_parallelism\": {},\n",
+            "    \"shm\": {},\n",
+            "    \"uds\": {},\n",
+            "    \"ipc\": {},\n",
+            "    \"sweep_ipc\": {}\n",
+            "    }}"
+        ),
+        commit,
+        label.replace('"', "'"),
+        match (part_only(), quick) {
+            (true, _) => "part-only",
+            (_, true) => "quick",
+            _ => "full",
+        },
+        host,
+        shm.to_json(),
+        uds.to_json(),
+        ipc.to_json(),
+        sweep.replace('\n', "\n  ")
+    );
+    let old = std::fs::read_to_string(out_path)
+        .unwrap_or_else(|e| panic!("--append-series: cannot read {out_path}: {e}"));
+    let new = match extract_array(&old, "series") {
+        Some(series) => {
+            let at = offset_in(&old, series) + series.len() - 1;
+            let head = old[..at].trim_end();
+            format!("{head},\n{row}\n  {}", &old[at..])
+        }
+        None => {
+            let at = old.rfind('}').expect("--append-series: not a JSON object");
+            let head = old[..at].trim_end();
+            format!("{head},\n  \"series\": [\n{row}\n  ]\n{}", &old[at..])
+        }
+    };
+    std::fs::write(out_path, new).expect("write bench output");
+    eprintln!(
+        "netbench: appended {commit} ({label}) to {out_path}: part_bw uds {:.1} +- {:.1}, \
+         ipc {:.1} +- {:.1} MB/s",
+        uds.part_bw_mean_mbps, uds.part_bw_ci_mbps, ipc.part_bw_mean_mbps, ipc.part_bw_ci_mbps
+    );
+}
+
+/// `--table`: the README's tables, generated from a results file — the
+/// three-fabric cost table from `current`, and one row per `series`
+/// entry (the ipc trajectory, keyed by commit).
+fn print_tables(path: &str) {
+    let raw = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--table: {path}: {e}"));
+    let current = extract_object(&raw, "current").expect("--table: no `current` record");
+    let of = |fabric: &str| extract_object(current, fabric).and_then(NetNumbers::from_json);
+    let (shm, uds, ipc) = (of("shm"), of("uds"), of("ipc"));
+    let cell = |n: Option<NetNumbers>, f: &dyn Fn(NetNumbers) -> String| n.map_or("—".into(), f);
+    println!(
+        "| metric                            | shared memory | UDS (2 procs) | ipc (2 procs) |"
+    );
+    println!(
+        "|-----------------------------------|--------------:|--------------:|--------------:|"
+    );
+    let small = |n: NetNumbers| format!("{:.2} µs", n.pingpong_small_ns / 1e3);
+    let large = |n: NetNumbers| format!("{:.1} µs", n.pingpong_large_us);
+    let part = |n: NetNumbers| format!("{:.0} MB/s", n.part_bw_mbps);
+    for (name, f) in [
+        (
+            "ping-pong 256 B (round trip)",
+            &small as &dyn Fn(NetNumbers) -> String,
+        ),
+        ("ping-pong 256 KiB (round trip)", &large),
+        ("partitioned 1 MiB (perceived BW)", &part),
+    ] {
+        println!(
+            "| {name:<33} | {:>13} | {:>13} | {:>13} |",
+            cell(shm, f),
+            cell(uds, f),
+            cell(ipc, f)
+        );
+    }
+    let Some(series) = extract_array(&raw, "series") else {
+        return;
+    };
+    println!();
+    println!("| commit | what | cores | ipc ping-pong 256 B | ipc ping-pong 256 KiB | ipc partitioned 1 MiB: best rep; sessions ± 90 % | ipc stream 16 × 256 KiB (best) | UDS partitioned 1 MiB, sessions |");
+    println!("|--------|------|------:|--------------------:|----------------------:|------------------------------------------------:|-------------------------------:|--------------------------------:|");
+    for row in array_rows(series) {
+        let Some(n) = extract_object(row, "ipc").and_then(NetNumbers::from_json) else {
+            continue;
+        };
+        let stream_4m = extract_object(row, "sweep_ipc")
+            .and_then(|sw| sw.find("\"bytes\": 4194304,").map(|i| &sw[i..]))
+            .and_then(|r| json_f64(r, "stream_mbps"));
+        let uds = extract_object(row, "uds").and_then(NetNumbers::from_json);
+        println!(
+            "| `{}` | {} | {} | {} | {} | {:.0} MB/s; {:.0} ± {:.0} | {} | {} |",
+            json_str(row, "commit").unwrap_or("?"),
+            json_str(row, "label").unwrap_or(""),
+            json_f64(row, "host_parallelism").map_or("?".into(), |c| format!("{c:.0}")),
+            small(n),
+            large(n),
+            n.part_bw_mbps,
+            n.part_bw_mean_mbps,
+            n.part_bw_ci_mbps,
+            stream_4m.map_or("—".into(), |v| format!("{v:.0} MB/s")),
+            uds.map_or("—".into(), |u| format!(
+                "{:.0} ± {:.0} MB/s",
+                u.part_bw_mean_mbps, u.part_bw_ci_mbps
+            )),
+        );
     }
 }
 
@@ -450,27 +800,25 @@ fn main() {
     }
     let set_baseline = args.iter().any(|a| a == "--set-baseline");
     let degraded = args.iter().any(|a| a == "--degraded");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
+    let value_of = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1).cloned())
+    };
+    let out_path = value_of("--out")
         .unwrap_or_else(|| format!("{}/../../BENCH_net.json", env!("CARGO_MANIFEST_DIR")));
-    let guard_path = args
-        .iter()
-        .position(|a| a == "--guard")
-        .and_then(|i| args.get(i + 1).cloned());
-
-    eprintln!("netbench: shared-memory pass ...");
-    let shm = wire_sections(quick);
-    eprintln!("netbench: UDS pass (2 processes) ...");
-    let (uds, sweep) = run_wire_pass(quick, &[]);
-    let ipc_pass = pcomm_net::sys::supported().then(|| {
-        eprintln!("netbench: ipc pass (2 processes, shared segment) ...");
-        run_wire_pass(quick, &[("PCOMM_NET_FABRIC", "ipc")])
-    });
-    if ipc_pass.is_none() {
-        eprintln!("netbench: ipc fabric unsupported on this platform, skipping");
+    let guard_path = value_of("--guard");
+    if let Some(path) = value_of("--table") {
+        print_tables(&path);
+        return;
     }
+    if let Some(label) = value_of("--append-series") {
+        let commit = value_of("--commit").unwrap_or_else(commit_id);
+        append_series(&out_path, &label, &commit, quick);
+        return;
+    }
+
+    let (shm, (uds, sweep), ipc_pass) = measure_fabrics(quick);
     let ipc = ipc_pass.as_ref().map(|(n, _)| *n);
     let degraded_bw = degraded.then(|| {
         eprintln!("netbench: degraded pass (lane 2 killed mid-stream) ...");
@@ -551,6 +899,11 @@ fn main() {
         Some((_, s)) => format!(",\n  \"sweep_ipc\": {s}"),
         None => String::new(),
     };
+    // The series is append-only: a rewrite of the rest carries it over.
+    let series = std::fs::read_to_string(&out_path)
+        .ok()
+        .and_then(|old| extract_array(&old, "series").map(str::to_owned))
+        .map_or(String::new(), |rows| format!(",\n  \"series\": {rows}"));
     let json = format!(
         concat!(
             "{{\n",
@@ -559,7 +912,7 @@ fn main() {
             "  \"baseline\": {},\n",
             "  \"current\": {},\n",
             "{}",
-            "  \"sweep\": {}{}\n",
+            "  \"sweep\": {}{}{}\n",
             "}}\n"
         ),
         if quick { "quick" } else { "full" },
@@ -567,7 +920,8 @@ fn main() {
         current,
         degraded_json,
         sweep,
-        sweep_ipc
+        sweep_ipc,
+        series
     );
     std::fs::write(&out_path, json).expect("write bench output");
     eprintln!("netbench: wrote {out_path}");

@@ -92,6 +92,13 @@ impl Comm {
         self.fabric.matched_count()
     }
 
+    /// This rank's always-on doorbell tallies — how many records it
+    /// published and how many of those cost a `FUTEX_WAKE` (diagnostics;
+    /// `None` unless the run is on the ipc fabric).
+    pub fn doorbell_stats(&self) -> Option<crate::DoorbellStats> {
+        self.fabric.doorbell_stats()
+    }
+
     /// A handle on the same fabric bound to a different context/shard
     /// (internal contexts for partitioned traffic).
     pub(crate) fn with_ctx(&self, ctx: u64, shard: usize) -> Comm {

@@ -92,6 +92,32 @@ pub struct PeerSocketState {
     pub quiet_ms: u64,
 }
 
+/// Always-on doorbell tallies of one rank on the ipc fabric: who paid a
+/// syscall to notify whom. Plain counters, bumped on every run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DoorbellStats {
+    /// Peer doorbells this rank rang (one per record it published).
+    pub rings: u64,
+    /// Of those, rings that found a counted sleeper and issued
+    /// `FUTEX_WAKE` — the rest were a single atomic add.
+    pub wakes: u64,
+    /// Parks of this rank's progress thread that were counted in
+    /// `sleepers` (no app thread polling: peers pay for wakes).
+    pub parks_counted: u64,
+    /// Parks taken over by a polling app thread (peers pay nothing).
+    pub parks_uncounted: u64,
+}
+
+impl fmt::Display for DoorbellStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} rings, {} futex wakes; progress thread parked {} counted / {} uncounted",
+            self.rings, self.wakes, self.parks_counted, self.parks_uncounted
+        )
+    }
+}
+
 /// Structured diagnosis the watchdog produces instead of hanging.
 ///
 /// `Display` renders the whole report, so `{}`-printing the
@@ -116,6 +142,8 @@ pub struct StallReport {
     pub matched: u64,
     /// Socket state per peer (multiprocess runs; empty in-process).
     pub peers: Vec<PeerSocketState>,
+    /// This rank's doorbell tallies (ipc fabric only).
+    pub doorbell: Option<DoorbellStats>,
 }
 
 impl fmt::Display for StallReport {
@@ -175,6 +203,9 @@ impl fmt::Display for StallReport {
                 p.lanes_down,
                 p.quiet_ms
             )?;
+        }
+        if let Some(d) = &self.doorbell {
+            writeln!(f, "  ipc doorbell: {d}")?;
         }
         Ok(())
     }
@@ -299,9 +330,20 @@ mod tests {
             unmatched_unexpected: vec![],
             matched: 17,
             peers: vec![],
+            doorbell: Some(DoorbellStats {
+                rings: 640,
+                wakes: 3,
+                parks_counted: 2,
+                parks_uncounted: 9,
+            }),
         };
         let err = PcommError::Stall(Box::new(report));
         let text = format!("{err}");
+        assert!(
+            text.contains("ipc doorbell: 640 rings, 3 futex wakes")
+                && text.contains("2 counted / 9 uncounted"),
+            "{text}"
+        );
         assert!(text.contains("tag=42"), "{text}");
         assert!(text.contains("rank 1 blocked"), "{text}");
         assert!(text.contains("unmatched posted recv"), "{text}");

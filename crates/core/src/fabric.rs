@@ -472,6 +472,11 @@ impl Fabric {
         self.matched.load(Ordering::Relaxed)
     }
 
+    /// The transport's doorbell tallies (ipc fabric only).
+    pub(crate) fn doorbell_stats(&self) -> Option<crate::error::DoorbellStats> {
+        self.transport.doorbell_stats()
+    }
+
     /// The configured fault plan, if any (chaos runs only).
     pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref().map(|f| &f.plan)
@@ -611,6 +616,22 @@ impl Fabric {
         }
         if let Some(id) = reg_id {
             self.unregister_wait(id);
+        }
+    }
+
+    /// [`Fabric::wait_on`] every completion of a burst, in order
+    /// (`label(i)` describes the wait on the `i`-th). The transport is
+    /// shown the whole burst first: one that polls (ipc) keeps polling
+    /// across it, so the per-completion waits below find their
+    /// completion already set instead of each starting a poll — and a
+    /// doorbell hand-off — of its own.
+    pub(crate) fn wait_all<F>(&self, completions: &[Arc<Completion>], rank: usize, label: F)
+    where
+        F: Fn(usize) -> (String, Option<i64>, Option<usize>),
+    {
+        self.transport.poll_burst(self, completions);
+        for (i, completion) in completions.iter().enumerate() {
+            self.wait_on(completion, rank, || label(i));
         }
     }
 
@@ -1650,6 +1671,7 @@ impl Fabric {
             unmatched_unexpected,
             matched: self.matched_count(),
             peers: self.transport.peer_states(),
+            doorbell: self.transport.doorbell_stats(),
         }
     }
 }

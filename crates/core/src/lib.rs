@@ -73,7 +73,7 @@ mod universe;
 
 pub use comm::Comm;
 pub use datatype::Datatype;
-pub use error::{BlockedWait, PcommError, PeerSocketState, QueueEntry, StallReport};
+pub use error::{BlockedWait, DoorbellStats, PcommError, PeerSocketState, QueueEntry, StallReport};
 pub use fabric::MsgInfo;
 pub use universe::{Universe, DEFAULT_CHAOS_WATCHDOG_MS};
 

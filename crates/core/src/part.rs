@@ -1100,15 +1100,13 @@ impl PsendRequest {
             // `sent[m]` covers both "issued" and "buffer reusable":
             // eager and stream sends set it at injection, rendezvous on
             // remote copy.
-            for (m, sent) in s.sent.iter().enumerate() {
-                s.comm.fabric().wait_on(sent, s.comm.rank(), || {
-                    (
-                        format!("partitioned send wait(dst={}, msg={m})", s.dst),
-                        Some(m as i64),
-                        Some(s.dst),
-                    )
-                });
-            }
+            s.comm.fabric().wait_all(&s.sent, s.comm.rank(), |m| {
+                (
+                    format!("partitioned send wait(dst={}, msg={m})", s.dst),
+                    Some(m as i64),
+                    Some(s.dst),
+                )
+            });
         }
         trace.emit_span(t_wait, rank, |start, dur| {
             EventKind::PartWait {
@@ -1363,15 +1361,15 @@ impl PrecvRequest {
         let trace = s.comm.fabric().trace();
         let t_wait = trace.now_ns();
         let n = if s.legacy { 1 } else { s.layout.n_msgs() };
-        for m in 0..n {
-            s.comm.fabric().wait_on(&s.arrived[m], s.comm.rank(), || {
+        s.comm
+            .fabric()
+            .wait_all(&s.arrived[..n], s.comm.rank(), |m| {
                 (
                     format!("partitioned recv wait(src={}, msg={m})", s.src),
                     Some(m as i64),
                     Some(s.src),
                 )
             });
-        }
         trace.emit_span(t_wait, s.comm.rank() as u16, |start, dur| {
             EventKind::PartWait {
                 msgs: n as u16,

@@ -74,7 +74,7 @@ use pcomm_net::frame::{
 use pcomm_net::{Endpoint, Mesh, MeshConfig, WireFault, WireFaults};
 use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 
-use crate::error::{PcommError, PeerSocketState};
+use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, MsgInfo, PostedRecv, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 
@@ -193,6 +193,12 @@ pub(crate) trait Transport: Send + Sync {
     /// Socket health per peer, for stall reports.
     fn peer_states(&self) -> Vec<PeerSocketState>;
 
+    /// Doorbell tallies, for stall reports and diagnostics (`None` on
+    /// fabrics without doorbells — everything but ipc).
+    fn doorbell_stats(&self) -> Option<DoorbellStats> {
+        None
+    }
+
     /// Tell every peer the universe failed (first broadcast wins;
     /// subsequent calls are no-ops).
     fn broadcast_abort(&self, err: &PcommError);
@@ -205,6 +211,16 @@ pub(crate) trait Transport: Send + Sync {
     fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
         let _ = fabric;
         completion.wait_timeout(WAIT_SLICE)
+    }
+
+    /// Opportunistic inline progress ahead of a burst of
+    /// [`Transport::wait_slice`] calls, one per entry of `completions`:
+    /// a polling transport (ipc) polls until all are set or the peer
+    /// goes quiet, as *one* poller rather than one per completion.
+    /// Never required for correctness — the waits that follow block
+    /// properly; the default does nothing.
+    fn poll_burst(&self, fabric: &Fabric, completions: &[Arc<Completion>]) {
+        let _ = (fabric, completions);
     }
 
     /// Try to pin a receiver-side destination of `len` bytes that the
@@ -3156,6 +3172,7 @@ mod tests {
             unmatched_unexpected: vec![],
             matched: 3,
             peers: vec![],
+            doorbell: None,
         }));
         let Frame::Abort { kind, detail, .. } = encode_abort(&err) else {
             panic!("expected Abort");

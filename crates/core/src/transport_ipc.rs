@@ -18,7 +18,10 @@
 //! single low-duty "pcomm-ipc" thread per process backstops
 //! completions nobody is actively waiting on and runs the heartbeat
 //! monitor (peer death becomes a typed [`PcommError::PeerPanicked`]
-//! instead of a hang).
+//! instead of a hang). The two share the rank's inbound doorbell
+//! through a [`Handoff`]: while an app thread polls, the progress
+//! thread's park is not counted in `sleepers`, so a peer's push costs
+//! no `FUTEX_WAKE`; the last poller out hands the doorbell back.
 //!
 //! Verify/audit semantics mirror the socket transport exactly — same
 //! `VerifyWire*`/`VerifyStream*` events, with the ipc simplifications
@@ -33,6 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pcomm_net::frame::{self, Frame};
+use pcomm_net::ipc::doorbell::Handoff;
 use pcomm_net::ipc::ring::{
     Channel, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_RDV, K_SLAB,
 };
@@ -41,7 +45,7 @@ use pcomm_net::ipc::{self, IpcParams, Segment};
 use pcomm_net::{sys, Mesh};
 use pcomm_trace::EventKind;
 
-use crate::error::{PcommError, PeerSocketState};
+use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 use crate::transport::{
@@ -54,6 +58,12 @@ use crate::transport::{
 /// latency-critical window), short enough not to burn a core when the
 /// peer is genuinely slow.
 const SPIN_WINDOW: Duration = Duration::from_micros(150);
+
+/// `spin_loop` hints between two polls of an idle ring, before the
+/// `yield_now` (which stays: on a 1-CPU host the peer needs the core).
+/// Enough that an idle poller stops hammering the producer's head line
+/// and `sched_yield`; few enough that a record is seen within ~100 ns.
+const POLL_PAUSES: u32 = 8;
 
 /// Futex timeout for one backpressure wait on a full ring, ns. Short:
 /// a stuck consumer is re-checked often enough that abort flags and
@@ -196,6 +206,17 @@ pub(crate) struct IpcTransport {
     stop: AtomicBool,
     /// Heartbeat publish period, ms.
     hb_ms: u64,
+    /// Who owns this rank's inbound doorbell right now: polling app
+    /// threads or the parked progress thread.
+    handoff: Handoff,
+    /// Peer doorbells rung by this rank (one per published record).
+    doorbell_rings: AtomicU64,
+    /// Of those, how many found a counted sleeper and paid `FUTEX_WAKE`.
+    doorbell_wakes: AtomicU64,
+    /// Progress-thread parks counted in `sleepers` (no poller active).
+    progress_parks_counted: AtomicU64,
+    /// Progress-thread parks taken over by a polling app thread.
+    progress_parks_uncounted: AtomicU64,
 }
 
 impl IpcTransport {
@@ -248,6 +269,11 @@ impl IpcTransport {
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
             hb_ms: pcomm_net::launch::hb_ms_from_env().unwrap_or(DEFAULT_HB_MS),
+            handoff: Handoff::new(),
+            doorbell_rings: AtomicU64::new(0),
+            doorbell_wakes: AtomicU64::new(0),
+            progress_parks_counted: AtomicU64::new(0),
+            progress_parks_uncounted: AtomicU64::new(0),
         })
     }
 
@@ -311,33 +337,42 @@ impl IpcTransport {
             let seen = peer.out_ch.space_doorbell().seq();
             let pushed = {
                 let out = peer.out.lock();
+                // Stamped *before* the publish: a polling consumer pops
+                // (and stamps its recv) within nanoseconds of it, and
+                // the auditor's clock alignment needs send <= recv.
+                let trace = fabric.trace();
+                let t_send = trace.verify_now_ns();
                 let ok = match body {
                     Body::Inline(p) => out.try_push(desc, p).is_ok(),
                     Body::Slab(p) => out.try_push_slab(desc, &[p]).is_ok(),
                 };
                 if ok {
-                    let trace = fabric.trace();
-                    if trace.is_verify() {
+                    trace.emit_span(t_send, self.rank as u16, |at, _| {
                         // ORDERING: Relaxed suffices — the `out` mutex
                         // already serialises every producer on this
                         // counter (same argument as the socket lanes).
                         let seq = peer.tx_seq.fetch_add(1, Ordering::Relaxed);
-                        let (p16, op16) = (dst as u16, op as u16);
-                        trace.emit_verify(self.rank as u16, || EventKind::VerifyWireSend {
-                            peer: p16,
+                        EventKind::VerifyWireSend {
+                            peer: dst as u16,
                             lane: 0,
-                            op: op16,
+                            op: op as u16,
                             epoch: 0,
                             seq,
-                        });
-                    }
+                        }
+                        .at(at)
+                    });
                 }
                 ok
             };
             if pushed {
                 // ORDERING: advisory stat for diagnostics snapshots.
                 peer.frames_sent.fetch_add(1, Ordering::Relaxed);
-                let _ = self.segment.doorbell(dst).ring();
+                // ORDERING: always-on diagnostics tallies, read racily.
+                self.doorbell_rings.fetch_add(1, Ordering::Relaxed);
+                if self.segment.doorbell(dst).ring().unwrap_or(false) {
+                    // ORDERING: as `doorbell_rings`.
+                    self.doorbell_wakes.fetch_add(1, Ordering::Relaxed);
+                }
                 if let Some(since) = waited_since {
                     let (p16, kind) = (dst as u16, desc.kind);
                     let wait_ns = since.elapsed().as_nanos() as u64;
@@ -431,21 +466,31 @@ impl IpcTransport {
     /// Drain every peer's inbound channel once; returns whether any
     /// record was consumed.
     fn progress_pass(&self, fabric: &Fabric) -> bool {
+        self.drain_all(fabric, false)
+    }
+
+    /// One drain pass over every peer. `wait_for_drainer` is for the
+    /// last poller out (see `poll_until_none`): it owes the rings one look
+    /// of its *own* after re-counting the progress thread, so it waits
+    /// for a concurrent drainer's (record-sized) critical section
+    /// instead of trusting that drainer to have looked late enough.
+    fn drain_all(&self, fabric: &Fabric, wait_for_drainer: bool) -> bool {
         let mut any = false;
         for src in 0..self.n_ranks {
             if src != self.rank {
-                any |= self.drain_peer(fabric, src);
+                any |= self.drain_peer(fabric, src, wait_for_drainer);
             }
         }
         any
     }
 
-    /// Drain `src`'s inbound channel until it is empty or another
-    /// thread holds it. One record per lock acquisition: pushy records
-    /// are dispatched *after* the guard drops and the slot is recycled
-    /// (see [`Deferred`]), so a dispatch that blocks on backpressure
-    /// can never wedge this channel's drain.
-    fn drain_peer(&self, fabric: &Fabric, src: usize) -> bool {
+    /// Drain `src`'s inbound channel until it is empty or (unless
+    /// `wait_for_drainer`) another thread holds it. One record per lock
+    /// acquisition: pushy records are dispatched *after* the guard
+    /// drops and the slot is recycled (see [`Deferred`]), so a dispatch
+    /// that blocks on backpressure can never wedge this channel's
+    /// drain.
+    fn drain_peer(&self, fabric: &Fabric, src: usize, wait_for_drainer: bool) -> bool {
         let Some(peer) = &self.peers[src] else {
             return false;
         };
@@ -453,7 +498,11 @@ impl IpcTransport {
         loop {
             let mut deferred: Option<Deferred> = None;
             let popped = {
-                let Some(inb) = peer.inb.try_lock() else {
+                let inb = if wait_for_drainer {
+                    peer.inb.lock()
+                } else if let Some(inb) = peer.inb.try_lock() {
+                    inb
+                } else {
                     return any; // another thread is draining this peer
                 };
                 let r = inb.try_pop(|desc, payload| {
@@ -1293,18 +1342,86 @@ impl IpcTransport {
             let seen = bell.seq();
             // Re-check after the snapshot: a producer that pushed and
             // rang between the drain above and here bumped the bell, so
-            // the wait below would return immediately anyway — this
+            // the park below would return immediately anyway — this
             // just skips the syscall.
             if self.progress_pass(fabric) {
                 continue;
             }
-            let woken = bell.wait(seen, tick_ns).unwrap_or(false);
+            // Counted only while no app thread polls (the hand-off);
+            // either way bounded by the tick, so heartbeats and
+            // peer-death detection keep their cadence.
+            let Ok(parked) = self.handoff.park(&bell, seen, tick_ns) else {
+                continue;
+            };
+            let tally = if parked.counted {
+                &self.progress_parks_counted
+            } else {
+                &self.progress_parks_uncounted
+            };
+            // ORDERING: always-on diagnostics tally, read racily.
+            tally.fetch_add(1, Ordering::Relaxed);
             fabric
                 .trace()
                 .emit(self.rank as u16, || EventKind::IpcDoorbell {
                     seq: seen,
-                    woken,
+                    woken: parked.woken,
                 });
+        }
+    }
+
+    /// Poll with inline progress until `pending()` reaches zero or
+    /// nothing has happened for [`SPIN_WINDOW`] (every drop of
+    /// `pending()` renews it); returns whether it reached zero. The
+    /// same-host round trip is microseconds, and handing it to the
+    /// progress thread would add two context switches. While we poll,
+    /// this rank's doorbell is ours — the progress thread's park is not
+    /// counted, so peers push without a `FUTEX_WAKE`.
+    fn poll_until_none(&self, fabric: &Fabric, mut pending: impl FnMut() -> usize) -> bool {
+        let mut left = pending();
+        if left == 0 {
+            return true;
+        }
+        let bell = self.segment.doorbell(self.rank);
+        self.handoff.poller_enter(&bell);
+        let mut spin_until = Instant::now() + SPIN_WINDOW;
+        let mut renew = false;
+        while left > 0 {
+            if !self.progress_pass(fabric) {
+                let now = Instant::now();
+                if renew {
+                    (spin_until, renew) = (now + SPIN_WINDOW, false);
+                } else if now >= spin_until {
+                    break;
+                }
+                for _ in 0..POLL_PAUSES {
+                    std::hint::spin_loop();
+                }
+                std::thread::yield_now();
+            }
+            let now_left = pending();
+            renew |= now_left < left;
+            left = now_left;
+        }
+        if self.handoff.poller_exit(&bell) {
+            // Last poller out: the parked progress thread is counted
+            // again, and a peer that pushed while it was not saw
+            // `sleepers == 0` and skipped the wake — that record is
+            // ours to drain (lost-wakeup argument: `ipc::doorbell`).
+            self.drain_all(fabric, true);
+        }
+        left == 0
+    }
+
+    /// Racy snapshot of the always-on doorbell tallies.
+    fn doorbell_stats_now(&self) -> DoorbellStats {
+        // ORDERING: advisory tallies; each is independently monotonic
+        // and the snapshot is racy by design.
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        DoorbellStats {
+            rings: get(&self.doorbell_rings),
+            wakes: get(&self.doorbell_wakes),
+            parks_counted: get(&self.progress_parks_counted),
+            parks_uncounted: get(&self.progress_parks_uncounted),
         }
     }
 
@@ -1423,8 +1540,21 @@ impl IpcTransport {
                 }
             }
         }
+        fabric.trace().emit(self.rank as u16, || {
+            let stats = self.doorbell_stats_now();
+            let sat = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+            EventKind::IpcDoorbellStats {
+                rings: sat(stats.rings),
+                wakes: sat(stats.wakes),
+                parks_counted: sat(stats.parks_counted),
+                parks_uncounted: sat(stats.parks_uncounted),
+            }
+        });
         self.stop.store(true, Ordering::Release);
-        let _ = self.segment.doorbell(self.rank).ring();
+        // Unconditional: `ring()` skips the wake of a sleeper that is
+        // not counted (a poller took the doorbell over), and teardown
+        // must not sit out a progress-thread tick.
+        let _ = self.segment.doorbell(self.rank).wake();
         if let Some(handle) = self.progress.lock().take() {
             let _ = handle.join();
         }
@@ -1748,23 +1878,27 @@ impl Transport for IpcTransport {
     }
 
     fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
-        // Spin with inline progress first: the same-host round trip is
-        // microseconds, and handing it to the progress thread would add
-        // two context switches. Past the window, park — the doorbell
-        // wakes the progress thread, which completes us.
-        let spin_until = Instant::now() + SPIN_WINDOW;
-        loop {
-            if completion.is_set() {
-                return true;
+        // Past the polling window, park — the doorbell wakes the
+        // progress thread, which completes us.
+        self.poll_until_none(fabric, || usize::from(!completion.is_set()))
+            || completion.wait_timeout(WAIT_SLICE)
+    }
+
+    fn poll_burst(&self, fabric: &Fabric, completions: &[Arc<Completion>]) {
+        // Completions before the cursor are set. A stream arriving
+        // piecemeal is one polling session — one doorbell hand-off —
+        // not one per message.
+        let mut next = 0;
+        self.poll_until_none(fabric, || {
+            while completions.get(next).is_some_and(|c| c.is_set()) {
+                next += 1;
             }
-            if !self.progress_pass(fabric) {
-                if Instant::now() >= spin_until {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-        completion.wait_timeout(WAIT_SLICE)
+            completions.len() - next
+        });
+    }
+
+    fn doorbell_stats(&self) -> Option<DoorbellStats> {
+        Some(self.doorbell_stats_now())
     }
 
     fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {

@@ -14,7 +14,7 @@
 #![allow(dead_code)]
 
 use std::path::PathBuf;
-use std::process::{Command, ExitStatus, Stdio};
+use std::process::{ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use pcomm_core::part::PartOptions;
@@ -29,6 +29,12 @@ pub const ENV_PARTS: &str = "PCOMM_TEST_PARTS";
 pub const ENV_PART_BYTES: &str = "PCOMM_TEST_PART_BYTES";
 /// Sleep between `pready` calls, ms — the "slow but alive" knob.
 pub const ENV_PREADY_GAP_MS: &str = "PCOMM_TEST_PREADY_GAP_MS";
+/// Passes of the `stream-repeat` scenario.
+pub const ENV_ITERS: &str = "PCOMM_TEST_ITERS";
+/// Seed of the `handoff-stress` scenario (traffic and timing).
+pub const ENV_SEED: &str = "PCOMM_TEST_SEED";
+/// Rounds of the `handoff-stress` scenario.
+pub const ENV_ROUNDS: &str = "PCOMM_TEST_ROUNDS";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -89,6 +95,222 @@ pub fn transfer(comm: &Comm, n_parts: usize, part_bytes: usize, pready_gap: Dura
     }
 }
 
+/// SplitMix64: the stress scenarios' seeded source of traffic shapes
+/// and timing (both ranks derive the same sequence from the seed).
+pub struct SplitMix(pub u64);
+
+impl SplitMix {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Burn `d` of CPU without entering the library: "compute".
+pub fn compute(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// Shape of the hand-off stress traffic (both ranks must agree).
+pub const STRESS_EAGER_BYTES: usize = 200;
+pub const STRESS_RDV_BYTES: usize = 96 * 1024;
+pub const STRESS_PARTS: usize = 8;
+pub const STRESS_PART_BYTES: usize = 4096;
+/// Every this-many-th round the receiver stays out of the library for
+/// [`STRESS_LONG_AWAY`] instead of 0–300 µs — far longer than
+/// [`STRESS_BOUND`], so a wake lost at the hand-off shows up as the
+/// sender's rendezvous stalling until the receiver's next poll.
+pub const STRESS_LONG_EVERY: u64 = 12;
+pub const STRESS_LONG_AWAY: Duration = Duration::from_millis(60);
+/// No completion may take longer than this: far below the 125 ms
+/// progress-thread tick that would rescue a lost wake.
+pub const STRESS_BOUND: Duration = Duration::from_millis(40);
+
+fn stress_fill(round: u64, p: usize, buf: &mut [u8]) {
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = (round.wrapping_mul(31) as usize ^ p.wrapping_mul(131) ^ i.wrapping_mul(7)) as u8;
+    }
+}
+
+/// What a correct receiver digests over `rounds` of the stress traffic.
+pub fn stress_expected_digest(rounds: u64) -> u64 {
+    let mut acc = FNV_OFFSET;
+    let mut buf = vec![0u8; STRESS_RDV_BYTES];
+    for round in 0..rounds {
+        for p in 0..STRESS_PARTS {
+            stress_fill(round, p, &mut buf[..STRESS_PART_BYTES]);
+            acc = fnv1a(acc, &buf[..STRESS_PART_BYTES]);
+        }
+        stress_fill(round, STRESS_PARTS, &mut buf);
+        acc = fnv1a(acc, &buf);
+        stress_fill(round, STRESS_PARTS + 1, &mut buf[..STRESS_EAGER_BYTES]);
+        acc = fnv1a(acc, &buf[..STRESS_EAGER_BYTES]);
+    }
+    acc
+}
+
+/// The hand-off stress scenario. Every round rank 1 streams a
+/// partitioned message, then — a seeded 0–3 µs later, while rank 0 is
+/// leaving the poll that message completed — starts a blocking
+/// rendezvous send and an eager one. Rank 0 posted the rendezvous
+/// receive up front and, between its partitioned `wait` (it polls: the
+/// doorbell is its own) and collecting the rest, computes for a seeded
+/// 0–300 µs (no polling: its progress thread is counted again and
+/// alone answers RTS with CTS and drains the slab). A wake lost at that
+/// hand-off leaves the rendezvous hanging until rank 0 polls again —
+/// 60 ms later every twelfth round. Rounds close with a one-partition
+/// ack 0 → 1 (partitioned, so the auditor's happens-before pass sees
+/// what orders the sender's next buffer write after this round's
+/// commits). Returns the digest at rank 0 (0 at the sender) and the
+/// slowest completion on this rank (the ack wait, which absorbs the
+/// peer's absence by design, is not timed).
+pub fn handoff_stress(comm: &Comm, seed: u64, rounds: u64) -> (u64, Duration) {
+    let mut timing = SplitMix(seed ^ (0xa5a5 + comm.rank() as u64));
+    let mut gap = move |below_ns: u64| Duration::from_nanos(timing.below(below_ns));
+    let mut slowest = Duration::ZERO;
+    let mut timed = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        slowest = slowest.max(t0.elapsed());
+    };
+    let mut acc = FNV_OFFSET;
+    let mut small = vec![0u8; STRESS_EAGER_BYTES];
+    let opts = PartOptions::default;
+    if comm.rank() == 0 {
+        let pr = comm.precv_init(1, 9, STRESS_PARTS, STRESS_PART_BYTES, opts());
+        let ack = comm.psend_init(1, 10, 1, 8, opts());
+        let rdv = comm.recv_init(1, 5, STRESS_RDV_BYTES);
+        for round in 0..rounds {
+            rdv.start();
+            pr.start();
+            compute(gap(300_000));
+            timed(&mut || pr.wait());
+            if (round + 1) % STRESS_LONG_EVERY == 0 {
+                std::thread::sleep(STRESS_LONG_AWAY);
+            } else {
+                compute(gap(300_000));
+            }
+            timed(&mut || {
+                rdv.wait();
+            });
+            timed(&mut || {
+                comm.recv_into(Some(1), Some(4), &mut small);
+            });
+            for p in 0..STRESS_PARTS {
+                acc = fnv1a(acc, pr.partition(p));
+            }
+            rdv.read(|b| acc = fnv1a(acc, b));
+            acc = fnv1a(acc, &small);
+            ack.start();
+            ack.write_partition(0, |b| b.copy_from_slice(&round.to_le_bytes()));
+            ack.pready(0);
+            ack.wait();
+        }
+        (acc, slowest)
+    } else {
+        let ps = comm.psend_init(0, 9, STRESS_PARTS, STRESS_PART_BYTES, opts());
+        let ack = comm.precv_init(0, 10, 1, 8, opts());
+        let mut big = vec![0u8; STRESS_RDV_BYTES];
+        for round in 0..rounds {
+            ack.start();
+            compute(gap(300_000));
+            timed(&mut || {
+                ps.start();
+                for p in 0..STRESS_PARTS {
+                    ps.write_partition(p, |buf| stress_fill(round, p, buf));
+                    ps.pready(p);
+                    compute(gap(2_000));
+                }
+                ps.wait();
+            });
+            stress_fill(round, STRESS_PARTS, &mut big);
+            stress_fill(round, STRESS_PARTS + 1, &mut small);
+            compute(gap(3_000));
+            // RTS, its CTS answer and the slab drain all need rank 0's
+            // progress thread: its app thread is computing (or asleep).
+            timed(&mut || comm.send(0, 5, &big));
+            timed(&mut || comm.send(0, 4, &small));
+            ack.wait();
+            assert_eq!(ack.partition(0), round.to_le_bytes(), "ack out of step");
+        }
+        (0, slowest)
+    }
+}
+
+/// The async-progress scenario: rank 0 posts a rendezvous-sized
+/// receive and then stays out of the library — no wait, no poll — for
+/// `away`; rank 1's blocking send needs rank 0's RTS→CTS answer and
+/// slab drain meanwhile. Returns how long that send took (rank 1).
+pub fn async_progress(comm: &Comm, away: Duration) -> (u64, Duration) {
+    let len = 256 * 1024;
+    if comm.rank() == 0 {
+        let recv = comm.recv_init(1, 5, len);
+        recv.start();
+        std::thread::sleep(away);
+        recv.wait();
+        let mut acc = FNV_OFFSET;
+        recv.read(|b| acc = fnv1a(acc, b));
+        (acc, Duration::ZERO)
+    } else {
+        let mut buf = vec![0u8; len];
+        fill_pattern(3, &mut buf);
+        // Let rank 0's app thread go away and its progress thread park.
+        std::thread::sleep(away / 4);
+        let t0 = Instant::now();
+        comm.send(0, 5, &buf);
+        (0, t0.elapsed())
+    }
+}
+
+/// Partition `p`'s bytes in the stream-repeat scenario: one `memset`,
+/// so the sender's pace is the fabric's, not the fill's.
+fn flat_byte(p: usize) -> u8 {
+    (p as u8).wrapping_mul(37) ^ 0x5a
+}
+
+/// The digest a correct receiver computes for one stream-repeat pass.
+pub fn flat_expected_digest(n_parts: usize, part_bytes: usize) -> u64 {
+    (0..n_parts).fold(FNV_OFFSET, |acc, p| {
+        fnv1a(acc, &vec![flat_byte(p); part_bytes])
+    })
+}
+
+/// The stream-repeat scenario: the same partitioned transfer `iters`
+/// times back to back, the receiver going straight from one `wait`
+/// into the next `start`/`wait` (it is out of a wait for nanoseconds).
+/// Returns the digest of the last pass at rank 0, 0 at the sender.
+pub fn stream_repeat(comm: &Comm, n_parts: usize, part_bytes: usize, iters: usize) -> u64 {
+    if comm.rank() == 0 {
+        let pr = comm.precv_init(1, 7, n_parts, part_bytes, PartOptions::default());
+        for _ in 0..iters {
+            pr.start();
+            pr.wait();
+        }
+        (0..n_parts).fold(FNV_OFFSET, |acc, p| fnv1a(acc, pr.partition(p)))
+    } else {
+        let ps = comm.psend_init(0, 7, n_parts, part_bytes, PartOptions::default());
+        for _ in 0..iters {
+            ps.start();
+            for p in 0..n_parts {
+                ps.write_partition(p, |buf| buf.fill(flat_byte(p)));
+                ps.pready(p);
+            }
+            ps.wait();
+        }
+        0
+    }
+}
+
 /// The barrier-storm scenario: pure lane-0 control traffic, so a
 /// half-open lane 0 leaves the peer with nothing but silence for the
 /// heartbeat monitor to judge.
@@ -117,22 +339,55 @@ pub fn maybe_run_child() -> bool {
     let n_parts = env_usize(ENV_PARTS, 16);
     let part_bytes = env_usize(ENV_PART_BYTES, 16 * 1024);
     let gap = Duration::from_millis(env_usize(ENV_PREADY_GAP_MS, 0) as u64);
-    let result = Universe::new(2).run(|comm| match scenario.as_str() {
-        "barrier-storm" => barrier_storm(&comm, 10_000),
-        // Rank 1 vanishes without ceremony after one barrier — the
-        // harness's stand-in for a peer process dying mid-run. Rank 0
-        // keeps hammering barriers until liveness monitoring notices.
-        "abort-mid" => {
-            comm.barrier();
-            if comm.rank() == 1 {
-                std::process::abort();
+    let iters = env_usize(ENV_ITERS, 1);
+    let seed = env_usize(ENV_SEED, 1) as u64;
+    let rounds = env_usize(ENV_ROUNDS, 240) as u64;
+    // When the scenario body returned; `run` still has the fabric's
+    // teardown (closing barrier, `Bye`s, progress-thread join) to do.
+    let body_done = std::sync::Mutex::new(None);
+    let result = Universe::new(2).run(|comm| {
+        let (digest, slowest) = match scenario.as_str() {
+            "barrier-storm" => (barrier_storm(&comm, 10_000), Duration::ZERO),
+            // Rank 1 vanishes without ceremony after one barrier — the
+            // harness's stand-in for a peer process dying mid-run. Rank 0
+            // keeps hammering barriers until liveness monitoring notices.
+            "abort-mid" => {
+                comm.barrier();
+                if comm.rank() == 1 {
+                    std::process::abort();
+                }
+                (barrier_storm(&comm, 10_000), Duration::ZERO)
             }
-            barrier_storm(&comm, 10_000)
-        }
-        _ => transfer(&comm, n_parts, part_bytes, gap),
+            "handoff-stress" => handoff_stress(&comm, seed, rounds),
+            "async-progress" => async_progress(&comm, Duration::from_millis(400)),
+            "stream-repeat" => (
+                stream_repeat(&comm, n_parts, part_bytes, iters),
+                Duration::ZERO,
+            ),
+            _ => (transfer(&comm, n_parts, part_bytes, gap), Duration::ZERO),
+        };
+        let bell = comm.doorbell_stats().unwrap_or_default();
+        *body_done.lock().unwrap() = Some(Instant::now());
+        (digest, slowest, bell)
     });
+    let teardown = body_done
+        .lock()
+        .unwrap()
+        .map_or(Duration::ZERO, |t| t.elapsed());
     let line = match result {
-        Ok(vals) => format!("ok {:016x}", vals[0]),
+        Ok(vals) => {
+            let (digest, slowest, bell) = vals[0];
+            format!(
+                "ok {digest:016x} slowest_us={} teardown_us={} rings={} wakes={} \
+                 parks_counted={} parks_uncounted={}",
+                slowest.as_micros(),
+                teardown.as_micros(),
+                bell.rings,
+                bell.wakes,
+                bell.parks_counted,
+                bell.parks_uncounted
+            )
+        }
         Err(e) => format!("err {}", format!("{e}").replace('\n', " | ")),
     };
     std::fs::write(env.dir.join(format!("test-out-{}", env.rank)), line)
@@ -154,9 +409,16 @@ pub struct RankOutcome {
 
 impl RankOutcome {
     pub fn digest(&self) -> Option<u64> {
+        let d = self.out.strip_prefix("ok ")?.split_whitespace().next()?;
+        u64::from_str_radix(d, 16).ok()
+    }
+
+    /// A `key=<n>` figure from the `ok` line (`slowest_us`,
+    /// `teardown_us`, the doorbell tallies).
+    pub fn figure(&self, key: &str) -> Option<u64> {
         self.out
-            .strip_prefix("ok ")
-            .and_then(|d| u64::from_str_radix(d.trim(), 16).ok())
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
     }
 }
 
@@ -172,6 +434,19 @@ pub fn run_wire_pair(
     per_rank_env: [Vec<(&str, String)>; 2],
     timeout: Duration,
 ) -> Vec<RankOutcome> {
+    run_wire_pair_on(test_name, scenario, common_env, per_rank_env, timeout, None)
+}
+
+/// [`run_wire_pair`] with rank `r` pinned to `cpus[r]` by `taskset`
+/// (`None`: unpinned).
+pub fn run_wire_pair_on(
+    test_name: &str,
+    scenario: &str,
+    common_env: &[(&str, String)],
+    per_rank_env: [Vec<(&str, String)>; 2],
+    timeout: Duration,
+    cpus: Option<[usize; 2]>,
+) -> Vec<RankOutcome> {
     let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
     let spmd = MultiprocEnv {
         rank: 0,
@@ -183,7 +458,7 @@ pub fn run_wire_pair(
     let trace_base = dir.join("trace.json");
     let children: Vec<_> = (0..2)
         .map(|rank| {
-            let mut cmd = Command::new(&exe);
+            let mut cmd = launch::pinned_command(&exe, cpus.map(|c| c[rank]));
             cmd.arg(test_name).arg("--exact").arg("--test-threads=1");
             cmd.stdout(Stdio::null());
             spmd.apply_to(&mut cmd, rank);

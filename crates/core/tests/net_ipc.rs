@@ -11,7 +11,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{ENV_PARTS, ENV_PART_BYTES};
+use common::{ENV_ITERS, ENV_PARTS, ENV_PART_BYTES, ENV_ROUNDS, ENV_SEED};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -249,4 +249,262 @@ fn ipc_verified_run_audits_clean() {
         report.stats.streams >= 1,
         "the partitioned transfer should stream:\n{report}"
     );
+}
+
+/// Held by every cell that asserts on timing or on who got to poll: the
+/// harness runs this file's tests on parallel threads, and two cells
+/// pinned to the same cores measure each other.
+fn timing_cell() -> std::sync::MutexGuard<'static, ()> {
+    static CORES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    CORES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Both ranks exited clean and reported `ok`.
+fn assert_ok(outs: &[common::RankOutcome]) {
+    for (rank, o) in outs.iter().enumerate() {
+        assert!(
+            o.status.success(),
+            "rank {rank}: {:?} ({})",
+            o.status,
+            o.out
+        );
+        assert!(o.out.starts_with("ok "), "rank {rank}: `{}`", o.out);
+    }
+}
+
+/// One cell of the doorbell hand-off stress (`common::handoff_stress`):
+/// rank 0 alternates seeded compute (its progress thread counted
+/// again) with blocking waits (the doorbell its own), rank 1 fires
+/// partitioned, rendezvous and eager traffic at seeded gaps clustered
+/// on the hand-off. Bit-exact under full verification, no completion
+/// slower than `STRESS_BOUND` — a wake lost at the hand-off stalls a
+/// rendezvous for the receiver's whole 60 ms absence — and the merged
+/// audit clean.
+fn handoff_stress_cell(test_name: &str, cpus: Option<[usize; 2]>) {
+    let seed: u64 = std::env::var(ENV_SEED)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0x5eed);
+    let rounds: u64 = 240;
+    let outs = common::run_wire_pair_on(
+        test_name,
+        "handoff-stress",
+        &[
+            fabric_env(),
+            (ENV_SEED, seed.to_string()),
+            (ENV_ROUNDS, rounds.to_string()),
+            ("PCOMM_VERIFY", "1".to_string()),
+        ],
+        [vec![], vec![]],
+        TIMEOUT,
+        cpus,
+    );
+    assert_ok(&outs);
+    assert_eq!(
+        outs[0].digest(),
+        Some(common::stress_expected_digest(rounds)),
+        "stress digest diverged (seed {seed}): `{}`",
+        outs[0].out
+    );
+    for (rank, o) in outs.iter().enumerate() {
+        let slowest = o.figure("slowest_us").expect("slowest_us in the ok line");
+        assert!(
+            slowest < common::STRESS_BOUND.as_micros() as u64,
+            "rank {rank}: a completion took {slowest} us (bound {:?}, seed {seed}, cpus {cpus:?}) \
+             — a doorbell wake was lost at the hand-off: `{}`",
+            common::STRESS_BOUND,
+            o.out
+        );
+    }
+    // The cell must have exercised both regimes of rank 0: pushes that
+    // found it computing (its progress thread counted: a wake each) and
+    // pushes that found it polling (no wake).
+    let (rings, wakes) = (
+        outs[1].figure("rings").unwrap_or(0),
+        outs[1].figure("wakes").unwrap_or(0),
+    );
+    assert!(
+        wakes > 0 && wakes <= rings / 2,
+        "hand-off never engaged: `{}`",
+        outs[1].out
+    );
+    let rings: Vec<_> = outs
+        .iter()
+        .enumerate()
+        .map(|(rank, o)| {
+            o.events
+                .clone()
+                .unwrap_or_else(|| panic!("rank {rank} left no .events ring"))
+        })
+        .collect();
+    let report = pcomm_verify::audit(&rings);
+    assert!(report.is_clean(), "stress cell failed its audit:\n{report}");
+}
+
+/// The CPUs to pin a cell's two ranks to: `spread` puts them on two
+/// CPUs when the host has two, otherwise both share the first.
+fn stress_cpus(spread: bool) -> Option<[usize; 2]> {
+    let cpus = pcomm_net::launch::pin_cpus();
+    if cpus.is_empty() {
+        eprintln!("note: no taskset or cpu list; running the cell unpinned");
+        return None;
+    }
+    let second = if spread {
+        *cpus.get(1).unwrap_or(&cpus[0])
+    } else {
+        cpus[0]
+    };
+    Some([cpus[0], second])
+}
+
+/// Hand-off stress, both ranks (six threads) on one CPU: every
+/// hand-off is a preemption point.
+#[test]
+fn ipc_handoff_stress_one_cpu() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    handoff_stress_cell("ipc_handoff_stress_one_cpu", stress_cpus(false));
+}
+
+/// Hand-off stress, one CPU per rank: pushes race poll exits for real.
+#[test]
+fn ipc_handoff_stress_two_cpus() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    handoff_stress_cell("ipc_handoff_stress_two_cpus", stress_cpus(true));
+}
+
+/// Asynchronous progress survives the hand-off: a rank whose app
+/// thread posted a receive and then never enters a wait still answers
+/// RTS with CTS and drains the slab — its progress thread's park is
+/// counted, so the peer's push wakes it. A park left un-counted would
+/// hold the send for a progress-thread tick (125 ms).
+#[test]
+fn ipc_rank_without_waits_still_answers_rts() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    let outs = common::run_wire_pair(
+        "ipc_rank_without_waits_still_answers_rts",
+        "async-progress",
+        &[fabric_env()],
+        [vec![], vec![]],
+        TIMEOUT,
+    );
+    assert_ok(&outs);
+    let mut expect = vec![0u8; 256 * 1024];
+    common::fill_pattern(3, &mut expect);
+    assert_eq!(
+        outs[0].digest(),
+        Some(common::fnv1a(0xcbf2_9ce4_8422_2325, &expect)),
+        "`{}`",
+        outs[0].out
+    );
+    let send_us = outs[1].figure("slowest_us").expect("slowest_us");
+    assert!(
+        send_us < 50_000,
+        "rendezvous send took {send_us} us while the receiver was away: its progress \
+         thread did not answer the RTS: `{}`",
+        outs[1].out
+    );
+    assert!(
+        outs[1].figure("wakes").unwrap_or(0) >= 1,
+        "the sender never paid a wake — was the receiver polling after all? `{}`",
+        outs[1].out
+    );
+}
+
+/// The point of the hand-off: with the receiver in `wait`, a 16 x
+/// 256 KiB stream's `K_PART` pushes are atomic adds, not `FUTEX_WAKE`s.
+#[test]
+fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    let (n_parts, part_bytes) = (16, 256 * 1024);
+    // A core per rank where the host has two: a poller that shares its
+    // core gives it away on every yield, and what the sender then pays
+    // measures the scheduler, not the hand-off.
+    let outs = common::run_wire_pair_on(
+        "ipc_stream_into_a_waiting_receiver_rings_without_waking",
+        "stream-repeat",
+        &[
+            fabric_env(),
+            (ENV_PARTS, n_parts.to_string()),
+            (ENV_PART_BYTES, part_bytes.to_string()),
+            (ENV_ITERS, "8".to_string()),
+        ],
+        [vec![], vec![]],
+        TIMEOUT,
+        stress_cpus(true),
+    );
+    assert_ok(&outs);
+    assert_eq!(
+        outs[0].digest(),
+        Some(common::flat_expected_digest(n_parts, part_bytes)),
+        "`{}`",
+        outs[0].out
+    );
+    let (rings, wakes) = (
+        outs[1].figure("rings").expect("rings"),
+        outs[1].figure("wakes").expect("wakes"),
+    );
+    assert!(
+        rings >= 8 * 17,
+        "8 x (RTS + 16 commits) expected: `{}`",
+        outs[1].out
+    );
+    assert!(
+        wakes <= rings / 8,
+        "sender paid {wakes} futex wakes for {rings} rings: the hand-off is not engaging"
+    );
+}
+
+/// Teardown wakes the progress thread unconditionally, so it never
+/// waits out a tick of an un-counted park: from the rank closure's
+/// return to `Universe::run`'s is the closing barrier, the `Bye`s and a
+/// join — milliseconds.
+#[test]
+fn ipc_teardown_is_bounded() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    let outs = common::run_wire_pair(
+        "ipc_teardown_is_bounded",
+        "transfer",
+        &[fabric_env()],
+        [vec![], vec![]],
+        TIMEOUT,
+    );
+    assert_ok(&outs);
+    for (rank, o) in outs.iter().enumerate() {
+        let teardown = o.figure("teardown_us").expect("teardown_us");
+        assert!(
+            teardown < 50_000,
+            "rank {rank}: ipc teardown took {teardown} us: `{}`",
+            o.out
+        );
+    }
 }

@@ -220,6 +220,48 @@ pub fn unique_rendezvous_dir() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
+/// The CPUs rank processes can be pinned to with `taskset`: this
+/// process's `Cpus_allowed_list`, or none when that cannot be read or
+/// `taskset` is missing (callers then run their ranks unpinned).
+pub fn pin_cpus() -> Vec<usize> {
+    let have_taskset = Command::new("taskset")
+        .arg("-V")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .is_ok_and(|s| s.success());
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let list = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        .filter(|_| have_taskset)
+        .unwrap_or("");
+    let mut cpus = Vec::new();
+    for range in list.trim().split(',').filter(|r| !r.is_empty()) {
+        let mut ends = range.split('-').map(|n| n.trim().parse::<usize>());
+        match (ends.next(), ends.next()) {
+            (Some(Ok(lo)), Some(Ok(hi))) => cpus.extend(lo..=hi),
+            (Some(Ok(one)), None) => cpus.push(one),
+            _ => return Vec::new(),
+        }
+    }
+    cpus
+}
+
+/// `exe`, run under `taskset -c <cpu>` when a CPU is given — one rank
+/// per core is the standard `--bind-to core` deployment, and what makes
+/// two runs of a latency-bound measurement comparable.
+pub fn pinned_command(exe: &std::path::Path, cpu: Option<usize>) -> Command {
+    match cpu {
+        Some(cpu) => {
+            let mut cmd = Command::new("taskset");
+            cmd.arg("-c").arg(cpu.to_string()).arg(exe);
+            cmd
+        }
+        None => Command::new(exe),
+    }
+}
+
 /// Spawn `n_ranks` copies of `argv` (program + args) with the rank
 /// environment set, wait for all of them, and return the first
 /// non-zero exit code (0 when every rank succeeded).

@@ -255,6 +255,14 @@ fn args_json(kind: &EventKind) -> String {
             wait_ns,
         } => format!("\"peer\":{peer},\"kind\":{kind},\"wait_ns\":{wait_ns}"),
         EventKind::IpcDoorbell { seq, woken } => format!("\"seq\":{seq},\"woken\":{woken}"),
+        EventKind::IpcDoorbellStats {
+            rings,
+            wakes,
+            parks_counted,
+            parks_uncounted,
+        } => format!(
+            "\"rings\":{rings},\"wakes\":{wakes},\"parks_counted\":{parks_counted},\"parks_uncounted\":{parks_uncounted}"
+        ),
     }
 }
 

@@ -621,6 +621,19 @@ pub enum EventKind {
         /// Whether the park ended by a ring (vs timeout).
         woken: bool,
     },
+    /// One rank's always-on doorbell tallies, emitted once at ipc
+    /// teardown: who paid a syscall to notify whom (counts saturate at
+    /// `u32::MAX`). Instant.
+    IpcDoorbellStats {
+        /// Peer doorbells this rank rang (one per published record).
+        rings: u32,
+        /// Of those, rings that issued a `FUTEX_WAKE`.
+        wakes: u32,
+        /// Progress-thread parks counted in `sleepers`.
+        parks_counted: u32,
+        /// Progress-thread parks a polling app thread took over.
+        parks_uncounted: u32,
+    },
 }
 
 const TAG_LOCK_WAIT: u64 = 1;
@@ -667,6 +680,7 @@ const TAG_VERIFY_STREAM_LOST: u64 = 41;
 const TAG_VERIFY_STREAM_MSG: u64 = 42;
 const TAG_IPC_RING_FULL: u64 = 43;
 const TAG_IPC_DOORBELL: u64 = 44;
+const TAG_IPC_DOORBELL_STATS: u64 = 45;
 
 /// `w2` layout shared by the per-partition verify events:
 /// low 32 bits = partition / message index, high 32 bits = iteration.
@@ -970,6 +984,18 @@ impl Event {
             EventKind::IpcDoorbell { seq, woken } => {
                 (TAG_IPC_DOORBELL, woken as u16, 0, seq as u64, 0)
             }
+            EventKind::IpcDoorbellStats {
+                rings,
+                wakes,
+                parks_counted,
+                parks_uncounted,
+            } => (
+                TAG_IPC_DOORBELL_STATS,
+                0,
+                0,
+                rings as u64 | ((wakes as u64) << 32),
+                parks_counted as u64 | ((parks_uncounted as u64) << 32),
+            ),
         };
         [self.ts_ns, pack_w1(tag, self.rank, aux1, aux2), w2, w3]
     }
@@ -1225,6 +1251,12 @@ impl Event {
                 seq: w[2] as u32,
                 woken: aux1 == 1,
             },
+            TAG_IPC_DOORBELL_STATS => EventKind::IpcDoorbellStats {
+                rings: w[2] as u32,
+                wakes: (w[2] >> 32) as u32,
+                parks_counted: w[3] as u32,
+                parks_uncounted: (w[3] >> 32) as u32,
+            },
             _ => return None,
         };
         Some(Event {
@@ -1293,6 +1325,7 @@ impl EventKind {
             EventKind::VerifyStreamMsg { .. } => "verify_stream_msg",
             EventKind::IpcRingFull { .. } => "ipc_ring_full",
             EventKind::IpcDoorbell { .. } => "ipc_doorbell",
+            EventKind::IpcDoorbellStats { .. } => "ipc_doorbell_stats",
         }
     }
 
@@ -1716,6 +1749,16 @@ impl fmt::Display for Event {
                 "ipc: parked on doorbell @ seq {seq}, {}",
                 if woken { "rung" } else { "timed out" }
             ),
+            EventKind::IpcDoorbellStats {
+                rings,
+                wakes,
+                parks_counted,
+                parks_uncounted,
+            } => write!(
+                f,
+                "ipc: {rings} doorbell rings, {wakes} futex wakes; progress thread parked \
+                 {parks_counted} counted / {parks_uncounted} uncounted"
+            ),
         }
     }
 }
@@ -1960,6 +2003,12 @@ mod tests {
                 seq: 77,
                 woken: true,
             },
+            EventKind::IpcDoorbellStats {
+                rings: 70_000,
+                wakes: 9,
+                parks_counted: 4,
+                parks_uncounted: 100_000,
+            },
         ]
     }
 
@@ -2009,7 +2058,7 @@ mod tests {
     #[test]
     fn names_are_unique_and_stable() {
         let names: std::collections::HashSet<&str> = all_kinds().iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), 44);
+        assert_eq!(names.len(), 45);
         assert!(names.contains("shard_lock_wait"));
         assert!(names.contains("stream_chunk"));
         assert!(names.contains("stream_commit"));
@@ -2027,6 +2076,7 @@ mod tests {
         assert!(names.contains("verify_stream_rts"));
         assert!(names.contains("verify_stream_commit"));
         assert!(names.contains("verify_stream_msg"));
+        assert!(names.contains("ipc_doorbell_stats"));
     }
 
     #[test]

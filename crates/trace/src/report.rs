@@ -81,6 +81,10 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
     let (mut chunks, mut chunk_bytes, mut chunk_parts) = (0u64, 0u64, 0u64);
     let (mut commits, mut commit_bytes) = (0u64, 0u64);
     let mut chunk_lanes: BTreeMap<u16, u64> = BTreeMap::new();
+    let mut wire_health: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let (mut ring_fulls, mut ring_full_ns) = (0u64, 0u64);
+    let (mut parks_rung, mut parks_timed_out) = (0u64, 0u64);
+    let mut doorbell_stats: Vec<(u16, [u32; 4])> = Vec::new();
 
     // Per-rank wait-side blocking spans, for the overlap fraction.
     let mut blocked: BTreeMap<u16, Vec<(u64, u64)>> = BTreeMap::new();
@@ -168,10 +172,36 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
                 commits += 1;
                 commit_bytes += bytes;
             }
+            EventKind::LaneDown { .. }
+            | EventKind::LaneFailover { .. }
+            | EventKind::Reconnect { .. }
+            | EventKind::HeartbeatMiss { .. }
+            | EventKind::WriterQueue { .. } => {
+                *wire_health.entry(ev.kind.name()).or_default() += 1;
+            }
+            EventKind::IpcRingFull { wait_ns, .. } => {
+                ring_fulls += 1;
+                ring_full_ns += wait_ns;
+            }
+            EventKind::IpcDoorbell { woken, .. } => {
+                if woken {
+                    parks_rung += 1;
+                } else {
+                    parks_timed_out += 1;
+                }
+            }
+            EventKind::IpcDoorbellStats {
+                rings,
+                wakes,
+                parks_counted,
+                parks_uncounted,
+            } => doorbell_stats.push((ev.rank, [rings, wakes, parks_counted, parks_uncounted])),
             // Analysis-grade events are consumed by pcomm-verify; the
             // summary only counts them.
-            k if k.is_verify() => verify_events += 1,
-            _ => unreachable!("non-verify kind must have an explicit arm"),
+            k => {
+                debug_assert!(k.is_verify(), "non-verify kind must have an explicit arm");
+                verify_events += 1;
+            }
         }
     }
 
@@ -309,6 +339,36 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
             let _ = writeln!(
                 out,
                 "ranges committed: {commits} ({commit_bytes} bytes received)"
+            );
+        }
+    }
+
+    if !wire_health.is_empty() {
+        let _ = writeln!(out, "\nwire health");
+        let _ = writeln!(out, "-----------");
+        for (name, n) in &wire_health {
+            let _ = writeln!(out, "{name:<17} {n}");
+        }
+    }
+    if ring_fulls + parks_rung + parks_timed_out > 0 || !doorbell_stats.is_empty() {
+        let _ = writeln!(out, "\nipc fabric");
+        let _ = writeln!(out, "----------");
+        let _ = writeln!(
+            out,
+            "ring-full waits:  {ring_fulls}  total blocked {}",
+            fmt_ns(ring_full_ns),
+        );
+        let _ = writeln!(
+            out,
+            "progress parks:   {parks_rung} rung  {parks_timed_out} timed out"
+        );
+        // Who paid a syscall: a ring is one atomic add unless the
+        // peer's progress thread was counted asleep (then a futex wake).
+        for (rank, [rings, wakes, counted, uncounted]) in &doorbell_stats {
+            let _ = writeln!(
+                out,
+                "rank {rank} doorbell:  {rings} rings  {wakes} futex wakes  \
+                 parks {counted} counted / {uncounted} uncounted",
             );
         }
     }
@@ -508,6 +568,70 @@ mod tests {
         );
         // A fault-free trace has no chaos section.
         assert!(!summary_report(&[], 0).contains("chaos"));
+    }
+
+    #[test]
+    fn ipc_and_wire_events_are_summarised_not_fatal() {
+        let events = vec![
+            ev(
+                5,
+                0,
+                EventKind::IpcRingFull {
+                    peer: 1,
+                    kind: 2,
+                    wait_ns: 4_000,
+                },
+            ),
+            ev(
+                6,
+                0,
+                EventKind::IpcDoorbell {
+                    seq: 3,
+                    woken: true,
+                },
+            ),
+            ev(
+                7,
+                1,
+                EventKind::IpcDoorbell {
+                    seq: 4,
+                    woken: false,
+                },
+            ),
+            ev(
+                8,
+                1,
+                EventKind::HeartbeatMiss {
+                    peer: 0,
+                    quiet_ms: 9,
+                },
+            ),
+            ev(
+                9,
+                1,
+                EventKind::IpcDoorbellStats {
+                    rings: 640,
+                    wakes: 3,
+                    parks_counted: 2,
+                    parks_uncounted: 9,
+                },
+            ),
+        ];
+        let rpt = summary_report(&events, 0);
+        assert!(rpt.contains("ipc fabric"), "{rpt}");
+        assert!(rpt.contains("ring-full waits:  1"), "{rpt}");
+        assert!(
+            rpt.contains("progress parks:   1 rung  1 timed out"),
+            "{rpt}"
+        );
+        assert!(
+            rpt.contains(
+                "rank 1 doorbell:  640 rings  3 futex wakes  parks 2 counted / 9 uncounted"
+            ),
+            "{rpt}"
+        );
+        assert!(rpt.contains("heartbeat_miss"), "{rpt}");
+        assert!(!summary_report(&[], 0).contains("ipc fabric"));
     }
 
     #[test]
