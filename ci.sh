@@ -24,6 +24,12 @@ cargo test -q --offline --features proptests
 echo "== cargo bench --no-run (offline) =="
 cargo bench --workspace --no-run --offline
 
+echo "== benchmark package (own workspace: unit tests + --quick smoke of every workload) =="
+# `benchmark/` is a package of its own that neither the workspace build
+# nor tier-1 sees; a pcomm-core change that breaks its build or its
+# smoke run must fail here first, not in the benchmark driver.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== hotpath bench smoke (release, quick, scratch output) =="
 mkdir -p target
 cargo run --release -p pcomm-bench --bin hotpath --offline -- \
@@ -246,9 +252,32 @@ done
 
 echo "== safety lint (SAFETY / ORDERING / PANIC justification comments) =="
 # Every `unsafe` site repo-wide needs a `// SAFETY:` justification; on
-# the wire hot path (crates/core/src/transport.rs + crates/net/) every
-# Relaxed atomic needs `// ORDERING:` and every unwrap/expect needs
-# `// PANIC:`. See crates/bench/src/bin/safety_lint.rs.
+# the wire hot path (crates/core/src/{wire,transport,transport_ipc}.rs +
+# crates/net/) every Relaxed atomic needs `// ORDERING:` and every
+# unwrap/expect needs `// PANIC:`. See crates/bench/src/bin/safety_lint.rs.
 cargo run --release -p pcomm-bench --bin safety_lint --offline
+
+echo "== size (ROADMAP's tracked counts; the transport family has a ceiling) =="
+# Non-test lines = lines above a file's first `#[cfg(test)]`. The wire
+# engine plus its two carriers may shrink but not grow back past what
+# the one-engine refactor reached (5145 before it); lower the ceiling
+# whenever a PR lands below it.
+TRANSPORT_CEILING=4479
+nontest() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
+family=0
+for f in wire transport transport_ipc; do
+    n=$(nontest "crates/core/src/$f.rs")
+    echo "   crates/core/src/$f.rs: $n"
+    family=$((family + n))
+done
+echo "   transport family: $family (ceiling $TRANSPORT_CEILING)"
+echo "   crates/core/src/part.rs: $(nontest crates/core/src/part.rs)"
+echo "   crates/trace/src/event.rs: $(nontest crates/trace/src/event.rs)"
+echo "   Transport trait methods: $(awk '/^pub\(crate\) trait Transport/{t=1} t&&/^}/{exit} t&&/^    fn /{n++} END{print n+0}' crates/core/src/transport.rs)"
+echo "   PCOMM_* variables read by non-test code: $(grep -rhoE '"PCOMM_[A-Z_]+"' crates/*/src src | sort -u | wc -l)"
+if [ "$family" -gt "$TRANSPORT_CEILING" ]; then
+    echo "transport family grew past its ceiling ($family > $TRANSPORT_CEILING)" >&2
+    exit 1
+fi
 
 echo "CI OK"

@@ -8,8 +8,9 @@
 //! contract). Run from the repo root (`ci.sh` does); exits non-zero
 //! listing every unjustified site.
 //!
-//! The transport hot path gets two extra marker rules, scoped to
-//! `crates/core/src/transport.rs` and `crates/net/` (non-test code):
+//! The transport hot path gets extra marker rules, scoped to the wire
+//! engine and its carriers (`crates/core/src/{wire,transport,
+//! transport_ipc}.rs`) and `crates/net/` (non-test code):
 //!
 //! * every `Ordering::Relaxed` load/store needs an adjacent
 //!   `// ORDERING:` comment saying why relaxed is enough — these are
@@ -130,15 +131,21 @@ const MARKER_RULES: &[MarkerRule] = &[
 ];
 
 /// Do the extra marker rules apply to this file? The scope is the wire
-/// transport and everything under `crates/net/` — the code where a
-/// silent ordering bug or a progress-engine panic is most expensive.
+/// engine, both carriers and everything under `crates/net/` — the code
+/// where a silent ordering bug or a progress-engine panic is most
+/// expensive.
 fn marker_scoped(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     // Integration tests get the same dispensation as `#[cfg(test)]`.
     if p.contains("/tests/") {
         return false;
     }
-    p.ends_with("crates/core/src/transport.rs") || p.contains("crates/net/")
+    const WIRE_FILES: [&str; 3] = [
+        "crates/core/src/wire.rs",
+        "crates/core/src/transport.rs",
+        "crates/core/src/transport_ipc.rs",
+    ];
+    p.contains("crates/net/") || WIRE_FILES.iter().any(|f| p.ends_with(f))
 }
 
 fn scan_file(path: &Path, offenders: &mut Vec<String>) -> usize {

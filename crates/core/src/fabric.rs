@@ -372,11 +372,12 @@ pub(crate) struct Fabric {
     next_wait_id: AtomicU64,
     /// Per-rank "closure returned" flags, for the stall report.
     finished: Vec<AtomicBool>,
-    /// How remote-hosted ranks are reached (multiprocess runs); the
-    /// shared-memory stub otherwise.
-    transport: Arc<dyn crate::transport::Transport>,
-    /// Cached `transport.is_multiproc()` — keeps the hot-path locality
-    /// check to one branch on a plain bool.
+    /// How remote-hosted ranks are reached (multiprocess runs): the
+    /// protocol engine over its carrier — the shared-memory stub
+    /// otherwise, in which case nothing in it is ever called.
+    wire: crate::wire::WireProtocol,
+    /// Whether ranks live in separate processes — keeps the hot-path
+    /// locality check to one branch on a plain bool.
     multiproc: bool,
 }
 
@@ -410,7 +411,7 @@ impl Fabric {
         transport: Arc<dyn crate::transport::Transport>,
     ) -> Arc<Fabric> {
         assert!(n_ranks >= 1 && n_shards >= 1);
-        let multiproc = transport.is_multiproc();
+        let multiproc = transport.local_rank().is_some();
         Arc::new(Fabric {
             n_ranks,
             n_shards,
@@ -440,7 +441,7 @@ impl Fabric {
             wait_registry: Mutex::new(HashMap::new()),
             next_wait_id: AtomicU64::new(0),
             finished: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
-            transport,
+            wire: crate::wire::WireProtocol::new(n_ranks, transport),
             multiproc,
         })
     }
@@ -449,7 +450,12 @@ impl Fabric {
     /// in-process universes; in multiprocess runs only the local rank is.
     #[inline]
     pub(crate) fn is_local(&self, rank: usize) -> bool {
-        !self.multiproc || rank == self.transport.local_rank()
+        !self.multiproc || rank == self.wire.rank()
+    }
+
+    /// The wire protocol engine (multiprocess runs).
+    pub(crate) fn wire(&self) -> &crate::wire::WireProtocol {
+        &self.wire
     }
 
     pub(crate) fn trace(&self) -> &Trace {
@@ -474,7 +480,7 @@ impl Fabric {
 
     /// The transport's doorbell tallies (ipc fabric only).
     pub(crate) fn doorbell_stats(&self) -> Option<crate::error::DoorbellStats> {
-        self.transport.doorbell_stats()
+        self.wire.carrier().doorbell_stats()
     }
 
     /// The configured fault plan, if any (chaos runs only).
@@ -512,7 +518,7 @@ impl Fabric {
         self.barrier_cv.notify_all();
         self.win_cv.notify_all();
         if first && broadcast && self.multiproc {
-            self.transport.broadcast_abort(&err);
+            self.wire.broadcast_abort(self, &err);
         }
     }
 
@@ -594,11 +600,11 @@ impl Fabric {
         let mut label = Some(label);
         let mut reg_id = None;
         loop {
-            // The transport owns the park: the default sleeps one
+            // The carrier owns the park: the default sleeps one
             // WAIT_SLICE on the completion; the ipc fabric instead runs
             // inline progress (drain + yield-spin + futex) so a waiting
             // app thread is also the progress engine.
-            if self.transport.wait_slice(self, completion) {
+            if self.wire.carrier().wait_slice(self, completion) {
                 break;
             }
             if self.aborted() {
@@ -629,7 +635,7 @@ impl Fabric {
     where
         F: Fn(usize) -> (String, Option<i64>, Option<usize>),
     {
-        self.transport.poll_burst(self, completions);
+        self.wire.carrier().poll_burst(self, completions);
         for (i, completion) in completions.iter().enumerate() {
             self.wait_on(completion, rank, || label(i));
         }
@@ -659,9 +665,9 @@ impl Fabric {
     pub(crate) fn rank_barrier(&self, rank: usize) {
         self.touch();
         if self.multiproc {
-            // Cross-process: the transport runs a rank-0-coordinated
-            // arrive/release round over the wire.
-            self.transport.barrier(self, rank);
+            // Cross-process: a rank-0-coordinated arrive/release round
+            // over the wire.
+            self.wire.barrier(self, rank);
             return;
         }
         let mut st = self.barrier_state.lock();
@@ -833,7 +839,7 @@ impl Fabric {
         if self.is_local(dst) {
             self.deliver(dst, shard, ctx, src_rank, tag, Payload::Eager(buf));
         } else {
-            self.transport.ship_eager(dst, shard, ctx, tag, &buf);
+            self.wire.ship_eager(self, dst, shard, ctx, tag, &buf);
             self.pool.release(src_rank, buf);
             self.touch();
         }
@@ -1083,16 +1089,17 @@ impl Fabric {
             self.flush_held_channel(dst, ctx, src_rank, tag);
         }
         if !self.is_local(dst) {
-            // Wire rendezvous: pin the buffer with the transport and
-            // ship an RTS; the CTS handler frames the bytes and sets
-            // `done` (same pin-until-done contract as the in-process
-            // pointer handoff).
-            self.transport.ship_rts(
+            // Wire rendezvous: pin the buffer with the engine and ship
+            // an RTS; answering the CTS moves the bytes and sets `done`
+            // (same pin-until-done contract as the in-process pointer
+            // handoff).
+            self.wire.ship_rts(
+                self,
                 dst,
                 shard,
                 ctx,
                 tag,
-                crate::transport::PinnedSend {
+                crate::wire::PinnedSend {
                     ptr: data.as_ptr(),
                     len: data.len(),
                     done: Arc::clone(done),
@@ -1125,9 +1132,11 @@ impl Fabric {
         dst: usize,
         ctx: u64,
         total_len: usize,
-        spans: Vec<crate::transport::SendSpan>,
+        spans: Vec<crate::wire::SendSpan>,
     ) -> u64 {
-        let id = self.transport.part_stream_begin(dst, ctx, total_len, spans);
+        let id = self
+            .wire
+            .part_stream_begin(self, dst, ctx, total_len, spans);
         self.touch();
         id
     }
@@ -1200,7 +1209,7 @@ impl Fabric {
             // eager traffic on their context in streaming mode, so
             // there is no channel-FIFO obligation to preserve.
         }
-        self.transport
+        self.wire
             .part_stream_push(self, stream_id, offset, data, parts);
         // The range stays pinned in the sender's buffer: the writer
         // thread flips the message's span completion once the bytes are
@@ -1210,13 +1219,8 @@ impl Fabric {
 
     /// Pin a whole partitioned destination buffer for the next stream
     /// from `src` on `ctx`.
-    pub(crate) fn part_stream_post(
-        &self,
-        src: usize,
-        ctx: u64,
-        recv: crate::transport::PartStreamRecv,
-    ) {
-        self.transport.part_stream_post(self, src, ctx, recv);
+    pub(crate) fn part_stream_post(&self, src: usize, ctx: u64, recv: crate::wire::PartStreamRecv) {
+        self.wire.part_stream_post(self, src, ctx, recv);
         self.touch();
     }
 
@@ -1225,12 +1229,12 @@ impl Fabric {
     /// without shared destination memory — callers fall back to owned
     /// storage.
     pub(crate) fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {
-        self.transport.alloc_part_dest(src, len)
+        self.wire.carrier().alloc_part_dest(src, len)
     }
 
     /// Return a grant from [`Fabric::alloc_part_dest`].
     pub(crate) fn release_part_dest(&self, src: usize, token: u64, len: usize) {
-        self.transport.release_part_dest(src, token, len);
+        self.wire.carrier().release_part_dest(src, token, len);
     }
 
     fn deliver(
@@ -1349,11 +1353,11 @@ impl Fabric {
         match payload {
             Payload::RdvRemote { rdv_id, rts_ns, .. } => {
                 // The data is still in the sending process: park the
-                // posted buffer with the transport and answer the CTS;
+                // posted buffer with the engine and answer the CTS;
                 // completion (and the verify event) happens in
-                // `complete_remote_rdv` when the bytes land.
-                self.transport
-                    .accept_remote_rdv(src, rdv_id, posted, shard, tag, rts_ns);
+                // `complete_remote_rdv_in_place` when the bytes land.
+                self.wire
+                    .accept_remote_rdv(self, src, rdv_id, posted, shard, tag, rts_ns);
                 return;
             }
             Payload::Eager(v) => {
@@ -1407,42 +1411,12 @@ impl Fabric {
         self.touch();
     }
 
-    /// Finish a parked remote rendezvous: the wire data arrived, copy it
-    /// into the posted buffer and fire the completion (the wire analogue
-    /// of the tail of [`Fabric::fulfill`]'s `Rdv` arm). Runs on the
-    /// transport's reader thread.
-    pub(crate) fn complete_remote_rdv(
-        &self,
-        posted: PostedRecv,
-        src: usize,
-        tag: i64,
-        shard: usize,
-        data: &[u8],
-        rts_ns: Option<u64>,
-    ) {
-        if self.aborted() {
-            // The receiver's destination buffer may already be gone; the
-            // local waiters unwind via the abort flag.
-            return;
-        }
-        let len = data.len();
-        debug_assert!(len <= posted.dest_cap, "checked at RTS match time");
-        if len > 0 {
-            // SAFETY: invariant (2) — the posted destination is exclusive
-            // and stays alive until `posted.completion` is set below.
-            unsafe {
-                std::ptr::copy_nonoverlapping(data.as_ptr(), posted.dest_ptr, len);
-            }
-        }
-        self.complete_remote_rdv_in_place(posted, src, tag, shard, len, rts_ns);
-    }
-
-    /// Tail of [`Fabric::complete_remote_rdv`] for transports that have
-    /// already landed the payload in the posted destination (the
-    /// zero-copy `RdvData` socket fast path and the ipc fabric): emit
-    /// the spans/verify events, publish the envelope, fire the
-    /// completion. The caller must have checked the abort flag before
-    /// writing the destination.
+    /// Finish a parked remote rendezvous whose payload the wire engine
+    /// has already landed in the posted destination (the wire analogue
+    /// of the tail of [`Fabric::fulfill`]'s `Rdv` arm): emit the
+    /// spans/verify events, publish the envelope, fire the completion.
+    /// The caller must have checked the abort flag before writing the
+    /// destination. Runs in the carrier's progress context.
     pub(crate) fn complete_remote_rdv_in_place(
         &self,
         posted: PostedRecv,
@@ -1463,13 +1437,11 @@ impl Fabric {
         });
         if let Some((vreq, m)) = posted.verify_msg {
             self.trace
-                .emit_verify(self.transport.local_rank() as u16, || {
-                    EventKind::VerifyMsgRecv {
-                        req: vreq,
-                        msg: m,
-                        tid: pcomm_trace::current_tid(),
-                        eager: false,
-                    }
+                .emit_verify(self.wire.rank() as u16, || EventKind::VerifyMsgRecv {
+                    req: vreq,
+                    msg: m,
+                    tid: pcomm_trace::current_tid(),
+                    eager: false,
                 });
         }
         *posted.info.lock() = Some(MsgInfo { src, tag, len });
@@ -1497,13 +1469,11 @@ impl Fabric {
             // so the analyzer sees the buffer write ordered before any
             // parrived / wait edge it enables.
             self.trace
-                .emit_verify(self.transport.local_rank() as u16, || {
-                    EventKind::VerifyMsgRecv {
-                        req: vreq,
-                        msg: m,
-                        tid: pcomm_trace::current_tid(),
-                        eager: false,
-                    }
+                .emit_verify(self.wire.rank() as u16, || EventKind::VerifyMsgRecv {
+                    req: vreq,
+                    msg: m,
+                    tid: pcomm_trace::current_tid(),
+                    eager: false,
                 });
         }
         *info.lock() = Some(MsgInfo { src, tag, len });
@@ -1526,7 +1496,7 @@ impl Fabric {
         let (mut buf, hit) = self.pool.acquire(src);
         buf.extend_from_slice(data);
         hotpath::count_pool(hit);
-        let dst = self.transport.local_rank();
+        let dst = self.wire.rank();
         self.deliver(dst, shard, ctx, src, tag, Payload::Eager(buf));
     }
 
@@ -1541,7 +1511,7 @@ impl Fabric {
         len: usize,
         rdv_id: u64,
     ) {
-        let dst = self.transport.local_rank();
+        let dst = self.wire.rank();
         let rts_ns = self.trace.now_ns();
         self.deliver(
             dst,
@@ -1594,7 +1564,7 @@ impl Fabric {
 
     /// One-sided put targeting a remote-hosted rank (multiprocess runs).
     pub(crate) fn remote_put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        self.transport.put(target, win_ctx, offset, data);
+        self.wire.put(self, target, win_ctx, offset, data);
         self.touch();
     }
 
@@ -1607,19 +1577,19 @@ impl Fabric {
         offset: usize,
         len: usize,
     ) -> Vec<u8> {
-        self.transport.get(self, rank, target, win_ctx, offset, len)
+        self.wire.get(self, rank, target, win_ctx, offset, len)
     }
 
     /// Announce a locally registered window to its remote origin.
     pub(crate) fn remote_announce_win(&self, origin: usize, win_ctx: u64, len: usize) {
-        self.transport.announce_win(origin, win_ctx, len);
+        self.wire.announce_win(self, origin, win_ctx, len);
         self.touch();
     }
 
     /// Block until the remote target announces the window; returns its
     /// length.
     pub(crate) fn remote_wait_win_announce(&self, rank: usize, win_ctx: u64) -> usize {
-        self.transport.wait_win_announce(self, rank, win_ctx)
+        self.wire.wait_win_announce(self, rank, win_ctx)
     }
 
     /// Snapshot the fabric's blocked-wait and match-queue state into a
@@ -1670,8 +1640,8 @@ impl Fabric {
             unmatched_posted,
             unmatched_unexpected,
             matched: self.matched_count(),
-            peers: self.transport.peer_states(),
-            doorbell: self.transport.doorbell_stats(),
+            peers: self.wire.peer_states(),
+            doorbell: self.wire.carrier().doorbell_stats(),
         }
     }
 }

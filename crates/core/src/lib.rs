@@ -70,6 +70,7 @@ pub mod sync;
 mod transport;
 mod transport_ipc;
 mod universe;
+mod wire;
 
 pub use comm::Comm;
 pub use datatype::Datatype;

@@ -730,7 +730,7 @@ impl PsendRequest {
                     .msgs
                     .iter()
                     .enumerate()
-                    .map(|(m, spec)| crate::transport::SendSpan {
+                    .map(|(m, spec)| crate::wire::SendSpan {
                         offset: spec.first_spart * s.part_bytes,
                         len: spec.bytes,
                         remaining: AtomicUsize::new(spec.bytes),
@@ -1252,7 +1252,7 @@ impl PrecvRequest {
             for (m, spec) in s.layout.msgs.iter().enumerate() {
                 s.arrived[m].reset();
                 *s.infos[m].lock() = None;
-                msgs.push(crate::transport::PartStreamMsg {
+                msgs.push(crate::wire::PartStreamMsg {
                     offset: spec.first_rpart * s.part_bytes,
                     len: spec.bytes,
                     remaining: AtomicUsize::new(spec.bytes),
@@ -1268,7 +1268,7 @@ impl PrecvRequest {
             s.comm.fabric().part_stream_post(
                 s.src,
                 s.comm.ctx(),
-                crate::transport::PartStreamRecv {
+                crate::wire::PartStreamRecv {
                     base: buf.as_mut_ptr(),
                     total_len: total,
                     msgs,

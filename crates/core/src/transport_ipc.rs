@@ -1,13 +1,15 @@
-//! `IpcTransport`: the same-host zero-syscall fabric. Ranks map one
+//! `IpcTransport`: the same-host zero-syscall carrier. Ranks map one
 //! shared memory segment (memfd + `MAP_SHARED`, see
 //! [`pcomm_net::ipc`]) holding, per directed pair, an SPSC descriptor
-//! ring plus a FIFO slab and a partition arena. Small frames ride
+//! ring plus a FIFO slab and a partition arena. The protocol is
+//! [`crate::wire`]'s; this file only moves its bytes. Small frames ride
 //! inline in ring slots (bcopy); large rendezvous payloads stream
-//! through the slab; partitioned streams whose destination lives in
-//! the arena commit with **no copy at all** — every `pready` lands its
-//! bytes directly in receiver-visible memory and publishes a
-//! payload-less `K_PART` descriptor, so `parrived` flips without a
-//! reader-thread hop.
+//! through the slab in `K_RDV` chunks; partitioned streams whose
+//! destination lives in the arena commit with **no copy at all** — the
+//! `K_PART_CTS` carries the destination's arena offset as the grant,
+//! every `pready` lands its bytes directly in receiver-visible memory
+//! and publishes a payload-less `K_PART` descriptor, so `parrived`
+//! flips without a reader-thread hop.
 //!
 //! Wakeups are futex doorbells ([`pcomm_net::ipc::doorbell`]): the
 //! steady state is zero syscalls per transfer (spin-then-futex on both
@@ -23,15 +25,13 @@
 //! thread's park is not counted in `sleepers`, so a peer's push costs
 //! no `FUTEX_WAKE`; the last poller out hands the doorbell back.
 //!
-//! Verify/audit semantics mirror the socket transport exactly — same
-//! `VerifyWire*`/`VerifyStream*` events, with the ipc simplifications
-//! `lane == 0` and `epoch == 0` everywhere (the segment never
-//! reconnects, so there is a single always-epoch-0 lane per pair).
+//! Audit stamps use `lane == 0` and `epoch == 0` everywhere (the
+//! segment never reconnects, so there is a single always-epoch-0 lane
+//! per pair).
 
-use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,12 +46,16 @@ use pcomm_net::{sys, Mesh};
 use pcomm_trace::EventKind;
 
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
-use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
+use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{
-    claim_range, complete_spans, decode_abort, encode_abort, PartPair, PartStreamRecv, PinnedSend,
-    SendSpan, StreamRecv, Transport, FINALIZE_TIMEOUT, TEARDOWN_SLICE,
+use crate::transport::{Caller, Transport};
+use crate::wire::{
+    answers_with_push, complete_spans, PinChunk, PinnedSend, SendSpan, FINALIZE_TIMEOUT,
 };
+
+/// Sleep between drain passes while teardown waits for the peers'
+/// `Bye`s (mirrors the fabric's `WAIT_SLICE`).
+const TEARDOWN_SLICE: Duration = Duration::from_millis(2);
 
 /// How long `wait_slice` spins making inline progress before parking on
 /// the completion. Long enough to cover a same-host round trip (the
@@ -109,51 +113,6 @@ struct IpcPeer {
     arena: Mutex<ArenaAlloc>,
 }
 
-/// A parked remote rendezvous receive: the posted destination plus the
-/// envelope to publish once every `K_RDV` chunk has landed.
-struct RdvIn {
-    posted: PostedRecv,
-    shard: usize,
-    tag: i64,
-    rts_ns: Option<u64>,
-    /// Bytes landed so far (chunks arrive in order on the SPSC ring).
-    received: usize,
-}
-
-/// A pinned rendezvous source waiting for its CTS.
-struct PendingRdvIpc {
-    pinned: PinnedSend,
-    dst: usize,
-}
-
-/// One pushed range queued while the stream's `K_PART_CTS` is still in
-/// flight.
-struct QueuedRange {
-    offset: u64,
-    ptr: *const u8,
-    len: usize,
-    parts: u16,
-}
-
-// SAFETY: the pointed-to source buffer stays alive and unmodified until
-// the covering spans' `done` completions fire (fabric invariant (1)),
-// and only the thread that ships the range reads through the pointer.
-unsafe impl Send for QueuedRange {}
-
-/// Sender-side state of one partitioned stream.
-struct IpcStreamSend {
-    dst: usize,
-    total_len: usize,
-    /// Bytes pushed so far; the entry retires at `total_len` once the
-    /// CTS has also arrived.
-    pushed: usize,
-    /// `None` until the `K_PART_CTS` arrives; then the receiver's arena
-    /// grant (`Some(offset)`) or `None` for the FIFO-copy fallback.
-    cts: Option<Option<u64>>,
-    queued: Vec<QueuedRange>,
-    spans: Arc<Vec<SendSpan>>,
-}
-
 /// Payload placement for one pushed record.
 enum Body<'a> {
     /// Copied into the ring slot (`len <= INLINE_MAX`).
@@ -174,7 +133,7 @@ enum Deferred {
     PartCts { rdv_id: u64, grant: Option<u64> },
 }
 
-/// The shared-memory transport for one rank of a same-host run.
+/// The shared-memory carrier for one rank of a same-host run.
 pub(crate) struct IpcTransport {
     rank: usize,
     n_ranks: usize,
@@ -184,24 +143,6 @@ pub(crate) struct IpcTransport {
     /// Chunk size for slab-staged bulk transfers (`K_RDV`/`K_PARTF`).
     rdv_chunk: usize,
     peers: Vec<Option<IpcPeer>>,
-    /// Back-reference for trait methods that lack a `fabric` parameter
-    /// (set by `start`; `Weak` breaks the `Fabric → Transport` cycle).
-    fabric_slot: OnceLock<Weak<Fabric>>,
-    next_rdv_id: AtomicU64,
-    pending_rdv: Mutex<HashMap<u64, PendingRdvIpc>>,
-    rdv_in: Mutex<HashMap<(usize, u64), RdvIn>>,
-    streams_out: Mutex<HashMap<u64, IpcStreamSend>>,
-    part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
-    streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
-    barrier_gen: AtomicU64,
-    arrivals: Mutex<HashMap<u64, HashSet<usize>>>,
-    releases: Mutex<HashMap<u64, Arc<Completion>>>,
-    #[allow(clippy::type_complexity)] // announce slot pair, as in the socket transport
-    win_slots: Mutex<HashMap<u64, (Arc<Completion>, Option<usize>)>>,
-    next_get_token: AtomicU64,
-    #[allow(clippy::type_complexity)] // waiter pair, as in the socket transport
-    get_waiters: Mutex<HashMap<u64, (Arc<Completion>, Arc<Mutex<Option<Vec<u8>>>>)>>,
-    abort_sent: AtomicBool,
     progress: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
     /// Heartbeat publish period, ms.
@@ -220,7 +161,7 @@ pub(crate) struct IpcTransport {
 }
 
 impl IpcTransport {
-    pub(crate) fn new(segment: Segment, rank: usize, n_ranks: usize) -> Arc<IpcTransport> {
+    pub(crate) fn new(segment: Segment, rank: usize, n_ranks: usize) -> IpcTransport {
         let params = *segment.params();
         let mut peers = Vec::with_capacity(n_ranks);
         for r in 0..n_ranks {
@@ -245,27 +186,13 @@ impl IpcTransport {
             }));
         }
         let fifo_bytes = params.fifo_bytes;
-        Arc::new(IpcTransport {
+        IpcTransport {
             rank,
             n_ranks,
             segment,
             fifo_bytes,
             rdv_chunk: ((fifo_bytes / 2).max(1) as usize).min(256 << 10),
             peers,
-            fabric_slot: OnceLock::new(),
-            next_rdv_id: AtomicU64::new(1),
-            pending_rdv: Mutex::new(HashMap::new()),
-            rdv_in: Mutex::new(HashMap::new()),
-            streams_out: Mutex::new(HashMap::new()),
-            part_registry: Mutex::new(HashMap::new()),
-            streams_in: Mutex::new(HashMap::new()),
-            barrier_gen: AtomicU64::new(0),
-            arrivals: Mutex::new(HashMap::new()),
-            releases: Mutex::new(HashMap::new()),
-            win_slots: Mutex::new(HashMap::new()),
-            next_get_token: AtomicU64::new(0),
-            get_waiters: Mutex::new(HashMap::new()),
-            abort_sent: AtomicBool::new(false),
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
             hb_ms: pcomm_net::launch::hb_ms_from_env().unwrap_or(DEFAULT_HB_MS),
@@ -274,35 +201,7 @@ impl IpcTransport {
             doorbell_wakes: AtomicU64::new(0),
             progress_parks_counted: AtomicU64::new(0),
             progress_parks_uncounted: AtomicU64::new(0),
-        })
-    }
-
-    /// The fabric this transport serves, if it is still alive (trait
-    /// methods without a `fabric` parameter route through here; during
-    /// teardown the weak can be gone, and the op is dropped).
-    fn fabric(&self) -> Option<Arc<Fabric>> {
-        self.fabric_slot.get()?.upgrade()
-    }
-
-    /// Spawn the progress/heartbeat thread and publish the fabric
-    /// back-reference. Mirrors `SocketTransport::start`.
-    pub(crate) fn start(self: &Arc<IpcTransport>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
-        let _ = self.fabric_slot.set(Arc::downgrade(fabric));
-        // ORDERING: liveness counter only; peers poll for movement.
-        self.segment
-            .heartbeat(self.rank)
-            .fetch_add(1, Ordering::Relaxed);
-        let me = Arc::clone(self);
-        let fab = Arc::clone(fabric);
-        let handle = std::thread::Builder::new()
-            .name("pcomm-ipc".into())
-            .spawn(move || me.progress_loop(&fab))
-            .map_err(|e| PcommError::Misuse {
-                rank: Some(self.rank),
-                detail: format!("transport start: spawning ipc progress thread: {e}"),
-            })?;
-        *self.progress.lock() = Some(handle);
-        Ok(())
+        }
     }
 }
 
@@ -449,13 +348,6 @@ impl IpcTransport {
         };
         self.push_record(fabric, dst, frame.op(), desc, placed, deadline, force)
     }
-
-    /// `push_frame` for trait methods that have no `fabric` parameter.
-    fn send_frame(&self, dst: usize, frame: Frame) {
-        if let Some(fabric) = self.fabric() {
-            self.push_frame(&fabric, dst, &frame, None, false);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -529,25 +421,31 @@ impl IpcTransport {
                     }
                     // ORDERING: advisory stat for diagnostics snapshots.
                     peer.frames_received.fetch_add(1, Ordering::Relaxed);
+                    let wire = fabric.wire();
+                    // Offsets and lengths in `desc` are the peer's word;
+                    // the engine bounds-checks them before `dest` exists.
+                    let copy_in = |dest: &mut [u8]| {
+                        dest.copy_from_slice(payload);
+                        Ok(())
+                    };
+                    let (id, at) = (desc.a, desc.b as usize);
                     match desc.kind {
-                        K_PART => self.handle_part_commit(
-                            fabric,
-                            src,
-                            desc.a,
-                            desc.b as usize,
-                            desc.c as usize,
-                        ),
-                        K_PARTF => {
-                            self.handle_part_fifo(fabric, src, desc.a, desc.b as usize, payload)
+                        // Zero-copy commit: the sender already wrote the
+                        // granted arena range; only bookkeeping remains.
+                        K_PART => {
+                            let _ =
+                                wire.land_part(fabric, src, 0, id, at, desc.c as usize, |_| Ok(()));
                         }
-                        K_RDV => self.handle_rdv_chunk(
-                            fabric,
-                            src,
-                            desc.a,
-                            desc.b as usize,
-                            desc.parts == 1,
-                            payload,
-                        ),
+                        K_PARTF => {
+                            let _ = wire.land_part(fabric, src, 0, id, at, payload.len(), copy_in);
+                        }
+                        // In-order chunks of one rendezvous payload; the
+                        // final one carries `parts == 1`.
+                        K_RDV => {
+                            let last = desc.parts == 1;
+                            let _ =
+                                wire.land_rdv(fabric, src, id, at, payload.len(), last, copy_in);
+                        }
                         K_PART_CTS => {
                             deferred = Some(Deferred::PartCts {
                                 rdv_id: desc.a,
@@ -555,19 +453,10 @@ impl IpcTransport {
                             });
                         }
                         K_FRAME | K_SLAB => match Frame::decode(payload) {
-                            Ok(f) => match f {
-                                // Handlers that answer with a push of
-                                // their own: deferred (deadlock rule).
-                                Frame::Cts { .. }
-                                | Frame::Rts { .. }
-                                | Frame::PartRts { .. }
-                                | Frame::PartCts { .. }
-                                | Frame::GetReq { .. }
-                                | Frame::BarrierArrive { .. } => {
-                                    deferred = Some(Deferred::Frame(f))
-                                }
-                                f => self.dispatch_frame(fabric, src, f),
-                            },
+                            // Handlers that answer with a push of their
+                            // own: deferred (deadlock rule).
+                            Ok(f) if answers_with_push(&f) => deferred = Some(Deferred::Frame(f)),
+                            Ok(f) => self.dispatch_frame(fabric, src, f),
                             Err(e) => fabric.fail(PcommError::misuse(
                                 src,
                                 format!("undecodable ipc frame record: {e}"),
@@ -597,251 +486,24 @@ impl IpcTransport {
             match deferred {
                 Some(Deferred::Frame(f)) => self.dispatch_frame(fabric, src, f),
                 Some(Deferred::PartCts { rdv_id, grant }) => {
-                    self.handle_part_cts(fabric, src, rdv_id, grant)
+                    let cap = peer.out_ch.arena_bytes();
+                    fabric
+                        .wire()
+                        .handle_part_cts(fabric, src, rdv_id, grant, cap)
                 }
                 None => {}
             }
         }
     }
 
-    /// Dispatch one decoded frame (the non-ring-native records; bulk
-    /// data uses the `K_*` descriptor kinds instead). Mirrors the
-    /// socket transport's `dispatch` arm for arm.
-    fn dispatch_frame(&self, fabric: &Fabric, peer: usize, frame: Frame) {
-        match frame {
-            Frame::Eager {
-                shard,
-                ctx,
-                tag,
-                payload,
-            } => fabric.deliver_wire_eager(peer, shard as usize, ctx, tag, &payload),
-            Frame::Rts {
-                shard,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            } => fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id),
-            Frame::Cts { rdv_id } => self.handle_cts(fabric, peer, rdv_id),
-            // Zero-length rendezvous only: non-empty payloads ride
-            // `K_RDV` chunks, which never materialise a `Frame`.
-            Frame::RdvData { rdv_id, payload } => {
-                let entry = self.rdv_in.lock().remove(&(peer, rdv_id));
-                if let Some(r) = entry {
-                    fabric.complete_remote_rdv(r.posted, peer, r.tag, r.shard, &payload, r.rts_ns);
-                }
+    /// Hand one decoded frame to the engine (bulk data uses the `K_*`
+    /// descriptor kinds instead); a `Bye` means the peer's heartbeat may
+    /// legitimately stop.
+    fn dispatch_frame(&self, fabric: &Fabric, src: usize, frame: Frame) {
+        if !fabric.wire().dispatch(fabric, src, 0, frame) {
+            if let Some(p) = &self.peers[src] {
+                p.saw_bye.store(true, Ordering::Release);
             }
-            Frame::PartRts {
-                ctx,
-                total_len,
-                rdv_id,
-            } => self.handle_part_rts(fabric, peer, ctx, total_len as usize, rdv_id),
-            // The ipc CTS is the payload-less `K_PART_CTS` record; a
-            // framed one would be a peer protocol bug, but absorbing it
-            // as "no grant" keeps the FSM total.
-            Frame::PartCts { rdv_id } => self.handle_part_cts(fabric, peer, rdv_id, None),
-            Frame::PartData {
-                rdv_id,
-                offset,
-                payload,
-            } => self.handle_part_fifo(fabric, peer, rdv_id, offset as usize, &payload),
-            Frame::BarrierArrive { gen } => self.note_arrival(fabric, gen, peer),
-            Frame::BarrierRelease { gen } => self.release_completion(gen).set(),
-            Frame::Heartbeat { .. } => {} // liveness rides the segment counter instead
-            Frame::StreamResync { .. } => {} // shared memory never loses ranges
-            Frame::Abort {
-                kind,
-                a,
-                b,
-                tag,
-                attempts,
-                detail,
-            } => fabric.fail_from_wire(decode_abort(kind, a, b, tag, attempts, detail)),
-            Frame::Bye => {
-                if let Some(p) = &self.peers[peer] {
-                    p.saw_bye.store(true, Ordering::Release);
-                }
-            }
-            Frame::WinAnnounce { win_ctx, len } => {
-                let completion = {
-                    let mut slots = self.win_slots.lock();
-                    let slot = slots
-                        .entry(win_ctx)
-                        .or_insert_with(|| (Completion::new(), None));
-                    slot.1 = Some(len as usize);
-                    Arc::clone(&slot.0)
-                };
-                completion.set();
-            }
-            Frame::Put {
-                win_ctx,
-                offset,
-                payload,
-            } => fabric.apply_remote_put(peer, win_ctx, offset as usize, &payload),
-            Frame::GetReq {
-                win_ctx,
-                offset,
-                len,
-                token,
-            } => match fabric.read_win(win_ctx, offset as usize, len as usize) {
-                Some(data) => {
-                    self.push_frame(
-                        fabric,
-                        peer,
-                        &Frame::GetResp {
-                            token,
-                            payload: data,
-                        },
-                        None,
-                        false,
-                    );
-                }
-                None => fabric.fail(PcommError::misuse(
-                    peer,
-                    format!("get of {len} B at offset {offset} misses window ctx {win_ctx}"),
-                )),
-            },
-            Frame::GetResp { token, payload } => {
-                let waiter = {
-                    let waiters = self.get_waiters.lock();
-                    waiters
-                        .get(&token)
-                        .map(|(c, s)| (Arc::clone(c), Arc::clone(s)))
-                };
-                if let Some((completion, slot)) = waiter {
-                    *slot.lock() = Some(payload);
-                    completion.set();
-                }
-            }
-            Frame::Hello { .. } => {} // mesh rendezvous only; stray copies ignored
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rendezvous: RTS/CTS handshake, then K_RDV chunks through the slab.
-// ---------------------------------------------------------------------
-
-impl IpcTransport {
-    /// Sender: the CTS arrived — stream the pinned source through the
-    /// FIFO slab in `rdv_chunk` pieces and complete the send. The ring
-    /// is SPSC and ordered, so chunks land in order and the receiver
-    /// can count bytes instead of tracking ranges.
-    fn handle_cts(&self, fabric: &Fabric, peer: usize, rdv_id: u64) {
-        let Some(pending) = self.pending_rdv.lock().remove(&rdv_id) else {
-            return; // duplicate or post-abort straggler
-        };
-        if fabric.aborted() {
-            // The sender is unwinding via the abort; its buffer may be
-            // on its way out — do not touch it, do not set done.
-            return;
-        }
-        let PendingRdvIpc { pinned, dst } = pending;
-        debug_assert_eq!(dst, peer, "CTS must come from the RTS target");
-        if pinned.len == 0 {
-            // Zero-length rendezvous: no bytes to chunk; a framed
-            // RdvData completes the posted receive envelope.
-            if self.push_frame(
-                fabric,
-                dst,
-                &Frame::RdvData {
-                    rdv_id,
-                    payload: Vec::new(),
-                },
-                None,
-                false,
-            ) {
-                pinned.done.set();
-            }
-            return;
-        }
-        let mut off = 0usize;
-        while off < pinned.len {
-            let n = self.rdv_chunk.min(pinned.len - off);
-            // SAFETY: invariant (1) — the pinned source stays alive and
-            // unmodified until `done` fires below; `off + n <= len`.
-            let chunk = unsafe { std::slice::from_raw_parts(pinned.ptr.add(off), n) };
-            let desc = SlotDesc {
-                kind: K_RDV,
-                parts: u16::from(off + n == pinned.len),
-                a: rdv_id,
-                b: off as u64,
-                c: 0,
-            };
-            if !self.push_record(
-                fabric,
-                dst,
-                frame::op::RDV_DATA,
-                desc,
-                Body::Slab(chunk),
-                None,
-                false,
-            ) {
-                return; // aborted mid-stream: unwind via the abort flag
-            }
-            off += n;
-        }
-        pinned.done.set();
-    }
-
-    /// Receiver: one in-order `K_RDV` chunk — copy it straight into the
-    /// posted destination and, on the final chunk, publish the envelope.
-    fn handle_rdv_chunk(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        is_final: bool,
-        payload: &[u8],
-    ) {
-        let mut rdv_in = self.rdv_in.lock();
-        let Some(entry) = rdv_in.get_mut(&(src, rdv_id)) else {
-            return; // post-abort straggler
-        };
-        if fabric.aborted() {
-            rdv_in.remove(&(src, rdv_id));
-            return;
-        }
-        let end = offset + payload.len();
-        if end > entry.posted.dest_cap {
-            rdv_in.remove(&(src, rdv_id));
-            drop(rdv_in);
-            fabric.fail(PcommError::misuse(
-                src,
-                format!(
-                    "ipc rendezvous chunk {offset}+{} overflows a {}-byte destination",
-                    payload.len(),
-                    end - payload.len().min(end)
-                ),
-            ));
-            return;
-        }
-        // SAFETY: invariant (2) — the posted destination is exclusive
-        // and stays alive until its completion fires; the bound was
-        // checked above, and the SPSC ring serialises chunk writers.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                payload.as_ptr(),
-                entry.posted.dest_ptr.add(offset),
-                payload.len(),
-            );
-        }
-        entry.received += payload.len();
-        if is_final {
-            let total = entry.received;
-            // PANIC: the entry was fetched from this map three lines up
-            // under the same guard.
-            let entry = rdv_in.remove(&(src, rdv_id)).expect("entry held above");
-            drop(rdv_in);
-            fabric.complete_remote_rdv_in_place(
-                entry.posted,
-                src,
-                entry.tag,
-                entry.shard,
-                total,
-                entry.rts_ns,
-            );
         }
     }
 }
@@ -851,181 +513,11 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement.
-    fn handle_part_rts(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        ctx: u64,
-        total_len: usize,
-        rdv_id: u64,
-    ) {
-        {
-            let (p16, stream, total) = (src as u16, rdv_id as u32, total_len as u64);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamRts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    total_len: total,
-                });
-        }
-        let recv = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            match pair.waiting.pop_front() {
-                Some(recv) => Some(recv),
-                None => {
-                    pair.pending_rts.push_back((rdv_id, total_len));
-                    None
-                }
-            }
-        };
-        if let Some(recv) = recv {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
-        }
-    }
-
-    /// Receiver: a posted destination met its announcement — register
-    /// the active stream and answer with a `K_PART_CTS` carrying the
-    /// arena grant (zero-copy) or `u64::MAX` (FIFO fallback: the
-    /// destination is ordinary heap memory the sender cannot reach).
-    fn activate_stream(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        total_len: usize,
-        recv: PartStreamRecv,
-    ) {
-        if recv.total_len != total_len {
-            fabric.fail(PcommError::misuse(
-                src,
-                format!(
-                    "partitioned stream length mismatch: sender announced {total_len} B, \
-                     receiver pinned {} B",
-                    recv.total_len
-                ),
-            ));
-            return;
-        }
-        let trace = fabric.trace();
-        if trace.is_verify() {
-            // Same join events as the socket transport: the receiver is
-            // the only side that knows both the wire stream id and the
-            // verify-layer (req, msg) identities.
-            let stream32 = rdv_id as u32;
-            for msg in recv.msgs.iter() {
-                let Some((req, m16)) = msg.verify_msg else {
-                    continue;
-                };
-                let (off, len32) = (msg.offset as u64, msg.len as u32);
-                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamMsg {
-                    stream: stream32,
-                    req,
-                    msg: m16,
-                    tx: false,
-                    offset: off,
-                    len: len32,
-                });
-            }
-            let p16 = src as u16;
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                peer: p16,
-                tx: true,
-                stream: stream32,
-                epoch: 0,
-            });
-        }
-        // Arena grant: when the pinned destination lies inside the
-        // inbound channel's partition arena (it was handed out by
-        // `alloc_part_dest`), tell the sender its base offset so every
-        // `pready` commits bytes straight into it.
-        let grant = self.peers[src].as_ref().and_then(|peer| {
-            let arena_bytes = peer.inb_ch.arena_bytes();
-            if arena_bytes == 0 {
-                return None;
-            }
-            // SAFETY: offset 0 of a non-empty arena is in bounds; the
-            // pointer is only used for address arithmetic.
-            let a0 = unsafe { peer.inb_ch.arena_ptr(0) } as usize;
-            let base = recv.base as usize;
-            (base >= a0 && base + total_len <= a0 + arena_bytes as usize)
-                .then(|| (base - a0) as u64)
-        });
-        let stream = Arc::new(StreamRecv {
-            base: recv.base,
-            total_len,
-            remaining_total: std::sync::atomic::AtomicUsize::new(total_len),
-            msgs: recv.msgs,
-            committed: Mutex::new(Vec::new()),
-        });
-        self.streams_in.lock().insert((src, rdv_id), stream);
-        let desc = SlotDesc {
-            kind: K_PART_CTS,
-            parts: 0,
-            a: rdv_id,
-            b: grant.unwrap_or(u64::MAX),
-            c: 0,
-        };
-        self.push_record(
-            fabric,
-            src,
-            frame::op::PART_CTS,
-            desc,
-            Body::Inline(&[]),
-            None,
-            false,
-        );
-    }
-
-    /// Sender: the receiver pinned its destination — release every
-    /// queued range under the arrived grant.
-    fn handle_part_cts(&self, fabric: &Fabric, peer: usize, rdv_id: u64, grant: Option<u64>) {
-        if fabric.aborted() {
-            return;
-        }
-        {
-            let (p16, stream) = (peer as u16, rdv_id as u32);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    epoch: 0,
-                });
-        }
-        let (dst, spans, queued) = {
-            let mut out = self.streams_out.lock();
-            let Some(stream) = out.get_mut(&rdv_id) else {
-                return; // duplicate or post-abort straggler
-            };
-            stream.cts = Some(grant);
-            let queued = std::mem::take(&mut stream.queued);
-            let dst = stream.dst;
-            let spans = Arc::clone(&stream.spans);
-            if stream.pushed >= stream.total_len {
-                out.remove(&rdv_id);
-            }
-            (dst, spans, queued)
-        };
-        debug_assert_eq!(dst, peer, "PartCts must come from the stream's receiver");
-        for q in queued {
-            self.ship_range(
-                fabric, dst, rdv_id, grant, &spans, q.offset, q.ptr, q.len, q.parts,
-            );
-        }
-    }
-
     /// Sender: put one ready range in the receiver's hands. With a
     /// grant: copy once into the shared arena destination and publish a
     /// payload-less `K_PART` — the receiver commits in place, no second
     /// copy, no reader-thread hop. Without: stage `K_PARTF` chunks
     /// through the FIFO slab.
-    #[allow(clippy::too_many_arguments)] // one per range field
     fn ship_range(
         &self,
         fabric: &Fabric,
@@ -1033,11 +525,14 @@ impl IpcTransport {
         rdv_id: u64,
         grant: Option<u64>,
         spans: &Arc<Vec<SendSpan>>,
-        offset: u64,
-        ptr: *const u8,
-        len: usize,
-        parts: u16,
+        chunk: PinChunk,
     ) {
+        let PinChunk {
+            offset,
+            ptr,
+            len,
+            parts,
+        } = chunk;
         let trace = fabric.trace();
         let stream32 = rdv_id as u32;
         match grant {
@@ -1046,7 +541,8 @@ impl IpcTransport {
                     return;
                 };
                 // SAFETY: the receiver granted `g .. g + total_len` of
-                // the outbound channel's arena to this stream and will
+                // the outbound channel's arena to this stream (checked
+                // against the arena size when the CTS arrived) and will
                 // not read `offset..offset+len` of it until the K_PART
                 // below publishes; the source side is invariant (1).
                 unsafe {
@@ -1120,204 +616,13 @@ impl IpcTransport {
             }
         }
     }
-
-    /// Receiver: a zero-copy `K_PART` commit — the bytes are already in
-    /// the pinned destination (the sender wrote the granted arena range
-    /// directly); only the bookkeeping remains.
-    fn handle_part_commit(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        len: usize,
-    ) {
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, len) else {
-            return;
-        };
-        self.commit_stream_range(fabric, src, rdv_id, &stream, offset, len);
-    }
-
-    /// Receiver: a FIFO-staged `K_PARTF` range — copy it into the
-    /// pinned destination, then commit.
-    fn handle_part_fifo(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        payload: &[u8],
-    ) {
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, payload.len()) else {
-            return;
-        };
-        // SAFETY: the range was validated against `total_len` above,
-        // the destination stays pinned until the stream's completions
-        // fire (invariant (1)), and every byte belongs to exactly one
-        // record on this SPSC ring, so writes never alias.
-        unsafe {
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), stream.base.add(offset), payload.len());
-        }
-        self.commit_stream_range(fabric, src, rdv_id, &stream, offset, payload.len());
-    }
-
-    /// Receiver: look up the active stream for `(src, rdv_id)` and
-    /// validate that `offset..offset+len` fits its destination.
-    fn stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        len: usize,
-    ) -> Option<Arc<StreamRecv>> {
-        if fabric.aborted() {
-            return None;
-        }
-        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
-        match offset.checked_add(len) {
-            Some(end) if end <= stream.total_len => Some(stream),
-            _ => {
-                fabric.fail(PcommError::misuse(
-                    src,
-                    format!(
-                        "partitioned stream range {offset}+{len} overflows a \
-                         {}-byte destination",
-                        stream.total_len
-                    ),
-                ));
-                None
-            }
-        }
-    }
-
-    /// Receiver: the bytes of `offset..offset+len` are in the pinned
-    /// destination — flip every message completion the range finishes
-    /// and retire the stream once the whole buffer has landed. Same
-    /// dedup ledger as the socket transport (the wire can't replay on
-    /// ipc, but the audit FSM proves that rather than assuming it).
-    fn commit_stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        stream: &StreamRecv,
-        offset: usize,
-        len: usize,
-    ) {
-        let end = offset + len;
-        let trace = fabric.trace();
-        let stream32 = rdv_id as u32;
-        {
-            let (p16, off64, len32) = (src as u16, offset as u64, len as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer: p16,
-                lane: 0,
-                tx: false,
-                stream: stream32,
-                offset: off64,
-                len: len32,
-            });
-        }
-        let fresh = {
-            let mut committed = stream.committed.lock();
-            claim_range(&mut committed, offset, end)
-        };
-        let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
-        if fresh_bytes == 0 {
-            return; // pure duplicate: every byte landed before
-        }
-        for &(f_lo, f_hi) in &fresh {
-            let (p16, lo64, flen) = (src as u16, f_lo as u64, (f_hi - f_lo) as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCommit {
-                peer: p16,
-                lane: 0,
-                stream: stream32,
-                lo: lo64,
-                len: flen,
-            });
-        }
-        let mut msgs_done = 0u16;
-        for &(f_lo, f_hi) in &fresh {
-            for msg in &stream.msgs {
-                let lo = msg.offset.max(f_lo);
-                let hi = (msg.offset + msg.len).min(f_hi);
-                if lo >= hi {
-                    continue;
-                }
-                let overlap = hi - lo;
-                // AcqRel: the final decrement acquires every earlier
-                // committer's bytes, so the completion flip below
-                // publishes a fully written message range. The ledger
-                // claim above guarantees each byte is subtracted exactly
-                // once, so this never underflows.
-                let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
-                if before == overlap {
-                    fabric.complete_stream_msg(
-                        src,
-                        msg.tag,
-                        msg.len,
-                        &msg.info,
-                        &msg.completion,
-                        msg.verify_msg,
-                    );
-                    msgs_done += 1;
-                }
-            }
-        }
-        let (off64, bytes64) = (offset as u64, fresh_bytes as u64);
-        trace.emit(self.rank as u16, || EventKind::StreamCommit {
-            lane: 0,
-            msgs: msgs_done,
-            offset: off64,
-            bytes: bytes64,
-        });
-        // AcqRel: pairs with the other committers' decrements so the
-        // map removal below observes a fully committed stream.
-        if stream
-            .remaining_total
-            .fetch_sub(fresh_bytes, Ordering::AcqRel)
-            == fresh_bytes
-        {
-            self.streams_in.lock().remove(&(src, rdv_id));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Barrier, progress loop, heartbeat monitor, teardown.
+// Progress loop, heartbeat monitor.
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Get-or-create the release completion for barrier generation
-    /// `gen` (a drain pass and the waiting rank race to create it).
-    fn release_completion(&self, gen: u64) -> Arc<Completion> {
-        Arc::clone(self.releases.lock().entry(gen).or_default())
-    }
-
-    /// Rank 0: record `from`'s arrival for `gen`; on the last distinct
-    /// one, broadcast the release and complete the local waiter.
-    fn note_arrival(&self, fabric: &Fabric, gen: u64, from: usize) {
-        debug_assert_eq!(self.rank, 0, "only rank 0 coordinates barriers");
-        let all_in = {
-            let mut arrivals = self.arrivals.lock();
-            let ranks = arrivals.entry(gen).or_default();
-            ranks.insert(from);
-            if ranks.len() == self.n_ranks {
-                arrivals.remove(&gen);
-                true
-            } else {
-                false
-            }
-        };
-        if all_in {
-            for peer in 1..self.n_ranks {
-                self.push_frame(fabric, peer, &Frame::BarrierRelease { gen }, None, false);
-            }
-            self.release_completion(gen).set();
-        }
-    }
-
     /// The "pcomm-ipc" thread body: drain inbound channels, publish the
     /// heartbeat, watch peers' heartbeats, and park on this rank's
     /// doorbell while idle. App threads waiting in `wait_slice` do the
@@ -1429,11 +734,10 @@ impl IpcTransport {
     /// a heartbeat word that has not moved for 7/4 heartbeat periods
     /// while the peer never said `Bye` means its process died mid-run.
     fn heartbeat_tick(&self, fabric: &Fabric) {
+        let beat = self.segment.heartbeat(self.rank);
         // ORDERING: liveness counter only; peers poll for movement, no
         // memory is published through it.
-        self.segment
-            .heartbeat(self.rank)
-            .fetch_add(1, Ordering::Relaxed);
+        beat.fetch_add(1, Ordering::Relaxed);
         let stale_after = Duration::from_millis(self.hb_ms * 7 / 4);
         for (r, peer) in self.peers.iter().enumerate() {
             let Some(peer) = peer else { continue };
@@ -1471,51 +775,188 @@ impl IpcTransport {
             }
         }
     }
+}
 
-    /// Shut the fabric down after the rank's closure returned. Clean
-    /// runs pass a closing barrier first (nobody quits while a peer
-    /// might still need them), then exchange `Bye` records and keep
-    /// draining until every peer's `Bye` arrived — both sides drain, so
-    /// the `Bye`s always flow. Aborted runs broadcast the abort and
-    /// force-push `Bye` under a hard budget. Never unwinds.
-    pub(crate) fn finalize(&self, fabric: &Fabric) {
-        if !fabric.aborted() {
-            // ORDERING: generation allocator — uniqueness only; the
-            // value travels to peers inside frames, not via memory.
-            let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-            let completion = self.release_completion(gen);
-            if self.rank == 0 {
-                self.note_arrival(fabric, gen, self.rank);
-            } else {
-                self.push_frame(fabric, 0, &Frame::BarrierArrive { gen }, None, false);
+// ---------------------------------------------------------------------
+// The carrier interface.
+// ---------------------------------------------------------------------
+
+impl Transport for IpcTransport {
+    fn local_rank(&self) -> Option<usize> {
+        Some(self.rank)
+    }
+
+    /// Publish the first heartbeat and spawn the progress/heartbeat
+    /// thread.
+    fn start(self: Arc<Self>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
+        let beat = self.segment.heartbeat(self.rank);
+        // ORDERING: liveness counter only; peers poll for movement.
+        beat.fetch_add(1, Ordering::Relaxed);
+        let me = Arc::clone(&self);
+        let fab = Arc::clone(fabric);
+        let handle = std::thread::Builder::new()
+            .name("pcomm-ipc".into())
+            .spawn(move || me.progress_loop(&fab))
+            .map_err(|e| PcommError::Misuse {
+                rank: Some(self.rank),
+                detail: format!("transport start: spawning ipc progress thread: {e}"),
+            })?;
+        *self.progress.lock() = Some(handle);
+        Ok(())
+    }
+
+    fn send(&self, fabric: &Fabric, dst: usize, frame: Frame, teardown: bool) {
+        // Teardown traffic is force-pushed under a hard budget: past it
+        // the peer is not draining and the record is dropped.
+        let deadline = teardown.then(|| Instant::now() + TEARDOWN_PUSH_BUDGET);
+        self.push_frame(fabric, dst, &frame, deadline, teardown);
+    }
+
+    /// Stream the pinned source through the FIFO slab in `rdv_chunk`
+    /// pieces and complete the send. The ring is SPSC and ordered, so
+    /// chunks land in order and the receiver can count bytes instead of
+    /// tracking ranges.
+    fn ship_rdv(&self, fabric: &Fabric, dst: usize, rdv_id: u64, pinned: PinnedSend) {
+        if pinned.len == 0 {
+            // Zero-length rendezvous: no bytes to chunk; a framed
+            // RdvData completes the posted receive envelope.
+            if self.push_frame(
+                fabric,
+                dst,
+                &Frame::RdvData {
+                    rdv_id,
+                    payload: Vec::new(),
+                },
+                None,
+                false,
+            ) {
+                pinned.done.set();
             }
-            let deadline = Instant::now() + FINALIZE_TIMEOUT;
-            loop {
-                if completion.is_set() || fabric.aborted() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    fabric.fail(PcommError::Misuse {
-                        rank: Some(self.rank),
-                        detail: format!(
-                            "ipc finalize barrier timed out after {}s: a peer never \
-                             reached teardown",
-                            FINALIZE_TIMEOUT.as_secs()
-                        ),
-                    });
-                    break;
-                }
-                if !self.progress_pass(fabric) {
-                    completion.wait_timeout(TEARDOWN_SLICE);
-                }
-            }
-            self.releases.lock().remove(&gen);
+            return;
         }
-        if fabric.aborted() {
-            if let Some(err) = fabric.failure_snapshot() {
-                self.broadcast_abort(&err);
+        let mut off = 0usize;
+        while off < pinned.len {
+            let n = self.rdv_chunk.min(pinned.len - off);
+            // SAFETY: invariant (1) — the pinned source stays alive and
+            // unmodified until `done` fires below; `off + n <= len`.
+            let chunk = unsafe { std::slice::from_raw_parts(pinned.ptr.add(off), n) };
+            let desc = SlotDesc {
+                kind: K_RDV,
+                parts: u16::from(off + n == pinned.len),
+                a: rdv_id,
+                b: off as u64,
+                c: 0,
+            };
+            if !self.push_record(
+                fabric,
+                dst,
+                frame::op::RDV_DATA,
+                desc,
+                Body::Slab(chunk),
+                None,
+                false,
+            ) {
+                return; // aborted mid-stream: unwind via the abort flag
             }
+            off += n;
         }
+        pinned.done.set();
+    }
+
+    /// Answer with a `K_PART_CTS` carrying the arena grant (zero-copy)
+    /// or `u64::MAX` (FIFO fallback: the destination is ordinary heap
+    /// memory the sender cannot reach).
+    fn ship_part_cts(
+        &self,
+        fabric: &Fabric,
+        src: usize,
+        rdv_id: u64,
+        base: *const u8,
+        total_len: usize,
+        _: Caller,
+    ) {
+        // Arena grant: when the pinned destination lies inside the
+        // inbound channel's partition arena (it was handed out by
+        // `alloc_part_dest`), tell the sender its base offset so every
+        // `pready` commits bytes straight into it.
+        let grant = self.peers[src].as_ref().and_then(|peer| {
+            let arena_bytes = peer.inb_ch.arena_bytes();
+            if arena_bytes == 0 {
+                return None;
+            }
+            // SAFETY: offset 0 of a non-empty arena is in bounds; the
+            // pointer is only used for address arithmetic.
+            let a0 = unsafe { peer.inb_ch.arena_ptr(0) } as usize;
+            let base = base as usize;
+            (base >= a0 && base + total_len <= a0 + arena_bytes as usize)
+                .then(|| (base - a0) as u64)
+        });
+        let desc = SlotDesc {
+            kind: K_PART_CTS,
+            parts: 0,
+            a: rdv_id,
+            b: grant.unwrap_or(u64::MAX),
+            c: 0,
+        };
+        self.push_record(
+            fabric,
+            src,
+            frame::op::PART_CTS,
+            desc,
+            Body::Inline(&[]),
+            None,
+            false,
+        );
+    }
+
+    fn ship_chunks(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        rdv_id: u64,
+        grant: Option<u64>,
+        spans: &Arc<Vec<SendSpan>>,
+        chunks: &[PinChunk],
+        _: Caller,
+    ) {
+        for &chunk in chunks {
+            self.ship_range(fabric, dst, rdv_id, grant, spans, chunk);
+        }
+    }
+
+    fn peer_states(&self) -> Vec<PeerSocketState> {
+        self.peers
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, peer)| {
+                let peer = peer.as_ref()?;
+                let quiet_ms = peer
+                    .hb_seen
+                    .lock()
+                    .map(|(_, since)| since.elapsed().as_millis() as u64)
+                    .unwrap_or(0);
+                Some(PeerSocketState {
+                    peer: rank,
+                    connected: self.segment.attached(rank).load(Ordering::Acquire) != 0
+                        && !peer.saw_bye.load(Ordering::Acquire),
+                    // ORDERING: advisory stats for the racy snapshot.
+                    frames_sent: peer.frames_sent.load(Ordering::Relaxed),
+                    // ORDERING: advisory stats for the racy snapshot.
+                    frames_received: peer.frames_received.load(Ordering::Relaxed),
+                    pending_rdv: 0,
+                    queued: 0,     // no writer queues: producers push inline
+                    lanes_down: 0, // a mapped segment has no lanes to lose
+                    quiet_ms,
+                })
+            })
+            .collect()
+    }
+
+    /// Exchange `Bye` records and, on clean runs, keep draining until
+    /// every peer's `Bye` arrived — both sides drain, so the `Bye`s
+    /// always flow. Aborted runs force-push `Bye` under a hard budget.
+    /// Then stop the progress thread.
+    fn close(&self, fabric: &Fabric) {
         let bye_deadline = Instant::now() + TEARDOWN_PUSH_BUDGET;
         for peer in 0..self.n_ranks {
             if peer != self.rank {
@@ -1557,323 +998,6 @@ impl IpcTransport {
         let _ = self.segment.doorbell(self.rank).wake();
         if let Some(handle) = self.progress.lock().take() {
             let _ = handle.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The Transport implementation.
-// ---------------------------------------------------------------------
-
-impl Transport for IpcTransport {
-    fn local_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn is_multiproc(&self) -> bool {
-        true
-    }
-
-    fn ship_eager(&self, dst: usize, shard: usize, ctx: u64, tag: i64, data: &[u8]) {
-        self.send_frame(
-            dst,
-            Frame::Eager {
-                shard: shard as u16,
-                ctx,
-                tag,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn ship_rts(&self, dst: usize, shard: usize, ctx: u64, tag: i64, pinned: PinnedSend) {
-        // ORDERING: id allocator — only uniqueness matters; the id
-        // reaches the peer inside the Rts frame, not via memory.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        let len = pinned.len as u64;
-        self.pending_rdv
-            .lock()
-            .insert(rdv_id, PendingRdvIpc { pinned, dst });
-        self.send_frame(
-            dst,
-            Frame::Rts {
-                shard: shard as u16,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            },
-        );
-    }
-
-    fn accept_remote_rdv(
-        &self,
-        src: usize,
-        rdv_id: u64,
-        posted: PostedRecv,
-        shard: usize,
-        tag: i64,
-        rts_ns: Option<u64>,
-    ) {
-        self.rdv_in.lock().insert(
-            (src, rdv_id),
-            RdvIn {
-                posted,
-                shard,
-                tag,
-                rts_ns,
-                received: 0,
-            },
-        );
-        self.send_frame(src, Frame::Cts { rdv_id });
-    }
-
-    fn part_stream_begin(
-        &self,
-        dst: usize,
-        ctx: u64,
-        total_len: usize,
-        spans: Vec<SendSpan>,
-    ) -> u64 {
-        // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        // Register before the RTS leaves so a fast K_PART_CTS finds us.
-        self.streams_out.lock().insert(
-            rdv_id,
-            IpcStreamSend {
-                dst,
-                total_len,
-                pushed: 0,
-                cts: None,
-                queued: Vec::new(),
-                spans: Arc::new(spans),
-            },
-        );
-        self.send_frame(
-            dst,
-            Frame::PartRts {
-                ctx,
-                total_len: total_len as u64,
-                rdv_id,
-            },
-        );
-        rdv_id
-    }
-
-    fn part_stream_push(
-        &self,
-        fabric: &Fabric,
-        stream_id: u64,
-        offset: u64,
-        data: &[u8],
-        parts: u16,
-    ) {
-        let shipped = {
-            let mut out = self.streams_out.lock();
-            let Some(stream) = out.get_mut(&stream_id) else {
-                return; // post-abort straggler
-            };
-            stream.pushed += data.len();
-            match stream.cts {
-                None => {
-                    // The CTS handler drains `queued` and retires the
-                    // entry when it arrives.
-                    stream.queued.push(QueuedRange {
-                        offset,
-                        ptr: data.as_ptr(),
-                        len: data.len(),
-                        parts,
-                    });
-                    return;
-                }
-                Some(grant) => {
-                    let dst = stream.dst;
-                    let spans = Arc::clone(&stream.spans);
-                    if stream.pushed >= stream.total_len {
-                        // Last byte pushed post-CTS: the entry is done.
-                        out.remove(&stream_id);
-                    }
-                    (dst, grant, spans)
-                }
-            }
-        };
-        let (dst, grant, spans) = shipped;
-        self.ship_range(
-            fabric,
-            dst,
-            stream_id,
-            grant,
-            &spans,
-            offset,
-            data.as_ptr(),
-            data.len(),
-            parts,
-        );
-    }
-
-    fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv) {
-        let activate = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            if let Some((rdv_id, total_len)) = pair.pending_rts.pop_front() {
-                Some((rdv_id, total_len, recv))
-            } else {
-                pair.waiting.push_back(recv);
-                None
-            }
-        };
-        if let Some((rdv_id, total_len, recv)) = activate {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
-        }
-    }
-
-    fn barrier(&self, fabric: &Fabric, rank: usize) {
-        // ORDERING: generation allocator (see `finalize`) — uniqueness
-        // only; barrier ordering comes from the records themselves.
-        let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-        let completion = self.release_completion(gen);
-        if self.rank == 0 {
-            self.note_arrival(fabric, gen, self.rank);
-        } else {
-            self.push_frame(fabric, 0, &Frame::BarrierArrive { gen }, None, false);
-        }
-        fabric.wait_on(&completion, rank, || {
-            (format!("barrier (generation {gen})"), None, None)
-        });
-        self.releases.lock().remove(&gen);
-    }
-
-    fn announce_win(&self, origin: usize, win_ctx: u64, len: usize) {
-        self.send_frame(
-            origin,
-            Frame::WinAnnounce {
-                win_ctx,
-                len: len as u64,
-            },
-        );
-    }
-
-    fn wait_win_announce(&self, fabric: &Fabric, rank: usize, win_ctx: u64) -> usize {
-        let completion = {
-            let mut slots = self.win_slots.lock();
-            Arc::clone(
-                &slots
-                    .entry(win_ctx)
-                    .or_insert_with(|| (Completion::new(), None))
-                    .0,
-            )
-        };
-        fabric.wait_on(&completion, rank, || {
-            (format!("attach_win(ctx={win_ctx})"), None, None)
-        });
-        self.win_slots
-            .lock()
-            .get(&win_ctx)
-            .and_then(|slot| slot.1)
-            // PANIC: the completion waited on above is signalled only
-            // by the WinAnnounce handler, which stores the length
-            // before signalling.
-            .expect("announced window carries a length")
-    }
-
-    fn put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        self.send_frame(
-            target,
-            Frame::Put {
-                win_ctx,
-                offset: offset as u64,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn get(
-        &self,
-        fabric: &Fabric,
-        rank: usize,
-        target: usize,
-        win_ctx: u64,
-        offset: usize,
-        len: usize,
-    ) -> Vec<u8> {
-        // ORDERING: token allocator — uniqueness only, the token rides
-        // inside the GetReq frame.
-        let token = self.next_get_token.fetch_add(1, Ordering::Relaxed);
-        let completion = Completion::new();
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        self.get_waiters
-            .lock()
-            .insert(token, (Arc::clone(&completion), Arc::clone(&slot)));
-        self.push_frame(
-            fabric,
-            target,
-            &Frame::GetReq {
-                win_ctx,
-                offset: offset as u64,
-                len: len as u64,
-                token,
-            },
-            None,
-            false,
-        );
-        fabric.wait_on(&completion, rank, || {
-            (
-                format!("rma get({len} B from rank {target})"),
-                None,
-                Some(target),
-            )
-        });
-        self.get_waiters.lock().remove(&token);
-        let data = slot.lock().take();
-        // PANIC: the completion waited on above is signalled only by
-        // the GetResp handler, which fills the slot before signalling.
-        data.expect("completed get carries its payload")
-    }
-
-    fn peer_states(&self) -> Vec<PeerSocketState> {
-        let pending = self.pending_rdv.lock();
-        let streams = self.streams_out.lock();
-        self.peers
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, peer)| {
-                let peer = peer.as_ref()?;
-                let quiet_ms = peer
-                    .hb_seen
-                    .lock()
-                    .map(|(_, since)| since.elapsed().as_millis() as u64)
-                    .unwrap_or(0);
-                Some(PeerSocketState {
-                    peer: rank,
-                    connected: self.segment.attached(rank).load(Ordering::Acquire) != 0
-                        && !peer.saw_bye.load(Ordering::Acquire),
-                    // ORDERING: advisory stats for the racy snapshot.
-                    frames_sent: peer.frames_sent.load(Ordering::Relaxed),
-                    // ORDERING: advisory stats for the racy snapshot.
-                    frames_received: peer.frames_received.load(Ordering::Relaxed),
-                    pending_rdv: pending.values().filter(|p| p.dst == rank).count()
-                        + streams.values().filter(|s| s.dst == rank).count(),
-                    queued: 0,     // no writer queues: producers push inline
-                    lanes_down: 0, // a mapped segment has no lanes to lose
-                    quiet_ms,
-                })
-            })
-            .collect()
-    }
-
-    fn broadcast_abort(&self, err: &PcommError) {
-        if self.abort_sent.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let Some(fabric) = self.fabric() else {
-            return;
-        };
-        let frame = encode_abort(err);
-        let deadline = Instant::now() + TEARDOWN_PUSH_BUDGET;
-        for peer in 0..self.n_ranks {
-            if peer != self.rank {
-                self.push_frame(&fabric, peer, &frame, Some(deadline), true);
-            }
         }
     }
 
@@ -2021,4 +1145,132 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
         }
     }
     Ok(segment)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fabric::PostedRecv;
+
+    /// Rank 0's carrier over a fresh two-rank segment, plus rank 1's
+    /// producer end of the 1→0 ring for writing hostile descriptors.
+    /// The carrier is never started: the test is the drainer.
+    fn hostile_peer() -> Option<(Arc<Fabric>, Arc<IpcTransport>, Channel)> {
+        if !sys::supported() {
+            return None;
+        }
+        let params = IpcParams {
+            n_ranks: 2,
+            ring_slots: 8,
+            fifo_bytes: 64 << 10,
+            arena_bytes: 1 << 20,
+        };
+        let (segment, fd) = Segment::create(params).expect("memfd segment");
+        let _ = sys::close(fd);
+        let peer_out = segment.channel(1, 0);
+        let carrier = Arc::new(IpcTransport::new(segment, 0, 2));
+        let fabric = Fabric::new_configured(
+            2,
+            1,
+            1024,
+            pcomm_trace::Trace::disabled(),
+            None,
+            Arc::clone(&carrier) as Arc<dyn Transport>,
+        );
+        Some((fabric, carrier, peer_out))
+    }
+
+    fn misuse_naming_the_peer(fabric: &Fabric) -> String {
+        match fabric.failure_snapshot() {
+            Some(PcommError::Misuse {
+                rank: Some(1),
+                detail,
+            }) => detail,
+            other => panic!("expected Misuse naming rank 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_peer_written_rdv_chunk_offset_cannot_leave_the_destination() {
+        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            return;
+        };
+        // A canary on both sides of the 8-byte destination.
+        let mut mem = [0xaau8; 24];
+        let completion = Completion::new();
+        let posted = PostedRecv {
+            ctx: 0,
+            src: Some(1),
+            tag: Some(4),
+            dest_ptr: mem[8..16].as_mut_ptr(),
+            dest_cap: 8,
+            info: Arc::new(Mutex::new(None)),
+            completion: Arc::clone(&completion),
+            verify_msg: None,
+        };
+        fabric
+            .wire()
+            .accept_remote_rdv(&fabric, 1, 3, posted, 0, 4, None);
+        // `offset + len` wraps to 0 in a release build.
+        let desc = SlotDesc {
+            kind: K_RDV,
+            parts: 1,
+            a: 3,
+            b: (usize::MAX - 3) as u64,
+            c: 0,
+        };
+        peer_out
+            .try_push_slab(desc, &[&[1, 2, 3, 4]])
+            .expect("ring has room");
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        let detail = misuse_naming_the_peer(&fabric);
+        assert!(
+            detail.contains("overflows a 8-byte destination"),
+            "{detail}"
+        );
+        assert!(!completion.is_set());
+        assert_eq!(mem, [0xaau8; 24]);
+    }
+
+    #[test]
+    fn a_peer_written_arena_grant_is_checked_before_any_copy() {
+        // One byte past the arena, and one that overflows `grant + len`
+        // (`u64::MAX` itself is the "no grant" sentinel).
+        for grant in [(1u64 << 20) - 4096 + 1, u64::MAX - 1] {
+            let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+                return;
+            };
+            let src = vec![7u8; 4096];
+            let id = fabric
+                .wire()
+                .part_stream_begin(&fabric, 1, 9, 4096, Vec::new());
+            let desc = SlotDesc {
+                kind: K_PART_CTS,
+                parts: 0,
+                a: id,
+                b: grant,
+                c: 0,
+            };
+            peer_out.try_push(desc, &[]).expect("ring has room");
+            assert!(carrier.drain_peer(&fabric, 1, false));
+            let detail = misuse_naming_the_peer(&fabric);
+            assert!(
+                detail.contains("exceeds the 1048576-byte arena"),
+                "{detail}"
+            );
+            // The stream never got its CTS: a later `pready` only queues.
+            let sent = carrier.peers[1]
+                .as_ref()
+                .unwrap()
+                .frames_sent
+                .load(Ordering::Relaxed);
+            fabric.wire().part_stream_push(&fabric, id, 0, &src, 1);
+            let after = carrier.peers[1]
+                .as_ref()
+                .unwrap()
+                .frames_sent
+                .load(Ordering::Relaxed);
+            assert_eq!(sent, after, "no K_PART may follow a refused grant");
+        }
+    }
 }

@@ -402,11 +402,7 @@ impl Universe {
             rank: Some(env.rank),
             detail: format!("multiprocess mesh establishment failed: {e}"),
         })?;
-        enum WireEngine {
-            Socket(Arc<crate::transport::SocketTransport>),
-            Ipc(Arc<crate::transport_ipc::IpcTransport>),
-        }
-        let engine = if use_ipc {
+        let transport: Arc<dyn crate::transport::Transport> = if use_ipc {
             let (slots, slab, arena) = pcomm_net::launch::ipc_params_from_env();
             let params = pcomm_net::ipc::IpcParams {
                 n_ranks: env.n_ranks,
@@ -418,21 +414,17 @@ impl Universe {
             // The mesh sockets carried the fd exchange; the segment is
             // the wire from here on.
             drop(mesh);
-            WireEngine::Ipc(crate::transport_ipc::IpcTransport::new(
+            Arc::new(crate::transport_ipc::IpcTransport::new(
                 segment,
                 env.rank,
                 env.n_ranks,
             ))
         } else {
-            WireEngine::Socket(Arc::new(crate::transport::SocketTransport::new(
+            Arc::new(crate::transport::SocketTransport::new(
                 mesh,
                 cfg,
                 self.fault_plan.as_ref(),
-            )))
-        };
-        let transport: Arc<dyn crate::transport::Transport> = match &engine {
-            WireEngine::Socket(t) => Arc::clone(t) as _,
-            WireEngine::Ipc(t) => Arc::clone(t) as _,
+            ))
         };
         let fabric = Fabric::new_configured(
             self.n_ranks,
@@ -440,12 +432,9 @@ impl Universe {
             self.eager_max,
             trace,
             self.fault_plan.clone(),
-            transport,
+            Arc::clone(&transport),
         );
-        match &engine {
-            WireEngine::Socket(t) => t.start(&fabric)?,
-            WireEngine::Ipc(t) => t.start(&fabric)?,
-        }
+        transport.start(&fabric)?;
         let watchdog_ms = self.effective_watchdog_ms();
         let rank = env.rank;
         let result: Option<T> = std::thread::scope(|scope| {
@@ -468,10 +457,7 @@ impl Universe {
         });
         fabric.flush_held();
         // Closing barrier, goodbye frames, thread joins — never unwinds.
-        match &engine {
-            WireEngine::Socket(t) => t.finalize(&fabric),
-            WireEngine::Ipc(t) => t.finalize(&fabric),
-        }
+        fabric.wire().finalize(&fabric);
         match fabric.take_failure() {
             Some(err) => Err(err),
             None => {
