@@ -271,12 +271,28 @@ for f in wire transport transport_ipc; do
     family=$((family + n))
 done
 echo "   transport family: $family (ceiling $TRANSPORT_CEILING)"
+# The eight strategies exist once: the op tables and the real runtime's
+# template in core, the simulator's template and its scenario. 1364
+# before they were written once (one function per strategy and side in
+# each world, plus hand-written string tables); same rule as above.
+STRATEGY_CEILING=1089
+strategies=0
+for f in core/src/strategies simmpi/src/strategies simmpi/src/scenario; do
+    n=$(nontest "crates/$f.rs")
+    echo "   crates/$f.rs: $n"
+    strategies=$((strategies + n))
+done
+echo "   strategy family: $strategies (ceiling $STRATEGY_CEILING)"
 echo "   crates/core/src/part.rs: $(nontest crates/core/src/part.rs)"
 echo "   crates/trace/src/event.rs: $(nontest crates/trace/src/event.rs)"
 echo "   Transport trait methods: $(awk '/^pub\(crate\) trait Transport/{t=1} t&&/^}/{exit} t&&/^    fn /{n++} END{print n+0}' crates/core/src/transport.rs)"
 echo "   PCOMM_* variables read by non-test code: $(grep -rhoE '"PCOMM_[A-Z_]+"' crates/*/src src | sort -u | wc -l)"
 if [ "$family" -gt "$TRANSPORT_CEILING" ]; then
     echo "transport family grew past its ceiling ($family > $TRANSPORT_CEILING)" >&2
+    exit 1
+fi
+if [ "$strategies" -gt "$STRATEGY_CEILING" ]; then
+    echo "strategy family grew past its ceiling ($strategies > $STRATEGY_CEILING)" >&2
     exit 1
 fi
 

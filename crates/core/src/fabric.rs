@@ -845,17 +845,72 @@ impl Fabric {
         }
     }
 
+    /// Trace one injected fault on a message from `src_rank`.
+    fn trace_fault(&self, src_rank: usize, fault: FaultKind, dst: usize, tag: i64, arg: u64) {
+        self.trace
+            .emit(src_rank as u16, || EventKind::FaultInjected {
+                fault,
+                dst: dst as u16,
+                tag,
+                arg,
+            });
+    }
+
+    /// The fault plan's decision for the next message on a channel, with
+    /// drops and delays played out. A *drop* consumes one retry and
+    /// re-decides with the next attempt number — modelling a sender that
+    /// retransmits after a NACK/timeout; a *delay* sleeps here. Returns
+    /// the surviving decision, or `None` once the drop budget is
+    /// exhausted: the message is lost for good and the universe has been
+    /// failed with [`PcommError::MessageLost`].
+    fn chaos_decide(
+        &self,
+        fs: &FaultState,
+        dst: usize,
+        ctx: u64,
+        src_rank: usize,
+        tag: i64,
+    ) -> Option<FaultAction> {
+        let seq = fs.next_seq(src_rank, dst, ctx, tag);
+        let mut attempt: u32 = 0;
+        loop {
+            match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
+                FaultAction::Drop => {
+                    self.trace_fault(src_rank, FaultKind::Drop, dst, tag, attempt as u64);
+                    if attempt >= fs.plan.max_retries {
+                        self.fail(PcommError::MessageLost {
+                            src: src_rank,
+                            dst,
+                            tag,
+                            attempts: attempt + 1,
+                        });
+                        return None;
+                    }
+                    attempt += 1;
+                    self.trace
+                        .emit(src_rank as u16, || EventKind::RetryAttempt {
+                            dst: dst as u16,
+                            attempt: attempt as u16,
+                            tag,
+                        });
+                }
+                FaultAction::Delay { us } => {
+                    self.trace_fault(src_rank, FaultKind::Delay, dst, tag, us);
+                    std::thread::sleep(Duration::from_micros(us));
+                    return Some(FaultAction::Delay { us });
+                }
+                other => return Some(other),
+            }
+        }
+    }
+
     /// Eager delivery under a fault plan: the plan decides per message
     /// (keyed by channel sequence number, so the decision sequence is
     /// independent of thread interleaving) whether to drop, delay,
-    /// duplicate, or reorder.
-    ///
-    /// A *drop* consumes one retry and re-decides with the next attempt
-    /// number — modelling a sender that retransmits after a NACK/timeout.
-    /// When the drop budget is exhausted the message is lost for good and
-    /// the universe fails with [`PcommError::MessageLost`]. (The send
-    /// still completes locally: eager sends are fire-and-forget, exactly
-    /// like a real eager protocol that learns of the loss only later.)
+    /// duplicate, or reorder ([`Fabric::chaos_decide`] runs the drops).
+    /// A lost send still completes locally: eager sends are
+    /// fire-and-forget, exactly like a real eager protocol that learns
+    /// of the loss only later.
     fn send_eager_chaos(
         &self,
         dst: usize,
@@ -866,75 +921,22 @@ impl Fabric {
         buf: Vec<u8>,
     ) {
         let fs = self.fault.as_ref().expect("chaos path without fault state");
-        let seq = fs.next_seq(src_rank, dst, ctx, tag);
-        let mut attempt: u32 = 0;
-        let action = loop {
-            let a = fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt);
-            if !matches!(a, FaultAction::Drop) {
-                break a;
-            }
-            let dropped_attempt = attempt;
-            self.trace
-                .emit(src_rank as u16, || EventKind::FaultInjected {
-                    fault: FaultKind::Drop,
-                    dst: dst as u16,
-                    tag,
-                    arg: dropped_attempt as u64,
-                });
-            if attempt >= fs.plan.max_retries {
-                self.pool.release(src_rank, buf);
-                self.fail(PcommError::MessageLost {
-                    src: src_rank,
-                    dst,
-                    tag,
-                    attempts: attempt + 1,
-                });
-                return;
-            }
-            attempt += 1;
-            let retry = attempt;
-            self.trace
-                .emit(src_rank as u16, || EventKind::RetryAttempt {
-                    dst: dst as u16,
-                    attempt: retry as u16,
-                    tag,
-                });
+        let Some(action) = self.chaos_decide(fs, dst, ctx, src_rank, tag) else {
+            self.pool.release(src_rank, buf);
+            return;
         };
         match action {
-            FaultAction::None | FaultAction::Drop => {
-                self.chaos_deliver_eager(dst, shard, ctx, src_rank, tag, buf);
-            }
-            FaultAction::Delay { us } => {
-                self.trace
-                    .emit(src_rank as u16, || EventKind::FaultInjected {
-                        fault: FaultKind::Delay,
-                        dst: dst as u16,
-                        tag,
-                        arg: us,
-                    });
-                std::thread::sleep(Duration::from_micros(us));
+            FaultAction::None | FaultAction::Drop | FaultAction::Delay { .. } => {
                 self.chaos_deliver_eager(dst, shard, ctx, src_rank, tag, buf);
             }
             FaultAction::Duplicate => {
-                self.trace
-                    .emit(src_rank as u16, || EventKind::FaultInjected {
-                        fault: FaultKind::Duplicate,
-                        dst: dst as u16,
-                        tag,
-                        arg: 0,
-                    });
+                self.trace_fault(src_rank, FaultKind::Duplicate, dst, tag, 0);
                 let copy = buf.clone();
                 self.chaos_deliver_eager(dst, shard, ctx, src_rank, tag, copy);
                 self.chaos_deliver_eager(dst, shard, ctx, src_rank, tag, buf);
             }
             FaultAction::Reorder => {
-                self.trace
-                    .emit(src_rank as u16, || EventKind::FaultInjected {
-                        fault: FaultKind::Reorder,
-                        dst: dst as u16,
-                        tag,
-                        arg: 0,
-                    });
+                self.trace_fault(src_rank, FaultKind::Reorder, dst, tag, 0);
                 fs.held[dst].lock().push(HeldMsg {
                     shard,
                     ctx,
@@ -1036,53 +1038,11 @@ impl Fabric {
             // Rendezvous is a zero-copy pointer handoff: duplicating or
             // holding it back would alias or outlive the source buffer,
             // so only Drop (of the RTS, with retries) and Delay apply;
-            // other decisions decay to clean delivery.
-            let seq = fs.next_seq(src_rank, dst, ctx, tag);
-            let mut attempt: u32 = 0;
-            loop {
-                match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
-                    FaultAction::Drop => {
-                        let dropped_attempt = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Drop,
-                                dst: dst as u16,
-                                tag,
-                                arg: dropped_attempt as u64,
-                            });
-                        if attempt >= fs.plan.max_retries {
-                            // RTS lost for good: the sender's completion
-                            // stays unset; its wait unwinds via the abort.
-                            self.fail(PcommError::MessageLost {
-                                src: src_rank,
-                                dst,
-                                tag,
-                                attempts: attempt + 1,
-                            });
-                            return;
-                        }
-                        attempt += 1;
-                        let retry = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::RetryAttempt {
-                                dst: dst as u16,
-                                attempt: retry as u16,
-                                tag,
-                            });
-                    }
-                    FaultAction::Delay { us } => {
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Delay,
-                                dst: dst as u16,
-                                tag,
-                                arg: us,
-                            });
-                        std::thread::sleep(Duration::from_micros(us));
-                        break;
-                    }
-                    _ => break,
-                }
+            // other decisions decay to clean delivery. An RTS lost for
+            // good leaves the sender's completion unset; its wait
+            // unwinds via the abort.
+            if self.chaos_decide(fs, dst, ctx, src_rank, tag).is_none() {
+                return;
             }
             // Preserve channel FIFO against any held-back eager message
             // of the same channel before the rendezvous overtakes it.
@@ -1144,9 +1104,8 @@ impl Fabric {
     /// Ship one ready partition range on a wire stream, under the same
     /// fault taxonomy as [`Fabric::send_rdv`]'s RTS: a range is pushed
     /// exactly once into pinned remote memory, so Duplicate and Reorder
-    /// decay to clean delivery, Delay sleeps, and Drop consumes retries
-    /// — exhausting them loses the message for good (the span's `done`
-    /// stays unset; the sender's wait unwinds via the abort).
+    /// decay to clean delivery, and a range lost for good leaves its
+    /// span's `done` unset (the sender's wait unwinds via the abort).
     #[allow(clippy::too_many_arguments)] // one per envelope field
     pub(crate) fn part_stream_send(
         &self,
@@ -1160,50 +1119,8 @@ impl Fabric {
         parts: u16,
     ) {
         if let Some(fs) = &self.fault {
-            let seq = fs.next_seq(src_rank, dst, ctx, tag);
-            let mut attempt: u32 = 0;
-            loop {
-                match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
-                    FaultAction::Drop => {
-                        let dropped_attempt = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Drop,
-                                dst: dst as u16,
-                                tag,
-                                arg: dropped_attempt as u64,
-                            });
-                        if attempt >= fs.plan.max_retries {
-                            self.fail(PcommError::MessageLost {
-                                src: src_rank,
-                                dst,
-                                tag,
-                                attempts: attempt + 1,
-                            });
-                            return;
-                        }
-                        attempt += 1;
-                        let retry = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::RetryAttempt {
-                                dst: dst as u16,
-                                attempt: retry as u16,
-                                tag,
-                            });
-                    }
-                    FaultAction::Delay { us } => {
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Delay,
-                                dst: dst as u16,
-                                tag,
-                                arg: us,
-                            });
-                        std::thread::sleep(Duration::from_micros(us));
-                        break;
-                    }
-                    _ => break,
-                }
+            if self.chaos_decide(fs, dst, ctx, src_rank, tag).is_none() {
+                return;
             }
             // No held-eager flush here: partitioned pairs never put
             // eager traffic on their context in streaming mode, so
@@ -1527,16 +1444,29 @@ impl Fabric {
         );
     }
 
+    /// The in-bounds start of a peer-named `len`-byte range of a
+    /// `win_len`-byte window. `offset` and `len` come straight off the
+    /// wire: the sum is checked, never wrapped.
+    fn win_range(offset: u64, len: u64, win_len: usize) -> Option<usize> {
+        let end = offset.checked_add(len)?;
+        (end <= win_len as u64).then_some(offset as usize)
+    }
+
     /// Wire ingress, one-sided put into a locally registered window.
     /// Runs on the transport's reader thread.
-    pub(crate) fn apply_remote_put(&self, src: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        let mem = self.win_registry.lock().get(&win_ctx).cloned();
-        match mem {
-            Some(mem) if offset + data.len() <= mem.len() => {
-                mem.apply_put(offset, data);
+    pub(crate) fn apply_remote_put(&self, src: usize, win_ctx: u64, offset: u64, data: &[u8]) {
+        let Some(mem) = self.win_registry.lock().get(&win_ctx).cloned() else {
+            return self.fail(PcommError::misuse(
+                src,
+                format!("remote put targets unregistered window ctx {win_ctx}"),
+            ));
+        };
+        match Self::win_range(offset, data.len() as u64, mem.len()) {
+            Some(start) => {
+                mem.apply_put(start, data);
                 self.touch();
             }
-            Some(mem) => self.fail(PcommError::misuse(
+            None => self.fail(PcommError::misuse(
                 src,
                 format!(
                     "remote put of {} bytes at offset {offset} overflows {}-byte window \
@@ -1545,21 +1475,15 @@ impl Fabric {
                     mem.len()
                 ),
             )),
-            None => self.fail(PcommError::misuse(
-                src,
-                format!("remote put targets unregistered window ctx {win_ctx}"),
-            )),
         }
     }
 
     /// Wire ingress, one-sided get from a locally registered window.
     /// `None` when the window is unknown or the range is out of bounds.
-    pub(crate) fn read_win(&self, win_ctx: u64, offset: usize, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn read_win(&self, win_ctx: u64, offset: u64, len: u64) -> Option<Vec<u8>> {
         let mem = self.win_registry.lock().get(&win_ctx).cloned()?;
-        if offset + len > mem.len() {
-            return None;
-        }
-        Some(mem.read_range(offset, len))
+        let start = Self::win_range(offset, len, mem.len())?;
+        Some(mem.read_range(start, len as usize))
     }
 
     /// One-sided put targeting a remote-hosted rank (multiprocess runs).

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod comm;
-pub mod datatype;
 mod error;
 mod fabric;
 pub mod hotpath;
@@ -73,7 +72,6 @@ mod universe;
 mod wire;
 
 pub use comm::Comm;
-pub use datatype::Datatype;
 pub use error::{BlockedWait, DoorbellStats, PcommError, PeerSocketState, QueueEntry, StallReport};
 pub use fabric::MsgInfo;
 pub use universe::{Universe, DEFAULT_CHAOS_WATCHDOG_MS};

@@ -120,6 +120,11 @@ impl MsgLayout {
     pub fn n_msgs(&self) -> usize {
         self.msgs.len()
     }
+
+    /// Message count before aggregation: `gcd(N_send, N_recv)`.
+    pub fn base_msgs(&self) -> usize {
+        gcd(self.spart_msg.len(), self.rpart_msg.len())
+    }
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -398,14 +403,15 @@ pub struct PsendRequest {
     inner: Arc<PsendShared>,
 }
 
-/// Emit the analysis-grade init events for one side of a partitioned
-/// request: the request's shape plus one layout event per wire message,
-/// so the verifier can map partitions to transfer accesses. Both sides
-/// emit — a layout disagreement between them is itself a lint finding.
-/// No-op unless the trace was built with verification on.
+/// The analysis-grade init events of one side of a partitioned request:
+/// the request's shape plus one layout event per wire message, so the
+/// verifier can map partitions to transfer accesses. Both sides emit — a
+/// layout disagreement between them is itself a lint finding. The real
+/// runtime and the simulator both emit through here (each only when its
+/// verification is on), so `pcomm-verify` consumes their traces
+/// identically.
 #[allow(clippy::too_many_arguments)] // one-shot plumbing of the init shape
-fn emit_verify_init(
-    comm: &Comm,
+pub fn verify_init_events(
     req: u16,
     sender: bool,
     n_parts: usize,
@@ -413,47 +419,38 @@ fn emit_verify_init(
     legacy: bool,
     layout: &MsgLayout,
     total_bytes: usize,
+    mut emit: impl FnMut(EventKind),
 ) {
-    let trace = comm.fabric().trace();
-    if !trace.is_verify() {
-        return;
-    }
-    let rank = comm.rank() as u16;
-    let n_msgs = if legacy { 1 } else { layout.n_msgs() };
-    trace.emit_verify(rank, || EventKind::VerifyPartInit {
+    // Legacy: one message covering the whole buffer, sent in wait().
+    let (n_sparts, n_rparts) = if sender {
+        (n_parts, n_peer_parts)
+    } else {
+        (n_peer_parts, n_parts)
+    };
+    let whole = [MsgSpec {
+        first_spart: 0,
+        n_sparts,
+        first_rpart: 0,
+        n_rparts,
+        bytes: total_bytes,
+    }];
+    let msgs = if legacy { &whole[..] } else { &layout.msgs };
+    emit(EventKind::VerifyPartInit {
         req,
         sender,
         parts: n_parts as u32,
-        msgs: n_msgs as u32,
+        msgs: msgs.len() as u32,
     });
-    if legacy {
-        // One message covering the whole buffer, sent in wait().
-        let (n_sparts, n_rparts) = if sender {
-            (n_parts, n_peer_parts)
-        } else {
-            (n_peer_parts, n_parts)
-        };
-        trace.emit_verify(rank, || EventKind::VerifyLayoutMsg {
+    for (m, spec) in msgs.iter().enumerate() {
+        emit(EventKind::VerifyLayoutMsg {
             req,
-            msg: 0,
-            first_spart: 0,
-            n_sparts: n_sparts as u16,
-            first_rpart: 0,
-            n_rparts: n_rparts as u16,
-            bytes: total_bytes as u64,
+            msg: m as u16,
+            first_spart: spec.first_spart as u16,
+            n_sparts: spec.n_sparts as u16,
+            first_rpart: spec.first_rpart as u16,
+            n_rparts: spec.n_rparts as u16,
+            bytes: spec.bytes as u64,
         });
-    } else {
-        for (m, spec) in layout.msgs.iter().enumerate() {
-            trace.emit_verify(rank, || EventKind::VerifyLayoutMsg {
-                req,
-                msg: m as u16,
-                first_spart: spec.first_spart as u16,
-                n_sparts: spec.n_sparts as u16,
-                first_rpart: spec.first_rpart as u16,
-                n_rparts: spec.n_rparts as u16,
-                bytes: spec.bytes as u64,
-            });
-        }
     }
 }
 
@@ -504,7 +501,7 @@ impl Comm {
         self.fabric()
             .trace()
             .emit(self.rank() as u16, || EventKind::AggrLayout {
-                base_msgs: gcd(n_parts, n_recv_parts) as u16,
+                base_msgs: layout.base_msgs() as u16,
                 msgs: n_msgs as u16,
                 bytes_per_msg: layout.msgs[0].bytes as u64,
             });
@@ -514,16 +511,19 @@ impl Comm {
             .fabric()
             .trace()
             .verify_req_id(part_comm.ctx(), self.rank() as u16);
-        emit_verify_init(
-            &part_comm,
-            vreq,
-            true,
-            n_parts,
-            n_recv_parts,
-            opts.legacy_single_message,
-            &layout,
-            n_parts * part_bytes,
-        );
+        let (trace, rank) = (self.fabric().trace(), self.rank() as u16);
+        if trace.is_verify() {
+            verify_init_events(
+                vreq,
+                true,
+                n_parts,
+                n_recv_parts,
+                opts.legacy_single_message,
+                &layout,
+                n_parts * part_bytes,
+                |kind| trace.emit_verify(rank, || kind),
+            );
+        }
         PsendRequest {
             inner: Arc::new(PsendShared {
                 comm: part_comm,
@@ -598,16 +598,19 @@ impl Comm {
             .fabric()
             .trace()
             .verify_req_id(part_comm.ctx(), src as u16);
-        emit_verify_init(
-            &part_comm,
-            vreq,
-            false,
-            n_parts,
-            n_send_parts,
-            opts.legacy_single_message,
-            &layout,
-            n_parts * part_bytes,
-        );
+        let (trace, rank) = (self.fabric().trace(), self.rank() as u16);
+        if trace.is_verify() {
+            verify_init_events(
+                vreq,
+                false,
+                n_parts,
+                n_send_parts,
+                opts.legacy_single_message,
+                &layout,
+                n_parts * part_bytes,
+                |kind| trace.emit_verify(rank, || kind),
+            );
+        }
         let stream = !opts.legacy_single_message && !self.fabric().is_local(src);
         // On the ipc fabric, pin the destination inside the shared
         // partition arena when it fits: the sender then commits every
@@ -1485,13 +1488,74 @@ mod tests {
     #[test]
     fn layout_gcd_and_aggregation() {
         let l = negotiate_layout(12, 8, 100, None);
-        assert_eq!(l.n_msgs(), 4);
+        assert_eq!((l.n_msgs(), l.base_msgs()), (4, 4));
         let l = negotiate_layout(16, 16, 512, Some(2048));
-        assert_eq!(l.n_msgs(), 4);
+        assert_eq!((l.n_msgs(), l.base_msgs()), (4, 16));
         assert!(l.msgs.iter().all(|m| m.bytes == 2048));
         // Mapping is total on both sides.
         for p in 0..16 {
             let _ = l.msg_of_spart(p);
+            let _ = l.msg_of_rpart(p);
+        }
+    }
+
+    #[test]
+    fn layout_equal_counts_no_aggregation() {
+        let l = negotiate_layout(8, 8, 1024, None);
+        assert_eq!(l.n_msgs(), 8);
+        for (i, m) in l.msgs.iter().enumerate() {
+            assert_eq!(m.n_sparts, 1);
+            assert_eq!(m.n_rparts, 1);
+            assert_eq!(m.bytes, 1024);
+            assert_eq!(m.first_spart, i);
+        }
+    }
+
+    #[test]
+    fn layout_gcd_mismatched_counts() {
+        // gcd(12, 8) = 4 messages; 3 send parts / 2 recv parts each.
+        let l = negotiate_layout(12, 8, 100, None);
+        assert_eq!(l.n_msgs(), 4);
+        for m in &l.msgs {
+            assert_eq!(m.n_sparts, 3);
+            assert_eq!(m.n_rparts, 2);
+            assert_eq!(m.bytes, 300);
+        }
+    }
+
+    #[test]
+    fn layout_aggregation_respects_bound() {
+        // 16 partitions of 512 B, aggregate up to 2048 B → 4 msgs of 4.
+        let l = negotiate_layout(16, 16, 512, Some(2048));
+        assert_eq!(l.n_msgs(), 4);
+        for m in &l.msgs {
+            assert_eq!(m.bytes, 2048);
+            assert_eq!(m.n_sparts, 4);
+        }
+    }
+
+    #[test]
+    fn layout_aggregation_is_upper_bound_not_exact() {
+        // 5 partitions of 900 B, limit 2000 → groups of 2,2,1.
+        let l = negotiate_layout(5, 5, 900, Some(2000));
+        let sizes: Vec<usize> = l.msgs.iter().map(|m| m.bytes).collect();
+        assert_eq!(sizes, vec![1800, 1800, 900]);
+    }
+
+    #[test]
+    fn layout_oversized_partition_stays_alone() {
+        let l = negotiate_layout(4, 4, 4096, Some(1024));
+        assert_eq!(l.n_msgs(), 4);
+    }
+
+    #[test]
+    fn layout_partition_mapping_is_total() {
+        let l = negotiate_layout(24, 16, 64, Some(512));
+        for p in 0..24 {
+            let m = l.msg_of_spart(p);
+            assert!(m < l.n_msgs(), "partition {p} maps to missing msg {m}");
+        }
+        for p in 0..16 {
             let _ = l.msg_of_rpart(p);
         }
     }

@@ -47,7 +47,7 @@ unsafe impl Sync for WinMem {}
 unsafe impl Send for WinMem {}
 
 impl WinMem {
-    fn new(len: usize) -> Arc<WinMem> {
+    pub(crate) fn new(len: usize) -> Arc<WinMem> {
         Arc::new(WinMem {
             data: UnsafeCell::new(vec![0u8; len].into_boxed_slice()),
             arrived: AtomicU64::new(0),

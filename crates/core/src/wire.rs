@@ -1360,13 +1360,13 @@ impl WireProtocol {
                 win_ctx,
                 offset,
                 payload,
-            } => fabric.apply_remote_put(peer, win_ctx, offset as usize, &payload),
+            } => fabric.apply_remote_put(peer, win_ctx, offset, &payload),
             Frame::GetReq {
                 win_ctx,
                 offset,
                 len,
                 token,
-            } => match fabric.read_win(win_ctx, offset as usize, len as usize) {
+            } => match fabric.read_win(win_ctx, offset, len) {
                 Some(payload) => self.send(fabric, peer, Frame::GetResp { token, payload }),
                 None => fabric.fail(PcommError::misuse(
                     peer,
@@ -1868,6 +1868,72 @@ mod tests {
                 }
             )),
             "no response to a refused get"
+        );
+    }
+
+    /// `offset` and `len` of a `Put` / `GetReq` are the peer's `u64`s:
+    /// one that wraps the sum (an out-of-bounds write once the check
+    /// passed, in release) and one that merely overruns the window by
+    /// a byte are both typed `Misuse`, and neither touches the window.
+    #[test]
+    fn put_and_get_ranges_from_the_peer_are_bounds_checked() {
+        let window = |fabric: &Fabric| {
+            let mem = crate::rma::WinMem::new(16);
+            fabric.register_win(7, Arc::clone(&mem));
+            mem
+        };
+        for offset in [u64::MAX - 3, 9] {
+            let (fabric, _) = engine(2, 0, 0);
+            let mem = window(&fabric);
+            let put = Frame::Put {
+                win_ctx: 7,
+                offset,
+                payload: vec![0xAB; 8],
+            };
+            fabric.wire().dispatch(&fabric, 1, 0, put);
+            let detail = misuse_of(&fabric, 1);
+            assert!(detail.contains("overflows 16-byte window"), "{detail}");
+            assert_eq!(mem.read_range(0, 16), [0u8; 16], "refused put landed");
+
+            let (fabric, carrier) = engine(2, 0, 0);
+            window(&fabric);
+            let get = Frame::GetReq {
+                win_ctx: 7,
+                offset,
+                len: 8,
+                token: 0,
+            };
+            fabric.wire().dispatch(&fabric, 1, 0, get);
+            let detail = misuse_of(&fabric, 1);
+            assert!(detail.contains("misses window ctx 7"), "{detail}");
+            let resp =
+                |s: &Sent| matches!(s, Sent::Frame { frame, .. } if frame.name() == "GetResp");
+            assert!(!taken(&carrier).iter().any(resp), "a refused get answered");
+        }
+        // The last in-bounds range still works.
+        let (fabric, carrier) = engine(2, 0, 0);
+        let mem = window(&fabric);
+        let put = Frame::Put {
+            win_ctx: 7,
+            offset: 8,
+            payload: vec![0xAB; 8],
+        };
+        fabric.wire().dispatch(&fabric, 1, 0, put);
+        assert_eq!(mem.read_range(8, 8), [0xAB; 8]);
+        let get = Frame::GetReq {
+            win_ctx: 7,
+            offset: 8,
+            len: 8,
+            token: 5,
+        };
+        fabric.wire().dispatch(&fabric, 1, 0, get);
+        assert!(fabric.failure_snapshot().is_none());
+        let resp = Frame::GetResp {
+            token: 5,
+            payload: vec![0xAB; 8],
+        };
+        assert!(
+            matches!(&taken(&carrier)[..], [Sent::Frame { dst: 1, frame, .. }] if *frame == resp)
         );
     }
 

@@ -13,9 +13,9 @@
 //!   tag-matched multi-message path with gcd message-count negotiation,
 //!   message aggregation (`MPIR_CVAR_PART_AGGR_SIZE` analogue) and
 //!   round-robin partition→VCI mapping;
-//! * the eight pipelined-communication strategies of the paper's
-//!   Tables 1–2 ([`strategies`]) and the Fig. 3 benchmark template
-//!   ([`scenario`]).
+//! * the Fig. 3 benchmark template ([`scenario`], [`strategies`]) as an
+//!   interpreter over the eight strategy rows of the paper's Tables 1–2,
+//!   which are defined once in `pcomm_core::strategies`.
 //!
 //! Simulated MPI ranks are async tasks; OpenMP threads within a rank are
 //! nested tasks. All timing comes from [`pcomm_netmodel::MachineConfig`].

@@ -23,6 +23,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+// The partition→message layout and the verify init events exist once, in
+// the real runtime.
+use pcomm_core::part::{negotiate_layout, verify_init_events, MsgLayout};
 use pcomm_simcore::sync::Signal;
 use pcomm_trace::{EventKind, FaultKind};
 
@@ -92,123 +95,6 @@ impl Default for PartOptions {
             first_iteration_cts: true,
         }
     }
-}
-
-/// One internal message of the improved path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgSpec {
-    /// First sender partition contributing to this message.
-    pub first_spart: usize,
-    /// Number of sender partitions contributing.
-    pub n_sparts: usize,
-    /// First receiver partition covered.
-    pub first_rpart: usize,
-    /// Number of receiver partitions covered.
-    pub n_rparts: usize,
-    /// Message payload in bytes.
-    pub bytes: usize,
-}
-
-/// The negotiated partition→message mapping.
-///
-/// Carries dense partition→message index tables (mirroring the real
-/// runtime's layout), so per-`pready`/`parrived` lookups are O(1) instead
-/// of a scan over messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgLayout {
-    /// Messages in buffer order.
-    pub msgs: Vec<MsgSpec>,
-    /// `spart_msg[p]` = index of the message sender partition `p` feeds.
-    spart_msg: Vec<u32>,
-    /// `rpart_msg[p]` = index of the message covering receiver partition `p`.
-    rpart_msg: Vec<u32>,
-}
-
-impl MsgLayout {
-    fn from_msgs(msgs: Vec<MsgSpec>) -> MsgLayout {
-        let n_sparts: usize = msgs.iter().map(|m| m.n_sparts).sum();
-        let n_rparts: usize = msgs.iter().map(|m| m.n_rparts).sum();
-        let mut spart_msg = vec![0u32; n_sparts];
-        let mut rpart_msg = vec![0u32; n_rparts];
-        for (i, m) in msgs.iter().enumerate() {
-            for s in &mut spart_msg[m.first_spart..m.first_spart + m.n_sparts] {
-                *s = i as u32;
-            }
-            for r in &mut rpart_msg[m.first_rpart..m.first_rpart + m.n_rparts] {
-                *r = i as u32;
-            }
-        }
-        MsgLayout {
-            msgs,
-            spart_msg,
-            rpart_msg,
-        }
-    }
-
-    /// Index of the message a *sender* partition contributes to (O(1)).
-    pub fn msg_of_spart(&self, p: usize) -> usize {
-        self.spart_msg
-            .get(p)
-            .copied()
-            .expect("sender partition out of range") as usize
-    }
-
-    /// Index of the message covering a *receiver* partition (O(1)).
-    pub fn msg_of_rpart(&self, p: usize) -> usize {
-        self.rpart_msg
-            .get(p)
-            .copied()
-            .expect("receiver partition out of range") as usize
-    }
-
-    /// Number of messages.
-    pub fn n_msgs(&self) -> usize {
-        self.msgs.len()
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Receiver-side layout decision (paper §3.2.1): the base message count is
-/// `gcd(N_send, N_recv)` — guaranteeing every partition contributes to a
-/// single message — then consecutive base messages are aggregated while
-/// their combined size stays within `aggr_size`.
-pub fn negotiate_layout(
-    n_send: usize,
-    n_recv: usize,
-    send_part_bytes: usize,
-    aggr_size: Option<usize>,
-) -> MsgLayout {
-    assert!(n_send >= 1 && n_recv >= 1, "partition counts must be >= 1");
-    let g = gcd(n_send, n_recv);
-    let sparts_per_msg = n_send / g;
-    let rparts_per_msg = n_recv / g;
-    let bytes_per_msg = sparts_per_msg * send_part_bytes;
-    let mut msgs: Vec<MsgSpec> = Vec::with_capacity(g);
-    for i in 0..g {
-        let spec = MsgSpec {
-            first_spart: i * sparts_per_msg,
-            n_sparts: sparts_per_msg,
-            first_rpart: i * rparts_per_msg,
-            n_rparts: rparts_per_msg,
-            bytes: bytes_per_msg,
-        };
-        match (aggr_size, msgs.last_mut()) {
-            (Some(limit), Some(prev)) if prev.bytes + spec.bytes <= limit => {
-                prev.n_sparts += spec.n_sparts;
-                prev.n_rparts += spec.n_rparts;
-                prev.bytes += spec.bytes;
-            }
-            _ => msgs.push(spec),
-        }
-    }
-    MsgLayout::from_msgs(msgs)
 }
 
 struct PsendShared {
@@ -284,7 +170,7 @@ pub fn psend_init(
     let path = effective_path(&world, comm.rank(), dst, opts.path);
     let layout = negotiate_layout(n_parts, n_recv_parts, part_bytes, opts.aggr_size);
     world.trace(comm.rank(), || EventKind::AggrLayout {
-        base_msgs: gcd(n_parts, n_recv_parts) as u16,
+        base_msgs: layout.base_msgs() as u16,
         msgs: layout.n_msgs() as u16,
         bytes_per_msg: layout.msgs[0].bytes as u64,
     });
@@ -299,17 +185,18 @@ pub fn psend_init(
     // Keyed by the sender's rank so pairs sharing a (ctx, tag) — e.g. a
     // ring whose links all use one tag — stay distinct for the analyzer.
     let vreq = world.verify_req_id(part_comm.ctx(), comm.rank() as u16);
-    emit_verify_init(
-        &world,
-        &part_comm,
-        vreq,
-        true,
-        path,
-        n_parts,
-        n_recv_parts,
-        &layout,
-        n_parts * part_bytes,
-    );
+    if world.verify_on() {
+        verify_init_events(
+            vreq,
+            true,
+            n_parts,
+            n_recv_parts,
+            path == PartPath::LegacyAm,
+            &layout,
+            n_parts * part_bytes,
+            |kind| world.emit_verify(comm.rank(), || kind),
+        );
+    }
     PsendRequest {
         inner: Rc::new(PsendShared {
             world,
@@ -334,62 +221,6 @@ pub fn psend_init(
             iters: Cell::new(0),
             jitter_round: Cell::new(0),
         }),
-    }
-}
-
-/// Emit the analysis-grade init events for one side of a partitioned
-/// request: shape plus one layout event per wire message. Mirrors the
-/// real runtime's emission exactly, so `pcomm-verify` consumes sim and
-/// real traces identically. No-op unless [`World::enable_verify`] ran.
-#[allow(clippy::too_many_arguments)]
-fn emit_verify_init(
-    world: &World,
-    comm: &Comm,
-    req: u16,
-    sender: bool,
-    path: PartPath,
-    n_parts: usize,
-    n_peer_parts: usize,
-    layout: &MsgLayout,
-    total_bytes: usize,
-) {
-    let rank = comm.rank();
-    let legacy = path == PartPath::LegacyAm;
-    let n_msgs = if legacy { 1 } else { layout.n_msgs() };
-    world.emit_verify(rank, || EventKind::VerifyPartInit {
-        req,
-        sender,
-        parts: n_parts as u32,
-        msgs: n_msgs as u32,
-    });
-    if legacy {
-        // One message covering the whole buffer, sent as a single AM.
-        let (n_sparts, n_rparts) = if sender {
-            (n_parts, n_peer_parts)
-        } else {
-            (n_peer_parts, n_parts)
-        };
-        world.emit_verify(rank, || EventKind::VerifyLayoutMsg {
-            req,
-            msg: 0,
-            first_spart: 0,
-            n_sparts: n_sparts as u16,
-            first_rpart: 0,
-            n_rparts: n_rparts as u16,
-            bytes: total_bytes as u64,
-        });
-    } else {
-        for (m, spec) in layout.msgs.iter().enumerate() {
-            world.emit_verify(rank, || EventKind::VerifyLayoutMsg {
-                req,
-                msg: m as u16,
-                first_spart: spec.first_spart as u16,
-                n_sparts: spec.n_sparts as u16,
-                first_rpart: spec.first_rpart as u16,
-                n_rparts: spec.n_rparts as u16,
-                bytes: spec.bytes as u64,
-            });
-        }
     }
 }
 
@@ -767,17 +598,18 @@ pub fn precv_init(
     let n_msgs = layout.n_msgs();
     // Same id the sender interned: both sides key by the sender's rank.
     let vreq = world.verify_req_id(part_comm.ctx(), src as u16);
-    emit_verify_init(
-        &world,
-        &part_comm,
-        vreq,
-        false,
-        path,
-        n_parts,
-        n_send_parts,
-        &layout,
-        n_send_parts * send_part_bytes,
-    );
+    if world.verify_on() {
+        verify_init_events(
+            vreq,
+            false,
+            n_parts,
+            n_send_parts,
+            path == PartPath::LegacyAm,
+            &layout,
+            n_send_parts * send_part_bytes,
+            |kind| world.emit_verify(comm.rank(), || kind),
+        );
+    }
     PrecvRequest {
         inner: Rc::new(PrecvShared {
             world,
@@ -1025,69 +857,6 @@ mod tests {
         let sim = Sim::new();
         let world = World::new(&sim, MachineConfig::meluxina_quiet(), 2, n_vcis, 1);
         (sim, world)
-    }
-
-    // ---- layout negotiation -------------------------------------------
-
-    #[test]
-    fn layout_equal_counts_no_aggregation() {
-        let l = negotiate_layout(8, 8, 1024, None);
-        assert_eq!(l.n_msgs(), 8);
-        for (i, m) in l.msgs.iter().enumerate() {
-            assert_eq!(m.n_sparts, 1);
-            assert_eq!(m.n_rparts, 1);
-            assert_eq!(m.bytes, 1024);
-            assert_eq!(m.first_spart, i);
-        }
-    }
-
-    #[test]
-    fn layout_gcd_mismatched_counts() {
-        // gcd(12, 8) = 4 messages; 3 send parts / 2 recv parts each.
-        let l = negotiate_layout(12, 8, 100, None);
-        assert_eq!(l.n_msgs(), 4);
-        for m in &l.msgs {
-            assert_eq!(m.n_sparts, 3);
-            assert_eq!(m.n_rparts, 2);
-            assert_eq!(m.bytes, 300);
-        }
-    }
-
-    #[test]
-    fn layout_aggregation_respects_bound() {
-        // 16 partitions of 512 B, aggregate up to 2048 B → 4 msgs of 4.
-        let l = negotiate_layout(16, 16, 512, Some(2048));
-        assert_eq!(l.n_msgs(), 4);
-        for m in &l.msgs {
-            assert_eq!(m.bytes, 2048);
-            assert_eq!(m.n_sparts, 4);
-        }
-    }
-
-    #[test]
-    fn layout_aggregation_is_upper_bound_not_exact() {
-        // 5 partitions of 900 B, limit 2000 → groups of 2,2,1.
-        let l = negotiate_layout(5, 5, 900, Some(2000));
-        let sizes: Vec<usize> = l.msgs.iter().map(|m| m.bytes).collect();
-        assert_eq!(sizes, vec![1800, 1800, 900]);
-    }
-
-    #[test]
-    fn layout_oversized_partition_stays_alone() {
-        let l = negotiate_layout(4, 4, 4096, Some(1024));
-        assert_eq!(l.n_msgs(), 4);
-    }
-
-    #[test]
-    fn layout_partition_mapping_is_total() {
-        let l = negotiate_layout(24, 16, 64, Some(512));
-        for p in 0..24 {
-            let m = l.msg_of_spart(p);
-            assert!(m < l.n_msgs(), "partition {p} maps to missing msg {m}");
-        }
-        for p in 0..16 {
-            let _ = l.msg_of_rpart(p);
-        }
     }
 
     // ---- improved path -------------------------------------------------

@@ -23,49 +23,52 @@ use crate::p2p::Msg;
 use crate::world::{CtxKind, World};
 use crate::{TAG_COMPLETE, TAG_POST};
 
-/// Create a window pair: `origin` will `put` into `target`'s exposed
-/// memory of `bytes` bytes.
-///
-/// Window creation is collective; this simulator variant creates both ends
-/// at once (call it from setup code that owns both rank handles). The
-/// window is assigned the next VCI round-robin on each rank, as MPICH does.
-pub fn create_win(origin: &Comm, target: &Comm, bytes: usize) -> (WinOrigin, WinTarget) {
-    assert_eq!(
-        origin.ctx(),
-        target.ctx(),
-        "window ends must come from the same communicator"
-    );
-    let world = origin.world().clone();
-    let win_ctx = world.alloc_child_ctx(origin.rank(), origin.ctx(), CtxKind::Win);
-    let win_ctx_t = world.alloc_child_ctx(target.rank(), target.ctx(), CtxKind::Win);
-    assert_eq!(win_ctx, win_ctx_t, "symmetric creation order required");
-    let vci_o = world.assign_vci(origin.rank());
-    let vci_t = world.assign_vci(target.rank());
-    world.register_window(origin.rank());
-    world.register_window(target.rank());
-    let (acks_tx, acks_rx) = channel();
-    let (arrivals_tx, arrivals_rx) = channel();
-    let ctrl_o = Comm::new(world.clone(), origin.rank(), origin.size(), win_ctx, vci_o);
-    let ctrl_t = Comm::new(world.clone(), target.rank(), target.size(), win_ctx, vci_t);
-    (
+impl Comm {
+    /// `MPI_Win_create`, origin side: this rank will `put` into `target`'s
+    /// exposed memory of `bytes` bytes.
+    ///
+    /// Collective: `target` calls [`Comm::win_create_target`] on its handle
+    /// of the same communicator, and both ranks create their windows in
+    /// the same order (as MPI requires) so the derived contexts agree. The
+    /// window is assigned the next VCI round-robin, as MPICH does.
+    pub fn win_create_origin(&self, target: usize, bytes: usize) -> WinOrigin {
+        let (world, ctrl) = self.win_ctrl();
+        let (acks_tx, acks_rx) = channel();
         WinOrigin {
-            world: world.clone(),
-            ctrl: ctrl_o,
-            target_rank: target.rank(),
-            vci_idx: vci_o,
+            arrivals_tx: world.win_link(ctrl.ctx(), |link| link.0.clone()),
+            world,
+            vci_idx: ctrl.vci_idx(),
+            ctrl,
+            target_rank: target,
             bytes,
             puts_in_epoch: Cell::new(0),
             acks_tx,
             acks_rx: RefCell::new(acks_rx),
-            arrivals_tx,
-        },
+        }
+    }
+
+    /// `MPI_Win_create`, target side: expose memory to `origin`'s puts.
+    pub fn win_create_target(&self, origin: usize) -> WinTarget {
+        let (world, ctrl) = self.win_ctrl();
+        let arrivals = world.win_link(ctrl.ctx(), |link| link.1.take());
         WinTarget {
+            arrivals_rx: RefCell::new(arrivals.expect("window target created twice")),
             world,
-            ctrl: ctrl_t,
-            origin_rank: origin.rank(),
-            arrivals_rx: RefCell::new(arrivals_rx),
-        },
-    )
+            ctrl,
+            origin_rank: origin,
+        }
+    }
+
+    /// This rank's share of a window creation: the window's control
+    /// communicator on its own context and VCI.
+    fn win_ctrl(&self) -> (World, Comm) {
+        let (world, rank) = (self.world().clone(), self.rank());
+        let win_ctx = world.alloc_child_ctx(rank, self.ctx(), CtxKind::Win);
+        let vci = world.assign_vci(rank);
+        world.register_window(rank);
+        let ctrl = Comm::new(world.clone(), rank, self.size(), win_ctx, vci);
+        (world, ctrl)
+    }
 }
 
 /// Origin side of a window.
@@ -261,6 +264,11 @@ mod tests {
         let sim = Sim::new();
         let world = World::new(&sim, MachineConfig::meluxina_quiet(), 2, 4, 1);
         (sim, world)
+    }
+
+    fn create_win(origin: &Comm, target: &Comm, bytes: usize) -> (WinOrigin, WinTarget) {
+        let wo = origin.win_create_origin(target.rank(), bytes);
+        (wo, target.win_create_target(origin.rank()))
     }
 
     #[test]

@@ -19,6 +19,10 @@ use pcomm_simcore::{Dur, Sim, SimTime};
 use crate::strategies;
 use crate::world::World;
 
+/// The eight strategies and their op tables (paper Tables 1–2) are defined
+/// once, in the runtime crate; this template interprets the same rows.
+pub use pcomm_core::strategies::Approach;
+
 /// A benchmark scenario: the knobs of the paper's figures.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -121,103 +125,6 @@ impl Scenario {
     }
 }
 
-/// The eight pipelined-communication strategies of Tables 1–2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Approach {
-    /// MPI-4 partitioned communication, improved implementation.
-    PtpPart,
-    /// MPI-4 partitioned communication, legacy AM implementation.
-    PtpPartOld,
-    /// One persistent message after bulk thread synchronization.
-    PtpSingle,
-    /// One message per partition from per-thread duplicated communicators.
-    PtpMany,
-    /// One shared window, passive synchronization.
-    RmaSinglePassive,
-    /// One window per thread, passive synchronization.
-    RmaManyPassive,
-    /// One shared window, active (PSCW) synchronization.
-    RmaSingleActive,
-    /// One window per thread, active synchronization.
-    RmaManyActive,
-}
-
-impl Approach {
-    /// All strategies, in the paper's presentation order.
-    pub const ALL: [Approach; 8] = [
-        Approach::PtpPart,
-        Approach::PtpPartOld,
-        Approach::PtpSingle,
-        Approach::PtpMany,
-        Approach::RmaSinglePassive,
-        Approach::RmaManyPassive,
-        Approach::RmaSingleActive,
-        Approach::RmaManyActive,
-    ];
-
-    /// Human-readable label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Approach::PtpPart => "Pt2Pt part",
-            Approach::PtpPartOld => "Pt2Pt part - old",
-            Approach::PtpSingle => "Pt2Pt single",
-            Approach::PtpMany => "Pt2Pt many",
-            Approach::RmaSinglePassive => "RMA single - passive",
-            Approach::RmaManyPassive => "RMA many - passive",
-            Approach::RmaSingleActive => "RMA single - active",
-            Approach::RmaManyActive => "RMA many - active",
-        }
-    }
-
-    /// Sender-side MPI operations (paper Table 1): `[init, start, ready,
-    /// wait]`.
-    pub fn sender_ops(&self) -> [&'static str; 4] {
-        match self {
-            Approach::PtpPart | Approach::PtpPartOld => {
-                ["MPI_Psend_init", "MPI_Start", "MPI_Pready", "MPI_Wait"]
-            }
-            Approach::PtpSingle => ["MPI_Send_init", "", "", "MPI_Start MPI_Wait"],
-            Approach::PtpMany => ["MPI_Comm_dup MPI_Send_init", "", "MPI_Start MPI_Wait", ""],
-            Approach::RmaSinglePassive => [
-                "MPI_Comm_dup MPI_Win_create MPI_Win_lock",
-                "MPI_Recv",
-                "MPI_Put",
-                "MPI_Win_flush MPI_Send",
-            ],
-            Approach::RmaManyPassive => [
-                "MPI_Win_create MPI_Win_lock",
-                "MPI_Recv",
-                "MPI_Put MPI_Win_flush",
-                "MPI_Send",
-            ],
-            Approach::RmaSingleActive => [
-                "MPI_Comm_dup MPI_Win_create",
-                "MPI_Start",
-                "MPI_Put",
-                "MPI_Complete",
-            ],
-            Approach::RmaManyActive => ["MPI_Win_create", "", "MPI_Start MPI_Put MPI_Complete", ""],
-        }
-    }
-
-    /// Receiver-side MPI operations (paper Table 2).
-    pub fn receiver_ops(&self) -> [&'static str; 4] {
-        match self {
-            Approach::PtpPart | Approach::PtpPartOld => {
-                ["MPI_Precv_init", "MPI_Start", "MPI_Parrived", "MPI_Wait"]
-            }
-            Approach::PtpSingle => ["MPI_Recv_init", "MPI_Start", "", "MPI_Wait"],
-            Approach::PtpMany => ["MPI_Comm_dup MPI_Recv_init", "", "MPI_Start MPI_Wait", ""],
-            Approach::RmaSinglePassive | Approach::RmaManyPassive => {
-                ["MPI_Win_create", "MPI_Send", "", "MPI_Recv"]
-            }
-            Approach::RmaSingleActive | Approach::RmaManyActive => {
-                ["MPI_Win_create", "MPI_Post", "", "MPI_Wait"]
-            }
-        }
-    }
-}
-
 /// Records per-iteration start/end timestamps; the inter-rank iteration
 /// barrier is a benchmark artifact with no modeled cost.
 #[derive(Clone)]
@@ -278,7 +185,7 @@ pub fn run_scenario(
     let sim = Sim::new();
     let world = World::new(&sim, cfg.clone(), 2, n_vcis, seed);
     let rec = Recorder::new();
-    strategies::spawn(&world, approach, sc.clone(), rec.clone());
+    strategies::spawn(&world, approach.table(), sc, &rec);
     sim.run();
     let times = rec.into_times(sc.max_delay());
     assert_eq!(times.len(), sc.iterations, "lost iterations");
@@ -306,7 +213,7 @@ pub fn run_scenario_verified(
         world.enable_faults(plan);
     }
     let rec = Recorder::new();
-    strategies::spawn(&world, approach, sc.clone(), rec.clone());
+    strategies::spawn(&world, approach.table(), sc, &rec);
     sim.run();
     let times = rec.into_times(sc.max_delay());
     assert_eq!(times.len(), sc.iterations, "lost iterations");

@@ -1,511 +1,255 @@
-//! The eight pipelined-communication strategies (paper Tables 1–2),
-//! implemented on the simulated runtime and driven by the Fig. 3 template.
-
-// Per-thread loops index shared per-thread state; keeping the index
-// explicit mirrors the benchmark template's thread numbering.
-#![allow(clippy::needless_range_loop)]
+//! The Fig. 3 benchmark template on the simulated runtime.
+//!
+//! The eight strategies are the rows of `pcomm_core::strategies` (paper
+//! Tables 1–2). This module interprets a row in virtual time: one task per
+//! rank (`rank_task`) runs the template, one task per OpenMP thread
+//! (`worker`) runs the `ready` column, and `Rank::init` / `Rank::exec` bind
+//! each op to the simulated MPI.
 
 use std::rc::Rc;
 
-use pcomm_simcore::JoinHandle;
+use pcomm_core::strategies::{Op, Strategy, NOTIFY_TAG, RECEIVER, SENDER};
+use pcomm_simcore::SimTime;
 
 use crate::comm::Comm;
-use crate::p2p::Msg;
-use crate::part::{
-    precv_init, psend_init, PartOptions, PartPath, PrecvRequest, PsendRequest, VciMapping,
-};
-use crate::rma::{create_win, WinOrigin, WinTarget};
-use crate::scenario::{Approach, Recorder, Scenario};
+use crate::p2p::{Msg, PersistentRecv, PersistentSend};
+use crate::part::PartPath::{Improved, LegacyAm};
+use crate::part::{precv_init, psend_init, PartOptions, PrecvRequest, PsendRequest, VciMapping};
+use crate::rma::{WinOrigin, WinTarget};
+use crate::scenario::{Recorder, Scenario};
 use crate::world::World;
 
-/// User-level tag for the passive-target "window exposed" notification.
-const TAG_EXPOSE: i64 = 5;
-/// User-level tag for the passive-target "puts complete" notification.
-const TAG_DONE: i64 = 6;
-
-/// Charge the OpenMP thread-barrier cost on the calling (master) task.
-async fn charge_barrier(world: &World, n_threads: usize) {
-    let cost = world.jitter(world.config().barrier_cost(n_threads));
-    world.sim().sleep(cost).await;
+/// Spawn the sender and receiver rank tasks for one table row.
+pub(crate) fn spawn(world: &World, row: &'static Strategy, sc: &Scenario, rec: &Recorder) {
+    for role in [SENDER, RECEIVER] {
+        let rank = Rank {
+            row,
+            sc: sc.clone(),
+            role,
+            parent: world.comm_world(role),
+            comms: Vec::new(),
+            reqs: Vec::new(),
+            origins: Vec::new(),
+            targets: Vec::new(),
+        };
+        world.sim().spawn(rank_task(rank, rec.clone()));
+    }
 }
 
-/// Set up and spawn the sender and receiver rank tasks for `approach`.
-pub(crate) fn spawn(world: &World, approach: Approach, sc: Scenario, rec: Recorder) {
-    let sim = world.sim().clone();
-    let cs = world.comm_world(0);
-    let cr = world.comm_world(1);
-    match approach {
-        Approach::PtpPart | Approach::PtpPartOld => {
-            let path = if approach == Approach::PtpPart {
-                PartPath::Improved
-            } else {
-                PartPath::LegacyAm
-            };
-            let vci_mapping = if sc.thread_hint {
-                // MPIX_Stream-style hint: the scenario's actual
-                // partition→thread ownership.
-                let hint: Vec<usize> = (0..sc.n_parts())
-                    .map(|p| sc.thread_of_partition(p))
-                    .collect();
-                VciMapping::ThreadHint(Rc::new(hint))
-            } else {
-                VciMapping::RoundRobinByMessage
-            };
-            let opts = PartOptions {
-                aggr_size: if path == PartPath::Improved {
-                    sc.aggr_size
-                } else {
-                    None
-                },
-                path,
-                vci_mapping,
-                defer_sends: sc.defer_sends,
-                first_iteration_cts: true,
-            };
-            let ps = psend_init(
-                &cs,
-                1,
-                0,
-                sc.n_parts(),
-                sc.part_bytes,
-                sc.n_parts(),
-                opts.clone(),
-            );
-            let pr = precv_init(&cr, 0, 0, sc.n_parts(), sc.n_parts(), sc.part_bytes, opts);
-            sim.spawn(sender_part(world.clone(), sc.clone(), rec.clone(), ps));
-            sim.spawn(receiver_part(world.clone(), sc, rec, pr));
+/// The template over one side of a row: init, then per iteration the
+/// inter-rank barrier → start ops → N thread tasks issuing the ready ops
+/// → wait ops; the receiver's last wait op ends the timed iteration.
+async fn rank_task(mut rank: Rank, rec: Recorder) {
+    let (row, role, n_threads) = (rank.row, rank.role, rank.sc.n_threads);
+    let (side, world) = (&row.sides[role], rank.parent.world().clone());
+    for slot in 0..if row.many { n_threads } else { 1 } {
+        for op in row.init_ops(role) {
+            rank.init(op, slot).await;
         }
-        Approach::PtpSingle => {
-            let ps = Rc::new(cs.send_init(1, 0, sc.total_bytes()));
-            let pr = Rc::new(cr.recv_init(0, 0));
-            sim.spawn(sender_single(world.clone(), sc.clone(), rec.clone(), ps));
-            sim.spawn(receiver_single(world.clone(), sc, rec, pr));
+    }
+    let (rank, sim) = (Rc::new(rank), world.sim());
+    // The receiver has no compute: it needs threads only for ready ops.
+    let threaded = role == SENDER || side.needs_threads();
+    // The OpenMP barrier between the master's ops and the parallel region
+    // costs time only where the master has ops in that column.
+    let omp_barrier = || sim.sleep(world.jitter(world.config().barrier_cost(n_threads)));
+    for _ in 0..rank.sc.iterations {
+        rec.begin(sim).await;
+        for &op in side.start {
+            rank.exec(op, 0, 0, &[]).await;
         }
-        Approach::PtpMany => {
-            // Per-thread duplicated communicators, dup'd in the same order
-            // on both ranks (collective semantics).
-            let mut send_reqs = Vec::with_capacity(sc.n_threads);
-            let mut recv_reqs = Vec::with_capacity(sc.n_threads);
-            for t in 0..sc.n_threads {
-                let dst_comm = cs.dup();
-                let src_comm = cr.dup();
-                let mut s_row = Vec::with_capacity(sc.theta);
-                let mut r_row = Vec::with_capacity(sc.theta);
-                for (p, _) in sc.parts_of_thread(t) {
-                    s_row.push(Rc::new(dst_comm.send_init(1, p as i64, sc.part_bytes)));
-                    r_row.push(Rc::new(src_comm.recv_init(0, p as i64)));
-                }
-                send_reqs.push(s_row);
-                recv_reqs.push(r_row);
+        if threaded && !side.start.is_empty() {
+            omp_barrier().await;
+        }
+        if threaded {
+            let t0 = sim.now();
+            let spawn = |t| sim.spawn(worker(Rc::clone(&rank), t, t0));
+            for thread in (0..n_threads).map(spawn).collect::<Vec<_>>() {
+                thread.await;
             }
-            sim.spawn(sender_many(
-                world.clone(),
-                sc.clone(),
-                rec.clone(),
-                send_reqs,
-            ));
-            sim.spawn(receiver_many(world.clone(), sc, rec, recv_reqs));
         }
-        Approach::RmaSinglePassive => {
-            let ds = cs.dup();
-            let dr = cr.dup();
-            let (wo, wt) = create_win(&ds, &dr, sc.total_bytes());
-            drop(wt); // passive target: exposure handled via 0B messages
-            sim.spawn(sender_rma_single_passive(
-                world.clone(),
-                sc.clone(),
-                rec.clone(),
-                ds,
-                Rc::new(wo),
-            ));
-            sim.spawn(receiver_rma_passive(world.clone(), sc, rec, dr));
+        if threaded && !side.wait.is_empty() {
+            omp_barrier().await;
         }
-        Approach::RmaManyPassive => {
-            let wins: Vec<Rc<WinOrigin>> = (0..sc.n_threads)
-                .map(|_| {
-                    let (wo, wt) = create_win(&cs, &cr, sc.total_bytes());
-                    drop(wt);
-                    Rc::new(wo)
-                })
-                .collect();
-            sim.spawn(sender_rma_many_passive(
-                world.clone(),
-                sc.clone(),
-                rec.clone(),
-                cs.clone(),
-                wins,
-            ));
-            sim.spawn(receiver_rma_passive(world.clone(), sc, rec, cr));
+        for &op in side.wait {
+            rank.exec(op, 0, 0, &[]).await;
         }
-        Approach::RmaSingleActive => {
-            let ds = cs.dup();
-            let dr = cr.dup();
-            let (wo, wt) = create_win(&ds, &dr, sc.total_bytes());
-            sim.spawn(sender_rma_single_active(
-                world.clone(),
-                sc.clone(),
-                rec.clone(),
-                Rc::new(wo),
-            ));
-            sim.spawn(receiver_rma_single_active(
-                world.clone(),
-                sc,
-                rec,
-                Rc::new(wt),
-            ));
+        if role == RECEIVER {
+            rec.end(sim.now());
         }
-        Approach::RmaManyActive => {
-            let mut origins = Vec::with_capacity(sc.n_threads);
-            let mut targets = Vec::with_capacity(sc.n_threads);
-            for _ in 0..sc.n_threads {
-                let (wo, wt) = create_win(&cs, &cr, sc.total_bytes());
-                origins.push(Rc::new(wo));
-                targets.push(Rc::new(wt));
+    }
+}
+
+/// Thread `t` of the parallel region: sleep until each of its partitions
+/// is ready (sender only), issuing the `ready` column around them.
+async fn worker(rank: Rc<Rank>, t: usize, t0: SimTime) {
+    let side = &rank.row.sides[rank.role];
+    let parts = rank.sc.parts_of_thread(t);
+    for &op in side.thread_begin {
+        rank.exec(op, t, 0, &[]).await;
+    }
+    let mut j = 0;
+    while j < parts.len() {
+        let at = parts[j].1;
+        if rank.role == SENDER {
+            rank.parent.world().sim().sleep_until(t0 + at).await;
+        }
+        // A lone `Pready` covers every partition that became ready at the
+        // same instant as one `pready_list` batch: timed like one call
+        // per partition, but a unit the chaos pready jitter can permute,
+        // which is what the verify layer's schedule exploration drives.
+        let same_instant = parts[j..].iter().take_while(|(_, r)| *r == at).count();
+        let n = if side.per_partition == [Op::Pready] {
+            same_instant
+        } else {
+            1
+        };
+        let batch: Vec<usize> = parts[j..j + n].iter().map(|(p, _)| *p).collect();
+        for &op in side.per_partition {
+            rank.exec(op, t, j, &batch).await;
+        }
+        j += n;
+    }
+    for &op in side.thread_end {
+        rank.exec(op, t, 0, &[]).await;
+    }
+}
+
+/// A request of either kind, so `Start` / `Wait` need not know which.
+enum Req {
+    Psend(PsendRequest),
+    Precv(PrecvRequest),
+    Send(PersistentSend),
+    Recv(PersistentRecv),
+}
+
+/// One rank's objects on the simulated runtime: built slot by slot by the
+/// init column, then shared by the thread tasks of every iteration.
+struct Rank {
+    row: &'static Strategy,
+    sc: Scenario,
+    role: usize,
+    parent: Comm,
+    /// Slot → duplicated communicator; a slot without one uses `parent`.
+    comms: Vec<Comm>,
+    /// Slot → its requests, in the order of the slot's partitions.
+    reqs: Vec<Vec<Req>>,
+    origins: Vec<WinOrigin>,
+    targets: Vec<WinTarget>,
+}
+
+impl Rank {
+    /// Options of the partitioned request, identical on both sides.
+    fn part_options(&self) -> PartOptions {
+        let (sc, legacy) = (&self.sc, self.row.legacy);
+        let vci_mapping = if sc.thread_hint {
+            // MPIX_Stream-style hint: the scenario's actual
+            // partition→thread ownership.
+            let owner = |p| sc.thread_of_partition(p);
+            VciMapping::ThreadHint(Rc::new((0..sc.n_parts()).map(owner).collect()))
+        } else {
+            VciMapping::RoundRobinByMessage
+        };
+        PartOptions {
+            aggr_size: sc.aggr_size.filter(|_| !legacy),
+            path: if legacy { LegacyAm } else { Improved },
+            vci_mapping,
+            defer_sends: sc.defer_sends,
+            first_iteration_cts: true,
+        }
+    }
+
+    /// One op of the init column, for `slot`.
+    async fn init(&mut self, op: Op, slot: usize) {
+        let (sc, peer) = (&self.sc, 1 - self.role);
+        let (n, bytes) = (sc.n_parts(), sc.part_bytes);
+        let comm = self.comms.get(slot).unwrap_or(&self.parent).clone();
+        // The slot's persistent messages as `(tag, bytes)`: one per
+        // partition of thread `slot`, tagged by partition (many), or one
+        // for the whole buffer (single).
+        let messages: Vec<(i64, usize)> = if self.row.many {
+            let message = |(p, _)| (p as i64, bytes);
+            sc.parts_of_thread(slot).into_iter().map(message).collect()
+        } else {
+            vec![(0, sc.total_bytes())]
+        };
+        match op {
+            Op::CommDup => self.comms.push(self.parent.dup()),
+            Op::PsendInit => {
+                let req = psend_init(&comm, peer, 0, n, bytes, n, self.part_options());
+                self.reqs.push(vec![Req::Psend(req)]);
             }
-            sim.spawn(sender_rma_many_active(
-                world.clone(),
-                sc.clone(),
-                rec.clone(),
-                origins,
-            ));
-            sim.spawn(receiver_rma_many_active(world.clone(), sc, rec, targets));
+            Op::PrecvInit => {
+                let req = precv_init(&comm, peer, 0, n, n, bytes, self.part_options());
+                self.reqs.push(vec![Req::Precv(req)]);
+            }
+            Op::SendInit => {
+                let send = |(tag, bytes)| Req::Send(comm.send_init(peer, tag, bytes));
+                self.reqs.push(messages.into_iter().map(send).collect());
+            }
+            Op::RecvInit => {
+                let recv = |(tag, _)| Req::Recv(comm.recv_init(peer, tag));
+                self.reqs.push(messages.into_iter().map(recv).collect());
+            }
+            Op::WinCreate if self.role == SENDER => {
+                let win = comm.win_create_origin(peer, sc.total_bytes());
+                self.origins.push(win);
+            }
+            Op::WinCreate => self.targets.push(comm.win_create_target(peer)),
+            Op::WinLock => self.origins[slot].lock().await,
+            _ => unreachable!("{op:?} is not an init op"),
         }
     }
-}
 
-/// Join a set of worker-thread tasks (acts as the pre-`wait` barrier's
-/// synchronization; its cost is charged separately).
-async fn join_all(handles: Vec<JoinHandle<()>>) {
-    for h in handles {
-        h.await;
-    }
-}
-
-// ---------------------------------------------------------------- part --
-
-async fn sender_part(world: World, sc: Scenario, rec: Recorder, ps: PsendRequest) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        ps.start().await;
-        charge_barrier(&world, sc.n_threads).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let ps = ps.clone();
-            let sim2 = sim.clone();
-            handles.push(sim.spawn(async move {
-                // Partitions that become ready at the same instant are
-                // issued as one `pready_list` batch: identical timing to
-                // the per-partition loop, but the batch is a unit the
-                // chaos pready jitter can permute, which is what the
-                // verification layer's schedule exploration drives.
-                let mut i = 0;
-                while i < parts.len() {
-                    let (_, ready) = parts[i];
-                    sim2.sleep_until(t0 + ready).await;
-                    let mut batch = Vec::new();
-                    while i < parts.len() && parts[i].1 == ready {
-                        batch.push(parts[i].0);
-                        i += 1;
-                    }
-                    ps.pready_list(&batch).await;
+    /// One op of the start / ready / wait columns, executed by thread `t`
+    /// (the master is thread 0) at its `j`-th partition; `batch` holds the
+    /// partitions a `Pready` covers.
+    async fn exec(&self, op: Op, t: usize, j: usize, batch: &[usize]) {
+        let (slot, peer) = (if self.row.many { t } else { 0 }, 1 - self.role);
+        let comm = self.comms.get(slot).unwrap_or(&self.parent);
+        match op {
+            Op::Start => match &self.reqs[slot][j] {
+                Req::Psend(r) => r.start().await,
+                Req::Precv(r) => r.start().await,
+                Req::Send(r) => r.start().await,
+                Req::Recv(r) => r.start().await,
+            },
+            Op::Wait => match &self.reqs[slot][j] {
+                Req::Psend(r) => r.wait().await,
+                Req::Precv(r) => r.wait().await,
+                Req::Send(r) => r.wait().await,
+                Req::Recv(r) => drop(r.wait().await),
+            },
+            Op::Pready => match &self.reqs[slot][0] {
+                Req::Psend(r) => r.pready_list(batch).await,
+                _ => unreachable!("Pready without PsendInit"),
+            },
+            Op::Parrived => {}
+            Op::Put => self.origins[slot].put(self.sc.part_bytes).await,
+            Op::WinFlush => self.origins[slot].flush().await,
+            Op::Notify => comm.send(peer, NOTIFY_TAG[self.role], Msg::ctrl(0)).await,
+            Op::AwaitNotify => drop(comm.recv(Some(peer), Some(NOTIFY_TAG[peer])).await),
+            Op::EpochStart => self.origins[slot].start_epoch().await,
+            Op::EpochComplete => self.origins[slot].complete_epoch().await,
+            Op::Post => {
+                for win in &self.targets {
+                    win.post().await;
                 }
-            }));
-        }
-        join_all(handles).await;
-        charge_barrier(&world, sc.n_threads).await;
-        ps.wait().await;
-    }
-}
-
-async fn receiver_part(world: World, sc: Scenario, rec: Recorder, pr: PrecvRequest) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        pr.start().await;
-        pr.wait().await;
-        rec.end(sim.now());
-    }
-}
-
-// -------------------------------------------------------------- single --
-
-async fn sender_single(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    ps: Rc<crate::p2p::PersistentSend>,
-) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        // Threads compute; bulk synchronization before the single send.
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let sim2 = sim.clone();
-            handles.push(sim.spawn(async move {
-                for (_, ready) in parts {
-                    sim2.sleep_until(t0 + ready).await;
+            }
+            Op::EpochWait => {
+                for win in &self.targets {
+                    win.wait_epoch().await;
                 }
-            }));
+            }
+            _ => unreachable!("{op:?} is an init op"),
         }
-        join_all(handles).await;
-        charge_barrier(&world, sc.n_threads).await;
-        ps.start().await;
-        ps.wait().await;
-    }
-}
-
-async fn receiver_single(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    pr: Rc<crate::p2p::PersistentRecv>,
-) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        pr.start().await;
-        pr.wait().await;
-        rec.end(sim.now());
-    }
-}
-
-// ---------------------------------------------------------------- many --
-
-async fn sender_many(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    reqs: Vec<Vec<Rc<crate::p2p::PersistentSend>>>,
-) {
-    let sim = world.sim().clone();
-    let reqs = Rc::new(reqs);
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let row = reqs[t].clone();
-            let sim2 = sim.clone();
-            handles.push(sim.spawn(async move {
-                for (j, (_, ready)) in parts.into_iter().enumerate() {
-                    sim2.sleep_until(t0 + ready).await;
-                    row[j].start().await;
-                    row[j].wait().await;
-                }
-            }));
-        }
-        join_all(handles).await;
-    }
-}
-
-async fn receiver_many(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    reqs: Vec<Vec<Rc<crate::p2p::PersistentRecv>>>,
-) {
-    let sim = world.sim().clone();
-    let reqs = Rc::new(reqs);
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let row = reqs[t].clone();
-            let theta = sc.theta;
-            handles.push(sim.spawn(async move {
-                for j in 0..theta {
-                    row[j].start().await;
-                    row[j].wait().await;
-                }
-            }));
-        }
-        join_all(handles).await;
-        rec.end(sim.now());
-    }
-}
-
-// ------------------------------------------------------------- passive --
-
-async fn sender_rma_single_passive(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    comm: Comm,
-    win: Rc<WinOrigin>,
-) {
-    let sim = world.sim().clone();
-    win.lock().await; // MPI_Win_lock(NOCHECK): once, at init
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        // start: wait for the target's exposure notification.
-        comm.recv(Some(1), Some(TAG_EXPOSE)).await;
-        charge_barrier(&world, sc.n_threads).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let win = Rc::clone(&win);
-            let sim2 = sim.clone();
-            let part_bytes = sc.part_bytes;
-            handles.push(sim.spawn(async move {
-                for (_, ready) in parts {
-                    sim2.sleep_until(t0 + ready).await;
-                    win.put(part_bytes).await;
-                }
-            }));
-        }
-        join_all(handles).await;
-        charge_barrier(&world, sc.n_threads).await;
-        win.flush().await;
-        comm.send(1, TAG_DONE, Msg::ctrl(0)).await;
-    }
-}
-
-async fn sender_rma_many_passive(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    comm: Comm,
-    wins: Vec<Rc<WinOrigin>>,
-) {
-    let sim = world.sim().clone();
-    for w in &wins {
-        w.lock().await;
-    }
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        comm.recv(Some(1), Some(TAG_EXPOSE)).await;
-        charge_barrier(&world, sc.n_threads).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let win = Rc::clone(&wins[t]);
-            let sim2 = sim.clone();
-            let part_bytes = sc.part_bytes;
-            handles.push(sim.spawn(async move {
-                for (_, ready) in parts {
-                    sim2.sleep_until(t0 + ready).await;
-                    win.put(part_bytes).await;
-                }
-                // ready column: each thread flushes its own window.
-                win.flush().await;
-            }));
-        }
-        join_all(handles).await;
-        charge_barrier(&world, sc.n_threads).await;
-        comm.send(1, TAG_DONE, Msg::ctrl(0)).await;
-    }
-}
-
-async fn receiver_rma_passive(world: World, sc: Scenario, rec: Recorder, comm: Comm) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        comm.send(0, TAG_EXPOSE, Msg::ctrl(0)).await;
-        comm.recv(Some(0), Some(TAG_DONE)).await;
-        rec.end(sim.now());
-    }
-}
-
-// -------------------------------------------------------------- active --
-
-async fn sender_rma_single_active(world: World, sc: Scenario, rec: Recorder, win: Rc<WinOrigin>) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        win.start_epoch().await;
-        charge_barrier(&world, sc.n_threads).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let win = Rc::clone(&win);
-            let sim2 = sim.clone();
-            let part_bytes = sc.part_bytes;
-            handles.push(sim.spawn(async move {
-                for (_, ready) in parts {
-                    sim2.sleep_until(t0 + ready).await;
-                    win.put(part_bytes).await;
-                }
-            }));
-        }
-        join_all(handles).await;
-        charge_barrier(&world, sc.n_threads).await;
-        win.complete_epoch().await;
-    }
-}
-
-async fn receiver_rma_single_active(world: World, sc: Scenario, rec: Recorder, win: Rc<WinTarget>) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        win.post().await;
-        win.wait_epoch().await;
-        rec.end(sim.now());
-    }
-}
-
-async fn sender_rma_many_active(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    wins: Vec<Rc<WinOrigin>>,
-) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        let t0 = sim.now();
-        let mut handles = Vec::with_capacity(sc.n_threads);
-        for t in 0..sc.n_threads {
-            let parts = sc.parts_of_thread(t);
-            let win = Rc::clone(&wins[t]);
-            let sim2 = sim.clone();
-            let part_bytes = sc.part_bytes;
-            handles.push(sim.spawn(async move {
-                // ready column: Start + Put(s) + Complete, per thread.
-                win.start_epoch().await;
-                for (_, ready) in parts {
-                    sim2.sleep_until(t0 + ready).await;
-                    win.put(part_bytes).await;
-                }
-                win.complete_epoch().await;
-            }));
-        }
-        join_all(handles).await;
-    }
-}
-
-async fn receiver_rma_many_active(
-    world: World,
-    sc: Scenario,
-    rec: Recorder,
-    wins: Vec<Rc<WinTarget>>,
-) {
-    let sim = world.sim().clone();
-    for _ in 0..sc.iterations {
-        rec.begin(&sim).await;
-        for w in &wins {
-            w.post().await;
-        }
-        for w in &wins {
-            w.wait_epoch().await;
-        }
-        rec.end(sim.now());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run_scenario;
+    use crate::scenario::{run_scenario, Approach};
     use pcomm_netmodel::MachineConfig;
     use pcomm_simcore::Dur;
 

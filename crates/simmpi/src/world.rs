@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use pcomm_netmodel::{MachineConfig, NoiseInjector, VciPool};
-use pcomm_simcore::sync::Resource;
+use pcomm_simcore::sync::{channel, Receiver, Resource, Sender};
 use pcomm_simcore::{Dur, Sim};
 use pcomm_trace::{Event, EventKind, FaultAction, FaultKind, FaultPlan};
 
@@ -37,6 +37,9 @@ struct WorldState {
     /// Partitioned requests created per (src, dst) peer pair (tag-space
     /// accounting, paper §3.2.1).
     part_requests: HashMap<(usize, usize), usize>,
+    /// Window context → its put-arrival channel, where the window's two
+    /// ends find each other.
+    win_links: HashMap<u64, WinLink>,
     /// Per rank: next VCI assignment for communicators/windows
     /// (round-robin, as MPICH maps comms to VCIs).
     vci_assign: Vec<usize>,
@@ -64,6 +67,10 @@ struct WorldState {
     /// the single-threaded simulation makes deterministic.
     fault_seq: HashMap<(usize, usize, u64, i64), u64>,
 }
+
+/// A window's put-arrival channel: the origin end clones the sender, the
+/// target end takes the receiver.
+pub(crate) type WinLink = (Sender<()>, Option<Receiver<()>>);
 
 /// Chaos decisions for one simulated transmission, computed at transmit
 /// time and charged in virtual time by [`World::charge_faults`].
@@ -107,6 +114,7 @@ impl World {
                 child_counts: HashMap::new(),
                 windows: vec![0; n_ranks],
                 part_requests: HashMap::new(),
+                win_links: HashMap::new(),
                 trace: None,
                 verify: false,
                 verify_reqs: Vec::new(),
@@ -400,6 +408,16 @@ impl World {
         let mut s = self.state.borrow_mut();
         s.windows[rank] += 1;
         s.windows[rank]
+    }
+
+    /// Window `win_ctx`'s put-arrival channel, created by whichever end of
+    /// the window is created first.
+    pub(crate) fn win_link<T>(&self, win_ctx: u64, pick: impl FnOnce(&mut WinLink) -> T) -> T {
+        let mut s = self.state.borrow_mut();
+        pick(s.win_links.entry(win_ctx).or_insert_with(|| {
+            let (tx, rx) = channel();
+            (tx, Some(rx))
+        }))
     }
 
     /// Windows currently registered on `rank` (progress-engine load).
