@@ -6,6 +6,54 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Every smoke matrix below (chaos, net, ipc, wire chaos, audit) is made of
+# the same cell: one launcher line under a hard timeout with its output
+# discarded, its exit status mapped to a verdict.
+#   cell [--audit WHAT] LABEL ACCEPT HANG [VAR=value...] COMMAND...
+# ACCEPT names the exit codes that pass: "0" for a plain smoke run (ok /
+# failed with exit N), "0 2" for a chaos run (recovered / clean typed
+# error / unclean exit N). 124 is timeout's own: the run hung, and HANG
+# is how to say so. With --audit the run is verified with its rings
+# armed, and pcomm-audit must then find nothing in them (WHAT names the
+# cell in its findings).
+cell() {
+    audit=""
+    if [ "$1" = --audit ]; then audit="$2"; shift 2; fi
+    label="$1"; accept="$2"; hang="$3"; shift 3
+    echo "-- $label"
+    if [ -n "$audit" ]; then
+        ring_dir=$(mktemp -d)
+        set -- PCOMM_VERIFY=1 PCOMM_TRACE="$ring_dir/trace.json" "$@"
+    fi
+    status=0
+    timeout 120 env "$@" >/dev/null 2>&1 || status=$?
+    case " $accept " in
+        *" $status "*)
+            if [ -n "$audit" ]; then :
+            elif [ "$accept" = 0 ]; then echo "   ok"
+            elif [ "$status" = 0 ]; then echo "   recovered (exit 0)"
+            else echo "   clean typed error (exit 2)"
+            fi ;;
+        *)
+            if [ "$status" = 124 ]; then echo "   $hang" >&2
+            elif [ "$accept" = 0 ]; then echo "   failed with exit $status" >&2
+            else echo "   unclean exit $status (panic/abort?)" >&2
+            fi
+            exit 1 ;;
+    esac
+    if [ -n "$audit" ]; then
+        if ./target/release/pcomm-audit --bench-json target/bench_audit_smoke.json \
+            "$ring_dir"/trace.json.rank*.events >/dev/null; then
+            echo "   audits clean (run exit $status)"
+        else
+            echo "   AUDIT FINDINGS for $audit:" >&2
+            ./target/release/pcomm-audit "$ring_dir"/trace.json.rank*.events >&2 || true
+            exit 1
+        fi
+        rm -rf "$ring_dir"
+    fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -44,17 +92,8 @@ echo "== chaos smoke (seeded faults, hard timeout, must never hang) =="
 # can satisfy a later iteration's receive with stale data, turning a
 # clean chaos error into an assertion panic.
 chaos_smoke() {
-    name="$1"; spec="$2"
-    echo "-- $name under PCOMM_FAULTS='$spec'"
-    status=0
-    PCOMM_FAULTS="$spec" PCOMM_WATCHDOG_MS=5000 \
-        timeout 120 "./target/release/examples/$name" >/dev/null 2>&1 || status=$?
-    case "$status" in
-        0) echo "   recovered (exit 0)" ;;
-        2) echo "   clean typed error (exit 2)" ;;
-        124) echo "   HANG: watchdog failed to fire" >&2; exit 1 ;;
-        *) echo "   unclean exit $status (panic/abort?)" >&2; exit 1 ;;
-    esac
+    cell "$1 under PCOMM_FAULTS='$2'" "0 2" "HANG: watchdog failed to fire" \
+        PCOMM_FAULTS="$2" PCOMM_WATCHDOG_MS=5000 "./target/release/examples/$1"
 }
 cargo build --release --offline --example pingpong --example ring_pipeline
 chaos_smoke pingpong      "seed=42,drop=0.05,delay=0.05:200,reorder=0.02,retries=3"
@@ -87,16 +126,8 @@ echo "== net (multi-process over UDS: launcher + examples + bench smoke) =="
 # failure — teardown must be bounded even across processes.
 cargo build --release --offline -p pcomm-net --bin pcomm-launch
 net_smoke() {
-    name="$1"
-    echo "-- $name under pcomm-launch -n 2 (uds)"
-    status=0
-    timeout 120 ./target/release/pcomm-launch -n 2 -- \
-        "./target/release/examples/$name" >/dev/null 2>&1 || status=$?
-    case "$status" in
-        0) echo "   ok" ;;
-        124) echo "   HANG over the wire" >&2; exit 1 ;;
-        *) echo "   failed with exit $status" >&2; exit 1 ;;
-    esac
+    cell "$1 under pcomm-launch -n 2 (uds)" 0 "HANG over the wire" \
+        ./target/release/pcomm-launch -n 2 -- "./target/release/examples/$1"
 }
 net_smoke quickstart
 net_smoke pingpong
@@ -126,16 +157,9 @@ echo "== ipc (same-host segment fabric: launcher examples + audited cell) =="
 # the runtime falls back to sockets, so this stage degrades instead of
 # failing there. DESIGN.md §15.
 ipc_smoke() {
-    name="$1"
-    echo "-- $name under pcomm-launch -n 2 (ipc)"
-    status=0
-    PCOMM_NET_FABRIC=ipc timeout 120 ./target/release/pcomm-launch -n 2 -- \
-        "./target/release/examples/$name" >/dev/null 2>&1 || status=$?
-    case "$status" in
-        0) echo "   ok" ;;
-        124) echo "   HANG on the ipc fabric" >&2; exit 1 ;;
-        *) echo "   failed with exit $status" >&2; exit 1 ;;
-    esac
+    cell "$1 under pcomm-launch -n 2 (ipc)" 0 "HANG on the ipc fabric" \
+        PCOMM_NET_FABRIC=ipc ./target/release/pcomm-launch -n 2 -- \
+        "./target/release/examples/$1"
 }
 ipc_smoke pingpong
 ipc_smoke halo_exchange
@@ -178,18 +202,10 @@ echo "== wire chaos (seeded wire faults under pcomm-launch, must never hang) =="
 # panic/abort fails CI. Lane kills run on a 3-lane mesh so the stream
 # has survivors to fail over to.
 wire_chaos() {
-    name="$1"; spec="$2"; lanes="${3:-2}"
-    echo "-- $name under pcomm-launch -n 2, PCOMM_FAULTS='$spec' (lanes=$lanes)"
-    status=0
-    PCOMM_FAULTS="$spec" PCOMM_WATCHDOG_MS=5000 PCOMM_NET_LANES="$lanes" \
-        timeout 120 ./target/release/pcomm-launch -n 2 -- \
-        "./target/release/examples/$name" >/dev/null 2>&1 || status=$?
-    case "$status" in
-        0) echo "   recovered (exit 0)" ;;
-        2) echo "   clean typed error (exit 2)" ;;
-        124) echo "   HANG over the wire: watchdog failed to fire" >&2; exit 1 ;;
-        *) echo "   unclean exit $status (panic/abort?)" >&2; exit 1 ;;
-    esac
+    cell "$1 under pcomm-launch -n 2, PCOMM_FAULTS='$2' (lanes=${3:-2})" "0 2" \
+        "HANG over the wire: watchdog failed to fire" \
+        PCOMM_FAULTS="$2" PCOMM_WATCHDOG_MS=5000 PCOMM_NET_LANES="${3:-2}" \
+        ./target/release/pcomm-launch -n 2 -- "./target/release/examples/$1"
 }
 for name in pingpong halo_exchange; do
     wire_chaos "$name" "seed=42,reset=0.001"
@@ -221,28 +237,10 @@ echo "== audit (wire-chaos matrix with rings armed; every cell must audit clean)
 # (committed record: the "audit" object in BENCH_net.json). DESIGN.md §14.
 cargo build --release --offline -p pcomm-verify --bin pcomm-audit
 audit_cell() {
-    name="$1"; spec="$2"; lanes="${3:-2}"
-    echo "-- audit $name under PCOMM_FAULTS='$spec' (lanes=$lanes)"
-    ring_dir=$(mktemp -d)
-    status=0
-    PCOMM_FAULTS="$spec" PCOMM_WATCHDOG_MS=5000 PCOMM_NET_LANES="$lanes" \
-        PCOMM_VERIFY=1 PCOMM_TRACE="$ring_dir/trace.json" \
-        timeout 120 ./target/release/pcomm-launch -n 2 -- \
-        "./target/release/examples/$name" >/dev/null 2>&1 || status=$?
-    case "$status" in
-        0|2) ;;
-        124) echo "   HANG over the wire: watchdog failed to fire" >&2; exit 1 ;;
-        *) echo "   unclean exit $status (panic/abort?)" >&2; exit 1 ;;
-    esac
-    if ./target/release/pcomm-audit --bench-json target/bench_audit_smoke.json \
-        "$ring_dir"/trace.json.rank*.events >/dev/null; then
-        echo "   audits clean (run exit $status)"
-    else
-        echo "   AUDIT FINDINGS for $name under '$spec':" >&2
-        ./target/release/pcomm-audit "$ring_dir"/trace.json.rank*.events >&2 || true
-        exit 1
-    fi
-    rm -rf "$ring_dir"
+    cell --audit "$1 under '$2'" "audit $1 under PCOMM_FAULTS='$2' (lanes=${3:-2})" "0 2" \
+        "HANG over the wire: watchdog failed to fire" \
+        PCOMM_FAULTS="$2" PCOMM_WATCHDOG_MS=5000 PCOMM_NET_LANES="${3:-2}" \
+        ./target/release/pcomm-launch -n 2 -- "./target/release/examples/$1"
 }
 for name in pingpong halo_exchange; do
     audit_cell "$name" "seed=42,reset=0.001"
@@ -283,8 +281,15 @@ for f in core/src/strategies simmpi/src/strategies simmpi/src/scenario; do
     strategies=$((strategies + n))
 done
 echo "   strategy family: $strategies (ceiling $STRATEGY_CEILING)"
+# The event taxonomy is one table in event.rs (1765 lines before it was:
+# eight hand-kept copies per event, one of them chrome.rs's); chrome.rs
+# renders any event through the table's field visitor. Same rule again.
+EVENT_CEILING=960
+event=$(nontest crates/trace/src/event.rs)
+echo "   crates/trace/src/event.rs: $event (ceiling $EVENT_CEILING)"
+echo "   crates/trace/src/chrome.rs: $(nontest crates/trace/src/chrome.rs)"
+echo "   trace family: $((event + $(nontest crates/trace/src/chrome.rs)))"
 echo "   crates/core/src/part.rs: $(nontest crates/core/src/part.rs)"
-echo "   crates/trace/src/event.rs: $(nontest crates/trace/src/event.rs)"
 echo "   Transport trait methods: $(awk '/^pub\(crate\) trait Transport/{t=1} t&&/^}/{exit} t&&/^    fn /{n++} END{print n+0}' crates/core/src/transport.rs)"
 echo "   PCOMM_* variables read by non-test code: $(grep -rhoE '"PCOMM_[A-Z_]+"' crates/*/src src | sort -u | wc -l)"
 if [ "$family" -gt "$TRANSPORT_CEILING" ]; then
@@ -293,6 +298,10 @@ if [ "$family" -gt "$TRANSPORT_CEILING" ]; then
 fi
 if [ "$strategies" -gt "$STRATEGY_CEILING" ]; then
     echo "strategy family grew past its ceiling ($strategies > $STRATEGY_CEILING)" >&2
+    exit 1
+fi
+if [ "$event" -gt "$EVENT_CEILING" ]; then
+    echo "event.rs grew past its ceiling ($event > $EVENT_CEILING)" >&2
     exit 1
 fi
 

@@ -39,12 +39,13 @@
 //! cargo run --release -p pcomm-bench --bin netbench -- --table BENCH_net.json
 //! ```
 
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use pcomm_core::part::PartOptions;
 use pcomm_core::Universe;
-use pcomm_net::{launch, Backend, MultiprocEnv};
+use pcomm_net::launch::{self, RankOutput};
+use pcomm_net::{Backend, MultiprocEnv};
 use pcomm_perfmodel::stats::ConfidenceInterval;
 
 /// One fabric's worth of measurements.
@@ -334,57 +335,38 @@ fn spawn_uds_children(
     common_env: &[(&str, &str)],
     rank1_env: &[(&str, &str)],
 ) -> String {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
+    let spmd = MultiprocEnv::in_fresh_dir(2, Backend::Uds).expect("rendezvous dir");
+    let dir = &spmd.dir;
     let exe = std::env::current_exe().expect("netbench binary path");
     let cpus = launch::pin_cpus();
-    let children: Vec<_> = (0..2)
-        .map(|rank| {
-            // One rank per core where the host has them: unpinned,
-            // where the six threads land differs per universe and moves
-            // the partitioned figure by a third.
-            let cpu = cpus.get(rank % cpus.len().max(1)).copied();
-            let mut cmd = launch::pinned_command(&exe, cpu);
-            cmd.arg("--child");
-            if quick {
-                cmd.arg("--quick");
-            }
-            cmd.stdout(Stdio::null());
-            spmd.apply_to(&mut cmd, rank);
-            for (k, v) in common_env {
-                cmd.env(k, v);
-            }
-            if rank == 1 {
-                for (k, v) in rank1_env {
-                    cmd.env(k, v);
-                }
-            }
-            cmd.spawn().expect("spawn netbench child")
-        })
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(600);
-    for (rank, mut child) in children.into_iter().enumerate() {
-        loop {
-            match child.try_wait().expect("poll netbench child") {
-                Some(status) => {
-                    assert!(status.success(), "netbench child rank {rank}: {status}");
-                    break;
-                }
-                None if Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    panic!("netbench child rank {rank} hung");
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
+    let children = launch::spawn_ranks(&spmd, 0..2, RankOutput::Files, |rank| {
+        // One rank per core where the host has them: unpinned,
+        // where the six threads land differs per universe and moves
+        // the partitioned figure by a third.
+        let cpu = cpus.get(rank % cpus.len().max(1)).copied();
+        let mut cmd = launch::pinned_command(&exe, cpu);
+        cmd.arg("--child");
+        if quick {
+            cmd.arg("--quick");
         }
+        cmd.envs(common_env.iter().copied());
+        if rank == 1 {
+            cmd.envs(rank1_env.iter().copied());
+        }
+        cmd
+    })
+    .expect("spawn netbench children");
+    let deadline = Instant::now() + Duration::from_secs(600);
+    let statuses = launch::wait_ranks(children, Some(deadline)).expect("netbench children");
+    for (rank, status) in statuses.iter().enumerate() {
+        assert!(
+            status.success(),
+            "netbench child rank {rank}: {status}\n{}",
+            launch::rank_output(dir, rank)
+        );
     }
     let raw = std::fs::read_to_string(dir.join("out-0")).expect("child results");
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     raw
 }
 

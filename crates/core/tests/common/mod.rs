@@ -14,12 +14,13 @@
 #![allow(dead_code)]
 
 use std::path::PathBuf;
-use std::process::{ExitStatus, Stdio};
+use std::process::ExitStatus;
 use std::time::{Duration, Instant};
 
 use pcomm_core::part::PartOptions;
 use pcomm_core::{Comm, Universe};
-use pcomm_net::{launch, Backend, MultiprocEnv};
+use pcomm_net::launch::{self, RankOutput};
+use pcomm_net::{Backend, MultiprocEnv};
 
 /// Marker + scenario selector for the child branch.
 pub const ENV_CHILD: &str = "PCOMM_TEST_CHILD";
@@ -447,48 +448,28 @@ pub fn run_wire_pair_on(
     timeout: Duration,
     cpus: Option<[usize; 2]>,
 ) -> Vec<RankOutcome> {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
+    let spmd = MultiprocEnv::in_fresh_dir(2, Backend::Uds).expect("rendezvous dir");
+    let dir = &spmd.dir;
     let exe = std::env::current_exe().expect("test binary path");
     let trace_base = dir.join("trace.json");
-    let children: Vec<_> = (0..2)
-        .map(|rank| {
-            let mut cmd = launch::pinned_command(&exe, cpus.map(|c| c[rank]));
-            cmd.arg(test_name).arg("--exact").arg("--test-threads=1");
-            cmd.stdout(Stdio::null());
-            spmd.apply_to(&mut cmd, rank);
-            cmd.env(ENV_CHILD, scenario);
-            cmd.env("PCOMM_TRACE", &trace_base);
-            for (k, v) in common_env {
-                cmd.env(k, v);
-            }
-            for (k, v) in &per_rank_env[rank] {
-                cmd.env(k, v);
-            }
-            cmd.spawn().expect("spawn rank child")
-        })
-        .collect();
-    let deadline = Instant::now() + timeout;
-    let statuses: Vec<ExitStatus> = children
-        .into_iter()
-        .enumerate()
-        .map(|(rank, mut child)| loop {
-            match child.try_wait().expect("poll rank child") {
-                Some(status) => break status,
-                None if Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    panic!("{test_name}: rank {rank} child hung past {timeout:?}");
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
-        })
-        .collect();
+    let children = launch::spawn_ranks(&spmd, 0..2, RankOutput::Files, |rank| {
+        let mut cmd = launch::pinned_command(&exe, cpus.map(|c| c[rank]));
+        cmd.arg(test_name).arg("--exact").arg("--test-threads=1");
+        cmd.env(ENV_CHILD, scenario);
+        cmd.env("PCOMM_TRACE", &trace_base);
+        for (k, v) in common_env.iter().chain(&per_rank_env[rank]) {
+            cmd.env(k, v);
+        }
+        cmd
+    })
+    .expect("spawn rank children");
+    let statuses = launch::wait_ranks(children, Some(Instant::now() + timeout))
+        .unwrap_or_else(|e| panic!("{test_name}: {e} ({timeout:?})"));
+    for (rank, status) in statuses.iter().enumerate() {
+        if !status.success() {
+            eprintln!("{test_name}: {status}\n{}", launch::rank_output(dir, rank));
+        }
+    }
     let outcomes = statuses
         .into_iter()
         .enumerate()
@@ -505,7 +486,7 @@ pub fn run_wire_pair_on(
             }
         })
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     outcomes
 }
 

@@ -13,9 +13,10 @@
 //! joins the mesh as rank `PCOMM_NET_RANK` instead of spawning threads.
 
 use std::io;
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use crate::mesh::Backend;
 
@@ -190,6 +191,18 @@ impl MultiprocEnv {
         parsed
     }
 
+    /// The environment of a new `n_ranks` mesh: a fresh rendezvous
+    /// directory (see [`unique_rendezvous_dir`]), which the caller removes
+    /// when the ranks are done.
+    pub fn in_fresh_dir(n_ranks: usize, backend: Backend) -> io::Result<MultiprocEnv> {
+        Ok(MultiprocEnv {
+            rank: 0,
+            n_ranks,
+            dir: unique_rendezvous_dir()?,
+            backend,
+        })
+    }
+
     /// Set the rank environment on a child command, overriding `rank`.
     pub fn apply_to(&self, cmd: &mut Command, rank: usize) {
         cmd.env(ENV_RANK, rank.to_string())
@@ -251,7 +264,7 @@ pub fn pin_cpus() -> Vec<usize> {
 /// `exe`, run under `taskset -c <cpu>` when a CPU is given — one rank
 /// per core is the standard `--bind-to core` deployment, and what makes
 /// two runs of a latency-bound measurement comparable.
-pub fn pinned_command(exe: &std::path::Path, cpu: Option<usize>) -> Command {
+pub fn pinned_command(exe: &Path, cpu: Option<usize>) -> Command {
     match cpu {
         Some(cpu) => {
             let mut cmd = Command::new("taskset");
@@ -260,6 +273,99 @@ pub fn pinned_command(exe: &std::path::Path, cpu: Option<usize>) -> Command {
         }
         None => Command::new(exe),
     }
+}
+
+/// Where a spawned rank's stdout and stderr go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RankOutput {
+    /// The launcher's own (what `mpirun` does).
+    Inherit,
+    /// `rank-<r>.stdout` / `.stderr` in the rendezvous directory, read back
+    /// with [`rank_output`] when a rank fails. (Not a pipe read after exit:
+    /// a child that fills the pipe blocks, and looks like a hang.)
+    Files,
+}
+
+/// Spawn one process per rank in `ranks`: `command(rank)` is the program
+/// line plus whatever environment the caller adds (see
+/// [`pinned_command`]); the rank environment of `env` goes on top. The
+/// rendezvous directory is created if missing. When a spawn fails, the
+/// ranks already started are killed and reaped before the error returns.
+pub fn spawn_ranks(
+    env: &MultiprocEnv,
+    ranks: std::ops::Range<usize>,
+    output: RankOutput,
+    mut command: impl FnMut(usize) -> Command,
+) -> io::Result<Vec<Child>> {
+    std::fs::create_dir_all(&env.dir)?;
+    let mut spawn = |rank| {
+        let mut cmd = command(rank);
+        env.apply_to(&mut cmd, rank);
+        if output == RankOutput::Files {
+            let file = |ext| std::fs::File::create(env.dir.join(format!("rank-{rank}.{ext}")));
+            cmd.stdout(file("stdout")?).stderr(file("stderr")?);
+        }
+        cmd.spawn()
+    };
+    let mut children = Vec::with_capacity(ranks.len());
+    for rank in ranks {
+        match spawn(rank) {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                kill_ranks(&mut children);
+                return Err(e);
+            }
+        }
+    }
+    Ok(children)
+}
+
+/// What rank `rank` wrote under [`RankOutput::Files`], labelled, for a
+/// failure message.
+pub fn rank_output(dir: &Path, rank: usize) -> String {
+    let read = |ext| std::fs::read_to_string(dir.join(format!("rank-{rank}.{ext}")));
+    format!(
+        "--- rank {rank} stdout ---\n{}\n--- rank {rank} stderr ---\n{}",
+        read("stdout").unwrap_or_default(),
+        read("stderr").unwrap_or_default()
+    )
+}
+
+fn kill_ranks(children: &mut [Child]) {
+    for child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// Wait for every rank and return the exit statuses, in spawn order. A
+/// rank still running at the deadline fails the whole launch: every child
+/// is killed and reaped (none outlives the caller) and the error is
+/// `TimedOut`, naming the rank's place in `children`.
+pub fn wait_ranks(
+    mut children: Vec<Child>,
+    deadline: Option<Instant>,
+) -> io::Result<Vec<ExitStatus>> {
+    let mut statuses = Vec::with_capacity(children.len());
+    for i in 0..children.len() {
+        statuses.push(loop {
+            match deadline {
+                None => break children[i].wait()?,
+                Some(deadline) => match children[i].try_wait()? {
+                    Some(status) => break status,
+                    None if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    None => {
+                        kill_ranks(&mut children);
+                        let what = format!("child {i} of {} outlived the deadline", children.len());
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, what));
+                    }
+                },
+            }
+        });
+    }
+    Ok(statuses)
 }
 
 /// Spawn `n_ranks` copies of `argv` (program + args) with the rank
@@ -273,38 +379,29 @@ pub fn launch_ranks(
     argv: &[String],
     n_ranks: usize,
     backend: Backend,
-    dir: &PathBuf,
+    dir: &Path,
 ) -> io::Result<i32> {
     assert!(!argv.is_empty(), "launch_ranks needs a program to run");
     assert!(n_ranks >= 1, "launch_ranks needs at least one rank");
-    std::fs::create_dir_all(dir)?;
     let env = MultiprocEnv {
         rank: 0,
         n_ranks,
-        dir: dir.clone(),
+        dir: dir.to_path_buf(),
         backend,
     };
-    let mut children = Vec::with_capacity(n_ranks);
-    for rank in 0..n_ranks {
+    let children = spawn_ranks(&env, 0..n_ranks, RankOutput::Inherit, |_| {
         let mut cmd = Command::new(&argv[0]);
         cmd.args(&argv[1..]);
-        env.apply_to(&mut cmd, rank);
-        children.push((rank, cmd.spawn()?));
+        cmd
+    })?;
+    let codes = wait_ranks(children, None)?
+        .into_iter()
+        .map(|status| status.code().unwrap_or(101));
+    let first_bad = codes.enumerate().find(|&(_, code)| code != 0);
+    if let Some((rank, code)) = first_bad {
+        eprintln!("pcomm-launch: rank {rank} exited with code {code}");
     }
-    let mut first_bad = 0i32;
-    let mut bad_rank = None;
-    for (rank, mut child) in children {
-        let status = child.wait()?;
-        let code = status.code().unwrap_or(101);
-        if code != 0 && first_bad == 0 {
-            first_bad = code;
-            bad_rank = Some(rank);
-        }
-    }
-    if let Some(rank) = bad_rank {
-        eprintln!("pcomm-launch: rank {rank} exited with code {first_bad}");
-    }
-    Ok(first_bad)
+    Ok(first_bad.map_or(0, |(_, code)| code))
 }
 
 #[cfg(test)]
@@ -351,6 +448,33 @@ mod tests {
         assert_ne!(a, b);
         let _ = std::fs::remove_dir_all(&a);
         let _ = std::fs::remove_dir_all(&b);
+    }
+
+    #[test]
+    fn a_rank_past_the_deadline_takes_every_rank_down() {
+        let env = MultiprocEnv::in_fresh_dir(2, Backend::Uds).unwrap();
+        // Rank 0 exits at once, rank 1 would sleep for a minute.
+        let children = spawn_ranks(&env, 0..2, RankOutput::Files, |rank| {
+            let mut cmd = Command::new("sh");
+            cmd.arg("-c")
+                .arg(format!("echo up-$PCOMM_NET_RANK; exec sleep {}", rank * 60));
+            cmd
+        })
+        .unwrap();
+        let pids: Vec<u32> = children.iter().map(Child::id).collect();
+        let t0 = Instant::now();
+        let err = wait_ranks(children, Some(t0 + Duration::from_millis(300))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(err.to_string().contains("child 1 of 2"), "{err}");
+        // Killed (not awaited for its minute) and reaped: no such process,
+        // or zombie, is left.
+        for pid in pids.into_iter().filter(|_| cfg!(target_os = "linux")) {
+            let proc_dir = format!("/proc/{pid}");
+            assert!(!Path::new(&proc_dir).exists(), "pid {pid} survives");
+        }
+        let said = rank_output(&env.dir, 1);
+        assert!(said.contains("up-1"), "{said}");
+        let _ = std::fs::remove_dir_all(&env.dir);
     }
 
     #[test]

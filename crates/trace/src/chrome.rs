@@ -14,256 +14,10 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 
 fn ts_us(ns: u64) -> f64 {
     ns as f64 / 1000.0
-}
-
-/// Extra per-kind argument fields, as `"key":value` fragments.
-fn args_json(kind: &EventKind) -> String {
-    match *kind {
-        EventKind::LockWait { shard, wait_ns } => {
-            format!("\"shard\":{shard},\"wait_ns\":{wait_ns}")
-        }
-        EventKind::EagerSend { dst, shard, bytes } => {
-            format!("\"dst\":{dst},\"shard\":{shard},\"bytes\":{bytes}")
-        }
-        EventKind::RdvSend { dst, shard, bytes } => {
-            format!("\"dst\":{dst},\"shard\":{shard},\"bytes\":{bytes}")
-        }
-        EventKind::RdvCopy {
-            shard,
-            bytes,
-            wait_ns,
-        } => format!("\"shard\":{shard},\"bytes\":{bytes},\"wait_ns\":{wait_ns}"),
-        EventKind::Pready { part } => format!("\"part\":{part}"),
-        EventKind::EarlyBird {
-            msg,
-            shard,
-            bytes,
-            gap_ns,
-        } => format!("\"msg\":{msg},\"shard\":{shard},\"bytes\":{bytes},\"gap_ns\":{gap_ns}"),
-        EventKind::AggrLayout {
-            base_msgs,
-            msgs,
-            bytes_per_msg,
-        } => format!("\"base_msgs\":{base_msgs},\"msgs\":{msgs},\"bytes_per_msg\":{bytes_per_msg}"),
-        EventKind::CtsWait { peer, wait_ns } => {
-            format!("\"peer\":{peer},\"wait_ns\":{wait_ns}")
-        }
-        EventKind::PartWait { msgs, wait_ns } => {
-            format!("\"msgs\":{msgs},\"wait_ns\":{wait_ns}")
-        }
-        EventKind::EpochOpen { win, wait_ns } => {
-            format!("\"win\":{win},\"wait_ns\":{wait_ns}")
-        }
-        EventKind::EpochClose { win, puts } => format!("\"win\":{win},\"puts\":{puts}"),
-        EventKind::EagerPool { shard, hit, bytes } => {
-            format!("\"shard\":{shard},\"hit\":{hit},\"bytes\":{bytes}")
-        }
-        EventKind::ProbeStats {
-            fast_probes,
-            slow_waits,
-        } => format!("\"fast_probes\":{fast_probes},\"slow_waits\":{slow_waits}"),
-        EventKind::FaultInjected {
-            fault,
-            dst,
-            tag,
-            arg,
-        } => format!(
-            "\"fault\":\"{}\",\"dst\":{dst},\"tag\":{tag},\"arg\":{arg}",
-            fault.name()
-        ),
-        EventKind::RetryAttempt { dst, attempt, tag } => {
-            format!("\"dst\":{dst},\"attempt\":{attempt},\"tag\":{tag}")
-        }
-        EventKind::StallDetected {
-            blocked,
-            watchdog_ms,
-            quiet_ms,
-        } => format!("\"blocked\":{blocked},\"watchdog_ms\":{watchdog_ms},\"quiet_ms\":{quiet_ms}"),
-        EventKind::VerifyPartInit {
-            req,
-            sender,
-            parts,
-            msgs,
-        } => format!("\"req\":{req},\"sender\":{sender},\"parts\":{parts},\"msgs\":{msgs}"),
-        EventKind::VerifyLayoutMsg {
-            req,
-            msg,
-            first_spart,
-            n_sparts,
-            first_rpart,
-            n_rparts,
-            bytes,
-        } => format!(
-            "\"req\":{req},\"msg\":{msg},\"first_spart\":{first_spart},\"n_sparts\":{n_sparts},\
-             \"first_rpart\":{first_rpart},\"n_rparts\":{n_rparts},\"bytes\":{bytes}"
-        ),
-        EventKind::VerifyStart {
-            req,
-            sender,
-            iter,
-            tid,
-        } => format!("\"req\":{req},\"sender\":{sender},\"iter\":{iter},\"tid\":{tid}"),
-        EventKind::VerifyPready {
-            req,
-            part,
-            iter,
-            tid,
-        } => format!("\"req\":{req},\"part\":{part},\"iter\":{iter},\"tid\":{tid}"),
-        EventKind::VerifyWrite {
-            req,
-            part,
-            iter,
-            tid,
-            dur_ns,
-        }
-        | EventKind::VerifyRead {
-            req,
-            part,
-            iter,
-            tid,
-            dur_ns,
-        } => format!(
-            "\"req\":{req},\"part\":{part},\"iter\":{iter},\"tid\":{tid},\"dur_ns\":{dur_ns}"
-        ),
-        EventKind::VerifyMsgSend {
-            req,
-            msg,
-            iter,
-            tid,
-        } => format!("\"req\":{req},\"msg\":{msg},\"iter\":{iter},\"tid\":{tid}"),
-        EventKind::VerifyMsgRecv {
-            req,
-            msg,
-            tid,
-            eager,
-        } => format!("\"req\":{req},\"msg\":{msg},\"tid\":{tid},\"eager\":{eager}"),
-        EventKind::VerifyParrived {
-            req,
-            part,
-            iter,
-            tid,
-            arrived,
-        } => format!(
-            "\"req\":{req},\"part\":{part},\"iter\":{iter},\"tid\":{tid},\"arrived\":{arrived}"
-        ),
-        EventKind::VerifyWaitDone {
-            req,
-            sender,
-            iter,
-            tid,
-        } => format!("\"req\":{req},\"sender\":{sender},\"iter\":{iter},\"tid\":{tid}"),
-        EventKind::VerifyBlocked { peer, tag } => format!(
-            "\"peer\":{},\"tag\":{}",
-            peer.map_or(-1i32, |p| p as i32),
-            tag.unwrap_or(i64::MIN)
-        ),
-        EventKind::StreamChunk {
-            lane,
-            parts,
-            offset,
-            bytes,
-        } => format!("\"lane\":{lane},\"parts\":{parts},\"offset\":{offset},\"bytes\":{bytes}"),
-        EventKind::StreamCommit {
-            lane,
-            msgs,
-            offset,
-            bytes,
-        } => format!("\"lane\":{lane},\"msgs\":{msgs},\"offset\":{offset},\"bytes\":{bytes}"),
-        EventKind::LaneDown { peer, lane } => format!("\"peer\":{peer},\"lane\":{lane}"),
-        EventKind::LaneFailover {
-            peer,
-            lane,
-            requeued,
-        } => format!("\"peer\":{peer},\"lane\":{lane},\"requeued\":{requeued}"),
-        EventKind::Reconnect { peer, ok, took_ms } => {
-            format!("\"peer\":{peer},\"ok\":{ok},\"took_ms\":{took_ms}")
-        }
-        EventKind::HeartbeatMiss { peer, quiet_ms } => {
-            format!("\"peer\":{peer},\"quiet_ms\":{quiet_ms}")
-        }
-        EventKind::WriterQueue { peer, lane, depth } => {
-            format!("\"peer\":{peer},\"lane\":{lane},\"depth\":{depth}")
-        }
-        EventKind::VerifyWireSend {
-            peer,
-            lane,
-            op,
-            epoch,
-            seq,
-        }
-        | EventKind::VerifyWireRecv {
-            peer,
-            lane,
-            op,
-            epoch,
-            seq,
-        } => format!("\"peer\":{peer},\"lane\":{lane},\"op\":{op},\"epoch\":{epoch},\"seq\":{seq}"),
-        EventKind::VerifyStreamRts {
-            peer,
-            tx,
-            stream,
-            total_len,
-        } => format!("\"peer\":{peer},\"tx\":{tx},\"stream\":{stream},\"total_len\":{total_len}"),
-        EventKind::VerifyStreamCts {
-            peer,
-            tx,
-            stream,
-            epoch,
-        } => format!("\"peer\":{peer},\"tx\":{tx},\"stream\":{stream},\"epoch\":{epoch}"),
-        EventKind::VerifyStreamData {
-            peer,
-            lane,
-            tx,
-            stream,
-            offset,
-            len,
-        } => format!(
-            "\"peer\":{peer},\"lane\":{lane},\"tx\":{tx},\"stream\":{stream},\
-             \"offset\":{offset},\"len\":{len}"
-        ),
-        EventKind::VerifyStreamCommit {
-            peer,
-            lane,
-            stream,
-            lo,
-            len,
-        } => format!(
-            "\"peer\":{peer},\"lane\":{lane},\"stream\":{stream},\"lo\":{lo},\"len\":{len}"
-        ),
-        EventKind::VerifyStreamLost {
-            peer,
-            stream,
-            missing,
-        } => format!("\"peer\":{peer},\"stream\":{stream},\"missing\":{missing}"),
-        EventKind::VerifyStreamMsg {
-            stream,
-            req,
-            msg,
-            tx,
-            offset,
-            len,
-        } => format!(
-            "\"stream\":{stream},\"req\":{req},\"msg\":{msg},\"tx\":{tx},\"offset\":{offset},\"len\":{len}"
-        ),
-        EventKind::IpcRingFull {
-            peer,
-            kind,
-            wait_ns,
-        } => format!("\"peer\":{peer},\"kind\":{kind},\"wait_ns\":{wait_ns}"),
-        EventKind::IpcDoorbell { seq, woken } => format!("\"seq\":{seq},\"woken\":{woken}"),
-        EventKind::IpcDoorbellStats {
-            rings,
-            wakes,
-            parks_counted,
-            parks_uncounted,
-        } => format!(
-            "\"rings\":{rings},\"wakes\":{wakes},\"parks_counted\":{parks_counted},\"parks_uncounted\":{parks_uncounted}"
-        ),
-    }
 }
 
 /// Render `events` as a Chrome trace-event JSON document.
@@ -305,30 +59,31 @@ pub fn chrome_trace_json(events: &[Event], dropped: u64) -> String {
     for ev in events {
         sep(&mut out);
         let name = ev.kind.name();
-        let args = args_json(&ev.kind);
         let pid = ev.rank;
         let tid = ev.kind.lane();
-        match ev.kind.dur_ns() {
-            Some(dur) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"pcomm\",\"ph\":\"X\",\
-                     \"ts\":{:.3},\"dur\":{:.3},\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{{args}}}}}",
-                    ts_us(ev.ts_ns),
-                    ts_us(dur),
-                );
-            }
-            None => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"pcomm\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{:.3},\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{{args}}}}}",
-                    ts_us(ev.ts_ns),
-                );
-            }
-        }
+        let _ = match ev.kind.dur_ns() {
+            Some(dur) => write!(
+                out,
+                "{{\"name\":\"{name}\",\"cat\":\"pcomm\",\"ph\":\"X\",\
+                 \"ts\":{:.3},\"dur\":{:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{",
+                ts_us(ev.ts_ns),
+                ts_us(dur),
+            ),
+            None => write!(
+                out,
+                "{{\"name\":\"{name}\",\"cat\":\"pcomm\",\"ph\":\"i\",\"s\":\"t\",\
+                 \"ts\":{:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{",
+                ts_us(ev.ts_ns),
+            ),
+        };
+        // The args are the event's fields, by name, in declaration order.
+        let mut first_arg = true;
+        ev.kind.for_each_field(&mut |key, value| {
+            let comma = if first_arg { "" } else { "," };
+            first_arg = false;
+            let _ = write!(out, "{comma}\"{key}\":{value}");
+        });
+        out.push_str("}}");
     }
     out.push_str("]}");
     out
@@ -337,6 +92,7 @@ pub fn chrome_trace_json(events: &[Event], dropped: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     /// Minimal structural JSON check: balanced braces/brackets outside
     /// strings, non-empty, starts `{` ends `}`.
@@ -463,65 +219,8 @@ mod tests {
 
     #[test]
     fn every_kind_renders_valid_json() {
-        let kinds = [
-            EventKind::LockWait {
-                shard: 1,
-                wait_ns: 9,
-            },
-            EventKind::EagerSend {
-                dst: 0,
-                shard: 0,
-                bytes: 8,
-            },
-            EventKind::RdvSend {
-                dst: 0,
-                shard: 0,
-                bytes: 8,
-            },
-            EventKind::RdvCopy {
-                shard: 0,
-                bytes: 8,
-                wait_ns: 1,
-            },
-            EventKind::Pready { part: 0 },
-            EventKind::EarlyBird {
-                msg: 0,
-                shard: 0,
-                bytes: 8,
-                gap_ns: 1,
-            },
-            EventKind::AggrLayout {
-                base_msgs: 4,
-                msgs: 1,
-                bytes_per_msg: 32,
-            },
-            EventKind::CtsWait {
-                peer: 1,
-                wait_ns: 2,
-            },
-            EventKind::PartWait {
-                msgs: 2,
-                wait_ns: 3,
-            },
-            EventKind::EpochOpen { win: 0, wait_ns: 4 },
-            EventKind::EpochClose { win: 0, puts: 5 },
-            EventKind::FaultInjected {
-                fault: crate::event::FaultKind::Delay,
-                dst: 1,
-                tag: -2,
-                arg: 40,
-            },
-            EventKind::RetryAttempt {
-                dst: 1,
-                attempt: 1,
-                tag: 0,
-            },
-            EventKind::StallDetected {
-                blocked: 2,
-                watchdog_ms: 250,
-                quiet_ms: 260,
-            },
-        ];
+        let kinds = crate::event::sample_kinds();
+        assert_eq!(kinds.len(), 45);
         let events: Vec<Event> = kinds
             .iter()
             .enumerate()
@@ -534,7 +233,19 @@ mod tests {
         let json = chrome_trace_json(&events, 0);
         assert_balanced_json(&json);
         for k in &kinds {
-            assert!(json.contains(k.name()), "missing {}", k.name());
+            assert!(
+                json.contains(&format!("{{\"name\":\"{}\",\"cat\"", k.name())),
+                "missing {}",
+                k.name()
+            );
+            // Every field is an arg, under its own name.
+            k.for_each_field(&mut |key, value| {
+                assert!(
+                    json.contains(&format!("\"{key}\":{value}")),
+                    "{}.{key}",
+                    k.name()
+                );
+            });
         }
     }
 }

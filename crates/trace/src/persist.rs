@@ -82,7 +82,9 @@ pub fn events_from_str(text: &str) -> Result<RankEvents, String> {
     let (Some(rank), Some(dropped), Some(n)) = (rank, dropped, n) else {
         return Err(format!("incomplete header: `{header}`"));
     };
-    let mut events = Vec::with_capacity(n);
+    // `n` is whatever the file claims: reserve no more than the text can
+    // hold (an event line is at least four hex digits and its separators).
+    let mut events = Vec::with_capacity(n.min(text.len() / 8));
     for (i, line) in lines.enumerate() {
         if line.is_empty() {
             continue;
@@ -187,6 +189,19 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_round_trips() {
+        let events: Vec<Event> = crate::event::sample_kinds()
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| ranked(kind.at(10 * i as u64), 1))
+            .collect();
+        assert_eq!(events.len(), 45);
+        let data = TraceData { events, dropped: 0 };
+        let back = events_from_str(&events_to_string(1, &data)).unwrap();
+        assert_eq!(back.events, data.events);
+    }
+
+    #[test]
     fn header_is_first_line() {
         let text = events_to_string(3, &sample());
         assert!(text.starts_with("pcomm-events v1 rank=3 dropped=5 n=3\n"));
@@ -203,6 +218,13 @@ mod tests {
             events_from_str("pcomm-events v1 rank=0 dropped=0 n=1\n0 ffff000000000000 0 0\n")
                 .is_err()
         );
+        // A header that lies about `n` is an error like any other, not an
+        // allocation of `n` events.
+        for n in ["4398046511104", "18446744073709551615"] {
+            let text = format!("pcomm-events v1 rank=0 dropped=0 n={n}\n0 5000000000000 3 0\n");
+            let err = events_from_str(&text).unwrap_err();
+            assert!(err.contains("1 events decoded"), "{err}");
+        }
     }
 
     #[test]

@@ -389,13 +389,7 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
         let _ = writeln!(out, "-----");
         let _ = writeln!(out, "faults injected:  {fault_total}");
         // Stable order: the FaultKind code order, not alphabetical.
-        for k in [
-            FaultKind::Drop,
-            FaultKind::Delay,
-            FaultKind::Duplicate,
-            FaultKind::Reorder,
-            FaultKind::PreadyJitter,
-        ] {
+        for k in FaultKind::ALL {
             if let Some(n) = faults_by_kind.get(k.name()) {
                 let _ = writeln!(out, "  {:<14} {n}", k.name());
             }
@@ -568,6 +562,36 @@ mod tests {
         );
         // A fault-free trace has no chaos section.
         assert!(!summary_report(&[], 0).contains("chaos"));
+    }
+
+    #[test]
+    fn wire_faults_get_their_own_lines() {
+        let fault = |ts, fault| {
+            ev(
+                ts,
+                0,
+                EventKind::FaultInjected {
+                    fault,
+                    dst: 1,
+                    tag: -3,
+                    arg: 4096,
+                },
+            )
+        };
+        let events = vec![
+            fault(10, FaultKind::LaneKill),
+            fault(20, FaultKind::TornWrite),
+            fault(30, FaultKind::Drop),
+        ];
+        let rpt = summary_report(&events, 0);
+        // Every injected fault is in the breakdown, in code order.
+        let at = |line: &str| {
+            rpt.find(line)
+                .unwrap_or_else(|| panic!("no `{line}`:\n{rpt}"))
+        };
+        assert!(rpt.contains("faults injected:  3"));
+        assert!(at("  drop           1") < at("  torn_write     1"));
+        assert!(at("  torn_write     1") < at("  lane_kill      1"));
     }
 
     #[test]

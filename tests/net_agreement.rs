@@ -7,12 +7,12 @@
 //! multi-process runs must come back clean under `PCOMM_VERIFY=1`
 //! (a finding turns the run into an error, which fails the child).
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use pcomm::core::strategies::{measure_validated, RealApproach, RealScenario};
-use pcomm::net::{launch, Backend, MultiprocEnv};
+use pcomm::net::launch::{self, RankOutput};
+use pcomm::net::{Backend, MultiprocEnv};
 
 /// Two scenarios: one all-eager, one whose bulk buffers cross the 64 KiB
 /// eager ceiling so the single-message strategy exercises the wire
@@ -54,69 +54,31 @@ fn net_agreement_child() {
     }
 }
 
-fn wait_with_deadline(mut child: Child, what: &str) -> std::process::Output {
-    let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        match child.try_wait().expect("poll child") {
-            Some(status) => {
-                let mut stdout = String::new();
-                let mut stderr = String::new();
-                if let Some(mut s) = child.stdout.take() {
-                    let _ = s.read_to_string(&mut stdout);
-                }
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut stderr);
-                }
-                assert!(
-                    status.success(),
-                    "{what} failed ({status})\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}"
-                );
-                return std::process::Output {
-                    status,
-                    stdout: stdout.into_bytes(),
-                    stderr: stderr.into_bytes(),
-                };
-            }
-            None => {
-                assert!(
-                    Instant::now() < deadline,
-                    "{what} hung past the deadline; killing it"
-                );
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
 /// Run the SPMD child pair with `extra_env` on both ranks and return
 /// the receiver's digests. Verify is always armed: any race/protocol
 /// finding fails the child run.
 fn wire_digests(extra_env: &[(&str, &str)], what: &str) -> Vec<u64> {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
+    let spmd = MultiprocEnv::in_fresh_dir(2, Backend::Uds).expect("rendezvous dir");
+    let dir = &spmd.dir;
     let exe = std::env::current_exe().expect("test binary path");
-    let children: Vec<Child> = (0..2)
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args(["net_agreement_child", "--exact", "--nocapture"])
-                .env("PCOMM_VERIFY", "1")
-                .env_remove("PCOMM_FAULTS")
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            for (k, v) in extra_env {
-                cmd.env(k, v);
-            }
-            spmd.apply_to(&mut cmd, rank);
-            cmd.spawn().expect("spawn SPMD child")
-        })
-        .collect();
-    for (rank, child) in children.into_iter().enumerate() {
-        wait_with_deadline(child, &format!("{what} rank {rank} child"));
+    let children = launch::spawn_ranks(&spmd, 0..2, RankOutput::Files, |_| {
+        let mut cmd = Command::new(&exe);
+        cmd.args(["net_agreement_child", "--exact", "--nocapture"])
+            .env("PCOMM_VERIFY", "1")
+            .env_remove("PCOMM_FAULTS")
+            .envs(extra_env.iter().copied());
+        cmd
+    })
+    .expect("spawn SPMD children");
+    let deadline = Instant::now() + Duration::from_secs(180);
+    let statuses =
+        launch::wait_ranks(children, Some(deadline)).unwrap_or_else(|e| panic!("{what}: {e}"));
+    for (rank, status) in statuses.iter().enumerate() {
+        assert!(
+            status.success(),
+            "{what} rank {rank} child failed ({status})\n{}",
+            launch::rank_output(dir, rank)
+        );
     }
 
     let raw = std::fs::read_to_string(dir.join("out-1")).expect("receiver digest file");
@@ -124,7 +86,7 @@ fn wire_digests(extra_env: &[(&str, &str)], what: &str) -> Vec<u64> {
         .lines()
         .map(|l| u64::from_str_radix(l.trim_start_matches("0x"), 16).expect("digest line"))
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     wire
 }
 

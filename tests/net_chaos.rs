@@ -6,13 +6,13 @@
 //! process must come back as a structured `PeerPanicked` error on the
 //! survivor instead of a hang.
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use pcomm::core::part::PartOptions;
 use pcomm::core::{PcommError, Universe};
-use pcomm::net::{launch, Backend, MultiprocEnv};
+use pcomm::net::launch::{self, RankOutput};
+use pcomm::net::{Backend, MultiprocEnv};
 
 const ECHO_TAGS: i64 = 16;
 
@@ -171,136 +171,94 @@ fn net_chaos_kill_child() {
     }
 }
 
-fn spawn_mesh(
-    child_test: &str,
-    faults: Option<&str>,
-    verify: bool,
-) -> (std::path::PathBuf, Vec<Child>) {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
+/// Run `child_test` of this binary as a 2-rank UDS mesh and return each
+/// rank's exit code. A rank that outlives the deadline (every rank is
+/// then killed) or exits with anything but 0 or the kill scenario's 42
+/// fails the test, with that rank's output.
+fn run_mesh(child_test: &str, faults: Option<&str>, verify: bool) -> Vec<i32> {
+    let spmd = MultiprocEnv::in_fresh_dir(2, Backend::Uds).expect("rendezvous dir");
     let exe = std::env::current_exe().expect("test binary path");
-    let children = (0..2)
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args([child_test, "--exact", "--nocapture"])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            match faults {
-                Some(spec) => cmd.env("PCOMM_FAULTS", spec),
-                None => cmd.env_remove("PCOMM_FAULTS"),
-            };
-            if verify {
-                cmd.env("PCOMM_VERIFY", "1");
-            } else {
-                cmd.env_remove("PCOMM_VERIFY");
-            }
-            spmd.apply_to(&mut cmd, rank);
-            cmd.spawn().expect("spawn SPMD child")
-        })
-        .collect();
-    (dir, children)
-}
-
-/// Wait for a child with a hard deadline; returns its exit code.
-fn wait_code(mut child: Child, what: &str) -> i32 {
+    let children = launch::spawn_ranks(&spmd, 0..2, RankOutput::Files, |_| {
+        let mut cmd = Command::new(&exe);
+        cmd.args([child_test, "--exact", "--nocapture"]);
+        match faults {
+            Some(spec) => cmd.env("PCOMM_FAULTS", spec),
+            None => cmd.env_remove("PCOMM_FAULTS"),
+        };
+        if verify {
+            cmd.env("PCOMM_VERIFY", "1");
+        } else {
+            cmd.env_remove("PCOMM_VERIFY");
+        }
+        cmd
+    })
+    .expect("spawn SPMD children");
     let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            let code = status.code().unwrap_or(-1);
-            if code != 0 && code != 42 {
-                let mut err = String::new();
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut err);
-                }
-                panic!("{what} exited with {code}\n--- stderr ---\n{err}");
-            }
-            return code;
-        }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            panic!("{what} hung past the deadline");
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    let statuses = launch::wait_ranks(children, Some(deadline))
+        .unwrap_or_else(|e| panic!("{child_test}: {e}"));
+    let codes: Vec<i32> = statuses.iter().map(|s| s.code().unwrap_or(-1)).collect();
+    for (rank, code) in codes.iter().enumerate() {
+        assert!(
+            [0, 42].contains(code),
+            "rank {rank} exited with {code}\n{}",
+            launch::rank_output(&spmd.dir, rank)
+        );
     }
+    let _ = std::fs::remove_dir_all(&spmd.dir);
+    codes
 }
 
 #[test]
 fn seeded_drops_over_uds_recover_via_resend() {
-    let (dir, children) = spawn_mesh(
+    let codes = run_mesh(
         "net_chaos_recovery_child",
         Some("seed=7,drop=0.5,retries=24"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn certain_drop_over_uds_is_message_lost_on_both_ranks() {
-    let (dir, children) = spawn_mesh(
+    let codes = run_mesh(
         "net_chaos_lost_child",
         Some("seed=1,drop=1.0,retries=0"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        // Exit 0 means the child saw exactly MessageLost — on both sides.
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    // Exit 0 means the child saw exactly MessageLost — on both sides.
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn seeded_part_data_drops_over_uds_recover_via_resend() {
-    let (dir, children) = spawn_mesh(
+    let codes = run_mesh(
         "net_chaos_stream_recovery_child",
         Some("seed=11,drop=0.5,retries=24"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn certain_part_data_drop_is_message_lost_on_both_ranks() {
-    let (dir, children) = spawn_mesh(
+    let codes = run_mesh(
         "net_chaos_stream_lost_child",
         Some("seed=3,drop=1.0,retries=0"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        // Exit 0 means the child saw exactly MessageLost — on both sides.
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    // Exit 0 means the child saw exactly MessageLost — on both sides.
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn streaming_transfer_is_clean_under_verify() {
-    let (dir, children) = spawn_mesh("net_chaos_stream_verify_child", None, true);
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    let codes = run_mesh("net_chaos_stream_verify_child", None, true);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn killed_rank_process_surfaces_peer_panicked_not_a_hang() {
-    let (dir, children) = spawn_mesh("net_chaos_kill_child", None, false);
-    let codes: Vec<i32> = children
-        .into_iter()
-        .enumerate()
-        .map(|(rank, child)| wait_code(child, &format!("rank {rank}")))
-        .collect();
+    let codes = run_mesh("net_chaos_kill_child", None, false);
     assert_eq!(codes[0], 0, "rank 0 must report PeerPanicked and pass");
     assert_eq!(codes[1], 42, "rank 1 died by design");
-    let _ = std::fs::remove_dir_all(dir);
 }
