@@ -1,9 +1,10 @@
 //! Benches on the simulation stack itself: executor throughput and
 //! full-scenario simulation cost (how fast the figures regenerate).
 //!
-//! Plain timing harness (no external bench framework); see
-//! `real_runtime.rs` for the conventions. Run with
-//! `cargo bench --bench simulator`.
+//! Plain timing harness (no external bench framework): each case runs a
+//! fixed number of times after one warm-up, and the minimum and mean
+//! are printed — the minimum is the robust statistic on noisy CI hosts.
+//! Run with `cargo bench --bench simulator`.
 
 use std::time::{Duration, Instant};
 

@@ -1,21 +1,22 @@
 //! Guard: the verification layer must not tax the verify-off hot path.
 //!
-//! The repo's trajectory (BENCH_hotpath.json) records `pready` at
-//! 144.2 ns under an armed watchdog; the verify gate added on top is a
+//! The retired `hotpath` micro-bench recorded `pready` at 144.2 ns
+//! under an armed watchdog (1-CPU container, release build; frozen in
+//! EXPERIMENTS.md "Retired instruments"); the verify gate added on top is a
 //! single predictable branch (`Trace::emit_verify` with a disabled or
 //! plain trace), so the off-path cost must stay within noise of that
 //! figure. The envelope here is deliberately generous — CI boxes vary
 //! and `cargo test` builds unoptimized — so it catches a *structural*
 //! regression (events allocated, clocks read, or locks taken with
-//! verification off), not a few-nanosecond drift. `hotpath` remains
-//! the precise instrument.
+//! verification off), not a few-nanosecond drift. The precise
+//! instrument is the `part.pready_ns` row of `benchmark/`'s ledger.
 
 use std::time::Instant;
 
 use pcomm_core::part::PartOptions;
 use pcomm_core::Universe;
 
-/// The `pready_watchdog_ns` figure committed to BENCH_hotpath.json.
+/// `pready_watchdog_ns` as last recorded by the retired `hotpath` bench.
 const RECORDED_PREADY_NS: f64 = 144.2;
 
 /// A structural regression on the off path (per-op event emission or

@@ -334,8 +334,6 @@ struct Peer {
 pub(crate) struct SocketTransport {
     rank: usize,
     peers: Vec<Option<Peer>>,
-    /// `PCOMM_NET_AGGR`: partition-stream aggregation threshold.
-    aggr: usize,
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// Mesh parameters, kept for the bounded lane-0 reconnect.
     cfg: MeshConfig,
@@ -431,7 +429,6 @@ impl SocketTransport {
         SocketTransport {
             rank,
             peers,
-            aggr: pcomm_net::launch::aggr_from_env(),
             readers: Mutex::new(Vec::new()),
             cfg,
             hb_ms: pcomm_net::launch::hb_ms_from_env(),
@@ -859,7 +856,7 @@ impl Transport for SocketTransport {
     }
 
     fn stream_aggr(&self) -> usize {
-        self.aggr
+        pcomm_net::launch::DEFAULT_AGGR
     }
 
     /// Spawn the per-peer-per-lane reader and writer threads (plus the

@@ -229,18 +229,19 @@ impl Universe {
             }
         }
         if env_verify {
-            let report = pcomm_verify::analyze(&data.events);
-            if !report.is_clean() {
+            let report = pcomm_verify::analyze(&data.events, data.dropped);
+            let clean = report.is_clean();
+            if !clean || report.stats.demoted_lints > 0 {
                 eprintln!("{report}");
-                if out.is_ok() {
-                    return Err(PcommError::Misuse {
-                        rank: None,
-                        detail: format!(
-                            "PCOMM_VERIFY: {} findings (see report above)",
-                            report.finding_count()
-                        ),
-                    });
-                }
+            }
+            if !clean && out.is_ok() {
+                return Err(PcommError::Misuse {
+                    rank: None,
+                    detail: format!(
+                        "PCOMM_VERIFY: {} findings (see report above)",
+                        report.finding_count()
+                    ),
+                });
             }
         }
         out
@@ -271,7 +272,7 @@ impl Universe {
         };
         let out = self.run_on(trace.clone(), &f);
         let data = trace.snapshot().expect("trace is enabled");
-        (out, pcomm_verify::analyze(&data.events))
+        (out, pcomm_verify::analyze(&data.events, data.dropped))
     }
 
     /// Run with the attached trace (see [`Universe::with_trace`]) and
@@ -507,25 +508,20 @@ impl Universe {
             backend,
         };
         let args: Vec<std::ffi::OsString> = std::env::args_os().skip(1).collect();
-        let mut children = Vec::new();
-        for rank in 1..self.n_ranks {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(&args);
-            spmd_env.apply_to(&mut cmd, rank);
-            match cmd.spawn() {
-                Ok(child) => children.push((rank, child)),
-                Err(e) => {
-                    for (_, mut c) in children {
-                        let _ = c.kill();
-                        let _ = c.wait();
-                    }
-                    let _ = std::fs::remove_dir_all(&dir);
-                    return Err(misuse(format!(
-                        "multiprocess launch: spawning rank {rank} failed: {e}"
-                    )));
-                }
-            }
-        }
+        let children = pcomm_net::launch::spawn_ranks(
+            &spmd_env,
+            1..self.n_ranks,
+            pcomm_net::launch::RankOutput::Inherit,
+            |_| {
+                let mut cmd = std::process::Command::new(&exe);
+                cmd.args(&args);
+                cmd
+            },
+        )
+        .map_err(|e| {
+            let _ = std::fs::remove_dir_all(&dir);
+            misuse(format!("multiprocess launch: spawning a rank failed: {e}"))
+        })?;
         // Become rank 0. The variables stay set so any later universe in
         // this program run is multiprocess too, matching the children
         // (which re-execute the whole program with them set from birth).
@@ -534,16 +530,15 @@ impl Universe {
         std::env::set_var(pcomm_net::launch::ENV_DIR, &dir);
         std::env::set_var(pcomm_net::launch::ENV_BACKEND, backend.name());
         let out = self.run(f);
-        let mut child_failure = None;
-        for (rank, mut child) in children {
-            let code = match child.wait() {
-                Ok(status) => status.code().unwrap_or(101),
-                Err(_) => 101,
-            };
-            if code != 0 && child_failure.is_none() {
-                child_failure = Some((rank, code));
-            }
-        }
+        // Statuses come back in spawn order, ranks 1..n. A rank that died
+        // without an exit code counts as 101, as does a failed `wait`
+        // (which names no rank; the first child stands in).
+        let child_failure = match pcomm_net::launch::wait_ranks(children, None) {
+            Ok(statuses) => (1..)
+                .zip(statuses.iter().map(|status| status.code().unwrap_or(101)))
+                .find(|&(_, code)| code != 0),
+            Err(_) => Some((1, 101)),
+        };
         let _ = std::fs::remove_dir_all(&dir);
         match (out, child_failure) {
             (Ok(results), None) => Ok(results),

@@ -57,16 +57,44 @@ fn torn_writes_and_short_reads_complete_bit_exact() {
     );
 }
 
+/// The `lane` (and, for a failover, `requeued`) of every `stream_chunk`,
+/// `lane_down` and `lane_failover` event in a rank's Chrome trace, in
+/// trace (timestamp) order.
+fn lane_events(trace: &str) -> Vec<(&str, u64, u64)> {
+    let num = |event: &str, key: &str| -> Option<u64> {
+        let (_, rest) = event.split_once(&format!("\"{key}\":"))?;
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+        digits.parse().ok()
+    };
+    trace
+        .split("{\"name\":\"")
+        .skip(1)
+        .filter_map(|event| {
+            let (name, _) = event.split_once('"')?;
+            let lane = || num(event, "lane").expect("lane events carry a lane");
+            ["stream_chunk", "lane_down", "lane_failover"]
+                .contains(&name)
+                .then(|| (name, lane(), num(event, "requeued").unwrap_or(0)))
+        })
+        .collect()
+}
+
 /// A data lane killed mid-stream re-routes its in-flight partitions to
-/// the surviving lanes: the transfer completes bit-exact and the
-/// sender's trace records the lane going down.
+/// the surviving lanes: the transfer completes bit-exact, the sender's
+/// trace records the lane going down, and from then on every chunk
+/// travels the surviving *data* lane — which is why a degraded mesh
+/// keeps most of its bandwidth: the stream loses one lane's share, it
+/// does not fall back to the ordered lane 0 or re-send what the dead
+/// lane never held.
 #[test]
 fn data_lane_kill_fails_over_mid_stream() {
     if common::maybe_run_child() {
         return;
     }
     // 2 MiB across 3 lanes; lane 2 dies after 64 KiB — early enough
-    // that most of the stream must travel the surviving lane.
+    // that most of the stream must travel the surviving lane. The
+    // sender paces its `pready`s so chunks are still being dispatched
+    // after the lane is down (no assertion depends on the pace).
     let (n_parts, part_bytes) = (32, 64 * 1024);
     let outs = common::run_wire_pair(
         "data_lane_kill_fails_over_mid_stream",
@@ -74,6 +102,7 @@ fn data_lane_kill_fails_over_mid_stream() {
         &[
             (ENV_PARTS, n_parts.to_string()),
             (ENV_PART_BYTES, part_bytes.to_string()),
+            (common::ENV_PREADY_GAP_MS, "1".to_string()),
             ("PCOMM_NET_LANES", "3".to_string()),
         ],
         [
@@ -101,9 +130,28 @@ fn data_lane_kill_fails_over_mid_stream() {
         "digest diverged after lane failover: `{}`",
         outs[0].out
     );
+    let events = lane_events(&outs[1].trace);
+    let down = events
+        .iter()
+        .position(|&(name, lane, _)| name == "lane_down" && lane == 2)
+        .expect("sender never recorded the killed lane — did the fault fire?");
+    let chunk_lanes = |events: &[(&str, u64, u64)]| -> Vec<u64> {
+        let chunks = events.iter().filter(|e| e.0 == "stream_chunk");
+        chunks.map(|e| e.1).collect()
+    };
+    let after = chunk_lanes(&events[down..]);
     assert!(
-        outs[1].trace.contains("lane_down"),
-        "sender never recorded the killed lane — did the fault fire?"
+        after.iter().all(|&lane| lane == 1),
+        "after lane_down every chunk must travel the surviving data lane 1, \
+         not the dead lane or the ordered lane 0; lanes taken: {after:?}"
+    );
+    let sent_to_dead = chunk_lanes(&events).iter().filter(|&&l| l == 2).count() as u64;
+    let failovers = events.iter().filter(|e| e.0 == "lane_failover");
+    let requeued: u64 = failovers.map(|e| e.2).sum();
+    assert!(
+        requeued <= sent_to_dead,
+        "failover re-queued {requeued} chunks but only {sent_to_dead} were ever \
+         dispatched to lane 2"
     );
 }
 

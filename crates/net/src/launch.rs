@@ -28,9 +28,6 @@ pub const ENV_RANKS: &str = "PCOMM_NET_RANKS";
 pub const ENV_DIR: &str = "PCOMM_NET_DIR";
 /// Env var: socket backend (`uds` / `tcp`).
 pub const ENV_BACKEND: &str = "PCOMM_NET_BACKEND";
-/// Env var: partition-stream aggregation threshold in bytes (the
-/// paper's `MPIR_CVAR_PART_AGGR_SIZE` analogue).
-pub const ENV_AGGR: &str = "PCOMM_NET_AGGR";
 /// Env var: writer lanes per peer pair (the VCI analogue).
 pub const ENV_LANES: &str = "PCOMM_NET_LANES";
 /// Env var: heartbeat interval in milliseconds on lane 0. Unset or `0`
@@ -51,7 +48,8 @@ pub const ENV_IPC_SLAB: &str = "PCOMM_NET_IPC_SLAB";
 /// Env var: ipc partition-arena capacity per directed channel, bytes.
 pub const ENV_IPC_ARENA: &str = "PCOMM_NET_IPC_ARENA";
 
-/// Default partition-stream aggregation threshold.
+/// The socket carrier's partition-stream aggregation threshold in bytes
+/// (the paper's `MPIR_CVAR_PART_AGGR_SIZE` analogue).
 pub const DEFAULT_AGGR: usize = 256 * 1024;
 /// Default writer lanes per peer pair: one ordered lane plus one
 /// data-streaming lane.
@@ -116,11 +114,6 @@ fn env_usize(name: &str, default: usize) -> usize {
         },
         Err(_) => default,
     }
-}
-
-/// The `PCOMM_NET_AGGR` aggregation threshold in bytes.
-pub fn aggr_from_env() -> usize {
-    env_usize(ENV_AGGR, DEFAULT_AGGR)
 }
 
 /// The `PCOMM_NET_LANES` writer-lane count, clamped to `1..=MAX_LANES`.
@@ -437,7 +430,6 @@ mod tests {
     fn knob_defaults_when_unset() {
         // No in-process test mutates these vars (children get them via
         // Command env), so the defaults are observable here.
-        assert_eq!(aggr_from_env(), DEFAULT_AGGR);
         assert_eq!(lanes_from_env(), DEFAULT_LANES);
     }
 

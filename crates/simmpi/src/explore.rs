@@ -54,7 +54,8 @@ pub fn explore_scenario(
             let plan = FaultPlan::seeded(seed).jitter(true);
             let (_times, events) =
                 run_scenario_verified(cfg, n_vcis, seed, approach, sc, Some(plan));
-            let report = pcomm_verify::analyze(&events);
+            // The simulator's trace is an unbounded `Vec`: nothing drops.
+            let report = pcomm_verify::analyze(&events, 0);
             let verify_events = report.stats.verify_events;
             Exploration {
                 seed,

@@ -464,7 +464,7 @@ self::taxonomy! {
     /// A run of ready partitions was coalesced into one `PartData`
     /// chunk and handed to a writer lane — the wire-streaming analogue
     /// of [`EventKind::EarlyBird`], recording chunk geometry under the
-    /// `PCOMM_NET_AGGR` threshold. Instant, attributed to the sender.
+    /// aggregation threshold. Instant, attributed to the sender.
     StreamChunk = 28 "stream_chunk" perf lane(lane) {
         /// Writer lane the chunk was queued on.
         lane: u16 @ aux1,

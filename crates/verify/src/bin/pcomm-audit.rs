@@ -1,7 +1,7 @@
 //! Audit the persisted per-rank `.events` rings of a multi-process run.
 //!
 //! ```text
-//! pcomm-audit [--bench-json PATH] <rank0.events> <rank1.events> ...
+//! pcomm-audit <rank0.events> <rank1.events> ...
 //! ```
 //!
 //! Reads every `.events` sidecar (written next to the Chrome trace when
@@ -11,40 +11,23 @@
 //! stdout.
 //!
 //! Exit status: 0 when the run audits clean, 1 when any finding
-//! survived, 2 on usage or input errors. `--bench-json` additionally
-//! writes `{"audit_wall_ms": ..., ...}` to the given path so CI can
-//! fold audit cost into its benchmark records.
+//! survived, 2 on usage or input errors.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-fn usage() -> ExitCode {
-    eprintln!("usage: pcomm-audit [--bench-json PATH] <file.events>...");
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: pcomm-audit <file.events>...";
 
 fn main() -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    let mut bench_json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--bench-json" => match args.next() {
-                Some(p) => bench_json = Some(p),
-                None => return usage(),
-            },
-            "-h" | "--help" => {
-                println!("usage: pcomm-audit [--bench-json PATH] <file.events>...");
-                return ExitCode::SUCCESS;
-            }
-            _ => files.push(a),
-        }
+    let files: Vec<String> = std::env::args().skip(1).collect();
+    if files.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
     if files.is_empty() {
-        return usage();
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     }
 
-    let start = Instant::now();
     let mut ranks = Vec::new();
     for f in &files {
         match pcomm_trace::read_events(std::path::Path::new(f)) {
@@ -56,21 +39,7 @@ fn main() -> ExitCode {
         }
     }
     let report = pcomm_verify::audit(&ranks);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     print!("{report}");
-
-    if let Some(path) = bench_json {
-        let json = format!(
-            "{{\"audit_wall_ms\": {wall_ms:.3}, \"files\": {}, \"events\": {}, \"findings\": {}}}\n",
-            files.len(),
-            report.stats.events,
-            report.finding_count(),
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("pcomm-audit: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

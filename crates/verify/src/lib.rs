@@ -212,6 +212,23 @@ pub enum LintKind {
     LayoutMismatch,
 }
 
+impl LintKind {
+    /// Whether the rule fires on an event that is *missing* (the start
+    /// of a waited iteration, the `pready` of a waited partition, the
+    /// probe before a read) rather than on two events that are both in
+    /// the trace. Only the latter can be trusted once the ring has
+    /// overflowed and evicted its oldest events.
+    fn is_absence_based(self) -> bool {
+        match self {
+            LintKind::MissingPready
+            | LintKind::PreadyOutsideIteration
+            | LintKind::ReadBeforeArrival
+            | LintKind::UnbalancedStartWait => true,
+            LintKind::DoublePready | LintKind::WriteAfterPready | LintKind::LayoutMismatch => false,
+        }
+    }
+}
+
 impl fmt::Display for LintKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -268,6 +285,13 @@ pub struct VerifyStats {
     pub verify_events: usize,
     /// Distinct partitioned requests observed.
     pub requests: usize,
+    /// Events the ring overwrote before the snapshot (the `dropped`
+    /// passed to [`analyze`]); the trace is a suffix per thread when
+    /// this is non-zero.
+    pub dropped_events: u64,
+    /// Absence-based lints withheld because `dropped_events > 0`: what
+    /// they miss may have been evicted, not skipped by the program.
+    pub demoted_lints: usize,
 }
 
 /// Everything the three passes found, plus input statistics.
@@ -317,26 +341,50 @@ impl fmt::Display for VerifyReport {
         if self.is_clean() {
             writeln!(f, "  clean: no races, deadlocks, or protocol violations")?;
         }
+        if self.stats.dropped_events > 0 {
+            writeln!(
+                f,
+                "  note: the ring dropped {} events; {} absence-based lints demoted",
+                self.stats.dropped_events, self.stats.demoted_lints
+            )?;
+        }
         Ok(())
     }
 }
 
 /// Run all three passes over a captured event stream.
 ///
-/// The slice is typically `TraceData::events` from a run with
-/// verification enabled; non-verify events are ignored, so mixed traces
-/// are fine. Findings reference input positions via their `seq` fields.
-pub fn analyze(events: &[Event]) -> VerifyReport {
+/// The arguments are typically `TraceData::events` and
+/// `TraceData::dropped` from a run with verification enabled;
+/// non-verify events are ignored, so mixed traces are fine. Findings
+/// reference input positions via their `seq` fields.
+///
+/// With `dropped > 0` each thread's ring holds only a suffix of what
+/// happened, so — the rule [`audit`] applies to cross-process rings —
+/// lints that fire on a *missing* event (see [`LintKind`]: missing or
+/// out-of-iteration `pready`, read before arrival, unbalanced
+/// start/wait) are counted in [`VerifyStats::demoted_lints`] instead of
+/// reported. Findings between events that are both present (double
+/// `pready`, write after `pready`, layout mismatch, races, deadlock
+/// verdicts) stay on.
+pub fn analyze(events: &[Event], dropped: u64) -> VerifyReport {
     let model = model::Model::build(events);
+    let mut lints = lints::run_lints(&model);
+    let found = lints.len();
+    if dropped > 0 {
+        lints.retain(|l| !l.kind.is_absence_based());
+    }
     let stats = VerifyStats {
         total_events: model.total_events,
         verify_events: model.events.len(),
         requests: model.requests.len(),
+        dropped_events: dropped,
+        demoted_lints: found - lints.len(),
     };
     VerifyReport {
         races: hb::detect_races(&model),
         deadlocks: waitgraph::analyze_waits(&model),
-        lints: lints::run_lints(&model),
+        lints,
         stats,
     }
 }
@@ -348,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_clean() {
-        let report = analyze(&[]);
+        let report = analyze(&[], 0);
         assert!(report.is_clean());
         assert_eq!(report.finding_count(), 0);
         assert!(format!("{report}").contains("clean"));
@@ -361,7 +409,7 @@ mod tests {
             rank: 0,
             kind: EventKind::Pready { part: 3 },
         }];
-        let report = analyze(&events);
+        let report = analyze(&events, 0);
         assert!(report.is_clean());
         assert_eq!(report.stats.total_events, 1);
         assert_eq!(report.stats.verify_events, 0);
@@ -387,7 +435,7 @@ mod tests {
                 },
             },
         ];
-        let report = analyze(&events);
+        let report = analyze(&events, 0);
         assert_eq!(report.deadlocks.len(), 1);
         let text = format!("{report}");
         assert!(text.contains("deadlock cycle"), "{text}");

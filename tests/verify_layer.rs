@@ -9,7 +9,7 @@ use pcomm_netmodel::MachineConfig;
 use pcomm_simcore::Sim;
 use pcomm_simmpi::part as simpart;
 use pcomm_simmpi::World;
-use pcomm_trace::{Event, EventKind};
+use pcomm_trace::{Event, EventKind, Trace};
 use pcomm_verify::{analyze, AccessKind, DeadlockFinding, LintKind, Side};
 
 fn ev(ts_ns: u64, rank: u16, kind: EventKind) -> Event {
@@ -172,6 +172,64 @@ fn mid_iteration_checked_read_is_not_a_false_positive() {
     assert!(report.is_clean(), "consumer overlap flagged: {report}");
 }
 
+/// A receiver that polls `parrived` long enough overflows its thread's
+/// ring and evicts its own `VerifyStart`. The evicted start is not a
+/// protocol violation: with the drop count passed in, the wait that
+/// lost its start is a counted note, not a finding — while the very
+/// same events presented as a complete trace (`dropped = 0`) still
+/// raise `unbalanced-start-wait`.
+#[test]
+fn ring_overflow_demotes_the_evicted_start_instead_of_flagging_the_wait() {
+    const LANE_CAP: usize = 64;
+    let trace = Trace::ring_verify(LANE_CAP);
+    // The sender holds its partitions back until the receiver has
+    // out-polled its ring, so the overflow does not depend on timing.
+    let polled = std::sync::Barrier::new(2);
+    let (out, report) = Universe::new(2)
+        .with_trace(trace.clone())
+        .run_verified(|comm| {
+            if comm.rank() == 0 {
+                let ps = comm.psend_init(1, 9, 4, 64, PartOptions::default());
+                ps.start();
+                polled.wait();
+                for p in 0..4 {
+                    ps.write_partition(p, |b| b.fill(p as u8));
+                    ps.pready(p);
+                }
+                ps.wait();
+            } else {
+                let pr = comm.precv_init(0, 9, 4, 64, PartOptions::default());
+                pr.start();
+                for _ in 0..4 * LANE_CAP {
+                    assert!(!pr.parrived(0), "nothing was readied yet");
+                }
+                polled.wait();
+                while !pr.parrived(0) {
+                    std::thread::yield_now();
+                }
+                pr.wait();
+                assert_eq!(pr.partition(3)[0], 3);
+            }
+        });
+    out.unwrap();
+    assert!(report.is_clean(), "overflow read as a violation: {report}");
+    assert!(report.stats.dropped_events > 0, "the ring never overflowed");
+    assert_eq!(report.stats.demoted_lints, 1, "{report}");
+    assert!(format!("{report}").contains("1 absence-based lints demoted"));
+
+    let data = trace.snapshot().expect("trace is enabled");
+    let recv_start = |e: &Event| matches!(e.kind, EventKind::VerifyStart { sender: false, .. });
+    assert!(!data.events.iter().any(recv_start), "start was not evicted");
+    let complete = analyze(&data.events, 0);
+    assert!(
+        complete
+            .lints
+            .iter()
+            .any(|l| l.kind == LintKind::UnbalancedStartWait && l.rank == 1),
+        "a wait with no start in a complete trace must stay a finding: {complete}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Planted violations, real runtime.
 // ---------------------------------------------------------------------
@@ -305,7 +363,7 @@ fn fixture_user_write_after_pready_race() {
             },
         ),
     ];
-    let report = analyze(&events);
+    let report = analyze(&events, 0);
     let race = report
         .races
         .iter()
@@ -349,7 +407,7 @@ fn fixture_two_rank_tag_cycle_deadlock() {
             },
         ),
     ];
-    let report = analyze(&events);
+    let report = analyze(&events, 0);
     assert_eq!(report.deadlocks.len(), 1, "{report}");
     match &report.deadlocks[0] {
         DeadlockFinding::Cycle { edges } => {
@@ -377,7 +435,7 @@ fn fixture_orphan_wait_is_not_a_cycle() {
             tag: Some(3),
         },
     )];
-    let report = analyze(&events);
+    let report = analyze(&events, 0);
     assert_eq!(report.deadlocks.len(), 1);
     match &report.deadlocks[0] {
         DeadlockFinding::Orphan {
