@@ -1309,22 +1309,46 @@ impl Fabric {
                 });
             }
         }
-        if let Some((vreq, m)) = posted.verify_msg {
-            let eager = matched_eager;
+        let info = MsgInfo { src, tag, len };
+        self.finish_recv(
+            dst_rank,
+            info,
+            matched_eager,
+            &posted.info,
+            &posted.completion,
+            posted.verify_msg,
+        );
+    }
+
+    /// The tail of every receive — matched in process, a rendezvous
+    /// landed by the wire engine, or the last range of a partitioned
+    /// stream's message (on whichever lane's reader committed it): the
+    /// bytes are in the destination, so record the transfer for the
+    /// analyzer, publish the envelope, fire the completion.
+    pub(crate) fn finish_recv(
+        &self,
+        rank: usize,
+        msg: MsgInfo,
+        eager: bool,
+        info: &Mutex<Option<MsgInfo>>,
+        completion: &Completion,
+        verify_msg: Option<(u16, u16)>,
+    ) {
+        if let Some((vreq, m)) = verify_msg {
             // Emitted before the completion fires so the analyzer sees
             // the transfer's buffer write ordered before any parrived /
             // wait edge it enables.
             self.trace
-                .emit_verify(dst_rank as u16, || EventKind::VerifyMsgRecv {
+                .emit_verify(rank as u16, || EventKind::VerifyMsgRecv {
                     req: vreq,
                     msg: m,
                     tid: pcomm_trace::current_tid(),
                     eager,
                 });
         }
-        *posted.info.lock() = Some(MsgInfo { src, tag, len });
+        *info.lock() = Some(msg);
         self.matched.fetch_add(1, Ordering::Relaxed);
-        posted.completion.set();
+        completion.set();
         self.touch();
     }
 
@@ -1352,51 +1376,15 @@ impl Fabric {
             }
             .at(start)
         });
-        if let Some((vreq, m)) = posted.verify_msg {
-            self.trace
-                .emit_verify(self.wire.rank() as u16, || EventKind::VerifyMsgRecv {
-                    req: vreq,
-                    msg: m,
-                    tid: pcomm_trace::current_tid(),
-                    eager: false,
-                });
-        }
-        *posted.info.lock() = Some(MsgInfo { src, tag, len });
-        self.matched.fetch_add(1, Ordering::Relaxed);
-        posted.completion.set();
-        self.touch();
-    }
-
-    /// Complete one message of an incoming partitioned stream: every
-    /// byte of its range has been committed by `PartData` frames (the
-    /// wire-streaming analogue of the tail of [`Fabric::fulfill`]).
-    /// Runs on a transport reader thread — possibly a different lane
-    /// for every range of the message.
-    pub(crate) fn complete_stream_msg(
-        &self,
-        src: usize,
-        tag: i64,
-        len: usize,
-        info: &Mutex<Option<MsgInfo>>,
-        completion: &Completion,
-        verify_msg: Option<(u16, u16)>,
-    ) {
-        if let Some((vreq, m)) = verify_msg {
-            // Before the completion fires, as in every other recv path,
-            // so the analyzer sees the buffer write ordered before any
-            // parrived / wait edge it enables.
-            self.trace
-                .emit_verify(self.wire.rank() as u16, || EventKind::VerifyMsgRecv {
-                    req: vreq,
-                    msg: m,
-                    tid: pcomm_trace::current_tid(),
-                    eager: false,
-                });
-        }
-        *info.lock() = Some(MsgInfo { src, tag, len });
-        self.matched.fetch_add(1, Ordering::Relaxed);
-        completion.set();
-        self.touch();
+        let info = MsgInfo { src, tag, len };
+        self.finish_recv(
+            self.wire.rank(),
+            info,
+            false,
+            &posted.info,
+            &posted.completion,
+            posted.verify_msg,
+        );
     }
 
     /// Wire ingress, eager: copy the frame payload into a pooled buffer

@@ -15,26 +15,42 @@
 //!
 //! # The socket carrier
 //!
-//! Both ends of a partitioned stream are zero-copy: writers put ranges
-//! on the wire with a vectored write straight out of the pinned source,
-//! and readers `read(2)` each range straight *into* the pinned
-//! destination ([`WireProtocol::land_part`](crate::wire::WireProtocol::land_part))
-//! — the only copies are the kernel's socket transfers. CTS-released
-//! rendezvous payloads travel the same way.
-//!
-//! Per peer, per lane: one **writer** thread owning that lane's write
-//! half and an unbounded channel (senders only enqueue — a send can
-//! never block on a remote process, so there is no distributed
-//! write-write deadlock), and one **reader** thread owning the read
-//! half, dispatching frames into the engine. Lane 0 carries all
-//! ordered traffic (eager, rendezvous control, barriers, RMA, abort,
-//! `Bye`); lanes `1..N` (`PCOMM_NET_LANES`) carry only the
+//! Per peer, per lane: one **writer** thread draining an unbounded
+//! channel (senders only enqueue — a send can never block on a remote
+//! process, so there is no distributed write-write deadlock), and one
+//! **reader** thread dispatching what arrives into the engine. Lane 0
+//! carries all ordered traffic (eager, rendezvous control, barriers,
+//! RMA, abort, `Bye`); lanes `1..N` (`PCOMM_NET_LANES`) carry only the
 //! order-independent `PartData` ranges, round-robined so a large
 //! partition stream cannot head-of-line-block small eager traffic.
-//! Writers drain their channel in batches and put each batch on the
-//! wire with one vectored write. Abort tears everything down: the
-//! engine broadcasts an `Abort` frame, then `shutdown(2)` unblocks this
-//! process's own readers.
+//!
+//! Exactly one function touches a lane's socket per direction.
+//! [`SocketTransport::put`] takes a batch — control frames and pinned
+//! writes (a stream range or a CTS-released rendezvous payload) — and,
+//! under the lane's mutex, encodes, audit-stamps and sends it as one
+//! vectored write, payloads straight out of the pinned source; then it
+//! completes what the pinned writes cover. The writer thread `put`s
+//! what it drained; a reader thread mid-dispatch (CTS release) `put`s
+//! its own batch directly, skipping the thread hop; app threads never
+//! `put`, they enqueue ([`Caller`]). [`SocketTransport::take`] reads
+//! one frame head and either lands a pinned payload with a `read(2)`
+//! straight *into* its destination
+//! ([`WireProtocol::land_part`](crate::wire::WireProtocol::land_part),
+//! `land_rdv`) — so the only copies are the kernel's socket transfers —
+//! or reads the body (`pcomm_net::frame` owns head and body reads, and
+//! never trusts the length prefix for an allocation) and dispatches it.
+//!
+//! Either one failing goes through the one triage,
+//! [`SocketTransport::lane_failed`]:
+//!
+//! | lane          | verdict                                                     |
+//! |---------------|-------------------------------------------------------------|
+//! | 0             | the peer's one bounded reconnect; a `put` retries its batch on the new socket, a reader continues on it |
+//! | data lane     | marked dead (`LaneDown`); a `put` re-queues its pinned writes and the writer's backlog on survivors (`LaneFailover`), a reader exits |
+//! | otherwise     | the peer is dead: typed `PeerPanicked` for every local waiter |
+//!
+//! Abort tears everything down: the engine broadcasts an `Abort` frame,
+//! then `shutdown(2)` unblocks this process's own readers.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +59,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pcomm_net::frame::{self, Frame, MAX_FRAME_BODY};
+use pcomm_net::frame::{self, Frame};
 use pcomm_net::{Endpoint, Mesh, MeshConfig, WireFault, WireFaults};
 use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 
@@ -192,43 +208,78 @@ pub(crate) trait Transport: Send + Sync {
     fn close(&self, fabric: &Fabric);
 }
 
-/// A pinned partitioned range headed for the wire: the writer encodes
-/// an 18-byte `PartData` header into scratch and writes the payload
-/// straight from the source buffer (no copy), then completes the spans
-/// the range covers.
-struct StreamWrite {
-    rdv_id: u64,
-    offset: u64,
+/// A pinned byte range headed for the wire without an intermediate
+/// copy: `head` (a `PartData` or `RdvData` frame header — length prefix
+/// through the last fixed field) goes out followed by the payload
+/// straight from the pinned source buffer, as one vectored write, and
+/// `then` names what that write completes. A CTS-released rendezvous
+/// payload therefore pays one kernel copy instead of three buffer hops
+/// (pinned→Vec, Vec→scratch, scratch→socket), like a stream range.
+struct PinnedWrite {
+    head: [u8; 4 + frame::PART_DATA_BODY_HDR],
+    head_len: usize,
     ptr: *const u8,
     len: usize,
-    spans: Arc<Vec<SendSpan>>,
+    then: Then,
 }
 
-// SAFETY: same argument as [`PinChunk`] — the source stays pinned until
-// the spans' `done` completions fire, and only the owning writer thread
+/// What a [`PinnedWrite`] completes once its bytes have left.
+enum Then {
+    /// The sender spans covered by the range at `offset` of partitioned
+    /// stream `rdv_id`.
+    Spans {
+        rdv_id: u64,
+        offset: u64,
+        spans: Arc<Vec<SendSpan>>,
+    },
+    /// The rendezvous sender's `done` (lane 0 only).
+    Done(Arc<Completion>),
+}
+
+// SAFETY: same argument as [`PinChunk`] and [`PinnedSend`] — the source
+// stays pinned until `then` is completed (the spans' `done`
+// completions, or the rendezvous `done`), which `put` does only after
+// the write, and only the thread holding the lane's `direct` mutex
 // reads through the pointer.
-unsafe impl Send for StreamWrite {}
+unsafe impl Send for PinnedWrite {}
 
-/// A CTS-released rendezvous payload travelling to the wire without an
-/// intermediate copy: the 14 header bytes go in writer scratch, the
-/// payload slice is handed to the kernel straight from the pinned
-/// source buffer, and `pinned.done` fires only after the vectored
-/// write — so large non-partitioned sends pay one kernel copy instead
-/// of three buffer hops (pinned→Vec, Vec→scratch, scratch→socket).
-struct RdvWrite {
-    rdv_id: u64,
-    pinned: PinnedSend,
+impl PinnedWrite {
+    fn stream(rdv_id: u64, chunk: PinChunk, spans: &Arc<Vec<SendSpan>>) -> PinnedWrite {
+        PinnedWrite {
+            head: frame::part_data_header(rdv_id, chunk.offset, chunk.len),
+            head_len: 4 + frame::PART_DATA_BODY_HDR,
+            ptr: chunk.ptr,
+            len: chunk.len,
+            then: Then::Spans {
+                rdv_id,
+                offset: chunk.offset,
+                spans: Arc::clone(spans),
+            },
+        }
+    }
+
+    fn rdv(rdv_id: u64, pinned: PinnedSend) -> PinnedWrite {
+        let short = frame::rdv_data_header(rdv_id, pinned.len);
+        let mut head = [0u8; 4 + frame::PART_DATA_BODY_HDR];
+        head[..short.len()].copy_from_slice(&short);
+        PinnedWrite {
+            head,
+            head_len: short.len(),
+            ptr: pinned.ptr,
+            len: pinned.len,
+            then: Then::Done(pinned.done),
+        }
+    }
 }
 
-/// What a writer thread consumes. Frames cross the channel undecoded;
-/// the writer encodes into its own reusable scratch buffers.
+/// What goes onto a lane: the entries of a [`SocketTransport::put`]
+/// batch, and what a writer thread consumes. Frames cross the channel
+/// undecoded; `put` encodes them into its caller's reusable scratch.
 enum WriterMsg {
     /// A frame to put on the wire.
     Frame(Frame),
-    /// A pinned partitioned range (zero-copy payload).
-    Stream(StreamWrite),
-    /// A pinned rendezvous payload (zero-copy, lane 0).
-    Rdv(RdvWrite),
+    /// A pinned stream range or rendezvous payload (zero-copy).
+    Pinned(PinnedWrite),
     /// Flush and exit (teardown).
     Shutdown,
 }
@@ -244,13 +295,13 @@ struct Lane {
     /// Taken by `start`.
     rx: Mutex<Option<Receiver<WriterMsg>>>,
     writer: Mutex<Option<JoinHandle<()>>>,
-    /// The write half. The lane's writer thread locks it per batch;
-    /// reader threads releasing a CTS batch write under the same mutex
-    /// directly, skipping the context switch that would otherwise cap
-    /// partitioned bandwidth on small machines. App threads never
-    /// write here — a `pready` must not donate its timeslice to a
-    /// blocking socket write. After a lane-0 reconnect this holds the
-    /// re-handshaken endpoint.
+    /// The write half. Every `put` locks it for its batch: the lane's
+    /// writer thread, and reader threads releasing a CTS batch, which
+    /// write under the same mutex directly, skipping the context switch
+    /// that would otherwise cap partitioned bandwidth on small
+    /// machines. App threads never write here — a `pready` must not
+    /// donate its timeslice to a blocking socket write. After a lane-0
+    /// reconnect this holds the re-handshaken endpoint.
     direct: Mutex<Option<Endpoint>>,
     /// Cleared when the lane's socket dies; dead data lanes drop out of
     /// the round-robin and their in-flight work fails over.
@@ -283,13 +334,67 @@ impl Lane {
             }
         }
     }
+}
 
-    /// The writer thread took one message off the channel.
-    fn dequeued(&self) {
-        // ORDERING: `queued` is an advisory backlog gauge (see
-        // `enqueue`); exact interleaving with readers does not matter.
-        self.queued.fetch_sub(1, Ordering::Relaxed);
+/// A writer thread's end of its lane's channel.
+struct Inbox {
+    rx: Receiver<WriterMsg>,
+    /// Cleared by `Shutdown` (or a vanished sender): nothing further
+    /// will be consumed.
+    open: bool,
+}
+
+impl Inbox {
+    /// Move queued messages into `batch` until it holds `max`, blocking
+    /// for the first one when `block`.
+    fn drain(&mut self, lane: &Lane, batch: &mut Vec<WriterMsg>, max: usize, block: bool) {
+        while self.open && batch.len() < max {
+            let blocking = block && batch.is_empty();
+            let got = if blocking {
+                self.rx.recv().ok()
+            } else {
+                self.rx.try_recv().ok()
+            };
+            let Some(msg) = got else {
+                // A blocking receive fails only once every sender is gone.
+                self.open = !blocking;
+                return;
+            };
+            // ORDERING: `queued` is an advisory backlog gauge (see
+            // `Lane::enqueue`); exact interleaving with readers does not
+            // matter.
+            lane.queued.fetch_sub(1, Ordering::Relaxed);
+            match msg {
+                WriterMsg::Shutdown => self.open = false,
+                msg => batch.push(msg),
+            }
+        }
     }
+}
+
+/// How a [`SocketTransport::put`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Put {
+    /// The batch reached the socket (less what an abort skipped).
+    Sent,
+    /// The data lane died: the batch's pinned writes (and the writer's
+    /// backlog) were re-queued on survivors, its control frames are
+    /// left in the batch.
+    FailedOver,
+    /// The peer is gone (typed error raised) or the universe is
+    /// aborting; nothing was completed.
+    Dead,
+}
+
+/// What a dead lane means: the verdict of
+/// [`SocketTransport::lane_failed`].
+enum Fate {
+    /// Lane 0 was re-established; a read handle on the new socket.
+    Reconnected(Endpoint),
+    /// A data lane: marked dead, the survivors carry on.
+    FailedOver,
+    /// The peer is gone for good (or the universe is tearing down).
+    Dead,
 }
 
 /// Outcome of the single bounded lane-0 reconnect attempt for a peer.
@@ -308,19 +413,19 @@ enum Reconnected {
 /// carry `PartData` only.
 struct Peer {
     lanes: Vec<Lane>,
-    connected: Arc<AtomicBool>,
-    frames_sent: Arc<AtomicU64>,
-    frames_received: Arc<AtomicU64>,
-    saw_bye: Arc<AtomicBool>,
+    connected: AtomicBool,
+    frames_sent: AtomicU64,
+    frames_received: AtomicU64,
+    saw_bye: AtomicBool,
     /// Round-robin cursor over the data lanes.
     next_lane: AtomicUsize,
     /// Transport-relative ms timestamp of the last frame read from this
     /// peer on any lane — the liveness signal the heartbeat monitor
     /// escalates on.
     last_heard_ms: AtomicU64,
-    /// The one bounded lane-0 reconnect, shared by the reader and writer
-    /// threads (whichever notices the death first performs it; the other
-    /// blocks on this lock and reuses the outcome).
+    /// The one bounded lane-0 reconnect, shared by every thread that
+    /// notices the death (whichever arrives first performs it; the
+    /// others block on this lock and reuse the outcome).
     reconnect: Mutex<Reconnected>,
     /// Reconnect epoch for audit events: 0 until the peer's one bounded
     /// lane-0 reconnect succeeds, 1 after. Bumped while the lane-0
@@ -414,10 +519,10 @@ impl SocketTransport {
                         .collect();
                     Peer {
                         lanes,
-                        connected: Arc::new(AtomicBool::new(true)),
-                        frames_sent: Arc::new(AtomicU64::new(0)),
-                        frames_received: Arc::new(AtomicU64::new(0)),
-                        saw_bye: Arc::new(AtomicBool::new(false)),
+                        connected: AtomicBool::new(true),
+                        frames_sent: AtomicU64::new(0),
+                        frames_received: AtomicU64::new(0),
+                        saw_bye: AtomicBool::new(false),
                         next_lane: AtomicUsize::new(0),
                         last_heard_ms: AtomicU64::new(0),
                         reconnect: Mutex::new(Reconnected::No),
@@ -445,22 +550,11 @@ impl SocketTransport {
         self.t0.elapsed().as_millis() as u64
     }
 
-    /// A frame arrived from `peer` — refresh its liveness timestamp.
-    fn note_heard(&self, peer: usize) {
-        if let Some(p) = &self.peers[peer] {
-            // ORDERING: liveness timestamp read only by the heartbeat
-            // monitor to estimate quiet time; a stale read just shifts
-            // the estimate by one poll interval.
-            p.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
     /// Audit hook: one frame is about to leave on `lane_idx` toward
-    /// `dst`. Callers hold the lane's `direct` mutex (or run on its
-    /// writer thread mid-batch, which writes under the same mutex), so
-    /// the per-lane `tx_seq` order is exact wire order and the epoch
-    /// read matches the socket the frame goes to. No-op unless the
-    /// trace is verify-grade.
+    /// `dst`. The caller holds the lane's `direct` mutex, so the
+    /// per-lane `tx_seq` order is exact wire order and the epoch read
+    /// matches the socket the frame goes to. No-op unless the trace is
+    /// verify-grade.
     fn emit_wire_send(&self, fabric: &Fabric, dst: usize, lane_idx: usize, op: u8) {
         let trace = fabric.trace();
         if !trace.is_verify() {
@@ -492,34 +586,6 @@ impl SocketTransport {
         });
     }
 
-    /// Audit hook: the `PartData` range `offset..offset+len` of stream
-    /// `rdv_id` is about to leave on `lane_idx`. Same locking contract
-    /// as [`emit_wire_send`](Self::emit_wire_send); emitted before the
-    /// write so a torn batch still records what may have reached the
-    /// peer. No-op unless the trace is verify-grade.
-    fn emit_stream_data_tx(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        lane_idx: usize,
-        rdv_id: u64,
-        offset: u64,
-        len: usize,
-    ) {
-        let (p16, l16, stream) = (dst as u16, lane_idx as u16, rdv_id as u32);
-        let len32 = len as u32;
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer: p16,
-                lane: l16,
-                tx: true,
-                stream,
-                offset,
-                len: len32,
-            });
-    }
-
     /// Enqueue one ordered frame toward `dst` (lane 0; never blocks —
     /// the writer thread does the I/O). Sends to an already-torn-down
     /// peer are dropped.
@@ -547,60 +613,254 @@ impl SocketTransport {
         0
     }
 
-    /// A data lane's socket died. First caller (reader and writer race)
-    /// marks it dead, kills both halves so the twin thread and the
-    /// remote end stop waiting on it, and traces the death. Lane 0 never
-    /// goes through here — its failure is a reconnect, not a failover.
-    fn data_lane_failed(&self, fabric: &Fabric, peer_rank: usize, lane_idx: usize) {
-        debug_assert!(lane_idx > 0, "lane 0 recovers, it does not fail over");
-        let Some(peer) = &self.peers[peer_rank] else {
-            return;
-        };
-        let lane = &peer.lanes[lane_idx];
-        if !lane.alive.swap(false, Ordering::AcqRel) {
-            return;
+    /// Hand one message to `lane_idx`'s writer thread. An enqueue can
+    /// only fail when that writer exited — mark the lane dead and
+    /// re-route to a surviving one (data lanes first, lane 0 as the
+    /// last resort); a failed lane-0 enqueue means the universe is
+    /// tearing down and the waiters unwind via the abort.
+    fn enqueue_on(&self, peer: &Peer, mut lane_idx: usize, mut msg: WriterMsg) {
+        while let Err(back) = peer.lanes[lane_idx].enqueue(msg) {
+            peer.lanes[lane_idx].alive.store(false, Ordering::Release);
+            if lane_idx == 0 {
+                return;
+            }
+            (lane_idx, msg) = (self.pick_lane(peer), back);
         }
-        lane.endpoint.shutdown();
-        let (p16, l16) = (peer_rank as u16, lane_idx as u16);
-        fabric
-            .trace()
-            .emit(self.rank as u16, || EventKind::LaneDown {
-                peer: p16,
-                lane: l16,
-            });
     }
 
-    /// Re-route one pinned stream range after its lane died: pick a
-    /// surviving lane (data lanes first, lane 0 as the last resort) and
-    /// enqueue it there. An enqueue can only fail when that lane's
-    /// writer exited too — mark it dead and keep going; a failed lane-0
-    /// enqueue means the universe is tearing down and the range's
-    /// waiters unwind via the abort.
-    fn requeue_stream(&self, dst: usize, sw: StreamWrite) {
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
-        let mut msg = WriterMsg::Stream(sw);
-        loop {
-            let lane_idx = self.pick_lane(peer);
-            match peer.lanes[lane_idx].enqueue(msg) {
-                Ok(()) => return,
-                Err(back) => {
-                    peer.lanes[lane_idx].alive.store(false, Ordering::Release);
-                    if lane_idx == 0 {
-                        return;
-                    }
-                    msg = back;
-                }
+    /// Re-route every pinned write of `batch` to surviving lanes after
+    /// theirs died, leaving the control frames behind; returns how many
+    /// moved.
+    fn requeue_pinned(&self, peer: &Peer, batch: &mut Vec<WriterMsg>) -> u64 {
+        let mut requeued = 0;
+        for msg in std::mem::take(batch) {
+            if matches!(msg, WriterMsg::Pinned(_)) {
+                self.enqueue_on(peer, self.pick_lane(peer), msg);
+                requeued += 1;
+            } else {
+                batch.push(msg);
             }
         }
+        requeued
+    }
+
+    /// The one way onto a lane's socket. Under the lane's `direct`
+    /// mutex — which is what keeps the writer thread's and the reader
+    /// threads' frames from interleaving — the batch's control frames
+    /// are encoded into `scratch`, every entry gets its audit stamp in
+    /// wire order, and everything leaves as one vectored write, pinned
+    /// payloads straight from their source buffers; only then do the
+    /// pinned writes complete their spans / `done`. The writer thread
+    /// passes its drained channel batch (and its `inbox`), a reader
+    /// thread mid-dispatch a local one. A failed write goes through
+    /// [`lane_failed`](Self::lane_failed): lane 0 retries the same
+    /// batch once on the reconnected socket (at-least-once — the
+    /// receiving engine deduplicates), a data lane's pinned writes move
+    /// to the survivors.
+    fn put(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        lane_idx: usize,
+        batch: &mut Vec<WriterMsg>,
+        scratch: &mut Vec<Vec<u8>>,
+        inbox: Option<&mut Inbox>,
+    ) -> Put {
+        let Some(peer) = &self.peers[dst] else {
+            return Put::Dead;
+        };
+        if batch.is_empty() {
+            return Put::Sent;
+        }
+        let lane = &peer.lanes[lane_idx];
+        // An aborting universe may already be unwinding the buffers that
+        // pinned entries point into: drop them unsent (their waiters
+        // unwind via the abort), keep the control frames (the abort
+        // broadcast is one of them).
+        let aborting = fabric.aborted();
+        let mut n_frames = 0;
+        for msg in batch.iter() {
+            if let WriterMsg::Frame(f) = msg {
+                if scratch.len() == n_frames {
+                    scratch.push(Vec::new());
+                }
+                f.encode_into(&mut scratch[n_frames]);
+                n_frames += 1;
+            }
+        }
+        let failed_over = {
+            let mut encoded = scratch.iter();
+            let mut slices: Vec<&[u8]> = Vec::with_capacity(batch.len() * 2);
+            for msg in batch.iter() {
+                match msg {
+                    WriterMsg::Frame(_) => slices.extend(encoded.next().map(Vec::as_slice)),
+                    WriterMsg::Pinned(pw) if !aborting => {
+                        slices.push(&pw.head[..pw.head_len]);
+                        // SAFETY: the source buffer stays pinned until
+                        // `then` is completed below, after the write
+                        // (invariant (1)); the abort check above plus
+                        // the drain grace cover teardown races.
+                        slices.push(unsafe { std::slice::from_raw_parts(pw.ptr, pw.len) });
+                    }
+                    _ => {}
+                }
+            }
+            let mut may_recover = true;
+            loop {
+                let wrote = match lane.direct.lock().as_mut() {
+                    Some(ep) => {
+                        // Audit record under the lane mutex, one event
+                        // per frame in wire order, emitted before the
+                        // write so a torn batch still records what may
+                        // have reached the peer, and re-stamped on a
+                        // post-reconnect retry (each attempt is a
+                        // genuine new wire frame).
+                        for msg in batch.iter() {
+                            match msg {
+                                WriterMsg::Frame(f) => {
+                                    self.emit_wire_send(fabric, dst, lane_idx, f.op())
+                                }
+                                WriterMsg::Pinned(pw) if !aborting => {
+                                    self.emit_wire_send(fabric, dst, lane_idx, pw.head[5]);
+                                    if let Then::Spans { rdv_id, offset, .. } = pw.then {
+                                        let (p16, l16) = (dst as u16, lane_idx as u16);
+                                        fabric.trace().emit_verify(self.rank as u16, || {
+                                            EventKind::VerifyStreamData {
+                                                peer: p16,
+                                                lane: l16,
+                                                tx: true,
+                                                stream: rdv_id as u32,
+                                                offset,
+                                                len: pw.len as u32,
+                                            }
+                                        });
+                                    }
+                                }
+                                _ => {}
+                            }
+                        }
+                        write_all_vectored(ep, &slices).and_then(|()| ep.flush())
+                    }
+                    None => Err(io::Error::new(
+                        io::ErrorKind::NotConnected,
+                        "net: lane endpoint already torn down",
+                    )),
+                };
+                let Err(err) = wrote else { break false };
+                match self.lane_failed(fabric, dst, lane_idx, may_recover, &err) {
+                    // `direct` now holds the new socket: same batch again.
+                    Fate::Reconnected(_) => may_recover = false,
+                    Fate::FailedOver => break true,
+                    Fate::Dead => return Put::Dead,
+                }
+            }
+        };
+        if failed_over {
+            // The batch never reached the wire (or did so only partially
+            // — the receiver's interval ledger absorbs the overlap) and
+            // nothing in it has completed, so the pinned sources are
+            // still live: replay them whole on the survivors, with
+            // whatever this lane's writer still had queued behind them.
+            if let Some(inbox) = inbox {
+                inbox.drain(lane, batch, usize::MAX, false);
+            }
+            let requeued = self.requeue_pinned(peer, batch);
+            let (p16, l16) = (dst as u16, lane_idx as u16);
+            fabric
+                .trace()
+                .emit(self.rank as u16, || EventKind::LaneFailover {
+                    peer: p16,
+                    lane: l16,
+                    requeued,
+                });
+            return Put::FailedOver;
+        }
+        let mut sent = 0;
+        for msg in batch.drain(..) {
+            match msg {
+                WriterMsg::Pinned(_) if aborting => continue,
+                WriterMsg::Pinned(pw) => match pw.then {
+                    Then::Spans { offset, spans, .. } => {
+                        complete_spans(&spans, offset as usize, pw.len)
+                    }
+                    Then::Done(done) => done.set(),
+                },
+                _ => {}
+            }
+            sent += 1;
+        }
+        // ORDERING: statistics counter surfaced in diagnostics snapshots
+        // only; no memory is published through it.
+        peer.frames_sent.fetch_add(sent, Ordering::Relaxed);
+        Put::Sent
+    }
+
+    /// The one triage of a dead lane, for writers and readers alike
+    /// (`err` is what the socket said). A data lane fails over quietly:
+    /// the first caller (its reader and writers race) marks it dead,
+    /// kills both halves so the twin thread and the remote end stop
+    /// waiting on it, and traces the death — the surviving lanes carry
+    /// the stream and lane 0 carries liveness, so this is a trace
+    /// event, not a universe failure. Lane 0 gets the one bounded
+    /// reconnect while `may_recover` (a reader's second failure, or a
+    /// batch that failed again on the new socket, may not). Anything
+    /// else — EOF or an error without a `Bye` — means the peer process
+    /// died: the would-be hang becomes a typed error for every local
+    /// waiter.
+    fn lane_failed(
+        &self,
+        fabric: &Fabric,
+        peer_rank: usize,
+        lane_idx: usize,
+        may_recover: bool,
+        err: &io::Error,
+    ) -> Fate {
+        let Some(peer) = &self.peers[peer_rank] else {
+            return Fate::Dead;
+        };
+        if fabric.aborted() {
+            return Fate::Dead; // teardown; the abort already carries the story
+        }
+        let lane = &peer.lanes[lane_idx];
+        if lane_idx > 0 {
+            if lane.alive.swap(false, Ordering::AcqRel) {
+                lane.endpoint.shutdown();
+                let (p16, l16) = (peer_rank as u16, lane_idx as u16);
+                fabric
+                    .trace()
+                    .emit(self.rank as u16, || EventKind::LaneDown {
+                        peer: p16,
+                        lane: l16,
+                    });
+            }
+            return Fate::FailedOver;
+        }
+        if may_recover {
+            // Kill our half first so the lane's other threads and the
+            // remote peer all observe the failure and join the
+            // reconnect handshake.
+            lane.endpoint.shutdown();
+            if let Some(ep) = self.recover_lane0(fabric, peer_rank) {
+                return Fate::Reconnected(ep);
+            }
+        }
+        peer.connected.store(false, Ordering::Release);
+        // The first failure wins: if the universe aborted meanwhile this
+        // one is a casualty and is discarded.
+        fabric.fail(PcommError::PeerPanicked {
+            rank: peer_rank,
+            message: format!(
+                "rank process exited unexpectedly \
+                 (connection to rank {peer_rank} lost: {err})"
+            ),
+        });
+        Fate::Dead
     }
 
     /// Put the ready chunks of stream `rdv_id` on the wire toward
     /// `dst`, round-robined over the data lanes. `caller` picks the
-    /// write discipline: reader threads (CTS release) write each lane's
-    /// share directly as one vectored batch (headers from the stack,
-    /// payloads straight from the pinned source — no thread hop); app
+    /// write discipline: reader threads (CTS release) `put` each lane's
+    /// share directly as one vectored batch (no thread hop); app
     /// threads (post-CTS `pready`) enqueue to the lane writers instead,
     /// because a blocking socket write inside `pready` stalls the
     /// computation for a scheduler quantum whenever the host is
@@ -617,15 +877,7 @@ impl SocketTransport {
         let Some(peer) = &self.peers[dst] else {
             return;
         };
-        let stream_write = |chunk: PinChunk| StreamWrite {
-            rdv_id,
-            offset: chunk.offset,
-            ptr: chunk.ptr,
-            len: chunk.len,
-            spans: Arc::clone(spans),
-        };
-        let n_lanes = peer.lanes.len();
-        let mut buckets: Vec<Vec<PinChunk>> = (0..n_lanes).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<WriterMsg>> = peer.lanes.iter().map(|_| Vec::new()).collect();
         for &chunk in chunks {
             let lane = self.pick_lane(peer);
             let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
@@ -637,155 +889,55 @@ impl SocketTransport {
                     offset,
                     bytes,
                 });
-            buckets[lane].push(chunk);
+            buckets[lane].push(WriterMsg::Pinned(PinnedWrite::stream(rdv_id, chunk, spans)));
         }
-        if caller == Caller::App {
-            for (lane_idx, bucket) in buckets.into_iter().enumerate() {
-                for chunk in bucket {
-                    if let Err(WriterMsg::Stream(sw)) =
-                        peer.lanes[lane_idx].enqueue(WriterMsg::Stream(stream_write(chunk)))
-                    {
-                        // Writer already gone (lane died under us):
-                        // reroute to a survivor.
-                        self.requeue_stream(dst, sw);
+        for (lane_idx, mut bucket) in buckets.into_iter().enumerate() {
+            match caller {
+                Caller::App => {
+                    for msg in bucket {
+                        self.enqueue_on(peer, lane_idx, msg);
                     }
                 }
-            }
-            return;
-        }
-        for (lane_idx, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let lane = &peer.lanes[lane_idx];
-            let mut guard = lane.direct.lock();
-            let Some(ep) = guard.as_mut() else {
-                drop(guard);
-                for chunk in bucket {
-                    if let Err(WriterMsg::Stream(sw)) =
-                        lane.enqueue(WriterMsg::Stream(stream_write(chunk)))
-                    {
-                        self.requeue_stream(dst, sw);
-                    }
+                Caller::Progress => {
+                    self.put(fabric, dst, lane_idx, &mut bucket, &mut Vec::new(), None);
                 }
-                continue;
-            };
-            if fabric.aborted() {
-                // The source buffers may already be unwinding: drop the
-                // chunks unsent (their waiters unwind via the abort).
-                continue;
             }
-            let headers: Vec<[u8; 4 + frame::PART_DATA_BODY_HDR]> = bucket
-                .iter()
-                .map(|c| frame::part_data_header(rdv_id, c.offset, c.len))
-                .collect();
-            let mut slices: Vec<&[u8]> = Vec::with_capacity(bucket.len() * 2);
-            for (header, chunk) in headers.iter().zip(&bucket) {
-                slices.push(header);
-                // SAFETY: the source buffer stays pinned until the
-                // spans completed below fire (invariant (1)); the abort
-                // check above plus the drain grace cover teardown
-                // races, as in the rendezvous CTS path.
-                slices.push(unsafe { std::slice::from_raw_parts(chunk.ptr, chunk.len) });
-            }
-            for chunk in &bucket {
-                self.emit_wire_send(fabric, dst, lane_idx, frame::op::PART_DATA);
-                self.emit_stream_data_tx(fabric, dst, lane_idx, rdv_id, chunk.offset, chunk.len);
-            }
-            let wrote = write_all_vectored(ep, &slices).and_then(|()| ep.flush());
-            drop(slices);
-            drop(guard);
-            if wrote.is_err() {
-                if fabric.aborted() {
-                    continue;
-                }
-                if lane_idx > 0 {
-                    // The bucket never reached the wire (or did so only
-                    // partially — the receiver's interval ledger absorbs
-                    // the overlap): fail the lane over and replay the
-                    // chunks on survivors.
-                    self.data_lane_failed(fabric, dst, lane_idx);
-                }
-                let requeued = bucket.len() as u64;
-                for chunk in bucket {
-                    // For lane 0 (single-lane meshes) this re-enqueues to
-                    // the lane-0 writer, whose own error path performs
-                    // the bounded reconnect-and-retry.
-                    self.requeue_stream(dst, stream_write(chunk));
-                }
-                let (p16, l16) = (dst as u16, lane_idx as u16);
-                fabric
-                    .trace()
-                    .emit(self.rank as u16, || EventKind::LaneFailover {
-                        peer: p16,
-                        lane: l16,
-                        requeued,
-                    });
-                continue;
-            }
-            for chunk in &bucket {
-                complete_spans(spans, chunk.offset as usize, chunk.len);
-            }
-            let sent = bucket.len() as u64;
-            // ORDERING: statistics counter surfaced in diagnostics
-            // snapshots only; no memory is published through it.
-            peer.frames_sent.fetch_add(sent, Ordering::Relaxed);
         }
     }
 
     /// Put a small control frame on a data lane's socket directly if
     /// one exists (bypassing the lane-0 writer thread), else fall back
     /// to the ordered lane. Only valid for frames with no ordering
-    /// obligation toward lane-0 traffic.
+    /// obligation toward lane-0 traffic — which is also why a lane that
+    /// dies under the frame just hands it to the next survivor.
     fn send_data_frame(&self, fabric: &Fabric, dst: usize, frame: Frame) {
         let Some(peer) = &self.peers[dst] else {
             return;
         };
+        let (mut batch, mut scratch) = (vec![WriterMsg::Frame(frame)], Vec::new());
         for (lane_idx, lane) in peer.lanes.iter().enumerate().skip(1) {
-            if !lane.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            let wrote = {
-                let mut guard = lane.direct.lock();
-                match guard.as_mut() {
-                    Some(ep) => {
-                        let mut buf = Vec::with_capacity(32);
-                        frame.encode_into(&mut buf);
-                        self.emit_wire_send(fabric, dst, lane_idx, frame.op());
-                        Some(write_all_vectored(ep, &[&buf]).and_then(|()| ep.flush()))
-                    }
-                    None => None,
-                }
-            };
-            match wrote {
-                Some(Ok(())) => {
-                    // ORDERING: statistics counter (diagnostics only).
-                    peer.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Some(Err(_)) => {
-                    if fabric.aborted() {
-                        return;
-                    }
-                    // This lane is gone; the frame carries no ordering
-                    // obligation, so just try the next survivor.
-                    self.data_lane_failed(fabric, dst, lane_idx);
-                }
-                None => {}
+            if lane.alive.load(Ordering::Acquire)
+                && self.put(fabric, dst, lane_idx, &mut batch, &mut scratch, None)
+                    != Put::FailedOver
+            {
+                return;
             }
         }
-        self.send_frame(dst, frame);
+        for msg in batch {
+            self.enqueue_on(peer, 0, msg);
+        }
     }
 
     /// Recover from a dead lane-0 socket with ONE bounded reconnect per
     /// peer for the transport's lifetime: re-run the pair rendezvous
     /// (Hello re-handshake included), swap the new endpoint into the
     /// lane's write handle, and tell the peer which stream bytes we
-    /// already hold so it can detect unreplayable loss. The reader and
-    /// writer threads race here; whoever arrives first performs the
-    /// attempt, the other blocks on the slot and reuses the outcome.
-    /// Returns a read handle on the new socket, or `None` when the peer
-    /// is gone for good (callers then raise the typed error).
+    /// already hold so it can detect unreplayable loss. The lane's
+    /// threads race here; whoever arrives first performs the attempt,
+    /// the others block on the slot and reuse the outcome. Returns a
+    /// read handle on the new socket (a fresh socket starts at a frame
+    /// boundary, so a mid-frame death resynchronizes naturally), or
+    /// `None` when the peer is gone for good.
     ///
     /// The reconnected endpoint is deliberately NOT re-wrapped in the
     /// wire-fault plan: recovery is one bounded attempt, and a chaos
@@ -840,7 +992,9 @@ impl SocketTransport {
             peer.epoch.fetch_add(1, Ordering::Release);
             *direct = Some(writer_ep);
         }
-        // ORDERING: liveness timestamp (see `note_heard`).
+        // ORDERING: liveness timestamp read only by the heartbeat
+        // monitor to estimate quiet time; a stale read just shifts the
+        // estimate by one poll interval.
         peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
         peer.connected.store(true, Ordering::Release);
         *slot = Reconnected::Yes(ep);
@@ -848,6 +1002,96 @@ impl SocketTransport {
         fabric.wire().resync_streams(fabric, peer_rank);
         Some(caller_ep)
     }
+
+    /// The one way off a lane's socket: read one frame head (every one
+    /// refreshes the peer's liveness timestamp and gets its audit
+    /// stamp), then either land a pinned payload straight in its
+    /// destination or read the body into the reusable `body` and
+    /// dispatch the frame into the engine. `Ok(false)` is the peer's
+    /// clean goodbye. `epoch`/`seq` are the calling reader's audit
+    /// counters: `seq` counts every frame head read off this lane in
+    /// order, `epoch` the lane-0 reconnect this reader lived through —
+    /// reader-local (not the shared peer epoch) so frames still
+    /// buffered in a dying socket keep their pre-reconnect epoch even
+    /// if the writer side already reconnected.
+    #[allow(clippy::too_many_arguments)] // the reader's whole state
+    fn take(
+        &self,
+        fabric: &Fabric,
+        peer_rank: usize,
+        lane: usize,
+        ep: &mut Endpoint,
+        body: &mut Vec<u8>,
+        epoch: u32,
+        seq: &mut u32,
+    ) -> io::Result<bool> {
+        let (rest, op) = frame::read_head(ep)?;
+        if let Some(peer) = &self.peers[peer_rank] {
+            // ORDERING: liveness timestamp (see `recover_lane0`).
+            peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
+            // ORDERING: statistics counter (diagnostics only).
+            peer.frames_received.fetch_add(1, Ordering::Relaxed);
+        }
+        let (p16, l16, op16, seq32) = (peer_rank as u16, lane as u16, op as u16, *seq);
+        fabric
+            .trace()
+            .emit_verify(self.rank as u16, || EventKind::VerifyWireRecv {
+                peer: p16,
+                lane: l16,
+                op: op16,
+                epoch,
+                seq: seq32,
+            });
+        *seq = seq.wrapping_add(1);
+        if op == frame::op::PART_DATA || op == frame::op::RDV_DATA {
+            take_pinned(fabric, peer_rank, lane, ep, op, rest).map(|()| true)
+        } else {
+            frame::read_rest(ep, op, rest, body)
+                .map(|f| fabric.wire().dispatch(fabric, peer_rank, lane, f))
+        }
+    }
+}
+
+/// Fast path for an incoming `PartData` or `RdvData`: read the small
+/// fixed header (stream or rendezvous id, plus the offset a `PartData`
+/// names), then `read(2)` the payload straight off the socket into the
+/// pinned destination — the kernel read is the only copy, mirroring the
+/// writer's vectored send of the pinned source. A payload nobody waits
+/// for (retired stream, unmatched id after a reconnect replay,
+/// post-abort straggler) is drained through a fixed buffer so the byte
+/// stream stays framed; its length is the peer's word and allocates
+/// nothing.
+fn take_pinned(
+    fabric: &Fabric,
+    peer: usize,
+    lane: usize,
+    ep: &mut Endpoint,
+    op: u8,
+    rest: usize,
+) -> io::Result<()> {
+    let is_part = op == frame::op::PART_DATA;
+    let fixed = if is_part { 16 } else { 8 };
+    let Some(len) = rest.checked_sub(fixed) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("net: truncated {} body ({rest} B)", frame::op::name(op)),
+        ));
+    };
+    let mut hdr = [0u8; 16];
+    ep.read_exact(&mut hdr[..fixed])?;
+    let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| hdr[at + i]));
+    let (id, offset) = (word(0), word(8) as usize);
+    let wire = fabric.wire();
+    let fill = |dest: &mut [u8]| ep.read_exact(dest);
+    let landed = if is_part {
+        wire.land_part(fabric, peer, lane, id, offset, len, fill)?
+    } else {
+        wire.land_rdv(fabric, peer, id, 0, len, true, fill)?
+    };
+    if !landed && io::copy(&mut ep.take(len as u64), &mut io::sink())? < len as u64 {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 impl Transport for SocketTransport {
@@ -875,7 +1119,7 @@ impl Transport for SocketTransport {
             let Some(peer) = peer else {
                 continue;
             };
-            // ORDERING: liveness timestamp (see `note_heard`); the
+            // ORDERING: liveness timestamp (see `recover_lane0`); the
             // heartbeat monitor tolerates staleness.
             peer.last_heard_ms.store(now, Ordering::Relaxed);
             for (lane_idx, lane) in peer.lanes.iter().enumerate() {
@@ -887,24 +1131,18 @@ impl Transport for SocketTransport {
                     // per transport; the rx halves are taken only here.
                     .expect("SocketTransport::start called twice");
                 // Every lane gets BOTH a write handle under the lane
-                // mutex and a writer thread draining the channel. App
-                // threads always enqueue (a `pready` must never block
-                // on socket I/O — inline writes stall the computation
-                // for a scheduler quantum on oversubscribed hosts);
-                // reader threads releasing a CTS batch write directly
-                // under the same mutex, skipping the thread hop.
+                // mutex and a writer thread draining the channel: app
+                // threads always enqueue, reader threads `put` directly
+                // under the same mutex (see `Lane::direct`).
                 *lane.direct.lock() = Some(
                     lane.endpoint
                         .try_clone()
                         .map_err(|e| start_err("cloning the lane write handle", e))?,
                 );
-                let sent = Arc::clone(&peer.frames_sent);
-                let connected = Arc::clone(&peer.connected);
-                let f = Arc::clone(fabric);
-                let t = Arc::clone(&self);
+                let (t, f) = (Arc::clone(&self), Arc::clone(fabric));
                 let writer = std::thread::Builder::new()
                     .name(format!("pcomm-wr{peer_rank}.{lane_idx}"))
-                    .spawn(move || writer_loop(t, rx, f, peer_rank, lane_idx, sent, connected))
+                    .spawn(move || writer_loop(&t, rx, &f, peer_rank, lane_idx))
                     .map_err(|e| start_err("spawning a writer thread", e))?;
                 *lane.writer.lock() = Some(writer);
 
@@ -912,16 +1150,10 @@ impl Transport for SocketTransport {
                     .endpoint
                     .try_clone()
                     .map_err(|e| start_err("cloning the lane read handle", e))?;
-                let received = Arc::clone(&peer.frames_received);
-                let connected = Arc::clone(&peer.connected);
-                let saw_bye = Arc::clone(&peer.saw_bye);
-                let t = Arc::clone(&self);
-                let f = Arc::clone(fabric);
+                let (t, f) = (Arc::clone(&self), Arc::clone(fabric));
                 let reader = std::thread::Builder::new()
                     .name(format!("pcomm-rd{peer_rank}.{lane_idx}"))
-                    .spawn(move || {
-                        reader_loop(t, f, peer_rank, lane_idx, ep, received, connected, saw_bye)
-                    })
+                    .spawn(move || reader_loop(&t, &f, peer_rank, lane_idx, ep))
                     .map_err(|e| start_err("spawning a reader thread", e))?;
                 readers.push(reader);
             }
@@ -947,13 +1179,13 @@ impl Transport for SocketTransport {
     }
 
     fn ship_rdv(&self, _: &Fabric, dst: usize, rdv_id: u64, pinned: PinnedSend) {
-        // Zero-copy: the pinned source rides to the lane-0 writer as an
-        // `RdvWrite`; its `done` fires there, after the vectored write,
-        // so the buffer stays pinned through the kernel handoff
-        // (invariant (1)). If the writer is already gone the universe is
-        // tearing down and the sender unwinds via the abort flag.
+        // Zero-copy: the pinned source rides to the lane-0 writer, whose
+        // `put` fires its `done` after the vectored write, so the buffer
+        // stays pinned through the kernel handoff (invariant (1)). If
+        // the writer is already gone the universe is tearing down and
+        // the sender unwinds via the abort flag.
         if let Some(p) = &self.peers[dst] {
-            let _ = p.lanes[0].enqueue(WriterMsg::Rdv(RdvWrite { rdv_id, pinned }));
+            let _ = p.lanes[0].enqueue(WriterMsg::Pinned(PinnedWrite::rdv(rdv_id, pinned)));
         }
     }
 
@@ -1127,527 +1359,109 @@ fn write_all_vectored(w: &mut impl Write, bufs: &[&[u8]]) -> io::Result<()> {
     Ok(())
 }
 
-/// Writer thread: drain the channel onto the socket in vectored
-/// batches. Control frames encode into per-slot scratch buffers reused
-/// across batches; pinned stream ranges get an 18-byte header in
-/// scratch and their payload slice passed to the kernel straight from
-/// the source buffer — the batch goes out as one vectored write.
-///
-/// Write errors split by lane. Lane 0 gets the one bounded reconnect
-/// and retries the failed batch on the new socket (at-least-once — the
-/// dispatch layer deduplicates); if that fails too the peer is gone:
-/// record the typed error and discard the rest of the queue so
-/// enqueuers never notice. A data lane fails over instead: mark it
-/// dead, push every pinned range (current batch plus backlog) to the
-/// surviving lanes, and keep rerouting stragglers until teardown.
+/// Writer thread: drain up to [`WRITER_BATCH`] messages from the
+/// channel and [`put`](SocketTransport::put) them, until the teardown
+/// `Shutdown`. Once a `put` has failed the thread stays alive so
+/// senders keep enqueueing into a live channel: behind a failed-over
+/// data lane it keeps re-routing late pinned writes to the survivors,
+/// behind a dead peer it discards the rest of the queue so enqueuers
+/// never notice.
 fn writer_loop(
-    transport: Arc<SocketTransport>,
+    transport: &SocketTransport,
     rx: Receiver<WriterMsg>,
-    fabric: Arc<Fabric>,
-    peer: usize,
+    fabric: &Fabric,
+    peer_rank: usize,
     lane_idx: usize,
-    frames_sent: Arc<AtomicU64>,
-    connected: Arc<AtomicBool>,
 ) {
-    let lane = &transport.peers[peer]
+    let peer = transport.peers[peer_rank]
         .as_ref()
         // PANIC: writer threads are spawned (in `start`) only for
         // ranks whose peer slot was populated by the mesh join.
-        .expect("writer thread for a missing peer")
-        .lanes[lane_idx];
-    let mut scratch: Vec<Vec<u8>> = (0..WRITER_BATCH).map(|_| Vec::new()).collect();
+        .expect("writer thread for a missing peer");
+    let lane = &peer.lanes[lane_idx];
+    let mut inbox = Inbox { rx, open: true };
+    let mut scratch: Vec<Vec<u8>> = Vec::new();
     let mut batch: Vec<WriterMsg> = Vec::with_capacity(WRITER_BATCH);
     let mut queue_hwm = QUEUE_HWM_BASE;
-    loop {
+    let mut fate = Put::Sent;
+    while inbox.open {
         batch.clear();
-        match rx.recv() {
-            Err(_) => return,
-            Ok(msg) => {
-                lane.dequeued();
-                match msg {
-                    WriterMsg::Shutdown => return,
-                    m => batch.push(m),
-                }
-            }
-        }
-        let mut shutdown = false;
-        while batch.len() < WRITER_BATCH {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    lane.dequeued();
-                    match msg {
-                        WriterMsg::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                        m => batch.push(m),
+        inbox.drain(lane, &mut batch, WRITER_BATCH, true);
+        match fate {
+            Put::Sent => {
+                // Unbounded channels cannot push back, so depth growth
+                // is the congestion signal: trace it at doubling
+                // high-water marks.
+                // ORDERING: advisory backlog gauge (see `Lane::enqueue`).
+                let depth = lane.queued.load(Ordering::Relaxed);
+                if depth >= queue_hwm {
+                    let (p16, l16, d64) = (peer_rank as u16, lane_idx as u16, depth as u64);
+                    fabric
+                        .trace()
+                        .emit(transport.rank as u16, || EventKind::WriterQueue {
+                            peer: p16,
+                            lane: l16,
+                            depth: d64,
+                        });
+                    while queue_hwm <= depth {
+                        queue_hwm *= 2;
                     }
                 }
-                Err(_) => break,
+                fate = transport.put(
+                    fabric,
+                    peer_rank,
+                    lane_idx,
+                    &mut batch,
+                    &mut scratch,
+                    Some(&mut inbox),
+                );
             }
-        }
-        // Unbounded channels cannot push back, so depth growth is the
-        // congestion signal: trace it at doubling high-water marks.
-        // ORDERING: advisory backlog gauge (see `Lane::enqueue`).
-        let depth = lane.queued.load(Ordering::Relaxed);
-        if depth >= queue_hwm {
-            let (p16, l16, d64) = (peer as u16, lane_idx as u16, depth as u64);
-            fabric
-                .trace()
-                .emit(transport.rank as u16, || EventKind::WriterQueue {
-                    peer: p16,
-                    lane: l16,
-                    depth: d64,
-                });
-            while queue_hwm <= depth {
-                queue_hwm *= 2;
+            Put::FailedOver => {
+                transport.requeue_pinned(peer, &mut batch);
             }
-        }
-        // An aborting universe may already be unwinding the buffers
-        // that stream entries point into: drop them unsent (their
-        // waiters unwind via the abort), keep the control frames (the
-        // abort broadcast is one of them).
-        let aborting = fabric.aborted();
-        for (slot, msg) in scratch.iter_mut().zip(&batch) {
-            match msg {
-                WriterMsg::Frame(f) => f.encode_into(slot),
-                WriterMsg::Stream(sw) => {
-                    frame::encode_part_data_header(sw.rdv_id, sw.offset, sw.len, slot)
-                }
-                WriterMsg::Rdv(rw) => frame::encode_rdv_data_header(rw.rdv_id, rw.pinned.len, slot),
-                WriterMsg::Shutdown => unreachable!("Shutdown never enters the batch"),
-            }
-        }
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(batch.len() * 2);
-        for (slot, msg) in scratch.iter().zip(&batch) {
-            match msg {
-                WriterMsg::Frame(_) => slices.push(slot),
-                WriterMsg::Stream(sw) => {
-                    if aborting {
-                        continue;
-                    }
-                    slices.push(slot);
-                    // SAFETY: the source buffer stays pinned until the
-                    // spans completed below fire (invariant (1)); the
-                    // abort check above plus the drain grace cover
-                    // teardown races, as in the rendezvous CTS path.
-                    slices.push(unsafe { std::slice::from_raw_parts(sw.ptr, sw.len) });
-                }
-                WriterMsg::Rdv(rw) => {
-                    if aborting {
-                        continue;
-                    }
-                    slices.push(slot);
-                    let pinned =
-                        // SAFETY: the rendezvous source stays pinned until
-                        // `pinned.done` fires after this batch's write
-                        // (invariant (1)); same abort/drain-grace argument
-                        // as the stream slices above.
-                        unsafe { std::slice::from_raw_parts(rw.pinned.ptr, rw.pinned.len) };
-                    slices.push(pinned);
-                }
-                WriterMsg::Shutdown => {}
-            }
-        }
-        // The write happens under the lane mutex: reader threads
-        // releasing a CTS batch write the same socket directly, and the
-        // mutex is what keeps the two writers' frames from interleaving.
-        let write_batch = || {
-            let mut guard = lane.direct.lock();
-            match guard.as_mut() {
-                Some(ep) => {
-                    // Audit record under the lane mutex, one event per
-                    // frame in wire order, re-stamped on a post-reconnect
-                    // retry (each attempt is a genuine new wire frame).
-                    for msg in &batch {
-                        match msg {
-                            WriterMsg::Frame(f) => {
-                                transport.emit_wire_send(&fabric, peer, lane_idx, f.op());
-                            }
-                            WriterMsg::Stream(sw) if !aborting => {
-                                transport.emit_wire_send(
-                                    &fabric,
-                                    peer,
-                                    lane_idx,
-                                    frame::op::PART_DATA,
-                                );
-                                transport.emit_stream_data_tx(
-                                    &fabric, peer, lane_idx, sw.rdv_id, sw.offset, sw.len,
-                                );
-                            }
-                            WriterMsg::Rdv(_) if !aborting => {
-                                transport.emit_wire_send(
-                                    &fabric,
-                                    peer,
-                                    lane_idx,
-                                    frame::op::RDV_DATA,
-                                );
-                            }
-                            _ => {}
-                        }
-                    }
-                    write_all_vectored(ep, &slices).and_then(|()| ep.flush())
-                }
-                None => Err(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "net: lane endpoint already torn down",
-                )),
-            }
-        };
-        let mut wrote = write_batch();
-        if wrote.is_err() && lane_idx == 0 && !fabric.aborted() {
-            // One bounded reconnect, then the same batch goes out again
-            // on the new socket (`direct` was swapped underneath the
-            // closure). At-least-once: dispatch deduplicates replays.
-            if transport.recover_lane0(&fabric, peer).is_some() {
-                wrote = write_batch();
-            }
-        }
-        if wrote.is_err() {
-            if lane_idx > 0 && !fabric.aborted() {
-                // Data-lane death: fail over. Nothing in this batch has
-                // completed its spans yet, so the pinned sources are
-                // still live — replay them whole on the survivors.
-                transport.data_lane_failed(&fabric, peer, lane_idx);
-                let mut requeued = 0u64;
-                for msg in batch.drain(..) {
-                    if let WriterMsg::Stream(sw) = msg {
-                        transport.requeue_stream(peer, sw);
-                        requeued += 1;
-                    }
-                }
-                while let Ok(msg) = rx.try_recv() {
-                    lane.dequeued();
-                    match msg {
-                        WriterMsg::Stream(sw) => {
-                            transport.requeue_stream(peer, sw);
-                            requeued += 1;
-                        }
-                        WriterMsg::Shutdown => shutdown = true,
-                        // Rdv rides lane 0 only; unreachable here.
-                        WriterMsg::Frame(_) | WriterMsg::Rdv(_) => {}
-                    }
-                }
-                let (p16, l16) = (peer as u16, lane_idx as u16);
-                fabric
-                    .trace()
-                    .emit(transport.rank as u16, || EventKind::LaneFailover {
-                        peer: p16,
-                        lane: l16,
-                        requeued,
-                    });
-                if shutdown {
-                    return;
-                }
-                // Stay alive so late enqueues keep rerouting until the
-                // teardown Shutdown arrives.
-                loop {
-                    match rx.recv() {
-                        Err(_) => return,
-                        Ok(msg) => {
-                            lane.dequeued();
-                            match msg {
-                                WriterMsg::Stream(sw) => transport.requeue_stream(peer, sw),
-                                WriterMsg::Shutdown => return,
-                                // Rdv rides lane 0 only; unreachable here.
-                                WriterMsg::Frame(_) | WriterMsg::Rdv(_) => {}
-                            }
-                        }
-                    }
-                }
-            }
-            connected.store(false, Ordering::Release);
-            if !fabric.aborted() {
-                fabric.fail(PcommError::PeerPanicked {
-                    rank: peer,
-                    message: format!(
-                        "rank process exited unexpectedly \
-                         (connection to rank {peer} broke mid-write)"
-                    ),
-                });
-            }
-            if shutdown {
-                return;
-            }
-            // Drain until Shutdown so senders keep enqueueing into a
-            // live channel during teardown.
-            loop {
-                match rx.recv() {
-                    Err(_) => return,
-                    Ok(msg) => {
-                        lane.dequeued();
-                        if matches!(msg, WriterMsg::Shutdown) {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        for msg in &batch {
-            match msg {
-                WriterMsg::Stream(sw) if !aborting => {
-                    complete_spans(&sw.spans, sw.offset as usize, sw.len);
-                }
-                WriterMsg::Rdv(rw) if !aborting => rw.pinned.done.set(),
-                _ => {}
-            }
-        }
-        // ORDERING: statistics counter (diagnostics only).
-        frames_sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if shutdown {
-            return;
+            Put::Dead => {}
         }
     }
 }
 
-/// Read the six-byte frame head: length prefix, version, opcode. The
-/// version is validated here so both reader paths start from a trusted
-/// head.
-fn read_head(ep: &mut Endpoint) -> io::Result<(usize, u8)> {
-    let mut head = [0u8; 6];
-    ep.read_exact(&mut head)?;
-    // PANIC: slicing a fixed 6-byte array — the length is static.
-    let len = u32::from_le_bytes(head[..4].try_into().expect("4-byte prefix")) as usize;
-    if !(2..=MAX_FRAME_BODY).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("net: implausible frame length {len}"),
-        ));
-    }
-    frame::check_version(head[4])?;
-    Ok((len, head[5]))
-}
-
-/// Fast path for an incoming `PartData` frame: read the 16-byte stream
-/// header, then read the payload straight into the pinned destination —
-/// the socket is the only copy. Ranges for retired streams (post-abort
-/// stragglers) are read into `scratch` and discarded so the byte stream
-/// stays framed.
-fn read_part_data(
-    fabric: &Fabric,
-    peer: usize,
-    lane: usize,
-    ep: &mut Endpoint,
-    body_len: usize,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    if body_len < frame::PART_DATA_BODY_HDR {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("net: truncated PartData body ({body_len} B)"),
-        ));
-    }
-    let mut hdr = [0u8; 16];
-    ep.read_exact(&mut hdr)?;
-    // PANIC: both slices of the fixed 16-byte header are statically 8
-    // bytes.
-    let rdv_id = u64::from_le_bytes(hdr[..8].try_into().expect("8-byte id"));
-    // PANIC: see above — statically 8 bytes.
-    let offset = u64::from_le_bytes(hdr[8..].try_into().expect("8-byte offset")) as usize;
-    let len = body_len - frame::PART_DATA_BODY_HDR;
-    let wire = fabric.wire();
-    if !wire.land_part(fabric, peer, lane, rdv_id, offset, len, |dest| {
-        ep.read_exact(dest)
-    })? {
-        scratch.clear();
-        scratch.resize(len, 0);
-        ep.read_exact(scratch)?;
-    }
-    Ok(())
-}
-
-/// Fast path for an incoming `RdvData` frame: read the 8-byte rdv id,
-/// then read the payload straight off the socket into the matched
-/// posted destination — the kernel read is the only copy, mirroring
-/// the writer's vectored send of the pinned source. Unmatched ids
-/// (reconnect replays, post-abort stragglers) drain into `scratch` so
-/// the byte stream stays framed.
-fn read_rdv_data(
-    fabric: &Fabric,
-    peer: usize,
-    ep: &mut Endpoint,
-    body_len: usize,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    if body_len < frame::RDV_DATA_BODY_HDR {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("net: truncated RdvData body ({body_len} B)"),
-        ));
-    }
-    let mut hdr = [0u8; 8];
-    ep.read_exact(&mut hdr)?;
-    let rdv_id = u64::from_le_bytes(hdr);
-    let len = body_len - frame::RDV_DATA_BODY_HDR;
-    let wire = fabric.wire();
-    if !wire.land_rdv(fabric, peer, rdv_id, 0, len, true, |dest| {
-        ep.read_exact(dest)
-    })? {
-        scratch.clear();
-        scratch.resize(len, 0);
-        ep.read_exact(scratch)?;
-    }
-    Ok(())
-}
-
-/// Shared reader error path: EOF (or any read/decode error) without a
-/// `Bye` means the peer process died — turn the would-be hang into a
-/// typed error for every local waiter.
-fn reader_failed(fabric: &Fabric, connected: &AtomicBool, peer: usize, err: &io::Error) {
-    connected.store(false, Ordering::Release);
-    if !fabric.aborted() {
-        fabric.fail(PcommError::PeerPanicked {
-            rank: peer,
-            message: format!(
-                "rank process exited unexpectedly (connection to rank {peer} lost: {err})"
-            ),
-        });
-    }
-}
-
-/// Reader error triage. Data lanes (index > 0) fail over quietly: the
-/// surviving lanes carry the stream and lane 0 carries liveness, so a
-/// dead data lane is a trace event, not a universe failure. Lane 0 gets
-/// the one bounded reconnect — on success the reader continues on the
-/// returned endpoint (a fresh socket starts at a frame boundary, so a
-/// mid-frame death resynchronizes naturally). Anything else is the
-/// typed end of the peer.
-#[allow(clippy::too_many_arguments)] // mirrors the reader's capture set
-fn reader_recover(
+/// Reader thread: [`take`](SocketTransport::take) frames off the lane
+/// until the peer says `Bye`, the connection drops past recovery, or
+/// the universe aborts. After a lane-0 reconnect it continues on the
+/// new socket.
+fn reader_loop(
     transport: &SocketTransport,
     fabric: &Fabric,
     peer: usize,
     lane: usize,
-    connected: &AtomicBool,
-    recovered: &mut bool,
-    err: &io::Error,
-) -> Option<Endpoint> {
-    if fabric.aborted() {
-        return None; // teardown; the abort already carries the story
-    }
-    if lane > 0 {
-        transport.data_lane_failed(fabric, peer, lane);
-        return None;
-    }
-    if !*recovered {
-        // Kill our half first so the local writer and the remote peer
-        // both observe the failure and join the reconnect handshake.
-        if let Some(p) = &transport.peers[peer] {
-            p.lanes[0].endpoint.shutdown();
-        }
-        if let Some(ep) = transport.recover_lane0(fabric, peer) {
-            *recovered = true;
-            return Some(ep);
-        }
-    }
-    reader_failed(fabric, connected, peer, err);
-    None
-}
-
-/// Reader thread: decode frames and dispatch them into the fabric until
-/// the peer says `Bye`, the connection drops past recovery, or the
-/// universe aborts. `PartData` frames take a borrow-decode fast path
-/// that commits the range straight out of the reusable receive buffer —
-/// one copy from socket to destination. Every successful head read
-/// refreshes the peer's liveness timestamp.
-#[allow(clippy::too_many_arguments)] // thread-capture plumbing
-fn reader_loop(
-    transport: Arc<SocketTransport>,
-    fabric: Arc<Fabric>,
-    peer: usize,
-    lane: usize,
     mut ep: Endpoint,
-    frames_received: Arc<AtomicU64>,
-    connected: Arc<AtomicBool>,
-    saw_bye: Arc<AtomicBool>,
 ) {
     let mut body: Vec<u8> = Vec::new();
     let mut recovered = false;
-    // Audit counters, local to this reader: `rx_seq` counts every frame
-    // head read off this lane in order, `rx_epoch` counts the lane-0
-    // reconnect this reader lived through. Thread-local (not the shared
-    // peer epoch) so frames still buffered in a dying socket keep their
-    // pre-reconnect epoch even if the writer side already reconnected.
-    let mut rx_seq = 0u32;
-    let mut rx_epoch = 0u32;
+    let (mut rx_epoch, mut rx_seq) = (0u32, 0u32);
     loop {
-        let (len, op) = match read_head(&mut ep) {
-            Ok(head) => head,
-            Err(err) => {
-                match reader_recover(
-                    &transport,
-                    &fabric,
-                    peer,
-                    lane,
-                    &connected,
-                    &mut recovered,
-                    &err,
-                ) {
-                    Some(new_ep) => {
-                        ep = new_ep;
-                        rx_epoch += 1;
-                        continue;
-                    }
-                    None => return,
-                }
-            }
-        };
-        transport.note_heard(peer);
-        // ORDERING: statistics counter (diagnostics only).
-        frames_received.fetch_add(1, Ordering::Relaxed);
-        {
-            let (p16, l16, op16, epoch, seq) =
-                (peer as u16, lane as u16, op as u16, rx_epoch, rx_seq);
-            fabric
-                .trace()
-                .emit_verify(transport.rank as u16, || EventKind::VerifyWireRecv {
-                    peer: p16,
-                    lane: l16,
-                    op: op16,
-                    epoch,
-                    seq,
-                });
-            rx_seq = rx_seq.wrapping_add(1);
-        }
-        let keep_going = if frame::is_part_data(op) {
-            read_part_data(&fabric, peer, lane, &mut ep, len, &mut body).map(|()| true)
-        } else if op == frame::op::RDV_DATA {
-            read_rdv_data(&fabric, peer, &mut ep, len, &mut body).map(|()| true)
-        } else {
-            body.clear();
-            body.resize(len, 0);
-            // `read_head` already validated the wire's version byte;
-            // rebuild the two head bytes `Frame::decode` expects.
-            body[0] = frame::WIRE_VERSION;
-            body[1] = op;
-            ep.read_exact(&mut body[2..])
-                .and_then(|()| Frame::decode(&body))
-                .map(|f| fabric.wire().dispatch(&fabric, peer, lane, f))
-        };
-        match keep_going {
+        match transport.take(
+            fabric,
+            peer,
+            lane,
+            &mut ep,
+            &mut body,
+            rx_epoch,
+            &mut rx_seq,
+        ) {
             Ok(true) => {}
             Ok(false) => {
-                saw_bye.store(true, Ordering::Release);
+                if let Some(p) = &transport.peers[peer] {
+                    p.saw_bye.store(true, Ordering::Release);
+                }
                 return; // clean goodbye
             }
-            Err(err) => {
-                match reader_recover(
-                    &transport,
-                    &fabric,
-                    peer,
-                    lane,
-                    &connected,
-                    &mut recovered,
-                    &err,
-                ) {
-                    Some(new_ep) => {
-                        ep = new_ep;
-                        rx_epoch += 1;
-                        continue;
-                    }
-                    None => return,
+            Err(err) => match transport.lane_failed(fabric, peer, lane, !recovered, &err) {
+                Fate::Reconnected(new_ep) => {
+                    (ep, recovered) = (new_ep, true);
+                    rx_epoch += 1;
                 }
-            }
+                Fate::FailedOver | Fate::Dead => return,
+            },
         }
     }
 }
@@ -1806,6 +1620,301 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    use pcomm_trace::Trace;
+    use std::os::unix::net::UnixStream;
+
+    /// Rank 0's socket carrier toward a peer rank 1 that is the far
+    /// ends of `lanes` socketpairs, armed as `start` arms it but with
+    /// no threads: each test is the only caller of `put` and `take`.
+    fn carrier(lanes: usize, trace: Trace) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
+        let (near, far): (Vec<_>, Vec<_>) = (0..lanes)
+            .map(|_| UnixStream::pair().unwrap())
+            .map(|(a, b)| (Endpoint::Uds(a), b))
+            .unzip();
+        let cfg = MeshConfig {
+            rank: 0,
+            n_ranks: 2,
+            dir: std::env::temp_dir(),
+            backend: pcomm_net::Backend::Uds,
+            seq: 0,
+            lanes,
+        };
+        let mesh = Mesh {
+            rank: 0,
+            n_ranks: 2,
+            lanes,
+            peers: vec![None, Some(near)],
+        };
+        let transport = Arc::new(SocketTransport::new(mesh, cfg, None));
+        for lane in &peer_of(&transport).lanes {
+            *lane.direct.lock() = Some(lane.endpoint.try_clone().unwrap());
+        }
+        let carrier = Arc::clone(&transport) as Arc<dyn Transport>;
+        let fabric = Fabric::new_configured(2, 1, 1024, trace, None, carrier);
+        (fabric, transport, far)
+    }
+
+    fn peer_of(transport: &SocketTransport) -> &Peer {
+        transport.peers[1].as_ref().unwrap()
+    }
+
+    /// The writer thread's end of `lane`'s channel, holding what was
+    /// enqueued so far.
+    fn inbox_of(transport: &SocketTransport, lane: usize) -> Inbox {
+        let rx = peer_of(transport).lanes[lane].rx.lock().take().unwrap();
+        Inbox { rx, open: true }
+    }
+
+    fn queued_on(transport: &SocketTransport, lane: usize) -> Vec<WriterMsg> {
+        let mut batch = Vec::new();
+        let lane_ref = &peer_of(transport).lanes[lane];
+        inbox_of(transport, lane).drain(lane_ref, &mut batch, usize::MAX, false);
+        batch
+    }
+
+    /// One send span over all of `buf`, and pinned stream writes of
+    /// stream 7 cutting it into `n` equal ranges.
+    fn stream_writes(buf: &[u8], n: usize) -> (Arc<Vec<SendSpan>>, Vec<WriterMsg>) {
+        let spans = Arc::new(vec![SendSpan {
+            offset: 0,
+            len: buf.len(),
+            remaining: AtomicUsize::new(buf.len()),
+            done: Completion::new(),
+        }]);
+        let len = buf.len() / n;
+        let writes = (0..n)
+            .map(|i| PinChunk {
+                offset: (i * len) as u64,
+                ptr: buf[i * len..].as_ptr(),
+                len,
+                parts: 1,
+            })
+            .map(|chunk| WriterMsg::Pinned(PinnedWrite::stream(7, chunk, &spans)))
+            .collect();
+        (spans, writes)
+    }
+
+    fn events_named(fabric: &Fabric, name: &str) -> Vec<EventKind> {
+        let events = fabric.trace().snapshot().unwrap().events;
+        let kinds = events.into_iter().map(|e| e.kind);
+        kinds.filter(|k| k.name() == name).collect()
+    }
+
+    #[test]
+    fn a_mixed_batch_leaves_as_the_bytes_of_its_owned_frames() {
+        let (fabric, transport, mut far) = carrier(1, Trace::disabled());
+        let eager = Frame::Eager {
+            shard: 0,
+            ctx: 3,
+            tag: -4,
+            payload: vec![1, 2, 3],
+        };
+        let source: Vec<u8> = (0..=255).collect();
+        let (spans, mut writes) = stream_writes(&source[..200], 1);
+        let done = Completion::new();
+        let pinned = PinnedSend {
+            ptr: source[200..].as_ptr(),
+            len: 56,
+            done: Arc::clone(&done),
+        };
+        let mut batch = vec![
+            WriterMsg::Frame(eager.clone()),
+            writes.remove(0),
+            WriterMsg::Pinned(PinnedWrite::rdv(9, pinned)),
+        ];
+        assert!(!spans[0].done.is_set() && !done.is_set());
+        let put = transport.put(&fabric, 1, 0, &mut batch, &mut Vec::new(), None);
+        assert_eq!(put, Put::Sent);
+        assert!(batch.is_empty());
+        assert!(spans[0].done.is_set() && done.is_set());
+        assert_eq!(spans[0].remaining.load(Ordering::Acquire), 0);
+        assert_eq!(peer_of(&transport).frames_sent.load(Ordering::Acquire), 3);
+        let mut want = eager.encode();
+        want.extend(
+            Frame::PartData {
+                rdv_id: 7,
+                offset: 0,
+                payload: source[..200].to_vec(),
+            }
+            .encode(),
+        );
+        want.extend(
+            Frame::RdvData {
+                rdv_id: 9,
+                payload: source[200..].to_vec(),
+            }
+            .encode(),
+        );
+        drop((fabric, transport));
+        let mut got = Vec::new();
+        far[0].read_to_end(&mut got).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn wire_send_seq_is_wire_order_when_writer_and_direct_puts_interleave() {
+        let (fabric, transport, mut far) = carrier(2, Trace::ring_verify(4096));
+        const ROUNDS: u64 = 50;
+        std::thread::scope(|s| {
+            // The lane's writer thread: batches of three heartbeats.
+            s.spawn(|| {
+                let mut inbox = inbox_of(&transport, 1);
+                let (mut batch, mut scratch) = (Vec::new(), Vec::new());
+                for seq in 0..ROUNDS {
+                    batch.extend((0..3).map(|_| WriterMsg::Frame(Frame::Heartbeat { seq })));
+                    let put =
+                        transport.put(&fabric, 1, 1, &mut batch, &mut scratch, Some(&mut inbox));
+                    assert_eq!(put, Put::Sent);
+                }
+            });
+            // A reader thread mid-dispatch: one CTS at a time, directly.
+            s.spawn(|| {
+                for rdv_id in 0..ROUNDS {
+                    transport.send_data_frame(&fabric, 1, Frame::PartCts { rdv_id });
+                }
+            });
+        });
+        let mut sends: Vec<(u32, u16)> = events_named(&fabric, "verify_wire_send")
+            .into_iter()
+            .map(|kind| match kind {
+                EventKind::VerifyWireSend {
+                    lane: 1, op, seq, ..
+                } => (seq, op),
+                other => panic!("unexpected stamp {other:?}"),
+            })
+            .collect();
+        sends.sort_unstable();
+        let seqs: Vec<u32> = sends.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(seqs, (0..4 * ROUNDS as u32).collect::<Vec<_>>());
+        drop((fabric, transport));
+        let on_wire: Vec<u16> = std::iter::from_fn(|| Frame::read_from(&mut far[1]).ok())
+            .map(|f| f.op() as u16)
+            .collect();
+        let stamped: Vec<u16> = sends.iter().map(|&(_, op)| op).collect();
+        assert_eq!(stamped, on_wire, "seq order is not wire order");
+    }
+
+    #[test]
+    fn a_dead_data_lane_fails_its_batch_and_backlog_over_once() {
+        let (fabric, transport, mut far) = carrier(3, Trace::ring(256));
+        drop(far.remove(2));
+        let source = vec![0x5Au8; 4096];
+        let (spans, mut writes) = stream_writes(&source, 4);
+        let lane2 = &peer_of(&transport).lanes[2];
+        for msg in writes.split_off(2) {
+            assert!(lane2.enqueue(msg).is_ok());
+        }
+        assert!(lane2.enqueue(WriterMsg::Shutdown).is_ok());
+        let mut inbox = inbox_of(&transport, 2);
+        writes.push(WriterMsg::Frame(Frame::Bye));
+        let put = transport.put(
+            &fabric,
+            1,
+            2,
+            &mut writes,
+            &mut Vec::new(),
+            Some(&mut inbox),
+        );
+        assert_eq!(put, Put::FailedOver);
+        assert!(!inbox.open, "the backlog's Shutdown was consumed");
+        assert!(matches!(writes[..], [WriterMsg::Frame(Frame::Bye)]));
+        // A straggler behind the failure, and the lane's reader noticing
+        // the same death, change nothing.
+        let (_, mut late) = stream_writes(&source, 1);
+        assert_eq!(
+            transport.put(&fabric, 1, 2, &mut late, &mut Vec::new(), None),
+            Put::FailedOver
+        );
+        let eof = io::Error::from(io::ErrorKind::UnexpectedEof);
+        let fate = transport.lane_failed(&fabric, 1, 2, true, &eof);
+        assert!(matches!(fate, Fate::FailedOver));
+        assert!(!lane2.alive.load(Ordering::Acquire));
+        assert_eq!(
+            events_named(&fabric, "lane_down"),
+            [EventKind::LaneDown { peer: 1, lane: 2 }]
+        );
+        let failover = |requeued| EventKind::LaneFailover {
+            peer: 1,
+            lane: 2,
+            requeued,
+        };
+        assert_eq!(
+            events_named(&fabric, "lane_failover"),
+            [failover(4), failover(1)]
+        );
+        // Everything pinned moved to the one surviving data lane, whole
+        // and uncompleted; lane 0 got nothing.
+        let moved = queued_on(&transport, 1);
+        assert_eq!(moved.len(), 5);
+        assert!(moved.iter().all(|m| matches!(m, WriterMsg::Pinned(_))));
+        assert!(queued_on(&transport, 0).is_empty());
+        assert!(!spans[0].done.is_set());
+        assert_eq!(spans[0].remaining.load(Ordering::Acquire), source.len());
+        assert_eq!(peer_of(&transport).frames_sent.load(Ordering::Acquire), 0);
+        assert!(!fabric.aborted(), "a data lane's death is not the peer's");
+    }
+
+    #[test]
+    fn a_direct_control_frame_falls_through_dead_data_lanes_to_lane_0() {
+        let (fabric, transport, mut far) = carrier(3, Trace::ring(64));
+        let cts = |rdv_id| Frame::PartCts { rdv_id };
+        drop(far.remove(1));
+        transport.send_data_frame(&fabric, 1, cts(5));
+        let mut lane2_far = far.remove(1);
+        assert_eq!(Frame::read_from(&mut lane2_far).unwrap(), cts(5));
+        drop(lane2_far);
+        transport.send_data_frame(&fabric, 1, cts(6));
+        let peer = peer_of(&transport);
+        assert!(peer.lanes[1..]
+            .iter()
+            .all(|l| !l.alive.load(Ordering::Acquire)));
+        assert_eq!(events_named(&fabric, "lane_down").len(), 2);
+        // Lane 0 is the ordered lane: the frame is enqueued for its
+        // writer, never written past it.
+        match &queued_on(&transport, 0)[..] {
+            [WriterMsg::Frame(f)] => assert_eq!(*f, cts(6)),
+            _ => panic!("the CTS did not reach lane 0's writer"),
+        }
+        assert_eq!(peer.frames_sent.load(Ordering::Acquire), 1);
+        assert!(!fabric.aborted());
+    }
+
+    /// `take` one frame whose head claims `claimed` body bytes for `op`,
+    /// followed by `fixed` and then EOF; returns the error and the
+    /// capacity the reusable body buffer was left with.
+    fn take_lying_head(op: u8, claimed: u32, fixed: &[u8]) -> (io::Error, usize) {
+        let (fabric, transport, mut far) = carrier(1, Trace::disabled());
+        let mut head = claimed.to_le_bytes().to_vec();
+        head.extend([frame::WIRE_VERSION, op]);
+        head.extend(fixed);
+        far[0].write_all(&head).unwrap();
+        drop(far);
+        let mut ep = peer_of(&transport).lanes[0].endpoint.try_clone().unwrap();
+        let mut body = Vec::new();
+        let err = transport
+            .take(&fabric, 1, 0, &mut ep, &mut body, 0, &mut 0)
+            .unwrap_err();
+        assert!(!fabric.aborted());
+        (err, body.capacity())
+    }
+
+    #[test]
+    fn a_lying_length_prefix_costs_the_reader_one_allocation_step() {
+        // A control frame: the body grows as bytes arrive, never to the
+        // claimed gigabyte.
+        let (err, cap) = take_lying_head(frame::op::EAGER, 1 << 30, &[]);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(cap <= 2 << 20, "body buffer grew to {cap} B");
+        // A range of a stream nobody waits for: drained, not buffered.
+        let retired = [9u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        let (err, cap) = take_lying_head(frame::op::PART_DATA, 1 << 30, &retired);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(cap, 0);
+        // Shorter than its own fixed header.
+        let (err, _) = take_lying_head(frame::op::RDV_DATA, 6, &[0; 4]);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -948,14 +948,13 @@ impl WireProtocol {
                 // once, so this never underflows.
                 let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
                 if before == overlap {
-                    fabric.complete_stream_msg(
+                    let info = MsgInfo {
                         src,
-                        msg.tag,
-                        msg.len,
-                        &msg.info,
-                        &msg.completion,
-                        msg.verify_msg,
-                    );
+                        tag: msg.tag,
+                        len: msg.len,
+                    };
+                    let (slot, done) = (&msg.info, &msg.completion);
+                    fabric.finish_recv(self.rank, info, false, slot, done, msg.verify_msg);
                     msgs_done += 1;
                 }
             }

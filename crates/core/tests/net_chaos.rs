@@ -155,6 +155,62 @@ fn data_lane_kill_fails_over_mid_stream() {
     );
 }
 
+/// A reset lane 0 is a reconnect, never a failover: on a single-lane
+/// mesh nothing can move to another lane, so the sender's trace has a
+/// `reconnect` and no `lane_failover`. The transfer is small enough
+/// that its one chunk is usually queued before the CTS returns, so the
+/// sender's reader thread releases it with a *direct* write — the first
+/// write calls on the lane after `PartRts` — and seed 9 (of 1..=40:
+/// 6–9, 11, 21, 26, 28, 29, 31, 33, 35–37, 40 do) resets exactly there.
+/// Either outcome of the contract is accepted: the replayed range races
+/// the receiver's `StreamResync` report, which usually calls it lost.
+#[test]
+fn single_lane_reset_reconnects_without_a_failover() {
+    if common::maybe_run_child() {
+        return;
+    }
+    let (n_parts, part_bytes) = (4, 256);
+    let outs = common::run_wire_pair(
+        "single_lane_reset_reconnects_without_a_failover",
+        "transfer",
+        &[
+            (ENV_PARTS, n_parts.to_string()),
+            (ENV_PART_BYTES, part_bytes.to_string()),
+            ("PCOMM_NET_LANES", "1".to_string()),
+        ],
+        [
+            vec![],
+            vec![("PCOMM_FAULTS", "seed=9,reset=0.5".to_string())],
+        ],
+        TIMEOUT,
+    );
+    for (rank, o) in outs.iter().enumerate() {
+        assert!(
+            o.status.success(),
+            "rank {rank}: {:?} ({})",
+            o.status,
+            o.out
+        );
+        assert!(
+            o.out.starts_with("ok ") || o.out.starts_with("err "),
+            "rank {rank} ended neither bit-exact nor typed: `{}`",
+            o.out
+        );
+    }
+    if let Some(digest) = outs[0].digest() {
+        assert_eq!(digest, common::expected_digest(n_parts, part_bytes));
+    }
+    let sender = &outs[1].trace;
+    assert!(
+        sender.contains("fault_injected") && sender.contains("\"name\":\"reconnect\""),
+        "the reset never fired or never reconnected — the scenario tested nothing"
+    );
+    assert!(
+        !sender.contains("lane_failover"),
+        "lane 0 reconnects; a single-lane mesh has nothing to fail over to"
+    );
+}
+
 /// A half-open peer — live socket, writes silently swallowed — is the
 /// failure only heartbeats can see. The survivor must escalate to a
 /// typed `PeerPanicked` naming the silence, within ~2x the heartbeat

@@ -413,23 +413,13 @@ impl<'a> Dec<'a> {
 /// (`PartData`) to a zero-extra-copy fast path.
 pub fn body_opcode(body: &[u8]) -> io::Result<u8> {
     let mut d = Dec { buf: body, at: 0 };
-    let version = d.u8()?;
-    if version != WIRE_VERSION {
-        return Err(corrupt(format!(
-            "wire version mismatch: got {version}, expected {WIRE_VERSION}"
-        )));
-    }
+    check_version(d.u8()?)?;
     d.u8()
 }
 
-/// True if `op` (from [`body_opcode`]) is a `PartData` frame.
-pub fn is_part_data(op: u8) -> bool {
-    op == OP_PART_DATA
-}
-
-/// Validate a version byte read straight off the wire (readers that
-/// split the header from the body check it before anything else).
-pub fn check_version(version: u8) -> io::Result<()> {
+/// Validate a version byte read off the wire, before anything else of
+/// the frame is believed.
+fn check_version(version: u8) -> io::Result<()> {
     if version != WIRE_VERSION {
         return Err(corrupt(format!(
             "wire version mismatch: got {version}, expected {WIRE_VERSION}"
@@ -456,18 +446,19 @@ pub fn encode_part_data_header(rdv_id: u64, offset: u64, payload_len: usize, out
 /// rdv id.
 pub const RDV_DATA_BODY_HDR: usize = 2 + 8;
 
-/// Encode an `RdvData` frame *header* — length prefix through the rdv
-/// id, everything except the payload — into `out`. A writer follows it
-/// with the payload bytes themselves (one vectored write straight from
-/// the pinned rendezvous source), producing exactly the bytes
+/// An `RdvData` frame *header* — length prefix through the rdv id,
+/// everything except the payload. A writer follows it with the payload
+/// bytes themselves (one vectored write straight from the pinned
+/// rendezvous source), producing exactly the bytes
 /// `Frame::RdvData { .. }.encode_into(..)` would.
-pub fn encode_rdv_data_header(rdv_id: u64, payload_len: usize, out: &mut Vec<u8>) {
-    out.clear();
+pub fn rdv_data_header(rdv_id: u64, payload_len: usize) -> [u8; 4 + RDV_DATA_BODY_HDR] {
+    let mut out = [0u8; 4 + RDV_DATA_BODY_HDR];
     let body = (RDV_DATA_BODY_HDR + payload_len) as u32;
-    out.extend_from_slice(&body.to_le_bytes());
-    out.push(WIRE_VERSION);
-    out.push(OP_RDV_DATA);
-    out.extend_from_slice(&rdv_id.to_le_bytes());
+    out[..4].copy_from_slice(&body.to_le_bytes());
+    out[4] = WIRE_VERSION;
+    out[5] = OP_RDV_DATA;
+    out[6..].copy_from_slice(&rdv_id.to_le_bytes());
+    out
 }
 
 /// Stack-allocated form of [`encode_part_data_header`], for writers
@@ -727,12 +718,7 @@ impl Frame {
     /// Decode one frame body (without the length prefix).
     pub fn decode(body: &[u8]) -> io::Result<Frame> {
         let mut d = Dec { buf: body, at: 0 };
-        let version = d.u8()?;
-        if version != WIRE_VERSION {
-            return Err(corrupt(format!(
-                "wire version mismatch: got {version}, expected {WIRE_VERSION}"
-            )));
-        }
+        check_version(d.u8()?)?;
         let op = d.u8()?;
         let frame = match op {
             OP_HELLO => Frame::Hello {
@@ -833,35 +819,45 @@ impl Frame {
     /// prefix means the peer closed the connection cleanly at a frame
     /// boundary.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        let mut prefix = [0u8; 4];
-        r.read_exact(&mut prefix)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        if !(2..=MAX_FRAME_BODY).contains(&len) {
-            return Err(corrupt(format!("implausible frame length {len}")));
-        }
-        let body = read_body(r, len)?;
-        Frame::decode(&body)
+        let (rest, op) = read_head(r)?;
+        read_rest(r, op, rest, &mut Vec::new())
     }
+}
+
+/// Read the six-byte frame head — length prefix, version, opcode — and
+/// validate the first two, so every reader starts from a trusted head.
+/// Returns the body bytes still on the wire after the head (the claimed
+/// length minus version and opcode) and the opcode.
+pub fn read_head(r: &mut impl Read) -> io::Result<(usize, u8)> {
+    let mut head = [0u8; 6];
+    r.read_exact(&mut head)?;
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    if !(2..=MAX_FRAME_BODY).contains(&len) {
+        return Err(corrupt(format!("implausible frame length {len}")));
+    }
+    check_version(head[4])?;
+    Ok((len - 2, head[5]))
 }
 
 /// Allocation step for frame bodies read off the wire.
 const BODY_ALLOC_STEP: usize = 1 << 20;
 
-/// Read a `len`-byte frame body without trusting `len` for the initial
-/// allocation: grow in [`BODY_ALLOC_STEP`] increments as bytes actually
-/// arrive, so a corrupted or hostile length prefix costs at most one
-/// step of memory before the stream runs dry (a typed error), never an
-/// up-front gigabyte-sized allocation.
-fn read_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
-    let mut body = vec![0u8; len.min(BODY_ALLOC_STEP)];
-    r.read_exact(&mut body)?;
-    while body.len() < len {
+/// Read the `rest` body bytes that follow a [`read_head`] into `body`
+/// (reused across frames) and decode the frame. `rest` is the peer's
+/// word and is not trusted for the allocation: `body` grows in 1 MiB
+/// steps as bytes actually arrive, so a corrupted or hostile length
+/// prefix costs at most one step of memory before the stream runs dry
+/// (a typed error), never an up-front gigabyte-sized allocation.
+pub fn read_rest(r: &mut impl Read, op: u8, rest: usize, body: &mut Vec<u8>) -> io::Result<Frame> {
+    body.clear();
+    body.extend_from_slice(&[WIRE_VERSION, op]);
+    let end = 2 + rest;
+    while body.len() < end {
         let at = body.len();
-        let step = (len - at).min(BODY_ALLOC_STEP);
-        body.resize(at + step, 0);
+        body.resize(at + (end - at).min(BODY_ALLOC_STEP), 0);
         r.read_exact(&mut body[at..])?;
     }
-    Ok(body)
+    Frame::decode(body)
 }
 
 #[cfg(test)]
@@ -994,13 +990,13 @@ mod tests {
         };
         let enc = f.encode();
         let body = &enc[4..];
-        assert!(is_part_data(body_opcode(body).unwrap()));
+        assert_eq!(body_opcode(body).unwrap(), op::PART_DATA);
         let (rdv_id, offset, payload) = decode_part_data(body).unwrap();
         assert_eq!((rdv_id, offset), (9, 4096));
         assert_eq!(payload, &[0xCD; 33][..]);
         // Non-PartData bodies are refused by the fast path.
         let cts = Frame::Cts { rdv_id: 9 }.encode();
-        assert!(!is_part_data(body_opcode(&cts[4..]).unwrap()));
+        assert_eq!(body_opcode(&cts[4..]).unwrap(), op::CTS);
         assert!(decode_part_data(&cts[4..]).is_err());
     }
 
@@ -1030,9 +1026,7 @@ mod tests {
             payload: payload.clone(),
         }
         .encode();
-        let mut split = Vec::new();
-        encode_rdv_data_header(91, payload.len(), &mut split);
-        assert_eq!(split.len(), 4 + RDV_DATA_BODY_HDR);
+        let mut split = rdv_data_header(91, payload.len()).to_vec();
         split.extend_from_slice(&payload);
         assert_eq!(split, full);
     }

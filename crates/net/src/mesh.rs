@@ -91,10 +91,6 @@ fn sock_path(dir: &Path, seq: u64, rank: usize) -> PathBuf {
     dir.join(format!("u{seq}.r{rank}"))
 }
 
-fn port_path(dir: &Path, seq: u64, rank: usize) -> PathBuf {
-    dir.join(format!("u{seq}.r{rank}.port"))
-}
-
 /// Rendezvous name for a lane-0 *reconnect* between one pair. The
 /// original per-rank listeners and their artifacts are gone by the time
 /// a lane dies (removed at the end of [`establish`]), so recovery uses
@@ -103,15 +99,24 @@ fn reconnect_path(dir: &Path, seq: u64, lo: usize, hi: usize) -> PathBuf {
     dir.join(format!("u{seq}.r{lo}p{hi}.rc"))
 }
 
-fn bind(cfg: &MeshConfig) -> io::Result<Listener> {
-    match cfg.backend {
+/// Where the TCP backend publishes the port of the listener whose
+/// rendezvous name is `path`.
+fn port_file(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".port");
+    name.into()
+}
+
+/// Listen at the rendezvous name `path`: the socket itself for UDS, a
+/// loopback port published in [`port_file`] for TCP.
+fn bind(backend: Backend, path: &Path) -> io::Result<Listener> {
+    match backend {
         Backend::Uds => {
-            let path = sock_path(&cfg.dir, cfg.seq, cfg.rank);
             // A stale socket from a crashed earlier run with the same
             // name would make bind fail; the name is per-universe, so
             // removing it is safe.
-            let _ = std::fs::remove_file(&path);
-            let l = UnixListener::bind(&path)?;
+            let _ = std::fs::remove_file(path);
+            let l = UnixListener::bind(path)?;
             l.set_nonblocking(true)?;
             Ok(Listener::Uds(l))
         }
@@ -121,27 +126,38 @@ fn bind(cfg: &MeshConfig) -> io::Result<Listener> {
             let port = l.local_addr()?.port();
             // Publish the port temp-then-rename so a reader never sees
             // a partially written file.
-            let tmp = port_path(&cfg.dir, cfg.seq, cfg.rank).with_extension("port.tmp");
+            let pfile = port_file(path);
+            let tmp = pfile.with_extension("port.tmp");
             std::fs::write(&tmp, port.to_string())?;
-            std::fs::rename(&tmp, port_path(&cfg.dir, cfg.seq, cfg.rank))?;
+            std::fs::rename(&tmp, &pfile)?;
             Ok(Listener::Tcp(l))
         }
     }
 }
 
-fn connect_to(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::Result<Endpoint> {
-    let what = format!("rank {peer} (universe {})", cfg.seq);
-    let ep = match cfg.backend {
-        Backend::Uds => {
-            let path = sock_path(&cfg.dir, cfg.seq, peer);
-            connect_retry(
-                || UnixStream::connect(&path).map(Endpoint::Uds),
-                deadline,
-                &what,
-            )?
-        }
+/// Remove what [`bind`] left at `path` once everyone has connected.
+fn unbind(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(port_file(path));
+}
+
+/// Connect to the listener at the rendezvous name `path` (`what` names
+/// it in the timeout error). The listening side may take a moment to
+/// bind, so not-yet-there errors are retried until `deadline`.
+fn connect_to(
+    backend: Backend,
+    path: &Path,
+    deadline: Instant,
+    what: &str,
+) -> io::Result<Endpoint> {
+    let ep = match backend {
+        Backend::Uds => connect_retry(
+            || UnixStream::connect(path).map(Endpoint::Uds),
+            deadline,
+            what,
+        )?,
         Backend::Tcp => {
-            let pfile = port_path(&cfg.dir, cfg.seq, peer);
+            let pfile = port_file(path);
             connect_retry(
                 || {
                     let port: u16 = std::fs::read_to_string(&pfile)?
@@ -152,7 +168,7 @@ fn connect_to(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::Result<En
                     Ok(Endpoint::Tcp(s))
                 },
                 deadline,
-                &what,
+                what,
             )?
         }
     };
@@ -184,16 +200,19 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
     assert!(cfg.rank < cfg.n_ranks, "rank out of range");
     assert!(cfg.lanes >= 1, "at least one lane");
     let deadline = Instant::now() + ESTABLISH_TIMEOUT;
-    let listener = bind(cfg)?;
+    let own_path = sock_path(&cfg.dir, cfg.seq, cfg.rank);
+    let listener = bind(cfg.backend, &own_path)?;
     let mut peers: Vec<Option<Vec<Endpoint>>> = (0..cfg.n_ranks).map(|_| None).collect();
 
     // Outbound first: connect() only needs the peer's listener to be
     // bound (the backlog queues us), never its accept loop — so doing
     // all connects before any accept cannot deadlock.
     for (peer, slot) in peers.iter_mut().enumerate().skip(cfg.rank + 1) {
+        let path = sock_path(&cfg.dir, cfg.seq, peer);
+        let what = format!("rank {peer} (universe {})", cfg.seq);
         let mut lanes = Vec::with_capacity(cfg.lanes);
         for lane in 0..cfg.lanes {
-            let mut ep = connect_to(cfg, peer, deadline)?;
+            let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
             Frame::Hello {
                 rank: cfg.rank as u16,
                 lane: lane as u16,
@@ -252,14 +271,7 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
 
     // Everyone who needed our listener has connected; drop the
     // rendezvous artifacts.
-    match cfg.backend {
-        Backend::Uds => {
-            let _ = std::fs::remove_file(sock_path(&cfg.dir, cfg.seq, cfg.rank));
-        }
-        Backend::Tcp => {
-            let _ = std::fs::remove_file(port_path(&cfg.dir, cfg.seq, cfg.rank));
-        }
-    }
+    unbind(&own_path);
 
     Ok(Mesh {
         rank: cfg.rank,
@@ -303,24 +315,7 @@ pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::R
     if cfg.rank == lo {
         // Listener role. Bind a fresh pair-scoped listener, wait for
         // the peer, validate, answer with our own hello.
-        let listener = match cfg.backend {
-            Backend::Uds => {
-                let _ = std::fs::remove_file(&path);
-                let l = UnixListener::bind(&path)?;
-                l.set_nonblocking(true)?;
-                Listener::Uds(l)
-            }
-            Backend::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0")?;
-                l.set_nonblocking(true)?;
-                let port = l.local_addr()?.port();
-                let pfile = path.with_extension("rc.port");
-                let tmp = path.with_extension("rc.port.tmp");
-                std::fs::write(&tmp, port.to_string())?;
-                std::fs::rename(&tmp, &pfile)?;
-                Listener::Tcp(l)
-            }
-        };
+        let listener = bind(cfg.backend, &path)?;
         let result = (|| {
             let mut ep = listener.accept_deadline(deadline)?;
             expect(read_hello(&mut ep, deadline)?)?;
@@ -328,42 +323,11 @@ pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::R
             ep.flush()?;
             Ok(ep)
         })();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("rc.port"));
+        unbind(&path);
         result
     } else {
-        // Connector role: the listener side may take a moment to bind,
-        // so retry on not-yet-there errors until the deadline.
         let what = format!("rank {peer} (lane-0 reconnect, universe {})", cfg.seq);
-        let mut ep = match cfg.backend {
-            Backend::Uds => connect_retry(
-                || UnixStream::connect(&path).map(Endpoint::Uds),
-                deadline,
-                &what,
-            )?,
-            Backend::Tcp => {
-                let pfile = path.with_extension("rc.port");
-                connect_retry(
-                    || {
-                        let port: u16 =
-                            std::fs::read_to_string(&pfile)?
-                                .trim()
-                                .parse()
-                                .map_err(|_| {
-                                    io::Error::new(
-                                        io::ErrorKind::NotFound,
-                                        "bad reconnect port file",
-                                    )
-                                })?;
-                        let s = std::net::TcpStream::connect(("127.0.0.1", port))?;
-                        Ok(Endpoint::Tcp(s))
-                    },
-                    deadline,
-                    &what,
-                )?
-            }
-        };
-        ep.set_nodelay()?;
+        let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
         hello.write_to(&mut ep)?;
         ep.flush()?;
         expect(read_hello(&mut ep, deadline)?)?;
