@@ -213,7 +213,7 @@ echo "== size (ROADMAP's tracked counts; the transport family has a ceiling) =="
 # engine plus its two carriers may shrink but not grow back past what
 # the one-engine refactor reached (5145 before it); lower the ceiling
 # whenever a PR lands below it.
-TRANSPORT_CEILING=4289
+TRANSPORT_CEILING=4286
 nontest() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
 family=0
 for f in wire transport transport_ipc; do

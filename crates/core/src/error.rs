@@ -66,9 +66,9 @@ pub struct QueueEntry {
 
 /// Per-peer socket health at stall time (multiprocess runs only; empty
 /// for in-process universes). The frame counters come straight from the
-/// progress engine's reader/writer threads, so a stalled wire shows up
-/// as a peer whose `frames_received` stopped moving — or whose
-/// connection is already gone.
+/// carrier's lanes, so a stalled wire shows up as a peer whose
+/// `frames_received` stopped moving — or whose connection is already
+/// gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerSocketState {
     /// Peer rank this socket leads to.
@@ -81,9 +81,8 @@ pub struct PeerSocketState {
     pub frames_received: u64,
     /// Rendezvous sends to this peer still waiting for their CTS.
     pub pending_rdv: usize,
-    /// Writer messages queued toward this peer across all lanes (the
-    /// channels are unbounded, so backlog depth — not blocking — is the
-    /// congestion signal).
+    /// Entries waiting in this peer's lane outboxes (they are unbounded,
+    /// so backlog depth — not blocking — is the congestion signal).
     pub queued: u64,
     /// Data lanes to this peer that died and were failed over.
     pub lanes_down: u16,

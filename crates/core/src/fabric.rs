@@ -635,7 +635,7 @@ impl Fabric {
     where
         F: Fn(usize) -> (String, Option<i64>, Option<usize>),
     {
-        self.wire.carrier().poll_burst(self, completions);
+        self.wire.carrier().poll_burst(self, None, completions);
         for (i, completion) in completions.iter().enumerate() {
             self.wait_on(completion, rank, || label(i));
         }
@@ -1128,9 +1128,9 @@ impl Fabric {
         }
         self.wire
             .part_stream_push(self, stream_id, offset, data, parts);
-        // The range stays pinned in the sender's buffer: the writer
-        // thread flips the message's span completion once the bytes are
-        // on the wire, so there is no local copy to declare done here.
+        // The range stays pinned in the sender's buffer: the carrier
+        // flips the message's span completion once the bytes are on the
+        // wire, so there is no local copy to declare done here.
         self.touch();
     }
 
@@ -1388,8 +1388,8 @@ impl Fabric {
     }
 
     /// Wire ingress, eager: copy the frame payload into a pooled buffer
-    /// and feed it to the ordinary matching path. Runs on the transport's
-    /// reader thread.
+    /// and feed it to the ordinary matching path. Runs in the carrier's
+    /// read path (whichever thread is reading the lane).
     pub(crate) fn deliver_wire_eager(
         &self,
         src: usize,
@@ -1406,7 +1406,7 @@ impl Fabric {
     }
 
     /// Wire ingress, rendezvous RTS: enters matching as a
-    /// [`Payload::RdvRemote`]. Runs on the transport's reader thread.
+    /// [`Payload::RdvRemote`]. Runs in the carrier's read path.
     pub(crate) fn deliver_wire_rts(
         &self,
         src: usize,
@@ -1441,7 +1441,7 @@ impl Fabric {
     }
 
     /// Wire ingress, one-sided put into a locally registered window.
-    /// Runs on the transport's reader thread.
+    /// Runs in the carrier's read path.
     pub(crate) fn apply_remote_put(&self, src: usize, win_ctx: u64, offset: u64, data: &[u8]) {
         let Some(mem) = self.win_registry.lock().get(&win_ctx).cloned() else {
             return self.fail(PcommError::misuse(

@@ -360,8 +360,8 @@ struct PsendShared {
     /// Persistent per-message send signals: `sent[m]` is set once message
     /// `m` is injected *and* its bytes are safely out of the partition
     /// buffer (eagerly at injection; for rendezvous, when the receiver's
-    /// copy lands; for wire streaming, when the writer threads finish
-    /// putting the message's span on the wire). Reset — never
+    /// copy lands; for wire streaming, when the carrier has put the
+    /// message's whole span on the wire). Reset — never
     /// reallocated — by each `start()`, so the `pready`→`issue` hot path
     /// touches no lock and allocates nothing.
     sent: Vec<Arc<Completion>>,
@@ -726,8 +726,8 @@ impl PsendRequest {
                 // Announce the whole buffer now so the receiver's CTS
                 // can race the first pready — ranges stream the moment
                 // both are in. Each message's byte span carries its
-                // `sent` completion: the writer threads flip it when
-                // the span is fully on the wire.
+                // `sent` completion: the carrier flips it when the
+                // span is fully on the wire.
                 let spans = s
                     .layout
                     .msgs
@@ -999,8 +999,8 @@ impl PsendRequest {
         if s.stream {
             // Wire streaming: the range is pinned into the stream's
             // aggregation window — no copy, no per-message envelope, no
-            // CTS wait on this path. The writer thread flips `sent[m]`
-            // once the message's whole span is on the wire.
+            // CTS wait on this path. The carrier flips `sent[m]` once
+            // the message's whole span is on the wire.
             s.comm.fabric().part_stream_send(
                 s.dst,
                 s.comm.rank(),

@@ -76,7 +76,7 @@ impl WinMem {
         self.arrived.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Read a range for a wire get (target process's reader thread).
+    /// Read a range for a wire get (the target process's read path).
     /// Bounds are checked by the caller.
     pub(crate) fn read_range(&self, offset: usize, len: usize) -> Vec<u8> {
         // SAFETY: epoch protocol — gets and puts to overlapping ranges

@@ -15,63 +15,87 @@
 //!
 //! # The socket carrier
 //!
-//! Per peer, per lane: one **writer** thread draining an unbounded
-//! channel (senders only enqueue — a send can never block on a remote
-//! process, so there is no distributed write-write deadlock), and one
-//! **reader** thread dispatching what arrives into the engine. Lane 0
-//! carries all ordered traffic (eager, rendezvous control, barriers,
-//! RMA, abort, `Bye`); lanes `1..N` (`PCOMM_NET_LANES`) carry only the
+//! Per peer, per lane: one nonblocking socket. Lane 0 carries all
+//! ordered traffic (eager, rendezvous control, `PartCts`, barriers, RMA,
+//! abort, `Bye`); lanes `1..N` (`PCOMM_NET_LANES`) carry only the
 //! order-independent `PartData` ranges, round-robined so a large
-//! partition stream cannot head-of-line-block small eager traffic.
+//! partition stream cannot head-of-line-block small eager traffic. A
+//! lane's state is two halves, each under its own mutex:
 //!
-//! Exactly one function touches a lane's socket per direction.
-//! [`SocketTransport::put`] takes a batch — control frames and pinned
-//! writes (a stream range or a CTS-released rendezvous payload) — and,
-//! under the lane's mutex, encodes, audit-stamps and sends it as one
-//! vectored write, payloads straight out of the pinned source; then it
-//! completes what the pinned writes cover. The writer thread `put`s
-//! what it drained; a reader thread mid-dispatch (CTS release) `put`s
-//! its own batch directly, skipping the thread hop; app threads never
-//! `put`, they enqueue ([`Caller`]). [`SocketTransport::take`] reads
-//! one frame head and either lands a pinned payload with a `read(2)`
-//! straight *into* its destination
-//! ([`WireProtocol::land_part`](crate::wire::WireProtocol::land_part),
-//! `land_rdv`) — so the only copies are the kernel's socket transfers —
-//! or reads the body (`pcomm_net::frame` owns head and body reads, and
-//! never trusts the length prefix for an allocation) and dispatches it.
+//! * the **outbox** — a FIFO of encoded control frames and pinned
+//!   writes (a stream range or a CTS-released rendezvous payload, sent
+//!   straight out of the user's buffer) with a resume cursor into its
+//!   front entry. A push lands in the lane's intake; whoever holds the
+//!   outbox moves the intake in, audit-stamps entries in wire order and
+//!   `writev`s until the socket refuses. A pinned entry completes its
+//!   spans or `done` only once its last byte is in the kernel;
+//! * the **decoder** ([`pcomm_net::frame::Decoder`]), which keeps its
+//!   place across `WouldBlock`: `PartData`/`RdvData` payloads land
+//!   piecewise straight in the pinned destination
+//!   ([`WireProtocol::land_part`](crate::wire::WireProtocol::land_part),
+//!   `land_rdv`), any other frame is read whole — the peer's length
+//!   prefix never sizes an allocation — and dispatched into the engine.
 //!
-//! Either one failing goes through the one triage,
-//! [`SocketTransport::lane_failed`]:
+//! **Who moves the bytes.** The thread that calls into the library,
+//! with `try_lock` only and no blocking syscall: every send (a `start`'s
+//! `PartRts`, a receiver's `PartCts`, a `pready`'s range) flushes
+//! inline; a `pready` whose stream has no CTS yet first looks at its
+//! peer's lane 0 (an empty [`Transport::poll_burst`]); `wait_slice` and
+//! `poll_burst` flush and read every lane until the completion fires or
+//! [`SPIN_WINDOW`] passes idle, then park. Otherwise one progress thread
+//! per rank (`pcomm-net`) parks in `epoll_pwait` over every lane
+//! (`EPOLLONESHOT`; `EPOLLOUT` armed only while an outbox holds bytes)
+//! and does the work. While app threads poll it leaves a fired lane to
+//! them and the last poller out re-arms it, so a polling rank pays no
+//! wake-up per frame. The heartbeat tick is the loop's timeout.
+//!
+//! A failure goes through the one triage,
+//! [`SocketTransport::lane_failed`], always on the progress thread: an
+//! app thread that meets one marks the lane broken — everyone keeps off
+//! it — and wakes the progress thread, because the lane-0 reconnect
+//! blocks.
 //!
 //! | lane          | verdict                                                     |
 //! |---------------|-------------------------------------------------------------|
-//! | 0             | the peer's one bounded reconnect; a `put` retries its batch on the new socket, a reader continues on it |
-//! | data lane     | marked dead (`LaneDown`); a `put` re-queues its pinned writes and the writer's backlog on survivors (`LaneFailover`), a reader exits |
+//! | 0             | the peer's one bounded reconnect; the outbox resends from its front entry on the new socket, the decoder starts afresh |
+//! | data lane     | marked dead (`LaneDown`); its outbox and intake move, whole, to the survivors (`LaneFailover`) |
 //! | otherwise     | the peer is dead: typed `PeerPanicked` for every local waiter |
 //!
 //! Abort tears everything down: the engine broadcasts an `Abort` frame,
-//! then `shutdown(2)` unblocks this process's own readers.
+//! `close` lets the outboxes drain for a bounded grace and then
+//! `shutdown(2)`s the sockets.
 
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pcomm_net::frame::{self, Frame};
+use pcomm_net::frame::{self, Decoder, Event, Frame, Piece};
+use pcomm_net::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use pcomm_net::{Endpoint, Mesh, MeshConfig, WireFault, WireFaults};
 use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
-use crate::sync::{Completion, Mutex};
+use crate::sync::{Completion, Mutex, MutexGuard};
 use crate::wire::{complete_spans, PinChunk, PinnedSend, SendSpan};
 
-/// Most frames a writer puts on the wire with one vectored write. Past
-/// this the batch spans enough bytes that syscall overhead is already
-/// amortised.
-const WRITER_BATCH: usize = 16;
+/// How long a polling app thread keeps making inline progress while
+/// nothing happens before it parks on its completion (every completion
+/// that fires meanwhile renews it). Long enough to cover a same-host
+/// round trip — the latency-critical window — short enough not to burn
+/// a core when the peer is genuinely slow.
+const SPIN_WINDOW: Duration = Duration::from_micros(150);
+
+/// `spin_loop` hints between two idle polls, before the `yield_now`
+/// (which stays: on a 1-CPU host the peer needs the core). Enough that
+/// an idle poller stops hammering shared lines and `sched_yield`; few
+/// enough that a record is seen within ~100 ns.
+const POLL_PAUSES: u32 = 8;
 
 /// Hard bound on the single lane-0 reconnect attempt: long enough for
 /// the peer to notice its own side died and rendezvous, short enough
@@ -79,21 +103,24 @@ const WRITER_BATCH: usize = 16;
 /// default chaos watchdog budget.
 const RECONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// First writer-queue depth that emits a `WriterQueue` trace event; each
-/// further event needs double the depth (the channels are unbounded, so
+/// Most outbox entries one `writev` carries (two slices each).
+const IOV_ENTRIES: usize = 32;
+
+/// First outbox depth that emits a `WriterQueue` trace event; each
+/// further event needs double the depth (outboxes are unbounded, so
 /// depth growth — not blocking — is the congestion signal).
 const QUEUE_HWM_BASE: usize = 64;
 
-/// Which context asks a carrier to move bytes. An application thread
-/// (inside `pready`/`start`) must never block on a peer, so carriers
-/// with writer threads enqueue for it; the carrier's own progress
-/// context (a reader thread mid-dispatch) may write directly and skip
-/// the thread hop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Caller {
-    App,
-    Progress,
-}
+/// Readiness token of the progress thread's waker; a lane's token is
+/// `peer << 8 | lane`.
+const WAKER: u64 = u64::MAX;
+
+/// How long an aborted run's `close` lets the outboxes drain (the
+/// `Abort` broadcast and the `Bye`s) before it gives up on them.
+const ABORT_GRACE: Duration = Duration::from_secs(1);
+
+/// Progress-loop timeout while closing, ms: re-check the goodbyes.
+const CLOSE_TICK_MS: i32 = 10;
 
 /// A carrier: how the wire protocol engine reaches ranks hosted outside
 /// this process. Everything but `local_rank` and the waiting hooks is
@@ -133,12 +160,10 @@ pub(crate) trait Transport: Send + Sync {
         rdv_id: u64,
         base: *const u8,
         total_len: usize,
-        caller: Caller,
     );
 
     /// Move ready chunks of stream `rdv_id` to `dst` under the `grant`
     /// its CTS carried, completing the covered `spans` as bytes leave.
-    #[allow(clippy::too_many_arguments)] // one per stream-descriptor field
     fn ship_chunks(
         &self,
         fabric: &Fabric,
@@ -147,7 +172,6 @@ pub(crate) trait Transport: Send + Sync {
         grant: Option<u64>,
         spans: &Arc<Vec<SendSpan>>,
         chunks: &[PinChunk],
-        caller: Caller,
     );
 
     /// Reconnect epoch of the ordered connection to `peer`, for audit
@@ -170,8 +194,8 @@ pub(crate) trait Transport: Send + Sync {
     /// One bounded wait step inside `Fabric::wait_on`: park until
     /// `completion` fires or a carrier-chosen slice elapses; returns
     /// whether it fired. The default simply sleeps on the completion;
-    /// carriers without reader threads (ipc) override this to run
-    /// inline progress while the app thread waits.
+    /// the real carriers first run inline progress while the app thread
+    /// waits.
     fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
         let _ = fabric;
         completion.wait_timeout(WAIT_SLICE)
@@ -179,12 +203,14 @@ pub(crate) trait Transport: Send + Sync {
 
     /// Opportunistic inline progress ahead of a burst of
     /// [`Transport::wait_slice`] calls, one per entry of `completions`:
-    /// a polling carrier (ipc) polls until all are set or the peer
-    /// goes quiet, as *one* poller rather than one per completion.
+    /// a polling carrier polls until all are set or the peer goes
+    /// quiet, as *one* poller rather than one per completion. An empty
+    /// burst naming a `peer` asks for one look at that peer's ordered
+    /// traffic (a sender whose stream has no CTS yet looks for it).
     /// Never required for correctness — the waits that follow block
     /// properly; the default does nothing.
-    fn poll_burst(&self, fabric: &Fabric, completions: &[Arc<Completion>]) {
-        let _ = (fabric, completions);
+    fn poll_burst(&self, fabric: &Fabric, peer: Option<usize>, completions: &[Arc<Completion>]) {
+        let _ = (fabric, peer, completions);
     }
 
     /// Try to pin a receiver-side destination of `len` bytes that the
@@ -208,13 +234,59 @@ pub(crate) trait Transport: Send + Sync {
     fn close(&self, fabric: &Fabric);
 }
 
+/// Run `pass` — one round of inline progress, `true` when it moved
+/// anything — until `pending()` reaches zero or nothing has happened
+/// for [`SPIN_WINDOW`] (every drop of `pending()` renews it); returns
+/// whether it reached zero. Both real carriers poll with this: a
+/// waiting app thread is its own progress engine, because handing a
+/// round trip to a progress thread costs two context switches.
+pub(crate) fn poll_window(
+    mut pass: impl FnMut() -> bool,
+    mut pending: impl FnMut() -> usize,
+) -> bool {
+    let mut left = pending();
+    let mut spin_until = Instant::now() + SPIN_WINDOW;
+    let mut renew = false;
+    while left > 0 {
+        if !pass() {
+            let now = Instant::now();
+            if renew {
+                (spin_until, renew) = (now + SPIN_WINDOW, false);
+            } else if now >= spin_until {
+                break;
+            }
+            for _ in 0..POLL_PAUSES {
+                std::hint::spin_loop();
+            }
+            std::thread::yield_now();
+        }
+        let now_left = pending();
+        renew |= now_left < left;
+        left = now_left;
+    }
+    left == 0
+}
+
+/// How many of `completions` are unset, counted from the first unset
+/// one (set completions before the cursor are not probed again): a
+/// stream arriving piecemeal is one polling session, not one per
+/// message.
+pub(crate) fn unset_in(completions: &[Arc<Completion>]) -> impl FnMut() -> usize + '_ {
+    let mut next = 0;
+    move || {
+        while completions.get(next).is_some_and(|c| c.is_set()) {
+            next += 1;
+        }
+        completions.len() - next
+    }
+}
+
 /// A pinned byte range headed for the wire without an intermediate
 /// copy: `head` (a `PartData` or `RdvData` frame header — length prefix
 /// through the last fixed field) goes out followed by the payload
-/// straight from the pinned source buffer, as one vectored write, and
-/// `then` names what that write completes. A CTS-released rendezvous
-/// payload therefore pays one kernel copy instead of three buffer hops
-/// (pinned→Vec, Vec→scratch, scratch→socket), like a stream range.
+/// straight from the pinned source buffer, and `then` names what those
+/// bytes complete once they have left. A CTS-released rendezvous
+/// payload therefore pays one kernel copy, like a stream range.
 struct PinnedWrite {
     head: [u8; 4 + frame::PART_DATA_BODY_HDR],
     head_len: usize,
@@ -238,8 +310,8 @@ enum Then {
 
 // SAFETY: same argument as [`PinChunk`] and [`PinnedSend`] — the source
 // stays pinned until `then` is completed (the spans' `done`
-// completions, or the rendezvous `done`), which `put` does only after
-// the write, and only the thread holding the lane's `direct` mutex
+// completions, or the rendezvous `done`), which happens only after the
+// last byte was written, and only the thread holding the lane's outbox
 // reads through the pointer.
 unsafe impl Send for PinnedWrite {}
 
@@ -272,141 +344,158 @@ impl PinnedWrite {
     }
 }
 
-/// What goes onto a lane: the entries of a [`SocketTransport::put`]
-/// batch, and what a writer thread consumes. Frames cross the channel
-/// undecoded; `put` encodes them into its caller's reusable scratch.
-enum WriterMsg {
-    /// A frame to put on the wire.
-    Frame(Frame),
+/// One entry of a lane's outbox.
+enum Out {
+    /// An encoded control frame, length prefix included.
+    Frame(Vec<u8>),
     /// A pinned stream range or rendezvous payload (zero-copy).
     Pinned(PinnedWrite),
-    /// Flush and exit (teardown).
-    Shutdown,
 }
 
-/// One writer lane of a peer: its own socket, a writer thread draining
-/// `tx`, and a direct write handle under `direct` that lets *reader*
-/// threads put a CTS-released batch on the wire without a thread hop.
+impl Out {
+    /// The entry's wire bytes, as one or two slices.
+    fn parts(&self) -> [&[u8]; 2] {
+        match self {
+            Out::Frame(bytes) => [bytes, &[]],
+            Out::Pinned(pw) => [
+                &pw.head[..pw.head_len],
+                // SAFETY: the source stays pinned until `then` is
+                // completed, which `advance` does only once the entry's
+                // last byte was written (invariant (1)).
+                unsafe { std::slice::from_raw_parts(pw.ptr, pw.len) },
+            ],
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            Out::Frame(bytes) => bytes.len(),
+            Out::Pinned(pw) => pw.head_len + pw.len,
+        }
+    }
+
+    fn op(&self) -> u8 {
+        match self {
+            Out::Frame(bytes) => bytes[5],
+            Out::Pinned(pw) => pw.head[5],
+        }
+    }
+
+    /// Complete what the entry's bytes were for; they have all left.
+    fn complete(self) {
+        if let Out::Pinned(pw) = self {
+            match pw.then {
+                Then::Spans { offset, spans, .. } => {
+                    complete_spans(&spans, offset as usize, pw.len)
+                }
+                Then::Done(done) => done.set(),
+            }
+        }
+    }
+}
+
+/// A lane's write half, under [`Lane::tx`].
+struct Tx {
+    ep: Endpoint,
+    outbox: VecDeque<Out>,
+    /// Bytes of the front entry already written.
+    at: usize,
+    /// Leading entries already audit-stamped for this socket.
+    stamped: usize,
+    /// Verify-grade runs only: the lane's frame counter, bumped as each
+    /// frame is stamped so `VerifyWireSend.seq` is exact wire order.
+    /// Never reset — a gap in one rank's recorded seqs marks ring
+    /// overflow, not loss.
+    seq: u32,
+    /// Whether the lane's registration asks for `EPOLLOUT`.
+    out_armed: bool,
+    /// Next outbox depth that emits a `WriterQueue` event.
+    hwm: usize,
+}
+
+/// What a lane's read half keeps between reads: the decoder's place
+/// and the audit counters — the ordinal of every frame head read, and
+/// the lane-0 reconnect epoch of the socket it reads (its own, not the
+/// shared peer epoch, so frames still buffered in a dying socket keep
+/// theirs).
+struct Reader {
+    dec: Decoder,
+    epoch: u32,
+    seq: u32,
+}
+
+impl Reader {
+    fn new() -> Reader {
+        Reader {
+            dec: Decoder::new(true),
+            epoch: 0,
+            seq: 0,
+        }
+    }
+}
+
+/// A lane's read half, under [`Lane::rx`].
+struct Rx {
+    ep: Endpoint,
+    rd: Reader,
+}
+
+/// One lane of a peer: a nonblocking socket, its two halves, and the
+/// flags that tell threads what to leave alone.
 struct Lane {
-    /// The original stream; kept for `shutdown` (which unblocks the
-    /// reader on abort). Reader and writer own `try_clone`s.
-    endpoint: Endpoint,
-    tx: Sender<WriterMsg>,
-    /// Taken by `start`.
-    rx: Mutex<Option<Receiver<WriterMsg>>>,
-    writer: Mutex<Option<JoinHandle<()>>>,
-    /// The write half. Every `put` locks it for its batch: the lane's
-    /// writer thread, and reader threads releasing a CTS batch, which
-    /// write under the same mutex directly, skipping the context switch
-    /// that would otherwise cap partitioned bandwidth on small
-    /// machines. App threads never write here — a `pready` must not
-    /// donate its timeslice to a blocking socket write. After a lane-0
-    /// reconnect this holds the re-handshaken endpoint.
-    direct: Mutex<Option<Endpoint>>,
-    /// Cleared when the lane's socket dies; dead data lanes drop out of
-    /// the round-robin and their in-flight work fails over.
+    tx: Mutex<Tx>,
+    rx: Mutex<Rx>,
+    /// Entries on their way into the outbox. A push never waits for
+    /// the socket: it lands here, and whoever holds `tx` moves the
+    /// intake along — and looks again after letting go, so a push that
+    /// found `tx` busy is never stranded.
+    intake: Mutex<Vec<Out>>,
+    /// The outbox's length, kept under `tx`, for the readers that do not
+    /// take `tx` (and so owe the intake no second look): stall reports
+    /// and `close`.
+    depth: AtomicUsize,
+    /// The fd of the lane's `epoll` registration (`tx`'s socket).
+    fd: AtomicI32,
+    /// Cleared when a data lane dies: it drops out of the round-robin.
     alive: AtomicBool,
-    /// Writer messages enqueued but not yet consumed by the writer
-    /// thread (the backlog of the unbounded channel).
-    queued: AtomicUsize,
-    /// Verify-grade runs only: monotone per-lane frame counter, bumped
-    /// under the lane's `direct` mutex just before each frame's write so
-    /// `VerifyWireSend.seq` reproduces exact wire order. Never reset —
-    /// a gap in one rank's recorded seqs marks ring overflow, not loss.
-    tx_seq: AtomicU32,
+    /// The peer said `Bye` on this lane: nothing more is read from it.
+    bye: AtomicBool,
+    /// Set on a failure: app threads keep off the lane until the
+    /// progress thread's triage (which clears it on a reconnect).
+    broken: AtomicBool,
+    /// What the failure said, until the triage takes it.
+    fault: Mutex<Option<io::Error>>,
+    /// The registration fired while app threads polled: the last poller
+    /// out re-arms it.
+    owed: AtomicBool,
 }
 
 impl Lane {
-    /// Enqueue one writer message, keeping the backlog counter honest.
-    /// Gives the message back when the writer thread is gone (lane died
-    /// or teardown), so callers can reroute it.
-    fn enqueue(&self, msg: WriterMsg) -> Result<(), WriterMsg> {
-        // ORDERING: `queued` is an advisory backlog gauge read for
-        // congestion tracing and diagnostics; nothing synchronizes on
-        // it, so a momentarily stale count is harmless.
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        match self.tx.send(msg) {
-            Ok(()) => Ok(()),
-            Err(back) => {
-                // ORDERING: same advisory gauge as the increment above.
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                Err(back.0)
-            }
+    fn new(ep: Endpoint, rx: Endpoint) -> Lane {
+        Lane {
+            fd: AtomicI32::new(ep.as_raw_fd()),
+            tx: Mutex::new(Tx {
+                ep,
+                outbox: VecDeque::new(),
+                at: 0,
+                stamped: 0,
+                seq: 0,
+                out_armed: false,
+                hwm: QUEUE_HWM_BASE,
+            }),
+            rx: Mutex::new(Rx {
+                ep: rx,
+                rd: Reader::new(),
+            }),
+            intake: Mutex::new(Vec::new()),
+            depth: AtomicUsize::new(0),
+            alive: AtomicBool::new(true),
+            bye: AtomicBool::new(false),
+            broken: AtomicBool::new(false),
+            fault: Mutex::new(None),
+            owed: AtomicBool::new(false),
         }
     }
-}
-
-/// A writer thread's end of its lane's channel.
-struct Inbox {
-    rx: Receiver<WriterMsg>,
-    /// Cleared by `Shutdown` (or a vanished sender): nothing further
-    /// will be consumed.
-    open: bool,
-}
-
-impl Inbox {
-    /// Move queued messages into `batch` until it holds `max`, blocking
-    /// for the first one when `block`.
-    fn drain(&mut self, lane: &Lane, batch: &mut Vec<WriterMsg>, max: usize, block: bool) {
-        while self.open && batch.len() < max {
-            let blocking = block && batch.is_empty();
-            let got = if blocking {
-                self.rx.recv().ok()
-            } else {
-                self.rx.try_recv().ok()
-            };
-            let Some(msg) = got else {
-                // A blocking receive fails only once every sender is gone.
-                self.open = !blocking;
-                return;
-            };
-            // ORDERING: `queued` is an advisory backlog gauge (see
-            // `Lane::enqueue`); exact interleaving with readers does not
-            // matter.
-            lane.queued.fetch_sub(1, Ordering::Relaxed);
-            match msg {
-                WriterMsg::Shutdown => self.open = false,
-                msg => batch.push(msg),
-            }
-        }
-    }
-}
-
-/// How a [`SocketTransport::put`] ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Put {
-    /// The batch reached the socket (less what an abort skipped).
-    Sent,
-    /// The data lane died: the batch's pinned writes (and the writer's
-    /// backlog) were re-queued on survivors, its control frames are
-    /// left in the batch.
-    FailedOver,
-    /// The peer is gone (typed error raised) or the universe is
-    /// aborting; nothing was completed.
-    Dead,
-}
-
-/// What a dead lane means: the verdict of
-/// [`SocketTransport::lane_failed`].
-enum Fate {
-    /// Lane 0 was re-established; a read handle on the new socket.
-    Reconnected(Endpoint),
-    /// A data lane: marked dead, the survivors carry on.
-    FailedOver,
-    /// The peer is gone for good (or the universe is tearing down).
-    Dead,
-}
-
-/// Outcome of the single bounded lane-0 reconnect attempt for a peer.
-enum Reconnected {
-    /// Never attempted.
-    No,
-    /// Attempted and failed: the peer is gone for good.
-    Failed,
-    /// The re-handshaken lane-0 endpoint (reader/writer use clones; kept
-    /// here so teardown can `shutdown` / time-bound it like the
-    /// original).
-    Yes(Endpoint),
 }
 
 /// Per-peer socket machinery: `lanes[0]` is the ordered lane, the rest
@@ -420,47 +509,65 @@ struct Peer {
     /// Round-robin cursor over the data lanes.
     next_lane: AtomicUsize,
     /// Transport-relative ms timestamp of the last frame read from this
-    /// peer on any lane — the liveness signal the heartbeat monitor
-    /// escalates on.
+    /// peer on any lane — the liveness signal the heartbeat escalates
+    /// on.
     last_heard_ms: AtomicU64,
-    /// The one bounded lane-0 reconnect, shared by every thread that
-    /// notices the death (whichever arrives first performs it; the
-    /// others block on this lock and reuse the outcome).
-    reconnect: Mutex<Reconnected>,
-    /// Reconnect epoch for audit events: 0 until the peer's one bounded
-    /// lane-0 reconnect succeeds, 1 after. Bumped while the lane-0
-    /// `direct` mutex is held, so writers reading it under that mutex
-    /// always stamp frames with the epoch of the socket they write to.
+    /// The one bounded lane-0 reconnect per peer and transport lifetime
+    /// was spent, whatever came of it.
+    reconnect_spent: AtomicBool,
+    /// Reconnect epoch for audit events: 0 until the lane-0 reconnect
+    /// succeeds, 1 after. Bumped under lane 0's outbox mutex, so stamps
+    /// taken under it carry the epoch of the socket they go to.
     epoch: AtomicU32,
 }
 
-/// The socket carrier: per-peer-per-lane reader/writer threads (see the
-/// module docs for the model).
+/// The socket carrier: per-peer-per-lane nonblocking sockets moved by
+/// the calling threads and one `epoll` progress thread (see the module
+/// docs for the model).
 pub(crate) struct SocketTransport {
     rank: usize,
     peers: Vec<Option<Peer>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
     /// Mesh parameters, kept for the bounded lane-0 reconnect.
     cfg: MeshConfig,
     /// `PCOMM_NET_HB_MS`: heartbeat interval; `None` disables liveness.
     hb_ms: Option<u64>,
-    hb_stop: AtomicBool,
-    hb_thread: Mutex<Option<JoinHandle<()>>>,
     /// Transport epoch for the ms timestamps in `last_heard_ms`.
     t0: Instant,
     /// Set by `start`; lets the wire-fault observer (built in `new`,
     /// before the fabric exists) emit trace events. `Weak` so the
     /// fabric → transport → endpoint → observer chain is not a cycle.
     fault_obs: Arc<OnceLock<Weak<Fabric>>>,
+    /// Every lane's socket, plus the waker.
+    epoll: Epoll,
+    /// A byte written to `.1` makes `.0` readable: wakes the progress
+    /// thread for a triage or `close`.
+    waker: (UnixStream, UnixStream),
+    /// App threads inside a polling window; while any is, the progress
+    /// thread leaves fired lanes to them.
+    pollers: AtomicUsize,
+    /// `close` began: the progress thread finishes the goodbyes, exits.
+    closing: AtomicBool,
+    progress: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// A lane's readiness token.
+fn token(peer: usize, lane: usize) -> u64 {
+    (peer as u64) << 8 | lane as u64
 }
 
 impl SocketTransport {
-    /// Wrap an established mesh. Threads start in
-    /// [`SocketTransport::start`], once the fabric exists. When `plan`
-    /// carries wire-class faults every lane endpoint is wrapped in the
-    /// seeded fault injector, with an observer that traces each
+    /// Wrap an established mesh: every lane's socket turns nonblocking
+    /// and joins one `epoll` set. The progress thread starts in
+    /// [`SocketTransport::start`], once the fabric exists; until then
+    /// the calling threads are the only ones that move bytes. When
+    /// `plan` carries wire-class faults every lane endpoint is wrapped
+    /// in the seeded fault injector, with an observer that traces each
     /// injection once the fabric is attached.
-    pub(crate) fn new(mesh: Mesh, cfg: MeshConfig, plan: Option<&FaultPlan>) -> SocketTransport {
+    pub(crate) fn new(
+        mesh: Mesh,
+        cfg: MeshConfig,
+        plan: Option<&FaultPlan>,
+    ) -> io::Result<SocketTransport> {
         let rank = mesh.rank;
         let fault_obs: Arc<OnceLock<Weak<Fabric>>> = Arc::new(OnceLock::new());
         let wire = plan.filter(|p| p.any_wire_faults()).map(|p| {
@@ -486,62 +593,59 @@ impl SocketTransport {
                 })),
             })
         });
-        let peers = mesh
-            .peers
-            .into_iter()
-            .enumerate()
-            .map(|(peer_rank, eps)| {
-                eps.map(|endpoints| {
-                    let lanes = endpoints
-                        .into_iter()
-                        .enumerate()
-                        .map(|(lane_idx, endpoint)| {
-                            let endpoint = match &wire {
-                                Some(plan) => endpoint.with_faults(
-                                    Arc::clone(plan),
-                                    peer_rank as u32,
-                                    lane_idx as u32,
-                                ),
-                                None => endpoint,
-                            };
-                            let (tx, rx) = std::sync::mpsc::channel();
-                            Lane {
-                                endpoint,
-                                tx,
-                                rx: Mutex::new(Some(rx)),
-                                writer: Mutex::new(None),
-                                direct: Mutex::new(None),
-                                alive: AtomicBool::new(true),
-                                queued: AtomicUsize::new(0),
-                                tx_seq: AtomicU32::new(0),
-                            }
-                        })
-                        .collect();
-                    Peer {
-                        lanes,
-                        connected: AtomicBool::new(true),
-                        frames_sent: AtomicU64::new(0),
-                        frames_received: AtomicU64::new(0),
-                        saw_bye: AtomicBool::new(false),
-                        next_lane: AtomicUsize::new(0),
-                        last_heard_ms: AtomicU64::new(0),
-                        reconnect: Mutex::new(Reconnected::No),
-                        epoch: AtomicU32::new(0),
+        let epoll = Epoll::new()?;
+        let mut peers = Vec::with_capacity(mesh.peers.len());
+        for (peer_rank, eps) in mesh.peers.into_iter().enumerate() {
+            let Some(endpoints) = eps else {
+                peers.push(None);
+                continue;
+            };
+            let mut lanes = Vec::with_capacity(endpoints.len());
+            for (lane_idx, ep) in endpoints.into_iter().enumerate() {
+                let ep = match &wire {
+                    Some(plan) => {
+                        ep.with_faults(Arc::clone(plan), peer_rank as u32, lane_idx as u32)
                     }
-                })
-            })
-            .collect();
-        SocketTransport {
+                    None => ep,
+                };
+                ep.set_nonblocking(true)?;
+                epoll.add(
+                    ep.as_raw_fd(),
+                    EPOLLIN | EPOLLONESHOT,
+                    token(peer_rank, lane_idx),
+                )?;
+                let rx = ep.try_clone()?;
+                lanes.push(Lane::new(ep, rx));
+            }
+            peers.push(Some(Peer {
+                lanes,
+                connected: AtomicBool::new(true),
+                frames_sent: AtomicU64::new(0),
+                frames_received: AtomicU64::new(0),
+                saw_bye: AtomicBool::new(false),
+                next_lane: AtomicUsize::new(0),
+                last_heard_ms: AtomicU64::new(0),
+                reconnect_spent: AtomicBool::new(false),
+                epoch: AtomicU32::new(0),
+            }));
+        }
+        let waker = UnixStream::pair()?;
+        waker.0.set_nonblocking(true)?;
+        waker.1.set_nonblocking(true)?;
+        epoll.add(waker.0.as_raw_fd(), EPOLLIN, WAKER)?;
+        Ok(SocketTransport {
             rank,
             peers,
-            readers: Mutex::new(Vec::new()),
             cfg,
             hb_ms: pcomm_net::launch::hb_ms_from_env(),
-            hb_stop: AtomicBool::new(false),
-            hb_thread: Mutex::new(None),
             t0: Instant::now(),
             fault_obs,
-        }
+            epoll,
+            waker,
+            pollers: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
+            progress: Mutex::new(None),
+        })
     }
 
     /// Milliseconds since the transport was built (the epoch of
@@ -550,49 +654,22 @@ impl SocketTransport {
         self.t0.elapsed().as_millis() as u64
     }
 
-    /// Audit hook: one frame is about to leave on `lane_idx` toward
-    /// `dst`. The caller holds the lane's `direct` mutex, so the
-    /// per-lane `tx_seq` order is exact wire order and the epoch read
-    /// matches the socket the frame goes to. No-op unless the trace is
-    /// verify-grade.
-    fn emit_wire_send(&self, fabric: &Fabric, dst: usize, lane_idx: usize, op: u8) {
-        let trace = fabric.trace();
-        if !trace.is_verify() {
-            return;
-        }
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
-        // ORDERING: Relaxed suffices — the lane's `direct` mutex already
-        // serialises every sender on this counter; the atomic is only a
-        // convenience over `Mutex<u32>`.
-        let seq = peer.lanes[lane_idx].tx_seq.fetch_add(1, Ordering::Relaxed);
-        // Only lane 0 ever reconnects (`recover_lane0`); data lanes live
-        // and die on one socket, so their frames are all epoch 0 — which
-        // must match the receiver's reader-local count, not the shared
-        // peer epoch a lane-0 reconnect bumps.
-        let epoch = if lane_idx == 0 {
-            peer.epoch.load(Ordering::Acquire)
-        } else {
-            0
-        };
-        let (p16, l16, op16) = (dst as u16, lane_idx as u16, op as u16);
-        trace.emit_verify(self.rank as u16, || EventKind::VerifyWireSend {
-            peer: p16,
-            lane: l16,
-            op: op16,
-            epoch,
-            seq,
-        });
+    fn lane(&self, peer: usize, lane: usize) -> Option<&Lane> {
+        self.peers[peer].as_ref().map(|p| &p.lanes[lane])
     }
 
-    /// Enqueue one ordered frame toward `dst` (lane 0; never blocks —
-    /// the writer thread does the I/O). Sends to an already-torn-down
-    /// peer are dropped.
-    fn send_frame(&self, dst: usize, frame: Frame) {
-        if let Some(peer) = &self.peers[dst] {
-            let _ = peer.lanes[0].enqueue(WriterMsg::Frame(frame));
-        }
+    /// Every lane, with its peer rank and index.
+    fn lanes(&self) -> impl Iterator<Item = (usize, usize, &Lane)> {
+        let peers = self.peers.iter().enumerate();
+        peers.flat_map(|(p, peer)| {
+            let lanes = peer.iter().flat_map(|peer| peer.lanes.iter().enumerate());
+            lanes.map(move |(l, lane)| (p, l, lane))
+        })
+    }
+
+    /// Wake the progress thread (a full waker already will).
+    fn wake(&self) {
+        let _ = (&self.waker.1).write(&[1]);
     }
 
     /// Round-robin a `PartData` chunk over the *surviving* data lanes;
@@ -613,236 +690,473 @@ impl SocketTransport {
         0
     }
 
-    /// Hand one message to `lane_idx`'s writer thread. An enqueue can
-    /// only fail when that writer exited — mark the lane dead and
-    /// re-route to a surviving one (data lanes first, lane 0 as the
-    /// last resort); a failed lane-0 enqueue means the universe is
-    /// tearing down and the waiters unwind via the abort.
-    fn enqueue_on(&self, peer: &Peer, mut lane_idx: usize, mut msg: WriterMsg) {
-        while let Err(back) = peer.lanes[lane_idx].enqueue(msg) {
-            peer.lanes[lane_idx].alive.store(false, Ordering::Release);
-            if lane_idx == 0 {
-                return;
-            }
-            (lane_idx, msg) = (self.pick_lane(peer), back);
+    /// Put one entry on `lane_idx` toward `dst` and move what can move
+    /// now. An entry that lands behind a data lane's failover follows
+    /// the rest to a survivor.
+    fn push(&self, fabric: &Fabric, dst: usize, lane_idx: usize, out: Out) {
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        let lane = &peer.lanes[lane_idx];
+        lane.intake.lock().push(out);
+        // The failover clears `alive` before it empties the intake, so a
+        // push it missed sees the lane dead here.
+        if lane_idx > 0 && !lane.alive.load(Ordering::Acquire) {
+            let late = std::mem::take(&mut *lane.intake.lock());
+            self.requeue(fabric, dst, peer, late);
+            return;
         }
+        self.flush(fabric, dst, lane_idx);
     }
 
-    /// Re-route every pinned write of `batch` to surviving lanes after
-    /// theirs died, leaving the control frames behind; returns how many
-    /// moved.
-    fn requeue_pinned(&self, peer: &Peer, batch: &mut Vec<WriterMsg>) -> u64 {
+    /// Move pinned writes off a dead data lane, whole, onto the
+    /// survivors (lane 0 when none is left); its control frames die
+    /// with it. Returns how many moved.
+    fn requeue(&self, fabric: &Fabric, dst: usize, peer: &Peer, entries: Vec<Out>) -> u64 {
         let mut requeued = 0;
-        for msg in std::mem::take(batch) {
-            if matches!(msg, WriterMsg::Pinned(_)) {
-                self.enqueue_on(peer, self.pick_lane(peer), msg);
+        for out in entries {
+            if let Out::Pinned(_) = out {
+                self.push(fabric, dst, self.pick_lane(peer), out);
                 requeued += 1;
-            } else {
-                batch.push(msg);
             }
         }
         requeued
     }
 
-    /// The one way onto a lane's socket. Under the lane's `direct`
-    /// mutex — which is what keeps the writer thread's and the reader
-    /// threads' frames from interleaving — the batch's control frames
-    /// are encoded into `scratch`, every entry gets its audit stamp in
-    /// wire order, and everything leaves as one vectored write, pinned
-    /// payloads straight from their source buffers; only then do the
-    /// pinned writes complete their spans / `done`. The writer thread
-    /// passes its drained channel batch (and its `inbox`), a reader
-    /// thread mid-dispatch a local one. A failed write goes through
-    /// [`lane_failed`](Self::lane_failed): lane 0 retries the same
-    /// batch once on the reconnected socket (at-least-once — the
-    /// receiving engine deduplicates), a data lane's pinned writes move
-    /// to the survivors.
-    fn put(
+    /// Move `lane_idx`'s outbound bytes now — unless another thread is
+    /// (it looks at the intake again after letting go) or the lane is
+    /// left to triage. Never blocks. Returns whether bytes moved.
+    fn flush(&self, fabric: &Fabric, dst: usize, lane_idx: usize) -> bool {
+        let Some(lane) = self.lane(dst, lane_idx) else {
+            return false;
+        };
+        let mut moved = false;
+        while !lane.broken.load(Ordering::Acquire) {
+            let Some(mut tx) = lane.tx.try_lock() else {
+                break;
+            };
+            match self.write_out(fabric, dst, lane_idx, &mut tx) {
+                Ok(m) => moved |= m,
+                Err(e) => self.defer(lane, e),
+            }
+            drop(tx);
+            if lane.intake.lock().is_empty() {
+                break;
+            }
+        }
+        moved
+    }
+
+    /// The one way onto a lane's socket, under its outbox mutex: take
+    /// the intake in, stamp, `writev` from the front entry's resume
+    /// cursor until the socket refuses, and complete every entry whose
+    /// last byte left. Keeps `EPOLLOUT` armed exactly while bytes wait.
+    /// Returns whether anything was written.
+    fn write_out(
         &self,
         fabric: &Fabric,
         dst: usize,
         lane_idx: usize,
-        batch: &mut Vec<WriterMsg>,
-        scratch: &mut Vec<Vec<u8>>,
-        inbox: Option<&mut Inbox>,
-    ) -> Put {
+        tx: &mut Tx,
+    ) -> io::Result<bool> {
         let Some(peer) = &self.peers[dst] else {
-            return Put::Dead;
+            return Ok(false);
         };
-        if batch.is_empty() {
-            return Put::Sent;
-        }
         let lane = &peer.lanes[lane_idx];
-        // An aborting universe may already be unwinding the buffers that
-        // pinned entries point into: drop them unsent (their waiters
-        // unwind via the abort), keep the control frames (the abort
-        // broadcast is one of them).
-        let aborting = fabric.aborted();
-        let mut n_frames = 0;
-        for msg in batch.iter() {
-            if let WriterMsg::Frame(f) = msg {
-                if scratch.len() == n_frames {
-                    scratch.push(Vec::new());
-                }
-                f.encode_into(&mut scratch[n_frames]);
-                n_frames += 1;
-            }
+        {
+            // The depth counts the entries before the intake lets them
+            // go, so a reader that finds the intake empty sees them.
+            let mut intake = lane.intake.lock();
+            tx.outbox.extend(intake.drain(..));
+            lane.depth.store(tx.outbox.len(), Ordering::Release);
         }
-        let failed_over = {
-            let mut encoded = scratch.iter();
-            let mut slices: Vec<&[u8]> = Vec::with_capacity(batch.len() * 2);
-            for msg in batch.iter() {
-                match msg {
-                    WriterMsg::Frame(_) => slices.extend(encoded.next().map(Vec::as_slice)),
-                    WriterMsg::Pinned(pw) if !aborting => {
-                        slices.push(&pw.head[..pw.head_len]);
-                        // SAFETY: the source buffer stays pinned until
-                        // `then` is completed below, after the write
-                        // (invariant (1)); the abort check above plus
-                        // the drain grace cover teardown races.
-                        slices.push(unsafe { std::slice::from_raw_parts(pw.ptr, pw.len) });
-                    }
-                    _ => {}
-                }
-            }
-            let mut may_recover = true;
-            loop {
-                let wrote = match lane.direct.lock().as_mut() {
-                    Some(ep) => {
-                        // Audit record under the lane mutex, one event
-                        // per frame in wire order, emitted before the
-                        // write so a torn batch still records what may
-                        // have reached the peer, and re-stamped on a
-                        // post-reconnect retry (each attempt is a
-                        // genuine new wire frame).
-                        for msg in batch.iter() {
-                            match msg {
-                                WriterMsg::Frame(f) => {
-                                    self.emit_wire_send(fabric, dst, lane_idx, f.op())
-                                }
-                                WriterMsg::Pinned(pw) if !aborting => {
-                                    self.emit_wire_send(fabric, dst, lane_idx, pw.head[5]);
-                                    if let Then::Spans { rdv_id, offset, .. } = pw.then {
-                                        let (p16, l16) = (dst as u16, lane_idx as u16);
-                                        fabric.trace().emit_verify(self.rank as u16, || {
-                                            EventKind::VerifyStreamData {
-                                                peer: p16,
-                                                lane: l16,
-                                                tx: true,
-                                                stream: rdv_id as u32,
-                                                offset,
-                                                len: pw.len as u32,
-                                            }
-                                        });
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        write_all_vectored(ep, &slices).and_then(|()| ep.flush())
-                    }
-                    None => Err(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "net: lane endpoint already torn down",
-                    )),
-                };
-                let Err(err) = wrote else { break false };
-                match self.lane_failed(fabric, dst, lane_idx, may_recover, &err) {
-                    // `direct` now holds the new socket: same batch again.
-                    Fate::Reconnected(_) => may_recover = false,
-                    Fate::FailedOver => break true,
-                    Fate::Dead => return Put::Dead,
-                }
-            }
-        };
-        if failed_over {
-            // The batch never reached the wire (or did so only partially
-            // — the receiver's interval ledger absorbs the overlap) and
-            // nothing in it has completed, so the pinned sources are
-            // still live: replay them whole on the survivors, with
-            // whatever this lane's writer still had queued behind them.
-            if let Some(inbox) = inbox {
-                inbox.drain(lane, batch, usize::MAX, false);
-            }
-            let requeued = self.requeue_pinned(peer, batch);
-            let (p16, l16) = (dst as u16, lane_idx as u16);
+        if tx.outbox.len() >= tx.hwm {
+            let (p16, l16, depth) = (dst as u16, lane_idx as u16, tx.outbox.len() as u64);
             fabric
                 .trace()
-                .emit(self.rank as u16, || EventKind::LaneFailover {
+                .emit(self.rank as u16, || EventKind::WriterQueue {
+                    peer: p16,
+                    lane: l16,
+                    depth,
+                });
+            while tx.hwm <= tx.outbox.len() {
+                tx.hwm *= 2;
+            }
+        }
+        if fabric.aborted() {
+            // An aborting universe may already be unwinding the buffers
+            // pinned entries point into: drop those not yet stamped
+            // unsent (their waiters unwind via the abort). Control
+            // frames stay — the abort broadcast is one of them — and so
+            // do stamped entries, which are already under way.
+            let (mut i, stamped) = (0, tx.stamped);
+            tx.outbox.retain(|out| {
+                i += 1;
+                i <= stamped || matches!(out, Out::Frame(_))
+            });
+        }
+        let mut moved = false;
+        while !tx.outbox.is_empty() {
+            let upto = tx.outbox.len().min(IOV_ENTRIES);
+            self.stamp(fabric, dst, lane_idx, tx, upto);
+            let mut iov = [IoSlice::new(&[]); 2 * IOV_ENTRIES];
+            let (mut k, mut skip) = (0, tx.at);
+            for part in tx.outbox.iter().take(upto).flat_map(Out::parts) {
+                let cut = skip.min(part.len());
+                skip -= cut;
+                if cut < part.len() {
+                    iov[k] = IoSlice::new(&part[cut..]);
+                    k += 1;
+                }
+            }
+            match tx.ep.write_vectored(&iov[..k]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    moved = true;
+                    advance(peer, tx, n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        lane.depth.store(tx.outbox.len(), Ordering::Release);
+        self.arm(lane, token(dst, lane_idx), tx, false);
+        Ok(moved)
+    }
+
+    /// Audit-stamp the first `upto` outbox entries that have no stamp on
+    /// this socket yet — under the outbox mutex, so stamp order is wire
+    /// order, before the write, so an entry torn by a dying socket still
+    /// records what may have reached the peer. No-op unless the trace is
+    /// verify-grade.
+    fn stamp(&self, fabric: &Fabric, dst: usize, lane_idx: usize, tx: &mut Tx, upto: usize) {
+        let trace = fabric.trace();
+        if tx.stamped >= upto || !trace.is_verify() {
+            tx.stamped = tx.stamped.max(upto);
+            return;
+        }
+        // Only lane 0 ever reconnects (`recover_lane0`); data lanes live
+        // and die on one socket, so their frames are all epoch 0 — which
+        // must match the receiver's reader-local count, not the shared
+        // peer epoch a lane-0 reconnect bumps.
+        let epoch = match &self.peers[dst] {
+            Some(peer) if lane_idx == 0 => peer.epoch.load(Ordering::Acquire),
+            _ => 0,
+        };
+        let (me, p16, l16) = (self.rank as u16, dst as u16, lane_idx as u16);
+        for out in tx.outbox.range(tx.stamped..upto) {
+            let (op, seq) = (out.op() as u16, tx.seq);
+            tx.seq = seq.wrapping_add(1);
+            trace.emit_verify(me, || EventKind::VerifyWireSend {
+                peer: p16,
+                lane: l16,
+                op,
+                epoch,
+                seq,
+            });
+            if let Out::Pinned(pw) = out {
+                if let Then::Spans { rdv_id, offset, .. } = pw.then {
+                    trace.emit_verify(me, || EventKind::VerifyStreamData {
+                        peer: p16,
+                        lane: l16,
+                        tx: true,
+                        stream: rdv_id as u32,
+                        offset,
+                        len: pw.len as u32,
+                    });
+                }
+            }
+        }
+        tx.stamped = upto;
+    }
+
+    /// Keep a lane's registration in step with its outbox: `EPOLLIN`
+    /// until the peer's `Bye`, `EPOLLOUT` while bytes wait. `force`
+    /// re-arms a registration whose one shot was spent even when
+    /// nothing changed. With nothing left to wait for the registration
+    /// stays spent — re-arming it would report a hung-up peer forever.
+    fn arm(&self, lane: &Lane, token: u64, tx: &mut Tx, force: bool) {
+        let out = !tx.outbox.is_empty();
+        if !force && out == tx.out_armed {
+            return;
+        }
+        tx.out_armed = out;
+        let read = if lane.bye.load(Ordering::Acquire) {
+            0
+        } else {
+            EPOLLIN
+        };
+        let events = read | if out { EPOLLOUT } else { 0 };
+        if events != 0 {
+            let _ = self
+                .epoll
+                .modify(tx.ep.as_raw_fd(), events | EPOLLONESHOT, token);
+        }
+    }
+
+    /// Read `lane_idx` of `peer` until it runs dry — unless another
+    /// thread is, the peer said `Bye`, or the lane is left to triage.
+    /// Never blocks. Returns whether anything was read.
+    fn read_in(&self, fabric: &Fabric, peer: usize, lane_idx: usize) -> bool {
+        let Some(lane) = self.lane(peer, lane_idx) else {
+            return false;
+        };
+        if lane.broken.load(Ordering::Acquire) {
+            return false;
+        }
+        let Some(mut guard) = lane.rx.try_lock() else {
+            return false;
+        };
+        let rx = &mut *guard;
+        match self.take(fabric, peer, lane_idx, &mut rx.ep, &mut rx.rd) {
+            Ok(moved) => moved,
+            Err(e) => {
+                self.defer(lane, e);
+                false
+            }
+        }
+    }
+
+    /// The one way off a lane's socket: decode what `r` has until it
+    /// runs dry or the peer says `Bye`. Every frame head refreshes the
+    /// peer's liveness and gets its audit stamp; pinned payloads land
+    /// piecewise straight in their destination or — nobody waits for
+    /// them (retired stream, unmatched id after a replay, post-abort
+    /// straggler) — drain through a stack buffer, so the peer's length
+    /// allocates nothing; any other frame is dispatched into the
+    /// engine. Returns whether anything was read.
+    fn take<R: Read>(
+        &self,
+        fabric: &Fabric,
+        peer_rank: usize,
+        lane: usize,
+        r: &mut R,
+        rd: &mut Reader,
+    ) -> io::Result<bool> {
+        let Some(peer) = &self.peers[peer_rank] else {
+            return Ok(false);
+        };
+        // Checked under the read half's mutex, which whoever read the
+        // `Bye` held: past it the peer may have closed the socket.
+        if peer.lanes[lane].bye.load(Ordering::Acquire) {
+            return Ok(false);
+        }
+        let wire = fabric.wire();
+        let mut land = |p: Piece, r: &mut R| -> io::Result<usize> {
+            let (at, len, read) = (p.offset as usize, p.len, |dest: &mut [u8]| r.read(dest));
+            let landed = if p.op == frame::op::PART_DATA {
+                wire.land_part(fabric, peer_rank, lane, p.id, at, len, read)?
+            } else {
+                wire.land_rdv(fabric, peer_rank, p.id, at, len, true, read)?
+            };
+            match landed {
+                Some(n) => Ok(n),
+                None => r.read(&mut [0u8; 4096][..len.min(4096)]),
+            }
+        };
+        let mut moved = false;
+        loop {
+            match rd.dec.next(r, &mut land)? {
+                None => return Ok(moved),
+                Some(Event::Head(op)) => {
+                    // ORDERING: liveness timestamp; the heartbeat check
+                    // tolerates a read one tick stale.
+                    peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
+                    // ORDERING: statistics counter (diagnostics only).
+                    peer.frames_received.fetch_add(1, Ordering::Relaxed);
+                    let (p16, l16, op16) = (peer_rank as u16, lane as u16, op as u16);
+                    let (epoch, seq) = (rd.epoch, rd.seq);
+                    fabric
+                        .trace()
+                        .emit_verify(self.rank as u16, || EventKind::VerifyWireRecv {
+                            peer: p16,
+                            lane: l16,
+                            op: op16,
+                            epoch,
+                            seq,
+                        });
+                    rd.seq = seq.wrapping_add(1);
+                }
+                Some(Event::Frame(f)) => {
+                    if !wire.dispatch(fabric, peer_rank, lane, f) {
+                        peer.lanes[lane].bye.store(true, Ordering::Release);
+                        peer.saw_bye.store(true, Ordering::Release);
+                        return Ok(true);
+                    }
+                }
+            }
+            moved = true;
+        }
+    }
+
+    /// One round of inline progress over every lane; whether anything
+    /// moved.
+    fn pass(&self, fabric: &Fabric) -> bool {
+        let mut moved = false;
+        for (p, l, _) in self.lanes() {
+            moved |= self.flush(fabric, p, l);
+            moved |= self.read_in(fabric, p, l);
+        }
+        moved
+    }
+
+    /// Poll every lane inline until `pending()` reaches zero or the
+    /// window closes ([`poll_window`]). While this thread polls, a lane
+    /// whose registration fires is left to it; the last poller out
+    /// re-arms those, and what arrived since its last pass then wakes
+    /// the progress thread.
+    fn poll_until(&self, fabric: &Fabric, mut pending: impl FnMut() -> usize) -> bool {
+        if pending() == 0 {
+            return true;
+        }
+        // ORDERING: SeqCst on both sides of the poller/`owed` handshake
+        // (see `service`).
+        self.pollers.fetch_add(1, Ordering::SeqCst);
+        let done = poll_window(|| self.pass(fabric), pending);
+        if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1 {
+            for (p, l, lane) in self.lanes() {
+                if !lane.owed.swap(false, Ordering::SeqCst) {
+                    continue;
+                }
+                match lane.tx.try_lock() {
+                    Some(tx) => self.rearm(fabric, p, l, tx),
+                    // Mid-flush elsewhere: arm both ways; a spurious
+                    // `EPOLLOUT` costs the progress thread one look.
+                    None => {
+                        let (fd, both) = (lane.fd.load(Ordering::Acquire), EPOLLIN | EPOLLOUT);
+                        let _ = self.epoll.modify(fd, both | EPOLLONESHOT, token(p, l));
+                    }
+                }
+            }
+        }
+        done
+    }
+
+    /// Leave a failed lane to the progress thread's triage: keep what
+    /// the socket said, mark the lane broken so everyone else keeps off
+    /// it, and wake the progress thread.
+    fn defer(&self, lane: &Lane, err: io::Error) {
+        lane.fault.lock().get_or_insert(err);
+        lane.broken.store(true, Ordering::Release);
+        self.wake();
+    }
+
+    /// The progress thread's turn at a lane whose registration fired:
+    /// move its bytes both ways and re-arm it — unless app threads are
+    /// polling (they move them, and the last one out re-arms) or the
+    /// lane is left to triage.
+    fn service(&self, fabric: &Fabric, p: usize, l: usize) {
+        let Some(lane) = self.lane(p, l) else {
+            return;
+        };
+        // SeqCst pairs with `poll_until`: either this load sees the
+        // poller, whose exit then sees `owed`, or the last poller's
+        // decrement came first and the swap below is ours alone.
+        lane.owed.store(true, Ordering::SeqCst);
+        if self.pollers.load(Ordering::SeqCst) > 0 || !lane.owed.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        if lane.broken.load(Ordering::Acquire) {
+            return; // the triage re-registers or retires it
+        }
+        let wrote = self.write_out(fabric, p, l, &mut lane.tx.lock());
+        let read = wrote.and_then(|_| {
+            let mut guard = lane.rx.lock();
+            let rx = &mut *guard;
+            self.take(fabric, p, l, &mut rx.ep, &mut rx.rd)
+        });
+        match read {
+            Ok(_) => self.rearm(fabric, p, l, lane.tx.lock()),
+            Err(e) => self.defer(lane, e),
+        }
+    }
+
+    /// Move what lane `l` of peer `p` holds — replies a dispatch queued,
+    /// pushes that found the outbox busy — then re-arm its spent
+    /// registration, and hand on what was pushed meanwhile.
+    fn rearm(&self, fabric: &Fabric, p: usize, l: usize, mut tx: MutexGuard<'_, Tx>) {
+        let Some(lane) = self
+            .lane(p, l)
+            .filter(|l| !l.broken.load(Ordering::Acquire))
+        else {
+            return; // the triage re-registers or retires it
+        };
+        match self.write_out(fabric, p, l, &mut tx) {
+            Ok(_) => self.arm(lane, token(p, l), &mut tx, true),
+            Err(e) => self.defer(lane, e),
+        }
+        drop(tx);
+        if !lane.intake.lock().is_empty() {
+            self.flush(fabric, p, l);
+        }
+    }
+
+    /// Triage every lane a failure was left on (see [`Self::defer`]).
+    fn triage_broken(&self, fabric: &Fabric) {
+        for (p, l, lane) in self.lanes() {
+            if !lane.broken.load(Ordering::Acquire) {
+                continue;
+            }
+            let Some(err) = lane.fault.lock().take() else {
+                continue; // triaged already: a dead lane stays broken
+            };
+            self.lane_failed(fabric, p, l, &err);
+        }
+    }
+
+    /// The one triage of a dead lane (`err` is what the socket said).
+    /// A data lane fails over quietly: marked dead once, both halves
+    /// killed so the remote end stops waiting on it, and everything its
+    /// outbox and intake held — replayed whole; the receiver's interval
+    /// ledger absorbs a range that half-arrived — moves to the
+    /// survivors; the surviving lanes carry the stream and lane 0
+    /// carries liveness, so this is a trace event, not a universe
+    /// failure. Lane 0 gets the peer's one bounded reconnect. Anything
+    /// else — EOF or an error without a `Bye` — means the peer process
+    /// died: the would-be hang becomes a typed error for every local
+    /// waiter. Runs on the progress thread only.
+    fn lane_failed(&self, fabric: &Fabric, peer_rank: usize, lane_idx: usize, err: &io::Error) {
+        let Some(peer) = &self.peers[peer_rank] else {
+            return;
+        };
+        if fabric.aborted() {
+            return; // teardown; the abort already carries the story
+        }
+        let lane = &peer.lanes[lane_idx];
+        let (p16, l16) = (peer_rank as u16, lane_idx as u16);
+        if lane_idx > 0 {
+            if lane.alive.swap(false, Ordering::AcqRel) {
+                let moved = {
+                    let mut tx = lane.tx.lock();
+                    tx.ep.shutdown();
+                    let _ = self.epoll.delete(tx.ep.as_raw_fd());
+                    (tx.at, tx.stamped) = (0, 0);
+                    let mut moved: Vec<Out> = tx.outbox.drain(..).collect();
+                    moved.append(&mut lane.intake.lock());
+                    lane.depth.store(0, Ordering::Release);
+                    moved
+                };
+                let trace = fabric.trace();
+                let me = self.rank as u16;
+                trace.emit(me, || EventKind::LaneDown {
+                    peer: p16,
+                    lane: l16,
+                });
+                let requeued = self.requeue(fabric, peer_rank, peer, moved);
+                trace.emit(me, || EventKind::LaneFailover {
                     peer: p16,
                     lane: l16,
                     requeued,
                 });
-            return Put::FailedOver;
-        }
-        let mut sent = 0;
-        for msg in batch.drain(..) {
-            match msg {
-                WriterMsg::Pinned(_) if aborting => continue,
-                WriterMsg::Pinned(pw) => match pw.then {
-                    Then::Spans { offset, spans, .. } => {
-                        complete_spans(&spans, offset as usize, pw.len)
-                    }
-                    Then::Done(done) => done.set(),
-                },
-                _ => {}
             }
-            sent += 1;
+            return;
         }
-        // ORDERING: statistics counter surfaced in diagnostics snapshots
-        // only; no memory is published through it.
-        peer.frames_sent.fetch_add(sent, Ordering::Relaxed);
-        Put::Sent
-    }
-
-    /// The one triage of a dead lane, for writers and readers alike
-    /// (`err` is what the socket said). A data lane fails over quietly:
-    /// the first caller (its reader and writers race) marks it dead,
-    /// kills both halves so the twin thread and the remote end stop
-    /// waiting on it, and traces the death — the surviving lanes carry
-    /// the stream and lane 0 carries liveness, so this is a trace
-    /// event, not a universe failure. Lane 0 gets the one bounded
-    /// reconnect while `may_recover` (a reader's second failure, or a
-    /// batch that failed again on the new socket, may not). Anything
-    /// else — EOF or an error without a `Bye` — means the peer process
-    /// died: the would-be hang becomes a typed error for every local
-    /// waiter.
-    fn lane_failed(
-        &self,
-        fabric: &Fabric,
-        peer_rank: usize,
-        lane_idx: usize,
-        may_recover: bool,
-        err: &io::Error,
-    ) -> Fate {
-        let Some(peer) = &self.peers[peer_rank] else {
-            return Fate::Dead;
-        };
-        if fabric.aborted() {
-            return Fate::Dead; // teardown; the abort already carries the story
-        }
-        let lane = &peer.lanes[lane_idx];
-        if lane_idx > 0 {
-            if lane.alive.swap(false, Ordering::AcqRel) {
-                lane.endpoint.shutdown();
-                let (p16, l16) = (peer_rank as u16, lane_idx as u16);
-                fabric
-                    .trace()
-                    .emit(self.rank as u16, || EventKind::LaneDown {
-                        peer: p16,
-                        lane: l16,
-                    });
-            }
-            return Fate::FailedOver;
-        }
-        if may_recover {
-            // Kill our half first so the lane's other threads and the
-            // remote peer all observe the failure and join the
-            // reconnect handshake.
-            lane.endpoint.shutdown();
-            if let Some(ep) = self.recover_lane0(fabric, peer_rank) {
-                return Fate::Reconnected(ep);
-            }
+        // Kill our half first so the remote peer observes the failure
+        // and joins the reconnect handshake.
+        lane.tx.lock().ep.shutdown();
+        if self.recover_lane0(fabric, peer_rank) {
+            return;
         }
         peer.connected.store(false, Ordering::Release);
         // The first failure wins: if the universe aborted meanwhile this
@@ -854,109 +1168,38 @@ impl SocketTransport {
                  (connection to rank {peer_rank} lost: {err})"
             ),
         });
-        Fate::Dead
-    }
-
-    /// Put the ready chunks of stream `rdv_id` on the wire toward
-    /// `dst`, round-robined over the data lanes. `caller` picks the
-    /// write discipline: reader threads (CTS release) `put` each lane's
-    /// share directly as one vectored batch (no thread hop); app
-    /// threads (post-CTS `pready`) enqueue to the lane writers instead,
-    /// because a blocking socket write inside `pready` stalls the
-    /// computation for a scheduler quantum whenever the host is
-    /// oversubscribed.
-    fn dispatch_chunks(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        rdv_id: u64,
-        spans: &Arc<Vec<SendSpan>>,
-        chunks: &[PinChunk],
-        caller: Caller,
-    ) {
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
-        let mut buckets: Vec<Vec<WriterMsg>> = peer.lanes.iter().map(|_| Vec::new()).collect();
-        for &chunk in chunks {
-            let lane = self.pick_lane(peer);
-            let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
-            fabric
-                .trace()
-                .emit(self.rank as u16, || EventKind::StreamChunk {
-                    lane: lane as u16,
-                    parts,
-                    offset,
-                    bytes,
-                });
-            buckets[lane].push(WriterMsg::Pinned(PinnedWrite::stream(rdv_id, chunk, spans)));
-        }
-        for (lane_idx, mut bucket) in buckets.into_iter().enumerate() {
-            match caller {
-                Caller::App => {
-                    for msg in bucket {
-                        self.enqueue_on(peer, lane_idx, msg);
-                    }
-                }
-                Caller::Progress => {
-                    self.put(fabric, dst, lane_idx, &mut bucket, &mut Vec::new(), None);
-                }
-            }
-        }
-    }
-
-    /// Put a small control frame on a data lane's socket directly if
-    /// one exists (bypassing the lane-0 writer thread), else fall back
-    /// to the ordered lane. Only valid for frames with no ordering
-    /// obligation toward lane-0 traffic — which is also why a lane that
-    /// dies under the frame just hands it to the next survivor.
-    fn send_data_frame(&self, fabric: &Fabric, dst: usize, frame: Frame) {
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
-        let (mut batch, mut scratch) = (vec![WriterMsg::Frame(frame)], Vec::new());
-        for (lane_idx, lane) in peer.lanes.iter().enumerate().skip(1) {
-            if lane.alive.load(Ordering::Acquire)
-                && self.put(fabric, dst, lane_idx, &mut batch, &mut scratch, None)
-                    != Put::FailedOver
-            {
-                return;
-            }
-        }
-        for msg in batch {
-            self.enqueue_on(peer, 0, msg);
-        }
     }
 
     /// Recover from a dead lane-0 socket with ONE bounded reconnect per
     /// peer for the transport's lifetime: re-run the pair rendezvous
-    /// (Hello re-handshake included), swap the new endpoint into the
-    /// lane's write handle, and tell the peer which stream bytes we
-    /// already hold so it can detect unreplayable loss. The lane's
-    /// threads race here; whoever arrives first performs the attempt,
-    /// the others block on the slot and reuse the outcome. Returns a
-    /// read handle on the new socket (a fresh socket starts at a frame
-    /// boundary, so a mid-frame death resynchronizes naturally), or
-    /// `None` when the peer is gone for good.
+    /// (Hello re-handshake included), swap the new socket into both
+    /// halves — the outbox resends from its front entry (at-least-once:
+    /// the receiving engine deduplicates), the decoder starts at the
+    /// new socket's first frame — and tell the peer which stream bytes
+    /// we already hold so it can detect unreplayable loss.
     ///
     /// The reconnected endpoint is deliberately NOT re-wrapped in the
     /// wire-fault plan: recovery is one bounded attempt, and a chaos
     /// matrix must terminate instead of looping kill/reconnect forever.
-    fn recover_lane0(&self, fabric: &Fabric, peer_rank: usize) -> Option<Endpoint> {
-        let peer = self.peers[peer_rank].as_ref()?;
-        if fabric.aborted() || peer.saw_bye.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut slot = peer.reconnect.lock();
-        match &*slot {
-            Reconnected::Yes(ep) => return ep.try_clone().ok(),
-            Reconnected::Failed => return None,
-            Reconnected::No => {}
+    fn recover_lane0(&self, fabric: &Fabric, peer_rank: usize) -> bool {
+        let Some(peer) = &self.peers[peer_rank] else {
+            return false;
+        };
+        if fabric.aborted()
+            || peer.saw_bye.load(Ordering::Acquire)
+            || peer.reconnect_spent.swap(true, Ordering::AcqRel)
+        {
+            return false;
         }
         peer.connected.store(false, Ordering::Release);
         let started = Instant::now();
         let res =
-            pcomm_net::mesh::reconnect_pair(&self.cfg, peer_rank, started + RECONNECT_TIMEOUT);
+            pcomm_net::mesh::reconnect_pair(&self.cfg, peer_rank, started + RECONNECT_TIMEOUT)
+                .and_then(|ep| {
+                    ep.set_nonblocking(true)?;
+                    let rx = ep.try_clone()?;
+                    Ok((ep, rx))
+                });
         let (ok, took_ms) = (res.is_ok(), started.elapsed().as_millis() as u64);
         let p16 = peer_rank as u16;
         fabric
@@ -966,132 +1209,185 @@ impl SocketTransport {
                 ok,
                 took_ms,
             });
-        let ep = match res {
-            Ok(ep) => ep,
-            Err(_) => {
-                *slot = Reconnected::Failed;
-                return None;
-            }
+        let Ok((ep, rx_ep)) = res else {
+            return false;
         };
-        let (writer_ep, caller_ep) = match (ep.try_clone(), ep.try_clone()) {
-            (Ok(w), Ok(c)) => (w, c),
-            _ => {
-                *slot = Reconnected::Failed;
-                return None;
-            }
-        };
+        let lane = &peer.lanes[0];
         {
-            // Swap the socket and bump the audit epoch under the same
-            // mutex hold: a writer that caught the old endpoint stamps
-            // its frames epoch-old, one that sees the new endpoint
-            // stamps epoch-new — never mixed.
-            let mut direct = peer.lanes[0].direct.lock();
-            // ORDERING: Release pairs with the Acquire in
-            // `emit_wire_send`; the `direct` mutex already orders the
-            // two accesses, the fence is belt and braces.
+            // Swap the socket and bump the audit epoch under the outbox
+            // mutex: stamps taken before carry the old epoch, stamps
+            // after the new one — never mixed.
+            let mut tx = lane.tx.lock();
+            let mut rx = lane.rx.lock();
+            let _ = self.epoll.delete(tx.ep.as_raw_fd());
             peer.epoch.fetch_add(1, Ordering::Release);
-            *direct = Some(writer_ep);
+            (tx.ep, tx.at, tx.stamped) = (ep, 0, 0);
+            let epoch = rx.rd.epoch + 1;
+            (rx.ep, rx.rd) = (rx_ep, Reader::new());
+            rx.rd.epoch = epoch;
+            lane.fd.store(tx.ep.as_raw_fd(), Ordering::Release);
+            let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
+            tx.out_armed = true;
+            if let Err(e) = self
+                .epoll
+                .add(tx.ep.as_raw_fd(), events, token(peer_rank, 0))
+            {
+                lane.fault.lock().get_or_insert(e);
+                return false;
+            }
+            lane.fault.lock().take();
+            lane.broken.store(false, Ordering::Release);
         }
-        // ORDERING: liveness timestamp read only by the heartbeat
-        // monitor to estimate quiet time; a stale read just shifts the
-        // estimate by one poll interval.
+        // ORDERING: liveness timestamp; the heartbeat check tolerates a
+        // read one tick stale.
         peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
         peer.connected.store(true, Ordering::Release);
-        *slot = Reconnected::Yes(ep);
-        drop(slot);
         fabric.wire().resync_streams(fabric, peer_rank);
-        Some(caller_ep)
+        true
     }
 
-    /// The one way off a lane's socket: read one frame head (every one
-    /// refreshes the peer's liveness timestamp and gets its audit
-    /// stamp), then either land a pinned payload straight in its
-    /// destination or read the body into the reusable `body` and
-    /// dispatch the frame into the engine. `Ok(false)` is the peer's
-    /// clean goodbye. `epoch`/`seq` are the calling reader's audit
-    /// counters: `seq` counts every frame head read off this lane in
-    /// order, `epoch` the lane-0 reconnect this reader lived through —
-    /// reader-local (not the shared peer epoch) so frames still
-    /// buffered in a dying socket keep their pre-reconnect epoch even
-    /// if the writer side already reconnected.
-    #[allow(clippy::too_many_arguments)] // the reader's whole state
-    fn take(
-        &self,
-        fabric: &Fabric,
-        peer_rank: usize,
-        lane: usize,
-        ep: &mut Endpoint,
-        body: &mut Vec<u8>,
-        epoch: u32,
-        seq: &mut u32,
-    ) -> io::Result<bool> {
-        let (rest, op) = frame::read_head(ep)?;
-        if let Some(peer) = &self.peers[peer_rank] {
-            // ORDERING: liveness timestamp (see `recover_lane0`).
-            peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
-            // ORDERING: statistics counter (diagnostics only).
-            peer.frames_received.fetch_add(1, Ordering::Relaxed);
+    /// The progress thread: park in `epoll_pwait` until a lane fires,
+    /// a failure is left for triage, the heartbeat tick is due or
+    /// `close` asks it to finish the goodbyes.
+    fn progress_loop(&self, fabric: &Fabric) {
+        let mut events = [EpollEvent::default(); 32];
+        let tick = self.hb_ms.map(|hb| Duration::from_millis((hb / 4).max(1)));
+        let mut next_tick = tick.map(|t| Instant::now() + t);
+        let mut beats = (0u64, None);
+        let mut closing_since = None;
+        loop {
+            let timeout = match (closing_since, next_tick) {
+                (Some(_), _) => CLOSE_TICK_MS,
+                (None, Some(at)) => at.saturating_duration_since(Instant::now()).as_millis() as i32,
+                (None, None) => -1,
+            };
+            let n = match self.epoll.wait(&mut events, timeout) {
+                Ok(n) => n,
+                Err(e) => {
+                    fabric.fail(PcommError::Misuse {
+                        rank: Some(self.rank),
+                        detail: format!("socket progress loop: epoll_pwait: {e}"),
+                    });
+                    return;
+                }
+            };
+            for &ev in &events[..n] {
+                match ev.data {
+                    WAKER => while (&self.waker.0).read(&mut [0u8; 64]).is_ok_and(|n| n > 0) {},
+                    t => self.service(fabric, (t >> 8) as usize, (t & 0xff) as usize),
+                }
+            }
+            self.triage_broken(fabric);
+            if let (Some(t), Some(at)) = (tick, next_tick) {
+                if Instant::now() >= at && closing_since.is_none() {
+                    next_tick = self
+                        .heartbeat(fabric, &mut beats)
+                        .then(|| Instant::now() + t);
+                }
+            }
+            if self.closing.load(Ordering::Acquire) {
+                let since = *closing_since.get_or_insert_with(Instant::now);
+                if self.goodbyes_done(fabric, since) {
+                    return;
+                }
+            }
         }
-        let (p16, l16, op16, seq32) = (peer_rank as u16, lane as u16, op as u16, *seq);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyWireRecv {
-                peer: p16,
-                lane: l16,
-                op: op16,
-                epoch,
-                seq: seq32,
-            });
-        *seq = seq.wrapping_add(1);
-        if op == frame::op::PART_DATA || op == frame::op::RDV_DATA {
-            take_pinned(fabric, peer_rank, lane, ep, op, rest).map(|()| true)
+    }
+
+    /// One heartbeat tick (`PCOMM_NET_HB_MS`): beat toward each live
+    /// peer once an interval has passed since the last beat; silence
+    /// past 7/4 of the interval (detection inside the documented 2×,
+    /// tick jitter included) means the peer died without a word
+    /// (process killed, half-open socket) — escalated as the typed peer
+    /// death every survivor sees, instead of a stall that needs the
+    /// watchdog. Peers mid-reconnect or past their `Bye` are exempt.
+    /// Returns `false` once it escalated.
+    fn heartbeat(&self, fabric: &Fabric, beats: &mut (u64, Option<u64>)) -> bool {
+        let Some(hb) = self.hb_ms else {
+            return false;
+        };
+        if fabric.aborted() {
+            return false;
+        }
+        let now = self.now_ms();
+        let live = |peer: &Peer| {
+            !peer.saw_bye.load(Ordering::Acquire) && peer.connected.load(Ordering::Acquire)
+        };
+        if beats.1.is_none_or(|t| now.saturating_sub(t) >= hb) {
+            beats.0 = beats.0.wrapping_add(1);
+            for (rank, peer) in self.peers.iter().enumerate() {
+                if peer.as_ref().is_some_and(live) {
+                    self.send(fabric, rank, Frame::Heartbeat { seq: beats.0 }, false);
+                }
+            }
+            beats.1 = Some(now);
+        }
+        let miss = hb.saturating_mul(7) / 4;
+        for (rank, peer) in self.peers.iter().enumerate() {
+            let Some(peer) = peer.as_ref().filter(|p| live(p)) else {
+                continue;
+            };
+            // ORDERING: liveness timestamp; a stale read delays the
+            // verdict by at most one tick.
+            let quiet = now.saturating_sub(peer.last_heard_ms.load(Ordering::Relaxed));
+            if quiet >= miss {
+                let (p16, q) = (rank as u16, quiet);
+                fabric
+                    .trace()
+                    .emit(self.rank as u16, || EventKind::HeartbeatMiss {
+                        peer: p16,
+                        quiet_ms: q,
+                    });
+                fabric.fail(PcommError::PeerPanicked {
+                    rank,
+                    message: format!(
+                        "no frame from rank {rank} for {quiet} ms \
+                         (heartbeat interval {hb} ms): peer presumed dead"
+                    ),
+                });
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether `close` may stop the progress thread: every live lane's
+    /// outbox drained and — on a clean run — its peer's `Bye` heard; or
+    /// the wait ran past its bound (an aborted run's grace, or the
+    /// establish-grade timeout: every peer passed the closing barrier,
+    /// so its `Bye` is at most a write away).
+    fn goodbyes_done(&self, fabric: &Fabric, since: Instant) -> bool {
+        let aborted = fabric.aborted();
+        let bound = if aborted {
+            ABORT_GRACE
         } else {
-            frame::read_rest(ep, op, rest, body)
-                .map(|f| fabric.wire().dispatch(fabric, peer_rank, lane, f))
-        }
+            pcomm_net::mesh::ESTABLISH_TIMEOUT
+        };
+        since.elapsed() >= bound
+            || self.lanes().all(|(_, _, lane)| {
+                lane.broken.load(Ordering::Acquire)
+                    || (lane.intake.lock().is_empty()
+                        && lane.depth.load(Ordering::Acquire) == 0
+                        && (aborted || lane.bye.load(Ordering::Acquire)))
+            })
     }
 }
 
-/// Fast path for an incoming `PartData` or `RdvData`: read the small
-/// fixed header (stream or rendezvous id, plus the offset a `PartData`
-/// names), then `read(2)` the payload straight off the socket into the
-/// pinned destination — the kernel read is the only copy, mirroring the
-/// writer's vectored send of the pinned source. A payload nobody waits
-/// for (retired stream, unmatched id after a reconnect replay,
-/// post-abort straggler) is drained through a fixed buffer so the byte
-/// stream stays framed; its length is the peer's word and allocates
-/// nothing.
-fn take_pinned(
-    fabric: &Fabric,
-    peer: usize,
-    lane: usize,
-    ep: &mut Endpoint,
-    op: u8,
-    rest: usize,
-) -> io::Result<()> {
-    let is_part = op == frame::op::PART_DATA;
-    let fixed = if is_part { 16 } else { 8 };
-    let Some(len) = rest.checked_sub(fixed) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("net: truncated {} body ({rest} B)", frame::op::name(op)),
-        ));
-    };
-    let mut hdr = [0u8; 16];
-    ep.read_exact(&mut hdr[..fixed])?;
-    let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| hdr[at + i]));
-    let (id, offset) = (word(0), word(8) as usize);
-    let wire = fabric.wire();
-    let fill = |dest: &mut [u8]| ep.read_exact(dest);
-    let landed = if is_part {
-        wire.land_part(fabric, peer, lane, id, offset, len, fill)?
-    } else {
-        wire.land_rdv(fabric, peer, id, 0, len, true, fill)?
-    };
-    if !landed && io::copy(&mut ep.take(len as u64), &mut io::sink())? < len as u64 {
-        return Err(io::ErrorKind::UnexpectedEof.into());
+/// `n` more bytes of `tx`'s outbox left: pop and complete every entry
+/// they finish, keep the cursor into the rest.
+fn advance(peer: &Peer, tx: &mut Tx, n: usize) {
+    let mut at = tx.at + n;
+    while tx.outbox.front().is_some_and(|out| at >= out.wire_len()) {
+        if let Some(out) = tx.outbox.pop_front() {
+            at -= out.wire_len();
+            tx.stamped = tx.stamped.saturating_sub(1);
+            out.complete();
+            // ORDERING: statistics counter surfaced in diagnostics
+            // snapshots only; no memory is published through it.
+            peer.frames_sent.fetch_add(1, Ordering::Relaxed);
+        }
     }
-    Ok(())
+    tx.at = at;
 }
 
 impl Transport for SocketTransport {
@@ -1103,111 +1399,49 @@ impl Transport for SocketTransport {
         pcomm_net::launch::DEFAULT_AGGR
     }
 
-    /// Spawn the per-peer-per-lane reader and writer threads (plus the
-    /// heartbeat monitor when enabled). Thread-spawn or socket-clone
-    /// failure comes back as a typed error instead of a panic: resource
-    /// exhaustion at launch is an environment problem, not a bug.
+    /// Spawn the progress thread. Spawn failure comes back as a typed
+    /// error instead of a panic: resource exhaustion at launch is an
+    /// environment problem, not a bug.
     fn start(self: Arc<Self>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
-        let start_err = |what: &str, e: io::Error| PcommError::Misuse {
-            rank: Some(self.rank),
-            detail: format!("transport start: {what}: {e}"),
-        };
         let _ = self.fault_obs.set(Arc::downgrade(fabric));
         let now = self.now_ms();
-        let mut readers = self.readers.lock();
-        for (peer_rank, peer) in self.peers.iter().enumerate() {
-            let Some(peer) = peer else {
-                continue;
-            };
-            // ORDERING: liveness timestamp (see `recover_lane0`); the
-            // heartbeat monitor tolerates staleness.
+        for peer in self.peers.iter().flatten() {
+            // ORDERING: liveness timestamp; the heartbeat check tolerates
+            // staleness.
             peer.last_heard_ms.store(now, Ordering::Relaxed);
-            for (lane_idx, lane) in peer.lanes.iter().enumerate() {
-                let rx = lane
-                    .rx
-                    .lock()
-                    .take()
-                    // PANIC: `Universe::run` calls `start` exactly once
-                    // per transport; the rx halves are taken only here.
-                    .expect("SocketTransport::start called twice");
-                // Every lane gets BOTH a write handle under the lane
-                // mutex and a writer thread draining the channel: app
-                // threads always enqueue, reader threads `put` directly
-                // under the same mutex (see `Lane::direct`).
-                *lane.direct.lock() = Some(
-                    lane.endpoint
-                        .try_clone()
-                        .map_err(|e| start_err("cloning the lane write handle", e))?,
-                );
-                let (t, f) = (Arc::clone(&self), Arc::clone(fabric));
-                let writer = std::thread::Builder::new()
-                    .name(format!("pcomm-wr{peer_rank}.{lane_idx}"))
-                    .spawn(move || writer_loop(&t, rx, &f, peer_rank, lane_idx))
-                    .map_err(|e| start_err("spawning a writer thread", e))?;
-                *lane.writer.lock() = Some(writer);
-
-                let ep = lane
-                    .endpoint
-                    .try_clone()
-                    .map_err(|e| start_err("cloning the lane read handle", e))?;
-                let (t, f) = (Arc::clone(&self), Arc::clone(fabric));
-                let reader = std::thread::Builder::new()
-                    .name(format!("pcomm-rd{peer_rank}.{lane_idx}"))
-                    .spawn(move || reader_loop(&t, &f, peer_rank, lane_idx, ep))
-                    .map_err(|e| start_err("spawning a reader thread", e))?;
-                readers.push(reader);
-            }
         }
-        drop(readers);
-        if self.hb_ms.is_some() {
-            let t = Arc::clone(&self);
-            let f = Arc::clone(fabric);
-            let hb = std::thread::Builder::new()
-                .name("pcomm-hb".into())
-                .spawn(move || heartbeat_loop(t, f))
-                .map_err(|e| start_err("spawning the heartbeat thread", e))?;
-            *self.hb_thread.lock() = Some(hb);
-        }
+        let (t, f) = (Arc::clone(&self), Arc::clone(fabric));
+        let handle = std::thread::Builder::new()
+            .name("pcomm-net".into())
+            .spawn(move || t.progress_loop(&f))
+            .map_err(|e| PcommError::Misuse {
+                rank: Some(self.rank),
+                detail: format!("transport start: spawning the progress thread: {e}"),
+            })?;
+        *self.progress.lock() = Some(handle);
         Ok(())
     }
 
-    fn send(&self, _: &Fabric, dst: usize, frame: Frame, _teardown: bool) {
-        // Enqueueing never blocks and the writers keep draining control
-        // frames through an abort, so teardown traffic needs nothing
-        // extra here.
-        self.send_frame(dst, frame);
+    fn send(&self, fabric: &Fabric, dst: usize, frame: Frame, _teardown: bool) {
+        // A push never blocks, and the outbox keeps its control frames
+        // through an abort, so teardown traffic needs nothing extra.
+        self.push(fabric, dst, 0, Out::Frame(frame.encode()));
     }
 
-    fn ship_rdv(&self, _: &Fabric, dst: usize, rdv_id: u64, pinned: PinnedSend) {
-        // Zero-copy: the pinned source rides to the lane-0 writer, whose
-        // `put` fires its `done` after the vectored write, so the buffer
-        // stays pinned through the kernel handoff (invariant (1)). If
-        // the writer is already gone the universe is tearing down and
-        // the sender unwinds via the abort flag.
-        if let Some(p) = &self.peers[dst] {
-            let _ = p.lanes[0].enqueue(WriterMsg::Pinned(PinnedWrite::rdv(rdv_id, pinned)));
-        }
+    fn ship_rdv(&self, fabric: &Fabric, dst: usize, rdv_id: u64, pinned: PinnedSend) {
+        // Zero-copy: the pinned source rides the lane-0 outbox, which
+        // fires `done` after its last byte left, so the buffer stays
+        // pinned through the kernel handoff (invariant (1)).
+        self.push(
+            fabric,
+            dst,
+            0,
+            Out::Pinned(PinnedWrite::rdv(rdv_id, pinned)),
+        );
     }
 
-    fn ship_part_cts(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        _base: *const u8,
-        _total_len: usize,
-        caller: Caller,
-    ) {
-        // From a reader thread, prefer a direct data-lane write for the
-        // CTS: the sender's data-lane reader then dispatches the queued
-        // chunks from its own thread, so the whole release chain costs
-        // no writer-thread wakeups. The CTS orders against nothing on
-        // the ordered lane — the sender just needs it as fast as
-        // possible. From an app thread, enqueue instead of blocking.
-        match caller {
-            Caller::Progress => self.send_data_frame(fabric, src, Frame::PartCts { rdv_id }),
-            Caller::App => self.send_frame(src, Frame::PartCts { rdv_id }),
-        }
+    fn ship_part_cts(&self, fabric: &Fabric, src: usize, rdv_id: u64, _: *const u8, _: usize) {
+        self.send(fabric, src, Frame::PartCts { rdv_id }, false);
     }
 
     fn ship_chunks(
@@ -1218,9 +1452,24 @@ impl Transport for SocketTransport {
         _grant: Option<u64>,
         spans: &Arc<Vec<SendSpan>>,
         chunks: &[PinChunk],
-        caller: Caller,
     ) {
-        self.dispatch_chunks(fabric, dst, rdv_id, spans, chunks, caller);
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        for &chunk in chunks {
+            let lane = self.pick_lane(peer);
+            let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
+            fabric
+                .trace()
+                .emit(self.rank as u16, || EventKind::StreamChunk {
+                    lane: lane as u16,
+                    parts,
+                    offset,
+                    bytes,
+                });
+            let out = Out::Pinned(PinnedWrite::stream(rdv_id, chunk, spans));
+            self.push(fabric, dst, lane, out);
+        }
     }
 
     fn epoch(&self, peer: usize) -> u32 {
@@ -1236,6 +1485,7 @@ impl Transport for SocketTransport {
             .enumerate()
             .filter_map(|(rank, peer)| {
                 let peer = peer.as_ref()?;
+                let lanes = peer.lanes.iter();
                 // The Relaxed loads below read advisory counters and
                 // gauges; this snapshot is inherently racy by design.
                 Some(PeerSocketState {
@@ -1246,16 +1496,11 @@ impl Transport for SocketTransport {
                     // ORDERING: advisory stat for the racy snapshot.
                     frames_received: peer.frames_received.load(Ordering::Relaxed),
                     pending_rdv: 0,
-                    queued: peer
-                        .lanes
-                        .iter()
-                        // ORDERING: advisory backlog gauge (see
-                        // `Lane::enqueue`).
-                        .map(|l| l.queued.load(Ordering::Relaxed) as u64)
+                    queued: lanes
+                        .clone()
+                        .map(|l| (l.depth.load(Ordering::Acquire) + l.intake.lock().len()) as u64)
                         .sum(),
-                    lanes_down: peer
-                        .lanes
-                        .iter()
+                    lanes_down: lanes
                         .skip(1)
                         .filter(|l| !l.alive.load(Ordering::Acquire))
                         .count() as u16,
@@ -1266,261 +1511,51 @@ impl Transport for SocketTransport {
             })
             .collect()
     }
-    /// Flush `Bye` on every lane, join the writers, and join the
-    /// readers (each exits on its peer's `Bye`). Aborted runs
-    /// `shutdown(2)` the sockets so blocked readers return.
+
+    fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
+        // Past the polling window, park — an armed lane wakes the
+        // progress thread, which completes us.
+        self.poll_until(fabric, || usize::from(!completion.is_set()))
+            || completion.wait_timeout(WAIT_SLICE)
+    }
+
+    fn poll_burst(&self, fabric: &Fabric, peer: Option<usize>, completions: &[Arc<Completion>]) {
+        match peer {
+            // A `PartCts` rides the peer's lane 0: one look there, not
+            // a pass over every lane of every peer.
+            Some(p) if completions.is_empty() => {
+                self.flush(fabric, p, 0);
+                self.read_in(fabric, p, 0);
+            }
+            _ => {
+                self.poll_until(fabric, unset_in(completions));
+            }
+        }
+    }
+
+    /// Queue `Bye` on every live lane — behind whatever the outboxes
+    /// still hold — and let the progress thread finish the goodbyes
+    /// (see [`SocketTransport::goodbyes_done`]) before it is joined.
+    /// Aborted runs then `shutdown(2)` the sockets, so peers still
+    /// reading hear the end at once.
     fn close(&self, fabric: &Fabric) {
-        // Liveness held through the closing barrier (a dead peer there
-        // must still escalate); from here on silence is expected.
-        self.hb_stop.store(true, Ordering::Release);
-        if let Some(hb) = self.hb_thread.lock().take() {
-            let _ = hb.join();
-        }
-        for peer in self.peers.iter().flatten() {
-            for lane in &peer.lanes {
-                // Through the writer thread on every lane, so the
-                // goodbye drains behind any still-queued stream chunks.
-                let _ = lane.enqueue(WriterMsg::Frame(Frame::Bye));
-                let _ = lane.enqueue(WriterMsg::Shutdown);
+        for (p, l, lane) in self.lanes() {
+            if lane.alive.load(Ordering::Acquire) {
+                self.push(fabric, p, l, Out::Frame(Frame::Bye.encode()));
             }
         }
-        for peer in self.peers.iter().flatten() {
-            for lane in &peer.lanes {
-                if let Some(writer) = lane.writer.lock().take() {
-                    let _ = writer.join();
-                }
-            }
+        self.closing.store(true, Ordering::Release);
+        self.wake();
+        let progress = self.progress.lock().take();
+        if progress.is_some_and(|p| p.join().is_err()) {
+            fabric.fail(PcommError::Misuse {
+                rank: Some(self.rank),
+                detail: "the socket progress thread panicked".into(),
+            });
         }
         if fabric.aborted() {
-            // Readers may be parked in a blocking read on a peer that
-            // will never speak again; killing our half unblocks them
-            // (they exit quietly once the abort flag is up). A
-            // reconnected lane 0 lives in the reconnect slot, not
-            // `endpoint` — kill it too.
-            for peer in self.peers.iter().flatten() {
-                for lane in &peer.lanes {
-                    lane.endpoint.shutdown();
-                }
-                if let Reconnected::Yes(ep) = &*peer.reconnect.lock() {
-                    ep.shutdown();
-                }
-            }
-        } else {
-            // Bound the clean-path reads too: every peer passed the
-            // barrier, so its Bye is at most a write away — if it does
-            // not arrive within the establish-grade timeout the reader
-            // errors out instead of hanging the join below.
-            for peer in self.peers.iter().flatten() {
-                for lane in &peer.lanes {
-                    let _ = lane
-                        .endpoint
-                        .set_read_timeout(Some(pcomm_net::mesh::ESTABLISH_TIMEOUT));
-                }
-                if let Reconnected::Yes(ep) = &*peer.reconnect.lock() {
-                    let _ = ep.set_read_timeout(Some(pcomm_net::mesh::ESTABLISH_TIMEOUT));
-                }
-            }
-        }
-        let readers = std::mem::take(&mut *self.readers.lock());
-        for reader in readers {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// Write every slice in `bufs`, retrying partial vectored writes with a
-/// manual `(slice, offset)` cursor — `write_all_vectored` is still
-/// unstable in std.
-fn write_all_vectored(w: &mut impl Write, bufs: &[&[u8]]) -> io::Result<()> {
-    let (mut idx, mut off) = (0usize, 0usize);
-    while idx < bufs.len() {
-        let slices: Vec<IoSlice<'_>> = std::iter::once(IoSlice::new(&bufs[idx][off..]))
-            .chain(bufs[idx + 1..].iter().map(|b| IoSlice::new(b)))
-            .collect();
-        let mut n = w.write_vectored(&slices)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "net: socket accepted no bytes",
-            ));
-        }
-        while n > 0 && idx < bufs.len() {
-            let rem = bufs[idx].len() - off;
-            if n >= rem {
-                n -= rem;
-                off = 0;
-                idx += 1;
-            } else {
-                off += n;
-                n = 0;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Writer thread: drain up to [`WRITER_BATCH`] messages from the
-/// channel and [`put`](SocketTransport::put) them, until the teardown
-/// `Shutdown`. Once a `put` has failed the thread stays alive so
-/// senders keep enqueueing into a live channel: behind a failed-over
-/// data lane it keeps re-routing late pinned writes to the survivors,
-/// behind a dead peer it discards the rest of the queue so enqueuers
-/// never notice.
-fn writer_loop(
-    transport: &SocketTransport,
-    rx: Receiver<WriterMsg>,
-    fabric: &Fabric,
-    peer_rank: usize,
-    lane_idx: usize,
-) {
-    let peer = transport.peers[peer_rank]
-        .as_ref()
-        // PANIC: writer threads are spawned (in `start`) only for
-        // ranks whose peer slot was populated by the mesh join.
-        .expect("writer thread for a missing peer");
-    let lane = &peer.lanes[lane_idx];
-    let mut inbox = Inbox { rx, open: true };
-    let mut scratch: Vec<Vec<u8>> = Vec::new();
-    let mut batch: Vec<WriterMsg> = Vec::with_capacity(WRITER_BATCH);
-    let mut queue_hwm = QUEUE_HWM_BASE;
-    let mut fate = Put::Sent;
-    while inbox.open {
-        batch.clear();
-        inbox.drain(lane, &mut batch, WRITER_BATCH, true);
-        match fate {
-            Put::Sent => {
-                // Unbounded channels cannot push back, so depth growth
-                // is the congestion signal: trace it at doubling
-                // high-water marks.
-                // ORDERING: advisory backlog gauge (see `Lane::enqueue`).
-                let depth = lane.queued.load(Ordering::Relaxed);
-                if depth >= queue_hwm {
-                    let (p16, l16, d64) = (peer_rank as u16, lane_idx as u16, depth as u64);
-                    fabric
-                        .trace()
-                        .emit(transport.rank as u16, || EventKind::WriterQueue {
-                            peer: p16,
-                            lane: l16,
-                            depth: d64,
-                        });
-                    while queue_hwm <= depth {
-                        queue_hwm *= 2;
-                    }
-                }
-                fate = transport.put(
-                    fabric,
-                    peer_rank,
-                    lane_idx,
-                    &mut batch,
-                    &mut scratch,
-                    Some(&mut inbox),
-                );
-            }
-            Put::FailedOver => {
-                transport.requeue_pinned(peer, &mut batch);
-            }
-            Put::Dead => {}
-        }
-    }
-}
-
-/// Reader thread: [`take`](SocketTransport::take) frames off the lane
-/// until the peer says `Bye`, the connection drops past recovery, or
-/// the universe aborts. After a lane-0 reconnect it continues on the
-/// new socket.
-fn reader_loop(
-    transport: &SocketTransport,
-    fabric: &Fabric,
-    peer: usize,
-    lane: usize,
-    mut ep: Endpoint,
-) {
-    let mut body: Vec<u8> = Vec::new();
-    let mut recovered = false;
-    let (mut rx_epoch, mut rx_seq) = (0u32, 0u32);
-    loop {
-        match transport.take(
-            fabric,
-            peer,
-            lane,
-            &mut ep,
-            &mut body,
-            rx_epoch,
-            &mut rx_seq,
-        ) {
-            Ok(true) => {}
-            Ok(false) => {
-                if let Some(p) = &transport.peers[peer] {
-                    p.saw_bye.store(true, Ordering::Release);
-                }
-                return; // clean goodbye
-            }
-            Err(err) => match transport.lane_failed(fabric, peer, lane, !recovered, &err) {
-                Fate::Reconnected(new_ep) => {
-                    (ep, recovered) = (new_ep, true);
-                    rx_epoch += 1;
-                }
-                Fate::FailedOver | Fate::Dead => return,
-            },
-        }
-    }
-}
-
-/// Heartbeat thread (lane 0, `PCOMM_NET_HB_MS`): every interval, beat
-/// toward each live peer; silence past ~2x the interval means the peer
-/// died without a word (process killed, half-open socket) — escalate as
-/// the typed peer death every survivor sees, instead of a stall that
-/// needs the watchdog. Peers mid-reconnect or past their `Bye` are
-/// exempt: those paths tell their own story.
-fn heartbeat_loop(transport: Arc<SocketTransport>, fabric: Arc<Fabric>) {
-    let Some(hb) = transport.hb_ms else { return };
-    let tick = Duration::from_millis((hb / 4).max(1));
-    // Declared dead at 7/4x the interval, so detection (tick jitter
-    // included) lands within the documented 2x budget.
-    let miss = hb.saturating_mul(7) / 4;
-    let mut seq = 0u64;
-    let mut last_sent: Option<u64> = None;
-    loop {
-        std::thread::sleep(tick);
-        if transport.hb_stop.load(Ordering::Acquire) || fabric.aborted() {
-            return;
-        }
-        let now = transport.now_ms();
-        if last_sent.is_none_or(|t| now.saturating_sub(t) >= hb) {
-            seq = seq.wrapping_add(1);
-            for (rank, peer) in transport.peers.iter().enumerate() {
-                let Some(peer) = peer else { continue };
-                if peer.saw_bye.load(Ordering::Acquire) || !peer.connected.load(Ordering::Acquire) {
-                    continue;
-                }
-                transport.send_frame(rank, Frame::Heartbeat { seq });
-            }
-            last_sent = Some(now);
-        }
-        for (rank, peer) in transport.peers.iter().enumerate() {
-            let Some(peer) = peer else { continue };
-            if peer.saw_bye.load(Ordering::Acquire) || !peer.connected.load(Ordering::Acquire) {
-                continue;
-            }
-            // ORDERING: liveness timestamp; a stale read delays the
-            // verdict by at most one monitor poll.
-            let quiet = now.saturating_sub(peer.last_heard_ms.load(Ordering::Relaxed));
-            if quiet >= miss {
-                let (p16, q) = (rank as u16, quiet);
-                fabric
-                    .trace()
-                    .emit(transport.rank as u16, || EventKind::HeartbeatMiss {
-                        peer: p16,
-                        quiet_ms: q,
-                    });
-                fabric.fail(PcommError::PeerPanicked {
-                    rank,
-                    message: format!(
-                        "no frame from rank {rank} for {quiet} ms \
-                         (heartbeat interval {hb} ms): peer presumed dead"
-                    ),
-                });
-                return;
+            for (_, _, lane) in self.lanes() {
+                lane.tx.lock().ep.shutdown();
             }
         }
     }
@@ -1561,7 +1596,7 @@ impl Transport for SharedMemTransport {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
-    fn ship_part_cts(&self, _: &Fabric, _: usize, _: u64, _: *const u8, _: usize, _: Caller) {
+    fn ship_part_cts(&self, _: &Fabric, _: usize, _: u64, _: *const u8, _: usize) {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
@@ -1573,7 +1608,6 @@ impl Transport for SharedMemTransport {
         _: Option<u64>,
         _: &Arc<Vec<SendSpan>>,
         _: &[PinChunk],
-        _: Caller,
     ) {
         unreachable!("shared-memory fabric never routes through the wire")
     }
@@ -1588,51 +1622,26 @@ impl Transport for SharedMemTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A writer that accepts at most 3 bytes per call, across however
-    /// many slices — exercises every partial-write resume path.
-    struct DribbleWriter {
-        out: Vec<u8>,
-    }
-
-    impl Write for DribbleWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let n = buf.len().min(3);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            let mut left = 3usize;
-            let mut written = 0usize;
-            for b in bufs {
-                if left == 0 {
-                    break;
-                }
-                let n = b.len().min(left);
-                self.out.extend_from_slice(&b[..n]);
-                written += n;
-                left -= n;
-            }
-            Ok(written)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
+    use crate::fabric::PostedRecv;
+    use crate::wire::{PartStreamMsg, PartStreamRecv};
     use pcomm_trace::Trace;
-    use std::os::unix::net::UnixStream;
 
     /// Rank 0's socket carrier toward a peer rank 1 that is the far
-    /// ends of `lanes` socketpairs, armed as `start` arms it but with
-    /// no threads: each test is the only caller of `put` and `take`.
-    fn carrier(lanes: usize, trace: Trace) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
+    /// ends of `lanes` socketpairs, armed as `new` arms it, with no
+    /// progress thread: each test is the only thread moving bytes. The
+    /// far ends stay blocking; a read there gives up after 5 s.
+    fn carrier_with(
+        lanes: usize,
+        trace: Trace,
+        plan: Option<&FaultPlan>,
+    ) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
         let (near, far): (Vec<_>, Vec<_>) = (0..lanes)
             .map(|_| UnixStream::pair().unwrap())
             .map(|(a, b)| (Endpoint::Uds(a), b))
             .unzip();
+        for end in &far {
+            end.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        }
         let cfg = MeshConfig {
             rank: 0,
             n_ranks: 2,
@@ -1647,53 +1656,63 @@ mod tests {
             lanes,
             peers: vec![None, Some(near)],
         };
-        let transport = Arc::new(SocketTransport::new(mesh, cfg, None));
-        for lane in &peer_of(&transport).lanes {
-            *lane.direct.lock() = Some(lane.endpoint.try_clone().unwrap());
-        }
+        let transport = Arc::new(SocketTransport::new(mesh, cfg, plan).unwrap());
         let carrier = Arc::clone(&transport) as Arc<dyn Transport>;
         let fabric = Fabric::new_configured(2, 1, 1024, trace, None, carrier);
         (fabric, transport, far)
+    }
+
+    fn carrier(lanes: usize, trace: Trace) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
+        carrier_with(lanes, trace, None)
     }
 
     fn peer_of(transport: &SocketTransport) -> &Peer {
         transport.peers[1].as_ref().unwrap()
     }
 
-    /// The writer thread's end of `lane`'s channel, holding what was
-    /// enqueued so far.
-    fn inbox_of(transport: &SocketTransport, lane: usize) -> Inbox {
-        let rx = peer_of(transport).lanes[lane].rx.lock().take().unwrap();
-        Inbox { rx, open: true }
+    /// Entries on `lane` not yet fully on the socket.
+    fn waiting(transport: &SocketTransport, lane: usize) -> usize {
+        let lane = &peer_of(transport).lanes[lane];
+        lane.tx.lock().outbox.len() + lane.intake.lock().len()
     }
 
-    fn queued_on(transport: &SocketTransport, lane: usize) -> Vec<WriterMsg> {
-        let mut batch = Vec::new();
-        let lane_ref = &peer_of(transport).lanes[lane];
-        inbox_of(transport, lane).drain(lane_ref, &mut batch, usize::MAX, false);
-        batch
+    fn frames_sent(transport: &SocketTransport) -> u64 {
+        peer_of(transport).frames_sent.load(Ordering::Acquire)
     }
 
-    /// One send span over all of `buf`, and pinned stream writes of
-    /// stream 7 cutting it into `n` equal ranges.
-    fn stream_writes(buf: &[u8], n: usize) -> (Arc<Vec<SendSpan>>, Vec<WriterMsg>) {
-        let spans = Arc::new(vec![SendSpan {
-            offset: 0,
-            len: buf.len(),
-            remaining: AtomicUsize::new(buf.len()),
-            done: Completion::new(),
-        }]);
+    /// `n` equal send spans over `buf`.
+    fn spans_over(buf: &[u8], n: usize) -> Vec<SendSpan> {
         let len = buf.len() / n;
-        let writes = (0..n)
+        (0..n)
+            .map(|i| SendSpan {
+                offset: i * len,
+                len,
+                remaining: AtomicUsize::new(len),
+                done: Completion::new(),
+            })
+            .collect()
+    }
+
+    /// Pinned writes of stream 7 cutting `buf` into `n` equal ranges.
+    fn stream_writes(buf: &[u8], spans: &Arc<Vec<SendSpan>>, n: usize) -> Vec<Out> {
+        let len = buf.len() / n;
+        (0..n)
             .map(|i| PinChunk {
                 offset: (i * len) as u64,
                 ptr: buf[i * len..].as_ptr(),
                 len,
                 parts: 1,
             })
-            .map(|chunk| WriterMsg::Pinned(PinnedWrite::stream(7, chunk, &spans)))
-            .collect();
-        (spans, writes)
+            .map(|chunk| Out::Pinned(PinnedWrite::stream(7, chunk, spans)))
+            .collect()
+    }
+
+    fn part_data(rdv_id: u64, offset: usize, payload: &[u8]) -> Frame {
+        Frame::PartData {
+            rdv_id,
+            offset: offset as u64,
+            payload: payload.to_vec(),
+        }
     }
 
     fn events_named(fabric: &Fabric, name: &str) -> Vec<EventKind> {
@@ -1703,79 +1722,141 @@ mod tests {
     }
 
     #[test]
-    fn a_mixed_batch_leaves_as_the_bytes_of_its_owned_frames() {
+    fn the_caller_moves_its_own_bytes() {
+        let (fabric, transport, mut far) = carrier(2, Trace::disabled());
+        let wire = fabric.wire();
+        let src = vec![0x5Au8; 4096];
+        let spans = spans_over(&src, 1);
+        let done = Arc::clone(&spans[0].done);
+        // `start`: its PartRts is on the socket before the call returns.
+        let id = wire.part_stream_begin(&fabric, 1, 7, src.len(), spans);
+        let rts = Frame::PartRts {
+            ctx: 7,
+            total_len: 4096,
+            rdv_id: id,
+        };
+        assert_eq!(Frame::read_from(&mut far[0]).unwrap(), rts);
+        // The CTS arrives while the sender computes. The next `pready`
+        // reads it first, and its range leaves with it.
+        Frame::PartCts { rdv_id: id }.write_to(&mut far[0]).unwrap();
+        wire.part_stream_push(&fabric, id, 0, &src, 1);
+        assert!(done.is_set(), "the range was not put on the socket");
+        assert_eq!(
+            Frame::read_from(&mut far[1]).unwrap(),
+            part_data(id, 0, &src)
+        );
+        assert_eq!(frames_sent(&transport), 2);
+        assert!(!fabric.aborted());
+    }
+
+    #[test]
+    fn a_push_into_a_full_socket_returns_at_once_and_flushes_later() {
         let (fabric, transport, mut far) = carrier(1, Trace::disabled());
+        let source: Vec<u8> = (0..1usize << 20).map(|i| (i * 7 % 251) as u8).collect();
+        let spans = Arc::new(spans_over(&source, 4));
+        let tail = vec![0xEEu8; 56];
+        let done = Completion::new();
         let eager = Frame::Eager {
             shard: 0,
             ctx: 3,
             tag: -4,
             payload: vec![1, 2, 3],
         };
-        let source: Vec<u8> = (0..=255).collect();
-        let (spans, mut writes) = stream_writes(&source[..200], 1);
-        let done = Completion::new();
+        transport.send(&fabric, 1, eager.clone(), false);
+        for out in stream_writes(&source, &spans, 4) {
+            transport.push(&fabric, 1, 0, out);
+        }
         let pinned = PinnedSend {
-            ptr: source[200..].as_ptr(),
-            len: 56,
+            ptr: tail.as_ptr(),
+            len: tail.len(),
             done: Arc::clone(&done),
         };
-        let mut batch = vec![
-            WriterMsg::Frame(eager.clone()),
-            writes.remove(0),
-            WriterMsg::Pinned(PinnedWrite::rdv(9, pinned)),
-        ];
-        assert!(!spans[0].done.is_set() && !done.is_set());
-        let put = transport.put(&fabric, 1, 0, &mut batch, &mut Vec::new(), None);
-        assert_eq!(put, Put::Sent);
-        assert!(batch.is_empty());
-        assert!(spans[0].done.is_set() && done.is_set());
-        assert_eq!(spans[0].remaining.load(Ordering::Acquire), 0);
-        assert_eq!(peer_of(&transport).frames_sent.load(Ordering::Acquire), 3);
+        transport.ship_rdv(&fabric, 1, 9, pinned);
+        transport.send(&fabric, 1, Frame::Heartbeat { seq: 3 }, false);
+        // Nobody reads the far end: the socket took what fits, the
+        // rest waits in the outbox and nothing behind it completed.
+        assert!(waiting(&transport, 0) > 0);
+        assert!(!spans[3].done.is_set() && !done.is_set());
         let mut want = eager.encode();
-        want.extend(
-            Frame::PartData {
-                rdv_id: 7,
-                offset: 0,
-                payload: source[..200].to_vec(),
-            }
-            .encode(),
-        );
+        for i in 0..4 {
+            let range = &source[i << 18..(i + 1) << 18];
+            want.extend(part_data(7, i << 18, range).encode());
+        }
         want.extend(
             Frame::RdvData {
                 rdv_id: 9,
-                payload: source[200..].to_vec(),
+                payload: tail.clone(),
             }
             .encode(),
         );
-        drop((fabric, transport));
-        let mut got = Vec::new();
-        far[0].read_to_end(&mut got).unwrap();
-        assert_eq!(got, want);
+        want.extend(Frame::Heartbeat { seq: 3 }.encode());
+        let len = want.len();
+        let mut end = far.remove(0);
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; len];
+            end.read_exact(&mut got).unwrap();
+            got
+        });
+        while waiting(&transport, 0) > 0 {
+            transport.flush(&fabric, 1, 0);
+            std::thread::yield_now();
+        }
+        assert!(reader.join().unwrap() == want, "the wire bytes differ");
+        for span in spans.iter() {
+            assert!(span.done.is_set());
+            assert_eq!(span.remaining.load(Ordering::Acquire), 0);
+        }
+        assert!(done.is_set());
+        assert_eq!(frames_sent(&transport), 7, "each entry completed once");
     }
 
     #[test]
-    fn wire_send_seq_is_wire_order_when_writer_and_direct_puts_interleave() {
+    fn an_outbox_resumes_every_torn_write_where_it_stopped() {
+        let plan = FaultPlan::seeded(5).torn_writes(1.0);
+        let (fabric, transport, mut far) = carrier_with(1, Trace::disabled(), Some(&plan));
+        let source: Vec<u8> = (0..=255).collect();
+        let spans = Arc::new(spans_over(&source, 2));
+        let mut want = Vec::new();
+        for seq in 0..8 {
+            let frame = Frame::Heartbeat { seq };
+            want.extend(frame.encode());
+            transport.send(&fabric, 1, frame, false);
+        }
+        for out in stream_writes(&source, &spans, 2) {
+            transport.push(&fabric, 1, 0, out);
+        }
+        want.extend(part_data(7, 0, &source[..128]).encode());
+        want.extend(part_data(7, 128, &source[128..]).encode());
+        while waiting(&transport, 0) > 0 {
+            transport.flush(&fabric, 1, 0);
+        }
+        let mut got = vec![0u8; want.len()];
+        far[0].read_exact(&mut got).unwrap();
+        assert_eq!(got, want);
+        assert!(spans.iter().all(|s| s.done.is_set()));
+        assert_eq!(frames_sent(&transport), 10);
+    }
+
+    #[test]
+    fn wire_send_seq_is_wire_order_when_pushes_race() {
         let (fabric, transport, mut far) = carrier(2, Trace::ring_verify(4096));
         const ROUNDS: u64 = 50;
+        let frame = |f: Frame| Out::Frame(f.encode());
         std::thread::scope(|s| {
-            // The lane's writer thread: batches of three heartbeats.
             s.spawn(|| {
-                let mut inbox = inbox_of(&transport, 1);
-                let (mut batch, mut scratch) = (Vec::new(), Vec::new());
                 for seq in 0..ROUNDS {
-                    batch.extend((0..3).map(|_| WriterMsg::Frame(Frame::Heartbeat { seq })));
-                    let put =
-                        transport.put(&fabric, 1, 1, &mut batch, &mut scratch, Some(&mut inbox));
-                    assert_eq!(put, Put::Sent);
+                    for _ in 0..3 {
+                        transport.push(&fabric, 1, 1, frame(Frame::Heartbeat { seq }));
+                    }
                 }
             });
-            // A reader thread mid-dispatch: one CTS at a time, directly.
             s.spawn(|| {
                 for rdv_id in 0..ROUNDS {
-                    transport.send_data_frame(&fabric, 1, Frame::PartCts { rdv_id });
+                    transport.push(&fabric, 1, 1, frame(Frame::PartCts { rdv_id }));
                 }
             });
         });
+        assert_eq!(waiting(&transport, 1), 0, "a push was stranded");
         let mut sends: Vec<(u32, u16)> = events_named(&fabric, "verify_wire_send")
             .into_iter()
             .map(|kind| match kind {
@@ -1797,93 +1878,64 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_data_lane_fails_its_batch_and_backlog_over_once() {
+    fn a_dead_data_lane_fails_over_once_with_everything_it_held() {
         let (fabric, transport, mut far) = carrier(3, Trace::ring(256));
         drop(far.remove(2));
-        let source = vec![0x5Au8; 4096];
-        let (spans, mut writes) = stream_writes(&source, 4);
-        let lane2 = &peer_of(&transport).lanes[2];
-        for msg in writes.split_off(2) {
-            assert!(lane2.enqueue(msg).is_ok());
+        let source: Vec<u8> = (0..4096).map(|i| (i % 253) as u8).collect();
+        let spans = Arc::new(spans_over(&source, 1));
+        for out in stream_writes(&source, &spans, 4) {
+            transport.push(&fabric, 1, 2, out);
         }
-        assert!(lane2.enqueue(WriterMsg::Shutdown).is_ok());
-        let mut inbox = inbox_of(&transport, 2);
-        writes.push(WriterMsg::Frame(Frame::Bye));
-        let put = transport.put(
-            &fabric,
-            1,
-            2,
-            &mut writes,
-            &mut Vec::new(),
-            Some(&mut inbox),
+        let lane2 = &peer_of(&transport).lanes[2];
+        assert!(
+            lane2.broken.load(Ordering::Acquire),
+            "the failure was not left"
         );
-        assert_eq!(put, Put::FailedOver);
-        assert!(!inbox.open, "the backlog's Shutdown was consumed");
-        assert!(matches!(writes[..], [WriterMsg::Frame(Frame::Bye)]));
-        // A straggler behind the failure, and the lane's reader noticing
-        // the same death, change nothing.
-        let (_, mut late) = stream_writes(&source, 1);
-        assert_eq!(
-            transport.put(&fabric, 1, 2, &mut late, &mut Vec::new(), None),
-            Put::FailedOver
-        );
+        assert!(lane2.alive.load(Ordering::Acquire), "an app thread triaged");
+        assert!(!spans[0].done.is_set());
+        transport.triage_broken(&fabric);
+        // A straggler behind the failover follows the rest, and the
+        // death triaged again changes nothing.
+        let late: Vec<u8> = vec![0x77; 64];
+        let late_spans = Arc::new(spans_over(&late, 1));
+        for out in stream_writes(&late, &late_spans, 1) {
+            transport.push(&fabric, 1, 2, out);
+        }
         let eof = io::Error::from(io::ErrorKind::UnexpectedEof);
-        let fate = transport.lane_failed(&fabric, 1, 2, true, &eof);
-        assert!(matches!(fate, Fate::FailedOver));
+        transport.lane_failed(&fabric, 1, 2, &eof);
         assert!(!lane2.alive.load(Ordering::Acquire));
         assert_eq!(
             events_named(&fabric, "lane_down"),
             [EventKind::LaneDown { peer: 1, lane: 2 }]
         );
-        let failover = |requeued| EventKind::LaneFailover {
+        let failover = EventKind::LaneFailover {
             peer: 1,
             lane: 2,
-            requeued,
+            requeued: 4,
         };
-        assert_eq!(
-            events_named(&fabric, "lane_failover"),
-            [failover(4), failover(1)]
-        );
-        // Everything pinned moved to the one surviving data lane, whole
-        // and uncompleted; lane 0 got nothing.
-        let moved = queued_on(&transport, 1);
-        assert_eq!(moved.len(), 5);
-        assert!(moved.iter().all(|m| matches!(m, WriterMsg::Pinned(_))));
-        assert!(queued_on(&transport, 0).is_empty());
-        assert!(!spans[0].done.is_set());
-        assert_eq!(spans[0].remaining.load(Ordering::Acquire), source.len());
-        assert_eq!(peer_of(&transport).frames_sent.load(Ordering::Acquire), 0);
-        assert!(!fabric.aborted(), "a data lane's death is not the peer's");
-    }
-
-    #[test]
-    fn a_direct_control_frame_falls_through_dead_data_lanes_to_lane_0() {
-        let (fabric, transport, mut far) = carrier(3, Trace::ring(64));
-        let cts = |rdv_id| Frame::PartCts { rdv_id };
-        drop(far.remove(1));
-        transport.send_data_frame(&fabric, 1, cts(5));
-        let mut lane2_far = far.remove(1);
-        assert_eq!(Frame::read_from(&mut lane2_far).unwrap(), cts(5));
-        drop(lane2_far);
-        transport.send_data_frame(&fabric, 1, cts(6));
-        let peer = peer_of(&transport);
-        assert!(peer.lanes[1..]
-            .iter()
-            .all(|l| !l.alive.load(Ordering::Acquire)));
-        assert_eq!(events_named(&fabric, "lane_down").len(), 2);
-        // Lane 0 is the ordered lane: the frame is enqueued for its
-        // writer, never written past it.
-        match &queued_on(&transport, 0)[..] {
-            [WriterMsg::Frame(f)] => assert_eq!(*f, cts(6)),
-            _ => panic!("the CTS did not reach lane 0's writer"),
+        assert_eq!(events_named(&fabric, "lane_failover"), [failover]);
+        // Every range arrived whole on the surviving data lane.
+        for i in 0..4 {
+            let range = &source[i * 1024..(i + 1) * 1024];
+            assert_eq!(
+                Frame::read_from(&mut far[1]).unwrap(),
+                part_data(7, i * 1024, range)
+            );
         }
-        assert_eq!(peer.frames_sent.load(Ordering::Acquire), 1);
-        assert!(!fabric.aborted());
+        assert_eq!(
+            Frame::read_from(&mut far[1]).unwrap(),
+            part_data(7, 0, &late)
+        );
+        assert!(spans[0].done.is_set() && late_spans[0].done.is_set());
+        far[0].set_nonblocking(true).unwrap();
+        let lane0 = far[0].read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(lane0.kind(), io::ErrorKind::WouldBlock, "lane 0 got bytes");
+        assert!(!fabric.aborted(), "a data lane's death is not the peer's");
     }
 
     /// `take` one frame whose head claims `claimed` body bytes for `op`,
     /// followed by `fixed` and then EOF; returns the error and the
-    /// capacity the reusable body buffer was left with.
+    /// capacity the decoder's reusable body buffer was left with.
     fn take_lying_head(op: u8, claimed: u32, fixed: &[u8]) -> (io::Error, usize) {
         let (fabric, transport, mut far) = carrier(1, Trace::disabled());
         let mut head = claimed.to_le_bytes().to_vec();
@@ -1891,13 +1943,13 @@ mod tests {
         head.extend(fixed);
         far[0].write_all(&head).unwrap();
         drop(far);
-        let mut ep = peer_of(&transport).lanes[0].endpoint.try_clone().unwrap();
-        let mut body = Vec::new();
+        let mut guard = peer_of(&transport).lanes[0].rx.lock();
+        let rx = &mut *guard;
         let err = transport
-            .take(&fabric, 1, 0, &mut ep, &mut body, 0, &mut 0)
+            .take(&fabric, 1, 0, &mut rx.ep, &mut rx.rd)
             .unwrap_err();
         assert!(!fabric.aborted());
-        (err, body.capacity())
+        (err, rx.rd.dec.body_capacity())
     }
 
     #[test]
@@ -1917,19 +1969,168 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    #[test]
-    fn write_all_vectored_survives_partial_writes() {
-        let bufs: [Vec<u8>; 5] = [
-            vec![1u8, 2, 3, 4, 5],
-            vec![],
-            vec![6u8],
-            vec![7u8; 10],
-            vec![8u8, 9],
+    /// Hands out `data` piece by piece: a read stops at the next cut,
+    /// and the read after a cut is refused (`WouldBlock`), as a
+    /// nonblocking socket refuses while the peer has sent nothing more.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        at: usize,
+        cuts: VecDeque<usize>,
+        dry: bool,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.dry || self.at == self.data.len() {
+                self.dry = false;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let end = self.cuts.front().copied().unwrap_or(self.data.len());
+            let n = buf.len().min(end - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            if self.at == end {
+                self.cuts.pop_front();
+                self.dry = true;
+            }
+            Ok(n)
+        }
+    }
+
+    const BIG: usize = (1 << 20) + 3;
+
+    /// Eager, `PartRts`, three overlapping `PartData`, `RdvData` and an
+    /// eager frame with a 1 MiB body, as one byte stream; also where
+    /// the big frame starts.
+    fn mixed_stream() -> (Vec<u8>, usize) {
+        let src: Vec<u8> = (0..64).map(|i| i as u8 ^ 0xA5).collect();
+        let eager = |tag, payload: Vec<u8>| Frame::Eager {
+            shard: 0,
+            ctx: 0,
+            tag,
+            payload,
+        };
+        let frames = [
+            eager(1, b"small eager".to_vec()),
+            Frame::PartRts {
+                ctx: 7,
+                total_len: 64,
+                rdv_id: 5,
+            },
+            part_data(5, 0, &src[0..24]),
+            part_data(5, 16, &src[16..40]),
+            part_data(5, 8, &src[8..64]),
+            Frame::RdvData {
+                rdv_id: 9,
+                payload: (0..300).map(|i| (i % 241) as u8).collect(),
+            },
         ];
-        let slices: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let mut w = DribbleWriter { out: Vec::new() };
-        write_all_vectored(&mut w, &slices).unwrap();
-        let want: Vec<u8> = bufs.concat();
-        assert_eq!(w.out, want);
+        let mut bytes: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let big_at = bytes.len();
+        bytes.extend(eager(2, (0..BIG).map(|i| (i % 239) as u8).collect()).encode());
+        (bytes, big_at)
+    }
+
+    /// What one delivery of the mixed stream left behind: the frame
+    /// heads read in order, every destination's bytes, and the matches.
+    #[derive(Debug, PartialEq)]
+    struct Landed {
+        heads: Vec<u16>,
+        dests: [Vec<u8>; 4],
+        completed: [bool; 5],
+        matched: u64,
+    }
+
+    /// Deliver `stream` through a fresh carrier's decoder in the pieces
+    /// `cuts` marks, `WouldBlock` between every two.
+    fn land_mixed(stream: &[u8], cuts: impl IntoIterator<Item = usize>) -> Landed {
+        let (fabric, transport, _far) = carrier(1, Trace::ring_verify(4096));
+        let wire = fabric.wire();
+        let mut dests = [vec![0u8; 16], vec![0u8; BIG], vec![0u8; 64], vec![0u8; 300]];
+        let posted = |buf: &mut Vec<u8>, tag| PostedRecv {
+            ctx: 0,
+            src: Some(1),
+            tag: Some(tag),
+            dest_ptr: buf.as_mut_ptr(),
+            dest_cap: buf.len(),
+            info: Arc::new(Mutex::new(None)),
+            completion: Completion::new(),
+            verify_msg: None,
+        };
+        let [small, big, part, rdv] = &mut dests;
+        let small = fabric.post_recv(0, 0, posted(small, 1));
+        let big = fabric.post_recv(0, 0, posted(big, 2));
+        let msgs: Vec<PartStreamMsg> = (0..2)
+            .map(|m| PartStreamMsg {
+                offset: m * 32,
+                len: 32,
+                remaining: AtomicUsize::new(32),
+                completion: Completion::new(),
+                info: Arc::new(Mutex::new(None)),
+                verify_msg: None,
+                tag: m as i64,
+            })
+            .collect();
+        let msg_done: Vec<_> = msgs.iter().map(|m| Arc::clone(&m.completion)).collect();
+        let recv = PartStreamRecv {
+            base: part.as_mut_ptr(),
+            total_len: 64,
+            msgs,
+        };
+        wire.part_stream_post(&fabric, 1, 7, recv);
+        let rdv_in = posted(rdv, 3);
+        let rdv_done = Arc::clone(&rdv_in.completion);
+        wire.accept_remote_rdv(&fabric, 1, 9, rdv_in, 0, 3, None);
+        let mut reader = Pieces {
+            data: stream,
+            at: 0,
+            cuts: cuts.into_iter().collect(),
+            dry: false,
+        };
+        let mut rd = Reader::new();
+        while reader.at < stream.len() {
+            transport.take(&fabric, 1, 0, &mut reader, &mut rd).unwrap();
+        }
+        assert!(!fabric.aborted());
+        let heads = events_named(&fabric, "verify_wire_recv")
+            .into_iter()
+            .map(|kind| match kind {
+                EventKind::VerifyWireRecv { op, .. } => op,
+                other => panic!("unexpected stamp {other:?}"),
+            })
+            .collect();
+        Landed {
+            heads,
+            completed: [
+                small.test(),
+                big.test(),
+                msg_done[0].is_set(),
+                msg_done[1].is_set(),
+                rdv_done.is_set(),
+            ],
+            matched: fabric.matched_count(),
+            dests,
+        }
+    }
+
+    #[test]
+    fn the_decoder_lands_the_same_bytes_at_every_split() {
+        let (stream, big_at) = mixed_stream();
+        let whole = land_mixed(&stream, []);
+        assert_eq!(whole.completed, [true; 5]);
+        assert_eq!(whole.matched, 5, "a completion flipped twice");
+        assert_eq!(whole.heads.len(), 7);
+        let body_step = big_at + 6 + (1 << 20);
+        let in_big = (1..=24)
+            .chain(body_step - 8..body_step + 8)
+            .map(|k| big_at + k)
+            .chain([stream.len() - 2, stream.len() - 1]);
+        let mut cuts: Vec<usize> = (1..=big_at + 24).chain(in_big).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        for cut in cuts {
+            assert_eq!(land_mixed(&stream, [cut]), whole, "cut at byte {cut}");
+        }
+        assert_eq!(land_mixed(&stream, 1..stream.len()), whole, "byte by byte");
     }
 }

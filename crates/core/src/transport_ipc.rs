@@ -48,7 +48,7 @@ use pcomm_trace::EventKind;
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{Caller, Transport};
+use crate::transport::{poll_window, unset_in, Transport};
 use crate::wire::{
     answers_with_push, complete_spans, PinChunk, PinnedSend, SendSpan, FINALIZE_TIMEOUT,
 };
@@ -56,18 +56,6 @@ use crate::wire::{
 /// Sleep between drain passes while teardown waits for the peers'
 /// `Bye`s (mirrors the fabric's `WAIT_SLICE`).
 const TEARDOWN_SLICE: Duration = Duration::from_millis(2);
-
-/// How long `wait_slice` spins making inline progress before parking on
-/// the completion. Long enough to cover a same-host round trip (the
-/// latency-critical window), short enough not to burn a core when the
-/// peer is genuinely slow.
-const SPIN_WINDOW: Duration = Duration::from_micros(150);
-
-/// `spin_loop` hints between two polls of an idle ring, before the
-/// `yield_now` (which stays: on a 1-CPU host the peer needs the core).
-/// Enough that an idle poller stops hammering the producer's head line
-/// and `sched_yield`; few enough that a record is seen within ~100 ns.
-const POLL_PAUSES: u32 = 8;
 
 /// Futex timeout for one backpressure wait on a full ring, ns. Short:
 /// a stuck consumer is re-checked often enough that abort flags and
@@ -426,15 +414,15 @@ impl IpcTransport {
                     // the engine bounds-checks them before `dest` exists.
                     let copy_in = |dest: &mut [u8]| {
                         dest.copy_from_slice(payload);
-                        Ok(())
+                        Ok(payload.len())
                     };
                     let (id, at) = (desc.a, desc.b as usize);
                     match desc.kind {
                         // Zero-copy commit: the sender already wrote the
                         // granted arena range; only bookkeeping remains.
                         K_PART => {
-                            let _ =
-                                wire.land_part(fabric, src, 0, id, at, desc.c as usize, |_| Ok(()));
+                            let len = desc.c as usize;
+                            let _ = wire.land_part(fabric, src, 0, id, at, len, |_| Ok(len));
                         }
                         K_PARTF => {
                             let _ = wire.land_part(fabric, src, 0, id, at, payload.len(), copy_in);
@@ -674,39 +662,18 @@ impl IpcTransport {
         }
     }
 
-    /// Poll with inline progress until `pending()` reaches zero or
-    /// nothing has happened for [`SPIN_WINDOW`] (every drop of
-    /// `pending()` renews it); returns whether it reached zero. The
-    /// same-host round trip is microseconds, and handing it to the
-    /// progress thread would add two context switches. While we poll,
-    /// this rank's doorbell is ours — the progress thread's park is not
-    /// counted, so peers push without a `FUTEX_WAKE`.
+    /// Poll with inline progress ([`poll_window`]) until `pending()`
+    /// reaches zero or the window closes; returns whether it reached
+    /// zero. While we poll, this rank's doorbell is ours — the progress
+    /// thread's park is not counted, so peers push without a
+    /// `FUTEX_WAKE`.
     fn poll_until_none(&self, fabric: &Fabric, mut pending: impl FnMut() -> usize) -> bool {
-        let mut left = pending();
-        if left == 0 {
+        if pending() == 0 {
             return true;
         }
         let bell = self.segment.doorbell(self.rank);
         self.handoff.poller_enter(&bell);
-        let mut spin_until = Instant::now() + SPIN_WINDOW;
-        let mut renew = false;
-        while left > 0 {
-            if !self.progress_pass(fabric) {
-                let now = Instant::now();
-                if renew {
-                    (spin_until, renew) = (now + SPIN_WINDOW, false);
-                } else if now >= spin_until {
-                    break;
-                }
-                for _ in 0..POLL_PAUSES {
-                    std::hint::spin_loop();
-                }
-                std::thread::yield_now();
-            }
-            let now_left = pending();
-            renew |= now_left < left;
-            left = now_left;
-        }
+        let done = poll_window(|| self.progress_pass(fabric), pending);
         if self.handoff.poller_exit(&bell) {
             // Last poller out: the parked progress thread is counted
             // again, and a peer that pushed while it was not saw
@@ -714,7 +681,7 @@ impl IpcTransport {
             // ours to drain (lost-wakeup argument: `ipc::doorbell`).
             self.drain_all(fabric, true);
         }
-        left == 0
+        done
     }
 
     /// Racy snapshot of the always-on doorbell tallies.
@@ -873,7 +840,6 @@ impl Transport for IpcTransport {
         rdv_id: u64,
         base: *const u8,
         total_len: usize,
-        _: Caller,
     ) {
         // Arena grant: when the pinned destination lies inside the
         // inbound channel's partition arena (it was handed out by
@@ -917,7 +883,6 @@ impl Transport for IpcTransport {
         grant: Option<u64>,
         spans: &Arc<Vec<SendSpan>>,
         chunks: &[PinChunk],
-        _: Caller,
     ) {
         for &chunk in chunks {
             self.ship_range(fabric, dst, rdv_id, grant, spans, chunk);
@@ -1008,17 +973,10 @@ impl Transport for IpcTransport {
             || completion.wait_timeout(WAIT_SLICE)
     }
 
-    fn poll_burst(&self, fabric: &Fabric, completions: &[Arc<Completion>]) {
-        // Completions before the cursor are set. A stream arriving
-        // piecemeal is one polling session — one doorbell hand-off —
-        // not one per message.
-        let mut next = 0;
-        self.poll_until_none(fabric, || {
-            while completions.get(next).is_some_and(|c| c.is_set()) {
-                next += 1;
-            }
-            completions.len() - next
-        });
+    fn poll_burst(&self, fabric: &Fabric, _: Option<usize>, completions: &[Arc<Completion>]) {
+        // One polling session — one doorbell hand-off — per burst; an
+        // empty one is nothing to wait for (a CTS rings the doorbell).
+        self.poll_until_none(fabric, unset_in(completions));
     }
 
     fn doorbell_stats(&self) -> Option<DoorbellStats> {

@@ -421,11 +421,13 @@ impl Universe {
                 env.n_ranks,
             ))
         } else {
-            Arc::new(crate::transport::SocketTransport::new(
-                mesh,
-                cfg,
-                self.fault_plan.as_ref(),
-            ))
+            let carrier =
+                crate::transport::SocketTransport::new(mesh, cfg, self.fault_plan.as_ref())
+                    .map_err(|e| PcommError::Misuse {
+                        rank: Some(env.rank),
+                        detail: format!("transport start: arming the mesh sockets: {e}"),
+                    })?;
+            Arc::new(carrier)
         };
         let fabric = Fabric::new_configured(
             self.n_ranks,

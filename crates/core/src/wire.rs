@@ -60,7 +60,7 @@ use pcomm_trace::EventKind;
 use crate::error::{PcommError, PeerSocketState};
 use crate::fabric::{Fabric, MsgInfo, PostedRecv};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{Caller, Transport};
+use crate::transport::Transport;
 
 /// Hard deadline on the finalize barrier: every healthy peer reaches it
 /// as soon as its closure returns, so far past this something is wrong
@@ -479,16 +479,17 @@ impl WireProtocol {
             .ship_rdv(fabric, pending.dst, rdv_id, pending.pinned);
     }
 
-    /// Receiver: `len` bytes of rendezvous `rdv_id` are arriving for
-    /// `offset..offset+len` of the parked destination. `offset` and
+    /// Receiver: up to `len` bytes of rendezvous `rdv_id` are arriving
+    /// for `offset..offset+len` of the parked destination. `offset` and
     /// `len` are the peer's word: they are bounds-checked here, then
-    /// `fill` writes the bytes straight into the destination (a socket
-    /// read, or a copy out of the ring), and the final chunk publishes
-    /// the envelope. Returns `Ok(false)` when nothing was landed
-    /// (unmatched id, post-abort straggler, or a range that failed the
-    /// universe) and the caller must discard the bytes itself. A failed
-    /// `fill` leaves the receive parked, so a reconnect replay of the
-    /// whole frame can still complete it.
+    /// `fill` writes bytes straight into the destination (a socket read,
+    /// or a copy out of the ring) and says how many; the chunk that
+    /// fills the final range whole publishes the envelope. Returns
+    /// `Ok(None)` when nothing was landed (unmatched id, post-abort
+    /// straggler, or a range that failed the universe) and the caller
+    /// must discard the bytes itself, else how many bytes landed. A
+    /// failed `fill` leaves the receive parked, so a reconnect replay of
+    /// the whole frame can still complete it.
     #[allow(clippy::too_many_arguments)] // one per chunk-descriptor field
     pub(crate) fn land_rdv(
         &self,
@@ -498,15 +499,15 @@ impl WireProtocol {
         offset: usize,
         len: usize,
         is_final: bool,
-        fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
-    ) -> io::Result<bool> {
+        fill: impl FnOnce(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<Option<usize>> {
         let Some(mut entry) = self.rdv_in.lock().remove(&(src, rdv_id)) else {
-            return Ok(false);
+            return Ok(None);
         };
         if fabric.aborted() {
             // The destination may already be gone; waiters unwind via
             // the abort flag.
-            return Ok(false);
+            return Ok(None);
         }
         let cap = entry.posted.dest_cap;
         if offset.checked_add(len).is_none_or(|end| end > cap) {
@@ -514,18 +515,21 @@ impl WireProtocol {
                 src,
                 format!("rendezvous chunk {offset}+{len} overflows a {cap}-byte destination"),
             ));
-            return Ok(false);
+            return Ok(None);
         }
         let dest = entry.posted.dest_ptr;
         // SAFETY: invariant (2) — the posted destination is exclusive
         // and stays alive until its completion fires; the range was
         // checked against `dest_cap` above and the abort check guards
         // the teardown race.
-        let filled = fill(unsafe { std::slice::from_raw_parts_mut(dest.add(offset), len) });
-        if filled.is_ok() {
-            entry.received += len;
+        let filled = fill(unsafe { std::slice::from_raw_parts_mut(dest.add(offset), len) })
+            .map(|n| n.min(len));
+        // A high-water mark, not a sum: a reconnect replays the whole
+        // frame from byte 0 over a prefix that already landed.
+        if let Ok(n) = filled {
+            entry.received = entry.received.max(offset + n);
         }
-        if filled.is_ok() && is_final {
+        if filled.as_ref().is_ok_and(|&n| n == len) && is_final {
             fabric.complete_remote_rdv_in_place(
                 entry.posted,
                 src,
@@ -537,7 +541,7 @@ impl WireProtocol {
         } else {
             self.rdv_in.lock().insert((src, rdv_id), entry);
         }
-        filled.map(|()| true)
+        filled.map(Some)
     }
 }
 
@@ -619,8 +623,14 @@ impl WireProtocol {
             let ready = stream.push(offset, data.as_ptr(), data.len(), parts, self.aggr);
             let Some(grant) = stream.cts else {
                 // The CTS handler drains `queued` (auto-flushed tail
-                // included) and retires the entry when it arrives.
+                // included) and retires the entry when it arrives. It
+                // may have arrived while the caller computed: an empty
+                // burst is one inline look at the peer, which finds it,
+                // and its handler ships the queue — this range included.
                 stream.queued.extend_from_slice(&ready);
+                let dst = stream.dst;
+                drop(out);
+                self.carrier.poll_burst(fabric, Some(dst), &[]);
                 return;
             };
             let (dst, spans) = (stream.dst, Arc::clone(&stream.spans));
@@ -632,7 +642,7 @@ impl WireProtocol {
         };
         if !ready.is_empty() {
             self.carrier
-                .ship_chunks(fabric, dst, stream_id, grant, &spans, &ready, Caller::App);
+                .ship_chunks(fabric, dst, stream_id, grant, &spans, &ready);
         }
     }
 
@@ -656,7 +666,7 @@ impl WireProtocol {
             }
         };
         if let Some((rdv_id, total_len, recv)) = activate {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv, Caller::App);
+            self.activate_stream(fabric, src, rdv_id, total_len, recv);
         }
     }
 
@@ -691,7 +701,7 @@ impl WireProtocol {
             }
         };
         if let Some(recv) = recv {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv, Caller::Progress);
+            self.activate_stream(fabric, src, rdv_id, total_len, recv);
         }
     }
 
@@ -705,7 +715,6 @@ impl WireProtocol {
         rdv_id: u64,
         total_len: usize,
         recv: PartStreamRecv,
-        caller: Caller,
     ) {
         if recv.total_len != total_len {
             fabric.fail(PcommError::misuse(
@@ -757,7 +766,7 @@ impl WireProtocol {
         });
         self.streams_in.lock().insert((src, rdv_id), stream);
         self.carrier
-            .ship_part_cts(fabric, src, rdv_id, base, total_len, caller);
+            .ship_part_cts(fabric, src, rdv_id, base, total_len);
     }
 
     /// Sender: the receiver pinned its destination — release every
@@ -811,17 +820,8 @@ impl WireProtocol {
             (dst, spans, chunks)
         };
         debug_assert_eq!(dst, peer, "PartCts must come from the stream's receiver");
-        // Runs in the carrier's progress context: it may move the batch
-        // directly.
-        self.carrier.ship_chunks(
-            fabric,
-            dst,
-            rdv_id,
-            grant,
-            &spans,
-            &chunks,
-            Caller::Progress,
-        );
+        self.carrier
+            .ship_chunks(fabric, dst, rdv_id, grant, &spans, &chunks);
     }
 
     /// Receiver: look up the active stream for `(src, rdv_id)` and
@@ -856,12 +856,14 @@ impl WireProtocol {
         }
     }
 
-    /// Receiver: the range `offset..offset+len` of stream `rdv_id`
-    /// arrived on `lane`. Validate it, let `fill` put the bytes in the
+    /// Receiver: the range `offset..offset+len` of stream `rdv_id` is
+    /// arriving on `lane`. Validate it, let `fill` put bytes in the
     /// pinned destination (a socket read, a copy out of the ring, or
-    /// nothing when the sender already wrote them in place), then
-    /// commit. `Ok(false)` means the range was not landed (retired
-    /// stream, abort, or overflow) and the caller discards the bytes.
+    /// nothing when the sender already wrote them in place) and say how
+    /// many, then commit those. `Ok(None)` means the range was not
+    /// landed (retired stream, abort, or overflow) and the caller
+    /// discards the bytes; else how many landed — a socket lands a
+    /// range in pieces, each its own commit.
     #[allow(clippy::too_many_arguments)] // one per range-descriptor field
     pub(crate) fn land_part(
         &self,
@@ -871,19 +873,22 @@ impl WireProtocol {
         rdv_id: u64,
         offset: usize,
         len: usize,
-        fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
-    ) -> io::Result<bool> {
+        fill: impl FnOnce(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<Option<usize>> {
         let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, len) else {
-            return Ok(false);
+            return Ok(None);
         };
         // SAFETY: the destination stays pinned until the completions set
         // by the commit fire (invariant (1), via `PartStreamRecv`'s
         // contract), `stream_range` checked the bounds, and every
         // destination byte belongs to exactly one range on the wire, so
         // concurrent landings from different lanes never alias.
-        fill(unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) })?;
-        self.commit_stream_range(fabric, src, lane, rdv_id, &stream, offset, len);
-        Ok(true)
+        let n = fill(unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) })?;
+        let n = n.min(len);
+        if n > 0 || len == 0 {
+            self.commit_stream_range(fabric, src, lane, rdv_id, &stream, offset, n);
+        }
+        Ok(Some(n))
     }
 
     /// Receiver: the bytes of `offset..offset+len` are in the pinned
@@ -1316,7 +1321,7 @@ impl WireProtocol {
             Frame::RdvData { rdv_id, payload } => {
                 let _ = self.land_rdv(fabric, peer, rdv_id, 0, payload.len(), true, |dest| {
                     dest.copy_from_slice(&payload);
-                    Ok(())
+                    Ok(payload.len())
                 });
             }
             Frame::PartRts {
@@ -1333,7 +1338,7 @@ impl WireProtocol {
                 let (offset, len) = (offset as usize, payload.len());
                 let _ = self.land_part(fabric, peer, lane, rdv_id, offset, len, |dest| {
                     dest.copy_from_slice(&payload);
-                    Ok(())
+                    Ok(len)
                 });
             }
             Frame::BarrierArrive { gen } => self.note_arrival(fabric, gen, peer),
@@ -1571,7 +1576,6 @@ mod tests {
         PartCts {
             src: usize,
             rdv_id: u64,
-            caller_is_app: bool,
         },
         Chunks {
             dst: usize,
@@ -1614,20 +1618,8 @@ mod tests {
             self.log.lock().push(Sent::Rdv { dst, rdv_id, len });
         }
 
-        fn ship_part_cts(
-            &self,
-            _: &Fabric,
-            src: usize,
-            rdv_id: u64,
-            _: *const u8,
-            _: usize,
-            caller: Caller,
-        ) {
-            self.log.lock().push(Sent::PartCts {
-                src,
-                rdv_id,
-                caller_is_app: caller == Caller::App,
-            });
+        fn ship_part_cts(&self, _: &Fabric, src: usize, rdv_id: u64, _: *const u8, _: usize) {
+            self.log.lock().push(Sent::PartCts { src, rdv_id });
         }
 
         fn ship_chunks(
@@ -1638,7 +1630,6 @@ mod tests {
             grant: Option<u64>,
             _: &Arc<Vec<SendSpan>>,
             chunks: &[PinChunk],
-            _: Caller,
         ) {
             self.log.lock().push(Sent::Chunks {
                 dst,
@@ -1735,18 +1726,14 @@ mod tests {
         assert!(wire.dispatch(&fabric, 1, 0, part_rts(64, 5)));
         assert!(taken(&carrier).is_empty());
         wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-        let cts = |rdv_id, caller_is_app| Sent::PartCts {
-            src: 1,
-            rdv_id,
-            caller_is_app,
-        };
-        assert_eq!(taken(&carrier), vec![cts(5, true)]);
+        let cts = |rdv_id| Sent::PartCts { src: 1, rdv_id };
+        assert_eq!(taken(&carrier), vec![cts(5)]);
         // Post first: parked, the RTS activates it from the progress
         // context.
         wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
         assert!(taken(&carrier).is_empty());
         assert!(wire.dispatch(&fabric, 1, 0, part_rts(64, 6)));
-        assert_eq!(taken(&carrier), vec![cts(6, false)]);
+        assert_eq!(taken(&carrier), vec![cts(6)]);
         assert_eq!(wire.streams_in.lock().len(), 2);
         assert!(!fabric.aborted());
     }
@@ -1957,23 +1944,28 @@ mod tests {
         assert_eq!(dsts, vec![0, 1, 3]);
     }
 
-    /// A rendezvous receive parked for `(src 1, id 3)` over `buf`.
-    fn parked_rdv(fabric: &Fabric, buf: &mut [u8]) -> Arc<Completion> {
+    /// A rendezvous receive parked for `(src 1, id 3)` over `buf`, with
+    /// the slot its envelope is published into.
+    fn parked_rdv(
+        fabric: &Fabric,
+        buf: &mut [u8],
+    ) -> (Arc<Completion>, Arc<Mutex<Option<MsgInfo>>>) {
         let completion = Completion::new();
+        let info = Arc::new(Mutex::new(None));
         let posted = PostedRecv {
             ctx: 0,
             src: Some(1),
             tag: Some(4),
             dest_ptr: buf.as_mut_ptr(),
             dest_cap: buf.len(),
-            info: Arc::new(Mutex::new(None)),
+            info: Arc::clone(&info),
             completion: Arc::clone(&completion),
             verify_msg: None,
         };
         fabric
             .wire()
             .accept_remote_rdv(fabric, 1, 3, posted, 0, 4, None);
-        completion
+        (completion, info)
     }
 
     #[test]
@@ -2007,23 +1999,39 @@ mod tests {
         assert_eq!(sent[1..], [rdv], "one CTS, one release");
         // Receiver side: two ordered chunks land, the final one completes.
         let mut buf = vec![0u8; 8];
-        let completion = parked_rdv(&fabric, &mut buf);
+        let (completion, info) = parked_rdv(&fabric, &mut buf);
+        // A socket fills what it has: the final range lands in two
+        // reads, and only the one that ends it completes the receive.
         let copy = |bytes: &'static [u8]| {
             move |dest: &mut [u8]| {
-                dest.copy_from_slice(bytes);
-                Ok(())
+                dest[..bytes.len()].copy_from_slice(bytes);
+                Ok(bytes.len())
             }
         };
-        let landed = |off, last, bytes: &'static [u8]| {
-            wire.land_rdv(&fabric, 1, 3, off, bytes.len(), last, copy(bytes))
+        let landed = |off, len, last, bytes: &'static [u8]| {
+            wire.land_rdv(&fabric, 1, 3, off, len, last, copy(bytes))
                 .unwrap()
         };
-        assert!(landed(0, false, &[1, 2, 3, 4]));
+        assert_eq!(landed(0, 4, false, &[1, 2, 3, 4]), Some(4));
         assert!(!completion.is_set());
-        assert!(landed(4, true, &[5, 6, 7, 8]));
+        assert_eq!(landed(4, 4, true, &[5, 6]), Some(2));
+        assert!(!completion.is_set(), "half of the final range landed");
+        assert_eq!(landed(6, 2, true, &[7, 8]), Some(2));
         assert!(completion.is_set());
+        assert_eq!(info.lock().map(|i| i.len), Some(8));
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(!landed(0, true, &[9]), "the id is spent");
+        assert_eq!(landed(0, 1, true, &[9]), None, "the id is spent");
+        // A torn read, then a lane-0 reconnect: the sender replays the
+        // whole frame from byte 0 over the prefix that already landed.
+        let mut buf = vec![0u8; 8];
+        let (completion, info) = parked_rdv(&fabric, &mut buf);
+        assert_eq!(landed(0, 8, true, &[1, 2, 3, 4]), Some(4));
+        assert!(!completion.is_set());
+        assert_eq!(landed(0, 8, true, &[1, 2, 3, 4, 5, 6, 7, 8]), Some(8));
+        assert!(completion.is_set());
+        assert_eq!(info.lock().map(|i| i.len), Some(8), "not prefix + whole");
+        assert_eq!(landed(0, 8, true, &[1; 8]), None, "it completed once");
+        assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -2033,16 +2041,19 @@ mod tests {
         for offset in [usize::MAX - 3, 6] {
             let (fabric, _carrier) = engine(2, 0, 0);
             let mut buf = vec![0u8; 8];
-            let completion = parked_rdv(&fabric, &mut buf);
+            let (completion, _) = parked_rdv(&fabric, &mut buf);
             let mut filled = false;
             let landed = fabric
                 .wire()
                 .land_rdv(&fabric, 1, 3, offset, 4, true, |_| {
                     filled = true;
-                    Ok(())
+                    Ok(4)
                 })
                 .unwrap();
-            assert!(!landed && !filled, "no destination slice may be built");
+            assert!(
+                landed.is_none() && !filled,
+                "no destination slice may be built"
+            );
             assert!(!completion.is_set());
             let detail = misuse_of(&fabric, 1);
             assert!(

@@ -322,6 +322,18 @@ pub fn barrier_storm(comm: &Comm, rounds: usize) -> u64 {
     0
 }
 
+/// The threads this rank process runs at steady state, read from
+/// `/proc/self/task` between two barriers: every carrier thread is up
+/// and nothing is tearing down yet. The test harness's own main thread
+/// is not counted: it only waits for the test thread, which plays the
+/// rank process's main thread (the one that called `Universe::run`).
+pub fn threads_at_steady_state(comm: &Comm) -> u64 {
+    comm.barrier();
+    let threads = std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count());
+    comm.barrier();
+    threads.saturating_sub(1) as u64
+}
+
 /// Child branch: when `PCOMM_TEST_CHILD` is set, run the selected
 /// scenario as this process's rank and report through the out file.
 /// Returns `true` when this process was a child (the test should then
@@ -361,6 +373,7 @@ pub fn maybe_run_child() -> bool {
             }
             "handoff-stress" => handoff_stress(&comm, seed, rounds),
             "async-progress" => async_progress(&comm, Duration::from_millis(400)),
+            "threads" => (threads_at_steady_state(&comm), Duration::ZERO),
             "stream-repeat" => (
                 stream_repeat(&comm, n_parts, part_bytes, iters),
                 Duration::ZERO,

@@ -25,7 +25,7 @@ pub enum Endpoint {
 impl Endpoint {
     /// Wrap this endpoint in a seeded wire-fault injector for `(peer,
     /// lane)`. Clones made afterwards share one fault ledger, so the
-    /// reader and writer halves of a lane count bytes together. A
+    /// read and write halves of a lane count bytes together. A
     /// no-op (returns `self`) when the plan has no wire faults.
     pub fn with_faults(self, plan: Arc<WireFaults>, peer: u32, lane: u32) -> Endpoint {
         if !plan.any() || matches!(self, Endpoint::Faulty(_)) {
@@ -41,7 +41,7 @@ impl Endpoint {
     }
 
     /// Clone the underlying socket handle (shared file description), so
-    /// a reader thread and a writer thread can own the stream
+    /// the read and write halves of a lane can own the stream
     /// independently.
     pub fn try_clone(&self) -> io::Result<Endpoint> {
         Ok(match self {
@@ -85,7 +85,9 @@ impl Endpoint {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// Switch the socket (every clone: the flag lives on the shared
+    /// file description) between blocking and nonblocking I/O.
+    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Endpoint::Uds(s) => s.set_nonblocking(nb),
             Endpoint::Tcp(s) => s.set_nonblocking(nb),
@@ -110,6 +112,17 @@ impl Endpoint {
             Endpoint::Uds(_) => Ok(true),
             Endpoint::Tcp(s) => s.nodelay(),
             Endpoint::Faulty(l) => l.inner.nodelay(),
+        }
+    }
+}
+
+/// The socket's fd, on every backend (readiness registration).
+impl std::os::fd::AsRawFd for Endpoint {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        match self {
+            Endpoint::Uds(s) => s.as_raw_fd(),
+            Endpoint::Tcp(s) => s.as_raw_fd(),
+            Endpoint::Faulty(l) => l.inner.as_raw_fd(),
         }
     }
 }

@@ -9,7 +9,11 @@
 //! Every decision is a pure function of `(seed, peer, lane, call
 //! index)`: two runs with the same plan and the same call sequence
 //! inject bit-for-bit the same faults, so a failing chaos run replays
-//! exactly. The probability draws use the same SplitMix64 folding
+//! exactly. On a nonblocking socket a call the kernel refuses with
+//! `WouldBlock` never happened as far as the plan is concerned — it
+//! takes no index, moves no byte ledger and reports nothing — so the
+//! fault sequence does not depend on when the peer drains. The
+//! probability draws use the same SplitMix64 folding
 //! discipline as the message-level `FaultPlan` in `pcomm-trace`, but
 //! live here so `pcomm-net` stays free of any `pcomm-core` dependency:
 //! the runtime converts its parsed `PCOMM_FAULTS` plan into a
@@ -130,7 +134,7 @@ impl WireFaults {
 }
 
 /// Mutable per-link state, shared by every clone of one wrapped
-/// endpoint so reader and writer threads see one byte/call ledger.
+/// endpoint so a lane's read and write halves see one byte/call ledger.
 #[derive(Debug, Default)]
 pub struct FaultyState {
     written: AtomicU64,
@@ -222,8 +226,9 @@ impl FaultyLink {
         if self.state.dead.load(Ordering::Relaxed) {
             return Err(self.reset_err());
         }
-        // ORDERING: the byte ledger is written only by this lane's one
-        // writer thread; reads elsewhere are advisory.
+        // ORDERING: the byte ledger is written only under the lane's
+        // write mutex, which serialises every call; reads elsewhere are
+        // advisory.
         let written = self.state.written.load(Ordering::Relaxed);
         if let Some((lane, after)) = self.plan.lane_kill {
             if lane == self.lane && written >= after {
@@ -256,43 +261,49 @@ impl FaultyLink {
                 return Ok(buf.len());
             }
         }
-        // ORDERING: per-call index for the deterministic draw; calls on
-        // one lane come from one writer thread, so the sequence is
-        // already serial.
-        let idx = self.state.writes.fetch_add(1, Ordering::Relaxed);
+        // ORDERING: per-call index for the deterministic draw; the lane's
+        // write mutex serialises every call, so load-then-store is exact.
+        // It is stored only once the call really happened.
+        let idx = self.state.writes.load(Ordering::Relaxed);
         let p = u01(self.draw(DOMAIN_WRITE, idx));
         if p < self.plan.reset {
+            // ORDERING: as the index load above.
+            self.state.writes.store(idx + 1, Ordering::Relaxed);
             // ORDERING: sticky kill flag (see the load at the top).
             self.state.dead.store(true, Ordering::Relaxed);
             self.report(WireFault::Reset);
             self.inner.shutdown();
             return Err(self.reset_err());
         }
-        if p < self.plan.reset + self.plan.garbage && !buf.is_empty() {
+        let mut corrupt = Vec::new();
+        let (fault, out) = if p < self.plan.reset + self.plan.garbage && !buf.is_empty() {
             // Flip one seeded byte of a copy; the peer's decode layer
             // must turn this into a typed error, never a panic.
             let pick = self.draw(DOMAIN_WRITE ^ 0xff, idx);
-            let mut corrupt = buf.to_vec();
+            corrupt.extend_from_slice(buf);
             let at = (pick as usize) % corrupt.len();
             corrupt[at] ^= 1 << ((pick >> 32) % 8);
-            self.report(WireFault::Garbage);
-            let n = self.inner.write(&corrupt)?;
-            // ORDERING: single-writer byte ledger (see above).
-            self.state.written.fetch_add(n as u64, Ordering::Relaxed);
-            return Ok(n);
-        }
-        if p < self.plan.reset + self.plan.garbage + self.plan.torn && buf.len() > 1 {
+            (Some(WireFault::Garbage), &corrupt[..])
+        } else if p < self.plan.reset + self.plan.garbage + self.plan.torn && buf.len() > 1 {
             // Deliver only a seeded prefix; a correct caller loops.
             let pick = self.draw(DOMAIN_WRITE ^ 0xaa, idx);
             let k = 1 + (pick as usize) % (buf.len() - 1);
-            self.report(WireFault::TornWrite);
-            let n = self.inner.write(&buf[..k])?;
-            // ORDERING: single-writer byte ledger (see above).
-            self.state.written.fetch_add(n as u64, Ordering::Relaxed);
-            return Ok(n);
+            (Some(WireFault::TornWrite), &buf[..k])
+        } else {
+            (None, buf)
+        };
+        let wrote = self.inner.write(out);
+        if wrote.as_ref().is_err_and(would_block) {
+            return wrote; // the socket refused the call: it never happened
         }
-        let n = self.inner.write(buf)?;
-        // ORDERING: single-writer byte ledger (see above).
+        // ORDERING: as the index load above.
+        self.state.writes.store(idx + 1, Ordering::Relaxed);
+        if let Some(kind) = fault {
+            self.report(kind);
+        }
+        let n = wrote?;
+        // ORDERING: the byte ledger is serialised by the lane's write
+        // mutex (see the load at the top).
         self.state.written.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
@@ -302,18 +313,32 @@ impl FaultyLink {
         if self.state.dead.load(Ordering::Relaxed) {
             return Err(self.reset_err());
         }
-        // ORDERING: per-call draw index; one reader thread per lane.
-        let idx = self.state.reads.fetch_add(1, Ordering::Relaxed);
-        if buf.len() > 1 && u01(self.draw(DOMAIN_READ, idx)) < self.plan.short_read {
-            // Hand back fewer bytes than asked for; a correct caller
-            // (read_exact, the frame reader) loops.
-            let pick = self.draw(DOMAIN_READ ^ 0x55, idx);
-            let k = 1 + (pick as usize) % (buf.len() - 1);
-            self.report(WireFault::ShortRead);
-            return self.inner.read(&mut buf[..k]);
+        // ORDERING: per-call draw index; the lane's read mutex serialises
+        // every call, and the index is stored only once a call happened.
+        let idx = self.state.reads.load(Ordering::Relaxed);
+        let short = buf.len() > 1 && u01(self.draw(DOMAIN_READ, idx)) < self.plan.short_read;
+        // Hand back fewer bytes than asked for; a correct caller (the
+        // frame decoder, `read_exact`) loops.
+        let k = if short {
+            1 + (self.draw(DOMAIN_READ ^ 0x55, idx) as usize) % (buf.len() - 1)
+        } else {
+            buf.len()
+        };
+        let read = self.inner.read(&mut buf[..k]);
+        if read.as_ref().is_err_and(would_block) {
+            return read;
         }
-        self.inner.read(buf)
+        // ORDERING: as the index load above.
+        self.state.reads.store(idx + 1, Ordering::Relaxed);
+        if short {
+            self.report(WireFault::ShortRead);
+        }
+        read
     }
+}
+
+fn would_block(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::WouldBlock
 }
 
 #[cfg(test)]
@@ -427,6 +452,134 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    fn state_of(ep: &Endpoint) -> &FaultyState {
+        match ep {
+            Endpoint::Faulty(l) => &l.state,
+            _ => unreachable!("a wrapped endpoint"),
+        }
+    }
+
+    /// Kinds whose tally grew between two snapshots.
+    fn fired(state: &FaultyState, before: &[u64; 6]) -> Vec<WireFault> {
+        use WireFault::*;
+        let kinds = [TornWrite, ShortRead, Garbage, Reset, LaneKill, HalfOpen];
+        let grew = |k: &WireFault| state.injected(*k) > before[k.slot()];
+        kinds.into_iter().filter(grew).collect()
+    }
+
+    fn tallies(state: &FaultyState) -> [u64; 6] {
+        std::array::from_fn(|i| state.injected[i].load(Ordering::Relaxed))
+    }
+
+    /// Push 1 MiB through a faulty write half and return every injected
+    /// fault with the stream offset it hit. Nonblocking: the peer reads
+    /// nothing until the socket first refuses a write, so many calls
+    /// come back `WouldBlock`. Calls stay at 4 KiB, which a Unix stream
+    /// socket takes whole or not at all, so both modes see the same
+    /// call sequence.
+    fn write_faults(nonblocking: bool) -> Vec<(WireFault, u64)> {
+        let plan = WireFaults {
+            seed: 21,
+            torn: 0.4,
+            garbage: 0.1,
+            ..WireFaults::default()
+        };
+        let (mut tx, mut rx) = pair_with(plan, 1);
+        tx.set_nonblocking(nonblocking).unwrap();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn(move || {
+            if nonblocking {
+                wait.recv().unwrap();
+            }
+            let mut sink = Vec::new();
+            rx.read_to_end(&mut sink).unwrap();
+            sink.len()
+        });
+        let data = vec![0x3Cu8; 1 << 20];
+        let (mut off, mut seen, mut refused) = (0, Vec::new(), 0);
+        while off < data.len() {
+            let (before, at) = (tallies(state_of(&tx)), off as u64);
+            match tx.write(&data[off..data.len().min(off + 4096)]) {
+                Ok(n) => off += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert_eq!(tallies(state_of(&tx)), before, "a refused call reported");
+                    if refused == 0 {
+                        go.send(()).unwrap();
+                    }
+                    refused += 1;
+                    std::thread::yield_now();
+                }
+                Err(e) => panic!("{e}"),
+            }
+            seen.extend(fired(state_of(&tx), &before).into_iter().map(|k| (k, at)));
+        }
+        if !nonblocking {
+            drop(go);
+        } else {
+            assert!(refused > 0, "the peer never pushed back");
+        }
+        assert_eq!(state_of(&tx).written.load(Ordering::Relaxed), 1 << 20);
+        drop(tx);
+        assert_eq!(reader.join().unwrap(), 1 << 20);
+        seen
+    }
+
+    /// Pull 64 bursts of 4 KiB through a faulty read half and return
+    /// every injected fault with the stream offset it hit. The peer
+    /// writes a burst only when asked; nonblocking, the reader first
+    /// knocks on the empty socket three times.
+    fn read_faults(nonblocking: bool) -> Vec<(WireFault, u64)> {
+        let plan = WireFaults {
+            seed: 21,
+            short_read: 0.5,
+            ..WireFaults::default()
+        };
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut rx = Endpoint::Uds(a).with_faults(Arc::new(plan), 1, 0);
+        rx.set_nonblocking(nonblocking).unwrap();
+        let mut tx = Endpoint::Uds(b);
+        let (ask, asked) = std::sync::mpsc::channel::<()>();
+        let (wrote, written) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            for () in asked {
+                tx.write_all(&[0xA5u8; 4096]).unwrap();
+                wrote.send(()).unwrap();
+            }
+        });
+        let (mut got, mut seen, mut buf) = (0u64, Vec::new(), [0u8; 4096]);
+        for _ in 0..64 {
+            for _ in 0..if nonblocking { 3 } else { 0 } {
+                let before = tallies(state_of(&rx));
+                let err = rx.read(&mut buf).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+                assert_eq!(tallies(state_of(&rx)), before, "a refused call reported");
+            }
+            ask.send(()).unwrap();
+            written.recv().unwrap();
+            let mut left = buf.len();
+            while left > 0 {
+                let before = tallies(state_of(&rx));
+                let n = rx.read(&mut buf[..left]).unwrap();
+                seen.extend(fired(state_of(&rx), &before).into_iter().map(|k| (k, got)));
+                (got, left) = (got + n as u64, left - n);
+            }
+        }
+        drop(ask);
+        writer.join().unwrap();
+        seen
+    }
+
+    #[test]
+    fn a_refused_call_leaves_the_fault_sequence_a_function_of_the_seed() {
+        let blocking = write_faults(false);
+        assert!(blocking.iter().any(|&(k, _)| k == WireFault::TornWrite));
+        assert!(blocking.iter().any(|&(k, _)| k == WireFault::Garbage));
+        assert_eq!(write_faults(true), blocking);
+        let blocking = read_faults(false);
+        assert!(!blocking.is_empty());
+        assert_eq!(read_faults(true), blocking);
     }
 
     #[test]

@@ -815,49 +815,224 @@ impl Frame {
         w.write_all(&self.encode())
     }
 
-    /// Read one frame from a stream. `Err(UnexpectedEof)` with an empty
-    /// prefix means the peer closed the connection cleanly at a frame
-    /// boundary.
+    /// Read one frame from a blocking stream. `Err(UnexpectedEof)` with
+    /// an empty prefix means the peer closed the connection cleanly at a
+    /// frame boundary; a stream that runs dry (a read timeout) reports
+    /// `WouldBlock`.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        let (rest, op) = read_head(r)?;
-        read_rest(r, op, rest, &mut Vec::new())
+        let mut dec = Decoder::new(false);
+        loop {
+            match dec.next(r, |_, _| unreachable!("nothing is pinned"))? {
+                Some(Event::Frame(f)) => return Ok(f),
+                Some(Event::Head(_)) => {}
+                None => return Err(io::ErrorKind::WouldBlock.into()),
+            }
+        }
     }
-}
-
-/// Read the six-byte frame head — length prefix, version, opcode — and
-/// validate the first two, so every reader starts from a trusted head.
-/// Returns the body bytes still on the wire after the head (the claimed
-/// length minus version and opcode) and the opcode.
-pub fn read_head(r: &mut impl Read) -> io::Result<(usize, u8)> {
-    let mut head = [0u8; 6];
-    r.read_exact(&mut head)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if !(2..=MAX_FRAME_BODY).contains(&len) {
-        return Err(corrupt(format!("implausible frame length {len}")));
-    }
-    check_version(head[4])?;
-    Ok((len - 2, head[5]))
 }
 
 /// Allocation step for frame bodies read off the wire.
 const BODY_ALLOC_STEP: usize = 1 << 20;
 
-/// Read the `rest` body bytes that follow a [`read_head`] into `body`
-/// (reused across frames) and decode the frame. `rest` is the peer's
-/// word and is not trusted for the allocation: `body` grows in 1 MiB
-/// steps as bytes actually arrive, so a corrupted or hostile length
-/// prefix costs at most one step of memory before the stream runs dry
-/// (a typed error), never an up-front gigabyte-sized allocation.
-pub fn read_rest(r: &mut impl Read, op: u8, rest: usize, body: &mut Vec<u8>) -> io::Result<Frame> {
-    body.clear();
-    body.extend_from_slice(&[WIRE_VERSION, op]);
-    let end = 2 + rest;
-    while body.len() < end {
-        let at = body.len();
-        body.resize(at + (end - at).min(BODY_ALLOC_STEP), 0);
-        r.read_exact(&mut body[at..])?;
+/// What a [`Decoder`] surfaced.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Event {
+    /// A frame head whose length and version checked out, with its
+    /// opcode. Every frame surfaces its head first.
+    Head(u8),
+    /// A whole frame (everything but a pinned frame's payload).
+    Frame(Frame),
+}
+
+/// Where the next run of a pinned frame's payload belongs: the caller
+/// reads it off the stream itself, straight into its destination.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Piece {
+    /// [`op::PART_DATA`] or [`op::RDV_DATA`].
+    pub op: u8,
+    /// Stream or rendezvous id.
+    pub id: u64,
+    /// Offset of the run: in the stream's destination for `PartData`,
+    /// in the rendezvous payload for `RdvData`.
+    pub offset: u64,
+    /// Payload bytes of the frame not yet read, this run's included.
+    pub len: usize,
+}
+
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Collecting the six-byte head.
+    Head,
+    /// Collecting a pinned frame's fixed fields; `rest` body bytes
+    /// follow the head.
+    Fixed { op: u8, rest: usize },
+    /// `piece.len` payload bytes of a pinned frame still on the wire.
+    Payload { piece: Piece },
+    /// Collecting a body of `end` bytes (version and opcode included),
+    /// `filled` of them so far.
+    Body { end: usize, filled: usize },
+}
+
+/// An incremental frame reader for a stream that may run dry at any
+/// byte: it keeps its place across `WouldBlock` and resumes where it
+/// stopped. It reads the head, then either the whole body or — for
+/// pinned frames (`PartData`, `RdvData`) when built with `pinned` — the
+/// fixed fields, and hands the payload to the caller piece by piece.
+/// The length prefix is the peer's word: a body grows in 1 MiB steps as
+/// bytes actually arrive, so a lying prefix costs at most one step of
+/// memory before the stream runs dry, never an up-front allocation.
+pub struct Decoder {
+    /// The head, then a pinned frame's fixed fields.
+    fixed: [u8; 6 + 16],
+    have: usize,
+    stage: Stage,
+    /// Control-frame body, reused across frames.
+    body: Vec<u8>,
+    pinned: bool,
+}
+
+/// One `read` that reports a dry stream as `None` and EOF as an error.
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Option<usize>> {
+    loop {
+        return match r.read(buf) {
+            Ok(0) if !buf.is_empty() => Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => Ok(Some(n)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => Err(e),
+        };
     }
-    Frame::decode(body)
+}
+
+impl Decoder {
+    /// A decoder at a frame boundary. With `pinned`, `PartData` and
+    /// `RdvData` payloads go to the caller's `land` instead of a body.
+    pub fn new(pinned: bool) -> Decoder {
+        Decoder {
+            fixed: [0; 6 + 16],
+            have: 0,
+            stage: Stage::Head,
+            body: Vec::new(),
+            pinned,
+        }
+    }
+
+    /// Capacity of the reusable body buffer (what a lying length prefix
+    /// managed to allocate).
+    pub fn body_capacity(&self) -> usize {
+        self.body.capacity()
+    }
+
+    /// Read what `r` has toward the next [`Event`]; `Ok(None)` once `r`
+    /// runs dry (`WouldBlock`), with the place kept. A pinned payload
+    /// goes through `land(piece, r)`, which reads at most `piece.len`
+    /// bytes off `r` to wherever they belong and returns how many, with
+    /// `Read`'s conventions (0 for a non-empty piece is EOF).
+    pub fn next<R: Read>(
+        &mut self,
+        r: &mut R,
+        mut land: impl FnMut(Piece, &mut R) -> io::Result<usize>,
+    ) -> io::Result<Option<Event>> {
+        loop {
+            match self.stage {
+                Stage::Head | Stage::Fixed { .. } => {
+                    let want = match self.stage {
+                        Stage::Fixed { op, .. } => 6 + pinned_fixed(op),
+                        _ => 6,
+                    };
+                    while self.have < want {
+                        let Some(n) = read_some(r, &mut self.fixed[self.have..want])? else {
+                            return Ok(None);
+                        };
+                        self.have += n;
+                    }
+                    if let Stage::Fixed { op, rest } = self.stage {
+                        let word = |at: usize| {
+                            u64::from_le_bytes(std::array::from_fn(|i| self.fixed[6 + at + i]))
+                        };
+                        let offset = if op == OP_PART_DATA { word(8) } else { 0 };
+                        let len = rest - pinned_fixed(op);
+                        let piece = Piece {
+                            op,
+                            id: word(0),
+                            offset,
+                            len,
+                        };
+                        self.stage = Stage::Payload { piece };
+                        continue;
+                    }
+                    let len = u32::from_le_bytes(std::array::from_fn(|i| self.fixed[i])) as usize;
+                    if !(2..=MAX_FRAME_BODY).contains(&len) {
+                        return Err(corrupt(format!("implausible frame length {len}")));
+                    }
+                    check_version(self.fixed[4])?;
+                    let (op, rest) = (self.fixed[5], len - 2);
+                    self.stage = if self.pinned && (op == OP_PART_DATA || op == OP_RDV_DATA) {
+                        if rest < pinned_fixed(op) {
+                            return Err(corrupt(format!(
+                                "truncated {} body ({rest} B)",
+                                op::name(op)
+                            )));
+                        }
+                        Stage::Fixed { op, rest }
+                    } else {
+                        self.body.clear();
+                        self.body.extend_from_slice(&[WIRE_VERSION, op]);
+                        Stage::Body {
+                            end: len,
+                            filled: 2,
+                        }
+                    };
+                    return Ok(Some(Event::Head(op)));
+                }
+                Stage::Payload { mut piece } => {
+                    let n = loop {
+                        match land(piece, r) {
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                            Ok(0) if piece.len > 0 => {
+                                return Err(io::ErrorKind::UnexpectedEof.into())
+                            }
+                            other => break other?.min(piece.len),
+                        }
+                    };
+                    (piece.offset, piece.len) = (piece.offset + n as u64, piece.len - n);
+                    self.stage = if piece.len == 0 {
+                        self.have = 0;
+                        Stage::Head
+                    } else {
+                        Stage::Payload { piece }
+                    };
+                }
+                Stage::Body { end, mut filled } => {
+                    while filled < end {
+                        if filled == self.body.len() {
+                            self.body
+                                .resize(filled + (end - filled).min(BODY_ALLOC_STEP), 0);
+                        }
+                        let got = read_some(r, &mut self.body[filled..]);
+                        let Some(n) = got? else {
+                            self.stage = Stage::Body { end, filled };
+                            return Ok(None);
+                        };
+                        filled += n;
+                    }
+                    (self.stage, self.have) = (Stage::Head, 0);
+                    return Frame::decode(&self.body).map(|f| Some(Event::Frame(f)));
+                }
+            }
+        }
+    }
+}
+
+/// Fixed fields of a pinned frame's body after version and opcode:
+/// `rdv_id` (and a `PartData`'s `offset`).
+fn pinned_fixed(op: u8) -> usize {
+    if op == OP_PART_DATA {
+        16
+    } else {
+        8
+    }
 }
 
 #[cfg(test)]

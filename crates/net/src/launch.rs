@@ -67,7 +67,8 @@ pub const DEFAULT_IPC_ARENA: usize = 32 << 20;
 /// Which inter-process fabric carries the rank mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FabricKind {
-    /// The UDS/TCP stream transport with reader/writer threads.
+    /// The UDS/TCP stream transport: nonblocking lanes and one `epoll`
+    /// progress thread.
     Socket,
     /// Same-host process-shared memory rings with futex doorbells.
     Ipc,

@@ -19,9 +19,9 @@
 //!   (used by the `pcomm-launch` binary and
 //!   `Universe::run_multiprocess` in `pcomm-core`).
 //!
-//! The matching in-process glue — the `Transport` seam in
-//! `pcomm-core::fabric` and the progress-engine threads that own these
-//! sockets — lives in `pcomm-core`, which depends on this crate.
+//! The matching in-process glue — the `Transport` seam and the socket
+//! carrier that owns these sockets and their `epoll` loop ([`sys`]) —
+//! lives in `pcomm-core`, which depends on this crate.
 
 #![warn(missing_docs)]
 

@@ -1,13 +1,14 @@
-//! Raw Linux syscall wrappers for the same-host ipc fabric.
+//! Raw Linux syscall wrappers for the same-host ipc fabric and the
+//! socket carrier's readiness loop.
 //!
-//! The workspace is std-only and offline, so the process-shared memory
-//! fabric cannot lean on `libc`: the handful of kernel entry points it
-//! needs — anonymous memory files, shared mappings, cross-process
-//! futexes, and `SCM_RIGHTS` fd passing — are issued directly with
-//! `std::arch::asm!` on the two supported Linux targets (x86_64 and
-//! aarch64). Everywhere else [`supported`] reports `false` and the
-//! transport layer stays on sockets, so none of these wrappers is ever
-//! reached off-platform.
+//! The workspace is std-only and offline, so neither carrier can lean on
+//! `libc`: the handful of kernel entry points they need — anonymous
+//! memory files, shared mappings, cross-process futexes, `SCM_RIGHTS`
+//! fd passing, and `epoll` — are issued directly with `std::arch::asm!`
+//! on the two supported Linux targets (x86_64 and aarch64). Everywhere
+//! else [`supported`] reports `false`: the transport layer stays off the
+//! ipc fabric, and the `epoll` wrappers fail with `ENOSYS`, which the
+//! socket carrier turns into a typed error at start.
 //!
 //! Why raw syscalls are sound here (see also DESIGN.md §15):
 //!
@@ -27,9 +28,9 @@
 
 use std::io;
 
-/// Whether the raw-syscall ipc fabric can run on this build target.
-/// Off-target the transport layer falls back to sockets before any
-/// wrapper below is reachable.
+/// Whether the raw syscalls below exist on this build target. Off-target
+/// the transport layer keeps off the ipc fabric, and the socket
+/// carrier's [`Epoll::new`] fails its start with `ENOSYS`.
 pub const fn supported() -> bool {
     cfg!(all(
         target_os = "linux",
@@ -67,8 +68,13 @@ mod nr {
     pub const FUTEX: usize = 202;
     pub const SENDMSG: usize = 46;
     pub const RECVMSG: usize = 47;
+    pub const EPOLL_CREATE1: usize = 291;
+    pub const EPOLL_CTL: usize = 233;
+    pub const EPOLL_PWAIT: usize = 281;
 }
 
+// aarch64 has no plain `epoll_wait`: `epoll_pwait` with a null mask is
+// the same call on both targets.
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
 mod nr {
     pub const MEMFD_CREATE: usize = 279;
@@ -79,6 +85,9 @@ mod nr {
     pub const FUTEX: usize = 98;
     pub const SENDMSG: usize = 211;
     pub const RECVMSG: usize = 212;
+    pub const EPOLL_CREATE1: usize = 20;
+    pub const EPOLL_CTL: usize = 21;
+    pub const EPOLL_PWAIT: usize = 22;
 }
 
 /// Issue one syscall with up to six arguments and return the raw kernel
@@ -160,8 +169,10 @@ unsafe fn syscall6(
     ret
 }
 
-/// Unsupported-target stub: never reached ([`supported`] gates every
-/// caller), present so the module typechecks everywhere.
+/// Unsupported-target stub: every wrapper fails with `ENOSYS` ([`supported`]
+/// keeps the ipc fabric from reaching it; the socket carrier's `epoll`
+/// reports it as a start error). Present so the module typechecks
+/// everywhere.
 ///
 /// # Safety
 /// Trivially safe — it only returns an error code.
@@ -195,6 +206,9 @@ mod nr {
     pub const FUTEX: usize = 0;
     pub const SENDMSG: usize = 0;
     pub const RECVMSG: usize = 0;
+    pub const EPOLL_CREATE1: usize = 0;
+    pub const EPOLL_CTL: usize = 0;
+    pub const EPOLL_PWAIT: usize = 0;
 }
 
 /// Convert a raw kernel return into `io::Result`.
@@ -468,6 +482,116 @@ pub fn recv_fd(sock_fd: i32) -> io::Result<(i32, u8)> {
     Ok((cmsg.fd, byte[0]))
 }
 
+/// `EPOLLIN`: readable, or the peer hung up.
+pub const EPOLLIN: u32 = 0x001;
+/// `EPOLLOUT`: writable.
+pub const EPOLLOUT: u32 = 0x004;
+/// `EPOLLONESHOT`: one delivered event disarms the registration until
+/// [`Epoll::modify`] re-arms it.
+pub const EPOLLONESHOT: u32 = 1 << 30;
+/// `EPOLL_CLOEXEC` for `epoll_create1`.
+const EPOLL_CLOEXEC: usize = 0o2_000_000;
+const EPOLL_CTL_ADD: usize = 1;
+const EPOLL_CTL_DEL: usize = 2;
+const EPOLL_CTL_MOD: usize = 3;
+
+/// `struct epoll_event` as the kernel expects it: packed on x86_64 (its
+/// ABI says so), naturally aligned on aarch64.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy, Default)]
+pub struct EpollEvent {
+    /// Ready events (`EPOLLIN`, …).
+    pub events: u32,
+    /// The caller's token from registration.
+    pub data: u64,
+}
+
+/// One `epoll` instance, closed on drop.
+#[derive(Debug)]
+pub struct Epoll {
+    fd: i32,
+}
+
+impl Epoll {
+    /// `epoll_create1(EPOLL_CLOEXEC)`.
+    pub fn new() -> io::Result<Epoll> {
+        // SYSCALL: epoll_create1(EPOLL_CLOEXEC) — the socket carrier's
+        // readiness set; std has no epoll API.
+        // SAFETY: no pointers; the returned fd is owned by `Epoll`.
+        let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
+        check(ret).map(|fd| Epoll { fd: fd as i32 })
+    }
+
+    fn ctl(&self, op: usize, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        let ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SYSCALL: epoll_ctl(epfd, op, fd, &event) — register, re-arm or
+        // drop one fd.
+        // SAFETY: `ev` outlives the call and has the kernel's layout; the
+        // kernel only reads it, and ignores it for EPOLL_CTL_DEL.
+        let ret = unsafe {
+            syscall6(
+                nr::EPOLL_CTL,
+                self.fd as usize,
+                op,
+                fd as usize,
+                &ev as *const EpollEvent as usize,
+                0,
+                0,
+            )
+        };
+        check(ret).map(|_| ())
+    }
+
+    /// Register `fd` for `events`; readiness reports carry `token`.
+    pub fn add(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, events, token)
+    }
+
+    /// Change (and, under `EPOLLONESHOT`, re-arm) `fd`'s registration.
+    pub fn modify(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, events, token)
+    }
+
+    /// Drop `fd`'s registration.
+    pub fn delete(&self, fd: i32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Wait up to `timeout_ms` (`-1`: forever) for readiness; fills the
+    /// front of `out` and returns how many. A signal counts as 0 events.
+    pub fn wait(&self, out: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        // SYSCALL: epoll_pwait(epfd, events, max, timeout, NULL, 8) —
+        // with a null mask this is epoll_wait, which aarch64 lacks.
+        // SAFETY: `out` is a live, writable array of `out.len()` kernel-
+        // layout events; the kernel writes at most that many.
+        let ret = unsafe {
+            syscall6(
+                nr::EPOLL_PWAIT,
+                self.fd as usize,
+                out.as_mut_ptr() as usize,
+                out.len(),
+                timeout_ms as isize as usize,
+                0,
+                8,
+            )
+        };
+        match check(ret) {
+            Err(e) if e.raw_os_error() == Some(4) => Ok(0), // EINTR
+            other => other,
+        }
+    }
+}
+
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        let _ = close(self.fd);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +626,37 @@ mod tests {
         assert!(!futex_wait(&word, 0, 2_000_000).unwrap());
         // Nobody is sleeping: wake reports 0.
         assert_eq!(futex_wake(&word, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn epoll_reports_a_oneshot_readiness_once_until_rearmed() {
+        if !supported() {
+            return;
+        }
+        use std::io::Write;
+        use std::os::unix::io::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let ep = Epoll::new().unwrap();
+        let fd = a.as_raw_fd();
+        ep.add(fd, EPOLLIN | EPOLLONESHOT, 7).unwrap();
+        let mut out = [EpollEvent::default(); 4];
+        assert_eq!(ep.wait(&mut out, 0).unwrap(), 0, "nothing to read yet");
+        b.write_all(b"x").unwrap();
+        assert_eq!(ep.wait(&mut out, 1000).unwrap(), 1);
+        let (events, token) = (out[0].events, out[0].data);
+        assert_eq!((events & EPOLLIN, token), (EPOLLIN, 7));
+        // Still readable, but the one shot is spent.
+        assert_eq!(ep.wait(&mut out, 0).unwrap(), 0);
+        ep.modify(fd, EPOLLIN | EPOLLOUT | EPOLLONESHOT, 8).unwrap();
+        assert_eq!(ep.wait(&mut out, 0).unwrap(), 1);
+        let (events, token) = (out[0].events, out[0].data);
+        assert_eq!(
+            (events & (EPOLLIN | EPOLLOUT), token),
+            (EPOLLIN | EPOLLOUT, 8)
+        );
+        ep.delete(fd).unwrap();
+        assert_eq!(ep.wait(&mut out, 0).unwrap(), 0);
     }
 
     #[test]

@@ -559,7 +559,7 @@ self::taxonomy! {
         seq: u32 @ w3[0..32],
     } => ("verify: wire send op {op} -> rank {peer} lane {lane} epoch {epoch} seq {seq}");
     /// [verify] A wire frame was read off a lane's socket, in wire
-    /// order (single reader thread per lane). Fields as in
+    /// order (one reader at a time per lane). Fields as in
     /// [`VerifyWireSend`](EventKind::VerifyWireSend). Instant.
     VerifyWireRecv = 36 "verify_wire_recv" verify lane(lane) {
         /// Source peer rank.
