@@ -66,7 +66,7 @@ pub struct QueueEntry {
 
 /// Per-peer socket health at stall time (multiprocess runs only; empty
 /// for in-process universes). The frame counters come straight from the
-/// carrier's lanes, so a stalled wire shows up as a peer whose
+/// carrier, so a stalled wire shows up as a peer whose
 /// `frames_received` stopped moving — or whose connection is already
 /// gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,11 +81,9 @@ pub struct PeerSocketState {
     pub frames_received: u64,
     /// Rendezvous sends to this peer still waiting for their CTS.
     pub pending_rdv: usize,
-    /// Entries waiting in this peer's lane outboxes (they are unbounded,
+    /// Entries waiting in this peer's outbox (it is unbounded,
     /// so backlog depth — not blocking — is the congestion signal).
     pub queued: u64,
-    /// Data lanes to this peer that died and were failed over.
-    pub lanes_down: u16,
     /// Milliseconds since the last frame arrived from this peer (the
     /// liveness signal the heartbeat monitor escalates on).
     pub quiet_ms: u64,
@@ -188,7 +186,7 @@ impl fmt::Display for StallReport {
             writeln!(
                 f,
                 "  peer rank {}: {}, {} frames sent / {} received, {} rendezvous pending, \
-                 {} queued, {} lane(s) down, quiet {} ms",
+                 {} queued, quiet {} ms",
                 p.peer,
                 if p.connected {
                     "connected"
@@ -199,7 +197,6 @@ impl fmt::Display for StallReport {
                 p.frames_received,
                 p.pending_rdv,
                 p.queued,
-                p.lanes_down,
                 p.quiet_ms
             )?;
         }

@@ -242,26 +242,11 @@ pub(crate) struct SendTicket {
 }
 
 impl SendTicket {
-    /// Block until the send buffer is reusable (tests only; universe
-    /// code waits through the abort-aware [`Fabric::wait_on`]).
-    #[cfg(test)]
-    pub(crate) fn wait(&self) {
-        if let Some(d) = &self.done {
-            d.wait();
-        }
-    }
-
     /// The pending completion, if the send did not complete locally.
     /// Callers inside a universe wait on it through
     /// [`Fabric::wait_on`] so the wait stays abort-aware.
     pub(crate) fn done(&self) -> Option<&Arc<Completion>> {
         self.done.as_ref()
-    }
-
-    /// Non-blocking completion probe.
-    #[cfg(test)]
-    pub(crate) fn test(&self) -> bool {
-        self.done.as_ref().map(|d| d.is_set()).unwrap_or(true)
     }
 }
 
@@ -269,19 +254,6 @@ impl SendTicket {
 pub(crate) struct RecvTicket {
     pub(crate) completion: Arc<Completion>,
     pub(crate) info: Arc<Mutex<Option<MsgInfo>>>,
-}
-
-impl RecvTicket {
-    #[cfg(test)]
-    pub(crate) fn wait(&self) -> MsgInfo {
-        self.completion.wait();
-        self.info.lock().expect("completed receive carries info")
-    }
-
-    #[cfg(test)]
-    pub(crate) fn test(&self) -> bool {
-        self.completion.is_set()
-    }
 }
 
 /// An eager message held back by the chaos reorder fault, waiting for a
@@ -390,18 +362,6 @@ pub(crate) enum CtxKind {
 }
 
 impl Fabric {
-    #[cfg(test)]
-    pub(crate) fn new(n_ranks: usize, n_shards: usize, eager_max: usize) -> Arc<Fabric> {
-        Fabric::new_configured(
-            n_ranks,
-            n_shards,
-            eager_max,
-            Trace::disabled(),
-            None,
-            Arc::new(crate::transport::SharedMemTransport),
-        )
-    }
-
     pub(crate) fn new_configured(
         n_ranks: usize,
         n_shards: usize,
@@ -1322,7 +1282,7 @@ impl Fabric {
 
     /// The tail of every receive — matched in process, a rendezvous
     /// landed by the wire engine, or the last range of a partitioned
-    /// stream's message (on whichever lane's reader committed it): the
+    /// stream's message (on whichever thread committed it): the
     /// bytes are in the destination, so record the transfer for the
     /// analyzer, publish the envelope, fire the completion.
     pub(crate) fn finish_recv(
@@ -1389,7 +1349,7 @@ impl Fabric {
 
     /// Wire ingress, eager: copy the frame payload into a pooled buffer
     /// and feed it to the ordinary matching path. Runs in the carrier's
-    /// read path (whichever thread is reading the lane).
+    /// read path (whichever thread is reading the socket or ring).
     pub(crate) fn deliver_wire_eager(
         &self,
         src: usize,
@@ -1555,6 +1515,49 @@ impl Fabric {
             peers: self.wire.peer_states(),
             doorbell: self.wire.carrier().doorbell_stats(),
         }
+    }
+}
+
+// Test-only entry points, kept after the non-test code: universe code
+// waits through the abort-aware [`Fabric::wait_on`] instead.
+#[cfg(test)]
+impl SendTicket {
+    /// Block until the send buffer is reusable.
+    pub(crate) fn wait(&self) {
+        if let Some(d) = &self.done {
+            d.wait();
+        }
+    }
+
+    /// Non-blocking completion probe.
+    pub(crate) fn test(&self) -> bool {
+        self.done.as_ref().map(|d| d.is_set()).unwrap_or(true)
+    }
+}
+
+#[cfg(test)]
+impl RecvTicket {
+    pub(crate) fn wait(&self) -> MsgInfo {
+        self.completion.wait();
+        self.info.lock().expect("completed receive carries info")
+    }
+
+    pub(crate) fn test(&self) -> bool {
+        self.completion.is_set()
+    }
+}
+
+#[cfg(test)]
+impl Fabric {
+    pub(crate) fn new(n_ranks: usize, n_shards: usize, eager_max: usize) -> Arc<Fabric> {
+        Fabric::new_configured(
+            n_ranks,
+            n_shards,
+            eager_max,
+            Trace::disabled(),
+            None,
+            Arc::new(crate::transport::SharedMemTransport),
+        )
     }
 }
 

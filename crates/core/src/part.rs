@@ -733,11 +733,9 @@ impl PsendRequest {
                     .msgs
                     .iter()
                     .enumerate()
-                    .map(|(m, spec)| crate::wire::SendSpan {
-                        offset: spec.first_spart * s.part_bytes,
-                        len: spec.bytes,
-                        remaining: AtomicUsize::new(spec.bytes),
-                        done: Arc::clone(&s.sent[m]),
+                    .map(|(m, spec)| {
+                        let offset = spec.first_spart * s.part_bytes;
+                        crate::wire::SendSpan::new(offset, spec.bytes, Arc::clone(&s.sent[m]))
                     })
                     .collect();
                 let id = s.comm.fabric().part_stream_begin(

@@ -15,17 +15,17 @@
 //!
 //! # The socket carrier
 //!
-//! Per peer, per lane: one nonblocking socket. Lane 0 carries all
-//! ordered traffic (eager, rendezvous control, `PartCts`, barriers, RMA,
-//! abort, `Bye`); lanes `1..N` (`PCOMM_NET_LANES`) carry only the
-//! order-independent `PartData` ranges, round-robined so a large
-//! partition stream cannot head-of-line-block small eager traffic. A
-//! lane's state is two halves, each under its own mutex:
+//! Per peer: one nonblocking socket, carrying all of the pair's
+//! traffic in order — eager, rendezvous control and payloads,
+//! `PartCts`, partition-stream ranges, barriers, RMA, abort, `Bye`.
+//! (Extra data-only sockets per pair bought nothing once one thread
+//! moves every socket's bytes; DESIGN.md §12 has the numbers.) The
+//! socket's state is two halves, each under its own mutex:
 //!
 //! * the **outbox** — a FIFO of encoded control frames and pinned
 //!   writes (a stream range or a CTS-released rendezvous payload, sent
 //!   straight out of the user's buffer) with a resume cursor into its
-//!   front entry. A push lands in the lane's intake; whoever holds the
+//!   front entry. A push lands in the peer's intake; whoever holds the
 //!   outbox moves the intake in, audit-stamps entries in wire order and
 //!   `writev`s until the socket refuses. A pinned entry completes its
 //!   spans or `done` only once its last byte is in the kernel;
@@ -40,26 +40,25 @@
 //! with `try_lock` only and no blocking syscall: every send (a `start`'s
 //! `PartRts`, a receiver's `PartCts`, a `pready`'s range) flushes
 //! inline; a `pready` whose stream has no CTS yet first looks at its
-//! peer's lane 0 (an empty [`Transport::poll_burst`]); `wait_slice` and
-//! `poll_burst` flush and read every lane until the completion fires or
-//! [`SPIN_WINDOW`] passes idle, then park. Otherwise one progress thread
-//! per rank (`pcomm-net`) parks in `epoll_pwait` over every lane
-//! (`EPOLLONESHOT`; `EPOLLOUT` armed only while an outbox holds bytes)
-//! and does the work. While app threads poll it leaves a fired lane to
-//! them and the last poller out re-arms it, so a polling rank pays no
-//! wake-up per frame. The heartbeat tick is the loop's timeout.
+//! peer's socket (an empty [`Transport::poll_burst`]); `wait_slice` and
+//! `poll_burst` flush and read every socket until the completion fires
+//! or [`SPIN_WINDOW`] passes idle, then park. Otherwise one progress
+//! thread per rank (`pcomm-net`) parks in `epoll_pwait` over every
+//! socket (`EPOLLONESHOT`; `EPOLLOUT` armed only while an outbox holds
+//! bytes) and does the work. While app threads poll it leaves a fired
+//! socket to them and the last poller out re-arms it, so a polling rank
+//! pays no wake-up per frame. The heartbeat tick is the loop's timeout.
 //!
 //! A failure goes through the one triage,
-//! [`SocketTransport::lane_failed`], always on the progress thread: an
-//! app thread that meets one marks the lane broken — everyone keeps off
-//! it — and wakes the progress thread, because the lane-0 reconnect
-//! blocks.
-//!
-//! | lane          | verdict                                                     |
-//! |---------------|-------------------------------------------------------------|
-//! | 0             | the peer's one bounded reconnect; the outbox resends from its front entry on the new socket, the decoder starts afresh |
-//! | data lane     | marked dead (`LaneDown`); its outbox and intake move, whole, to the survivors (`LaneFailover`) |
-//! | otherwise     | the peer is dead: typed `PeerPanicked` for every local waiter |
+//! [`SocketTransport::socket_failed`], always on the progress thread:
+//! an app thread that meets one marks the socket broken — everyone
+//! keeps off it — and wakes the progress thread, because the reconnect
+//! blocks. The triage spends the peer's one bounded reconnect: the
+//! outbox resends from its front entry on the new socket, the decoder
+//! starts afresh, and the engine repeats the stream handshakes and
+//! reports what it still misses (`StreamResync`); other frames that died
+//! with the socket are not replayed. With no reconnect to be had the
+//! peer is dead: typed `PeerPanicked` for every local waiter.
 //!
 //! Abort tears everything down: the engine broadcasts an `Abort` frame,
 //! `close` lets the outboxes drain for a bounded grace and then
@@ -82,7 +81,7 @@ use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex, MutexGuard};
-use crate::wire::{complete_spans, PinChunk, PinnedSend, SendSpan};
+use crate::wire::{PinChunk, PinnedSend, SendSpans};
 
 /// How long a polling app thread keeps making inline progress while
 /// nothing happens before it parks on its completion (every completion
@@ -97,7 +96,7 @@ const SPIN_WINDOW: Duration = Duration::from_micros(150);
 /// enough that a record is seen within ~100 ns.
 const POLL_PAUSES: u32 = 8;
 
-/// Hard bound on the single lane-0 reconnect attempt: long enough for
+/// Hard bound on the single reconnect attempt: long enough for
 /// the peer to notice its own side died and rendezvous, short enough
 /// that a genuinely dead peer becomes a typed error well inside the
 /// default chaos watchdog budget.
@@ -111,8 +110,8 @@ const IOV_ENTRIES: usize = 32;
 /// depth growth — not blocking — is the congestion signal).
 const QUEUE_HWM_BASE: usize = 64;
 
-/// Readiness token of the progress thread's waker; a lane's token is
-/// `peer << 8 | lane`.
+/// Readiness token of the progress thread's waker; a peer socket's
+/// token is the peer's rank.
 const WAKER: u64 = u64::MAX;
 
 /// How long an aborted run's `close` lets the outboxes drain (the
@@ -170,7 +169,7 @@ pub(crate) trait Transport: Send + Sync {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<Vec<SendSpan>>,
+        spans: &Arc<SendSpans>,
         chunks: &[PinChunk],
     );
 
@@ -302,21 +301,21 @@ enum Then {
     Spans {
         rdv_id: u64,
         offset: u64,
-        spans: Arc<Vec<SendSpan>>,
+        spans: Arc<SendSpans>,
     },
-    /// The rendezvous sender's `done` (lane 0 only).
+    /// The rendezvous sender's `done`.
     Done(Arc<Completion>),
 }
 
 // SAFETY: same argument as [`PinChunk`] and [`PinnedSend`] — the source
 // stays pinned until `then` is completed (the spans' `done`
 // completions, or the rendezvous `done`), which happens only after the
-// last byte was written, and only the thread holding the lane's outbox
+// last byte was written, and only the thread holding the peer's outbox
 // reads through the pointer.
 unsafe impl Send for PinnedWrite {}
 
 impl PinnedWrite {
-    fn stream(rdv_id: u64, chunk: PinChunk, spans: &Arc<Vec<SendSpan>>) -> PinnedWrite {
+    fn stream(rdv_id: u64, chunk: PinChunk, spans: &Arc<SendSpans>) -> PinnedWrite {
         PinnedWrite {
             head: frame::part_data_header(rdv_id, chunk.offset, chunk.len),
             head_len: 4 + frame::PART_DATA_BODY_HDR,
@@ -344,7 +343,7 @@ impl PinnedWrite {
     }
 }
 
-/// One entry of a lane's outbox.
+/// One entry of a peer's outbox.
 enum Out {
     /// An encoded control frame, length prefix included.
     Frame(Vec<u8>),
@@ -381,20 +380,19 @@ impl Out {
         }
     }
 
-    /// Complete what the entry's bytes were for; they have all left.
-    fn complete(self) {
+    /// Complete what the entry's bytes were for; they have all left on
+    /// the socket of reconnect `epoch`.
+    fn complete(self, epoch: u32) {
         if let Out::Pinned(pw) = self {
             match pw.then {
-                Then::Spans { offset, spans, .. } => {
-                    complete_spans(&spans, offset as usize, pw.len)
-                }
+                Then::Spans { offset, spans, .. } => spans.sent(offset as usize, pw.len, epoch),
                 Then::Done(done) => done.set(),
             }
         }
     }
 }
 
-/// A lane's write half, under [`Lane::tx`].
+/// A peer socket's write half, under [`Peer::tx`].
 struct Tx {
     ep: Endpoint,
     outbox: VecDeque<Out>,
@@ -402,22 +400,21 @@ struct Tx {
     at: usize,
     /// Leading entries already audit-stamped for this socket.
     stamped: usize,
-    /// Verify-grade runs only: the lane's frame counter, bumped as each
-    /// frame is stamped so `VerifyWireSend.seq` is exact wire order.
-    /// Never reset — a gap in one rank's recorded seqs marks ring
+    /// Verify-grade runs only: the socket's frame counter, bumped as
+    /// each frame is stamped so `VerifyWireSend.seq` is exact wire
+    /// order. Never reset — a gap in one rank's recorded seqs marks ring
     /// overflow, not loss.
     seq: u32,
-    /// Whether the lane's registration asks for `EPOLLOUT`.
+    /// Whether the socket's registration asks for `EPOLLOUT`.
     out_armed: bool,
     /// Next outbox depth that emits a `WriterQueue` event.
     hwm: usize,
 }
 
-/// What a lane's read half keeps between reads: the decoder's place
+/// What a socket's read half keeps between reads: the decoder's place
 /// and the audit counters — the ordinal of every frame head read, and
-/// the lane-0 reconnect epoch of the socket it reads (its own, not the
-/// shared peer epoch, so frames still buffered in a dying socket keep
-/// theirs).
+/// the reconnect epoch of the socket it reads (its own, not the shared
+/// peer epoch, so frames still buffered in a dying socket keep theirs).
 struct Reader {
     dec: Decoder,
     epoch: u32,
@@ -434,15 +431,16 @@ impl Reader {
     }
 }
 
-/// A lane's read half, under [`Lane::rx`].
+/// A peer socket's read half, under [`Peer::rx`].
 struct Rx {
     ep: Endpoint,
     rd: Reader,
 }
 
-/// One lane of a peer: a nonblocking socket, its two halves, and the
-/// flags that tell threads what to leave alone.
-struct Lane {
+/// Per-peer socket machinery: the pair's one nonblocking socket, its
+/// two halves, the flags that tell threads what to leave alone, and the
+/// peer's liveness and diagnostics.
+struct Peer {
     tx: Mutex<Tx>,
     rx: Mutex<Rx>,
     /// Entries on their way into the outbox. A push never waits for
@@ -454,13 +452,12 @@ struct Lane {
     /// take `tx` (and so owe the intake no second look): stall reports
     /// and `close`.
     depth: AtomicUsize,
-    /// The fd of the lane's `epoll` registration (`tx`'s socket).
+    /// The fd of the socket's `epoll` registration (`tx`'s socket).
     fd: AtomicI32,
-    /// Cleared when a data lane dies: it drops out of the round-robin.
-    alive: AtomicBool,
-    /// The peer said `Bye` on this lane: nothing more is read from it.
+    /// The peer said `Bye`: nothing more is read from it, and it is past
+    /// heartbeats and reconnects.
     bye: AtomicBool,
-    /// Set on a failure: app threads keep off the lane until the
+    /// Set on a failure: app threads keep off the socket until the
     /// progress thread's triage (which clears it on a reconnect).
     broken: AtomicBool,
     /// What the failure said, until the triage takes it.
@@ -468,11 +465,24 @@ struct Lane {
     /// The registration fired while app threads polled: the last poller
     /// out re-arms it.
     owed: AtomicBool,
+    connected: AtomicBool,
+    frames_sent: AtomicU64,
+    frames_received: AtomicU64,
+    /// Transport-relative ms timestamp of the last frame read from this
+    /// peer — the liveness signal the heartbeat escalates on.
+    last_heard_ms: AtomicU64,
+    /// The one bounded reconnect per peer and transport lifetime was
+    /// spent, whatever came of it.
+    reconnect_spent: AtomicBool,
+    /// Reconnect epoch for audit events: 0 until the reconnect
+    /// succeeds, 1 after. Bumped under the outbox mutex, so stamps taken
+    /// under it carry the epoch of the socket they go to.
+    epoch: AtomicU32,
 }
 
-impl Lane {
-    fn new(ep: Endpoint, rx: Endpoint) -> Lane {
-        Lane {
+impl Peer {
+    fn new(ep: Endpoint, rx: Endpoint) -> Peer {
+        Peer {
             fd: AtomicI32::new(ep.as_raw_fd()),
             tx: Mutex::new(Tx {
                 ep,
@@ -489,45 +499,27 @@ impl Lane {
             }),
             intake: Mutex::new(Vec::new()),
             depth: AtomicUsize::new(0),
-            alive: AtomicBool::new(true),
             bye: AtomicBool::new(false),
             broken: AtomicBool::new(false),
             fault: Mutex::new(None),
             owed: AtomicBool::new(false),
+            connected: AtomicBool::new(true),
+            frames_sent: AtomicU64::new(0),
+            frames_received: AtomicU64::new(0),
+            last_heard_ms: AtomicU64::new(0),
+            reconnect_spent: AtomicBool::new(false),
+            epoch: AtomicU32::new(0),
         }
     }
 }
 
-/// Per-peer socket machinery: `lanes[0]` is the ordered lane, the rest
-/// carry `PartData` only.
-struct Peer {
-    lanes: Vec<Lane>,
-    connected: AtomicBool,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    saw_bye: AtomicBool,
-    /// Round-robin cursor over the data lanes.
-    next_lane: AtomicUsize,
-    /// Transport-relative ms timestamp of the last frame read from this
-    /// peer on any lane — the liveness signal the heartbeat escalates
-    /// on.
-    last_heard_ms: AtomicU64,
-    /// The one bounded lane-0 reconnect per peer and transport lifetime
-    /// was spent, whatever came of it.
-    reconnect_spent: AtomicBool,
-    /// Reconnect epoch for audit events: 0 until the lane-0 reconnect
-    /// succeeds, 1 after. Bumped under lane 0's outbox mutex, so stamps
-    /// taken under it carry the epoch of the socket they go to.
-    epoch: AtomicU32,
-}
-
-/// The socket carrier: per-peer-per-lane nonblocking sockets moved by
-/// the calling threads and one `epoll` progress thread (see the module
-/// docs for the model).
+/// The socket carrier: one nonblocking socket per peer, moved by the
+/// calling threads and one `epoll` progress thread (see the module docs
+/// for the model).
 pub(crate) struct SocketTransport {
     rank: usize,
     peers: Vec<Option<Peer>>,
-    /// Mesh parameters, kept for the bounded lane-0 reconnect.
+    /// Mesh parameters, kept for the bounded reconnect.
     cfg: MeshConfig,
     /// `PCOMM_NET_HB_MS`: heartbeat interval; `None` disables liveness.
     hb_ms: Option<u64>,
@@ -537,37 +529,56 @@ pub(crate) struct SocketTransport {
     /// before the fabric exists) emit trace events. `Weak` so the
     /// fabric → transport → endpoint → observer chain is not a cycle.
     fault_obs: Arc<OnceLock<Weak<Fabric>>>,
-    /// Every lane's socket, plus the waker.
+    /// Every peer's socket, plus the waker.
     epoll: Epoll,
     /// A byte written to `.1` makes `.0` readable: wakes the progress
     /// thread for a triage or `close`.
     waker: (UnixStream, UnixStream),
     /// App threads inside a polling window; while any is, the progress
-    /// thread leaves fired lanes to them.
+    /// thread leaves fired sockets to them.
     pollers: AtomicUsize,
     /// `close` began: the progress thread finishes the goodbyes, exits.
     closing: AtomicBool,
     progress: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// A lane's readiness token.
-fn token(peer: usize, lane: usize) -> u64 {
-    (peer as u64) << 8 | lane as u64
-}
-
 impl SocketTransport {
-    /// Wrap an established mesh: every lane's socket turns nonblocking
+    /// Wrap an established mesh: every peer's socket turns nonblocking
     /// and joins one `epoll` set. The progress thread starts in
     /// [`SocketTransport::start`], once the fabric exists; until then
     /// the calling threads are the only ones that move bytes. When
-    /// `plan` carries wire-class faults every lane endpoint is wrapped
-    /// in the seeded fault injector, with an observer that traces each
-    /// injection once the fabric is attached.
+    /// `plan` carries wire-class faults every endpoint is wrapped in the
+    /// seeded fault injector, with an observer that traces each
+    /// injection once the fabric is attached. A `lanekill`/`halfopen`
+    /// aimed at any lane but 0 is `Misuse`: no such socket exists, so
+    /// the fault would never fire and a chaos run would pass having
+    /// tested nothing.
     pub(crate) fn new(
         mesh: Mesh,
         cfg: MeshConfig,
         plan: Option<&FaultPlan>,
-    ) -> io::Result<SocketTransport> {
+    ) -> Result<SocketTransport, PcommError> {
+        let rank = mesh.rank;
+        let aimed = plan.map_or([None; 2], |p| [p.wire_lane_kill, p.wire_half_open]);
+        for (key, at) in ["lanekill", "halfopen"].into_iter().zip(aimed) {
+            if let Some((lane, bytes)) = at.filter(|&(lane, _)| lane != 0) {
+                return Err(PcommError::Misuse {
+                    rank: Some(rank),
+                    detail: format!(
+                        "wire fault {key}={lane}:{bytes} names lane {lane}, but a \
+                         peer pair has one socket, lane 0"
+                    ),
+                });
+            }
+        }
+        Self::arm_mesh(mesh, cfg, plan).map_err(|e| PcommError::Misuse {
+            rank: Some(rank),
+            detail: format!("transport start: arming the mesh sockets: {e}"),
+        })
+    }
+
+    /// The fallible half of [`Self::new`], once the plan is accepted.
+    fn arm_mesh(mesh: Mesh, cfg: MeshConfig, plan: Option<&FaultPlan>) -> io::Result<Self> {
         let rank = mesh.rank;
         let fault_obs: Arc<OnceLock<Weak<Fabric>>> = Arc::new(OnceLock::new());
         let wire = plan.filter(|p| p.any_wire_faults()).map(|p| {
@@ -595,39 +606,19 @@ impl SocketTransport {
         });
         let epoll = Epoll::new()?;
         let mut peers = Vec::with_capacity(mesh.peers.len());
-        for (peer_rank, eps) in mesh.peers.into_iter().enumerate() {
-            let Some(endpoints) = eps else {
+        for (peer_rank, ep) in mesh.peers.into_iter().enumerate() {
+            let Some(ep) = ep else {
                 peers.push(None);
                 continue;
             };
-            let mut lanes = Vec::with_capacity(endpoints.len());
-            for (lane_idx, ep) in endpoints.into_iter().enumerate() {
-                let ep = match &wire {
-                    Some(plan) => {
-                        ep.with_faults(Arc::clone(plan), peer_rank as u32, lane_idx as u32)
-                    }
-                    None => ep,
-                };
-                ep.set_nonblocking(true)?;
-                epoll.add(
-                    ep.as_raw_fd(),
-                    EPOLLIN | EPOLLONESHOT,
-                    token(peer_rank, lane_idx),
-                )?;
-                let rx = ep.try_clone()?;
-                lanes.push(Lane::new(ep, rx));
-            }
-            peers.push(Some(Peer {
-                lanes,
-                connected: AtomicBool::new(true),
-                frames_sent: AtomicU64::new(0),
-                frames_received: AtomicU64::new(0),
-                saw_bye: AtomicBool::new(false),
-                next_lane: AtomicUsize::new(0),
-                last_heard_ms: AtomicU64::new(0),
-                reconnect_spent: AtomicBool::new(false),
-                epoch: AtomicU32::new(0),
-            }));
+            let ep = match &wire {
+                Some(plan) => ep.with_faults(Arc::clone(plan), peer_rank as u32, 0),
+                None => ep,
+            };
+            ep.set_nonblocking(true)?;
+            epoll.add(ep.as_raw_fd(), EPOLLIN | EPOLLONESHOT, peer_rank as u64)?;
+            let rx = ep.try_clone()?;
+            peers.push(Some(Peer::new(ep, rx)));
         }
         let waker = UnixStream::pair()?;
         waker.0.set_nonblocking(true)?;
@@ -654,17 +645,10 @@ impl SocketTransport {
         self.t0.elapsed().as_millis() as u64
     }
 
-    fn lane(&self, peer: usize, lane: usize) -> Option<&Lane> {
-        self.peers[peer].as_ref().map(|p| &p.lanes[lane])
-    }
-
-    /// Every lane, with its peer rank and index.
-    fn lanes(&self) -> impl Iterator<Item = (usize, usize, &Lane)> {
+    /// Every peer, with its rank.
+    fn each_peer(&self) -> impl Iterator<Item = (usize, &Peer)> {
         let peers = self.peers.iter().enumerate();
-        peers.flat_map(|(p, peer)| {
-            let lanes = peer.iter().flat_map(|peer| peer.lanes.iter().enumerate());
-            lanes.map(move |(l, lane)| (p, l, lane))
-        })
+        peers.filter_map(|(p, peer)| Some((p, peer.as_ref()?)))
     }
 
     /// Wake the progress thread (a full waker already will).
@@ -672,111 +656,63 @@ impl SocketTransport {
         let _ = (&self.waker.1).write(&[1]);
     }
 
-    /// Round-robin a `PartData` chunk over the *surviving* data lanes;
-    /// dead lanes drop out of the rotation. With one lane (or every
-    /// data lane down) everything shares lane 0.
-    fn pick_lane(&self, peer: &Peer) -> usize {
-        let n = peer.lanes.len();
-        if n > 1 {
-            for _ in 0..n - 1 {
-                // ORDERING: round-robin cursor — any interleaving still
-                // picks a valid lane; fairness is best-effort.
-                let lane = 1 + peer.next_lane.fetch_add(1, Ordering::Relaxed) % (n - 1);
-                if peer.lanes[lane].alive.load(Ordering::Acquire) {
-                    return lane;
-                }
-            }
-        }
-        0
-    }
-
-    /// Put one entry on `lane_idx` toward `dst` and move what can move
-    /// now. An entry that lands behind a data lane's failover follows
-    /// the rest to a survivor.
-    fn push(&self, fabric: &Fabric, dst: usize, lane_idx: usize, out: Out) {
+    /// Put one entry on the socket toward `dst` and move what can move
+    /// now.
+    fn push(&self, fabric: &Fabric, dst: usize, out: Out) {
         let Some(peer) = &self.peers[dst] else {
             return;
         };
-        let lane = &peer.lanes[lane_idx];
-        lane.intake.lock().push(out);
-        // The failover clears `alive` before it empties the intake, so a
-        // push it missed sees the lane dead here.
-        if lane_idx > 0 && !lane.alive.load(Ordering::Acquire) {
-            let late = std::mem::take(&mut *lane.intake.lock());
-            self.requeue(fabric, dst, peer, late);
-            return;
-        }
-        self.flush(fabric, dst, lane_idx);
+        peer.intake.lock().push(out);
+        self.flush(fabric, dst);
     }
 
-    /// Move pinned writes off a dead data lane, whole, onto the
-    /// survivors (lane 0 when none is left); its control frames die
-    /// with it. Returns how many moved.
-    fn requeue(&self, fabric: &Fabric, dst: usize, peer: &Peer, entries: Vec<Out>) -> u64 {
-        let mut requeued = 0;
-        for out in entries {
-            if let Out::Pinned(_) = out {
-                self.push(fabric, dst, self.pick_lane(peer), out);
-                requeued += 1;
-            }
-        }
-        requeued
-    }
-
-    /// Move `lane_idx`'s outbound bytes now — unless another thread is
-    /// (it looks at the intake again after letting go) or the lane is
-    /// left to triage. Never blocks. Returns whether bytes moved.
-    fn flush(&self, fabric: &Fabric, dst: usize, lane_idx: usize) -> bool {
-        let Some(lane) = self.lane(dst, lane_idx) else {
+    /// Move `dst`'s outbound bytes now — unless another thread is (it
+    /// looks at the intake again after letting go) or the socket is left
+    /// to triage. Never blocks. Returns whether bytes moved.
+    fn flush(&self, fabric: &Fabric, dst: usize) -> bool {
+        let Some(peer) = &self.peers[dst] else {
             return false;
         };
         let mut moved = false;
-        while !lane.broken.load(Ordering::Acquire) {
-            let Some(mut tx) = lane.tx.try_lock() else {
+        while !peer.broken.load(Ordering::Acquire) {
+            let Some(mut tx) = peer.tx.try_lock() else {
                 break;
             };
-            match self.write_out(fabric, dst, lane_idx, &mut tx) {
+            match self.write_out(fabric, dst, &mut tx) {
                 Ok(m) => moved |= m,
-                Err(e) => self.defer(lane, e),
+                Err(e) => self.defer(peer, e),
             }
             drop(tx);
-            if lane.intake.lock().is_empty() {
+            if peer.intake.lock().is_empty() {
                 break;
             }
         }
         moved
     }
 
-    /// The one way onto a lane's socket, under its outbox mutex: take
+    /// The one way onto a peer's socket, under its outbox mutex: take
     /// the intake in, stamp, `writev` from the front entry's resume
     /// cursor until the socket refuses, and complete every entry whose
     /// last byte left. Keeps `EPOLLOUT` armed exactly while bytes wait.
     /// Returns whether anything was written.
-    fn write_out(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        lane_idx: usize,
-        tx: &mut Tx,
-    ) -> io::Result<bool> {
+    fn write_out(&self, fabric: &Fabric, dst: usize, tx: &mut Tx) -> io::Result<bool> {
         let Some(peer) = &self.peers[dst] else {
             return Ok(false);
         };
-        let lane = &peer.lanes[lane_idx];
         {
             // The depth counts the entries before the intake lets them
             // go, so a reader that finds the intake empty sees them.
-            let mut intake = lane.intake.lock();
+            let mut intake = peer.intake.lock();
             tx.outbox.extend(intake.drain(..));
-            lane.depth.store(tx.outbox.len(), Ordering::Release);
+            peer.depth.store(tx.outbox.len(), Ordering::Release);
         }
         if tx.outbox.len() >= tx.hwm {
-            let (p16, l16, depth) = (dst as u16, lane_idx as u16, tx.outbox.len() as u64);
+            let (p16, depth) = (dst as u16, tx.outbox.len() as u64);
             fabric
                 .trace()
                 .emit(self.rank as u16, || EventKind::WriterQueue {
                     peer: p16,
-                    lane: l16,
+                    lane: 0,
                     depth,
                 });
             while tx.hwm <= tx.outbox.len() {
@@ -798,7 +734,7 @@ impl SocketTransport {
         let mut moved = false;
         while !tx.outbox.is_empty() {
             let upto = tx.outbox.len().min(IOV_ENTRIES);
-            self.stamp(fabric, dst, lane_idx, tx, upto);
+            self.stamp(fabric, dst, tx, upto);
             let mut iov = [IoSlice::new(&[]); 2 * IOV_ENTRIES];
             let (mut k, mut skip) = (0, tx.at);
             for part in tx.outbox.iter().take(upto).flat_map(Out::parts) {
@@ -820,8 +756,8 @@ impl SocketTransport {
                 Err(e) => return Err(e),
             }
         }
-        lane.depth.store(tx.outbox.len(), Ordering::Release);
-        self.arm(lane, token(dst, lane_idx), tx, false);
+        peer.depth.store(tx.outbox.len(), Ordering::Release);
+        self.arm(peer, dst, tx, false);
         Ok(moved)
     }
 
@@ -830,27 +766,19 @@ impl SocketTransport {
     /// order, before the write, so an entry torn by a dying socket still
     /// records what may have reached the peer. No-op unless the trace is
     /// verify-grade.
-    fn stamp(&self, fabric: &Fabric, dst: usize, lane_idx: usize, tx: &mut Tx, upto: usize) {
+    fn stamp(&self, fabric: &Fabric, dst: usize, tx: &mut Tx, upto: usize) {
         let trace = fabric.trace();
         if tx.stamped >= upto || !trace.is_verify() {
             tx.stamped = tx.stamped.max(upto);
             return;
         }
-        // Only lane 0 ever reconnects (`recover_lane0`); data lanes live
-        // and die on one socket, so their frames are all epoch 0 — which
-        // must match the receiver's reader-local count, not the shared
-        // peer epoch a lane-0 reconnect bumps.
-        let epoch = match &self.peers[dst] {
-            Some(peer) if lane_idx == 0 => peer.epoch.load(Ordering::Acquire),
-            _ => 0,
-        };
-        let (me, p16, l16) = (self.rank as u16, dst as u16, lane_idx as u16);
+        let (me, p16, epoch) = (self.rank as u16, dst as u16, self.epoch(dst));
         for out in tx.outbox.range(tx.stamped..upto) {
             let (op, seq) = (out.op() as u16, tx.seq);
             tx.seq = seq.wrapping_add(1);
             trace.emit_verify(me, || EventKind::VerifyWireSend {
                 peer: p16,
-                lane: l16,
+                lane: 0,
                 op,
                 epoch,
                 seq,
@@ -859,7 +787,7 @@ impl SocketTransport {
                 if let Then::Spans { rdv_id, offset, .. } = pw.then {
                     trace.emit_verify(me, || EventKind::VerifyStreamData {
                         peer: p16,
-                        lane: l16,
+                        lane: 0,
                         tx: true,
                         stream: rdv_id as u32,
                         offset,
@@ -871,18 +799,18 @@ impl SocketTransport {
         tx.stamped = upto;
     }
 
-    /// Keep a lane's registration in step with its outbox: `EPOLLIN`
+    /// Keep peer `p`'s registration in step with its outbox: `EPOLLIN`
     /// until the peer's `Bye`, `EPOLLOUT` while bytes wait. `force`
     /// re-arms a registration whose one shot was spent even when
     /// nothing changed. With nothing left to wait for the registration
     /// stays spent — re-arming it would report a hung-up peer forever.
-    fn arm(&self, lane: &Lane, token: u64, tx: &mut Tx, force: bool) {
+    fn arm(&self, peer: &Peer, p: usize, tx: &mut Tx, force: bool) {
         let out = !tx.outbox.is_empty();
         if !force && out == tx.out_armed {
             return;
         }
         tx.out_armed = out;
-        let read = if lane.bye.load(Ordering::Acquire) {
+        let read = if peer.bye.load(Ordering::Acquire) {
             0
         } else {
             EPOLLIN
@@ -891,34 +819,34 @@ impl SocketTransport {
         if events != 0 {
             let _ = self
                 .epoll
-                .modify(tx.ep.as_raw_fd(), events | EPOLLONESHOT, token);
+                .modify(tx.ep.as_raw_fd(), events | EPOLLONESHOT, p as u64);
         }
     }
 
-    /// Read `lane_idx` of `peer` until it runs dry — unless another
-    /// thread is, the peer said `Bye`, or the lane is left to triage.
-    /// Never blocks. Returns whether anything was read.
-    fn read_in(&self, fabric: &Fabric, peer: usize, lane_idx: usize) -> bool {
-        let Some(lane) = self.lane(peer, lane_idx) else {
+    /// Read `peer`'s socket until it runs dry — unless another thread
+    /// is, the peer said `Bye`, or the socket is left to triage. Never
+    /// blocks. Returns whether anything was read.
+    fn read_in(&self, fabric: &Fabric, p: usize) -> bool {
+        let Some(peer) = &self.peers[p] else {
             return false;
         };
-        if lane.broken.load(Ordering::Acquire) {
+        if peer.broken.load(Ordering::Acquire) {
             return false;
         }
-        let Some(mut guard) = lane.rx.try_lock() else {
+        let Some(mut guard) = peer.rx.try_lock() else {
             return false;
         };
         let rx = &mut *guard;
-        match self.take(fabric, peer, lane_idx, &mut rx.ep, &mut rx.rd) {
+        match self.take(fabric, p, &mut rx.ep, &mut rx.rd) {
             Ok(moved) => moved,
             Err(e) => {
-                self.defer(lane, e);
+                self.defer(peer, e);
                 false
             }
         }
     }
 
-    /// The one way off a lane's socket: decode what `r` has until it
+    /// The one way off a peer's socket: decode what `r` has until it
     /// runs dry or the peer says `Bye`. Every frame head refreshes the
     /// peer's liveness and gets its audit stamp; pinned payloads land
     /// piecewise straight in their destination or — nobody waits for
@@ -930,7 +858,6 @@ impl SocketTransport {
         &self,
         fabric: &Fabric,
         peer_rank: usize,
-        lane: usize,
         r: &mut R,
         rd: &mut Reader,
     ) -> io::Result<bool> {
@@ -939,14 +866,14 @@ impl SocketTransport {
         };
         // Checked under the read half's mutex, which whoever read the
         // `Bye` held: past it the peer may have closed the socket.
-        if peer.lanes[lane].bye.load(Ordering::Acquire) {
+        if peer.bye.load(Ordering::Acquire) {
             return Ok(false);
         }
         let wire = fabric.wire();
         let mut land = |p: Piece, r: &mut R| -> io::Result<usize> {
             let (at, len, read) = (p.offset as usize, p.len, |dest: &mut [u8]| r.read(dest));
             let landed = if p.op == frame::op::PART_DATA {
-                wire.land_part(fabric, peer_rank, lane, p.id, at, len, read)?
+                wire.land_part(fabric, peer_rank, p.id, at, len, read)?
             } else {
                 wire.land_rdv(fabric, peer_rank, p.id, at, len, true, read)?
             };
@@ -965,13 +892,13 @@ impl SocketTransport {
                     peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
                     // ORDERING: statistics counter (diagnostics only).
                     peer.frames_received.fetch_add(1, Ordering::Relaxed);
-                    let (p16, l16, op16) = (peer_rank as u16, lane as u16, op as u16);
+                    let (p16, op16) = (peer_rank as u16, op as u16);
                     let (epoch, seq) = (rd.epoch, rd.seq);
                     fabric
                         .trace()
                         .emit_verify(self.rank as u16, || EventKind::VerifyWireRecv {
                             peer: p16,
-                            lane: l16,
+                            lane: 0,
                             op: op16,
                             epoch,
                             seq,
@@ -979,9 +906,8 @@ impl SocketTransport {
                     rd.seq = seq.wrapping_add(1);
                 }
                 Some(Event::Frame(f)) => {
-                    if !wire.dispatch(fabric, peer_rank, lane, f) {
-                        peer.lanes[lane].bye.store(true, Ordering::Release);
-                        peer.saw_bye.store(true, Ordering::Release);
+                    if !wire.dispatch(fabric, peer_rank, f) {
+                        peer.bye.store(true, Ordering::Release);
                         return Ok(true);
                     }
                 }
@@ -990,22 +916,22 @@ impl SocketTransport {
         }
     }
 
-    /// One round of inline progress over every lane; whether anything
+    /// One round of inline progress over every socket; whether anything
     /// moved.
     fn pass(&self, fabric: &Fabric) -> bool {
         let mut moved = false;
-        for (p, l, _) in self.lanes() {
-            moved |= self.flush(fabric, p, l);
-            moved |= self.read_in(fabric, p, l);
+        for (p, _) in self.each_peer() {
+            moved |= self.flush(fabric, p);
+            moved |= self.read_in(fabric, p);
         }
         moved
     }
 
-    /// Poll every lane inline until `pending()` reaches zero or the
-    /// window closes ([`poll_window`]). While this thread polls, a lane
-    /// whose registration fires is left to it; the last poller out
-    /// re-arms those, and what arrived since its last pass then wakes
-    /// the progress thread.
+    /// Poll every socket inline until `pending()` reaches zero or the
+    /// window closes ([`poll_window`]). While this thread polls, a
+    /// socket whose registration fires is left to it; the last poller
+    /// out re-arms those, and what arrived since its last pass then
+    /// wakes the progress thread.
     fn poll_until(&self, fabric: &Fabric, mut pending: impl FnMut() -> usize) -> bool {
         if pending() == 0 {
             return true;
@@ -1015,17 +941,17 @@ impl SocketTransport {
         self.pollers.fetch_add(1, Ordering::SeqCst);
         let done = poll_window(|| self.pass(fabric), pending);
         if self.pollers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for (p, l, lane) in self.lanes() {
-                if !lane.owed.swap(false, Ordering::SeqCst) {
+            for (p, peer) in self.each_peer() {
+                if !peer.owed.swap(false, Ordering::SeqCst) {
                     continue;
                 }
-                match lane.tx.try_lock() {
-                    Some(tx) => self.rearm(fabric, p, l, tx),
+                match peer.tx.try_lock() {
+                    Some(tx) => self.rearm(fabric, p, tx),
                     // Mid-flush elsewhere: arm both ways; a spurious
                     // `EPOLLOUT` costs the progress thread one look.
                     None => {
-                        let (fd, both) = (lane.fd.load(Ordering::Acquire), EPOLLIN | EPOLLOUT);
-                        let _ = self.epoll.modify(fd, both | EPOLLONESHOT, token(p, l));
+                        let (fd, both) = (peer.fd.load(Ordering::Acquire), EPOLLIN | EPOLLOUT);
+                        let _ = self.epoll.modify(fd, both | EPOLLONESHOT, p as u64);
                     }
                 }
             }
@@ -1033,129 +959,94 @@ impl SocketTransport {
         done
     }
 
-    /// Leave a failed lane to the progress thread's triage: keep what
-    /// the socket said, mark the lane broken so everyone else keeps off
-    /// it, and wake the progress thread.
-    fn defer(&self, lane: &Lane, err: io::Error) {
-        lane.fault.lock().get_or_insert(err);
-        lane.broken.store(true, Ordering::Release);
+    /// Leave a failed socket to the progress thread's triage: keep what
+    /// it said, mark it broken so everyone else keeps off it, and wake
+    /// the progress thread.
+    fn defer(&self, peer: &Peer, err: io::Error) {
+        peer.fault.lock().get_or_insert(err);
+        peer.broken.store(true, Ordering::Release);
         self.wake();
     }
 
-    /// The progress thread's turn at a lane whose registration fired:
+    /// The progress thread's turn at a socket whose registration fired:
     /// move its bytes both ways and re-arm it — unless app threads are
     /// polling (they move them, and the last one out re-arms) or the
-    /// lane is left to triage.
-    fn service(&self, fabric: &Fabric, p: usize, l: usize) {
-        let Some(lane) = self.lane(p, l) else {
+    /// socket is left to triage.
+    fn service(&self, fabric: &Fabric, p: usize) {
+        let Some(peer) = &self.peers[p] else {
             return;
         };
         // SeqCst pairs with `poll_until`: either this load sees the
         // poller, whose exit then sees `owed`, or the last poller's
         // decrement came first and the swap below is ours alone.
-        lane.owed.store(true, Ordering::SeqCst);
-        if self.pollers.load(Ordering::SeqCst) > 0 || !lane.owed.swap(false, Ordering::SeqCst) {
+        peer.owed.store(true, Ordering::SeqCst);
+        if self.pollers.load(Ordering::SeqCst) > 0 || !peer.owed.swap(false, Ordering::SeqCst) {
             return;
         }
-        if lane.broken.load(Ordering::Acquire) {
-            return; // the triage re-registers or retires it
+        if peer.broken.load(Ordering::Acquire) {
+            return; // the triage re-registers it or fails the peer
         }
-        let wrote = self.write_out(fabric, p, l, &mut lane.tx.lock());
+        let wrote = self.write_out(fabric, p, &mut peer.tx.lock());
         let read = wrote.and_then(|_| {
-            let mut guard = lane.rx.lock();
+            let mut guard = peer.rx.lock();
             let rx = &mut *guard;
-            self.take(fabric, p, l, &mut rx.ep, &mut rx.rd)
+            self.take(fabric, p, &mut rx.ep, &mut rx.rd)
         });
         match read {
-            Ok(_) => self.rearm(fabric, p, l, lane.tx.lock()),
-            Err(e) => self.defer(lane, e),
+            Ok(_) => self.rearm(fabric, p, peer.tx.lock()),
+            Err(e) => self.defer(peer, e),
         }
     }
 
-    /// Move what lane `l` of peer `p` holds — replies a dispatch queued,
+    /// Move what peer `p`'s outbox holds — replies a dispatch queued,
     /// pushes that found the outbox busy — then re-arm its spent
     /// registration, and hand on what was pushed meanwhile.
-    fn rearm(&self, fabric: &Fabric, p: usize, l: usize, mut tx: MutexGuard<'_, Tx>) {
-        let Some(lane) = self
-            .lane(p, l)
-            .filter(|l| !l.broken.load(Ordering::Acquire))
+    fn rearm(&self, fabric: &Fabric, p: usize, mut tx: MutexGuard<'_, Tx>) {
+        let Some(peer) = self.peers[p]
+            .as_ref()
+            .filter(|peer| !peer.broken.load(Ordering::Acquire))
         else {
-            return; // the triage re-registers or retires it
+            return; // the triage re-registers it or fails the peer
         };
-        match self.write_out(fabric, p, l, &mut tx) {
-            Ok(_) => self.arm(lane, token(p, l), &mut tx, true),
-            Err(e) => self.defer(lane, e),
+        match self.write_out(fabric, p, &mut tx) {
+            Ok(_) => self.arm(peer, p, &mut tx, true),
+            Err(e) => self.defer(peer, e),
         }
         drop(tx);
-        if !lane.intake.lock().is_empty() {
-            self.flush(fabric, p, l);
+        if !peer.intake.lock().is_empty() {
+            self.flush(fabric, p);
         }
     }
 
-    /// Triage every lane a failure was left on (see [`Self::defer`]).
+    /// Triage every socket a failure was left on (see [`Self::defer`]).
     fn triage_broken(&self, fabric: &Fabric) {
-        for (p, l, lane) in self.lanes() {
-            if !lane.broken.load(Ordering::Acquire) {
+        for (p, peer) in self.each_peer() {
+            if !peer.broken.load(Ordering::Acquire) {
                 continue;
             }
-            let Some(err) = lane.fault.lock().take() else {
-                continue; // triaged already: a dead lane stays broken
+            let Some(err) = peer.fault.lock().take() else {
+                continue; // triaged already: a dead peer stays broken
             };
-            self.lane_failed(fabric, p, l, &err);
+            self.socket_failed(fabric, p, &err);
         }
     }
 
-    /// The one triage of a dead lane (`err` is what the socket said).
-    /// A data lane fails over quietly: marked dead once, both halves
-    /// killed so the remote end stops waiting on it, and everything its
-    /// outbox and intake held — replayed whole; the receiver's interval
-    /// ledger absorbs a range that half-arrived — moves to the
-    /// survivors; the surviving lanes carry the stream and lane 0
-    /// carries liveness, so this is a trace event, not a universe
-    /// failure. Lane 0 gets the peer's one bounded reconnect. Anything
-    /// else — EOF or an error without a `Bye` — means the peer process
-    /// died: the would-be hang becomes a typed error for every local
-    /// waiter. Runs on the progress thread only.
-    fn lane_failed(&self, fabric: &Fabric, peer_rank: usize, lane_idx: usize, err: &io::Error) {
+    /// The one triage of a dead socket (`err` is what it said): the
+    /// peer's one bounded reconnect. Without one to be had — EOF or an
+    /// error without a `Bye`, the reconnect already spent or refused —
+    /// the peer process died: the would-be hang becomes a typed error
+    /// for every local waiter. Runs on the progress thread only.
+    fn socket_failed(&self, fabric: &Fabric, peer_rank: usize, err: &io::Error) {
         let Some(peer) = &self.peers[peer_rank] else {
             return;
         };
         if fabric.aborted() {
             return; // teardown; the abort already carries the story
         }
-        let lane = &peer.lanes[lane_idx];
-        let (p16, l16) = (peer_rank as u16, lane_idx as u16);
-        if lane_idx > 0 {
-            if lane.alive.swap(false, Ordering::AcqRel) {
-                let moved = {
-                    let mut tx = lane.tx.lock();
-                    tx.ep.shutdown();
-                    let _ = self.epoll.delete(tx.ep.as_raw_fd());
-                    (tx.at, tx.stamped) = (0, 0);
-                    let mut moved: Vec<Out> = tx.outbox.drain(..).collect();
-                    moved.append(&mut lane.intake.lock());
-                    lane.depth.store(0, Ordering::Release);
-                    moved
-                };
-                let trace = fabric.trace();
-                let me = self.rank as u16;
-                trace.emit(me, || EventKind::LaneDown {
-                    peer: p16,
-                    lane: l16,
-                });
-                let requeued = self.requeue(fabric, peer_rank, peer, moved);
-                trace.emit(me, || EventKind::LaneFailover {
-                    peer: p16,
-                    lane: l16,
-                    requeued,
-                });
-            }
-            return;
-        }
         // Kill our half first so the remote peer observes the failure
         // and joins the reconnect handshake.
-        lane.tx.lock().ep.shutdown();
-        if self.recover_lane0(fabric, peer_rank) {
+        peer.tx.lock().ep.shutdown();
+        if self.reconnect(fabric, peer_rank) {
             return;
         }
         peer.connected.store(false, Ordering::Release);
@@ -1170,23 +1061,23 @@ impl SocketTransport {
         });
     }
 
-    /// Recover from a dead lane-0 socket with ONE bounded reconnect per
-    /// peer for the transport's lifetime: re-run the pair rendezvous
-    /// (Hello re-handshake included), swap the new socket into both
-    /// halves — the outbox resends from its front entry (at-least-once:
-    /// the receiving engine deduplicates), the decoder starts at the
-    /// new socket's first frame — and tell the peer which stream bytes
-    /// we already hold so it can detect unreplayable loss.
+    /// Recover from a dead socket with ONE bounded reconnect per peer
+    /// for the transport's lifetime: re-run the pair rendezvous (Hello
+    /// re-handshake included), swap the new socket into both halves —
+    /// the outbox resends from its front entry (at-least-once: the
+    /// receiving engine deduplicates), the decoder starts at the new
+    /// socket's first frame — and tell the peer which stream bytes we
+    /// already hold so it can detect unreplayable loss.
     ///
     /// The reconnected endpoint is deliberately NOT re-wrapped in the
     /// wire-fault plan: recovery is one bounded attempt, and a chaos
     /// matrix must terminate instead of looping kill/reconnect forever.
-    fn recover_lane0(&self, fabric: &Fabric, peer_rank: usize) -> bool {
+    fn reconnect(&self, fabric: &Fabric, peer_rank: usize) -> bool {
         let Some(peer) = &self.peers[peer_rank] else {
             return false;
         };
         if fabric.aborted()
-            || peer.saw_bye.load(Ordering::Acquire)
+            || peer.bye.load(Ordering::Acquire)
             || peer.reconnect_spent.swap(true, Ordering::AcqRel)
         {
             return false;
@@ -1212,41 +1103,40 @@ impl SocketTransport {
         let Ok((ep, rx_ep)) = res else {
             return false;
         };
-        let lane = &peer.lanes[0];
         {
             // Swap the socket and bump the audit epoch under the outbox
             // mutex: stamps taken before carry the old epoch, stamps
             // after the new one — never mixed.
-            let mut tx = lane.tx.lock();
-            let mut rx = lane.rx.lock();
+            let mut tx = peer.tx.lock();
+            let mut rx = peer.rx.lock();
             let _ = self.epoll.delete(tx.ep.as_raw_fd());
             peer.epoch.fetch_add(1, Ordering::Release);
             (tx.ep, tx.at, tx.stamped) = (ep, 0, 0);
             let epoch = rx.rd.epoch + 1;
             (rx.ep, rx.rd) = (rx_ep, Reader::new());
             rx.rd.epoch = epoch;
-            lane.fd.store(tx.ep.as_raw_fd(), Ordering::Release);
+            peer.fd.store(tx.ep.as_raw_fd(), Ordering::Release);
             let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
             tx.out_armed = true;
-            if let Err(e) = self
-                .epoll
-                .add(tx.ep.as_raw_fd(), events, token(peer_rank, 0))
-            {
-                lane.fault.lock().get_or_insert(e);
+            if let Err(e) = self.epoll.add(tx.ep.as_raw_fd(), events, peer_rank as u64) {
+                peer.fault.lock().get_or_insert(e);
                 return false;
             }
-            lane.fault.lock().take();
-            lane.broken.store(false, Ordering::Release);
+            peer.fault.lock().take();
         }
         // ORDERING: liveness timestamp; the heartbeat check tolerates a
         // read one tick stale.
         peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
         peer.connected.store(true, Ordering::Release);
+        // The report must say what the dead socket delivered, so nobody
+        // reads the new one before it is queued (the socket is still
+        // broken; its armed `EPOLLOUT` sends the report once it is not).
         fabric.wire().resync_streams(fabric, peer_rank);
+        peer.broken.store(false, Ordering::Release);
         true
     }
 
-    /// The progress thread: park in `epoll_pwait` until a lane fires,
+    /// The progress thread: park in `epoll_pwait` until a socket fires,
     /// a failure is left for triage, the heartbeat tick is due or
     /// `close` asks it to finish the goodbyes.
     fn progress_loop(&self, fabric: &Fabric) {
@@ -1274,7 +1164,7 @@ impl SocketTransport {
             for &ev in &events[..n] {
                 match ev.data {
                     WAKER => while (&self.waker.0).read(&mut [0u8; 64]).is_ok_and(|n| n > 0) {},
-                    t => self.service(fabric, (t >> 8) as usize, (t & 0xff) as usize),
+                    p => self.service(fabric, p as usize),
                 }
             }
             self.triage_broken(fabric);
@@ -1311,22 +1201,19 @@ impl SocketTransport {
         }
         let now = self.now_ms();
         let live = |peer: &Peer| {
-            !peer.saw_bye.load(Ordering::Acquire) && peer.connected.load(Ordering::Acquire)
+            !peer.bye.load(Ordering::Acquire) && peer.connected.load(Ordering::Acquire)
         };
         if beats.1.is_none_or(|t| now.saturating_sub(t) >= hb) {
             beats.0 = beats.0.wrapping_add(1);
-            for (rank, peer) in self.peers.iter().enumerate() {
-                if peer.as_ref().is_some_and(live) {
+            for (rank, peer) in self.each_peer() {
+                if live(peer) {
                     self.send(fabric, rank, Frame::Heartbeat { seq: beats.0 }, false);
                 }
             }
             beats.1 = Some(now);
         }
         let miss = hb.saturating_mul(7) / 4;
-        for (rank, peer) in self.peers.iter().enumerate() {
-            let Some(peer) = peer.as_ref().filter(|p| live(p)) else {
-                continue;
-            };
+        for (rank, peer) in self.each_peer().filter(|(_, p)| live(p)) {
             // ORDERING: liveness timestamp; a stale read delays the
             // verdict by at most one tick.
             let quiet = now.saturating_sub(peer.last_heard_ms.load(Ordering::Relaxed));
@@ -1351,9 +1238,9 @@ impl SocketTransport {
         true
     }
 
-    /// Whether `close` may stop the progress thread: every live lane's
-    /// outbox drained and — on a clean run — its peer's `Bye` heard; or
-    /// the wait ran past its bound (an aborted run's grace, or the
+    /// Whether `close` may stop the progress thread: every live peer's
+    /// outbox drained and — on a clean run — its `Bye` heard; or the
+    /// wait ran past its bound (an aborted run's grace, or the
     /// establish-grade timeout: every peer passed the closing barrier,
     /// so its `Bye` is at most a write away).
     fn goodbyes_done(&self, fabric: &Fabric, since: Instant) -> bool {
@@ -1364,11 +1251,11 @@ impl SocketTransport {
             pcomm_net::mesh::ESTABLISH_TIMEOUT
         };
         since.elapsed() >= bound
-            || self.lanes().all(|(_, _, lane)| {
-                lane.broken.load(Ordering::Acquire)
-                    || (lane.intake.lock().is_empty()
-                        && lane.depth.load(Ordering::Acquire) == 0
-                        && (aborted || lane.bye.load(Ordering::Acquire)))
+            || self.each_peer().all(|(_, peer)| {
+                peer.broken.load(Ordering::Acquire)
+                    || (peer.intake.lock().is_empty()
+                        && peer.depth.load(Ordering::Acquire) == 0
+                        && (aborted || peer.bye.load(Ordering::Acquire)))
             })
     }
 }
@@ -1377,11 +1264,12 @@ impl SocketTransport {
 /// they finish, keep the cursor into the rest.
 fn advance(peer: &Peer, tx: &mut Tx, n: usize) {
     let mut at = tx.at + n;
+    let epoch = peer.epoch.load(Ordering::Acquire);
     while tx.outbox.front().is_some_and(|out| at >= out.wire_len()) {
         if let Some(out) = tx.outbox.pop_front() {
             at -= out.wire_len();
             tx.stamped = tx.stamped.saturating_sub(1);
-            out.complete();
+            out.complete(epoch);
             // ORDERING: statistics counter surfaced in diagnostics
             // snapshots only; no memory is published through it.
             peer.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -1405,7 +1293,7 @@ impl Transport for SocketTransport {
     fn start(self: Arc<Self>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
         let _ = self.fault_obs.set(Arc::downgrade(fabric));
         let now = self.now_ms();
-        for peer in self.peers.iter().flatten() {
+        for (_, peer) in self.each_peer() {
             // ORDERING: liveness timestamp; the heartbeat check tolerates
             // staleness.
             peer.last_heard_ms.store(now, Ordering::Relaxed);
@@ -1425,19 +1313,15 @@ impl Transport for SocketTransport {
     fn send(&self, fabric: &Fabric, dst: usize, frame: Frame, _teardown: bool) {
         // A push never blocks, and the outbox keeps its control frames
         // through an abort, so teardown traffic needs nothing extra.
-        self.push(fabric, dst, 0, Out::Frame(frame.encode()));
+        self.push(fabric, dst, Out::Frame(frame.encode()));
     }
 
     fn ship_rdv(&self, fabric: &Fabric, dst: usize, rdv_id: u64, pinned: PinnedSend) {
-        // Zero-copy: the pinned source rides the lane-0 outbox, which
-        // fires `done` after its last byte left, so the buffer stays
-        // pinned through the kernel handoff (invariant (1)).
-        self.push(
-            fabric,
-            dst,
-            0,
-            Out::Pinned(PinnedWrite::rdv(rdv_id, pinned)),
-        );
+        // Zero-copy: the pinned source rides the outbox, which fires
+        // `done` after its last byte left, so the buffer stays pinned
+        // through the kernel handoff (invariant (1)).
+        let out = Out::Pinned(PinnedWrite::rdv(rdv_id, pinned));
+        self.push(fabric, dst, out);
     }
 
     fn ship_part_cts(&self, fabric: &Fabric, src: usize, rdv_id: u64, _: *const u8, _: usize) {
@@ -1450,25 +1334,21 @@ impl Transport for SocketTransport {
         dst: usize,
         rdv_id: u64,
         _grant: Option<u64>,
-        spans: &Arc<Vec<SendSpan>>,
+        spans: &Arc<SendSpans>,
         chunks: &[PinChunk],
     ) {
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
         for &chunk in chunks {
-            let lane = self.pick_lane(peer);
             let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
             fabric
                 .trace()
                 .emit(self.rank as u16, || EventKind::StreamChunk {
-                    lane: lane as u16,
+                    lane: 0,
                     parts,
                     offset,
                     bytes,
                 });
             let out = Out::Pinned(PinnedWrite::stream(rdv_id, chunk, spans));
-            self.push(fabric, dst, lane, out);
+            self.push(fabric, dst, out);
         }
     }
 
@@ -1480,40 +1360,26 @@ impl Transport for SocketTransport {
 
     fn peer_states(&self) -> Vec<PeerSocketState> {
         let now = self.now_ms();
-        self.peers
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, peer)| {
-                let peer = peer.as_ref()?;
-                let lanes = peer.lanes.iter();
-                // The Relaxed loads below read advisory counters and
-                // gauges; this snapshot is inherently racy by design.
-                Some(PeerSocketState {
-                    peer: rank,
-                    connected: peer.connected.load(Ordering::Acquire),
-                    // ORDERING: advisory stat for the racy snapshot.
-                    frames_sent: peer.frames_sent.load(Ordering::Relaxed),
-                    // ORDERING: advisory stat for the racy snapshot.
-                    frames_received: peer.frames_received.load(Ordering::Relaxed),
-                    pending_rdv: 0,
-                    queued: lanes
-                        .clone()
-                        .map(|l| (l.depth.load(Ordering::Acquire) + l.intake.lock().len()) as u64)
-                        .sum(),
-                    lanes_down: lanes
-                        .skip(1)
-                        .filter(|l| !l.alive.load(Ordering::Acquire))
-                        .count() as u16,
-                    // ORDERING: liveness timestamp; staleness only
-                    // shifts the quiet-time estimate.
-                    quiet_ms: now.saturating_sub(peer.last_heard_ms.load(Ordering::Relaxed)),
-                })
-            })
-            .collect()
+        // The Relaxed loads below read advisory counters and gauges;
+        // this snapshot is inherently racy by design.
+        let state = |(rank, peer): (usize, &Peer)| PeerSocketState {
+            peer: rank,
+            connected: peer.connected.load(Ordering::Acquire),
+            // ORDERING: advisory stat for the racy snapshot.
+            frames_sent: peer.frames_sent.load(Ordering::Relaxed),
+            // ORDERING: advisory stat for the racy snapshot.
+            frames_received: peer.frames_received.load(Ordering::Relaxed),
+            pending_rdv: 0,
+            queued: (peer.depth.load(Ordering::Acquire) + peer.intake.lock().len()) as u64,
+            // ORDERING: liveness timestamp; staleness only shifts the
+            // quiet-time estimate.
+            quiet_ms: now.saturating_sub(peer.last_heard_ms.load(Ordering::Relaxed)),
+        };
+        self.each_peer().map(state).collect()
     }
 
     fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
-        // Past the polling window, park — an armed lane wakes the
+        // Past the polling window, park — an armed socket wakes the
         // progress thread, which completes us.
         self.poll_until(fabric, || usize::from(!completion.is_set()))
             || completion.wait_timeout(WAIT_SLICE)
@@ -1521,11 +1387,11 @@ impl Transport for SocketTransport {
 
     fn poll_burst(&self, fabric: &Fabric, peer: Option<usize>, completions: &[Arc<Completion>]) {
         match peer {
-            // A `PartCts` rides the peer's lane 0: one look there, not
-            // a pass over every lane of every peer.
+            // A `PartCts` rides the peer's socket: one look there, not a
+            // pass over every peer.
             Some(p) if completions.is_empty() => {
-                self.flush(fabric, p, 0);
-                self.read_in(fabric, p, 0);
+                self.flush(fabric, p);
+                self.read_in(fabric, p);
             }
             _ => {
                 self.poll_until(fabric, unset_in(completions));
@@ -1533,16 +1399,14 @@ impl Transport for SocketTransport {
         }
     }
 
-    /// Queue `Bye` on every live lane — behind whatever the outboxes
+    /// Queue `Bye` toward every peer — behind whatever the outboxes
     /// still hold — and let the progress thread finish the goodbyes
     /// (see [`SocketTransport::goodbyes_done`]) before it is joined.
     /// Aborted runs then `shutdown(2)` the sockets, so peers still
     /// reading hear the end at once.
     fn close(&self, fabric: &Fabric) {
-        for (p, l, lane) in self.lanes() {
-            if lane.alive.load(Ordering::Acquire) {
-                self.push(fabric, p, l, Out::Frame(Frame::Bye.encode()));
-            }
+        for (p, _) in self.each_peer() {
+            self.push(fabric, p, Out::Frame(Frame::Bye.encode()));
         }
         self.closing.store(true, Ordering::Release);
         self.wake();
@@ -1554,8 +1418,8 @@ impl Transport for SocketTransport {
             });
         }
         if fabric.aborted() {
-            for (_, _, lane) in self.lanes() {
-                lane.tx.lock().ep.shutdown();
+            for (_, peer) in self.each_peer() {
+                peer.tx.lock().ep.shutdown();
             }
         }
     }
@@ -1606,7 +1470,7 @@ impl Transport for SharedMemTransport {
         _: usize,
         _: u64,
         _: Option<u64>,
-        _: &Arc<Vec<SendSpan>>,
+        _: &Arc<SendSpans>,
         _: &[PinChunk],
     ) {
         unreachable!("shared-memory fabric never routes through the wire")
@@ -1623,38 +1487,30 @@ impl Transport for SharedMemTransport {
 mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
-    use crate::wire::{PartStreamMsg, PartStreamRecv};
+    use crate::wire::{PartStreamMsg, PartStreamRecv, SendSpan};
     use pcomm_trace::Trace;
 
-    /// Rank 0's socket carrier toward a peer rank 1 that is the far
-    /// ends of `lanes` socketpairs, armed as `new` arms it, with no
-    /// progress thread: each test is the only thread moving bytes. The
-    /// far ends stay blocking; a read there gives up after 5 s.
+    /// Rank 0's socket carrier toward a peer rank 1 that is the far end
+    /// of a socketpair, armed as `new` arms it, with no progress thread:
+    /// each test is the only thread moving bytes. The far end stays
+    /// blocking; a read there gives up after 5 s.
     fn carrier_with(
-        lanes: usize,
         trace: Trace,
         plan: Option<&FaultPlan>,
-    ) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
-        let (near, far): (Vec<_>, Vec<_>) = (0..lanes)
-            .map(|_| UnixStream::pair().unwrap())
-            .map(|(a, b)| (Endpoint::Uds(a), b))
-            .unzip();
-        for end in &far {
-            end.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        }
+    ) -> (Arc<Fabric>, Arc<SocketTransport>, UnixStream) {
+        let (near, far) = UnixStream::pair().unwrap();
+        far.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let cfg = MeshConfig {
             rank: 0,
             n_ranks: 2,
             dir: std::env::temp_dir(),
             backend: pcomm_net::Backend::Uds,
             seq: 0,
-            lanes,
         };
         let mesh = Mesh {
             rank: 0,
             n_ranks: 2,
-            lanes,
-            peers: vec![None, Some(near)],
+            peers: vec![None, Some(Endpoint::Uds(near))],
         };
         let transport = Arc::new(SocketTransport::new(mesh, cfg, plan).unwrap());
         let carrier = Arc::clone(&transport) as Arc<dyn Transport>;
@@ -1662,18 +1518,18 @@ mod tests {
         (fabric, transport, far)
     }
 
-    fn carrier(lanes: usize, trace: Trace) -> (Arc<Fabric>, Arc<SocketTransport>, Vec<UnixStream>) {
-        carrier_with(lanes, trace, None)
+    fn carrier(trace: Trace) -> (Arc<Fabric>, Arc<SocketTransport>, UnixStream) {
+        carrier_with(trace, None)
     }
 
     fn peer_of(transport: &SocketTransport) -> &Peer {
         transport.peers[1].as_ref().unwrap()
     }
 
-    /// Entries on `lane` not yet fully on the socket.
-    fn waiting(transport: &SocketTransport, lane: usize) -> usize {
-        let lane = &peer_of(transport).lanes[lane];
-        lane.tx.lock().outbox.len() + lane.intake.lock().len()
+    /// Entries not yet fully on the socket.
+    fn waiting(transport: &SocketTransport) -> usize {
+        let peer = peer_of(transport);
+        peer.tx.lock().outbox.len() + peer.intake.lock().len()
     }
 
     fn frames_sent(transport: &SocketTransport) -> u64 {
@@ -1684,17 +1540,12 @@ mod tests {
     fn spans_over(buf: &[u8], n: usize) -> Vec<SendSpan> {
         let len = buf.len() / n;
         (0..n)
-            .map(|i| SendSpan {
-                offset: i * len,
-                len,
-                remaining: AtomicUsize::new(len),
-                done: Completion::new(),
-            })
+            .map(|i| SendSpan::new(i * len, len, Completion::new()))
             .collect()
     }
 
     /// Pinned writes of stream 7 cutting `buf` into `n` equal ranges.
-    fn stream_writes(buf: &[u8], spans: &Arc<Vec<SendSpan>>, n: usize) -> Vec<Out> {
+    fn stream_writes(buf: &[u8], spans: &Arc<SendSpans>, n: usize) -> Vec<Out> {
         let len = buf.len() / n;
         (0..n)
             .map(|i| PinChunk {
@@ -1723,7 +1574,7 @@ mod tests {
 
     #[test]
     fn the_caller_moves_its_own_bytes() {
-        let (fabric, transport, mut far) = carrier(2, Trace::disabled());
+        let (fabric, transport, mut far) = carrier(Trace::disabled());
         let wire = fabric.wire();
         let src = vec![0x5Au8; 4096];
         let spans = spans_over(&src, 1);
@@ -1735,25 +1586,22 @@ mod tests {
             total_len: 4096,
             rdv_id: id,
         };
-        assert_eq!(Frame::read_from(&mut far[0]).unwrap(), rts);
+        assert_eq!(Frame::read_from(&mut far).unwrap(), rts);
         // The CTS arrives while the sender computes. The next `pready`
         // reads it first, and its range leaves with it.
-        Frame::PartCts { rdv_id: id }.write_to(&mut far[0]).unwrap();
+        Frame::PartCts { rdv_id: id }.write_to(&mut far).unwrap();
         wire.part_stream_push(&fabric, id, 0, &src, 1);
         assert!(done.is_set(), "the range was not put on the socket");
-        assert_eq!(
-            Frame::read_from(&mut far[1]).unwrap(),
-            part_data(id, 0, &src)
-        );
+        assert_eq!(Frame::read_from(&mut far).unwrap(), part_data(id, 0, &src));
         assert_eq!(frames_sent(&transport), 2);
         assert!(!fabric.aborted());
     }
 
     #[test]
     fn a_push_into_a_full_socket_returns_at_once_and_flushes_later() {
-        let (fabric, transport, mut far) = carrier(1, Trace::disabled());
+        let (fabric, transport, mut far) = carrier(Trace::disabled());
         let source: Vec<u8> = (0..1usize << 20).map(|i| (i * 7 % 251) as u8).collect();
-        let spans = Arc::new(spans_over(&source, 4));
+        let spans = Arc::new(SendSpans::new(spans_over(&source, 4)));
         let tail = vec![0xEEu8; 56];
         let done = Completion::new();
         let eager = Frame::Eager {
@@ -1764,7 +1612,7 @@ mod tests {
         };
         transport.send(&fabric, 1, eager.clone(), false);
         for out in stream_writes(&source, &spans, 4) {
-            transport.push(&fabric, 1, 0, out);
+            transport.push(&fabric, 1, out);
         }
         let pinned = PinnedSend {
             ptr: tail.as_ptr(),
@@ -1775,7 +1623,7 @@ mod tests {
         transport.send(&fabric, 1, Frame::Heartbeat { seq: 3 }, false);
         // Nobody reads the far end: the socket took what fits, the
         // rest waits in the outbox and nothing behind it completed.
-        assert!(waiting(&transport, 0) > 0);
+        assert!(waiting(&transport) > 0);
         assert!(!spans[3].done.is_set() && !done.is_set());
         let mut want = eager.encode();
         for i in 0..4 {
@@ -1791,14 +1639,13 @@ mod tests {
         );
         want.extend(Frame::Heartbeat { seq: 3 }.encode());
         let len = want.len();
-        let mut end = far.remove(0);
         let reader = std::thread::spawn(move || {
             let mut got = vec![0u8; len];
-            end.read_exact(&mut got).unwrap();
+            far.read_exact(&mut got).unwrap();
             got
         });
-        while waiting(&transport, 0) > 0 {
-            transport.flush(&fabric, 1, 0);
+        while waiting(&transport) > 0 {
+            transport.flush(&fabric, 1);
             std::thread::yield_now();
         }
         assert!(reader.join().unwrap() == want, "the wire bytes differ");
@@ -1813,9 +1660,9 @@ mod tests {
     #[test]
     fn an_outbox_resumes_every_torn_write_where_it_stopped() {
         let plan = FaultPlan::seeded(5).torn_writes(1.0);
-        let (fabric, transport, mut far) = carrier_with(1, Trace::disabled(), Some(&plan));
+        let (fabric, transport, mut far) = carrier_with(Trace::disabled(), Some(&plan));
         let source: Vec<u8> = (0..=255).collect();
-        let spans = Arc::new(spans_over(&source, 2));
+        let spans = Arc::new(SendSpans::new(spans_over(&source, 2)));
         let mut want = Vec::new();
         for seq in 0..8 {
             let frame = Frame::Heartbeat { seq };
@@ -1823,15 +1670,15 @@ mod tests {
             transport.send(&fabric, 1, frame, false);
         }
         for out in stream_writes(&source, &spans, 2) {
-            transport.push(&fabric, 1, 0, out);
+            transport.push(&fabric, 1, out);
         }
         want.extend(part_data(7, 0, &source[..128]).encode());
         want.extend(part_data(7, 128, &source[128..]).encode());
-        while waiting(&transport, 0) > 0 {
-            transport.flush(&fabric, 1, 0);
+        while waiting(&transport) > 0 {
+            transport.flush(&fabric, 1);
         }
         let mut got = vec![0u8; want.len()];
-        far[0].read_exact(&mut got).unwrap();
+        far.read_exact(&mut got).unwrap();
         assert_eq!(got, want);
         assert!(spans.iter().all(|s| s.done.is_set()));
         assert_eq!(frames_sent(&transport), 10);
@@ -1839,29 +1686,29 @@ mod tests {
 
     #[test]
     fn wire_send_seq_is_wire_order_when_pushes_race() {
-        let (fabric, transport, mut far) = carrier(2, Trace::ring_verify(4096));
+        let (fabric, transport, mut far) = carrier(Trace::ring_verify(4096));
         const ROUNDS: u64 = 50;
         let frame = |f: Frame| Out::Frame(f.encode());
         std::thread::scope(|s| {
             s.spawn(|| {
                 for seq in 0..ROUNDS {
                     for _ in 0..3 {
-                        transport.push(&fabric, 1, 1, frame(Frame::Heartbeat { seq }));
+                        transport.push(&fabric, 1, frame(Frame::Heartbeat { seq }));
                     }
                 }
             });
             s.spawn(|| {
                 for rdv_id in 0..ROUNDS {
-                    transport.push(&fabric, 1, 1, frame(Frame::PartCts { rdv_id }));
+                    transport.push(&fabric, 1, frame(Frame::PartCts { rdv_id }));
                 }
             });
         });
-        assert_eq!(waiting(&transport, 1), 0, "a push was stranded");
+        assert_eq!(waiting(&transport), 0, "a push was stranded");
         let mut sends: Vec<(u32, u16)> = events_named(&fabric, "verify_wire_send")
             .into_iter()
             .map(|kind| match kind {
                 EventKind::VerifyWireSend {
-                    lane: 1, op, seq, ..
+                    lane: 0, op, seq, ..
                 } => (seq, op),
                 other => panic!("unexpected stamp {other:?}"),
             })
@@ -1870,83 +1717,27 @@ mod tests {
         let seqs: Vec<u32> = sends.iter().map(|&(seq, _)| seq).collect();
         assert_eq!(seqs, (0..4 * ROUNDS as u32).collect::<Vec<_>>());
         drop((fabric, transport));
-        let on_wire: Vec<u16> = std::iter::from_fn(|| Frame::read_from(&mut far[1]).ok())
+        let on_wire: Vec<u16> = std::iter::from_fn(|| Frame::read_from(&mut far).ok())
             .map(|f| f.op() as u16)
             .collect();
         let stamped: Vec<u16> = sends.iter().map(|&(_, op)| op).collect();
         assert_eq!(stamped, on_wire, "seq order is not wire order");
     }
 
-    #[test]
-    fn a_dead_data_lane_fails_over_once_with_everything_it_held() {
-        let (fabric, transport, mut far) = carrier(3, Trace::ring(256));
-        drop(far.remove(2));
-        let source: Vec<u8> = (0..4096).map(|i| (i % 253) as u8).collect();
-        let spans = Arc::new(spans_over(&source, 1));
-        for out in stream_writes(&source, &spans, 4) {
-            transport.push(&fabric, 1, 2, out);
-        }
-        let lane2 = &peer_of(&transport).lanes[2];
-        assert!(
-            lane2.broken.load(Ordering::Acquire),
-            "the failure was not left"
-        );
-        assert!(lane2.alive.load(Ordering::Acquire), "an app thread triaged");
-        assert!(!spans[0].done.is_set());
-        transport.triage_broken(&fabric);
-        // A straggler behind the failover follows the rest, and the
-        // death triaged again changes nothing.
-        let late: Vec<u8> = vec![0x77; 64];
-        let late_spans = Arc::new(spans_over(&late, 1));
-        for out in stream_writes(&late, &late_spans, 1) {
-            transport.push(&fabric, 1, 2, out);
-        }
-        let eof = io::Error::from(io::ErrorKind::UnexpectedEof);
-        transport.lane_failed(&fabric, 1, 2, &eof);
-        assert!(!lane2.alive.load(Ordering::Acquire));
-        assert_eq!(
-            events_named(&fabric, "lane_down"),
-            [EventKind::LaneDown { peer: 1, lane: 2 }]
-        );
-        let failover = EventKind::LaneFailover {
-            peer: 1,
-            lane: 2,
-            requeued: 4,
-        };
-        assert_eq!(events_named(&fabric, "lane_failover"), [failover]);
-        // Every range arrived whole on the surviving data lane.
-        for i in 0..4 {
-            let range = &source[i * 1024..(i + 1) * 1024];
-            assert_eq!(
-                Frame::read_from(&mut far[1]).unwrap(),
-                part_data(7, i * 1024, range)
-            );
-        }
-        assert_eq!(
-            Frame::read_from(&mut far[1]).unwrap(),
-            part_data(7, 0, &late)
-        );
-        assert!(spans[0].done.is_set() && late_spans[0].done.is_set());
-        far[0].set_nonblocking(true).unwrap();
-        let lane0 = far[0].read(&mut [0u8; 1]).unwrap_err();
-        assert_eq!(lane0.kind(), io::ErrorKind::WouldBlock, "lane 0 got bytes");
-        assert!(!fabric.aborted(), "a data lane's death is not the peer's");
-    }
-
     /// `take` one frame whose head claims `claimed` body bytes for `op`,
     /// followed by `fixed` and then EOF; returns the error and the
     /// capacity the decoder's reusable body buffer was left with.
     fn take_lying_head(op: u8, claimed: u32, fixed: &[u8]) -> (io::Error, usize) {
-        let (fabric, transport, mut far) = carrier(1, Trace::disabled());
+        let (fabric, transport, mut far) = carrier(Trace::disabled());
         let mut head = claimed.to_le_bytes().to_vec();
         head.extend([frame::WIRE_VERSION, op]);
         head.extend(fixed);
-        far[0].write_all(&head).unwrap();
+        far.write_all(&head).unwrap();
         drop(far);
-        let mut guard = peer_of(&transport).lanes[0].rx.lock();
+        let mut guard = peer_of(&transport).rx.lock();
         let rx = &mut *guard;
         let err = transport
-            .take(&fabric, 1, 0, &mut rx.ep, &mut rx.rd)
+            .take(&fabric, 1, &mut rx.ep, &mut rx.rd)
             .unwrap_err();
         assert!(!fabric.aborted());
         (err, rx.rd.dec.body_capacity())
@@ -2044,7 +1835,7 @@ mod tests {
     /// Deliver `stream` through a fresh carrier's decoder in the pieces
     /// `cuts` marks, `WouldBlock` between every two.
     fn land_mixed(stream: &[u8], cuts: impl IntoIterator<Item = usize>) -> Landed {
-        let (fabric, transport, _far) = carrier(1, Trace::ring_verify(4096));
+        let (fabric, transport, _far) = carrier(Trace::ring_verify(4096));
         let wire = fabric.wire();
         let mut dests = [vec![0u8; 16], vec![0u8; BIG], vec![0u8; 64], vec![0u8; 300]];
         let posted = |buf: &mut Vec<u8>, tag| PostedRecv {
@@ -2089,7 +1880,7 @@ mod tests {
         };
         let mut rd = Reader::new();
         while reader.at < stream.len() {
-            transport.take(&fabric, 1, 0, &mut reader, &mut rd).unwrap();
+            transport.take(&fabric, 1, &mut reader, &mut rd).unwrap();
         }
         assert!(!fabric.aborted());
         let heads = events_named(&fabric, "verify_wire_recv")

@@ -50,7 +50,7 @@ use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 use crate::transport::{poll_window, unset_in, Transport};
 use crate::wire::{
-    answers_with_push, complete_spans, PinChunk, PinnedSend, SendSpan, FINALIZE_TIMEOUT,
+    answers_with_push, complete_spans, PinChunk, PinnedSend, SendSpans, FINALIZE_TIMEOUT,
 };
 
 /// Sleep between drain passes while teardown waits for the peers'
@@ -237,7 +237,7 @@ impl IpcTransport {
                     trace.emit_span(t_send, self.rank as u16, |at, _| {
                         // ORDERING: Relaxed suffices — the `out` mutex
                         // already serialises every producer on this
-                        // counter (same argument as the socket lanes).
+                        // counter (same argument as the socket carrier).
                         let seq = peer.tx_seq.fetch_add(1, Ordering::Relaxed);
                         EventKind::VerifyWireSend {
                             peer: dst as u16,
@@ -422,10 +422,10 @@ impl IpcTransport {
                         // granted arena range; only bookkeeping remains.
                         K_PART => {
                             let len = desc.c as usize;
-                            let _ = wire.land_part(fabric, src, 0, id, at, len, |_| Ok(len));
+                            let _ = wire.land_part(fabric, src, id, at, len, |_| Ok(len));
                         }
                         K_PARTF => {
-                            let _ = wire.land_part(fabric, src, 0, id, at, payload.len(), copy_in);
+                            let _ = wire.land_part(fabric, src, id, at, payload.len(), copy_in);
                         }
                         // In-order chunks of one rendezvous payload; the
                         // final one carries `parts == 1`.
@@ -488,7 +488,7 @@ impl IpcTransport {
     /// descriptor kinds instead); a `Bye` means the peer's heartbeat may
     /// legitimately stop.
     fn dispatch_frame(&self, fabric: &Fabric, src: usize, frame: Frame) {
-        if !fabric.wire().dispatch(fabric, src, 0, frame) {
+        if !fabric.wire().dispatch(fabric, src, frame) {
             if let Some(p) = &self.peers[src] {
                 p.saw_bye.store(true, Ordering::Release);
             }
@@ -512,7 +512,7 @@ impl IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<Vec<SendSpan>>,
+        spans: &Arc<SendSpans>,
         chunk: PinChunk,
     ) {
         let PinChunk {
@@ -881,7 +881,7 @@ impl Transport for IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<Vec<SendSpan>>,
+        spans: &Arc<SendSpans>,
         chunks: &[PinChunk],
     ) {
         for &chunk in chunks {
@@ -909,8 +909,7 @@ impl Transport for IpcTransport {
                     // ORDERING: advisory stats for the racy snapshot.
                     frames_received: peer.frames_received.load(Ordering::Relaxed),
                     pending_rdv: 0,
-                    queued: 0,     // no writer queues: producers push inline
-                    lanes_down: 0, // a mapped segment has no lanes to lose
+                    queued: 0, // no writer queues: producers push inline
                     quiet_ms,
                 })
             })
@@ -1009,20 +1008,20 @@ impl Transport for IpcTransport {
 // ---------------------------------------------------------------------
 
 /// Create (rank 0) or attach (everyone else) the shared segment,
-/// passing the memfd over the mesh's lane-0 Unix sockets with
-/// `SCM_RIGHTS`. Rank 0 waits for a one-byte ACK from every peer
-/// before returning, so no rank starts pushing before every mapping
-/// exists (the heartbeat monitor keys off the attach flags the ACKs
-/// order). Consumes nothing from the mesh — the sockets stay open (and
-/// are dropped by the caller once the transport is built).
+/// passing the memfd over the mesh's Unix sockets with `SCM_RIGHTS`.
+/// Rank 0 waits for a one-byte ACK from every peer before returning, so
+/// no rank starts pushing before every mapping exists (the heartbeat
+/// monitor keys off the attach flags the ACKs order). Consumes nothing
+/// from the mesh — the sockets stay open (and are dropped by the caller
+/// once the transport is built).
 pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, PcommError> {
     let misuse = |rank: usize, what: &str, e: std::io::Error| PcommError::Misuse {
         rank: Some(rank),
         detail: format!("ipc bootstrap: {what}: {e}"),
     };
     let (rank, n_ranks) = (mesh.rank, mesh.n_ranks);
-    let lane0 = |mesh: &mut Mesh, r: usize| -> Result<usize, PcommError> {
-        match mesh.peers[r].as_ref().and_then(|eps| eps.first()) {
+    let sock = |mesh: &Mesh, r: usize| -> Result<i32, PcommError> {
+        match &mesh.peers[r] {
             Some(ep) => ep.raw_fd().ok_or_else(|| PcommError::Misuse {
                 rank: Some(rank),
                 detail: "ipc bootstrap: fd passing needs a Unix-socket mesh \
@@ -1034,16 +1033,11 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
                 detail: format!("ipc bootstrap: no mesh endpoint toward rank {r}"),
             }),
         }
-        .map(|fd| fd as usize)
     };
     // Bounded reads: a peer that dies mid-bootstrap becomes a typed
     // error, not a hang.
-    for r in 0..n_ranks {
-        if let Some(eps) = mesh.peers[r].as_ref() {
-            if let Some(ep) = eps.first() {
-                let _ = ep.set_read_timeout(Some(pcomm_net::mesh::ESTABLISH_TIMEOUT));
-            }
-        }
+    for ep in mesh.peers.iter().flatten() {
+        let _ = ep.set_read_timeout(Some(pcomm_net::mesh::ESTABLISH_TIMEOUT));
     }
     let segment = if rank == 0 {
         let (segment, fd) =
@@ -1052,8 +1046,7 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
         // Acquire loads so a set flag implies a live mapping.
         segment.attached(0).store(1, Ordering::Release);
         for r in 1..n_ranks {
-            let sock = lane0(mesh, r)? as i32;
-            ipc::send_segment_fd(sock, fd, 0)
+            ipc::send_segment_fd(sock(mesh, r)?, fd, 0)
                 .map_err(|e| misuse(rank, "passing the segment fd", e))?;
         }
         // Collect one ACK byte per peer: after this, every rank is
@@ -1062,8 +1055,7 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
             let mut byte = [0u8; 1];
             let ep = mesh.peers[r]
                 .as_mut()
-                .and_then(|eps| eps.first_mut())
-                // PANIC: `lane0` above already proved the endpoint exists.
+                // PANIC: `sock` above already proved the endpoint exists.
                 .expect("endpoint checked above");
             ep.read_exact(&mut byte)
                 .map_err(|e| misuse(rank, "waiting for a peer's attach ACK", e))?;
@@ -1071,9 +1063,8 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
         let _ = sys::close(fd);
         segment
     } else {
-        let sock = lane0(mesh, 0)? as i32;
-        let (fd, from) =
-            ipc::recv_segment_fd(sock).map_err(|e| misuse(rank, "receiving the segment fd", e))?;
+        let (fd, from) = ipc::recv_segment_fd(sock(mesh, 0)?)
+            .map_err(|e| misuse(rank, "receiving the segment fd", e))?;
         if from != 0 {
             let _ = sys::close(fd);
             return Err(PcommError::Misuse {
@@ -1088,19 +1079,14 @@ pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, P
         segment.attached(rank).store(1, Ordering::Release);
         let ep = mesh.peers[0]
             .as_mut()
-            .and_then(|eps| eps.first_mut())
-            // PANIC: `lane0` above already proved the endpoint exists.
+            // PANIC: `sock` above already proved the endpoint exists.
             .expect("endpoint checked above");
         ep.write_all(&[1u8])
             .map_err(|e| misuse(rank, "sending the attach ACK", e))?;
         segment
     };
-    for r in 0..n_ranks {
-        if let Some(eps) = mesh.peers[r].as_ref() {
-            if let Some(ep) = eps.first() {
-                let _ = ep.set_read_timeout(None);
-            }
-        }
+    for ep in mesh.peers.iter().flatten() {
+        let _ = ep.set_read_timeout(None);
     }
     Ok(segment)
 }

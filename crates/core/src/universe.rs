@@ -391,13 +391,6 @@ impl Universe {
             dir: env.dir.clone(),
             backend: env.backend,
             seq: next_multiproc_seq(),
-            // The segment is one lane per pair; extra mesh sockets
-            // would idle after bootstrap.
-            lanes: if use_ipc {
-                1
-            } else {
-                pcomm_net::launch::lanes_from_env()
-            },
         };
         let mut mesh = pcomm_net::mesh::establish(&cfg).map_err(|e| PcommError::Misuse {
             rank: Some(env.rank),
@@ -421,13 +414,8 @@ impl Universe {
                 env.n_ranks,
             ))
         } else {
-            let carrier =
-                crate::transport::SocketTransport::new(mesh, cfg, self.fault_plan.as_ref())
-                    .map_err(|e| PcommError::Misuse {
-                        rank: Some(env.rank),
-                        detail: format!("transport start: arming the mesh sockets: {e}"),
-                    })?;
-            Arc::new(carrier)
+            let plan = self.fault_plan.as_ref();
+            Arc::new(crate::transport::SocketTransport::new(mesh, cfg, plan)?)
         };
         let fabric = Fabric::new_configured(
             self.n_ranks,

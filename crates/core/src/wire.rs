@@ -29,9 +29,12 @@
 //!   application memory; a message's `sent` completion flips when its
 //!   last byte has left. The receiver claims every landed range against
 //!   the stream's interval ledger — the wire is at-least-once across a
-//!   failover or reconnect, so only never-seen bytes count — and flips
-//!   the per-message completions whose ranges have fully landed:
-//!   `parrived` goes true partition-by-partition across processes.
+//!   reconnect, so only never-seen bytes count — and flips the
+//!   per-message completions whose ranges have fully landed: `parrived`
+//!   goes true partition-by-partition across processes. After a
+//!   reconnect both sides repeat the handshakes the dead socket may have
+//!   taken, and the receiver reports what it misses, so loss the sender
+//!   cannot replay is a typed error, not a wait.
 //! * **Barrier**: rank 0 coordinates; everyone ships `BarrierArrive`,
 //!   rank 0 broadcasts `BarrierRelease` for the generation. Arrivals are
 //!   a set, not a count, so a replayed arrival cannot release early. The
@@ -132,6 +135,66 @@ pub(crate) struct SendSpan {
     pub(crate) done: Arc<Completion>,
 }
 
+impl SendSpan {
+    pub(crate) fn new(offset: usize, len: usize, done: Arc<Completion>) -> SendSpan {
+        SendSpan {
+            offset,
+            len,
+            remaining: AtomicUsize::new(len),
+            done,
+        }
+    }
+}
+
+/// The spans of one outgoing partitioned stream, plus where its bytes
+/// went: every wire range that has left on a socket, with that socket's
+/// reconnect epoch. A range that left on a socket that died since may be
+/// missing at the peer; one that left on the live socket is on its way.
+/// A message can leave in several ranges across a reconnect, so a
+/// resync judges loss per range, not per span.
+pub(crate) struct SendSpans {
+    spans: Vec<SendSpan>,
+    /// `(lo, hi, epoch)`, adjacent ranges of one epoch merged.
+    sent: Mutex<Vec<(usize, usize, u32)>>,
+}
+
+impl SendSpans {
+    pub(crate) fn new(spans: Vec<SendSpan>) -> SendSpans {
+        SendSpans {
+            spans,
+            sent: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `offset..offset+len` has left on the socket of reconnect `epoch`:
+    /// record it, and complete the spans it finishes.
+    pub(crate) fn sent(&self, offset: usize, len: usize, epoch: u32) {
+        let mut sent = self.sent.lock();
+        match sent.last_mut() {
+            Some((_, hi, e)) if *hi == offset && *e == epoch => *hi += len,
+            _ => sent.push((offset, offset + len, epoch)),
+        }
+        drop(sent);
+        complete_spans(self, offset, len);
+    }
+
+    /// Whether any byte of `lo..hi` left on a socket older than reconnect
+    /// `epoch`.
+    fn sent_before(&self, lo: usize, hi: usize, epoch: u32) -> bool {
+        let sent = self.sent.lock();
+        sent.iter()
+            .any(|&(s_lo, s_hi, e)| e < epoch && s_lo.max(lo) < s_hi.min(hi))
+    }
+}
+
+impl std::ops::Deref for SendSpans {
+    type Target = [SendSpan];
+
+    fn deref(&self) -> &[SendSpan] {
+        &self.spans
+    }
+}
+
 /// One coalesced run of ready partitions, pinned in the source buffer
 /// (adjacent pushes are contiguous memory, so coalescing just extends
 /// the length).
@@ -180,6 +243,8 @@ impl std::ops::Deref for Ready {
 /// plus ranges queued while the CTS is still in flight.
 struct StreamSend {
     dst: usize,
+    /// The partitioned pair's context, which the `PartRts` names.
+    ctx: u64,
     /// `None` until the receiver pinned its destination (CTS arrived);
     /// then the carrier's grant, if its CTS carried one.
     cts: Option<Option<u64>>,
@@ -195,7 +260,7 @@ struct StreamSend {
     /// Threshold-complete chunks waiting for the CTS.
     queued: Vec<PinChunk>,
     /// Per-message spans the carrier completes as chunks leave.
-    spans: Arc<Vec<SendSpan>>,
+    spans: Arc<SendSpans>,
 }
 
 impl StreamSend {
@@ -257,20 +322,23 @@ impl StreamSend {
 struct StreamRecv {
     base: *mut u8,
     total_len: usize,
+    /// The carrier's reconnect epoch when the CTS was released.
+    cts_epoch: u32,
     /// Bytes of the whole buffer not yet committed; the stream retires
     /// when this hits zero.
     remaining_total: AtomicUsize,
     msgs: Vec<PartStreamMsg>,
-    /// Sorted, disjoint byte intervals already committed. Failover and
-    /// reconnect replay whole batches (at-least-once delivery), so every
+    /// Sorted, disjoint byte intervals already committed. A reconnect
+    /// replays whole batches (at-least-once delivery), so every
     /// commit first claims its range here and only the never-seen-before
     /// sub-ranges count — a duplicate range is a no-op.
     committed: Mutex<Vec<(usize, usize)>>,
 }
 
-// SAFETY: same argument as [`PartStreamRecv`]; `Sync` because multiple
-// reader lanes commit concurrently, but every byte of the destination
-// belongs to exactly one range on the wire, so writes never alias.
+// SAFETY: same argument as [`PartStreamRecv`]; `Sync` because every
+// thread that lands a carrier's ranges shares the stream, but every
+// byte of the destination belongs to exactly one range on the wire, so
+// writes never alias.
 unsafe impl Send for StreamRecv {}
 unsafe impl Sync for StreamRecv {}
 
@@ -302,6 +370,7 @@ struct RdvIn {
 }
 
 type WinSlot = (Arc<Completion>, Option<usize>);
+type ResyncEntry = (usize, u32, Arc<SendSpans>);
 type GetWaiter = (Arc<Completion>, Arc<Mutex<Option<Vec<u8>>>>);
 
 /// The protocol engine of one rank process (see the module docs). Every
@@ -320,18 +389,26 @@ pub(crate) struct WireProtocol {
     rdv_in: Mutex<HashMap<(usize, u64), RdvIn>>,
     /// Sender side: open partitioned streams, by stream id.
     streams_out: Mutex<HashMap<u64, StreamSend>>,
-    /// Sender side: span sets of live outgoing streams, for answering a
-    /// receiver's `StreamResync` after a reconnect. Pruned lazily when
-    /// new streams begin.
-    resync_spans: Mutex<HashMap<u64, Arc<Vec<SendSpan>>>>,
+    /// Sender side: span sets of live outgoing streams, with their peer
+    /// and the reconnect epoch they began at, for answering a receiver's
+    /// `StreamResync` after a reconnect. A finished stream is pruned when
+    /// a later one begins — unless it began before its peer's reconnect:
+    /// the peer's report may still name it, so it stays until teardown.
+    /// A peer reconnects once, so what stays is bounded by the entries
+    /// the table held toward it at that moment.
+    resync_spans: Mutex<HashMap<u64, ResyncEntry>>,
     /// Receiver side: RTS/post pairing per partitioned (src, ctx) pair.
     part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
     /// Receiver side: active streams taking ranges, by (src, id).
     streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
+    /// Receiver side: streams whose `PartRts` arrived and which have not
+    /// retired, by (src, id). A reconnect re-sends every announcement
+    /// that may have died with the socket; this drops the copies.
+    announced: Mutex<HashSet<(usize, u64)>>,
     /// This process's barrier generation counter (SPMD-aligned).
     barrier_gen: AtomicU64,
     /// Rank 0 only: which ranks arrived per generation. A set, not a
-    /// count: the ordered lane is at-least-once across a reconnect, so a
+    /// count: the wire is at-least-once across a reconnect, so a
     /// replayed `BarrierArrive` must not double-count.
     arrivals: Mutex<HashMap<u64, HashSet<usize>>>,
     /// Release completions per generation (waiter or release creates).
@@ -360,6 +437,7 @@ impl WireProtocol {
             resync_spans: Mutex::new(HashMap::new()),
             part_registry: Mutex::new(HashMap::new()),
             streams_in: Mutex::new(HashMap::new()),
+            announced: Mutex::new(HashSet::new()),
             barrier_gen: AtomicU64::new(0),
             arrivals: Mutex::new(HashMap::new()),
             releases: Mutex::new(HashMap::new()),
@@ -565,22 +643,30 @@ impl WireProtocol {
     ) -> u64 {
         // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
         let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        let spans = Arc::new(spans);
+        let spans = Arc::new(SendSpans::new(spans));
         {
             // Keep the span set reachable for a post-reconnect resync
-            // check; prune entries whose spans all completed (their
-            // buffers may be unpinned — nothing left to vouch for). By
-            // byte count, not by `done`: a persistent request resets
-            // and reuses its completions every round.
+            // check; prune entries whose spans all completed (by byte
+            // count, not by `done`: a persistent request resets and
+            // reuses its completions every round) — unless the stream
+            // began before its peer's reconnect: the peer's resync
+            // report may still name it, and must not find it gone.
             let mut resync = self.resync_spans.lock();
-            resync.retain(|_, s| s.iter().any(|sp| sp.remaining.load(Ordering::Acquire) != 0));
-            resync.insert(rdv_id, Arc::clone(&spans));
+            resync.retain(|_, (peer, began, spans)| {
+                *began < self.carrier.epoch(*peer)
+                    || spans
+                        .iter()
+                        .any(|sp| sp.remaining.load(Ordering::Acquire) != 0)
+            });
+            let began = self.carrier.epoch(dst);
+            resync.insert(rdv_id, (dst, began, Arc::clone(&spans)));
         }
         // Register before the RTS leaves so a fast CTS finds us.
         self.streams_out.lock().insert(
             rdv_id,
             StreamSend {
                 dst,
+                ctx,
                 cts: None,
                 flushed: false,
                 total_len,
@@ -671,7 +757,8 @@ impl WireProtocol {
     }
 
     /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement.
+    /// destination if one is waiting, else park the announcement; drop
+    /// a copy re-sent after a reconnect.
     fn handle_part_rts(
         &self,
         fabric: &Fabric,
@@ -680,6 +767,9 @@ impl WireProtocol {
         total_len: usize,
         rdv_id: u64,
     ) {
+        if !self.announced.lock().insert((src, rdv_id)) {
+            return;
+        }
         let (p16, stream, total) = (src as u16, rdv_id as u32, total_len as u64);
         fabric
             .trace()
@@ -748,25 +838,34 @@ impl WireProtocol {
                     len: len32,
                 });
             }
-            let (p16, epoch) = (src as u16, self.carrier.epoch(src));
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
+        }
+        let stream = Arc::new(StreamRecv {
+            base: recv.base,
+            total_len,
+            cts_epoch: self.carrier.epoch(src),
+            remaining_total: AtomicUsize::new(total_len),
+            msgs: recv.msgs,
+            committed: Mutex::new(Vec::new()),
+        });
+        self.streams_in
+            .lock()
+            .insert((src, rdv_id), Arc::clone(&stream));
+        self.release_cts(fabric, src, rdv_id, &stream);
+    }
+
+    /// Receiver: clear `src` to send stream `rdv_id` into `stream`.
+    fn release_cts(&self, fabric: &Fabric, src: usize, rdv_id: u64, stream: &StreamRecv) {
+        let (p16, stream32, epoch) = (src as u16, rdv_id as u32, self.carrier.epoch(src));
+        fabric
+            .trace()
+            .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
                 peer: p16,
                 tx: true,
                 stream: stream32,
                 epoch,
             });
-        }
-        let base = recv.base;
-        let stream = Arc::new(StreamRecv {
-            base,
-            total_len,
-            remaining_total: AtomicUsize::new(total_len),
-            msgs: recv.msgs,
-            committed: Mutex::new(Vec::new()),
-        });
-        self.streams_in.lock().insert((src, rdv_id), stream);
         self.carrier
-            .ship_part_cts(fabric, src, rdv_id, base, total_len);
+            .ship_part_cts(fabric, src, rdv_id, stream.base, stream.total_len);
     }
 
     /// Sender: the receiver pinned its destination — release every
@@ -857,19 +956,17 @@ impl WireProtocol {
     }
 
     /// Receiver: the range `offset..offset+len` of stream `rdv_id` is
-    /// arriving on `lane`. Validate it, let `fill` put bytes in the
+    /// arriving. Validate it, let `fill` put bytes in the
     /// pinned destination (a socket read, a copy out of the ring, or
     /// nothing when the sender already wrote them in place) and say how
     /// many, then commit those. `Ok(None)` means the range was not
     /// landed (retired stream, abort, or overflow) and the caller
     /// discards the bytes; else how many landed — a socket lands a
     /// range in pieces, each its own commit.
-    #[allow(clippy::too_many_arguments)] // one per range-descriptor field
     pub(crate) fn land_part(
         &self,
         fabric: &Fabric,
         src: usize,
-        lane: usize,
         rdv_id: u64,
         offset: usize,
         len: usize,
@@ -882,11 +979,11 @@ impl WireProtocol {
         // by the commit fire (invariant (1), via `PartStreamRecv`'s
         // contract), `stream_range` checked the bounds, and every
         // destination byte belongs to exactly one range on the wire, so
-        // concurrent landings from different lanes never alias.
+        // concurrent landings never alias.
         let n = fill(unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) })?;
         let n = n.min(len);
         if n > 0 || len == 0 {
-            self.commit_stream_range(fabric, src, lane, rdv_id, &stream, offset, n);
+            self.commit_stream_range(fabric, src, rdv_id, &stream, offset, n);
         }
         Ok(Some(n))
     }
@@ -894,12 +991,10 @@ impl WireProtocol {
     /// Receiver: the bytes of `offset..offset+len` are in the pinned
     /// destination — flip every message completion the range finishes
     /// and retire the stream once the whole buffer has landed.
-    #[allow(clippy::too_many_arguments)] // one per envelope field
     fn commit_stream_range(
         &self,
         fabric: &Fabric,
         src: usize,
-        lane: usize,
         rdv_id: u64,
         stream: &StreamRecv,
         offset: usize,
@@ -907,22 +1002,22 @@ impl WireProtocol {
     ) {
         let end = offset + len;
         let trace = fabric.trace();
-        let (rank, p16, l16, stream32) = (self.rank as u16, src as u16, lane as u16, rdv_id as u32);
+        let (rank, p16, stream32) = (self.rank as u16, src as u16, rdv_id as u32);
         // Recorded before the dedup claim: the auditor's FSM pass wants
         // every range the wire delivered, duplicates included (replay
         // absorption is exactly what the ledger pass proves).
         trace.emit_verify(rank, || EventKind::VerifyStreamData {
             peer: p16,
-            lane: l16,
+            lane: 0,
             tx: false,
             stream: stream32,
             offset: offset as u64,
             len: len as u32,
         });
-        // At-least-once wire: a lane failover or reconnect replays whole
-        // batches, so the same range can land twice. Claim it against
-        // the stream's interval ledger first — only the never-committed
-        // sub-ranges count toward message and stream completion.
+        // At-least-once wire: a reconnect replays whole batches, so the
+        // same range can land twice. Claim it against the stream's
+        // interval ledger first — only the never-committed sub-ranges
+        // count toward message and stream completion.
         let fresh = claim_range(&mut stream.committed.lock(), offset, end);
         let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
         if fresh_bytes == 0 {
@@ -931,7 +1026,7 @@ impl WireProtocol {
         for &(f_lo, f_hi) in &fresh {
             trace.emit_verify(rank, || EventKind::VerifyStreamCommit {
                 peer: p16,
-                lane: l16,
+                lane: 0,
                 stream: stream32,
                 lo: f_lo as u64,
                 len: (f_hi - f_lo) as u32,
@@ -965,7 +1060,7 @@ impl WireProtocol {
             }
         }
         trace.emit(rank, || EventKind::StreamCommit {
-            lane: l16,
+            lane: 0,
             msgs: msgs_done,
             offset: offset as u64,
             bytes: fresh_bytes as u64,
@@ -978,6 +1073,7 @@ impl WireProtocol {
             == fresh_bytes
         {
             self.streams_in.lock().remove(&(src, rdv_id));
+            self.announced.lock().remove(&(src, rdv_id));
         }
     }
 
@@ -985,13 +1081,25 @@ impl WireProtocol {
     /// state of every active incoming stream it sends us, as the
     /// complement of the committed ledger. The sender cross-checks the
     /// missing ranges against what it can still replay.
+    ///
+    /// The dead socket may also have taken a stream's handshake with it,
+    /// which would leave both sides waiting: so release again every CTS
+    /// that left on an older socket (the sender ignores one it already
+    /// has), and announce again every stream of ours still waiting for
+    /// its CTS, oldest first (the receiver pairs announcements with
+    /// posts in order, and drops one it already has).
     pub(crate) fn resync_streams(&self, fabric: &Fabric, peer: usize) {
+        let epoch = self.carrier.epoch(peer);
+        let mut stale_cts = Vec::new();
         let reports: Vec<Frame> = {
             let streams = self.streams_in.lock();
             streams
                 .iter()
                 .filter(|((src, _), _)| *src == peer)
                 .map(|((_, rdv_id), stream)| {
+                    if stream.cts_epoch < epoch {
+                        stale_cts.push((*rdv_id, Arc::clone(stream)));
+                    }
                     let committed = stream.committed.lock();
                     let received: u64 = committed.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
                     let mut missing = Vec::new();
@@ -1017,14 +1125,34 @@ impl WireProtocol {
         for report in reports {
             self.send(fabric, peer, report);
         }
+        for (rdv_id, stream) in stale_cts {
+            self.release_cts(fabric, peer, rdv_id, &stream);
+        }
+        let mut unanswered: Vec<(u64, u64, usize)> = (self.streams_out.lock().iter())
+            .filter(|(_, s)| s.dst == peer && s.cts.is_none())
+            .map(|(&rdv_id, s)| (rdv_id, s.ctx, s.total_len))
+            .collect();
+        unanswered.sort_unstable();
+        for (rdv_id, ctx, total_len) in unanswered {
+            let total_len = total_len as u64;
+            let rts = Frame::PartRts {
+                ctx,
+                total_len,
+                rdv_id,
+            };
+            self.send(fabric, peer, rts);
+        }
     }
 
     /// Sender side of a receiver's post-reconnect `StreamResync`: every
-    /// missing range must still be replayable. Ranges covered by spans
-    /// with writes still pending are fine (the requeued work will carry
-    /// them); a missing range whose span already completed means the
-    /// source buffer may be unpinned — that is unreplayable loss, and it
-    /// becomes a typed error instead of a receiver that waits forever.
+    /// missing range must still be replayable. Bytes not yet written are
+    /// fine (the outbox sends them), and so are bytes that left on the
+    /// new socket (they follow the report). A missing byte that left on
+    /// the dead socket died with it, and nothing holds it to resend —
+    /// that is unreplayable loss, and it becomes a typed error instead of
+    /// a receiver that waits forever. The report names only streams the
+    /// receiver knew before the reconnect, so one pruned here finished
+    /// before it, on the dead socket.
     fn handle_stream_resync(
         &self,
         fabric: &Fabric,
@@ -1036,17 +1164,14 @@ impl WireProtocol {
             return;
         }
         let spans = self.resync_spans.lock().get(&rdv_id).cloned();
+        let epoch = self.carrier.epoch(peer);
         let lost = match spans {
             // Stream fully retired on our side yet bytes are missing
             // over there: nothing pinned remains to replay.
             None => true,
-            Some(spans) => missing.iter().any(|&(lo, hi)| {
-                let (lo, hi) = (lo as usize, hi as usize);
-                spans.iter().any(|s| {
-                    s.offset.max(lo) < (s.offset + s.len).min(hi)
-                        && s.remaining.load(Ordering::Acquire) == 0
-                })
-            }),
+            Some((_, _, spans)) => missing
+                .iter()
+                .any(|&(lo, hi)| spans.sent_before(lo as usize, hi as usize, epoch)),
         };
         if lost {
             let (p16, stream) = (peer as u16, rdv_id as u32);
@@ -1298,9 +1423,9 @@ impl WireProtocol {
         states
     }
 
-    /// Dispatch one frame received from `peer` on `lane`. Returns
-    /// `false` when the peer said goodbye.
-    pub(crate) fn dispatch(&self, fabric: &Fabric, peer: usize, lane: usize, frame: Frame) -> bool {
+    /// Dispatch one frame received from `peer`. Returns `false` when the
+    /// peer said goodbye.
+    pub(crate) fn dispatch(&self, fabric: &Fabric, peer: usize, frame: Frame) -> bool {
         match frame {
             Frame::Eager {
                 shard,
@@ -1336,7 +1461,7 @@ impl WireProtocol {
                 payload,
             } => {
                 let (offset, len) = (offset as usize, payload.len());
-                let _ = self.land_part(fabric, peer, lane, rdv_id, offset, len, |dest| {
+                let _ = self.land_part(fabric, peer, rdv_id, offset, len, |dest| {
                     dest.copy_from_slice(&payload);
                     Ok(len)
                 });
@@ -1419,11 +1544,10 @@ pub(crate) fn complete_spans(spans: &[SendSpan], offset: usize, len: usize) {
             continue;
         }
         let overlap = hi - lo;
-        // Saturating CAS rather than a plain subtraction: a failover
-        // replays whole batches, so bytes already counted can come
-        // around again — the counter must neither underflow nor fire
-        // `done` twice. AcqRel chains the writers' progress like the
-        // receiver side.
+        // Saturating CAS rather than a plain subtraction: bytes already
+        // counted may come around again in a replay — the counter must
+        // neither underflow nor fire `done` twice. AcqRel chains the
+        // writers' progress like the receiver side.
         let mut cur = span.remaining.load(Ordering::Acquire);
         loop {
             let take = overlap.min(cur);
@@ -1559,6 +1683,7 @@ fn decode_abort(kind: u8, a: u64, b: u64, tag: i64, attempts: u64, detail: Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     /// What the engine asked its carrier to do, in order.
     #[derive(Debug, PartialEq)]
@@ -1590,6 +1715,8 @@ mod tests {
         rank: usize,
         aggr: usize,
         log: Mutex<Vec<Sent>>,
+        /// The reconnect epoch every peer's connection reports.
+        epoch: AtomicU32,
     }
 
     impl Transport for Recorder {
@@ -1599,6 +1726,10 @@ mod tests {
 
         fn stream_aggr(&self) -> usize {
             self.aggr
+        }
+
+        fn epoch(&self, _: usize) -> u32 {
+            self.epoch.load(Ordering::Relaxed)
         }
 
         fn start(self: Arc<Self>, _: &Arc<Fabric>) -> Result<(), PcommError> {
@@ -1628,7 +1759,7 @@ mod tests {
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
-            _: &Arc<Vec<SendSpan>>,
+            _: &Arc<SendSpans>,
             chunks: &[PinChunk],
         ) {
             self.log.lock().push(Sent::Chunks {
@@ -1653,6 +1784,7 @@ mod tests {
             rank,
             aggr,
             log: Mutex::new(Vec::new()),
+            epoch: AtomicU32::new(0),
         });
         let fabric = Fabric::new_configured(
             n_ranks,
@@ -1723,7 +1855,7 @@ mod tests {
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
         // RTS first: parked, nothing leaves until the post.
-        assert!(wire.dispatch(&fabric, 1, 0, part_rts(64, 5)));
+        assert!(wire.dispatch(&fabric, 1, part_rts(64, 5)));
         assert!(taken(&carrier).is_empty());
         wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
         let cts = |rdv_id| Sent::PartCts { src: 1, rdv_id };
@@ -1732,7 +1864,7 @@ mod tests {
         // context.
         wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
         assert!(taken(&carrier).is_empty());
-        assert!(wire.dispatch(&fabric, 1, 0, part_rts(64, 6)));
+        assert!(wire.dispatch(&fabric, 1, part_rts(64, 6)));
         assert_eq!(taken(&carrier), vec![cts(6)]);
         assert_eq!(wire.streams_in.lock().len(), 2);
         assert!(!fabric.aborted());
@@ -1742,12 +1874,12 @@ mod tests {
     fn a_replayed_barrier_arrive_does_not_release_early() {
         let (fabric, carrier) = engine(3, 0, 0);
         let wire = fabric.wire();
-        wire.dispatch(&fabric, 1, 0, Frame::BarrierArrive { gen: 0 });
-        wire.dispatch(&fabric, 1, 0, Frame::BarrierArrive { gen: 0 });
-        wire.dispatch(&fabric, 1, 0, Frame::BarrierArrive { gen: 0 });
+        wire.dispatch(&fabric, 1, Frame::BarrierArrive { gen: 0 });
+        wire.dispatch(&fabric, 1, Frame::BarrierArrive { gen: 0 });
+        wire.dispatch(&fabric, 1, Frame::BarrierArrive { gen: 0 });
         assert!(taken(&carrier).is_empty(), "three arrivals, one rank");
         assert!(!wire.release_completion(0).is_set());
-        wire.dispatch(&fabric, 2, 0, Frame::BarrierArrive { gen: 0 });
+        wire.dispatch(&fabric, 2, Frame::BarrierArrive { gen: 0 });
         assert!(taken(&carrier).is_empty(), "rank 0 itself is still out");
         // The local arrival completes the set: released without waiting.
         wire.barrier(&fabric, 0);
@@ -1771,22 +1903,22 @@ mod tests {
             .map(|m| Arc::clone(&m.completion))
             .collect();
         wire.part_stream_post(&fabric, 1, 7, recv);
-        wire.dispatch(&fabric, 1, 0, part_rts(64, 9));
+        wire.dispatch(&fabric, 1, part_rts(64, 9));
         let src: Vec<u8> = (0..64).collect();
-        wire.dispatch(&fabric, 1, 1, part_data(9, 0, &src[0..24]));
-        wire.dispatch(&fabric, 1, 2, part_data(9, 0, &src[0..24])); // pure duplicate
+        wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..24]));
+        wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..24])); // pure duplicate
         assert_eq!(fabric.matched_count(), 0);
-        wire.dispatch(&fabric, 1, 1, part_data(9, 16, &src[16..40])); // overlaps both ways
+        wire.dispatch(&fabric, 1, part_data(9, 16, &src[16..40])); // overlaps both ways
         assert!(done[0].is_set() && !done[1].is_set());
         assert_eq!(fabric.matched_count(), 1);
-        wire.dispatch(&fabric, 1, 2, part_data(9, 8, &src[8..40])); // replay of landed bytes
+        wire.dispatch(&fabric, 1, part_data(9, 8, &src[8..40])); // replay of landed bytes
         assert_eq!(
             fabric.matched_count(),
             1,
             "a replay completes nothing again"
         );
         assert_eq!(wire.streams_in.lock().len(), 1, "24 bytes still missing");
-        wire.dispatch(&fabric, 1, 1, part_data(9, 32, &src[32..64]));
+        wire.dispatch(&fabric, 1, part_data(9, 32, &src[32..64]));
         assert!(done[1].is_set());
         assert_eq!(fabric.matched_count(), 2);
         assert!(
@@ -1795,7 +1927,7 @@ mod tests {
         );
         // A straggler for the retired stream is discarded, not landed.
         buf.fill(0xff);
-        wire.dispatch(&fabric, 1, 1, part_data(9, 0, &src[0..8]));
+        wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..8]));
         assert_eq!(buf[0], 0xff);
         assert!(!fabric.aborted());
     }
@@ -1807,7 +1939,7 @@ mod tests {
         fabric
             .wire()
             .part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-        fabric.wire().dispatch(&fabric, 1, 0, part_rts(96, 1));
+        fabric.wire().dispatch(&fabric, 1, part_rts(96, 1));
         assert!(misuse_of(&fabric, 1).contains("length mismatch"));
         assert!(
             !taken(&carrier)
@@ -1825,10 +1957,10 @@ mod tests {
             fabric
                 .wire()
                 .part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-            fabric.wire().dispatch(&fabric, 1, 0, part_rts(64, 1));
+            fabric.wire().dispatch(&fabric, 1, part_rts(64, 1));
             fabric
                 .wire()
-                .dispatch(&fabric, 1, 0, part_data(1, offset, &[1u8; 8]));
+                .dispatch(&fabric, 1, part_data(1, offset, &[1u8; 8]));
             assert!(misuse_of(&fabric, 1).contains("overflows a 64-byte destination"));
             assert_eq!(buf, vec![0u8; 64]);
         }
@@ -1843,7 +1975,7 @@ mod tests {
             len: 8,
             token: 0,
         };
-        fabric.wire().dispatch(&fabric, 1, 0, req);
+        fabric.wire().dispatch(&fabric, 1, req);
         assert!(misuse_of(&fabric, 1).contains("misses window ctx 99"));
         assert!(
             !taken(&carrier).iter().any(|s| matches!(
@@ -1876,7 +2008,7 @@ mod tests {
                 offset,
                 payload: vec![0xAB; 8],
             };
-            fabric.wire().dispatch(&fabric, 1, 0, put);
+            fabric.wire().dispatch(&fabric, 1, put);
             let detail = misuse_of(&fabric, 1);
             assert!(detail.contains("overflows 16-byte window"), "{detail}");
             assert_eq!(mem.read_range(0, 16), [0u8; 16], "refused put landed");
@@ -1889,7 +2021,7 @@ mod tests {
                 len: 8,
                 token: 0,
             };
-            fabric.wire().dispatch(&fabric, 1, 0, get);
+            fabric.wire().dispatch(&fabric, 1, get);
             let detail = misuse_of(&fabric, 1);
             assert!(detail.contains("misses window ctx 7"), "{detail}");
             let resp =
@@ -1904,7 +2036,7 @@ mod tests {
             offset: 8,
             payload: vec![0xAB; 8],
         };
-        fabric.wire().dispatch(&fabric, 1, 0, put);
+        fabric.wire().dispatch(&fabric, 1, put);
         assert_eq!(mem.read_range(8, 8), [0xAB; 8]);
         let get = Frame::GetReq {
             win_ctx: 7,
@@ -1912,7 +2044,7 @@ mod tests {
             len: 8,
             token: 5,
         };
-        fabric.wire().dispatch(&fabric, 1, 0, get);
+        fabric.wire().dispatch(&fabric, 1, get);
         assert!(fabric.failure_snapshot().is_none());
         let resp = Frame::GetResp {
             token: 5,
@@ -1980,8 +2112,8 @@ mod tests {
             done: Completion::new(),
         };
         wire.ship_rts(&fabric, 1, 0, 0, 4, pinned);
-        wire.dispatch(&fabric, 1, 0, Frame::Cts { rdv_id: 0 });
-        wire.dispatch(&fabric, 1, 0, Frame::Cts { rdv_id: 0 }); // replayed CTS
+        wire.dispatch(&fabric, 1, Frame::Cts { rdv_id: 0 });
+        wire.dispatch(&fabric, 1, Frame::Cts { rdv_id: 0 }); // replayed CTS
         let sent = taken(&carrier);
         assert!(matches!(
             sent[0],
@@ -2021,7 +2153,7 @@ mod tests {
         assert_eq!(info.lock().map(|i| i.len), Some(8));
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(landed(0, 1, true, &[9]), None, "the id is spent");
-        // A torn read, then a lane-0 reconnect: the sender replays the
+        // A torn read, then a reconnect: the sender replays the
         // whole frame from byte 0 over the prefix that already landed.
         let mut buf = vec![0u8; 8];
         let (completion, info) = parked_rdv(&fabric, &mut buf);
@@ -2071,21 +2203,124 @@ mod tests {
         let sent = Completion::new();
         for round in 0..3 {
             sent.reset();
-            let span = SendSpan {
-                offset: 0,
-                len: 64,
-                remaining: AtomicUsize::new(64),
-                done: Arc::clone(&sent),
-            };
+            let span = SendSpan::new(0, 64, Arc::clone(&sent));
             let id = wire.part_stream_begin(&fabric, 1, 7, 64, vec![span]);
             assert!(
                 wire.resync_spans.lock().len() <= 2,
                 "round {round}: retired streams must not pile up"
             );
-            let spans = wire.resync_spans.lock().get(&id).cloned().unwrap();
+            let (_, _, spans) = wire.resync_spans.lock().get(&id).cloned().unwrap();
             complete_spans(&spans, 0, 64);
             assert!(sent.is_set());
         }
+    }
+
+    /// Whether a stream of messages `lens` long, whose wire ranges
+    /// `(offset, len, epoch)` in `sent` have left, fails the run as
+    /// `MessageLost` once the reconnect to epoch 1 came and the
+    /// receiver reports `missing`.
+    fn resync_blames(lens: &[usize], sent: &[(usize, usize, u32)], missing: (u64, u64)) -> bool {
+        let (fabric, carrier) = engine(2, 0, 0);
+        let wire = fabric.wire();
+        let mut at = 0;
+        let spans: Vec<_> = lens
+            .iter()
+            .map(|&len| {
+                at += len;
+                SendSpan::new(at - len, len, Completion::new())
+            })
+            .collect();
+        let id = wire.part_stream_begin(&fabric, 1, 7, at, spans);
+        let (_, _, spans) = wire.resync_spans.lock().get(&id).cloned().unwrap();
+        for &(offset, len, epoch) in sent {
+            spans.sent(offset, len, epoch);
+        }
+        carrier.epoch.store(1, Ordering::Relaxed);
+        // A later stream does not prune this one: its peer's report may
+        // still name it.
+        wire.part_stream_begin(&fabric, 1, 7, 8, Vec::new());
+        assert!(wire.resync_spans.lock().contains_key(&id));
+        let report = Frame::StreamResync {
+            rdv_id: id,
+            received: 0,
+            missing: vec![missing],
+        };
+        wire.dispatch(&fabric, 1, report);
+        match fabric.failure_snapshot() {
+            None => false,
+            Some(PcommError::MessageLost { dst: 1, .. }) => true,
+            Some(other) => panic!("not a loss verdict: {other}"),
+        }
+    }
+
+    #[test]
+    fn a_resync_blames_only_bytes_that_left_on_the_dead_socket() {
+        // Message 0 left on the socket that died; message 1 on the new
+        // one, so its bytes follow the report.
+        let two = [(0, 64, 0), (64, 64, 1)];
+        assert!(resync_blames(&[64, 64], &two, (0, 64)));
+        assert!(!resync_blames(&[64, 64], &two, (64, 128)));
+        // One message in two ranges across the reconnect: its front
+        // died, though the message finished on the live socket.
+        assert!(resync_blames(&[128], &two, (0, 64)));
+        assert!(!resync_blames(&[128], &two, (64, 128)));
+        // Its front died and its back is still queued: the front is
+        // lost, the back is on its way.
+        assert!(resync_blames(&[128], &two[..1], (0, 64)));
+        assert!(!resync_blames(&[128], &two[..1], (64, 128)));
+    }
+
+    #[test]
+    fn a_reconnect_repeats_the_handshakes_the_dead_socket_may_have_taken() {
+        let (fabric, carrier) = engine(2, 0, 0);
+        let wire = fabric.wire();
+        // Ours: one stream still waits for its CTS, one has it.
+        let waits = wire.part_stream_begin(&fabric, 1, 3, 64, Vec::new());
+        let cleared = wire.part_stream_begin(&fabric, 1, 4, 64, Vec::new());
+        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: cleared });
+        // Theirs: stream 5 cleared on the old socket, stream 6 parked.
+        let mut buf = vec![0u8; 32];
+        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
+        wire.dispatch(&fabric, 1, part_rts(32, 5));
+        wire.dispatch(&fabric, 1, part_rts(32, 6));
+        taken(&carrier);
+        carrier.epoch.store(1, Ordering::Relaxed);
+        wire.resync_streams(&fabric, 1);
+        let frame = |frame| Sent::Frame {
+            dst: 1,
+            frame,
+            teardown: false,
+        };
+        let report = Frame::StreamResync {
+            rdv_id: 5,
+            received: 0,
+            missing: vec![(0, 32)],
+        };
+        let rts = Frame::PartRts {
+            ctx: 3,
+            total_len: 64,
+            rdv_id: waits,
+        };
+        let want = vec![
+            frame(report),
+            Sent::PartCts { src: 1, rdv_id: 5 },
+            frame(rts),
+        ];
+        assert_eq!(taken(&carrier), want);
+        // The peer's repeated announcements are copies: neither pairs
+        // with the next post, which takes the parked stream 6.
+        wire.dispatch(&fabric, 1, part_rts(32, 5));
+        wire.dispatch(&fabric, 1, part_rts(32, 6));
+        let mut next = vec![0u8; 32];
+        wire.part_stream_post(&fabric, 1, 7, dest(&mut next, 32));
+        assert_eq!(taken(&carrier), vec![Sent::PartCts { src: 1, rdv_id: 6 }]);
+        let mut spare = vec![0u8; 32];
+        wire.part_stream_post(&fabric, 1, 7, dest(&mut spare, 32));
+        assert!(taken(&carrier).is_empty(), "a copy paired with a post");
+        // A retired stream leaves no trace behind.
+        wire.dispatch(&fabric, 1, part_data(5, 0, &[1; 32]));
+        assert!(!wire.announced.lock().contains(&(1, 5)));
+        assert!(!fabric.aborted());
     }
 
     #[test]
@@ -2191,13 +2426,14 @@ mod tests {
     fn fresh_stream(total_len: usize) -> StreamSend {
         StreamSend {
             dst: 1,
+            ctx: 0,
             cts: None,
             flushed: false,
             total_len,
             pushed: 0,
             pend: None,
             queued: Vec::new(),
-            spans: Arc::new(Vec::new()),
+            spans: Arc::new(SendSpans::new(Vec::new())),
         }
     }
 
@@ -2262,18 +2498,8 @@ mod tests {
     #[test]
     fn span_completion_fires_exactly_when_a_span_is_fully_written() {
         let spans = vec![
-            SendSpan {
-                offset: 0,
-                len: 100,
-                remaining: AtomicUsize::new(100),
-                done: Completion::new(),
-            },
-            SendSpan {
-                offset: 100,
-                len: 100,
-                remaining: AtomicUsize::new(100),
-                done: Completion::new(),
-            },
+            SendSpan::new(0, 100, Completion::new()),
+            SendSpan::new(100, 100, Completion::new()),
         ];
         complete_spans(&spans, 0, 150);
         assert!(spans[0].done.is_set(), "fully covered span completes");
@@ -2284,12 +2510,7 @@ mod tests {
 
     #[test]
     fn span_completion_saturates_on_failover_replay() {
-        let spans = vec![SendSpan {
-            offset: 0,
-            len: 100,
-            remaining: AtomicUsize::new(100),
-            done: Completion::new(),
-        }];
+        let spans = vec![SendSpan::new(0, 100, Completion::new())];
         complete_spans(&spans, 0, 60);
         assert_eq!(spans[0].remaining.load(Ordering::Relaxed), 40);
         complete_spans(&spans, 40, 60);

@@ -1,7 +1,8 @@
 //! Shared harness for the multiprocess wire tests.
 //!
 //! Each `#[test]` doubles as its own SPMD body: the parent run spawns
-//! this very test binary twice (filtered to the one test by name) with
+//! this very test binary once per rank (filtered to the one test by
+//! name) with
 //! the `PCOMM_NET_*` environment plus `PCOMM_TEST_CHILD=<scenario>`,
 //! and the child branch — taken before any parent logic — joins the
 //! socket mesh via `Universe::run`, executes the scenario closure, and
@@ -312,8 +313,8 @@ pub fn stream_repeat(comm: &Comm, n_parts: usize, part_bytes: usize, iters: usiz
     }
 }
 
-/// The barrier-storm scenario: pure lane-0 control traffic, so a
-/// half-open lane 0 leaves the peer with nothing but silence for the
+/// The barrier-storm scenario: pure control traffic, so a half-open
+/// socket leaves the peer with nothing but silence for the
 /// heartbeat monitor to judge.
 pub fn barrier_storm(comm: &Comm, rounds: usize) -> u64 {
     for _ in 0..rounds {
@@ -358,7 +359,7 @@ pub fn maybe_run_child() -> bool {
     // When the scenario body returned; `run` still has the fabric's
     // teardown (closing barrier, `Bye`s, progress-thread join) to do.
     let body_done = std::sync::Mutex::new(None);
-    let result = Universe::new(2).run(|comm| {
+    let result = Universe::new(env.n_ranks).run(|comm| {
         let (digest, slowest) = match scenario.as_str() {
             "barrier-storm" => (barrier_storm(&comm, 10_000), Duration::ZERO),
             // Rank 1 vanishes without ceremony after one barrier — the
@@ -448,24 +449,32 @@ pub fn run_wire_pair(
     per_rank_env: [Vec<(&str, String)>; 2],
     timeout: Duration,
 ) -> Vec<RankOutcome> {
-    run_wire_pair_on(test_name, scenario, common_env, per_rank_env, timeout, None)
+    run_wire_ranks(
+        test_name,
+        scenario,
+        common_env,
+        &per_rank_env,
+        timeout,
+        None,
+    )
 }
 
-/// [`run_wire_pair`] with rank `r` pinned to `cpus[r]` by `taskset`
-/// (`None`: unpinned).
-pub fn run_wire_pair_on(
+/// [`run_wire_pair`] at one rank per entry of `per_rank_env`, with rank
+/// `r` pinned to `cpus[r]` by `taskset` (`None`: unpinned).
+pub fn run_wire_ranks(
     test_name: &str,
     scenario: &str,
     common_env: &[(&str, String)],
-    per_rank_env: [Vec<(&str, String)>; 2],
+    per_rank_env: &[Vec<(&str, String)>],
     timeout: Duration,
-    cpus: Option<[usize; 2]>,
+    cpus: Option<&[usize]>,
 ) -> Vec<RankOutcome> {
-    let spmd = MultiprocEnv::in_fresh_dir(2, Backend::Uds).expect("rendezvous dir");
+    let n_ranks = per_rank_env.len();
+    let spmd = MultiprocEnv::in_fresh_dir(n_ranks, Backend::Uds).expect("rendezvous dir");
     let dir = &spmd.dir;
     let exe = std::env::current_exe().expect("test binary path");
     let trace_base = dir.join("trace.json");
-    let children = launch::spawn_ranks(&spmd, 0..2, RankOutput::Files, |rank| {
+    let children = launch::spawn_ranks(&spmd, 0..n_ranks, RankOutput::Files, |rank| {
         let mut cmd = launch::pinned_command(&exe, cpus.map(|c| c[rank]));
         cmd.arg(test_name).arg("--exact").arg("--test-threads=1");
         cmd.env(ENV_CHILD, scenario);

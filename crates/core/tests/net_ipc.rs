@@ -280,13 +280,13 @@ fn assert_ok(outs: &[common::RankOutcome]) {
 /// slower than `STRESS_BOUND` — a wake lost at the hand-off stalls a
 /// rendezvous for the receiver's whole 60 ms absence — and the merged
 /// audit clean.
-fn handoff_stress_cell(test_name: &str, cpus: Option<[usize; 2]>) {
+fn handoff_stress_cell(test_name: &str, cpus: Option<Vec<usize>>) {
     let seed: u64 = std::env::var(ENV_SEED)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0x5eed);
     let rounds: u64 = 240;
-    let outs = common::run_wire_pair_on(
+    let outs = common::run_wire_ranks(
         test_name,
         "handoff-stress",
         &[
@@ -295,9 +295,9 @@ fn handoff_stress_cell(test_name: &str, cpus: Option<[usize; 2]>) {
             (ENV_ROUNDS, rounds.to_string()),
             ("PCOMM_VERIFY", "1".to_string()),
         ],
-        [vec![], vec![]],
+        &[vec![], vec![]],
         TIMEOUT,
-        cpus,
+        cpus.as_deref(),
     );
     assert_ok(&outs);
     assert_eq!(
@@ -343,7 +343,7 @@ fn handoff_stress_cell(test_name: &str, cpus: Option<[usize; 2]>) {
 
 /// The CPUs to pin a cell's two ranks to: `spread` puts them on two
 /// CPUs when the host has two, otherwise both share the first.
-fn stress_cpus(spread: bool) -> Option<[usize; 2]> {
+fn stress_cpus(spread: bool) -> Option<Vec<usize>> {
     let cpus = pcomm_net::launch::pin_cpus();
     if cpus.is_empty() {
         eprintln!("note: no taskset or cpu list; running the cell unpinned");
@@ -354,7 +354,7 @@ fn stress_cpus(spread: bool) -> Option<[usize; 2]> {
     } else {
         cpus[0]
     };
-    Some([cpus[0], second])
+    Some(vec![cpus[0], second])
 }
 
 /// Hand-off stress, both ranks (six threads) on one CPU: every
@@ -443,7 +443,7 @@ fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
     // A core per rank where the host has two: a poller that shares its
     // core gives it away on every yield, and what the sender then pays
     // measures the scheduler, not the hand-off.
-    let outs = common::run_wire_pair_on(
+    let outs = common::run_wire_ranks(
         "ipc_stream_into_a_waiting_receiver_rings_without_waking",
         "stream-repeat",
         &[
@@ -452,9 +452,9 @@ fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
             (ENV_PART_BYTES, part_bytes.to_string()),
             (ENV_ITERS, "8".to_string()),
         ],
-        [vec![], vec![]],
+        &[vec![], vec![]],
         TIMEOUT,
-        stress_cpus(true),
+        stress_cpus(true).as_deref(),
     );
     assert_ok(&outs);
     assert_eq!(

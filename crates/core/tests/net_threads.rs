@@ -1,7 +1,6 @@
 //! What a socket rank process costs in threads: one progress thread,
-//! whatever the number of peers' lanes — the calling threads move their
-//! own bytes, so there is no reader, writer or heartbeat thread per
-//! peer and lane.
+//! whatever the number of peers — the calling threads move their own
+//! bytes, so there is no reader, writer or heartbeat thread per peer.
 
 mod common;
 
@@ -10,21 +9,23 @@ use std::time::Duration;
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// At steady state each rank runs its main thread, its rank thread and
-/// the socket carrier's `epoll` progress thread — three, with the
-/// default two lanes per peer and with three.
+/// the socket carrier's `epoll` progress thread — three, with one peer
+/// and with two.
 #[test]
-fn a_rank_runs_three_threads_at_any_lane_count() {
+fn a_rank_runs_three_threads_at_any_rank_count() {
     if common::maybe_run_child() {
         return;
     }
-    for lanes in ["2", "3"] {
-        let outs = common::run_wire_pair(
-            "a_rank_runs_three_threads_at_any_lane_count",
+    for n_ranks in [2, 3] {
+        let outs = common::run_wire_ranks(
+            "a_rank_runs_three_threads_at_any_rank_count",
             "threads",
-            &[("PCOMM_NET_LANES", lanes.to_string())],
-            [vec![], vec![]],
+            &[],
+            &vec![vec![]; n_ranks],
             TIMEOUT,
+            None,
         );
+        assert_eq!(outs.len(), n_ranks);
         for (rank, o) in outs.iter().enumerate() {
             assert!(
                 o.status.success(),
@@ -32,12 +33,7 @@ fn a_rank_runs_three_threads_at_any_lane_count() {
                 o.status,
                 o.out
             );
-            assert_eq!(
-                o.digest(),
-                Some(3),
-                "rank {rank} with {lanes} lanes: `{}`",
-                o.out
-            );
+            assert_eq!(o.digest(), Some(3), "rank {rank} of {n_ranks}: `{}`", o.out);
         }
     }
 }

@@ -33,12 +33,12 @@
 //! communicator context, the receiver answers `PartCts` once its
 //! destination is pinned, and each `PartData` commits one byte range
 //! (an aggregated run of ready partitions) at an explicit offset.
-//! Because every `PartData` names its own offset, data frames are
-//! order-independent and may travel on any writer lane.
+//! Because every `PartData` names its own offset, a replayed range
+//! lands idempotently.
 //!
 //! Opcodes 17–18 serve liveness and recovery: `Heartbeat` frames keep
-//! lane 0 audibly alive when `PCOMM_NET_HB_MS` is set, and after a
-//! lane-0 reconnect each receiver reports, per open inbound stream,
+//! the socket audibly alive when `PCOMM_NET_HB_MS` is set, and after a
+//! reconnect each receiver reports, per open inbound stream,
 //! which byte ranges it is still missing so the sender can replay
 //! exactly those (offset-addressed commits are idempotent, so replaying
 //! a range that did arrive is harmless).
@@ -46,8 +46,8 @@
 use std::io::{self, Read, Write};
 
 /// Protocol version carried in every frame body. Version 2 added the
-/// `lane` field to `Hello` and the partitioned streaming frames
-/// (`PartRts`/`PartCts`/`PartData`).
+/// `lane` field to `Hello` (always 0 since a pair shares one socket)
+/// and the partitioned streaming frames (`PartRts`/`PartCts`/`PartData`).
 pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame body; larger lengths are treated as stream
@@ -158,13 +158,13 @@ pub const MAX_RESYNC_RANGES: usize = 4096;
 /// One decoded wire frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// First frame on every connection: who is connecting, on which
-    /// writer lane, for which universe (the per-process multiproc
-    /// universe sequence number).
+    /// First frame on every connection: who is connecting, and for
+    /// which universe (the per-process multiproc universe sequence
+    /// number).
     Hello {
         /// Rank of the connecting process.
         rank: u16,
-        /// Writer lane this connection carries (0 = primary).
+        /// Always 0: a peer pair has one socket. Checked on receipt.
         lane: u16,
         /// Universe sequence number both sides must agree on.
         seq: u64,
@@ -287,8 +287,7 @@ pub enum Frame {
         rdv_id: u64,
     },
     /// One committed byte range of a partitioned stream. Offsets are
-    /// explicit, so `PartData` frames are order-independent and may be
-    /// carried by any writer lane.
+    /// explicit, so `PartData` frames are order-independent.
     PartData {
         /// The stream id from the PartRts.
         rdv_id: u64,
@@ -297,14 +296,14 @@ pub enum Frame {
         /// The range bytes.
         payload: Vec<u8>,
     },
-    /// Liveness probe on lane 0. Carries a sender-local sequence number
+    /// Liveness probe. Carries a sender-local sequence number
     /// for diagnostics; receipt of *any* frame counts as life, the
     /// heartbeat just guarantees a bounded silence interval.
     Heartbeat {
         /// Monotonic per-peer heartbeat counter.
         seq: u64,
     },
-    /// After a lane-0 reconnect, the receiver of stream `rdv_id`
+    /// After a reconnect, the receiver of stream `rdv_id`
     /// reports how much it has committed and which byte ranges are
     /// still missing, so the sender replays exactly those.
     StreamResync {

@@ -26,7 +26,7 @@
 //! trivial and makes the state legible to a post-mortem debugger.
 //!
 //! The segment file descriptor travels from rank 0 to every peer as an
-//! `SCM_RIGHTS` control message over the already-established lane-0
+//! `SCM_RIGHTS` control message over the already-established
 //! UDS bootstrap stream ([`send_segment_fd`] / [`recv_segment_fd`]),
 //! after which the sockets are dropped — steady state does zero
 //! syscalls per message (doorbell futexes fire only when a peer is

@@ -28,9 +28,7 @@ pub const ENV_RANKS: &str = "PCOMM_NET_RANKS";
 pub const ENV_DIR: &str = "PCOMM_NET_DIR";
 /// Env var: socket backend (`uds` / `tcp`).
 pub const ENV_BACKEND: &str = "PCOMM_NET_BACKEND";
-/// Env var: writer lanes per peer pair (the VCI analogue).
-pub const ENV_LANES: &str = "PCOMM_NET_LANES";
-/// Env var: heartbeat interval in milliseconds on lane 0. Unset or `0`
+/// Env var: heartbeat interval in milliseconds. Unset or `0`
 /// disables heartbeats (the default — benches measure the wire, not
 /// the liveness probes). When set, a peer silent for ~2× this interval
 /// is declared dead with a typed `PeerPanicked` error.
@@ -51,12 +49,6 @@ pub const ENV_IPC_ARENA: &str = "PCOMM_NET_IPC_ARENA";
 /// The socket carrier's partition-stream aggregation threshold in bytes
 /// (the paper's `MPIR_CVAR_PART_AGGR_SIZE` analogue).
 pub const DEFAULT_AGGR: usize = 256 * 1024;
-/// Default writer lanes per peer pair: one ordered lane plus one
-/// data-streaming lane.
-pub const DEFAULT_LANES: usize = 2;
-/// Upper bound on lanes; beyond this the fd and thread cost outweighs
-/// any parallelism on a loopback transport.
-pub const MAX_LANES: usize = 8;
 /// Default ipc ring capacity (slots per directed channel).
 pub const DEFAULT_IPC_SLOTS: usize = 128;
 /// Default ipc FIFO slab capacity per directed channel.
@@ -67,8 +59,8 @@ pub const DEFAULT_IPC_ARENA: usize = 32 << 20;
 /// Which inter-process fabric carries the rank mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FabricKind {
-    /// The UDS/TCP stream transport: nonblocking lanes and one `epoll`
-    /// progress thread.
+    /// The UDS/TCP stream transport: one nonblocking socket per peer
+    /// and one `epoll` progress thread.
     Socket,
     /// Same-host process-shared memory rings with futex doorbells.
     Ipc,
@@ -115,12 +107,6 @@ fn env_usize(name: &str, default: usize) -> usize {
         },
         Err(_) => default,
     }
-}
-
-/// The `PCOMM_NET_LANES` writer-lane count, clamped to `1..=MAX_LANES`.
-/// All ranks read the same environment (SPMD), so the mesh agrees.
-pub fn lanes_from_env() -> usize {
-    env_usize(ENV_LANES, DEFAULT_LANES).min(MAX_LANES)
 }
 
 /// The `PCOMM_NET_HB_MS` heartbeat interval. `None` (heartbeats off)
@@ -425,13 +411,6 @@ mod tests {
         assert!(vars.contains(&(ENV_RANKS.into(), "4".into())));
         assert!(vars.contains(&(ENV_DIR.into(), "/tmp/x".into())));
         assert!(vars.contains(&(ENV_BACKEND.into(), "tcp".into())));
-    }
-
-    #[test]
-    fn knob_defaults_when_unset() {
-        // No in-process test mutates these vars (children get them via
-        // Command env), so the defaults are observable here.
-        assert_eq!(lanes_from_env(), DEFAULT_LANES);
     }
 
     #[test]

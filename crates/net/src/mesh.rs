@@ -5,13 +5,11 @@
 //! in the shared rendezvous directory; TCP publishes a `.port` file
 //! written temp-then-rename so readers never see a partial write). For
 //! each pair the lower rank connects to the higher rank's listener and
-//! sends a [`Frame::Hello`] carrying its rank, the writer lane the
-//! connection will carry, and the universe sequence number; the acceptor
-//! uses the hello to identify the peer/lane and to reject cross-universe
-//! connections. A pair may be joined by several lanes (`PCOMM_NET_LANES`,
-//! the VCI analogue): lane 0 carries all ordered traffic, higher lanes
-//! carry only order-independent `PartData` ranges. Connects never wait
-//! on accepts (the OS listen backlog decouples them), so establishment
+//! sends a [`Frame::Hello`] carrying its rank, lane 0 and the universe
+//! sequence number; the acceptor uses the hello to identify the peer and
+//! to reject cross-universe connections. A pair is joined by exactly one
+//! socket, which carries all of its traffic. Connects never wait on
+//! accepts (the OS listen backlog decouples them), so establishment
 //! cannot deadlock; every blocking step carries a deadline so a missing
 //! peer becomes a typed error, not a hang.
 
@@ -69,31 +67,26 @@ pub struct MeshConfig {
     /// Per-process multiproc universe sequence number; all ranks run the
     /// same program (SPMD), so their counters agree.
     pub seq: u64,
-    /// Writer lanes per peer pair (≥ 1). All ranks must agree (SPMD).
-    pub lanes: usize,
 }
 
-/// The established mesh: one stream per (peer, lane); `None` at `rank`.
+/// The established mesh: one stream per peer; `None` at `rank`.
 #[derive(Debug)]
 pub struct Mesh {
     /// This process's rank.
     pub rank: usize,
     /// Total ranks.
     pub n_ranks: usize,
-    /// Writer lanes per pair.
-    pub lanes: usize,
-    /// `peers[r][lane]` is the stream to rank `r` on `lane`; the outer
-    /// slot is `None` for self.
-    pub peers: Vec<Option<Vec<Endpoint>>>,
+    /// `peers[r]` is the stream to rank `r`; `None` for self.
+    pub peers: Vec<Option<Endpoint>>,
 }
 
 fn sock_path(dir: &Path, seq: u64, rank: usize) -> PathBuf {
     dir.join(format!("u{seq}.r{rank}"))
 }
 
-/// Rendezvous name for a lane-0 *reconnect* between one pair. The
-/// original per-rank listeners and their artifacts are gone by the time
-/// a lane dies (removed at the end of [`establish`]), so recovery uses
+/// Rendezvous name for a *reconnect* between one pair. The original
+/// per-rank listeners and their artifacts are gone by the time a socket
+/// dies (removed at the end of [`establish`]), so recovery uses
 /// a fresh pair-scoped name that cannot collide with them.
 fn reconnect_path(dir: &Path, seq: u64, lo: usize, hi: usize) -> PathBuf {
     dir.join(format!("u{seq}.r{lo}p{hi}.rc"))
@@ -176,33 +169,57 @@ fn connect_to(
     Ok(ep)
 }
 
+/// A handshake the other side got wrong.
+fn invalid(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
 /// Read the opening hello from an accepted connection, bounded by
-/// `deadline`. Returns `(rank, lane, seq)`.
-fn read_hello(ep: &mut Endpoint, deadline: Instant) -> io::Result<(u16, u16, u64)> {
+/// `deadline`, and check that it opens lane 0 of universe `cfg.seq`.
+/// Returns the peer's rank.
+fn read_hello(ep: &mut Endpoint, cfg: &MeshConfig, deadline: Instant) -> io::Result<usize> {
     let left = deadline
         .checked_duration_since(Instant::now())
         .unwrap_or(Duration::from_millis(1));
     ep.set_read_timeout(Some(left))?;
     let frame = Frame::read_from(ep)?;
     ep.set_read_timeout(None)?;
-    match frame {
-        Frame::Hello { rank, lane, seq } => Ok((rank, lane, seq)),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("net: expected Hello, got {}", other.name()),
-        )),
+    let Frame::Hello { rank, lane, seq } = frame else {
+        return Err(invalid(format!(
+            "net: expected Hello, got {}",
+            frame.name()
+        )));
+    };
+    if lane != 0 || seq != cfg.seq {
+        return Err(invalid(format!(
+            "net: hello from rank {rank} names lane {lane} of universe {seq}, \
+             this process expects lane 0 of universe {} — the rank processes \
+             have diverged (non-SPMD main?)",
+            cfg.seq
+        )));
     }
+    Ok(rank as usize)
 }
 
-/// Establish the full mesh for this rank. Returns once `lanes` streams
-/// to every peer exist; all streams are blocking.
+/// Write our hello (rank, lane 0, universe) on a fresh connection.
+fn write_hello(ep: &mut Endpoint, cfg: &MeshConfig) -> io::Result<()> {
+    Frame::Hello {
+        rank: cfg.rank as u16,
+        lane: 0,
+        seq: cfg.seq,
+    }
+    .write_to(ep)?;
+    ep.flush()
+}
+
+/// Establish the full mesh for this rank. Returns once a stream to
+/// every peer exists; all streams are blocking.
 pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
     assert!(cfg.rank < cfg.n_ranks, "rank out of range");
-    assert!(cfg.lanes >= 1, "at least one lane");
     let deadline = Instant::now() + ESTABLISH_TIMEOUT;
     let own_path = sock_path(&cfg.dir, cfg.seq, cfg.rank);
     let listener = bind(cfg.backend, &own_path)?;
-    let mut peers: Vec<Option<Vec<Endpoint>>> = (0..cfg.n_ranks).map(|_| None).collect();
+    let mut peers: Vec<Option<Endpoint>> = (0..cfg.n_ranks).map(|_| None).collect();
 
     // Outbound first: connect() only needs the peer's listener to be
     // bound (the backlog queues us), never its accept loop — so doing
@@ -210,63 +227,24 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
     for (peer, slot) in peers.iter_mut().enumerate().skip(cfg.rank + 1) {
         let path = sock_path(&cfg.dir, cfg.seq, peer);
         let what = format!("rank {peer} (universe {})", cfg.seq);
-        let mut lanes = Vec::with_capacity(cfg.lanes);
-        for lane in 0..cfg.lanes {
-            let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
-            Frame::Hello {
-                rank: cfg.rank as u16,
-                lane: lane as u16,
-                seq: cfg.seq,
-            }
-            .write_to(&mut ep)?;
-            ep.flush()?;
-            lanes.push(ep);
-        }
-        *slot = Some(lanes);
+        let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
+        write_hello(&mut ep, cfg)?;
+        *slot = Some(ep);
     }
 
-    // Then accept `lanes` connections per lower rank; the hello tells
-    // us who and which lane it is (accept order is arbitrary).
-    let mut accepted: Vec<Vec<Option<Endpoint>>> = (0..cfg.rank)
-        .map(|_| (0..cfg.lanes).map(|_| None).collect())
-        .collect();
-    for _ in 0..cfg.rank * cfg.lanes {
+    // Then accept one connection per lower rank; the hello tells us
+    // whose it is (accept order is arbitrary).
+    for _ in 0..cfg.rank {
         let mut ep = listener.accept_deadline(deadline)?;
-        let (peer, lane, seq) = read_hello(&mut ep, deadline)?;
-        if seq != cfg.seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "net: universe mismatch: peer rank {peer} is in universe {seq}, \
-                     this process is in universe {} — the rank processes have \
-                     diverged (non-SPMD main?)",
-                    cfg.seq
-                ),
-            ));
+        let peer = read_hello(&mut ep, cfg, deadline)?;
+        if peer >= cfg.rank || peers[peer].is_some() {
+            return Err(invalid(format!(
+                "net: unexpected or duplicate connection from rank {peer} \
+                 (expected one from each rank below {})",
+                cfg.rank
+            )));
         }
-        let (peer, lane) = (peer as usize, lane as usize);
-        if peer >= cfg.rank || lane >= cfg.lanes || accepted[peer][lane].is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "net: unexpected or duplicate connection from rank {peer} lane {lane} \
-                     (expected {} lanes from ranks below {})",
-                    cfg.lanes, cfg.rank
-                ),
-            ));
-        }
-        accepted[peer][lane] = Some(ep);
-    }
-    for (peer, lanes) in accepted.into_iter().enumerate() {
-        peers[peer] = Some(
-            lanes
-                .into_iter()
-                // PANIC: the accept loop above runs until every
-                // expected (peer, lane) slot is filled, erroring on
-                // duplicates — no slot can still be None here.
-                .map(|ep| ep.expect("all lanes accepted"))
-                .collect(),
-        );
+        peers[peer] = Some(ep);
     }
 
     // Everyone who needed our listener has connected; drop the
@@ -276,13 +254,12 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
     Ok(Mesh {
         rank: cfg.rank,
         n_ranks: cfg.n_ranks,
-        lanes: cfg.lanes,
         peers,
     })
 }
 
-/// Re-establish the lane-0 stream between this rank and `peer` after
-/// the original connection died. Role assignment is deterministic: the
+/// Re-establish the stream between this rank and `peer` after the
+/// original connection died. Role assignment is deterministic: the
 /// lower rank of the pair listens on a fresh pair-scoped rendezvous
 /// name, the higher rank connects (both sides call this one function).
 /// Hellos are exchanged in *both* directions so each side proves who it
@@ -293,24 +270,11 @@ pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::R
     assert!(peer != cfg.rank && peer < cfg.n_ranks, "peer out of range");
     let (lo, hi) = (cfg.rank.min(peer), cfg.rank.max(peer));
     let path = reconnect_path(&cfg.dir, cfg.seq, lo, hi);
-    let hello = Frame::Hello {
-        rank: cfg.rank as u16,
-        lane: 0,
-        seq: cfg.seq,
-    };
-    let expect = |got: (u16, u16, u64)| -> io::Result<()> {
-        let (rank, lane, seq) = got;
-        if rank as usize != peer || lane != 0 || seq != cfg.seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "net: reconnect hello mismatch: got rank {rank} lane {lane} \
-                     universe {seq}, expected rank {peer} lane 0 universe {}",
-                    cfg.seq
-                ),
-            ));
-        }
-        Ok(())
+    let expect = |ep: &mut Endpoint| match read_hello(ep, cfg, deadline)? {
+        rank if rank == peer => Ok(()),
+        rank => Err(invalid(format!(
+            "net: reconnect hello from rank {rank}, expected rank {peer}"
+        ))),
     };
     if cfg.rank == lo {
         // Listener role. Bind a fresh pair-scoped listener, wait for
@@ -318,19 +282,17 @@ pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::R
         let listener = bind(cfg.backend, &path)?;
         let result = (|| {
             let mut ep = listener.accept_deadline(deadline)?;
-            expect(read_hello(&mut ep, deadline)?)?;
-            hello.write_to(&mut ep)?;
-            ep.flush()?;
+            expect(&mut ep)?;
+            write_hello(&mut ep, cfg)?;
             Ok(ep)
         })();
         unbind(&path);
         result
     } else {
-        let what = format!("rank {peer} (lane-0 reconnect, universe {})", cfg.seq);
+        let what = format!("rank {peer} (reconnect, universe {})", cfg.seq);
         let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
-        hello.write_to(&mut ep)?;
-        ep.flush()?;
-        expect(read_hello(&mut ep, deadline)?)?;
+        write_hello(&mut ep, cfg)?;
+        expect(&mut ep)?;
         Ok(ep)
     }
 }
@@ -340,7 +302,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
 
-    fn mesh_roundtrip(backend: Backend, lanes: usize) {
+    fn mesh_roundtrip(backend: Backend) {
         let dir = crate::launch::unique_rendezvous_dir().unwrap();
         let n = 3;
         let mut handles = Vec::new();
@@ -351,38 +313,25 @@ mod tests {
                 dir: dir.clone(),
                 backend,
                 seq: 0,
-                lanes,
             };
             handles.push(std::thread::spawn(move || {
                 let mut mesh = establish(&cfg).unwrap();
-                assert_eq!(mesh.lanes, lanes);
-                // Everyone sends (rank, lane) on every lane of every
-                // peer, then reads the identifying pair back.
-                for peer in 0..n {
-                    if peer == rank {
-                        continue;
-                    }
-                    let eps = mesh.peers[peer].as_mut().unwrap();
-                    assert_eq!(eps.len(), lanes);
-                    for (lane, ep) in eps.iter_mut().enumerate() {
-                        ep.write_all(&[rank as u8, lane as u8]).unwrap();
-                        ep.flush().unwrap();
-                    }
+                assert!(mesh.peers[rank].is_none());
+                // Everyone sends its rank to every peer, then reads the
+                // identifying byte back from each.
+                for peer in (0..n).filter(|&p| p != rank) {
+                    let ep = mesh.peers[peer].as_mut().unwrap();
+                    ep.write_all(&[rank as u8]).unwrap();
+                    ep.flush().unwrap();
                 }
-                for peer in 0..n {
-                    if peer == rank {
-                        continue;
-                    }
-                    let eps = mesh.peers[peer].as_mut().unwrap();
-                    for (lane, ep) in eps.iter_mut().enumerate() {
-                        let mut b = [0u8; 2];
-                        ep.read_exact(&mut b).unwrap();
-                        assert_eq!(
-                            (b[0] as usize, b[1] as usize),
-                            (peer, lane),
-                            "byte pair identifies the peer stream and lane"
-                        );
-                    }
+                for peer in (0..n).filter(|&p| p != rank) {
+                    let mut b = [0u8; 1];
+                    mesh.peers[peer]
+                        .as_mut()
+                        .unwrap()
+                        .read_exact(&mut b)
+                        .unwrap();
+                    assert_eq!(b[0] as usize, peer, "the byte identifies the peer stream");
                 }
             }));
         }
@@ -394,22 +343,12 @@ mod tests {
 
     #[test]
     fn uds_mesh_connects_all_pairs() {
-        mesh_roundtrip(Backend::Uds, 1);
+        mesh_roundtrip(Backend::Uds);
     }
 
     #[test]
     fn tcp_mesh_connects_all_pairs() {
-        mesh_roundtrip(Backend::Tcp, 1);
-    }
-
-    #[test]
-    fn uds_mesh_connects_multi_lane() {
-        mesh_roundtrip(Backend::Uds, 3);
-    }
-
-    #[test]
-    fn tcp_mesh_connects_multi_lane() {
-        mesh_roundtrip(Backend::Tcp, 2);
+        mesh_roundtrip(Backend::Tcp);
     }
 
     fn reconnect_roundtrip(backend: Backend) {
@@ -422,7 +361,6 @@ mod tests {
                 dir: dir.clone(),
                 backend,
                 seq: 3,
-                lanes: 1,
             };
             handles.push(std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(5);

@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex};
 use crate::event::Event;
 use crate::recorder::{Recorder, TraceData};
 
-/// Hard cap on lanes per recorder: a runaway thread-spawner cannot
+/// Hard cap on per-thread lanes per recorder: a runaway thread-spawner cannot
 /// allocate unbounded trace memory; excess threads' events are dropped.
-const MAX_LANES: usize = 1024;
+const MAX_THREAD_LANES: usize = 1024;
 
 /// One 4-word event slot published through a sequence word.
 ///
@@ -166,7 +166,7 @@ impl RingRecorder {
                 }
             }
             let mut lanes = self.lanes.lock().unwrap_or_else(|e| e.into_inner());
-            if lanes.len() >= MAX_LANES {
+            if lanes.len() >= MAX_THREAD_LANES {
                 return None;
             }
             let lane = Lane::new(self.lane_cap);
