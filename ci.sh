@@ -209,7 +209,7 @@ echo "== size (ROADMAP's tracked counts; the transport family has a ceiling) =="
 # engine plus its two carriers may shrink but not grow back past what
 # the one-engine refactor reached (5145 before it); lower the ceiling
 # whenever a PR lands below it.
-TRANSPORT_CEILING=4260
+TRANSPORT_CEILING=4258
 nontest() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
 family=0
 for f in wire transport transport_ipc; do
@@ -238,10 +238,14 @@ event=$(nontest crates/trace/src/event.rs)
 echo "   crates/trace/src/event.rs: $event (ceiling $EVENT_CEILING)"
 echo "   crates/trace/src/chrome.rs: $(nontest crates/trace/src/chrome.rs)"
 echo "   trace family: $((event + $(nontest crates/trace/src/chrome.rs)))"
-# The socket carrier reads through pcomm-net's frame.rs and is wired by
-# its mesh.rs and launch.rs: printed beside the family so code moved
-# there is seen.
-for f in frame mesh launch; do
+# The wire format is one table in pcomm-net's frame.rs (1036 lines
+# before it was: nine hand-kept copies per frame). Same rule again. The
+# socket carrier is wired by mesh.rs and launch.rs: printed beside the
+# family so code moved there is seen.
+FRAME_CEILING=724
+frame=$(nontest crates/net/src/frame.rs)
+echo "   crates/net/src/frame.rs: $frame (ceiling $FRAME_CEILING)"
+for f in mesh launch; do
     echo "   crates/net/src/$f.rs: $(nontest "crates/net/src/$f.rs")"
 done
 # part.rs, fabric.rs, universe.rs and the carrier interface are
@@ -249,7 +253,7 @@ done
 # so the count is the whole non-test file.)
 PART_CEILING=1476
 FABRIC_CEILING=1522
-UNIVERSE_CEILING=744
+UNIVERSE_CEILING=743
 TRAIT_CEILING=15
 part=$(nontest crates/core/src/part.rs)
 echo "   crates/core/src/part.rs: $part (ceiling $PART_CEILING)"
@@ -277,6 +281,10 @@ if [ "$strategies" -gt "$STRATEGY_CEILING" ]; then
 fi
 if [ "$event" -gt "$EVENT_CEILING" ]; then
     echo "event.rs grew past its ceiling ($event > $EVENT_CEILING)" >&2
+    exit 1
+fi
+if [ "$frame" -gt "$FRAME_CEILING" ]; then
+    echo "frame.rs grew past its ceiling ($frame > $FRAME_CEILING)" >&2
     exit 1
 fi
 if [ "$part" -gt "$PART_CEILING" ]; then

@@ -2,7 +2,7 @@
 //!
 //! The retired `hotpath` micro-bench recorded `pready` at 144.2 ns
 //! under an armed watchdog (1-CPU container, release build; frozen in
-//! EXPERIMENTS.md "Retired instruments"); the verify gate added on top is a
+//! experiments/ARCHIVE.md "Retired instruments"); the verify gate added on top is a
 //! single predictable branch (`Trace::emit_verify` with a disabled or
 //! plain trace), so the off-path cost must stay within noise of that
 //! figure. The envelope here is deliberately generous — CI boxes vary

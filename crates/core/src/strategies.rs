@@ -418,7 +418,7 @@ fn run_template<E: Executor>(
     let (role, side) = (comm.rank(), &row.sides[comm.rank()]);
     // Reserved before the init column allocates the request buffers: where
     // this one allocation that outlives them lands moves the heap's
-    // high-water mark and the strategies' times (EXPERIMENTS.md).
+    // high-water mark and the strategies' times (experiments/ARCHIVE.md).
     let mut times = Vec::with_capacity(sc.iterations);
     for slot in 0..if row.many { sc.n_threads } else { 1 } {
         row.init_ops(role).for_each(|op| ex.init(op, slot));

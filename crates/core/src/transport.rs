@@ -287,7 +287,7 @@ pub(crate) fn unset_in(completions: &[Arc<Completion>]) -> impl FnMut() -> usize
 /// bytes complete once they have left. A CTS-released rendezvous
 /// payload therefore pays one kernel copy, like a stream range.
 struct PinnedWrite {
-    head: [u8; 4 + frame::PART_DATA_BODY_HDR],
+    head: frame::PartDataHead,
     head_len: usize,
     ptr: *const u8,
     len: usize,
@@ -316,9 +316,10 @@ unsafe impl Send for PinnedWrite {}
 
 impl PinnedWrite {
     fn stream(rdv_id: u64, chunk: PinChunk, spans: &Arc<SendSpans>) -> PinnedWrite {
+        let head = frame::part_data_header(rdv_id, chunk.offset, chunk.len);
         PinnedWrite {
-            head: frame::part_data_header(rdv_id, chunk.offset, chunk.len),
-            head_len: 4 + frame::PART_DATA_BODY_HDR,
+            head,
+            head_len: head.len(),
             ptr: chunk.ptr,
             len: chunk.len,
             then: Then::Spans {
@@ -331,7 +332,7 @@ impl PinnedWrite {
 
     fn rdv(rdv_id: u64, pinned: PinnedSend) -> PinnedWrite {
         let short = frame::rdv_data_header(rdv_id, pinned.len);
-        let mut head = [0u8; 4 + frame::PART_DATA_BODY_HDR];
+        let mut head = frame::PartDataHead::default();
         head[..short.len()].copy_from_slice(&short);
         PinnedWrite {
             head,
@@ -374,10 +375,7 @@ impl Out {
     }
 
     fn op(&self) -> u8 {
-        match self {
-            Out::Frame(bytes) => bytes[5],
-            Out::Pinned(pw) => pw.head[5],
-        }
+        frame::body_opcode(frame::body_of(self.parts()[0])).unwrap_or(0)
     }
 
     /// Complete what the entry's bytes were for; they have all left on

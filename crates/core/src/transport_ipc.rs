@@ -305,7 +305,7 @@ impl IpcTransport {
     ) -> bool {
         let mut buf = Vec::with_capacity(64);
         frame.encode_into(&mut buf);
-        let body = &buf[4..]; // strip the length prefix: rings are record-framed
+        let body = frame::body_of(&buf); // rings are record-framed
         let desc = SlotDesc {
             kind: if body.len() <= INLINE_MAX {
                 K_FRAME
@@ -395,8 +395,7 @@ impl IpcTransport {
                             K_PART | K_PARTF => frame::op::PART_DATA as u16,
                             K_RDV => frame::op::RDV_DATA as u16,
                             K_PART_CTS => frame::op::PART_CTS as u16,
-                            // [ver][op][body]: the op byte of the frame.
-                            _ => payload.get(1).copied().unwrap_or(0) as u16,
+                            _ => frame::body_opcode(payload).map_or(0, u16::from),
                         };
                         let p16 = src as u16;
                         trace.emit_verify(self.rank as u16, || EventKind::VerifyWireRecv {

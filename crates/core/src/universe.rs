@@ -1,4 +1,4 @@
-//! The [`Universe`]: spawns rank threads over a shared fabric.
+//! The [`Universe`]: runs ranks over a shared fabric.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -316,30 +316,7 @@ impl Universe {
             self.fault_plan.clone(),
             Arc::new(crate::transport::SharedMemTransport),
         );
-        let watchdog_ms = self.effective_watchdog_ms();
-        let results: Vec<Option<T>> = std::thread::scope(|scope| {
-            let supervisor_shutdown = Completion::new();
-            let supervisor = watchdog_ms.map(|ms| {
-                let fabric = Arc::clone(&fabric);
-                let shutdown = Arc::clone(&supervisor_shutdown);
-                scope.spawn(move || supervise(&fabric, &shutdown, ms))
-            });
-            let handles: Vec<_> = (0..self.n_ranks)
-                .map(|rank| {
-                    let fabric = Arc::clone(&fabric);
-                    scope.spawn(move || rank_main(&fabric, rank, f))
-                })
-                .collect();
-            let results = handles
-                .into_iter()
-                .map(|h| h.join().expect("rank wrapper never panics"))
-                .collect();
-            supervisor_shutdown.set();
-            if let Some(s) = supervisor {
-                s.join().expect("supervisor never panics");
-            }
-            results
-        });
+        let results = run_ranks(&fabric, 0..self.n_ranks, self.effective_watchdog_ms(), f);
         // Deliver any reorder hold-backs that outlived the run so their
         // buffers recycle; with every rank done nobody consumes them.
         fabric.flush_held();
@@ -354,7 +331,7 @@ impl Universe {
 
     /// Run as one rank process of a multiprocess universe: join the
     /// socket mesh, start the progress engine, and run the local rank's
-    /// closure on a thread exactly as [`Universe::run_on`] would.
+    /// closure on the calling thread.
     fn run_wire<T, F>(
         &self,
         env: &pcomm_net::MultiprocEnv,
@@ -426,26 +403,10 @@ impl Universe {
             Arc::clone(&transport),
         );
         transport.start(&fabric)?;
-        let watchdog_ms = self.effective_watchdog_ms();
-        let rank = env.rank;
-        let result: Option<T> = std::thread::scope(|scope| {
-            let supervisor_shutdown = Completion::new();
-            let supervisor = watchdog_ms.map(|ms| {
-                let fabric = Arc::clone(&fabric);
-                let shutdown = Arc::clone(&supervisor_shutdown);
-                scope.spawn(move || supervise(&fabric, &shutdown, ms))
-            });
-            let handle = {
-                let fabric = Arc::clone(&fabric);
-                scope.spawn(move || rank_main(&fabric, rank, f))
-            };
-            let result = handle.join().expect("rank wrapper never panics");
-            supervisor_shutdown.set();
-            if let Some(s) = supervisor {
-                s.join().expect("supervisor never panics");
-            }
-            result
-        });
+        let ranks = env.rank..env.rank + 1;
+        let result = run_ranks(&fabric, ranks, self.effective_watchdog_ms(), f)
+            .pop()
+            .flatten();
         fabric.flush_held();
         // Closing barrier, goodbye frames, thread joins — never unwinds.
         fabric.wire().finalize(&fabric);
@@ -614,9 +575,47 @@ impl Universe {
     }
 }
 
-/// The shared body of every rank thread: run the closure under
-/// `catch_unwind`, convert unwinds into recorded failures, and emit the
-/// per-thread probe statistics when tracing.
+/// Run `ranks` of `fabric`, with the watchdog supervisor beside them
+/// when `watchdog_ms` is set, and return each rank's result in order.
+/// A lone rank runs on the calling thread; several get a thread each.
+fn run_ranks<T, F>(
+    fabric: &Arc<Fabric>,
+    ranks: std::ops::Range<usize>,
+    watchdog_ms: Option<u64>,
+    f: &F,
+) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(Comm) -> T + Send + Sync,
+{
+    std::thread::scope(|scope| {
+        let supervisor_shutdown = Completion::new();
+        let supervisor = watchdog_ms.map(|ms| {
+            let shutdown = Arc::clone(&supervisor_shutdown);
+            scope.spawn(move || supervise(fabric, &shutdown, ms))
+        });
+        let results = if ranks.len() == 1 {
+            vec![rank_main(fabric, ranks.start, f)]
+        } else {
+            let handles: Vec<_> = ranks
+                .map(|rank| scope.spawn(move || rank_main(fabric, rank, f)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank wrapper never panics"))
+                .collect()
+        };
+        supervisor_shutdown.set();
+        if let Some(s) = supervisor {
+            s.join().expect("supervisor never panics");
+        }
+        results
+    })
+}
+
+/// The shared body of every rank: run the closure under `catch_unwind`,
+/// convert unwinds into recorded failures, and emit the per-thread probe
+/// statistics when tracing.
 fn rank_main<T, F>(fabric: &Arc<Fabric>, rank: usize, f: &F) -> Option<T>
 where
     T: Send,

@@ -1091,37 +1091,38 @@ impl WireProtocol {
     pub(crate) fn resync_streams(&self, fabric: &Fabric, peer: usize) {
         let epoch = self.carrier.epoch(peer);
         let mut stale_cts = Vec::new();
-        let reports: Vec<Frame> = {
-            let streams = self.streams_in.lock();
-            streams
-                .iter()
-                .filter(|((src, _), _)| *src == peer)
-                .map(|((_, rdv_id), stream)| {
-                    if stream.cts_epoch < epoch {
-                        stale_cts.push((*rdv_id, Arc::clone(stream)));
-                    }
-                    let committed = stream.committed.lock();
-                    let received: u64 = committed.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
-                    let mut missing = Vec::new();
-                    let mut cursor = 0usize;
-                    for &(lo, hi) in committed.iter() {
-                        if cursor < lo {
-                            missing.push((cursor as u64, lo as u64));
-                        }
-                        cursor = hi;
-                    }
-                    if cursor < stream.total_len {
-                        missing.push((cursor as u64, stream.total_len as u64));
-                    }
-                    missing.truncate(MAX_RESYNC_RANGES);
-                    Frame::StreamResync {
-                        rdv_id: *rdv_id,
-                        received,
-                        missing,
-                    }
-                })
-                .collect()
-        };
+        let mut reports = Vec::new();
+        for ((src, rdv_id), stream) in self.streams_in.lock().iter() {
+            if *src != peer {
+                continue;
+            }
+            if stream.cts_epoch < epoch {
+                stale_cts.push((*rdv_id, Arc::clone(stream)));
+            }
+            let committed = stream.committed.lock();
+            let received: u64 = committed.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
+            let mut missing = Vec::new();
+            let mut cursor = 0usize;
+            for &(lo, hi) in committed.iter() {
+                if cursor < lo {
+                    missing.push((cursor as u64, lo as u64));
+                }
+                cursor = hi;
+            }
+            if cursor < stream.total_len {
+                missing.push((cursor as u64, stream.total_len as u64));
+            }
+            // One frame per `MAX_RESYNC_RANGES` gaps, and one when there
+            // are none: the sender judges each on its own.
+            let chunks = missing.chunks(MAX_RESYNC_RANGES).map(<[_]>::to_vec);
+            for missing in chunks.chain(missing.is_empty().then(Vec::new)) {
+                reports.push(Frame::StreamResync {
+                    rdv_id: *rdv_id,
+                    received,
+                    missing,
+                });
+            }
+        }
         for report in reports {
             self.send(fabric, peer, report);
         }
@@ -2268,6 +2269,38 @@ mod tests {
         // lost, the back is on its way.
         assert!(resync_blames(&[128], &two[..1], (0, 64)));
         assert!(!resync_blames(&[128], &two[..1], (64, 128)));
+    }
+
+    #[test]
+    fn a_resync_report_covers_every_gap_however_many() {
+        const GAPS: usize = MAX_RESYNC_RANGES + 904;
+        let (fabric, carrier) = engine(2, 0, 0);
+        let wire = fabric.wire();
+        let mut buf = vec![0u8; 2 * GAPS];
+        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 2 * GAPS));
+        wire.dispatch(&fabric, 1, part_rts(2 * GAPS, 5));
+        // Every odd byte lands, so every even one is a gap.
+        for at in (1..2 * GAPS as u64).step_by(2) {
+            wire.dispatch(&fabric, 1, part_data(5, at, &[1]));
+        }
+        taken(&carrier);
+        carrier.epoch.store(1, Ordering::Relaxed);
+        wire.resync_streams(&fabric, 1);
+        let mut reported = Vec::new();
+        for sent in taken(&carrier) {
+            if let Sent::Frame {
+                frame: Frame::StreamResync { missing, .. },
+                ..
+            } = sent
+            {
+                assert!(missing.len() <= MAX_RESYNC_RANGES);
+                reported.extend(missing);
+            }
+        }
+        assert_eq!(reported.len(), GAPS, "every gap reported");
+        let gaps: Vec<(u64, u64)> = (0..GAPS as u64).map(|g| (2 * g, 2 * g + 1)).collect();
+        assert!(reported == gaps, "the gaps, in order");
+        assert!(!fabric.aborted());
     }
 
     #[test]

@@ -8,17 +8,17 @@ use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-/// At steady state each rank runs its main thread, its rank thread and
-/// the socket carrier's `epoll` progress thread — three, with one peer
-/// and with two.
+/// At steady state each rank runs its main thread, which runs the rank
+/// itself, and the socket carrier's `epoll` progress thread — two, with
+/// one peer and with two.
 #[test]
-fn a_rank_runs_three_threads_at_any_rank_count() {
+fn a_rank_runs_two_threads_at_any_rank_count() {
     if common::maybe_run_child() {
         return;
     }
     for n_ranks in [2, 3] {
         let outs = common::run_wire_ranks(
-            "a_rank_runs_three_threads_at_any_rank_count",
+            "a_rank_runs_two_threads_at_any_rank_count",
             "threads",
             &[],
             &vec![vec![]; n_ranks],
@@ -33,7 +33,7 @@ fn a_rank_runs_three_threads_at_any_rank_count() {
                 o.status,
                 o.out
             );
-            assert_eq!(o.digest(), Some(3), "rank {rank} of {n_ranks}: `{}`", o.out);
+            assert_eq!(o.digest(), Some(2), "rank {rank} of {n_ranks}: `{}`", o.out);
         }
     }
 }

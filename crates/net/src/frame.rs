@@ -2,31 +2,14 @@
 //!
 //! Every frame on a socket is `u32` little-endian body length followed
 //! by the body: one version byte, one opcode byte, then the opcode's
-//! fields in little-endian order (variable-length payloads run to the
-//! end of the body). The protocol is symmetric — both sides of a
-//! connection may send any frame at any time after the opening
-//! [`Frame::Hello`].
-//!
-//! | opcode | frame            | fields                                     |
-//! |--------|------------------|--------------------------------------------|
-//! | 1      | `Hello`          | rank:u16, lane:u16, seq:u64                |
-//! | 2      | `Eager`          | shard:u16, ctx:u64, tag:i64, payload       |
-//! | 3      | `Rts`            | shard:u16, ctx:u64, tag:i64, len:u64, rdv_id:u64 |
-//! | 4      | `Cts`            | rdv_id:u64                                 |
-//! | 5      | `RdvData`        | rdv_id:u64, payload                        |
-//! | 6      | `BarrierArrive`  | gen:u64                                    |
-//! | 7      | `BarrierRelease` | gen:u64                                    |
-//! | 8      | `Abort`          | kind:u8, a:u64, b:u64, tag:i64, attempts:u64, detail |
-//! | 9      | `Bye`            | —                                          |
-//! | 10     | `WinAnnounce`    | win_ctx:u64, len:u64                       |
-//! | 11     | `Put`            | win_ctx:u64, offset:u64, payload           |
-//! | 12     | `GetReq`         | win_ctx:u64, offset:u64, len:u64, token:u64 |
-//! | 13     | `GetResp`        | token:u64, payload                         |
-//! | 14     | `PartRts`        | ctx:u64, total_len:u64, rdv_id:u64         |
-//! | 15     | `PartCts`        | rdv_id:u64                                 |
-//! | 16     | `PartData`       | rdv_id:u64, offset:u64, payload            |
-//! | 17     | `Heartbeat`      | seq:u64                                    |
-//! | 18     | `StreamResync`   | rdv_id:u64, received:u64, missing ranges   |
+//! fields in little-endian order. The frames are the rows of the
+//! `frames!` table below, in opcode order: the [`op`] constants,
+//! [`Frame`], its encoder and its decoder are generated from it, so
+//! **adding a frame is adding one row** (`tests/frame_golden.rs` holds
+//! the recorded bytes). A `Vec<u8>` or `String` field runs to the end
+//! of the body; a body with bytes left over after its fields is refused.
+//! The protocol is symmetric — both sides of a connection may send any
+//! frame at any time after the opening [`Frame::Hello`].
 //!
 //! Opcodes 14–16 carry the partition-granular streaming protocol: a
 //! `PartRts` announces a whole partitioned-send buffer for a given
@@ -38,10 +21,10 @@
 //!
 //! Opcodes 17–18 serve liveness and recovery: `Heartbeat` frames keep
 //! the socket audibly alive when `PCOMM_NET_HB_MS` is set, and after a
-//! reconnect each receiver reports, per open inbound stream,
-//! which byte ranges it is still missing so the sender can replay
-//! exactly those (offset-addressed commits are idempotent, so replaying
-//! a range that did arrive is harmless).
+//! reconnect each receiver reports, per open inbound stream, which byte
+//! ranges it is still missing. The sender judges from them whether
+//! bytes left on the dead socket (a typed `MessageLost`) or are still
+//! on their way.
 
 use std::io::{self, Read, Write};
 
@@ -64,113 +47,28 @@ pub const ABORT_MISUSE_RANK: u8 = 3;
 /// [`Frame::Abort`] kind: API misuse with no attributable rank.
 pub const ABORT_MISUSE: u8 = 4;
 
-/// Wire opcodes, public so the offline auditor (`pcomm-audit`) can
-/// reason about frame kinds without re-deriving the numbering. The
-/// values are part of the wire format and must never be renumbered.
-pub mod op {
-    /// Connection handshake ([`Frame::Hello`](super::Frame::Hello)).
-    pub const HELLO: u8 = 1;
-    /// Buffered eager message.
-    pub const EAGER: u8 = 2;
-    /// Rendezvous ready-to-send.
-    pub const RTS: u8 = 3;
-    /// Rendezvous clear-to-send.
-    pub const CTS: u8 = 4;
-    /// Rendezvous payload.
-    pub const RDV_DATA: u8 = 5;
-    /// Barrier arrival (rank → coordinator).
-    pub const BARRIER_ARRIVE: u8 = 6;
-    /// Barrier release (coordinator → rank).
-    pub const BARRIER_RELEASE: u8 = 7;
-    /// Peer abort carrying a typed error.
-    pub const ABORT: u8 = 8;
-    /// Clean shutdown.
-    pub const BYE: u8 = 9;
-    /// RMA window announcement.
-    pub const WIN_ANNOUNCE: u8 = 10;
-    /// RMA put.
-    pub const PUT: u8 = 11;
-    /// RMA get request.
-    pub const GET_REQ: u8 = 12;
-    /// RMA get response.
-    pub const GET_RESP: u8 = 13;
-    /// Partitioned-stream ready-to-send.
-    pub const PART_RTS: u8 = 14;
-    /// Partitioned-stream clear-to-send.
-    pub const PART_CTS: u8 = 15;
-    /// Partitioned-stream data chunk.
-    pub const PART_DATA: u8 = 16;
-    /// Liveness heartbeat.
-    pub const HEARTBEAT: u8 = 17;
-    /// Post-failover stream resynchronisation.
-    pub const STREAM_RESYNC: u8 = 18;
-
-    /// Human-readable opcode name for audit findings; `"op<N>"` is
-    /// never returned for valid wire traffic.
-    pub fn name(op: u8) -> &'static str {
-        match op {
-            HELLO => "Hello",
-            EAGER => "Eager",
-            RTS => "Rts",
-            CTS => "Cts",
-            RDV_DATA => "RdvData",
-            BARRIER_ARRIVE => "BarrierArrive",
-            BARRIER_RELEASE => "BarrierRelease",
-            ABORT => "Abort",
-            BYE => "Bye",
-            WIN_ANNOUNCE => "WinAnnounce",
-            PUT => "Put",
-            GET_REQ => "GetReq",
-            GET_RESP => "GetResp",
-            PART_RTS => "PartRts",
-            PART_CTS => "PartCts",
-            PART_DATA => "PartData",
-            HEARTBEAT => "Heartbeat",
-            STREAM_RESYNC => "StreamResync",
-            _ => "op?",
-        }
-    }
-}
-
-const OP_HELLO: u8 = op::HELLO;
-const OP_EAGER: u8 = op::EAGER;
-const OP_RTS: u8 = op::RTS;
-const OP_CTS: u8 = op::CTS;
-const OP_RDV_DATA: u8 = op::RDV_DATA;
-const OP_BARRIER_ARRIVE: u8 = op::BARRIER_ARRIVE;
-const OP_BARRIER_RELEASE: u8 = op::BARRIER_RELEASE;
-const OP_ABORT: u8 = op::ABORT;
-const OP_BYE: u8 = op::BYE;
-const OP_WIN_ANNOUNCE: u8 = op::WIN_ANNOUNCE;
-const OP_PUT: u8 = op::PUT;
-const OP_GET_REQ: u8 = op::GET_REQ;
-const OP_GET_RESP: u8 = op::GET_RESP;
-const OP_PART_RTS: u8 = op::PART_RTS;
-const OP_PART_CTS: u8 = op::PART_CTS;
-const OP_PART_DATA: u8 = op::PART_DATA;
-const OP_HEARTBEAT: u8 = op::HEARTBEAT;
-const OP_STREAM_RESYNC: u8 = op::STREAM_RESYNC;
-
 /// Upper bound on the number of missing ranges one [`Frame::StreamResync`]
 /// may carry; a decoded count beyond this is treated as corruption.
 pub const MAX_RESYNC_RANGES: usize = 4096;
 
-/// One decoded wire frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+// One row per frame, in opcode order: `Variant = <opcode> <CONST>
+// "<opcode doc>"`, then its fields in wire order. The values are part of
+// the wire format and must never be renumbered. The macro that turns the
+// rows into code is below the table, so it is invoked by path.
+self::frames! {
     /// First frame on every connection: who is connecting, and for
     /// which universe (the per-process multiproc universe sequence
     /// number).
-    Hello {
+    Hello = 1 HELLO "Connection handshake ([`Frame::Hello`](super::Frame::Hello))." {
         /// Rank of the connecting process.
         rank: u16,
         /// Always 0: a peer pair has one socket. Checked on receipt.
         lane: u16,
         /// Universe sequence number both sides must agree on.
         seq: u64,
-    },
+    };
     /// A fully buffered eager message.
-    Eager {
+    Eager = 2 EAGER "Buffered eager message." {
         /// Match shard the receiver must deliver into.
         shard: u16,
         /// Communicator context id.
@@ -179,10 +77,10 @@ pub enum Frame {
         tag: i64,
         /// The message bytes.
         payload: Vec<u8>,
-    },
+    };
     /// Rendezvous ready-to-send: the sender has `len` bytes pinned under
     /// `rdv_id` and waits for a [`Frame::Cts`].
-    Rts {
+    Rts = 3 RTS "Rendezvous ready-to-send." {
         /// Match shard the receiver must deliver into.
         shard: u16,
         /// Communicator context id.
@@ -193,33 +91,33 @@ pub enum Frame {
         len: u64,
         /// Sender-chosen rendezvous id, echoed by `Cts`/`RdvData`.
         rdv_id: u64,
-    },
+    };
     /// Rendezvous clear-to-send: the receiver has a matching posted
     /// buffer for `rdv_id`.
-    Cts {
+    Cts = 4 CTS "Rendezvous clear-to-send." {
         /// The rendezvous id from the RTS.
         rdv_id: u64,
-    },
+    };
     /// The rendezvous payload, sent after `Cts`.
-    RdvData {
+    RdvData = 5 RDV_DATA "Rendezvous payload." {
         /// The rendezvous id from the RTS.
         rdv_id: u64,
         /// The message bytes.
         payload: Vec<u8>,
-    },
+    };
     /// A rank reached barrier generation `gen` (sent to the coordinator).
-    BarrierArrive {
+    BarrierArrive = 6 BARRIER_ARRIVE "Barrier arrival (rank → coordinator)." {
         /// Barrier generation number.
         gen: u64,
-    },
+    };
     /// The coordinator releases barrier generation `gen`.
-    BarrierRelease {
+    BarrierRelease = 7 BARRIER_RELEASE "Barrier release (coordinator → rank)." {
         /// Barrier generation number.
         gen: u64,
-    },
+    };
     /// A peer aborted its universe; carries an encoded `PcommError`
     /// (see the `ABORT_*` kinds — the field meaning depends on `kind`).
-    Abort {
+    Abort = 8 ABORT "Peer abort carrying a typed error." {
         /// One of the `ABORT_*` constants.
         kind: u8,
         /// First numeric field (e.g. source or panicking rank).
@@ -232,27 +130,27 @@ pub enum Frame {
         attempts: u64,
         /// Human-readable detail (panic message, misuse description).
         detail: String,
-    },
+    };
     /// Clean shutdown: no further frames follow from this peer.
-    Bye,
+    Bye = 9 BYE "Clean shutdown.";
     /// A window target announces an exposed region to its origin.
-    WinAnnounce {
+    WinAnnounce = 10 WIN_ANNOUNCE "RMA window announcement." {
         /// Window context id (agreed by SPMD allocation order).
         win_ctx: u64,
         /// Window length in bytes.
         len: u64,
-    },
+    };
     /// One-sided put into a remote window.
-    Put {
+    Put = 11 PUT "RMA put." {
         /// Window context id.
         win_ctx: u64,
         /// Byte offset into the window.
         offset: u64,
         /// The bytes to store.
         payload: Vec<u8>,
-    },
+    };
     /// One-sided get request; the target answers with [`Frame::GetResp`].
-    GetReq {
+    GetReq = 12 GET_REQ "RMA get request." {
         /// Window context id.
         win_ctx: u64,
         /// Byte offset into the window.
@@ -261,159 +159,254 @@ pub enum Frame {
         len: u64,
         /// Origin-chosen token echoed by the response.
         token: u64,
-    },
+    };
     /// Reply to a [`Frame::GetReq`].
-    GetResp {
+    GetResp = 13 GET_RESP "RMA get response." {
         /// The token from the request.
         token: u64,
         /// The window bytes read.
         payload: Vec<u8>,
-    },
+    };
     /// Partitioned-stream ready-to-send: the sender has `total_len`
     /// bytes pinned for the partitioned pair on context `ctx` and will
     /// stream ranges under `rdv_id` once a [`Frame::PartCts`] arrives.
-    PartRts {
+    PartRts = 14 PART_RTS "Partitioned-stream ready-to-send." {
         /// Partitioned communicator context id (pairs sender/receiver).
         ctx: u64,
         /// Whole-buffer length in bytes.
         total_len: u64,
         /// Sender-chosen stream id, echoed by `PartCts`/`PartData`.
         rdv_id: u64,
-    },
+    };
     /// Partitioned-stream clear-to-send: the receiver has pinned its
     /// whole destination buffer for `rdv_id`.
-    PartCts {
+    PartCts = 15 PART_CTS "Partitioned-stream clear-to-send." {
         /// The stream id from the PartRts.
         rdv_id: u64,
-    },
+    };
     /// One committed byte range of a partitioned stream. Offsets are
     /// explicit, so `PartData` frames are order-independent.
-    PartData {
+    PartData = 16 PART_DATA "Partitioned-stream data chunk." {
         /// The stream id from the PartRts.
         rdv_id: u64,
         /// Byte offset of this range in the destination buffer.
         offset: u64,
         /// The range bytes.
         payload: Vec<u8>,
-    },
+    };
     /// Liveness probe. Carries a sender-local sequence number
     /// for diagnostics; receipt of *any* frame counts as life, the
     /// heartbeat just guarantees a bounded silence interval.
-    Heartbeat {
+    Heartbeat = 17 HEARTBEAT "Liveness heartbeat." {
         /// Monotonic per-peer heartbeat counter.
         seq: u64,
-    },
-    /// After a reconnect, the receiver of stream `rdv_id`
-    /// reports how much it has committed and which byte ranges are
-    /// still missing, so the sender replays exactly those.
-    StreamResync {
+    };
+    /// After a reconnect, the receiver of stream `rdv_id` reports how
+    /// much it has committed and which byte ranges are still missing, so
+    /// the sender can judge whether any of them left on the dead socket.
+    /// A stream with more than [`MAX_RESYNC_RANGES`] gaps is reported in
+    /// several frames.
+    StreamResync = 18 STREAM_RESYNC "Post-failover stream resynchronisation." {
         /// The stream id from the PartRts.
         rdv_id: u64,
         /// Total bytes committed so far (diagnostics).
         received: u64,
-        /// Byte ranges `(offset, len)` not yet committed.
+        /// Half-open byte ranges `(lo, hi)` not yet committed: a `u16`
+        /// count, then the pairs.
         missing: Vec<(u64, u64)>,
-    },
+    };
 }
 
+/// Declares the wire format from the table above: the [`op`] module,
+/// [`Frame`], [`Frame::op`], [`Frame::encode_into`] and
+/// [`Frame::decode`]. A row without braces is a field-less frame.
+macro_rules! frames {
+    ($(
+        $(#[$vmeta:meta])*
+        $V:ident = $op:literal $CONST:ident $opdoc:literal
+            $({ $( $(#[$fmeta:meta])* $f:ident: $ty:ty ),* $(,)? })?;
+    )*) => {
+        /// Wire opcodes, public so the offline auditor (`pcomm-audit`) can
+        /// reason about frame kinds without re-deriving the numbering. The
+        /// values are part of the wire format and must never be renumbered.
+        pub mod op {
+            $( #[doc = $opdoc] pub const $CONST: u8 = $op; )*
+
+            /// Human-readable opcode name for audit findings; `"op?"` for
+            /// a byte that is no opcode.
+            pub fn name(op: u8) -> &'static str {
+                match op {
+                    $( $CONST => stringify!($V), )*
+                    _ => "op?",
+                }
+            }
+        }
+
+        /// One decoded wire frame.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Frame {
+            $( $(#[$vmeta])* $V $({ $( $(#[$fmeta])* $f: $ty ),* })?, )*
+        }
+
+        impl Frame {
+            /// The frame's wire opcode (one of the [`op`] constants).
+            pub fn op(&self) -> u8 {
+                match self {
+                    $( Frame::$V { .. } => op::$CONST, )*
+                }
+            }
+
+            /// Encode the frame (length prefix + body) into `out`, clearing it
+            /// first. Reusing one scratch buffer across calls amortises the
+            /// allocation that a fresh [`Frame::encode`] pays per frame.
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
+                out.clear();
+                // The length prefix is patched in once the body is written.
+                out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, self.op()]);
+                match self {
+                    $( Frame::$V { $($($f),*)? } => { $($( $f.put(out); )*)? } )*
+                }
+                let body = (out.len() - 4) as u32;
+                out[..4].copy_from_slice(&body.to_le_bytes());
+            }
+
+            /// Decode one frame body (without the length prefix). A body
+            /// that ends before its frame's fields do, or runs past them,
+            /// is refused.
+            pub fn decode(body: &[u8]) -> io::Result<Frame> {
+                let mut d = Dec(body);
+                check_version(u8::take(&mut d)?)?;
+                let frame = match u8::take(&mut d)? {
+                    $( op::$CONST => Frame::$V { $($( $f: <$ty>::take(&mut d)?, )*)? }, )*
+                    other => return Err(corrupt(format!("unknown opcode {other}"))),
+                };
+                match d.0.len() {
+                    0 => Ok(frame),
+                    extra => Err(trailing(extra, frame)),
+                }
+            }
+        }
+    };
+}
+use frames;
+
+#[cold]
 fn corrupt(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("net: {}", what.into()))
 }
 
-/// Frame body encoder writing into a caller-owned buffer so writers can
-/// reuse one scratch allocation across frames.
-struct Enc<'a> {
-    buf: &'a mut Vec<u8>,
+/// The error for a body with `extra` bytes past `frame`'s fields (out of
+/// line, so the decoder's hot path does not carry the frame's drop).
+#[cold]
+#[inline(never)]
+fn trailing(extra: usize, frame: Frame) -> io::Error {
+    corrupt(format!(
+        "{extra} trailing byte(s) after a {} body",
+        frame.name()
+    ))
 }
 
-impl<'a> Enc<'a> {
-    fn new(buf: &'a mut Vec<u8>, op: u8) -> Enc<'a> {
-        // Reserve the 4-byte length prefix up front; patched in finish().
-        buf.clear();
-        buf.extend_from_slice(&[0u8; 4]);
-        buf.push(WIRE_VERSION);
-        buf.push(op);
-        Enc { buf }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    fn finish(self) {
-        let body = (self.buf.len() - 4) as u32;
-        self.buf[..4].copy_from_slice(&body.to_le_bytes());
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
+/// What is left of a frame body being read, field by field.
+struct Dec<'a>(&'a [u8]);
 
 impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.at + n > self.buf.len() {
-            return Err(corrupt("truncated frame body"));
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let next = self.0.split_first_chunk::<N>();
+        let (bytes, rest) = next.ok_or_else(|| corrupt("truncated frame body"))?;
+        self.0 = rest;
+        Ok(*bytes)
+    }
+
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.0)
+    }
+}
+
+/// How one field type goes onto the wire and comes off it.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(d: &mut Dec<'_>) -> io::Result<Self>;
+}
+
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        /// Little-endian, fixed width.
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn take(d: &mut Dec<'_>) -> io::Result<Self> {
+                d.array().map(<$t>::from_le_bytes)
+            }
         }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+    )*};
+}
+int_fields!(u8, u16, u64, i64);
+
+/// The rest of the body, as it came.
+impl Field for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
     }
 
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
+    fn take(d: &mut Dec<'_>) -> io::Result<Self> {
+        Ok(d.rest().to_vec())
+    }
+}
+
+/// The rest of the body as text, lossily: a peer's bytes need not be UTF-8.
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
     }
 
-    fn u16(&mut self) -> io::Result<u16> {
-        // PANIC: `take(2)` either errs or returns exactly 2 bytes.
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    fn take(d: &mut Dec<'_>) -> io::Result<Self> {
+        Ok(String::from_utf8_lossy(d.rest()).into_owned())
+    }
+}
+
+/// A `u16` count, then that many `(u64, u64)` pairs; at most
+/// [`MAX_RESYNC_RANGES`] of them.
+impl Field for Vec<(u64, u64)> {
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.len() <= MAX_RESYNC_RANGES);
+        let ranges = &self[..self.len().min(MAX_RESYNC_RANGES)];
+        (ranges.len() as u16).put(out);
+        for (lo, hi) in ranges {
+            lo.put(out);
+            hi.put(out);
+        }
     }
 
-    fn u64(&mut self) -> io::Result<u64> {
-        // PANIC: `take(8)` either errs or returns exactly 8 bytes.
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> io::Result<i64> {
-        // PANIC: `take(8)` either errs or returns exactly 8 bytes.
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn rest_slice(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.at..];
-        self.at = self.buf.len();
-        s
-    }
-
-    fn rest(&mut self) -> Vec<u8> {
-        self.rest_slice().to_vec()
+    fn take(d: &mut Dec<'_>) -> io::Result<Self> {
+        let count = u16::take(d)? as usize;
+        if count > MAX_RESYNC_RANGES {
+            return Err(corrupt(format!("implausible resync range count {count}")));
+        }
+        // Sized by bytes actually present, not the claimed count, so a
+        // lying count cannot reserve memory.
+        let mut ranges = Vec::new();
+        for _ in 0..count {
+            ranges.push((u64::take(d)?, u64::take(d)?));
+        }
+        Ok(ranges)
     }
 }
 
 /// Check the version byte of a frame body and return the opcode byte
-/// without decoding the fields. Used by readers to route hot frames
-/// (`PartData`) to a zero-extra-copy fast path.
+/// without decoding the fields.
 pub fn body_opcode(body: &[u8]) -> io::Result<u8> {
-    let mut d = Dec { buf: body, at: 0 };
-    check_version(d.u8()?)?;
-    d.u8()
+    let mut d = Dec(body);
+    check_version(u8::take(&mut d)?)?;
+    u8::take(&mut d)
+}
+
+/// The body of an encoded frame: what follows its length prefix. A
+/// frame *header* (`part_data_header`, `rdv_data_header`) gives the
+/// body's head.
+pub fn body_of(encoded: &[u8]) -> &[u8] {
+    &encoded[4..]
 }
 
 /// Validate a version byte read off the wire, before anything else of
@@ -455,23 +448,22 @@ pub fn rdv_data_header(rdv_id: u64, payload_len: usize) -> [u8; 4 + RDV_DATA_BOD
     let body = (RDV_DATA_BODY_HDR + payload_len) as u32;
     out[..4].copy_from_slice(&body.to_le_bytes());
     out[4] = WIRE_VERSION;
-    out[5] = OP_RDV_DATA;
+    out[5] = op::RDV_DATA;
     out[6..].copy_from_slice(&rdv_id.to_le_bytes());
     out
 }
 
+/// A `PartData` frame header: length prefix through `offset`.
+pub type PartDataHead = [u8; 4 + PART_DATA_BODY_HDR];
+
 /// Stack-allocated form of [`encode_part_data_header`], for writers
 /// that assemble vectored batches without touching the heap.
-pub fn part_data_header(
-    rdv_id: u64,
-    offset: u64,
-    payload_len: usize,
-) -> [u8; 4 + PART_DATA_BODY_HDR] {
-    let mut out = [0u8; 4 + PART_DATA_BODY_HDR];
+pub fn part_data_header(rdv_id: u64, offset: u64, payload_len: usize) -> PartDataHead {
+    let mut out = PartDataHead::default();
     let body = (PART_DATA_BODY_HDR + payload_len) as u32;
     out[..4].copy_from_slice(&body.to_le_bytes());
     out[4] = WIRE_VERSION;
-    out[5] = OP_PART_DATA;
+    out[5] = op::PART_DATA;
     out[6..14].copy_from_slice(&rdv_id.to_le_bytes());
     out[14..22].copy_from_slice(&offset.to_le_bytes());
     out
@@ -483,62 +475,19 @@ pub fn part_data_header(
 /// intermediate `Vec` a full [`Frame::decode`] would allocate.
 pub fn decode_part_data(body: &[u8]) -> io::Result<(u64, u64, &[u8])> {
     let op = body_opcode(body)?;
-    if op != OP_PART_DATA {
+    if op != op::PART_DATA {
         return Err(corrupt(format!("expected PartData, got opcode {op}")));
     }
-    let mut d = Dec { buf: body, at: 2 };
-    let rdv_id = d.u64()?;
-    let offset = d.u64()?;
-    Ok((rdv_id, offset, d.rest_slice()))
+    let mut d = Dec(&body[2..]);
+    let rdv_id = u64::take(&mut d)?;
+    let offset = u64::take(&mut d)?;
+    Ok((rdv_id, offset, d.rest()))
 }
 
 impl Frame {
     /// Short name of the frame's opcode (diagnostics).
     pub fn name(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::Eager { .. } => "Eager",
-            Frame::Rts { .. } => "Rts",
-            Frame::Cts { .. } => "Cts",
-            Frame::RdvData { .. } => "RdvData",
-            Frame::BarrierArrive { .. } => "BarrierArrive",
-            Frame::BarrierRelease { .. } => "BarrierRelease",
-            Frame::Abort { .. } => "Abort",
-            Frame::Bye => "Bye",
-            Frame::WinAnnounce { .. } => "WinAnnounce",
-            Frame::Put { .. } => "Put",
-            Frame::GetReq { .. } => "GetReq",
-            Frame::GetResp { .. } => "GetResp",
-            Frame::PartRts { .. } => "PartRts",
-            Frame::PartCts { .. } => "PartCts",
-            Frame::PartData { .. } => "PartData",
-            Frame::Heartbeat { .. } => "Heartbeat",
-            Frame::StreamResync { .. } => "StreamResync",
-        }
-    }
-
-    /// The frame's wire opcode (one of the [`op`] constants).
-    pub fn op(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => op::HELLO,
-            Frame::Eager { .. } => op::EAGER,
-            Frame::Rts { .. } => op::RTS,
-            Frame::Cts { .. } => op::CTS,
-            Frame::RdvData { .. } => op::RDV_DATA,
-            Frame::BarrierArrive { .. } => op::BARRIER_ARRIVE,
-            Frame::BarrierRelease { .. } => op::BARRIER_RELEASE,
-            Frame::Abort { .. } => op::ABORT,
-            Frame::Bye => op::BYE,
-            Frame::WinAnnounce { .. } => op::WIN_ANNOUNCE,
-            Frame::Put { .. } => op::PUT,
-            Frame::GetReq { .. } => op::GET_REQ,
-            Frame::GetResp { .. } => op::GET_RESP,
-            Frame::PartRts { .. } => op::PART_RTS,
-            Frame::PartCts { .. } => op::PART_CTS,
-            Frame::PartData { .. } => op::PART_DATA,
-            Frame::Heartbeat { .. } => op::HEARTBEAT,
-            Frame::StreamResync { .. } => op::STREAM_RESYNC,
-        }
+        op::name(self.op())
     }
 
     /// Encode the frame, including its 4-byte length prefix.
@@ -546,267 +495,6 @@ impl Frame {
         let mut out = Vec::with_capacity(32);
         self.encode_into(&mut out);
         out
-    }
-
-    /// Encode the frame (length prefix + body) into `out`, clearing it
-    /// first. Reusing one scratch buffer across calls amortises the
-    /// allocation that a fresh [`Frame::encode`] pays per frame.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Hello { rank, lane, seq } => {
-                let mut e = Enc::new(out, OP_HELLO);
-                e.u16(*rank);
-                e.u16(*lane);
-                e.u64(*seq);
-                e.finish()
-            }
-            Frame::Eager {
-                shard,
-                ctx,
-                tag,
-                payload,
-            } => {
-                let mut e = Enc::new(out, OP_EAGER);
-                e.u16(*shard);
-                e.u64(*ctx);
-                e.i64(*tag);
-                e.bytes(payload);
-                e.finish()
-            }
-            Frame::Rts {
-                shard,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            } => {
-                let mut e = Enc::new(out, OP_RTS);
-                e.u16(*shard);
-                e.u64(*ctx);
-                e.i64(*tag);
-                e.u64(*len);
-                e.u64(*rdv_id);
-                e.finish()
-            }
-            Frame::Cts { rdv_id } => {
-                let mut e = Enc::new(out, OP_CTS);
-                e.u64(*rdv_id);
-                e.finish()
-            }
-            Frame::RdvData { rdv_id, payload } => {
-                let mut e = Enc::new(out, OP_RDV_DATA);
-                e.u64(*rdv_id);
-                e.bytes(payload);
-                e.finish()
-            }
-            Frame::BarrierArrive { gen } => {
-                let mut e = Enc::new(out, OP_BARRIER_ARRIVE);
-                e.u64(*gen);
-                e.finish()
-            }
-            Frame::BarrierRelease { gen } => {
-                let mut e = Enc::new(out, OP_BARRIER_RELEASE);
-                e.u64(*gen);
-                e.finish()
-            }
-            Frame::Abort {
-                kind,
-                a,
-                b,
-                tag,
-                attempts,
-                detail,
-            } => {
-                let mut e = Enc::new(out, OP_ABORT);
-                e.u8(*kind);
-                e.u64(*a);
-                e.u64(*b);
-                e.i64(*tag);
-                e.u64(*attempts);
-                e.bytes(detail.as_bytes());
-                e.finish()
-            }
-            Frame::Bye => Enc::new(out, OP_BYE).finish(),
-            Frame::WinAnnounce { win_ctx, len } => {
-                let mut e = Enc::new(out, OP_WIN_ANNOUNCE);
-                e.u64(*win_ctx);
-                e.u64(*len);
-                e.finish()
-            }
-            Frame::Put {
-                win_ctx,
-                offset,
-                payload,
-            } => {
-                let mut e = Enc::new(out, OP_PUT);
-                e.u64(*win_ctx);
-                e.u64(*offset);
-                e.bytes(payload);
-                e.finish()
-            }
-            Frame::GetReq {
-                win_ctx,
-                offset,
-                len,
-                token,
-            } => {
-                let mut e = Enc::new(out, OP_GET_REQ);
-                e.u64(*win_ctx);
-                e.u64(*offset);
-                e.u64(*len);
-                e.u64(*token);
-                e.finish()
-            }
-            Frame::GetResp { token, payload } => {
-                let mut e = Enc::new(out, OP_GET_RESP);
-                e.u64(*token);
-                e.bytes(payload);
-                e.finish()
-            }
-            Frame::PartRts {
-                ctx,
-                total_len,
-                rdv_id,
-            } => {
-                let mut e = Enc::new(out, OP_PART_RTS);
-                e.u64(*ctx);
-                e.u64(*total_len);
-                e.u64(*rdv_id);
-                e.finish()
-            }
-            Frame::PartCts { rdv_id } => {
-                let mut e = Enc::new(out, OP_PART_CTS);
-                e.u64(*rdv_id);
-                e.finish()
-            }
-            Frame::PartData {
-                rdv_id,
-                offset,
-                payload,
-            } => {
-                let mut e = Enc::new(out, OP_PART_DATA);
-                e.u64(*rdv_id);
-                e.u64(*offset);
-                e.bytes(payload);
-                e.finish()
-            }
-            Frame::Heartbeat { seq } => {
-                let mut e = Enc::new(out, OP_HEARTBEAT);
-                e.u64(*seq);
-                e.finish()
-            }
-            Frame::StreamResync {
-                rdv_id,
-                received,
-                missing,
-            } => {
-                let mut e = Enc::new(out, OP_STREAM_RESYNC);
-                e.u64(*rdv_id);
-                e.u64(*received);
-                debug_assert!(missing.len() <= MAX_RESYNC_RANGES);
-                e.u16(missing.len().min(MAX_RESYNC_RANGES) as u16);
-                for &(off, len) in missing.iter().take(MAX_RESYNC_RANGES) {
-                    e.u64(off);
-                    e.u64(len);
-                }
-                e.finish()
-            }
-        }
-    }
-
-    /// Decode one frame body (without the length prefix).
-    pub fn decode(body: &[u8]) -> io::Result<Frame> {
-        let mut d = Dec { buf: body, at: 0 };
-        check_version(d.u8()?)?;
-        let op = d.u8()?;
-        let frame = match op {
-            OP_HELLO => Frame::Hello {
-                rank: d.u16()?,
-                lane: d.u16()?,
-                seq: d.u64()?,
-            },
-            OP_EAGER => Frame::Eager {
-                shard: d.u16()?,
-                ctx: d.u64()?,
-                tag: d.i64()?,
-                payload: d.rest(),
-            },
-            OP_RTS => Frame::Rts {
-                shard: d.u16()?,
-                ctx: d.u64()?,
-                tag: d.i64()?,
-                len: d.u64()?,
-                rdv_id: d.u64()?,
-            },
-            OP_CTS => Frame::Cts { rdv_id: d.u64()? },
-            OP_RDV_DATA => Frame::RdvData {
-                rdv_id: d.u64()?,
-                payload: d.rest(),
-            },
-            OP_BARRIER_ARRIVE => Frame::BarrierArrive { gen: d.u64()? },
-            OP_BARRIER_RELEASE => Frame::BarrierRelease { gen: d.u64()? },
-            OP_ABORT => Frame::Abort {
-                kind: d.u8()?,
-                a: d.u64()?,
-                b: d.u64()?,
-                tag: d.i64()?,
-                attempts: d.u64()?,
-                detail: String::from_utf8_lossy(&d.rest()).into_owned(),
-            },
-            OP_BYE => Frame::Bye,
-            OP_WIN_ANNOUNCE => Frame::WinAnnounce {
-                win_ctx: d.u64()?,
-                len: d.u64()?,
-            },
-            OP_PUT => Frame::Put {
-                win_ctx: d.u64()?,
-                offset: d.u64()?,
-                payload: d.rest(),
-            },
-            OP_GET_REQ => Frame::GetReq {
-                win_ctx: d.u64()?,
-                offset: d.u64()?,
-                len: d.u64()?,
-                token: d.u64()?,
-            },
-            OP_GET_RESP => Frame::GetResp {
-                token: d.u64()?,
-                payload: d.rest(),
-            },
-            OP_PART_RTS => Frame::PartRts {
-                ctx: d.u64()?,
-                total_len: d.u64()?,
-                rdv_id: d.u64()?,
-            },
-            OP_PART_CTS => Frame::PartCts { rdv_id: d.u64()? },
-            OP_PART_DATA => Frame::PartData {
-                rdv_id: d.u64()?,
-                offset: d.u64()?,
-                payload: d.rest(),
-            },
-            OP_HEARTBEAT => Frame::Heartbeat { seq: d.u64()? },
-            OP_STREAM_RESYNC => {
-                let rdv_id = d.u64()?;
-                let received = d.u64()?;
-                let count = d.u16()? as usize;
-                if count > MAX_RESYNC_RANGES {
-                    return Err(corrupt(format!("implausible resync range count {count}")));
-                }
-                // Sized by bytes actually present, not the claimed
-                // count, so a lying count cannot reserve memory.
-                let mut missing = Vec::new();
-                for _ in 0..count {
-                    missing.push((d.u64()?, d.u64()?));
-                }
-                Frame::StreamResync {
-                    rdv_id,
-                    received,
-                    missing,
-                }
-            }
-            other => return Err(corrupt(format!("unknown opcode {other}"))),
-        };
-        Ok(frame)
     }
 
     /// Write the frame to a stream (length prefix + body).
@@ -949,7 +637,7 @@ impl Decoder {
                         let word = |at: usize| {
                             u64::from_le_bytes(std::array::from_fn(|i| self.fixed[6 + at + i]))
                         };
-                        let offset = if op == OP_PART_DATA { word(8) } else { 0 };
+                        let offset = if op == op::PART_DATA { word(8) } else { 0 };
                         let len = rest - pinned_fixed(op);
                         let piece = Piece {
                             op,
@@ -966,7 +654,7 @@ impl Decoder {
                     }
                     check_version(self.fixed[4])?;
                     let (op, rest) = (self.fixed[5], len - 2);
-                    self.stage = if self.pinned && (op == OP_PART_DATA || op == OP_RDV_DATA) {
+                    self.stage = if self.pinned && (op == op::PART_DATA || op == op::RDV_DATA) {
                         if rest < pinned_fixed(op) {
                             return Err(corrupt(format!(
                                 "truncated {} body ({rest} B)",
@@ -1027,7 +715,7 @@ impl Decoder {
 /// Fixed fields of a pinned frame's body after version and opcode:
 /// `rdv_id` (and a `PartData`'s `offset`).
 fn pinned_fixed(op: u8) -> usize {
-    if op == OP_PART_DATA {
+    if op == op::PART_DATA {
         16
     } else {
         8
@@ -1250,7 +938,7 @@ mod tests {
         // not allocate a gigabyte up front.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(MAX_FRAME_BODY as u32).to_le_bytes());
-        bytes.extend_from_slice(&[WIRE_VERSION, OP_BYE]);
+        bytes.extend_from_slice(&[WIRE_VERSION, op::BYE]);
         let mut cursor = std::io::Cursor::new(&bytes);
         let err = Frame::read_from(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -1259,7 +947,7 @@ mod tests {
     #[test]
     fn resync_range_count_lies_are_rejected() {
         // Body claims u16::MAX ranges but carries none.
-        let mut body = vec![WIRE_VERSION, OP_STREAM_RESYNC];
+        let mut body = vec![WIRE_VERSION, op::STREAM_RESYNC];
         body.extend_from_slice(&7u64.to_le_bytes());
         body.extend_from_slice(&0u64.to_le_bytes());
         body.extend_from_slice(&(u16::MAX).to_le_bytes());

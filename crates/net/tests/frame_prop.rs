@@ -219,6 +219,54 @@ fn truncated_fixed_fields_are_rejected_not_misparsed() {
     }
 }
 
+/// Whether the frame's last field runs to the end of the body.
+fn has_rest(f: &Frame) -> bool {
+    matches!(
+        f,
+        Frame::Eager { .. }
+            | Frame::RdvData { .. }
+            | Frame::Abort { .. }
+            | Frame::Put { .. }
+            | Frame::GetResp { .. }
+            | Frame::PartData { .. }
+    )
+}
+
+#[test]
+fn a_fixed_layout_body_with_a_byte_to_spare_is_rejected() {
+    let mut rng = XorShift::new(SEED ^ 0x7a11);
+    let mut checked = 0;
+    for round in 0..ROUNDS {
+        for v in 0..N_VARIANTS {
+            let f = gen_frame(&mut rng, v);
+            if has_rest(&f) {
+                continue;
+            }
+            checked += 1;
+            let mut buf = f.encode();
+            buf.push((rng.next() & 0xff) as u8);
+            let err = Frame::decode(&buf[4..]).expect_err(&format!(
+                "{} round {round}: a trailing byte must not decode",
+                f.name()
+            ));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}", f.name());
+            // The same through the stream API, with an honest prefix.
+            let body_len = (buf.len() - 4) as u32;
+            buf[..4].copy_from_slice(&body_len.to_le_bytes());
+            assert!(
+                Frame::read_from(&mut Cursor::new(&buf)).is_err(),
+                "{} round {round}: a trailing byte must not read",
+                f.name()
+            );
+        }
+    }
+    assert_eq!(
+        checked,
+        12 * ROUNDS,
+        "every fixed-layout variant, every round"
+    );
+}
+
 #[test]
 fn truncated_streams_and_bad_headers_are_rejected() {
     let mut rng = XorShift::new(SEED ^ 0x5eed);
