@@ -8,17 +8,19 @@ cd "$(dirname "$0")"
 
 # Every smoke matrix below (chaos, net, ipc, wire chaos, audit) is made of
 # the same cell: one launcher line under a hard timeout with its output
-# discarded, its exit status mapped to a verdict.
-#   cell [--audit WHAT] LABEL ACCEPT HANG [VAR=value...] COMMAND...
+# kept aside, its exit status mapped to a verdict.
+#   cell [--audit WHAT] [--expect TEXT] LABEL ACCEPT HANG [VAR=value...] COMMAND...
 # ACCEPT names the exit codes that pass: "0" for a plain smoke run (ok /
 # failed with exit N), "0 2" for a chaos run (recovered / clean typed
 # error / unclean exit N). 124 is timeout's own: the run hung, and HANG
 # is how to say so. With --audit the run is verified with its rings
 # armed, and pcomm-audit must then find nothing in them (WHAT names the
-# cell in its findings).
+# cell in its findings). With --expect the output must name TEXT and no
+# watchdog stall: the run died of the failure the cell provoked.
 cell() {
-    audit=""
+    audit=""; expect=""
     if [ "$1" = --audit ]; then audit="$2"; shift 2; fi
+    if [ "$1" = --expect ]; then expect="$2"; shift 2; fi
     label="$1"; accept="$2"; hang="$3"; shift 3
     echo "-- $label"
     if [ -n "$audit" ]; then
@@ -26,7 +28,14 @@ cell() {
         set -- PCOMM_VERIFY=1 PCOMM_TRACE="$ring_dir/trace.json" "$@"
     fi
     status=0
-    timeout 120 env "$@" >/dev/null 2>&1 || status=$?
+    out=$(mktemp)
+    timeout 120 env "$@" >"$out" 2>&1 || status=$?
+    if [ -n "$expect" ] && { ! grep -q "$expect" "$out" || grep -q "stall detected" "$out"; }; then
+        echo "   exit $status, but the output does not say '$expect' (or shows a stall):" >&2
+        cat "$out" >&2
+        exit 1
+    fi
+    rm -f "$out"
     case " $accept " in
         *" $status "*)
             if [ -n "$audit" ]; then :
@@ -133,7 +142,7 @@ echo "== ipc (same-host segment fabric: launcher examples + audited cell) =="
 # mesh, then zero syscalls per message. Hard timeout as always —
 # futex-parked progress threads must still tear down bounded. On
 # platforms without the raw-syscall layer the runtime falls back to
-# sockets, so this stage degrades instead of failing there. DESIGN.md §15.
+# sockets, so this stage degrades instead of failing there. DESIGN.md §14.
 ipc_smoke() {
     cell "$1 under pcomm-launch -n 2 (ipc)" 0 "HANG on the ipc fabric" \
         PCOMM_NET_FABRIC=ipc ./target/release/pcomm-launch -n 2 -- \
@@ -165,7 +174,10 @@ echo "== wire chaos (seeded wire faults under pcomm-launch, must never hang) =="
 # once) over two examples running as real processes. Same contract as
 # the in-process chaos smoke — recover (exit 0) or fail with a typed
 # error (exit 2); a hang past the watchdog (timeout exit 124) or a
-# panic/abort fails CI.
+# panic/abort fails CI. The half-open cell is the one only the
+# heartbeat can see — every write swallowed from 4 KiB on, the socket
+# still up — so it must end in exit 2 with the peer "presumed dead",
+# inside twice the 500 ms heartbeat, never in the watchdog's stall.
 wire_chaos() {
     cell "$1 under pcomm-launch -n 2, PCOMM_FAULTS='$2'" "0 2" \
         "HANG over the wire: watchdog failed to fire" \
@@ -175,7 +187,12 @@ wire_chaos() {
 for name in pingpong halo_exchange; do
     wire_chaos "$name" "seed=42,reset=0.001"
     wire_chaos "$name" "seed=42,torn=0.3,shortread=0.3"
-    wire_chaos "$name" "seed=42,lanekill=0:65536"
+    wire_chaos "$name" "seed=42,lanekill=65536"
+    cell --expect "presumed dead" \
+        "$name under pcomm-launch -n 2, PCOMM_FAULTS='seed=42,halfopen=4096'" 2 \
+        "HANG over the wire: heartbeat and watchdog failed to fire" \
+        PCOMM_FAULTS="seed=42,halfopen=4096" PCOMM_WATCHDOG_MS=5000 \
+        ./target/release/pcomm-launch -n 2 -- "./target/release/examples/$name"
 done
 
 echo "== audit (wire-chaos matrix with rings armed; every cell must audit clean) =="
@@ -184,7 +201,7 @@ echo "== audit (wire-chaos matrix with rings armed; every cell must audit clean)
 # exits included). pcomm-audit merges each cell's rings and must find
 # nothing: chaos proves the run survives, the audit proves the survival
 # was correct (wire FSM, stream-ledger soundness, cross-process
-# happens-before). DESIGN.md §14.
+# happens-before). DESIGN.md §13.
 audit_cell() {
     cell --audit "$1 under '$2'" "audit $1 under PCOMM_FAULTS='$2'" "0 2" \
         "HANG over the wire: watchdog failed to fire" \
@@ -194,7 +211,7 @@ audit_cell() {
 for name in pingpong halo_exchange; do
     audit_cell "$name" "seed=42,reset=0.001"
     audit_cell "$name" "seed=42,torn=0.3,shortread=0.3"
-    audit_cell "$name" "seed=42,lanekill=0:65536"
+    audit_cell "$name" "seed=42,lanekill=65536"
 done
 
 echo "== safety lint (SAFETY / ORDERING / PANIC justification comments) =="
@@ -209,7 +226,7 @@ echo "== size (ROADMAP's tracked counts; the transport family has a ceiling) =="
 # engine plus its two carriers may shrink but not grow back past what
 # the one-engine refactor reached (5145 before it); lower the ceiling
 # whenever a PR lands below it.
-TRANSPORT_CEILING=4082
+TRANSPORT_CEILING=4067
 nontest() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
 family=0
 for f in wire transport transport_ipc; do
@@ -253,7 +270,7 @@ done
 # so the count is the whole non-test file.)
 PART_CEILING=1468
 FABRIC_CEILING=1465
-UNIVERSE_CEILING=743
+UNIVERSE_CEILING=742
 TRAIT_CEILING=14
 part=$(nontest crates/core/src/part.rs)
 echo "   crates/core/src/part.rs: $part (ceiling $PART_CEILING)"
@@ -268,7 +285,7 @@ echo "   Transport trait methods: $methods (ceiling $TRAIT_CEILING)"
 echo "   crates/bench Rust lines: $(find crates/bench -name '*.rs' -exec cat {} + | wc -l)"
 # Every PCOMM_* variable doubles the configurations to cover. Same rule
 # as the line ceilings: lower it whenever a knob becomes a constant.
-KNOB_CEILING=14
+KNOB_CEILING=10
 knobs=$(grep -rhoE '"PCOMM_[A-Z_]+"' crates/*/src src | sort -u | wc -l)
 echo "   PCOMM_* variables read by non-test code: $knobs (ceiling $KNOB_CEILING)"
 if [ "$family" -gt "$TRANSPORT_CEILING" ]; then

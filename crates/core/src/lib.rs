@@ -74,6 +74,7 @@ mod wire;
 pub use comm::Comm;
 pub use error::{BlockedWait, DoorbellStats, PcommError, PeerSocketState, QueueEntry, StallReport};
 pub use fabric::MsgInfo;
+pub use transport::HEARTBEAT_MS;
 pub use universe::{Universe, DEFAULT_CHAOS_WATCHDOG_MS};
 
 // Chaos configuration is shared with the simulator via `pcomm-trace`;

@@ -47,7 +47,10 @@
 //! socket (`EPOLLONESHOT`; `EPOLLOUT` armed only while an outbox holds
 //! bytes) and does the work. While app threads poll it leaves a fired
 //! socket to them and the last poller out re-arms it, so a polling rank
-//! pays no wake-up per frame. The heartbeat tick is the loop's timeout.
+//! pays no wake-up per frame. The heartbeat tick is the loop's timeout:
+//! heartbeats are always on, a `Heartbeat` frame toward each live peer
+//! every [`HEARTBEAT_MS`], and a peer silent for [`HEARTBEAT_MISS`] is
+//! presumed dead.
 //!
 //! A failure goes through the one triage,
 //! [`SocketTransport::socket_failed`], always on the progress thread:
@@ -120,6 +123,20 @@ const ABORT_GRACE: Duration = Duration::from_secs(1);
 
 /// Progress-loop timeout while closing, ms: re-check the goodbyes.
 const CLOSE_TICK_MS: i32 = 10;
+
+/// The heartbeat interval, ms, one rule for both carriers: a socket
+/// rank sends a `Heartbeat` frame toward every live peer this often, an
+/// ipc rank bumps its segment word every [`HEARTBEAT_TICK`], and a peer
+/// silent for [`HEARTBEAT_MISS`] is presumed dead — a typed
+/// `PeerPanicked`, not a hang.
+pub const HEARTBEAT_MS: u64 = 500;
+
+/// How often a rank's progress thread looks at its peers' liveness.
+pub(crate) const HEARTBEAT_TICK: Duration = Duration::from_millis(HEARTBEAT_MS / 4);
+
+/// Silence that presumes a peer dead: 7/4 of the interval, so the
+/// verdict lands inside twice the interval, tick jitter included.
+pub(crate) const HEARTBEAT_MISS: Duration = Duration::from_millis(HEARTBEAT_MS * 7 / 4);
 
 /// A carrier: how the wire protocol engine reaches ranks hosted outside
 /// this process. Everything but `local_rank` and the waiting hooks is
@@ -480,8 +497,6 @@ pub(crate) struct SocketTransport {
     peers: Vec<Option<Peer>>,
     /// Mesh parameters, kept for the bounded reconnect.
     cfg: MeshConfig,
-    /// `PCOMM_NET_HB_MS`: heartbeat interval; `None` disables liveness.
-    hb_ms: Option<u64>,
     /// Transport epoch for the ms timestamps in `last_heard_ms`.
     t0: Instant,
     /// Set by `start`; lets the wire-fault observer (built in `new`,
@@ -508,35 +523,20 @@ impl SocketTransport {
     /// the calling threads are the only ones that move bytes. When
     /// `plan` carries wire-class faults every endpoint is wrapped in the
     /// seeded fault injector, with an observer that traces each
-    /// injection once the fabric is attached. A `lanekill`/`halfopen`
-    /// aimed at any lane but 0 is `Misuse`: no such socket exists, so
-    /// the fault would never fire and a chaos run would pass having
-    /// tested nothing.
+    /// injection once the fabric is attached.
     pub(crate) fn new(
         mesh: Mesh,
         cfg: MeshConfig,
         plan: Option<&FaultPlan>,
     ) -> Result<SocketTransport, PcommError> {
         let rank = mesh.rank;
-        let aimed = plan.map_or([None; 2], |p| [p.wire_lane_kill, p.wire_half_open]);
-        for (key, at) in ["lanekill", "halfopen"].into_iter().zip(aimed) {
-            if let Some((lane, bytes)) = at.filter(|&(lane, _)| lane != 0) {
-                return Err(PcommError::Misuse {
-                    rank: Some(rank),
-                    detail: format!(
-                        "wire fault {key}={lane}:{bytes} names lane {lane}, but a \
-                         peer pair has one socket, lane 0"
-                    ),
-                });
-            }
-        }
         Self::arm_mesh(mesh, cfg, plan).map_err(|e| PcommError::Misuse {
             rank: Some(rank),
             detail: format!("transport start: arming the mesh sockets: {e}"),
         })
     }
 
-    /// The fallible half of [`Self::new`], once the plan is accepted.
+    /// The fallible half of [`Self::new`].
     fn arm_mesh(mesh: Mesh, cfg: MeshConfig, plan: Option<&FaultPlan>) -> io::Result<Self> {
         let rank = mesh.rank;
         let fault_obs: Arc<OnceLock<Weak<Fabric>>> = Arc::new(OnceLock::new());
@@ -551,12 +551,12 @@ impl SocketTransport {
                 reset: p.wire_reset_p,
                 lane_kill: p.wire_lane_kill,
                 half_open: p.wire_half_open,
-                on_fault: Some(Arc::new(move |kind, peer, lane| {
+                on_fault: Some(Arc::new(move |kind, peer| {
                     if let Some(fabric) = obs.get().and_then(Weak::upgrade) {
                         fabric.trace().emit(local, || EventKind::FaultInjected {
                             fault: wire_fault_kind(kind),
                             dst: peer as u16,
-                            tag: lane as i64,
+                            tag: 0,
                             arg: 0,
                         });
                     }
@@ -571,7 +571,7 @@ impl SocketTransport {
                 continue;
             };
             let ep = match &wire {
-                Some(plan) => ep.with_faults(Arc::clone(plan), peer_rank as u32, 0),
+                Some(plan) => ep.with_faults(Arc::clone(plan), peer_rank as u32),
                 None => ep,
             };
             ep.set_nonblocking(true)?;
@@ -587,7 +587,6 @@ impl SocketTransport {
             rank,
             peers,
             cfg,
-            hb_ms: pcomm_net::launch::hb_ms_from_env(),
             t0: Instant::now(),
             fault_obs,
             epoll,
@@ -1093,15 +1092,15 @@ impl SocketTransport {
     /// `close` asks it to finish the goodbyes.
     fn progress_loop(&self, fabric: &Fabric) {
         let mut events = [EpollEvent::default(); 32];
-        let tick = self.hb_ms.map(|hb| Duration::from_millis((hb / 4).max(1)));
-        let mut next_tick = tick.map(|t| Instant::now() + t);
+        let mut next_tick = Instant::now() + HEARTBEAT_TICK;
         let mut beats = (0u64, None);
         let mut closing_since = None;
         loop {
-            let timeout = match (closing_since, next_tick) {
-                (Some(_), _) => CLOSE_TICK_MS,
-                (None, Some(at)) => at.saturating_duration_since(Instant::now()).as_millis() as i32,
-                (None, None) => -1,
+            let timeout = match closing_since {
+                Some(_) => CLOSE_TICK_MS,
+                None => next_tick
+                    .saturating_duration_since(Instant::now())
+                    .as_millis() as i32,
             };
             let n = match self.epoll.wait(&mut events, timeout) {
                 Ok(n) => n,
@@ -1120,12 +1119,9 @@ impl SocketTransport {
                 }
             }
             self.triage_broken(fabric);
-            if let (Some(t), Some(at)) = (tick, next_tick) {
-                if Instant::now() >= at && closing_since.is_none() {
-                    next_tick = self
-                        .heartbeat(fabric, &mut beats)
-                        .then(|| Instant::now() + t);
-                }
+            if closing_since.is_none() && Instant::now() >= next_tick {
+                self.heartbeat(fabric, &mut beats);
+                next_tick = Instant::now() + HEARTBEAT_TICK;
             }
             if self.closing.load(Ordering::Acquire) {
                 let since = *closing_since.get_or_insert_with(Instant::now);
@@ -1136,26 +1132,25 @@ impl SocketTransport {
         }
     }
 
-    /// One heartbeat tick (`PCOMM_NET_HB_MS`): beat toward each live
-    /// peer once an interval has passed since the last beat; silence
-    /// past 7/4 of the interval (detection inside the documented 2×,
-    /// tick jitter included) means the peer died without a word
-    /// (process killed, half-open socket) — escalated as the typed peer
-    /// death every survivor sees, instead of a stall that needs the
-    /// watchdog. Peers mid-reconnect or past their `Bye` are exempt.
-    /// Returns `false` once it escalated.
-    fn heartbeat(&self, fabric: &Fabric, beats: &mut (u64, Option<u64>)) -> bool {
-        let Some(hb) = self.hb_ms else {
-            return false;
-        };
+    /// One heartbeat tick: beat toward each live peer once
+    /// [`HEARTBEAT_MS`] has passed since the last beat; silence past
+    /// [`HEARTBEAT_MISS`] means the peer died without a word (process
+    /// killed, half-open socket) — escalated as the typed peer death
+    /// every survivor sees, instead of a stall that needs the watchdog.
+    /// Peers mid-reconnect or past their `Bye` are exempt; an aborted
+    /// run judges nobody.
+    fn heartbeat(&self, fabric: &Fabric, beats: &mut (u64, Option<u64>)) {
         if fabric.aborted() {
-            return false;
+            return;
         }
         let now = self.now_ms();
         let live = |peer: &Peer| {
             !peer.bye.load(Ordering::Acquire) && peer.connected.load(Ordering::Acquire)
         };
-        if beats.1.is_none_or(|t| now.saturating_sub(t) >= hb) {
+        if beats
+            .1
+            .is_none_or(|t| now.saturating_sub(t) >= HEARTBEAT_MS)
+        {
             beats.0 = beats.0.wrapping_add(1);
             for (rank, peer) in self.each_peer() {
                 if live(peer) {
@@ -1164,7 +1159,7 @@ impl SocketTransport {
             }
             beats.1 = Some(now);
         }
-        let miss = hb.saturating_mul(7) / 4;
+        let miss = HEARTBEAT_MISS.as_millis() as u64;
         for (rank, peer) in self.each_peer().filter(|(_, p)| live(p)) {
             // ORDERING: liveness timestamp; a stale read delays the
             // verdict by at most one tick.
@@ -1181,13 +1176,12 @@ impl SocketTransport {
                     rank,
                     message: format!(
                         "no frame from rank {rank} for {quiet} ms \
-                         (heartbeat interval {hb} ms): peer presumed dead"
+                         (heartbeat interval {HEARTBEAT_MS} ms): peer presumed dead"
                     ),
                 });
-                return false;
+                return;
             }
         }
-        true
     }
 
     /// Whether `close` may stop the progress thread: every live peer's

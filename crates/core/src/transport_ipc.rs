@@ -20,9 +20,10 @@
 //! thread makes progress inline from [`Transport::wait_slice`], and a
 //! single low-duty "pcomm-ipc" thread per process backstops
 //! completions nobody is actively waiting on and runs the heartbeat
-//! monitor (peer death becomes a typed [`PcommError::PeerPanicked`]
-//! instead of a hang). The two share the rank's inbound doorbell
-//! through a [`Handoff`]: while an app thread polls, the progress
+//! monitor: the socket carrier's rule, a segment word bumped every
+//! tick and a peer whose word stands still for [`HEARTBEAT_MISS`]
+//! presumed dead (a typed [`PcommError::PeerPanicked`], not a hang).
+//! The two share the rank's inbound doorbell through a [`Handoff`]: while an app thread polls, the progress
 //! thread's park is not counted in `sleepers`, so a peer's push costs
 //! no `FUTEX_WAKE`; the last poller out hands the doorbell back.
 //!
@@ -49,7 +50,7 @@ use pcomm_trace::EventKind;
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{poll_window, unset_in, Transport};
+use crate::transport::{poll_window, unset_in, Transport, HEARTBEAT_MISS, HEARTBEAT_TICK};
 use crate::wire::{answers_with_push, complete_spans, PinChunk, SendSpans, FINALIZE_TIMEOUT};
 
 /// Sleep between drain passes while teardown waits for the peers'
@@ -60,10 +61,6 @@ const TEARDOWN_SLICE: Duration = Duration::from_millis(2);
 /// a stuck consumer is re-checked often enough that abort flags and
 /// deadlines stay responsive.
 const PUSH_SLICE_NS: u64 = 200_000;
-
-/// Default heartbeat publish period when `PCOMM_NET_HB_MS` is unset.
-/// A peer is declared dead after 7/4 of this with no counter movement.
-const DEFAULT_HB_MS: u64 = 500;
 
 /// Hard bound on force-pushes during teardown (abort broadcast, `Bye`):
 /// past this the peer is not draining and the record is dropped — the
@@ -132,8 +129,6 @@ pub(crate) struct IpcTransport {
     peers: Vec<Option<IpcPeer>>,
     progress: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
-    /// Heartbeat publish period, ms.
-    hb_ms: u64,
     /// Who owns this rank's inbound doorbell right now: polling app
     /// threads or the parked progress thread.
     handoff: Handoff,
@@ -182,7 +177,6 @@ impl IpcTransport {
             peers,
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
-            hb_ms: pcomm_net::launch::hb_ms_from_env().unwrap_or(DEFAULT_HB_MS),
             handoff: Handoff::new(),
             doorbell_rings: AtomicU64::new(0),
             doorbell_wakes: AtomicU64::new(0),
@@ -293,7 +287,7 @@ impl IpcTransport {
     /// Encode and publish one control/data frame: inline when it fits a
     /// ring slot, staged through the FIFO slab otherwise. A body larger
     /// than the slab itself is user error (one unchunkable RMA put/get
-    /// larger than the configured slab) and fails the universe.
+    /// larger than the slab) and fails the universe.
     fn push_frame(
         &self,
         fabric: &Fabric,
@@ -320,8 +314,8 @@ impl IpcTransport {
             fabric.fail(PcommError::misuse(
                 self.rank,
                 format!(
-                    "ipc frame body of {} B exceeds the {}-byte FIFO slab; \
-                     raise PCOMM_NET_IPC_SLAB",
+                    "ipc frame body of {} B exceeds the {}-byte FIFO slab \
+                     (one RMA transfer larger than that must be split)",
                     body.len(),
                     self.fifo_bytes
                 ),
@@ -607,14 +601,13 @@ impl IpcTransport {
     /// latency-critical progress inline; this thread is the backstop
     /// for completions nobody is spinning on.
     fn progress_loop(self: &Arc<IpcTransport>, fabric: &Arc<Fabric>) {
-        let tick = Duration::from_millis((self.hb_ms / 4).max(1));
-        let tick_ns = tick.as_nanos() as u64;
+        let tick_ns = HEARTBEAT_TICK.as_nanos() as u64;
         let mut last_tick = Instant::now();
         loop {
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            if last_tick.elapsed() >= tick {
+            if last_tick.elapsed() >= HEARTBEAT_TICK {
                 self.heartbeat_tick(fabric);
                 last_tick = Instant::now();
             }
@@ -688,14 +681,13 @@ impl IpcTransport {
     }
 
     /// Publish this rank's liveness and check every attached peer's:
-    /// a heartbeat word that has not moved for 7/4 heartbeat periods
-    /// while the peer never said `Bye` means its process died mid-run.
+    /// a heartbeat word that has not moved for [`HEARTBEAT_MISS`] while
+    /// the peer never said `Bye` means its process died mid-run.
     fn heartbeat_tick(&self, fabric: &Fabric) {
         let beat = self.segment.heartbeat(self.rank);
         // ORDERING: liveness counter only; peers poll for movement, no
         // memory is published through it.
         beat.fetch_add(1, Ordering::Relaxed);
-        let stale_after = Duration::from_millis(self.hb_ms * 7 / 4);
         for (r, peer) in self.peers.iter().enumerate() {
             let Some(peer) = peer else { continue };
             if peer.saw_bye.load(Ordering::Acquire) {
@@ -712,7 +704,7 @@ impl IpcTransport {
             let mut seen = peer.hb_seen.lock();
             match *seen {
                 Some((prev, since)) if prev == val => {
-                    if since.elapsed() >= stale_after
+                    if since.elapsed() >= HEARTBEAT_MISS
                         && !fabric.aborted()
                         && !self.stop.load(Ordering::Acquire)
                     {
@@ -720,10 +712,9 @@ impl IpcTransport {
                             rank: r,
                             message: format!(
                                 "ipc heartbeat from rank {r} stale for {} ms (bound {} ms): \
-                                 the peer process likely died; tune PCOMM_NET_HB_MS to adjust \
-                                 detection latency",
+                                 the peer process likely died",
                                 since.elapsed().as_millis(),
-                                stale_after.as_millis()
+                                HEARTBEAT_MISS.as_millis()
                             ),
                         });
                     }
@@ -1035,31 +1026,38 @@ mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
 
-    /// Rank 0's carrier over a fresh two-rank segment, plus rank 1's
-    /// producer end of the 1→0 ring for writing hostile descriptors.
-    /// The carrier is never started: the test is the drainer.
-    fn hostile_peer() -> Option<(Arc<Fabric>, Arc<IpcTransport>, Channel)> {
+    /// Both ranks' carriers over one fresh segment of `params` (two
+    /// mappings of one memfd), each with its own traced fabric. Never
+    /// started: the test moves every record.
+    fn both_ranks(params: IpcParams) -> Option<[(Arc<Fabric>, Arc<IpcTransport>); 2]> {
         if !sys::supported() {
             return None;
         }
+        let (segment, fd) = Segment::create(params).expect("memfd segment");
+        let attached = Segment::attach(fd, params).expect("second mapping");
+        let _ = sys::close(fd);
+        Some([(segment, 0), (attached, 1)].map(|(segment, rank)| {
+            let carrier = Arc::new(IpcTransport::new(segment, rank, 2));
+            let trace = pcomm_trace::Trace::ring(1024);
+            let as_dyn = Arc::clone(&carrier) as Arc<dyn Transport>;
+            (
+                Fabric::new_configured(2, 1, 1024, trace, None, as_dyn),
+                carrier,
+            )
+        }))
+    }
+
+    /// Rank 0's carrier, plus rank 1's producer end of the 1→0 ring for
+    /// writing hostile descriptors. The test is the drainer.
+    fn hostile_peer() -> Option<(Arc<Fabric>, Arc<IpcTransport>, Channel)> {
         let params = IpcParams {
             n_ranks: 2,
             ring_slots: 8,
             fifo_bytes: 64 << 10,
             arena_bytes: 1 << 20,
         };
-        let (segment, fd) = Segment::create(params).expect("memfd segment");
-        let _ = sys::close(fd);
-        let peer_out = segment.channel(1, 0);
-        let carrier = Arc::new(IpcTransport::new(segment, 0, 2));
-        let fabric = Fabric::new_configured(
-            2,
-            1,
-            1024,
-            pcomm_trace::Trace::disabled(),
-            None,
-            Arc::clone(&carrier) as Arc<dyn Transport>,
-        );
+        let [(fabric, carrier), _] = both_ranks(params)?;
+        let peer_out = carrier.segment.channel(1, 0);
         Some((fabric, carrier, peer_out))
     }
 
@@ -1154,5 +1152,119 @@ mod tests {
                 .load(Ordering::Relaxed);
             assert_eq!(sent, after, "no K_PART may follow a refused grant");
         }
+    }
+
+    /// Backpressure, never loss: rank 1 pushes twelve records into a
+    /// two-slot ring with a 4 KiB slab while nobody drains. The push
+    /// blocks with the ring full; once the test drains `channel(1, 0)`
+    /// every record arrives, in order and bit-exact, and the wait is in
+    /// the trace as `ipc_ring_full`.
+    #[test]
+    fn a_full_ring_blocks_the_producer_and_drops_nothing() {
+        let params = IpcParams {
+            n_ranks: 2,
+            ring_slots: 2,
+            fifo_bytes: 4096,
+            arena_bytes: 0,
+        };
+        let Some([_, (fabric, carrier)]) = both_ranks(params) else {
+            return;
+        };
+        // Inline (16 B) and slab-staged (1500 B) records alternate.
+        let frames: Vec<Frame> = (0..12u64)
+            .map(|i| Frame::Put {
+                win_ctx: 7,
+                offset: i,
+                payload: vec![0x5a ^ i as u8; if i % 2 == 0 { 16 } else { 1500 }],
+            })
+            .collect();
+        let pusher = {
+            let (fabric, carrier, frames) = (fabric.clone(), carrier.clone(), frames.clone());
+            std::thread::spawn(move || {
+                let push = |f: &Frame| carrier.push_frame(&fabric, 0, f, None, false);
+                frames.iter().all(push)
+            })
+        };
+        let sent = || {
+            carrier.peers[0]
+                .as_ref()
+                .unwrap()
+                .frames_sent
+                .load(Ordering::Relaxed)
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sent() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sent(), 2, "the pusher got past a full two-slot ring");
+        assert!(
+            !pusher.is_finished(),
+            "the pusher returned with the ring full"
+        );
+        let inbound = carrier.segment.channel(1, 0);
+        let mut got = Vec::new();
+        while got.len() < frames.len() && Instant::now() < deadline {
+            let pop = |desc: &SlotDesc, body: &[u8]| got.push((desc.kind, Frame::decode(body)));
+            if !inbound.try_pop(pop).unwrap() {
+                std::thread::yield_now();
+            }
+        }
+        assert!(pusher.join().unwrap(), "a push gave up");
+        let kinds: Vec<u16> = got.iter().map(|(kind, _)| *kind).collect();
+        let want: Vec<u16> = (0..12).map(|i| [K_FRAME, K_SLAB][i % 2]).collect();
+        assert_eq!(kinds, want);
+        for ((_, frame), sent) in got.into_iter().zip(&frames) {
+            assert_eq!(&frame.unwrap(), sent);
+        }
+        let events = fabric.trace().snapshot().unwrap().events;
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::IpcRingFull { peer: 0, .. })),
+            "no ipc_ring_full event: the push never waited"
+        );
+    }
+
+    /// An arena too small for the transfer refuses the grant: the
+    /// receiver gets no destination in it, so its `K_PART_CTS` grants
+    /// nothing and the sender streams every byte through the FIFO slab
+    /// as `K_PARTF` chunks of half the slab — in order and bit-exact.
+    #[test]
+    fn an_arena_too_small_for_the_transfer_falls_back_to_the_slab() {
+        let params = IpcParams {
+            n_ranks: 2,
+            ring_slots: 64,
+            fifo_bytes: 4096,
+            arena_bytes: 1024,
+        };
+        let Some([(fabric0, receiver), (fabric1, sender)]) = both_ranks(params) else {
+            return;
+        };
+        let src: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert!(receiver.alloc_part_dest(1, src.len()).is_none());
+        let id = fabric1
+            .wire()
+            .part_stream_begin(&fabric1, 0, 9, src.len(), Vec::new());
+        let dest = vec![0u8; src.len()];
+        receiver.ship_part_cts(&fabric0, 1, id, dest.as_ptr(), dest.len());
+        assert!(
+            sender.drain_peer(&fabric1, 0, false),
+            "the CTS never arrived"
+        );
+        fabric1.wire().part_stream_push(&fabric1, id, 0, &src, 1);
+        let inbound = receiver.segment.channel(1, 0);
+        let (mut kinds, mut offsets, mut landed) = (Vec::new(), Vec::new(), vec![0u8; src.len()]);
+        let mut pop = |desc: &SlotDesc, body: &[u8]| {
+            kinds.push(desc.kind);
+            if desc.kind == K_PARTF {
+                assert_eq!(desc.a, id);
+                offsets.push(desc.b);
+                landed[desc.b as usize..][..body.len()].copy_from_slice(body);
+            }
+        };
+        while inbound.try_pop(&mut pop).unwrap() {}
+        assert_eq!(kinds, [K_FRAME, K_PARTF, K_PARTF]);
+        assert_eq!(offsets, [0, 2048]);
+        assert_eq!(landed, src);
     }
 }

@@ -374,12 +374,11 @@ impl Universe {
             detail: format!("multiprocess mesh establishment failed: {e}"),
         })?;
         let transport: Arc<dyn crate::transport::Transport> = if use_ipc {
-            let (slots, slab, arena) = pcomm_net::launch::ipc_params_from_env();
             let params = pcomm_net::ipc::IpcParams {
                 n_ranks: env.n_ranks,
-                ring_slots: slots as u32,
-                fifo_bytes: slab as u64,
-                arena_bytes: arena as u64,
+                ring_slots: pcomm_net::launch::DEFAULT_IPC_SLOTS,
+                fifo_bytes: pcomm_net::launch::DEFAULT_IPC_SLAB,
+                arena_bytes: pcomm_net::launch::DEFAULT_IPC_ARENA,
             };
             let segment = crate::transport_ipc::bootstrap(&mut mesh, params)?;
             // The mesh sockets carried the fd exchange; the segment is

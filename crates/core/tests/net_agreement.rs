@@ -55,9 +55,9 @@ fn wire_digest_matches_shm_baseline() {
     assert_eq!(outs[1].digest(), Some(0), "rank 1 fell back in-process");
 }
 
-/// A slow-but-alive peer must never be declared dead: with heartbeats
-/// armed and the sender crawling (seeded pready jitter plus an explicit
-/// inter-partition gap several times the heartbeat interval), the run
+/// A slow-but-alive peer must never be declared dead: with the default
+/// heartbeat and the sender crawling (seeded pready jitter plus an
+/// inter-partition gap of half the heartbeat interval), the run
 /// completes clean, the digest still matches the shm baseline, and no
 /// rank records a single `heartbeat_miss`.
 #[test]
@@ -73,17 +73,19 @@ fn slow_jittered_peer_is_not_declared_dead() {
         &[
             (ENV_PARTS, n_parts.to_string()),
             (ENV_PART_BYTES, part_bytes.to_string()),
-            // Miss threshold is 1.75x the interval (350 ms here): small
-            // enough that the 500+ ms crawl below would trip a monitor
-            // that judged transfer progress instead of heartbeats, big
-            // enough to absorb scheduler noise on a loaded CI box.
-            ("PCOMM_NET_HB_MS", "200".to_string()),
         ],
         [
             vec![],
             vec![
                 ("PCOMM_FAULTS", "seed=11,delay=0.25:2000,jitter".to_string()),
-                (ENV_PREADY_GAP_MS, "50".to_string()),
+                // Ten gaps of 250 ms: a 2.5 s crawl, well past the
+                // 7/4 x `HEARTBEAT_MS` miss threshold, so a monitor that
+                // judged transfer progress instead of heartbeats would
+                // trip.
+                (
+                    ENV_PREADY_GAP_MS,
+                    (pcomm_core::HEARTBEAT_MS / 2).to_string(),
+                ),
             ],
         ],
         TIMEOUT,

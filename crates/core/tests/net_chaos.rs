@@ -57,42 +57,6 @@ fn torn_writes_and_short_reads_complete_bit_exact() {
     );
 }
 
-/// A pair has one socket, lane 0: a `lanekill` or `halfopen` aimed at
-/// any other lane could never fire, and the chaos run would report a
-/// clean pass having tested nothing. Both ranks refuse the plan as a
-/// typed `Misuse` naming the key, before any traffic.
-#[test]
-fn a_wire_fault_on_a_lane_that_does_not_exist_is_misuse() {
-    if common::maybe_run_child() {
-        return;
-    }
-    for (plan, key) in [
-        ("seed=7,lanekill=2:65536", "lanekill=2:65536"),
-        ("seed=7,halfopen=2:256", "halfopen=2:256"),
-    ] {
-        let outs = common::run_wire_pair(
-            "a_wire_fault_on_a_lane_that_does_not_exist_is_misuse",
-            "transfer",
-            &[("PCOMM_FAULTS", plan.to_string())],
-            [vec![], vec![]],
-            TIMEOUT,
-        );
-        for (rank, o) in outs.iter().enumerate() {
-            assert!(
-                o.status.success(),
-                "rank {rank}: {:?} ({})",
-                o.status,
-                o.out
-            );
-            assert!(
-                o.out.starts_with("err misuse") && o.out.contains(key),
-                "rank {rank} under `{plan}` should refuse the plan, got `{}`",
-                o.out
-            );
-        }
-    }
-}
-
 /// A reset socket is the peer's one reconnect: the sender's trace has
 /// a `reconnect` and no `lane_failover`. Seed 9 resets one of the first
 /// write calls after `PartRts` — the stream's one chunk. Either outcome
@@ -145,25 +109,27 @@ fn a_reset_mid_stream_spends_the_one_reconnect() {
 }
 
 /// A half-open peer — live socket, writes silently swallowed — is the
-/// failure only heartbeats can see. The survivor must escalate to a
-/// typed `PeerPanicked` naming the silence, within ~2x the heartbeat
-/// interval, and the silent rank itself must come back with a typed
+/// failure only heartbeats can see, and heartbeats are always on. With
+/// no environment beyond the fault, the survivor must escalate to a
+/// typed `PeerPanicked` naming the silence within ~2x the heartbeat
+/// interval — well before the 5 s chaos watchdog would report a
+/// `Stall` — and the silent rank itself must come back with a typed
 /// error once the survivor tears the mesh down. Nobody hangs.
 #[test]
 fn half_open_peer_escalates_to_typed_error() {
     if common::maybe_run_child() {
         return;
     }
-    let hb_ms: u64 = 150;
+    let hb_ms = pcomm_core::HEARTBEAT_MS;
     let outs = common::run_wire_pair(
         "half_open_peer_escalates_to_typed_error",
         "barrier-storm",
-        &[("PCOMM_NET_HB_MS", hb_ms.to_string())],
+        &[],
         [
             vec![],
             // Rank 1's socket goes silent after 256 bytes of control
             // traffic — a few barriers in, handshake long done.
-            vec![("PCOMM_FAULTS", "seed=9,halfopen=0:256".to_string())],
+            vec![("PCOMM_FAULTS", "seed=9,halfopen=256".to_string())],
         ],
         TIMEOUT,
     );
@@ -230,7 +196,7 @@ fn lanekill_reconnect_run_audits_clean() {
         ],
         [
             vec![],
-            vec![("PCOMM_FAULTS", "seed=7,lanekill=0:65536".to_string())],
+            vec![("PCOMM_FAULTS", "seed=7,lanekill=65536".to_string())],
         ],
         TIMEOUT,
     );
@@ -299,13 +265,10 @@ fn typed_error_exit_still_persists_audit_rings() {
     let outs = common::run_wire_pair(
         "typed_error_exit_still_persists_audit_rings",
         "barrier-storm",
-        &[
-            ("PCOMM_NET_HB_MS", "150".to_string()),
-            ("PCOMM_VERIFY", "1".to_string()),
-        ],
+        &[("PCOMM_VERIFY", "1".to_string())],
         [
             vec![],
-            vec![("PCOMM_FAULTS", "seed=9,halfopen=0:256".to_string())],
+            vec![("PCOMM_FAULTS", "seed=9,halfopen=256".to_string())],
         ],
         TIMEOUT,
     );

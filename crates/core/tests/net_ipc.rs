@@ -121,58 +121,6 @@ fn a_zero_length_rendezvous_completes_on_both_carriers() {
     }
 }
 
-/// Backpressure: a ring squeezed to 2 slots with a 4 KiB fifo and no
-/// usable arena (so every chunk rides the fifo) forces the sender to
-/// block on ring-full dozens of times. The contract: block, never
-/// drop — the transfer still completes bit-exact under full
-/// verification, and the waits are visible in the trace.
-#[test]
-fn ipc_ring_full_blocks_without_dropping() {
-    if common::maybe_run_child() {
-        return;
-    }
-    if !ipc_supported() {
-        return;
-    }
-    let (n_parts, part_bytes) = (16, 16 * 1024);
-    let outs = common::run_wire_pair(
-        "ipc_ring_full_blocks_without_dropping",
-        "transfer",
-        &[
-            fabric_env(),
-            (ENV_PARTS, n_parts.to_string()),
-            (ENV_PART_BYTES, part_bytes.to_string()),
-            ("PCOMM_NET_IPC_SLOTS", "2".to_string()),
-            ("PCOMM_NET_IPC_SLAB", "4096".to_string()),
-            // 1 byte: below any allocation, so the zero-copy grant is
-            // refused and all 256 KiB funnel through the tiny fifo.
-            ("PCOMM_NET_IPC_ARENA", "1".to_string()),
-            ("PCOMM_VERIFY", "1".to_string()),
-        ],
-        [vec![], vec![]],
-        TIMEOUT,
-    );
-    for (rank, o) in outs.iter().enumerate() {
-        assert!(
-            o.status.success(),
-            "rank {rank}: {:?} ({})",
-            o.status,
-            o.out
-        );
-        assert!(o.out.starts_with("ok "), "rank {rank}: `{}`", o.out);
-    }
-    assert_eq!(
-        outs[0].digest(),
-        Some(common::expected_digest(n_parts, part_bytes)),
-        "digest diverged under ring backpressure: `{}`",
-        outs[0].out
-    );
-    assert!(
-        outs[1].trace.contains("ipc_ring_full"),
-        "sender never hit ring-full — the squeeze tested nothing"
-    );
-}
-
 /// A peer process that dies mid-run must become a typed
 /// `PeerPanicked` on the survivor, within the advertised heartbeat
 /// bound — the segment heartbeat is the only liveness signal the ipc
@@ -186,11 +134,11 @@ fn ipc_killed_peer_escalates_within_heartbeat_bound() {
     if !ipc_supported() {
         return;
     }
-    let hb_ms: u64 = 150;
+    let hb_ms = pcomm_core::HEARTBEAT_MS;
     let outs = common::run_wire_pair(
         "ipc_killed_peer_escalates_within_heartbeat_bound",
         "abort-mid",
-        &[fabric_env(), ("PCOMM_NET_HB_MS", hb_ms.to_string())],
+        &[fabric_env()],
         [vec![], vec![]],
         TIMEOUT,
     );
@@ -521,15 +469,14 @@ fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
 /// return to `Universe::run`'s is the closing barrier, the `Bye`s and a
 /// join — milliseconds. The failure this cell exists to catch is a
 /// teardown that sits out one progress-thread park, i.e. a quarter of
-/// the default heartbeat (`transport_ipc.rs`: `DEFAULT_HB_MS / 4` =
-/// 125 ms), so the bound derives from that tick: under any sat-out tick,
-/// well above the 50–55 ms a healthy teardown reaches when the whole
-/// test binary loads both cores (8–30 ms alone).
+/// the heartbeat (`HEARTBEAT_MS / 4` = 125 ms), so the bound derives
+/// from that tick: under any sat-out tick, well above the 50–55 ms a
+/// healthy teardown reaches when the whole test binary loads both cores
+/// (8–30 ms alone).
 #[test]
 fn ipc_teardown_is_bounded() {
-    /// `DEFAULT_HB_MS / 4` in `transport_ipc.rs`; the run sets no
-    /// `PCOMM_NET_HB_MS`.
-    const PROGRESS_TICK_US: u64 = 500_000 / 4;
+    /// The progress thread's park bound, one heartbeat tick.
+    const PROGRESS_TICK_US: u64 = pcomm_core::HEARTBEAT_MS * 1000 / 4;
     const BOUND_US: u64 = PROGRESS_TICK_US * 4 / 5;
     if common::maybe_run_child() {
         return;

@@ -23,11 +23,11 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// Wrap this endpoint in a seeded wire-fault injector for `(peer,
-    /// lane)`. Clones made afterwards share one fault ledger, so the
-    /// read and write halves of a lane count bytes together. A
-    /// no-op (returns `self`) when the plan has no wire faults.
-    pub fn with_faults(self, plan: Arc<WireFaults>, peer: u32, lane: u32) -> Endpoint {
+    /// Wrap this endpoint in a seeded wire-fault injector for `peer`.
+    /// Clones made afterwards share one fault ledger, so the read and
+    /// write halves of the socket count bytes together. A no-op
+    /// (returns `self`) when the plan has no wire faults.
+    pub fn with_faults(self, plan: Arc<WireFaults>, peer: u32) -> Endpoint {
         if !plan.any() || matches!(self, Endpoint::Faulty(_)) {
             return self;
         }
@@ -35,13 +35,12 @@ impl Endpoint {
             inner: self,
             plan,
             peer,
-            lane,
             state: Arc::new(FaultyState::default()),
         }))
     }
 
     /// Clone the underlying socket handle (shared file description), so
-    /// the read and write halves of a lane can own the stream
+    /// the read and write halves of a socket can own the stream
     /// independently.
     pub fn try_clone(&self) -> io::Result<Endpoint> {
         Ok(match self {

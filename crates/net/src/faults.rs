@@ -2,12 +2,11 @@
 //!
 //! [`WireFaults`] describes a plan of *wire-class* faults — torn
 //! (partial) writes, short reads, injected garbage bytes, connection
-//! reset at a frame boundary, lane kill after a byte threshold, and
+//! reset at a frame boundary, a socket kill after a byte threshold, and
 //! half-open silent death — and an [`Endpoint`] wrapped via
 //! [`Endpoint::with_faults`] applies them on every `read`/`write` call.
 //!
-//! Every decision is a pure function of `(seed, peer, lane, call
-//! index)`: two runs with the same plan and the same call sequence
+//! Every decision is a pure function of `(seed, peer, call index)`: two runs with the same plan and the same call sequence
 //! inject bit-for-bit the same faults, so a failing chaos run replays
 //! exactly. On a nonblocking socket a call the kernel refuses with
 //! `WouldBlock` never happened as far as the plan is concerned — it
@@ -45,7 +44,7 @@ pub enum WireFault {
     Garbage,
     /// The connection was reset (socket shut down, error returned).
     Reset,
-    /// A lane was killed after its configured byte threshold.
+    /// The socket was killed after its byte threshold.
     LaneKill,
     /// Writes are silently swallowed: the peer sees a live socket that
     /// never speaks again.
@@ -78,14 +77,14 @@ impl WireFault {
     }
 }
 
-/// Observer invoked synchronously for every injected fault (the runtime
-/// uses it to emit trace events without `pcomm-net` knowing about the
-/// tracer).
-pub type FaultObserver = Arc<dyn Fn(WireFault, u32, u32) + Send + Sync>;
+/// Observer invoked synchronously as `(fault, peer)` for every injected
+/// fault (the runtime uses it to emit trace events without `pcomm-net`
+/// knowing about the tracer).
+pub type FaultObserver = Arc<dyn Fn(WireFault, u32) + Send + Sync>;
 
 /// A seeded wire-fault plan shared by every wrapped endpoint of one
 /// transport. Probabilities are per `read`/`write` *call*; thresholds
-/// are cumulative bytes written on the matching lane.
+/// are cumulative bytes written to the socket.
 #[derive(Clone, Default)]
 pub struct WireFaults {
     /// Seed every decision derives from.
@@ -98,12 +97,12 @@ pub struct WireFaults {
     pub garbage: f64,
     /// Probability a write call resets the connection instead.
     pub reset: f64,
-    /// Kill lane `.0` once `.1` cumulative bytes were written on it.
-    pub lane_kill: Option<(u32, u64)>,
-    /// After `.1` bytes written on lane `.0`, silently swallow all
-    /// further writes (half-open peer: alive socket, dead process).
-    pub half_open: Option<(u32, u64)>,
-    /// Observer called as `(fault, peer, lane)` on every injection.
+    /// Kill the socket once this many cumulative bytes were written.
+    pub lane_kill: Option<u64>,
+    /// After this many bytes written, silently swallow all further
+    /// writes (half-open peer: alive socket, dead process).
+    pub half_open: Option<u64>,
+    /// Observer called on every injection.
     pub on_fault: Option<FaultObserver>,
 }
 
@@ -134,7 +133,8 @@ impl WireFaults {
 }
 
 /// Mutable per-link state, shared by every clone of one wrapped
-/// endpoint so a lane's read and write halves see one byte/call ledger.
+/// endpoint so a socket's read and write halves see one byte/call
+/// ledger.
 #[derive(Debug, Default)]
 pub struct FaultyState {
     written: AtomicU64,
@@ -161,7 +161,6 @@ pub struct FaultyLink {
     pub(crate) inner: Endpoint,
     pub(crate) plan: Arc<WireFaults>,
     pub(crate) peer: u32,
-    pub(crate) lane: u32,
     pub(crate) state: Arc<FaultyState>,
 }
 
@@ -170,7 +169,6 @@ impl fmt::Debug for FaultyLink {
         f.debug_struct("FaultyLink")
             .field("inner", &self.inner)
             .field("peer", &self.peer)
-            .field("lane", &self.lane)
             .field("plan", &self.plan)
             .finish()
     }
@@ -188,15 +186,16 @@ impl FaultyLink {
             inner: self.inner.try_clone()?,
             plan: Arc::clone(&self.plan),
             peer: self.peer,
-            lane: self.lane,
             state: Arc::clone(&self.state),
         })
     }
 
-    /// One deterministic 64-bit draw for call `idx` in `domain`.
+    /// One deterministic 64-bit draw for call `idx` in `domain`. The
+    /// `0` stands where a socket index once did; it stays so every
+    /// seeded schedule replays unchanged.
     fn draw(&self, domain: u64, idx: u64) -> u64 {
         let mut acc = SplitMix64::new(self.plan.seed).next_u64();
-        for w in [domain, self.peer as u64, self.lane as u64, idx] {
+        for w in [domain, self.peer as u64, 0, idx] {
             acc = SplitMix64::new(acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
         }
         SplitMix64::new(acc).next_u64()
@@ -206,17 +205,14 @@ impl FaultyLink {
         // ORDERING: advisory fault tally (see `FaultyState::injected`).
         self.state.injected[kind.slot()].fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.plan.on_fault {
-            obs(kind, self.peer, self.lane);
+            obs(kind, self.peer);
         }
     }
 
     fn reset_err(&self) -> io::Error {
         io::Error::new(
             io::ErrorKind::ConnectionReset,
-            format!(
-                "wire fault: connection reset (peer {}, lane {})",
-                self.peer, self.lane
-            ),
+            format!("wire fault: connection reset (peer {})", self.peer),
         )
     }
 
@@ -226,29 +222,25 @@ impl FaultyLink {
         if self.state.dead.load(Ordering::Relaxed) {
             return Err(self.reset_err());
         }
-        // ORDERING: the byte ledger is written only under the lane's
+        // ORDERING: the byte ledger is written only under the socket's
         // write mutex, which serialises every call; reads elsewhere are
         // advisory.
         let written = self.state.written.load(Ordering::Relaxed);
-        if let Some((lane, after)) = self.plan.lane_kill {
-            if lane == self.lane && written >= after {
-                // ORDERING: the swap makes the fault report
-                // exactly-once; no other memory rides on the flag.
-                if !self.state.dead.swap(true, Ordering::Relaxed) {
-                    self.report(WireFault::LaneKill);
-                    // Kill the real socket so the peer's reader on this
-                    // lane fails too instead of waiting forever.
-                    self.inner.shutdown();
-                }
-                return Err(self.reset_err());
+        if self.plan.lane_kill.is_some_and(|after| written >= after) {
+            // ORDERING: the swap makes the fault report exactly-once; no
+            // other memory rides on the flag.
+            if !self.state.dead.swap(true, Ordering::Relaxed) {
+                self.report(WireFault::LaneKill);
+                // Kill the real socket so the peer's reader fails too
+                // instead of waiting forever.
+                self.inner.shutdown();
             }
+            return Err(self.reset_err());
         }
-        if let Some((lane, after)) = self.plan.half_open {
-            if lane == self.lane
-                // ORDERING: sticky half-open latch; a late read only
-                // delays the first swallowed write by one call.
-                && (written >= after || self.state.half_open.load(Ordering::Relaxed))
-            {
+        if let Some(after) = self.plan.half_open {
+            // ORDERING: sticky half-open latch; a late read only delays
+            // the first swallowed write by one call.
+            if written >= after || self.state.half_open.load(Ordering::Relaxed) {
                 // ORDERING: swap = exactly-once report (see lane_kill).
                 if !self.state.half_open.swap(true, Ordering::Relaxed) {
                     self.report(WireFault::HalfOpen);
@@ -261,7 +253,7 @@ impl FaultyLink {
                 return Ok(buf.len());
             }
         }
-        // ORDERING: per-call index for the deterministic draw; the lane's
+        // ORDERING: per-call index for the deterministic draw; the socket's
         // write mutex serialises every call, so load-then-store is exact.
         // It is stored only once the call really happened.
         let idx = self.state.writes.load(Ordering::Relaxed);
@@ -302,7 +294,7 @@ impl FaultyLink {
             self.report(kind);
         }
         let n = wrote?;
-        // ORDERING: the byte ledger is serialised by the lane's write
+        // ORDERING: the byte ledger is serialised by the socket's write
         // mutex (see the load at the top).
         self.state.written.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
@@ -313,7 +305,7 @@ impl FaultyLink {
         if self.state.dead.load(Ordering::Relaxed) {
             return Err(self.reset_err());
         }
-        // ORDERING: per-call draw index; the lane's read mutex serialises
+        // ORDERING: per-call draw index; the socket's read mutex serialises
         // every call, and the index is stored only once a call happened.
         let idx = self.state.reads.load(Ordering::Relaxed);
         let short = buf.len() > 1 && u01(self.draw(DOMAIN_READ, idx)) < self.plan.short_read;
@@ -347,22 +339,19 @@ mod tests {
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
 
-    fn pair_with(plan: WireFaults, lane: u32) -> (Endpoint, Endpoint) {
+    fn pair_with(plan: WireFaults) -> (Endpoint, Endpoint) {
         let (a, b) = UnixStream::pair().unwrap();
-        let faulty = Endpoint::Uds(a).with_faults(Arc::new(plan), 1, lane);
+        let faulty = Endpoint::Uds(a).with_faults(Arc::new(plan), 1);
         (faulty, Endpoint::Uds(b))
     }
 
     #[test]
     fn torn_writes_still_deliver_via_write_all() {
-        let (mut tx, mut rx) = pair_with(
-            WireFaults {
-                seed: 7,
-                torn: 1.0,
-                ..WireFaults::default()
-            },
-            1,
-        );
+        let (mut tx, mut rx) = pair_with(WireFaults {
+            seed: 7,
+            torn: 1.0,
+            ..WireFaults::default()
+        });
         let msg = [0xabu8; 4096];
         let writer = std::thread::spawn(move || {
             tx.write_all(&msg).unwrap();
@@ -380,14 +369,11 @@ mod tests {
 
     #[test]
     fn lane_kill_fires_at_threshold_and_peer_sees_eof() {
-        let (mut tx, mut rx) = pair_with(
-            WireFaults {
-                seed: 7,
-                lane_kill: Some((2, 1024)),
-                ..WireFaults::default()
-            },
-            2,
-        );
+        let (mut tx, mut rx) = pair_with(WireFaults {
+            seed: 7,
+            lane_kill: Some(1024),
+            ..WireFaults::default()
+        });
         let chunk = [0u8; 512];
         tx.write_all(&chunk).unwrap();
         tx.write_all(&chunk).unwrap();
@@ -400,28 +386,12 @@ mod tests {
     }
 
     #[test]
-    fn lane_kill_ignores_other_lanes() {
-        let (mut tx, _rx) = pair_with(
-            WireFaults {
-                seed: 7,
-                lane_kill: Some((2, 0)),
-                ..WireFaults::default()
-            },
-            1,
-        );
-        tx.write_all(&[1u8; 4096]).unwrap();
-    }
-
-    #[test]
     fn half_open_swallows_writes_silently() {
-        let (mut tx, mut rx) = pair_with(
-            WireFaults {
-                seed: 7,
-                half_open: Some((0, 256)),
-                ..WireFaults::default()
-            },
-            0,
-        );
+        let (mut tx, mut rx) = pair_with(WireFaults {
+            seed: 7,
+            half_open: Some(256),
+            ..WireFaults::default()
+        });
         tx.write_all(&[9u8; 256]).unwrap();
         tx.write_all(&[9u8; 256]).unwrap(); // swallowed, still Ok
         drop(tx);
@@ -441,7 +411,6 @@ mod tests {
                     ..WireFaults::default()
                 }),
                 3,
-                1,
             );
             let mut ep = ep;
             let mut pattern = Vec::new();
@@ -486,7 +455,7 @@ mod tests {
             garbage: 0.1,
             ..WireFaults::default()
         };
-        let (mut tx, mut rx) = pair_with(plan, 1);
+        let (mut tx, mut rx) = pair_with(plan);
         tx.set_nonblocking(nonblocking).unwrap();
         let (go, wait) = std::sync::mpsc::channel::<()>();
         let reader = std::thread::spawn(move || {
@@ -537,7 +506,7 @@ mod tests {
             ..WireFaults::default()
         };
         let (a, b) = UnixStream::pair().unwrap();
-        let mut rx = Endpoint::Uds(a).with_faults(Arc::new(plan), 1, 0);
+        let mut rx = Endpoint::Uds(a).with_faults(Arc::new(plan), 1);
         rx.set_nonblocking(nonblocking).unwrap();
         let mut tx = Endpoint::Uds(b);
         let (ask, asked) = std::sync::mpsc::channel::<()>();
@@ -584,14 +553,11 @@ mod tests {
 
     #[test]
     fn garbage_flips_exactly_one_bit() {
-        let (mut tx, mut rx) = pair_with(
-            WireFaults {
-                seed: 11,
-                garbage: 1.0,
-                ..WireFaults::default()
-            },
-            1,
-        );
+        let (mut tx, mut rx) = pair_with(WireFaults {
+            seed: 11,
+            garbage: 1.0,
+            ..WireFaults::default()
+        });
         let msg = [0u8; 128];
         tx.write_all(&msg).unwrap();
         drop(tx);
@@ -607,19 +573,16 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        let (mut tx, _rx) = pair_with(
-            WireFaults {
-                seed: 5,
-                torn: 1.0,
-                on_fault: Some(Arc::new(move |f, peer, lane| {
-                    assert_eq!(f, WireFault::TornWrite);
-                    assert_eq!((peer, lane), (1, 1));
-                    h.fetch_add(1, Ordering::Relaxed);
-                })),
-                ..WireFaults::default()
-            },
-            1,
-        );
+        let (mut tx, _rx) = pair_with(WireFaults {
+            seed: 5,
+            torn: 1.0,
+            on_fault: Some(Arc::new(move |f, peer| {
+                assert_eq!(f, WireFault::TornWrite);
+                assert_eq!(peer, 1);
+                h.fetch_add(1, Ordering::Relaxed);
+            })),
+            ..WireFaults::default()
+        });
         let _ = tx.write(&[0u8; 64]).unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
     }

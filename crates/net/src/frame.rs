@@ -20,7 +20,7 @@
 //! lands idempotently.
 //!
 //! Opcodes 17–18 serve liveness and recovery: `Heartbeat` frames keep
-//! the socket audibly alive when `PCOMM_NET_HB_MS` is set, and after a
+//! every socket audibly alive on a fixed interval, and after a
 //! reconnect each receiver reports, per open inbound stream, which byte
 //! ranges it is still missing. The sender judges from them whether
 //! bytes left on the dead socket (a typed `MessageLost`) or are still

@@ -7,10 +7,14 @@
 //! * `PCOMM_NET_RANK` — this process's rank, `0..n`;
 //! * `PCOMM_NET_RANKS` — the total rank count N;
 //! * `PCOMM_NET_DIR` — a shared rendezvous directory;
-//! * `PCOMM_NET_BACKEND` — `uds` (default) or `tcp`.
+//! * `PCOMM_NET_BACKEND` — `uds` (default) or `tcp`;
+//! * `PCOMM_NET_FABRIC` — `socket` (default) or `ipc`.
 //!
 //! A `Universe::run` whose rank count matches `PCOMM_NET_RANKS` then
 //! joins the mesh as rank `PCOMM_NET_RANK` instead of spawning threads.
+//! Nothing else about the wire is configured: the ipc segment geometry
+//! is the `DEFAULT_IPC_*` constants below, and the heartbeat is the
+//! runtime's own constant.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -28,33 +32,25 @@ pub const ENV_RANKS: &str = "PCOMM_NET_RANKS";
 pub const ENV_DIR: &str = "PCOMM_NET_DIR";
 /// Env var: socket backend (`uds` / `tcp`).
 pub const ENV_BACKEND: &str = "PCOMM_NET_BACKEND";
-/// Env var: heartbeat interval in milliseconds. Unset or `0`
-/// disables heartbeats (the default — benches measure the wire, not
-/// the liveness probes). When set, a peer silent for ~2× this interval
-/// is declared dead with a typed `PeerPanicked` error.
-pub const ENV_HB: &str = "PCOMM_NET_HB_MS";
 /// Env var: inter-process fabric — `socket` (default: the UDS/TCP
 /// stream transport) or `ipc` (same-host process-shared memory rings;
 /// requires the `uds` backend and a platform [`crate::sys::supported`]
 /// reports usable, otherwise falls back to sockets with a note).
 pub const ENV_FABRIC: &str = "PCOMM_NET_FABRIC";
-/// Env var: ipc descriptor-ring capacity per directed channel, in
-/// slots.
-pub const ENV_IPC_SLOTS: &str = "PCOMM_NET_IPC_SLOTS";
-/// Env var: ipc FIFO payload-slab capacity per directed channel, bytes.
-pub const ENV_IPC_SLAB: &str = "PCOMM_NET_IPC_SLAB";
-/// Env var: ipc partition-arena capacity per directed channel, bytes.
-pub const ENV_IPC_ARENA: &str = "PCOMM_NET_IPC_ARENA";
 
 /// The socket carrier's partition-stream aggregation threshold in bytes
 /// (the paper's `MPIR_CVAR_PART_AGGR_SIZE` analogue).
 pub const DEFAULT_AGGR: usize = 256 * 1024;
-/// Default ipc ring capacity (slots per directed channel).
-pub const DEFAULT_IPC_SLOTS: usize = 128;
-/// Default ipc FIFO slab capacity per directed channel.
-pub const DEFAULT_IPC_SLAB: usize = 1 << 20;
-/// Default ipc partition arena per directed channel.
-pub const DEFAULT_IPC_ARENA: usize = 32 << 20;
+/// The ipc segment's descriptor-ring capacity, slots per directed
+/// channel. Every rank of a run uses the same geometry; the segment
+/// header checks it again at attach.
+pub const DEFAULT_IPC_SLOTS: u32 = 128;
+/// The ipc FIFO slab per directed channel, bytes: frames too large for
+/// a ring slot and stream chunks without an arena grant.
+pub const DEFAULT_IPC_SLAB: u64 = 1 << 20;
+/// The ipc partition arena per directed channel, bytes: where
+/// partitioned receives land with no copy.
+pub const DEFAULT_IPC_ARENA: u64 = 32 << 20;
 
 /// Which inter-process fabric carries the rank mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,49 +75,6 @@ pub fn fabric_from_env() -> FabricKind {
             }
         },
         Err(_) => FabricKind::Socket,
-    }
-}
-
-/// The ipc segment geometry from the environment: ring slots clamped to
-/// at least 2, slab to at least 4 KiB (a smaller slab could not hold
-/// one spill chunk). All ranks read the same SPMD environment, so the
-/// geometry agrees — and the segment header double-checks at attach.
-pub fn ipc_params_from_env() -> (usize, usize, usize) {
-    let slots = env_usize(ENV_IPC_SLOTS, DEFAULT_IPC_SLOTS).max(2);
-    let slab = env_usize(ENV_IPC_SLAB, DEFAULT_IPC_SLAB).max(4096);
-    let arena = env_usize(ENV_IPC_ARENA, DEFAULT_IPC_ARENA);
-    (slots, slab, arena)
-}
-
-/// Parse a positive decimal env var, falling back to `default` when the
-/// variable is unset or malformed (a typo should degrade, not crash —
-/// same policy as [`MultiprocEnv::from_env`]).
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(v) if v >= 1 => v,
-            _ => {
-                eprintln!("pcomm-net: ignoring malformed {name}={s:?}, using {default}");
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
-/// The `PCOMM_NET_HB_MS` heartbeat interval. `None` (heartbeats off)
-/// when unset, `0`, or malformed — a typo degrades, not crashes.
-pub fn hb_ms_from_env() -> Option<u64> {
-    match std::env::var(ENV_HB) {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(v) => Some(v),
-            Err(_) => {
-                eprintln!("pcomm-net: ignoring malformed {ENV_HB}={s:?}, heartbeats stay off");
-                None
-            }
-        },
-        Err(_) => None,
     }
 }
 

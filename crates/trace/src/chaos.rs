@@ -87,11 +87,12 @@ pub struct FaultPlan {
     pub wire_garbage_p: f64,
     /// Probability a connection resets at a write boundary.
     pub wire_reset_p: f64,
-    /// Kill writer lane `.0` after `.1` bytes have crossed it.
-    pub wire_lane_kill: Option<(u32, u64)>,
-    /// Silently swallow writes on lane `.0` after `.1` bytes (half-open
-    /// peer: the socket looks healthy, nothing arrives).
-    pub wire_half_open: Option<(u32, u64)>,
+    /// Kill a rank's socket toward each peer after this many bytes
+    /// have crossed it.
+    pub wire_lane_kill: Option<u64>,
+    /// Silently swallow writes after this many bytes (half-open peer:
+    /// the socket looks healthy, nothing arrives).
+    pub wire_half_open: Option<u64>,
 }
 
 impl FaultPlan {
@@ -160,15 +161,15 @@ impl FaultPlan {
         self
     }
 
-    /// Kill writer lane `lane` after `bytes` bytes have crossed it.
-    pub fn lane_kill(mut self, lane: u32, bytes: u64) -> FaultPlan {
-        self.wire_lane_kill = Some((lane, bytes));
+    /// Kill the socket after `bytes` bytes have crossed it.
+    pub fn lane_kill(mut self, bytes: u64) -> FaultPlan {
+        self.wire_lane_kill = Some(bytes);
         self
     }
 
-    /// Silently swallow writes on `lane` after `bytes` bytes (half-open).
-    pub fn half_open(mut self, lane: u32, bytes: u64) -> FaultPlan {
-        self.wire_half_open = Some((lane, bytes));
+    /// Silently swallow writes after `bytes` bytes (half-open).
+    pub fn half_open(mut self, bytes: u64) -> FaultPlan {
+        self.wire_half_open = Some(bytes);
         self
     }
 
@@ -197,9 +198,9 @@ impl FaultPlan {
     /// Keys: `seed=N`, `drop=P`, `delay=P[:MAX_US]`, `dup=P`,
     /// `reorder=P`, `jitter` (flag), `retries=N`, and the wire-class
     /// faults (socket transport only): `torn=P`, `shortread=P`,
-    /// `garbage=P`, `reset=P`, `lanekill=LANE:BYTES`,
-    /// `halfopen=LANE:BYTES`. Probabilities are in `[0, 1]`. Unknown
-    /// keys and malformed values are errors.
+    /// `garbage=P`, `reset=P`, `lanekill=BYTES`, `halfopen=BYTES`.
+    /// Probabilities are in `[0, 1]`. Unknown keys and malformed values
+    /// are errors.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         fn need<'a>(key: &str, v: Option<&'a str>) -> Result<&'a str, String> {
             v.ok_or_else(|| format!("`{key}` needs a value"))
@@ -255,19 +256,21 @@ impl FaultPlan {
                 "reset" => plan.wire_reset_p = prob(need(key, val)?)?,
                 "lanekill" | "halfopen" => {
                     let v = need(key, val)?;
-                    let (lane, bytes) = v
-                        .split_once(':')
-                        .ok_or_else(|| format!("`{key}` needs LANE:BYTES, got `{v}`"))?;
-                    let lane: u32 = lane
-                        .parse()
-                        .map_err(|_| format!("bad {key} lane `{lane}`"))?;
-                    let bytes: u64 = bytes
-                        .parse()
-                        .map_err(|_| format!("bad {key} byte threshold `{bytes}`"))?;
+                    let bytes = match v.split_once(':') {
+                        Some((_, b)) => {
+                            return Err(format!(
+                                "`{key}={v}`: a peer pair has one socket, so the \
+                                 threshold stands alone: `{key}={b}`"
+                            ))
+                        }
+                        None => v
+                            .parse()
+                            .map_err(|_| format!("bad {key} byte threshold `{v}`"))?,
+                    };
                     if key == "lanekill" {
-                        plan.wire_lane_kill = Some((lane, bytes));
+                        plan.wire_lane_kill = Some(bytes);
                     } else {
-                        plan.wire_half_open = Some((lane, bytes));
+                        plan.wire_half_open = Some(bytes);
                     }
                 }
                 _ => return Err(format!("unknown PCOMM_FAULTS key `{key}`")),
@@ -446,22 +449,33 @@ mod tests {
     fn parse_wire_fault_keys() {
         let plan = FaultPlan::parse(
             "seed=7, torn=0.1, shortread=0.2, garbage=0.05, reset=0.01, \
-             lanekill=2:65536, halfopen=0:1024",
+             lanekill=65536, halfopen=1024",
         )
         .unwrap();
         assert_eq!(plan.wire_torn_p, 0.1);
         assert_eq!(plan.wire_short_read_p, 0.2);
         assert_eq!(plan.wire_garbage_p, 0.05);
         assert_eq!(plan.wire_reset_p, 0.01);
-        assert_eq!(plan.wire_lane_kill, Some((2, 65536)));
-        assert_eq!(plan.wire_half_open, Some((0, 1024)));
+        assert_eq!(plan.wire_lane_kill, Some(65536));
+        assert_eq!(plan.wire_half_open, Some(1024));
         assert!(plan.any_wire_faults());
         assert!(plan.any_faults());
         // A message-class-only plan reports no wire faults.
         assert!(!FaultPlan::parse("drop=0.1").unwrap().any_wire_faults());
-        // Thresholded faults need LANE:BYTES.
-        assert!(FaultPlan::parse("lanekill=2").is_err());
-        assert!(FaultPlan::parse("halfopen=x:1").is_err());
+        // Thresholded faults take a byte count.
+        assert!(FaultPlan::parse("lanekill").is_err());
+        assert!(FaultPlan::parse("halfopen=x").is_err());
         assert!(FaultPlan::parse("torn=2.0").is_err());
+    }
+
+    #[test]
+    fn the_retired_lane_form_is_an_error_naming_the_new_one() {
+        for (spec, want) in [
+            ("seed=42,lanekill=0:65536", "`lanekill=65536`"),
+            ("halfopen=0:256", "`halfopen=256`"),
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains(want), "`{spec}` gave `{err}`");
+        }
     }
 }
