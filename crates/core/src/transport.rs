@@ -19,7 +19,7 @@
 //! traffic in order — eager, stream announcements (`Rts`, `PartRts`),
 //! `PartCts`, stream ranges, barriers, RMA, abort, `Bye`.
 //! (Extra data-only sockets per pair bought nothing once one thread
-//! moves every socket's bytes; DESIGN.md §12 has the numbers.) The
+//! moves every socket's bytes; DESIGN.md §11 has the numbers.) The
 //! socket's state is two halves, each under its own mutex:
 //!
 //! * the **outbox** — a FIFO of encoded control frames and pinned

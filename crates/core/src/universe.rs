@@ -115,14 +115,18 @@ impl Universe {
     /// lints) at teardown — findings are printed to stderr and turn an
     /// otherwise successful run into [`PcommError::Misuse`], so a CI job
     /// fails loudly.
-    /// When the `PCOMM_NET_*` environment says this process is rank *k*
-    /// of a multiprocess launch (see `pcomm-launch` and
-    /// [`Universe::run_multiprocess`]) and the rank counts agree, the
-    /// universe joins the socket mesh and runs only rank *k* here — the
-    /// closure, strategies and chaos plans are unchanged. The returned
-    /// vector then repeats the local rank's result (hence `T: Clone`);
+    ///
+    /// This library never starts processes. When the `PCOMM_NET_*`
+    /// environment a launcher wrote (`pcomm-launch`, or
+    /// `pcomm_net::launch::launch_ranks` from a program) says this
+    /// process is rank *k* and the rank counts agree, the universe joins
+    /// the socket mesh and runs only rank *k* here — the closure,
+    /// strategies and chaos plans are unchanged. The returned vector
+    /// then repeats the local rank's result (hence `T: Clone`);
     /// `PCOMM_TRACE` / `PCOMM_TRACE_REPORT` paths get a `.rank<k>`
-    /// suffix so the processes do not clobber each other's files.
+    /// suffix so the processes do not clobber each other's files, and
+    /// under `PCOMM_VERIFY=1` each rank leaves a `.events` ring beside
+    /// its trace for `pcomm-audit` (`pcomm_verify::audit`) to merge.
     pub fn run<T, F>(&self, f: F) -> Result<Vec<T>, PcommError>
     where
         T: Send + Clone,
@@ -416,161 +420,6 @@ impl Universe {
                 Ok(vec![local; self.n_ranks])
             }
         }
-    }
-
-    /// Run this universe as `n_ranks` OS *processes* connected by the
-    /// socket transport, without an external launcher: the calling
-    /// process re-executes itself (same program, same arguments) once
-    /// per extra rank with the `PCOMM_NET_*` environment set, then
-    /// becomes rank 0 itself. Inside an already-launched rank process
-    /// (environment present — e.g. under `pcomm-launch`, or in one of
-    /// the children this very call spawned) it is exactly
-    /// [`Universe::run`].
-    ///
-    /// The re-execution makes the program SPMD, so everything before
-    /// this call runs once per rank process; call it early in `main`,
-    /// and note that every later `Universe::run` in the program also
-    /// runs multiprocess (the environment stays set — universes must
-    /// stay SPMD-aligned across the rank processes, like MPI programs
-    /// under `mpirun`).
-    pub fn run_multiprocess<T, F>(&self, f: F) -> Result<Vec<T>, PcommError>
-    where
-        T: Send + Clone,
-        F: Fn(Comm) -> T + Send + Sync,
-    {
-        if pcomm_net::MultiprocEnv::from_env().is_some() {
-            return self.run(f);
-        }
-        let misuse = |detail: String| PcommError::Misuse { rank: None, detail };
-        let dir = pcomm_net::launch::unique_rendezvous_dir()
-            .map_err(|e| misuse(format!("multiprocess launch: no rendezvous dir: {e}")))?;
-        let backend = match std::env::var(pcomm_net::launch::ENV_BACKEND) {
-            Ok(s) => pcomm_net::Backend::parse(&s)
-                .ok_or_else(|| misuse(format!("invalid {}={s}", pcomm_net::launch::ENV_BACKEND)))?,
-            Err(_) => pcomm_net::Backend::Uds,
-        };
-        let exe = std::env::current_exe()
-            .map_err(|e| misuse(format!("multiprocess launch: current_exe failed: {e}")))?;
-        let spmd_env = pcomm_net::MultiprocEnv {
-            rank: 0,
-            n_ranks: self.n_ranks,
-            dir: dir.clone(),
-            backend,
-        };
-        let args: Vec<std::ffi::OsString> = std::env::args_os().skip(1).collect();
-        let children = pcomm_net::launch::spawn_ranks(
-            &spmd_env,
-            1..self.n_ranks,
-            pcomm_net::launch::RankOutput::Inherit,
-            |_| {
-                let mut cmd = std::process::Command::new(&exe);
-                cmd.args(&args);
-                cmd
-            },
-        )
-        .map_err(|e| {
-            let _ = std::fs::remove_dir_all(&dir);
-            misuse(format!("multiprocess launch: spawning a rank failed: {e}"))
-        })?;
-        // Become rank 0. The variables stay set so any later universe in
-        // this program run is multiprocess too, matching the children
-        // (which re-execute the whole program with them set from birth).
-        std::env::set_var(pcomm_net::launch::ENV_RANK, "0");
-        std::env::set_var(pcomm_net::launch::ENV_RANKS, self.n_ranks.to_string());
-        std::env::set_var(pcomm_net::launch::ENV_DIR, &dir);
-        std::env::set_var(pcomm_net::launch::ENV_BACKEND, backend.name());
-        let out = self.run(f);
-        // Statuses come back in spawn order, ranks 1..n. A rank that died
-        // without an exit code counts as 101, as does a failed `wait`
-        // (which names no rank; the first child stands in).
-        let child_failure = match pcomm_net::launch::wait_ranks(children, None) {
-            Ok(statuses) => (1..)
-                .zip(statuses.iter().map(|status| status.code().unwrap_or(101)))
-                .find(|&(_, code)| code != 0),
-            Err(_) => Some((1, 101)),
-        };
-        let _ = std::fs::remove_dir_all(&dir);
-        match (out, child_failure) {
-            (Ok(results), None) => Ok(results),
-            (Err(e), _) => Err(e),
-            (Ok(_), Some((rank, code))) => Err(PcommError::PeerPanicked {
-                rank,
-                message: format!("rank process exited with code {code}"),
-            }),
-        }
-    }
-
-    /// [`Universe::run_multiprocess`] with a cross-process audit: every
-    /// rank process records an analysis-grade trace ring and persists
-    /// it on exit (clean or failed); the launching process then merges
-    /// the per-rank `.events` sidecars and runs
-    /// [`pcomm_verify::audit`] — the wire-protocol FSM, stream-ledger,
-    /// and cross-process happens-before passes — over the whole run.
-    ///
-    /// The report is `Some` only in the launching process; the
-    /// re-executed rank processes return `None` (their evidence is the
-    /// persisted ring, audited by the launcher). A missing or
-    /// unreadable sidecar also yields `None`, with the reason on
-    /// stderr, rather than inventing a verdict from partial evidence.
-    pub fn run_multiprocess_verified<T, F>(
-        &self,
-        f: F,
-    ) -> (
-        Result<Vec<T>, PcommError>,
-        Option<pcomm_verify::AuditReport>,
-    )
-    where
-        T: Send + Clone,
-        F: Fn(Comm) -> T + Send + Sync,
-    {
-        if pcomm_net::MultiprocEnv::from_env().is_some() {
-            // Child rank process: `PCOMM_TRACE` / `PCOMM_VERIFY` came
-            // with the spawn environment, so plain `run` persists the
-            // ring this process contributes to the launcher's audit.
-            return (self.run_multiprocess(f), None);
-        }
-        static AUDIT_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = AUDIT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("pcomm-audit-{}-{seq}", std::process::id()));
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "pcomm: audit dir {} failed: {e}; running unaudited",
-                dir.display()
-            );
-            return (self.run_multiprocess(f), None);
-        }
-        let base = dir.join("trace.json");
-        let base_str = base.to_string_lossy().into_owned();
-        // Set before spawning so the children inherit both; restored
-        // after, so later universes in this process behave as before.
-        let saved_trace = std::env::var("PCOMM_TRACE").ok();
-        let saved_verify = std::env::var("PCOMM_VERIFY").ok();
-        std::env::set_var("PCOMM_TRACE", &base_str);
-        std::env::set_var("PCOMM_VERIFY", "1");
-        let out = self.run_multiprocess(f);
-        match saved_trace {
-            Some(v) => std::env::set_var("PCOMM_TRACE", v),
-            None => std::env::remove_var("PCOMM_TRACE"),
-        }
-        match saved_verify {
-            Some(v) => std::env::set_var("PCOMM_VERIFY", v),
-            None => std::env::remove_var("PCOMM_VERIFY"),
-        }
-        let mut ranks = Vec::with_capacity(self.n_ranks);
-        let mut complete = true;
-        for k in 0..self.n_ranks {
-            let path = format!("{base_str}.rank{k}.events");
-            match pcomm_trace::read_events(std::path::Path::new(&path)) {
-                Ok(r) => ranks.push(r),
-                Err(e) => {
-                    eprintln!("pcomm: audit cannot read rank {k} ring: {e}");
-                    complete = false;
-                }
-            }
-        }
-        let report = complete.then(|| pcomm_verify::audit(&ranks));
-        let _ = std::fs::remove_dir_all(&dir);
-        (out, report)
     }
 }
 

@@ -1,8 +1,11 @@
-//! Shared harness for the multiprocess wire tests.
+//! Shared harness for the multiprocess wire tests — the one way a test
+//! starts rank processes. `pcomm-core`'s own test binaries and the root
+//! package's (`#[path = "../crates/core/tests/common/mod.rs"] mod
+//! common;`) both use it.
 //!
 //! Each `#[test]` doubles as its own SPMD body: the parent run spawns
 //! this very test binary once per rank (filtered to the one test by
-//! name) with
+//! name, so a cell must be a top-level `#[test]` fn) with
 //! the `PCOMM_NET_*` environment plus `PCOMM_TEST_CHILD=<scenario>`,
 //! and the child branch — taken before any parent logic — joins the
 //! socket mesh via `Universe::run`, executes the scenario closure, and
@@ -19,6 +22,7 @@ use std::process::ExitStatus;
 use std::time::{Duration, Instant};
 
 use pcomm_core::part::PartOptions;
+use pcomm_core::strategies::{measure_validated, RealApproach, RealScenario};
 use pcomm_core::{Comm, Universe};
 use pcomm_net::launch::{self, RankOutput};
 use pcomm_net::{Backend, MultiprocEnv};
@@ -290,26 +294,37 @@ pub fn flat_expected_digest(n_parts: usize, part_bytes: usize) -> u64 {
 /// The stream-repeat scenario: the same partitioned transfer `iters`
 /// times back to back, the receiver going straight from one `wait`
 /// into the next `start`/`wait` (it is out of a wait for nanoseconds).
-/// Returns the digest of the last pass at rank 0, 0 at the sender.
-pub fn stream_repeat(comm: &Comm, n_parts: usize, part_bytes: usize, iters: usize) -> u64 {
+/// Returns the digest of the last pass at rank 0, 0 at the sender; and
+/// at the sender, the doorbell wakes each pass paid (empty at rank 0).
+pub fn stream_repeat(
+    comm: &Comm,
+    n_parts: usize,
+    part_bytes: usize,
+    iters: usize,
+) -> (u64, Vec<u64>) {
     if comm.rank() == 0 {
         let pr = comm.precv_init(1, 7, n_parts, part_bytes, PartOptions::default());
         for _ in 0..iters {
             pr.start();
             pr.wait();
         }
-        (0..n_parts).fold(FNV_OFFSET, |acc, p| fnv1a(acc, pr.partition(p)))
+        let digest = (0..n_parts).fold(FNV_OFFSET, |acc, p| fnv1a(acc, pr.partition(p)));
+        (digest, Vec::new())
     } else {
         let ps = comm.psend_init(0, 7, n_parts, part_bytes, PartOptions::default());
+        let wakes = || comm.doorbell_stats().unwrap_or_default().wakes;
+        let mut pass_wakes = Vec::with_capacity(iters);
         for _ in 0..iters {
+            let before = wakes();
             ps.start();
             for p in 0..n_parts {
                 ps.write_partition(p, |buf| buf.fill(flat_byte(p)));
                 ps.pready(p);
             }
             ps.wait();
+            pass_wakes.push(wakes() - before);
         }
-        0
+        (0, pass_wakes)
     }
 }
 
@@ -329,6 +344,68 @@ pub fn zero_rdv(comm: &Comm) -> u64 {
         comm.send(0, 4, &[1, 2, 3, 4]);
         0
     }
+}
+
+/// Tagged messages in the echo scenario.
+pub const ECHO_TAGS: i64 = 16;
+
+/// The eager echo scenario: rank 0 sends `ECHO_TAGS` tagged 32-byte
+/// eager messages to rank 1, which digests them in tag order and echoes
+/// its digest back. Both ranks return that digest (rank 0 the echo).
+pub fn echo(comm: &Comm) -> u64 {
+    if comm.rank() == 0 {
+        for tag in 0..ECHO_TAGS {
+            comm.send(1, tag, &[tag as u8; 32]);
+        }
+        let mut b = [0u8; 8];
+        comm.recv_into(Some(1), Some(99), &mut b);
+        u64::from_le_bytes(b)
+    } else {
+        let mut acc = FNV_OFFSET;
+        let mut b = [0u8; 32];
+        for tag in 0..ECHO_TAGS {
+            comm.recv_into(Some(0), Some(tag), &mut b);
+            acc = fnv1a(acc, &b);
+        }
+        comm.send(0, 99, &acc.to_le_bytes());
+        acc
+    }
+}
+
+/// The digest both ranks of a correct echo report.
+pub fn echo_expected_digest() -> u64 {
+    (0..ECHO_TAGS).fold(FNV_OFFSET, |acc, tag| fnv1a(acc, &[tag as u8; 32]))
+}
+
+/// The strategies scenario's shapes: one all-eager, one whose bulk
+/// buffers cross the 64 KiB eager ceiling, so the single-message
+/// strategy takes the wire rendezvous path (an `Rts` and a one-message
+/// stream).
+pub fn strategy_scenarios() -> Vec<RealScenario> {
+    vec![
+        RealScenario::immediate(2, 2, 96, 2, 2),
+        RealScenario::immediate(2, 1, 40 * 1024, 1, 2),
+    ]
+}
+
+/// The strategies scenario: every one of the eight strategies over each
+/// of [`strategy_scenarios`], returning the receiver's digests in
+/// (scenario, approach) order. Each strategy runs universes of its own:
+/// in process they are the shared-memory baseline; in a rank process
+/// each joins the mesh, and rank 1 (the receiver) holds the wire's
+/// digests.
+pub fn strategy_digests() -> Vec<u64> {
+    strategy_scenarios()
+        .iter()
+        .flat_map(|sc| RealApproach::ALL.map(|a| measure_validated(a, sc).1))
+        .collect()
+}
+
+/// `scenario <i> / <approach>` for each entry of [`strategy_digests`].
+pub fn strategy_labels() -> Vec<String> {
+    (0..strategy_scenarios().len())
+        .flat_map(|i| RealApproach::ALL.map(|a| format!("scenario {i} / {}", a.label())))
+        .collect()
 }
 
 /// The barrier-storm scenario: pure control traffic, so a half-open
@@ -374,9 +451,25 @@ pub fn maybe_run_child() -> bool {
     let iters = env_usize(ENV_ITERS, 1);
     let seed = env_usize(ENV_SEED, 1) as u64;
     let rounds = env_usize(ENV_ROUNDS, 240) as u64;
+    let write_out = |line: String| {
+        std::fs::write(env.dir.join(format!("test-out-{}", env.rank)), line)
+            .expect("write child out file");
+    };
+    if scenario == "strategies" {
+        // Every strategy runs universes of its own; a failed one panics
+        // the child, which the parent sees as a failed exit.
+        let digests = strategy_digests();
+        let fold = digests
+            .iter()
+            .fold(FNV_OFFSET, |acc, d| fnv1a(acc, &d.to_le_bytes()));
+        write_out(format!("ok {fold:016x}{}", list_field("digests", &digests)));
+        return true;
+    }
     // When the scenario body returned; `run` still has the fabric's
     // teardown (closing barrier, `Bye`s, progress-thread join) to do.
     let body_done = std::sync::Mutex::new(None);
+    // Per-pass figures a scenario reports beside its digest.
+    let pass_wakes = std::sync::Mutex::new(Vec::new());
     let universe = match scenario.as_str() {
         // Every message, the empty one included, goes by rendezvous.
         "zero-rdv" => Universe::new(env.n_ranks).with_eager_max(0),
@@ -399,10 +492,12 @@ pub fn maybe_run_child() -> bool {
             "async-progress" => async_progress(&comm, Duration::from_millis(400)),
             "threads" => (threads_at_steady_state(&comm), Duration::ZERO),
             "zero-rdv" => (zero_rdv(&comm), Duration::ZERO),
-            "stream-repeat" => (
-                stream_repeat(&comm, n_parts, part_bytes, iters),
-                Duration::ZERO,
-            ),
+            "echo" => (echo(&comm), Duration::ZERO),
+            "stream-repeat" => {
+                let (digest, wakes) = stream_repeat(&comm, n_parts, part_bytes, iters);
+                *pass_wakes.lock().unwrap() = wakes;
+                (digest, Duration::ZERO)
+            }
             _ => (transfer(&comm, n_parts, part_bytes, gap), Duration::ZERO),
         };
         let bell = comm.doorbell_stats().unwrap_or_default();
@@ -418,20 +513,39 @@ pub fn maybe_run_child() -> bool {
             let (digest, slowest, bell) = vals[0];
             format!(
                 "ok {digest:016x} slowest_us={} teardown_us={} rings={} wakes={} \
-                 parks_counted={} parks_uncounted={}",
+                 parks_counted={} parks_uncounted={}{}",
                 slowest.as_micros(),
                 teardown.as_micros(),
                 bell.rings,
                 bell.wakes,
                 bell.parks_counted,
-                bell.parks_uncounted
+                bell.parks_uncounted,
+                list_field("pass_wakes", &pass_wakes.lock().unwrap())
             )
         }
         Err(e) => format!("err {}", format!("{e}").replace('\n', " | ")),
     };
-    std::fs::write(env.dir.join(format!("test-out-{}", env.rank)), line)
-        .expect("write child out file");
+    write_out(line);
     true
+}
+
+/// ` key=a,b,…` for the `ok` line, or nothing for an empty list.
+fn list_field(key: &str, values: &[u64]) -> String {
+    if values.is_empty() {
+        return String::new();
+    }
+    let list: Vec<String> = values.iter().map(u64::to_string).collect();
+    format!(" {key}={}", list.join(","))
+}
+
+/// The `PCOMM_NET_FABRIC` values a cell covers: the socket carrier
+/// always, ipc where the raw-syscall layer exists.
+pub fn carriers() -> Vec<&'static str> {
+    if pcomm_net::sys::supported() {
+        vec!["socket", "ipc"]
+    } else {
+        vec!["socket"]
+    }
 }
 
 /// What one rank process reported back to the parent.
@@ -452,6 +566,18 @@ impl RankOutcome {
         u64::from_str_radix(d, 16).ok()
     }
 
+    /// A `key=a,b,…` list from the `ok` line (`digests` of the
+    /// strategies scenario, `pass_wakes` of stream-repeat); empty when
+    /// absent.
+    pub fn list(&self, key: &str) -> Vec<u64> {
+        self.out
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+            .map_or_else(Vec::new, |list| {
+                list.split(',').filter_map(|n| n.parse().ok()).collect()
+            })
+    }
+
     /// A `key=<n>` figure from the `ok` line (`slowest_us`,
     /// `teardown_us`, the doorbell tallies).
     pub fn figure(&self, key: &str) -> Option<u64> {
@@ -460,6 +586,10 @@ impl RankOutcome {
             .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
     }
 }
+
+/// Knobs a child does not inherit from the suite's environment: a cell
+/// that wants faults or verification names them.
+const AMBIENT_KNOBS: [&str; 2] = ["PCOMM_FAULTS", "PCOMM_VERIFY"];
 
 /// Spawn `test_name` from this test binary as a 2-rank UDS mesh and
 /// collect each rank's outcome. `common_env` applies to both ranks,
@@ -503,6 +633,9 @@ pub fn run_wire_ranks(
         cmd.arg(test_name).arg("--exact").arg("--test-threads=1");
         cmd.env(ENV_CHILD, scenario);
         cmd.env("PCOMM_TRACE", &trace_base);
+        for knob in AMBIENT_KNOBS {
+            cmd.env_remove(knob);
+        }
         for (k, v) in common_env.iter().chain(&per_rank_env[rank]) {
             cmd.env(k, v);
         }

@@ -1,11 +1,13 @@
-//! The shared-memory (`ipc`) fabric end to end: two real processes map
+//! The shared-memory (`ipc`) fabric's own cells: two real processes map
 //! a common segment and stream partitions through lock-free rings with
-//! futex doorbells. The same transfer must agree bit-for-bit with the
-//! in-process baseline, backpressure must block rather than drop,
-//! peer death must surface as a typed error within the heartbeat
-//! bound, and a verified run must audit clean — the exact contract the
-//! socket fabric already honors, on a transport with no syscalls on
-//! the data path.
+//! futex doorbells. Asynchronous progress and the doorbell hand-off
+//! between polling app threads and the progress thread must hold under
+//! stress, a stream into a waiting receiver must ring without waking,
+//! and teardown must stay bounded. What every carrier must honour —
+//! agreement with the in-process baseline, a clean cross-process audit,
+//! a typed error when a peer dies — is checked once, over sockets and
+//! ipc alike, in `net_agreement.rs` and the root package's
+//! `tests/net_chaos.rs`.
 
 mod common;
 
@@ -29,217 +31,11 @@ fn fabric_env() -> (&'static str, String) {
     ("PCOMM_NET_FABRIC", "ipc".to_string())
 }
 
-/// Baseline: a fault-free ipc run agrees bit-for-bit with the
-/// in-process run of the same transfer, and the processes really took
-/// the shared-segment path (the doorbell leaves a trace).
-#[test]
-fn ipc_digest_matches_shm_baseline() {
-    if common::maybe_run_child() {
-        return;
-    }
-    if !ipc_supported() {
-        return;
-    }
-    let (n_parts, part_bytes) = (16, 16 * 1024);
-    let shm = common::shm_baseline_digest(n_parts, part_bytes);
-    assert_eq!(
-        shm,
-        common::expected_digest(n_parts, part_bytes),
-        "in-process baseline does not match the sender's pattern"
-    );
-    let outs = common::run_wire_pair(
-        "ipc_digest_matches_shm_baseline",
-        "transfer",
-        &[
-            fabric_env(),
-            (ENV_PARTS, n_parts.to_string()),
-            (ENV_PART_BYTES, part_bytes.to_string()),
-        ],
-        [vec![], vec![]],
-        TIMEOUT,
-    );
-    for (rank, o) in outs.iter().enumerate() {
-        assert!(
-            o.status.success(),
-            "rank {rank}: {:?} ({})",
-            o.status,
-            o.out
-        );
-        assert!(o.out.starts_with("ok "), "rank {rank}: `{}`", o.out);
-    }
-    assert_eq!(
-        outs[0].digest(),
-        Some(shm),
-        "ipc digest diverged from shm baseline: `{}`",
-        outs[0].out
-    );
-    // The sender reports 0 only when it really ran as rank 1 of a wire
-    // mesh; an accidental in-process fallback would hand it rank 0's
-    // digest instead.
-    assert_eq!(outs[1].digest(), Some(0), "rank 1 fell back in-process");
-    assert!(
-        outs.iter().any(|o| o.trace.contains("ipc_doorbell")),
-        "no rank recorded an ipc doorbell — did the run fall back to sockets?"
-    );
-}
-
-/// A zero-length rendezvous has no byte to stream and travels eager: on
-/// the socket carrier and on ipc the empty receive completes with length
-/// 0, the sender's send returns, and the next message follows.
-#[test]
-fn a_zero_length_rendezvous_completes_on_both_carriers() {
-    if common::maybe_run_child() {
-        return;
-    }
-    let fabrics: &[&str] = if pcomm_net::sys::supported() {
-        &["socket", "ipc"]
-    } else {
-        &["socket"]
-    };
-    for &fabric in fabrics {
-        let outs = common::run_wire_pair(
-            "a_zero_length_rendezvous_completes_on_both_carriers",
-            "zero-rdv",
-            &[("PCOMM_NET_FABRIC", fabric.to_string())],
-            [vec![], vec![]],
-            TIMEOUT,
-        );
-        for (rank, o) in outs.iter().enumerate() {
-            assert!(
-                o.out.starts_with("ok "),
-                "{fabric} rank {rank}: `{}`",
-                o.out
-            );
-        }
-        let four = u64::from(u32::from_le_bytes([1, 2, 3, 4]));
-        assert_eq!(outs[0].digest(), Some(four), "{fabric}: `{}`", outs[0].out);
-        assert_eq!(
-            outs[1].digest(),
-            Some(0),
-            "{fabric}: rank 1 fell back in-process"
-        );
-    }
-}
-
-/// A peer process that dies mid-run must become a typed
-/// `PeerPanicked` on the survivor, within the advertised heartbeat
-/// bound — the segment heartbeat is the only liveness signal the ipc
-/// fabric has (no socket to break), so this is the failure mode the
-/// monitor exists for.
-#[test]
-fn ipc_killed_peer_escalates_within_heartbeat_bound() {
-    if common::maybe_run_child() {
-        return;
-    }
-    if !ipc_supported() {
-        return;
-    }
-    let hb_ms = pcomm_core::HEARTBEAT_MS;
-    let outs = common::run_wire_pair(
-        "ipc_killed_peer_escalates_within_heartbeat_bound",
-        "abort-mid",
-        &[fabric_env()],
-        [vec![], vec![]],
-        TIMEOUT,
-    );
-    let survivor = &outs[0];
-    assert!(
-        survivor.status.success(),
-        "rank 0: {:?} ({})",
-        survivor.status,
-        survivor.out
-    );
-    assert!(
-        !outs[1].status.success(),
-        "rank 1 was supposed to abort, yet exited clean: `{}`",
-        outs[1].out
-    );
-    assert!(
-        survivor.out.starts_with("err ") && survivor.out.contains("rank 1"),
-        "survivor should have surfaced a typed error naming rank 1, got `{}`",
-        survivor.out
-    );
-    // Detection bound: the staleness in the message is the monitor's
-    // own measurement. 1.75x interval is the trip point; allow generous
-    // scheduler slack on a loaded single-core CI box.
-    let stale_ms: u64 = survivor
-        .out
-        .split("stale for ")
-        .nth(1)
-        .and_then(|s| s.split(" ms").next())
-        .and_then(|n| n.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no staleness measurement in `{}`", survivor.out));
-    assert!(
-        stale_ms <= 2 * hb_ms + 1000,
-        "dead peer detected only after {stale_ms} ms (heartbeat {hb_ms} ms)"
-    );
-}
-
-/// The full verification stack over ipc: both ranks persist
-/// analysis-grade `.events` rings and the merged cross-process audit —
-/// wire FSM, stream ledger, happens-before — comes back clean, with
-/// frames matched and the transfer recognized as a stream. Zero-copy
-/// commits must not confuse a checker built for sockets.
-#[test]
-fn ipc_verified_run_audits_clean() {
-    if common::maybe_run_child() {
-        return;
-    }
-    if !ipc_supported() {
-        return;
-    }
-    let (n_parts, part_bytes) = (16, 16 * 1024);
-    let outs = common::run_wire_pair(
-        "ipc_verified_run_audits_clean",
-        "transfer",
-        &[
-            fabric_env(),
-            (ENV_PARTS, n_parts.to_string()),
-            (ENV_PART_BYTES, part_bytes.to_string()),
-            ("PCOMM_VERIFY", "1".to_string()),
-        ],
-        [vec![], vec![]],
-        TIMEOUT,
-    );
-    for (rank, o) in outs.iter().enumerate() {
-        assert!(
-            o.status.success(),
-            "rank {rank}: {:?} ({})",
-            o.status,
-            o.out
-        );
-        assert!(o.out.starts_with("ok "), "rank {rank}: `{}`", o.out);
-    }
-    assert_eq!(
-        outs[0].digest(),
-        Some(common::expected_digest(n_parts, part_bytes)),
-        "verified ipc digest diverged: `{}`",
-        outs[0].out
-    );
-    let rings: Vec<_> = outs
-        .iter()
-        .enumerate()
-        .map(|(rank, o)| {
-            o.events
-                .clone()
-                .unwrap_or_else(|| panic!("rank {rank} left no .events ring"))
-        })
-        .collect();
-    let report = pcomm_verify::audit(&rings);
-    assert!(report.is_clean(), "ipc run failed its audit:\n{report}");
-    assert!(
-        report.stats.matched_frames > 0,
-        "no frames matched:\n{report}"
-    );
-    assert!(
-        report.stats.streams >= 1,
-        "the partitioned transfer should stream:\n{report}"
-    );
-}
-
-/// Held by every cell that asserts on timing or on who got to poll: the
-/// harness runs this file's tests on parallel threads, and two cells
-/// pinned to the same cores measure each other.
+/// Held by every cell in this file — each spawns rank processes, and
+/// most assert on timing or on who got to poll: the harness runs this
+/// file's tests on parallel threads, and two cells sharing the cores
+/// measure each other. A cell that spawns ranks without it is load on
+/// the ones that assert.
 fn timing_cell() -> std::sync::MutexGuard<'static, ()> {
     static CORES: std::sync::Mutex<()> = std::sync::Mutex::new(());
     CORES.lock().unwrap_or_else(|e| e.into_inner())
@@ -416,8 +212,18 @@ fn ipc_rank_without_waits_still_answers_rts() {
 
 /// The point of the hand-off: with the receiver in `wait`, a 16 x
 /// 256 KiB stream's `K_PART` pushes are atomic adds, not `FUTEX_WAKE`s.
+///
+/// A wake is legitimate whenever the receiver stopped polling: its
+/// poll window closes after 150 µs without progress, and a sender
+/// descheduled that long by a loaded host hands the doorbell back for
+/// the rest of that pass. So the cell judges the hand-off pass by pass
+/// and asserts on the median pass: at most one wake per eight rings
+/// there. A load spike spoils the passes it lands on, not the median
+/// of eight; a hand-off that does not engage pays a wake per ring in
+/// every pass.
 #[test]
 fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
+    const PASSES: u64 = 8;
     if common::maybe_run_child() {
         return;
     }
@@ -436,7 +242,7 @@ fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
             fabric_env(),
             (ENV_PARTS, n_parts.to_string()),
             (ENV_PART_BYTES, part_bytes.to_string()),
-            (ENV_ITERS, "8".to_string()),
+            (ENV_ITERS, PASSES.to_string()),
         ],
         &[vec![], vec![]],
         TIMEOUT,
@@ -449,18 +255,21 @@ fn ipc_stream_into_a_waiting_receiver_rings_without_waking() {
         "`{}`",
         outs[0].out
     );
-    let (rings, wakes) = (
-        outs[1].figure("rings").expect("rings"),
-        outs[1].figure("wakes").expect("wakes"),
-    );
+    let rings = outs[1].figure("rings").expect("rings");
     assert!(
-        rings >= 8 * 17,
-        "8 x (RTS + 16 commits) expected: `{}`",
+        rings >= PASSES * 17,
+        "{PASSES} x (RTS + 16 commits) expected: `{}`",
         outs[1].out
     );
+    let mut pass_wakes = outs[1].list("pass_wakes");
+    assert_eq!(pass_wakes.len() as u64, PASSES, "`{}`", outs[1].out);
+    pass_wakes.sort_unstable();
+    let median = pass_wakes[pass_wakes.len() / 2];
+    let pass_rings = rings / PASSES;
     assert!(
-        wakes <= rings / 8,
-        "sender paid {wakes} futex wakes for {rings} rings: the hand-off is not engaging"
+        median <= pass_rings / 8,
+        "the median pass paid {median} futex wakes for {pass_rings} rings (passes, \
+         sorted: {pass_wakes:?}): the hand-off is not engaging"
     );
 }
 

@@ -1,8 +1,9 @@
 //! The environment contract between a launcher and the rank processes,
 //! mirroring how `mpirun` tells each process who it is.
 //!
-//! A launcher (the `pcomm-launch` binary, `Universe::run_multiprocess`,
-//! or a test harness) starts N copies of the same program with:
+//! A launcher — the `pcomm-launch` binary ([`launch_ranks`]), or a
+//! test harness on [`spawn_ranks`]/[`wait_ranks`] — starts N copies of
+//! the same program with:
 //!
 //! * `PCOMM_NET_RANK` — this process's rank, `0..n`;
 //! * `PCOMM_NET_RANKS` — the total rank count N;
@@ -12,6 +13,8 @@
 //!
 //! A `Universe::run` whose rank count matches `PCOMM_NET_RANKS` then
 //! joins the mesh as rank `PCOMM_NET_RANK` instead of spawning threads.
+//! The runtime only reads this environment: it never starts a rank
+//! process or writes a variable itself.
 //! Nothing else about the wire is configured: the ipc segment geometry
 //! is the `DEFAULT_IPC_*` constants below, and the heartbeat is the
 //! runtime's own constant.

@@ -15,9 +15,9 @@
 //!   short reads, garbage, resets, lane kill, half-open death) for
 //!   chaos runs, wrapped around any endpoint;
 //! * [`launch`] — the `PCOMM_NET_*` environment contract between a
-//!   launcher and the rank processes, plus helpers to spawn ranks
-//!   (used by the `pcomm-launch` binary and
-//!   `Universe::run_multiprocess` in `pcomm-core`).
+//!   launcher and the rank processes, plus the one way to start ranks
+//!   (the `pcomm-launch` binary and every multi-process test harness
+//!   spawn through it; `pcomm-core` only reads the environment).
 //!
 //! The matching in-process glue — the `Transport` seam and the socket
 //! carrier that owns these sockets and their `epoll` loop ([`sys`]) —

@@ -10,7 +10,7 @@
 //! ipc fabric, and the `epoll` wrappers fail with `ENOSYS`, which the
 //! socket carrier turns into a typed error at start.
 //!
-//! Why raw syscalls are sound here (see also DESIGN.md §14):
+//! Why raw syscalls are sound here (see also DESIGN.md §12):
 //!
 //! * Every wrapper is a thin, audited translation of one documented
 //!   kernel ABI entry; no wrapper touches errno, signals, or any libc
