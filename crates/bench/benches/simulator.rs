@@ -57,23 +57,23 @@ fn bench_executor() {
 fn bench_scenarios() {
     let cfg = MachineConfig::meluxina();
     for a in Approach::ALL {
-        let sc = Scenario::immediate(8, 1, 4096, 10);
+        let sc = Scenario::immediate(8, 1, 4096, 2, 10);
         let id = format!("iterate/{}", a.label().replace(' ', "_"));
-        bench("simmpi_scenarios", &id, || run_scenario(&cfg, 2, 1, a, &sc));
+        bench("simmpi_scenarios", &id, || run_scenario(&cfg, 1, a, &sc));
     }
 }
 
 /// The congestion scenario the paper's Fig. 5 needs (heaviest case).
 fn bench_fig5_cell() {
     let cfg = MachineConfig::meluxina();
-    let sc = Scenario::immediate(32, 1, 512, 10);
+    let sc = Scenario::immediate(32, 1, 512, 1, 10);
     for a in [
         Approach::PtpPart,
         Approach::PtpMany,
         Approach::RmaManyPassive,
     ] {
         let id = format!("32threads/{}", a.label().replace(' ', "_"));
-        bench("simmpi_fig5_cell", &id, || run_scenario(&cfg, 1, 1, a, &sc));
+        bench("simmpi_fig5_cell", &id, || run_scenario(&cfg, 1, a, &sc));
     }
 }
 

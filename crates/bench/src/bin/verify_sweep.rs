@@ -23,12 +23,12 @@ fn main() -> ExitCode {
     };
 
     let cfg = MachineConfig::meluxina_quiet();
-    let sc = Scenario::immediate(4, 2, 256, 2);
+    let sc = Scenario::immediate(4, 2, 256, 2, 2);
 
     let mut findings = 0usize;
     let mut runs = 0usize;
     for approach in Approach::ALL {
-        let sweep = explore_scenario(&cfg, 2, approach, &sc, &seeds);
+        let sweep = explore_scenario(&cfg, approach, &sc, &seeds);
         let partitioned = matches!(approach, Approach::PtpPart | Approach::PtpPartOld);
         for r in &sweep {
             runs += 1;

@@ -153,7 +153,6 @@ fn format_bytes(x: f64) -> String {
 
 fn measured_series(
     cfg: &MachineConfig,
-    n_vcis: usize,
     approach: Approach,
     label: &str,
     scenarios: &[(usize, Scenario)],
@@ -162,7 +161,7 @@ fn measured_series(
     let points = scenarios
         .iter()
         .map(|(total, sc)| {
-            let m = measure(cfg, n_vcis, approach, sc, opts);
+            let m = measure(cfg, approach, sc, opts);
             Point {
                 x: *total as f64,
                 y: m.mean_us,
@@ -183,11 +182,11 @@ pub fn fig4(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     let sizes = size_sweep(16, 16 << 20, opts);
     let scenarios: Vec<(usize, Scenario)> = sizes
         .iter()
-        .map(|&s| (s, Scenario::immediate(1, 1, s, 1)))
+        .map(|&s| (s, Scenario::immediate(1, 1, s, 1, 1)))
         .collect();
     let mut series: Vec<Series> = Approach::ALL
         .iter()
-        .map(|a| measured_series(cfg, 1, *a, a.label(), &scenarios, opts))
+        .map(|a| measured_series(cfg, *a, a.label(), &scenarios, opts))
         .collect();
     series.push(Series {
         label: "theory 25 GB/s".into(),
@@ -219,10 +218,9 @@ fn congestion_figure(
 ) -> Figure {
     let n_threads = 32;
     let sizes = size_sweep(512, 16 << 20, opts);
-    let scenarios: Vec<(usize, Scenario)> = sizes
-        .iter()
-        .map(|&s| (s, Scenario::immediate(n_threads, 1, s / n_threads, 1)))
-        .collect();
+    // One partition per thread; the figure's VCI count is the shard count.
+    let scenario = |s| Scenario::immediate(n_threads, 1, s / n_threads, n_vcis, 1);
+    let scenarios: Vec<(usize, Scenario)> = sizes.iter().map(|&s| (s, scenario(s))).collect();
     let approaches = [
         Approach::PtpPart,
         Approach::PtpSingle,
@@ -234,7 +232,7 @@ fn congestion_figure(
     ];
     let series = approaches
         .iter()
-        .map(|a| measured_series(cfg, n_vcis, *a, a.label(), &scenarios, opts))
+        .map(|a| measured_series(cfg, *a, a.label(), &scenarios, opts))
         .collect();
     Figure {
         id: id.into(),
@@ -273,7 +271,7 @@ pub fn fig7(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
         sizes
             .iter()
             .map(|&s| {
-                let mut sc = Scenario::immediate(n_threads, theta, s / n_parts, 1);
+                let mut sc = Scenario::immediate(n_threads, theta, s / n_parts, 1, 1);
                 sc.aggr_size = aggr;
                 (s, sc)
             })
@@ -282,7 +280,6 @@ pub fn fig7(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     let mut series = Vec::new();
     series.push(measured_series(
         cfg,
-        1,
         Approach::PtpPart,
         "Pt2Pt part (no aggr)",
         &mk(None),
@@ -291,7 +288,6 @@ pub fn fig7(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     for aggr in [512usize, 2048, 16384] {
         series.push(measured_series(
             cfg,
-            1,
             Approach::PtpPart,
             &format!("Pt2Pt part aggr={aggr}"),
             &mk(Some(aggr)),
@@ -300,7 +296,6 @@ pub fn fig7(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     }
     series.push(measured_series(
         cfg,
-        1,
         Approach::PtpMany,
         Approach::PtpMany.label(),
         &mk(None),
@@ -308,7 +303,6 @@ pub fn fig7(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     ));
     series.push(measured_series(
         cfg,
-        1,
         Approach::PtpSingle,
         Approach::PtpSingle.label(),
         &mk(None),
@@ -332,17 +326,17 @@ pub fn fig8(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
     let sizes = size_sweep(4 << 10, 64 << 20, opts);
     let mk = |total: usize| -> Scenario {
         let part_bytes = total / n_threads;
-        let mut sc = Scenario::immediate(n_threads, 1, part_bytes, 1);
+        let mut sc = Scenario::immediate(n_threads, 1, part_bytes, 1, 1);
         let delay = Dur::from_secs_f64(gamma * part_bytes as f64);
-        let n = sc.delays.len();
-        sc.delays[n - 1] = delay;
+        let n = sc.delays_us.len();
+        sc.delays_us[n - 1] = delay.as_us_f64();
         sc
     };
     let scenarios: Vec<(usize, Scenario)> = sizes.iter().map(|&s| (s, mk(s))).collect();
     // Reference: bulk-synchronized single message.
     let single: Vec<f64> = scenarios
         .iter()
-        .map(|(_, sc)| measure(cfg, 1, Approach::PtpSingle, sc, opts).mean_us)
+        .map(|(_, sc)| measure(cfg, Approach::PtpSingle, sc, opts).mean_us)
         .collect();
     let mut series = Vec::new();
     for a in [
@@ -354,7 +348,7 @@ pub fn fig8(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
             .iter()
             .zip(&single)
             .map(|((total, sc), s_us)| {
-                let m = measure(cfg, 1, a, sc, opts);
+                let m = measure(cfg, a, sc, opts);
                 Point {
                     x: *total as f64,
                     y: s_us / m.mean_us,
@@ -462,10 +456,10 @@ pub fn theta_sweep(cfg: &MachineConfig, opts: &RunOpts) -> Figure {
             let mut gains = Vec::new();
             for _ in 0..realizations {
                 let delays = sched.ready_times(n_threads, theta, part_bytes, &mut rng);
-                let mut sc = Scenario::immediate(n_threads, theta, part_bytes, 1);
-                sc.delays = delays;
-                let single = measure(cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-                let part = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+                let mut sc = Scenario::immediate(n_threads, theta, part_bytes, 1, 1);
+                sc.delays_us = delays.iter().map(|d| d.as_us_f64()).collect();
+                let single = measure(cfg, Approach::PtpSingle, &sc, opts).mean_us;
+                let part = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
                 gains.push(single / part);
             }
             let mean = gains.iter().sum::<f64>() / gains.len() as f64;
@@ -506,12 +500,12 @@ pub fn ablation(cfg: &MachineConfig, opts: &RunOpts) -> String {
     {
         let part_bytes = 4 << 20;
         let gamma = us_per_mb_to_s_per_b(100.0);
-        let mut sc = Scenario::immediate(4, 1, part_bytes, 1);
-        sc.delays[3] = Dur::from_secs_f64(gamma * part_bytes as f64);
-        let single = measure(cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-        let eager = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+        let mut sc = Scenario::immediate(4, 1, part_bytes, 1, 1);
+        sc.delays_us[3] = Dur::from_secs_f64(gamma * part_bytes as f64).as_us_f64();
+        let single = measure(cfg, Approach::PtpSingle, &sc, opts).mean_us;
+        let eager = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
         sc.defer_sends = true;
-        let deferred = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+        let deferred = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
         let _ = writeln!(
             out,
             "(a) early-bird @16MiB, γ=100 µs/MB: gain {:.2} with early-bird, {:.2} deferred",
@@ -579,14 +573,14 @@ pub fn ablation(cfg: &MachineConfig, opts: &RunOpts) -> String {
     // (c) Contention model: linear vs quadratic waiter penalty at the
     // Fig. 5 operating point.
     {
-        let sc = Scenario::immediate(32, 1, 512, 1);
-        let single = measure(cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-        let quad = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+        let sc = Scenario::immediate(32, 1, 512, 1, 1);
+        let single = measure(cfg, Approach::PtpSingle, &sc, opts).mean_us;
+        let quad = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
         let linear_cfg = MachineConfig {
             contention_exponent: 1,
             ..cfg.clone()
         };
-        let lin = measure(&linear_cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+        let lin = measure(&linear_cfg, Approach::PtpPart, &sc, opts).mean_us;
         let _ = writeln!(
             out,
             "(c) contention model @32 thr, 16KiB: quadratic {:.1}x vs single (paper ≈30), linear {:.1}x",
@@ -599,8 +593,8 @@ pub fn ablation(cfg: &MachineConfig, opts: &RunOpts) -> String {
     // warm-up iteration vs steady state.
     {
         use pcomm_simmpi::scenario::run_scenario;
-        let sc = Scenario::immediate(2, 1, 1024, 5);
-        let times = run_scenario(cfg, 1, 1, Approach::PtpPart, &sc);
+        let sc = Scenario::immediate(2, 1, 1024, 1, 5);
+        let times = run_scenario(cfg, 1, Approach::PtpPart, &sc);
         let _ = writeln!(
             out,
             "(d) first-iteration CTS: warm-up iter {:.2} us vs steady {:.2} us (the paper's \"1 warm-up iteration to get rid of the overhead\")",
@@ -820,10 +814,10 @@ pub fn sensitivity(opts: &RunOpts) -> String {
         let mut total = 4 << 10;
         while total <= 64 << 20 {
             let part_bytes = total / 4;
-            let mut sc = Scenario::immediate(4, 1, part_bytes, 1);
-            sc.delays[3] = Dur::from_secs_f64(gamma * part_bytes as f64);
-            let single = measure(&cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-            let part = measure(&cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+            let mut sc = Scenario::immediate(4, 1, part_bytes, 1, 1);
+            sc.delays_us[3] = Dur::from_secs_f64(gamma * part_bytes as f64).as_us_f64();
+            let single = measure(&cfg, Approach::PtpSingle, &sc, opts).mean_us;
+            let part = measure(&cfg, Approach::PtpPart, &sc, opts).mean_us;
             if single / part >= 1.0 {
                 crossover = Some(total);
                 break;
@@ -831,9 +825,9 @@ pub fn sensitivity(opts: &RunOpts) -> String {
             total *= 2;
         }
         // Contention factor at the Fig. 5 operating point.
-        let sc = Scenario::immediate(32, 1, 512, 1);
-        let single = measure(&cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-        let part = measure(&cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+        let sc = Scenario::immediate(32, 1, 512, 1, 1);
+        let single = measure(&cfg, Approach::PtpSingle, &sc, opts).mean_us;
+        let part = measure(&cfg, Approach::PtpPart, &sc, opts).mean_us;
         let _ = writeln!(
             out,
             "{name}: early-bird crossover ≈ {}, contention penalty @16KiB {:.1}x",
@@ -858,11 +852,12 @@ pub fn summary(cfg: &MachineConfig, opts: &RunOpts) -> String {
     let _ = writeln!(out, "== Headline factors: paper vs this reproduction ==");
     // Thread congestion at a small message size (32 threads, θ=1).
     let total = 16 << 10;
-    let sc32 = Scenario::immediate(32, 1, total / 32, 1);
-    let single_1 = measure(cfg, 1, Approach::PtpSingle, &sc32, opts).mean_us;
-    let part_1 = measure(cfg, 1, Approach::PtpPart, &sc32, opts).mean_us;
-    let single_32 = measure(cfg, 32, Approach::PtpSingle, &sc32, opts).mean_us;
-    let part_32 = measure(cfg, 32, Approach::PtpPart, &sc32, opts).mean_us;
+    let mut sc32 = Scenario::immediate(32, 1, total / 32, 1, 1);
+    let single_1 = measure(cfg, Approach::PtpSingle, &sc32, opts).mean_us;
+    let part_1 = measure(cfg, Approach::PtpPart, &sc32, opts).mean_us;
+    sc32.shards = 32;
+    let single_32 = measure(cfg, Approach::PtpSingle, &sc32, opts).mean_us;
+    let part_32 = measure(cfg, Approach::PtpPart, &sc32, opts).mean_us;
     let _ = writeln!(
         out,
         "contention penalty vs single @16KiB, 32 thr: 1 VCI {:>5.1}x (paper ≈30), 32 VCIs {:>4.1}x (paper ≈4)",
@@ -871,11 +866,11 @@ pub fn summary(cfg: &MachineConfig, opts: &RunOpts) -> String {
     );
     // Aggregation (4 threads, θ=32, small partitions).
     let total = 64 << 10;
-    let mut sc = Scenario::immediate(4, 32, total / 128, 1);
-    let single = measure(cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-    let noag = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+    let mut sc = Scenario::immediate(4, 32, total / 128, 1, 1);
+    let single = measure(cfg, Approach::PtpSingle, &sc, opts).mean_us;
+    let noag = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
     sc.aggr_size = Some(16384);
-    let ag = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+    let ag = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
     let _ = writeln!(
         out,
         "aggregation penalty vs single @64KiB, 128 parts: none {:>5.1}x (paper ≈10), aggr 16KiB {:>4.1}x (paper ≈3)",
@@ -886,10 +881,10 @@ pub fn summary(cfg: &MachineConfig, opts: &RunOpts) -> String {
     let total = 64 << 20;
     let part_bytes = total / 4;
     let gamma = us_per_mb_to_s_per_b(100.0);
-    let mut sc = Scenario::immediate(4, 1, part_bytes, 1);
-    sc.delays[3] = Dur::from_secs_f64(gamma * part_bytes as f64);
-    let single = measure(cfg, 1, Approach::PtpSingle, &sc, opts).mean_us;
-    let part = measure(cfg, 1, Approach::PtpPart, &sc, opts).mean_us;
+    let mut sc = Scenario::immediate(4, 1, part_bytes, 1, 1);
+    sc.delays_us[3] = Dur::from_secs_f64(gamma * part_bytes as f64).as_us_f64();
+    let single = measure(cfg, Approach::PtpSingle, &sc, opts).mean_us;
+    let part = measure(cfg, Approach::PtpPart, &sc, opts).mean_us;
     let _ = writeln!(
         out,
         "early-bird gain @64MiB, γ=100 µs/MB: {:.2} (paper ≈2.54, theory 2.67)",

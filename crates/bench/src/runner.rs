@@ -60,10 +60,10 @@ pub struct Measured {
     pub retries: usize,
 }
 
-/// Measure one (approach, scenario, VCI count) cell under the protocol.
+/// Measure one (approach, scenario) cell under the protocol; the
+/// scenario's `shards` are its VCIs.
 pub fn measure(
     cfg: &MachineConfig,
-    n_vcis: usize,
     approach: Approach,
     base: &Scenario,
     opts: &RunOpts,
@@ -72,7 +72,7 @@ pub fn measure(
     sc.iterations = opts.warmup + opts.iterations;
     let mut retries = 0;
     loop {
-        let times = run_scenario(cfg, n_vcis, opts.base_seed + retries as u64, approach, &sc);
+        let times = run_scenario(cfg, opts.base_seed + retries as u64, approach, &sc);
         let xs: Vec<f64> = times[opts.warmup..].iter().map(|d| d.as_us_f64()).collect();
         let ci = ConfidenceInterval::of(&xs);
         if ci.relative_halfwidth() <= opts.rel_halfwidth || retries >= opts.max_retries {
@@ -139,10 +139,10 @@ mod tests {
     #[test]
     fn measure_converges_on_quiet_machine() {
         let cfg = MachineConfig::meluxina_quiet();
-        let sc = Scenario::immediate(1, 1, 1024, 1);
+        let sc = Scenario::immediate(1, 1, 1024, 1, 1);
         let mut opts = RunOpts::quick();
         opts.iterations = 10;
-        let m = measure(&cfg, 1, Approach::PtpSingle, &sc, &opts);
+        let m = measure(&cfg, Approach::PtpSingle, &sc, &opts);
         assert!(m.mean_us > 1.0 && m.mean_us < 10.0, "mean {}", m.mean_us);
         assert!(
             m.halfwidth_us < 1e-9,
@@ -155,9 +155,9 @@ mod tests {
     #[test]
     fn measure_with_noise_has_finite_ci() {
         let cfg = MachineConfig::meluxina();
-        let sc = Scenario::immediate(2, 1, 2048, 1);
+        let sc = Scenario::immediate(2, 1, 2048, 1, 1);
         let opts = RunOpts::quick();
-        let m = measure(&cfg, 1, Approach::PtpPart, &sc, &opts);
+        let m = measure(&cfg, Approach::PtpPart, &sc, &opts);
         assert!(m.mean_us > 0.0);
         assert!(m.halfwidth_us >= 0.0);
         assert!(m.halfwidth_us < m.mean_us, "CI wider than the mean");

@@ -2,10 +2,12 @@
 //!
 //! The paper defines its strategies as one benchmark template (Fig. 3)
 //! plus the init / start / ready / wait cells of Tables 1–2. This module
-//! holds exactly that, once: the [`Op`] vocabulary, one [`Strategy`] row
-//! per [`Approach`] (`TABLE`), and the template (`run_template`) as an
-//! interpreter over a row. `pcomm_simmpi::strategies` interprets the same
-//! rows in virtual time and `figures tables` prints them.
+//! holds exactly that, once: the template's input ([`Scenario`], whose
+//! [`Scenario::partition`] is the partition→thread rule), the [`Op`]
+//! vocabulary, one [`Strategy`] row per [`Approach`] (`TABLE`), and the
+//! template (`run_template`) as an interpreter over a row.
+//! `pcomm_simmpi::strategies` runs the same scenarios and rows in virtual
+//! time and `figures tables` prints them.
 //!
 //! This world binds the ops to OS threads, real locks and `Instant`
 //! timing. Compute delays are calibrated spin-waits
@@ -228,6 +230,16 @@ impl Strategy {
             move |op: &&Op| matches!(op, Op::CommDup | Op::WinCreate) && !own.contains(op);
         peer.iter().filter(implied).chain(own).copied()
     }
+
+    /// The persistent messages of `slot` as `(first partition, partitions)`,
+    /// each tagged by its first partition: one per partition of thread
+    /// `slot` (many), else one for the whole buffer.
+    pub fn messages(&self, sc: &Scenario, slot: usize) -> Vec<(usize, usize)> {
+        match self.many {
+            true => (0..sc.theta).map(|j| (sc.partition(slot, j), 1)).collect(),
+            false => vec![(0, sc.n_parts())],
+        }
+    }
 }
 
 type Ops = &'static [Op];
@@ -277,26 +289,35 @@ const TABLE: [Strategy; 8] = {
     ]
 };
 
-/// A real-machine benchmark scenario.
+/// The input of the Fig. 3 template, the same for both worlds: N threads
+/// of θ partitions of `part_bytes` each, the aggregation bound and every
+/// partition's ready time.
 #[derive(Debug, Clone)]
-pub struct RealScenario {
+pub struct Scenario {
     /// Worker threads per rank (N).
     pub n_threads: usize,
-    /// Partitions per thread (θ); thread `t`'s `j`-th is `t + j·N`.
+    /// Partitions per thread (θ); see [`Scenario::partition`].
     pub theta: usize,
-    /// Bytes per partition.
+    /// Bytes per partition (S_part).
     pub part_bytes: usize,
-    /// Aggregation bound for the improved partitioned path.
+    /// Aggregation bound for the improved partitioned path
+    /// (`MPIR_CVAR_PART_AGGR_SIZE`); `None` disables aggregation.
     pub aggr_size: Option<usize>,
-    /// Per-partition ready times in µs (spin-injected compute).
+    /// Per-partition ready times in µs from the compute start: spun here,
+    /// slept in virtual time by the simulator.
     pub delays_us: Vec<f64>,
-    /// Match shards per rank (the VCI analogue).
+    /// Match shards per rank; the simulator's VCIs per rank.
     pub shards: usize,
     /// Iterations (the first is a warm-up the caller may discard).
     pub iterations: usize,
+    /// Ablation: defer partitioned sends to `wait()` (no early-bird).
+    pub defer_sends: bool,
 }
 
-impl RealScenario {
+/// The name the runtime-side harnesses know [`Scenario`] by.
+pub type RealScenario = Scenario;
+
+impl Scenario {
     /// A delay-free scenario.
     pub fn immediate(
         n_threads: usize,
@@ -304,8 +325,8 @@ impl RealScenario {
         part_bytes: usize,
         shards: usize,
         iterations: usize,
-    ) -> RealScenario {
-        RealScenario {
+    ) -> Scenario {
+        Scenario {
             n_threads,
             theta,
             part_bytes,
@@ -313,6 +334,7 @@ impl RealScenario {
             delays_us: vec![0.0; n_threads * theta],
             shards,
             iterations,
+            defer_sends: false,
         }
     }
 
@@ -326,9 +348,26 @@ impl RealScenario {
         self.n_parts() * self.part_bytes
     }
 
+    /// Thread `t`'s `j`-th partition: partition `p` belongs to thread
+    /// `p mod N`, the round-robin attribution of paper §3.2.2.
+    pub fn partition(&self, t: usize, j: usize) -> usize {
+        t + j * self.n_threads
+    }
+
     /// Largest injected delay (subtracted from measured times).
     pub fn max_delay_us(&self) -> f64 {
         self.delays_us.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Panics on a scenario neither template can run.
+    pub fn validate(&self) {
+        assert!(self.n_threads >= 1, "need at least one thread");
+        assert!(self.theta >= 1, "need at least one partition per thread");
+        assert!(self.part_bytes >= 1, "empty partitions not supported");
+        assert!(self.shards >= 1, "need at least one shard");
+        assert!(self.iterations >= 1, "need at least one iteration");
+        let covered = self.delays_us.len() == self.n_parts();
+        assert!(covered, "delays must cover every partition");
     }
 }
 
@@ -353,7 +392,7 @@ fn fill_pattern(buf: &mut [u8], p: usize) {
 /// Run `approach` under `scenario`; returns per-iteration communication
 /// overhead (receiver-side time-to-solution minus injected compute),
 /// including the warm-up iteration at index 0.
-pub fn measure(approach: Approach, sc: &RealScenario) -> Vec<Duration> {
+pub fn measure(approach: Approach, sc: &Scenario) -> Vec<Duration> {
     run_strategy(approach, sc, false).0
 }
 
@@ -364,16 +403,12 @@ pub fn measure(approach: Approach, sc: &RealScenario) -> Vec<Duration> {
 /// scenario, so transport-agreement tests can compare digests across
 /// strategies and fabrics. In a multiprocess run only the receiving
 /// rank's process observes the real digest (the sender's is 0).
-pub fn measure_validated(approach: Approach, sc: &RealScenario) -> (Vec<Duration>, u64) {
+pub fn measure_validated(approach: Approach, sc: &Scenario) -> (Vec<Duration>, u64) {
     run_strategy(approach, sc, true)
 }
 
-fn run_strategy(approach: Approach, sc: &RealScenario, validate: bool) -> (Vec<Duration>, u64) {
-    assert_eq!(
-        sc.delays_us.len(),
-        sc.n_parts(),
-        "delays must cover partitions"
-    );
+fn run_strategy(approach: Approach, sc: &Scenario, validate: bool) -> (Vec<Duration>, u64) {
+    sc.validate();
     let (row, universe) = (approach.table(), Universe::new(2).with_shards(sc.shards));
     let run_rank = |comm: Comm| {
         let mut rank = Rank {
@@ -412,7 +447,7 @@ trait Executor: Sync {
 fn run_template<E: Executor>(
     ex: &mut E,
     row: &Strategy,
-    sc: &RealScenario,
+    sc: &Scenario,
     comm: &Comm,
 ) -> (Vec<Duration>, u64) {
     let (role, side) = (comm.rank(), &row.sides[comm.rank()]);
@@ -451,7 +486,7 @@ fn run_template<E: Executor>(
 
 /// Thread `t` of the parallel region: spin until each of its partitions
 /// is ready (`compute`: the sender), issuing the `ready` column around them.
-fn worker<E: Executor>(ex: &E, side: &Side, sc: &RealScenario, compute: bool, t: usize) {
+fn worker<E: Executor>(ex: &E, side: &Side, sc: &Scenario, compute: bool, t: usize) {
     // Only `Put` reads the payload; an empty `Vec` does not allocate.
     let put = side.per_partition.contains(&Op::Put);
     let mut payload = vec![1u8; if put { sc.part_bytes } else { 0 }];
@@ -459,7 +494,7 @@ fn worker<E: Executor>(ex: &E, side: &Side, sc: &RealScenario, compute: bool, t:
     let t0 = Instant::now();
     for j in 0..sc.theta {
         if compute {
-            let ready_us = sc.delays_us[t + j * sc.n_threads];
+            let ready_us = sc.delays_us[sc.partition(t, j)];
             spin_for_micros(ready_us - t0.elapsed().as_secs_f64() * 1e6);
         }
         (side.per_partition.iter()).for_each(|&op| ex.exec(op, t, j, &mut payload));
@@ -479,7 +514,7 @@ enum Req {
 /// column, then shared read-only by the N threads of every iteration.
 struct Rank<'a> {
     row: &'static Strategy,
-    sc: &'a RealScenario,
+    sc: &'a Scenario,
     validate: bool,
     parent: Comm,
     /// Slot → duplicated communicator; a slot without one uses `parent`.
@@ -497,17 +532,10 @@ impl Executor for Rank<'_> {
         let part_opts = PartOptions {
             aggr_size: sc.aggr_size.filter(|_| !self.row.legacy),
             legacy_single_message: self.row.legacy,
+            defer_sends: sc.defer_sends,
             ..PartOptions::default()
         };
-        // The slot's persistent messages as `(first partition, count)`,
-        // tagged by first partition: one per partition of thread `slot`
-        // (many) or one for the whole buffer (single).
-        let messages: Vec<(usize, usize)> = if self.row.many {
-            let nth = |j| (slot + j * sc.n_threads, 1);
-            (0..sc.theta).map(nth).collect()
-        } else {
-            vec![(0, sc.n_parts())]
-        };
+        let messages = self.row.messages(sc, slot);
         match op {
             Op::CommDup => self.comms.push(self.parent.dup()),
             Op::PsendInit => {
@@ -553,7 +581,7 @@ impl Executor for Rank<'_> {
 
     fn exec(&self, op: Op, t: usize, j: usize, payload: &mut [u8]) {
         let (sc, role, peer) = (self.sc, self.parent.rank(), 1 - self.parent.rank());
-        let (slot, p) = (if self.row.many { t } else { 0 }, t + j * sc.n_threads);
+        let (slot, p) = (if self.row.many { t } else { 0 }, sc.partition(t, j));
         let comm = self.comms.get(slot).unwrap_or(&self.parent);
         match op {
             Op::Start => match &self.reqs[slot][j] {
@@ -595,19 +623,21 @@ impl Executor for Rank<'_> {
         }
     }
 
-    /// Folds every partition in ascending order: thread `p % N` received
-    /// partition `p` as its `p / N`-th (many), else one message or window
-    /// holds them all, ascending.
+    /// Folds every partition in ascending order (`j` outer, `t` inner) from
+    /// the slot that received it (many), else from the one buffer of all.
     fn digest(&self, digest: &mut u64) {
-        let (n, len) = (self.sc.n_threads, self.sc.part_bytes);
-        let n_parts = if self.validate { self.sc.n_parts() } else { 0 };
-        for p in 0..n_parts {
+        if !self.validate {
+            return;
+        }
+        let (sc, len) = (self.sc, self.sc.part_bytes);
+        for (j, t) in (0..sc.theta).flat_map(|j| (0..sc.n_threads).map(move |t| (j, t))) {
+            let p = sc.partition(t, j);
             let mut fold = |b: &[u8]| *digest = fnv1a(*digest, b);
-            let (slot, j, at) = match self.row.many {
-                true => (p % n, p / n, 0),
+            let (slot, k, at) = match self.row.many {
+                true => (t, j, 0),
                 false => (0, 0, p * len),
             };
-            match self.reqs.get(slot).map(|reqs| &reqs[j]) {
+            match self.reqs.get(slot).map(|reqs| &reqs[k]) {
                 Some(Req::Precv(r)) => r.read_partition(p, fold),
                 Some(Req::Recv(r)) => r.read(|b| fold(&b[at..at + len])),
                 None => self.targets[slot].read(|b| fold(&b[p * len..][..len])),
@@ -623,7 +653,7 @@ mod tests {
 
     #[test]
     fn all_strategies_complete_small_scenario() {
-        let sc = RealScenario::immediate(2, 1, 256, 2, 3);
+        let sc = Scenario::immediate(2, 1, 256, 2, 3);
         for a in RealApproach::ALL {
             let times = measure(a, &sc);
             assert_eq!(times.len(), 3, "{a:?}");
@@ -638,7 +668,7 @@ mod tests {
 
     #[test]
     fn all_strategies_complete_with_theta_and_aggregation() {
-        let mut sc = RealScenario::immediate(2, 4, 128, 2, 2);
+        let mut sc = Scenario::immediate(2, 4, 128, 2, 2);
         sc.aggr_size = Some(512);
         for a in RealApproach::ALL {
             let times = measure(a, &sc);
@@ -650,7 +680,7 @@ mod tests {
     fn delays_are_subtracted() {
         // A 200µs injected delay must not inflate the reported overhead
         // (single-message bulk waits for it, then subtracts it).
-        let mut sc = RealScenario::immediate(2, 1, 128, 1, 40);
+        let mut sc = Scenario::immediate(2, 1, 128, 1, 40);
         sc.delays_us[1] = 200.0;
         let times = measure(RealApproach::PtpSingle, &sc);
         // Wall-clock scheduling can inflate individual iterations (a
@@ -667,7 +697,7 @@ mod tests {
 
     #[test]
     fn rendezvous_sized_scenario_completes() {
-        let sc = RealScenario::immediate(2, 1, 256 * 1024, 2, 2);
+        let sc = Scenario::immediate(2, 1, 256 * 1024, 2, 2);
         for a in [
             RealApproach::PtpPart,
             RealApproach::PtpSingle,
@@ -680,22 +710,74 @@ mod tests {
 
     #[test]
     fn validated_strategies_agree_on_digest() {
-        let sc = RealScenario::immediate(2, 2, 96, 2, 3);
-        // The canonical digest: every iteration folds all partitions in
-        // ascending order, each filled with the deterministic pattern.
-        let mut expect = FNV_OFFSET;
-        let mut buf = vec![0u8; sc.part_bytes];
-        for _ in 0..sc.iterations {
-            for p in 0..sc.n_parts() {
-                fill_pattern(&mut buf, p);
-                expect = fnv1a(expect, &buf);
+        let eager = Scenario::immediate(2, 2, 96, 2, 3);
+        // Partitioned sends held back to `wait()` deliver the same bytes.
+        let deferred = Scenario {
+            defer_sends: true,
+            ..eager.clone()
+        };
+        for sc in [eager, deferred] {
+            // The canonical digest: every iteration folds all partitions
+            // in ascending order, each filled with the deterministic pattern.
+            let mut expect = FNV_OFFSET;
+            let mut buf = vec![0u8; sc.part_bytes];
+            for _ in 0..sc.iterations {
+                for p in 0..sc.n_parts() {
+                    fill_pattern(&mut buf, p);
+                    expect = fnv1a(expect, &buf);
+                }
+            }
+            for a in RealApproach::ALL {
+                let (times, digest) = measure_validated(a, &sc);
+                let deferred = sc.defer_sends;
+                assert_eq!(times.len(), sc.iterations, "{a:?} deferred {deferred}");
+                assert_eq!(digest, expect, "{a:?} deferred {deferred}: corrupted bytes");
             }
         }
-        for a in RealApproach::ALL {
-            let (times, digest) = measure_validated(a, &sc);
-            assert_eq!(times.len(), sc.iterations, "{a:?}");
-            assert_eq!(digest, expect, "{a:?} delivered corrupted bytes");
+    }
+
+    #[test]
+    fn scenario_accessors() {
+        let sc = Scenario::immediate(4, 2, 1024, 1, 10);
+        assert_eq!(sc.n_parts(), 8);
+        assert_eq!(sc.total_bytes(), 8192);
+        assert_eq!(sc.max_delay_us(), 0.0);
+        assert_eq!([sc.partition(1, 0), sc.partition(1, 1)], [1, 5]);
+        sc.validate();
+    }
+
+    /// Thread `t` owns partition `p` iff `p mod N = t` (paper §3.2.2), and
+    /// every partition has exactly one owner.
+    #[test]
+    fn partition_is_round_robin_and_a_bijection() {
+        let sc = Scenario::immediate(4, 3, 64, 1, 1);
+        let of_thread_1: Vec<usize> = (0..3).map(|j| sc.partition(1, j)).collect();
+        assert_eq!(of_thread_1, [1, 5, 9]);
+        for (n, theta) in (1..=8).flat_map(|n| (1..=5).map(move |theta| (n, theta))) {
+            let sc = Scenario::immediate(n, theta, 64, 1, 1);
+            let mut seen = vec![false; sc.n_parts()];
+            for (t, j) in (0..n).flat_map(|t| (0..theta).map(move |j| (t, j))) {
+                let p = sc.partition(t, j);
+                assert_eq!(p % n, t, "partition {p} of N = {n}");
+                assert!(!std::mem::replace(&mut seen[p], true), "{p} owned twice");
+            }
+            assert!(seen.iter().all(|&s| s), "N = {n}, θ = {theta}: an orphan");
         }
+    }
+
+    #[test]
+    fn max_delay_is_max() {
+        let mut sc = Scenario::immediate(2, 2, 64, 1, 1);
+        sc.delays_us = vec![0.0, 3.0, 7.0, 5.0];
+        assert_eq!(sc.max_delay_us(), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must cover")]
+    fn validate_catches_bad_delays() {
+        let mut sc = Scenario::immediate(2, 2, 64, 1, 1);
+        sc.delays_us.pop();
+        sc.validate();
     }
 
     #[test]
@@ -844,7 +926,7 @@ mod tests {
     }
 
     /// What `run_template` asks of the executor on both ranks of `row`.
-    fn recorded(row: &'static Strategy, sc: &RealScenario) -> Vec<Vec<(Who, Op)>> {
+    fn recorded(row: &'static Strategy, sc: &Scenario) -> Vec<Vec<(Who, Op)>> {
         Universe::new(2)
             .run(|comm| {
                 let mut ex = Recording {
@@ -867,7 +949,7 @@ mod tests {
     /// `MPI_Comm_dup`).
     #[test]
     fn the_template_executes_exactly_what_the_table_prescribes() {
-        let sc = RealScenario::immediate(2, 2, 96, 2, 2);
+        let sc = Scenario::immediate(2, 2, 96, 2, 2);
         for a in Approach::ALL {
             let row = a.table();
             for (rank, log) in recorded(row, &sc).into_iter().enumerate() {

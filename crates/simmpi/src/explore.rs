@@ -3,10 +3,10 @@
 //! (happens-before races, wait-for-graph deadlocks, protocol lints) on
 //! every interleaving.
 //!
-//! The simulator is deterministic in `(cfg, n_vcis, seed, approach,
-//! scenario)`, so each seed names exactly one interleaving: the seed
-//! drives both the machine-noise stream (perturbing compute and atomic
-//! costs, hence message timing) and the chaos [`FaultPlan`]'s
+//! The simulator is deterministic in `(cfg, seed, approach, scenario)`,
+//! so each seed names exactly one interleaving: the seed drives both the
+//! machine-noise stream (perturbing compute and atomic costs, hence
+//! message timing) and the chaos [`FaultPlan`]'s
 //! `jitter_order` permutation stream, which scrambles the intra-batch
 //! order of `pready_list`/`pready_range` calls — the same stream the
 //! real runtime consumes, so a seed that trips a finding here can be
@@ -43,7 +43,6 @@ pub struct Exploration {
 /// hold under any readiness order) or scan for the first finding.
 pub fn explore_scenario(
     cfg: &MachineConfig,
-    n_vcis: usize,
     approach: Approach,
     sc: &Scenario,
     seeds: &[u64],
@@ -52,8 +51,7 @@ pub fn explore_scenario(
         .iter()
         .map(|&seed| {
             let plan = FaultPlan::seeded(seed).jitter(true);
-            let (_times, events) =
-                run_scenario_verified(cfg, n_vcis, seed, approach, sc, Some(plan));
+            let (_times, events) = run_scenario_verified(cfg, seed, approach, sc, Some(plan));
             // The simulator's trace is an unbounded `Vec`: nothing drops.
             let report = pcomm_verify::analyze(&events, 0);
             let verify_events = report.stats.verify_events;
@@ -77,8 +75,8 @@ mod tests {
     #[test]
     fn partitioned_scenario_is_clean_across_jitter_sweep() {
         let cfg = MachineConfig::meluxina_quiet();
-        let sc = Scenario::immediate(4, 2, 256, 3);
-        let runs = explore_scenario(&cfg, 2, Approach::PtpPart, &sc, &seeds(8));
+        let sc = Scenario::immediate(4, 2, 256, 2, 3);
+        let runs = explore_scenario(&cfg, Approach::PtpPart, &sc, &seeds(8));
         assert_eq!(runs.len(), 8);
         for r in &runs {
             assert!(r.report.is_clean(), "seed {} found: {}", r.seed, r.report);
@@ -95,9 +93,9 @@ mod tests {
     #[test]
     fn legacy_path_is_clean_across_jitter_sweep() {
         let cfg = MachineConfig::meluxina_quiet();
-        let mut sc = Scenario::immediate(2, 4, 128, 2);
+        let mut sc = Scenario::immediate(2, 4, 128, 1, 2);
         sc.aggr_size = None;
-        let runs = explore_scenario(&cfg, 1, Approach::PtpPartOld, &sc, &seeds(4));
+        let runs = explore_scenario(&cfg, Approach::PtpPartOld, &sc, &seeds(4));
         for r in &runs {
             assert!(r.report.is_clean(), "seed {}: {}", r.seed, r.report);
             assert!(r.verify_events > 0);
@@ -109,9 +107,9 @@ mod tests {
         // RMA / plain p2p strategies emit no partitioned verify events;
         // the passes must report clean, not crash, on such traces.
         let cfg = MachineConfig::meluxina_quiet();
-        let sc = Scenario::immediate(2, 1, 512, 2);
+        let sc = Scenario::immediate(2, 1, 512, 1, 2);
         for approach in [Approach::PtpSingle, Approach::RmaSinglePassive] {
-            let runs = explore_scenario(&cfg, 1, approach, &sc, &seeds(2));
+            let runs = explore_scenario(&cfg, approach, &sc, &seeds(2));
             for r in &runs {
                 assert!(
                     r.report.is_clean(),
@@ -126,9 +124,9 @@ mod tests {
     #[test]
     fn seeds_steer_distinct_interleavings_deterministically() {
         let cfg = MachineConfig::meluxina_quiet();
-        let sc = Scenario::immediate(2, 4, 64, 1);
-        let a = explore_scenario(&cfg, 1, Approach::PtpPart, &sc, &[5]);
-        let b = explore_scenario(&cfg, 1, Approach::PtpPart, &sc, &[5]);
+        let sc = Scenario::immediate(2, 4, 64, 1, 1);
+        let a = explore_scenario(&cfg, Approach::PtpPart, &sc, &[5]);
+        let b = explore_scenario(&cfg, Approach::PtpPart, &sc, &[5]);
         assert_eq!(
             a[0].verify_events, b[0].verify_events,
             "same seed must replay the same interleaving"
@@ -137,8 +135,8 @@ mod tests {
         // traces differ even though both verify clean.
         let plan5 = FaultPlan::seeded(5).jitter(true);
         let plan9 = FaultPlan::seeded(9).jitter(true);
-        let (_, ev5) = run_scenario_verified(&cfg, 1, 5, Approach::PtpPart, &sc, Some(plan5));
-        let (_, ev9) = run_scenario_verified(&cfg, 1, 9, Approach::PtpPart, &sc, Some(plan9));
+        let (_, ev5) = run_scenario_verified(&cfg, 5, Approach::PtpPart, &sc, Some(plan5));
+        let (_, ev9) = run_scenario_verified(&cfg, 9, Approach::PtpPart, &sc, Some(plan9));
         let order = |evs: &[pcomm_trace::Event]| {
             evs.iter()
                 .filter_map(|e| match e.kind {

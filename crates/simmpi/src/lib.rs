@@ -14,8 +14,9 @@
 //!   message aggregation (`MPIR_CVAR_PART_AGGR_SIZE` analogue) and
 //!   round-robin partition→VCI mapping;
 //! * the Fig. 3 benchmark template ([`scenario`], [`strategies`]) as an
-//!   interpreter over the eight strategy rows of the paper's Tables 1–2,
-//!   which are defined once in `pcomm_core::strategies`.
+//!   interpreter over the eight strategy rows of the paper's Tables 1–2
+//!   and the [`scenario::Scenario`] they run over, both defined once in
+//!   `pcomm_core::strategies` (a scenario's `shards` are its VCIs here).
 //!
 //! Simulated MPI ranks are async tasks; OpenMP threads within a rank are
 //! nested tasks. All timing comes from [`pcomm_netmodel::MachineConfig`].

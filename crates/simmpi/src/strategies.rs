@@ -9,12 +9,12 @@
 use std::rc::Rc;
 
 use pcomm_core::strategies::{Op, Strategy, NOTIFY_TAG, RECEIVER, SENDER};
-use pcomm_simcore::SimTime;
+use pcomm_simcore::{Dur, SimTime};
 
 use crate::comm::Comm;
 use crate::p2p::{Msg, PersistentRecv, PersistentSend};
 use crate::part::PartPath::{Improved, LegacyAm};
-use crate::part::{precv_init, psend_init, PartOptions, PrecvRequest, PsendRequest, VciMapping};
+use crate::part::{precv_init, psend_init, PartOptions, PrecvRequest, PsendRequest};
 use crate::rma::{WinOrigin, WinTarget};
 use crate::scenario::{Recorder, Scenario};
 use crate::world::World;
@@ -83,8 +83,12 @@ async fn rank_task(mut rank: Rank, rec: Recorder) {
 /// Thread `t` of the parallel region: sleep until each of its partitions
 /// is ready (sender only), issuing the `ready` column around them.
 async fn worker(rank: Rc<Rank>, t: usize, t0: SimTime) {
-    let side = &rank.row.sides[rank.role];
-    let parts = rank.sc.parts_of_thread(t);
+    let (side, sc) = (&rank.row.sides[rank.role], &rank.sc);
+    let ready = |j| {
+        let p = sc.partition(t, j);
+        (p, Dur::from_us_f64(sc.delays_us[p]))
+    };
+    let parts: Vec<(usize, Dur)> = (0..sc.theta).map(ready).collect();
     for &op in side.thread_begin {
         rank.exec(op, t, 0, &[]).await;
     }
@@ -99,11 +103,8 @@ async fn worker(rank: Rc<Rank>, t: usize, t0: SimTime) {
         // per partition, but a unit the chaos pready jitter can permute,
         // which is what the verify layer's schedule exploration drives.
         let same_instant = parts[j..].iter().take_while(|(_, r)| *r == at).count();
-        let n = if side.per_partition == [Op::Pready] {
-            same_instant
-        } else {
-            1
-        };
+        let lone_pready = side.per_partition == [Op::Pready];
+        let n = if lone_pready { same_instant } else { 1 };
         let batch: Vec<usize> = parts[j..j + n].iter().map(|(p, _)| *p).collect();
         for &op in side.per_partition {
             rank.exec(op, t, j, &batch).await;
@@ -139,57 +140,36 @@ struct Rank {
 }
 
 impl Rank {
-    /// Options of the partitioned request, identical on both sides.
-    fn part_options(&self) -> PartOptions {
-        let (sc, legacy) = (&self.sc, self.row.legacy);
-        let vci_mapping = if sc.thread_hint {
-            // MPIX_Stream-style hint: the scenario's actual
-            // partition→thread ownership.
-            let owner = |p| sc.thread_of_partition(p);
-            VciMapping::ThreadHint(Rc::new((0..sc.n_parts()).map(owner).collect()))
-        } else {
-            VciMapping::RoundRobinByMessage
-        };
-        PartOptions {
-            aggr_size: sc.aggr_size.filter(|_| !legacy),
-            path: if legacy { LegacyAm } else { Improved },
-            vci_mapping,
-            defer_sends: sc.defer_sends,
-            first_iteration_cts: true,
-        }
-    }
-
     /// One op of the init column, for `slot`.
     async fn init(&mut self, op: Op, slot: usize) {
-        let (sc, peer) = (&self.sc, 1 - self.role);
+        let (sc, peer, legacy) = (&self.sc, 1 - self.role, self.row.legacy);
         let (n, bytes) = (sc.n_parts(), sc.part_bytes);
         let comm = self.comms.get(slot).unwrap_or(&self.parent).clone();
-        // The slot's persistent messages as `(tag, bytes)`: one per
-        // partition of thread `slot`, tagged by partition (many), or one
-        // for the whole buffer (single).
-        let messages: Vec<(i64, usize)> = if self.row.many {
-            let message = |(p, _)| (p as i64, bytes);
-            sc.parts_of_thread(slot).into_iter().map(message).collect()
-        } else {
-            vec![(0, sc.total_bytes())]
+        // The partitioned request's options, identical on both sides.
+        let opts = PartOptions {
+            aggr_size: sc.aggr_size.filter(|_| !legacy),
+            path: if legacy { LegacyAm } else { Improved },
+            defer_sends: sc.defer_sends,
+            ..PartOptions::default()
         };
+        let messages = self.row.messages(sc, slot).into_iter();
         match op {
             Op::CommDup => self.comms.push(self.parent.dup()),
             Op::PsendInit => {
-                let req = psend_init(&comm, peer, 0, n, bytes, n, self.part_options());
+                let req = psend_init(&comm, peer, 0, n, bytes, n, opts);
                 self.reqs.push(vec![Req::Psend(req)]);
             }
             Op::PrecvInit => {
-                let req = precv_init(&comm, peer, 0, n, n, bytes, self.part_options());
+                let req = precv_init(&comm, peer, 0, n, n, bytes, opts);
                 self.reqs.push(vec![Req::Precv(req)]);
             }
             Op::SendInit => {
-                let send = |(tag, bytes)| Req::Send(comm.send_init(peer, tag, bytes));
-                self.reqs.push(messages.into_iter().map(send).collect());
+                let send = |(first, k)| Req::Send(comm.send_init(peer, first as i64, k * bytes));
+                self.reqs.push(messages.map(send).collect());
             }
             Op::RecvInit => {
-                let recv = |(tag, _)| Req::Recv(comm.recv_init(peer, tag));
-                self.reqs.push(messages.into_iter().map(recv).collect());
+                let recv = |(first, _)| Req::Recv(comm.recv_init(peer, first as i64));
+                self.reqs.push(messages.map(recv).collect());
             }
             Op::WinCreate if self.role == SENDER => {
                 let win = comm.win_create_origin(peer, sc.total_bytes());
@@ -251,7 +231,6 @@ mod tests {
     use super::*;
     use crate::scenario::{run_scenario, Approach};
     use pcomm_netmodel::MachineConfig;
-    use pcomm_simcore::Dur;
 
     fn quiet() -> MachineConfig {
         MachineConfig::meluxina_quiet()
@@ -261,9 +240,9 @@ mod tests {
     /// per-iteration times.
     #[test]
     fn all_strategies_run_to_completion() {
-        let sc = Scenario::immediate(2, 1, 1024, 4);
+        let sc = Scenario::immediate(2, 1, 1024, 2, 4);
         for a in Approach::ALL {
-            let times = run_scenario(&quiet(), 2, 1, a, &sc);
+            let times = run_scenario(&quiet(), 1, a, &sc);
             assert_eq!(times.len(), 4, "{a:?}");
             for t in &times {
                 assert!(
@@ -278,9 +257,9 @@ mod tests {
     /// identical (steady state).
     #[test]
     fn steady_state_is_deterministic() {
-        let sc = Scenario::immediate(4, 1, 512, 6);
+        let sc = Scenario::immediate(4, 1, 512, 1, 6);
         for a in Approach::ALL {
-            let times = run_scenario(&quiet(), 1, 1, a, &sc);
+            let times = run_scenario(&quiet(), 1, a, &sc);
             let tail = &times[1..];
             for w in tail.windows(2) {
                 assert_eq!(w[0], w[1], "{a:?}: unstable steady state {times:?}");
@@ -293,8 +272,8 @@ mod tests {
     #[test]
     fn fig4_shape_single_thread() {
         for bytes in [512usize, 4096, 1 << 20] {
-            let sc = Scenario::immediate(1, 1, bytes, 3);
-            let t = |a: Approach| run_scenario(&quiet(), 1, 1, a, &sc)[2].as_us_f64();
+            let sc = Scenario::immediate(1, 1, bytes, 1, 3);
+            let t = |a: Approach| run_scenario(&quiet(), 1, a, &sc)[2].as_us_f64();
             let part = t(Approach::PtpPart);
             let old = t(Approach::PtpPartOld);
             let single = t(Approach::PtpSingle);
@@ -312,8 +291,8 @@ mod tests {
     /// RMA passive approaches pay extra synchronization at small sizes.
     #[test]
     fn rma_slower_than_ptp_at_small_sizes() {
-        let sc = Scenario::immediate(1, 1, 256, 3);
-        let t = |a: Approach| run_scenario(&quiet(), 1, 1, a, &sc)[2].as_us_f64();
+        let sc = Scenario::immediate(1, 1, 256, 1, 3);
+        let t = |a: Approach| run_scenario(&quiet(), 1, a, &sc)[2].as_us_f64();
         let single = t(Approach::PtpSingle);
         for a in [
             Approach::RmaSinglePassive,
@@ -333,8 +312,8 @@ mod tests {
     /// one; with per-thread VCIs (Fig. 6) the gap collapses.
     #[test]
     fn contention_and_vci_relief() {
-        let sc = Scenario::immediate(16, 1, 512, 3);
-        let run = |a: Approach, v: usize| run_scenario(&quiet(), v, 1, a, &sc)[2].as_us_f64();
+        let sc = |v| Scenario::immediate(16, 1, 512, v, 3);
+        let run = |a: Approach, v: usize| run_scenario(&quiet(), 1, a, &sc(v))[2].as_us_f64();
         let single_1 = run(Approach::PtpSingle, 1);
         let many_1 = run(Approach::PtpMany, 1);
         let many_16 = run(Approach::PtpMany, 16);
@@ -356,10 +335,10 @@ mod tests {
     /// small partitions.
     #[test]
     fn aggregation_reduces_overhead() {
-        let mut sc = Scenario::immediate(4, 8, 512, 3);
-        let no_aggr = run_scenario(&quiet(), 1, 1, Approach::PtpPart, &sc)[2];
+        let mut sc = Scenario::immediate(4, 8, 512, 1, 3);
+        let no_aggr = run_scenario(&quiet(), 1, Approach::PtpPart, &sc)[2];
         sc.aggr_size = Some(8192);
-        let aggr = run_scenario(&quiet(), 1, 1, Approach::PtpPart, &sc)[2];
+        let aggr = run_scenario(&quiet(), 1, Approach::PtpPart, &sc)[2];
         assert!(
             aggr.as_us_f64() < no_aggr.as_us_f64() / 2.0,
             "aggregation: {aggr} vs {no_aggr}"
@@ -373,10 +352,10 @@ mod tests {
         let part_bytes = 4 << 20; // 4 MiB per partition
         let gamma = 1e-10; // 100 µs/MB
         let delay = Dur::from_secs_f64(gamma * part_bytes as f64);
-        let mut sc = Scenario::immediate(4, 1, part_bytes, 3);
-        sc.delays[3] = delay;
-        let t_part = run_scenario(&quiet(), 1, 1, Approach::PtpPart, &sc)[2].as_us_f64();
-        let t_single = run_scenario(&quiet(), 1, 1, Approach::PtpSingle, &sc)[2].as_us_f64();
+        let mut sc = Scenario::immediate(4, 1, part_bytes, 1, 3);
+        sc.delays_us[3] = delay.as_us_f64();
+        let t_part = run_scenario(&quiet(), 1, Approach::PtpPart, &sc)[2].as_us_f64();
+        let t_single = run_scenario(&quiet(), 1, Approach::PtpSingle, &sc)[2].as_us_f64();
         let gain = t_single / t_part;
         // Theory: η = 4 / (4 − γβ) = 2.67; latency and contention shave it.
         assert!(
@@ -391,11 +370,11 @@ mod tests {
     fn early_bird_gain_is_approach_agnostic() {
         let part_bytes = 4 << 20;
         let delay = Dur::from_secs_f64(1e-10 * part_bytes as f64);
-        let mut sc = Scenario::immediate(4, 1, part_bytes, 3);
-        sc.delays[3] = delay;
-        let t_single = run_scenario(&quiet(), 1, 1, Approach::PtpSingle, &sc)[2].as_us_f64();
+        let mut sc = Scenario::immediate(4, 1, part_bytes, 1, 3);
+        sc.delays_us[3] = delay.as_us_f64();
+        let t_single = run_scenario(&quiet(), 1, Approach::PtpSingle, &sc)[2].as_us_f64();
         for a in [Approach::PtpMany, Approach::RmaSinglePassive] {
-            let t = run_scenario(&quiet(), 1, 1, a, &sc)[2].as_us_f64();
+            let t = run_scenario(&quiet(), 1, a, &sc)[2].as_us_f64();
             let gain = t_single / t;
             assert!(gain > 1.8, "{a:?}: gain {gain} too small");
         }

@@ -21,25 +21,24 @@ const ITERATIONS: usize = 3;
 /// by γ·S_part with γ = 100 µs/MB.
 fn fig8_delayed_last(total: usize) -> Scenario {
     let part_bytes = total / 4;
-    let mut sc = Scenario::immediate(4, 1, part_bytes, ITERATIONS);
-    sc.delays[3] = Dur::from_secs_f64(1e-10 * part_bytes as f64);
+    let mut sc = Scenario::immediate(4, 1, part_bytes, 1, ITERATIONS);
+    sc.delays_us[3] = Dur::from_secs_f64(1e-10 * part_bytes as f64).as_us_f64();
     sc
 }
 
-/// `(name, n_vcis, scenario)` in the order of [`GOLDEN_PS`]'s columns.
-fn cells() -> Vec<(&'static str, usize, Scenario)> {
+/// `(name, scenario)` in the order of [`GOLDEN_PS`]'s columns; a
+/// scenario's `shards` are its VCIs.
+fn cells() -> Vec<(&'static str, Scenario)> {
     vec![
         (
             "immediate(4,2,256) 1 vci",
-            1,
-            Scenario::immediate(4, 2, 256, ITERATIONS),
+            Scenario::immediate(4, 2, 256, 1, ITERATIONS),
         ),
         (
             "immediate(4,2,256) 4 vcis",
-            4,
-            Scenario::immediate(4, 2, 256, ITERATIONS),
+            Scenario::immediate(4, 2, 256, 4, ITERATIONS),
         ),
-        ("fig8 delayed last, 4 MiB", 1, fig8_delayed_last(4 << 20)),
+        ("fig8 delayed last, 4 MiB", fig8_delayed_last(4 << 20)),
     ]
 }
 
@@ -102,8 +101,8 @@ fn interpreter_reproduces_recorded_times() {
     let cells = cells();
     let mut actual = [[[0u64; ITERATIONS]; 3]; 8];
     for (a, approach) in Approach::ALL.into_iter().enumerate() {
-        for (c, (_, n_vcis, sc)) in cells.iter().enumerate() {
-            let times = run_scenario(&cfg, *n_vcis, SEED, approach, sc);
+        for (c, (_, sc)) in cells.iter().enumerate() {
+            let times = run_scenario(&cfg, SEED, approach, sc);
             for (i, t) in times.iter().enumerate() {
                 actual[a][c][i] = t.as_ps();
             }
@@ -111,7 +110,7 @@ fn interpreter_reproduces_recorded_times() {
     }
     if actual != GOLDEN_PS {
         for (a, approach) in Approach::ALL.into_iter().enumerate() {
-            for (c, (name, _, _)) in cells.iter().enumerate() {
+            for (c, (name, _)) in cells.iter().enumerate() {
                 if actual[a][c] != GOLDEN_PS[a][c] {
                     eprintln!(
                         "{:?} / {name}: got {:?} ps, recorded {:?} ps",

@@ -15,21 +15,10 @@
 
 #![warn(missing_docs)]
 
+use pcomm_core::strategies::Scenario;
 use pcomm_perfmodel::DelayModel;
 use pcomm_prng::{Normal, Xoshiro256pp};
 use pcomm_simcore::Dur;
-
-/// Partition→thread assignment used throughout: partition `p` belongs to
-/// thread `p % n_threads` (the round-robin attribution the improved MPICH
-/// implementation assumes, paper §3.2.2).
-pub fn thread_of_partition(p: usize, n_threads: usize) -> usize {
-    p % n_threads
-}
-
-/// The partitions of thread `t`, in the order the thread processes them.
-pub fn partitions_of_thread(t: usize, n_threads: usize, theta: usize) -> Vec<usize> {
-    (0..theta).map(|j| t + j * n_threads).collect()
-}
 
 /// How partition ready times are generated for one iteration.
 #[derive(Debug, Clone)]
@@ -75,11 +64,13 @@ impl DelaySchedule {
                 v
             }
             DelaySchedule::GaussianCompute { model } => {
+                // Each thread's partitions, in the order it processes them.
+                let sc = Scenario::immediate(n_threads, theta, part_bytes, 1, 1);
                 let mut v = vec![Dur::ZERO; n_parts];
                 let mut dist = Normal::new(1.0, model.noise.sigma());
                 for t in 0..n_threads {
                     let mut elapsed = 0.0f64;
-                    for p in partitions_of_thread(t, n_threads, theta) {
+                    for p in (0..theta).map(|j| sc.partition(t, j)) {
                         let factor = dist.sample_clamped_min(rng, 0.0);
                         elapsed += model.mu * part_bytes as f64 * factor;
                         v[p] = Dur::from_secs_f64(elapsed);
@@ -113,22 +104,6 @@ mod tests {
 
     fn rng() -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(42)
-    }
-
-    #[test]
-    fn partition_thread_mapping_round_robin() {
-        assert_eq!(thread_of_partition(0, 4), 0);
-        assert_eq!(thread_of_partition(5, 4), 1);
-        assert_eq!(partitions_of_thread(1, 4, 3), vec![1, 5, 9]);
-        // Every partition appears exactly once across threads.
-        let mut seen = [false; 12];
-        for t in 0..4 {
-            for p in partitions_of_thread(t, 4, 3) {
-                assert!(!seen[p], "partition {p} assigned twice");
-                seen[p] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -166,8 +141,9 @@ mod tests {
         );
         let sched = DelaySchedule::GaussianCompute { model };
         let v = sched.ready_times(4, 8, 65536, &mut rng());
+        let sc = Scenario::immediate(4, 8, 65536, 1, 1);
         for t in 0..4 {
-            let parts = partitions_of_thread(t, 4, 8);
+            let parts: Vec<usize> = (0..8).map(|j| sc.partition(t, j)).collect();
             for w in parts.windows(2) {
                 assert!(v[w[1]] >= v[w[0]], "ready times must be cumulative");
             }
@@ -210,13 +186,14 @@ mod tests {
         let sched = DelaySchedule::GaussianCompute { model };
         let s_part = 1 << 20;
         let theta = 8;
+        let sc = Scenario::immediate(8, theta, s_part, 1, 1);
         let mut r = rng();
         let mut spreads = Vec::new();
         for _ in 0..300 {
             let v = sched.ready_times(8, theta, s_part, &mut r);
             let max = v.iter().max().unwrap().as_secs_f64();
             let min_first: f64 = (0..8)
-                .map(|t| v[partitions_of_thread(t, 8, theta)[0]].as_secs_f64())
+                .map(|t| v[sc.partition(t, 0)].as_secs_f64())
                 .fold(f64::INFINITY, f64::min);
             spreads.push(max - (min_first - model.mu * s_part as f64));
         }

@@ -25,9 +25,9 @@ fn main() {
 
     for total in [16 << 10, 64 << 10, 256 << 10, 1 << 20] {
         let part_bytes = total / n_parts;
-        let base = Scenario::immediate(n_threads, theta, part_bytes, iters + warmup);
+        let base = Scenario::immediate(n_threads, theta, part_bytes, 1, iters + warmup);
         let mean = |a: Approach, sc: &Scenario| -> f64 {
-            let times = run_scenario(&cfg, 1, 3, a, sc);
+            let times = run_scenario(&cfg, 3, a, sc);
             let xs: Vec<f64> = times[warmup..].iter().map(|t| t.as_us_f64()).collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };

@@ -29,13 +29,13 @@ fn main() {
     let mut total = 8 << 10;
     while total <= 64 << 20 {
         let part_bytes = total / n_threads;
-        let mut sc = Scenario::immediate(n_threads, 1, part_bytes, iters + warmup);
+        let mut sc = Scenario::immediate(n_threads, 1, part_bytes, 1, iters + warmup);
         let d = Dur::from_secs_f64(gamma * part_bytes as f64);
-        let n = sc.delays.len();
-        sc.delays[n - 1] = d;
+        let n = sc.delays_us.len();
+        sc.delays_us[n - 1] = d.as_us_f64();
 
         let mean = |a: Approach| -> f64 {
-            let times = run_scenario(&cfg, 1, 7, a, &sc);
+            let times = run_scenario(&cfg, 7, a, &sc);
             let xs: Vec<f64> = times[warmup..].iter().map(|t| t.as_us_f64()).collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };

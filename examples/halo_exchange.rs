@@ -13,10 +13,10 @@
 
 use std::time::Instant;
 
-use pcomm::core::{part::PartOptions, sync::spin_for_micros, Universe};
+use pcomm::core::{part::PartOptions, strategies::Scenario, sync::spin_for_micros, Universe};
 use pcomm::perfmodel::{ComputeProfile, DelayModel, NoiseModel};
 use pcomm::prng::Xoshiro256pp;
-use pcomm::workloads::{partitions_of_thread, DelaySchedule};
+use pcomm::workloads::DelaySchedule;
 
 fn main() {
     let n = 64usize; // block edge
@@ -78,6 +78,8 @@ fn run_exchange(
     sched: DelaySchedule,
 ) -> std::time::Duration {
     let n_parts = n_threads * theta;
+    // Thread `t` owns the partitions `layout.partition(t, j)`.
+    let layout = &Scenario::immediate(n_threads, theta, part_bytes, n_threads, steps);
     let out = Universe::new(2).with_shards(n_threads).run(|comm| {
         let peer = 1 - comm.rank();
         let psend = comm.psend_init(peer, 0, n_parts, part_bytes, PartOptions::default());
@@ -97,7 +99,7 @@ fn run_exchange(
                         let delays = &delays;
                         s.spawn(move || {
                             let mut elapsed = 0.0;
-                            for p in partitions_of_thread(t, n_threads, theta) {
+                            for p in (0..theta).map(|j| layout.partition(t, j)) {
                                 let ready = delays[p].as_us_f64();
                                 spin_for_micros(ready - elapsed);
                                 elapsed = ready;
@@ -112,9 +114,8 @@ fn run_exchange(
                     for t in 0..n_threads {
                         let delays = &delays;
                         s.spawn(move || {
-                            let last = partitions_of_thread(t, n_threads, theta)
-                                .into_iter()
-                                .map(|p| delays[p].as_us_f64())
+                            let last = (0..theta)
+                                .map(|j| delays[layout.partition(t, j)].as_us_f64())
                                 .fold(0.0, f64::max);
                             spin_for_micros(last);
                         });

@@ -51,9 +51,9 @@
 //! use pcomm::simmpi::scenario::{run_scenario, Approach, Scenario};
 //! use pcomm::perfmodel::eta_large;
 //!
-//! let sc = Scenario::immediate(4, 1, 4096, 3);
-//! let times = run_scenario(&MachineConfig::meluxina_quiet(), 1, 0,
-//!                          Approach::PtpPart, &sc);
+//! // 4 threads × 1 partition of 4 KiB, 1 VCI, 3 iterations.
+//! let sc = Scenario::immediate(4, 1, 4096, 1, 3);
+//! let times = run_scenario(&MachineConfig::meluxina_quiet(), 0, Approach::PtpPart, &sc);
 //! assert_eq!(times.len(), 3);
 //! // Theoretical early-bird gain for γ = 100 µs/MB, N = 4, β = 25 GB/s:
 //! assert!((eta_large(4, 1, 1e-10, 25e9) - 8.0 / 3.0).abs() < 1e-9);

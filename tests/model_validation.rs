@@ -12,7 +12,7 @@ use pcomm::simmpi::scenario::{run_scenario, Approach, Scenario};
 use pcomm::workloads::DelaySchedule;
 
 fn mean_us(cfg: &MachineConfig, approach: Approach, sc: &Scenario) -> f64 {
-    let times = run_scenario(cfg, 1, 11, approach, sc);
+    let times = run_scenario(cfg, 11, approach, sc);
     let xs: Vec<f64> = times[1..].iter().map(|t| t.as_us_f64()).collect();
     xs.iter().sum::<f64>() / xs.len() as f64
 }
@@ -23,7 +23,7 @@ fn bulk_time_matches_eq2() {
     let cfg = MachineConfig::meluxina_quiet();
     let n_parts = 4u64;
     let part = 8 << 20; // 8 MiB partitions
-    let sc = Scenario::immediate(4, 1, part, 4);
+    let sc = Scenario::immediate(4, 1, part, 1, 4);
     let measured = mean_us(&cfg, Approach::PtpSingle, &sc);
     let model = t_bulk(n_parts, part as f64, cfg.bandwidth) * 1e6;
     let rel = (measured - model).abs() / model;
@@ -40,8 +40,8 @@ fn pipelined_time_matches_eq3() {
     let part = 8 << 20;
     let gamma = us_per_mb_to_s_per_b(100.0);
     let delay = gamma * part as f64;
-    let mut sc = Scenario::immediate(4, 1, part, 4);
-    sc.delays[3] = Dur::from_secs_f64(delay);
+    let mut sc = Scenario::immediate(4, 1, part, 1, 4);
+    sc.delays_us[3] = Dur::from_secs_f64(delay).as_us_f64();
     let measured = mean_us(&cfg, Approach::PtpPart, &sc);
     let model = t_pipelined(4, part as f64, cfg.bandwidth, delay) * 1e6;
     let rel = (measured - model).abs() / model;
@@ -58,8 +58,8 @@ fn gain_converges_to_eq4() {
     let gamma = us_per_mb_to_s_per_b(100.0);
     let ideal = eta_large(4, 1, gamma, cfg.bandwidth);
     let gain_at = |part: usize| -> f64 {
-        let mut sc = Scenario::immediate(4, 1, part, 4);
-        sc.delays[3] = Dur::from_secs_f64(gamma * part as f64);
+        let mut sc = Scenario::immediate(4, 1, part, 1, 4);
+        sc.delays_us[3] = Dur::from_secs_f64(gamma * part as f64).as_us_f64();
         mean_us(&cfg, Approach::PtpSingle, &sc) / mean_us(&cfg, Approach::PtpPart, &sc)
     };
     let g1 = gain_at(1 << 20);
@@ -114,7 +114,7 @@ fn monte_carlo_delay_tracks_gamma_growth() {
 #[test]
 fn small_message_penalty_at_least_eq5() {
     let cfg = MachineConfig::meluxina_quiet();
-    let sc = Scenario::immediate(8, 1, 64, 4);
+    let sc = Scenario::immediate(8, 1, 64, 1, 4);
     let single = mean_us(&cfg, Approach::PtpSingle, &sc);
     let many = mean_us(&cfg, Approach::PtpMany, &sc);
     let eta = single / many;

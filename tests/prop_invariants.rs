@@ -13,7 +13,6 @@ use pcomm::perfmodel::{eta_large, sample_sd, student_t_90, ConfidenceInterval};
 use pcomm::prng::{Rng64, Xoshiro256pp};
 use pcomm::simcore::{Dur, Sim};
 use pcomm::simmpi::scenario::{run_scenario, Approach, Scenario};
-use pcomm::workloads::{partitions_of_thread, thread_of_partition};
 
 /// The two layout implementations (simulated and real runtime) are the
 /// same algorithm — they must agree bit-for-bit.
@@ -101,24 +100,6 @@ fn layout_tiles_partitions() {
     });
 }
 
-/// Round-robin partition↔thread mapping is a bijection.
-#[test]
-fn partition_thread_mapping_bijective() {
-    cases(64, |rng| {
-        let n_threads = usize_in(rng, 1, 32);
-        let theta = usize_in(rng, 1, 16);
-        let mut seen = vec![false; n_threads * theta];
-        for t in 0..n_threads {
-            for p in partitions_of_thread(t, n_threads, theta) {
-                assert_eq!(thread_of_partition(p, n_threads), t);
-                assert!(!seen[p]);
-                seen[p] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    });
-}
-
 /// The simulator is deterministic: identical inputs give identical
 /// per-iteration times, for any strategy and scenario.
 #[test]
@@ -129,10 +110,10 @@ fn simulator_deterministic() {
         let theta = usize_in(rng, 1, 4);
         let part_kb = usize_in(rng, 1, 64);
         let seed = rng.next_u64();
-        let sc = Scenario::immediate(n_threads, theta, part_kb * 256, 3);
+        let sc = Scenario::immediate(n_threads, theta, part_kb * 256, 2, 3);
         let cfg = MachineConfig::meluxina();
-        let a = run_scenario(&cfg, 2, seed, approach, &sc);
-        let b = run_scenario(&cfg, 2, seed, approach, &sc);
+        let a = run_scenario(&cfg, seed, approach, &sc);
+        let b = run_scenario(&cfg, seed, approach, &sc);
         assert_eq!(a, b);
     });
 }
