@@ -240,7 +240,7 @@ echo "   transport family: $family (ceiling $TRANSPORT_CEILING)"
 # simulator's template and its run_scenario. 1364 before they were
 # written once (one function per strategy and side in each world, plus
 # hand-written string tables); same rule as above.
-STRATEGY_CEILING=999
+STRATEGY_CEILING=998
 strategies=0
 for f in core/src/strategies simmpi/src/strategies simmpi/src/scenario; do
     n=$(nontest "crates/$f.rs")
@@ -269,8 +269,8 @@ done
 # part.rs, fabric.rs, universe.rs and the carrier interface are
 # tracked too; same rule. (Test-only items sit after all non-test code,
 # so the count is the whole non-test file.)
-PART_CEILING=1468
-FABRIC_CEILING=1465
+PART_CEILING=1466
+FABRIC_CEILING=1463
 UNIVERSE_CEILING=591
 TRAIT_CEILING=14
 part=$(nontest crates/core/src/part.rs)

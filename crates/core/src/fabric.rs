@@ -20,6 +20,9 @@
 //!   receive was pre-posted, receiver otherwise) copies directly from the
 //!   source into the destination, then signals the sender — the zcopy
 //!   path. The sender's request completes only then.
+//! * **Partitioned** (improved path): never matched here. A local pair
+//!   meets once, at init, in `pairs`; each ready message is then copied
+//!   straight into the receiver's buffer ([`crate::part::Binding`]).
 //!
 //! # Safety
 //!
@@ -40,7 +43,7 @@ use pcomm_trace::{EventKind, FaultAction, FaultKind, FaultPlan, Trace};
 
 use crate::error::{BlockedWait, PcommError, QueueEntry, RankAborted, StallReport};
 use crate::hotpath;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{CachePadded, Condvar, Mutex};
 
 use crate::sync::Completion;
 
@@ -319,8 +322,10 @@ pub(crate) struct Fabric {
     /// Rank-level barrier (sense-reversing, abort-aware).
     barrier_state: Mutex<BarrierState>,
     barrier_cv: Condvar,
-    /// Messages matched so far (diagnostics).
-    matched: AtomicU64,
+    /// Messages matched so far, bound partitioned copies included.
+    matched: CachePadded<AtomicU64>,
+    /// Local partitioned inits waiting for their peer's, oldest first.
+    pub(crate) pairs: Mutex<Vec<Arc<crate::part::Binding>>>,
     /// Recycled eager payload buffers, striped by source rank.
     pool: BufPool,
     /// Trace sink; `Trace::disabled()` costs one branch per event site.
@@ -334,7 +339,7 @@ pub(crate) struct Fabric {
     aborted: AtomicBool,
     /// Bumped at every progress point; the watchdog declares a stall
     /// only after this stays still for the whole deadline.
-    activity: AtomicU64,
+    activity: CachePadded<AtomicU64>,
     /// Blocked waits by registration id, for the stall report.
     wait_registry: Mutex<HashMap<u64, BlockedWait>>,
     next_wait_id: AtomicU64,
@@ -387,13 +392,14 @@ impl Fabric {
                 generation: 0,
             }),
             barrier_cv: Condvar::new(),
-            matched: AtomicU64::new(0),
+            matched: CachePadded::default(),
+            pairs: Mutex::new(Vec::new()),
             pool: BufPool::new(n_ranks, eager_max.max(64)),
             trace,
             fault: fault_plan.map(|p| FaultState::new(p, n_ranks)),
             failure: Mutex::new(None),
             aborted: AtomicBool::new(false),
-            activity: AtomicU64::new(0),
+            activity: CachePadded::default(),
             wait_registry: Mutex::new(HashMap::new()),
             next_wait_id: AtomicU64::new(0),
             finished: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
@@ -860,6 +866,15 @@ impl Fabric {
         }
     }
 
+    /// Whether the next message on a channel survives the fault plan
+    /// (always, without one): drops and delays play out, a duplicate or
+    /// reorder decays to clean delivery — the seam of transfers that
+    /// land once in pinned memory (rendezvous, partitioned messages).
+    pub(crate) fn chaos_survives(&self, dst: usize, ctx: u64, src_rank: usize, tag: i64) -> bool {
+        let survives = |fs| self.chaos_decide(fs, dst, ctx, src_rank, tag).is_some();
+        self.fault.as_ref().is_none_or(survives)
+    }
+
     /// Eager delivery under a fault plan: the plan decides per message
     /// (keyed by channel sequence number, so the decision sequence is
     /// independent of thread interleaving) whether to drop, delay,
@@ -945,13 +960,16 @@ impl Fabric {
         }
     }
 
-    /// Deliver every held-back message destined for `dst`, oldest first.
-    fn flush_held_for(&self, dst: usize) {
-        let Some(fs) = &self.fault else { return };
+    /// Deliver every held-back message destined for `dst`, oldest
+    /// first; returns how many.
+    fn flush_held_for(&self, dst: usize) -> usize {
+        let Some(fs) = &self.fault else { return 0 };
         let msgs: Vec<HeldMsg> = std::mem::take(&mut *fs.held[dst].lock());
+        let n = msgs.len();
         for m in msgs {
             self.route_eager(dst, m.shard, m.ctx, m.src, m.tag, m.buf);
         }
+        n
     }
 
     /// Deliver every held-back message fabric-wide; returns how many.
@@ -960,16 +978,7 @@ impl Fabric {
     /// run; the universe also calls it once after the rank closures
     /// return.
     pub(crate) fn flush_held(&self) -> usize {
-        let Some(fs) = &self.fault else { return 0 };
-        let mut n = 0;
-        for dst in 0..self.n_ranks {
-            let msgs: Vec<HeldMsg> = std::mem::take(&mut *fs.held[dst].lock());
-            n += msgs.len();
-            for m in msgs {
-                self.route_eager(dst, m.shard, m.ctx, m.src, m.tag, m.buf);
-            }
-        }
-        n
+        (0..self.n_ranks).map(|dst| self.flush_held_for(dst)).sum()
     }
 
     /// Rendezvous path: publish the source pointer; the matching side
@@ -990,29 +999,22 @@ impl Fabric {
             shard: shard as u16,
             bytes: data.len() as u64,
         });
-        if let Some(fs) = &self.fault {
-            // Rendezvous is a zero-copy pointer handoff: duplicating or
-            // holding it back would alias or outlive the source buffer,
-            // so only Drop (of the RTS, with retries) and Delay apply;
-            // other decisions decay to clean delivery. An RTS lost for
-            // good leaves the sender's completion unset; its wait
-            // unwinds via the abort.
-            if self.chaos_decide(fs, dst, ctx, src_rank, tag).is_none() {
-                return;
-            }
-            // Preserve channel FIFO against any held-back eager message
-            // of the same channel before the rendezvous overtakes it.
-            self.flush_held_channel(dst, ctx, src_rank, tag);
+        // A rendezvous hands over a pointer, which a duplicate would
+        // alias and a hold-back outlive. An RTS lost for good leaves
+        // `done` unset; the sender's wait unwinds via the abort.
+        if !self.chaos_survives(dst, ctx, src_rank, tag) {
+            return;
         }
+        // Channel FIFO: a held-back eager message of the same channel
+        // goes before the rendezvous (no-op without a fault plan).
+        self.flush_held_channel(dst, ctx, src_rank, tag);
         if !self.is_local(dst) {
             // Wire rendezvous: a one-message stream over the pinned
             // buffer; `done` fires once its last byte has left (same
             // pin-until-done contract as the in-process pointer handoff).
             self.wire.ship_rts(self, dst, shard, ctx, tag, data, done);
             self.touch();
-            if self.fault.is_some() {
-                self.flush_held_for(dst);
-            }
+            self.flush_held_for(dst);
             return;
         }
         let payload = Payload::Rdv(RdvHandoff {
@@ -1022,9 +1024,7 @@ impl Fabric {
             rts_ns: self.trace.now_ns(),
         });
         self.deliver(dst, shard, ctx, src_rank, tag, payload);
-        if self.fault.is_some() {
-            self.flush_held_for(dst);
-        }
+        self.flush_held_for(dst);
     }
 
     /// Open a partitioned wire stream toward `dst` (see the transport's
@@ -1045,11 +1045,11 @@ impl Fabric {
         id
     }
 
-    /// Ship one ready partition range on a wire stream, under the same
-    /// fault taxonomy as [`Fabric::send_rdv`]'s RTS: a range is pushed
-    /// exactly once into pinned remote memory, so Duplicate and Reorder
-    /// decay to clean delivery, and a range lost for good leaves its
-    /// span's `done` unset (the sender's wait unwinds via the abort).
+    /// Ship one ready partition range on a wire stream
+    /// ([`Fabric::chaos_survives`] decides its fate): a range lost for
+    /// good leaves its span's `done` unset (the sender's wait unwinds
+    /// via the abort). Partitioned pairs put no eager traffic on their
+    /// context, so there is no held-eager channel to flush first.
     #[allow(clippy::too_many_arguments)] // one per envelope field
     pub(crate) fn part_stream_send(
         &self,
@@ -1062,13 +1062,8 @@ impl Fabric {
         data: &[u8],
         parts: u16,
     ) {
-        if let Some(fs) = &self.fault {
-            if self.chaos_decide(fs, dst, ctx, src_rank, tag).is_none() {
-                return;
-            }
-            // No held-eager flush here: partitioned pairs never put
-            // eager traffic on their context in streaming mode, so
-            // there is no channel-FIFO obligation to preserve.
+        if !self.chaos_survives(dst, ctx, src_rank, tag) {
+            return;
         }
         self.wire
             .part_stream_push(self, stream_id, offset, data, parts);
@@ -1257,23 +1252,24 @@ impl Fabric {
             dst_rank,
             info,
             matched_eager,
-            &posted.info,
+            Some(&posted.info),
             &posted.completion,
             posted.verify_msg,
         );
     }
 
     /// The tail of every receive — matched in process, a rendezvous
-    /// landed by the wire engine, or the last range of a partitioned
-    /// stream's message (on whichever thread committed it): the
-    /// bytes are in the destination, so record the transfer for the
-    /// analyzer, publish the envelope, fire the completion.
+    /// landed by the wire engine, the last range of a partitioned
+    /// stream's message or a bound partitioned copy (on whichever thread
+    /// committed it): the bytes are in the destination, so record the
+    /// transfer for the analyzer, publish the envelope (if anyone reads
+    /// it), count the match, fire the completion.
     pub(crate) fn finish_recv(
         &self,
         rank: usize,
         msg: MsgInfo,
         eager: bool,
-        info: &Mutex<Option<MsgInfo>>,
+        info: Option<&Mutex<Option<MsgInfo>>>,
         completion: &Completion,
         verify_msg: Option<(u16, u16)>,
     ) {
@@ -1289,7 +1285,9 @@ impl Fabric {
                     eager,
                 });
         }
-        *info.lock() = Some(msg);
+        if let Some(info) = info {
+            *info.lock() = Some(msg);
+        }
         self.matched.fetch_add(1, Ordering::Relaxed);
         completion.set();
         self.touch();

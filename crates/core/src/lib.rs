@@ -20,8 +20,10 @@
 //!   large messages rendezvous (the sender parks until a receiver copies
 //!   directly from its buffer — the zcopy path).
 //! * [`part`] implements partitioned send/recv with real per-message
-//!   atomic counters, gcd message-count negotiation, aggregation and
-//!   shard round-robin (paper §3.2), plus the legacy single-message mode.
+//!   atomic counters, gcd message-count negotiation and aggregation
+//!   (paper §3.2), plus the legacy single-message mode. An in-process
+//!   pair is bound once, at init: a ready message is copied straight
+//!   into the receiver's buffer instead of being tag-matched.
 //! * [`rma`] implements windows over shared memory with active and
 //!   passive synchronization.
 //!

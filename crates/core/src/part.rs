@@ -5,16 +5,18 @@
 //! N_recv)` base messages, aggregated under
 //! [`PartOptions::aggr_size`] — each guarded by an `AtomicI64` counter of
 //! outstanding partitions. `pready(p)` decrements its message's counter;
-//! the thread that brings it to zero injects the message *itself*, on a
-//! match shard chosen round-robin by message index — a physically real
-//! early-bird send. The legacy mode sends the whole buffer as a single
-//! message only in `wait`, after a per-iteration CTS round-trip, exactly
-//! the behaviour whose cost Fig. 4 exposes.
+//! the thread that brings it to zero injects the message *itself* — a
+//! physically real early-bird send. A local peer is paired once, at
+//! init (`Binding`): a ready message is copied straight into the
+//! receiver's buffer, never tag-matched. A remote peer gets one pinned
+//! wire stream per iteration. The legacy mode sends the whole buffer as
+//! a single message only in `wait`, after a per-iteration CTS
+//! round-trip, exactly the behaviour whose cost Fig. 4 exposes.
 
 use std::cell::UnsafeCell;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pcomm_trace::{EventKind, FaultKind};
 
@@ -22,7 +24,7 @@ use crate::sync::Mutex;
 
 use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
-use crate::fabric::{MsgInfo, PostedRecv};
+use crate::fabric::{Fabric, MsgInfo, PostedRecv};
 use crate::sync::Completion;
 
 /// Tag of the legacy clear-to-send control message.
@@ -39,11 +41,6 @@ pub struct PartOptions {
     /// Use the legacy single-message path (CTS every iteration, no
     /// early-bird) instead of the improved multi-message path.
     pub legacy_single_message: bool,
-    /// MPIX_Stream-style hint: `hint[p]` is the thread owning partition
-    /// `p`; messages are injected on the owning thread's match shard
-    /// instead of round-robin by message index (the paper's future-work
-    /// fix for the inflexible θ > 1 attribution, §5).
-    pub thread_hint: Option<Arc<Vec<usize>>>,
     /// Ablation: defer all sends to `wait()` (disables early-bird).
     pub defer_sends: bool,
 }
@@ -336,43 +333,239 @@ impl PartStorage {
     }
 }
 
-struct PsendShared {
-    comm: Comm,
-    /// Interned verify request id (see [`Trace::verify_req_id`]); 0 when
-    /// verification is off.
+/// One side of a [`Binding`]: its buffer and its per-message
+/// completions (`arrived` on the receiver, `sent` on the sender).
+type Side = (Arc<PartStorage>, Vec<Arc<Completion>>);
+
+/// The in-process improved path's pairing of a `psend_init` with its
+/// `precv_init`, made once by the second of the two (the first waits in
+/// the fabric's `pairs` table). Each iteration both sides bump `turn[m]`
+/// once per message — the sender when it issues `m`, the receiver in
+/// `start` — and the second bump copies the message into the receiver's
+/// buffer. The binding holds both buffers: no drop frees memory a copy
+/// may still touch.
+pub(crate) struct Binding {
+    /// `(part ctx, src, dst)`: inits of one key pair oldest first.
+    key: (u64, usize, usize),
+    layout: MsgLayout,
     vreq: u16,
-    dst: usize,
+    turn: Vec<AtomicU64>,
+    /// `[receiver, sender]`, each set by its own side's init.
+    sides: [OnceLock<Side>; 2],
+}
+
+impl Binding {
+    /// Pair this side's init (`me`: 1 on the sender, 0 on the receiver)
+    /// with the oldest the peer left under `key`, or leave a fresh
+    /// binding for the peer's.
+    fn pair(
+        comm: &Comm,
+        key: (u64, usize, usize),
+        me: usize,
+        layout: &MsgLayout,
+        vreq: u16,
+        side: Side,
+    ) -> Arc<Self> {
+        let mut pairs = comm.fabric().pairs.lock();
+        let peer_left = |b: &Arc<Binding>| b.key == key && b.sides[me].get().is_none();
+        let b = match pairs.iter().position(peer_left) {
+            Some(i) => pairs.remove(i),
+            None => {
+                let b = Arc::new(Binding {
+                    key,
+                    layout: layout.clone(),
+                    vreq,
+                    turn: layout.msgs.iter().map(|_| AtomicU64::new(0)).collect(),
+                    sides: Default::default(),
+                });
+                pairs.push(Arc::clone(&b));
+                b
+            }
+        };
+        let _ = b.sides[me].set(side);
+        drop(pairs);
+        assert_eq!(b.layout, *layout, "psend_init and precv_init disagree");
+        b
+    }
+
+    /// This side's bump of message `m`, after it re-armed its own
+    /// completion. The second bump copies the message (at one offset:
+    /// the layout puts it at the same byte on both sides), then fires
+    /// the receiver's `arrived[m]` — a matched message, for the counters
+    /// and the analyzer — and the sender's `sent[m]`.
+    fn bump(&self, fabric: &Fabric, m: usize) {
+        if self.turn[m].fetch_add(1, Ordering::AcqRel) & 1 == 0 {
+            return;
+        }
+        // Both sides bumped, so both inits ran.
+        let (rbuf, arrived) = self.sides[0].get().expect("receiver side set");
+        let (sbuf, sent) = self.sides[1].get().expect("sender side set");
+        let spec = self.layout.msgs[m];
+        let off = spec.first_spart * sbuf.part_bytes;
+        // SAFETY: both bumps happened (AcqRel), so the sender's range is
+        // READY until `sent[m]` lets its next start reset it, and nothing
+        // touches the receiver's range until `arrived[m]` fires. Equal
+        // layouts (asserted at pairing) put the range inside both
+        // buffers, which `self` keeps alive.
+        unsafe {
+            std::ptr::copy_nonoverlapping(sbuf.base().add(off), rbuf.base().add(off), spec.bytes)
+        };
+        let info = MsgInfo {
+            src: self.key.1,
+            tag: m as i64,
+            len: spec.bytes,
+        };
+        let vmsg = Some((self.vreq, m as u16));
+        fabric.finish_recv(self.key.2, info, false, None, &arrived[m], vmsg);
+        sent[m].set();
+    }
+
+    /// Take this binding out of the table if nobody paired with it (its
+    /// request is dropping): a later init must pair with a live peer.
+    fn unpair(self: &Arc<Self>, fabric: &Fabric) {
+        fabric.pairs.lock().retain(|b| !Arc::ptr_eq(b, self));
+    }
+}
+
+/// What both sides of a partitioned request hold; each side's shared
+/// state derefs to it.
+struct Core {
+    comm: Comm,
+    /// Interned verify request id (see [`Trace::verify_req_id`]), the
+    /// same on both sides; 0 when verification is off.
+    vreq: u16,
     n_parts: usize,
     part_bytes: usize,
     layout: MsgLayout,
     legacy: bool,
-    thread_hint: Option<Arc<Vec<usize>>>,
+    /// The pairing with a local peer. `None` on the improved path means
+    /// a remote peer: the messages travel as `PartData` ranges on one
+    /// partitioned wire stream per iteration.
+    bound: Option<Arc<Binding>>,
+    storage: Arc<PartStorage>,
+    started: AtomicBool,
+    /// Iterations started so far; `iters - 1` is the current (or most
+    /// recently completed) iteration, the `iter` of the verify events.
+    iters: AtomicU64,
+}
+
+impl Core {
+    fn n_msgs(&self) -> usize {
+        if self.legacy {
+            1
+        } else {
+            self.layout.n_msgs()
+        }
+    }
+
+    /// Current iteration index for verify provenance (0 before the
+    /// first `start`).
+    fn cur_iter(&self) -> u32 {
+        self.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
+    }
+
+    /// The head of `MPI_Start` on either side: arm and record it.
+    fn begin(&self, sender: bool) {
+        let was = self.started.swap(true, Ordering::AcqRel);
+        let side = if sender { "send" } else { "recv" };
+        assert!(!was, "partitioned {side} started twice");
+        let iter = self.iters.fetch_add(1, Ordering::Relaxed) as u32;
+        self.verify(|| EventKind::VerifyStart {
+            req: self.vreq,
+            sender,
+            iter,
+            tid: pcomm_trace::current_tid(),
+        });
+    }
+
+    /// The tail of `MPI_Wait` on either side, whose wait began at
+    /// `t_wait`: record it and mark the request inactive.
+    fn end(&self, sender: bool, t_wait: Option<u64>) {
+        let (trace, rank) = (self.comm.fabric().trace(), self.comm.rank() as u16);
+        trace.emit_span(t_wait, rank, |start, dur| {
+            EventKind::PartWait {
+                msgs: self.n_msgs() as u16,
+                wait_ns: dur,
+            }
+            .at(start)
+        });
+        self.verify(|| EventKind::VerifyWaitDone {
+            req: self.vreq,
+            sender,
+            iter: self.cur_iter(),
+            tid: pcomm_trace::current_tid(),
+        });
+        self.started.store(false, Ordering::Release);
+    }
+
+    /// `Misuse` unless `p` is one of this side's partitions.
+    fn check_part(&self, op: &str, p: usize) -> Result<(), PcommError> {
+        if p < self.n_parts {
+            return Ok(());
+        }
+        let n = self.n_parts;
+        let detail = format!("{op}({p}) out of range: request has {n} partitions");
+        Err(PcommError::misuse(self.comm.rank(), detail))
+    }
+
+    /// Verify-clock nanoseconds since `t0` (0 with verification off).
+    fn verify_since(&self, t0: Option<u64>) -> u64 {
+        let now = self.comm.fabric().trace().verify_now_ns();
+        t0.zip(now).map_or(0, |(t0, now)| now.saturating_sub(t0))
+    }
+
+    /// Emit an analysis-grade event from this side's rank.
+    fn verify(&self, kind: impl FnOnce() -> EventKind) {
+        let rank = self.comm.rank() as u16;
+        self.comm.fabric().trace().emit_verify(rank, kind);
+    }
+
+    /// The verify events of this side's init (see
+    /// [`verify_init_events`]); `n_peer_parts` is the peer's count.
+    fn init_events(&self, sender: bool, n_peer_parts: usize) {
+        let trace = self.comm.fabric().trace();
+        if trace.is_verify() {
+            verify_init_events(
+                self.vreq,
+                sender,
+                self.n_parts,
+                n_peer_parts,
+                self.legacy,
+                &self.layout,
+                self.n_parts * self.part_bytes,
+                |kind| self.verify(|| kind),
+            );
+        }
+    }
+
+    /// Record `err` as the universe's failure and unwind this rank.
+    ///
+    /// Failure is recorded *before* the unwind starts, so every
+    /// abort-aware drain that runs while locals drop is time-bounded.
+    fn fail(&self, err: PcommError) -> ! {
+        self.comm.fabric().fail(err);
+        panic_any(RankAborted);
+    }
+}
+
+struct PsendShared {
+    core: Core,
+    dst: usize,
     defer_sends: bool,
-    /// Wire streaming: the destination rank lives in another process and
-    /// the request is on the improved path, so issued messages travel as
-    /// `PartData` ranges on a per-iteration partitioned stream instead
-    /// of per-message eager/rendezvous envelopes.
-    stream: bool,
     /// The current iteration's stream id (valid while `started`).
     stream_id: AtomicU64,
-    storage: PartStorage,
     counters: Vec<AtomicI64>,
-    /// Persistent per-message send signals: `sent[m]` is set once message
-    /// `m` is injected *and* its bytes are safely out of the partition
-    /// buffer (eagerly at injection; for rendezvous, when the receiver's
-    /// copy lands; for wire streaming, when the carrier has put the
-    /// message's whole span on the wire). Reset — never
-    /// reallocated — by each `start()`, so the `pready`→`issue` hot path
-    /// touches no lock and allocates nothing.
+    /// Persistent per-message send signals: `sent[m]` is set once the
+    /// bytes of message `m` are safely out of the partition buffer
+    /// (copied into a local receiver's buffer, all on the wire, or sent
+    /// by legacy's `wait`). Reset — never reallocated — by each `start()`,
+    /// so the `pready`→`issue` hot path touches no lock and allocates
+    /// nothing.
     sent: Vec<Arc<Completion>>,
     /// `issued[m]` is set once message `m` was handed to the fabric this
     /// iteration (the fabric may then hold a pointer into `storage`), so
     /// teardown knows exactly which `sent` signals it must drain.
     issued: Vec<AtomicBool>,
-    started: AtomicBool,
-    /// Iterations started so far; `iters - 1` is the current (or most
-    /// recently completed) iteration, the `iter` of the verify events.
-    iters: AtomicU64,
     /// Round counter for chaos `pready` jitter permutations.
     jitter_round: AtomicU64,
     /// Legacy: persistent CTS completion + envelope slot, re-armed and
@@ -381,12 +574,22 @@ struct PsendShared {
     cts_info: Arc<Mutex<Option<MsgInfo>>>,
 }
 
+impl std::ops::Deref for PsendShared {
+    type Target = Core;
+    fn deref(&self) -> &Core {
+        &self.core
+    }
+}
+
 impl Drop for PsendShared {
     fn drop(&mut self) {
-        // Dropped mid-iteration (a rank unwinding on abort or a panic):
-        // any issued rendezvous message pins a pointer into `storage` —
-        // drain those signals (abort-aware) before the buffer is freed.
-        if self.started.load(Ordering::Acquire) {
+        // A binding holds both buffers: nothing to drain. Otherwise, mid-
+        // iteration (a rank unwinding on abort or a panic), an issued
+        // legacy or stream message pins a pointer into `storage`: drain
+        // those signals (abort-aware) before the buffer is freed.
+        if let Some(b) = &self.bound {
+            b.unpair(self.comm.fabric());
+        } else if self.started.load(Ordering::Acquire) {
             for (m, sent) in self.sent.iter().enumerate() {
                 if self.issued[m].load(Ordering::Acquire) {
                     self.comm.fabric().drain_completion(sent);
@@ -488,13 +691,6 @@ impl Comm {
             0,
             "total size must divide into receiver partitions"
         );
-        if let Some(hint) = &opts.thread_hint {
-            assert_eq!(
-                hint.len(),
-                n_parts,
-                "thread hint must cover every partition"
-            );
-        }
         let layout = negotiate_layout(n_parts, n_recv_parts, part_bytes, opts.aggr_size);
         let part_comm = Comm::part_comm(self, tag);
         let n_msgs = layout.n_msgs();
@@ -511,43 +707,37 @@ impl Comm {
             .fabric()
             .trace()
             .verify_req_id(part_comm.ctx(), self.rank() as u16);
-        let (trace, rank) = (self.fabric().trace(), self.rank() as u16);
-        if trace.is_verify() {
-            verify_init_events(
-                vreq,
-                true,
-                n_parts,
-                n_recv_parts,
-                opts.legacy_single_message,
-                &layout,
-                n_parts * part_bytes,
-                |kind| trace.emit_verify(rank, || kind),
-            );
-        }
-        PsendRequest {
-            inner: Arc::new(PsendShared {
+        let storage = Arc::new(PartStorage::new(n_parts, part_bytes));
+        let sent: Vec<_> = (0..n_msgs).map(|_| Completion::new()).collect();
+        let key = (part_comm.ctx(), self.rank(), dst);
+        let side = (Arc::clone(&storage), sent.clone());
+        let bound = (!opts.legacy_single_message && self.fabric().is_local(dst))
+            .then(|| Binding::pair(self, key, 1, &layout, vreq, side));
+        let inner = Arc::new(PsendShared {
+            core: Core {
                 comm: part_comm,
                 vreq,
-                dst,
                 n_parts,
                 part_bytes,
                 layout,
                 legacy: opts.legacy_single_message,
-                thread_hint: opts.thread_hint.clone(),
-                defer_sends: opts.defer_sends,
-                stream: !opts.legacy_single_message && !self.fabric().is_local(dst),
-                stream_id: AtomicU64::new(0),
-                storage: PartStorage::new(n_parts, part_bytes),
-                counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
-                sent: (0..n_msgs).map(|_| Completion::new()).collect(),
-                issued: (0..n_msgs).map(|_| AtomicBool::new(false)).collect(),
+                bound,
+                storage,
                 started: AtomicBool::new(false),
                 iters: AtomicU64::new(0),
-                jitter_round: AtomicU64::new(0),
-                cts_done: Completion::new(),
-                cts_info: Arc::new(Mutex::new(None)),
-            }),
-        }
+            },
+            dst,
+            defer_sends: opts.defer_sends,
+            stream_id: AtomicU64::new(0),
+            counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
+            sent,
+            issued: (0..n_msgs).map(|_| AtomicBool::new(false)).collect(),
+            jitter_round: AtomicU64::new(0),
+            cts_done: Completion::new(),
+            cts_info: Arc::new(Mutex::new(None)),
+        });
+        inner.init_events(true, n_recv_parts);
+        PsendRequest { inner }
     }
 
     /// `MPI_Precv_init`: the matching receive side.
@@ -598,52 +788,40 @@ impl Comm {
             .fabric()
             .trace()
             .verify_req_id(part_comm.ctx(), src as u16);
-        let (trace, rank) = (self.fabric().trace(), self.rank() as u16);
-        if trace.is_verify() {
-            verify_init_events(
-                vreq,
-                false,
-                n_parts,
-                n_send_parts,
-                opts.legacy_single_message,
-                &layout,
-                n_parts * part_bytes,
-                |kind| trace.emit_verify(rank, || kind),
-            );
-        }
         let stream = !opts.legacy_single_message && !self.fabric().is_local(src);
         // On the ipc fabric, pin the destination inside the shared
         // partition arena when it fits: the sender then commits every
         // `pready` range directly into this buffer (true zero-copy).
         // Heap storage is the fallback everywhere else.
-        let storage = if stream {
-            match self.fabric().alloc_part_dest(src, n_parts * part_bytes) {
-                Some((token, ptr)) => {
-                    PartStorage::new_in_segment(ptr, token, src, n_parts, part_bytes)
-                }
-                None => PartStorage::new(n_parts, part_bytes),
-            }
-        } else {
-            PartStorage::new(n_parts, part_bytes)
-        };
-        PrecvRequest {
-            inner: Arc::new(PrecvShared {
+        let seg = stream.then(|| self.fabric().alloc_part_dest(src, n_parts * part_bytes));
+        let storage = Arc::new(match seg.flatten() {
+            Some((token, ptr)) => PartStorage::new_in_segment(ptr, token, src, n_parts, part_bytes),
+            None => PartStorage::new(n_parts, part_bytes),
+        });
+        let arrived: Vec<_> = (0..n_msgs).map(|_| Completion::new_set()).collect();
+        let key = (part_comm.ctx(), src, self.rank());
+        let side = (Arc::clone(&storage), arrived.clone());
+        let bound = (!opts.legacy_single_message && !stream)
+            .then(|| Binding::pair(self, key, 0, &layout, vreq, side));
+        let inner = Arc::new(PrecvShared {
+            core: Core {
                 comm: part_comm,
                 vreq,
-                src,
                 n_parts,
                 part_bytes,
                 layout,
                 legacy: opts.legacy_single_message,
-                stream,
-                thread_hint: opts.thread_hint.clone(),
+                bound,
                 storage,
-                arrived: (0..n_msgs).map(|_| Completion::new_set()).collect(),
-                infos: (0..n_msgs).map(|_| Arc::new(Mutex::new(None))).collect(),
                 started: AtomicBool::new(false),
                 iters: AtomicU64::new(0),
-            }),
-        }
+            },
+            src,
+            arrived,
+            infos: (0..n_msgs).map(|_| Arc::new(Mutex::new(None))).collect(),
+        });
+        inner.init_events(false, n_send_parts);
+        PrecvRequest { inner }
     }
 
     fn part_comm(parent: &Comm, tag: i64) -> Comm {
@@ -656,11 +834,7 @@ impl Comm {
 impl PsendRequest {
     /// Number of internal messages.
     pub fn n_msgs(&self) -> usize {
-        if self.inner.legacy {
-            1
-        } else {
-            self.inner.layout.n_msgs()
-        }
+        self.inner.n_msgs()
     }
 
     /// The negotiated layout.
@@ -668,29 +842,10 @@ impl PsendRequest {
         &self.inner.layout
     }
 
-    /// Current iteration index for verify provenance (0 before the
-    /// first `start`).
-    fn cur_iter(&self) -> u32 {
-        self.inner.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
-    }
-
     /// `MPI_Start`: arm the iteration.
     pub fn start(&self) {
         let s = &self.inner;
-        assert!(
-            !s.started.swap(true, Ordering::AcqRel),
-            "partitioned send started twice"
-        );
-        let iter = s.iters.fetch_add(1, Ordering::Relaxed) as u32;
-        s.comm
-            .fabric()
-            .trace()
-            .emit_verify(s.comm.rank() as u16, || EventKind::VerifyStart {
-                req: s.vreq,
-                sender: true,
-                iter,
-                tid: pcomm_trace::current_tid(),
-            });
+        s.begin(true);
         s.storage.reset();
         for issued in &s.issued {
             issued.store(false, Ordering::Release);
@@ -722,12 +877,12 @@ impl PsendRequest {
                 s.sent[m].reset();
                 s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
             }
-            if s.stream {
-                // Announce the whole buffer now so the receiver's CTS
-                // can race the first pready — ranges stream the moment
-                // both are in. Each message's byte span carries its
-                // `sent` completion: the carrier flips it when the
-                // span is fully on the wire.
+            if s.bound.is_none() {
+                // Wire stream: announce the whole buffer now so the
+                // receiver's CTS can race the first pready — ranges
+                // stream the moment both are in. Each message's byte span
+                // carries its `sent` completion: the carrier flips it
+                // when the span is fully on the wire.
                 let spans = s
                     .layout
                     .msgs
@@ -771,50 +926,28 @@ impl PsendRequest {
         }
     }
 
-    /// Record `err` as the universe's failure and unwind this rank.
-    ///
-    /// Failure is recorded *before* the unwind starts, so every
-    /// abort-aware drain that runs while locals drop is time-bounded.
-    fn part_fail(&self, err: PcommError) -> ! {
-        self.inner.comm.fabric().fail(err);
-        panic_any(RankAborted);
-    }
-
     /// Fill partition `p`'s bytes. Misuse (out of range, already
     /// readied) aborts the universe with [`PcommError::Misuse`].
     pub fn write_partition(&self, p: usize, f: impl FnOnce(&mut [u8])) {
         let s = &self.inner;
-        if p >= s.n_parts {
-            self.part_fail(PcommError::misuse(
-                s.comm.rank(),
-                format!(
-                    "write_partition({p}) out of range: request has {} partitions",
-                    s.n_parts
-                ),
-            ));
+        if let Err(err) = s.check_part("write_partition", p) {
+            s.fail(err);
         }
         if s.storage.states[p].load(Ordering::Acquire) == PART_READY {
-            self.part_fail(PcommError::misuse(
+            s.fail(PcommError::misuse(
                 s.comm.rank(),
                 format!("write_partition({p}) after pready({p}): partition already readied"),
             ));
         }
-        let trace = s.comm.fabric().trace();
-        let t0 = trace.verify_now_ns();
+        let t0 = s.comm.fabric().trace().verify_now_ns();
         s.storage.write_partition(p, f);
-        if let Some(start) = t0 {
-            let dur = trace
-                .verify_now_ns()
-                .map_or(0, |now| now.saturating_sub(start));
-            let iter = self.cur_iter();
-            trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyWrite {
-                req: s.vreq,
-                part: p as u32,
-                iter,
-                tid: pcomm_trace::current_tid(),
-                dur_ns: dur,
-            });
-        }
+        s.verify(|| EventKind::VerifyWrite {
+            req: s.vreq,
+            part: p as u32,
+            iter: s.cur_iter(),
+            tid: pcomm_trace::current_tid(),
+            dur_ns: s.verify_since(t0),
+        });
     }
 
     /// `MPI_Pready`: mark partition `p` ready. If this completes an
@@ -824,7 +957,7 @@ impl PsendRequest {
     /// [`PsendRequest::try_pready`] to detect it without aborting.
     pub fn pready(&self, p: usize) {
         if let Err(err) = self.try_pready(p) {
-            self.part_fail(err);
+            self.inner.fail(err);
         }
     }
 
@@ -841,15 +974,7 @@ impl PsendRequest {
                 format!("pready({p}) on an inactive request (before start or after wait)"),
             ));
         }
-        if p >= s.n_parts {
-            return Err(PcommError::misuse(
-                s.comm.rank(),
-                format!(
-                    "pready({p}) out of range: request has {} partitions",
-                    s.n_parts
-                ),
-            ));
-        }
+        s.check_part("pready", p)?;
         let trace = s.comm.fabric().trace();
         let pready_ns = trace.now_ns();
         trace.emit(s.comm.rank() as u16, || EventKind::Pready {
@@ -857,10 +982,10 @@ impl PsendRequest {
         });
         // Before the state gate on purpose: a double pready leaves two
         // VerifyPready events for the lint pass to find.
-        trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyPready {
+        s.verify(|| EventKind::VerifyPready {
             req: s.vreq,
             part: p as u32,
-            iter: self.cur_iter(),
+            iter: s.cur_iter(),
             tid: pcomm_trace::current_tid(),
         });
         if let Err(state) = s.storage.try_mark_ready(p) {
@@ -894,7 +1019,7 @@ impl PsendRequest {
     /// (under chaos `pready` jitter, in a seeded permuted order).
     pub fn pready_range(&self, lo: usize, hi: usize) {
         if let Err(err) = self.try_pready_range(lo, hi) {
-            self.part_fail(err);
+            self.inner.fail(err);
         }
     }
 
@@ -908,27 +1033,23 @@ impl PsendRequest {
             ));
         }
         let parts: Vec<usize> = (lo..=hi).collect();
-        self.pready_permuted(&parts)
+        self.try_pready_list(&parts)
     }
 
     /// `MPI_Pready_list`: mark the listed partitions ready, in order
     /// (under chaos `pready` jitter, in a seeded permuted order).
     pub fn pready_list(&self, parts: &[usize]) {
         if let Err(err) = self.try_pready_list(parts) {
-            self.part_fail(err);
+            self.inner.fail(err);
         }
     }
 
     /// Fallible [`PsendRequest::pready_list`]. Stops at the first
     /// misuse; partitions already readied by the call stay readied.
+    /// Under the fault plan's `pready` jitter the issue order is
+    /// permuted — the reordering stress the paper's early-bird path must
+    /// tolerate (any pready may complete a message).
     pub fn try_pready_list(&self, parts: &[usize]) -> Result<(), PcommError> {
-        self.pready_permuted(parts)
-    }
-
-    /// Ready `parts`, permuting the issue order when the fault plan's
-    /// `pready` jitter is on — the reordering stress the paper's
-    /// early-bird path must tolerate (any pready may complete a message).
-    fn pready_permuted(&self, parts: &[usize]) -> Result<(), PcommError> {
         let s = &self.inner;
         if let Some(plan) = s.comm.fabric().fault_plan() {
             if plan.jitter_pready && parts.len() > 1 {
@@ -962,62 +1083,49 @@ impl PsendRequest {
         let s = &self.inner;
         let spec = s.layout.msgs[m];
         let byte_off = spec.first_spart * s.part_bytes;
-        let shard = match &s.thread_hint {
-            // Round-robin message→shard attribution (paper §3.2.2).
-            None => m % s.comm.n_shards(),
-            // Stream hint: the owning thread's shard.
-            Some(hint) => hint[spec.first_spart] % s.comm.n_shards(),
-        };
-        // SAFETY: every partition of message m is READY (its counter hit
-        // zero) and stays READY until wait() resets the iteration; the
-        // rendezvous pin is released only by `sent[m]`, which the next
-        // start() observes before resetting the storage.
-        let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
+        let fabric = s.comm.fabric();
         // The transfer's read of the send partitions, for the analyzer.
-        s.comm
-            .fabric()
-            .trace()
-            .emit_verify(s.comm.rank() as u16, || EventKind::VerifyMsgSend {
-                req: s.vreq,
-                msg: m as u16,
-                iter: self.cur_iter(),
-                tid: pcomm_trace::current_tid(),
-            });
+        s.verify(|| EventKind::VerifyMsgSend {
+            req: s.vreq,
+            msg: m as u16,
+            iter: s.cur_iter(),
+            tid: pcomm_trace::current_tid(),
+        });
         // Marked before the fabric sees the pointer: teardown must drain
         // `sent[m]` whenever the fabric might hold a reference.
         s.issued[m].store(true, Ordering::Release);
-        if s.stream {
+        match &s.bound {
+            // In process: the fault plan decides as on the wire (a message
+            // lost for good fails the universe and is never bumped).
+            Some(b) => {
+                if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
+                    b.bump(fabric, m);
+                }
+            }
             // Wire streaming: the range is pinned into the stream's
             // aggregation window — no copy, no per-message envelope, no
             // CTS wait on this path. The carrier flips `sent[m]` once
             // the message's whole span is on the wire.
-            s.comm.fabric().part_stream_send(
+            None => fabric.part_stream_send(
                 s.dst,
                 s.comm.rank(),
                 s.comm.ctx(),
                 m as i64,
                 s.stream_id.load(Ordering::Acquire),
                 byte_off as u64,
-                data,
+                // SAFETY: every partition of message m is READY (its
+                // counter hit zero) and stays READY until `sent[m]`,
+                // which the next start() observes before resetting them.
+                unsafe { s.storage.ready_slice(byte_off, spec.bytes) },
                 spec.n_sparts as u16,
-            );
-        } else {
-            s.comm.fabric().send_raw_signal(
-                s.dst,
-                shard,
-                s.comm.ctx(),
-                s.comm.rank(),
-                m as i64,
-                data,
-                &s.sent[m],
-            );
+            ),
         }
         if let Some(t0) = pready_ns {
-            let trace = s.comm.fabric().trace();
+            let trace = fabric.trace();
             let gap_ns = trace.now_ns().map_or(0, |now| now.saturating_sub(t0));
             trace.emit(s.comm.rank() as u16, || EventKind::EarlyBird {
                 msg: m as u16,
-                shard: shard as u16,
+                shard: s.comm.shard() as u16,
                 bytes: spec.bytes as u64,
                 gap_ns,
             });
@@ -1025,12 +1133,14 @@ impl PsendRequest {
     }
 
     /// `MPI_Wait`: complete the iteration. In legacy mode this waits for
-    /// the CTS, then sends the whole buffer as one message.
+    /// the CTS, then sends the whole buffer as one message. Toward a
+    /// local peer it returns once the receiver has started the iteration
+    /// and every message is copied (rendezvous semantics, which MPI
+    /// permits).
     pub fn wait(&self) {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
         let trace = s.comm.fabric().trace();
-        let rank = s.comm.rank() as u16;
         let t_wait = trace.now_ns();
         if s.legacy {
             assert_eq!(
@@ -1046,7 +1156,7 @@ impl PsendRequest {
                     Some(s.dst),
                 )
             });
-            trace.emit_span(t_cts, rank, |start, dur| {
+            trace.emit_span(t_cts, s.comm.rank() as u16, |start, dur| {
                 EventKind::CtsWait {
                     peer: s.dst as u16,
                     wait_ns: dur,
@@ -1056,10 +1166,10 @@ impl PsendRequest {
             let total = s.n_parts * s.part_bytes;
             // SAFETY: all partitions READY; exclusive until reset.
             let data = unsafe { s.storage.ready_slice(0, total) };
-            trace.emit_verify(rank, || EventKind::VerifyMsgSend {
+            s.verify(|| EventKind::VerifyMsgSend {
                 req: s.vreq,
                 msg: 0,
-                iter: self.cur_iter(),
+                iter: s.cur_iter(),
                 tid: pcomm_trace::current_tid(),
             });
             s.issued[0].store(true, Ordering::Release);
@@ -1090,9 +1200,8 @@ impl PsendRequest {
                     self.issue(m, None);
                 }
             }
-            // `sent[m]` covers both "issued" and "buffer reusable":
-            // eager and stream sends set it at injection, rendezvous on
-            // remote copy.
+            // Toward a local peer, `sent[m]` needs the receiver's start
+            // (the copy); toward a remote one, the bytes on the wire.
             s.comm.fabric().wait_all(&s.sent, s.comm.rank(), |m| {
                 (
                     format!("partitioned send wait(dst={}, msg={m})", s.dst),
@@ -1101,38 +1210,13 @@ impl PsendRequest {
                 )
             });
         }
-        trace.emit_span(t_wait, rank, |start, dur| {
-            EventKind::PartWait {
-                msgs: self.n_msgs() as u16,
-                wait_ns: dur,
-            }
-            .at(start)
-        });
-        trace.emit_verify(rank, || EventKind::VerifyWaitDone {
-            req: s.vreq,
-            sender: true,
-            iter: self.cur_iter(),
-            tid: pcomm_trace::current_tid(),
-        });
-        s.started.store(false, Ordering::Release);
+        s.end(true, t_wait);
     }
 }
 
 struct PrecvShared {
-    comm: Comm,
-    /// Interned verify request id, agreed with the sender side.
-    vreq: u16,
+    core: Core,
     src: usize,
-    n_parts: usize,
-    part_bytes: usize,
-    layout: MsgLayout,
-    legacy: bool,
-    /// Wire streaming: remote peer on the improved path. `start()` then
-    /// hands the whole pinned buffer to the transport instead of posting
-    /// per-message receives.
-    stream: bool,
-    thread_hint: Option<Arc<Vec<usize>>>,
-    storage: PartStorage,
     /// Persistent per-message arrival signals: created pre-set so probing
     /// an *inactive* request reports completion (MPI's convention for
     /// inactive persistent requests), reset by `start()` and set by the
@@ -1141,18 +1225,22 @@ struct PrecvShared {
     arrived: Vec<Arc<Completion>>,
     /// Persistent envelope slots handed to the fabric with each post.
     infos: Vec<Arc<Mutex<Option<MsgInfo>>>>,
-    started: AtomicBool,
-    /// Iterations started so far (verify provenance, as on the send side).
-    iters: AtomicU64,
+}
+
+impl std::ops::Deref for PrecvShared {
+    type Target = Core;
+    fn deref(&self) -> &Core {
+        &self.core
+    }
 }
 
 impl Drop for PrecvShared {
     fn drop(&mut self) {
-        // Dropped mid-iteration: every posted receive holds a raw
-        // pointer into `storage` — drain the arrival signals
-        // (abort-aware) before the buffer is freed. Signals the
-        // iteration never re-armed are still set and drain instantly.
-        if self.started.load(Ordering::Acquire) {
+        // As on the send side; an arrival signal the iteration never
+        // re-armed is still set and drains instantly.
+        if let Some(b) = &self.bound {
+            b.unpair(self.comm.fabric());
+        } else if self.started.load(Ordering::Acquire) {
             for arrived in &self.arrived {
                 self.comm.fabric().drain_completion(arrived);
             }
@@ -1175,37 +1263,14 @@ pub struct PrecvRequest {
 impl PrecvRequest {
     /// Number of internal messages.
     pub fn n_msgs(&self) -> usize {
-        if self.inner.legacy {
-            1
-        } else {
-            self.inner.layout.n_msgs()
-        }
+        self.inner.n_msgs()
     }
 
-    /// Current iteration index for verify provenance (0 before the
-    /// first `start`).
-    fn cur_iter(&self) -> u32 {
-        self.inner.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
-    }
-
-    /// `MPI_Start`: post the internal receives (improved) or send the CTS
-    /// and post the single data receive (legacy).
+    /// `MPI_Start`: re-arm the internal messages (improved) or send the
+    /// CTS and post the single data receive (legacy).
     pub fn start(&self) {
         let s = &self.inner;
-        assert!(
-            !s.started.swap(true, Ordering::AcqRel),
-            "partitioned recv started twice"
-        );
-        let iter = s.iters.fetch_add(1, Ordering::Relaxed) as u32;
-        s.comm
-            .fabric()
-            .trace()
-            .emit_verify(s.comm.rank() as u16, || EventKind::VerifyStart {
-                req: s.vreq,
-                sender: false,
-                iter,
-                tid: pcomm_trace::current_tid(),
-            });
+        s.begin(false);
         if s.legacy {
             // Re-arm the persistent slots *before* posting: a fulfilled
             // post sets `arrived[0]` immediately when the data message is
@@ -1237,7 +1302,14 @@ impl PrecvRequest {
                     verify_msg: Some((s.vreq, 0)),
                 },
             );
-        } else if s.stream {
+        } else if let Some(b) = &s.bound {
+            // In process: re-arm each message, then bump it; a sender
+            // that already issued it is waiting for this bump to copy.
+            for (m, arrived) in s.arrived.iter().enumerate() {
+                arrived.reset();
+                b.bump(s.comm.fabric(), m);
+            }
+        } else {
             // Streaming path: hand the whole pinned buffer to the
             // transport once; PartData ranges commit straight into it and
             // flip each message's `arrived` as its bytes land.
@@ -1267,32 +1339,6 @@ impl PrecvRequest {
                     msgs,
                 },
             );
-        } else {
-            for (m, spec) in s.layout.msgs.iter().enumerate() {
-                let byte_off = spec.first_rpart * s.part_bytes;
-                let shard = match &s.thread_hint {
-                    None => m % s.comm.n_shards(),
-                    Some(hint) => hint[spec.first_spart] % s.comm.n_shards(),
-                };
-                s.arrived[m].reset();
-                *s.infos[m].lock() = None;
-                // SAFETY: disjoint ranges, fabric-exclusive until wait().
-                let buf = unsafe { s.storage.raw_range(byte_off, spec.bytes) };
-                s.comm.fabric().post_recv(
-                    s.comm.rank(),
-                    shard,
-                    PostedRecv {
-                        ctx: s.comm.ctx(),
-                        src: Some(s.src),
-                        tag: Some(m as i64),
-                        dest_ptr: buf.as_mut_ptr(),
-                        dest_cap: buf.len(),
-                        info: Arc::clone(&s.infos[m]),
-                        completion: Arc::clone(&s.arrived[m]),
-                        verify_msg: Some((s.vreq, m as u16)),
-                    },
-                );
-            }
         }
     }
 
@@ -1306,10 +1352,7 @@ impl PrecvRequest {
     pub fn parrived(&self, p: usize) -> bool {
         match self.try_parrived(p) {
             Ok(arrived) => arrived,
-            Err(err) => {
-                self.inner.comm.fabric().fail(err);
-                panic_any(RankAborted);
-            }
+            Err(err) => self.inner.fail(err),
         }
     }
 
@@ -1319,31 +1362,20 @@ impl PrecvRequest {
     /// `parrived` — one bounds check, one table lookup, one atomic load.
     pub fn try_parrived(&self, p: usize) -> Result<bool, PcommError> {
         let s = &self.inner;
-        if p >= s.n_parts {
-            return Err(PcommError::misuse(
-                s.comm.rank(),
-                format!(
-                    "parrived({p}) out of range: request has {} partitions",
-                    s.n_parts
-                ),
-            ));
-        }
+        s.check_part("parrived", p)?;
         let m = if s.legacy {
             0
         } else {
             s.layout.msg_of_rpart(p)
         };
         let arrived = s.arrived[m].is_set();
-        s.comm
-            .fabric()
-            .trace()
-            .emit_verify(s.comm.rank() as u16, || EventKind::VerifyParrived {
-                req: s.vreq,
-                part: p as u32,
-                iter: self.cur_iter(),
-                tid: pcomm_trace::current_tid(),
-                arrived,
-            });
+        s.verify(|| EventKind::VerifyParrived {
+            req: s.vreq,
+            part: p as u32,
+            iter: s.cur_iter(),
+            tid: pcomm_trace::current_tid(),
+            arrived,
+        });
         Ok(arrived)
     }
 
@@ -1351,32 +1383,17 @@ impl PrecvRequest {
     pub fn wait(&self) {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
-        let trace = s.comm.fabric().trace();
-        let t_wait = trace.now_ns();
-        let n = if s.legacy { 1 } else { s.layout.n_msgs() };
+        let t_wait = s.comm.fabric().trace().now_ns();
         s.comm
             .fabric()
-            .wait_all(&s.arrived[..n], s.comm.rank(), |m| {
+            .wait_all(&s.arrived[..s.n_msgs()], s.comm.rank(), |m| {
                 (
                     format!("partitioned recv wait(src={}, msg={m})", s.src),
                     Some(m as i64),
                     Some(s.src),
                 )
             });
-        trace.emit_span(t_wait, s.comm.rank() as u16, |start, dur| {
-            EventKind::PartWait {
-                msgs: n as u16,
-                wait_ns: dur,
-            }
-            .at(start)
-        });
-        trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyWaitDone {
-            req: s.vreq,
-            sender: false,
-            iter: self.cur_iter(),
-            tid: pcomm_trace::current_tid(),
-        });
-        s.started.store(false, Ordering::Release);
+        s.end(false, t_wait);
     }
 
     /// Read partition `p`'s bytes (after `wait`).
@@ -1387,16 +1404,13 @@ impl PrecvRequest {
             "cannot read partitions while an iteration is active"
         );
         assert!(p < s.n_parts, "partition out of range");
-        s.comm
-            .fabric()
-            .trace()
-            .emit_verify(s.comm.rank() as u16, || EventKind::VerifyRead {
-                req: s.vreq,
-                part: p as u32,
-                iter: self.cur_iter(),
-                tid: pcomm_trace::current_tid(),
-                dur_ns: 0,
-            });
+        s.verify(|| EventKind::VerifyRead {
+            req: s.vreq,
+            part: p as u32,
+            iter: s.cur_iter(),
+            tid: pcomm_trace::current_tid(),
+            dur_ns: 0,
+        });
         s.storage.read_partition(p)
     }
 
@@ -1411,15 +1425,8 @@ impl PrecvRequest {
     /// [`PcommError::Misuse`] — that access would race the fabric's copy.
     pub fn read_partition(&self, p: usize, f: impl FnOnce(&[u8])) {
         let s = &self.inner;
-        if p >= s.n_parts {
-            s.comm.fabric().fail(PcommError::misuse(
-                s.comm.rank(),
-                format!(
-                    "read_partition({p}) out of range: request has {} partitions",
-                    s.n_parts
-                ),
-            ));
-            panic_any(RankAborted);
+        if let Err(err) = s.check_part("read_partition", p) {
+            s.fail(err);
         }
         let m = if s.legacy {
             0
@@ -1428,40 +1435,31 @@ impl PrecvRequest {
         };
         if s.started.load(Ordering::Acquire) {
             if !s.arrived[m].is_set() {
-                s.comm.fabric().fail(PcommError::misuse(
+                s.fail(PcommError::misuse(
                     s.comm.rank(),
                     format!("read_partition({p}) before parrived: message {m} still in flight"),
                 ));
-                panic_any(RankAborted);
             }
             // The arrival check that just passed *is* the synchronization
             // with the delivering message; record it as a readiness edge
             // so the analyzer orders this read without a prior
             // `parrived` probe on the same thread.
-            s.comm
-                .fabric()
-                .trace()
-                .emit_verify(s.comm.rank() as u16, || EventKind::VerifyParrived {
-                    req: s.vreq,
-                    part: p as u32,
-                    iter: self.cur_iter(),
-                    tid: pcomm_trace::current_tid(),
-                    arrived: true,
-                });
+            s.verify(|| EventKind::VerifyParrived {
+                req: s.vreq,
+                part: p as u32,
+                iter: s.cur_iter(),
+                tid: pcomm_trace::current_tid(),
+                arrived: true,
+            });
         }
-        let trace = s.comm.fabric().trace();
-        let t0 = trace.verify_now_ns();
+        let t0 = s.comm.fabric().trace().verify_now_ns();
         f(s.storage.read_partition(p));
-        trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyRead {
+        s.verify(|| EventKind::VerifyRead {
             req: s.vreq,
             part: p as u32,
-            iter: self.cur_iter(),
+            iter: s.cur_iter(),
             tid: pcomm_trace::current_tid(),
-            dur_ns: t0.map_or(0, |start| {
-                trace
-                    .verify_now_ns()
-                    .map_or(0, |now| now.saturating_sub(start))
-            }),
+            dur_ns: s.verify_since(t0),
         });
     }
 }
@@ -1909,6 +1907,9 @@ mod tests {
             })
             .count();
         assert_eq!(jitters, 3, "one jitter permutation per pready_range");
+        // Bound in process: no message went through a match queue.
+        let eager = |e: &&pcomm_trace::Event| matches!(e.kind, EventKind::EagerSend { .. });
+        assert_eq!(data.events.iter().filter(eager).count(), 0);
     }
 
     #[test]
@@ -2003,22 +2004,16 @@ mod tests {
     }
 
     #[test]
-    fn thread_hint_roundtrip_with_block_assignment() {
+    fn block_assignment_roundtrip_from_worker_threads() {
         // Block partition→thread ownership (the θ>1 layout §3.2.2 warns
-        // about): the stream hint keeps each thread on its own shard.
+        // about): each thread readies a contiguous run of partitions.
         let n_threads = 2;
         let theta = 4;
         let n = n_threads * theta;
-        let hint: Arc<Vec<usize>> = Arc::new((0..n).map(|p| p / theta).collect());
         Universe::new(2)
-            .with_shards(2)
             .run(|comm| {
-                let opts = PartOptions {
-                    thread_hint: Some(Arc::clone(&hint)),
-                    ..PartOptions::default()
-                };
                 if comm.rank() == 0 {
-                    let ps = comm.psend_init(1, 0, n, 128, opts);
+                    let ps = comm.psend_init(1, 0, n, 128, opts());
                     ps.start();
                     std::thread::scope(|s| {
                         for t in 0..n_threads {
@@ -2034,7 +2029,7 @@ mod tests {
                     });
                     ps.wait();
                 } else {
-                    let pr = comm.precv_init(0, 0, n, 128, opts);
+                    let pr = comm.precv_init(0, 0, n, 128, opts());
                     pr.start();
                     pr.wait();
                     for p in 0..n {
@@ -2254,6 +2249,256 @@ mod tests {
                             assert!(pr.partition(p).iter().all(|&x| x == it * 2 + p as u8));
                         }
                     }
+                }
+            })
+            .unwrap();
+    }
+
+    /// Sender's `sent` signals all set: every message of the iteration
+    /// was copied (on whichever thread bumped second).
+    fn all_sent(ps: &PsendRequest) -> bool {
+        ps.inner.sent.iter().all(|c| c.is_set())
+    }
+
+    #[test]
+    fn matched_messages_advance_by_n_msgs_per_in_process_iteration() {
+        // A bound copy is a matched message: the counter the benchmark's
+        // `fabric.msgs_per_iter` and the watchdog read must keep moving.
+        for aggr_size in [None, Some(4 * 64)] {
+            Universe::new(2)
+                .run(|comm| {
+                    let o = PartOptions {
+                        aggr_size,
+                        ..opts()
+                    };
+                    if comm.rank() == 0 {
+                        let ps = comm.psend_init(1, 0, 16, 64, o);
+                        for _ in 0..5 {
+                            ps.start();
+                            ps.pready_range(0, 15);
+                            ps.wait();
+                        }
+                    } else {
+                        let pr = comm.precv_init(0, 0, 16, 64, o);
+                        let n_msgs = pr.n_msgs() as u64;
+                        assert_eq!(n_msgs, if aggr_size.is_some() { 4 } else { 16 });
+                        let before = comm.matched_messages();
+                        for it in 1..=5 {
+                            pr.start();
+                            pr.wait();
+                            assert_eq!(comm.matched_messages() - before, it * n_msgs);
+                        }
+                    }
+                })
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn receiver_first_iterations_copy_on_the_readying_thread() {
+        // The receiver starts and then holds the sender back, so every
+        // bump of the sender comes second: its own pready copies.
+        Universe::new(2)
+            .run(|comm| {
+                for it in 0..3u8 {
+                    if comm.rank() == 0 {
+                        let ps = comm.psend_init(1, 4, 8, 32, opts());
+                        comm.barrier();
+                        ps.start();
+                        for p in 0..8 {
+                            ps.write_partition(p, |b| b.fill(it * 8 + p as u8));
+                            ps.pready(p);
+                        }
+                        assert!(all_sent(&ps), "the receiver started first");
+                        ps.wait();
+                    } else {
+                        let pr = comm.precv_init(0, 4, 8, 32, opts());
+                        pr.start();
+                        comm.barrier();
+                        pr.wait();
+                        for p in 0..8 {
+                            assert!(pr.partition(p).iter().all(|&x| x == it * 8 + p as u8));
+                        }
+                    }
+                }
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn sender_first_iterations_copy_in_the_receivers_start() {
+        // The sender readies everything before the receiver starts, so
+        // the receiver's bumps come second: `start` itself lands every
+        // message, before any wait.
+        Universe::new(2)
+            .run(|comm| {
+                let n = 8;
+                if comm.rank() == 0 {
+                    let ps = comm.psend_init(1, 4, n, 32, opts());
+                    for it in 0..3u8 {
+                        ps.start();
+                        for p in 0..n {
+                            ps.write_partition(p, |b| b.fill(it ^ p as u8));
+                        }
+                        ps.pready_range(0, n - 1);
+                        assert!(!all_sent(&ps), "the receiver has not started");
+                        comm.barrier();
+                        ps.wait();
+                    }
+                } else {
+                    let pr = comm.precv_init(0, 4, n, 32, opts());
+                    for it in 0..3u8 {
+                        comm.barrier();
+                        pr.start();
+                        assert!((0..n).all(|p| pr.parrived(p)), "start copies");
+                        pr.wait();
+                        for p in 0..n {
+                            assert!(pr.partition(p).iter().all(|&x| x == it ^ p as u8));
+                        }
+                    }
+                }
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn two_inits_on_one_peer_and_tag_pair_in_init_order() {
+        // Both sends are initialised before either receive: the pairing
+        // table holds two sender bindings for one key, taken oldest first.
+        Universe::new(2)
+            .run(|comm| {
+                if comm.rank() == 0 {
+                    let a = comm.psend_init(1, 9, 4, 64, opts());
+                    let b = comm.psend_init(1, 9, 4, 64, opts());
+                    comm.barrier();
+                    for (ps, fill) in [(&a, 0xA), (&b, 0xB)] {
+                        ps.start();
+                        for p in 0..4 {
+                            ps.write_partition(p, |buf| buf.fill(fill));
+                        }
+                        ps.pready_range(0, 3);
+                    }
+                    a.wait();
+                    b.wait();
+                } else {
+                    comm.barrier();
+                    let a = comm.precv_init(0, 9, 4, 64, opts());
+                    let b = comm.precv_init(0, 9, 4, 64, opts());
+                    for (pr, fill) in [(&a, 0xA), (&b, 0xB)] {
+                        pr.start();
+                        pr.wait();
+                        assert!((0..4).all(|p| pr.partition(p).iter().all(|&x| x == fill)));
+                    }
+                }
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn a_started_request_dropped_after_an_abort_frees_nothing_in_use() {
+        // Rank 1 starts its receive, then aborts the universe and drops
+        // the request mid-iteration. Rank 0 readies afterwards, so its
+        // bumps copy into the dropped receiver's buffer: the binding
+        // keeps that buffer alive, and neither side hangs.
+        let recv_buf = std::sync::Mutex::new(None::<std::sync::Weak<PartStorage>>);
+        let t0 = std::time::Instant::now();
+        let err = Universe::new(2)
+            .run(|comm| {
+                if comm.rank() == 0 {
+                    let ps = comm.psend_init(1, 2, 4, 64, opts());
+                    ps.start();
+                    while !comm.fabric().aborted() {
+                        std::thread::yield_now();
+                    }
+                    while recv_buf.lock().unwrap().is_none() {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    ps.pready_range(0, 3);
+                    assert!(all_sent(&ps), "the dropped receiver had started");
+                    let buf = recv_buf.lock().unwrap().clone().expect("rank 1 ran");
+                    assert!(buf.upgrade().is_some(), "the binding keeps it alive");
+                    ps.wait();
+                } else {
+                    let pr = comm.precv_init(0, 2, 4, 64, opts());
+                    pr.start();
+                    let _ = pr.try_parrived(99).map_err(|e| comm.fabric().fail(e));
+                    *recv_buf.lock().unwrap() = Some(Arc::downgrade(&pr.inner.storage));
+                    drop(pr);
+                    panic_any(RankAborted);
+                }
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, PcommError::Misuse { rank: Some(1), .. }),
+            "{err:?}"
+        );
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "a drop hung"
+        );
+        let buf = recv_buf.into_inner().unwrap().expect("rank 1 ran");
+        assert!(buf.upgrade().is_none(), "freed once both sides dropped");
+    }
+
+    #[test]
+    fn inits_that_disagree_fail_at_pairing_instead_of_copying_out_of_bounds() {
+        // 8 × 256 B against 8 × 128 B: the second init to arrive sees
+        // the other layout and fails the universe before any copy.
+        let err = Universe::new(2)
+            .run(|comm| {
+                if comm.rank() == 0 {
+                    let _ps = comm.psend_init(1, 0, 8, 256, opts());
+                    comm.barrier();
+                    comm.barrier(); // unwinds once rank 1 fails
+                } else {
+                    comm.barrier();
+                    let _pr = comm.precv_init(0, 0, 8, 128, opts());
+                    comm.barrier();
+                }
+            })
+            .unwrap_err();
+        match err {
+            PcommError::PeerPanicked { rank, message } => {
+                assert_eq!(rank, 1);
+                assert!(message.contains("disagree"), "{message}");
+            }
+            other => panic!("expected a panic at pairing, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_thousand_init_drop_cycles_leave_the_pairing_table_empty() {
+        Universe::new(2)
+            .run(|comm| {
+                for cycle in 0..1000u32 {
+                    let (ps, pr) = if comm.rank() == 0 {
+                        (Some(comm.psend_init(1, 1, 2, 16, opts())), None)
+                    } else {
+                        (None, Some(comm.precv_init(0, 1, 2, 16, opts())))
+                    };
+                    // Both inits ran (and paired) before either drop.
+                    comm.barrier();
+                    if cycle % 10 == 0 {
+                        if let Some(ps) = &ps {
+                            ps.start();
+                            ps.pready_range(0, 1);
+                            ps.wait();
+                        }
+                        if let Some(pr) = &pr {
+                            pr.start();
+                            pr.wait();
+                        }
+                    }
+                }
+                comm.barrier();
+                assert!(comm.fabric().pairs.lock().is_empty());
+                // A lone init waits in the table until its request drops.
+                if comm.rank() == 0 {
+                    let lone = comm.psend_init(1, 3, 2, 16, opts());
+                    assert_eq!(comm.fabric().pairs.lock().len(), 1);
+                    drop(lone);
+                    assert!(comm.fabric().pairs.lock().is_empty());
                 }
             })
             .unwrap();

@@ -533,7 +533,6 @@ impl Executor for Rank<'_> {
             aggr_size: sc.aggr_size.filter(|_| !self.row.legacy),
             legacy_single_message: self.row.legacy,
             defer_sends: sc.defer_sends,
-            ..PartOptions::default()
         };
         let messages = self.row.messages(sc, slot);
         match op {

@@ -1000,7 +1000,7 @@ impl WireProtocol {
                         tag: msg.tag,
                         len: msg.len,
                     };
-                    let (slot, done) = (&msg.info, &msg.completion);
+                    let (slot, done) = (Some(&*msg.info), &msg.completion);
                     fabric.finish_recv(self.rank, info, false, slot, done, msg.verify_msg);
                     msgs_done += 1;
                 }

@@ -174,6 +174,77 @@ fn certain_drop_exhausts_retries_into_message_lost() {
     }
 }
 
+/// An in-process partitioned transfer under a fault plan: 16 partitions
+/// rank 0 → rank 1 for three iterations, each checked on arrival.
+#[allow(clippy::type_complexity)]
+fn part_chaos_workload(plan: FaultPlan) -> (Result<Vec<()>, PcommError>, Vec<EventKind>) {
+    use pcomm::core::part::PartOptions;
+    let (out, data) = Universe::new(2).with_fault_plan(plan).run_traced(|comm| {
+        if comm.rank() == 0 {
+            let ps = comm.psend_init(1, 6, 16, 64, PartOptions::default());
+            for it in 0..3u8 {
+                ps.start();
+                for p in 0..16 {
+                    ps.write_partition(p, |b| b.fill(it ^ p as u8));
+                    ps.pready(p);
+                }
+                ps.wait();
+            }
+        } else {
+            let pr = comm.precv_init(0, 6, 16, 64, PartOptions::default());
+            for it in 0..3u8 {
+                pr.start();
+                pr.wait();
+                for p in 0..16 {
+                    assert!(pr.partition(p).iter().all(|&x| x == it ^ p as u8));
+                }
+            }
+        }
+    });
+    (out, data.events.into_iter().map(|e| e.kind).collect())
+}
+
+#[test]
+fn part_drop_retry_recovers_the_data() {
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The in-process partitioned path takes the fault plan's decision
+    // per message, as the wire stream does: drops retry, data survives.
+    let (out, events) = part_chaos_workload(FaultPlan::seeded(7).drops(0.5).retries(24));
+    out.expect("retries must recover every dropped partitioned message");
+    let drop = |k: &EventKind| {
+        matches!(
+            k,
+            EventKind::FaultInjected {
+                fault: FaultKind::Drop,
+                ..
+            }
+        )
+    };
+    assert!(events.iter().any(drop), "p=0.5 over 48 messages drops");
+    assert!(events
+        .iter()
+        .any(|k| matches!(k, EventKind::RetryAttempt { .. })));
+}
+
+#[test]
+fn certain_part_drop_is_message_lost() {
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (out, _) = part_chaos_workload(FaultPlan::seeded(3).drops(1.0).retries(2));
+    match out.unwrap_err() {
+        PcommError::MessageLost {
+            src,
+            dst,
+            tag,
+            attempts,
+        } => {
+            // The first message readied (message 0) is lost for good.
+            assert_eq!((src, dst, tag), (0, 1, 0));
+            assert_eq!(attempts, 3, "1 original + 2 retries");
+        }
+        other => panic!("expected MessageLost, got {other}"),
+    }
+}
+
 #[test]
 fn oversized_message_is_misuse_not_a_panic() {
     let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -109,6 +109,59 @@ fn real_runtime_roundtrip_clean_across_16_seed_jitter_sweep() {
     }
 }
 
+/// In process the improved path pairs once at init and copies each
+/// message straight into the receiver's buffer: every transfer shows up
+/// as a zero-copy `VerifyMsgRecv` (never an eager match), no message
+/// crosses a match queue, and the run audits clean.
+#[test]
+fn in_process_partitioned_run_goes_through_the_binding_and_audits_clean() {
+    let trace = Trace::ring_verify(4096);
+    let (out, report) = Universe::new(2)
+        .with_trace(trace.clone())
+        .run_verified(|comm| {
+            if comm.rank() == 0 {
+                let ps = comm.psend_init(1, 8, 8, 128, PartOptions::default());
+                for it in 0..3u8 {
+                    ps.start();
+                    for p in 0..8 {
+                        ps.write_partition(p, |b| b.fill(it + p as u8));
+                        ps.pready(p);
+                    }
+                    ps.wait();
+                }
+            } else {
+                let pr = comm.precv_init(0, 8, 8, 128, PartOptions::default());
+                for it in 0..3u8 {
+                    pr.start();
+                    pr.wait();
+                    assert!((0..8).all(|p| pr.partition(p)[0] == it + p as u8));
+                }
+            }
+        });
+    out.unwrap();
+    assert!(report.is_clean(), "bound run flagged: {report}");
+    let events = trace.snapshot().expect("trace is enabled").events;
+    let recvs: Vec<bool> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::VerifyMsgRecv { eager, .. } => Some(eager),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(recvs.len(), 3 * 8, "one transfer per message per iteration");
+    assert!(
+        recvs.iter().all(|eager| !eager),
+        "a bound copy is not eager"
+    );
+    let queued = |e: &&Event| {
+        matches!(
+            e.kind,
+            EventKind::EagerSend { .. } | EventKind::RdvSend { .. }
+        )
+    };
+    assert_eq!(events.iter().filter(queued).count(), 0);
+}
+
 /// Every link of a ring derives the *same* partitioned ctx (part_ctx is
 /// deterministic in parent ctx and tag only), so request identity must
 /// fold the sender's rank in — without that, the analyzer merges the
