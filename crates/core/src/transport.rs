@@ -52,16 +52,25 @@
 //! every [`HEARTBEAT_MS`], and a peer silent for [`HEARTBEAT_MISS`] is
 //! presumed dead.
 //!
-//! A failure goes through the one triage,
-//! [`SocketTransport::socket_failed`], always on the progress thread:
-//! an app thread that meets one marks the socket broken — everyone
-//! keeps off it — and wakes the progress thread, because the reconnect
-//! blocks. The triage spends the peer's one bounded reconnect: the
-//! outbox resends from its front entry on the new socket, the decoder
-//! starts afresh, and the engine repeats the stream handshakes and
-//! reports what it still misses (`StreamResync`); other frames that died
-//! with the socket are not replayed. With no reconnect to be had the
-//! peer is dead: typed `PeerPanicked` for every local waiter.
+//! **One reliable channel per peer.** Both sides count the frames of
+//! the pair, per direction, over its lifetime: the socket is FIFO, so
+//! the k-th frame written is the k-th frame read, and no frame carries
+//! a number. Every frame written whole stays in the sender's unacked
+//! queue until the peer's cumulative count covers it; `Heartbeat`
+//! carries that count, and a reader also sends one every [`ACK_EVERY`]
+//! frames it takes, so the queue stays short. A failure goes through
+//! the one triage, [`SocketTransport::socket_failed`], always on the
+//! progress thread: an app thread that meets one marks the socket
+//! broken — everyone keeps off it — and wakes the progress thread,
+//! because the reconnect blocks. The triage spends the peer's one
+//! bounded reconnect, whose `Hello` carries each side's count; each
+//! sender then puts back at the front of its outbox, in order, every
+//! frame the peer lacks ([`Queue::replay`]), and the decoder starts
+//! afresh. The engine above sees an exactly-once FIFO. The one thing
+//! that cannot go again is a pinned range that left whole but never
+//! arrived — its spans completed and the application may have reused
+//! the buffer — so it is a typed `MessageLost`. With no reconnect to be
+//! had the peer is dead: typed `PeerPanicked` for every local waiter.
 //!
 //! Abort tears everything down: the engine broadcasts an `Abort` frame,
 //! `close` lets the outboxes drain for a bounded grace and then
@@ -84,7 +93,7 @@ use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex, MutexGuard};
-use crate::wire::{PinChunk, SendSpans};
+use crate::wire::{complete_spans, PinChunk, SendSpan};
 
 /// How long a polling app thread keeps making inline progress while
 /// nothing happens before it parks on its completion (every completion
@@ -107,6 +116,11 @@ const RECONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Most outbox entries one `writev` carries (two slices each).
 const IOV_ENTRIES: usize = 32;
+
+/// Frames a reader takes from a peer between two acks: it sends the
+/// peer a `Heartbeat` with its count this often, besides the timed
+/// ones, so the peer's unacked queue stays short.
+const ACK_EVERY: u64 = 64;
 
 /// First outbox depth that emits a `WriterQueue` trace event; each
 /// further event needs double the depth (outboxes are unbounded, so
@@ -182,16 +196,9 @@ pub(crate) trait Transport: Send + Sync {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<SendSpans>,
+        spans: &Arc<[SendSpan]>,
         chunks: &[PinChunk],
     );
-
-    /// Reconnect epoch of the ordered connection to `peer`, for audit
-    /// stamps (0 on carriers that never reconnect).
-    fn epoch(&self, peer: usize) -> u32 {
-        let _ = peer;
-        0
-    }
 
     /// Connection health per peer, for stall reports (`pending_rdv` is
     /// the engine's to fill in).
@@ -303,7 +310,7 @@ struct PinnedWrite {
     offset: u64,
     ptr: *const u8,
     len: usize,
-    spans: Arc<SendSpans>,
+    spans: Arc<[SendSpan]>,
 }
 
 // SAFETY: same argument as [`PinChunk`] — the source stays pinned until
@@ -313,7 +320,7 @@ struct PinnedWrite {
 unsafe impl Send for PinnedWrite {}
 
 impl PinnedWrite {
-    fn new(rdv_id: u64, chunk: PinChunk, spans: &Arc<SendSpans>) -> PinnedWrite {
+    fn new(rdv_id: u64, chunk: PinChunk, spans: &Arc<[SendSpan]>) -> PinnedWrite {
         PinnedWrite {
             head: frame::part_data_header(rdv_id, chunk.offset, chunk.len),
             rdv_id,
@@ -359,21 +366,102 @@ impl Out {
         frame::body_opcode(frame::body_of(self.parts()[0])).unwrap_or(0)
     }
 
-    /// Complete what the entry's bytes were for; they have all left on
-    /// the socket of reconnect `epoch`.
-    fn complete(self, epoch: u32) {
-        if let Out::Pinned(pw) = self {
-            pw.spans.sent(pw.offset as usize, pw.len, epoch);
+    /// Complete what the entry's bytes were for — they have all left —
+    /// and keep what the peer may yet need again.
+    fn complete(self) -> Kept {
+        match self {
+            Out::Frame(bytes) => Kept::Frame(bytes),
+            Out::Pinned(pw) => {
+                complete_spans(&pw.spans, pw.offset as usize, pw.len);
+                Kept::Pinned(pw.rdv_id, pw.len)
+            }
         }
+    }
+}
+
+/// A frame written whole, kept until the peer acks it.
+enum Kept {
+    /// An encoded control frame: it goes again if a reconnect finds the
+    /// peer without it.
+    Frame(Vec<u8>),
+    /// A pinned range of stream `.0`, `.1` bytes long: its spans
+    /// completed, so its source may be reused and it cannot go again.
+    Pinned(u64, usize),
+}
+
+/// What a peer's write half owes the peer, apart from the socket: the
+/// outbox, and the frames written but not yet acked.
+#[derive(Default)]
+struct Queue {
+    outbox: VecDeque<Out>,
+    /// Bytes of the front entry already written.
+    at: usize,
+    /// Frames written whole over the pair's lifetime.
+    written: u64,
+    /// The last `unacked.len()` of them, oldest first.
+    unacked: VecDeque<Kept>,
+}
+
+impl Queue {
+    /// Ordinal of the oldest unacked frame.
+    fn base(&self) -> u64 {
+        self.written - self.unacked.len() as u64
+    }
+
+    /// `n` more bytes of the outbox left: pop, complete and keep every
+    /// entry they finish, keep the cursor into the rest. Returns how
+    /// many entries finished.
+    fn advance(&mut self, n: usize) -> usize {
+        let (mut at, mut done) = (self.at + n, 0);
+        while self.outbox.front().is_some_and(|out| at >= out.wire_len()) {
+            if let Some(out) = self.outbox.pop_front() {
+                at -= out.wire_len();
+                self.unacked.push_back(out.complete());
+                done += 1;
+            }
+        }
+        self.written += done as u64;
+        self.at = at;
+        done
+    }
+
+    /// The peer has read `acked` of our frames whole: forget those.
+    fn ack(&mut self, acked: u64) {
+        let n = acked
+            .saturating_sub(self.base())
+            .min(self.unacked.len() as u64);
+        self.unacked.drain(..n as usize);
+    }
+
+    /// The replay rule, after a reconnect to a peer that has read `has`
+    /// of our frames whole: drop what it has, put every kept control
+    /// frame after that back at the front of the outbox in order, and
+    /// send the partly written front entry again whole (its spans are
+    /// still open). Returns the pinned ranges that left whole but never
+    /// arrived — `(stream, bytes)`, in wire order — which cannot go
+    /// again; `None` when `has` is no count our writes could produce.
+    fn replay(&mut self, has: u64) -> Option<Vec<(u64, usize)>> {
+        if has < self.base() || has > self.written {
+            return None;
+        }
+        self.ack(has);
+        (self.written, self.at) = (has, 0);
+        let mut lost = Vec::new();
+        for kept in self.unacked.drain(..).rev() {
+            match kept {
+                Kept::Frame(bytes) => self.outbox.push_front(Out::Frame(bytes)),
+                Kept::Pinned(rdv_id, len) => lost.push((rdv_id, len)),
+            }
+        }
+        lost.reverse();
+        Some(lost)
     }
 }
 
 /// A peer socket's write half, under [`Peer::tx`].
 struct Tx {
     ep: Endpoint,
-    outbox: VecDeque<Out>,
-    /// Bytes of the front entry already written.
-    at: usize,
+    q: Queue,
     /// Leading entries already audit-stamped for this socket.
     stamped: usize,
     /// Verify-grade runs only: the socket's frame counter, bumped as
@@ -387,23 +475,35 @@ struct Tx {
     hwm: usize,
 }
 
-/// What a socket's read half keeps between reads: the decoder's place
-/// and the audit counters — the ordinal of every frame head read, and
-/// the reconnect epoch of the socket it reads (its own, not the shared
-/// peer epoch, so frames still buffered in a dying socket keep theirs).
+/// What a socket's read half keeps between reads: the decoder's place,
+/// the audit counters — the ordinal of every frame head read on this
+/// socket, and its reconnect epoch (its own, not the shared peer epoch,
+/// so frames still buffered in a dying socket keep theirs) — the heads
+/// read over the pair's lifetime, and the count the last ack carried.
 struct Reader {
     dec: Decoder,
     epoch: u32,
     seq: u32,
+    heads: u64,
+    last_ack: u64,
 }
 
 impl Reader {
-    fn new() -> Reader {
+    /// A reader for a socket of reconnect `epoch`, `received` frames
+    /// into the pair's lifetime.
+    fn new(epoch: u32, received: u64) -> Reader {
         Reader {
             dec: Decoder::new(true),
-            epoch: 0,
+            epoch,
             seq: 0,
+            heads: received,
+            last_ack: received,
         }
+    }
+
+    /// Frames read whole: every head read but one whose frame is not.
+    fn whole(&self) -> u64 {
+        self.heads - u64::from(self.dec.mid_frame())
     }
 }
 
@@ -443,14 +543,18 @@ struct Peer {
     owed: AtomicBool,
     connected: AtomicBool,
     frames_sent: AtomicU64,
+    /// Frames read whole from the peer over the pair's lifetime: what a
+    /// `Heartbeat` acks.
     frames_received: AtomicU64,
+    /// The highest count of our frames the peer acked.
+    acked: AtomicU64,
     /// Transport-relative ms timestamp of the last frame read from this
     /// peer — the liveness signal the heartbeat escalates on.
     last_heard_ms: AtomicU64,
     /// The one bounded reconnect per peer and transport lifetime was
     /// spent, whatever came of it.
     reconnect_spent: AtomicBool,
-    /// Reconnect epoch for audit events: 0 until the reconnect
+    /// Reconnect epoch for the audit stamps: 0 until the reconnect
     /// succeeds, 1 after. Bumped under the outbox mutex, so stamps taken
     /// under it carry the epoch of the socket they go to.
     epoch: AtomicU32,
@@ -462,8 +566,7 @@ impl Peer {
             fd: AtomicI32::new(ep.as_raw_fd()),
             tx: Mutex::new(Tx {
                 ep,
-                outbox: VecDeque::new(),
-                at: 0,
+                q: Queue::default(),
                 stamped: 0,
                 seq: 0,
                 out_armed: false,
@@ -471,7 +574,7 @@ impl Peer {
             }),
             rx: Mutex::new(Rx {
                 ep: rx,
-                rd: Reader::new(),
+                rd: Reader::new(0, 0),
             }),
             intake: Mutex::new(Vec::new()),
             depth: AtomicUsize::new(0),
@@ -482,6 +585,7 @@ impl Peer {
             connected: AtomicBool::new(true),
             frames_sent: AtomicU64::new(0),
             frames_received: AtomicU64::new(0),
+            acked: AtomicU64::new(0),
             last_heard_ms: AtomicU64::new(0),
             reconnect_spent: AtomicBool::new(false),
             epoch: AtomicU32::new(0),
@@ -648,24 +752,26 @@ impl SocketTransport {
         moved
     }
 
-    /// The one way onto a peer's socket, under its outbox mutex: take
-    /// the intake in, stamp, `writev` from the front entry's resume
-    /// cursor until the socket refuses, and complete every entry whose
-    /// last byte left. Keeps `EPOLLOUT` armed exactly while bytes wait.
-    /// Returns whether anything was written.
+    /// The one way onto a peer's socket, under its outbox mutex: forget
+    /// what the peer acked, take the intake in, stamp, `writev` from the
+    /// front entry's resume cursor until the socket refuses, and
+    /// complete and keep every entry whose last byte left. Keeps
+    /// `EPOLLOUT` armed exactly while bytes wait. Returns whether
+    /// anything was written.
     fn write_out(&self, fabric: &Fabric, dst: usize, tx: &mut Tx) -> io::Result<bool> {
         let Some(peer) = &self.peers[dst] else {
             return Ok(false);
         };
+        tx.q.ack(peer.acked.load(Ordering::Acquire));
         {
             // The depth counts the entries before the intake lets them
             // go, so a reader that finds the intake empty sees them.
             let mut intake = peer.intake.lock();
-            tx.outbox.extend(intake.drain(..));
-            peer.depth.store(tx.outbox.len(), Ordering::Release);
+            tx.q.outbox.extend(intake.drain(..));
+            peer.depth.store(tx.q.outbox.len(), Ordering::Release);
         }
-        if tx.outbox.len() >= tx.hwm {
-            let (p16, depth) = (dst as u16, tx.outbox.len() as u64);
+        if tx.q.outbox.len() >= tx.hwm {
+            let (p16, depth) = (dst as u16, tx.q.outbox.len() as u64);
             fabric
                 .trace()
                 .emit(self.rank as u16, || EventKind::WriterQueue {
@@ -673,7 +779,7 @@ impl SocketTransport {
                     lane: 0,
                     depth,
                 });
-            while tx.hwm <= tx.outbox.len() {
+            while tx.hwm <= tx.q.outbox.len() {
                 tx.hwm *= 2;
             }
         }
@@ -684,18 +790,18 @@ impl SocketTransport {
             // frames stay — the abort broadcast is one of them — and so
             // do stamped entries, which are already under way.
             let (mut i, stamped) = (0, tx.stamped);
-            tx.outbox.retain(|out| {
+            tx.q.outbox.retain(|out| {
                 i += 1;
                 i <= stamped || matches!(out, Out::Frame(_))
             });
         }
         let mut moved = false;
-        while !tx.outbox.is_empty() {
-            let upto = tx.outbox.len().min(IOV_ENTRIES);
-            self.stamp(fabric, dst, tx, upto);
+        while !tx.q.outbox.is_empty() {
+            let upto = tx.q.outbox.len().min(IOV_ENTRIES);
+            self.stamp(fabric, dst, peer.epoch.load(Ordering::Acquire), tx, upto);
             let mut iov = [IoSlice::new(&[]); 2 * IOV_ENTRIES];
-            let (mut k, mut skip) = (0, tx.at);
-            for part in tx.outbox.iter().take(upto).flat_map(Out::parts) {
+            let (mut k, mut skip) = (0, tx.q.at);
+            for part in tx.q.outbox.iter().take(upto).flat_map(Out::parts) {
                 let cut = skip.min(part.len());
                 skip -= cut;
                 if cut < part.len() {
@@ -707,14 +813,18 @@ impl SocketTransport {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     moved = true;
-                    advance(peer, tx, n);
+                    let done = tx.q.advance(n);
+                    tx.stamped = tx.stamped.saturating_sub(done);
+                    // ORDERING: statistics counter surfaced in
+                    // diagnostics snapshots only.
+                    peer.frames_sent.store(tx.q.written, Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        peer.depth.store(tx.outbox.len(), Ordering::Release);
+        peer.depth.store(tx.q.outbox.len(), Ordering::Release);
         self.arm(peer, dst, tx, false);
         Ok(moved)
     }
@@ -722,16 +832,16 @@ impl SocketTransport {
     /// Audit-stamp the first `upto` outbox entries that have no stamp on
     /// this socket yet — under the outbox mutex, so stamp order is wire
     /// order, before the write, so an entry torn by a dying socket still
-    /// records what may have reached the peer. No-op unless the trace is
-    /// verify-grade.
-    fn stamp(&self, fabric: &Fabric, dst: usize, tx: &mut Tx, upto: usize) {
+    /// records what may have reached the peer; `epoch` is the socket's.
+    /// No-op unless the trace is verify-grade.
+    fn stamp(&self, fabric: &Fabric, dst: usize, epoch: u32, tx: &mut Tx, upto: usize) {
         let trace = fabric.trace();
         if tx.stamped >= upto || !trace.is_verify() {
             tx.stamped = tx.stamped.max(upto);
             return;
         }
-        let (me, p16, epoch) = (self.rank as u16, dst as u16, self.epoch(dst));
-        for out in tx.outbox.range(tx.stamped..upto) {
+        let (me, p16) = (self.rank as u16, dst as u16);
+        for out in tx.q.outbox.range(tx.stamped..upto) {
             let (op, seq) = (out.op() as u16, tx.seq);
             tx.seq = seq.wrapping_add(1);
             trace.emit_verify(me, || EventKind::VerifyWireSend {
@@ -761,7 +871,7 @@ impl SocketTransport {
     /// nothing changed. With nothing left to wait for the registration
     /// stays spent — re-arming it would report a hung-up peer forever.
     fn arm(&self, peer: &Peer, p: usize, tx: &mut Tx, force: bool) {
-        let out = !tx.outbox.is_empty();
+        let out = !tx.q.outbox.is_empty();
         if !force && out == tx.out_armed {
             return;
         }
@@ -807,9 +917,10 @@ impl SocketTransport {
     /// peer's liveness and gets its audit stamp; `PartData` payloads land
     /// piecewise straight in their destination or — nobody waits for
     /// them (retired stream, post-abort straggler) — drain through a
-    /// stack buffer, so the peer's length allocates nothing; any other
-    /// frame is dispatched into the engine. Returns whether anything was
-    /// read.
+    /// stack buffer, so the peer's length allocates nothing; a
+    /// `Heartbeat` is the peer's ack; any other frame is dispatched into
+    /// the engine. Every step settles the pair's count ([`Self::settle`]).
+    /// Returns whether anything was read.
     fn take<R: Read>(
         &self,
         fabric: &Fabric,
@@ -835,14 +946,14 @@ impl SocketTransport {
         };
         let mut moved = false;
         loop {
-            match rd.dec.next(r, &mut land)? {
-                None => return Ok(moved),
-                Some(Event::Head(op)) => {
+            let done = match rd.dec.next(r, &mut land) {
+                Ok(None) => Some(Ok(moved)),
+                Err(e) => Some(Err(e)),
+                Ok(Some(Event::Head(op))) => {
+                    rd.heads += 1;
                     // ORDERING: liveness timestamp; the heartbeat check
                     // tolerates a read one tick stale.
                     peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
-                    // ORDERING: statistics counter (diagnostics only).
-                    peer.frames_received.fetch_add(1, Ordering::Relaxed);
                     let (p16, op16) = (peer_rank as u16, op as u16);
                     let (epoch, seq) = (rd.epoch, rd.seq);
                     fabric
@@ -855,15 +966,38 @@ impl SocketTransport {
                             seq,
                         });
                     rd.seq = seq.wrapping_add(1);
+                    None
                 }
-                Some(Event::Frame(f)) => {
-                    if !wire.dispatch(fabric, peer_rank, f) {
+                Ok(Some(Event::Frame(Frame::Heartbeat { received }))) => {
+                    peer.acked.fetch_max(received, Ordering::AcqRel);
+                    None
+                }
+                Ok(Some(Event::Frame(f))) => {
+                    let bye = !wire.dispatch(fabric, peer_rank, f);
+                    bye.then(|| {
                         peer.bye.store(true, Ordering::Release);
-                        return Ok(true);
-                    }
+                        Ok(true)
+                    })
                 }
+            };
+            self.settle(fabric, peer_rank, peer, rd);
+            if let Some(done) = done {
+                return done;
             }
             moved = true;
+        }
+    }
+
+    /// Publish how many of `peer`'s frames `rd` has read whole, and ack
+    /// them once [`ACK_EVERY`] more came in since the last ack (not
+    /// while closing: nothing may follow our `Bye`).
+    fn settle(&self, fabric: &Fabric, p: usize, peer: &Peer, rd: &mut Reader) {
+        let whole = rd.whole();
+        // ORDERING: an ack is a lower bound; a stale read acks less.
+        peer.frames_received.store(whole, Ordering::Relaxed);
+        if whole >= rd.last_ack + ACK_EVERY && !self.closing.load(Ordering::Acquire) {
+            rd.last_ack = whole;
+            self.send(fabric, p, Frame::Heartbeat { received: whole }, false);
         }
     }
 
@@ -1013,12 +1147,13 @@ impl SocketTransport {
     }
 
     /// Recover from a dead socket with ONE bounded reconnect per peer
-    /// for the transport's lifetime: re-run the pair rendezvous (Hello
-    /// re-handshake included), swap the new socket into both halves —
-    /// the outbox resends from its front entry (at-least-once: the
-    /// receiving engine deduplicates), the decoder starts at the new
-    /// socket's first frame — and tell the peer which stream bytes we
-    /// already hold so it can detect unreplayable loss.
+    /// for the transport's lifetime: read what the dead socket still
+    /// holds, re-run the pair rendezvous with each side's count in its
+    /// `Hello`, and swap the new socket into both halves — the outbox
+    /// replays what the peer lacks ([`Queue::replay`]), the decoder
+    /// starts at the new socket's first frame. The count is taken under
+    /// the read half's mutex, held until the new socket replaces the
+    /// old: nobody reads the old one after it.
     ///
     /// The reconnected endpoint is deliberately NOT re-wrapped in the
     /// wire-fault plan: recovery is one bounded attempt, and a chaos
@@ -1034,14 +1169,18 @@ impl SocketTransport {
             return false;
         }
         peer.connected.store(false, Ordering::Release);
+        let mut rx = peer.rx.lock();
+        let rx = &mut *rx;
+        let _ = self.take(fabric, peer_rank, &mut rx.ep, &mut rx.rd);
+        let received = rx.rd.whole();
         let started = Instant::now();
-        let res =
-            pcomm_net::mesh::reconnect_pair(&self.cfg, peer_rank, started + RECONNECT_TIMEOUT)
-                .and_then(|ep| {
-                    ep.set_nonblocking(true)?;
-                    let rx = ep.try_clone()?;
-                    Ok((ep, rx))
-                });
+        let deadline = started + RECONNECT_TIMEOUT;
+        let res = pcomm_net::mesh::reconnect_pair(&self.cfg, peer_rank, received, deadline)
+            .and_then(|(ep, has)| {
+                ep.set_nonblocking(true)?;
+                let rx = ep.try_clone()?;
+                Ok((ep, rx, has))
+            });
         let (ok, took_ms) = (res.is_ok(), started.elapsed().as_millis() as u64);
         let p16 = peer_rank as u16;
         fabric
@@ -1051,21 +1190,21 @@ impl SocketTransport {
                 ok,
                 took_ms,
             });
-        let Ok((ep, rx_ep)) = res else {
+        let Ok((ep, rx_ep, has)) = res else {
             return false;
         };
-        {
+        let lost = {
             // Swap the socket and bump the audit epoch under the outbox
             // mutex: stamps taken before carry the old epoch, stamps
             // after the new one — never mixed.
             let mut tx = peer.tx.lock();
-            let mut rx = peer.rx.lock();
+            let Some(lost) = tx.q.replay(has) else {
+                return false; // the peer counts frames we never wrote
+            };
             let _ = self.epoll.delete(tx.ep.as_raw_fd());
             peer.epoch.fetch_add(1, Ordering::Release);
-            (tx.ep, tx.at, tx.stamped) = (ep, 0, 0);
-            let epoch = rx.rd.epoch + 1;
-            (rx.ep, rx.rd) = (rx_ep, Reader::new());
-            rx.rd.epoch = epoch;
+            (tx.ep, tx.stamped) = (ep, 0);
+            (rx.ep, rx.rd) = (rx_ep, Reader::new(rx.rd.epoch + 1, received));
             peer.fd.store(tx.ep.as_raw_fd(), Ordering::Release);
             let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
             tx.out_armed = true;
@@ -1074,17 +1213,41 @@ impl SocketTransport {
                 return false;
             }
             peer.fault.lock().take();
-        }
+            lost
+        };
         // ORDERING: liveness timestamp; the heartbeat check tolerates a
         // read one tick stale.
         peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
         peer.connected.store(true, Ordering::Release);
-        // The report must say what the dead socket delivered, so nobody
-        // reads the new one before it is queued (the socket is still
-        // broken; its armed `EPOLLOUT` sends the report once it is not).
-        fabric.wire().resync_streams(fabric, peer_rank);
         peer.broken.store(false, Ordering::Release);
+        if !lost.is_empty() {
+            self.lose(fabric, peer_rank, &lost);
+        }
         true
+    }
+
+    /// Pinned ranges toward `peer_rank` that left whole on a dead socket
+    /// and never arrived: their spans completed and the application may
+    /// have reused the buffer, so they cannot go again — a typed
+    /// `MessageLost` naming each stream, not a receiver that waits
+    /// forever.
+    fn lose(&self, fabric: &Fabric, peer_rank: usize, lost: &[(u64, usize)]) {
+        for &(rdv_id, len) in lost {
+            let (p16, stream, missing) = (peer_rank as u16, rdv_id as u32, len as u64);
+            fabric
+                .trace()
+                .emit_verify(self.rank as u16, || EventKind::VerifyStreamLost {
+                    peer: p16,
+                    stream,
+                    missing,
+                });
+        }
+        fabric.fail(PcommError::MessageLost {
+            src: self.rank,
+            dst: peer_rank,
+            tag: -1,
+            attempts: 1,
+        });
     }
 
     /// The progress thread: park in `epoll_pwait` until a socket fires,
@@ -1093,7 +1256,7 @@ impl SocketTransport {
     fn progress_loop(&self, fabric: &Fabric) {
         let mut events = [EpollEvent::default(); 32];
         let mut next_tick = Instant::now() + HEARTBEAT_TICK;
-        let mut beats = (0u64, None);
+        let mut last_beat = None;
         let mut closing_since = None;
         loop {
             let timeout = match closing_since {
@@ -1120,7 +1283,7 @@ impl SocketTransport {
             }
             self.triage_broken(fabric);
             if closing_since.is_none() && Instant::now() >= next_tick {
-                self.heartbeat(fabric, &mut beats);
+                self.heartbeat(fabric, &mut last_beat);
                 next_tick = Instant::now() + HEARTBEAT_TICK;
             }
             if self.closing.load(Ordering::Acquire) {
@@ -1132,14 +1295,15 @@ impl SocketTransport {
         }
     }
 
-    /// One heartbeat tick: beat toward each live peer once
-    /// [`HEARTBEAT_MS`] has passed since the last beat; silence past
+    /// One heartbeat tick: beat toward each live peer, acking what we
+    /// read from it, once [`HEARTBEAT_MS`] has passed since the last
+    /// beat (`last_beat`, ms); silence past
     /// [`HEARTBEAT_MISS`] means the peer died without a word (process
     /// killed, half-open socket) — escalated as the typed peer death
     /// every survivor sees, instead of a stall that needs the watchdog.
     /// Peers mid-reconnect or past their `Bye` are exempt; an aborted
     /// run judges nobody.
-    fn heartbeat(&self, fabric: &Fabric, beats: &mut (u64, Option<u64>)) {
+    fn heartbeat(&self, fabric: &Fabric, last_beat: &mut Option<u64>) {
         if fabric.aborted() {
             return;
         }
@@ -1147,17 +1311,13 @@ impl SocketTransport {
         let live = |peer: &Peer| {
             !peer.bye.load(Ordering::Acquire) && peer.connected.load(Ordering::Acquire)
         };
-        if beats
-            .1
-            .is_none_or(|t| now.saturating_sub(t) >= HEARTBEAT_MS)
-        {
-            beats.0 = beats.0.wrapping_add(1);
-            for (rank, peer) in self.each_peer() {
-                if live(peer) {
-                    self.send(fabric, rank, Frame::Heartbeat { seq: beats.0 }, false);
-                }
+        if last_beat.is_none_or(|t| now.saturating_sub(t) >= HEARTBEAT_MS) {
+            for (rank, peer) in self.each_peer().filter(|(_, p)| live(p)) {
+                // ORDERING: an ack is a lower bound; a stale read acks less.
+                let received = peer.frames_received.load(Ordering::Relaxed);
+                self.send(fabric, rank, Frame::Heartbeat { received }, false);
             }
-            beats.1 = Some(now);
+            *last_beat = Some(now);
         }
         let miss = HEARTBEAT_MISS.as_millis() as u64;
         for (rank, peer) in self.each_peer().filter(|(_, p)| live(p)) {
@@ -1204,24 +1364,6 @@ impl SocketTransport {
                         && (aborted || peer.bye.load(Ordering::Acquire)))
             })
     }
-}
-
-/// `n` more bytes of `tx`'s outbox left: pop and complete every entry
-/// they finish, keep the cursor into the rest.
-fn advance(peer: &Peer, tx: &mut Tx, n: usize) {
-    let mut at = tx.at + n;
-    let epoch = peer.epoch.load(Ordering::Acquire);
-    while tx.outbox.front().is_some_and(|out| at >= out.wire_len()) {
-        if let Some(out) = tx.outbox.pop_front() {
-            at -= out.wire_len();
-            tx.stamped = tx.stamped.saturating_sub(1);
-            out.complete(epoch);
-            // ORDERING: statistics counter surfaced in diagnostics
-            // snapshots only; no memory is published through it.
-            peer.frames_sent.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    tx.at = at;
 }
 
 impl Transport for SocketTransport {
@@ -1272,7 +1414,7 @@ impl Transport for SocketTransport {
         dst: usize,
         rdv_id: u64,
         _grant: Option<u64>,
-        spans: &Arc<SendSpans>,
+        spans: &Arc<[SendSpan]>,
         chunks: &[PinChunk],
     ) {
         for &chunk in chunks {
@@ -1288,12 +1430,6 @@ impl Transport for SocketTransport {
             let out = Out::Pinned(PinnedWrite::new(rdv_id, chunk, spans));
             self.push(fabric, dst, out);
         }
-    }
-
-    fn epoch(&self, peer: usize) -> u32 {
-        self.peers[peer]
-            .as_ref()
-            .map_or(0, |p| p.epoch.load(Ordering::Acquire))
     }
 
     fn peer_states(&self) -> Vec<PeerSocketState> {
@@ -1404,7 +1540,7 @@ impl Transport for SharedMemTransport {
         _: usize,
         _: u64,
         _: Option<u64>,
-        _: &Arc<SendSpans>,
+        _: &Arc<[SendSpan]>,
         _: &[PinChunk],
     ) {
         unreachable!("shared-memory fabric never routes through the wire")
@@ -1421,34 +1557,51 @@ impl Transport for SharedMemTransport {
 mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
-    use crate::wire::{PartStreamMsg, PartStreamRecv, SendSpan};
+    use crate::wire::{PartStreamMsg, PartStreamRecv};
     use pcomm_trace::Trace;
 
+    /// Rank `rank`'s socket carrier of a 2-rank universe over `sock`,
+    /// armed as `new` arms it, with no progress thread: each test is the
+    /// only thread moving bytes. A reconnect meets in `dir`.
+    fn carrier_on(
+        rank: usize,
+        sock: UnixStream,
+        dir: std::path::PathBuf,
+        trace: Trace,
+        plan: Option<&FaultPlan>,
+    ) -> (Arc<Fabric>, Arc<SocketTransport>) {
+        let backend = pcomm_net::Backend::Uds;
+        let (n_ranks, seq) = (2, 0);
+        let cfg = MeshConfig {
+            rank,
+            n_ranks,
+            dir,
+            backend,
+            seq,
+        };
+        let mut peers = vec![None, None];
+        peers[1 - rank] = Some(Endpoint::Uds(sock));
+        let mesh = Mesh {
+            rank,
+            n_ranks,
+            peers,
+        };
+        let transport = Arc::new(SocketTransport::new(mesh, cfg, plan).unwrap());
+        let carrier = Arc::clone(&transport) as Arc<dyn Transport>;
+        let fabric = Fabric::new_configured(2, 1, 1024, trace, None, carrier);
+        (fabric, transport)
+    }
+
     /// Rank 0's socket carrier toward a peer rank 1 that is the far end
-    /// of a socketpair, armed as `new` arms it, with no progress thread:
-    /// each test is the only thread moving bytes. The far end stays
-    /// blocking; a read there gives up after 5 s.
+    /// of a socketpair (see [`carrier_on`]). The far end stays blocking;
+    /// a read there gives up after 5 s.
     fn carrier_with(
         trace: Trace,
         plan: Option<&FaultPlan>,
     ) -> (Arc<Fabric>, Arc<SocketTransport>, UnixStream) {
         let (near, far) = UnixStream::pair().unwrap();
         far.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let cfg = MeshConfig {
-            rank: 0,
-            n_ranks: 2,
-            dir: std::env::temp_dir(),
-            backend: pcomm_net::Backend::Uds,
-            seq: 0,
-        };
-        let mesh = Mesh {
-            rank: 0,
-            n_ranks: 2,
-            peers: vec![None, Some(Endpoint::Uds(near))],
-        };
-        let transport = Arc::new(SocketTransport::new(mesh, cfg, plan).unwrap());
-        let carrier = Arc::clone(&transport) as Arc<dyn Transport>;
-        let fabric = Fabric::new_configured(2, 1, 1024, trace, None, carrier);
+        let (fabric, transport) = carrier_on(0, near, std::env::temp_dir(), trace, plan);
         (fabric, transport, far)
     }
 
@@ -1463,7 +1616,7 @@ mod tests {
     /// Entries not yet fully on the socket.
     fn waiting(transport: &SocketTransport) -> usize {
         let peer = peer_of(transport);
-        peer.tx.lock().outbox.len() + peer.intake.lock().len()
+        peer.tx.lock().q.outbox.len() + peer.intake.lock().len()
     }
 
     fn frames_sent(transport: &SocketTransport) -> u64 {
@@ -1479,7 +1632,7 @@ mod tests {
     }
 
     /// Pinned writes of stream 7 cutting `buf` into `n` equal ranges.
-    fn stream_writes(buf: &[u8], spans: &Arc<SendSpans>, n: usize) -> Vec<Out> {
+    fn stream_writes(buf: &[u8], spans: &Arc<[SendSpan]>, n: usize) -> Vec<Out> {
         let len = buf.len() / n;
         (0..n)
             .map(|i| PinChunk {
@@ -1535,7 +1688,7 @@ mod tests {
     fn a_push_into_a_full_socket_returns_at_once_and_flushes_later() {
         let (fabric, transport, mut far) = carrier(Trace::disabled());
         let source: Vec<u8> = (0..1usize << 20).map(|i| (i * 7 % 251) as u8).collect();
-        let spans = Arc::new(SendSpans::new(spans_over(&source, 4)));
+        let spans: Arc<[SendSpan]> = spans_over(&source, 4).into();
         let eager = Frame::Eager {
             shard: 0,
             ctx: 3,
@@ -1546,7 +1699,7 @@ mod tests {
         for out in stream_writes(&source, &spans, 4) {
             transport.push(&fabric, 1, out);
         }
-        transport.send(&fabric, 1, Frame::Heartbeat { seq: 3 }, false);
+        transport.send(&fabric, 1, Frame::Heartbeat { received: 3 }, false);
         // Nobody reads the far end: the socket took what fits, the
         // rest waits in the outbox and nothing behind it completed.
         assert!(waiting(&transport) > 0);
@@ -1556,7 +1709,7 @@ mod tests {
             let range = &source[i << 18..(i + 1) << 18];
             want.extend(part_data(7, i << 18, range).encode());
         }
-        want.extend(Frame::Heartbeat { seq: 3 }.encode());
+        want.extend(Frame::Heartbeat { received: 3 }.encode());
         let len = want.len();
         let reader = std::thread::spawn(move || {
             let mut got = vec![0u8; len];
@@ -1580,10 +1733,10 @@ mod tests {
         let plan = FaultPlan::seeded(5).torn_writes(1.0);
         let (fabric, transport, mut far) = carrier_with(Trace::disabled(), Some(&plan));
         let source: Vec<u8> = (0..=255).collect();
-        let spans = Arc::new(SendSpans::new(spans_over(&source, 2)));
+        let spans: Arc<[SendSpan]> = spans_over(&source, 2).into();
         let mut want = Vec::new();
-        for seq in 0..8 {
-            let frame = Frame::Heartbeat { seq };
+        for received in 0..8 {
+            let frame = Frame::Heartbeat { received };
             want.extend(frame.encode());
             transport.send(&fabric, 1, frame, false);
         }
@@ -1611,7 +1764,7 @@ mod tests {
             s.spawn(|| {
                 for seq in 0..ROUNDS {
                     for _ in 0..3 {
-                        transport.push(&fabric, 1, frame(Frame::Heartbeat { seq }));
+                        transport.push(&fabric, 1, frame(Frame::Heartbeat { received: seq }));
                     }
                 }
             });
@@ -1798,7 +1951,7 @@ mod tests {
             cuts: cuts.into_iter().collect(),
             dry: false,
         };
-        let mut rd = Reader::new();
+        let mut rd = Reader::new(0, 0);
         while reader.at < stream.len() {
             transport.take(&fabric, 1, &mut reader, &mut rd).unwrap();
         }
@@ -1843,5 +1996,267 @@ mod tests {
             assert_eq!(land_mixed(&stream, [cut]), whole, "cut at byte {cut}");
         }
         assert_eq!(land_mixed(&stream, 1..stream.len()), whole, "byte by byte");
+    }
+
+    /// A control frame entry, told apart by `gen`.
+    fn ctl(gen: u64) -> Out {
+        Out::Frame(Frame::BarrierArrive { gen }.encode())
+    }
+
+    /// The frames `q`'s outbox holds, decoded from their wire bytes.
+    fn outbox_frames(q: &Queue) -> Vec<Frame> {
+        let bytes: Vec<u8> = q
+            .outbox
+            .iter()
+            .flat_map(Out::parts)
+            .flatten()
+            .copied()
+            .collect();
+        let mut r = io::Cursor::new(bytes);
+        std::iter::from_fn(|| Frame::read_from(&mut r).ok()).collect()
+    }
+
+    /// Everything in `q`'s outbox leaves whole; returns the entries.
+    fn write_all(q: &mut Queue) -> usize {
+        let bytes: usize = q.outbox.iter().map(Out::wire_len).sum();
+        q.advance(bytes - q.at)
+    }
+
+    #[test]
+    fn a_peer_that_has_everything_is_sent_nothing_again() {
+        let mut q = Queue::default();
+        q.outbox.extend((0..10).map(ctl));
+        assert_eq!(write_all(&mut q), 10);
+        q.outbox.push_back(ctl(10));
+        assert_eq!(q.replay(10), Some(Vec::new()));
+        assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 10 }]);
+        assert!(q.unacked.is_empty());
+        assert_eq!((q.written, q.at), (10, 0));
+    }
+
+    #[test]
+    fn frames_the_peer_lacks_go_again_once_in_order_ahead_of_newer_ones() {
+        // Handshakes, rendezvous, eager and barrier traffic, more frames
+        // than any acked window.
+        let frames: Vec<Frame> = (0..5000u64)
+            .map(|i| match i % 4 {
+                0 => Frame::PartRts {
+                    ctx: 3,
+                    total_len: 64,
+                    rdv_id: i,
+                },
+                1 => Frame::PartCts { rdv_id: i },
+                2 => Frame::Rts {
+                    shard: 0,
+                    ctx: 0,
+                    tag: 4,
+                    len: 64,
+                    rdv_id: i,
+                },
+                _ => Frame::Eager {
+                    shard: 0,
+                    ctx: 0,
+                    tag: i as i64,
+                    payload: i.to_le_bytes().to_vec(),
+                },
+            })
+            .collect();
+        let mut q = Queue::default();
+        q.outbox
+            .extend(frames.iter().map(|f| Out::Frame(f.encode())));
+        assert_eq!(write_all(&mut q), 5000);
+        q.ack(900);
+        assert_eq!(q.unacked.len(), 4100, "an ack trims the queue");
+        // A newer frame, torn on the dead socket.
+        let newer = Frame::BarrierArrive { gen: 1 };
+        q.outbox.push_back(Out::Frame(newer.encode()));
+        q.advance(3);
+        assert_eq!(q.replay(1000), Some(Vec::new()));
+        let mut want = frames[1000..].to_vec();
+        want.push(newer);
+        assert!(
+            outbox_frames(&q) == want,
+            "the suffix, in order, then the newer frame whole"
+        );
+        assert_eq!((q.written, q.at), (1000, 0));
+        // Written again, they are sent once: a peer that now has them
+        // all is sent nothing more.
+        assert_eq!(write_all(&mut q), 4001);
+        assert_eq!(q.replay(5001), Some(Vec::new()));
+        assert!(q.outbox.is_empty() && q.unacked.is_empty());
+    }
+
+    #[test]
+    fn a_pinned_range_that_left_whole_and_never_arrived_is_lost() {
+        let src = vec![7u8; 128];
+        // A control frame, stream 7's two ranges, a control frame; all
+        // left whole, so both spans completed.
+        let written = || {
+            let spans: Arc<[SendSpan]> = spans_over(&src, 2).into();
+            let mut q = Queue::default();
+            q.outbox.push_back(ctl(0));
+            q.outbox.extend(stream_writes(&src, &spans, 2));
+            q.outbox.push_back(ctl(1));
+            assert_eq!(write_all(&mut q), 4);
+            assert!(spans.iter().all(|s| s.done.is_set()));
+            q
+        };
+        // The peer read the first range, not the second: that one is
+        // lost, the control frame behind it goes again.
+        let mut q = written();
+        assert_eq!(q.replay(2), Some(vec![(7, 64)]));
+        assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 1 }]);
+        // A peer that read both ranges lost nothing.
+        let mut q = written();
+        assert_eq!(q.replay(3), Some(Vec::new()));
+        assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 1 }]);
+        // The loss is typed and names its stream.
+        let (fabric, transport, _far) = carrier(Trace::ring_verify(4096));
+        transport.lose(&fabric, 1, &[(7, 64)]);
+        let lost = events_named(&fabric, "verify_stream_lost");
+        assert!(matches!(
+            lost[..],
+            [EventKind::VerifyStreamLost {
+                peer: 1,
+                stream: 7,
+                missing: 64
+            }]
+        ));
+        assert!(matches!(
+            fabric.failure_snapshot(),
+            Some(PcommError::MessageLost { src: 0, dst: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_partly_written_pinned_front_entry_goes_again_whole() {
+        let src: Vec<u8> = (0..128).collect();
+        let spans: Arc<[SendSpan]> = spans_over(&src, 1).into();
+        let mut q = Queue::default();
+        q.outbox.push_back(ctl(0));
+        q.outbox.extend(stream_writes(&src, &spans, 2));
+        // The control frame and half the first range left.
+        let torn = q.outbox[0].wire_len() + q.outbox[1].wire_len() / 2;
+        assert_eq!(q.advance(torn), 1);
+        assert_eq!(q.replay(1), Some(Vec::new()));
+        let want = [part_data(7, 0, &src[..64]), part_data(7, 64, &src[64..])];
+        assert_eq!(outbox_frames(&q), want, "the torn range goes again whole");
+        assert!(!spans[0].done.is_set());
+        assert_eq!(write_all(&mut q), 2);
+        assert!(spans[0].done.is_set());
+        assert_eq!(
+            spans[0].remaining.load(Ordering::Acquire),
+            0,
+            "completed once"
+        );
+    }
+
+    #[test]
+    fn a_replay_refuses_a_count_our_writes_could_not_produce() {
+        let mut q = Queue::default();
+        q.outbox.extend((0..3).map(ctl));
+        write_all(&mut q);
+        q.ack(2);
+        assert_eq!(q.replay(1), None, "below what the peer acked");
+        assert_eq!(q.replay(4), None, "past what was written");
+        assert_eq!(q.replay(2), Some(Vec::new()));
+    }
+
+    #[test]
+    fn acks_keep_the_unacked_queue_short() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let dir = std::env::temp_dir();
+        let (f0, t0) = carrier_on(0, a, dir.clone(), Trace::disabled(), None);
+        let (f1, t1) = carrier_on(1, b, dir, Trace::disabled(), None);
+        let reader = t1.peers[0].as_ref().unwrap();
+        let mut most = 0;
+        for gen in 0..20 * ACK_EVERY {
+            t0.send(&f0, 1, Frame::BarrierRelease { gen }, false);
+            let (kept, written) = {
+                let tx = peer_of(&t0).tx.lock();
+                (tx.q.unacked.len() as u64, tx.q.written)
+            };
+            let in_flight = written - reader.frames_received.load(Ordering::Acquire);
+            assert!(
+                kept <= ACK_EVERY + in_flight,
+                "frame {gen}: {kept} kept, {in_flight} in flight"
+            );
+            most = most.max(kept);
+            // The receiver reads in bursts of three.
+            if gen % 3 == 2 {
+                t1.read_in(&f1, 0);
+                t0.read_in(&f0, 1);
+            }
+        }
+        assert!(most < ACK_EVERY + 3, "retention peaked at {most}");
+        assert!(!f0.aborted() && !f1.aborted());
+    }
+
+    /// Rank 1's socket dies after it read 64 of rank 0's 100 eager
+    /// frames (its first ack kills it); rank 0 queues 50 more. After
+    /// the one reconnect, rank 1's 150 posted receives each hold their
+    /// own frame, in order, and a 151st gets nothing: every frame the
+    /// dead socket took arrived, once.
+    #[test]
+    fn a_reconnect_delivers_what_the_dead_socket_took_exactly_once() {
+        const N: u64 = 150;
+        let (a, b) = UnixStream::pair().unwrap();
+        let dir = pcomm_net::launch::unique_rendezvous_dir().unwrap();
+        let kill = FaultPlan::seeded(1).lane_kill(0);
+        let (f0, t0) = carrier_on(0, a, dir.clone(), Trace::disabled(), None);
+        let (f1, t1) = carrier_on(1, b, dir.clone(), Trace::disabled(), Some(&kill));
+        let mut bufs = vec![[0u8; 8]; N as usize + 1];
+        let receives: Vec<_> = bufs
+            .iter_mut()
+            .map(|buf| {
+                let posted = PostedRecv {
+                    ctx: 0,
+                    src: Some(0),
+                    tag: None,
+                    dest_ptr: buf.as_mut_ptr(),
+                    dest_cap: buf.len(),
+                    info: Arc::new(Mutex::new(None)),
+                    completion: Completion::new(),
+                    verify_msg: None,
+                };
+                f1.post_recv(1, 0, posted)
+            })
+            .collect();
+        let eager = |gen: u64| Frame::Eager {
+            shard: 0,
+            ctx: 0,
+            tag: gen as i64,
+            payload: gen.to_le_bytes().to_vec(),
+        };
+        for gen in 0..100 {
+            t0.send(&f0, 1, eager(gen), false);
+        }
+        t1.read_in(&f1, 0);
+        assert!(t1.peers[0].as_ref().unwrap().broken.load(Ordering::Acquire));
+        assert_eq!(
+            f1.matched_count(),
+            ACK_EVERY,
+            "the kill came with the first ack"
+        );
+        for gen in 100..N {
+            t0.send(&f0, 1, eager(gen), false);
+        }
+        let err = io::Error::from(io::ErrorKind::ConnectionReset);
+        std::thread::scope(|s| {
+            s.spawn(|| t0.socket_failed(&f0, 1, &err));
+            s.spawn(|| t1.socket_failed(&f1, 0, &err));
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while f1.matched_count() < N && Instant::now() < deadline {
+            t0.pass(&f0);
+            t1.pass(&f1);
+        }
+        for (gen, (receive, buf)) in receives.iter().zip(&bufs).enumerate().take(N as usize) {
+            assert!(receive.test(), "frame {gen} never arrived");
+            assert_eq!(u64::from_le_bytes(*buf), gen as u64, "receive {gen}");
+        }
+        assert!(!receives[N as usize].test(), "a frame arrived twice");
+        assert!(!f0.aborted() && !f1.aborted());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

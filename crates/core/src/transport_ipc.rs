@@ -51,7 +51,7 @@ use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 use crate::transport::{poll_window, unset_in, Transport, HEARTBEAT_MISS, HEARTBEAT_TICK};
-use crate::wire::{answers_with_push, complete_spans, PinChunk, SendSpans, FINALIZE_TIMEOUT};
+use crate::wire::{answers_with_push, complete_spans, PinChunk, SendSpan, FINALIZE_TIMEOUT};
 
 /// Sleep between drain passes while teardown waits for the peers'
 /// `Bye`s (mirrors the fabric's `WAIT_SLICE`).
@@ -496,7 +496,7 @@ impl IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<SendSpans>,
+        spans: &Arc<[SendSpan]>,
         chunk: PinChunk,
     ) {
         let PinChunk {
@@ -811,7 +811,7 @@ impl Transport for IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<SendSpans>,
+        spans: &Arc<[SendSpan]>,
         chunks: &[PinChunk],
     ) {
         for &chunk in chunks {

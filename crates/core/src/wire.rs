@@ -16,10 +16,9 @@
 //!   instead of a pairing context. The receiver matches the `Rts` like
 //!   any message; the posted buffer becomes the stream's destination and
 //!   the stream's CTS goes back. From there the bytes move, land and
-//!   complete exactly as below — replay absorption and the resync after a
-//!   reconnect included — so every completion stays the same lock-free
-//!   atomic as in-process. An empty message has no byte to stream and
-//!   travels eager.
+//!   complete exactly as below, so every completion stays the same
+//!   lock-free atomic as in-process. An empty message has no byte to
+//!   stream and travels eager.
 //! * **Partitioned streaming**: a wire-bound partitioned send announces
 //!   its whole buffer with one `PartRts`; the receiver pins its whole
 //!   destination, pairs the two FIFO per `(src, ctx)`, and answers a CTS
@@ -31,16 +30,14 @@
 //!   `start` and `wait`), so carriers move ranges straight out of
 //!   application memory; a message's `sent` completion flips when its
 //!   last byte has left. The receiver claims every landed range against
-//!   the stream's interval ledger — the wire is at-least-once across a
-//!   reconnect, so only never-seen bytes count — and flips the
-//!   per-message completions whose ranges have fully landed: `parrived`
-//!   goes true partition-by-partition across processes. After a
-//!   reconnect both sides repeat the handshakes the dead socket may have
-//!   taken, and the receiver reports what it misses, so loss the sender
-//!   cannot replay is a typed error, not a wait.
+//!   the stream's interval ledger — the ranges are the peer's word, and a
+//!   range a reconnect sends again whole lands over the prefix that
+//!   arrived, so only never-seen bytes count — and flips the per-message
+//!   completions whose ranges have fully landed: `parrived` goes true
+//!   partition-by-partition across processes.
 //! * **Barrier**: rank 0 coordinates; everyone ships `BarrierArrive`,
 //!   rank 0 broadcasts `BarrierRelease` for the generation. Arrivals are
-//!   a set, not a count, so a replayed arrival cannot release early. The
+//!   a set, not a count, so a repeated arrival cannot release early. The
 //!   closing barrier of [`WireProtocol::finalize`] is one more
 //!   generation under a hard deadline.
 //! * **RMA**: windows announce their length to a remote origin; puts and
@@ -50,6 +47,11 @@
 //! * **Abort**: the first local failure is encoded into an `Abort` frame
 //!   and sent once to every peer (a latch dedupes); a received abort is
 //!   recorded without re-broadcast.
+//!
+//! Every carrier is an exactly-once FIFO per peer: the ipc ring by
+//! construction, the socket carrier by counting, acking and replaying
+//! its frames across its one reconnect. So nothing here knows about a
+//! reconnect.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -59,7 +61,6 @@ use std::time::{Duration, Instant};
 
 use pcomm_net::frame::{
     Frame, ABORT_MESSAGE_LOST, ABORT_MISUSE, ABORT_MISUSE_RANK, ABORT_PEER_PANICKED,
-    MAX_RESYNC_RANGES,
 };
 use pcomm_trace::EventKind;
 
@@ -134,55 +135,6 @@ impl SendSpan {
     }
 }
 
-/// The spans of one outgoing partitioned stream, plus where its bytes
-/// went: every wire range that has left on a socket, with that socket's
-/// reconnect epoch. A range that left on a socket that died since may be
-/// missing at the peer; one that left on the live socket is on its way.
-/// A message can leave in several ranges across a reconnect, so a
-/// resync judges loss per range, not per span.
-pub(crate) struct SendSpans {
-    spans: Vec<SendSpan>,
-    /// `(lo, hi, epoch)`, adjacent ranges of one epoch merged.
-    sent: Mutex<Vec<(usize, usize, u32)>>,
-}
-
-impl SendSpans {
-    pub(crate) fn new(spans: Vec<SendSpan>) -> SendSpans {
-        SendSpans {
-            spans,
-            sent: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// `offset..offset+len` has left on the socket of reconnect `epoch`:
-    /// record it, and complete the spans it finishes.
-    pub(crate) fn sent(&self, offset: usize, len: usize, epoch: u32) {
-        let mut sent = self.sent.lock();
-        match sent.last_mut() {
-            Some((_, hi, e)) if *hi == offset && *e == epoch => *hi += len,
-            _ => sent.push((offset, offset + len, epoch)),
-        }
-        drop(sent);
-        complete_spans(self, offset, len);
-    }
-
-    /// Whether any byte of `lo..hi` left on a socket older than reconnect
-    /// `epoch`.
-    fn sent_before(&self, lo: usize, hi: usize, epoch: u32) -> bool {
-        let sent = self.sent.lock();
-        sent.iter()
-            .any(|&(s_lo, s_hi, e)| e < epoch && s_lo.max(lo) < s_hi.min(hi))
-    }
-}
-
-impl std::ops::Deref for SendSpans {
-    type Target = [SendSpan];
-
-    fn deref(&self) -> &[SendSpan] {
-        &self.spans
-    }
-}
-
 /// One coalesced run of ready partitions, pinned in the source buffer
 /// (adjacent pushes are contiguous memory, so coalescing just extends
 /// the length).
@@ -231,10 +183,6 @@ impl std::ops::Deref for Ready {
 /// plus ranges queued while the CTS is still in flight.
 struct StreamSend {
     dst: usize,
-    /// The frame that announced the stream (a `PartRts`, or a
-    /// rendezvous's `Rts`), sent again after a reconnect while the CTS
-    /// is outstanding.
-    announce: Frame,
     /// `None` until the receiver pinned its destination (CTS arrived);
     /// then the carrier's grant, if its CTS carried one.
     cts: Option<Option<u64>>,
@@ -250,7 +198,7 @@ struct StreamSend {
     /// Threshold-complete chunks waiting for the CTS.
     queued: Vec<PinChunk>,
     /// Per-message spans the carrier completes as chunks leave.
-    spans: Arc<SendSpans>,
+    spans: Arc<[SendSpan]>,
 }
 
 impl StreamSend {
@@ -312,16 +260,14 @@ impl StreamSend {
 struct StreamRecv {
     base: *mut u8,
     total_len: usize,
-    /// The carrier's reconnect epoch when the CTS was released.
-    cts_epoch: u32,
     /// Bytes of the whole buffer not yet committed; the stream retires
     /// when this hits zero.
     remaining_total: AtomicUsize,
     msgs: Vec<PartStreamMsg>,
-    /// Sorted, disjoint byte intervals already committed. A reconnect
-    /// replays whole batches (at-least-once delivery), so every
-    /// commit first claims its range here and only the never-seen-before
-    /// sub-ranges count — a duplicate range is a no-op.
+    /// Sorted, disjoint byte intervals already committed. Every commit
+    /// first claims its range here and only the never-seen-before
+    /// sub-ranges count — a duplicate range (the peer's word, or a range
+    /// a reconnect sent again whole) is a no-op.
     committed: Mutex<Vec<(usize, usize)>>,
 }
 
@@ -343,7 +289,6 @@ struct PartPair {
 }
 
 type WinSlot = (Arc<Completion>, Option<usize>);
-type ResyncEntry = (usize, u32, Arc<SendSpans>);
 type GetWaiter = (Arc<Completion>, Arc<Mutex<Option<Vec<u8>>>>);
 
 /// The protocol engine of one rank process (see the module docs). Every
@@ -359,27 +304,15 @@ pub(crate) struct WireProtocol {
     /// Sender side: open streams (partitioned sends and rendezvous), by
     /// stream id.
     streams_out: Mutex<HashMap<u64, StreamSend>>,
-    /// Sender side: span sets of live outgoing streams, with their peer
-    /// and the reconnect epoch they began at, for answering a receiver's
-    /// `StreamResync` after a reconnect. A finished stream is pruned when
-    /// a later one begins — unless it began before its peer's reconnect:
-    /// the peer's report may still name it, so it stays until teardown.
-    /// A peer reconnects once, so what stays is bounded by the entries
-    /// the table held toward it at that moment.
-    resync_spans: Mutex<HashMap<u64, ResyncEntry>>,
     /// Receiver side: RTS/post pairing per partitioned (src, ctx) pair.
     part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
     /// Receiver side: active streams taking ranges, by (src, id).
     streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
-    /// Receiver side: streams whose `PartRts` arrived and which have not
-    /// retired, by (src, id). A reconnect re-sends every announcement
-    /// that may have died with the socket; this drops the copies.
-    announced: Mutex<HashSet<(usize, u64)>>,
     /// This process's barrier generation counter (SPMD-aligned).
     barrier_gen: AtomicU64,
     /// Rank 0 only: which ranks arrived per generation. A set, not a
-    /// count: the wire is at-least-once across a reconnect, so a
-    /// replayed `BarrierArrive` must not double-count.
+    /// count: a peer that sends its `BarrierArrive` twice must not
+    /// double-count.
     arrivals: Mutex<HashMap<u64, HashSet<usize>>>,
     /// Release completions per generation (waiter or release creates).
     releases: Mutex<HashMap<u64, Arc<Completion>>>,
@@ -402,10 +335,8 @@ impl WireProtocol {
             carrier,
             next_rdv_id: AtomicU64::new(0),
             streams_out: Mutex::new(HashMap::new()),
-            resync_spans: Mutex::new(HashMap::new()),
             part_registry: Mutex::new(HashMap::new()),
             streams_in: Mutex::new(HashMap::new()),
-            announced: Mutex::new(HashSet::new()),
             barrier_gen: AtomicU64::new(0),
             arrivals: Mutex::new(HashMap::new()),
             releases: Mutex::new(HashMap::new()),
@@ -522,12 +453,8 @@ impl WireProtocol {
         self.activate_stream(fabric, src, rdv_id, len, recv);
     }
 
-    /// Receiver: note the announcement of stream `rdv_id` from `src`;
-    /// `false` for a copy a reconnect sent again.
-    fn announce(&self, fabric: &Fabric, src: usize, rdv_id: u64, total_len: u64) -> bool {
-        if !self.announced.lock().insert((src, rdv_id)) {
-            return false;
-        }
+    /// Receiver: record the announcement of stream `rdv_id` from `src`.
+    fn note_rts(&self, fabric: &Fabric, src: usize, rdv_id: u64, total_len: u64) {
         let (p16, stream) = (src as u16, rdv_id as u32);
         fabric
             .trace()
@@ -537,7 +464,6 @@ impl WireProtocol {
                 stream,
                 total_len,
             });
-        true
     }
 }
 
@@ -580,38 +506,18 @@ impl WireProtocol {
         // ORDERING: id allocator — only uniqueness matters; the id
         // reaches the peer inside the announcing frame, not via memory.
         let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        let spans = Arc::new(SendSpans::new(spans));
-        {
-            // Keep the span set reachable for a post-reconnect resync
-            // check; prune entries whose spans all completed (by byte
-            // count, not by `done`: a persistent request resets and
-            // reuses its completions every round) — unless the stream
-            // began before its peer's reconnect: the peer's resync
-            // report may still name it, and must not find it gone.
-            let mut resync = self.resync_spans.lock();
-            resync.retain(|_, (peer, began, spans)| {
-                *began < self.carrier.epoch(*peer)
-                    || spans
-                        .iter()
-                        .any(|sp| sp.remaining.load(Ordering::Acquire) != 0)
-            });
-            let began = self.carrier.epoch(dst);
-            resync.insert(rdv_id, (dst, began, Arc::clone(&spans)));
-        }
-        let announce = announce(rdv_id);
         // Register before the announcement leaves so a fast CTS finds us.
         self.streams_out.lock().insert(
             rdv_id,
             StreamSend {
                 dst,
-                announce: announce.clone(),
                 cts: None,
                 flushed: false,
                 total_len,
                 pushed: 0,
                 pend: None,
                 queued: Vec::new(),
-                spans,
+                spans: spans.into(),
             },
         );
         let (p16, stream, total) = (dst as u16, rdv_id as u32, total_len as u64);
@@ -623,7 +529,7 @@ impl WireProtocol {
                 stream,
                 total_len: total,
             });
-        self.send(fabric, dst, announce);
+        self.send(fabric, dst, announce(rdv_id));
         rdv_id
     }
 
@@ -713,8 +619,7 @@ impl WireProtocol {
     }
 
     /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement; drop
-    /// a copy re-sent after a reconnect.
+    /// destination if one is waiting, else park the announcement.
     fn handle_part_rts(
         &self,
         fabric: &Fabric,
@@ -723,9 +628,7 @@ impl WireProtocol {
         total_len: usize,
         rdv_id: u64,
     ) {
-        if !self.announce(fabric, src, rdv_id, total_len as u64) {
-            return;
-        }
+        self.note_rts(fabric, src, rdv_id, total_len as u64);
         let recv = {
             let mut reg = self.part_registry.lock();
             let pair = reg.entry((src, ctx)).or_default();
@@ -789,7 +692,6 @@ impl WireProtocol {
         let stream = Arc::new(StreamRecv {
             base: recv.base,
             total_len,
-            cts_epoch: self.carrier.epoch(src),
             remaining_total: AtomicUsize::new(total_len),
             msgs: recv.msgs,
             committed: Mutex::new(Vec::new()),
@@ -802,14 +704,14 @@ impl WireProtocol {
 
     /// Receiver: clear `src` to send stream `rdv_id` into `stream`.
     fn release_cts(&self, fabric: &Fabric, src: usize, rdv_id: u64, stream: &StreamRecv) {
-        let (p16, stream32, epoch) = (src as u16, rdv_id as u32, self.carrier.epoch(src));
+        let (p16, stream32) = (src as u16, rdv_id as u32);
         fabric
             .trace()
             .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
                 peer: p16,
                 tx: true,
                 stream: stream32,
-                epoch,
+                epoch: 0,
             });
         self.carrier
             .ship_part_cts(fabric, src, rdv_id, stream.base, stream.total_len);
@@ -838,7 +740,7 @@ impl WireProtocol {
                 peer: p16,
                 tx: false,
                 stream: stream32,
-                epoch: self.carrier.epoch(peer),
+                epoch: 0,
             });
         let (dst, spans, chunks) = {
             let mut out = self.streams_out.lock();
@@ -961,10 +863,10 @@ impl WireProtocol {
             offset: offset as u64,
             len: len as u32,
         });
-        // At-least-once wire: a reconnect replays whole batches, so the
-        // same range can land twice. Claim it against the stream's
-        // interval ledger first — only the never-committed sub-ranges
-        // count toward message and stream completion.
+        // The same bytes can land twice (a reconnect sends a partly
+        // landed range again whole). Claim the range against the
+        // stream's interval ledger first — only the never-committed
+        // sub-ranges count toward message and stream completion.
         let fresh = claim_range(&mut stream.committed.lock(), offset, end);
         let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
         if fresh_bytes == 0 {
@@ -1020,117 +922,6 @@ impl WireProtocol {
             == fresh_bytes
         {
             self.streams_in.lock().remove(&(src, rdv_id));
-            self.announced.lock().remove(&(src, rdv_id));
-        }
-    }
-
-    /// After a carrier reconnected to `peer`: tell it the high-water
-    /// state of every active incoming stream it sends us, as the
-    /// complement of the committed ledger. The sender cross-checks the
-    /// missing ranges against what it can still replay.
-    ///
-    /// The dead socket may also have taken a stream's handshake with it,
-    /// which would leave both sides waiting: so release again every CTS
-    /// that left on an older socket (the sender ignores one it already
-    /// has), and announce again every stream of ours still waiting for
-    /// its CTS, oldest first (the receiver pairs announcements with
-    /// posts in order, and drops one it already has).
-    pub(crate) fn resync_streams(&self, fabric: &Fabric, peer: usize) {
-        let epoch = self.carrier.epoch(peer);
-        let mut stale_cts = Vec::new();
-        let mut reports = Vec::new();
-        for ((src, rdv_id), stream) in self.streams_in.lock().iter() {
-            if *src != peer {
-                continue;
-            }
-            if stream.cts_epoch < epoch {
-                stale_cts.push((*rdv_id, Arc::clone(stream)));
-            }
-            let committed = stream.committed.lock();
-            let received: u64 = committed.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
-            let mut missing = Vec::new();
-            let mut cursor = 0usize;
-            for &(lo, hi) in committed.iter() {
-                if cursor < lo {
-                    missing.push((cursor as u64, lo as u64));
-                }
-                cursor = hi;
-            }
-            if cursor < stream.total_len {
-                missing.push((cursor as u64, stream.total_len as u64));
-            }
-            // One frame per `MAX_RESYNC_RANGES` gaps, and one when there
-            // are none: the sender judges each on its own.
-            let chunks = missing.chunks(MAX_RESYNC_RANGES).map(<[_]>::to_vec);
-            for missing in chunks.chain(missing.is_empty().then(Vec::new)) {
-                reports.push(Frame::StreamResync {
-                    rdv_id: *rdv_id,
-                    received,
-                    missing,
-                });
-            }
-        }
-        for report in reports {
-            self.send(fabric, peer, report);
-        }
-        for (rdv_id, stream) in stale_cts {
-            self.release_cts(fabric, peer, rdv_id, &stream);
-        }
-        let mut unanswered: Vec<(u64, Frame)> = (self.streams_out.lock().iter())
-            .filter(|(_, s)| s.dst == peer && s.cts.is_none())
-            .map(|(&rdv_id, s)| (rdv_id, s.announce.clone()))
-            .collect();
-        unanswered.sort_unstable_by_key(|&(rdv_id, _)| rdv_id);
-        for (_, announce) in unanswered {
-            self.send(fabric, peer, announce);
-        }
-    }
-
-    /// Sender side of a receiver's post-reconnect `StreamResync`: every
-    /// missing range must still be replayable. Bytes not yet written are
-    /// fine (the outbox sends them), and so are bytes that left on the
-    /// new socket (they follow the report). A missing byte that left on
-    /// the dead socket died with it, and nothing holds it to resend —
-    /// that is unreplayable loss, and it becomes a typed error instead of
-    /// a receiver that waits forever. The report names only streams the
-    /// receiver knew before the reconnect, so one pruned here finished
-    /// before it, on the dead socket.
-    fn handle_stream_resync(
-        &self,
-        fabric: &Fabric,
-        peer: usize,
-        rdv_id: u64,
-        missing: &[(u64, u64)],
-    ) {
-        if missing.is_empty() || fabric.aborted() {
-            return;
-        }
-        let spans = self.resync_spans.lock().get(&rdv_id).cloned();
-        let epoch = self.carrier.epoch(peer);
-        let lost = match spans {
-            // Stream fully retired on our side yet bytes are missing
-            // over there: nothing pinned remains to replay.
-            None => true,
-            Some((_, _, spans)) => missing
-                .iter()
-                .any(|&(lo, hi)| spans.sent_before(lo as usize, hi as usize, epoch)),
-        };
-        if lost {
-            let (p16, stream) = (peer as u16, rdv_id as u32);
-            let missing_bytes: u64 = missing.iter().map(|&(lo, hi)| hi - lo).sum();
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamLost {
-                    peer: p16,
-                    stream,
-                    missing: missing_bytes,
-                });
-            fabric.fail(PcommError::MessageLost {
-                src: self.rank,
-                dst: peer,
-                tag: -1,
-                attempts: 1,
-            });
         }
     }
 }
@@ -1149,7 +940,7 @@ impl WireProtocol {
 
     /// Rank 0: record `from`'s arrival for `gen`; on the last distinct
     /// one, broadcast the release and complete the local waiter. Keyed
-    /// by rank, not counted: a reconnect can replay a `BarrierArrive`.
+    /// by rank, not counted: the arrival is the peer's word.
     fn note_arrival(&self, fabric: &Fabric, gen: u64, from: usize) {
         debug_assert_eq!(self.rank, 0, "only rank 0 coordinates barriers");
         let all_in = {
@@ -1384,15 +1175,9 @@ impl WireProtocol {
                 len,
                 rdv_id,
             } => {
-                if self.announce(fabric, peer, rdv_id, len) {
-                    fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id);
-                }
+                self.note_rts(fabric, peer, rdv_id, len);
+                fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id);
             }
-            // Decodable, never sent: a rendezvous is a stream.
-            Frame::Cts { .. } | Frame::RdvData { .. } => fabric.fail(PcommError::misuse(
-                peer,
-                format!("peer sent a retired {} frame", frame.name()),
-            )),
             Frame::PartRts {
                 ctx,
                 total_len,
@@ -1412,11 +1197,8 @@ impl WireProtocol {
             }
             Frame::BarrierArrive { gen } => self.note_arrival(fabric, gen, peer),
             Frame::BarrierRelease { gen } => self.release_completion(gen).set(),
-            // Liveness only; the carrier already noted that it heard.
+            // Liveness and the socket carrier's ack: the carrier's own.
             Frame::Heartbeat { .. } => {}
-            Frame::StreamResync {
-                rdv_id, missing, ..
-            } => self.handle_stream_resync(fabric, peer, rdv_id, &missing),
             Frame::Abort {
                 kind,
                 a,
@@ -1477,40 +1259,16 @@ pub(crate) fn answers_with_push(frame: &Frame) -> bool {
 
 /// Flip the `done` completions of every sender span fully covered once
 /// `offset..offset+len` has left (sender-side mirror of the receiver's
-/// commit bookkeeping).
+/// commit bookkeeping). Every byte leaves once, so the countdown never
+/// underflows; AcqRel chains the writers' progress like the receiver
+/// side.
 pub(crate) fn complete_spans(spans: &[SendSpan], offset: usize, len: usize) {
     let end = offset + len;
     for span in spans {
         let lo = span.offset.max(offset);
         let hi = (span.offset + span.len).min(end);
-        if lo >= hi {
-            continue;
-        }
-        let overlap = hi - lo;
-        // Saturating CAS rather than a plain subtraction: bytes already
-        // counted may come around again in a replay — the counter must
-        // neither underflow nor fire `done` twice. AcqRel chains the
-        // writers' progress like the receiver side.
-        let mut cur = span.remaining.load(Ordering::Acquire);
-        loop {
-            let take = overlap.min(cur);
-            if take == 0 {
-                break;
-            }
-            match span.remaining.compare_exchange_weak(
-                cur,
-                cur - take,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if cur == take {
-                        span.done.set();
-                    }
-                    break;
-                }
-                Err(seen) => cur = seen,
-            }
+        if lo < hi && span.remaining.fetch_sub(hi - lo, Ordering::AcqRel) == hi - lo {
+            span.done.set();
         }
     }
 }
@@ -1626,7 +1384,6 @@ fn decode_abort(kind: u8, a: u64, b: u64, tag: i64, attempts: u64, detail: Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     /// What the engine asked its carrier to do, in order.
     #[derive(Debug, PartialEq)]
@@ -1653,8 +1410,6 @@ mod tests {
         rank: usize,
         aggr: usize,
         log: Mutex<Vec<Sent>>,
-        /// The reconnect epoch every peer's connection reports.
-        epoch: AtomicU32,
     }
 
     impl Transport for Recorder {
@@ -1664,10 +1419,6 @@ mod tests {
 
         fn stream_aggr(&self) -> usize {
             self.aggr
-        }
-
-        fn epoch(&self, _: usize) -> u32 {
-            self.epoch.load(Ordering::Relaxed)
         }
 
         fn start(self: Arc<Self>, _: &Arc<Fabric>) -> Result<(), PcommError> {
@@ -1692,7 +1443,7 @@ mod tests {
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
-            _: &Arc<SendSpans>,
+            _: &Arc<[SendSpan]>,
             chunks: &[PinChunk],
         ) {
             self.log.lock().push(Sent::Chunks {
@@ -1717,7 +1468,6 @@ mod tests {
             rank,
             aggr,
             log: Mutex::new(Vec::new()),
-            epoch: AtomicU32::new(0),
         });
         let fabric = Fabric::new_configured(
             n_ranks,
@@ -2108,12 +1858,7 @@ mod tests {
             teardown: false,
         };
         assert_eq!(taken(&carrier), vec![frame]);
-        // No stream: a reconnect has no `Rts` to send again, so no copy
-        // can match a later receive.
-        assert!(wire.streams_out.lock().is_empty() && wire.resync_spans.lock().is_empty());
-        carrier.epoch.store(1, Ordering::Relaxed);
-        wire.resync_streams(&fabric, 1);
-        assert!(taken(&carrier).is_empty());
+        assert!(wire.streams_out.lock().is_empty(), "no stream opened");
         assert!(!fabric.aborted());
         // An `Rts` for no bytes would pin a receive that never
         // completes: the peer that sends one is refused.
@@ -2141,236 +1886,6 @@ mod tests {
                 "{detail}"
             );
         }
-    }
-
-    #[test]
-    fn a_retired_rendezvous_frame_from_the_peer_is_misuse() {
-        for frame in [
-            Frame::Cts { rdv_id: 0 },
-            Frame::RdvData {
-                rdv_id: 0,
-                payload: vec![1],
-            },
-        ] {
-            let (fabric, _carrier) = engine(2, 0, 0);
-            let name = frame.name();
-            assert!(fabric.wire().dispatch(&fabric, 1, frame));
-            let detail = misuse_of(&fabric, 1);
-            assert!(detail.contains(&format!("retired {name}")), "{detail}");
-        }
-    }
-
-    #[test]
-    fn a_reconnect_covers_rendezvous() {
-        let (fabric, carrier) = engine(2, 0, 0);
-        let wire = fabric.wire();
-        // Ours: a rendezvous still waiting for its CTS.
-        let src = [5u8; 64];
-        let done = Completion::new();
-        wire.ship_rts(&fabric, 1, 0, 0, 4, &src, &done);
-        // Theirs: a matched rendezvous, half landed.
-        let mut buf = vec![0u8; 8];
-        let (completion, _) = matched_rdv(&fabric, &mut buf);
-        wire.dispatch(&fabric, 1, part_data(3, 0, &[1, 2, 3, 4]));
-        taken(&carrier);
-        carrier.epoch.store(1, Ordering::Relaxed);
-        wire.resync_streams(&fabric, 1);
-        let frame = |frame| Sent::Frame {
-            dst: 1,
-            frame,
-            teardown: false,
-        };
-        let report = Frame::StreamResync {
-            rdv_id: 3,
-            received: 4,
-            missing: vec![(4, 8)],
-        };
-        let want = vec![
-            frame(report),
-            Sent::PartCts { src: 1, rdv_id: 3 },
-            frame(rts(0, 64)),
-        ];
-        assert_eq!(taken(&carrier), want);
-        // The peer's repeated `Rts` is a copy: it matches no second
-        // posted receive.
-        let mut spare = vec![0u8; 8];
-        let spare_done = Completion::new();
-        let posted = PostedRecv {
-            ctx: 0,
-            src: Some(1),
-            tag: Some(4),
-            dest_ptr: spare.as_mut_ptr(),
-            dest_cap: spare.len(),
-            info: Arc::new(Mutex::new(None)),
-            completion: Arc::clone(&spare_done),
-            verify_msg: None,
-        };
-        fabric.post_recv(0, 0, posted);
-        wire.dispatch(&fabric, 1, rts(3, 8));
-        assert!(taken(&carrier).is_empty(), "a copy was matched");
-        wire.dispatch(&fabric, 1, part_data(3, 4, &[5, 6, 7, 8]));
-        assert!(completion.is_set() && !spare_done.is_set());
-        assert!(!fabric.aborted());
-    }
-
-    #[test]
-    fn finished_streams_leave_the_resync_table() {
-        let (fabric, _carrier) = engine(2, 0, 0);
-        let wire = fabric.wire();
-        // A persistent request: the same completion serves every round.
-        let sent = Completion::new();
-        for round in 0..3 {
-            sent.reset();
-            let span = SendSpan::new(0, 64, Arc::clone(&sent));
-            let id = wire.part_stream_begin(&fabric, 1, 7, 64, vec![span]);
-            assert!(
-                wire.resync_spans.lock().len() <= 2,
-                "round {round}: retired streams must not pile up"
-            );
-            let (_, _, spans) = wire.resync_spans.lock().get(&id).cloned().unwrap();
-            complete_spans(&spans, 0, 64);
-            assert!(sent.is_set());
-        }
-    }
-
-    /// Whether a stream of messages `lens` long, whose wire ranges
-    /// `(offset, len, epoch)` in `sent` have left, fails the run as
-    /// `MessageLost` once the reconnect to epoch 1 came and the
-    /// receiver reports `missing`.
-    fn resync_blames(lens: &[usize], sent: &[(usize, usize, u32)], missing: (u64, u64)) -> bool {
-        let (fabric, carrier) = engine(2, 0, 0);
-        let wire = fabric.wire();
-        let mut at = 0;
-        let spans: Vec<_> = lens
-            .iter()
-            .map(|&len| {
-                at += len;
-                SendSpan::new(at - len, len, Completion::new())
-            })
-            .collect();
-        let id = wire.part_stream_begin(&fabric, 1, 7, at, spans);
-        let (_, _, spans) = wire.resync_spans.lock().get(&id).cloned().unwrap();
-        for &(offset, len, epoch) in sent {
-            spans.sent(offset, len, epoch);
-        }
-        carrier.epoch.store(1, Ordering::Relaxed);
-        // A later stream does not prune this one: its peer's report may
-        // still name it.
-        wire.part_stream_begin(&fabric, 1, 7, 8, Vec::new());
-        assert!(wire.resync_spans.lock().contains_key(&id));
-        let report = Frame::StreamResync {
-            rdv_id: id,
-            received: 0,
-            missing: vec![missing],
-        };
-        wire.dispatch(&fabric, 1, report);
-        match fabric.failure_snapshot() {
-            None => false,
-            Some(PcommError::MessageLost { dst: 1, .. }) => true,
-            Some(other) => panic!("not a loss verdict: {other}"),
-        }
-    }
-
-    #[test]
-    fn a_resync_blames_only_bytes_that_left_on_the_dead_socket() {
-        // Message 0 left on the socket that died; message 1 on the new
-        // one, so its bytes follow the report.
-        let two = [(0, 64, 0), (64, 64, 1)];
-        assert!(resync_blames(&[64, 64], &two, (0, 64)));
-        assert!(!resync_blames(&[64, 64], &two, (64, 128)));
-        // One message in two ranges across the reconnect: its front
-        // died, though the message finished on the live socket.
-        assert!(resync_blames(&[128], &two, (0, 64)));
-        assert!(!resync_blames(&[128], &two, (64, 128)));
-        // Its front died and its back is still queued: the front is
-        // lost, the back is on its way.
-        assert!(resync_blames(&[128], &two[..1], (0, 64)));
-        assert!(!resync_blames(&[128], &two[..1], (64, 128)));
-    }
-
-    #[test]
-    fn a_resync_report_covers_every_gap_however_many() {
-        const GAPS: usize = MAX_RESYNC_RANGES + 904;
-        let (fabric, carrier) = engine(2, 0, 0);
-        let wire = fabric.wire();
-        let mut buf = vec![0u8; 2 * GAPS];
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 2 * GAPS));
-        wire.dispatch(&fabric, 1, part_rts(2 * GAPS, 5));
-        // Every odd byte lands, so every even one is a gap.
-        for at in (1..2 * GAPS as u64).step_by(2) {
-            wire.dispatch(&fabric, 1, part_data(5, at, &[1]));
-        }
-        taken(&carrier);
-        carrier.epoch.store(1, Ordering::Relaxed);
-        wire.resync_streams(&fabric, 1);
-        let mut reported = Vec::new();
-        for sent in taken(&carrier) {
-            if let Sent::Frame {
-                frame: Frame::StreamResync { missing, .. },
-                ..
-            } = sent
-            {
-                assert!(missing.len() <= MAX_RESYNC_RANGES);
-                reported.extend(missing);
-            }
-        }
-        assert_eq!(reported.len(), GAPS, "every gap reported");
-        let gaps: Vec<(u64, u64)> = (0..GAPS as u64).map(|g| (2 * g, 2 * g + 1)).collect();
-        assert!(reported == gaps, "the gaps, in order");
-        assert!(!fabric.aborted());
-    }
-
-    #[test]
-    fn a_reconnect_repeats_the_handshakes_the_dead_socket_may_have_taken() {
-        let (fabric, carrier) = engine(2, 0, 0);
-        let wire = fabric.wire();
-        // Ours: one stream still waits for its CTS, one has it.
-        let waits = wire.part_stream_begin(&fabric, 1, 3, 64, Vec::new());
-        let cleared = wire.part_stream_begin(&fabric, 1, 4, 64, Vec::new());
-        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: cleared });
-        // Theirs: stream 5 cleared on the old socket, stream 6 parked.
-        let mut buf = vec![0u8; 32];
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-        wire.dispatch(&fabric, 1, part_rts(32, 5));
-        wire.dispatch(&fabric, 1, part_rts(32, 6));
-        taken(&carrier);
-        carrier.epoch.store(1, Ordering::Relaxed);
-        wire.resync_streams(&fabric, 1);
-        let frame = |frame| Sent::Frame {
-            dst: 1,
-            frame,
-            teardown: false,
-        };
-        let report = Frame::StreamResync {
-            rdv_id: 5,
-            received: 0,
-            missing: vec![(0, 32)],
-        };
-        let rts = Frame::PartRts {
-            ctx: 3,
-            total_len: 64,
-            rdv_id: waits,
-        };
-        let want = vec![
-            frame(report),
-            Sent::PartCts { src: 1, rdv_id: 5 },
-            frame(rts),
-        ];
-        assert_eq!(taken(&carrier), want);
-        // The peer's repeated announcements are copies: neither pairs
-        // with the next post, which takes the parked stream 6.
-        wire.dispatch(&fabric, 1, part_rts(32, 5));
-        wire.dispatch(&fabric, 1, part_rts(32, 6));
-        let mut next = vec![0u8; 32];
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut next, 32));
-        assert_eq!(taken(&carrier), vec![Sent::PartCts { src: 1, rdv_id: 6 }]);
-        let mut spare = vec![0u8; 32];
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut spare, 32));
-        assert!(taken(&carrier).is_empty(), "a copy paired with a post");
-        // A retired stream leaves no trace behind.
-        wire.dispatch(&fabric, 1, part_data(5, 0, &[1; 32]));
-        assert!(!wire.announced.lock().contains(&(1, 5)));
-        assert!(!fabric.aborted());
     }
 
     #[test]
@@ -2476,14 +1991,13 @@ mod tests {
     fn fresh_stream(total_len: usize) -> StreamSend {
         StreamSend {
             dst: 1,
-            announce: Frame::Bye,
             cts: None,
             flushed: false,
             total_len,
             pushed: 0,
             pend: None,
             queued: Vec::new(),
-            spans: Arc::new(SendSpans::new(Vec::new())),
+            spans: Arc::new([]),
         }
     }
 
@@ -2556,25 +2070,6 @@ mod tests {
         assert!(!spans[1].done.is_set(), "half-written span stays pending");
         complete_spans(&spans, 150, 50);
         assert!(spans[1].done.is_set(), "second write covers the remainder");
-    }
-
-    #[test]
-    fn span_completion_saturates_on_failover_replay() {
-        let spans = vec![SendSpan::new(0, 100, Completion::new())];
-        complete_spans(&spans, 0, 60);
-        assert_eq!(spans[0].remaining.load(Ordering::Relaxed), 40);
-        complete_spans(&spans, 40, 60);
-        assert!(spans[0].done.is_set());
-        // Replays against a finished span saturate at zero: the counter
-        // never underflows (a plain `fetch_sub` would wrap to usize::MAX
-        // and the span could "complete" again on the way back down).
-        complete_spans(&spans, 0, 100);
-        complete_spans(&spans, 20, 50);
-        assert_eq!(
-            spans[0].remaining.load(Ordering::Relaxed),
-            0,
-            "post-completion replays are no-ops"
-        );
     }
 
     #[test]

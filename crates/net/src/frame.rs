@@ -15,23 +15,21 @@
 //! `PartRts` announces a whole partitioned-send buffer for a given
 //! communicator context, the receiver answers `PartCts` once its
 //! destination is pinned, and each `PartData` commits one byte range
-//! (an aggregated run of ready partitions) at an explicit offset.
-//! Because every `PartData` names its own offset, a replayed range
-//! lands idempotently.
+//! (an aggregated run of ready partitions) at an explicit offset, so a
+//! range a reconnect sends again whole lands idempotently over the
+//! prefix that already arrived.
 //!
-//! Opcodes 17–18 serve liveness and recovery: `Heartbeat` frames keep
-//! every socket audibly alive on a fixed interval, and after a
-//! reconnect each receiver reports, per open inbound stream, which byte
-//! ranges it is still missing. The sender judges from them whether
-//! bytes left on the dead socket (a typed `MessageLost`) or are still
-//! on their way.
+//! Opcode 17, `Heartbeat`, keeps every socket audibly alive on a fixed
+//! interval and carries the cumulative count of frames its sender has
+//! read whole from the peer: the socket carrier's ack. Opcodes 4, 5 and
+//! 18 are retired and stay unassigned.
 
 use std::io::{self, Read, Write};
 
-/// Protocol version carried in every frame body. Version 2 added the
-/// `lane` field to `Hello` (always 0 since a pair shares one socket)
-/// and the partitioned streaming frames (`PartRts`/`PartCts`/`PartData`).
-pub const WIRE_VERSION: u8 = 2;
+/// Protocol version carried in every frame body. Version 3 made
+/// `Hello` and `Heartbeat` carry the receive count a reconnect replays
+/// from, and retired opcodes 4, 5 and 18.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame body; larger lengths are treated as stream
 /// corruption rather than an allocation request.
@@ -47,23 +45,20 @@ pub const ABORT_MISUSE_RANK: u8 = 3;
 /// [`Frame::Abort`] kind: API misuse with no attributable rank.
 pub const ABORT_MISUSE: u8 = 4;
 
-/// Upper bound on the number of missing ranges one [`Frame::StreamResync`]
-/// may carry; a decoded count beyond this is treated as corruption.
-pub const MAX_RESYNC_RANGES: usize = 4096;
-
 // One row per frame, in opcode order: `Variant = <opcode> <CONST>
 // "<opcode doc>"`, then its fields in wire order. The values are part of
 // the wire format and must never be renumbered. The macro that turns the
 // rows into code is below the table, so it is invoked by path.
 self::frames! {
-    /// First frame on every connection: who is connecting, and for
-    /// which universe (the per-process multiproc universe sequence
-    /// number).
+    /// First frame on every connection: who is connecting, for which
+    /// universe (the per-process multiproc universe sequence number),
+    /// and how many of the peer's frames it has read whole.
     Hello = 1 HELLO "Connection handshake ([`Frame::Hello`](super::Frame::Hello))." {
         /// Rank of the connecting process.
         rank: u16,
-        /// Always 0: a peer pair has one socket. Checked on receipt.
-        lane: u16,
+        /// Frames read whole from the peer over the pair's lifetime: 0
+        /// on a first connection, where a reconnect resumes.
+        received: u64,
         /// Universe sequence number both sides must agree on.
         seq: u64,
     };
@@ -92,25 +87,6 @@ self::frames! {
         len: u64,
         /// Sender-chosen stream id, echoed by `PartCts`/`PartData`.
         rdv_id: u64,
-    };
-    /// Decodable, never sent: a rendezvous is a one-message stream, so
-    /// its clear-to-send is a [`Frame::PartCts`]. A peer that sends one
-    /// fails the run as `Misuse`. Kept only so `tests/frame_golden.txt`
-    /// stays as recorded; the next change that bumps [`WIRE_VERSION`]
-    /// deletes this row, its golden lines and its dispatch arm.
-    Cts = 4 CTS "Rendezvous clear-to-send." {
-        /// The rendezvous id from the RTS.
-        rdv_id: u64,
-    };
-    /// Decodable, never sent: a rendezvous payload travels as a
-    /// [`Frame::PartData`] range. A peer that sends one fails the run as
-    /// `Misuse`. Kept, like `Cts`, only for the golden record until the
-    /// next [`WIRE_VERSION`] bump.
-    RdvData = 5 RDV_DATA "Rendezvous payload." {
-        /// The rendezvous id from the RTS.
-        rdv_id: u64,
-        /// The message bytes.
-        payload: Vec<u8>,
     };
     /// A rank reached barrier generation `gen` (sent to the coordinator).
     BarrierArrive = 6 BARRIER_ARRIVE "Barrier arrival (rank → coordinator)." {
@@ -201,26 +177,11 @@ self::frames! {
         /// The range bytes.
         payload: Vec<u8>,
     };
-    /// Liveness probe. Carries a sender-local sequence number
-    /// for diagnostics; receipt of *any* frame counts as life, the
-    /// heartbeat just guarantees a bounded silence interval.
+    /// Liveness probe and ack. Receipt of *any* frame counts as life,
+    /// the heartbeat just guarantees a bounded silence interval.
     Heartbeat = 17 HEARTBEAT "Liveness heartbeat." {
-        /// Monotonic per-peer heartbeat counter.
-        seq: u64,
-    };
-    /// After a reconnect, the receiver of stream `rdv_id` reports how
-    /// much it has committed and which byte ranges are still missing, so
-    /// the sender can judge whether any of them left on the dead socket.
-    /// A stream with more than [`MAX_RESYNC_RANGES`] gaps is reported in
-    /// several frames.
-    StreamResync = 18 STREAM_RESYNC "Post-failover stream resynchronisation." {
-        /// The stream id from the PartRts.
-        rdv_id: u64,
-        /// Total bytes committed so far (diagnostics).
+        /// Frames read whole from the peer over the pair's lifetime.
         received: u64,
-        /// Half-open byte ranges `(lo, hi)` not yet committed: a `u16`
-        /// count, then the pairs.
-        missing: Vec<(u64, u64)>,
     };
 }
 
@@ -370,34 +331,6 @@ impl Field for String {
 
     fn take(d: &mut Dec<'_>) -> io::Result<Self> {
         Ok(String::from_utf8_lossy(d.rest()).into_owned())
-    }
-}
-
-/// A `u16` count, then that many `(u64, u64)` pairs; at most
-/// [`MAX_RESYNC_RANGES`] of them.
-impl Field for Vec<(u64, u64)> {
-    fn put(&self, out: &mut Vec<u8>) {
-        debug_assert!(self.len() <= MAX_RESYNC_RANGES);
-        let ranges = &self[..self.len().min(MAX_RESYNC_RANGES)];
-        (ranges.len() as u16).put(out);
-        for (lo, hi) in ranges {
-            lo.put(out);
-            hi.put(out);
-        }
-    }
-
-    fn take(d: &mut Dec<'_>) -> io::Result<Self> {
-        let count = u16::take(d)? as usize;
-        if count > MAX_RESYNC_RANGES {
-            return Err(corrupt(format!("implausible resync range count {count}")));
-        }
-        // Sized by bytes actually present, not the claimed count, so a
-        // lying count cannot reserve memory.
-        let mut ranges = Vec::new();
-        for _ in 0..count {
-            ranges.push((u64::take(d)?, u64::take(d)?));
-        }
-        Ok(ranges)
     }
 }
 
@@ -598,6 +531,12 @@ impl Decoder {
         self.body.capacity()
     }
 
+    /// Whether the last [`Event::Head`] surfaced belongs to a frame not
+    /// yet read whole.
+    pub fn mid_frame(&self) -> bool {
+        !matches!(self.stage, Stage::Head)
+    }
+
     /// Read what `r` has toward the next [`Event`]; `Ok(None)` once `r`
     /// runs dry (`WouldBlock`), with the place kept. A pinned payload
     /// goes through `land(piece, r)`, which reads at most `piece.len`
@@ -717,7 +656,7 @@ mod tests {
     fn all_frames_roundtrip() {
         roundtrip(Frame::Hello {
             rank: 3,
-            lane: 1,
+            received: 1 << 40,
             seq: 7,
         });
         roundtrip(Frame::Eager {
@@ -732,11 +671,6 @@ mod tests {
             tag: 5,
             len: 1 << 20,
             rdv_id: 42,
-        });
-        roundtrip(Frame::Cts { rdv_id: 42 });
-        roundtrip(Frame::RdvData {
-            rdv_id: 42,
-            payload: vec![9; 128],
         });
         roundtrip(Frame::BarrierArrive { gen: 8 });
         roundtrip(Frame::BarrierRelease { gen: 8 });
@@ -787,17 +721,7 @@ mod tests {
             offset: 1 << 16,
             payload: vec![5; 256],
         });
-        roundtrip(Frame::Heartbeat { seq: 999 });
-        roundtrip(Frame::StreamResync {
-            rdv_id: 77,
-            received: 1 << 19,
-            missing: vec![(0, 4096), (1 << 19, 65536)],
-        });
-        roundtrip(Frame::StreamResync {
-            rdv_id: 1,
-            received: 0,
-            missing: Vec::new(),
-        });
+        roundtrip(Frame::Heartbeat { received: 999 });
     }
 
     #[test]
@@ -829,8 +753,8 @@ mod tests {
         assert_eq!((rdv_id, offset), (9, 4096));
         assert_eq!(payload, &[0xCD; 33][..]);
         // Non-PartData bodies are refused by the fast path.
-        let cts = Frame::Cts { rdv_id: 9 }.encode();
-        assert_eq!(body_opcode(&cts[4..]).unwrap(), op::CTS);
+        let cts = Frame::PartCts { rdv_id: 9 }.encode();
+        assert_eq!(body_opcode(&cts[4..]).unwrap(), op::PART_CTS);
         assert!(decode_part_data(&cts[4..]).is_err());
     }
 
@@ -862,13 +786,15 @@ mod tests {
 
     #[test]
     fn unknown_opcode_is_rejected() {
-        let body = [WIRE_VERSION, 200];
-        assert!(Frame::decode(&body).is_err());
+        // The retired opcodes stay unassigned.
+        for op in [4, 5, 18, 200] {
+            assert!(Frame::decode(&[WIRE_VERSION, op]).is_err(), "opcode {op}");
+        }
     }
 
     #[test]
     fn truncated_body_is_rejected() {
-        let enc = Frame::Cts { rdv_id: 1 }.encode();
+        let enc = Frame::PartCts { rdv_id: 1 }.encode();
         assert!(Frame::decode(&enc[4..enc.len() - 2]).is_err());
         let part = Frame::PartData {
             rdv_id: 1,
@@ -901,16 +827,5 @@ mod tests {
         let mut cursor = std::io::Cursor::new(&bytes);
         let err = Frame::read_from(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn resync_range_count_lies_are_rejected() {
-        // Body claims u16::MAX ranges but carries none.
-        let mut body = vec![WIRE_VERSION, op::STREAM_RESYNC];
-        body.extend_from_slice(&7u64.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&(u16::MAX).to_le_bytes());
-        let err = Frame::decode(&body).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

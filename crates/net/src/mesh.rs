@@ -5,9 +5,9 @@
 //! in the shared rendezvous directory; TCP publishes a `.port` file
 //! written temp-then-rename so readers never see a partial write). For
 //! each pair the lower rank connects to the higher rank's listener and
-//! sends a [`Frame::Hello`] carrying its rank, lane 0 and the universe
-//! sequence number; the acceptor uses the hello to identify the peer and
-//! to reject cross-universe connections. A pair is joined by exactly one
+//! sends a [`Frame::Hello`] carrying its rank and the universe sequence
+//! number; the acceptor uses the hello to identify the peer and to
+//! reject cross-universe connections. A pair is joined by exactly one
 //! socket, which carries all of its traffic. Connects never wait on
 //! accepts (the OS listen backlog decouples them), so establishment
 //! cannot deadlock; every blocking step carries a deadline so a missing
@@ -175,37 +175,38 @@ fn invalid(detail: String) -> io::Error {
 }
 
 /// Read the opening hello from an accepted connection, bounded by
-/// `deadline`, and check that it opens lane 0 of universe `cfg.seq`.
-/// Returns the peer's rank.
-fn read_hello(ep: &mut Endpoint, cfg: &MeshConfig, deadline: Instant) -> io::Result<usize> {
+/// `deadline`, and check that it names universe `cfg.seq`. Returns the
+/// peer's rank and how many of our frames it has read.
+fn read_hello(ep: &mut Endpoint, cfg: &MeshConfig, deadline: Instant) -> io::Result<(usize, u64)> {
     let left = deadline
         .checked_duration_since(Instant::now())
         .unwrap_or(Duration::from_millis(1));
     ep.set_read_timeout(Some(left))?;
     let frame = Frame::read_from(ep)?;
     ep.set_read_timeout(None)?;
-    let Frame::Hello { rank, lane, seq } = frame else {
-        return Err(invalid(format!(
-            "net: expected Hello, got {}",
-            frame.name()
-        )));
-    };
-    if lane != 0 || seq != cfg.seq {
-        return Err(invalid(format!(
-            "net: hello from rank {rank} names lane {lane} of universe {seq}, \
-             this process expects lane 0 of universe {} — the rank processes \
-             have diverged (non-SPMD main?)",
+    match frame {
+        Frame::Hello {
+            rank,
+            received,
+            seq,
+        } if seq == cfg.seq => Ok((rank as usize, received)),
+        Frame::Hello { rank, seq, .. } => Err(invalid(format!(
+            "net: hello from rank {rank} names universe {seq}, this process \
+             expects universe {} — the rank processes have diverged (non-SPMD main?)",
             cfg.seq
-        )));
+        ))),
+        other => Err(invalid(format!(
+            "net: expected Hello, got {}",
+            other.name()
+        ))),
     }
-    Ok(rank as usize)
 }
 
-/// Write our hello (rank, lane 0, universe) on a fresh connection.
-fn write_hello(ep: &mut Endpoint, cfg: &MeshConfig) -> io::Result<()> {
+/// Write our hello (rank, receive count, universe) on a fresh connection.
+fn write_hello(ep: &mut Endpoint, cfg: &MeshConfig, received: u64) -> io::Result<()> {
     Frame::Hello {
         rank: cfg.rank as u16,
-        lane: 0,
+        received,
         seq: cfg.seq,
     }
     .write_to(ep)?;
@@ -228,7 +229,7 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
         let path = sock_path(&cfg.dir, cfg.seq, peer);
         let what = format!("rank {peer} (universe {})", cfg.seq);
         let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
-        write_hello(&mut ep, cfg)?;
+        write_hello(&mut ep, cfg, 0)?;
         *slot = Some(ep);
     }
 
@@ -236,7 +237,7 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
     // whose it is (accept order is arbitrary).
     for _ in 0..cfg.rank {
         let mut ep = listener.accept_deadline(deadline)?;
-        let peer = read_hello(&mut ep, cfg, deadline)?;
+        let (peer, _) = read_hello(&mut ep, cfg, deadline)?;
         if peer >= cfg.rank || peers[peer].is_some() {
             return Err(invalid(format!(
                 "net: unexpected or duplicate connection from rank {peer} \
@@ -263,16 +264,23 @@ pub fn establish(cfg: &MeshConfig) -> io::Result<Mesh> {
 /// lower rank of the pair listens on a fresh pair-scoped rendezvous
 /// name, the higher rank connects (both sides call this one function).
 /// Hellos are exchanged in *both* directions so each side proves who it
-/// is and that it still belongs to universe `cfg.seq`. Every blocking
-/// step is bounded by `deadline`, so a peer that died for real turns
-/// into a typed error, never a hang.
-pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::Result<Endpoint> {
+/// is and that it still belongs to universe `cfg.seq`, and says how many
+/// of the other's frames it has read whole (`received`; the peer's count
+/// comes back with the endpoint). Every blocking step is bounded by
+/// `deadline`, so a peer that died for real turns into a typed error,
+/// never a hang.
+pub fn reconnect_pair(
+    cfg: &MeshConfig,
+    peer: usize,
+    received: u64,
+    deadline: Instant,
+) -> io::Result<(Endpoint, u64)> {
     assert!(peer != cfg.rank && peer < cfg.n_ranks, "peer out of range");
     let (lo, hi) = (cfg.rank.min(peer), cfg.rank.max(peer));
     let path = reconnect_path(&cfg.dir, cfg.seq, lo, hi);
     let expect = |ep: &mut Endpoint| match read_hello(ep, cfg, deadline)? {
-        rank if rank == peer => Ok(()),
-        rank => Err(invalid(format!(
+        (rank, has) if rank == peer => Ok(has),
+        (rank, _) => Err(invalid(format!(
             "net: reconnect hello from rank {rank}, expected rank {peer}"
         ))),
     };
@@ -282,18 +290,18 @@ pub fn reconnect_pair(cfg: &MeshConfig, peer: usize, deadline: Instant) -> io::R
         let listener = bind(cfg.backend, &path)?;
         let result = (|| {
             let mut ep = listener.accept_deadline(deadline)?;
-            expect(&mut ep)?;
-            write_hello(&mut ep, cfg)?;
-            Ok(ep)
+            let has = expect(&mut ep)?;
+            write_hello(&mut ep, cfg, received)?;
+            Ok((ep, has))
         })();
         unbind(&path);
         result
     } else {
         let what = format!("rank {peer} (reconnect, universe {})", cfg.seq);
         let mut ep = connect_to(cfg.backend, &path, deadline, &what)?;
-        write_hello(&mut ep, cfg)?;
-        expect(&mut ep)?;
-        Ok(ep)
+        write_hello(&mut ep, cfg, received)?;
+        let has = expect(&mut ep)?;
+        Ok((ep, has))
     }
 }
 
@@ -364,7 +372,11 @@ mod tests {
             };
             handles.push(std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(5);
-                let mut ep = reconnect_pair(&cfg, 1 - rank, deadline).unwrap();
+                // Each side names how many frames it holds; each learns
+                // the other's count.
+                let (mut ep, has) =
+                    reconnect_pair(&cfg, 1 - rank, 10 + rank as u64, deadline).unwrap();
+                assert_eq!(has, 11 - rank as u64);
                 ep.write_all(&[rank as u8]).unwrap();
                 let mut b = [0u8; 1];
                 ep.read_exact(&mut b).unwrap();

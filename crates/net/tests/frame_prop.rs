@@ -50,14 +50,14 @@ impl XorShift {
     }
 }
 
-const N_VARIANTS: usize = 18;
+const N_VARIANTS: usize = 15;
 
 /// One random instance of variant `v` (0..N_VARIANTS).
 fn gen_frame(rng: &mut XorShift, v: usize) -> Frame {
     match v {
         0 => Frame::Hello {
             rank: rng.edgy() as u16,
-            lane: rng.edgy() as u16,
+            received: rng.edgy(),
             seq: rng.edgy(),
         },
         1 => Frame::Eager {
@@ -73,14 +73,9 @@ fn gen_frame(rng: &mut XorShift, v: usize) -> Frame {
             len: rng.edgy(),
             rdv_id: rng.edgy(),
         },
-        3 => Frame::Cts { rdv_id: rng.edgy() },
-        4 => Frame::RdvData {
-            rdv_id: rng.edgy(),
-            payload: rng.payload(),
-        },
-        5 => Frame::BarrierArrive { gen: rng.edgy() },
-        6 => Frame::BarrierRelease { gen: rng.edgy() },
-        7 => Frame::Abort {
+        3 => Frame::BarrierArrive { gen: rng.edgy() },
+        4 => Frame::BarrierRelease { gen: rng.edgy() },
+        5 => Frame::Abort {
             kind: (rng.next() % 5) as u8,
             a: rng.edgy(),
             b: rng.edgy(),
@@ -88,45 +83,39 @@ fn gen_frame(rng: &mut XorShift, v: usize) -> Frame {
             attempts: rng.edgy(),
             detail: rng.ascii(),
         },
-        8 => Frame::Bye,
-        9 => Frame::WinAnnounce {
+        6 => Frame::Bye,
+        7 => Frame::WinAnnounce {
             win_ctx: rng.edgy(),
             len: rng.edgy(),
         },
-        10 => Frame::Put {
+        8 => Frame::Put {
             win_ctx: rng.edgy(),
             offset: rng.edgy(),
             payload: rng.payload(),
         },
-        11 => Frame::GetReq {
+        9 => Frame::GetReq {
             win_ctx: rng.edgy(),
             offset: rng.edgy(),
             len: rng.edgy(),
             token: rng.edgy(),
         },
-        12 => Frame::GetResp {
+        10 => Frame::GetResp {
             token: rng.edgy(),
             payload: rng.payload(),
         },
-        13 => Frame::PartRts {
+        11 => Frame::PartRts {
             ctx: rng.edgy(),
             total_len: rng.edgy(),
             rdv_id: rng.edgy(),
         },
-        14 => Frame::PartCts { rdv_id: rng.edgy() },
-        15 => Frame::PartData {
+        12 => Frame::PartCts { rdv_id: rng.edgy() },
+        13 => Frame::PartData {
             rdv_id: rng.edgy(),
             offset: rng.edgy(),
             payload: rng.payload(),
         },
-        16 => Frame::Heartbeat { seq: rng.edgy() },
-        17 => Frame::StreamResync {
-            rdv_id: rng.edgy(),
+        14 => Frame::Heartbeat {
             received: rng.edgy(),
-            missing: {
-                let n = (rng.next() % 5) as usize;
-                (0..n).map(|_| (rng.edgy(), rng.edgy())).collect()
-            },
         },
         _ => unreachable!("variant index out of range"),
     }
@@ -136,11 +125,9 @@ fn gen_frame(rng: &mut XorShift, v: usize) -> Frame {
 /// Any body shorter than `2 + fixed` must be rejected by the decoder.
 fn fixed_field_bytes(f: &Frame) -> usize {
     match f {
-        Frame::Hello { .. } => 2 + 2 + 8,
+        Frame::Hello { .. } => 2 + 8 + 8,
         Frame::Eager { .. } => 2 + 8 + 8,
         Frame::Rts { .. } => 2 + 8 + 8 + 8 + 8,
-        Frame::Cts { .. } => 8,
-        Frame::RdvData { .. } => 8,
         Frame::BarrierArrive { .. } | Frame::BarrierRelease { .. } => 8,
         Frame::Abort { .. } => 1 + 8 + 8 + 8 + 8,
         Frame::Bye => 0,
@@ -152,7 +139,6 @@ fn fixed_field_bytes(f: &Frame) -> usize {
         Frame::PartCts { .. } => 8,
         Frame::PartData { .. } => 8 + 8,
         Frame::Heartbeat { .. } => 8,
-        Frame::StreamResync { .. } => 8 + 8 + 2,
     }
 }
 
@@ -224,7 +210,6 @@ fn has_rest(f: &Frame) -> bool {
     matches!(
         f,
         Frame::Eager { .. }
-            | Frame::RdvData { .. }
             | Frame::Abort { .. }
             | Frame::Put { .. }
             | Frame::GetResp { .. }
@@ -262,7 +247,7 @@ fn a_fixed_layout_body_with_a_byte_to_spare_is_rejected() {
     }
     assert_eq!(
         checked,
-        12 * ROUNDS,
+        10 * ROUNDS,
         "every fixed-layout variant, every round"
     );
 }

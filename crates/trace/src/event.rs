@@ -600,8 +600,8 @@ self::taxonomy! {
         tx: bool @ aux2,
         /// Stream id.
         stream: u32 @ w2[0..32],
-        /// Reconnect epoch at release time — the FSM pass proves at
-        /// most one release per stream per epoch.
+        /// Always 0: the engine sees no reconnect, and the ledger pass
+        /// proves at most one release per stream.
         epoch: u32 @ w2[32..64],
     } => (
         "verify: stream {stream} cts {} rank {peer} epoch {epoch}",
@@ -644,14 +644,14 @@ self::taxonomy! {
         len: u32 @ w2[32..64],
     } => ("verify: stream {stream} commit <- rank {peer} lane {lane} @ {lo} ({len} B fresh)");
     /// [verify] The sender declared a stream's bytes unrecoverable
-    /// (`MessageLost`) from a resync request naming a retired span.
-    /// Instant, sender side.
+    /// (`MessageLost`): a pinned range left whole on a socket that died
+    /// before the peer read it, so it cannot go again. Instant, sender.
     VerifyStreamLost = 41 "verify_stream_lost" verify {
-        /// Receiver rank whose resync triggered the verdict.
+        /// Receiver rank the range was bound for.
         peer: u16 @ aux1,
         /// Stream id.
         stream: u32 @ w2[0..32],
-        /// Bytes the receiver reported missing.
+        /// Bytes of the lost range.
         missing: u64 @ w3,
     } => ("verify: stream {stream} declared lost (rank {peer} missing {missing} B)");
     /// [verify] Binds one wire message of a partitioned request to its

@@ -17,10 +17,10 @@
 //!    `Bye`, and a `Bye` with no preceding barrier are findings.
 //! 2. **Stream ledger** — per `(sender, stream)` partitioned stream:
 //!    `PartData` only after the receiver saw `PartRts`, offsets inside
-//!    the pinned stream, `PartCts` released at most once per reconnect
-//!    epoch, commits pairwise disjoint and covered by bytes the sender
-//!    actually put on the wire, and `MessageLost` only when the
-//!    receiver's ledger really has a hole.
+//!    the pinned stream, `PartCts` released once per stream (a reconnect
+//!    never repeats one), commits pairwise disjoint and covered by bytes
+//!    the sender actually put on the wire, and `MessageLost` only when
+//!    the receiver's ledger really has a hole.
 //! 3. **Cross-process happens-before** — wire send→recv pairs bound
 //!    each rank's clock offset (send precedes recv in wall time, both
 //!    directions), request ids are unified through the stream layout
@@ -42,8 +42,7 @@
 //! emits, presenting itself as a single always-`lane 0`, always-
 //! `epoch 0` channel per peer pair: an SPSC descriptor ring is one
 //! FIFO stream (so ordinal matching holds exactly as for a socket) and
-//! there is no reconnect (so the epoch never advances and the
-//! one-CTS-per-epoch rule degenerates to one CTS per stream). Zero-copy
+//! there is no reconnect (so the epoch never advances). Zero-copy
 //! arena commits emit `VerifyStreamData`/`Commit` like any other range,
 //! so the ledger invariants apply unchanged.
 
@@ -73,7 +72,7 @@ pub enum AuditKind {
     DataBeforeRts,
     /// Stream payload lies (partly) outside the pinned stream extent.
     DataBeyondStream,
-    /// More than one `PartCts` released for a stream in one epoch.
+    /// A stream's `PartCts` released more than once.
     CtsReplayed,
     /// Two ledger commits overlap — `claim_range` double-committed.
     CommitOverlap,
@@ -285,8 +284,8 @@ struct StreamInfo {
     rx_data: Vec<(u64, u32, u16, usize)>,
     /// Ledger commits: `(lo, len, lane, seq)`.
     commits: Vec<(u64, u32, u16, usize)>,
-    /// CTS releases on the receiver: `(epoch, seq)`.
-    cts: Vec<(u32, usize)>,
+    /// CTS releases on the receiver: `seq`.
+    cts: Vec<usize>,
     /// Sender-side `MessageLost` escalations: `(missing, seq)`.
     lost: Vec<(u64, usize)>,
 }
@@ -461,12 +460,12 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     peer,
                     tx: true,
                     stream,
-                    epoch,
+                    ..
                 } => {
                     let info = streams.entry((peer, stream)).or_default();
                     info.sender = peer;
                     info.receiver = Some(ev.rank);
-                    info.cts.push((epoch, i));
+                    info.cts.push(i);
                 }
                 EventKind::VerifyStreamCts { .. } => {}
                 EventKind::VerifyStreamLost {
@@ -670,27 +669,22 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
             }
         }
 
-        // CTS at most once per stream per reconnect epoch.
-        let mut by_epoch: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for &(epoch, seq) in &info.cts {
-            by_epoch.entry(epoch).or_default().push(seq);
-        }
-        for (epoch, seqs) in by_epoch {
-            if seqs.len() > 1 {
-                findings.push(mk(
-                    AuditKind::CtsReplayed,
-                    receiver,
-                    seqs[1],
-                    format!(
-                        "PartCts released {} times in epoch {epoch} (exactly one allowed)",
-                        seqs.len()
-                    ),
-                ));
-            }
+        // CTS once per stream, whatever the socket's epoch: the
+        // carrier replays frames, the engine never repeats a handshake.
+        if let Some(&seq) = info.cts.get(1) {
+            findings.push(mk(
+                AuditKind::CtsReplayed,
+                receiver,
+                seq,
+                format!(
+                    "PartCts released {} times (exactly one allowed)",
+                    info.cts.len()
+                ),
+            ));
         }
 
         // Commits pairwise disjoint: claim_range must never hand the
-        // same byte out twice, even across lanes and resync replays.
+        // same byte out twice, even across lanes and reconnects.
         let mut sorted: Vec<(u64, u32, u16, usize)> = info.commits.clone();
         sorted.sort_by_key(|&(lo, _, _, seq)| (lo, seq));
         for pair in sorted.windows(2) {

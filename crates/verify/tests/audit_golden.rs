@@ -739,6 +739,34 @@ fn planted_read_before_commit_race_is_flagged() {
     assert_eq!(report.stats.hb_events, 7);
 }
 
+/// A reconnect replays frames; it never repeats a handshake. A second
+/// `PartCts` for one stream is a finding even on a later epoch.
+#[test]
+fn planted_cts_repeated_after_a_reconnect_is_flagged() {
+    let cts = |ts, epoch| {
+        ev(
+            ts,
+            1,
+            EventKind::VerifyStreamCts {
+                peer: 0,
+                tx: true,
+                stream: 4,
+                epoch,
+            },
+        )
+    };
+    let report = audit(&[ring(0, vec![]), ring(1, vec![cts(10, 0), cts(20, 1)])]);
+    assert_eq!(report.finding_count(), 1, "report:\n{report}");
+    let f = &report.findings[0];
+    assert_eq!(f.kind, AuditKind::CtsReplayed);
+    assert_eq!((f.rank, f.seq, f.stream), (1, 1, Some(4)));
+    assert!(
+        f.detail.contains("released 2 times"),
+        "detail: {}",
+        f.detail
+    );
+}
+
 #[test]
 fn overflowed_ring_demotes_absence_findings() {
     // Same payload-without-RTS shape as the planted test, but the
