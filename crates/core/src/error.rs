@@ -103,14 +103,25 @@ pub struct DoorbellStats {
     pub parks_counted: u64,
     /// Parks taken over by a polling app thread (peers pay nothing).
     pub parks_uncounted: u64,
+    /// Ready ranges of a peer's partitioned stream this rank claimed and
+    /// copied.
+    pub copied_for_peers: u64,
+    /// Ready ranges of this rank's streams a peer claimed and copied.
+    pub copied_by_peers: u64,
 }
 
 impl fmt::Display for DoorbellStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} rings, {} futex wakes; progress thread parked {} counted / {} uncounted",
-            self.rings, self.wakes, self.parks_counted, self.parks_uncounted
+            "{} rings, {} futex wakes; progress thread parked {} counted / {} uncounted; \
+             ranges copied for peers {} / by peers {}",
+            self.rings,
+            self.wakes,
+            self.parks_counted,
+            self.parks_uncounted,
+            self.copied_for_peers,
+            self.copied_by_peers
         )
     }
 }
@@ -331,13 +342,16 @@ mod tests {
                 wakes: 3,
                 parks_counted: 2,
                 parks_uncounted: 9,
+                copied_for_peers: 7,
+                copied_by_peers: 5,
             }),
         };
         let err = PcommError::Stall(Box::new(report));
         let text = format!("{err}");
         assert!(
             text.contains("ipc doorbell: 640 rings, 3 futex wakes")
-                && text.contains("2 counted / 9 uncounted"),
+                && text.contains("2 counted / 9 uncounted")
+                && text.contains("ranges copied for peers 7 / by peers 5"),
             "{text}"
         );
         assert!(text.contains("tag=42"), "{text}");

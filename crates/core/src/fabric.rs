@@ -1080,17 +1080,16 @@ impl Fabric {
         self.touch();
     }
 
-    /// Try to pin a partitioned destination the sender can reach
-    /// directly (the ipc fabric's shared arena); `None` on transports
-    /// without shared destination memory — callers fall back to owned
-    /// storage.
-    pub(crate) fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {
-        self.wire.carrier().alloc_part_dest(src, len)
+    /// Try to pin a partitioned buffer `peer` can reach directly (the
+    /// ipc fabric's shared arena); `None` on transports without shared
+    /// memory — callers fall back to owned storage.
+    pub(crate) fn alloc_part_buf(&self, peer: usize, len: usize) -> Option<(u64, *mut u8)> {
+        self.wire.carrier().alloc_part_buf(peer, len)
     }
 
-    /// Return a grant from [`Fabric::alloc_part_dest`].
-    pub(crate) fn release_part_dest(&self, src: usize, token: u64, len: usize) {
-        self.wire.carrier().release_part_dest(src, token, len);
+    /// Return a buffer from [`Fabric::alloc_part_buf`].
+    pub(crate) fn release_part_buf(&self, peer: usize, token: u64, len: usize) {
+        self.wire.carrier().release_part_buf(peer, token, len);
     }
 
     fn deliver(

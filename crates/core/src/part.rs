@@ -171,23 +171,32 @@ const PART_WRITABLE: u8 = 0;
 const PART_WRITING: u8 = 1;
 const PART_READY: u8 = 2;
 
-/// Shared-arena backing for a receive-side partition buffer: the
-/// transport granted `len` bytes at `ptr` (grant `token`) inside the
-/// ipc segment's partition arena for the pair with `src`, so the
-/// sender's `pready` commits bytes straight into this buffer — no copy
-/// on either side. Released back to the transport when the request
-/// drops.
+/// Shared-arena backing for a partitioned buffer of a stream from or
+/// toward `peer`: the transport granted `len` bytes at `ptr` (token
+/// `token`) inside the ipc segment's partition arena for the pair, so
+/// one copy moves each range, made by whichever side claims it (the
+/// sender into this destination, or the receiver out of this send
+/// window). Handed back to the transport on drop.
 struct SegBacking {
     ptr: *mut u8,
     len: usize,
     token: u64,
-    src: usize,
+    peer: usize,
+    fabric: Arc<Fabric>,
+}
+
+impl Drop for SegBacking {
+    fn drop(&mut self) {
+        // The owning request drained its signals first: no transfer can
+        // still touch the range.
+        Fabric::release_part_buf(&self.fabric, self.peer, self.token, self.len);
+    }
 }
 
 /// The partitioned buffer: contiguous storage with per-partition access
 /// states that make the raw-pointer sharing sound. Backed by owned heap
-/// memory, or — receive side on the ipc fabric — by a granted range of
-/// the shared partition arena.
+/// memory, or — on the ipc fabric — by a granted range of the shared
+/// partition arena.
 struct PartStorage {
     /// Owned storage; empty (and unused) when `seg` backs the buffer.
     data: UnsafeCell<Box<[u8]>>,
@@ -204,47 +213,37 @@ unsafe impl Sync for PartStorage {}
 unsafe impl Send for PartStorage {}
 
 impl PartStorage {
-    fn new(n_parts: usize, part_bytes: usize) -> PartStorage {
-        PartStorage {
-            data: UnsafeCell::new(vec![0u8; n_parts * part_bytes].into_boxed_slice()),
-            seg: None,
-            states: (0..n_parts).map(|_| AtomicU8::new(PART_WRITABLE)).collect(),
-            part_bytes,
-        }
-    }
-
-    /// Storage over a transport-granted shared-arena range (see
-    /// [`SegBacking`]). Zeroed for parity with the heap constructor.
-    fn new_in_segment(
-        ptr: *mut u8,
-        token: u64,
-        src: usize,
+    /// Zeroed storage: in memory `peer` can reach when `shared` names a
+    /// stream's fabric and peer and the transport has room for it (see
+    /// [`SegBacking`]), on the heap otherwise.
+    fn new(
         n_parts: usize,
         part_bytes: usize,
+        shared: Option<(&Arc<Fabric>, usize)>,
     ) -> PartStorage {
         let len = n_parts * part_bytes;
-        // SAFETY: the transport granted `ptr..ptr+len` exclusively to
-        // this storage until the grant is released on drop.
-        unsafe {
-            std::ptr::write_bytes(ptr, 0, len);
-        }
-        PartStorage {
-            data: UnsafeCell::new(Vec::new().into_boxed_slice()),
-            seg: Some(SegBacking {
+        let seg = shared.and_then(|(fabric, peer)| {
+            let (token, ptr) = fabric.alloc_part_buf(peer, len)?;
+            // SAFETY: the transport granted `ptr..ptr+len` exclusively
+            // to this storage until the grant is released on drop.
+            unsafe { std::ptr::write_bytes(ptr, 0, len) };
+            let fabric = Arc::clone(fabric);
+            Some(SegBacking {
                 ptr,
                 len,
                 token,
-                src,
-            }),
+                peer,
+                fabric,
+            })
+        });
+        PartStorage {
+            data: UnsafeCell::new(
+                vec![0u8; if seg.is_some() { 0 } else { len }].into_boxed_slice(),
+            ),
+            seg,
             states: (0..n_parts).map(|_| AtomicU8::new(PART_WRITABLE)).collect(),
             part_bytes,
         }
-    }
-
-    /// The arena grant to return on drop, if segment-backed:
-    /// `(src, token, len)`.
-    fn seg_grant(&self) -> Option<(usize, u64, usize)> {
-        self.seg.as_ref().map(|s| (s.src, s.token, s.len))
     }
 
     /// Base of the buffer, wherever it lives.
@@ -707,11 +706,18 @@ impl Comm {
             .fabric()
             .trace()
             .verify_req_id(part_comm.ctx(), self.rank() as u16);
-        let storage = Arc::new(PartStorage::new(n_parts, part_bytes));
+        // A wire stream's source lives where the receiver can read it
+        // when the transport allows (the ipc partition arena).
+        let stream = !opts.legacy_single_message && !self.fabric().is_local(dst);
+        let storage = Arc::new(PartStorage::new(
+            n_parts,
+            part_bytes,
+            stream.then_some((self.fabric(), dst)),
+        ));
         let sent: Vec<_> = (0..n_msgs).map(|_| Completion::new()).collect();
         let key = (part_comm.ctx(), self.rank(), dst);
         let side = (Arc::clone(&storage), sent.clone());
-        let bound = (!opts.legacy_single_message && self.fabric().is_local(dst))
+        let bound = (!opts.legacy_single_message && !stream)
             .then(|| Binding::pair(self, key, 1, &layout, vreq, side));
         let inner = Arc::new(PsendShared {
             core: Core {
@@ -789,15 +795,12 @@ impl Comm {
             .trace()
             .verify_req_id(part_comm.ctx(), src as u16);
         let stream = !opts.legacy_single_message && !self.fabric().is_local(src);
-        // On the ipc fabric, pin the destination inside the shared
-        // partition arena when it fits: the sender then commits every
-        // `pready` range directly into this buffer (true zero-copy).
-        // Heap storage is the fallback everywhere else.
-        let seg = stream.then(|| self.fabric().alloc_part_dest(src, n_parts * part_bytes));
-        let storage = Arc::new(match seg.flatten() {
-            Some((token, ptr)) => PartStorage::new_in_segment(ptr, token, src, n_parts, part_bytes),
-            None => PartStorage::new(n_parts, part_bytes),
-        });
+        // As the sender's source: one copy moves each range into it.
+        let storage = Arc::new(PartStorage::new(
+            n_parts,
+            part_bytes,
+            stream.then_some((self.fabric(), src)),
+        ));
         let arrived: Vec<_> = (0..n_msgs).map(|_| Completion::new_set()).collect();
         let key = (part_comm.ctx(), src, self.rank());
         let side = (Arc::clone(&storage), arrived.clone());
@@ -1244,12 +1247,6 @@ impl Drop for PrecvShared {
             for arrived in &self.arrived {
                 self.comm.fabric().drain_completion(arrived);
             }
-        }
-        // Hand a shared-arena destination back to the transport (no-op
-        // for heap storage). After the drains above, no commit can still
-        // target the range.
-        if let Some((src, token, len)) = self.storage.seg_grant() {
-            self.comm.fabric().release_part_dest(src, token, len);
         }
     }
 }

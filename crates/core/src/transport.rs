@@ -232,20 +232,21 @@ pub(crate) trait Transport: Send + Sync {
         let _ = (fabric, peer, completions);
     }
 
-    /// Try to pin a receiver-side destination of `len` bytes that the
-    /// sender can reach directly (the ipc partition arena). Returns the
-    /// carrier's grant token and the mapped base pointer, or `None`
-    /// when the carrier has no shared destination memory (sockets) or
-    /// the arena is exhausted — callers fall back to owned storage.
-    fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {
-        let _ = (src, len);
+    /// Try to pin a partitioned buffer of `len` bytes, of a stream from
+    /// or toward `peer`, in memory that peer can reach directly (the
+    /// ipc partition arena). Returns the carrier's token and the mapped
+    /// base pointer, or `None` when the carrier has no shared memory
+    /// (sockets) or the arena is exhausted — callers fall back to
+    /// owned storage.
+    fn alloc_part_buf(&self, peer: usize, len: usize) -> Option<(u64, *mut u8)> {
+        let _ = (peer, len);
         None
     }
 
-    /// Return a grant from `alloc_part_dest` once the receive-side
-    /// storage is done with it.
-    fn release_part_dest(&self, src: usize, token: u64, len: usize) {
-        let _ = (src, token, len);
+    /// Return a buffer from `alloc_part_buf` once its request is done
+    /// with it.
+    fn release_part_buf(&self, peer: usize, token: u64, len: usize) {
+        let _ = (peer, token, len);
     }
 
     /// Say goodbye to every peer and stop the carrier's threads; the

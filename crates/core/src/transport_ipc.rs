@@ -5,12 +5,19 @@
 //! [`crate::wire`]'s; this file only moves its bytes. Small frames ride
 //! inline in ring slots (bcopy); stream ranges without an arena grant —
 //! every rendezvous, a one-message stream into a posted buffer — stream
-//! through the slab in `K_PARTF` chunks; partitioned streams whose
-//! destination lives in the arena commit with **no copy at all** — the
-//! `K_PART_CTS` carries the destination's arena offset as the grant,
-//! every `pready` lands its bytes directly in receiver-visible memory
-//! and publishes a payload-less `K_PART` descriptor, so `parrived`
-//! flips without a reader-thread hop.
+//! through the slab in `K_PARTF` chunks. A partitioned stream whose
+//! destination lives in the arena moves each range with **one copy**,
+//! made by whichever side claims it: the `K_PART_CTS` carries the
+//! destination's arena offset as the grant, and a sender whose buffer
+//! lives in the arena too publishes each ready range of at least
+//! [`PULL_FLOOR`] bytes as a payload-less `K_READY` naming its source.
+//! The receiver claims and copies it in any drain (then acks it with
+//! `K_PULLED`); the sender's app thread, while it polls in a wait,
+//! claims from its newest range down, copies into the grant and
+//! publishes a `K_PART` commit (see [`pcomm_net::ipc::claim`]). Smaller
+//! ranges, and ranges from heap buffers, take that sender copy at once.
+//! So two cores move one stream, and `parrived` flips without a
+//! reader-thread hop.
 //!
 //! Wakeups are futex doorbells ([`pcomm_net::ipc::doorbell`]): the
 //! steady state is zero syscalls per transfer (spin-then-futex on both
@@ -31,20 +38,21 @@
 //! segment never reconnects, so there is a single always-epoch-0 lane
 //! per pair).
 
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pcomm_net::frame::{self, Frame};
+use pcomm_net::ipc::claim::Pulls;
 use pcomm_net::ipc::doorbell::Handoff;
 use pcomm_net::ipc::ring::{
-    Channel, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_SLAB,
+    Channel, ReadyRange, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_PULLED,
+    K_READY, K_SLAB,
 };
 use pcomm_net::ipc::slab::ArenaAlloc;
-use pcomm_net::ipc::{self, IpcParams, Segment};
-use pcomm_net::{sys, Mesh};
+use pcomm_net::ipc::{self, IpcParams, Segment, Tallies};
+use pcomm_net::Mesh;
 use pcomm_trace::EventKind;
 
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
@@ -66,6 +74,13 @@ const PUSH_SLICE_NS: u64 = 200_000;
 /// past this the peer is not draining and the record is dropped — the
 /// heartbeat monitor or the universe watchdog carries the diagnosis.
 const TEARDOWN_PUSH_BUDGET: Duration = Duration::from_secs(1);
+
+/// Smallest ready range that waits to be claimed (`K_READY`) instead of
+/// being copied by its sender at once: below it, the claim, the
+/// receiver's ack and a second core's cache misses cost more than the
+/// copy they split (`EXPERIMENTS.md`, "Two cores move an ipc partitioned
+/// stream").
+const PULL_FLOOR: usize = 64 << 10;
 
 /// Per-peer shared-memory channel pair plus this process's send/recv
 /// bookkeeping for the peer.
@@ -92,17 +107,21 @@ struct IpcPeer {
     saw_bye: AtomicBool,
     /// Last observed heartbeat value and when it last changed.
     hb_seen: Mutex<Option<(u64, Instant)>>,
-    /// Allocator over the *inbound* channel's partition arena: grants
-    /// receiver-side destinations for streams arriving from this peer.
+    /// Allocator over the *inbound* channel's partition arena: the
+    /// buffers of partitioned streams from and toward this peer.
     arena: Mutex<ArenaAlloc>,
+    /// Our ready ranges toward this peer that either side may still
+    /// claim, by claim slot of the outbound channel.
+    pulls: Mutex<Pulls<Pull>>,
 }
 
-/// Payload placement for one pushed record.
-enum Body<'a> {
-    /// Copied into the ring slot (`len <= INLINE_MAX`).
-    Inline(&'a [u8]),
-    /// Copied into the FIFO slab (anything larger, up to `fifo_bytes`).
-    Slab(&'a [u8]),
+/// A ready range of a stream toward a peer whose destination is granted
+/// (`grant` is its arena offset): everything either mover needs.
+struct Pull {
+    rdv_id: u64,
+    grant: u64,
+    spans: Arc<[SendSpan]>,
+    chunk: PinChunk,
 }
 
 /// A drained record whose handler may *push* (CTS answers, barrier
@@ -115,6 +134,7 @@ enum Body<'a> {
 enum Deferred {
     Frame(Frame),
     PartCts { rdv_id: u64, grant: Option<u64> },
+    Pulled { idx: u64, seq: u64 },
 }
 
 /// The shared-memory carrier for one rank of a same-host run.
@@ -132,14 +152,8 @@ pub(crate) struct IpcTransport {
     /// Who owns this rank's inbound doorbell right now: polling app
     /// threads or the parked progress thread.
     handoff: Handoff,
-    /// Peer doorbells rung by this rank (one per published record).
-    doorbell_rings: AtomicU64,
-    /// Of those, how many found a counted sleeper and paid `FUTEX_WAKE`.
-    doorbell_wakes: AtomicU64,
-    /// Progress-thread parks counted in `sleepers` (no poller active).
-    progress_parks_counted: AtomicU64,
-    /// Progress-thread parks taken over by a polling app thread.
-    progress_parks_uncounted: AtomicU64,
+    /// Doorbell and copy tallies ([`DoorbellStats`]).
+    tallies: Tallies,
 }
 
 impl IpcTransport {
@@ -165,6 +179,7 @@ impl IpcTransport {
                 saw_bye: AtomicBool::new(false),
                 hb_seen: Mutex::new(None),
                 arena: Mutex::new(ArenaAlloc::new(params.arena_bytes)),
+                pulls: Mutex::new(Pulls::default()),
             }));
         }
         let fifo_bytes = params.fifo_bytes;
@@ -178,10 +193,7 @@ impl IpcTransport {
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
             handoff: Handoff::new(),
-            doorbell_rings: AtomicU64::new(0),
-            doorbell_wakes: AtomicU64::new(0),
-            progress_parks_counted: AtomicU64::new(0),
-            progress_parks_uncounted: AtomicU64::new(0),
+            tallies: Tallies::default(),
         }
     }
 }
@@ -191,8 +203,10 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Publish one record toward `dst`, blocking on the peer's space
-    /// doorbell while the ring (or FIFO) is full. Returns `false` when
+    /// Publish one record toward `dst` — its payload copied into the
+    /// FIFO slab for the slab kinds, into the ring slot for the others
+    /// — blocking on the peer's space doorbell while the ring (or FIFO)
+    /// is full. Returns `false` when
     /// the push was abandoned: the run aborted (unless `force`), the
     /// transport is stopping, or `deadline` passed. The doorbell seq is
     /// snapshotted *before* each push attempt, so a consumer pop
@@ -205,7 +219,7 @@ impl IpcTransport {
         dst: usize,
         op: u8,
         desc: SlotDesc,
-        body: Body<'_>,
+        body: &[u8],
         deadline: Option<Instant>,
         force: bool,
     ) -> bool {
@@ -222,9 +236,9 @@ impl IpcTransport {
                 // the auditor's clock alignment needs send <= recv.
                 let trace = fabric.trace();
                 let t_send = trace.verify_now_ns();
-                let ok = match body {
-                    Body::Inline(p) => out.try_push(desc, p).is_ok(),
-                    Body::Slab(p) => out.try_push_slab(desc, &[p]).is_ok(),
+                let ok = match desc.kind {
+                    K_SLAB | K_PARTF => out.try_push_slab(desc, &[body]).is_ok(),
+                    _ => out.try_push(desc, body).is_ok(),
                 };
                 if ok {
                     trace.emit_span(t_send, self.rank as u16, |at, _| {
@@ -247,11 +261,9 @@ impl IpcTransport {
             if pushed {
                 // ORDERING: advisory stat for diagnostics snapshots.
                 peer.frames_sent.fetch_add(1, Ordering::Relaxed);
-                // ORDERING: always-on diagnostics tallies, read racily.
-                self.doorbell_rings.fetch_add(1, Ordering::Relaxed);
+                Tallies::bump(&self.tallies.rings);
                 if self.segment.doorbell(dst).ring().unwrap_or(false) {
-                    // ORDERING: as `doorbell_rings`.
-                    self.doorbell_wakes.fetch_add(1, Ordering::Relaxed);
+                    Tallies::bump(&self.tallies.wakes);
                 }
                 if let Some(since) = waited_since {
                     let (p16, kind) = (dst as u16, desc.kind);
@@ -299,17 +311,6 @@ impl IpcTransport {
         let mut buf = Vec::with_capacity(64);
         frame.encode_into(&mut buf);
         let body = frame::body_of(&buf); // rings are record-framed
-        let desc = SlotDesc {
-            kind: if body.len() <= INLINE_MAX {
-                K_FRAME
-            } else {
-                K_SLAB
-            },
-            parts: 0,
-            a: 0,
-            b: 0,
-            c: 0,
-        };
         if body.len() as u64 > self.fifo_bytes {
             fabric.fail(PcommError::misuse(
                 self.rank,
@@ -322,12 +323,13 @@ impl IpcTransport {
             ));
             return false;
         }
-        let placed = if desc.kind == K_FRAME {
-            Body::Inline(body)
+        let kind = if body.len() <= INLINE_MAX {
+            K_FRAME
         } else {
-            Body::Slab(body)
+            K_SLAB
         };
-        self.push_record(fabric, dst, frame.op(), desc, placed, deadline, force)
+        let desc = SlotDesc::new(kind, 0, 0, 0, 0);
+        self.push_record(fabric, dst, frame.op(), desc, body, deadline, force)
     }
 }
 
@@ -385,8 +387,9 @@ impl IpcTransport {
                         // serialises this counter.
                         let seq = peer.rx_seq.fetch_add(1, Ordering::Relaxed);
                         let op16 = match desc.kind {
-                            K_PART | K_PARTF => frame::op::PART_DATA as u16,
+                            K_PART | K_PARTF | K_READY => frame::op::PART_DATA as u16,
                             K_PART_CTS => frame::op::PART_CTS as u16,
+                            K_PULLED => frame::op::HEARTBEAT as u16,
                             _ => frame::body_opcode(payload).map_or(0, u16::from),
                         };
                         let p16 = src as u16;
@@ -409,8 +412,8 @@ impl IpcTransport {
                     };
                     let (id, at) = (desc.a, desc.b as usize);
                     match desc.kind {
-                        // Zero-copy commit: the sender already wrote the
-                        // granted arena range; only bookkeeping remains.
+                        // Commit: the sender copied the range into the
+                        // granted arena destination; bookkeeping remains.
                         K_PART => {
                             let len = desc.c as usize;
                             let _ = wire.land_part(fabric, src, id, at, len, |_| Ok(len));
@@ -418,6 +421,8 @@ impl IpcTransport {
                         K_PARTF => {
                             let _ = wire.land_part(fabric, src, id, at, payload.len(), copy_in);
                         }
+                        K_READY => deferred = self.pull(fabric, src, peer, desc, payload),
+                        K_PULLED => self.pulled(fabric, src, peer, desc.a, desc.b),
                         K_PART_CTS => {
                             deferred = Some(Deferred::PartCts {
                                 rdv_id: desc.a,
@@ -463,6 +468,11 @@ impl IpcTransport {
                         .wire()
                         .handle_part_cts(fabric, src, rdv_id, grant, cap)
                 }
+                Some(Deferred::Pulled { idx, seq }) => {
+                    let desc = SlotDesc::new(K_PULLED, 0, idx, seq, 0);
+                    let op = frame::op::HEARTBEAT;
+                    self.push_record(fabric, src, op, desc, &[], None, false);
+                }
                 None => {}
             }
         }
@@ -481,14 +491,15 @@ impl IpcTransport {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned streams: arena zero-copy commits, FIFO fallback.
+// Partitioned streams: one copy by whichever side claims, FIFO fallback.
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
     /// Sender: put one ready range in the receiver's hands. With a
-    /// grant: copy once into the shared arena destination and publish a
-    /// payload-less `K_PART` — the receiver commits in place, no second
-    /// copy, no reader-thread hop. Without: stage `K_PARTF` chunks
+    /// grant, a range of at least [`PULL_FLOOR`] bytes whose source the
+    /// peer can read in the arena is published as a `K_READY` for
+    /// either side to claim; any other is copied at once
+    /// ([`Self::copy_out`]). Without a grant: stage `K_PARTF` chunks
     /// through the FIFO slab.
     fn ship_range(
         &self,
@@ -499,93 +510,179 @@ impl IpcTransport {
         spans: &Arc<[SendSpan]>,
         chunk: PinChunk,
     ) {
-        let PinChunk {
-            offset,
-            ptr,
-            len,
-            parts,
-        } = chunk;
-        let trace = fabric.trace();
-        let stream32 = rdv_id as u32;
-        match grant {
-            Some(g) => {
-                let Some(peer) = &self.peers[dst] else {
-                    return;
-                };
-                // SAFETY: the receiver granted `g .. g + total_len` of
-                // the outbound channel's arena to this stream (checked
-                // against the arena size when the CTS arrived) and will
-                // not read `offset..offset+len` of it until the K_PART
-                // below publishes; the source side is invariant (1).
-                unsafe {
-                    std::ptr::copy_nonoverlapping(ptr, peer.out_ch.arena_ptr(g + offset), len);
-                }
-                let (p16, off64, len32) = (dst as u16, offset, len as u32);
-                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                    peer: p16,
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        let (offset, len, op) = (chunk.offset, chunk.len, frame::op::PART_DATA);
+        let emit_data = |offset: u64, len: usize| {
+            let (peer, stream, len) = (dst as u16, rdv_id as u32, len as u32);
+            fabric
+                .trace()
+                .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
+                    peer,
                     lane: 0,
                     tx: true,
-                    stream: stream32,
-                    offset: off64,
-                    len: len32,
-                });
-                let desc = SlotDesc {
-                    kind: K_PART,
-                    parts,
-                    a: rdv_id,
-                    b: offset,
-                    c: len as u64,
+                    stream,
+                    offset,
+                    len,
+                })
+        };
+        if let Some(grant) = grant {
+            emit_data(offset, len);
+            // Where the peer can read the source (the window is the
+            // arena we keep for the peer), the range waits for a claim.
+            let window = (len >= PULL_FLOOR).then(|| peer.inb_ch.arena_offset(chunk.ptr, len));
+            let opened = window.flatten().and_then(|src| {
+                let pull = Pull {
+                    rdv_id,
+                    grant,
+                    spans: Arc::clone(spans),
+                    chunk,
                 };
-                if self.push_record(
-                    fabric,
-                    dst,
-                    frame::op::PART_DATA,
-                    desc,
-                    Body::Inline(&[]),
-                    None,
-                    false,
-                ) {
-                    complete_spans(spans, offset as usize, len);
+                let (idx, seq) = peer.pulls.lock().open(&peer.out_ch.claims(), pull)?;
+                Some(ReadyRange {
+                    src,
+                    idx: idx as u64,
+                    seq,
+                })
+            });
+            match opened {
+                Some(ready) => {
+                    let desc = SlotDesc::new(K_READY, chunk.parts, rdv_id, offset, len as u64);
+                    self.push_record(fabric, dst, op, desc, &ready.encode(), None, false);
                 }
+                None => self.copy_out(fabric, dst, rdv_id, grant, spans, chunk),
             }
-            None => {
-                let mut done = 0usize;
-                while done < len {
-                    let n = self.rdv_chunk.min(len - done);
-                    // SAFETY: invariant (1) — the source stays pinned
-                    // until the covering spans complete below.
-                    let chunk = unsafe { std::slice::from_raw_parts(ptr.add(done), n) };
-                    let (p16, off64, len32) = (dst as u16, offset + done as u64, n as u32);
-                    trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                        peer: p16,
-                        lane: 0,
-                        tx: true,
-                        stream: stream32,
-                        offset: off64,
-                        len: len32,
-                    });
-                    let desc = SlotDesc {
-                        kind: K_PARTF,
-                        parts: if done + n == len { parts } else { 0 },
-                        a: rdv_id,
-                        b: offset + done as u64,
-                        c: 0,
+            return;
+        }
+        let mut done = 0usize;
+        while done < len {
+            let (n, at) = (self.rdv_chunk.min(len - done), offset + done as u64);
+            // SAFETY: invariant (1) — the source stays pinned until the
+            // covering spans complete below.
+            let body = unsafe { std::slice::from_raw_parts(chunk.ptr.add(done), n) };
+            emit_data(at, n);
+            let parts = if done + n == len { chunk.parts } else { 0 };
+            let desc = SlotDesc::new(K_PARTF, parts, rdv_id, at, 0);
+            if !self.push_record(fabric, dst, op, desc, body, None, false) {
+                return; // aborted mid-stream
+            }
+            complete_spans(spans, at as usize, n);
+            done += n;
+        }
+    }
+
+    /// Sender: copy a range into the receiver's granted destination and
+    /// publish its payload-less `K_PART` commit, so the receiver commits
+    /// in place. Called at once for a range nobody pulls, and from a
+    /// polling app thread for a ready range it claimed.
+    fn copy_out(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        rdv_id: u64,
+        grant: u64,
+        spans: &[SendSpan],
+        chunk: PinChunk,
+    ) {
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        let (offset, len) = (chunk.offset, chunk.len);
+        // SAFETY: the receiver granted `grant .. grant + total_len` of
+        // the outbound channel's arena to this stream (checked against
+        // the arena size when the CTS arrived) and will not read
+        // `offset..offset+len` of it until the K_PART below publishes;
+        // nobody else copies the range (it was never published, or this
+        // side won its claim); the source side is invariant (1).
+        unsafe {
+            std::ptr::copy_nonoverlapping(chunk.ptr, peer.out_ch.arena_ptr(grant + offset), len);
+        }
+        let desc = SlotDesc::new(K_PART, chunk.parts, rdv_id, offset, len as u64);
+        if self.push_record(fabric, dst, frame::op::PART_DATA, desc, &[], None, false) {
+            complete_spans(spans, offset as usize, len);
+        }
+    }
+
+    /// Sender, from a polling app thread: claim the newest ready range
+    /// no peer has claimed and copy it here. Returns whether it did.
+    fn claim_own(&self, fabric: &Fabric) -> bool {
+        if fabric.aborted() {
+            return false;
+        }
+        for (dst, peer) in self.peers.iter().enumerate() {
+            let Some(peer) = peer else { continue };
+            let claimed = peer.pulls.lock().claim_newest(&peer.out_ch.claims());
+            if let Some(p) = claimed {
+                self.copy_out(fabric, dst, p.rdv_id, p.grant, &p.spans, p.chunk);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Receiver: `src` has a range ready (`K_READY`). Check the peer's
+    /// words, then claim it and copy it out of the peer's window into
+    /// the destination; the `K_PULLED` to send once this side copied.
+    fn pull(
+        &self,
+        fabric: &Fabric,
+        src: usize,
+        peer: &IpcPeer,
+        desc: &SlotDesc,
+        payload: &[u8],
+    ) -> Option<Deferred> {
+        let (at, len, window) = (desc.b as usize, desc.c as usize, &peer.out_ch);
+        let ready = (ReadyRange::check(payload, len, window))
+            .map_err(|detail| fabric.fail(PcommError::misuse(src, detail)))
+            .ok()?;
+        let claims = peer.inb_ch.claims();
+        let mut won = false;
+        let _ = fabric
+            .wire()
+            .land_part(fabric, src, desc.a, at, len, |dest| {
+                won = claims.claim(ready.idx as usize, ready.seq);
+                if won {
+                    // SAFETY: `ReadyRange::check` put `src..src+len`
+                    // inside the window, and the won claim keeps the
+                    // sender off the range until our `K_PULLED` reaches it.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            window.arena_ptr(ready.src),
+                            dest.as_mut_ptr(),
+                            len,
+                        )
                     };
-                    if !self.push_record(
-                        fabric,
-                        dst,
-                        frame::op::PART_DATA,
-                        desc,
-                        Body::Slab(chunk),
-                        None,
-                        false,
-                    ) {
-                        return; // aborted mid-stream
-                    }
-                    complete_spans(spans, (offset + done as u64) as usize, n);
-                    done += n;
                 }
+                Ok(if won { len } else { 0 })
+            });
+        if !won {
+            return None; // the sender copied it (or the stream is gone)
+        }
+        Tallies::bump(&self.tallies.copied_for_peers);
+        Some(Deferred::Pulled {
+            idx: ready.idx,
+            seq: ready.seq,
+        })
+    }
+
+    /// Sender: `src` claimed and copied our ready range `(idx, seq)`
+    /// (`K_PULLED`) — its spans are done. An ack for a range we never
+    /// published, or that `src` never claimed, is misuse.
+    fn pulled(&self, fabric: &Fabric, src: usize, peer: &IpcPeer, idx: u64, seq: u64) {
+        let acked = peer.pulls.lock().acked(&peer.out_ch.claims(), idx, seq);
+        match acked {
+            Ok(pull) => {
+                Tallies::bump(&self.tallies.copied_by_peers);
+                complete_spans(&pull.spans, pull.chunk.offset as usize, pull.chunk.len);
             }
+            Err(e) if !fabric.aborted() => fabric.fail(PcommError::misuse(
+                src,
+                format!(
+                    "ack for a ready range never published (claim {idx}, sequence {seq}: {e:?})"
+                ),
+            )),
+            Err(_) => {}
         }
     }
 }
@@ -629,13 +726,12 @@ impl IpcTransport {
             let Ok(parked) = self.handoff.park(&bell, seen, tick_ns) else {
                 continue;
             };
-            let tally = if parked.counted {
-                &self.progress_parks_counted
+            let t = &self.tallies;
+            Tallies::bump(if parked.counted {
+                &t.parks_counted
             } else {
-                &self.progress_parks_uncounted
-            };
-            // ORDERING: always-on diagnostics tally, read racily.
-            tally.fetch_add(1, Ordering::Relaxed);
+                &t.parks_uncounted
+            });
             fabric
                 .trace()
                 .emit(self.rank as u16, || EventKind::IpcDoorbell {
@@ -649,14 +745,17 @@ impl IpcTransport {
     /// reaches zero or the window closes; returns whether it reached
     /// zero. While we poll, this rank's doorbell is ours — the progress
     /// thread's park is not counted, so peers push without a
-    /// `FUTEX_WAKE`.
+    /// `FUTEX_WAKE` — and so are our ready ranges nobody claimed yet.
     fn poll_until_none(&self, fabric: &Fabric, mut pending: impl FnMut() -> usize) -> bool {
         if pending() == 0 {
             return true;
         }
         let bell = self.segment.doorbell(self.rank);
         self.handoff.poller_enter(&bell);
-        let done = poll_window(|| self.progress_pass(fabric), pending);
+        let done = poll_window(
+            || self.progress_pass(fabric) | self.claim_own(fabric),
+            pending,
+        );
         if self.handoff.poller_exit(&bell) {
             // Last poller out: the parked progress thread is counted
             // again, and a peer that pushed while it was not saw
@@ -669,14 +768,14 @@ impl IpcTransport {
 
     /// Racy snapshot of the always-on doorbell tallies.
     fn doorbell_stats_now(&self) -> DoorbellStats {
-        // ORDERING: advisory tallies; each is independently monotonic
-        // and the snapshot is racy by design.
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let t = &self.tallies;
         DoorbellStats {
-            rings: get(&self.doorbell_rings),
-            wakes: get(&self.doorbell_wakes),
-            parks_counted: get(&self.progress_parks_counted),
-            parks_uncounted: get(&self.progress_parks_uncounted),
+            rings: Tallies::read(&t.rings),
+            wakes: Tallies::read(&t.wakes),
+            parks_counted: Tallies::read(&t.parks_counted),
+            parks_uncounted: Tallies::read(&t.parks_uncounted),
+            copied_for_peers: Tallies::read(&t.copied_for_peers),
+            copied_by_peers: Tallies::read(&t.copied_by_peers),
         }
     }
 
@@ -760,8 +859,8 @@ impl Transport for IpcTransport {
         self.push_frame(fabric, dst, &frame, deadline, teardown);
     }
 
-    /// Answer with a `K_PART_CTS` carrying the arena grant (zero-copy)
-    /// or `u64::MAX` (FIFO fallback: the destination is ordinary heap
+    /// Answer with a `K_PART_CTS` carrying the arena grant or
+    /// `u64::MAX` (FIFO fallback: the destination is ordinary heap
     /// memory the sender cannot reach).
     fn ship_part_cts(
         &self,
@@ -773,36 +872,12 @@ impl Transport for IpcTransport {
     ) {
         // Arena grant: when the pinned destination lies inside the
         // inbound channel's partition arena (it was handed out by
-        // `alloc_part_dest`), tell the sender its base offset so every
-        // `pready` commits bytes straight into it.
-        let grant = self.peers[src].as_ref().and_then(|peer| {
-            let arena_bytes = peer.inb_ch.arena_bytes();
-            if arena_bytes == 0 {
-                return None;
-            }
-            // SAFETY: offset 0 of a non-empty arena is in bounds; the
-            // pointer is only used for address arithmetic.
-            let a0 = unsafe { peer.inb_ch.arena_ptr(0) } as usize;
-            let base = base as usize;
-            (base >= a0 && base + total_len <= a0 + arena_bytes as usize)
-                .then(|| (base - a0) as u64)
-        });
-        let desc = SlotDesc {
-            kind: K_PART_CTS,
-            parts: 0,
-            a: rdv_id,
-            b: grant.unwrap_or(u64::MAX),
-            c: 0,
-        };
-        self.push_record(
-            fabric,
-            src,
-            frame::op::PART_CTS,
-            desc,
-            Body::Inline(&[]),
-            None,
-            false,
-        );
+        // `alloc_part_buf`), tell the sender its base offset so either
+        // side can copy a ready range straight into it.
+        let grant =
+            (self.peers[src].as_ref()).and_then(|peer| peer.inb_ch.arena_offset(base, total_len));
+        let desc = SlotDesc::new(K_PART_CTS, 0, rdv_id, grant.unwrap_or(u64::MAX), 0);
+        self.push_record(fabric, src, frame::op::PART_CTS, desc, &[], None, false);
     }
 
     fn ship_chunks(
@@ -912,22 +987,22 @@ impl Transport for IpcTransport {
         Some(self.doorbell_stats_now())
     }
 
-    fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {
+    fn alloc_part_buf(&self, peer: usize, len: usize) -> Option<(u64, *mut u8)> {
         if len == 0 {
             return None;
         }
-        let peer = self.peers[src].as_ref()?;
+        let peer = self.peers[peer].as_ref()?;
         if (len as u64) > peer.inb_ch.arena_bytes() {
             return None;
         }
         let off = peer.arena.lock().alloc(len as u64)?;
         // SAFETY: `alloc` returned a range inside `0..arena_bytes`; the
-        // receiver owns it until `release_part_dest`.
+        // request owns it until `release_part_buf`.
         Some((off, unsafe { peer.inb_ch.arena_ptr(off) }))
     }
 
-    fn release_part_dest(&self, src: usize, token: u64, len: usize) {
-        if let Some(peer) = self.peers[src].as_ref() {
+    fn release_part_buf(&self, peer: usize, token: u64, len: usize) {
+        if let Some(peer) = self.peers[peer].as_ref() {
             peer.arena.lock().release(token, len as u64);
         }
     }
@@ -937,94 +1012,21 @@ impl Transport for IpcTransport {
 // Bootstrap: segment fd exchange over the already-established mesh.
 // ---------------------------------------------------------------------
 
-/// Create (rank 0) or attach (everyone else) the shared segment,
-/// passing the memfd over the mesh's Unix sockets with `SCM_RIGHTS`.
-/// Rank 0 waits for a one-byte ACK from every peer before returning, so
-/// no rank starts pushing before every mapping exists (the heartbeat
-/// monitor keys off the attach flags the ACKs order). Consumes nothing
-/// from the mesh — the sockets stay open (and are dropped by the caller
-/// once the transport is built).
+/// Create (rank 0) or attach (everyone else) the shared segment over
+/// the mesh ([`ipc::bootstrap`]).
 pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, PcommError> {
-    let misuse = |rank: usize, what: &str, e: std::io::Error| PcommError::Misuse {
-        rank: Some(rank),
-        detail: format!("ipc bootstrap: {what}: {e}"),
-    };
-    let (rank, n_ranks) = (mesh.rank, mesh.n_ranks);
-    let sock = |mesh: &Mesh, r: usize| -> Result<i32, PcommError> {
-        match &mesh.peers[r] {
-            Some(ep) => ep.raw_fd().ok_or_else(|| PcommError::Misuse {
-                rank: Some(rank),
-                detail: "ipc bootstrap: fd passing needs a Unix-socket mesh \
-                         (PCOMM_NET_BACKEND=uds)"
-                    .into(),
-            }),
-            None => Err(PcommError::Misuse {
-                rank: Some(rank),
-                detail: format!("ipc bootstrap: no mesh endpoint toward rank {r}"),
-            }),
-        }
-    };
-    // Bounded reads: a peer that dies mid-bootstrap becomes a typed
-    // error, not a hang.
-    for ep in mesh.peers.iter().flatten() {
-        let _ = ep.set_read_timeout(Some(pcomm_net::mesh::ESTABLISH_TIMEOUT));
-    }
-    let segment = if rank == 0 {
-        let (segment, fd) =
-            Segment::create(params).map_err(|e| misuse(rank, "creating the segment", e))?;
-        // ORDERING: attach latch — Release pairs with the monitors'
-        // Acquire loads so a set flag implies a live mapping.
-        segment.attached(0).store(1, Ordering::Release);
-        for r in 1..n_ranks {
-            ipc::send_segment_fd(sock(mesh, r)?, fd, 0)
-                .map_err(|e| misuse(rank, "passing the segment fd", e))?;
-        }
-        // Collect one ACK byte per peer: after this, every rank is
-        // mapped and no push can outrun an attach.
-        for r in 1..n_ranks {
-            let mut byte = [0u8; 1];
-            let ep = mesh.peers[r]
-                .as_mut()
-                // PANIC: `sock` above already proved the endpoint exists.
-                .expect("endpoint checked above");
-            ep.read_exact(&mut byte)
-                .map_err(|e| misuse(rank, "waiting for a peer's attach ACK", e))?;
-        }
-        let _ = sys::close(fd);
-        segment
-    } else {
-        let (fd, from) = ipc::recv_segment_fd(sock(mesh, 0)?)
-            .map_err(|e| misuse(rank, "receiving the segment fd", e))?;
-        if from != 0 {
-            let _ = sys::close(fd);
-            return Err(PcommError::Misuse {
-                rank: Some(rank),
-                detail: format!("ipc bootstrap: segment fd came from rank {from}, expected 0"),
-            });
-        }
-        let segment =
-            Segment::attach(fd, params).map_err(|e| misuse(rank, "attaching the segment", e))?;
-        let _ = sys::close(fd);
-        // ORDERING: attach latch (see above).
-        segment.attached(rank).store(1, Ordering::Release);
-        let ep = mesh.peers[0]
-            .as_mut()
-            // PANIC: `sock` above already proved the endpoint exists.
-            .expect("endpoint checked above");
-        ep.write_all(&[1u8])
-            .map_err(|e| misuse(rank, "sending the attach ACK", e))?;
-        segment
-    };
-    for ep in mesh.peers.iter().flatten() {
-        let _ = ep.set_read_timeout(None);
-    }
-    Ok(segment)
+    let rank = mesh.rank;
+    ipc::bootstrap(mesh, params).map_err(|e| PcommError::misuse(rank, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
+    use crate::part::PartOptions;
+    use crate::Comm;
+    use pcomm_net::ipc::claim::CLAIM_SLOTS;
+    use pcomm_net::sys;
 
     /// Both ranks' carriers over one fresh segment of `params` (two
     /// mappings of one memfd), each with its own traced fabric. Never
@@ -1241,7 +1243,7 @@ mod tests {
             return;
         };
         let src: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
-        assert!(receiver.alloc_part_dest(1, src.len()).is_none());
+        assert!(receiver.alloc_part_buf(1, src.len()).is_none());
         let id = fabric1
             .wire()
             .part_stream_begin(&fabric1, 0, 9, src.len(), Vec::new());
@@ -1266,5 +1268,233 @@ mod tests {
         assert_eq!(kinds, [K_FRAME, K_PARTF, K_PARTF]);
         assert_eq!(offsets, [0, 2048]);
         assert_eq!(landed, src);
+    }
+
+    /// A live 8-byte rendezvous destination at rank 0 for stream 3 from
+    /// rank 1, with canaries on both sides (as in the range-offset
+    /// test), and claim 0 of the 1→0 table opened under sequence 1.
+    fn live_destination(fabric: &Arc<Fabric>, peer_out: &Channel, mem: &mut [u8; 24]) {
+        let posted = PostedRecv {
+            ctx: 0,
+            src: Some(1),
+            tag: Some(4),
+            dest_ptr: mem[8..16].as_mut_ptr(),
+            dest_cap: 8,
+            info: Arc::new(Mutex::new(None)),
+            completion: Completion::new(),
+            verify_msg: None,
+        };
+        fabric.wire().accept_remote_rdv(fabric, 1, 3, 8, posted, 4);
+        peer_out.claims().open(0, 1);
+    }
+
+    /// A peer's `K_READY` the receiver must refuse: a typed `Misuse`
+    /// naming the peer, with the destination, the peer's window and the
+    /// claim word untouched.
+    fn refused_ready(ready: ReadyRange, want: &str) {
+        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            return;
+        };
+        let mut mem = [0xaau8; 24];
+        live_destination(&fabric, &peer_out, &mut mem);
+        let desc = SlotDesc::new(K_READY, 1, 3, 0, 8);
+        peer_out
+            .try_push(desc, &ready.encode())
+            .expect("ring has room");
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        let detail = misuse_naming_the_peer(&fabric);
+        assert!(detail.contains(want), "{detail}");
+        assert_eq!(mem, [0xaau8; 24]);
+        assert!(
+            peer_out.claims().claim(0, 1),
+            "the refused range was claimed"
+        );
+        assert_eq!(carrier.doorbell_stats_now().copied_for_peers, 0);
+    }
+
+    #[test]
+    fn a_ready_range_outside_the_peers_window_is_refused_before_any_copy() {
+        // Past the end, and a source offset whose end overflows.
+        for src in [(1u64 << 20) - 4, u64::MAX - 2] {
+            refused_ready(
+                ReadyRange {
+                    src,
+                    idx: 0,
+                    seq: 1,
+                },
+                "leaves the peer's 1048576-byte window",
+            );
+        }
+    }
+
+    #[test]
+    fn a_ready_range_naming_a_claim_outside_the_table_is_refused() {
+        let idx = CLAIM_SLOTS as u64;
+        refused_ready(
+            ReadyRange {
+                src: 0,
+                idx,
+                seq: 1,
+            },
+            "outside the 64-slot table",
+        );
+    }
+
+    #[test]
+    fn an_ack_for_a_range_never_published_is_refused() {
+        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            return;
+        };
+        // Rank 0 opened nothing toward rank 1; claim 0 of its table even
+        // reads "claimed under sequence 1" — there is still no range.
+        carrier.segment.channel(0, 1).claims().open(0, 1);
+        assert!(carrier.segment.channel(0, 1).claims().claim(0, 1));
+        for (idx, seq) in [(0, 1), (CLAIM_SLOTS as u64, 1)] {
+            let desc = SlotDesc::new(K_PULLED, 0, idx, seq, 0);
+            peer_out.try_push(desc, &[]).expect("ring has room");
+        }
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        let detail = misuse_naming_the_peer(&fabric);
+        assert!(
+            detail.contains("ack for a ready range never published"),
+            "{detail}"
+        );
+        assert_eq!(carrier.doorbell_stats_now().copied_by_peers, 0);
+    }
+
+    /// Geometry with room for a 16 x 256 KiB stream both ways.
+    fn stream_params() -> IpcParams {
+        IpcParams {
+            n_ranks: 2,
+            ring_slots: 128,
+            fifo_bytes: 1 << 20,
+            arena_bytes: 16 << 20,
+        }
+    }
+
+    const PARTS: usize = 16;
+    const PART_BYTES: usize = 256 << 10;
+
+    /// The bytes of partition `p` in iteration `iter`: four variants,
+    /// made once, so a write is one copy.
+    fn patterns() -> Vec<Vec<u8>> {
+        (0..4 * PARTS)
+            .map(|k| (0..PART_BYTES).map(|i| (i * 31 + k * 7) as u8).collect())
+            .collect()
+    }
+
+    /// Rank 1 streams `iters` iterations of 16 x 256 KiB to rank 0 over
+    /// a fresh segment, both carriers' progress threads running as in a
+    /// real run. The sender writes every partition, readies them all,
+    /// then waits. In an iteration `held` names, rank 0 only probes
+    /// `parrived` until everything arrived and the sender enters `wait`
+    /// only after that, so rank 0's progress thread must move every
+    /// range; in the others rank 0 waits at once. Checks every byte and
+    /// returns both carriers' tallies.
+    fn stream(iters: usize, held: impl Fn(usize) -> bool + Sync) -> Option<[DoorbellStats; 2]> {
+        let [(f0, c0), (f1, c1)] = both_ranks(stream_params())?;
+        for (c, f) in [(&c0, &f0), (&c1, &f1)] {
+            Arc::clone(c).start(f).expect("progress thread");
+        }
+        let (bytes, arrived) = (patterns(), AtomicU64::new(0));
+        let want = |iter: usize, p: usize| &bytes[(iter % 4) * PARTS + p][..];
+        std::thread::scope(|s| {
+            let (f0, arrived, held) = (&f0, &arrived, &held);
+            s.spawn(move || {
+                let comm = Comm::world(Arc::clone(f0), 0);
+                let pr = comm.precv_init(1, 7, PARTS, PART_BYTES, PartOptions::default());
+                for iter in 0..iters {
+                    pr.start();
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    while held(iter) && !(0..PARTS).all(|p| pr.parrived(p)) {
+                        assert!(
+                            Instant::now() < deadline,
+                            "the progress thread never landed it"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    arrived.store(iter as u64 + 1, Ordering::Release);
+                    pr.wait();
+                    for p in 0..PARTS {
+                        let ok = pr.partition(p) == want(iter, p);
+                        assert!(ok, "iteration {iter} partition {p}");
+                    }
+                }
+            });
+            let comm = Comm::world(Arc::clone(&f1), 1);
+            let ps = comm.psend_init(0, 7, PARTS, PART_BYTES, PartOptions::default());
+            for iter in 0..iters {
+                ps.start();
+                for p in 0..PARTS {
+                    ps.write_partition(p, |buf| buf.copy_from_slice(want(iter, p)));
+                }
+                ps.pready_range(0, PARTS - 1);
+                while held(iter) && arrived.load(Ordering::Acquire) <= iter as u64 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ps.wait();
+            }
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| c0.close(&f0));
+            c1.close(&f1);
+        });
+        assert!(f0.failure_snapshot().is_none() && f1.failure_snapshot().is_none());
+        Some([c0.doorbell_stats_now(), c1.doorbell_stats_now()])
+    }
+
+    /// Every range lands bit-exact and is copied once — by the receiver
+    /// (then acked) or by the sender — and each side copies some: all
+    /// of every held iteration's ranges go to the receiver, and a
+    /// sender that waits right after readying its ranges claims the
+    /// newest one before the receiver, working oldest first, gets to it.
+    #[test]
+    fn a_stream_is_copied_by_both_sides() {
+        const ITERS: u64 = 40;
+        let Some([receiver, sender]) = stream(ITERS as usize, |iter| iter % 2 == 1) else {
+            return;
+        };
+        let pulled = receiver.copied_for_peers;
+        assert_eq!(
+            pulled, sender.copied_by_peers,
+            "every pulled range is acked once"
+        );
+        assert!(
+            pulled >= ITERS / 2 * PARTS as u64,
+            "the receiver copied {pulled} ranges, fewer than the held iterations'"
+        );
+        assert!(
+            pulled < ITERS * PARTS as u64,
+            "the sender never copied a range"
+        );
+    }
+
+    /// A receiver that never enters `wait` before everything arrived
+    /// (and a sender that waits only after that) still completes: the
+    /// receiver's progress thread claims and copies every range.
+    #[test]
+    fn a_receiver_that_never_waits_completes_through_its_progress_thread() {
+        let Some([receiver, sender]) = stream(2, |_| true) else {
+            return;
+        };
+        assert_eq!(receiver.copied_for_peers, 2 * PARTS as u64);
+        assert_eq!(sender.copied_by_peers, 2 * PARTS as u64);
+    }
+
+    /// Send windows come from the arena the rank keeps for the peer and
+    /// go back on drop: 1000 init/drop cycles leave it empty.
+    #[test]
+    fn a_thousand_psend_init_drop_cycles_leave_the_arena_empty() {
+        let Some([_, (fabric, carrier)]) = both_ranks(stream_params()) else {
+            return;
+        };
+        let comm = Comm::world(fabric, 1);
+        let arena = || carrier.peers[0].as_ref().unwrap().arena.lock().is_empty();
+        for _ in 0..1000 {
+            let ps = comm.psend_init(0, 7, PARTS, 4096, PartOptions::default());
+            assert!(!arena(), "the send window is not in the arena");
+            drop(ps);
+        }
+        assert!(arena(), "a send window was never handed back");
     }
 }

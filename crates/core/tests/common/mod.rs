@@ -513,13 +513,16 @@ pub fn maybe_run_child() -> bool {
             let (digest, slowest, bell) = vals[0];
             format!(
                 "ok {digest:016x} slowest_us={} teardown_us={} rings={} wakes={} \
-                 parks_counted={} parks_uncounted={}{}",
+                 parks_counted={} parks_uncounted={} copied_for_peers={} \
+                 copied_by_peers={}{}",
                 slowest.as_micros(),
                 teardown.as_micros(),
                 bell.rings,
                 bell.wakes,
                 bell.parks_counted,
                 bell.parks_uncounted,
+                bell.copied_for_peers,
+                bell.copied_by_peers,
                 list_field("pass_wakes", &pass_wakes.lock().unwrap())
             )
         }
@@ -579,7 +582,7 @@ impl RankOutcome {
     }
 
     /// A `key=<n>` figure from the `ok` line (`slowest_us`,
-    /// `teardown_us`, the doorbell tallies).
+    /// `teardown_us`, the doorbell and copy tallies).
     pub fn figure(&self, key: &str) -> Option<u64> {
         self.out
             .split_whitespace()

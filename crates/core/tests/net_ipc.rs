@@ -210,8 +210,10 @@ fn ipc_rank_without_waits_still_answers_rts() {
     );
 }
 
-/// The point of the hand-off: with the receiver in `wait`, a 16 x
-/// 256 KiB stream's `K_PART` pushes are atomic adds, not `FUTEX_WAKE`s.
+/// The point of the hand-off: with the receiver in `wait`, the records
+/// of a 16 x 256 KiB stream — each range one copy, made by the side that
+/// claims it: a `K_READY` the receiver pulls, or a `K_PART` after the
+/// sender copied — cost atomic adds, not `FUTEX_WAKE`s.
 ///
 /// A wake is legitimate whenever the receiver stopped polling: its
 /// poll window closes after 150 µs without progress, and a sender

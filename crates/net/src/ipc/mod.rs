@@ -15,9 +15,11 @@
 //!   heartbeat word, attach flag and inbound doorbell
 //!   (see [`doorbell`]);
 //! * **channels** — one region per *directed* rank pair `src → dst`
-//!   holding a lock-free SPSC descriptor ring, a FIFO payload slab for
-//!   frames too large to inline, and a partition arena that receivers
-//!   carve destination buffers out of (see [`ring`] and [`slab`]).
+//!   holding a lock-free SPSC descriptor ring, the claim words of the
+//!   partition ranges `src` has ready for `dst` to pull, a FIFO payload
+//!   slab for frames too large to inline, and a partition arena that
+//!   `dst` carves its partitioned buffers toward and from `src` out of
+//!   (see [`ring`], [`claim`] and [`slab`]).
 //!
 //! Every cross-process reference inside the segment is an **offset** —
 //! each rank maps the segment at a different address, so pointers never
@@ -27,23 +29,24 @@
 //!
 //! The segment file descriptor travels from rank 0 to every peer as an
 //! `SCM_RIGHTS` control message over the already-established
-//! UDS bootstrap stream ([`send_segment_fd`] / [`recv_segment_fd`]),
+//! UDS bootstrap stream ([`bootstrap`]),
 //! after which the sockets are dropped — steady state does zero
 //! syscalls per message (doorbell futexes fire only when a peer is
 //! actually asleep).
 
+pub mod claim;
 pub mod doorbell;
 pub mod ring;
 pub mod slab;
 
-use crate::sys;
-use std::io;
+use crate::{sys, Mesh};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Segment magic: `b"pcommipc"` as a little-endian u64.
 pub const SEG_MAGIC: u64 = u64::from_le_bytes(*b"pcommipc");
 /// Segment layout version; bumped on any incompatible layout change.
-pub const SEG_VERSION: u32 = 1;
+pub const SEG_VERSION: u32 = 2;
 
 /// Size of the validation/geometry header at offset 0.
 const HEADER_BYTES: usize = 4096;
@@ -70,10 +73,7 @@ impl IpcParams {
     /// start on page boundaries (the segment is sparse; untouched
     /// pages — e.g. the wasted diagonal channels — cost nothing).
     fn channel_stride(&self) -> usize {
-        let raw = ring::RING_HDR_BYTES
-            + self.ring_slots as usize * ring::SLOT_BYTES
-            + self.fifo_bytes as usize
-            + self.arena_bytes as usize;
+        let raw = ring::channel_bytes(self.ring_slots, self.fifo_bytes, self.arena_bytes);
         (raw + 4095) & !4095
     }
 
@@ -86,6 +86,39 @@ impl IpcParams {
     /// Total segment length for this geometry.
     pub fn segment_len(&self) -> usize {
         self.channels_base() + self.n_ranks * self.n_ranks * self.channel_stride()
+    }
+}
+
+/// Always-on counters of one rank's segment traffic: bumped on every
+/// run, read racily for diagnostics.
+#[derive(Debug, Default)]
+pub struct Tallies {
+    /// Peer doorbells rung (one per published record).
+    pub rings: AtomicU64,
+    /// Of those, rings that found a counted sleeper and paid `FUTEX_WAKE`.
+    pub wakes: AtomicU64,
+    /// Progress-thread parks counted in `sleepers` (no poller active).
+    pub parks_counted: AtomicU64,
+    /// Progress-thread parks taken over by a polling app thread.
+    pub parks_uncounted: AtomicU64,
+    /// Ready ranges of a peer's stream this rank claimed and copied.
+    pub copied_for_peers: AtomicU64,
+    /// Ready ranges of this rank's streams a peer claimed and copied.
+    pub copied_by_peers: AtomicU64,
+}
+
+impl Tallies {
+    /// Count one event.
+    pub fn bump(tally: &AtomicU64) {
+        // ORDERING: a diagnostics counter, independently monotonic and
+        // read racily; it publishes no memory.
+        tally.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Read one counter (a racy snapshot by design).
+    pub fn read(tally: &AtomicU64) -> u64 {
+        // ORDERING: see `bump`.
+        tally.load(Ordering::Relaxed)
     }
 }
 
@@ -235,33 +268,6 @@ impl Segment {
             )
         }
     }
-
-    /// Whether `ptr` points into this segment; returns its offset if so
-    /// (used to translate receiver buffers into sender-visible arena
-    /// offsets for the zero-copy partition path).
-    pub fn offset_of(&self, ptr: *const u8) -> Option<usize> {
-        let p = ptr as usize;
-        let b = self.base as usize;
-        if p >= b && p < b + self.len {
-            Some(p - b)
-        } else {
-            None
-        }
-    }
-
-    /// Raw pointer at a segment offset (for arena payload access).
-    ///
-    /// # Safety
-    /// `off..off + len` for the caller's intended access must lie
-    /// inside one channel's payload region, and the caller must hold
-    /// the SPSC-protocol right to that range (producer before
-    /// publishing, consumer after the Acquire that published it).
-    pub unsafe fn ptr_at(&self, off: usize) -> *mut u8 {
-        debug_assert!(off < self.len);
-        // SAFETY: bound-checked above in debug; contract forwarded to
-        // the caller.
-        unsafe { self.base.add(off) }
-    }
 }
 
 impl Drop for Segment {
@@ -272,16 +278,79 @@ impl Drop for Segment {
     }
 }
 
-/// Send the segment fd to a peer over a bootstrap socket, tagged with
-/// the sender's rank (sanity-checked on the other side).
-pub fn send_segment_fd(sock_fd: i32, seg_fd: i32, from_rank: usize) -> io::Result<()> {
-    sys::send_fd(sock_fd, seg_fd, from_rank as u8)
-}
-
-/// Receive the segment fd from rank 0 over a bootstrap socket; returns
-/// the fd (close after attach) and the sender's tag byte.
-pub fn recv_segment_fd(sock_fd: i32) -> io::Result<(i32, u8)> {
-    sys::recv_fd(sock_fd)
+/// Create (rank 0) or attach (everyone else) the shared segment,
+/// passing the memfd over the mesh's Unix sockets with `SCM_RIGHTS`,
+/// tagged with the sender's rank. Rank 0 waits for a one-byte ACK from
+/// every peer before returning, so no rank starts pushing before every
+/// mapping exists (the heartbeat monitor keys off the attach flags the
+/// ACKs order). Consumes nothing from the mesh — the sockets stay open
+/// (and are dropped by the caller once the transport is built).
+pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
+    let fail =
+        |what: &str, e: io::Error| io::Error::new(e.kind(), format!("ipc bootstrap: {what}: {e}"));
+    let (rank, n_ranks) = (mesh.rank, mesh.n_ranks);
+    let sock = |mesh: &Mesh, r: usize| -> io::Result<i32> {
+        let ep = mesh.peers[r].as_ref().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotConnected,
+                format!("ipc bootstrap: no mesh endpoint toward rank {r}"),
+            )
+        })?;
+        ep.raw_fd().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::Unsupported,
+                "ipc bootstrap: fd passing needs a Unix-socket mesh (PCOMM_NET_BACKEND=uds)",
+            )
+        })
+    };
+    // Bounded reads: a peer that dies mid-bootstrap becomes an error,
+    // not a hang.
+    for ep in mesh.peers.iter().flatten() {
+        let _ = ep.set_read_timeout(Some(crate::mesh::ESTABLISH_TIMEOUT));
+    }
+    let segment = if rank == 0 {
+        let (segment, fd) = Segment::create(params).map_err(|e| fail("creating the segment", e))?;
+        // ORDERING: attach latch — Release pairs with the monitors'
+        // Acquire loads so a set flag implies a live mapping.
+        segment.attached(0).store(1, Ordering::Release);
+        for r in 1..n_ranks {
+            sys::send_fd(sock(mesh, r)?, fd, 0).map_err(|e| fail("passing the segment fd", e))?;
+        }
+        // One ACK byte per peer: after this, every rank is mapped and
+        // no push can outrun an attach.
+        for r in 1..n_ranks {
+            if let Some(ep) = mesh.peers[r].as_mut() {
+                ep.read_exact(&mut [0u8; 1])
+                    .map_err(|e| fail("waiting for a peer's attach ACK", e))?;
+            }
+        }
+        let _ = sys::close(fd);
+        segment
+    } else {
+        let (fd, from) =
+            sys::recv_fd(sock(mesh, 0)?).map_err(|e| fail("receiving the segment fd", e))?;
+        let attached = if from == 0 {
+            Segment::attach(fd, params).map_err(|e| fail("attaching the segment", e))
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("ipc bootstrap: segment fd came from rank {from}, expected 0"),
+            ))
+        };
+        let _ = sys::close(fd);
+        let segment = attached?;
+        // ORDERING: attach latch (see above).
+        segment.attached(rank).store(1, Ordering::Release);
+        if let Some(ep) = mesh.peers[0].as_mut() {
+            ep.write_all(&[1u8])
+                .map_err(|e| fail("sending the attach ACK", e))?;
+        }
+        segment
+    };
+    for ep in mesh.peers.iter().flatten() {
+        let _ = ep.set_read_timeout(None);
+    }
+    Ok(segment)
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! Each directed rank pair owns a fixed array of 1 KiB slots: a
 //! 32-byte descriptor header plus up to [`INLINE_MAX`] bytes of
 //! bcopy-style inline payload. Larger payloads live in the channel's
-//! FIFO slab ([`super::slab`]) and the slot carries their cursor;
-//! zero-copy partition commits carry only an arena offset — the bytes
-//! are already in receiver-visible memory by the time the descriptor
-//! is published.
+//! FIFO slab ([`super::slab`]) and the slot carries their cursor.
+//! Partition ranges whose bytes sit in the segment carry offsets only:
+//! a commit (`K_PART`) names a destination range the sender already
+//! wrote, a ready range (`K_READY`) names a source range either side
+//! may claim and copy ([`super::claim`]).
 //!
 //! Protocol: the producer fully writes a slot, then publishes it with a
 //! Release store of the *head* cursor; the consumer Acquire-loads the
@@ -18,6 +19,7 @@
 //! consumes per channel; each side serialises its own threads
 //! externally (the transport holds a mutex per direction).
 
+use super::claim::{Claims, CLAIM_BYTES, CLAIM_SLOTS};
 use super::doorbell::Doorbell;
 use super::slab;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -30,15 +32,24 @@ pub const SLOT_HDR_BYTES: usize = 32;
 pub const INLINE_MAX: usize = SLOT_BYTES - SLOT_HDR_BYTES;
 /// Bytes reserved for the ring's shared cursor header.
 pub const RING_HDR_BYTES: usize = 128;
+/// Offset of the slot array in a channel region: past the cursor
+/// header and the claim table.
+const SLOTS_AT: usize = RING_HDR_BYTES + CLAIM_BYTES;
+
+/// Byte span of one channel region: cursor header, claim table, slot
+/// array, FIFO slab, partition arena.
+pub fn channel_bytes(slots: u32, fifo_bytes: u64, arena_bytes: u64) -> usize {
+    SLOTS_AT + slots as usize * SLOT_BYTES + fifo_bytes as usize + arena_bytes as usize
+}
 
 /// Slot kind: a complete wire frame, encoded bytes inline.
 pub const K_FRAME: u16 = 1;
 /// Slot kind: a complete wire frame, encoded bytes in the FIFO slab at
 /// cursor `c`.
 pub const K_SLAB: u16 = 2;
-/// Slot kind: zero-copy partition commit — `a` = rdv id, `b` = offset
-/// of the committed range inside the *receiver's* destination, `len`
-/// bytes already written to the advertised arena range. No payload.
+/// Slot kind: partition commit — `a` = rdv id, `b` = offset of the
+/// committed range inside the *receiver's* destination, `c` bytes the
+/// sender already copied into the granted arena range. No payload.
 pub const K_PART: u16 = 3;
 /// Slot kind: partition data without an arena grant — `a` = rdv id,
 /// `b` = destination offset, bytes in the FIFO slab at cursor `c`.
@@ -47,6 +58,80 @@ pub const K_PARTF: u16 = 4;
 /// offset granted to the sender (`u64::MAX` = no grant, use
 /// [`K_PARTF`]). No payload.
 pub const K_PART_CTS: u16 = 5;
+/// Slot kind: a ready partition range, not yet copied — `a` = rdv id,
+/// `b` = destination offset, `c` = length; the inline payload is a
+/// [`ReadyRange`]. Whoever wins its claim word copies it: the receiver
+/// from the sender's arena (then answers [`K_PULLED`]), or the sender
+/// into the granted destination (then publishes [`K_PART`]).
+pub const K_READY: u16 = 6;
+/// Slot kind: the receiver claimed and copied a [`K_READY`] range —
+/// `a` = claim index, `b` = claim sequence. No payload.
+pub const K_PULLED: u16 = 7;
+
+/// Where a [`K_READY`] range's bytes are and which claim word decides
+/// who copies them: the inline payload of the descriptor, three
+/// little-endian `u64`s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadyRange {
+    /// Offset of the source range in the arena of the channel the
+    /// *receiver* publishes on (the arena its sender manages).
+    pub src: u64,
+    /// Claim index in this channel's table.
+    pub idx: u64,
+    /// Claim sequence number.
+    pub seq: u64,
+}
+
+impl ReadyRange {
+    /// Encoded length.
+    pub const BYTES: usize = 24;
+
+    /// The inline payload.
+    pub fn encode(&self) -> [u8; Self::BYTES] {
+        let mut out = [0u8; Self::BYTES];
+        for (i, w) in [self.src, self.idx, self.seq].into_iter().enumerate() {
+            out[i * 8..][..8].copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// Decode a peer's `K_READY` payload for a range of `len` bytes and
+    /// check it against `window`, the channel whose arena holds the
+    /// peer's source: the claim index must lie in the table and the
+    /// range, non-empty, in the arena. Everything is checked before
+    /// anything is touched; the error says what was wrong.
+    pub fn check(payload: &[u8], len: usize, window: &Channel) -> Result<ReadyRange, String> {
+        match ReadyRange::decode(payload) {
+            Some(r) if r.idx >= CLAIM_SLOTS as u64 => Err(format!(
+                "ready range names claim {} outside the {CLAIM_SLOTS}-slot table",
+                r.idx
+            )),
+            Some(r) if len == 0 || !window.arena_holds(r.src, len) => Err(format!(
+                "ready range {}+{len} leaves the peer's {}-byte window",
+                r.src, window.arena_bytes
+            )),
+            Some(r) => Ok(r),
+            None => Err(format!("{}-byte ready range descriptor", payload.len())),
+        }
+    }
+
+    /// Decode a payload; `None` unless it is exactly [`Self::BYTES`].
+    pub fn decode(payload: &[u8]) -> Option<ReadyRange> {
+        if payload.len() != Self::BYTES {
+            return None;
+        }
+        let word = |i: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&payload[i * 8..][..8]);
+            u64::from_le_bytes(w)
+        };
+        Some(ReadyRange {
+            src: word(0),
+            idx: word(1),
+            seq: word(2),
+        })
+    }
+}
 
 /// The descriptor fields of one slot (everything but the payload).
 /// Field meaning is kind-specific; see the `K_*` docs.
@@ -66,13 +151,26 @@ pub struct SlotDesc {
     pub c: u64,
 }
 
+impl SlotDesc {
+    /// A descriptor of `kind` with its words (slab pushes set `c`).
+    pub fn new(kind: u16, parts: u16, a: u64, b: u64, c: u64) -> SlotDesc {
+        SlotDesc {
+            kind,
+            parts,
+            a,
+            b,
+            c,
+        }
+    }
+}
+
 /// Push failure: no ring slot or no FIFO span free. Pure backpressure —
 /// retry after the consumer advances (see `Channel::space_doorbell`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Full;
 
-/// One directed channel's shared-memory view: cursor header, slot
-/// array, FIFO slab and partition arena. Cheap to copy; all methods
+/// One directed channel's shared-memory view: cursor header, claim
+/// table, slot array, FIFO slab and partition arena. Cheap to copy; all methods
 /// take `&self` and rely on the SPSC protocol for exclusivity.
 #[derive(Clone, Copy)]
 pub struct Channel {
@@ -96,8 +194,8 @@ impl Channel {
     ///
     /// # Safety
     /// `base` must point at a channel region of at least
-    /// `RING_HDR_BYTES + slots * SLOT_BYTES + fifo_bytes + arena_bytes`
-    /// bytes inside a live shared mapping that outlives the `Channel`.
+    /// [`channel_bytes`] bytes inside a live shared mapping that
+    /// outlives the `Channel`.
     pub unsafe fn new(base: *mut u8, slots: u32, fifo_bytes: u64, arena_bytes: u64) -> Channel {
         debug_assert!(slots.is_power_of_two() || slots > 0);
         Channel {
@@ -145,7 +243,7 @@ impl Channel {
         debug_assert!(idx < self.slots);
         // SAFETY: `idx < slots` keeps this inside the slot array sized
         // by the `new` contract.
-        unsafe { self.base.add(RING_HDR_BYTES + idx as usize * SLOT_BYTES) }
+        unsafe { self.base.add(SLOTS_AT + idx as usize * SLOT_BYTES) }
     }
 
     fn fifo_ptr(&self, pos: u64) -> *mut u8 {
@@ -154,7 +252,7 @@ impl Channel {
         // that follows the slot array.
         unsafe {
             self.base
-                .add(RING_HDR_BYTES + self.slots as usize * SLOT_BYTES + pos as usize)
+                .add(SLOTS_AT + self.slots as usize * SLOT_BYTES + pos as usize)
         }
     }
 
@@ -175,12 +273,39 @@ impl Channel {
         // SAFETY: bound forwarded from the caller's contract.
         unsafe {
             self.base.add(
-                RING_HDR_BYTES
+                SLOTS_AT
                     + self.slots as usize * SLOT_BYTES
                     + self.fifo_bytes as usize
                     + off as usize,
             )
         }
+    }
+
+    /// The arena offset of `len` bytes at `ptr`, if they all lie in
+    /// this channel's arena (a pointer this process mapped).
+    pub fn arena_offset(&self, ptr: *const u8, len: usize) -> Option<u64> {
+        if self.arena_bytes == 0 {
+            return None;
+        }
+        // SAFETY: offset 0 of a non-empty arena is in bounds; the
+        // pointer is only used for address arithmetic.
+        let a0 = unsafe { self.arena_ptr(0) } as usize;
+        let p = ptr as usize;
+        (p >= a0 && p.checked_add(len)? <= a0 + self.arena_bytes as usize).then(|| (p - a0) as u64)
+    }
+
+    /// Whether `off..off + len` lies inside the arena (`off` and `len`
+    /// are a peer's word: overflow is out of bounds).
+    pub fn arena_holds(&self, off: u64, len: usize) -> bool {
+        off.checked_add(len as u64)
+            .is_some_and(|end| end <= self.arena_bytes)
+    }
+
+    /// This channel's claim table.
+    pub fn claims(&self) -> Claims {
+        // SAFETY: the table sits between the cursor header and the slot
+        // array, inside the region the `new` contract sized.
+        unsafe { Claims::new(self.base.add(RING_HDR_BYTES)) }
     }
 
     /// Producer: publish a descriptor with an inline payload
@@ -276,8 +401,8 @@ impl Channel {
     }
 
     /// Consumer: pop one descriptor if available, handing `f` the
-    /// descriptor and its payload (inline slice, slab slice, or empty
-    /// for payload-less kinds). Slot and FIFO bytes are recycled after
+    /// descriptor and its payload (slab slice for the slab kinds, else
+    /// the inline slice — empty for payload-less kinds). Slot and FIFO bytes are recycled after
     /// `f` returns, and the producer's space doorbell is rung.
     pub fn try_pop(&self, f: impl FnOnce(&SlotDesc, &[u8])) -> std::io::Result<bool> {
         // ORDERING: tail is consumer-owned; only this side writes it.
@@ -293,11 +418,6 @@ impl Channel {
         // advance tail.
         let (len, desc) = unsafe { read_hdr(slot) };
         let payload: &[u8] = match desc.kind {
-            K_FRAME => {
-                // SAFETY: inline payload written before publish (see
-                // above); `len <= INLINE_MAX` enforced at push.
-                unsafe { std::slice::from_raw_parts(slot.add(SLOT_HDR_BYTES), len as usize) }
-            }
             K_SLAB | K_PARTF => {
                 // SAFETY: slab record at cursor `c`, contiguous by
                 // construction, released only when we advance fifo_tail
@@ -309,7 +429,12 @@ impl Channel {
                     )
                 }
             }
-            _ => &[],
+            // SAFETY: inline payload written before publish (see
+            // above); `len <= INLINE_MAX` enforced at push, and the
+            // clamp keeps a corrupt length inside the slot.
+            _ => unsafe {
+                std::slice::from_raw_parts(slot.add(SLOT_HDR_BYTES), (len as usize).min(INLINE_MAX))
+            },
         };
         f(&desc, payload);
         if matches!(desc.kind, K_SLAB | K_PARTF) {

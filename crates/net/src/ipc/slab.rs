@@ -7,12 +7,13 @@
 //!   are referenced by descriptor slots and consumed — and therefore
 //!   released — in ring order, so two monotonic byte cursors fully
 //!   describe it. The cursor math lives here ([`fifo_reserve`]);
-//! * the **partition arena** — ranges the *receiver* carves out as
-//!   zero-copy destinations for partitioned streams and advertises to
-//!   the sender by offset. Lifetimes are receiver-controlled (freed
-//!   when the `Precv` resets or drops), so the allocator state is
-//!   plain process-local memory ([`ArenaAlloc`]); only the bytes are
-//!   shared.
+//! * the **partition arena** — ranges the channel's *receiving* rank
+//!   carves out as partitioned buffers it shares with the channel's
+//!   sender: destinations of streams from that peer (advertised to it
+//!   by offset in the CTS) and send windows of streams toward it (named
+//!   by offset in each ready range). Lifetimes are the carving rank's
+//!   (freed when its request drops), so the allocator state is plain
+//!   process-local memory ([`ArenaAlloc`]); only the bytes are shared.
 
 /// Outcome of a FIFO reservation: where the record starts (absolute
 /// cursor, already past any end-of-ring padding) — the producer copies
@@ -90,6 +91,11 @@ impl ArenaAlloc {
         Some(off)
     }
 
+    /// Whether every byte is free again (nothing handed out).
+    pub fn is_empty(&self) -> bool {
+        self.capacity == 0 || self.free == [(0, self.capacity)]
+    }
+
     /// Return the range handed out for (`off`, `len`) by [`Self::alloc`],
     /// coalescing with neighbours.
     pub fn release(&mut self, off: u64, len: u64) {
@@ -144,6 +150,8 @@ mod tests {
         a.release(x, 100);
         a.release(z, 100);
         // Fully coalesced: a max-size alloc fits again.
+        assert!(a.is_empty());
         assert_eq!(a.alloc(1024), Some(0));
+        assert!(!a.is_empty());
     }
 }

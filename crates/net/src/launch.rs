@@ -51,8 +51,9 @@ pub const DEFAULT_IPC_SLOTS: u32 = 128;
 /// The ipc FIFO slab per directed channel, bytes: frames too large for
 /// a ring slot and stream chunks without an arena grant.
 pub const DEFAULT_IPC_SLAB: u64 = 1 << 20;
-/// The ipc partition arena per directed channel, bytes: where
-/// partitioned receives land with no copy.
+/// The ipc partition arena per directed channel, bytes: where the
+/// buffers of partitioned streams live on both sides, so one copy moves
+/// each range.
 pub const DEFAULT_IPC_ARENA: u64 = 32 << 20;
 
 /// Which inter-process fabric carries the rank mesh.
