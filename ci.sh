@@ -163,6 +163,17 @@ ipc_smoke halo_exchange
 echo "-- doorbell hand-off stress (one CPU, two CPUs)"
 timeout 300 cargo test --release -q --offline -p pcomm-core --test net_ipc \
     ipc_handoff_stress -- --test-threads=1
+# The in-process binding's claim race (crates/core/src/part.rs): each
+# iteration the receiver's post and the sender's stamps leave a barrier
+# together, 10 000 iterations per layout, pinned to one CPU (no spinning:
+# waits park) and to two. A debug build, so a message claimed twice
+# trips the countdown's assertion; one claimed by neither stalls into
+# the test's watchdog. Hard timeout, one attempt.
+echo "-- binding claim race (one CPU, two CPUs)"
+for cpus in 0 0,1; do
+    timeout 300 taskset -c "$cpus" cargo test -q --offline -p pcomm-core --lib \
+        part::tests::binding_claims_each_message_once -- --exact
+done
 # Audited cells: a verified ipc run persists per-rank .events rings
 # like any other fabric (one lane, epoch pinned to 0) and the merged
 # cross-process audit must come back clean. halo_exchange's 4 KiB
@@ -282,7 +293,7 @@ done
 # tracked too; same rule (the interface had 14 methods before the
 # reconnect epoch left it). (Test-only items sit after all non-test
 # code, so the count is the whole non-test file.)
-PART_CEILING=1463
+PART_CEILING=1462
 FABRIC_CEILING=1462
 UNIVERSE_CEILING=591
 TRAIT_CEILING=13

@@ -1251,31 +1251,27 @@ impl Fabric {
             dst_rank,
             info,
             matched_eager,
-            Some(&posted.info),
+            &posted.info,
             &posted.completion,
             posted.verify_msg,
         );
     }
 
-    /// The tail of every receive — matched in process, a rendezvous
-    /// landed by the wire engine, the last range of a partitioned
-    /// stream's message or a bound partitioned copy (on whichever thread
-    /// committed it): the bytes are in the destination, so record the
-    /// transfer for the analyzer, publish the envelope (if anyone reads
-    /// it), count the match, fire the completion.
+    /// The tail of every receive (matched in process, or landed by the wire
+    /// engine on whichever thread committed it): record the transfer for the
+    /// analyzer, publish the envelope, count the match, fire the completion.
     pub(crate) fn finish_recv(
         &self,
         rank: usize,
         msg: MsgInfo,
         eager: bool,
-        info: Option<&Mutex<Option<MsgInfo>>>,
+        info: &Mutex<Option<MsgInfo>>,
         completion: &Completion,
         verify_msg: Option<(u16, u16)>,
     ) {
         if let Some((vreq, m)) = verify_msg {
-            // Emitted before the completion fires so the analyzer sees
-            // the transfer's buffer write ordered before any parrived /
-            // wait edge it enables.
+            // Emitted before the completion fires: the analyzer orders the
+            // buffer write before any parrived / wait edge it enables.
             self.trace
                 .emit_verify(rank as u16, || EventKind::VerifyMsgRecv {
                     req: vreq,
@@ -1284,11 +1280,15 @@ impl Fabric {
                     eager,
                 });
         }
-        if let Some(info) = info {
-            *info.lock() = Some(msg);
-        }
+        *info.lock() = Some(msg);
         self.matched.fetch_add(1, Ordering::Relaxed);
         completion.set();
+        self.touch();
+    }
+
+    /// Count `n` matched messages (a bound partitioned iteration's, once).
+    pub(crate) fn count_matched(&self, n: usize) {
+        self.matched.fetch_add(n as u64, Ordering::Relaxed);
         self.touch();
     }
 

@@ -20,12 +20,10 @@ use std::sync::{Arc, OnceLock};
 
 use pcomm_trace::{EventKind, FaultKind};
 
-use crate::sync::Mutex;
-
 use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
 use crate::fabric::{Fabric, MsgInfo, PostedRecv};
-use crate::sync::Completion;
+use crate::sync::{Completion, Mutex};
 
 /// Tag of the legacy clear-to-send control message.
 const TAG_CTS: i64 = -1;
@@ -60,12 +58,9 @@ pub struct MsgSpec {
     pub bytes: usize,
 }
 
-/// The negotiated partition→message mapping (paper §3.2.1).
-///
-/// Alongside the message list it carries dense partition→message index
-/// tables, so the per-`pready` / per-`parrived` lookup is one bounds
-/// check and one array read instead of a linear scan over messages —
-/// `pready` sits on the application's inner loop.
+/// The negotiated partition→message mapping (paper §3.2.1), with dense
+/// partition→message tables: the per-`pready` / per-`parrived` lookup
+/// is one array read, not a scan over messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgLayout {
     /// Messages in buffer order.
@@ -99,18 +94,12 @@ impl MsgLayout {
 
     /// Message index a sender partition contributes to (O(1)).
     pub fn msg_of_spart(&self, p: usize) -> usize {
-        self.spart_msg
-            .get(p)
-            .copied()
-            .expect("sender partition out of range") as usize
+        self.spart_msg[p] as usize
     }
 
     /// Message index covering a receiver partition (O(1)).
     pub fn msg_of_rpart(&self, p: usize) -> usize {
-        self.rpart_msg
-            .get(p)
-            .copied()
-            .expect("receiver partition out of range") as usize
+        self.rpart_msg[p] as usize
     }
 
     /// Number of messages.
@@ -166,6 +155,11 @@ pub fn negotiate_layout(
     MsgLayout::from_msgs(msgs)
 }
 
+/// A blocked partitioned wait, as a stall report names it.
+fn blocked(what: String, tag: i64, peer: usize) -> (String, Option<i64>, Option<usize>) {
+    (format!("partitioned {what}"), Some(tag), Some(peer))
+}
+
 /// Per-partition buffer state machine.
 const PART_WRITABLE: u8 = 0;
 const PART_WRITING: u8 = 1;
@@ -216,11 +210,7 @@ impl PartStorage {
     /// Zeroed storage: in memory `peer` can reach when `shared` names a
     /// stream's fabric and peer and the transport has room for it (see
     /// [`SegBacking`]), on the heap otherwise.
-    fn new(
-        n_parts: usize,
-        part_bytes: usize,
-        shared: Option<(&Arc<Fabric>, usize)>,
-    ) -> PartStorage {
+    fn new(n_parts: usize, part_bytes: usize, shared: Option<(&Arc<Fabric>, usize)>) -> Self {
         let len = n_parts * part_bytes;
         let seg = shared.and_then(|(fabric, peer)| {
             let (token, ptr) = fabric.alloc_part_buf(peer, len)?;
@@ -262,15 +252,15 @@ impl PartStorage {
         }
     }
 
+    /// The check of a `mode` wait that sends: every partition readied.
+    fn assert_all_ready(&self, mode: &str) {
+        let ready = |s: &AtomicU8| s.load(Ordering::Acquire) == PART_READY;
+        let all = self.states.iter().all(ready);
+        assert!(all, "{mode} wait requires all partitions ready");
+    }
+
     fn write_partition(&self, p: usize, f: impl FnOnce(&mut [u8])) {
-        let s = &self.states[p];
-        s.compare_exchange(
-            PART_WRITABLE,
-            PART_WRITING,
-            Ordering::Acquire,
-            Ordering::Relaxed,
-        )
-        .unwrap_or_else(|cur| {
+        self.leave_writable(p, PART_WRITING).unwrap_or_else(|cur| {
             panic!("partition {p} not writable (state {cur}): already ready or being written")
         });
         let off = p * self.part_bytes;
@@ -278,22 +268,15 @@ impl PartStorage {
             // SAFETY: WRITING grants exclusive access to this disjoint range.
             unsafe { std::slice::from_raw_parts_mut(self.base().add(off), self.part_bytes) };
         f(slice);
-        s.store(PART_WRITABLE, Ordering::Release);
+        self.states[p].store(PART_WRITABLE, Ordering::Release);
     }
 
-    /// Transition a partition WRITABLE→READY. `Err(state)` when the
-    /// partition is already READY (readied twice) or mid-write — the
-    /// storage is left untouched either way, so the caller can surface
-    /// the misuse without corrupting the iteration.
-    fn try_mark_ready(&self, p: usize) -> Result<(), u8> {
-        self.states[p]
-            .compare_exchange(
-                PART_WRITABLE,
-                PART_READY,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .map(|_| ())
+    /// Transition a partition WRITABLE→`to` (WRITING or READY).
+    /// `Err(state)` when it is already READY (readied twice) or mid-write
+    /// — the storage is left untouched either way, so the caller can
+    /// surface the misuse without corrupting the iteration.
+    fn leave_writable(&self, p: usize, to: u8) -> Result<u8, u8> {
+        self.states[p].compare_exchange(PART_WRITABLE, to, Ordering::AcqRel, Ordering::Relaxed)
     }
 
     /// A read-only view of a byte range whose partitions are all READY.
@@ -320,34 +303,40 @@ impl PartStorage {
 
     fn read_partition(&self, p: usize) -> &[u8] {
         let off = p * self.part_bytes;
-        // SAFETY: reads are only exposed by PrecvRequest after wait()
-        // (iteration inactive — no writer exists) or, mid-iteration, via
-        // the checked `read_partition` path after the covering message's
-        // arrival signal was observed set. The fabric sets that signal
-        // with Release *after* its last write into the range and the
-        // probe loads it with Acquire, so the fabric's writes
-        // happened-before this read and no writer touches the range
-        // again until the next start().
+        // SAFETY: PrecvRequest exposes reads after wait() (no writer
+        // exists) or, mid-iteration, once the covering message's arrival
+        // signal or stamp says it landed: set with Release after the last
+        // write into the range and loaded with Acquire, and no writer
+        // touches the range again until the next start().
         unsafe { std::slice::from_raw_parts(self.base().add(off), self.part_bytes) }
     }
 }
 
-/// One side of a [`Binding`]: its buffer and its per-message
-/// completions (`arrived` on the receiver, `sent` on the sender).
-type Side = (Arc<PartStorage>, Vec<Arc<Completion>>);
+/// One side of a [`Binding`]: its buffer, its per-message iteration
+/// stamps (`issued` on the sender, `landed` on the receiver) and its
+/// request's one completion.
+type Side = (Arc<PartStorage>, Arc<[AtomicU64]>, Arc<Completion>);
 
 /// The in-process improved path's pairing of a `psend_init` with its
 /// `precv_init`, made once by the second of the two (the first waits in
-/// the fabric's `pairs` table). Each iteration both sides bump `turn[m]`
-/// once per message — the sender when it issues `m`, the receiver in
-/// `start` — and the second bump copies the message into the receiver's
-/// buffer. The binding holds both buffers: no drop frees memory a copy
-/// may still touch.
+/// the fabric's `pairs` table). Both sides count iterations from 1. The
+/// receiver's `start` of iteration `k` posts `k`; the sender's issue of
+/// message `m` stamps `issued[m] = k`. Each side then reads the other's
+/// word, and one CAS on `turn[m]` (`k − 1 → k`) picks which of the two
+/// copies `m` into the receiver's buffer. The copy stamps `landed[m] =
+/// k`, and the one that takes the countdown `left` to zero completes
+/// both requests. The binding holds both buffers: no drop frees memory a
+/// copy may still touch.
 pub(crate) struct Binding {
     /// `(part ctx, src, dst)`: inits of one key pair oldest first.
     key: (u64, usize, usize),
     layout: MsgLayout,
     vreq: u16,
+    /// The receiver's current iteration.
+    posted: AtomicU64,
+    /// Messages of the posted iteration not yet copied.
+    left: AtomicUsize,
+    /// The last iteration each message was claimed in.
     turn: Vec<AtomicU64>,
     /// `[receiver, sender]`, each set by its own side's init.
     sides: [OnceLock<Side>; 2],
@@ -374,6 +363,8 @@ impl Binding {
                     key,
                     layout: layout.clone(),
                     vreq,
+                    posted: AtomicU64::new(0),
+                    left: AtomicUsize::new(0),
                     turn: layout.msgs.iter().map(|_| AtomicU64::new(0)).collect(),
                     sides: Default::default(),
                 });
@@ -387,36 +378,71 @@ impl Binding {
         b
     }
 
-    /// This side's bump of message `m`, after it re-armed its own
-    /// completion. The second bump copies the message (at one offset:
-    /// the layout puts it at the same byte on both sides), then fires
-    /// the receiver's `arrived[m]` — a matched message, for the counters
-    /// and the analyzer — and the sender's `sent[m]`.
-    fn bump(&self, fabric: &Fabric, m: usize) {
-        if self.turn[m].fetch_add(1, Ordering::AcqRel) & 1 == 0 {
+    /// The receiver's start of iteration `k`: re-arm the countdown and
+    /// its completion, post `k`, then copy what the sender already
+    /// issued in `k`.
+    fn post(&self, fabric: &Fabric, k: u64) {
+        let (_, _, done) = self.sides[0].get().expect("receiver side set");
+        self.left.store(self.layout.n_msgs(), Ordering::Relaxed);
+        done.reset();
+        self.posted.store(k, Ordering::SeqCst);
+        if let Some((_, issued, _)) = self.sides[1].get() {
+            for (m, stamp) in issued.iter().enumerate() {
+                if stamp.load(Ordering::SeqCst) == k {
+                    self.claim(fabric, m, k);
+                }
+            }
+        }
+    }
+
+    /// The sender's issue of message `m` in iteration `k`: stamp it,
+    /// then copy it if the receiver already posted `k`.
+    fn issue(&self, fabric: &Fabric, m: usize, k: u64) {
+        let (_, issued, _) = self.sides[1].get().expect("sender side set");
+        issued[m].store(k, Ordering::SeqCst);
+        if self.posted.load(Ordering::SeqCst) == k {
+            self.claim(fabric, m, k);
+        }
+    }
+
+    /// Copy message `m` of iteration `k` unless the other side claimed
+    /// it first (at one offset: the layout puts it at the same byte on
+    /// both sides). The stamp and the post are SeqCst stores each
+    /// followed by a SeqCst load of the other, so at least one side sees
+    /// both and gets here; the CAS lets exactly one of them copy.
+    fn claim(&self, fabric: &Fabric, m: usize, k: u64) {
+        let claimed = self.turn[m].compare_exchange(k - 1, k, Ordering::AcqRel, Ordering::Relaxed);
+        if claimed.is_err() {
             return;
         }
-        // Both sides bumped, so both inits ran.
-        let (rbuf, arrived) = self.sides[0].get().expect("receiver side set");
-        let (sbuf, sent) = self.sides[1].get().expect("sender side set");
+        let (rbuf, landed, rdone) = self.sides[0].get().expect("receiver side set");
+        let (sbuf, _, sdone) = self.sides[1].get().expect("sender side set");
         let spec = self.layout.msgs[m];
         let off = spec.first_spart * sbuf.part_bytes;
-        // SAFETY: both bumps happened (AcqRel), so the sender's range is
-        // READY until `sent[m]` lets its next start reset it, and nothing
-        // touches the receiver's range until `arrived[m]` fires. Equal
-        // layouts (asserted at pairing) put the range inside both
+        // SAFETY: the sender's range is READY until its next start, which
+        // follows its wait on `sdone`, set only once this copy is counted;
+        // nothing reads the receiver's range before `landed[m]` says `k`.
+        // Equal layouts (asserted at pairing) put the range inside both
         // buffers, which `self` keeps alive.
         unsafe {
             std::ptr::copy_nonoverlapping(sbuf.base().add(off), rbuf.base().add(off), spec.bytes)
         };
-        let info = MsgInfo {
-            src: self.key.1,
-            tag: m as i64,
-            len: spec.bytes,
+        // For the analyzer: ordered before the probes and waits it enables.
+        let vmsg = || EventKind::VerifyMsgRecv {
+            req: self.vreq,
+            msg: m as u16,
+            tid: pcomm_trace::current_tid(),
+            eager: false,
         };
-        let vmsg = Some((self.vreq, m as u16));
-        fabric.finish_recv(self.key.2, info, false, None, &arrived[m], vmsg);
-        sent[m].set();
+        fabric.trace().emit_verify(self.key.2 as u16, vmsg);
+        landed[m].store(k, Ordering::Release);
+        let left = self.left.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(left > 0, "message {m} of iteration {k} claimed twice");
+        if left == 1 {
+            fabric.count_matched(self.layout.n_msgs());
+            rdone.set();
+            sdone.set();
+        }
     }
 
     /// Take this binding out of the table if nobody paired with it (its
@@ -463,18 +489,20 @@ impl Core {
         self.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
     }
 
-    /// The head of `MPI_Start` on either side: arm and record it.
-    fn begin(&self, sender: bool) {
+    /// The head of `MPI_Start` on either side: arm and record it, and
+    /// return the iteration it starts (counted from 1).
+    fn begin(&self, sender: bool) -> u64 {
         let was = self.started.swap(true, Ordering::AcqRel);
         let side = if sender { "send" } else { "recv" };
         assert!(!was, "partitioned {side} started twice");
-        let iter = self.iters.fetch_add(1, Ordering::Relaxed) as u32;
+        let iter = self.iters.fetch_add(1, Ordering::Relaxed);
         self.verify(|| EventKind::VerifyStart {
             req: self.vreq,
             sender,
-            iter,
+            iter: iter as u32,
             tid: pcomm_trace::current_tid(),
         });
+        iter + 1
     }
 
     /// The tail of `MPI_Wait` on either side, whose wait began at
@@ -519,22 +547,69 @@ impl Core {
         self.comm.fabric().trace().emit_verify(rank, kind);
     }
 
-    /// The verify events of this side's init (see
-    /// [`verify_init_events`]); `n_peer_parts` is the peer's count.
-    fn init_events(&self, sender: bool, n_peer_parts: usize) {
-        let trace = self.comm.fabric().trace();
-        if trace.is_verify() {
-            verify_init_events(
-                self.vreq,
-                sender,
-                self.n_parts,
-                n_peer_parts,
-                self.legacy,
-                &self.layout,
-                self.n_parts * self.part_bytes,
-                |kind| self.verify(|| kind),
-            );
+    /// What both inits share: the request's own communicator and
+    /// buffer, its binding on the improved path toward a local `peer`,
+    /// and its init's verify events. Also returns this side's stamps,
+    /// one per message, and its completion signals: one per message on a
+    /// wire stream, else one.
+    #[allow(clippy::too_many_arguments)] // one-shot plumbing of both inits
+    fn new(
+        comm: &Comm,
+        peer: usize,
+        sender: bool,
+        tag: i64,
+        n_parts: usize,
+        part_bytes: usize,
+        layout: MsgLayout,
+        legacy: bool,
+    ) -> (Core, Arc<[AtomicU64]>, Vec<Arc<Completion>>) {
+        let ctx = comm.part_ctx(tag);
+        let (src, dst) = if sender {
+            (comm.rank(), peer)
+        } else {
+            (peer, comm.rank())
+        };
+        // Both sides intern by the sender's rank, which disambiguates
+        // pairs sharing a (ctx, tag) — e.g. a ring whose links all use
+        // one tag.
+        let vreq = comm.fabric().trace().verify_req_id(ctx, src as u16);
+        // A wire stream's buffers live where the peer can reach them
+        // when the transport allows (the ipc partition arena): one copy
+        // moves each range.
+        let stream = !legacy && !comm.fabric().is_local(peer);
+        let shared = stream.then_some((comm.fabric(), peer));
+        let storage = Arc::new(PartStorage::new(n_parts, part_bytes, shared));
+        let n_msgs = layout.n_msgs();
+        let stamps: Arc<[AtomicU64]> = (0..n_msgs).map(|_| AtomicU64::new(0)).collect();
+        let n_signals = if stream { n_msgs } else { 1 };
+        let signals: Vec<_> = (0..n_signals).map(|_| Completion::new_set()).collect();
+        let side = (storage.clone(), stamps.clone(), signals[0].clone());
+        let (key, me) = ((ctx, src, dst), usize::from(sender));
+        let bound = (!legacy && !stream).then(|| Binding::pair(comm, key, me, &layout, vreq, side));
+        let core = Core {
+            comm: comm.with_ctx(ctx, comm.fabric().shard_of_ctx(ctx)),
+            vreq,
+            n_parts,
+            part_bytes,
+            layout,
+            legacy,
+            bound,
+            storage,
+            started: AtomicBool::new(false),
+            iters: AtomicU64::new(0),
+        };
+        if comm.fabric().trace().is_verify() {
+            let l = &core.layout;
+            let n_peer_parts = if sender {
+                l.rpart_msg.len()
+            } else {
+                l.spart_msg.len()
+            };
+            let bytes = n_parts * part_bytes;
+            let emit = |kind| core.verify(|| kind);
+            verify_init_events(vreq, sender, n_parts, n_peer_parts, legacy, l, bytes, emit);
         }
+        (core, stamps, signals)
     }
 
     /// Record `err` as the universe's failure and unwind this rank.
@@ -554,17 +629,15 @@ struct PsendShared {
     /// The current iteration's stream id (valid while `started`).
     stream_id: AtomicU64,
     counters: Vec<AtomicI64>,
-    /// Persistent per-message send signals: `sent[m]` is set once the
-    /// bytes of message `m` are safely out of the partition buffer
-    /// (copied into a local receiver's buffer, all on the wire, or sent
-    /// by legacy's `wait`). Reset — never reallocated — by each `start()`,
-    /// so the `pready`→`issue` hot path touches no lock and allocates
-    /// nothing.
+    /// Send signals, reset (never reallocated) by each `start()`: on a
+    /// wire stream `sent[m]` is set once message `m` is all on the wire
+    /// (legacy: sent by `wait`); a bound request's one once every message
+    /// is copied. The `pready`→`issue` hot path takes no lock.
     sent: Vec<Arc<Completion>>,
-    /// `issued[m]` is set once message `m` was handed to the fabric this
-    /// iteration (the fabric may then hold a pointer into `storage`), so
-    /// teardown knows exactly which `sent` signals it must drain.
-    issued: Vec<AtomicBool>,
+    /// The iteration each message was last issued in: teardown drains
+    /// the `sent` signals the fabric may still hold, and a binding's
+    /// receiver finds the messages it copies.
+    issued: Arc<[AtomicU64]>,
     /// Round counter for chaos `pready` jitter permutations.
     jitter_round: AtomicU64,
     /// Legacy: persistent CTS completion + envelope slot, re-armed and
@@ -589,8 +662,9 @@ impl Drop for PsendShared {
         if let Some(b) = &self.bound {
             b.unpair(self.comm.fabric());
         } else if self.started.load(Ordering::Acquire) {
+            let k = self.iters.load(Ordering::Relaxed);
             for (m, sent) in self.sent.iter().enumerate() {
-                if self.issued[m].load(Ordering::Acquire) {
+                if self.issued[m].load(Ordering::Acquire) == k {
                     self.comm.fabric().drain_completion(sent);
                 }
             }
@@ -691,7 +765,6 @@ impl Comm {
             "total size must divide into receiver partitions"
         );
         let layout = negotiate_layout(n_parts, n_recv_parts, part_bytes, opts.aggr_size);
-        let part_comm = Comm::part_comm(self, tag);
         let n_msgs = layout.n_msgs();
         self.fabric()
             .trace()
@@ -700,49 +773,21 @@ impl Comm {
                 msgs: n_msgs as u16,
                 bytes_per_msg: layout.msgs[0].bytes as u64,
             });
-        // The sender's rank disambiguates pairs sharing a (ctx, tag) —
-        // e.g. a ring whose links all use one tag.
-        let vreq = self
-            .fabric()
-            .trace()
-            .verify_req_id(part_comm.ctx(), self.rank() as u16);
-        // A wire stream's source lives where the receiver can read it
-        // when the transport allows (the ipc partition arena).
-        let stream = !opts.legacy_single_message && !self.fabric().is_local(dst);
-        let storage = Arc::new(PartStorage::new(
-            n_parts,
-            part_bytes,
-            stream.then_some((self.fabric(), dst)),
-        ));
-        let sent: Vec<_> = (0..n_msgs).map(|_| Completion::new()).collect();
-        let key = (part_comm.ctx(), self.rank(), dst);
-        let side = (Arc::clone(&storage), sent.clone());
-        let bound = (!opts.legacy_single_message && !stream)
-            .then(|| Binding::pair(self, key, 1, &layout, vreq, side));
+        let legacy = opts.legacy_single_message;
+        let (core, issued, sent) =
+            Core::new(self, dst, true, tag, n_parts, part_bytes, layout, legacy);
         let inner = Arc::new(PsendShared {
-            core: Core {
-                comm: part_comm,
-                vreq,
-                n_parts,
-                part_bytes,
-                layout,
-                legacy: opts.legacy_single_message,
-                bound,
-                storage,
-                started: AtomicBool::new(false),
-                iters: AtomicU64::new(0),
-            },
+            core,
             dst,
             defer_sends: opts.defer_sends,
             stream_id: AtomicU64::new(0),
             counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
             sent,
-            issued: (0..n_msgs).map(|_| AtomicBool::new(false)).collect(),
+            issued,
             jitter_round: AtomicU64::new(0),
             cts_done: Completion::new(),
             cts_info: Arc::new(Mutex::new(None)),
         });
-        inner.init_events(true, n_recv_parts);
         PsendRequest { inner }
     }
 
@@ -787,50 +832,18 @@ impl Comm {
             "sender and receiver buffer sizes must agree"
         );
         let layout = negotiate_layout(n_send_parts, n_parts, send_part_bytes, opts.aggr_size);
-        let part_comm = Comm::part_comm(self, tag);
         let n_msgs = layout.n_msgs();
-        // Same id the sender interned: both sides key by the sender's rank.
-        let vreq = self
-            .fabric()
-            .trace()
-            .verify_req_id(part_comm.ctx(), src as u16);
-        let stream = !opts.legacy_single_message && !self.fabric().is_local(src);
-        // As the sender's source: one copy moves each range into it.
-        let storage = Arc::new(PartStorage::new(
-            n_parts,
-            part_bytes,
-            stream.then_some((self.fabric(), src)),
-        ));
-        let arrived: Vec<_> = (0..n_msgs).map(|_| Completion::new_set()).collect();
-        let key = (part_comm.ctx(), src, self.rank());
-        let side = (Arc::clone(&storage), arrived.clone());
-        let bound = (!opts.legacy_single_message && !stream)
-            .then(|| Binding::pair(self, key, 0, &layout, vreq, side));
+        let legacy = opts.legacy_single_message;
+        let (core, landed, arrived) =
+            Core::new(self, src, false, tag, n_parts, part_bytes, layout, legacy);
         let inner = Arc::new(PrecvShared {
-            core: Core {
-                comm: part_comm,
-                vreq,
-                n_parts,
-                part_bytes,
-                layout,
-                legacy: opts.legacy_single_message,
-                bound,
-                storage,
-                started: AtomicBool::new(false),
-                iters: AtomicU64::new(0),
-            },
+            core,
             src,
             arrived,
+            landed,
             infos: (0..n_msgs).map(|_| Arc::new(Mutex::new(None))).collect(),
         });
-        inner.init_events(false, n_send_parts);
         PrecvRequest { inner }
-    }
-
-    fn part_comm(parent: &Comm, tag: i64) -> Comm {
-        let ctx = parent.part_ctx(tag);
-        let shard = parent.fabric().shard_of_ctx(ctx);
-        parent.with_ctx(ctx, shard)
     }
 }
 
@@ -850,9 +863,6 @@ impl PsendRequest {
         let s = &self.inner;
         s.begin(true);
         s.storage.reset();
-        for issued in &s.issued {
-            issued.store(false, Ordering::Release);
-        }
         if s.legacy {
             // Re-arm the persistent CTS slots (quiescent: the previous
             // iteration's wait() returned) and post the receive; the data
@@ -874,10 +884,11 @@ impl PsendRequest {
                     verify_msg: None,
                 },
             );
-            s.counters[0].store(s.n_parts as i64, Ordering::Release);
         } else {
+            for sent in &s.sent {
+                sent.reset();
+            }
             for (m, spec) in s.layout.msgs.iter().enumerate() {
-                s.sent[m].reset();
                 s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
             }
             if s.bound.is_none() {
@@ -991,7 +1002,7 @@ impl PsendRequest {
             iter: s.cur_iter(),
             tid: pcomm_trace::current_tid(),
         });
-        if let Err(state) = s.storage.try_mark_ready(p) {
+        if let Err(state) = s.storage.leave_writable(p, PART_READY) {
             let why = if state == PART_WRITING {
                 "still being written"
             } else {
@@ -1003,16 +1014,18 @@ impl PsendRequest {
             ));
         }
         // The CAS above is the sole gate to the counters: a duplicate or
-        // out-of-range pready can no longer skew them.
+        // out-of-range pready can no longer skew them. Legacy sends in
+        // `wait`, and a message of one partition needs no count.
         if s.legacy {
-            let left = s.counters[0].fetch_sub(1, Ordering::AcqRel) - 1;
-            debug_assert!(left >= 0, "counter underflow despite state gate");
             return Ok(());
         }
         let m = s.layout.msg_of_spart(p);
-        let left = s.counters[m].fetch_sub(1, Ordering::AcqRel) - 1;
-        debug_assert!(left >= 0, "counter underflow despite state gate");
-        if left == 0 && !s.defer_sends {
+        let whole = s.layout.msgs[m].n_sparts == 1 || {
+            let left = s.counters[m].fetch_sub(1, Ordering::AcqRel) - 1;
+            debug_assert!(left >= 0, "counter underflow despite state gate");
+            left == 0
+        };
+        if whole && !s.defer_sends {
             self.issue(m, pready_ns);
         }
         Ok(())
@@ -1094,34 +1107,37 @@ impl PsendRequest {
             iter: s.cur_iter(),
             tid: pcomm_trace::current_tid(),
         });
-        // Marked before the fabric sees the pointer: teardown must drain
-        // `sent[m]` whenever the fabric might hold a reference.
-        s.issued[m].store(true, Ordering::Release);
+        let k = s.iters.load(Ordering::Relaxed);
         match &s.bound {
             // In process: the fault plan decides as on the wire (a message
-            // lost for good fails the universe and is never bumped).
+            // lost for good fails the universe and is never stamped).
             Some(b) => {
                 if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
-                    b.bump(fabric, m);
+                    b.issue(fabric, m, k);
                 }
             }
             // Wire streaming: the range is pinned into the stream's
             // aggregation window — no copy, no per-message envelope, no
             // CTS wait on this path. The carrier flips `sent[m]` once
-            // the message's whole span is on the wire.
-            None => fabric.part_stream_send(
-                s.dst,
-                s.comm.rank(),
-                s.comm.ctx(),
-                m as i64,
-                s.stream_id.load(Ordering::Acquire),
-                byte_off as u64,
-                // SAFETY: every partition of message m is READY (its
-                // counter hit zero) and stays READY until `sent[m]`,
-                // which the next start() observes before resetting them.
-                unsafe { s.storage.ready_slice(byte_off, spec.bytes) },
-                spec.n_sparts as u16,
-            ),
+            // the message's whole span is on the wire. Stamped before
+            // the fabric sees the pointer: teardown must drain `sent[m]`
+            // whenever the fabric might hold a reference.
+            None => {
+                s.issued[m].store(k, Ordering::Release);
+                fabric.part_stream_send(
+                    s.dst,
+                    s.comm.rank(),
+                    s.comm.ctx(),
+                    m as i64,
+                    s.stream_id.load(Ordering::Acquire),
+                    byte_off as u64,
+                    // SAFETY: every partition of message m is READY (counted
+                    // down, or its only one) and stays READY until `sent[m]`,
+                    // which the next start() observes before resetting them.
+                    unsafe { s.storage.ready_slice(byte_off, spec.bytes) },
+                    spec.n_sparts as u16,
+                );
+            }
         }
         if let Some(t0) = pready_ns {
             let trace = fabric.trace();
@@ -1146,19 +1162,10 @@ impl PsendRequest {
         let trace = s.comm.fabric().trace();
         let t_wait = trace.now_ns();
         if s.legacy {
-            assert_eq!(
-                s.counters[0].load(Ordering::Acquire),
-                0,
-                "legacy wait requires all partitions ready"
-            );
+            s.storage.assert_all_ready("legacy");
             let t_cts = trace.now_ns();
-            s.comm.fabric().wait_on(&s.cts_done, s.comm.rank(), || {
-                (
-                    format!("partitioned send CTS wait(dst={})", s.dst),
-                    Some(TAG_CTS),
-                    Some(s.dst),
-                )
-            });
+            let what = || blocked(format!("send CTS wait(dst={})", s.dst), TAG_CTS, s.dst);
+            s.comm.fabric().wait_on(&s.cts_done, s.comm.rank(), what);
             trace.emit_span(t_cts, s.comm.rank() as u16, |start, dur| {
                 EventKind::CtsWait {
                     peer: s.dst as u16,
@@ -1175,7 +1182,7 @@ impl PsendRequest {
                 iter: s.cur_iter(),
                 tid: pcomm_trace::current_tid(),
             });
-            s.issued[0].store(true, Ordering::Release);
+            s.issued[0].store(s.iters.load(Ordering::Relaxed), Ordering::Release);
             s.comm.fabric().send_raw_signal(
                 s.dst,
                 s.comm.shard(),
@@ -1185,33 +1192,21 @@ impl PsendRequest {
                 data,
                 &s.sent[0],
             );
-            s.comm.fabric().wait_on(&s.sent[0], s.comm.rank(), || {
-                (
-                    format!("partitioned send data wait(dst={})", s.dst),
-                    Some(TAG_DATA),
-                    Some(s.dst),
-                )
-            });
+            let what = || blocked(format!("send data wait(dst={})", s.dst), TAG_DATA, s.dst);
+            s.comm.fabric().wait_on(&s.sent[0], s.comm.rank(), what);
         } else {
             if s.defer_sends {
+                s.storage.assert_all_ready("deferred");
                 for m in 0..s.layout.n_msgs() {
-                    assert_eq!(
-                        s.counters[m].load(Ordering::Acquire),
-                        0,
-                        "deferred wait requires all partitions ready"
-                    );
                     self.issue(m, None);
                 }
             }
-            // Toward a local peer, `sent[m]` needs the receiver's start
-            // (the copy); toward a remote one, the bytes on the wire.
-            s.comm.fabric().wait_all(&s.sent, s.comm.rank(), |m| {
-                (
-                    format!("partitioned send wait(dst={}, msg={m})", s.dst),
-                    Some(m as i64),
-                    Some(s.dst),
-                )
-            });
+            // Toward a local peer, the one `sent` needs the receiver's
+            // start (every copy); toward a remote one, `sent[m]` needs
+            // the bytes on the wire.
+            let dst = s.dst;
+            let what = |m| blocked(format!("send wait(dst={dst}, msg={m})"), m as i64, dst);
+            s.comm.fabric().wait_all(&s.sent, s.comm.rank(), what);
         }
         s.end(true, t_wait);
     }
@@ -1220,12 +1215,13 @@ impl PsendRequest {
 struct PrecvShared {
     core: Core,
     src: usize,
-    /// Persistent per-message arrival signals: created pre-set so probing
-    /// an *inactive* request reports completion (MPI's convention for
-    /// inactive persistent requests), reset by `start()` and set by the
-    /// fabric when message `m` lands. `parrived` is thus a table lookup
-    /// plus a single atomic load — no lock, ever.
+    /// Arrival signals, pre-set so an *inactive* request probes as
+    /// complete (MPI's convention), reset by `start()`: `arrived[m]` on a
+    /// wire stream, legacy's one, or a bound request's one, set once
+    /// every message landed.
     arrived: Vec<Arc<Completion>>,
+    /// The iteration each message last landed in (bound only).
+    landed: Arc<[AtomicU64]>,
     /// Persistent envelope slots handed to the fabric with each post.
     infos: Vec<Arc<Mutex<Option<MsgInfo>>>>,
 }
@@ -1234,6 +1230,27 @@ impl std::ops::Deref for PrecvShared {
     type Target = Core;
     fn deref(&self) -> &Core {
         &self.core
+    }
+}
+
+impl PrecvShared {
+    /// The message covering receiver partition `p`, and whether it has
+    /// landed this iteration (true on an inactive request): one load of
+    /// its arrival stamp or signal, no lock.
+    fn arrival(&self, p: usize) -> (usize, bool) {
+        let m = if self.legacy {
+            0
+        } else {
+            self.layout.msg_of_rpart(p)
+        };
+        let arrived = match self.bound {
+            Some(_) => {
+                crate::hotpath::count_fast_probe();
+                self.landed[m].load(Ordering::Acquire) >= self.iters.load(Ordering::Relaxed)
+            }
+            None => self.arrived[m].is_set(),
+        };
+        (m, arrived)
     }
 }
 
@@ -1267,7 +1284,7 @@ impl PrecvRequest {
     /// CTS and post the single data receive (legacy).
     pub fn start(&self) {
         let s = &self.inner;
-        s.begin(false);
+        let k = s.begin(false);
         if s.legacy {
             // Re-arm the persistent slots *before* posting: a fulfilled
             // post sets `arrived[0]` immediately when the data message is
@@ -1300,12 +1317,9 @@ impl PrecvRequest {
                 },
             );
         } else if let Some(b) = &s.bound {
-            // In process: re-arm each message, then bump it; a sender
-            // that already issued it is waiting for this bump to copy.
-            for (m, arrived) in s.arrived.iter().enumerate() {
-                arrived.reset();
-                b.bump(s.comm.fabric(), m);
-            }
+            // In process: post the iteration. The messages the sender
+            // already issued are copied here, the rest by its issue.
+            b.post(s.comm.fabric(), k);
         } else {
             // Streaming path: hand the whole pinned buffer to the
             // transport once; PartData ranges commit straight into it and
@@ -1360,12 +1374,7 @@ impl PrecvRequest {
     pub fn try_parrived(&self, p: usize) -> Result<bool, PcommError> {
         let s = &self.inner;
         s.check_part("parrived", p)?;
-        let m = if s.legacy {
-            0
-        } else {
-            s.layout.msg_of_rpart(p)
-        };
-        let arrived = s.arrived[m].is_set();
+        let (_, arrived) = s.arrival(p);
         s.verify(|| EventKind::VerifyParrived {
             req: s.vreq,
             part: p as u32,
@@ -1381,15 +1390,9 @@ impl PrecvRequest {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
         let t_wait = s.comm.fabric().trace().now_ns();
-        s.comm
-            .fabric()
-            .wait_all(&s.arrived[..s.n_msgs()], s.comm.rank(), |m| {
-                (
-                    format!("partitioned recv wait(src={}, msg={m})", s.src),
-                    Some(m as i64),
-                    Some(s.src),
-                )
-            });
+        let src = s.src;
+        let what = |m| blocked(format!("recv wait(src={src}, msg={m})"), m as i64, src);
+        s.comm.fabric().wait_all(&s.arrived, s.comm.rank(), what);
         s.end(false, t_wait);
     }
 
@@ -1425,13 +1428,9 @@ impl PrecvRequest {
         if let Err(err) = s.check_part("read_partition", p) {
             s.fail(err);
         }
-        let m = if s.legacy {
-            0
-        } else {
-            s.layout.msg_of_rpart(p)
-        };
         if s.started.load(Ordering::Acquire) {
-            if !s.arrived[m].is_set() {
+            let (m, arrived) = s.arrival(p);
+            if !arrived {
                 s.fail(PcommError::misuse(
                     s.comm.rank(),
                     format!("read_partition({p}) before parrived: message {m} still in flight"),
@@ -2356,6 +2355,52 @@ mod tests {
                 }
             })
             .unwrap();
+    }
+
+    #[test]
+    fn binding_claims_each_message_once() {
+        // Both ranks leave a barrier together every iteration, so the
+        // receiver's post races the sender's stamps: either side may see
+        // the other first, or both may. A message claimed twice trips the
+        // countdown's debug assertion, one claimed by neither stalls the
+        // waits until the watchdog fails the run, and a stale copy fails
+        // the fill check. Layouts: eight one-partition messages (no
+        // countdown in `pready`), and four of two partitions each (8
+        // sender against 4 receiver partitions).
+        const ITERS: u32 = 10_000;
+        let fill = |it: u32, p: usize| (it as usize * 31 + p * 7) as u8;
+        for n_recv in [8, 4] {
+            let go = std::sync::Barrier::new(2);
+            Universe::new(2)
+                .with_watchdog_ms(10_000)
+                .run(|comm| {
+                    if comm.rank() == 0 {
+                        let ps = comm.psend_init_general(1, 5, 8, 16, n_recv, opts());
+                        for it in 0..ITERS {
+                            ps.start();
+                            for p in 0..8 {
+                                ps.write_partition(p, |b| b.fill(fill(it, p)));
+                            }
+                            go.wait();
+                            ps.pready_range(0, 7);
+                            ps.wait();
+                        }
+                    } else {
+                        let pr = comm.precv_init_general(0, 5, n_recv, 128 / n_recv, 8, 16, opts());
+                        for it in 0..ITERS {
+                            go.wait();
+                            pr.start();
+                            pr.wait();
+                            for p in 0..8 {
+                                let (rp, off) = (p * n_recv / 8, p * 16 % (128 / n_recv));
+                                let got = &pr.partition(rp)[off..off + 16];
+                                assert!(got.iter().all(|&x| x == fill(it, p)), "{it}: {p}");
+                            }
+                        }
+                    }
+                })
+                .unwrap();
+        }
     }
 
     #[test]

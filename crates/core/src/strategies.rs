@@ -9,10 +9,10 @@
 //! `pcomm_simmpi::strategies` runs the same scenarios and rows in virtual
 //! time and `figures tables` prints them.
 //!
-//! This world binds the ops to OS threads, real locks and `Instant`
-//! timing. Compute delays are calibrated spin-waits
-//! ([`crate::sync::spin_for_micros`]), since `thread::sleep` granularity is
-//! far above the µs scale of interest.
+//! This world binds the ops to OS threads (the master is thread 0),
+//! real locks and `Instant` timing. Compute delays are calibrated
+//! spin-waits ([`crate::sync::spin_for_micros`]): `thread::sleep` is far
+//! coarser than the µs scale of interest.
 
 use std::time::{Duration, Instant};
 
@@ -398,11 +398,9 @@ pub fn measure(approach: Approach, sc: &Scenario) -> Vec<Duration> {
 
 /// Like [`measure`], but the sender writes a deterministic pattern and
 /// the receiver folds every received byte (canonical partition order,
-/// every iteration) into an FNV-1a digest returned alongside the
-/// timings. All eight strategies yield the *same* digest for a given
-/// scenario, so transport-agreement tests can compare digests across
-/// strategies and fabrics. In a multiprocess run only the receiving
-/// rank's process observes the real digest (the sender's is 0).
+/// every iteration) into an FNV-1a digest, the same for all eight
+/// strategies and every fabric. In a multiprocess run only the
+/// receiving rank's process observes it (the sender's is 0).
 pub fn measure_validated(approach: Approach, sc: &Scenario) -> (Vec<Duration>, u64) {
     run_strategy(approach, sc, true)
 }
@@ -432,17 +430,17 @@ fn run_strategy(approach: Approach, sc: &Scenario, validate: bool) -> (Vec<Durat
 trait Executor: Sync {
     /// One op of the init column, for `slot`.
     fn init(&mut self, op: Op, slot: usize);
-    /// One op of the start / ready / wait columns, executed by thread `t`
-    /// (the master is thread 0) at its `j`-th partition. `payload` is the
-    /// thread's put source buffer.
-    fn exec(&self, op: Op, t: usize, j: usize, payload: &mut [u8]);
+    /// One op of the start / ready / wait columns: the master's (`at` is
+    /// `None`) or thread `t`'s at its `j`-th partition (`Some((t, j))`;
+    /// the master is thread 0). `payload` is the thread's put source.
+    fn exec(&self, op: Op, at: Option<(usize, usize)>, payload: &mut [u8]);
     /// Validated runs: fold this iteration's received data into `digest`.
     fn digest(&self, digest: &mut u64);
 }
 
 /// The benchmark template of Fig. 3 over one table row: init, then per
-/// iteration the inter-rank barrier → start ops → N compute threads
-/// issuing the ready ops → wait ops. Returns the receiver's per-iteration
+/// iteration the inter-rank barrier → start ops → N compute threads (the
+/// master runs thread 0, as in OpenMP) issuing the ready ops → wait ops. Returns the receiver's per-iteration
 /// overheads and digest (nothing and 0 on the sender).
 fn run_template<E: Executor>(
     ex: &mut E,
@@ -466,15 +464,16 @@ fn run_template<E: Executor>(
     for _ in 0..sc.iterations {
         comm.barrier();
         let t0 = Instant::now();
-        side.start.iter().for_each(|&op| ex.exec(op, 0, 0, &mut []));
+        side.start.iter().for_each(|&op| ex.exec(op, None, &mut []));
         if threaded {
             std::thread::scope(|s| {
-                for t in 0..sc.n_threads {
+                for t in 1..sc.n_threads {
                     s.spawn(move || worker(ex, side, sc, role == SENDER, t));
                 }
+                worker(ex, side, sc, role == SENDER, 0);
             });
         }
-        side.wait.iter().for_each(|&op| ex.exec(op, 0, 0, &mut []));
+        side.wait.iter().for_each(|&op| ex.exec(op, None, &mut []));
         if role == RECEIVER {
             // Time-to-solution minus the injected compute.
             times.push(t0.elapsed().saturating_sub(compute));
@@ -490,16 +489,16 @@ fn worker<E: Executor>(ex: &E, side: &Side, sc: &Scenario, compute: bool, t: usi
     // Only `Put` reads the payload; an empty `Vec` does not allocate.
     let put = side.per_partition.contains(&Op::Put);
     let mut payload = vec![1u8; if put { sc.part_bytes } else { 0 }];
-    (side.thread_begin.iter()).for_each(|&op| ex.exec(op, t, 0, &mut payload));
+    (side.thread_begin.iter()).for_each(|&op| ex.exec(op, Some((t, 0)), &mut payload));
     let t0 = Instant::now();
     for j in 0..sc.theta {
         if compute {
             let ready_us = sc.delays_us[sc.partition(t, j)];
             spin_for_micros(ready_us - t0.elapsed().as_secs_f64() * 1e6);
         }
-        (side.per_partition.iter()).for_each(|&op| ex.exec(op, t, j, &mut payload));
+        (side.per_partition.iter()).for_each(|&op| ex.exec(op, Some((t, j)), &mut payload));
     }
-    (side.thread_end.iter()).for_each(|&op| ex.exec(op, t, 0, &mut payload));
+    (side.thread_end.iter()).for_each(|&op| ex.exec(op, Some((t, 0)), &mut payload));
 }
 
 /// A request of either kind, so `Start` / `Wait` need not know which.
@@ -578,8 +577,9 @@ impl Executor for Rank<'_> {
         }
     }
 
-    fn exec(&self, op: Op, t: usize, j: usize, payload: &mut [u8]) {
+    fn exec(&self, op: Op, at: Option<(usize, usize)>, payload: &mut [u8]) {
         let (sc, role, peer) = (self.sc, self.parent.rank(), 1 - self.parent.rank());
+        let (t, j) = at.unwrap_or((0, 0));
         let (slot, p) = (if self.row.many { t } else { 0 }, sc.partition(t, j));
         let comm = self.comms.get(slot).unwrap_or(&self.parent);
         match op {
@@ -903,7 +903,6 @@ mod tests {
 
     /// An executor that binds every op to a log entry.
     struct Recording {
-        master: std::thread::ThreadId,
         log: crate::sync::Mutex<Vec<(Who, Op)>>,
     }
 
@@ -912,12 +911,8 @@ mod tests {
             self.log.lock().push((Who::Init(slot), op));
         }
 
-        fn exec(&self, op: Op, t: usize, j: usize, _payload: &mut [u8]) {
-            let who = if std::thread::current().id() == self.master {
-                Who::Master
-            } else {
-                Who::Thread(t, j)
-            };
+        fn exec(&self, op: Op, at: Option<(usize, usize)>, _payload: &mut [u8]) {
+            let who = at.map_or(Who::Master, |(t, j)| Who::Thread(t, j));
             self.log.lock().push((who, op));
         }
 
@@ -929,7 +924,6 @@ mod tests {
         Universe::new(2)
             .run(|comm| {
                 let mut ex = Recording {
-                    master: std::thread::current().id(),
                     log: crate::sync::Mutex::new(Vec::new()),
                 };
                 run_template(&mut ex, row, sc, &comm);
