@@ -1027,56 +1027,42 @@ impl Fabric {
         self.flush_held_for(dst);
     }
 
-    /// Open a partitioned wire stream toward `dst` (see the transport's
-    /// streaming protocol); returns the stream id that pushes name.
-    /// `spans` carries the per-message sender completions: the writer
-    /// threads flip each one once its byte range is on the wire.
-    pub(crate) fn part_stream_begin(
+    /// Start round `round` of the partitioned wire stream `id` toward
+    /// `dst` (the first announces it); `done` fires once the round's
+    /// last byte has left.
+    pub(crate) fn part_send_start(
         &self,
         dst: usize,
         ctx: u64,
+        id: u64,
         total_len: usize,
-        spans: Vec<crate::wire::SendSpan>,
-    ) -> u64 {
-        let id = self
-            .wire
-            .part_stream_begin(self, dst, ctx, total_len, spans);
-        self.touch();
-        id
-    }
-
-    /// Ship one ready partition range on a wire stream
-    /// ([`Fabric::chaos_survives`] decides its fate): a range lost for
-    /// good leaves its span's `done` unset (the sender's wait unwinds
-    /// via the abort). Partitioned pairs put no eager traffic on their
-    /// context, so there is no held-eager channel to flush first.
-    #[allow(clippy::too_many_arguments)] // one per envelope field
-    pub(crate) fn part_stream_send(
-        &self,
-        dst: usize,
-        src_rank: usize,
-        ctx: u64,
-        tag: i64,
-        stream_id: u64,
-        offset: u64,
-        data: &[u8],
-        parts: u16,
+        done: &Arc<Completion>,
+        round: u64,
     ) {
-        if !self.chaos_survives(dst, ctx, src_rank, tag) {
-            return;
-        }
         self.wire
-            .part_stream_push(self, stream_id, offset, data, parts);
-        // The range stays pinned in the sender's buffer: the carrier
-        // flips the message's span completion once the bytes are on the
-        // wire, so there is no local copy to declare done here.
+            .part_send_start(self, dst, ctx, id, total_len, done, round);
         self.touch();
     }
 
-    /// Pin a whole partitioned destination buffer for the next stream
-    /// from `src` on `ctx`.
-    pub(crate) fn part_stream_post(&self, src: usize, ctx: u64, recv: crate::wire::PartStreamRecv) {
-        self.wire.part_stream_post(self, src, ctx, recv);
+    /// Ship one ready partition range on wire stream `id`. The range
+    /// stays pinned in the sender's buffer: the carrier counts it off
+    /// the stream's span once the bytes are on the wire, so there is no
+    /// local copy to declare done here.
+    pub(crate) fn part_stream_push(&self, id: u64, offset: u64, data: &[u8], parts: u16) {
+        self.wire.part_stream_push(self, id, offset, data, parts);
+        self.touch();
+    }
+
+    /// Open round `round` of a partitioned wire stream from `src` on
+    /// `ctx` and credit it (the first round pairs it).
+    pub(crate) fn part_recv_start(
+        &self,
+        src: usize,
+        ctx: u64,
+        stream: &Arc<crate::wire::StreamRecv>,
+        round: u64,
+    ) {
+        self.wire.part_recv_start(self, src, ctx, stream, round);
         self.touch();
     }
 
@@ -1286,7 +1272,8 @@ impl Fabric {
         self.touch();
     }
 
-    /// Count `n` matched messages (a bound partitioned iteration's, once).
+    /// Count `n` matched messages (a bound partitioned iteration's at
+    /// once, a wire stream's one by one).
     pub(crate) fn count_matched(&self, n: usize) {
         self.matched.fetch_add(n as u64, Ordering::Relaxed);
         self.touch();

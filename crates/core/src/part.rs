@@ -8,8 +8,10 @@
 //! the thread that brings it to zero injects the message *itself* — a
 //! physically real early-bird send. A local peer is paired once, at
 //! init (`Binding`): a ready message is copied straight into the
-//! receiver's buffer, never tag-matched. A remote peer gets one pinned
-//! wire stream per iteration. The legacy mode sends the whole buffer as
+//! receiver's buffer, never tag-matched. A remote peer is paired once
+//! too: the request's one wire stream costs a receiver credit per
+//! iteration. Either way a side holds its buffer, per-message iteration
+//! stamps and one completion. The legacy mode sends the whole buffer as
 //! a single message only in `wait`, after a per-iteration CTS
 //! round-trip, exactly the behaviour whose cost Fig. 4 exposes.
 
@@ -24,6 +26,7 @@ use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
 use crate::fabric::{Fabric, MsgInfo, PostedRecv};
 use crate::sync::{Completion, Mutex};
+use crate::wire::StreamRecv;
 
 /// Tag of the legacy clear-to-send control message.
 const TAG_CTS: i64 = -1;
@@ -181,8 +184,8 @@ struct SegBacking {
 
 impl Drop for SegBacking {
     fn drop(&mut self) {
-        // The owning request drained its signals first: no transfer can
-        // still touch the range.
+        // The owning request drained its completion first: no transfer
+        // can still touch the range.
         Fabric::release_part_buf(&self.fabric, self.peer, self.token, self.len);
     }
 }
@@ -304,10 +307,10 @@ impl PartStorage {
     fn read_partition(&self, p: usize) -> &[u8] {
         let off = p * self.part_bytes;
         // SAFETY: PrecvRequest exposes reads after wait() (no writer
-        // exists) or, mid-iteration, once the covering message's arrival
-        // signal or stamp says it landed: set with Release after the last
-        // write into the range and loaded with Acquire, and no writer
-        // touches the range again until the next start().
+        // exists) or, mid-iteration, once the covering message's stamp
+        // (legacy: its completion) says it landed: set with Release after
+        // the last write into the range and loaded with Acquire, and no
+        // writer touches the range again until the next start().
         unsafe { std::slice::from_raw_parts(self.base().add(off), self.part_bytes) }
     }
 }
@@ -452,6 +455,16 @@ impl Binding {
     }
 }
 
+/// What moves the improved path's messages.
+enum Mover {
+    /// The pairing with a local peer.
+    Bound(Arc<Binding>),
+    /// Toward a remote peer: the id of the request's one wire stream.
+    Send(u64),
+    /// From a remote peer: where the request's one wire stream lands.
+    Recv(Arc<StreamRecv>),
+}
+
 /// What both sides of a partitioned request hold; each side's shared
 /// state derefs to it.
 struct Core {
@@ -463,11 +476,15 @@ struct Core {
     part_bytes: usize,
     layout: MsgLayout,
     legacy: bool,
-    /// The pairing with a local peer. `None` on the improved path means
-    /// a remote peer: the messages travel as `PartData` ranges on one
-    /// partitioned wire stream per iteration.
-    bound: Option<Arc<Binding>>,
+    /// `None` on the legacy path.
+    mover: Option<Mover>,
     storage: Arc<PartStorage>,
+    /// The iteration each message was last issued in (sender) or
+    /// landed in (receiver).
+    stamps: Arc<[AtomicU64]>,
+    /// This side's one completion, pre-set so an inactive request waits
+    /// for nothing: every message sent (or copied), every message landed.
+    done: Arc<Completion>,
     started: AtomicBool,
     /// Iterations started so far; `iters - 1` is the current (or most
     /// recently completed) iteration, the `iter` of the verify events.
@@ -547,11 +564,10 @@ impl Core {
         self.comm.fabric().trace().emit_verify(rank, kind);
     }
 
-    /// What both inits share: the request's own communicator and
-    /// buffer, its binding on the improved path toward a local `peer`,
-    /// and its init's verify events. Also returns this side's stamps,
-    /// one per message, and its completion signals: one per message on a
-    /// wire stream, else one.
+    /// What both inits share: the request's own communicator, buffer,
+    /// stamps and completion, its mover on the improved path (a binding
+    /// toward a local `peer`, else one wire stream), and its init's
+    /// verify events.
     #[allow(clippy::too_many_arguments)] // one-shot plumbing of both inits
     fn new(
         comm: &Comm,
@@ -562,7 +578,7 @@ impl Core {
         part_bytes: usize,
         layout: MsgLayout,
         legacy: bool,
-    ) -> (Core, Arc<[AtomicU64]>, Vec<Arc<Completion>>) {
+    ) -> Core {
         let ctx = comm.part_ctx(tag);
         let (src, dst) = if sender {
             (comm.rank(), peer)
@@ -574,18 +590,35 @@ impl Core {
         // one tag.
         let vreq = comm.fabric().trace().verify_req_id(ctx, src as u16);
         // A wire stream's buffers live where the peer can reach them
-        // when the transport allows (the ipc partition arena): one copy
-        // moves each range.
+        // when the transport allows (the ipc partition arena), for the
+        // request's life: one copy moves each range, and a grant never
+        // moves.
         let stream = !legacy && !comm.fabric().is_local(peer);
         let shared = stream.then_some((comm.fabric(), peer));
         let storage = Arc::new(PartStorage::new(n_parts, part_bytes, shared));
-        let n_msgs = layout.n_msgs();
-        let stamps: Arc<[AtomicU64]> = (0..n_msgs).map(|_| AtomicU64::new(0)).collect();
-        let n_signals = if stream { n_msgs } else { 1 };
-        let signals: Vec<_> = (0..n_signals).map(|_| Completion::new_set()).collect();
-        let side = (storage.clone(), stamps.clone(), signals[0].clone());
-        let (key, me) = ((ctx, src, dst), usize::from(sender));
-        let bound = (!legacy && !stream).then(|| Binding::pair(comm, key, me, &layout, vreq, side));
+        let stamps: Arc<[AtomicU64]> = layout.msgs.iter().map(|_| AtomicU64::new(0)).collect();
+        let done = Completion::new_set();
+        let mover = match (legacy, stream, sender) {
+            (true, ..) => None,
+            (_, false, _) => {
+                let side = (storage.clone(), stamps.clone(), done.clone());
+                let (key, me) = ((ctx, src, dst), usize::from(sender));
+                Some(Mover::Bound(Binding::pair(
+                    comm, key, me, &layout, vreq, side,
+                )))
+            }
+            (_, true, true) => Some(Mover::Send(comm.fabric().wire().stream_id())),
+            (_, true, false) => {
+                let msgs = layout.msgs.iter();
+                let msgs = msgs
+                    .map(|m| (m.first_rpart * part_bytes, m.bytes))
+                    .collect();
+                let (base, total) = (storage.base(), n_parts * part_bytes);
+                let (landed, done) = (stamps.clone(), done.clone());
+                let r = StreamRecv::new(base, total, msgs, landed, done, Some(vreq), false);
+                Some(Mover::Recv(r))
+            }
+        };
         let core = Core {
             comm: comm.with_ctx(ctx, comm.fabric().shard_of_ctx(ctx)),
             vreq,
@@ -593,8 +626,10 @@ impl Core {
             part_bytes,
             layout,
             legacy,
-            bound,
+            mover,
             storage,
+            stamps,
+            done,
             started: AtomicBool::new(false),
             iters: AtomicU64::new(0),
         };
@@ -609,7 +644,7 @@ impl Core {
             let emit = |kind| core.verify(|| kind);
             verify_init_events(vreq, sender, n_parts, n_peer_parts, legacy, l, bytes, emit);
         }
-        (core, stamps, signals)
+        core
     }
 
     /// Record `err` as the universe's failure and unwind this rank.
@@ -626,18 +661,7 @@ struct PsendShared {
     core: Core,
     dst: usize,
     defer_sends: bool,
-    /// The current iteration's stream id (valid while `started`).
-    stream_id: AtomicU64,
     counters: Vec<AtomicI64>,
-    /// Send signals, reset (never reallocated) by each `start()`: on a
-    /// wire stream `sent[m]` is set once message `m` is all on the wire
-    /// (legacy: sent by `wait`); a bound request's one once every message
-    /// is copied. The `pready`→`issue` hot path takes no lock.
-    sent: Vec<Arc<Completion>>,
-    /// The iteration each message was last issued in: teardown drains
-    /// the `sent` signals the fabric may still hold, and a binding's
-    /// receiver finds the messages it copies.
-    issued: Arc<[AtomicU64]>,
     /// Round counter for chaos `pready` jitter permutations.
     jitter_round: AtomicU64,
     /// Legacy: persistent CTS completion + envelope slot, re-armed and
@@ -656,18 +680,20 @@ impl std::ops::Deref for PsendShared {
 impl Drop for PsendShared {
     fn drop(&mut self) {
         // A binding holds both buffers: nothing to drain. Otherwise, mid-
-        // iteration (a rank unwinding on abort or a panic), an issued
-        // legacy or stream message pins a pointer into `storage`: drain
-        // those signals (abort-aware) before the buffer is freed.
-        if let Some(b) = &self.bound {
-            b.unpair(self.comm.fabric());
-        } else if self.started.load(Ordering::Acquire) {
-            let k = self.iters.load(Ordering::Relaxed);
-            for (m, sent) in self.sent.iter().enumerate() {
-                if self.issued[m].load(Ordering::Acquire) == k {
-                    self.comm.fabric().drain_completion(sent);
-                }
-            }
+        // iteration (a rank unwinding on abort or a panic), a legacy send
+        // or a range a carrier holds pins a pointer into `storage`: the
+        // stream gives up what no carrier holds, then the one completion
+        // drains (abort-aware) before the buffer is freed.
+        let fabric = self.comm.fabric();
+        match &self.mover {
+            Some(Mover::Bound(b)) => return b.unpair(fabric),
+            Some(Mover::Send(id)) => fabric.wire().part_send_close(*id),
+            _ => {}
+        }
+        let k = self.iters.load(Ordering::Relaxed);
+        let issued = |stamp: &AtomicU64| stamp.load(Ordering::Acquire) == k;
+        if self.started.load(Ordering::Acquire) && self.stamps.iter().any(issued) {
+            fabric.drain_completion(&self.done);
         }
     }
 }
@@ -774,16 +800,12 @@ impl Comm {
                 bytes_per_msg: layout.msgs[0].bytes as u64,
             });
         let legacy = opts.legacy_single_message;
-        let (core, issued, sent) =
-            Core::new(self, dst, true, tag, n_parts, part_bytes, layout, legacy);
+        let core = Core::new(self, dst, true, tag, n_parts, part_bytes, layout, legacy);
         let inner = Arc::new(PsendShared {
             core,
             dst,
             defer_sends: opts.defer_sends,
-            stream_id: AtomicU64::new(0),
             counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
-            sent,
-            issued,
             jitter_round: AtomicU64::new(0),
             cts_done: Completion::new(),
             cts_info: Arc::new(Mutex::new(None)),
@@ -832,17 +854,9 @@ impl Comm {
             "sender and receiver buffer sizes must agree"
         );
         let layout = negotiate_layout(n_send_parts, n_parts, send_part_bytes, opts.aggr_size);
-        let n_msgs = layout.n_msgs();
         let legacy = opts.legacy_single_message;
-        let (core, landed, arrived) =
-            Core::new(self, src, false, tag, n_parts, part_bytes, layout, legacy);
-        let inner = Arc::new(PrecvShared {
-            core,
-            src,
-            arrived,
-            landed,
-            infos: (0..n_msgs).map(|_| Arc::new(Mutex::new(None))).collect(),
-        });
+        let core = Core::new(self, src, false, tag, n_parts, part_bytes, layout, legacy);
+        let inner = Arc::new(PrecvShared { core, src });
         PrecvRequest { inner }
     }
 }
@@ -861,15 +875,15 @@ impl PsendRequest {
     /// `MPI_Start`: arm the iteration.
     pub fn start(&self) {
         let s = &self.inner;
-        s.begin(true);
+        let k = s.begin(true);
         s.storage.reset();
+        s.done.reset();
         if s.legacy {
             // Re-arm the persistent CTS slots (quiescent: the previous
             // iteration's wait() returned) and post the receive; the data
             // send happens in wait().
             s.cts_done.reset();
             *s.cts_info.lock() = None;
-            s.sent[0].reset();
             s.comm.fabric().post_recv(
                 s.comm.rank(),
                 s.comm.shard(),
@@ -884,58 +898,36 @@ impl PsendRequest {
                     verify_msg: None,
                 },
             );
-        } else {
-            for sent in &s.sent {
-                sent.reset();
-            }
+            return;
+        }
+        for (m, spec) in s.layout.msgs.iter().enumerate() {
+            s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
+        }
+        let Some(Mover::Send(id)) = s.mover else {
+            return;
+        };
+        // Wire stream: the first start announces the whole buffer, so the
+        // receiver's first credit can race the first pready; every start
+        // re-arms the stream's window, whose ranges move once the
+        // receiver's start of this iteration credits them.
+        let total = s.n_parts * s.part_bytes;
+        let fabric = s.comm.fabric();
+        fabric.part_send_start(s.dst, s.comm.ctx(), id, total, &s.done, k);
+        let trace = fabric.trace();
+        if k == 1 && trace.is_verify() {
+            // Tie this process's interned request id to the wire stream
+            // id, per message, once: the offline auditor joins both
+            // ranks' id spaces through these events.
             for (m, spec) in s.layout.msgs.iter().enumerate() {
-                s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
-            }
-            if s.bound.is_none() {
-                // Wire stream: announce the whole buffer now so the
-                // receiver's CTS can race the first pready — ranges
-                // stream the moment both are in. Each message's byte span
-                // carries its `sent` completion: the carrier flips it
-                // when the span is fully on the wire.
-                let spans = s
-                    .layout
-                    .msgs
-                    .iter()
-                    .enumerate()
-                    .map(|(m, spec)| {
-                        let offset = spec.first_spart * s.part_bytes;
-                        crate::wire::SendSpan::new(offset, spec.bytes, Arc::clone(&s.sent[m]))
-                    })
-                    .collect();
-                let id = s.comm.fabric().part_stream_begin(
-                    s.dst,
-                    s.comm.ctx(),
-                    s.n_parts * s.part_bytes,
-                    spans,
-                );
-                s.stream_id.store(id, Ordering::Release);
-                let trace = s.comm.fabric().trace();
-                if trace.is_verify() {
-                    let (rank, stream) = (s.comm.rank() as u16, id as u32);
-                    // Tie this process's interned request id to the wire
-                    // stream id, per message: the offline auditor joins
-                    // both ranks' id spaces through these events.
-                    for (m, spec) in s.layout.msgs.iter().enumerate() {
-                        let (m16, off, len32) = (
-                            m as u16,
-                            (spec.first_spart * s.part_bytes) as u64,
-                            spec.bytes as u32,
-                        );
-                        trace.emit_verify(rank, || EventKind::VerifyStreamMsg {
-                            stream,
-                            req: s.vreq,
-                            msg: m16,
-                            tx: true,
-                            offset: off,
-                            len: len32,
-                        });
-                    }
-                }
+                let offset = (spec.first_spart * s.part_bytes) as u64;
+                trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyStreamMsg {
+                    stream: id as u32,
+                    req: s.vreq,
+                    msg: m as u16,
+                    tx: true,
+                    offset,
+                    len: spec.bytes as u32,
+                });
             }
         }
     }
@@ -1108,35 +1100,24 @@ impl PsendRequest {
             tid: pcomm_trace::current_tid(),
         });
         let k = s.iters.load(Ordering::Relaxed);
-        match &s.bound {
-            // In process: the fault plan decides as on the wire (a message
-            // lost for good fails the universe and is never stamped).
-            Some(b) => {
-                if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
-                    b.issue(fabric, m, k);
-                }
-            }
-            // Wire streaming: the range is pinned into the stream's
-            // aggregation window — no copy, no per-message envelope, no
-            // CTS wait on this path. The carrier flips `sent[m]` once
-            // the message's whole span is on the wire. Stamped before
-            // the fabric sees the pointer: teardown must drain `sent[m]`
-            // whenever the fabric might hold a reference.
-            None => {
-                s.issued[m].store(k, Ordering::Release);
-                fabric.part_stream_send(
-                    s.dst,
-                    s.comm.rank(),
-                    s.comm.ctx(),
-                    m as i64,
-                    s.stream_id.load(Ordering::Acquire),
-                    byte_off as u64,
+        // The fault plan decides once, whoever moves the message: one lost
+        // for good fails the universe and is never stamped.
+        if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
+            match &s.mover {
+                Some(Mover::Bound(b)) => b.issue(fabric, m, k),
+                // Wire streaming: the range is pinned into the stream's
+                // aggregation window — no copy, no per-message envelope.
+                // Stamped before the fabric sees the pointer: teardown
+                // drains the completion whenever the fabric might hold one.
+                Some(Mover::Send(id)) => {
+                    s.stamps[m].store(k, Ordering::Release);
                     // SAFETY: every partition of message m is READY (counted
-                    // down, or its only one) and stays READY until `sent[m]`,
+                    // down, or its only one) and stays READY until `done`,
                     // which the next start() observes before resetting them.
-                    unsafe { s.storage.ready_slice(byte_off, spec.bytes) },
-                    spec.n_sparts as u16,
-                );
+                    let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
+                    fabric.part_stream_push(*id, byte_off as u64, data, spec.n_sparts as u16);
+                }
+                _ => {}
             }
         }
         if let Some(t0) = pready_ns {
@@ -1182,7 +1163,7 @@ impl PsendRequest {
                 iter: s.cur_iter(),
                 tid: pcomm_trace::current_tid(),
             });
-            s.issued[0].store(s.iters.load(Ordering::Relaxed), Ordering::Release);
+            s.stamps[0].store(s.iters.load(Ordering::Relaxed), Ordering::Release);
             s.comm.fabric().send_raw_signal(
                 s.dst,
                 s.comm.shard(),
@@ -1190,10 +1171,10 @@ impl PsendRequest {
                 s.comm.rank(),
                 TAG_DATA,
                 data,
-                &s.sent[0],
+                &s.done,
             );
             let what = || blocked(format!("send data wait(dst={})", s.dst), TAG_DATA, s.dst);
-            s.comm.fabric().wait_on(&s.sent[0], s.comm.rank(), what);
+            s.comm.fabric().wait_on(&s.done, s.comm.rank(), what);
         } else {
             if s.defer_sends {
                 s.storage.assert_all_ready("deferred");
@@ -1201,12 +1182,12 @@ impl PsendRequest {
                     self.issue(m, None);
                 }
             }
-            // Toward a local peer, the one `sent` needs the receiver's
-            // start (every copy); toward a remote one, `sent[m]` needs
-            // the bytes on the wire.
-            let dst = s.dst;
-            let what = |m| blocked(format!("send wait(dst={dst}, msg={m})"), m as i64, dst);
-            s.comm.fabric().wait_all(&s.sent, s.comm.rank(), what);
+            // Toward a local peer, the one completion needs the
+            // receiver's start (every copy); toward a remote one, every
+            // byte on the wire.
+            let what = |_| blocked(format!("send wait(dst={})", s.dst), 0, s.dst);
+            let done = std::slice::from_ref(&s.done);
+            s.comm.fabric().wait_all(done, s.comm.rank(), what);
         }
         s.end(true, t_wait);
     }
@@ -1215,15 +1196,6 @@ impl PsendRequest {
 struct PrecvShared {
     core: Core,
     src: usize,
-    /// Arrival signals, pre-set so an *inactive* request probes as
-    /// complete (MPI's convention), reset by `start()`: `arrived[m]` on a
-    /// wire stream, legacy's one, or a bound request's one, set once
-    /// every message landed.
-    arrived: Vec<Arc<Completion>>,
-    /// The iteration each message last landed in (bound only).
-    landed: Arc<[AtomicU64]>,
-    /// Persistent envelope slots handed to the fabric with each post.
-    infos: Vec<Arc<Mutex<Option<MsgInfo>>>>,
 }
 
 impl std::ops::Deref for PrecvShared {
@@ -1236,34 +1208,32 @@ impl std::ops::Deref for PrecvShared {
 impl PrecvShared {
     /// The message covering receiver partition `p`, and whether it has
     /// landed this iteration (true on an inactive request): one load of
-    /// its arrival stamp or signal, no lock.
+    /// its arrival stamp (legacy: of the one completion), no lock.
     fn arrival(&self, p: usize) -> (usize, bool) {
-        let m = if self.legacy {
-            0
-        } else {
-            self.layout.msg_of_rpart(p)
-        };
-        let arrived = match self.bound {
-            Some(_) => {
-                crate::hotpath::count_fast_probe();
-                self.landed[m].load(Ordering::Acquire) >= self.iters.load(Ordering::Relaxed)
-            }
-            None => self.arrived[m].is_set(),
-        };
-        (m, arrived)
+        if self.legacy {
+            return (0, self.done.is_set());
+        }
+        let m = self.layout.msg_of_rpart(p);
+        crate::hotpath::count_fast_probe();
+        let stamp = self.stamps[m].load(Ordering::Acquire);
+        (m, stamp >= self.iters.load(Ordering::Relaxed))
     }
 }
 
 impl Drop for PrecvShared {
     fn drop(&mut self) {
-        // As on the send side; an arrival signal the iteration never
-        // re-armed is still set and drains instantly.
-        if let Some(b) = &self.bound {
-            b.unpair(self.comm.fabric());
-        } else if self.started.load(Ordering::Acquire) {
-            for arrived in &self.arrived {
-                self.comm.fabric().drain_completion(arrived);
-            }
+        // As on the send side; a completion the iteration never re-armed
+        // is still set and drains instantly. A stream leaves the engine's
+        // tables once nothing lands in it any more.
+        let fabric = self.comm.fabric();
+        if let Some(Mover::Bound(b)) = &self.mover {
+            return b.unpair(fabric);
+        }
+        if self.started.load(Ordering::Acquire) {
+            fabric.drain_completion(&self.done);
+        }
+        if let Some(Mover::Recv(r)) = &self.mover {
+            fabric.wire().part_recv_close(self.src, self.comm.ctx(), r);
         }
     }
 }
@@ -1285,78 +1255,48 @@ impl PrecvRequest {
     pub fn start(&self) {
         let s = &self.inner;
         let k = s.begin(false);
-        if s.legacy {
-            // Re-arm the persistent slots *before* posting: a fulfilled
-            // post sets `arrived[0]` immediately when the data message is
-            // already parked in the unexpected queue.
-            s.arrived[0].reset();
-            *s.infos[0].lock() = None;
-            s.comm.fabric().send_raw(
-                s.src,
-                s.comm.shard(),
-                s.comm.ctx(),
-                s.comm.rank(),
-                TAG_CTS,
-                &[],
-            );
-            let total = s.n_parts * s.part_bytes;
-            // SAFETY: buffer exclusively owned by the fabric until wait().
-            let buf = unsafe { s.storage.raw_range(0, total) };
-            s.comm.fabric().post_recv(
-                s.comm.rank(),
-                s.comm.shard(),
-                PostedRecv {
-                    ctx: s.comm.ctx(),
-                    src: Some(s.src),
-                    tag: Some(TAG_DATA),
-                    dest_ptr: buf.as_mut_ptr(),
-                    dest_cap: buf.len(),
-                    info: Arc::clone(&s.infos[0]),
-                    completion: Arc::clone(&s.arrived[0]),
-                    verify_msg: Some((s.vreq, 0)),
-                },
-            );
-        } else if let Some(b) = &s.bound {
+        let fabric = s.comm.fabric();
+        match &s.mover {
             // In process: post the iteration. The messages the sender
             // already issued are copied here, the rest by its issue.
-            b.post(s.comm.fabric(), k);
-        } else {
-            // Streaming path: hand the whole pinned buffer to the
-            // transport once; PartData ranges commit straight into it and
-            // flip each message's `arrived` as its bytes land.
-            let mut msgs = Vec::with_capacity(s.layout.msgs.len());
-            for (m, spec) in s.layout.msgs.iter().enumerate() {
-                s.arrived[m].reset();
-                *s.infos[m].lock() = None;
-                msgs.push(crate::wire::PartStreamMsg {
-                    offset: spec.first_rpart * s.part_bytes,
-                    len: spec.bytes,
-                    remaining: AtomicUsize::new(spec.bytes),
-                    completion: Arc::clone(&s.arrived[m]),
-                    info: Arc::clone(&s.infos[m]),
-                    verify_msg: Some((s.vreq, m as u16)),
-                    tag: m as i64,
-                });
+            Some(Mover::Bound(b)) => b.post(fabric, k),
+            // From a remote peer: open the iteration's round of the
+            // request's one stream and credit it. Its ranges commit
+            // straight into the pinned buffer and stamp each message as
+            // it lands; the round's last byte sets the one completion.
+            Some(Mover::Recv(r)) => fabric.part_recv_start(s.src, s.comm.ctx(), r, k),
+            _ => {
+                // Re-arm before posting: a fulfilled post sets `done`
+                // immediately when the data message is already parked in
+                // the unexpected queue.
+                s.done.reset();
+                let (rank, shard, ctx) = (s.comm.rank(), s.comm.shard(), s.comm.ctx());
+                fabric.send_raw(s.src, shard, ctx, rank, TAG_CTS, &[]);
+                let total = s.n_parts * s.part_bytes;
+                // SAFETY: buffer exclusively owned by the fabric until wait().
+                let buf = unsafe { s.storage.raw_range(0, total) };
+                fabric.post_recv(
+                    rank,
+                    shard,
+                    PostedRecv {
+                        ctx,
+                        src: Some(s.src),
+                        tag: Some(TAG_DATA),
+                        dest_ptr: buf.as_mut_ptr(),
+                        dest_cap: buf.len(),
+                        info: Arc::new(Mutex::new(None)),
+                        completion: Arc::clone(&s.done),
+                        verify_msg: Some((s.vreq, 0)),
+                    },
+                );
             }
-            let total = s.n_parts * s.part_bytes;
-            // SAFETY: buffer exclusively owned by the fabric until wait().
-            let buf = unsafe { s.storage.raw_range(0, total) };
-            s.comm.fabric().part_stream_post(
-                s.src,
-                s.comm.ctx(),
-                crate::wire::PartStreamRecv {
-                    base: buf.as_mut_ptr(),
-                    total_len: total,
-                    msgs,
-                },
-            );
         }
     }
 
     /// `MPI_Parrived`: has receiver partition `p` landed?
     ///
     /// Hot path: an O(1) partition→message table lookup plus one atomic
-    /// load on the message's persistent arrival signal — no lock is taken
+    /// load of the message's arrival stamp — no lock is taken
     /// whether the answer is yes or no. Probing an inactive request
     /// (before the first `start()` or after `wait()`) reports `true`, the
     /// MPI convention for inactive persistent requests.
@@ -1390,9 +1330,9 @@ impl PrecvRequest {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
         let t_wait = s.comm.fabric().trace().now_ns();
-        let src = s.src;
-        let what = |m| blocked(format!("recv wait(src={src}, msg={m})"), m as i64, src);
-        s.comm.fabric().wait_all(&s.arrived, s.comm.rank(), what);
+        let what = |_| blocked(format!("recv wait(src={})", s.src), 0, s.src);
+        let done = std::slice::from_ref(&s.done);
+        s.comm.fabric().wait_all(done, s.comm.rank(), what);
         s.end(false, t_wait);
     }
 
@@ -1419,7 +1359,7 @@ impl PrecvRequest {
     /// Unlike [`partition`](PrecvRequest::partition) this is legal *while
     /// the iteration is active*, provided the covering message has landed
     /// (`parrived(p)` observed `true` establishes the ordering; this
-    /// method re-checks the arrival signal itself, so a call without the
+    /// method re-checks the arrival stamp itself, so a call without the
     /// prior probe is still memory-safe). Reading a partition whose
     /// message has not arrived aborts the universe with
     /// [`PcommError::Misuse`] — that access would race the fabric's copy.
@@ -2250,10 +2190,10 @@ mod tests {
             .unwrap();
     }
 
-    /// Sender's `sent` signals all set: every message of the iteration
-    /// was copied (on whichever thread bumped second).
+    /// Sender's one completion set: every message of the iteration was
+    /// copied (on whichever thread bumped second).
     fn all_sent(ps: &PsendRequest) -> bool {
-        ps.inner.sent.iter().all(|c| c.is_set())
+        ps.inner.done.is_set()
     }
 
     #[test]
@@ -2535,6 +2475,8 @@ mod tests {
                 }
                 comm.barrier();
                 assert!(comm.fabric().pairs.lock().is_empty());
+                // Both ranks looked before rank 0's lone init below.
+                comm.barrier();
                 // A lone init waits in the table until its request drops.
                 if comm.rank() == 0 {
                     let lone = comm.psend_init(1, 3, 2, 16, opts());

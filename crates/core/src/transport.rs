@@ -27,8 +27,8 @@
 //!   sent straight out of the user's buffer) with a resume cursor into
 //!   its front entry. A push lands in the peer's intake; whoever holds
 //!   the outbox moves the intake in, audit-stamps entries in wire order
-//!   and `writev`s until the socket refuses. A pinned entry completes
-//!   its spans only once its last byte is in the kernel;
+//!   and `writev`s until the socket refuses. A pinned entry counts off
+//!   its stream's span only once its last byte is in the kernel;
 //! * the **decoder** ([`pcomm_net::frame::Decoder`]), which keeps its
 //!   place across `WouldBlock`: `PartData` payloads land piecewise
 //!   straight in the pinned destination
@@ -68,7 +68,7 @@
 //! frame the peer lacks ([`Queue::replay`]), and the decoder starts
 //! afresh. The engine above sees an exactly-once FIFO. The one thing
 //! that cannot go again is a pinned range that left whole but never
-//! arrived — its spans completed and the application may have reused
+//! arrived — counted off its span, and the application may have reused
 //! the buffer — so it is a typed `MessageLost`. With no reconnect to be
 //! had the peer is dead: typed `PeerPanicked` for every local waiter.
 //!
@@ -93,14 +93,14 @@ use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex, MutexGuard};
-use crate::wire::{complete_spans, PinChunk, SendSpan};
+use crate::wire::{PinChunk, SendSpan};
 
 /// How long a polling app thread keeps making inline progress while
 /// nothing happens before it parks on its completion (every completion
 /// that fires meanwhile renews it). Long enough to cover a same-host
 /// round trip — the latency-critical window — short enough not to burn
 /// a core when the peer is genuinely slow.
-const SPIN_WINDOW: Duration = Duration::from_micros(150);
+pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(150);
 
 /// `spin_loop` hints between two idle polls, before the `yield_now`
 /// (which stays: on a 1-CPU host the peer needs the core). Enough that
@@ -189,14 +189,14 @@ pub(crate) trait Transport: Send + Sync {
     );
 
     /// Move ready chunks of stream `rdv_id` to `dst` under the `grant`
-    /// its CTS carried, completing the covered `spans` as bytes leave.
+    /// its credit carried, counting bytes off its `span` as they leave.
     fn ship_chunks(
         &self,
         fabric: &Fabric,
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<[SendSpan]>,
+        span: &Arc<SendSpan>,
         chunks: &[PinChunk],
     );
 
@@ -304,31 +304,31 @@ pub(crate) fn unset_in(completions: &[Arc<Completion>]) -> impl FnMut() -> usize
 /// A stream range headed for the wire without an intermediate copy:
 /// its `PartData` header (length prefix through `offset`) goes out
 /// followed by the payload straight from the pinned source buffer, and
-/// `spans` learn that `offset..offset+len` left once its last byte has.
+/// its `len` bytes count off `span` once its last byte has left.
 struct PinnedWrite {
     head: frame::PartDataHead,
     rdv_id: u64,
     offset: u64,
     ptr: *const u8,
     len: usize,
-    spans: Arc<[SendSpan]>,
+    span: Arc<SendSpan>,
 }
 
 // SAFETY: same argument as [`PinChunk`] — the source stays pinned until
-// the covering spans complete, which happens only after the last byte
+// the stream's span completes, which happens only after the last byte
 // was written, and only the thread holding the peer's outbox reads
 // through the pointer.
 unsafe impl Send for PinnedWrite {}
 
 impl PinnedWrite {
-    fn new(rdv_id: u64, chunk: PinChunk, spans: &Arc<[SendSpan]>) -> PinnedWrite {
+    fn new(rdv_id: u64, chunk: PinChunk, span: &Arc<SendSpan>) -> PinnedWrite {
         PinnedWrite {
             head: frame::part_data_header(rdv_id, chunk.offset, chunk.len),
             rdv_id,
             offset: chunk.offset,
             ptr: chunk.ptr,
             len: chunk.len,
-            spans: Arc::clone(spans),
+            span: Arc::clone(span),
         }
     }
 }
@@ -348,9 +348,9 @@ impl Out {
             Out::Frame(bytes) => [bytes, &[]],
             Out::Pinned(pw) => [
                 &pw.head,
-                // SAFETY: the source stays pinned until the spans
-                // complete, which `advance` does only once the entry's
-                // last byte was written (invariant (1)).
+                // SAFETY: the source stays pinned until the span
+                // completes, which `advance` lets it only once the
+                // entry's last byte was written (invariant (1)).
                 unsafe { std::slice::from_raw_parts(pw.ptr, pw.len) },
             ],
         }
@@ -373,7 +373,7 @@ impl Out {
         match self {
             Out::Frame(bytes) => Kept::Frame(bytes),
             Out::Pinned(pw) => {
-                complete_spans(&pw.spans, pw.offset as usize, pw.len);
+                pw.span.left(pw.len);
                 Kept::Pinned(pw.rdv_id, pw.len)
             }
         }
@@ -385,8 +385,8 @@ enum Kept {
     /// An encoded control frame: it goes again if a reconnect finds the
     /// peer without it.
     Frame(Vec<u8>),
-    /// A pinned range of stream `.0`, `.1` bytes long: its spans
-    /// completed, so its source may be reused and it cannot go again.
+    /// A pinned range of stream `.0`, `.1` bytes long: counted off its
+    /// span, so its source may be reused and it cannot go again.
     Pinned(u64, usize),
 }
 
@@ -437,8 +437,8 @@ impl Queue {
     /// The replay rule, after a reconnect to a peer that has read `has`
     /// of our frames whole: drop what it has, put every kept control
     /// frame after that back at the front of the outbox in order, and
-    /// send the partly written front entry again whole (its spans are
-    /// still open). Returns the pinned ranges that left whole but never
+    /// send the partly written front entry again whole (not yet counted
+    /// off its span). Returns the pinned ranges that left whole but never
     /// arrived — `(stream, bytes)`, in wire order — which cannot go
     /// again; `None` when `has` is no count our writes could produce.
     fn replay(&mut self, has: u64) -> Option<Vec<(u64, usize)>> {
@@ -1228,7 +1228,7 @@ impl SocketTransport {
     }
 
     /// Pinned ranges toward `peer_rank` that left whole on a dead socket
-    /// and never arrived: their spans completed and the application may
+    /// and never arrived: counted off their span, the application may
     /// have reused the buffer, so they cannot go again — a typed
     /// `MessageLost` naming each stream, not a receiver that waits
     /// forever.
@@ -1415,7 +1415,7 @@ impl Transport for SocketTransport {
         dst: usize,
         rdv_id: u64,
         _grant: Option<u64>,
-        spans: &Arc<[SendSpan]>,
+        span: &Arc<SendSpan>,
         chunks: &[PinChunk],
     ) {
         for &chunk in chunks {
@@ -1428,7 +1428,7 @@ impl Transport for SocketTransport {
                     offset,
                     bytes,
                 });
-            let out = Out::Pinned(PinnedWrite::new(rdv_id, chunk, spans));
+            let out = Out::Pinned(PinnedWrite::new(rdv_id, chunk, span));
             self.push(fabric, dst, out);
         }
     }
@@ -1541,7 +1541,7 @@ impl Transport for SharedMemTransport {
         _: usize,
         _: u64,
         _: Option<u64>,
-        _: &Arc<[SendSpan]>,
+        _: &Arc<SendSpan>,
         _: &[PinChunk],
     ) {
         unreachable!("shared-memory fabric never routes through the wire")
@@ -1558,7 +1558,7 @@ impl Transport for SharedMemTransport {
 mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
-    use crate::wire::{PartStreamMsg, PartStreamRecv};
+    use crate::wire::StreamRecv;
     use pcomm_trace::Trace;
 
     /// Rank `rank`'s socket carrier of a 2-rank universe over `sock`,
@@ -1624,16 +1624,16 @@ mod tests {
         peer_of(transport).frames_sent.load(Ordering::Acquire)
     }
 
-    /// `n` equal send spans over `buf`.
-    fn spans_over(buf: &[u8], n: usize) -> Vec<SendSpan> {
-        let len = buf.len() / n;
-        (0..n)
-            .map(|i| SendSpan::new(i * len, len, Completion::new()))
-            .collect()
+    /// The send span of a stream over the whole of `buf`.
+    fn span_over(buf: &[u8]) -> Arc<SendSpan> {
+        Arc::new(SendSpan {
+            remaining: AtomicUsize::new(buf.len()),
+            done: Completion::new(),
+        })
     }
 
     /// Pinned writes of stream 7 cutting `buf` into `n` equal ranges.
-    fn stream_writes(buf: &[u8], spans: &Arc<[SendSpan]>, n: usize) -> Vec<Out> {
+    fn stream_writes(buf: &[u8], span: &Arc<SendSpan>, n: usize) -> Vec<Out> {
         let len = buf.len() / n;
         (0..n)
             .map(|i| PinChunk {
@@ -1642,7 +1642,7 @@ mod tests {
                 len,
                 parts: 1,
             })
-            .map(|chunk| Out::Pinned(PinnedWrite::new(7, chunk, spans)))
+            .map(|chunk| Out::Pinned(PinnedWrite::new(7, chunk, span)))
             .collect()
     }
 
@@ -1665,10 +1665,9 @@ mod tests {
         let (fabric, transport, mut far) = carrier(Trace::disabled());
         let wire = fabric.wire();
         let src = vec![0x5Au8; 4096];
-        let spans = spans_over(&src, 1);
-        let done = Arc::clone(&spans[0].done);
+        let (done, id) = (Completion::new(), wire.stream_id());
         // `start`: its PartRts is on the socket before the call returns.
-        let id = wire.part_stream_begin(&fabric, 1, 7, src.len(), spans);
+        wire.part_send_start(&fabric, 1, 7, id, src.len(), &done, 1);
         let rts = Frame::PartRts {
             ctx: 7,
             total_len: 4096,
@@ -1689,7 +1688,7 @@ mod tests {
     fn a_push_into_a_full_socket_returns_at_once_and_flushes_later() {
         let (fabric, transport, mut far) = carrier(Trace::disabled());
         let source: Vec<u8> = (0..1usize << 20).map(|i| (i * 7 % 251) as u8).collect();
-        let spans: Arc<[SendSpan]> = spans_over(&source, 4).into();
+        let span = span_over(&source);
         let eager = Frame::Eager {
             shard: 0,
             ctx: 3,
@@ -1697,14 +1696,14 @@ mod tests {
             payload: vec![1, 2, 3],
         };
         transport.send(&fabric, 1, eager.clone(), false);
-        for out in stream_writes(&source, &spans, 4) {
+        for out in stream_writes(&source, &span, 4) {
             transport.push(&fabric, 1, out);
         }
         transport.send(&fabric, 1, Frame::Heartbeat { received: 3 }, false);
         // Nobody reads the far end: the socket took what fits, the
-        // rest waits in the outbox and nothing behind it completed.
+        // rest waits in the outbox and the stream is not all out.
         assert!(waiting(&transport) > 0);
-        assert!(!spans[3].done.is_set());
+        assert!(!span.done.is_set());
         let mut want = eager.encode();
         for i in 0..4 {
             let range = &source[i << 18..(i + 1) << 18];
@@ -1722,10 +1721,8 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(reader.join().unwrap() == want, "the wire bytes differ");
-        for span in spans.iter() {
-            assert!(span.done.is_set());
-            assert_eq!(span.remaining.load(Ordering::Acquire), 0);
-        }
+        assert!(span.done.is_set());
+        assert_eq!(span.remaining.load(Ordering::Acquire), 0);
         assert_eq!(frames_sent(&transport), 6, "each entry completed once");
     }
 
@@ -1734,14 +1731,14 @@ mod tests {
         let plan = FaultPlan::seeded(5).torn_writes(1.0);
         let (fabric, transport, mut far) = carrier_with(Trace::disabled(), Some(&plan));
         let source: Vec<u8> = (0..=255).collect();
-        let spans: Arc<[SendSpan]> = spans_over(&source, 2).into();
+        let span = span_over(&source);
         let mut want = Vec::new();
         for received in 0..8 {
             let frame = Frame::Heartbeat { received };
             want.extend(frame.encode());
             transport.send(&fabric, 1, frame, false);
         }
-        for out in stream_writes(&source, &spans, 2) {
+        for out in stream_writes(&source, &span, 2) {
             transport.push(&fabric, 1, out);
         }
         want.extend(part_data(7, 0, &source[..128]).encode());
@@ -1752,7 +1749,7 @@ mod tests {
         let mut got = vec![0u8; want.len()];
         far.read_exact(&mut got).unwrap();
         assert_eq!(got, want);
-        assert!(spans.iter().all(|s| s.done.is_set()));
+        assert!(span.done.is_set());
         assert_eq!(frames_sent(&transport), 10);
     }
 
@@ -1927,24 +1924,11 @@ mod tests {
         let [small, big, part, rdv] = &mut dests;
         let small = fabric.post_recv(0, 0, posted(small, 1));
         let big = fabric.post_recv(0, 0, posted(big, 2));
-        let msgs: Vec<PartStreamMsg> = (0..2)
-            .map(|m| PartStreamMsg {
-                offset: m * 32,
-                len: 32,
-                remaining: AtomicUsize::new(32),
-                completion: Completion::new(),
-                info: Arc::new(Mutex::new(None)),
-                verify_msg: None,
-                tag: m as i64,
-            })
-            .collect();
-        let msg_done: Vec<_> = msgs.iter().map(|m| Arc::clone(&m.completion)).collect();
-        let recv = PartStreamRecv {
-            base: part.as_mut_ptr(),
-            total_len: 64,
-            msgs,
-        };
-        wire.part_stream_post(&fabric, 1, 7, recv);
+        let landed: Arc<[AtomicU64]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let msgs = vec![(0, 32), (32, 32)];
+        let (base, stamps) = (part.as_mut_ptr(), Arc::clone(&landed));
+        let recv = StreamRecv::new(base, 64, msgs, stamps, Completion::new(), None, false);
+        wire.part_recv_start(&fabric, 1, 7, &recv, 1);
         let rdv = fabric.post_recv(0, 0, posted(rdv, 3));
         let mut reader = Pieces {
             data: stream,
@@ -1969,12 +1953,58 @@ mod tests {
             completed: [
                 small.test(),
                 big.test(),
-                msg_done[0].is_set(),
-                msg_done[1].is_set(),
+                landed[0].load(Ordering::Acquire) == 1,
+                landed[1].load(Ordering::Acquire) == 1,
                 rdv.test(),
             ],
             matched: fabric.matched_count(),
             dests,
+        }
+    }
+
+    /// What a round's credit rests on: the reader that lands the last
+    /// byte of a `PartData` counts the frame as read whole before it
+    /// lets go of the read half (the decoder is back at a frame head in
+    /// the same `next` call), and a reconnect takes its count under that
+    /// half. So the one reconnect never sends a range of a landed round
+    /// again, into the next round.
+    #[test]
+    fn a_part_data_whose_last_byte_landed_counts_as_read_whole() {
+        let frame = part_data(4, 0, &[7u8; 64]).encode();
+        for cut in 1..frame.len() {
+            let (fabric, transport, _far) = carrier(Trace::disabled());
+            let wire = fabric.wire();
+            let mut buf = vec![0u8; 64];
+            let (landed, done) = (Arc::new([AtomicU64::new(0)]), Completion::new());
+            let msgs = vec![(0, 64)];
+            let (base, d) = (buf.as_mut_ptr(), Arc::clone(&done));
+            let stream = StreamRecv::new(base, 64, msgs, landed, d, None, false);
+            wire.part_recv_start(&fabric, 1, 7, &stream, 1);
+            let rts = Frame::PartRts {
+                ctx: 7,
+                total_len: 64,
+                rdv_id: 4,
+            };
+            wire.dispatch(&fabric, 1, rts);
+            let mut reader = Pieces {
+                data: &frame,
+                at: 0,
+                cuts: [cut].into(),
+                dry: false,
+            };
+            let mut rd = Reader::new(0, 0);
+            transport.take(&fabric, 1, &mut reader, &mut rd).unwrap();
+            assert_eq!(rd.whole(), 0, "cut {cut}: read in part, yet counted");
+            assert!(!done.is_set(), "cut {cut}");
+            transport.take(&fabric, 1, &mut reader, &mut rd).unwrap();
+            assert!(done.is_set(), "cut {cut}: the round did not land");
+            assert_eq!(
+                rd.whole(),
+                1,
+                "cut {cut}: the round landed, its frame not whole"
+            );
+            assert_eq!(buf, [7u8; 64]);
+            assert!(!fabric.aborted());
         }
     }
 
@@ -2091,15 +2121,15 @@ mod tests {
     fn a_pinned_range_that_left_whole_and_never_arrived_is_lost() {
         let src = vec![7u8; 128];
         // A control frame, stream 7's two ranges, a control frame; all
-        // left whole, so both spans completed.
+        // left whole, so the stream's span completed.
         let written = || {
-            let spans: Arc<[SendSpan]> = spans_over(&src, 2).into();
+            let span = span_over(&src);
             let mut q = Queue::default();
             q.outbox.push_back(ctl(0));
-            q.outbox.extend(stream_writes(&src, &spans, 2));
+            q.outbox.extend(stream_writes(&src, &span, 2));
             q.outbox.push_back(ctl(1));
             assert_eq!(write_all(&mut q), 4);
-            assert!(spans.iter().all(|s| s.done.is_set()));
+            assert!(span.done.is_set());
             q
         };
         // The peer read the first range, not the second: that one is
@@ -2132,24 +2162,20 @@ mod tests {
     #[test]
     fn a_partly_written_pinned_front_entry_goes_again_whole() {
         let src: Vec<u8> = (0..128).collect();
-        let spans: Arc<[SendSpan]> = spans_over(&src, 1).into();
+        let span = span_over(&src);
         let mut q = Queue::default();
         q.outbox.push_back(ctl(0));
-        q.outbox.extend(stream_writes(&src, &spans, 2));
+        q.outbox.extend(stream_writes(&src, &span, 2));
         // The control frame and half the first range left.
         let torn = q.outbox[0].wire_len() + q.outbox[1].wire_len() / 2;
         assert_eq!(q.advance(torn), 1);
         assert_eq!(q.replay(1), Some(Vec::new()));
         let want = [part_data(7, 0, &src[..64]), part_data(7, 64, &src[64..])];
         assert_eq!(outbox_frames(&q), want, "the torn range goes again whole");
-        assert!(!spans[0].done.is_set());
+        assert!(!span.done.is_set());
         assert_eq!(write_all(&mut q), 2);
-        assert!(spans[0].done.is_set());
-        assert_eq!(
-            spans[0].remaining.load(Ordering::Acquire),
-            0,
-            "completed once"
-        );
+        assert!(span.done.is_set());
+        assert_eq!(span.remaining.load(Ordering::Acquire), 0, "completed once");
     }
 
     #[test]

@@ -58,8 +58,9 @@ use pcomm_trace::EventKind;
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{poll_window, unset_in, Transport, HEARTBEAT_MISS, HEARTBEAT_TICK};
-use crate::wire::{answers_with_push, complete_spans, PinChunk, SendSpan, FINALIZE_TIMEOUT};
+use crate::transport::{poll_window, unset_in, Transport, SPIN_WINDOW};
+use crate::transport::{HEARTBEAT_MISS, HEARTBEAT_TICK};
+use crate::wire::{answers_with_push, PinChunk, SendSpan, FINALIZE_TIMEOUT};
 
 /// Sleep between drain passes while teardown waits for the peers'
 /// `Bye`s (mirrors the fabric's `WAIT_SLICE`).
@@ -120,7 +121,7 @@ struct IpcPeer {
 struct Pull {
     rdv_id: u64,
     grant: u64,
-    spans: Arc<[SendSpan]>,
+    span: Arc<SendSpan>,
     chunk: PinChunk,
 }
 
@@ -507,7 +508,7 @@ impl IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<[SendSpan]>,
+        span: &Arc<SendSpan>,
         chunk: PinChunk,
     ) {
         let Some(peer) = &self.peers[dst] else {
@@ -536,7 +537,7 @@ impl IpcTransport {
                 let pull = Pull {
                     rdv_id,
                     grant,
-                    spans: Arc::clone(spans),
+                    span: Arc::clone(span),
                     chunk,
                 };
                 let (idx, seq) = peer.pulls.lock().open(&peer.out_ch.claims(), pull)?;
@@ -551,15 +552,15 @@ impl IpcTransport {
                     let desc = SlotDesc::new(K_READY, chunk.parts, rdv_id, offset, len as u64);
                     self.push_record(fabric, dst, op, desc, &ready.encode(), None, false);
                 }
-                None => self.copy_out(fabric, dst, rdv_id, grant, spans, chunk),
+                None => self.copy_out(fabric, dst, rdv_id, grant, span, chunk),
             }
             return;
         }
         let mut done = 0usize;
         while done < len {
             let (n, at) = (self.rdv_chunk.min(len - done), offset + done as u64);
-            // SAFETY: invariant (1) — the source stays pinned until the
-            // covering spans complete below.
+            // SAFETY: invariant (1) — the source stays pinned until its
+            // bytes count off the span below.
             let body = unsafe { std::slice::from_raw_parts(chunk.ptr.add(done), n) };
             emit_data(at, n);
             let parts = if done + n == len { chunk.parts } else { 0 };
@@ -567,7 +568,7 @@ impl IpcTransport {
             if !self.push_record(fabric, dst, op, desc, body, None, false) {
                 return; // aborted mid-stream
             }
-            complete_spans(spans, at as usize, n);
+            span.left(n);
             done += n;
         }
     }
@@ -582,7 +583,7 @@ impl IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: u64,
-        spans: &[SendSpan],
+        span: &SendSpan,
         chunk: PinChunk,
     ) {
         let Some(peer) = &self.peers[dst] else {
@@ -600,7 +601,7 @@ impl IpcTransport {
         }
         let desc = SlotDesc::new(K_PART, chunk.parts, rdv_id, offset, len as u64);
         if self.push_record(fabric, dst, frame::op::PART_DATA, desc, &[], None, false) {
-            complete_spans(spans, offset as usize, len);
+            span.left(len);
         }
     }
 
@@ -614,7 +615,7 @@ impl IpcTransport {
             let Some(peer) = peer else { continue };
             let claimed = peer.pulls.lock().claim_newest(&peer.out_ch.claims());
             if let Some(p) = claimed {
-                self.copy_out(fabric, dst, p.rdv_id, p.grant, &p.spans, p.chunk);
+                self.copy_out(fabric, dst, p.rdv_id, p.grant, &p.span, p.chunk);
                 return true;
             }
         }
@@ -667,14 +668,14 @@ impl IpcTransport {
     }
 
     /// Sender: `src` claimed and copied our ready range `(idx, seq)`
-    /// (`K_PULLED`) — its spans are done. An ack for a range we never
-    /// published, or that `src` never claimed, is misuse.
+    /// (`K_PULLED`) — its bytes count off its span. An ack for a range
+    /// we never published, or that `src` never claimed, is misuse.
     fn pulled(&self, fabric: &Fabric, src: usize, peer: &IpcPeer, idx: u64, seq: u64) {
         let acked = peer.pulls.lock().acked(&peer.out_ch.claims(), idx, seq);
         match acked {
             Ok(pull) => {
                 Tallies::bump(&self.tallies.copied_by_peers);
-                complete_spans(&pull.spans, pull.chunk.offset as usize, pull.chunk.len);
+                pull.span.left(pull.chunk.len);
             }
             Err(e) if !fabric.aborted() => fabric.fail(PcommError::misuse(
                 src,
@@ -699,7 +700,7 @@ impl IpcTransport {
     /// for completions nobody is spinning on.
     fn progress_loop(self: &Arc<IpcTransport>, fabric: &Arc<Fabric>) {
         let tick_ns = HEARTBEAT_TICK.as_nanos() as u64;
-        let mut last_tick = Instant::now();
+        let (mut last_tick, mut last_work) = (Instant::now(), Instant::now());
         loop {
             if self.stop.load(Ordering::Acquire) {
                 return;
@@ -709,6 +710,14 @@ impl IpcTransport {
                 last_tick = Instant::now();
             }
             if self.progress_pass(fabric) {
+                last_work = Instant::now();
+                continue;
+            }
+            // After work, and while no app thread polls, poll on for a
+            // window as a waiting app thread does: a peer's ranges readied
+            // microseconds apart then cost one wake, not one each.
+            if last_work.elapsed() < SPIN_WINDOW && !self.handoff.polled() {
+                std::thread::yield_now();
                 continue;
             }
             let bell = self.segment.doorbell(self.rank);
@@ -886,11 +895,11 @@ impl Transport for IpcTransport {
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
-        spans: &Arc<[SendSpan]>,
+        span: &Arc<SendSpan>,
         chunks: &[PinChunk],
     ) {
         for &chunk in chunks {
-            self.ship_range(fabric, dst, rdv_id, grant, spans, chunk);
+            self.ship_range(fabric, dst, rdv_id, grant, span, chunk);
         }
     }
 
@@ -1122,10 +1131,11 @@ mod tests {
             let Some((fabric, carrier, peer_out)) = hostile_peer() else {
                 return;
             };
-            let src = vec![7u8; 4096];
-            let id = fabric
+            let (src, id) = (vec![7u8; 4096], fabric.wire().stream_id());
+            let done = Completion::new();
+            fabric
                 .wire()
-                .part_stream_begin(&fabric, 1, 9, 4096, Vec::new());
+                .part_send_start(&fabric, 1, 9, id, 4096, &done, 1);
             let desc = SlotDesc {
                 kind: K_PART_CTS,
                 parts: 0,
@@ -1244,9 +1254,10 @@ mod tests {
         };
         let src: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
         assert!(receiver.alloc_part_buf(1, src.len()).is_none());
-        let id = fabric1
+        let (id, done) = (fabric1.wire().stream_id(), Completion::new());
+        fabric1
             .wire()
-            .part_stream_begin(&fabric1, 0, 9, src.len(), Vec::new());
+            .part_send_start(&fabric1, 0, 9, id, src.len(), &done, 1);
         let dest = vec![0u8; src.len()];
         receiver.ship_part_cts(&fabric0, 1, id, dest.as_ptr(), dest.len());
         assert!(

@@ -107,8 +107,8 @@ impl Universe {
     /// * caught API misuse returns [`PcommError::Misuse`].
     ///
     /// Environment knobs (each ignored when the corresponding builder was
-    /// used): `PCOMM_TRACE=<path>` / `PCOMM_TRACE_REPORT=<path>` write a
-    /// Chrome trace / text summary at teardown; `PCOMM_FAULTS=<spec>`
+    /// used): `PCOMM_TRACE=<path>` writes a Chrome trace at `<path>` and
+    /// its text summary at `<path>.txt` at teardown; `PCOMM_FAULTS=<spec>`
     /// attaches a fault plan (see [`FaultPlan::parse`]);
     /// `PCOMM_WATCHDOG_MS=<ms>` arms the watchdog; `PCOMM_VERIFY=1` runs
     /// the [`pcomm_verify`] analyses (races, deadlock verdicts, protocol
@@ -122,9 +122,9 @@ impl Universe {
     /// process is rank *k* and the rank counts agree, the universe joins
     /// the socket mesh and runs only rank *k* here — the closure,
     /// strategies and chaos plans are unchanged. The returned vector
-    /// then repeats the local rank's result (hence `T: Clone`);
-    /// `PCOMM_TRACE` / `PCOMM_TRACE_REPORT` paths get a `.rank<k>`
-    /// suffix so the processes do not clobber each other's files, and
+    /// then repeats the local rank's result (hence `T: Clone`); the
+    /// `PCOMM_TRACE` path gets a `.rank<k>` suffix (before the summary's
+    /// `.txt`) so the processes do not clobber each other's files, and
     /// under `PCOMM_VERIFY=1` each rank leaves a `.events` ring beside
     /// its trace for `pcomm-audit` (`pcomm_verify::audit`) to merge.
     pub fn run<T, F>(&self, f: F) -> Result<Vec<T>, PcommError>
@@ -180,10 +180,6 @@ impl Universe {
             .ok()
             .filter(|p| !p.is_empty())
             .map(&rank_suffix);
-        let env_report = std::env::var("PCOMM_TRACE_REPORT")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(&rank_suffix);
         let env_verify = std::env::var("PCOMM_VERIFY")
             .map(|v| {
                 let v = v.trim().to_string();
@@ -194,7 +190,7 @@ impl Universe {
             Some(env) => u.run_wire(env, trace, &f),
             None => u.run_on(trace, &f),
         };
-        if u.trace.is_enabled() || (env_json.is_none() && env_report.is_none() && !env_verify) {
+        if u.trace.is_enabled() || (env_json.is_none() && !env_verify) {
             return engine(u.trace.clone());
         }
         let trace = if env_verify {
@@ -222,14 +218,12 @@ impl Universe {
         }
         if let Some(path) = env_json {
             let json = pcomm_trace::chrome_trace_json(&data.events, data.dropped);
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("pcomm: failed to write PCOMM_TRACE={path}: {e}");
-            }
-        }
-        if let Some(path) = env_report {
             let report = pcomm_trace::summary_report(&data.events, data.dropped);
-            if let Err(e) = std::fs::write(&path, report) {
-                eprintln!("pcomm: failed to write PCOMM_TRACE_REPORT={path}: {e}");
+            let txt = format!("{path}.txt");
+            for (path, text) in [(path, json), (txt, report)] {
+                if let Err(e) = std::fs::write(&path, text) {
+                    eprintln!("pcomm: failed to write {path} (PCOMM_TRACE): {e}");
+                }
             }
         }
         if env_verify {

@@ -10,31 +10,30 @@
 //!
 //! * **Eager**: the payload travels in one `Eager` frame and enters the
 //!   ordinary matching path ([`Fabric::deliver_wire_eager`]).
-//! * **Rendezvous**: a partitioned stream of one message. The sender
-//!   pins its buffer as a stream whose one span carries the send's
-//!   completion, announced by an `Rts` that carries the match envelope
-//!   instead of a pairing context. The receiver matches the `Rts` like
-//!   any message; the posted buffer becomes the stream's destination and
-//!   the stream's CTS goes back. From there the bytes move, land and
-//!   complete exactly as below, so every completion stays the same
-//!   lock-free atomic as in-process. An empty message has no byte to
-//!   stream and travels eager.
-//! * **Partitioned streaming**: a wire-bound partitioned send announces
-//!   its whole buffer with one `PartRts`; the receiver pins its whole
-//!   destination, pairs the two FIFO per `(src, ctx)`, and answers a CTS
-//!   (which a carrier with receiver-visible memory extends with a
-//!   *grant*). From then on every `pready`-completed run of partitions is
-//!   coalesced toward the carrier's aggregation threshold and shipped as
-//!   an order-independent `offset..offset+len` range the moment it is
-//!   ready. The source stays pinned (MPI forbids touching it between
-//!   `start` and `wait`), so carriers move ranges straight out of
-//!   application memory; a message's `sent` completion flips when its
-//!   last byte has left. The receiver claims every landed range against
-//!   the stream's interval ledger — the ranges are the peer's word, and a
-//!   range a reconnect sends again whole lands over the prefix that
-//!   arrived, so only never-seen bytes count — and flips the per-message
-//!   completions whose ranges have fully landed: `parrived` goes true
-//!   partition-by-partition across processes.
+//! * **Rendezvous**: a one-round stream of one message. The sender pins
+//!   its buffer as a stream whose span carries the send's completion,
+//!   announced by an `Rts` that carries the match envelope instead of a
+//!   pairing context. The receiver matches the `Rts` like any message;
+//!   the posted buffer becomes the stream's destination and the round's
+//!   credit goes back. From there the bytes move and land exactly as
+//!   below, and the stream retires when its round has landed. An empty
+//!   message has no byte to stream and travels eager.
+//! * **Partitioned streaming**: a request pairs once. The sender's first
+//!   `start` announces its whole buffer with one `PartRts`, which pairs
+//!   FIFO per `(src, ctx)` with the receiver's one pinned destination.
+//!   Each receiver `start` opens a round and sends one credit, a
+//!   `PartCts` (extended with a *grant* by a carrier with
+//!   receiver-visible memory); no range of the sender's round `k` moves
+//!   before the `k`-th. Every `pready`-completed run of partitions is
+//!   coalesced toward the carrier's aggregation threshold and shipped,
+//!   straight out of the pinned source, as an order-independent
+//!   `offset..offset+len` range. The receiver claims each landed range
+//!   against the round's interval ledger (a range a reconnect sends again
+//!   whole lands over the prefix that arrived: only never-seen bytes
+//!   count), stamps each message it finishes with the round, and sets
+//!   its one completion with the round's last byte, as the sender's
+//!   flips with the last byte out. A range for a landed round is
+//!   `Misuse`.
 //! * **Barrier**: rank 0 coordinates; everyone ships `BarrierArrive`,
 //!   rank 0 broadcasts `BarrierRelease` for the generation. Arrivals are
 //!   a set, not a count, so a repeated arrival cannot release early. The
@@ -56,7 +55,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use pcomm_net::frame::{
@@ -74,63 +73,20 @@ use crate::transport::Transport;
 /// and the run fails instead of hanging.
 pub(crate) const FINALIZE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One message of a pinned partitioned destination: the byte range it
-/// owns and the request state to flip once every byte has landed.
-pub(crate) struct PartStreamMsg {
-    /// Byte offset of the message in the whole destination buffer.
-    pub(crate) offset: usize,
-    /// Message length in bytes.
-    pub(crate) len: usize,
-    /// Bytes of the range not yet committed; initialised to `len`.
-    pub(crate) remaining: AtomicUsize,
-    /// The `parrived`/wait completion for the message.
-    pub(crate) completion: Arc<Completion>,
-    /// Envelope slot the fabric fills on completion.
-    pub(crate) info: Arc<Mutex<Option<MsgInfo>>>,
-    /// Verify-layer identity `(request, message)` for the recv event.
-    pub(crate) verify_msg: Option<(u16, u16)>,
-    /// Message tag (the message index, as in the eager/rdv path).
-    pub(crate) tag: i64,
-}
-
-/// A whole partitioned destination buffer pinned for an incoming
-/// stream, handed to the engine by `precv.start()`.
-pub(crate) struct PartStreamRecv {
-    /// Base of the destination buffer.
-    pub(crate) base: *mut u8,
-    /// Whole-buffer length in bytes.
-    pub(crate) total_len: usize,
-    /// Per-message ranges covering `0..total_len`.
-    pub(crate) msgs: Vec<PartStreamMsg>,
-}
-
-// SAFETY: the destination buffer outlives the stream (the receiving
-// request's storage is pinned until its completions fire and the
-// request drains them before release — invariant (1) again), and the
-// progress contexts that dereference `base` only write disjoint ranges.
-unsafe impl Send for PartStreamRecv {}
-
-/// One message's byte span of a pinned partitioned *source* buffer:
-/// `done` (the sender's "buffer reusable" signal) flips once the
-/// carrier has moved every byte of the span.
+/// What a stream's sender waits on: `done` (its "buffer reusable"
+/// signal) fires once the carrier has moved the round's last byte.
 pub(crate) struct SendSpan {
-    /// Byte offset of the message in the whole source buffer.
-    pub(crate) offset: usize,
-    /// Message length in bytes.
-    pub(crate) len: usize,
-    /// Bytes of the span not yet written; initialised to `len`.
+    /// Bytes of the round not yet moved.
     pub(crate) remaining: AtomicUsize,
-    /// The sender-side wait completion for the message.
     pub(crate) done: Arc<Completion>,
 }
 
 impl SendSpan {
-    pub(crate) fn new(offset: usize, len: usize, done: Arc<Completion>) -> SendSpan {
-        SendSpan {
-            offset,
-            len,
-            remaining: AtomicUsize::new(len),
-            done,
+    /// `len` more bytes left. Every byte leaves once, so the countdown
+    /// never underflows; AcqRel chains the movers' progress.
+    pub(crate) fn left(&self, len: usize) {
+        if len > 0 && self.remaining.fetch_sub(len, Ordering::AcqRel) == len {
+            self.done.set();
         }
     }
 }
@@ -142,7 +98,7 @@ impl SendSpan {
 pub(crate) struct PinChunk {
     /// Byte offset of the run in the whole source buffer.
     pub(crate) offset: u64,
-    /// First byte of the run; valid until the covering spans complete.
+    /// First byte of the run; valid until the stream's span completes.
     pub(crate) ptr: *const u8,
     /// Run length in bytes.
     pub(crate) len: usize,
@@ -151,9 +107,9 @@ pub(crate) struct PinChunk {
 }
 
 // SAFETY: the pointed-to source buffer stays alive and unmodified until
-// the covering spans' `done` completions fire (fabric invariant (1) —
-// the request drains them before its storage drops), and only the
-// carrier context shipping the chunk reads through it.
+// the stream's span `done` fires (fabric invariant (1) — the request
+// drains it before its storage drops), and only the carrier context
+// shipping the chunk reads through it.
 unsafe impl Send for PinChunk {}
 
 /// The chunks one [`StreamSend::push`] made ready. Never more than two
@@ -179,15 +135,21 @@ impl std::ops::Deref for Ready {
     }
 }
 
-/// Sender-side state of one partitioned stream: the aggregation window
-/// plus ranges queued while the CTS is still in flight.
+/// Sender-side state of one stream: the aggregation window, the
+/// receiver's credits, and the ranges queued until their round's.
 struct StreamSend {
     dst: usize,
-    /// `None` until the receiver pinned its destination (CTS arrived);
-    /// then the carrier's grant, if its CTS carried one.
-    cts: Option<Option<u64>>,
-    /// Every byte was pushed and the tail auto-flushed; the entry dies
-    /// once `cts` is also set.
+    /// A rendezvous retires once its one round has left; a partitioned
+    /// stream, when its request drops.
+    one_round: bool,
+    /// The sender's round (from 1) and the receiver's credits so far: a
+    /// range moves once `credits >= round` (the carriers are
+    /// exactly-once FIFOs: a count needs no generation).
+    round: u64,
+    credits: u64,
+    /// The carrier's grant, as the last credit carried it.
+    grant: Option<u64>,
+    /// Every byte of the round was pushed and the tail auto-flushed.
     flushed: bool,
     /// Whole-buffer length; pushes auto-flush the tail on reaching it.
     total_len: usize,
@@ -195,10 +157,10 @@ struct StreamSend {
     pushed: usize,
     /// The open aggregation window: grows while pushes stay adjacent.
     pend: Option<PinChunk>,
-    /// Threshold-complete chunks waiting for the CTS.
+    /// Threshold-complete chunks waiting for the round's credit.
     queued: Vec<PinChunk>,
-    /// Per-message spans the carrier completes as chunks leave.
-    spans: Arc<[SendSpan]>,
+    /// What the carrier counts chunks off as they leave.
+    span: Arc<SendSpan>,
 }
 
 impl StreamSend {
@@ -255,37 +217,84 @@ impl StreamSend {
     }
 }
 
-/// Receiver-side state of one active partitioned stream: where ranges
-/// land and which message completions they flip.
-struct StreamRecv {
+/// Receiver-side state of one stream: where its ranges land, the ledger
+/// of its open round, and what its commits flip — the shape of an
+/// in-process binding's receiver (iteration stamps, one completion).
+pub(crate) struct StreamRecv {
     base: *mut u8,
     total_len: usize,
-    /// Bytes of the whole buffer not yet committed; the stream retires
-    /// when this hits zero.
-    remaining_total: AtomicUsize,
-    msgs: Vec<PartStreamMsg>,
-    /// Sorted, disjoint byte intervals already committed. Every commit
-    /// first claims its range here and only the never-seen-before
-    /// sub-ranges count — a duplicate range (the peer's word, or a range
-    /// a reconnect sent again whole) is a no-op.
-    committed: Mutex<Vec<(usize, usize)>>,
+    /// Each message's `(offset, len)`, in buffer order.
+    msgs: Vec<(usize, usize)>,
+    /// The round each message last landed in.
+    landed: Arc<[AtomicU64]>,
+    /// Set once the open round's last byte landed.
+    done: Arc<Completion>,
+    /// Verify-layer request id: message `m` is `(vreq, m)`.
+    vreq: Option<u16>,
+    /// As the sender's.
+    one_round: bool,
+    /// The sender's stream id, set by the pairing.
+    id: OnceLock<u64>,
+    /// The open round and the sorted, disjoint byte intervals committed
+    /// in it (all of them once it landed: then no range lands until the
+    /// next opens). Only the never-claimed bytes of a range count — a
+    /// duplicate (the peer's word, or a reconnect's replay) is a no-op.
+    ledger: Mutex<(u64, Vec<(usize, usize)>)>,
 }
 
-// SAFETY: same argument as [`PartStreamRecv`]; `Sync` because every
-// thread that lands a carrier's ranges shares the stream, but every
-// byte of the destination belongs to exactly one range on the wire, so
-// writes never alias.
+// SAFETY: the destination outlives the stream in the tables (its request
+// drains, then takes it out, before freeing it — invariant (1) again);
+// `Sync`: every byte of it belongs to one range on the wire, so the
+// threads landing ranges never alias.
 unsafe impl Send for StreamRecv {}
 unsafe impl Sync for StreamRecv {}
 
-/// FIFO pairing of incoming `PartRts`s with posted destinations for one
+impl StreamRecv {
+    /// The destination `base..base + total_len`, cut into `msgs`: a
+    /// rendezvous in its one round, a partitioned stream before its first.
+    pub(crate) fn new(
+        base: *mut u8,
+        total_len: usize,
+        msgs: Vec<(usize, usize)>,
+        landed: Arc<[AtomicU64]>,
+        done: Arc<Completion>,
+        vreq: Option<u16>,
+        one_round: bool,
+    ) -> Arc<StreamRecv> {
+        Arc::new(StreamRecv {
+            base,
+            total_len,
+            msgs,
+            landed,
+            done,
+            vreq,
+            one_round,
+            id: OnceLock::new(),
+            ledger: Mutex::new((u64::from(one_round), Vec::new())),
+        })
+    }
+
+    /// Open round `round`: an empty ledger, `done` re-armed. The
+    /// previous round landed whole, so no commit can race this.
+    fn open(&self, round: u64) {
+        let mut ledger = self.ledger.lock();
+        ledger.0 = round;
+        ledger.1.clear();
+        self.done.reset();
+    }
+}
+
+/// What meets in a [`PartPair`]: a started stream, or an announcement.
+type Meeting = Result<Arc<StreamRecv>, (u64, usize)>;
+
+/// FIFO pairing of incoming `PartRts`s with started streams for one
 /// `(src, ctx)` partitioned pair — whichever side shows up first waits.
 #[derive(Default)]
 struct PartPair {
-    /// Streams announced by the sender, not yet posted: `(id, len)`.
+    /// Streams announced by the sender, not yet started: `(id, len)`.
     pending_rts: VecDeque<(u64, usize)>,
-    /// Destinations posted by the receiver, not yet announced.
-    waiting: VecDeque<PartStreamRecv>,
+    /// Streams the receiver started, not yet announced.
+    waiting: VecDeque<Arc<StreamRecv>>,
 }
 
 type WinSlot = (Arc<Completion>, Option<usize>);
@@ -304,9 +313,9 @@ pub(crate) struct WireProtocol {
     /// Sender side: open streams (partitioned sends and rendezvous), by
     /// stream id.
     streams_out: Mutex<HashMap<u64, StreamSend>>,
-    /// Receiver side: RTS/post pairing per partitioned (src, ctx) pair.
+    /// Receiver side: RTS/start pairing per partitioned (src, ctx) pair.
     part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
-    /// Receiver side: active streams taking ranges, by (src, id).
+    /// Receiver side: paired streams taking ranges, by (src, id).
     streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
     /// This process's barrier generation counter (SPMD-aligned).
     barrier_gen: AtomicU64,
@@ -362,6 +371,13 @@ impl WireProtocol {
     fn send(&self, fabric: &Fabric, dst: usize, frame: Frame) {
         self.carrier.send(fabric, dst, frame, false);
     }
+
+    /// A fresh id for a stream this process sends.
+    pub(crate) fn stream_id(&self) -> u64 {
+        // ORDERING: id allocator — only uniqueness matters; the id
+        // reaches the peer inside the announcing frame, not via memory.
+        self.next_rdv_id.fetch_add(1, Ordering::Relaxed)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -410,23 +426,24 @@ impl WireProtocol {
             done.set();
             return;
         }
-        let span = SendSpan::new(0, len, Arc::clone(done));
-        let rts = |rdv_id| Frame::Rts {
+        let id = self.stream_id();
+        let rts = Frame::Rts {
             shard: shard as u16,
             ctx,
             tag,
             len: len as u64,
-            rdv_id,
+            rdv_id: id,
         };
-        let id = self.open_stream(fabric, dst, len, vec![span], rts);
-        // The `Rts` has only just left, so no CTS can be in: the range
-        // queues without a look at the peer.
+        self.open_stream(fabric, dst, id, len, done, true, rts);
+        // The `Rts` has only just left, so no credit can be in: the
+        // range queues without a look at the peer.
         self.push_range(fabric, id, 0, data, 1);
     }
 
     /// Receiver: a matched rendezvous `Rts`. The posted buffer becomes
-    /// the destination of the one-message stream it announced, and the
-    /// sender is cleared to stream into it.
+    /// the destination of the one-round stream it announced (whose
+    /// envelope is known now: the data only completes it), and the
+    /// round's credit goes back.
     pub(crate) fn accept_remote_rdv(
         &self,
         fabric: &Fabric,
@@ -436,111 +453,136 @@ impl WireProtocol {
         posted: PostedRecv,
         tag: i64,
     ) {
-        let msg = PartStreamMsg {
-            offset: 0,
-            len,
-            remaining: AtomicUsize::new(len),
-            completion: posted.completion,
-            info: posted.info,
-            verify_msg: posted.verify_msg,
-            tag,
-        };
-        let recv = PartStreamRecv {
-            base: posted.dest_ptr,
-            total_len: len,
-            msgs: vec![msg],
-        };
-        self.activate_stream(fabric, src, rdv_id, len, recv);
+        *posted.info.lock() = Some(MsgInfo { src, tag, len });
+        let (base, done, vreq) = (posted.dest_ptr, posted.completion, posted.verify_msg);
+        let (landed, vreq) = (Arc::new([AtomicU64::new(0)]), vreq.map(|(req, _)| req));
+        let s = StreamRecv::new(base, len, vec![(0, len)], landed, done, vreq, true);
+        if self.pair(fabric, src, rdv_id, len, &s) {
+            self.release_cts(fabric, src, rdv_id, &s);
+        }
     }
 
-    /// Receiver: record the announcement of stream `rdv_id` from `src`.
-    fn note_rts(&self, fabric: &Fabric, src: usize, rdv_id: u64, total_len: u64) {
-        let (p16, stream) = (src as u16, rdv_id as u32);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamRts {
-                peer: p16,
-                tx: false,
-                stream,
-                total_len,
-            });
+    /// For the auditor: stream `id` between us and `peer` was announced
+    /// (`tx` on its sender).
+    fn note_rts(&self, fabric: &Fabric, peer: usize, id: u64, total_len: u64, tx: bool) {
+        let (peer, stream) = (peer as u16, id as u32);
+        let rts = || EventKind::VerifyStreamRts {
+            peer,
+            tx,
+            stream,
+            total_len,
+        };
+        fabric.trace().emit_verify(self.rank as u16, rts);
+    }
+
+    /// For the auditor: a credit of stream `id` between us and `peer`
+    /// (`tx` on its receiver, which sends it).
+    fn note_cts(&self, fabric: &Fabric, peer: usize, id: u64, tx: bool) {
+        let (peer, stream) = (peer as u16, id as u32);
+        let cts = || EventKind::VerifyStreamCts {
+            peer,
+            tx,
+            stream,
+            epoch: 0,
+        };
+        fabric.trace().emit_verify(self.rank as u16, cts);
     }
 }
 
 // ---------------------------------------------------------------------
-// Partitioned streams: RTS/post pairing, send window, receive ledger.
+// Partitioned streams: pairing once, credits, send window, receive ledger.
 // ---------------------------------------------------------------------
 
 impl WireProtocol {
-    /// Open a partitioned stream toward `dst`: announce `total_len`
-    /// pinned bytes for the pair on `ctx` and return the stream id that
-    /// subsequent pushes name. `spans` are the sender's per-message byte
-    /// ranges; each span's `done` fires once the carrier has moved its
-    /// last byte.
-    pub(crate) fn part_stream_begin(
+    /// Sender: start round `round` of partitioned stream `id` toward
+    /// `dst`, `total_len` pinned bytes on `ctx`. The first announces it
+    /// with the request's one `PartRts`; a later one only resets the
+    /// window and the span. `done` (re-armed by the caller) fires once
+    /// the round's last byte has left; its ranges move once the
+    /// receiver's `round`-th credit is in.
+    #[allow(clippy::too_many_arguments)] // one per stream field
+    pub(crate) fn part_send_start(
         &self,
         fabric: &Fabric,
         dst: usize,
         ctx: u64,
+        id: u64,
         total_len: usize,
-        spans: Vec<SendSpan>,
-    ) -> u64 {
-        let part_rts = |rdv_id| Frame::PartRts {
-            ctx,
-            total_len: total_len as u64,
-            rdv_id,
-        };
-        self.open_stream(fabric, dst, total_len, spans, part_rts)
+        done: &Arc<Completion>,
+        round: u64,
+    ) {
+        if round == 1 {
+            let total = total_len as u64;
+            let rts = Frame::PartRts {
+                ctx,
+                total_len: total,
+                rdv_id: id,
+            };
+            return self.open_stream(fabric, dst, id, total_len, done, false, rts);
+        }
+        if let Some(s) = self.streams_out.lock().get_mut(&id) {
+            (s.round, s.pushed, s.flushed, s.pend) = (round, 0, false, None);
+            // ORDERING: the round's pushes take this lock before any
+            // carrier can count a byte off.
+            s.span.remaining.store(total_len, Ordering::Relaxed);
+        }
     }
 
-    /// Open a stream of `total_len` pinned bytes toward `dst`, announced
-    /// by `announce(id)`; returns the id.
+    /// Open stream `id` of `total_len` pinned bytes toward `dst`, in its
+    /// first round, announced by `announce`.
+    #[allow(clippy::too_many_arguments)] // one per stream field
     fn open_stream(
         &self,
         fabric: &Fabric,
         dst: usize,
+        id: u64,
         total_len: usize,
-        spans: Vec<SendSpan>,
-        announce: impl FnOnce(u64) -> Frame,
-    ) -> u64 {
-        // ORDERING: id allocator — only uniqueness matters; the id
-        // reaches the peer inside the announcing frame, not via memory.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        // Register before the announcement leaves so a fast CTS finds us.
+        done: &Arc<Completion>,
+        one_round: bool,
+        announce: Frame,
+    ) {
+        // Register before the announcement leaves so a fast credit finds us.
         self.streams_out.lock().insert(
-            rdv_id,
+            id,
             StreamSend {
                 dst,
-                cts: None,
+                one_round,
+                round: 1,
+                credits: 0,
+                grant: None,
                 flushed: false,
                 total_len,
                 pushed: 0,
                 pend: None,
                 queued: Vec::new(),
-                spans: spans.into(),
+                span: Arc::new(SendSpan {
+                    remaining: AtomicUsize::new(total_len),
+                    done: Arc::clone(done),
+                }),
             },
         );
-        let (p16, stream, total) = (dst as u16, rdv_id as u32, total_len as u64);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamRts {
-                peer: p16,
-                tx: true,
-                stream,
-                total_len: total,
-            });
-        self.send(fabric, dst, announce(rdv_id));
-        rdv_id
+        self.note_rts(fabric, dst, id, total_len as u64, true);
+        self.send(fabric, dst, announce);
+    }
+
+    /// Sender: the request of stream `id` drops. What no carrier holds
+    /// (unpushed, windowed or queued bytes) will never leave: it counts as
+    /// gone, so a drain of `done` waits only for what a carrier holds.
+    pub(crate) fn part_send_close(&self, id: u64) {
+        let Some(s) = self.streams_out.lock().remove(&id) else {
+            return;
+        };
+        let held: usize = s.queued.iter().chain(&s.pend).map(|c| c.len).sum();
+        s.span.left(s.total_len - s.pushed + held);
     }
 
     /// Hand one ready byte range (`parts` coalesced partitions ending
     /// their `pready`s) to the stream. `data` is *pinned*, not copied:
-    /// it must stay alive and unmodified until the covering spans'
-    /// `done` completions fire (fabric invariant (1) — partitioned
-    /// storage lives until its signals drain). Ranges queue until the
-    /// CTS arrives, then flow; the stream retires itself once every one
-    /// of `total_len` bytes has been pushed. Runs on an app thread
-    /// (inside `pready`): one lock, no allocation once the CTS is in.
+    /// it must stay alive and unmodified until the stream's span `done`
+    /// fires (fabric invariant (1) — partitioned storage lives until its
+    /// completion drains). Ranges queue until the round's credit arrives,
+    /// then flow. Runs on an app thread (inside `pready`): one lock, no
+    /// allocation once the credit is in.
     pub(crate) fn part_stream_push(
         &self,
         fabric: &Fabric,
@@ -550,7 +592,7 @@ impl WireProtocol {
         parts: u16,
     ) {
         if let Some(dst) = self.push_range(fabric, stream_id, offset, data, parts) {
-            // The CTS may have arrived while the caller computed: an
+            // The credit may have arrived while the caller computed: an
             // empty burst is one inline look at the peer, which finds
             // it, and its handler ships the queue — this range included.
             self.carrier.poll_burst(fabric, Some(dst), &[]);
@@ -558,8 +600,8 @@ impl WireProtocol {
     }
 
     /// The body of [`part_stream_push`](Self::part_stream_push): ship
-    /// the range, or queue it and return the peer when the stream has
-    /// no CTS yet.
+    /// the range, or queue it and return the peer when the round has
+    /// no credit yet.
     fn push_range(
         &self,
         fabric: &Fabric,
@@ -568,157 +610,142 @@ impl WireProtocol {
         data: &[u8],
         parts: u16,
     ) -> Option<usize> {
-        let (dst, grant, spans, ready) = {
+        let (dst, grant, span, ready) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&stream_id) else {
                 return None; // post-abort straggler
             };
             let ready = stream.push(offset, data.as_ptr(), data.len(), parts, self.aggr);
-            let Some(grant) = stream.cts else {
-                // The CTS handler drains `queued` (auto-flushed tail
-                // included) and retires the entry when it arrives.
+            if stream.credits < stream.round {
+                // The credit handler drains `queued` (auto-flushed tail
+                // included) when the round's credit arrives.
                 stream.queued.extend_from_slice(&ready);
                 return Some(stream.dst);
-            };
-            let (dst, spans) = (stream.dst, Arc::clone(&stream.spans));
-            if stream.flushed {
-                // Last byte pushed post-CTS: the entry is done.
+            }
+            let (dst, grant, span) = (stream.dst, stream.grant, Arc::clone(&stream.span));
+            if stream.flushed && stream.one_round {
                 out.remove(&stream_id);
             }
-            (dst, grant, spans, ready)
+            (dst, grant, span, ready)
         };
         if !ready.is_empty() {
             self.carrier
-                .ship_chunks(fabric, dst, stream_id, grant, &spans, &ready);
+                .ship_chunks(fabric, dst, stream_id, grant, &span, &ready);
         }
         None
     }
 
-    /// Pin a whole partitioned destination buffer for the next stream
-    /// from `src` on `ctx`; pairs FIFO with incoming `PartRts`s.
-    pub(crate) fn part_stream_post(
+    /// Receiver: open round `round` of `stream` from `src` on `ctx` and
+    /// send its credit. The first round pairs the stream with the
+    /// sender's one `PartRts` instead, and the pairing sends that credit.
+    pub(crate) fn part_recv_start(
         &self,
         fabric: &Fabric,
         src: usize,
         ctx: u64,
-        recv: PartStreamRecv,
+        stream: &Arc<StreamRecv>,
+        round: u64,
     ) {
-        let activate = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            if let Some((rdv_id, total_len)) = pair.pending_rts.pop_front() {
-                Some((rdv_id, total_len, recv))
-            } else {
-                pair.waiting.push_back(recv);
-                None
-            }
-        };
-        if let Some((rdv_id, total_len, recv)) = activate {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
+        stream.open(round);
+        match stream.id.get() {
+            Some(&id) => self.release_cts(fabric, src, id, stream),
+            None => self.meet(fabric, src, ctx, Ok(Arc::clone(stream))),
         }
     }
 
-    /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement.
-    fn handle_part_rts(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        ctx: u64,
-        total_len: usize,
-        rdv_id: u64,
-    ) {
-        self.note_rts(fabric, src, rdv_id, total_len as u64);
-        let recv = {
+    /// Receiver: a started stream (`Ok`) or an announcement `(id, len)`
+    /// (`Err`) of pair `(src, ctx)` meets the oldest of the other kind
+    /// (FIFO, as bindings pair) and sends the first credit, or waits.
+    fn meet(&self, fabric: &Fabric, src: usize, ctx: u64, side: Meeting) {
+        let paired = {
             let mut reg = self.part_registry.lock();
             let pair = reg.entry((src, ctx)).or_default();
-            match pair.waiting.pop_front() {
-                Some(recv) => Some(recv),
-                None => {
-                    pair.pending_rts.push_back((rdv_id, total_len));
-                    None
-                }
-            }
+            let (stream, (id, len)) = match side {
+                Ok(stream) => match pair.pending_rts.pop_front() {
+                    Some(rts) => (stream, rts),
+                    None => return pair.waiting.push_back(stream),
+                },
+                Err(rts) => match pair.waiting.pop_front() {
+                    Some(stream) => (stream, rts),
+                    None => return pair.pending_rts.push_back(rts),
+                },
+            };
+            // Under the lock: a closing request sees its stream waiting
+            // or paired, never in between.
+            self.pair(fabric, src, id, len, &stream)
+                .then_some((stream, id))
         };
-        if let Some(recv) = recv {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
+        if let Some((stream, id)) = paired {
+            self.release_cts(fabric, src, id, &stream);
         }
     }
 
-    /// Receiver: a posted destination met its announcement — validate,
-    /// register the active stream, and have the carrier clear the sender
-    /// to stream.
-    fn activate_stream(
+    /// Receiver: the request of `stream` from `src` on `ctx` drops, and
+    /// the stream leaves the tables, paired or still waiting.
+    pub(crate) fn part_recv_close(&self, src: usize, ctx: u64, stream: &Arc<StreamRecv>) {
+        let mut reg = self.part_registry.lock();
+        if let Some(id) = stream.id.get() {
+            self.streams_in.lock().remove(&(src, *id));
+        } else if let Some(pair) = reg.get_mut(&(src, ctx)) {
+            pair.waiting.retain(|s| !Arc::ptr_eq(s, stream));
+        }
+    }
+
+    /// Receiver: validate `stream` against the announcement of stream
+    /// `rdv_id`, `total_len` bytes, and take its ranges from now on.
+    fn pair(
         &self,
         fabric: &Fabric,
         src: usize,
         rdv_id: u64,
         total_len: usize,
-        recv: PartStreamRecv,
-    ) {
-        if recv.total_len != total_len {
+        stream: &Arc<StreamRecv>,
+    ) -> bool {
+        if stream.total_len != total_len {
             fabric.fail(PcommError::misuse(
                 src,
                 format!(
                     "partitioned stream length mismatch: sender announced {total_len} B, \
                      receiver pinned {} B",
-                    recv.total_len
+                    stream.total_len
                 ),
             ));
-            return;
+            return false;
         }
         let trace = fabric.trace();
-        if trace.is_verify() {
+        if let Some(req) = stream.vreq.filter(|_| trace.is_verify()) {
             // The receiver is the only side that knows both the wire
             // stream id and the verify-layer (req, msg) identities; these
-            // join events let the offline auditor unify the two ranks'
-            // independently-interned request ids.
-            let stream32 = rdv_id as u32;
-            for msg in recv.msgs.iter() {
-                let Some((req, m16)) = msg.verify_msg else {
-                    continue;
-                };
-                let (off, len32) = (msg.offset as u64, msg.len as u32);
+            // join events, once per stream, let the offline auditor unify
+            // the two ranks' independently-interned request ids.
+            for (m, &(offset, len)) in stream.msgs.iter().enumerate() {
+                let (offset, len) = (offset as u64, len as u32);
                 trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamMsg {
-                    stream: stream32,
+                    stream: rdv_id as u32,
                     req,
-                    msg: m16,
+                    msg: m as u16,
                     tx: false,
-                    offset: off,
-                    len: len32,
+                    offset,
+                    len,
                 });
             }
         }
-        let stream = Arc::new(StreamRecv {
-            base: recv.base,
-            total_len,
-            remaining_total: AtomicUsize::new(total_len),
-            msgs: recv.msgs,
-            committed: Mutex::new(Vec::new()),
-        });
+        let _ = stream.id.set(rdv_id);
         self.streams_in
             .lock()
-            .insert((src, rdv_id), Arc::clone(&stream));
-        self.release_cts(fabric, src, rdv_id, &stream);
+            .insert((src, rdv_id), Arc::clone(stream));
+        true
     }
 
-    /// Receiver: clear `src` to send stream `rdv_id` into `stream`.
+    /// Receiver: credit `src` with the open round of stream `rdv_id`.
     fn release_cts(&self, fabric: &Fabric, src: usize, rdv_id: u64, stream: &StreamRecv) {
-        let (p16, stream32) = (src as u16, rdv_id as u32);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                peer: p16,
-                tx: true,
-                stream: stream32,
-                epoch: 0,
-            });
+        self.note_cts(fabric, src, rdv_id, true);
         self.carrier
             .ship_part_cts(fabric, src, rdv_id, stream.base, stream.total_len);
     }
 
-    /// Sender: the receiver pinned its destination — release every
-    /// queued chunk to the carrier. `grant` is what the carrier's CTS
+    /// Sender: one more credit — release every queued chunk of the round
+    /// it opens to the carrier. `grant` is what the carrier's credit
     /// carried beyond the stream id (an offset into receiver-visible
     /// memory of `grant_cap` bytes, or nothing); it is the peer's word,
     /// so the whole stream must fit under the cap before it is stored.
@@ -733,19 +760,11 @@ impl WireProtocol {
         if fabric.aborted() {
             return;
         }
-        let (p16, stream32) = (peer as u16, rdv_id as u32);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                peer: p16,
-                tx: false,
-                stream: stream32,
-                epoch: 0,
-            });
-        let (dst, spans, chunks) = {
+        self.note_cts(fabric, peer, rdv_id, false);
+        let (dst, span, chunks) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&rdv_id) else {
-                return; // duplicate or post-abort straggler
+                return; // post-abort straggler, or its request dropped
             };
             let total = stream.total_len as u64;
             if grant.is_some_and(|g| g.checked_add(total).is_none_or(|end| end > grant_cap)) {
@@ -759,59 +778,29 @@ impl WireProtocol {
                 ));
                 return;
             }
-            stream.cts = Some(grant);
+            (stream.credits, stream.grant) = (stream.credits + 1, grant);
+            // What is queued belongs to the round this credit opens (the
+            // sender's previous round needed the previous credit); a
+            // credit ahead of the sender's start finds nothing queued.
             let chunks = std::mem::take(&mut stream.queued);
-            let (dst, spans) = (stream.dst, Arc::clone(&stream.spans));
-            if stream.flushed {
+            let (dst, span) = (stream.dst, Arc::clone(&stream.span));
+            if stream.flushed && stream.one_round {
                 out.remove(&rdv_id);
             }
-            (dst, spans, chunks)
+            (dst, span, chunks)
         };
         debug_assert_eq!(dst, peer, "PartCts must come from the stream's receiver");
         self.carrier
-            .ship_chunks(fabric, dst, rdv_id, grant, &spans, &chunks);
-    }
-
-    /// Receiver: look up the active stream for `(src, rdv_id)` and
-    /// validate that `offset..offset+len` fits its destination. Returns
-    /// `None` for post-abort stragglers (the caller discards the bytes);
-    /// an overflowing range fails the universe.
-    fn stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        len: usize,
-    ) -> Option<Arc<StreamRecv>> {
-        if fabric.aborted() {
-            return None;
-        }
-        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
-        match offset.checked_add(len) {
-            Some(end) if end <= stream.total_len => Some(stream),
-            _ => {
-                fabric.fail(PcommError::misuse(
-                    src,
-                    format!(
-                        "partitioned stream range {offset}+{len} overflows a \
-                         {}-byte destination",
-                        stream.total_len
-                    ),
-                ));
-                None
-            }
-        }
+            .ship_chunks(fabric, dst, rdv_id, grant, &span, &chunks);
     }
 
     /// Receiver: the range `offset..offset+len` of stream `rdv_id` is
-    /// arriving. Validate it, let `fill` put bytes in the
-    /// pinned destination (a socket read, a copy out of the ring, or
-    /// nothing when the sender already wrote them in place) and say how
-    /// many, then commit those. `Ok(None)` means the range was not
-    /// landed (retired stream, abort, or overflow) and the caller
-    /// discards the bytes; else how many landed — a socket lands a
-    /// range in pieces, each its own commit.
+    /// arriving. Unless it misses the destination or an open round (both
+    /// `Misuse`), or the stream is gone, let `fill` put bytes in the
+    /// destination (a socket read, a copy out of the ring, or nothing when
+    /// the sender wrote them in place) and commit as many as it says.
+    /// `Ok(None)`: the caller discards the bytes. A socket lands a range
+    /// in pieces, each its own commit.
     pub(crate) fn land_part(
         &self,
         fabric: &Fabric,
@@ -821,25 +810,35 @@ impl WireProtocol {
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> io::Result<usize>,
     ) -> io::Result<Option<usize>> {
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, len) else {
+        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned();
+        let Some(stream) = stream.filter(|_| !fabric.aborted()) else {
             return Ok(None);
         };
-        // SAFETY: the destination stays pinned until the completions set
-        // by the commit fire (invariant (1), via `PartStreamRecv`'s
-        // contract), `stream_range` checked the bounds, and every
-        // destination byte belongs to exactly one range on the wire, so
-        // concurrent landings never alias.
-        let n = fill(unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) })?;
-        let n = n.min(len);
-        if n > 0 || len == 0 {
-            self.commit_stream_range(fabric, src, rdv_id, &stream, offset, n);
-        }
-        Ok(Some(n))
+        let total = stream.total_len;
+        let detail = if offset.checked_add(len).is_none_or(|end| end > total) {
+            format!("partitioned stream range {offset}+{len} overflows a {total}-byte destination")
+        } else if covers(&stream.ledger.lock().1, 0, total) {
+            format!("partitioned stream {rdv_id} sent {offset}+{len} with no open credit")
+        } else {
+            // SAFETY: the destination is pinned while the stream is in the
+            // tables (`StreamRecv`'s contract), the range lies inside it,
+            // and every byte belongs to one range on the wire: concurrent
+            // landings never alias.
+            let dest = unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) };
+            let n = fill(dest)?.min(len);
+            if n > 0 || len == 0 {
+                self.commit_stream_range(fabric, src, rdv_id, &stream, offset, n);
+            }
+            return Ok(Some(n));
+        };
+        fabric.fail(PcommError::misuse(src, detail));
+        Ok(None)
     }
 
     /// Receiver: the bytes of `offset..offset+len` are in the pinned
-    /// destination — flip every message completion the range finishes
-    /// and retire the stream once the whole buffer has landed.
+    /// destination — stamp every message the range finishes with the
+    /// round, and set the stream's completion once the round landed
+    /// whole (a rendezvous then retires).
     fn commit_stream_range(
         &self,
         fabric: &Fabric,
@@ -849,7 +848,6 @@ impl WireProtocol {
         offset: usize,
         len: usize,
     ) {
-        let end = offset + len;
         let trace = fabric.trace();
         let (rank, p16, stream32) = (self.rank as u16, src as u16, rdv_id as u32);
         // Recorded before the dedup claim: the auditor's FSM pass wants
@@ -863,11 +861,11 @@ impl WireProtocol {
             offset: offset as u64,
             len: len as u32,
         });
-        // The same bytes can land twice (a reconnect sends a partly
-        // landed range again whole). Claim the range against the
-        // stream's interval ledger first — only the never-committed
-        // sub-ranges count toward message and stream completion.
-        let fresh = claim_range(&mut stream.committed.lock(), offset, end);
+        // Only bytes new to the round's ledger count. Its lock orders
+        // every committer's bytes before the stamps and the completion.
+        let mut ledger = stream.ledger.lock();
+        let (round, committed) = &mut *ledger;
+        let fresh = claim_range(committed, offset, offset + len);
         let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
         if fresh_bytes == 0 {
             return; // pure duplicate: every byte landed before
@@ -882,46 +880,38 @@ impl WireProtocol {
             });
         }
         let mut msgs_done = 0u16;
-        for &(f_lo, f_hi) in &fresh {
-            for msg in &stream.msgs {
-                let lo = msg.offset.max(f_lo);
-                let hi = (msg.offset + msg.len).min(f_hi);
-                if lo >= hi {
-                    continue;
+        for (m, &(lo, n)) in stream.msgs.iter().enumerate() {
+            // Finished here: fresh bytes in it, and now covered whole.
+            let hit = fresh.iter().any(|&(f_lo, f_hi)| lo < f_hi && f_lo < lo + n);
+            if hit && covers(committed, lo, lo + n) {
+                if let Some(req) = stream.vreq {
+                    // Before the stamp: the analyzer orders the buffer
+                    // write before any parrived / wait edge it enables.
+                    trace.emit_verify(rank, || EventKind::VerifyMsgRecv {
+                        req,
+                        msg: m as u16,
+                        tid: pcomm_trace::current_tid(),
+                        eager: false,
+                    });
                 }
-                let overlap = hi - lo;
-                // AcqRel: the final decrement acquires every earlier
-                // committer's bytes, so the completion flip below
-                // publishes a fully written message range. The ledger
-                // claim above guarantees each byte is subtracted exactly
-                // once, so this never underflows.
-                let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
-                if before == overlap {
-                    let info = MsgInfo {
-                        src,
-                        tag: msg.tag,
-                        len: msg.len,
-                    };
-                    let (slot, done) = (&*msg.info, &msg.completion);
-                    fabric.finish_recv(self.rank, info, false, slot, done, msg.verify_msg);
-                    msgs_done += 1;
-                }
+                stream.landed[m].store(*round, Ordering::Release);
+                fabric.count_matched(1);
+                msgs_done += 1;
             }
         }
+        let landed = covers(committed, 0, stream.total_len);
+        drop(ledger);
         trace.emit(rank, || EventKind::StreamCommit {
             lane: 0,
             msgs: msgs_done,
             offset: offset as u64,
             bytes: fresh_bytes as u64,
         });
-        // AcqRel: pairs with the other committers' decrements so the
-        // map removal below observes a fully committed stream.
-        if stream
-            .remaining_total
-            .fetch_sub(fresh_bytes, Ordering::AcqRel)
-            == fresh_bytes
-        {
-            self.streams_in.lock().remove(&(src, rdv_id));
+        if landed {
+            if stream.one_round {
+                self.streams_in.lock().remove(&(src, rdv_id));
+            }
+            stream.done.set();
         }
     }
 }
@@ -1142,12 +1132,14 @@ impl WireProtocol {
     }
 
     /// Per-peer health for stall reports: the carrier's view of each
-    /// connection plus the handshakes this engine still has open on it.
+    /// connection plus the streams this engine still waits on a credit
+    /// for.
     pub(crate) fn peer_states(&self) -> Vec<PeerSocketState> {
         let mut states = self.carrier.peer_states();
         let streams = self.streams_out.lock();
         for s in &mut states {
-            s.pending_rdv = streams.values().filter(|st| st.dst == s.peer).count();
+            let waits = |st: &&StreamSend| st.dst == s.peer && st.credits < st.round;
+            s.pending_rdv = streams.values().filter(waits).count();
         }
         states
     }
@@ -1175,14 +1167,17 @@ impl WireProtocol {
                 len,
                 rdv_id,
             } => {
-                self.note_rts(fabric, peer, rdv_id, len);
+                self.note_rts(fabric, peer, rdv_id, len, false);
                 fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id);
             }
             Frame::PartRts {
                 ctx,
                 total_len,
                 rdv_id,
-            } => self.handle_part_rts(fabric, peer, ctx, total_len as usize, rdv_id),
+            } => {
+                self.note_rts(fabric, peer, rdv_id, total_len, false);
+                self.meet(fabric, peer, ctx, Err((rdv_id, total_len as usize)));
+            }
             Frame::PartCts { rdv_id } => self.handle_part_cts(fabric, peer, rdv_id, None, 0),
             Frame::PartData {
                 rdv_id,
@@ -1257,22 +1252,6 @@ pub(crate) fn answers_with_push(frame: &Frame) -> bool {
     )
 }
 
-/// Flip the `done` completions of every sender span fully covered once
-/// `offset..offset+len` has left (sender-side mirror of the receiver's
-/// commit bookkeeping). Every byte leaves once, so the countdown never
-/// underflows; AcqRel chains the writers' progress like the receiver
-/// side.
-pub(crate) fn complete_spans(spans: &[SendSpan], offset: usize, len: usize) {
-    let end = offset + len;
-    for span in spans {
-        let lo = span.offset.max(offset);
-        let hi = (span.offset + span.len).min(end);
-        if lo < hi && span.remaining.fetch_sub(hi - lo, Ordering::AcqRel) == hi - lo {
-            span.done.set();
-        }
-    }
-}
-
 /// Claim `[lo, hi)` against a sorted, disjoint interval ledger: merge
 /// the range in and return the sub-ranges that were NOT already present
 /// (the "fresh" bytes). An empty result means a pure duplicate.
@@ -1301,6 +1280,13 @@ fn claim_range(committed: &mut Vec<(usize, usize)>, lo: usize, hi: usize) -> Vec
     }
     committed.splice(first..last, std::iter::once((merged_lo, merged_hi)));
     fresh
+}
+
+/// Whether a ledger of [`claim_range`] covers `lo..hi`: it merges
+/// touching intervals, so one of them must.
+fn covers(committed: &[(usize, usize)], lo: usize, hi: usize) -> bool {
+    let at = committed.partition_point(|&(_, end)| end <= lo);
+    committed.get(at).is_some_and(|&(s, e)| s <= lo && hi <= e)
 }
 
 /// Encode a [`PcommError`] into the wire's `Abort` frame.
@@ -1405,7 +1391,8 @@ mod tests {
         },
     }
 
-    /// A carrier that moves nothing and records every call.
+    /// A carrier that moves nothing and records every call; a chunk it
+    /// is handed counts as gone at once.
     struct Recorder {
         rank: usize,
         aggr: usize,
@@ -1443,9 +1430,12 @@ mod tests {
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
-            _: &Arc<[SendSpan]>,
+            span: &Arc<SendSpan>,
             chunks: &[PinChunk],
         ) {
+            for c in chunks {
+                span.left(c.len);
+            }
             self.log.lock().push(Sent::Chunks {
                 dst,
                 rdv_id,
@@ -1496,24 +1486,47 @@ mod tests {
         }
     }
 
-    /// A pinned destination over `buf`, cut into `msg_len`-byte messages.
-    fn dest(buf: &mut [u8], msg_len: usize) -> PartStreamRecv {
-        let msgs = (0..buf.len() / msg_len)
-            .map(|m| PartStreamMsg {
-                offset: m * msg_len,
-                len: msg_len,
-                remaining: AtomicUsize::new(msg_len),
-                completion: Completion::new(),
-                info: Arc::new(Mutex::new(None)),
-                verify_msg: None,
-                tag: m as i64,
-            })
+    /// A partitioned stream's destination over `buf`, cut into
+    /// `msg_len`-byte messages.
+    fn dest(buf: &mut [u8], msg_len: usize) -> Arc<StreamRecv> {
+        let msgs: Vec<_> = (0..buf.len() / msg_len)
+            .map(|m| (m * msg_len, msg_len))
             .collect();
-        PartStreamRecv {
-            base: buf.as_mut_ptr(),
-            total_len: buf.len(),
-            msgs,
+        let landed = msgs.iter().map(|_| AtomicU64::new(0)).collect();
+        let (base, len) = (buf.as_mut_ptr(), buf.len());
+        StreamRecv::new(base, len, msgs, landed, Completion::new(), None, false)
+    }
+
+    /// Whether message `m` of `stream` landed in round `round`.
+    fn landed(stream: &StreamRecv, m: usize, round: u64) -> bool {
+        stream.landed[m].load(Ordering::Acquire) == round
+    }
+
+    /// Deliver what `from`'s engine (rank `from_rank`) asked its carrier
+    /// to send into `to`'s engine, chunks as `PartData` cut out of `src`;
+    /// returns how many `PartRts` and `PartCts` went.
+    fn shuttle(from: &Recorder, from_rank: usize, to: &Fabric, src: &[u8]) -> (usize, usize) {
+        let (mut rts, mut cts) = (0, 0);
+        for sent in taken(from) {
+            let frames = match sent {
+                Sent::Frame { frame, .. } => {
+                    rts += usize::from(matches!(frame, Frame::PartRts { .. }));
+                    vec![frame]
+                }
+                Sent::PartCts { rdv_id, .. } => {
+                    cts += 1;
+                    vec![Frame::PartCts { rdv_id }]
+                }
+                Sent::Chunks { rdv_id, ranges, .. } => ranges
+                    .iter()
+                    .map(|&(at, len)| part_data(rdv_id, at, &src[at as usize..][..len]))
+                    .collect(),
+            };
+            for frame in frames {
+                to.wire().dispatch(to, from_rank, frame);
+            }
         }
+        (rts, cts)
     }
 
     fn part_rts(total_len: usize, rdv_id: u64) -> Frame {
@@ -1532,24 +1545,98 @@ mod tests {
         }
     }
 
+    /// Three rounds of one stream from rank 0 to rank 1, the receiver's
+    /// start first (so from round 2 on its credit reaches the sender
+    /// before the sender starts) and last: the first round costs the one
+    /// `PartRts` and a `PartCts`, every later one a `PartCts` alone.
     #[test]
-    fn rts_and_post_pair_once_in_either_order() {
+    fn a_partitioned_stream_pairs_once_and_then_costs_one_credit_per_round() {
+        for receiver_first in [true, false] {
+            let (tx, tx_log) = engine(2, 0, 0);
+            let (rx, rx_log) = engine(2, 1, 0);
+            let mut buf = vec![0u8; 64];
+            let stream = dest(&mut buf, 32);
+            let (id, sent) = (tx.wire().stream_id(), Completion::new());
+            for round in 1..=3u64 {
+                let src = vec![round as u8; 64];
+                let (mut rts, mut cts) = (0, 0);
+                let mut count = |(r, c): (usize, usize)| (rts, cts) = (rts + r, cts + c);
+                if receiver_first {
+                    rx.wire().part_recv_start(&rx, 0, 7, &stream, round);
+                    count(shuttle(&rx_log, 1, &tx, &src));
+                }
+                sent.reset();
+                tx.wire().part_send_start(&tx, 1, 7, id, 64, &sent, round);
+                for at in [0, 32] {
+                    tx.wire()
+                        .part_stream_push(&tx, id, at, &src[at as usize..][..32], 1);
+                }
+                if !receiver_first {
+                    rx.wire().part_recv_start(&rx, 0, 7, &stream, round);
+                }
+                for _ in 0..3 {
+                    count(shuttle(&tx_log, 0, &rx, &src));
+                    count(shuttle(&rx_log, 1, &tx, &src));
+                }
+                assert_eq!((rts, cts), (usize::from(round == 1), 1), "round {round}");
+                assert!(stream.done.is_set() && sent.is_set(), "round {round}");
+                assert!(landed(&stream, 0, round) && landed(&stream, 1, round));
+                assert_eq!(buf, src);
+            }
+            assert!(!tx.aborted() && !rx.aborted());
+        }
+    }
+
+    /// Once a round landed whole, the next range of its stream has no
+    /// credit to land under: `Misuse` naming the peer, and the landed
+    /// round's bytes stay. After the abort, stragglers are discarded.
+    #[test]
+    fn a_range_for_a_landed_round_never_lands() {
+        let (fabric, _carrier) = engine(2, 0, 0);
+        let wire = fabric.wire();
+        let mut buf = vec![0u8; 64];
+        let stream = dest(&mut buf, 32);
+        wire.part_recv_start(&fabric, 1, 7, &stream, 1);
+        wire.dispatch(&fabric, 1, part_rts(64, 4));
+        wire.dispatch(&fabric, 1, part_data(4, 0, &[1; 64]));
+        assert!(stream.done.is_set() && !fabric.aborted());
+        wire.dispatch(&fabric, 1, part_data(4, 0, &[2; 8]));
+        assert!(misuse_of(&fabric, 1).contains("no open credit"));
+        wire.dispatch(&fabric, 1, part_data(4, 8, &[3; 8]));
+        assert!(misuse_of(&fabric, 1).contains("no open credit"));
+        assert_eq!(buf, vec![1u8; 64]);
+    }
+
+    /// Streams opened and dropped on both sides, paired or not, leave
+    /// nothing in the engine's tables, and a dropped sender's `done`
+    /// needs no carrier: nothing of its round is held by one.
+    #[test]
+    fn a_thousand_open_drop_cycles_leave_no_stream_behind() {
         let (fabric, carrier) = engine(2, 0, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
-        // RTS first: parked, nothing leaves until the post.
-        assert!(wire.dispatch(&fabric, 1, part_rts(64, 5)));
-        assert!(taken(&carrier).is_empty());
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-        let cts = |rdv_id| Sent::PartCts { src: 1, rdv_id };
-        assert_eq!(taken(&carrier), vec![cts(5)]);
-        // Post first: parked, the RTS activates it from the progress
-        // context.
-        wire.part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
-        assert!(taken(&carrier).is_empty());
-        assert!(wire.dispatch(&fabric, 1, part_rts(64, 6)));
-        assert_eq!(taken(&carrier), vec![cts(6)]);
-        assert_eq!(wire.streams_in.lock().len(), 2);
+        for cycle in 0..1000u64 {
+            let (id, done) = (wire.stream_id(), Completion::new());
+            wire.part_send_start(&fabric, 1, 7, id, 64, &done, 1);
+            if cycle % 2 == 0 {
+                wire.part_stream_push(&fabric, id, 0, &buf[..32], 1);
+            }
+            wire.part_send_close(id);
+            assert!(done.is_set(), "cycle {cycle}");
+            let stream = dest(&mut buf, 32);
+            wire.part_recv_start(&fabric, 1, 7, &stream, 1);
+            if cycle % 2 == 0 {
+                wire.dispatch(&fabric, 1, part_rts(64, cycle));
+            }
+            wire.part_recv_close(1, 7, &stream);
+            taken(&carrier);
+        }
+        assert!(wire.streams_in.lock().is_empty());
+        assert!(wire.streams_out.lock().is_empty());
+        let reg = wire.part_registry.lock();
+        assert!(reg
+            .values()
+            .all(|p| p.waiting.is_empty() && p.pending_rts.is_empty()));
         assert!(!fabric.aborted());
     }
 
@@ -1579,20 +1666,15 @@ mod tests {
         let (fabric, _carrier) = engine(2, 0, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
-        let recv = dest(&mut buf, 32);
-        let done: Vec<_> = recv
-            .msgs
-            .iter()
-            .map(|m| Arc::clone(&m.completion))
-            .collect();
-        wire.part_stream_post(&fabric, 1, 7, recv);
+        let stream = dest(&mut buf, 32);
+        wire.part_recv_start(&fabric, 1, 7, &stream, 1);
         wire.dispatch(&fabric, 1, part_rts(64, 9));
         let src: Vec<u8> = (0..64).collect();
         wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..24]));
         wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..24])); // pure duplicate
         assert_eq!(fabric.matched_count(), 0);
         wire.dispatch(&fabric, 1, part_data(9, 16, &src[16..40])); // overlaps both ways
-        assert!(done[0].is_set() && !done[1].is_set());
+        assert!(landed(&stream, 0, 1) && !landed(&stream, 1, 1));
         assert_eq!(fabric.matched_count(), 1);
         wire.dispatch(&fabric, 1, part_data(9, 8, &src[8..40])); // replay of landed bytes
         assert_eq!(
@@ -1600,18 +1682,12 @@ mod tests {
             1,
             "a replay completes nothing again"
         );
-        assert_eq!(wire.streams_in.lock().len(), 1, "24 bytes still missing");
+        assert!(!stream.done.is_set(), "24 bytes still missing");
         wire.dispatch(&fabric, 1, part_data(9, 32, &src[32..64]));
-        assert!(done[1].is_set());
+        assert!(landed(&stream, 1, 1));
         assert_eq!(fabric.matched_count(), 2);
-        assert!(
-            wire.streams_in.lock().is_empty(),
-            "the last fresh byte retires the stream"
-        );
-        // A straggler for the retired stream is discarded, not landed.
-        buf.fill(0xff);
-        wire.dispatch(&fabric, 1, part_data(9, 0, &src[0..8]));
-        assert_eq!(buf[0], 0xff);
+        assert!(stream.done.is_set(), "the last fresh byte lands the round");
+        assert_eq!(buf, src);
         assert!(!fabric.aborted());
     }
 
@@ -1619,9 +1695,8 @@ mod tests {
     fn stream_length_mismatch_is_misuse() {
         let (fabric, carrier) = engine(2, 0, 0);
         let mut buf = vec![0u8; 64];
-        fabric
-            .wire()
-            .part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
+        let stream = dest(&mut buf, 32);
+        fabric.wire().part_recv_start(&fabric, 1, 7, &stream, 1);
         fabric.wire().dispatch(&fabric, 1, part_rts(96, 1));
         assert!(misuse_of(&fabric, 1).contains("length mismatch"));
         assert!(
@@ -1637,9 +1712,8 @@ mod tests {
         for offset in [60u64, u64::MAX - 3] {
             let (fabric, _carrier) = engine(2, 0, 0);
             let mut buf = vec![0u8; 64];
-            fabric
-                .wire()
-                .part_stream_post(&fabric, 1, 7, dest(&mut buf, 32));
+            let stream = dest(&mut buf, 32);
+            fabric.wire().part_recv_start(&fabric, 1, 7, &stream, 1);
             fabric.wire().dispatch(&fabric, 1, part_rts(64, 1));
             fabric
                 .wire()
@@ -1895,8 +1969,8 @@ mod tests {
         for grant in [ARENA - 4096 + 1, u64::MAX - 100] {
             let (fabric, carrier) = engine(2, 0, 0);
             let wire = fabric.wire();
-            let src = vec![0u8; 4096];
-            let id = wire.part_stream_begin(&fabric, 1, 7, 4096, Vec::new());
+            let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
+            wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
             wire.part_stream_push(&fabric, id, 0, &src[..1024], 1);
             taken(&carrier);
             wire.handle_part_cts(&fabric, 1, id, Some(grant), ARENA);
@@ -1911,8 +1985,8 @@ mod tests {
         // The largest grant that fits is accepted and releases the queue.
         let (fabric, carrier) = engine(2, 0, 0);
         let wire = fabric.wire();
-        let src = vec![0u8; 4096];
-        let id = wire.part_stream_begin(&fabric, 1, 7, 4096, Vec::new());
+        let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
+        wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
         wire.part_stream_push(&fabric, id, 0, &src[..1024], 1);
         taken(&carrier);
         wire.handle_part_cts(&fabric, 1, id, Some(ARENA - 4096), ARENA);
@@ -1923,9 +1997,12 @@ mod tests {
             ranges,
         };
         assert_eq!(taken(&carrier), vec![chunks(vec![(0, 1024)])]);
-        // Post-CTS pushes flow straight through, and the last retires it.
+        // Credited pushes flow straight through; the stream outlives its
+        // round until its request drops.
         wire.part_stream_push(&fabric, id, 1024, &src[1024..], 3);
         assert_eq!(taken(&carrier), vec![chunks(vec![(1024, 3072)])]);
+        assert!(done.is_set());
+        wire.part_send_close(id);
         assert!(wire.streams_out.lock().is_empty());
         assert!(!fabric.aborted());
     }
@@ -1991,13 +2068,19 @@ mod tests {
     fn fresh_stream(total_len: usize) -> StreamSend {
         StreamSend {
             dst: 1,
-            cts: None,
+            one_round: false,
+            round: 1,
+            credits: 0,
+            grant: None,
             flushed: false,
             total_len,
             pushed: 0,
             pend: None,
             queued: Vec::new(),
-            spans: Arc::new([]),
+            span: Arc::new(SendSpan {
+                remaining: AtomicUsize::new(0),
+                done: Completion::new(),
+            }),
         }
     }
 
@@ -2061,15 +2144,16 @@ mod tests {
 
     #[test]
     fn span_completion_fires_exactly_when_a_span_is_fully_written() {
-        let spans = vec![
-            SendSpan::new(0, 100, Completion::new()),
-            SendSpan::new(100, 100, Completion::new()),
-        ];
-        complete_spans(&spans, 0, 150);
-        assert!(spans[0].done.is_set(), "fully covered span completes");
-        assert!(!spans[1].done.is_set(), "half-written span stays pending");
-        complete_spans(&spans, 150, 50);
-        assert!(spans[1].done.is_set(), "second write covers the remainder");
+        let span = SendSpan {
+            remaining: AtomicUsize::new(200),
+            done: Completion::new(),
+        };
+        span.left(150);
+        assert!(!span.done.is_set(), "a half-written round stays pending");
+        span.left(0);
+        assert!(!span.done.is_set(), "nothing left, nothing counted");
+        span.left(50);
+        assert!(span.done.is_set(), "the last byte out completes the round");
     }
 
     #[test]

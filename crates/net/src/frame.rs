@@ -11,13 +11,12 @@
 //! The protocol is symmetric — both sides of a connection may send any
 //! frame at any time after the opening [`Frame::Hello`].
 //!
-//! Opcodes 14–16 carry the partition-granular streaming protocol: a
-//! `PartRts` announces a whole partitioned-send buffer for a given
-//! communicator context, the receiver answers `PartCts` once its
-//! destination is pinned, and each `PartData` commits one byte range
-//! (an aggregated run of ready partitions) at an explicit offset, so a
-//! range a reconnect sends again whole lands idempotently over the
-//! prefix that already arrived.
+//! Opcodes 14–16 carry the partition-granular streaming protocol: one
+//! `PartRts` per request announces its whole buffer on a communicator
+//! context, the receiver sends one `PartCts` credit per iteration, and
+//! each `PartData` commits one byte range (an aggregated run of ready
+//! partitions) at an explicit offset, so a range a reconnect sends
+//! again whole lands idempotently over the prefix that arrived.
 //!
 //! Opcode 17, `Heartbeat`, keeps every socket audibly alive on a fixed
 //! interval and carries the cumulative count of frames its sender has
@@ -26,10 +25,10 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol version carried in every frame body. Version 3 made
-/// `Hello` and `Heartbeat` carry the receive count a reconnect replays
-/// from, and retired opcodes 4, 5 and 18.
-pub const WIRE_VERSION: u8 = 3;
+/// Protocol version carried in every frame body. Version 3 gave `Hello`
+/// and `Heartbeat` receive counts and retired opcodes 4, 5 and 18;
+/// version 4 made `PartCts` one credit per iteration.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame body; larger lengths are treated as stream
 /// corruption rather than an allocation request.
@@ -150,9 +149,9 @@ self::frames! {
         /// The window bytes read.
         payload: Vec<u8>,
     };
-    /// Partitioned-stream ready-to-send: the sender has `total_len`
-    /// bytes pinned for the partitioned pair on context `ctx` and will
-    /// stream ranges under `rdv_id` once a [`Frame::PartCts`] arrives.
+    /// Partitioned-stream ready-to-send, once per request: `total_len`
+    /// bytes pinned for the pair on context `ctx`, streamed under
+    /// `rdv_id` as each iteration's [`Frame::PartCts`] arrives.
     PartRts = 14 PART_RTS "Partitioned-stream ready-to-send." {
         /// Partitioned communicator context id (pairs sender/receiver).
         ctx: u64,
@@ -161,8 +160,8 @@ self::frames! {
         /// Sender-chosen stream id, echoed by `PartCts`/`PartData`.
         rdv_id: u64,
     };
-    /// Partitioned-stream clear-to-send: the receiver has pinned its
-    /// whole destination buffer for `rdv_id`.
+    /// Partitioned-stream clear-to-send: one credit per iteration (the
+    /// `k`-th clears iteration `k` of stream `rdv_id`).
     PartCts = 15 PART_CTS "Partitioned-stream clear-to-send." {
         /// The stream id from the PartRts.
         rdv_id: u64,

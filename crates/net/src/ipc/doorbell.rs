@@ -211,6 +211,12 @@ impl Handoff {
         false
     }
 
+    /// Whether an app thread polls the rings now (it drains them: the
+    /// progress thread has nothing to watch for).
+    pub fn polled(&self) -> bool {
+        self.lock().pollers > 0
+    }
+
     /// The progress thread parks until the bell moves past `seen` or
     /// `timeout_ns` elapses — counted only while no app thread polls.
     pub fn park(&self, bell: &Doorbell<'_>, seen: u32, timeout_ns: u64) -> io::Result<Parked> {

@@ -7,12 +7,13 @@
 //! many, was appended once trailing bytes became an error.
 //!
 //! The text file was recorded from the hand-written codec, before the
-//! frames became one table, and re-recorded once, whole, when wire
-//! version 3 retired opcodes 4, 5 and 18 and gave `Hello` and
-//! `Heartbeat` their receive counts. Peers of different builds exchange
-//! these bytes, so a difference here is a wire break: never edit a line
-//! of the golden file to make this test pass. A new frame or a new
-//! rejection appends lines; it changes none.
+//! frames became one table, and re-recorded whole when wire version 3
+//! retired opcodes 4, 5 and 18 and gave `Hello` and `Heartbeat` their
+//! receive counts, and again when version 4 made `PartCts` a credit per
+//! iteration (only the version byte changed). Peers of different builds
+//! exchange these bytes, so a difference here is a wire break: never
+//! edit a line of the golden file to make this test pass. A new frame
+//! or a new rejection appends lines; it changes none.
 
 use std::io::Cursor;
 

@@ -15,12 +15,17 @@
 //!    stream). Matched pairs must agree on the frame op; a recv with no
 //!    send, a handshake `Hello` after establishment, any frame after
 //!    `Bye`, and a `Bye` with no preceding barrier are findings.
-//! 2. **Stream ledger** — per `(sender, stream)` partitioned stream:
+//! 2. **Stream ledger** — per `(sender, stream, round)`: each receiver
+//!    credit (`PartCts`) opens a round, and each rank's ring is ordered,
+//!    so the credits split a stream's events into rounds (the receiver's
+//!    sent ones its own, the sender's received ones the sender's).
 //!    `PartData` only after the receiver saw `PartRts`, offsets inside
-//!    the pinned stream, `PartCts` released once per stream (a reconnect
-//!    never repeats one), commits pairwise disjoint and covered by bytes
-//!    the sender actually put on the wire, and `MessageLost` only when
-//!    the receiver's ledger really has a hole.
+//!    the pinned stream, a credit only once the previous round landed
+//!    whole and data only inside an open round (a reconnect never
+//!    repeats a credit, nor replays a range whose round landed), commits
+//!    pairwise disjoint within a round and covered by bytes the sender
+//!    put on the wire in it, and `MessageLost` only when the round's
+//!    ledger really has a hole.
 //! 3. **Cross-process happens-before** — wire send→recv pairs bound
 //!    each rank's clock offset (send precedes recv in wall time, both
 //!    directions), request ids are unified through the stream layout
@@ -72,8 +77,12 @@ pub enum AuditKind {
     DataBeforeRts,
     /// Stream payload lies (partly) outside the pinned stream extent.
     DataBeyondStream,
-    /// A stream's `PartCts` released more than once.
+    /// A stream's `PartCts` released while its previous round was still
+    /// open (a credit repeated, not earned).
     CtsReplayed,
+    /// Stream payload arrived while no round was open: its round had
+    /// landed whole and the next credit had not gone out.
+    DataOutsideRound,
     /// Two ledger commits overlap — `claim_range` double-committed.
     CommitOverlap,
     /// A ledger commit lies (partly) outside the pinned stream extent.
@@ -95,6 +104,7 @@ impl fmt::Display for AuditKind {
             AuditKind::DataBeforeRts => "data-before-rts",
             AuditKind::DataBeyondStream => "data-beyond-stream",
             AuditKind::CtsReplayed => "cts-replayed",
+            AuditKind::DataOutsideRound => "data-outside-round",
             AuditKind::CommitOverlap => "commit-overlap",
             AuditKind::CommitBeyondStream => "commit-beyond-stream",
             AuditKind::CommitUncovered => "commit-uncovered",
@@ -269,6 +279,19 @@ impl RangeSet {
     }
 }
 
+/// Everything the ledger pass gathers about one round of a stream.
+#[derive(Debug, Default)]
+struct Round {
+    /// Bytes the sender put on the wire (possibly more than once).
+    tx_ranges: RangeSet,
+    /// Receiver-observed payload: `(offset, len, lane, seq)`.
+    rx_data: Vec<(u64, u32, u16, usize)>,
+    /// Ledger commits: `(lo, len, lane, seq)`.
+    commits: Vec<(u64, u32, u16, usize)>,
+    /// Sender-side `MessageLost` escalations: `(missing, seq)`.
+    lost: Vec<(u64, usize)>,
+}
+
 /// Everything the ledger pass gathers about one `(sender, stream)`.
 #[derive(Debug, Default)]
 struct StreamInfo {
@@ -278,22 +301,38 @@ struct StreamInfo {
     tx_rts: Option<(u64, usize)>,
     /// `total_len` and provenance of the receiver-side RTS.
     rx_rts: Option<(u64, usize)>,
-    /// Bytes the sender put on the wire (possibly more than once).
-    tx_ranges: RangeSet,
-    /// Receiver-observed payload: `(offset, len, lane, seq)`.
-    rx_data: Vec<(u64, u32, u16, usize)>,
-    /// Ledger commits: `(lo, len, lane, seq)`.
-    commits: Vec<(u64, u32, u16, usize)>,
-    /// CTS releases on the receiver: `seq`.
+    /// The rounds, from round 1: the `k`-th credit opens round `k`, and
+    /// what a ring holds before its first credit counts to round 1.
+    rounds: Vec<Round>,
+    /// Credits the receiver released: `seq` each.
     cts: Vec<usize>,
-    /// Sender-side `MessageLost` escalations: `(missing, seq)`.
-    lost: Vec<(u64, usize)>,
+    /// Credits the sender took in so far (while gathering).
+    tx_credits: usize,
 }
 
 impl StreamInfo {
     fn total_len(&self) -> Option<u64> {
         self.rx_rts.or(self.tx_rts).map(|(t, _)| t)
     }
+
+    /// The round a ring that has seen `credits` credits of the stream
+    /// is in.
+    fn round(&mut self, credits: usize) -> &mut Round {
+        let k = credits.max(1);
+        if self.rounds.len() < k {
+            self.rounds.resize_with(k, Round::default);
+        }
+        &mut self.rounds[k - 1]
+    }
+}
+
+/// Whether the commits of a round cover `0..total` before `seq`.
+fn landed_before(commits: &[(u64, u32, u16, usize)], total: Option<u64>, seq: usize) -> bool {
+    let mut done = RangeSet::default();
+    for &(lo, len, _, _) in commits.iter().filter(|c| c.3 < seq) {
+        done.insert(lo, lo + len as u64);
+    }
+    total.is_some_and(|t| done.covers(0, t))
 }
 
 /// Tiny union-find over dense node ids.
@@ -435,12 +474,14 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     if tx {
                         let info = streams.entry((ev.rank, stream)).or_default();
                         info.sender = ev.rank;
-                        info.tx_ranges.insert(offset, offset + len as u64);
+                        let round = info.round(info.tx_credits);
+                        round.tx_ranges.insert(offset, offset + len as u64);
                     } else {
                         let info = streams.entry((peer, stream)).or_default();
                         info.sender = peer;
                         info.receiver = Some(ev.rank);
-                        info.rx_data.push((offset, len, lane, i));
+                        let round = info.round(info.cts.len());
+                        round.rx_data.push((offset, len, lane, i));
                     }
                 }
                 EventKind::VerifyStreamCommit {
@@ -453,7 +494,8 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     let info = streams.entry((peer, stream)).or_default();
                     info.sender = peer;
                     info.receiver = Some(ev.rank);
-                    info.commits.push((lo, len, lane, i));
+                    let round = info.round(info.cts.len());
+                    round.commits.push((lo, len, lane, i));
                 }
                 // The receiver releases CTS (tx=true on its side).
                 EventKind::VerifyStreamCts {
@@ -467,7 +509,13 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     info.receiver = Some(ev.rank);
                     info.cts.push(i);
                 }
-                EventKind::VerifyStreamCts { .. } => {}
+                // ... and the sender takes it in (tx=false on its side).
+                EventKind::VerifyStreamCts { peer, stream, .. } => {
+                    let info = streams.entry((ev.rank, stream)).or_default();
+                    info.sender = ev.rank;
+                    info.receiver.get_or_insert(peer);
+                    info.tx_credits += 1;
+                }
                 EventKind::VerifyStreamLost {
                     peer: _,
                     stream,
@@ -476,7 +524,8 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     abort_seen = true;
                     let info = streams.entry((ev.rank, stream)).or_default();
                     info.sender = ev.rank;
-                    info.lost.push((missing, i));
+                    let round = info.round(info.tx_credits);
+                    round.lost.push((missing, i));
                 }
                 _ => {}
             }
@@ -602,7 +651,7 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
         stats.unmatched_sends += tx.len().saturating_sub(rx.len());
     }
 
-    // ---- Pass 2: stream ledger soundness ----
+    // ---- Pass 2: stream ledger soundness, round by round ----
     stats.streams = streams.len();
     for ((sender, stream), info) in &streams {
         let receiver = info.receiver.unwrap_or(u16::MAX);
@@ -615,16 +664,12 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
             stream: Some(*stream),
             detail,
         };
+        let rx_data = || info.rounds.iter().flat_map(|r| &r.rx_data);
 
         // PartData before PartRts, in the receiver's own ring order.
-        if !info.rx_data.is_empty() && !overflowed(receiver) {
-            let first = info
-                .rx_data
-                .iter()
-                .min_by_key(|(_, _, _, seq)| *seq)
-                .expect("non-empty");
+        if let Some(first) = rx_data().min_by_key(|(_, _, _, seq)| *seq) {
             let rts_ok = info.rx_rts.is_some_and(|(_, rts_seq)| rts_seq < first.3);
-            if !rts_ok {
+            if !rts_ok && !overflowed(receiver) {
                 findings.push(mk(
                     AuditKind::DataBeforeRts,
                     receiver,
@@ -641,7 +686,7 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
 
         // Payload and commits stay inside the pinned extent.
         if let Some(total) = total {
-            for &(off, len, lane, seq) in &info.rx_data {
+            for &(off, len, lane, seq) in rx_data() {
                 if off + len as u64 > total {
                     findings.push(mk(
                         AuditKind::DataBeyondStream,
@@ -654,7 +699,7 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     ));
                 }
             }
-            for &(lo, len, lane, seq) in &info.commits {
+            for &(lo, len, lane, seq) in info.rounds.iter().flat_map(|r| &r.commits) {
                 if lo + len as u64 > total {
                     findings.push(mk(
                         AuditKind::CommitBeyondStream,
@@ -669,77 +714,106 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
             }
         }
 
-        // CTS once per stream, whatever the socket's epoch: the
-        // carrier replays frames, the engine never repeats a handshake.
-        if let Some(&seq) = info.cts.get(1) {
-            findings.push(mk(
-                AuditKind::CtsReplayed,
-                receiver,
-                seq,
-                format!(
-                    "PartCts released {} times (exactly one allowed)",
-                    info.cts.len()
-                ),
-            ));
-        }
-
-        // Commits pairwise disjoint: claim_range must never hand the
-        // same byte out twice, even across lanes and reconnects.
-        let mut sorted: Vec<(u64, u32, u16, usize)> = info.commits.clone();
-        sorted.sort_by_key(|&(lo, _, _, seq)| (lo, seq));
-        for pair in sorted.windows(2) {
-            let (alo, alen, alane, _aseq) = pair[0];
-            let (blo, blen, blane, bseq) = pair[1];
-            if blo < alo + alen as u64 {
-                findings.push(mk(
-                    AuditKind::CommitOverlap,
-                    receiver,
-                    bseq,
-                    format!(
-                        "commit [{blo}, {}) on lane {blane} overlaps committed [{alo}, {}) from lane {alane}",
-                        blo + blen as u64,
-                        alo + alen as u64
-                    ),
-                ));
-            }
-        }
-
-        // Commits covered by what the sender put on the wire: bytes
-        // can replay (failover) but cannot appear from nowhere.
-        let mut committed = RangeSet::default();
-        for &(lo, len, lane, seq) in &info.commits {
-            committed.insert(lo, lo + len as u64);
-            if !overflowed(*sender) && !info.tx_ranges.covers(lo, lo + len as u64) {
-                findings.push(mk(
-                    AuditKind::CommitUncovered,
-                    receiver,
-                    seq,
-                    format!(
-                        "commit [{lo}, {}) on lane {lane} includes bytes the sender never streamed",
-                        lo + len as u64
-                    ),
-                ));
-            }
-        }
-
-        // MessageLost is only sound when the ledger truly has a hole.
-        for &(missing, seq) in &info.lost {
-            if let Some(total) = total {
-                if committed.covers(0, total) {
+        // A credit opens the next round only once the previous one
+        // landed whole, whatever the socket's epoch: the carrier replays
+        // frames, the engine never repeats a credit.
+        if !overflowed(receiver) {
+            for (k, &seq) in info.cts.iter().enumerate().skip(1) {
+                let prev = info.rounds.get(k - 1).map_or(&[][..], |r| &r.commits[..]);
+                if !landed_before(prev, total, seq) {
                     findings.push(mk(
-                        AuditKind::PrematureLost,
-                        *sender,
+                        AuditKind::CtsReplayed,
+                        receiver,
                         seq,
                         format!(
-                            "MessageLost ({missing} bytes claimed missing) but the receiver committed all {total} bytes"
+                            "PartCts released {} times: credit {} while round {k} was still open",
+                            k + 1,
+                            k + 1
                         ),
                     ));
                 }
             }
         }
 
-        let rx_bytes: u64 = info.rx_data.iter().map(|&(_, len, _, _)| len as u64).sum();
-        stats.replayed_bytes += rx_bytes.saturating_sub(committed.len());
+        for (k, round) in info.rounds.iter().enumerate() {
+            let k = k + 1;
+            // Data only while its round is open: none once the round's
+            // commits covered the stream, until the next credit.
+            for &(off, len, lane, seq) in &round.rx_data {
+                if !overflowed(receiver) && landed_before(&round.commits, total, seq) {
+                    findings.push(mk(
+                        AuditKind::DataOutsideRound,
+                        receiver,
+                        seq,
+                        format!(
+                            "PartData [{off}, {}) on lane {lane} after round {k} landed whole",
+                            off + len as u64
+                        ),
+                    ));
+                }
+            }
+
+            // Commits pairwise disjoint within the round: claim_range
+            // must never hand the same byte out twice, even across lanes
+            // and reconnects.
+            let mut sorted: Vec<(u64, u32, u16, usize)> = round.commits.clone();
+            sorted.sort_by_key(|&(lo, _, _, seq)| (lo, seq));
+            for pair in sorted.windows(2) {
+                let (alo, alen, alane, _aseq) = pair[0];
+                let (blo, blen, blane, bseq) = pair[1];
+                if blo < alo + alen as u64 {
+                    findings.push(mk(
+                        AuditKind::CommitOverlap,
+                        receiver,
+                        bseq,
+                        format!(
+                            "commit [{blo}, {}) on lane {blane} overlaps committed [{alo}, {}) from lane {alane}",
+                            blo + blen as u64,
+                            alo + alen as u64
+                        ),
+                    ));
+                }
+            }
+
+            // Commits covered by what the sender put on the wire in the
+            // round: bytes can replay (failover) but cannot appear from
+            // nowhere.
+            let mut committed = RangeSet::default();
+            for &(lo, len, lane, seq) in &round.commits {
+                committed.insert(lo, lo + len as u64);
+                if !overflowed(*sender) && !round.tx_ranges.covers(lo, lo + len as u64) {
+                    findings.push(mk(
+                        AuditKind::CommitUncovered,
+                        receiver,
+                        seq,
+                        format!(
+                            "commit [{lo}, {}) on lane {lane} includes bytes the sender never streamed",
+                            lo + len as u64
+                        ),
+                    ));
+                }
+            }
+
+            // MessageLost is only sound when the round's ledger truly has
+            // a hole.
+            for &(missing, seq) in &round.lost {
+                if let Some(total) = total {
+                    if committed.covers(0, total) {
+                        findings.push(mk(
+                            AuditKind::PrematureLost,
+                            *sender,
+                            seq,
+                            format!(
+                                "MessageLost ({missing} bytes claimed missing) but the receiver committed all {total} bytes"
+                            ),
+                        ));
+                    }
+                }
+            }
+
+            let rx_bytes: u64 = round.rx_data.iter().map(|&(_, len, _, _)| len as u64).sum();
+            stats.replayed_bytes += rx_bytes.saturating_sub(committed.len());
+        }
     }
 
     // ---- Pass 3: merged happens-before over aligned clocks ----

@@ -840,3 +840,106 @@ fn wire_op_mismatch_and_phantom_frames_are_flagged() {
         "report:\n{report}"
     );
 }
+
+/// Three rounds of one persistent partitioned stream 0 -> 1 (id 3,
+/// 4096 bytes): one `PartRts`, then per round the receiver's credit,
+/// the sender's range and the receiver's commit. With `straggler`, one
+/// more range of 512 bytes reaches the receiver after round 2 landed and
+/// before its next credit. Returns the rings and, with a straggler, the
+/// receiver-ring index of its data event.
+fn persistent_stream(straggler: bool) -> (Vec<RankEvents>, Option<usize>) {
+    let (mut r0, mut r1) = (Vec::new(), Vec::new());
+    let data = |ts, rank, tx, len| {
+        let peer = 1 - rank;
+        let kind = EventKind::VerifyStreamData {
+            peer,
+            lane: 0,
+            tx,
+            stream: 3,
+            offset: 0,
+            len,
+        };
+        ev(ts, rank, kind)
+    };
+    let cts = |ts, rank: u16, tx| {
+        let kind = EventKind::VerifyStreamCts {
+            peer: 1 - rank,
+            tx,
+            stream: 3,
+            epoch: 0,
+        };
+        ev(ts, rank, kind)
+    };
+    for (rank, tx, ring) in [(0, true, &mut r0), (1, false, &mut r1)] {
+        let kind = EventKind::VerifyStreamRts {
+            peer: 1 - rank,
+            tx,
+            stream: 3,
+            total_len: 4096,
+        };
+        ring.push(ev(10 + u64::from(rank), rank, kind));
+    }
+    let (s, r) = frame(12, 0, 1, 0, 0, 0, op::PART_RTS);
+    r0.push(s);
+    r1.push(r);
+    let (mut data_seq, mut at) = (1, None);
+    for round in 0..3u32 {
+        let ts = 100 * u64::from(round + 1);
+        r1.push(cts(ts, 1, true));
+        let (s, r) = frame(ts + 1, 1, 0, 0, 0, round, op::PART_CTS);
+        r1.push(s);
+        r0.push(r);
+        r0.push(cts(ts + 10, 0, false));
+        let mut ranges = vec![4096];
+        if straggler && round == 1 {
+            ranges.push(512);
+        }
+        for (i, len) in ranges.into_iter().enumerate() {
+            let t = ts + 20 + 30 * i as u64;
+            r0.push(data(t, 0, true, len));
+            let (s, r) = frame(t + 1, 0, 1, 0, 0, data_seq, op::PART_DATA);
+            data_seq += 1;
+            r0.push(s);
+            r1.push(r);
+            if i == 1 {
+                at = Some(r1.len());
+            }
+            r1.push(data(t + 10, 1, false, len));
+            if i == 0 {
+                let kind = EventKind::VerifyStreamCommit {
+                    peer: 0,
+                    lane: 0,
+                    stream: 3,
+                    lo: 0,
+                    len: 4096,
+                };
+                r1.push(ev(t + 11, 1, kind));
+            }
+        }
+    }
+    (vec![ring(0, r0), ring(1, r1)], at)
+}
+
+/// One `PartRts` and a credit per round: three rounds of one stream
+/// commit the same bytes three times, once per round, and audit clean.
+#[test]
+fn a_persistent_stream_audits_clean_round_by_round() {
+    let (rings, _) = persistent_stream(false);
+    let report = audit(&rings);
+    assert!(report.is_clean(), "report:\n{report}");
+    assert_eq!(report.stats.streams, 1);
+    assert_eq!(report.stats.replayed_bytes, 0);
+}
+
+/// A range that reaches the receiver after its round landed whole, and
+/// before the next credit opened another, is a finding.
+#[test]
+fn planted_range_after_its_round_landed_is_flagged() {
+    let (rings, at) = persistent_stream(true);
+    let report = audit(&rings);
+    assert_eq!(report.finding_count(), 1, "report:\n{report}");
+    let f = &report.findings[0];
+    assert_eq!(f.kind, AuditKind::DataOutsideRound);
+    assert_eq!((f.rank, Some(f.seq), f.stream), (1, at, Some(3)));
+    assert!(f.detail.contains("after round 2 landed"), "{}", f.detail);
+}

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The same files can be produced from any run of your own program with
-//! `PCOMM_TRACE=trace.json` (and `PCOMM_TRACE_REPORT=trace.txt`) in the
-//! environment, and from the simulator with `figures trace`.
+//! `PCOMM_TRACE=trace.json` in the environment (the summary lands beside
+//! it, in `trace.json.txt`), and from the simulator with `figures trace`.
 
 use pcomm::core::part::PartOptions;
 use pcomm::core::{Comm, Universe};

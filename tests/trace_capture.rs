@@ -1,8 +1,8 @@
 //! End-to-end trace capture on the real runtime: a contended run must
 //! yield shard-lock-wait spans and early-bird events, the Chrome
 //! exporter must produce loadable JSON for them, and the `PCOMM_TRACE`
-//! environment hook must write that JSON to disk. Tracing off must stay
-//! off.
+//! environment hook must write that JSON, and its text summary beside
+//! it, to disk. Tracing off must stay off.
 
 use std::sync::Mutex;
 
@@ -126,6 +126,11 @@ fn env_hook_writes_chrome_json() {
     let _ = std::fs::remove_file(&path);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("eager_send"));
+    // The same knob leaves the text summary beside the trace.
+    let txt = format!("{}.txt", path.display());
+    let summary = std::fs::read_to_string(&txt).expect("PCOMM_TRACE summary must exist");
+    let _ = std::fs::remove_file(&txt);
+    assert!(summary.contains("eager:"), "{summary}");
 }
 
 #[test]
