@@ -294,9 +294,11 @@ done
 # part.rs, fabric.rs, universe.rs and the carrier interface are
 # tracked too; same rule (the interface had 14 methods before the
 # reconnect epoch left it; part.rs had 1462 lines and fabric.rs 1462
-# before a wire request paired once). (Test-only items sit after all
-# non-test code, so the count is the whole non-test file.)
-PART_CEILING=1402
+# before a wire request paired once, and part.rs 1402 before the old
+# protocol became one deferred message on the one path). (Test-only
+# items sit after all non-test code, so the count is the whole non-test
+# file.)
+PART_CEILING=1262
 FABRIC_CEILING=1449
 UNIVERSE_CEILING=585
 TRAIT_CEILING=13

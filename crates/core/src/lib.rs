@@ -21,9 +21,10 @@
 //!   directly from its buffer — the zcopy path).
 //! * [`part`] implements partitioned send/recv with real per-message
 //!   atomic counters, gcd message-count negotiation and aggregation
-//!   (paper §3.2), plus the legacy single-message mode. An in-process
-//!   pair is bound once, at init: a ready message is copied straight
-//!   into the receiver's buffer instead of being tag-matched.
+//!   (paper §3.2); the paper's old protocol is one deferred message on
+//!   the same path. An in-process pair is bound once, at init: a ready
+//!   message is copied straight into the receiver's buffer instead of
+//!   being tag-matched.
 //! * [`rma`] implements windows over shared memory with active and
 //!   passive synchronization.
 //!

@@ -1,19 +1,21 @@
 //! MPI-4 partitioned communication with real atomics (paper §3).
 //!
-//! The improved path (default) mirrors the paper's MPICH changes: the
-//! partition buffer is split into internal messages — `gcd(N_send,
-//! N_recv)` base messages, aggregated under
-//! [`PartOptions::aggr_size`] — each guarded by an `AtomicI64` counter of
-//! outstanding partitions. `pready(p)` decrements its message's counter;
-//! the thread that brings it to zero injects the message *itself* — a
-//! physically real early-bird send. A local peer is paired once, at
-//! init (`Binding`): a ready message is copied straight into the
-//! receiver's buffer, never tag-matched. A remote peer is paired once
-//! too: the request's one wire stream costs a receiver credit per
+//! The path mirrors the paper's MPICH changes: the partition buffer is
+//! split into internal messages — `gcd(N_send, N_recv)` base messages,
+//! aggregated under [`PartOptions::aggr_size`] — each guarded by an
+//! `AtomicI64` counter of outstanding partitions. `pready(p)` decrements
+//! its message's counter; the thread that brings it to zero injects the
+//! message *itself* — a physically real early-bird send. A local peer is
+//! paired once, at init (`Binding`): a ready message is copied straight
+//! into the receiver's buffer, never tag-matched. A remote peer is paired
+//! once too: the request's one wire stream costs a receiver credit per
 //! iteration. Either way a side holds its buffer, per-message iteration
-//! stamps and one completion. The legacy mode sends the whole buffer as
-//! a single message only in `wait`, after a per-iteration CTS
-//! round-trip, exactly the behaviour whose cost Fig. 4 exposes.
+//! stamps and one completion, and no message lands before the receiver
+//! has started its iteration. The paper's old protocol (Fig. 4) is a
+//! configuration of this path: one message covering the whole buffer
+//! ([`PartOptions::aggr_size`] = its size), sent only in `wait`
+//! ([`PartOptions::defer_sends`]). The simulator keeps MPICH's own
+//! active-message path for it.
 
 use std::cell::UnsafeCell;
 use std::panic::panic_any;
@@ -24,14 +26,9 @@ use pcomm_trace::{EventKind, FaultKind};
 
 use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
-use crate::fabric::{Fabric, MsgInfo, PostedRecv};
-use crate::sync::{Completion, Mutex};
+use crate::fabric::Fabric;
+use crate::sync::Completion;
 use crate::wire::StreamRecv;
-
-/// Tag of the legacy clear-to-send control message.
-const TAG_CTS: i64 = -1;
-/// Tag of the legacy single data message.
-const TAG_DATA: i64 = -2;
 
 /// Options for a partitioned request.
 #[derive(Debug, Clone, Default)]
@@ -39,14 +36,11 @@ pub struct PartOptions {
     /// Aggregation upper bound in bytes (`MPIR_CVAR_PART_AGGR_SIZE`
     /// analogue); `None` disables aggregation.
     pub aggr_size: Option<usize>,
-    /// Use the legacy single-message path (CTS every iteration, no
-    /// early-bird) instead of the improved multi-message path.
-    pub legacy_single_message: bool,
-    /// Ablation: defer all sends to `wait()` (disables early-bird).
+    /// Defer all sends to `wait()` (no early-bird).
     pub defer_sends: bool,
 }
 
-/// One internal message of the improved path.
+/// One internal message of a partitioned request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgSpec {
     /// First sender partition contributing.
@@ -159,8 +153,8 @@ pub fn negotiate_layout(
 }
 
 /// A blocked partitioned wait, as a stall report names it.
-fn blocked(what: String, tag: i64, peer: usize) -> (String, Option<i64>, Option<usize>) {
-    (format!("partitioned {what}"), Some(tag), Some(peer))
+fn blocked(what: String, peer: usize) -> (String, Option<i64>, Option<usize>) {
+    (format!("partitioned {what}"), Some(0), Some(peer))
 }
 
 /// Per-partition buffer state machine.
@@ -255,11 +249,11 @@ impl PartStorage {
         }
     }
 
-    /// The check of a `mode` wait that sends: every partition readied.
-    fn assert_all_ready(&self, mode: &str) {
+    /// The check of a wait that sends: every partition readied.
+    fn assert_all_ready(&self) {
         let ready = |s: &AtomicU8| s.load(Ordering::Acquire) == PART_READY;
         let all = self.states.iter().all(ready);
-        assert!(all, "{mode} wait requires all partitions ready");
+        assert!(all, "deferred wait requires all partitions ready");
     }
 
     fn write_partition(&self, p: usize, f: impl FnOnce(&mut [u8])) {
@@ -293,24 +287,13 @@ impl PartStorage {
         unsafe { std::slice::from_raw_parts(self.base().add(byte_off), len) }
     }
 
-    /// Mutable view for the receive side (fabric writes while in flight).
-    ///
-    /// # Safety
-    /// Caller must guarantee no concurrent access until completion.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn raw_range(&self, byte_off: usize, len: usize) -> &mut [u8] {
-        // SAFETY: exclusivity forwarded from the caller's contract (the
-        // fabric owns the range until its completion fires).
-        unsafe { std::slice::from_raw_parts_mut(self.base().add(byte_off), len) }
-    }
-
     fn read_partition(&self, p: usize) -> &[u8] {
         let off = p * self.part_bytes;
         // SAFETY: PrecvRequest exposes reads after wait() (no writer
         // exists) or, mid-iteration, once the covering message's stamp
-        // (legacy: its completion) says it landed: set with Release after
-        // the last write into the range and loaded with Acquire, and no
-        // writer touches the range again until the next start().
+        // says it landed: set with Release after the last write into the
+        // range and loaded with Acquire, and no writer touches the range
+        // again until the next start().
         unsafe { std::slice::from_raw_parts(self.base().add(off), self.part_bytes) }
     }
 }
@@ -320,7 +303,7 @@ impl PartStorage {
 /// request's one completion.
 type Side = (Arc<PartStorage>, Arc<[AtomicU64]>, Arc<Completion>);
 
-/// The in-process improved path's pairing of a `psend_init` with its
+/// The in-process pairing of a `psend_init` with its
 /// `precv_init`, made once by the second of the two (the first waits in
 /// the fabric's `pairs` table). Both sides count iterations from 1. The
 /// receiver's `start` of iteration `k` posts `k`; the sender's issue of
@@ -455,7 +438,8 @@ impl Binding {
     }
 }
 
-/// What moves the improved path's messages.
+/// What moves a request's messages, chosen at init by where the peer
+/// is; the old protocol's one deferred message moves the same way.
 enum Mover {
     /// The pairing with a local peer.
     Bound(Arc<Binding>),
@@ -475,9 +459,7 @@ struct Core {
     n_parts: usize,
     part_bytes: usize,
     layout: MsgLayout,
-    legacy: bool,
-    /// `None` on the legacy path.
-    mover: Option<Mover>,
+    mover: Mover,
     storage: Arc<PartStorage>,
     /// The iteration each message was last issued in (sender) or
     /// landed in (receiver).
@@ -492,14 +474,6 @@ struct Core {
 }
 
 impl Core {
-    fn n_msgs(&self) -> usize {
-        if self.legacy {
-            1
-        } else {
-            self.layout.n_msgs()
-        }
-    }
-
     /// Current iteration index for verify provenance (0 before the
     /// first `start`).
     fn cur_iter(&self) -> u32 {
@@ -528,7 +502,7 @@ impl Core {
         let (trace, rank) = (self.comm.fabric().trace(), self.comm.rank() as u16);
         trace.emit_span(t_wait, rank, |start, dur| {
             EventKind::PartWait {
-                msgs: self.n_msgs() as u16,
+                msgs: self.layout.n_msgs() as u16,
                 wait_ns: dur,
             }
             .at(start)
@@ -565,10 +539,8 @@ impl Core {
     }
 
     /// What both inits share: the request's own communicator, buffer,
-    /// stamps and completion, its mover on the improved path (a binding
-    /// toward a local `peer`, else one wire stream), and its init's
-    /// verify events.
-    #[allow(clippy::too_many_arguments)] // one-shot plumbing of both inits
+    /// stamps and completion, its mover (a binding toward a local `peer`,
+    /// else one wire stream), and its init's verify events.
     fn new(
         comm: &Comm,
         peer: usize,
@@ -577,7 +549,6 @@ impl Core {
         n_parts: usize,
         part_bytes: usize,
         layout: MsgLayout,
-        legacy: bool,
     ) -> Core {
         let ctx = comm.part_ctx(tag);
         let (src, dst) = if sender {
@@ -593,22 +564,19 @@ impl Core {
         // when the transport allows (the ipc partition arena), for the
         // request's life: one copy moves each range, and a grant never
         // moves.
-        let stream = !legacy && !comm.fabric().is_local(peer);
+        let stream = !comm.fabric().is_local(peer);
         let shared = stream.then_some((comm.fabric(), peer));
         let storage = Arc::new(PartStorage::new(n_parts, part_bytes, shared));
         let stamps: Arc<[AtomicU64]> = layout.msgs.iter().map(|_| AtomicU64::new(0)).collect();
         let done = Completion::new_set();
-        let mover = match (legacy, stream, sender) {
-            (true, ..) => None,
-            (_, false, _) => {
+        let mover = match (stream, sender) {
+            (false, _) => {
                 let side = (storage.clone(), stamps.clone(), done.clone());
                 let (key, me) = ((ctx, src, dst), usize::from(sender));
-                Some(Mover::Bound(Binding::pair(
-                    comm, key, me, &layout, vreq, side,
-                )))
+                Mover::Bound(Binding::pair(comm, key, me, &layout, vreq, side))
             }
-            (_, true, true) => Some(Mover::Send(comm.fabric().wire().stream_id())),
-            (_, true, false) => {
+            (true, true) => Mover::Send(comm.fabric().wire().stream_id()),
+            (true, false) => {
                 let msgs = layout.msgs.iter();
                 let msgs = msgs
                     .map(|m| (m.first_rpart * part_bytes, m.bytes))
@@ -616,7 +584,7 @@ impl Core {
                 let (base, total) = (storage.base(), n_parts * part_bytes);
                 let (landed, done) = (stamps.clone(), done.clone());
                 let r = StreamRecv::new(base, total, msgs, landed, done, Some(vreq), false);
-                Some(Mover::Recv(r))
+                Mover::Recv(r)
             }
         };
         let core = Core {
@@ -625,7 +593,6 @@ impl Core {
             n_parts,
             part_bytes,
             layout,
-            legacy,
             mover,
             storage,
             stamps,
@@ -642,7 +609,7 @@ impl Core {
             };
             let bytes = n_parts * part_bytes;
             let emit = |kind| core.verify(|| kind);
-            verify_init_events(vreq, sender, n_parts, n_peer_parts, legacy, l, bytes, emit);
+            verify_init_events(vreq, sender, n_parts, n_peer_parts, false, l, bytes, emit);
         }
         core
     }
@@ -664,10 +631,6 @@ struct PsendShared {
     counters: Vec<AtomicI64>,
     /// Round counter for chaos `pready` jitter permutations.
     jitter_round: AtomicU64,
-    /// Legacy: persistent CTS completion + envelope slot, re-armed and
-    /// re-posted by each `start()`.
-    cts_done: Arc<Completion>,
-    cts_info: Arc<Mutex<Option<MsgInfo>>>,
 }
 
 impl std::ops::Deref for PsendShared {
@@ -680,15 +643,16 @@ impl std::ops::Deref for PsendShared {
 impl Drop for PsendShared {
     fn drop(&mut self) {
         // A binding holds both buffers: nothing to drain. Otherwise, mid-
-        // iteration (a rank unwinding on abort or a panic), a legacy send
-        // or a range a carrier holds pins a pointer into `storage`: the
-        // stream gives up what no carrier holds, then the one completion
-        // drains (abort-aware) before the buffer is freed.
+        // iteration (a rank unwinding on abort or a panic), a range a
+        // carrier holds pins a pointer into `storage`: the stream gives
+        // up what no carrier holds, then the one completion drains
+        // (abort-aware) before the buffer is freed.
         let fabric = self.comm.fabric();
-        match &self.mover {
-            Some(Mover::Bound(b)) => return b.unpair(fabric),
-            Some(Mover::Send(id)) => fabric.wire().part_send_close(*id),
-            _ => {}
+        if let Mover::Bound(b) = &self.mover {
+            return b.unpair(fabric);
+        }
+        if let Mover::Send(id) = self.mover {
+            fabric.wire().part_send_close(id);
         }
         let k = self.iters.load(Ordering::Relaxed);
         let issued = |stamp: &AtomicU64| stamp.load(Ordering::Acquire) == k;
@@ -711,19 +675,19 @@ pub struct PsendRequest {
 /// layout disagreement between them is itself a lint finding. The real
 /// runtime and the simulator both emit through here (each only when its
 /// verification is on), so `pcomm-verify` consumes their traces
-/// identically.
+/// identically. `am_path` is the simulator's MPICH active-message path,
+/// which moves the whole buffer as one message whatever the layout.
 #[allow(clippy::too_many_arguments)] // one-shot plumbing of the init shape
 pub fn verify_init_events(
     req: u16,
     sender: bool,
     n_parts: usize,
     n_peer_parts: usize,
-    legacy: bool,
+    am_path: bool,
     layout: &MsgLayout,
     total_bytes: usize,
     mut emit: impl FnMut(EventKind),
 ) {
-    // Legacy: one message covering the whole buffer, sent in wait().
     let (n_sparts, n_rparts) = if sender {
         (n_parts, n_peer_parts)
     } else {
@@ -736,7 +700,7 @@ pub fn verify_init_events(
         n_rparts,
         bytes: total_bytes,
     }];
-    let msgs = if legacy { &whole[..] } else { &layout.msgs };
+    let msgs = if am_path { &whole[..] } else { &layout.msgs };
     emit(EventKind::VerifyPartInit {
         req,
         sender,
@@ -799,16 +763,13 @@ impl Comm {
                 msgs: n_msgs as u16,
                 bytes_per_msg: layout.msgs[0].bytes as u64,
             });
-        let legacy = opts.legacy_single_message;
-        let core = Core::new(self, dst, true, tag, n_parts, part_bytes, layout, legacy);
+        let core = Core::new(self, dst, true, tag, n_parts, part_bytes, layout);
         let inner = Arc::new(PsendShared {
             core,
             dst,
             defer_sends: opts.defer_sends,
             counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
             jitter_round: AtomicU64::new(0),
-            cts_done: Completion::new(),
-            cts_info: Arc::new(Mutex::new(None)),
         });
         PsendRequest { inner }
     }
@@ -822,15 +783,7 @@ impl Comm {
         part_bytes: usize,
         opts: PartOptions,
     ) -> PrecvRequest {
-        self.precv_init_general(
-            src,
-            tag,
-            n_parts,
-            part_bytes,
-            n_parts,
-            n_parts * part_bytes / n_parts,
-            opts,
-        )
+        self.precv_init_general(src, tag, n_parts, part_bytes, n_parts, part_bytes, opts)
     }
 
     /// `MPI_Precv_init` with a different partition count on the sender
@@ -854,8 +807,7 @@ impl Comm {
             "sender and receiver buffer sizes must agree"
         );
         let layout = negotiate_layout(n_send_parts, n_parts, send_part_bytes, opts.aggr_size);
-        let legacy = opts.legacy_single_message;
-        let core = Core::new(self, src, false, tag, n_parts, part_bytes, layout, legacy);
+        let core = Core::new(self, src, false, tag, n_parts, part_bytes, layout);
         let inner = Arc::new(PrecvShared { core, src });
         PrecvRequest { inner }
     }
@@ -864,7 +816,7 @@ impl Comm {
 impl PsendRequest {
     /// Number of internal messages.
     pub fn n_msgs(&self) -> usize {
-        self.inner.n_msgs()
+        self.inner.layout.n_msgs()
     }
 
     /// The negotiated layout.
@@ -878,32 +830,10 @@ impl PsendRequest {
         let k = s.begin(true);
         s.storage.reset();
         s.done.reset();
-        if s.legacy {
-            // Re-arm the persistent CTS slots (quiescent: the previous
-            // iteration's wait() returned) and post the receive; the data
-            // send happens in wait().
-            s.cts_done.reset();
-            *s.cts_info.lock() = None;
-            s.comm.fabric().post_recv(
-                s.comm.rank(),
-                s.comm.shard(),
-                PostedRecv {
-                    ctx: s.comm.ctx(),
-                    src: Some(s.dst),
-                    tag: Some(TAG_CTS),
-                    dest_ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                    dest_cap: 0,
-                    info: Arc::clone(&s.cts_info),
-                    completion: Arc::clone(&s.cts_done),
-                    verify_msg: None,
-                },
-            );
-            return;
-        }
         for (m, spec) in s.layout.msgs.iter().enumerate() {
             s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
         }
-        let Some(Mover::Send(id)) = s.mover else {
+        let Mover::Send(id) = s.mover else {
             return;
         };
         // Wire stream: the first start announces the whole buffer, so the
@@ -1006,11 +936,8 @@ impl PsendRequest {
             ));
         }
         // The CAS above is the sole gate to the counters: a duplicate or
-        // out-of-range pready can no longer skew them. Legacy sends in
-        // `wait`, and a message of one partition needs no count.
-        if s.legacy {
-            return Ok(());
-        }
+        // out-of-range pready can no longer skew them. A message of one
+        // partition needs no count.
         let m = s.layout.msg_of_spart(p);
         let whole = s.layout.msgs[m].n_sparts == 1 || {
             let left = s.counters[m].fetch_sub(1, Ordering::AcqRel) - 1;
@@ -1104,12 +1031,12 @@ impl PsendRequest {
         // for good fails the universe and is never stamped.
         if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
             match &s.mover {
-                Some(Mover::Bound(b)) => b.issue(fabric, m, k),
+                Mover::Bound(b) => b.issue(fabric, m, k),
                 // Wire streaming: the range is pinned into the stream's
                 // aggregation window — no copy, no per-message envelope.
                 // Stamped before the fabric sees the pointer: teardown
                 // drains the completion whenever the fabric might hold one.
-                Some(Mover::Send(id)) => {
+                Mover::Send(id) => {
                     s.stamps[m].store(k, Ordering::Release);
                     // SAFETY: every partition of message m is READY (counted
                     // down, or its only one) and stays READY until `done`,
@@ -1117,7 +1044,7 @@ impl PsendRequest {
                     let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
                     fabric.part_stream_push(*id, byte_off as u64, data, spec.n_sparts as u16);
                 }
-                _ => {}
+                Mover::Recv(_) => unreachable!("a send request moves no receive stream"),
             }
         }
         if let Some(t0) = pready_ns {
@@ -1132,63 +1059,24 @@ impl PsendRequest {
         }
     }
 
-    /// `MPI_Wait`: complete the iteration. In legacy mode this waits for
-    /// the CTS, then sends the whole buffer as one message. Toward a
-    /// local peer it returns once the receiver has started the iteration
-    /// and every message is copied (rendezvous semantics, which MPI
-    /// permits).
+    /// `MPI_Wait`: complete the iteration, first issuing every message
+    /// when sends are deferred. It returns once the receiver has started
+    /// the iteration and every message is copied (toward a local peer;
+    /// rendezvous semantics, which MPI permits) or on the wire (toward a
+    /// remote one, whose ranges wait for the receiver's credit).
     pub fn wait(&self) {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
-        let trace = s.comm.fabric().trace();
-        let t_wait = trace.now_ns();
-        if s.legacy {
-            s.storage.assert_all_ready("legacy");
-            let t_cts = trace.now_ns();
-            let what = || blocked(format!("send CTS wait(dst={})", s.dst), TAG_CTS, s.dst);
-            s.comm.fabric().wait_on(&s.cts_done, s.comm.rank(), what);
-            trace.emit_span(t_cts, s.comm.rank() as u16, |start, dur| {
-                EventKind::CtsWait {
-                    peer: s.dst as u16,
-                    wait_ns: dur,
-                }
-                .at(start)
-            });
-            let total = s.n_parts * s.part_bytes;
-            // SAFETY: all partitions READY; exclusive until reset.
-            let data = unsafe { s.storage.ready_slice(0, total) };
-            s.verify(|| EventKind::VerifyMsgSend {
-                req: s.vreq,
-                msg: 0,
-                iter: s.cur_iter(),
-                tid: pcomm_trace::current_tid(),
-            });
-            s.stamps[0].store(s.iters.load(Ordering::Relaxed), Ordering::Release);
-            s.comm.fabric().send_raw_signal(
-                s.dst,
-                s.comm.shard(),
-                s.comm.ctx(),
-                s.comm.rank(),
-                TAG_DATA,
-                data,
-                &s.done,
-            );
-            let what = || blocked(format!("send data wait(dst={})", s.dst), TAG_DATA, s.dst);
-            s.comm.fabric().wait_on(&s.done, s.comm.rank(), what);
-        } else {
-            if s.defer_sends {
-                s.storage.assert_all_ready("deferred");
-                for m in 0..s.layout.n_msgs() {
-                    self.issue(m, None);
-                }
+        let t_wait = s.comm.fabric().trace().now_ns();
+        if s.defer_sends {
+            s.storage.assert_all_ready();
+            for m in 0..s.layout.n_msgs() {
+                self.issue(m, None);
             }
-            // Toward a local peer, the one completion needs the
-            // receiver's start (every copy); toward a remote one, every
-            // byte on the wire.
-            let what = |_| blocked(format!("send wait(dst={})", s.dst), 0, s.dst);
-            let done = std::slice::from_ref(&s.done);
-            s.comm.fabric().wait_all(done, s.comm.rank(), what);
         }
+        let what = |_| blocked(format!("send wait(dst={})", s.dst), s.dst);
+        let done = std::slice::from_ref(&s.done);
+        s.comm.fabric().wait_all(done, s.comm.rank(), what);
         s.end(true, t_wait);
     }
 }
@@ -1208,11 +1096,8 @@ impl std::ops::Deref for PrecvShared {
 impl PrecvShared {
     /// The message covering receiver partition `p`, and whether it has
     /// landed this iteration (true on an inactive request): one load of
-    /// its arrival stamp (legacy: of the one completion), no lock.
+    /// its arrival stamp, no lock.
     fn arrival(&self, p: usize) -> (usize, bool) {
-        if self.legacy {
-            return (0, self.done.is_set());
-        }
         let m = self.layout.msg_of_rpart(p);
         crate::hotpath::count_fast_probe();
         let stamp = self.stamps[m].load(Ordering::Acquire);
@@ -1226,13 +1111,13 @@ impl Drop for PrecvShared {
         // is still set and drains instantly. A stream leaves the engine's
         // tables once nothing lands in it any more.
         let fabric = self.comm.fabric();
-        if let Some(Mover::Bound(b)) = &self.mover {
+        if let Mover::Bound(b) = &self.mover {
             return b.unpair(fabric);
         }
         if self.started.load(Ordering::Acquire) {
             fabric.drain_completion(&self.done);
         }
-        if let Some(Mover::Recv(r)) = &self.mover {
+        if let Mover::Recv(r) = &self.mover {
             fabric.wire().part_recv_close(self.src, self.comm.ctx(), r);
         }
     }
@@ -1247,11 +1132,10 @@ pub struct PrecvRequest {
 impl PrecvRequest {
     /// Number of internal messages.
     pub fn n_msgs(&self) -> usize {
-        self.inner.n_msgs()
+        self.inner.layout.n_msgs()
     }
 
-    /// `MPI_Start`: re-arm the internal messages (improved) or send the
-    /// CTS and post the single data receive (legacy).
+    /// `MPI_Start`: open the iteration; no message of it lands before.
     pub fn start(&self) {
         let s = &self.inner;
         let k = s.begin(false);
@@ -1259,37 +1143,13 @@ impl PrecvRequest {
         match &s.mover {
             // In process: post the iteration. The messages the sender
             // already issued are copied here, the rest by its issue.
-            Some(Mover::Bound(b)) => b.post(fabric, k),
+            Mover::Bound(b) => b.post(fabric, k),
             // From a remote peer: open the iteration's round of the
             // request's one stream and credit it. Its ranges commit
             // straight into the pinned buffer and stamp each message as
             // it lands; the round's last byte sets the one completion.
-            Some(Mover::Recv(r)) => fabric.part_recv_start(s.src, s.comm.ctx(), r, k),
-            _ => {
-                // Re-arm before posting: a fulfilled post sets `done`
-                // immediately when the data message is already parked in
-                // the unexpected queue.
-                s.done.reset();
-                let (rank, shard, ctx) = (s.comm.rank(), s.comm.shard(), s.comm.ctx());
-                fabric.send_raw(s.src, shard, ctx, rank, TAG_CTS, &[]);
-                let total = s.n_parts * s.part_bytes;
-                // SAFETY: buffer exclusively owned by the fabric until wait().
-                let buf = unsafe { s.storage.raw_range(0, total) };
-                fabric.post_recv(
-                    rank,
-                    shard,
-                    PostedRecv {
-                        ctx,
-                        src: Some(s.src),
-                        tag: Some(TAG_DATA),
-                        dest_ptr: buf.as_mut_ptr(),
-                        dest_cap: buf.len(),
-                        info: Arc::new(Mutex::new(None)),
-                        completion: Arc::clone(&s.done),
-                        verify_msg: Some((s.vreq, 0)),
-                    },
-                );
-            }
+            Mover::Recv(r) => fabric.part_recv_start(s.src, s.comm.ctx(), r, k),
+            Mover::Send(_) => unreachable!("a receive request moves no send stream"),
         }
     }
 
@@ -1330,7 +1190,7 @@ impl PrecvRequest {
         let s = &self.inner;
         assert!(s.started.load(Ordering::Acquire), "wait before start");
         let t_wait = s.comm.fabric().trace().now_ns();
-        let what = |_| blocked(format!("recv wait(src={})", s.src), 0, s.src);
+        let what = |_| blocked(format!("recv wait(src={})", s.src), s.src);
         let done = std::slice::from_ref(&s.done);
         s.comm.fabric().wait_all(done, s.comm.rank(), what);
         s.end(false, t_wait);
@@ -1613,29 +1473,50 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_message_roundtrip() {
+    fn the_old_protocol_is_one_message_that_lands_only_in_the_senders_wait() {
+        // The paper's old row: one message over the whole buffer, sent in
+        // wait. Mismatched counts (8 × 96 B into 6 × 128 B) still make one.
+        let o = PartOptions {
+            aggr_size: Some(8 * 96),
+            defer_sends: true,
+        };
+        let byte = |it: usize, g: usize| (g * 7 + it * 13) as u8;
         Universe::new(2)
             .run(|comm| {
-                let o = PartOptions {
-                    legacy_single_message: true,
-                    ..PartOptions::default()
-                };
                 if comm.rank() == 0 {
-                    let ps = comm.psend_init(1, 0, 4, 128, o);
-                    for _ in 0..3 {
+                    let ps = comm.psend_init_general(1, 0, 8, 96, 6, o.clone());
+                    assert_eq!(ps.n_msgs(), 1);
+                    for it in 0..3 {
+                        comm.barrier(); // the receiver started
                         ps.start();
-                        for p in 0..4 {
-                            ps.write_partition(p, |b| b.fill(9));
+                        for p in 0..8 {
+                            ps.write_partition(p, |b| {
+                                for (i, x) in b.iter_mut().enumerate() {
+                                    *x = byte(it, p * 96 + i);
+                                }
+                            });
                             ps.pready(p);
                         }
+                        comm.barrier(); // every partition readied
+                        comm.barrier(); // the receiver probed
                         ps.wait();
                     }
                 } else {
-                    let pr = comm.precv_init(0, 0, 4, 128, o);
-                    for _ in 0..3 {
+                    let pr = comm.precv_init_general(0, 0, 6, 128, 8, 96, o.clone());
+                    assert_eq!(pr.n_msgs(), 1);
+                    for it in 0..3 {
                         pr.start();
+                        comm.barrier();
+                        comm.barrier();
+                        for p in 0..6 {
+                            assert!(!pr.parrived(p), "iteration {it}: {p} landed before wait");
+                        }
+                        comm.barrier();
                         pr.wait();
-                        assert!(pr.partition(3).iter().all(|&x| x == 9));
+                        for p in 0..6 {
+                            let want: Vec<u8> = (0..128).map(|i| byte(it, p * 128 + i)).collect();
+                            assert_eq!(pr.partition(p), &want[..], "iteration {it}, partition {p}");
+                        }
                     }
                 }
             })

@@ -28,7 +28,7 @@ use crate::Universe;
 pub enum Approach {
     /// MPI-4 partitioned communication, improved implementation.
     PtpPart,
-    /// MPI-4 partitioned communication, legacy AM implementation.
+    /// MPI-4 partitioned, old protocol: one deferred message (simulator: MPICH's AM path).
     PtpPartOld,
     /// One persistent message after bulk thread synchronization.
     PtpSingle,
@@ -214,7 +214,7 @@ pub struct Strategy {
     /// (slot 0). `true`: thread `t` owns slot `t`, and the init column
     /// runs once per thread.
     pub many: bool,
-    /// The partitioned request takes the legacy single-message path.
+    /// Old partitioned protocol: one deferred message here, MPICH's AM path in the simulator.
     pub legacy: bool,
     /// Table 1 at [`SENDER`], Table 2 at [`RECEIVER`].
     pub sides: [Side; 2],
@@ -300,7 +300,7 @@ pub struct Scenario {
     pub theta: usize,
     /// Bytes per partition (S_part).
     pub part_bytes: usize,
-    /// Aggregation bound for the improved partitioned path
+    /// Aggregation bound of the `Pt2Pt part` row
     /// (`MPIR_CVAR_PART_AGGR_SIZE`); `None` disables aggregation.
     pub aggr_size: Option<usize>,
     /// Per-partition ready times in µs from the compute start: spun here,
@@ -528,10 +528,10 @@ impl Executor for Rank<'_> {
     fn init(&mut self, op: Op, slot: usize) {
         let (sc, role, peer) = (self.sc, self.parent.rank(), 1 - self.parent.rank());
         let comm = self.comms.get(slot).unwrap_or(&self.parent).clone();
+        let whole = self.row.legacy.then(|| sc.n_parts() * sc.part_bytes);
         let part_opts = PartOptions {
-            aggr_size: sc.aggr_size.filter(|_| !self.row.legacy),
-            legacy_single_message: self.row.legacy,
-            defer_sends: sc.defer_sends,
+            aggr_size: whole.or(sc.aggr_size),
+            defer_sends: self.row.legacy || sc.defer_sends,
         };
         let messages = self.row.messages(sc, slot);
         match op {

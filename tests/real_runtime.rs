@@ -100,14 +100,15 @@ fn aggregation_preserves_data() {
     }
 }
 
-/// Legacy and improved paths deliver the same bytes.
+/// The default options and the old row's (one message over the whole
+/// buffer, sent in wait) deliver the same bytes.
 #[test]
 fn legacy_and_improved_agree_on_data() {
-    for legacy in [false, true] {
-        let opts = PartOptions {
-            legacy_single_message: legacy,
-            ..PartOptions::default()
-        };
+    let old = PartOptions {
+        aggr_size: Some(8 * 333),
+        defer_sends: true,
+    };
+    for opts in [PartOptions::default(), old] {
         Universe::new(2)
             .run(move |comm| {
                 if comm.rank() == 0 {
