@@ -295,12 +295,13 @@ done
 # tracked too; same rule (the interface had 14 methods before the
 # reconnect epoch left it; part.rs had 1462 lines and fabric.rs 1462
 # before a wire request paired once, and part.rs 1402 before the old
-# protocol became one deferred message on the one path). (Test-only
-# items sit after all non-test code, so the count is the whole non-test
-# file.)
+# protocol became one deferred message on the one path; fabric.rs
+# (1449 before the eager pool went) and universe.rs 585 before it).
+# (Test-only items sit after all non-test code, so the count is the
+# whole non-test file.)
 PART_CEILING=1262
-FABRIC_CEILING=1449
-UNIVERSE_CEILING=585
+FABRIC_CEILING=1339
+UNIVERSE_CEILING=582
 TRAIT_CEILING=13
 part=$(nontest crates/core/src/part.rs)
 echo "   crates/core/src/part.rs: $part (ceiling $PART_CEILING)"

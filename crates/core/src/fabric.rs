@@ -13,8 +13,10 @@
 //!
 //! * **Eager** (`len <= eager_max`): the sender copies the payload into a
 //!   heap buffer, then either fulfills a posted receive (second copy into
-//!   the destination) or parks the buffer in the unexpected queue. The
-//!   send completes locally — the bcopy path.
+//!   the destination) or parks the buffer in the unexpected queue; to a
+//!   remote rank the buffer moves into the `Eager` frame, and the decoded
+//!   payload enters matching as it is. The send completes locally — the
+//!   bcopy path.
 //! * **Rendezvous** (`len > eager_max`): the sender publishes a raw
 //!   pointer to its buffer; whoever completes the match (sender if the
 //!   receive was pre-posted, receiver otherwise) copies directly from the
@@ -35,14 +37,13 @@
 //!    until its `completion` is set (receivers block or own the buffer).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pcomm_trace::{EventKind, FaultAction, FaultKind, FaultPlan, Trace};
 
 use crate::error::{BlockedWait, PcommError, QueueEntry, RankAborted, StallReport};
-use crate::hotpath;
 use crate::sync::{CachePadded, Condvar, Mutex};
 
 use crate::sync::Completion;
@@ -58,93 +59,6 @@ pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(2);
 /// fulfill can start once the abort flag is set, so this only needs to
 /// cover a memcpy already under way.
 const ABORT_DRAIN_GRACE: Duration = Duration::from_millis(200);
-
-/// Recycled-buffer slots per source rank in the eager pool. Eight covers
-/// the in-flight window of a rank's sender threads in the bench workloads
-/// without hoarding memory.
-const POOL_SLOTS: usize = 8;
-
-/// Lock-free pool of eager payload buffers, striped by *source* rank.
-///
-/// Each stripe is a fixed array of `AtomicPtr` slots holding boxed
-/// `Vec<u8>`s. `acquire` swaps a slot to null and takes whole ownership of
-/// the pointed-to vector; `release` CASes a cleared vector into the first
-/// null slot (or drops it when the stripe is full). Because slots exchange
-/// *whole owned values* — never links into a shared list — there is no ABA
-/// hazard and no lock. A sender therefore pays one allocation per stripe
-/// warm-up instead of one per message.
-struct BufPool {
-    stripes: Vec<[AtomicPtr<Vec<u8>>; POOL_SLOTS]>,
-    /// Buffers whose capacity grew past this are dropped, not pooled.
-    max_cap: usize,
-}
-
-impl BufPool {
-    fn new(n_ranks: usize, max_cap: usize) -> BufPool {
-        BufPool {
-            stripes: (0..n_ranks)
-                .map(|_| std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())))
-                .collect(),
-            max_cap,
-        }
-    }
-
-    /// Take a cleared buffer from `rank`'s stripe; `true` means recycled.
-    fn acquire(&self, rank: usize) -> (Vec<u8>, bool) {
-        for slot in &self.stripes[rank] {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-            if !p.is_null() {
-                // SAFETY: non-null slot values come only from
-                // `Box::into_raw` in `release`; the swap transferred sole
-                // ownership to us.
-                let v = unsafe { *Box::from_raw(p) };
-                return (v, true);
-            }
-        }
-        (Vec::new(), false)
-    }
-
-    /// Return `buf` to `rank`'s stripe for reuse.
-    fn release(&self, rank: usize, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > self.max_cap {
-            return;
-        }
-        buf.clear();
-        let p = Box::into_raw(Box::new(buf));
-        for slot in &self.stripes[rank] {
-            if slot
-                .compare_exchange(
-                    std::ptr::null_mut(),
-                    p,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
-        // Stripe full: free the buffer instead of blocking.
-        // SAFETY: `p` came from `Box::into_raw` above and was never
-        // published (every CAS failed).
-        unsafe { drop(Box::from_raw(p)) };
-    }
-}
-
-impl Drop for BufPool {
-    fn drop(&mut self) {
-        for stripe in &self.stripes {
-            for slot in stripe {
-                let p = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-                if !p.is_null() {
-                    // SAFETY: sole owner at drop time; pointer came from
-                    // `Box::into_raw` in `release`.
-                    unsafe { drop(Box::from_raw(p)) };
-                }
-            }
-        }
-    }
-}
 
 /// Envelope information returned by receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,8 +240,6 @@ pub(crate) struct Fabric {
     matched: CachePadded<AtomicU64>,
     /// Local partitioned inits waiting for their peer's, oldest first.
     pub(crate) pairs: Mutex<Vec<Arc<crate::part::Binding>>>,
-    /// Recycled eager payload buffers, striped by source rank.
-    pool: BufPool,
     /// Trace sink; `Trace::disabled()` costs one branch per event site.
     trace: Trace,
     /// Chaos-injection state; `None` outside chaos runs.
@@ -394,7 +306,6 @@ impl Fabric {
             barrier_cv: Condvar::new(),
             matched: CachePadded::default(),
             pairs: Mutex::new(Vec::new()),
-            pool: BufPool::new(n_ranks, eager_max.max(64)),
             trace,
             fault: fault_plan.map(|p| FaultState::new(p, n_ranks)),
             failure: Mutex::new(None),
@@ -755,7 +666,7 @@ impl Fabric {
         }
     }
 
-    /// Eager path: copy into a pooled buffer, hand it to the destination.
+    /// Eager path: copy into an owned buffer, hand it to the destination.
     /// Completes locally — the buffer travels, `data` is free immediately.
     fn send_eager(
         &self,
@@ -766,14 +677,7 @@ impl Fabric {
         tag: i64,
         data: &[u8],
     ) {
-        let (mut buf, hit) = self.pool.acquire(src_rank);
-        buf.extend_from_slice(data);
-        hotpath::count_pool(hit);
-        self.trace.emit(src_rank as u16, || EventKind::EagerPool {
-            shard: shard as u16,
-            hit,
-            bytes: data.len() as u64,
-        });
+        let buf = data.to_vec();
         self.trace.emit(src_rank as u16, || EventKind::EagerSend {
             dst: dst as u16,
             shard: shard as u16,
@@ -801,8 +705,7 @@ impl Fabric {
         if self.is_local(dst) {
             self.deliver(dst, shard, ctx, src_rank, tag, Payload::Eager(buf));
         } else {
-            self.wire.ship_eager(self, dst, shard, ctx, tag, &buf);
-            self.pool.release(src_rank, buf);
+            self.wire.ship_eager(self, dst, shard, ctx, tag, buf);
             self.touch();
         }
     }
@@ -893,7 +796,6 @@ impl Fabric {
     ) {
         let fs = self.fault.as_ref().expect("chaos path without fault state");
         let Some(action) = self.chaos_decide(fs, dst, ctx, src_rank, tag) else {
-            self.pool.release(src_rank, buf);
             return;
         };
         match action {
@@ -975,8 +877,8 @@ impl Fabric {
     /// Deliver every held-back message fabric-wide; returns how many.
     /// The watchdog supervisor calls this when the fabric goes quiet, so
     /// a reorder hold-back with no follow-up traffic cannot stall the
-    /// run; the universe also calls it once after the rank closures
-    /// return.
+    /// run; a rank process also calls it before its closing barrier, so
+    /// nothing held for a remote rank stays behind.
     pub(crate) fn flush_held(&self) -> usize {
         (0..self.n_ranks).map(|dst| self.flush_held_for(dst)).sum()
     }
@@ -1091,12 +993,9 @@ impl Fabric {
         self.touch();
         if self.aborted() {
             // The universe is unwinding: receivers' destination buffers
-            // may already be gone, so no new fulfill may start. Eager
-            // buffers go back to the pool; a rendezvous handoff is simply
-            // dropped (its sender unwinds via the abort, not via `done`).
-            if let Payload::Eager(v) = payload {
-                self.pool.release(src_rank, v);
-            }
+            // may already be gone, so no new fulfill may start. The
+            // payload is dropped: an eager buffer is freed, and a
+            // rendezvous sender unwinds via the abort, not via `done`.
             return;
         }
         let t0 = self.trace.now_ns();
@@ -1178,9 +1077,6 @@ impl Fabric {
             // might be the *sender*, nowhere near the offending recv).
             // The posted completion stays unset — the receiver unwinds
             // via the abort.
-            if let Payload::Eager(v) = payload {
-                self.pool.release(src, v);
-            }
             self.fail(PcommError::misuse(
                 dst_rank,
                 format!(
@@ -1207,9 +1103,6 @@ impl Fabric {
                         std::ptr::copy_nonoverlapping(v.as_ptr(), posted.dest_ptr, len);
                     }
                 }
-                // Recycle the payload buffer for the sender's next eager
-                // message.
-                self.pool.release(src, v);
             }
             Payload::Rdv(h) => {
                 if len > 0 {
@@ -1279,22 +1172,19 @@ impl Fabric {
         self.touch();
     }
 
-    /// Wire ingress, eager: copy the frame payload into a pooled buffer
-    /// and feed it to the ordinary matching path. Runs in the carrier's
-    /// read path (whichever thread is reading the socket or ring).
+    /// Wire ingress, eager: the decoded frame payload enters the ordinary
+    /// matching path as it is. Runs in the carrier's read path (whichever
+    /// thread is reading the socket or ring).
     pub(crate) fn deliver_wire_eager(
         &self,
         src: usize,
         shard: usize,
         ctx: u64,
         tag: i64,
-        data: &[u8],
+        payload: Vec<u8>,
     ) {
-        let (mut buf, hit) = self.pool.acquire(src);
-        buf.extend_from_slice(data);
-        hotpath::count_pool(hit);
         let dst = self.wire.rank();
-        self.deliver(dst, shard, ctx, src, tag, Payload::Eager(buf));
+        self.deliver(dst, shard, ctx, src, tag, Payload::Eager(payload));
     }
 
     /// Wire ingress, rendezvous RTS: enters matching as a
@@ -1773,36 +1663,11 @@ mod tests {
     }
 
     #[test]
-    fn eager_pool_recycles_buffers() {
+    fn a_short_eager_message_after_a_long_one_lands_only_its_own_bytes() {
         let f = Fabric::new(2, 1, 1024);
-        let before = crate::hotpath::pool_stats();
-        // First send allocates; once fulfilled, the buffer returns to
-        // rank 0's stripe and the following sends reuse it.
-        for i in 0..5u8 {
-            let mut buf = [0u8; 4];
-            let rt = post(&f, 1, 0, 0, Some(0), Some(i as i64), &mut buf);
-            f.send_raw(1, 0, 0, 0, i as i64, &[i; 4]);
-            rt.wait();
-            assert_eq!(buf, [i; 4]);
-        }
-        let after = crate::hotpath::pool_stats();
-        // Sends 2..5 ran strictly after send 1's buffer was released, so
-        // at least 4 of the 5 acquisitions were pool hits (other tests in
-        // the process can only add hits, never subtract).
-        assert!(
-            after.hits >= before.hits + 4,
-            "expected >=4 pool hits, got {} -> {}",
-            before.hits,
-            after.hits
-        );
-    }
-
-    #[test]
-    fn recycled_buffer_carries_no_stale_bytes() {
-        let f = Fabric::new(2, 1, 1024);
-        // Long message first, then a short one: the short message must
-        // arrive with exactly its own bytes even though it likely reuses
-        // the long message's (larger-capacity) buffer.
+        // Long message first, then a short one into a receive buffer as
+        // long as the first: the short message must land exactly its own
+        // bytes and leave the rest of the buffer as it was.
         let mut big = [0u8; 16];
         let rt = post(&f, 1, 0, 0, Some(0), Some(1), &mut big);
         f.send_raw(1, 0, 0, 0, 1, &[0xAA; 16]);
@@ -1843,23 +1708,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_stripe_overflow_drops_excess() {
-        // More unmatched releases than slots: fill the stripe via many
-        // matched sends in flight, then keep going — must not leak or
-        // crash, and data stays correct.
+    fn sixteen_unexpected_eager_messages_land_intact_in_tag_order() {
+        // Every message is sent before any receive is posted, so each one
+        // waits in the unexpected queue in its own buffer.
         let f = Fabric::new(2, 1, 1024);
-        let mut bufs = [[0u8; 2]; 2 * POOL_SLOTS];
-        let tickets: Vec<RecvTicket> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| post(&f, 1, 0, 0, Some(0), Some(i as i64), b))
-            .collect();
-        for i in 0..2 * POOL_SLOTS {
-            f.send_raw(1, 0, 0, 0, i as i64, &[i as u8; 2]);
+        for i in 0..16u8 {
+            f.send_raw(1, 0, 0, 0, i as i64, &[i; 2]);
         }
-        for (i, t) in tickets.iter().enumerate() {
-            t.wait();
-            assert_eq!(bufs[i], [i as u8; 2]);
+        for i in 0..16u8 {
+            let mut buf = [0xFFu8; 2];
+            let info = post(&f, 1, 0, 0, Some(0), Some(i as i64), &mut buf).wait();
+            assert_eq!((info.tag, info.len), (i as i64, 2));
+            assert_eq!(buf, [i; 2]);
         }
     }
 

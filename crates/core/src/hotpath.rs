@@ -1,35 +1,26 @@
 //! Hot-path observability counters.
 //!
-//! The atomics-first runtime makes two promises on its probe paths:
+//! The atomics-first runtime makes one promise on its probe paths:
 //! completed-operation probes (`Completion::is_set`, `parrived`) are a
-//! single atomic load, and eager sends recycle pooled buffers instead of
-//! allocating. This module makes both promises *testable*:
-//!
-//! * **Per-thread counters** ([`thread_stats`]) — every acquisition of a
-//!   runtime mutex ([`crate::sync::Mutex`]) and every completion
-//!   fast-probe / slow-wait is counted in a thread-local `Cell` (a plain
-//!   non-atomic increment, ~1 ns). A test can assert "this probe loop
-//!   acquired zero locks" without interference from concurrently running
-//!   tests, because only the calling thread's counters move.
-//! * **Process-wide pool counters** ([`pool_stats`]) — eager-buffer pool
-//!   hits and misses, aggregated across all threads (monotonic, so tests
-//!   assert on deltas being at least the expected count).
+//! single atomic load. This module makes it *testable* with per-thread
+//! counters ([`thread_stats`]): every acquisition of a runtime mutex
+//! ([`crate::sync::Mutex`]) and every completion fast-probe / slow-wait
+//! is counted in a thread-local `Cell` (a plain non-atomic increment,
+//! ~1 ns). A test can assert "this probe loop acquired zero locks"
+//! without interference from concurrently running tests, because only
+//! the calling thread's counters move.
 //!
 //! [`Universe::run`](crate::Universe::run) additionally emits a
 //! `ProbeStats` trace event per rank at rank exit when tracing is
 //! enabled, carrying that rank thread's fast/slow probe deltas.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static MUTEX_LOCKS: Cell<u64> = const { Cell::new(0) };
     static FAST_PROBES: Cell<u64> = const { Cell::new(0) };
     static SLOW_WAITS: Cell<u64> = const { Cell::new(0) };
 }
-
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the calling thread's hot-path counters.
 ///
@@ -57,23 +48,6 @@ pub fn thread_stats() -> ThreadHotpathStats {
     }
 }
 
-/// Process-wide eager-buffer pool counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Eager sends served from a recycled buffer.
-    pub hits: u64,
-    /// Eager sends that had to allocate a fresh buffer.
-    pub misses: u64,
-}
-
-/// Pool hits/misses since process start (all threads).
-pub fn pool_stats() -> PoolStats {
-    PoolStats {
-        hits: POOL_HITS.load(Ordering::Relaxed),
-        misses: POOL_MISSES.load(Ordering::Relaxed),
-    }
-}
-
 #[inline]
 pub(crate) fn count_mutex_lock() {
     MUTEX_LOCKS.with(|c| c.set(c.get() + 1));
@@ -87,15 +61,6 @@ pub(crate) fn count_fast_probe() {
 #[inline]
 pub(crate) fn count_slow_wait() {
     SLOW_WAITS.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_pool(hit: bool) {
-    if hit {
-        POOL_HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +87,5 @@ mod tests {
         );
         // The spawned thread's slow wait did not land on this thread.
         assert_eq!(after.completion_slow_waits, before.completion_slow_waits);
-    }
-
-    #[test]
-    fn pool_counters_are_monotonic() {
-        let before = pool_stats();
-        count_pool(true);
-        count_pool(false);
-        let after = pool_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
     }
 }

@@ -315,9 +315,6 @@ impl Universe {
             Arc::new(crate::transport::SharedMemTransport),
         );
         let results = run_ranks(&fabric, 0..self.n_ranks, self.effective_watchdog_ms(), f);
-        // Deliver any reorder hold-backs that outlived the run so their
-        // buffers recycle; with every rank done nobody consumes them.
-        fabric.flush_held();
         match fabric.take_failure() {
             Some(err) => Err(err),
             None => Ok(results

@@ -8,8 +8,8 @@
 //! progress context calls back into [`WireProtocol::dispatch`] and the
 //! `land_*` entry points as bytes arrive.
 //!
-//! * **Eager**: the payload travels in one `Eager` frame and enters the
-//!   ordinary matching path ([`Fabric::deliver_wire_eager`]).
+//! * **Eager**: the sender's buffer moves into one `Eager` frame, and the
+//!   decoded payload into matching ([`Fabric::deliver_wire_eager`]).
 //! * **Rendezvous**: a one-round stream of one message. The sender pins
 //!   its buffer as a stream whose span carries the send's completion,
 //!   announced by an `Rts` that carries the match envelope instead of a
@@ -385,7 +385,7 @@ impl WireProtocol {
 // ---------------------------------------------------------------------
 
 impl WireProtocol {
-    /// Ship an eager payload to a remote rank.
+    /// Ship an eager payload to a remote rank, moved into its frame.
     pub(crate) fn ship_eager(
         &self,
         fabric: &Fabric,
@@ -393,13 +393,13 @@ impl WireProtocol {
         shard: usize,
         ctx: u64,
         tag: i64,
-        data: &[u8],
+        payload: Vec<u8>,
     ) {
         let frame = Frame::Eager {
             shard: shard as u16,
             ctx,
             tag,
-            payload: data.to_vec(),
+            payload,
         };
         self.send(fabric, dst, frame);
     }
@@ -422,7 +422,7 @@ impl WireProtocol {
     ) {
         let len = data.len();
         if len == 0 {
-            self.ship_eager(fabric, dst, shard, ctx, tag, data);
+            self.ship_eager(fabric, dst, shard, ctx, tag, Vec::new());
             done.set();
             return;
         }
@@ -1153,7 +1153,7 @@ impl WireProtocol {
                 ctx,
                 tag,
                 payload,
-            } => fabric.deliver_wire_eager(peer, shard as usize, ctx, tag, &payload),
+            } => fabric.deliver_wire_eager(peer, shard as usize, ctx, tag, payload),
             // An empty message travels eager: an empty stream would
             // never land a byte, and its receive would never complete.
             Frame::Rts { len: 0, .. } => fabric.fail(PcommError::misuse(
@@ -1833,10 +1833,9 @@ mod tests {
         assert_eq!(dsts, vec![0, 1, 3]);
     }
 
-    /// A rendezvous `Rts` from rank 1 (id 3, tag 4) for `buf.len()`
-    /// bytes, announced and matched with a posted receive over `buf`:
-    /// the receive's completion and the slot its envelope lands in.
-    fn matched_rdv(
+    /// A receive from rank 1 (tag 4) posted over `buf`: its completion
+    /// and the slot its envelope lands in.
+    fn posted_from_1(
         fabric: &Fabric,
         buf: &mut [u8],
     ) -> (Arc<Completion>, Arc<Mutex<Option<MsgInfo>>>) {
@@ -1852,8 +1851,18 @@ mod tests {
             verify_msg: None,
         };
         fabric.post_recv(0, 0, posted);
-        fabric.wire().dispatch(fabric, 1, rts(3, buf.len()));
         (completion, info)
+    }
+
+    /// A rendezvous `Rts` from rank 1 (id 3, tag 4) for `buf.len()`
+    /// bytes, announced and matched with a receive posted over `buf`.
+    fn matched_rdv(
+        fabric: &Fabric,
+        buf: &mut [u8],
+    ) -> (Arc<Completion>, Arc<Mutex<Option<MsgInfo>>>) {
+        let posted = posted_from_1(fabric, buf);
+        fabric.wire().dispatch(fabric, 1, rts(3, buf.len()));
+        posted
     }
 
     fn rts(rdv_id: u64, len: usize) -> Frame {
@@ -1939,6 +1948,47 @@ mod tests {
         wire.dispatch(&fabric, 1, rts(3, 0));
         let detail = misuse_of(&fabric, 1);
         assert!(detail.contains("empty rendezvous"), "{detail}");
+    }
+
+    #[test]
+    fn an_eager_message_is_one_buffer_from_sender_to_receive() {
+        let (fabric, carrier) = engine(2, 0, 0);
+        let wire = fabric.wire();
+        let eager = |payload: Vec<u8>| Frame::Eager {
+            shard: 0,
+            ctx: 0,
+            tag: 4,
+            payload,
+        };
+        // Sender: completes at once, and the frame carries exactly the
+        // sent bytes.
+        let ticket = fabric.send_raw(1, 0, 0, 0, 4, &[1, 2, 3, 4, 5]);
+        assert!(ticket.done().is_none());
+        let shipped = Sent::Frame {
+            dst: 1,
+            frame: eager(vec![1, 2, 3, 4, 5]),
+            teardown: false,
+        };
+        assert_eq!(taken(&carrier), vec![shipped]);
+        // Receiver: a posted receive gets exactly `len` bytes and keeps
+        // the rest of its buffer; an empty message still completes.
+        for payload in [vec![9u8; 5], Vec::new()] {
+            let len = payload.len();
+            let mut buf = [0xEEu8; 8];
+            let (completion, info) = posted_from_1(&fabric, &mut buf);
+            wire.dispatch(&fabric, 1, eager(payload));
+            assert!(completion.is_set(), "{len}-byte message completes");
+            let envelope = MsgInfo {
+                src: 1,
+                tag: 4,
+                len,
+            };
+            assert_eq!(*info.lock(), Some(envelope));
+            assert!(buf[..len].iter().all(|&b| b == 9));
+            assert!(buf[len..].iter().all(|&b| b == 0xEE), "past len untouched");
+        }
+        assert_eq!(fabric.matched_count(), 2);
+        assert!(!fabric.aborted());
     }
 
     #[test]

@@ -221,8 +221,8 @@ self::taxonomy! {
         /// Puts in the epoch.
         puts: u64 @ w2,
     } => ("epoch close win {win} ({puts} puts)");
-    /// An eager send acquired its payload buffer: from the per-rank pool
-    /// (`hit`) or via a fresh allocation (miss). Instant.
+    /// An eager send acquired its payload buffer from a pool (`hit`) or a
+    /// fresh allocation (miss). Instant. The runtime no longer emits it.
     EagerPool = 12 "eager_pool" perf lane(shard) {
         /// Shard the message was injected on.
         shard: u16 @ aux1,
@@ -397,8 +397,8 @@ self::taxonomy! {
         msg: u16 @ w2[0..16],
         /// Thread that performed the copy.
         tid: u16 @ aux2,
-        /// True when the payload came from a pooled eager buffer (the
-        /// copy does not touch the sender's user buffer).
+        /// True when the payload came from an eager buffer (the copy
+        /// does not touch the sender's user buffer).
         eager: bool @ w3,
     } => (
         "verify: req {req} msg {msg} landed (tid {tid}, {})",

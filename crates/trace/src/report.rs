@@ -74,7 +74,6 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
     let (mut aggr_events, mut aggr_base, mut aggr_folded) = (0u64, 0u64, 0u64);
     let (mut part_waits, mut part_wait_ns) = (0u64, 0u64);
     let (mut epochs, mut epoch_wait_ns, mut rma_puts) = (0u64, 0u64, 0u64);
-    let (mut pool_hits, mut pool_misses) = (0u64, 0u64);
     let (mut probe_fast, mut probe_slow) = (0u64, 0u64);
     let mut faults_by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut retries = 0u64;
@@ -139,13 +138,6 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
                     .push((ev.ts_ns, ev.ts_ns + wait_ns));
             }
             EventKind::EpochClose { puts, .. } => rma_puts += puts,
-            EventKind::EagerPool { hit, .. } => {
-                if hit {
-                    pool_hits += 1;
-                } else {
-                    pool_misses += 1;
-                }
-            }
             EventKind::ProbeStats {
                 fast_probes,
                 slow_waits,
@@ -274,14 +266,6 @@ pub fn summary_report(events: &[Event], dropped: u64) -> String {
             cts.count,
             fmt_ns(cts.mean_ns()),
             fmt_ns(cts.max_ns),
-        );
-    }
-    if pool_hits + pool_misses > 0 {
-        let _ = writeln!(
-            out,
-            "eager pool: {:>7} hits  {pool_misses:>7} misses ({:.1}% recycled)",
-            pool_hits,
-            100.0 * pool_hits as f64 / (pool_hits + pool_misses) as f64,
         );
     }
     if probe_fast + probe_slow > 0 {
