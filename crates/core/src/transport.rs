@@ -27,8 +27,12 @@
 //!   sent straight out of the user's buffer) with a resume cursor into
 //!   its front entry. A push lands in the peer's intake; whoever holds
 //!   the outbox moves the intake in, audit-stamps entries in wire order
-//!   and `writev`s until the socket refuses. A pinned entry counts off
-//!   its stream's span only once its last byte is in the kernel;
+//!   and writes until the socket refuses: frames and `PartData` heads
+//!   by `writev`, a pinned payload by reference
+//!   ([`Endpoint::write_pinned`]: its pages are spliced into the socket,
+//!   not copied). The socket reads the user's pages until the peer has
+//!   read them, so a pinned entry counts off its stream's span only once
+//!   the peer acks it;
 //! * the **decoder** ([`pcomm_net::frame::Decoder`]), which keeps its
 //!   place across `WouldBlock`: `PartData` payloads land piecewise
 //!   straight in the pinned destination
@@ -58,24 +62,25 @@
 //! a number. Every frame written whole stays in the sender's unacked
 //! queue until the peer's cumulative count covers it; `Heartbeat`
 //! carries that count, and a reader also sends one every [`ACK_EVERY`]
-//! frames it takes, so the queue stays short. A failure goes through
-//! the one triage, [`SocketTransport::socket_failed`], always on the
-//! progress thread: an app thread that meets one marks the socket
+//! frames it takes and once for each stream round it lands (the round's
+//! sender waits for that ack), so the queue stays short. A failure goes
+//! through the one triage, [`SocketTransport::socket_failed`], always on
+//! the progress thread: an app thread that meets one marks the socket
 //! broken — everyone keeps off it — and wakes the progress thread,
 //! because the reconnect blocks. The triage spends the peer's one
 //! bounded reconnect, whose `Hello` carries each side's count; each
 //! sender then puts back at the front of its outbox, in order, every
-//! frame the peer lacks ([`Queue::replay`]), and the decoder starts
-//! afresh. The engine above sees an exactly-once FIFO. The one thing
-//! that cannot go again is a pinned range that left whole but never
-//! arrived — counted off its span, and the application may have reused
-//! the buffer — so it is a typed `MessageLost`. With no reconnect to be
-//! had the peer is dead: typed `PeerPanicked` for every local waiter.
+//! frame the peer lacks — a pinned range too, whose buffer stays pinned
+//! until acked ([`Queue::replay`]) — and a fresh splice pipe and decoder
+//! start on the new socket. The engine above sees an exactly-once FIFO.
+//! With no reconnect to be had the peer is dead: typed `PeerPanicked`
+//! for every local waiter.
 //!
 //! Abort tears everything down: the engine broadcasts an `Abort` frame,
 //! `close` lets the outboxes drain for a bounded grace and then
 //! `shutdown(2)`s the sockets.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::os::fd::AsRawFd;
@@ -85,6 +90,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use pcomm_net::endpoint::Pipe;
 use pcomm_net::frame::{self, Decoder, Event, Frame, Piece};
 use pcomm_net::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use pcomm_net::{Endpoint, Mesh, MeshConfig, WireFault, WireFaults};
@@ -189,7 +195,7 @@ pub(crate) trait Transport: Send + Sync {
     );
 
     /// Move ready chunks of stream `rdv_id` to `dst` under the `grant`
-    /// its credit carried, counting bytes off its `span` as they leave.
+    /// its credit carried; bytes count off `span` once reusable (acked).
     fn ship_chunks(
         &self,
         fabric: &Fabric,
@@ -303,8 +309,8 @@ pub(crate) fn unset_in(completions: &[Arc<Completion>]) -> impl FnMut() -> usize
 
 /// A stream range headed for the wire without an intermediate copy:
 /// its `PartData` header (length prefix through `offset`) goes out
-/// followed by the payload straight from the pinned source buffer, and
-/// its `len` bytes count off `span` once its last byte has left.
+/// followed by the payload's pages straight from the pinned source
+/// buffer, and its `len` bytes count off `span` once the peer acks it.
 struct PinnedWrite {
     head: frame::PartDataHead,
     rdv_id: u64,
@@ -315,8 +321,8 @@ struct PinnedWrite {
 }
 
 // SAFETY: same argument as [`PinChunk`] — the source stays pinned until
-// the stream's span completes, which happens only after the last byte
-// was written, and only the thread holding the peer's outbox reads
+// the stream's span completes, which happens only once the peer acked
+// the entry, and only the thread holding the peer's outbox reads
 // through the pointer.
 unsafe impl Send for PinnedWrite {}
 
@@ -349,8 +355,8 @@ impl Out {
             Out::Pinned(pw) => [
                 &pw.head,
                 // SAFETY: the source stays pinned until the span
-                // completes, which `advance` lets it only once the
-                // entry's last byte was written (invariant (1)).
+                // completes, which `Queue::ack` lets it only once the
+                // peer has read the entry whole (invariant (1)).
                 unsafe { std::slice::from_raw_parts(pw.ptr, pw.len) },
             ],
         }
@@ -366,32 +372,11 @@ impl Out {
     fn op(&self) -> u8 {
         frame::body_opcode(frame::body_of(self.parts()[0])).unwrap_or(0)
     }
-
-    /// Complete what the entry's bytes were for — they have all left —
-    /// and keep what the peer may yet need again.
-    fn complete(self) -> Kept {
-        match self {
-            Out::Frame(bytes) => Kept::Frame(bytes),
-            Out::Pinned(pw) => {
-                pw.span.left(pw.len);
-                Kept::Pinned(pw.rdv_id, pw.len)
-            }
-        }
-    }
-}
-
-/// A frame written whole, kept until the peer acks it.
-enum Kept {
-    /// An encoded control frame: it goes again if a reconnect finds the
-    /// peer without it.
-    Frame(Vec<u8>),
-    /// A pinned range of stream `.0`, `.1` bytes long: counted off its
-    /// span, so its source may be reused and it cannot go again.
-    Pinned(u64, usize),
 }
 
 /// What a peer's write half owes the peer, apart from the socket: the
-/// outbox, and the frames written but not yet acked.
+/// outbox, and the entries written whole but not yet acked — kept to go
+/// again if a reconnect finds the peer without them.
 #[derive(Default)]
 struct Queue {
     outbox: VecDeque<Out>,
@@ -400,7 +385,7 @@ struct Queue {
     /// Frames written whole over the pair's lifetime.
     written: u64,
     /// The last `unacked.len()` of them, oldest first.
-    unacked: VecDeque<Kept>,
+    unacked: VecDeque<Out>,
 }
 
 impl Queue {
@@ -409,15 +394,24 @@ impl Queue {
         self.written - self.unacked.len() as u64
     }
 
-    /// `n` more bytes of the outbox left: pop, complete and keep every
-    /// entry they finish, keep the cursor into the rest. Returns how
-    /// many entries finished.
+    /// What `ack` has settled: a count at or below which a peer's ack
+    /// leaves it nothing to do.
+    fn settled(&self) -> u64 {
+        match self.unacked.is_empty() {
+            true => u64::MAX,
+            false => self.base(),
+        }
+    }
+
+    /// `n` more bytes of the outbox left: pop and keep every entry they
+    /// finish, keep the cursor into the rest. Returns how many entries
+    /// finished.
     fn advance(&mut self, n: usize) -> usize {
         let (mut at, mut done) = (self.at + n, 0);
         while self.outbox.front().is_some_and(|out| at >= out.wire_len()) {
             if let Some(out) = self.outbox.pop_front() {
                 at -= out.wire_len();
-                self.unacked.push_back(out.complete());
+                self.unacked.push_back(out);
                 done += 1;
             }
         }
@@ -426,42 +420,42 @@ impl Queue {
         done
     }
 
-    /// The peer has read `acked` of our frames whole: forget those.
+    /// The peer has read `acked` of our frames whole: forget those, and
+    /// count each pinned range among them off its span.
     fn ack(&mut self, acked: u64) {
         let n = acked
             .saturating_sub(self.base())
             .min(self.unacked.len() as u64);
-        self.unacked.drain(..n as usize);
+        for out in self.unacked.drain(..n as usize) {
+            if let Out::Pinned(pw) = out {
+                pw.span.left(pw.len);
+            }
+        }
     }
 
     /// The replay rule, after a reconnect to a peer that has read `has`
-    /// of our frames whole: drop what it has, put every kept control
-    /// frame after that back at the front of the outbox in order, and
-    /// send the partly written front entry again whole (not yet counted
-    /// off its span). Returns the pinned ranges that left whole but never
-    /// arrived — `(stream, bytes)`, in wire order — which cannot go
-    /// again; `None` when `has` is no count our writes could produce.
-    fn replay(&mut self, has: u64) -> Option<Vec<(u64, usize)>> {
+    /// of our frames whole: count off what it has, put every entry after
+    /// that back at the front of the outbox in order, and send the partly
+    /// written front entry again whole. `false` when `has` is no count
+    /// our writes could produce.
+    fn replay(&mut self, has: u64) -> bool {
         if has < self.base() || has > self.written {
-            return None;
+            return false;
         }
         self.ack(has);
         (self.written, self.at) = (has, 0);
-        let mut lost = Vec::new();
-        for kept in self.unacked.drain(..).rev() {
-            match kept {
-                Kept::Frame(bytes) => self.outbox.push_front(Out::Frame(bytes)),
-                Kept::Pinned(rdv_id, len) => lost.push((rdv_id, len)),
-            }
+        for out in self.unacked.drain(..).rev() {
+            self.outbox.push_front(out);
         }
-        lost.reverse();
-        Some(lost)
+        true
     }
 }
 
 /// A peer socket's write half, under [`Peer::tx`].
 struct Tx {
     ep: Endpoint,
+    /// What `ep`'s pinned payloads pass through.
+    pipe: Pipe,
     q: Queue,
     /// Leading entries already audit-stamped for this socket.
     stamped: usize,
@@ -562,11 +556,12 @@ struct Peer {
 }
 
 impl Peer {
-    fn new(ep: Endpoint, rx: Endpoint) -> Peer {
+    fn new(ep: Endpoint, rx: Endpoint, pipe: Pipe) -> Peer {
         Peer {
             fd: AtomicI32::new(ep.as_raw_fd()),
             tx: Mutex::new(Tx {
                 ep,
+                pipe,
                 q: Queue::default(),
                 stamped: 0,
                 seq: 0,
@@ -592,6 +587,13 @@ impl Peer {
             epoch: AtomicU32::new(0),
         }
     }
+}
+
+/// Whether the outbox holder that let go at `settled` ([`Queue::settled`])
+/// must look again: a push, or an ack whose reader found the outbox busy,
+/// came in meanwhile.
+fn owed(peer: &Peer, settled: u64) -> bool {
+    !peer.intake.lock().is_empty() || peer.acked.load(Ordering::Acquire) > settled
 }
 
 /// The socket carrier: one nonblocking socket per peer, moved by the
@@ -682,7 +684,7 @@ impl SocketTransport {
             ep.set_nonblocking(true)?;
             epoll.add(ep.as_raw_fd(), EPOLLIN | EPOLLONESHOT, peer_rank as u64)?;
             let rx = ep.try_clone()?;
-            peers.push(Some(Peer::new(ep, rx)));
+            peers.push(Some(Peer::new(ep, rx, Pipe::new()?)));
         }
         let waker = UnixStream::pair()?;
         waker.0.set_nonblocking(true)?;
@@ -729,9 +731,10 @@ impl SocketTransport {
         self.flush(fabric, dst);
     }
 
-    /// Move `dst`'s outbound bytes now — unless another thread is (it
-    /// looks at the intake again after letting go) or the socket is left
-    /// to triage. Never blocks. Returns whether bytes moved.
+    /// Move `dst`'s outbound bytes and apply the peer's ack now — unless
+    /// another thread is (it looks at the intake and the ack again after
+    /// letting go) or the socket is left to triage. Never blocks. Returns
+    /// whether bytes moved.
     fn flush(&self, fabric: &Fabric, dst: usize) -> bool {
         let Some(peer) = &self.peers[dst] else {
             return false;
@@ -745,8 +748,9 @@ impl SocketTransport {
                 Ok(m) => moved |= m,
                 Err(e) => self.defer(peer, e),
             }
+            let settled = tx.q.settled();
             drop(tx);
-            if peer.intake.lock().is_empty() {
+            if !owed(peer, settled) {
                 break;
             }
         }
@@ -754,11 +758,11 @@ impl SocketTransport {
     }
 
     /// The one way onto a peer's socket, under its outbox mutex: forget
-    /// what the peer acked, take the intake in, stamp, `writev` from the
-    /// front entry's resume cursor until the socket refuses, and
-    /// complete and keep every entry whose last byte left. Keeps
-    /// `EPOLLOUT` armed exactly while bytes wait. Returns whether
-    /// anything was written.
+    /// what the peer acked, take the intake in, stamp, and write from the
+    /// front entry's resume cursor until the socket refuses — `writev`
+    /// up to the next pinned payload, which goes alone by reference —
+    /// keeping every entry whose last byte left. Keeps `EPOLLOUT` armed
+    /// exactly while bytes wait. Returns whether anything was written.
     fn write_out(&self, fabric: &Fabric, dst: usize, tx: &mut Tx) -> io::Result<bool> {
         let Some(peer) = &self.peers[dst] else {
             return Ok(false);
@@ -801,16 +805,29 @@ impl SocketTransport {
             let upto = tx.q.outbox.len().min(IOV_ENTRIES);
             self.stamp(fabric, dst, peer.epoch.load(Ordering::Acquire), tx, upto);
             let mut iov = [IoSlice::new(&[]); 2 * IOV_ENTRIES];
-            let (mut k, mut skip) = (0, tx.q.at);
-            for part in tx.q.outbox.iter().take(upto).flat_map(Out::parts) {
-                let cut = skip.min(part.len());
-                skip -= cut;
-                if cut < part.len() {
+            let (mut k, mut skip, mut pinned) = (0, tx.q.at, None);
+            'gather: for out in tx.q.outbox.iter().take(upto) {
+                for (i, part) in out.parts().into_iter().enumerate() {
+                    let cut = skip.min(part.len());
+                    skip -= cut;
+                    if cut == part.len() {
+                        continue;
+                    }
+                    // A frame's second part is empty: a part 1 left is
+                    // a pinned payload.
+                    if i == 1 {
+                        pinned = (k == 0).then(|| &part[cut..]);
+                        break 'gather;
+                    }
                     iov[k] = IoSlice::new(&part[cut..]);
                     k += 1;
                 }
             }
-            match tx.ep.write_vectored(&iov[..k]) {
+            let wrote = match pinned {
+                Some(payload) => tx.ep.write_pinned(&mut tx.pipe, payload),
+                None => tx.ep.write_vectored(&iov[..k]),
+            };
+            match wrote {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     moved = true;
@@ -919,8 +936,9 @@ impl SocketTransport {
     /// piecewise straight in their destination or — nobody waits for
     /// them (retired stream, post-abort straggler) — drain through a
     /// stack buffer, so the peer's length allocates nothing; a
-    /// `Heartbeat` is the peer's ack; any other frame is dispatched into
-    /// the engine. Every step settles the pair's count ([`Self::settle`]).
+    /// `Heartbeat` is the peer's ack, applied to the outbox unless
+    /// another thread holds it; any other frame is dispatched into the
+    /// engine. Every step settles the pair's count ([`Self::settle`]).
     /// Returns whether anything was read.
     fn take<R: Read>(
         &self,
@@ -937,11 +955,11 @@ impl SocketTransport {
         if peer.bye.load(Ordering::Acquire) {
             return Ok(false);
         }
-        let wire = fabric.wire();
+        let (wire, landed) = (fabric.wire(), Cell::new(false));
         let mut land = |p: Piece, r: &mut R| -> io::Result<usize> {
             let (at, len, read) = (p.offset as usize, p.len, |dest: &mut [u8]| r.read(dest));
             match wire.land_part(fabric, peer_rank, p.id, at, len, read)? {
-                Some(n) => Ok(n),
+                Some((n, round)) => Ok(n).inspect(|_| landed.set(landed.get() | round)),
                 None => r.read(&mut [0u8; 4096][..len.min(4096)]),
             }
         };
@@ -971,6 +989,7 @@ impl SocketTransport {
                 }
                 Ok(Some(Event::Frame(Frame::Heartbeat { received }))) => {
                     peer.acked.fetch_max(received, Ordering::AcqRel);
+                    self.flush(fabric, peer_rank);
                     None
                 }
                 Ok(Some(Event::Frame(f))) => {
@@ -981,7 +1000,7 @@ impl SocketTransport {
                     })
                 }
             };
-            self.settle(fabric, peer_rank, peer, rd);
+            self.settle(fabric, peer_rank, peer, rd, landed.take());
             if let Some(done) = done {
                 return done;
             }
@@ -990,13 +1009,15 @@ impl SocketTransport {
     }
 
     /// Publish how many of `peer`'s frames `rd` has read whole, and ack
-    /// them once [`ACK_EVERY`] more came in since the last ack (not
-    /// while closing: nothing may follow our `Bye`).
-    fn settle(&self, fabric: &Fabric, p: usize, peer: &Peer, rd: &mut Reader) {
+    /// them once [`ACK_EVERY`] more came in since the last ack, or when
+    /// the step `landed` a stream round, whose sender waits for the ack
+    /// (not while closing: nothing may follow our `Bye`).
+    fn settle(&self, fabric: &Fabric, p: usize, peer: &Peer, rd: &mut Reader, landed: bool) {
         let whole = rd.whole();
         // ORDERING: an ack is a lower bound; a stale read acks less.
         peer.frames_received.store(whole, Ordering::Relaxed);
-        if whole >= rd.last_ack + ACK_EVERY && !self.closing.load(Ordering::Acquire) {
+        let due = landed || whole >= rd.last_ack + ACK_EVERY;
+        if due && !self.closing.load(Ordering::Acquire) {
             rd.last_ack = whole;
             self.send(fabric, p, Frame::Heartbeat { received: whole }, false);
         }
@@ -1086,7 +1107,7 @@ impl SocketTransport {
 
     /// Move what peer `p`'s outbox holds — replies a dispatch queued,
     /// pushes that found the outbox busy — then re-arm its spent
-    /// registration, and hand on what was pushed meanwhile.
+    /// registration, and hand on what was pushed or acked meanwhile.
     fn rearm(&self, fabric: &Fabric, p: usize, mut tx: MutexGuard<'_, Tx>) {
         let Some(peer) = self.peers[p]
             .as_ref()
@@ -1098,8 +1119,9 @@ impl SocketTransport {
             Ok(_) => self.arm(peer, p, &mut tx, true),
             Err(e) => self.defer(peer, e),
         }
+        let settled = tx.q.settled();
         drop(tx);
-        if !peer.intake.lock().is_empty() {
+        if owed(peer, settled) {
             self.flush(fabric, p);
         }
     }
@@ -1151,10 +1173,11 @@ impl SocketTransport {
     /// for the transport's lifetime: read what the dead socket still
     /// holds, re-run the pair rendezvous with each side's count in its
     /// `Hello`, and swap the new socket into both halves — the outbox
-    /// replays what the peer lacks ([`Queue::replay`]), the decoder
-    /// starts at the new socket's first frame. The count is taken under
-    /// the read half's mutex, held until the new socket replaces the
-    /// old: nobody reads the old one after it.
+    /// replays what the peer lacks ([`Queue::replay`]) through a fresh
+    /// splice pipe (what the old one held was meant for the dead
+    /// socket), the decoder starts at the new socket's first frame. The
+    /// count is taken under the read half's mutex, held until the new
+    /// socket replaces the old: nobody reads the old one after it.
     ///
     /// The reconnected endpoint is deliberately NOT re-wrapped in the
     /// wire-fault plan: recovery is one bounded attempt, and a chaos
@@ -1180,7 +1203,7 @@ impl SocketTransport {
             .and_then(|(ep, has)| {
                 ep.set_nonblocking(true)?;
                 let rx = ep.try_clone()?;
-                Ok((ep, rx, has))
+                Ok((ep, rx, Pipe::new()?, has))
             });
         let (ok, took_ms) = (res.is_ok(), started.elapsed().as_millis() as u64);
         let p16 = peer_rank as u16;
@@ -1191,20 +1214,20 @@ impl SocketTransport {
                 ok,
                 took_ms,
             });
-        let Ok((ep, rx_ep, has)) = res else {
+        let Ok((ep, rx_ep, pipe, has)) = res else {
             return false;
         };
-        let lost = {
+        {
             // Swap the socket and bump the audit epoch under the outbox
             // mutex: stamps taken before carry the old epoch, stamps
             // after the new one — never mixed.
             let mut tx = peer.tx.lock();
-            let Some(lost) = tx.q.replay(has) else {
+            if !tx.q.replay(has) {
                 return false; // the peer counts frames we never wrote
-            };
+            }
             let _ = self.epoll.delete(tx.ep.as_raw_fd());
             peer.epoch.fetch_add(1, Ordering::Release);
-            (tx.ep, tx.stamped) = (ep, 0);
+            (tx.ep, tx.pipe, tx.stamped) = (ep, pipe, 0);
             (rx.ep, rx.rd) = (rx_ep, Reader::new(rx.rd.epoch + 1, received));
             peer.fd.store(tx.ep.as_raw_fd(), Ordering::Release);
             let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
@@ -1214,41 +1237,13 @@ impl SocketTransport {
                 return false;
             }
             peer.fault.lock().take();
-            lost
-        };
+        }
         // ORDERING: liveness timestamp; the heartbeat check tolerates a
         // read one tick stale.
         peer.last_heard_ms.store(self.now_ms(), Ordering::Relaxed);
         peer.connected.store(true, Ordering::Release);
         peer.broken.store(false, Ordering::Release);
-        if !lost.is_empty() {
-            self.lose(fabric, peer_rank, &lost);
-        }
         true
-    }
-
-    /// Pinned ranges toward `peer_rank` that left whole on a dead socket
-    /// and never arrived: counted off their span, the application may
-    /// have reused the buffer, so they cannot go again — a typed
-    /// `MessageLost` naming each stream, not a receiver that waits
-    /// forever.
-    fn lose(&self, fabric: &Fabric, peer_rank: usize, lost: &[(u64, usize)]) {
-        for &(rdv_id, len) in lost {
-            let (p16, stream, missing) = (peer_rank as u16, rdv_id as u32, len as u64);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamLost {
-                    peer: p16,
-                    stream,
-                    missing,
-                });
-        }
-        fabric.fail(PcommError::MessageLost {
-            src: self.rank,
-            dst: peer_rank,
-            tag: -1,
-            attempts: 1,
-        });
     }
 
     /// The progress thread: park in `epoll_pwait` until a socket fires,
@@ -1678,9 +1673,17 @@ mod tests {
         // reads it first, and its range leaves with it.
         Frame::PartCts { rdv_id: id }.write_to(&mut far).unwrap();
         wire.part_stream_push(&fabric, id, 0, &src, 1);
-        assert!(done.is_set(), "the range was not put on the socket");
+        assert_eq!(
+            waiting(&transport),
+            0,
+            "the range was not put on the socket"
+        );
         assert_eq!(Frame::read_from(&mut far).unwrap(), part_data(id, 0, &src));
         assert_eq!(frames_sent(&transport), 2);
+        // The source is reusable once the peer acks the range.
+        assert!(!done.is_set(), "done before the peer acked the range");
+        ack_from(&mut far, &fabric, &transport, 2);
+        assert!(done.is_set(), "the ack did not count the range off");
         assert!(!fabric.aborted());
     }
 
@@ -1714,16 +1717,25 @@ mod tests {
         let reader = std::thread::spawn(move || {
             let mut got = vec![0u8; len];
             far.read_exact(&mut got).unwrap();
-            got
+            (got, far)
         });
         while waiting(&transport) > 0 {
             transport.flush(&fabric, 1);
             std::thread::yield_now();
         }
-        assert!(reader.join().unwrap() == want, "the wire bytes differ");
+        let (got, mut far) = reader.join().unwrap();
+        assert!(got == want, "the wire bytes differ");
+        assert_eq!(frames_sent(&transport), 6, "each entry left once");
+        assert!(!span.done.is_set(), "counted off before the peer acked");
+        ack_from(&mut far, &fabric, &transport, 6);
         assert!(span.done.is_set());
         assert_eq!(span.remaining.load(Ordering::Acquire), 0);
-        assert_eq!(frames_sent(&transport), 6, "each entry completed once");
+    }
+
+    /// The far end acks `received` frames, and the carrier reads it.
+    fn ack_from(far: &mut UnixStream, fabric: &Fabric, transport: &SocketTransport, received: u64) {
+        Frame::Heartbeat { received }.write_to(far).unwrap();
+        while !transport.read_in(fabric, 1) {}
     }
 
     #[test]
@@ -1749,8 +1761,9 @@ mod tests {
         let mut got = vec![0u8; want.len()];
         far.read_exact(&mut got).unwrap();
         assert_eq!(got, want);
-        assert!(span.done.is_set());
         assert_eq!(frames_sent(&transport), 10);
+        ack_from(&mut far, &fabric, &transport, 10);
+        assert!(span.done.is_set());
     }
 
     #[test]
@@ -2059,7 +2072,7 @@ mod tests {
         q.outbox.extend((0..10).map(ctl));
         assert_eq!(write_all(&mut q), 10);
         q.outbox.push_back(ctl(10));
-        assert_eq!(q.replay(10), Some(Vec::new()));
+        assert!(q.replay(10));
         assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 10 }]);
         assert!(q.unacked.is_empty());
         assert_eq!((q.written, q.at), (10, 0));
@@ -2102,7 +2115,7 @@ mod tests {
         let newer = Frame::BarrierArrive { gen: 1 };
         q.outbox.push_back(Out::Frame(newer.encode()));
         q.advance(3);
-        assert_eq!(q.replay(1000), Some(Vec::new()));
+        assert!(q.replay(1000));
         let mut want = frames[1000..].to_vec();
         want.push(newer);
         assert!(
@@ -2113,50 +2126,97 @@ mod tests {
         // Written again, they are sent once: a peer that now has them
         // all is sent nothing more.
         assert_eq!(write_all(&mut q), 4001);
-        assert_eq!(q.replay(5001), Some(Vec::new()));
+        assert!(q.replay(5001));
         assert!(q.outbox.is_empty() && q.unacked.is_empty());
     }
 
     #[test]
-    fn a_pinned_range_that_left_whole_and_never_arrived_is_lost() {
-        let src = vec![7u8; 128];
-        // A control frame, stream 7's two ranges, a control frame; all
-        // left whole, so the stream's span completed.
-        let written = || {
-            let span = span_over(&src);
-            let mut q = Queue::default();
-            q.outbox.push_back(ctl(0));
-            q.outbox.extend(stream_writes(&src, &span, 2));
-            q.outbox.push_back(ctl(1));
-            assert_eq!(write_all(&mut q), 4);
-            assert!(span.done.is_set());
-            q
-        };
-        // The peer read the first range, not the second: that one is
-        // lost, the control frame behind it goes again.
-        let mut q = written();
-        assert_eq!(q.replay(2), Some(vec![(7, 64)]));
-        assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 1 }]);
-        // A peer that read both ranges lost nothing.
-        let mut q = written();
-        assert_eq!(q.replay(3), Some(Vec::new()));
-        assert_eq!(outbox_frames(&q), [Frame::BarrierArrive { gen: 1 }]);
-        // The loss is typed and names its stream.
-        let (fabric, transport, _far) = carrier(Trace::ring_verify(4096));
-        transport.lose(&fabric, 1, &[(7, 64)]);
-        let lost = events_named(&fabric, "verify_stream_lost");
-        assert!(matches!(
-            lost[..],
-            [EventKind::VerifyStreamLost {
-                peer: 1,
-                stream: 7,
-                missing: 64
-            }]
-        ));
-        assert!(matches!(
-            fabric.failure_snapshot(),
-            Some(PcommError::MessageLost { src: 0, dst: 1, .. })
-        ));
+    fn a_pinned_range_that_left_whole_and_never_arrived_goes_again_whole() {
+        let src: Vec<u8> = (0..128).collect();
+        let span = span_over(&src);
+        let mut q = Queue::default();
+        q.outbox.push_back(ctl(0));
+        q.outbox.extend(stream_writes(&src, &span, 2));
+        q.outbox.push_back(ctl(1));
+        assert_eq!(write_all(&mut q), 4);
+        assert!(!span.done.is_set(), "left whole, yet nobody acked it");
+        // The peer read the first range, not the second: that one goes
+        // again whole, ahead of the control frame behind it.
+        assert!(q.replay(2));
+        let want = [
+            part_data(7, 64, &src[64..]),
+            Frame::BarrierArrive { gen: 1 },
+        ];
+        assert_eq!(outbox_frames(&q), want);
+        assert_eq!(span.remaining.load(Ordering::Acquire), 64);
+        assert_eq!(write_all(&mut q), 2);
+        q.ack(4);
+        assert!(span.done.is_set());
+    }
+
+    /// Rank 0 streams 64 KiB to rank 1, all of it into the socket; rank
+    /// 1's socket dies (its write after the `PartCts`) before it read
+    /// the range, and its queue goes with it. After the one reconnect
+    /// the range goes again whole: rank 1's bytes are exact, and rank
+    /// 0's send completes once rank 1 acks them.
+    #[test]
+    fn a_range_a_dead_socket_took_lands_exactly_after_the_reconnect() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let dir = pcomm_net::launch::unique_rendezvous_dir().unwrap();
+        let cts_len = Frame::PartCts { rdv_id: 0 }.encode().len() as u64;
+        let kill = FaultPlan::seeded(1).lane_kill(cts_len);
+        let (f0, t0) = carrier_on(0, a, dir.clone(), Trace::disabled(), None);
+        let (f1, t1) = carrier_on(1, b, dir.clone(), Trace::disabled(), Some(&kill));
+        let src: Vec<u8> = (0..1usize << 16).map(|i| (i * 7 % 251) as u8).collect();
+        let mut dst = vec![0u8; src.len()];
+        let (half, landed) = (
+            src.len() / 2,
+            Arc::new([AtomicU64::new(0), AtomicU64::new(0)]),
+        );
+        let (base, msgs, recv_done) = (
+            dst.as_mut_ptr(),
+            vec![(0, half), (half, half)],
+            Completion::new(),
+        );
+        let recv = StreamRecv::new(
+            base,
+            src.len(),
+            msgs,
+            landed,
+            Arc::clone(&recv_done),
+            None,
+            false,
+        );
+        f1.wire().part_recv_start(&f1, 0, 7, &recv, 1);
+        let (sent, id) = (Completion::new(), f0.wire().stream_id());
+        f0.wire()
+            .part_send_start(&f0, 1, 7, id, src.len(), &sent, 1);
+        t1.read_in(&f1, 0);
+        f0.wire().part_stream_push(&f0, id, 0, &src, 2);
+        assert_eq!(waiting(&t0), 0, "the range is not all in the socket");
+        t1.send(&f1, 0, Frame::Heartbeat { received: 0 }, false);
+        assert!(t1.peers[0].as_ref().unwrap().broken.load(Ordering::Acquire));
+        assert!(!recv_done.is_set() && !sent.is_set());
+        let err = io::Error::from(io::ErrorKind::ConnectionReset);
+        std::thread::scope(|s| {
+            s.spawn(|| t0.socket_failed(&f0, 1, &err));
+            s.spawn(|| t1.socket_failed(&f1, 0, &err));
+        });
+        let reader = t1.peers[0].as_ref().unwrap();
+        let has = reader.frames_received.load(Ordering::Acquire);
+        assert_eq!(has, 1, "rank 1 read more than the PartRts");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !sent.is_set() && Instant::now() < deadline {
+            t0.pass(&f0);
+            t1.pass(&f1);
+        }
+        assert!(
+            recv_done.is_set() && sent.is_set(),
+            "the range never went again"
+        );
+        assert!(dst == src, "the replayed bytes differ");
+        assert!(!f0.aborted() && !f1.aborted());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -2169,11 +2229,12 @@ mod tests {
         // The control frame and half the first range left.
         let torn = q.outbox[0].wire_len() + q.outbox[1].wire_len() / 2;
         assert_eq!(q.advance(torn), 1);
-        assert_eq!(q.replay(1), Some(Vec::new()));
+        assert!(q.replay(1));
         let want = [part_data(7, 0, &src[..64]), part_data(7, 64, &src[64..])];
         assert_eq!(outbox_frames(&q), want, "the torn range goes again whole");
-        assert!(!span.done.is_set());
         assert_eq!(write_all(&mut q), 2);
+        assert!(!span.done.is_set());
+        q.ack(3);
         assert!(span.done.is_set());
         assert_eq!(span.remaining.load(Ordering::Acquire), 0, "completed once");
     }
@@ -2184,9 +2245,9 @@ mod tests {
         q.outbox.extend((0..3).map(ctl));
         write_all(&mut q);
         q.ack(2);
-        assert_eq!(q.replay(1), None, "below what the peer acked");
-        assert_eq!(q.replay(4), None, "past what was written");
-        assert_eq!(q.replay(2), Some(Vec::new()));
+        assert!(!q.replay(1), "below what the peer acked");
+        assert!(!q.replay(4), "past what was written");
+        assert!(q.replay(2));
     }
 
     #[test]

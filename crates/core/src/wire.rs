@@ -74,7 +74,7 @@ use crate::transport::Transport;
 pub(crate) const FINALIZE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a stream's sender waits on: `done` (its "buffer reusable"
-/// signal) fires once the carrier has moved the round's last byte.
+/// signal) fires once the carrier is done with the round's last byte.
 pub(crate) struct SendSpan {
     /// Bytes of the round not yet moved.
     pub(crate) remaining: AtomicUsize,
@@ -798,9 +798,10 @@ impl WireProtocol {
     /// arriving. Unless it misses the destination or an open round (both
     /// `Misuse`), or the stream is gone, let `fill` put bytes in the
     /// destination (a socket read, a copy out of the ring, or nothing when
-    /// the sender wrote them in place) and commit as many as it says.
-    /// `Ok(None)`: the caller discards the bytes. A socket lands a range
-    /// in pieces, each its own commit.
+    /// the sender wrote them in place) and commit as many as it says,
+    /// with whether they landed the round. `Ok(None)`: the caller
+    /// discards the bytes. A socket lands a range in pieces, each its
+    /// own commit.
     pub(crate) fn land_part(
         &self,
         fabric: &Fabric,
@@ -809,7 +810,7 @@ impl WireProtocol {
         offset: usize,
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> io::Result<usize>,
-    ) -> io::Result<Option<usize>> {
+    ) -> io::Result<Option<(usize, bool)>> {
         let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned();
         let Some(stream) = stream.filter(|_| !fabric.aborted()) else {
             return Ok(None);
@@ -826,10 +827,9 @@ impl WireProtocol {
             // landings never alias.
             let dest = unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) };
             let n = fill(dest)?.min(len);
-            if n > 0 || len == 0 {
-                self.commit_stream_range(fabric, src, rdv_id, &stream, offset, n);
-            }
-            return Ok(Some(n));
+            let landed = (n > 0 || len == 0)
+                && self.commit_stream_range(fabric, src, rdv_id, &stream, offset, n);
+            return Ok(Some((n, landed)));
         };
         fabric.fail(PcommError::misuse(src, detail));
         Ok(None)
@@ -838,7 +838,8 @@ impl WireProtocol {
     /// Receiver: the bytes of `offset..offset+len` are in the pinned
     /// destination — stamp every message the range finishes with the
     /// round, and set the stream's completion once the round landed
-    /// whole (a rendezvous then retires).
+    /// whole (a rendezvous then retires); returns whether these bytes
+    /// landed it.
     fn commit_stream_range(
         &self,
         fabric: &Fabric,
@@ -847,7 +848,7 @@ impl WireProtocol {
         stream: &StreamRecv,
         offset: usize,
         len: usize,
-    ) {
+    ) -> bool {
         let trace = fabric.trace();
         let (rank, p16, stream32) = (self.rank as u16, src as u16, rdv_id as u32);
         // Recorded before the dedup claim: the auditor's FSM pass wants
@@ -868,7 +869,7 @@ impl WireProtocol {
         let fresh = claim_range(committed, offset, offset + len);
         let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
         if fresh_bytes == 0 {
-            return; // pure duplicate: every byte landed before
+            return false; // pure duplicate: every byte landed before
         }
         for &(f_lo, f_hi) in &fresh {
             trace.emit_verify(rank, || EventKind::VerifyStreamCommit {
@@ -913,6 +914,7 @@ impl WireProtocol {
             }
             stream.done.set();
         }
+        landed
     }
 }
 

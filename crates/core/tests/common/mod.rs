@@ -328,6 +328,51 @@ pub fn stream_repeat(
     }
 }
 
+/// Partition `p`'s bytes in pass `it` of the rewrite scenario.
+fn pass_fill(it: usize, p: usize, buf: &mut [u8]) {
+    fill_pattern(p.wrapping_add(it.wrapping_mul(31)), buf);
+}
+
+/// The rewrite scenario: `iters` passes of one partitioned transfer,
+/// the sender rewriting its whole buffer with the next pass's bytes the
+/// moment each `wait` returns (a `start`, then every partition, before
+/// any `pready`). A send that completed before the receiver had read
+/// its bytes shows as a wrong digest. Returns at rank 0 the digest of
+/// every pass, folded; 0 at the sender.
+pub fn rewrite_after_wait(comm: &Comm, n_parts: usize, part_bytes: usize, iters: usize) -> u64 {
+    if comm.rank() == 0 {
+        let pr = comm.precv_init(1, 7, n_parts, part_bytes, PartOptions::default());
+        let mut acc = FNV_OFFSET;
+        for _ in 0..iters {
+            pr.start();
+            pr.wait();
+            acc = (0..n_parts).fold(acc, |acc, p| fnv1a(acc, pr.partition(p)));
+        }
+        acc
+    } else {
+        let ps = comm.psend_init(0, 7, n_parts, part_bytes, PartOptions::default());
+        for it in 0..iters {
+            ps.start();
+            for p in 0..n_parts {
+                ps.write_partition(p, |buf| pass_fill(it, p, buf));
+            }
+            (0..n_parts).for_each(|p| ps.pready(p));
+            ps.wait();
+        }
+        0
+    }
+}
+
+/// The digest a correct receiver computes for the rewrite scenario.
+pub fn rewrite_expected_digest(n_parts: usize, part_bytes: usize, iters: usize) -> u64 {
+    let mut buf = vec![0u8; part_bytes];
+    let passes = (0..iters).flat_map(|it| (0..n_parts).map(move |p| (it, p)));
+    passes.fold(FNV_OFFSET, |acc, (it, p)| {
+        pass_fill(it, p, &mut buf);
+        fnv1a(acc, &buf)
+    })
+}
+
 /// The zero-length rendezvous scenario, run with every message sent by
 /// rendezvous: rank 1 sends an empty message, then four bytes, to rank
 /// 0. Returns at rank 0 the empty receive's length in the high word and
@@ -492,6 +537,10 @@ pub fn maybe_run_child() -> bool {
             "async-progress" => async_progress(&comm, Duration::from_millis(400)),
             "threads" => (threads_at_steady_state(&comm), Duration::ZERO),
             "zero-rdv" => (zero_rdv(&comm), Duration::ZERO),
+            "rewrite" => (
+                rewrite_after_wait(&comm, n_parts, part_bytes, iters),
+                Duration::ZERO,
+            ),
             "echo" => (echo(&comm), Duration::ZERO),
             "stream-repeat" => {
                 let (digest, wakes) = stream_repeat(&comm, n_parts, part_bytes, iters);
@@ -594,8 +643,9 @@ impl RankOutcome {
 /// that wants faults or verification names them.
 const AMBIENT_KNOBS: [&str; 2] = ["PCOMM_FAULTS", "PCOMM_VERIFY"];
 
-/// Spawn `test_name` from this test binary as a 2-rank UDS mesh and
-/// collect each rank's outcome. `common_env` applies to both ranks,
+/// Spawn `test_name` from this test binary as a 2-rank mesh (UDS, or
+/// what a `PCOMM_NET_BACKEND` in `common_env` names) and collect each
+/// rank's outcome. `common_env` applies to both ranks,
 /// `per_rank_env[r]` only to rank `r`; children always write Chrome
 /// traces into the rendezvous dir. Panics if a child outlives `timeout`
 /// (after killing it) — no scenario may hang the suite.
@@ -627,7 +677,12 @@ pub fn run_wire_ranks(
     cpus: Option<&[usize]>,
 ) -> Vec<RankOutcome> {
     let n_ranks = per_rank_env.len();
-    let spmd = MultiprocEnv::in_fresh_dir(n_ranks, Backend::Uds).expect("rendezvous dir");
+    let backend = (common_env.iter())
+        .find(|(k, _)| *k == launch::ENV_BACKEND)
+        .map_or(Backend::Uds, |(_, v)| {
+            Backend::parse(v).expect("a backend name")
+        });
+    let spmd = MultiprocEnv::in_fresh_dir(n_ranks, backend).expect("rendezvous dir");
     let dir = &spmd.dir;
     let exe = std::env::current_exe().expect("test binary path");
     let trace_base = dir.join("trace.json");

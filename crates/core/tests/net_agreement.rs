@@ -8,7 +8,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{ENV_PARTS, ENV_PART_BYTES, ENV_PREADY_GAP_MS};
+use common::{ENV_ITERS, ENV_PARTS, ENV_PART_BYTES, ENV_PREADY_GAP_MS};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -73,6 +73,50 @@ fn wire_digest_matches_shm_baseline() {
                 "no rank recorded an ipc doorbell — did the run fall back to sockets?"
             );
         }
+    }
+}
+
+/// A partitioned send completes only once the receiver has its bytes:
+/// the sender overwrites its whole buffer the moment each `wait`
+/// returns, yet every pass the receiver digests is the one sent — on
+/// both socket backends, whose kernels read a spliced range straight out
+/// of the sender's pages until the receiver has read it.
+#[test]
+fn a_buffer_rewritten_after_wait_never_reaches_the_receiver() {
+    if common::maybe_run_child() {
+        return;
+    }
+    let (n_parts, part_bytes, iters) = (8, 64 * 1024, 40);
+    for backend in ["uds", "tcp"] {
+        let outs = common::run_wire_pair(
+            "a_buffer_rewritten_after_wait_never_reaches_the_receiver",
+            "rewrite",
+            &[
+                ("PCOMM_NET_BACKEND", backend.to_string()),
+                (ENV_PARTS, n_parts.to_string()),
+                (ENV_PART_BYTES, part_bytes.to_string()),
+                (ENV_ITERS, iters.to_string()),
+            ],
+            [vec![], vec![]],
+            TIMEOUT,
+        );
+        for (rank, o) in outs.iter().enumerate() {
+            assert!(
+                o.out.starts_with("ok "),
+                "{backend} rank {rank}: `{}`",
+                o.out
+            );
+        }
+        assert_eq!(
+            outs[0].digest(),
+            Some(common::rewrite_expected_digest(n_parts, part_bytes, iters)),
+            "{backend}: the receiver read bytes written after the sender's wait"
+        );
+        assert_eq!(
+            outs[1].digest(),
+            Some(0),
+            "{backend}: rank 1 fell back in-process"
+        );
     }
 }
 

@@ -1,14 +1,87 @@
 //! Backend-agnostic stream endpoints: Unix domain sockets or TCP
 //! loopback, behind one enum so the progress engine never matches on
-//! the backend.
+//! the backend; and the [`Pipe`] through which an endpoint writes a
+//! pinned payload by reference ([`Endpoint::write_pinned`]).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::faults::{FaultyLink, FaultyState, WireFaults};
+use crate::sys;
+
+/// What a splice pipe asks the kernel for: an unprivileged process may
+/// have up to 1 MiB (`/proc/sys/fs/pipe-max-size`'s default), four
+/// 256 KiB ranges in flight.
+const PIPE_BYTES: usize = 1 << 20;
+
+/// The pipe a socket's pinned payloads pass through on their way in:
+/// `vmsplice` puts references to the payload's pages in, `splice` moves
+/// them on to the socket, and no byte is copied in user space or into
+/// the pipe. It remembers how many bytes of the payload it holds across
+/// a socket that refused them. One per socket: a reconnected socket gets
+/// a fresh one, so page references meant for a dead socket never reach
+/// its successor.
+#[derive(Debug)]
+pub struct Pipe {
+    /// `(read, write)` ends; `None` where the kernel refuses splicing,
+    /// and payloads are copied instead.
+    ends: Option<(OwnedFd, OwnedFd)>,
+    /// Leading bytes of the payload being written already in the pipe.
+    held: usize,
+}
+
+/// A kernel that has no splice for these fds: copy instead.
+fn refused(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(38 | 22)) // ENOSYS, EINVAL
+}
+
+impl Pipe {
+    /// A pipe sized once to [`PIPE_BYTES`] (a kernel that grants less
+    /// leaves the default size), or a copying stand-in where the kernel
+    /// refuses pipes.
+    pub fn new() -> io::Result<Pipe> {
+        let ends = match sys::pipe2() {
+            Ok((rd, wr)) => {
+                let _ = sys::set_pipe_size(&wr, PIPE_BYTES);
+                Some((rd, wr))
+            }
+            Err(e) if refused(&e) => None,
+            Err(e) => return Err(e),
+        };
+        Ok(Pipe { ends, held: 0 })
+    }
+
+    /// Forget what the pipe holds: those bytes will go another way.
+    pub(crate) fn discard(&mut self) -> io::Result<()> {
+        if self.held > 0 {
+            *self = Pipe::new()?;
+        }
+        Ok(())
+    }
+
+    /// Move up to `limit` leading bytes of `buf` — the unsent rest of a
+    /// payload, whose first `held` bytes the pipe already has — into
+    /// `sock`: top the pipe up from `buf`, then splice.
+    fn splice(&mut self, sock: i32, buf: &[u8], limit: usize) -> io::Result<usize> {
+        let Some((rd, wr)) = &self.ends else {
+            return Err(io::Error::from_raw_os_error(38));
+        };
+        if self.held < buf.len() {
+            match sys::vmsplice(wr, &buf[self.held..]) {
+                Ok(n) => self.held += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let n = sys::splice(rd, sock, self.held.min(limit))?;
+        self.held -= n;
+        Ok(n)
+    }
+}
 
 /// One connected, bidirectional byte stream to a peer rank.
 #[derive(Debug)]
@@ -105,6 +178,39 @@ impl Endpoint {
         }
     }
 
+    /// Write the front of `buf`, the unsent rest of a pinned payload, by
+    /// reference through `pipe` (see [`Pipe`]); returns how many bytes
+    /// reached the socket. The socket reads the caller's pages, not a
+    /// copy, until the peer has read them: the caller keeps `buf`
+    /// unwritten until the peer acks it. Where the kernel refuses to
+    /// splice (`ENOSYS`, `EINVAL`), the bytes are copied with `write`.
+    pub fn write_pinned(&mut self, pipe: &mut Pipe, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Endpoint::Faulty(l) => l.faulty_write(buf, Some(pipe)),
+            _ => self.splice_upto(pipe, buf, buf.len()),
+        }
+    }
+
+    /// [`Self::write_pinned`] on a plain socket, moving at most `limit`
+    /// bytes.
+    pub(crate) fn splice_upto(
+        &mut self,
+        pipe: &mut Pipe,
+        buf: &[u8],
+        limit: usize,
+    ) -> io::Result<usize> {
+        match pipe.splice(self.as_raw_fd(), buf, limit) {
+            Err(e) if refused(&e) => {
+                *pipe = Pipe {
+                    ends: None,
+                    held: 0,
+                };
+                self.write(&buf[..limit])
+            }
+            moved => moved,
+        }
+    }
+
     /// Whether TCP_NODELAY is set (`true` for UDS, which never delays).
     pub fn nodelay(&self) -> io::Result<bool> {
         match self {
@@ -141,7 +247,7 @@ impl Write for Endpoint {
         match self {
             Endpoint::Uds(s) => s.write(buf),
             Endpoint::Tcp(s) => s.write(buf),
-            Endpoint::Faulty(l) => l.faulty_write(buf),
+            Endpoint::Faulty(l) => l.faulty_write(buf, None),
         }
     }
 

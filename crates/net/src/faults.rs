@@ -4,7 +4,9 @@
 //! (partial) writes, short reads, injected garbage bytes, connection
 //! reset at a frame boundary, a socket kill after a byte threshold, and
 //! half-open silent death — and an [`Endpoint`] wrapped via
-//! [`Endpoint::with_faults`] applies them on every `read`/`write` call.
+//! [`Endpoint::with_faults`] applies them on every `read`/`write` call,
+//! and on every splice of a pinned payload
+//! ([`Endpoint::write_pinned`]) as on a write.
 //!
 //! Every decision is a pure function of `(seed, peer, call index)`: two runs with the same plan and the same call sequence
 //! inject bit-for-bit the same faults, so a failing chaos run replays
@@ -25,7 +27,7 @@ use std::sync::Arc;
 
 use pcomm_prng::{Rng64, SplitMix64};
 
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Pipe};
 
 /// Domain separator for write-side draws.
 const DOMAIN_WRITE: u64 = 0x7772; // "wr"
@@ -216,7 +218,15 @@ impl FaultyLink {
         )
     }
 
-    pub(crate) fn faulty_write(&mut self, buf: &[u8]) -> io::Result<usize> {
+    /// One write call of `buf` under the plan: spliced through `pipe`
+    /// when given (a pinned payload meets the plan as a write does: the
+    /// same draws, the same kinds; only garbage copies, to own the byte
+    /// it flips), else copied.
+    pub(crate) fn faulty_write(
+        &mut self,
+        buf: &[u8],
+        mut pipe: Option<&mut Pipe>,
+    ) -> io::Result<usize> {
         // ORDERING: sticky kill flag — reading it late only lets one
         // more write reach a socket the kill already shut down.
         if self.state.dead.load(Ordering::Relaxed) {
@@ -247,6 +257,9 @@ impl FaultyLink {
                 }
                 // Swallow: the caller believes the bytes left; the peer
                 // hears silence from now on.
+                if let Some(pipe) = pipe {
+                    pipe.discard()?;
+                }
                 let n = buf.len() as u64;
                 // ORDERING: single-writer byte ledger (see above).
                 self.state.written.fetch_add(n, Ordering::Relaxed);
@@ -275,6 +288,9 @@ impl FaultyLink {
             corrupt.extend_from_slice(buf);
             let at = (pick as usize) % corrupt.len();
             corrupt[at] ^= 1 << ((pick >> 32) % 8);
+            if let Some(pipe) = pipe.take() {
+                pipe.discard()?;
+            }
             (Some(WireFault::Garbage), &corrupt[..])
         } else if p < self.plan.reset + self.plan.garbage + self.plan.torn && buf.len() > 1 {
             // Deliver only a seeded prefix; a correct caller loops.
@@ -284,7 +300,10 @@ impl FaultyLink {
         } else {
             (None, buf)
         };
-        let wrote = self.inner.write(out);
+        let wrote = match pipe {
+            Some(pipe) => self.inner.splice_upto(pipe, buf, out.len()),
+            None => self.inner.write(out),
+        };
         if wrote.as_ref().is_err_and(would_block) {
             return wrote; // the socket refused the call: it never happened
         }
@@ -421,6 +440,94 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// Write 64 × 64 B through a faulty endpoint under `torn=0.5` —
+    /// spliced when `spliced`, else copied — and return every call's
+    /// count, checking the peer got every byte in order.
+    fn torn_pattern(seed: u64, spliced: bool) -> Vec<usize> {
+        let plan = WireFaults {
+            seed,
+            torn: 0.5,
+            ..WireFaults::default()
+        };
+        let (mut tx, mut rx) = pair_with(plan);
+        let data: Vec<u8> = (0..64 * 64).map(|i| (i % 253) as u8).collect();
+        let (mut pipe, mut pattern) = (Pipe::new().unwrap(), Vec::new());
+        for range in data.chunks(64) {
+            let mut at = 0;
+            while at < range.len() {
+                let n = match spliced {
+                    true => tx.write_pinned(&mut pipe, &range[at..]),
+                    false => tx.write(&range[at..]),
+                };
+                pattern.push(n.unwrap());
+                at += pattern[pattern.len() - 1];
+            }
+        }
+        drop(tx);
+        let mut got = Vec::new();
+        rx.read_to_end(&mut got).unwrap();
+        assert!(got == data, "the bytes differ");
+        pattern
+    }
+
+    #[test]
+    fn a_splice_draws_its_faults_as_a_write_does() {
+        let spliced = torn_pattern(42, true);
+        assert!(spliced.iter().any(|&n| n < 64), "no splice was torn");
+        assert_eq!(spliced, torn_pattern(42, true));
+        assert_eq!(spliced, torn_pattern(42, false));
+        assert_ne!(spliced, torn_pattern(43, true));
+    }
+
+    /// Splice 4 KiB once under `plan`; returns the call's result, the
+    /// kinds that fired and what the peer got (until EOF).
+    fn splice_once(plan: WireFaults) -> (io::Result<usize>, Vec<WireFault>, Vec<u8>) {
+        let (mut tx, mut rx) = pair_with(plan);
+        let data = [0x3Cu8; 4096];
+        let mut pipe = Pipe::new().unwrap();
+        let wrote = tx.write_pinned(&mut pipe, &data);
+        let kinds = fired(state_of(&tx), &[0; 6]);
+        drop(tx);
+        let mut got = Vec::new();
+        let _ = rx.read_to_end(&mut got);
+        (wrote, kinds, got)
+    }
+
+    #[test]
+    fn every_write_fault_fires_on_a_spliced_range() {
+        let plan = |f: fn(&mut WireFaults)| {
+            let mut plan = WireFaults {
+                seed: 7,
+                ..WireFaults::default()
+            };
+            f(&mut plan);
+            plan
+        };
+        let (n, kinds, got) = splice_once(plan(|p| p.torn = 1.0));
+        let n = n.unwrap();
+        assert_eq!((kinds, got.len()), (vec![WireFault::TornWrite], n));
+        assert!(n < 4096);
+        let (n, kinds, got) = splice_once(plan(|p| p.reset = 1.0));
+        assert_eq!(n.unwrap_err().kind(), io::ErrorKind::ConnectionReset);
+        assert_eq!((kinds, got.len()), (vec![WireFault::Reset], 0));
+        let (n, kinds, got) = splice_once(plan(|p| p.lane_kill = Some(0)));
+        assert_eq!(n.unwrap_err().kind(), io::ErrorKind::ConnectionReset);
+        assert_eq!((kinds, got.len()), (vec![WireFault::LaneKill], 0));
+        let (n, kinds, got) = splice_once(plan(|p| p.half_open = Some(0)));
+        assert_eq!(
+            (n.unwrap(), kinds, got.len()),
+            (4096, vec![WireFault::HalfOpen], 0)
+        );
+        // Garbage copies: the flipped byte is its own.
+        let (n, kinds, got) = splice_once(plan(|p| p.garbage = 1.0));
+        assert_eq!(
+            (n.unwrap(), kinds, got.len()),
+            (4096, vec![WireFault::Garbage], 4096)
+        );
+        let flipped: u32 = got.iter().map(|b| (b ^ 0x3C).count_ones()).sum();
+        assert_eq!(flipped, 1);
     }
 
     fn state_of(ep: &Endpoint) -> &FaultyState {

@@ -4,7 +4,8 @@
 //! The workspace is std-only and offline, so neither carrier can lean on
 //! `libc`: the handful of kernel entry points they need — anonymous
 //! memory files, shared mappings, cross-process futexes, `SCM_RIGHTS`
-//! fd passing, and `epoll` — are issued directly with `std::arch::asm!`
+//! fd passing, `epoll`, and the pipe and splice calls that move a pinned
+//! payload into a socket by reference — are issued directly with `std::arch::asm!`
 //! on the two supported Linux targets (x86_64 and aarch64). Everywhere
 //! else [`supported`] reports `false`: the transport layer stays off the
 //! ipc fabric, and the `epoll` wrappers fail with `ENOSYS`, which the
@@ -27,6 +28,7 @@
 //! any `asm!` site in the workspace.
 
 use std::io;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 
 /// Whether the raw syscalls below exist on this build target. Off-target
 /// the transport layer keeps off the ipc fabric, and the socket
@@ -71,6 +73,10 @@ mod nr {
     pub const EPOLL_CREATE1: usize = 291;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
+    pub const PIPE2: usize = 293;
+    pub const FCNTL: usize = 72;
+    pub const VMSPLICE: usize = 278;
+    pub const SPLICE: usize = 275;
 }
 
 // aarch64 has no plain `epoll_wait`: `epoll_pwait` with a null mask is
@@ -88,6 +94,10 @@ mod nr {
     pub const EPOLL_CREATE1: usize = 20;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
+    pub const PIPE2: usize = 59;
+    pub const FCNTL: usize = 25;
+    pub const VMSPLICE: usize = 75;
+    pub const SPLICE: usize = 76;
 }
 
 /// Issue one syscall with up to six arguments and return the raw kernel
@@ -209,6 +219,10 @@ mod nr {
     pub const EPOLL_CREATE1: usize = 0;
     pub const EPOLL_CTL: usize = 0;
     pub const EPOLL_PWAIT: usize = 0;
+    pub const PIPE2: usize = 0;
+    pub const FCNTL: usize = 0;
+    pub const VMSPLICE: usize = 0;
+    pub const SPLICE: usize = 0;
 }
 
 /// Convert a raw kernel return into `io::Result`.
@@ -592,6 +606,99 @@ impl Drop for Epoll {
     }
 }
 
+/// `O_NONBLOCK | O_CLOEXEC` for `pipe2` (the same bits on both targets).
+const PIPE_FLAGS: usize = 0o4000 | 0o2_000_000;
+/// `fcntl` command that resizes a pipe.
+const F_SETPIPE_SZ: usize = 1031;
+/// `SPLICE_F_NONBLOCK`: a full or empty pipe refuses instead of blocking.
+/// Never `SPLICE_F_GIFT`: the pages stay the caller's.
+const SPLICE_F_NONBLOCK: usize = 2;
+
+/// `pipe2(O_NONBLOCK | O_CLOEXEC)`: the `(read, write)` ends of a fresh
+/// pipe, closed on drop.
+pub fn pipe2() -> io::Result<(OwnedFd, OwnedFd)> {
+    let mut fds = [-1i32; 2];
+    // SYSCALL: pipe2(fds, O_NONBLOCK | O_CLOEXEC) — the socket carrier's
+    // splice pipe; std has no pipe API.
+    // SAFETY: `fds` is a live, writable array of two ints; the kernel
+    // fills both or neither.
+    let ret = unsafe { syscall6(nr::PIPE2, fds.as_mut_ptr() as usize, PIPE_FLAGS, 0, 0, 0, 0) };
+    check(ret)?;
+    // SAFETY: the kernel just installed both fds for this process, and
+    // nothing else owns them.
+    Ok(unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) })
+}
+
+/// `fcntl(F_SETPIPE_SZ)`: ask for a pipe of `bytes`; returns what the
+/// kernel granted (`EPERM` past what an unprivileged process may have).
+pub fn set_pipe_size(pipe: &OwnedFd, bytes: usize) -> io::Result<usize> {
+    // SYSCALL: fcntl(fd, F_SETPIPE_SZ, bytes) — sized once per pipe.
+    // SAFETY: no pointers; the fd is a live pipe end the caller owns.
+    let ret = unsafe {
+        syscall6(
+            nr::FCNTL,
+            pipe.as_raw_fd() as usize,
+            F_SETPIPE_SZ,
+            bytes,
+            0,
+            0,
+            0,
+        )
+    };
+    check(ret)
+}
+
+/// `vmsplice(2)` without `SPLICE_F_GIFT`: put references to the pages
+/// under `buf` into the pipe's write end; returns how many bytes of
+/// `buf` it took (`WouldBlock` when the pipe is full). The pipe holds
+/// the caller's pages, not a copy: whoever reads the bytes at the far
+/// end of what the pipe is spliced into reads `buf` as it is then, so
+/// the caller keeps it unwritten until that reader is known to have it.
+pub fn vmsplice(pipe_wr: &OwnedFd, buf: &[u8]) -> io::Result<usize> {
+    let iov = Iovec {
+        base: buf.as_ptr(),
+        len: buf.len(),
+    };
+    // SYSCALL: vmsplice(pipe, &iov, 1, SPLICE_F_NONBLOCK) — a pinned
+    // payload enters the pipe by reference.
+    // SAFETY: `iov` outlives the call and describes the live `buf`; the
+    // kernel takes page references, so `buf` may go away at any time.
+    let ret = unsafe {
+        syscall6(
+            nr::VMSPLICE,
+            pipe_wr.as_raw_fd() as usize,
+            &iov as *const Iovec as usize,
+            1,
+            SPLICE_F_NONBLOCK,
+            0,
+            0,
+        )
+    };
+    check(ret)
+}
+
+/// `splice(2)`: move up to `len` bytes from the pipe's read end into
+/// `out` (a socket) without copying them; `WouldBlock` when the socket
+/// (nonblocking) is full.
+pub fn splice(pipe_rd: &OwnedFd, out: i32, len: usize) -> io::Result<usize> {
+    // SYSCALL: splice(pipe, NULL, sock, NULL, len, SPLICE_F_NONBLOCK) —
+    // the pipe's page references go to the socket.
+    // SAFETY: no pointers (both offsets NULL: neither end is seekable);
+    // the pipe end and the socket are live fds.
+    let ret = unsafe {
+        syscall6(
+            nr::SPLICE,
+            pipe_rd.as_raw_fd() as usize,
+            0,
+            out as usize,
+            0,
+            len,
+            SPLICE_F_NONBLOCK,
+        )
+    };
+    check(ret)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,6 +764,81 @@ mod tests {
         );
         ep.delete(fd).unwrap();
         assert_eq!(ep.wait(&mut out, 0).unwrap(), 0);
+    }
+
+    /// `n` bytes in which every offset has its own pattern.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
+    #[test]
+    fn vmsplice_and_splice_carry_a_buffer_through_a_socketpair() {
+        if !supported() {
+            return;
+        }
+        use std::io::Read;
+        use std::os::unix::net::UnixStream;
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let (rd, wr) = pipe2().unwrap();
+        let payload = pattern(48 * 1024);
+        let (mut held, mut sent) = (0, 0);
+        while sent < payload.len() {
+            held += vmsplice(&wr, &payload[sent + held..]).unwrap();
+            let n = splice(&rd, a.as_raw_fd(), held).unwrap();
+            (held, sent) = (held - n, sent + n);
+        }
+        let mut got = vec![0u8; payload.len()];
+        b.read_exact(&mut got).unwrap();
+        assert!(got == payload, "the spliced bytes differ");
+    }
+
+    #[test]
+    fn a_splice_into_a_full_socket_resumes_from_the_pipe() {
+        if !supported() {
+            return;
+        }
+        use std::io::{ErrorKind, Read, Write};
+        use std::os::unix::net::UnixStream;
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        let mut filler = 0;
+        while let Ok(n) = a.write(&[0xEEu8; 4096]) {
+            filler += n;
+        }
+        let (rd, wr) = pipe2().unwrap();
+        // Refused past the unprivileged ceiling: the default size works too.
+        let _ = set_pipe_size(&wr, 1 << 20);
+        let payload = pattern(256 * 1024);
+        let mut held = vmsplice(&wr, &payload).unwrap();
+        let full = splice(&rd, a.as_raw_fd(), held).unwrap_err();
+        assert_eq!(full.kind(), ErrorKind::WouldBlock, "the socket had room");
+        let (mut sent, mut partial, mut got) = (0, false, Vec::new());
+        while sent < payload.len() {
+            if sent + held < payload.len() {
+                match vmsplice(&wr, &payload[sent + held..]) {
+                    Ok(n) => held += n,
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+                }
+            }
+            match splice(&rd, a.as_raw_fd(), held) {
+                Ok(n) => {
+                    partial |= n < held;
+                    (held, sent) = (held - n, sent + n);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let mut buf = [0u8; 16 * 1024];
+                    let n = b.read(&mut buf).unwrap();
+                    got.extend_from_slice(&buf[..n]);
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(partial, "every splice took the whole pipe");
+        let mut rest = vec![0u8; filler + payload.len() - got.len()];
+        b.read_exact(&mut rest).unwrap();
+        got.extend(rest);
+        assert!(got[..filler].iter().all(|&x| x == 0xEE));
+        assert!(got[filler..] == payload[..], "the resumed bytes differ");
     }
 
     #[test]
