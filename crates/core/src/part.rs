@@ -1032,8 +1032,8 @@ impl PsendRequest {
         if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
             match &s.mover {
                 Mover::Bound(b) => b.issue(fabric, m, k),
-                // Wire streaming: the range is pinned into the stream's
-                // aggregation window — no copy, no per-message envelope.
+                // Wire streaming: the message's range ships pinned, as
+                // one chunk — no copy, no per-message envelope.
                 // Stamped before the fabric sees the pointer: teardown
                 // drains the completion whenever the fabric might hold one.
                 Mover::Send(id) => {

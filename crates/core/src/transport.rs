@@ -166,12 +166,6 @@ pub(crate) trait Transport: Send + Sync {
     /// of this process and nothing ever crosses the seam.
     fn local_rank(&self) -> Option<usize>;
 
-    /// Partition-stream aggregation threshold: ready ranges coalesce
-    /// until they reach this many bytes. 0 ships every range as pushed.
-    fn stream_aggr(&self) -> usize {
-        0
-    }
-
     /// Start the carrier's threads. Called once, after the fabric
     /// referencing this carrier exists.
     fn start(self: Arc<Self>, fabric: &Arc<Fabric>) -> Result<(), PcommError>;
@@ -1365,10 +1359,6 @@ impl SocketTransport {
 impl Transport for SocketTransport {
     fn local_rank(&self) -> Option<usize> {
         Some(self.rank)
-    }
-
-    fn stream_aggr(&self) -> usize {
-        pcomm_net::launch::DEFAULT_AGGR
     }
 
     /// Spawn the progress thread. Spawn failure comes back as a typed

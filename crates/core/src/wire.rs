@@ -24,10 +24,10 @@
 //!   Each receiver `start` opens a round and sends one credit, a
 //!   `PartCts` (extended with a *grant* by a carrier with
 //!   receiver-visible memory); no range of the sender's round `k` moves
-//!   before the `k`-th. Every `pready`-completed run of partitions is
-//!   coalesced toward the carrier's aggregation threshold and shipped,
-//!   straight out of the pinned source, as an order-independent
-//!   `offset..offset+len` range. The receiver claims each landed range
+//!   before the `k`-th. Each message its last `pready` issues ships at
+//!   once, straight out of the pinned source, as one order-independent
+//!   `offset..offset+len` range (the layout's `aggr_size` is the one
+//!   place partitions aggregate). The receiver claims each landed range
 //!   against the round's interval ledger (a range a reconnect sends again
 //!   whole lands over the prefix that arrived: only never-seen bytes
 //!   count), stamps each message it finishes with the round, and sets
@@ -91,18 +91,16 @@ impl SendSpan {
     }
 }
 
-/// One coalesced run of ready partitions, pinned in the source buffer
-/// (adjacent pushes are contiguous memory, so coalescing just extends
-/// the length).
+/// One issued message's byte range, pinned in the source buffer.
 #[derive(Clone, Copy)]
 pub(crate) struct PinChunk {
-    /// Byte offset of the run in the whole source buffer.
+    /// Byte offset of the range in the whole source buffer.
     pub(crate) offset: u64,
-    /// First byte of the run; valid until the stream's span completes.
+    /// First byte of the range; valid until the stream's span completes.
     pub(crate) ptr: *const u8,
-    /// Run length in bytes.
+    /// Range length in bytes.
     pub(crate) len: usize,
-    /// Partitions coalesced into the run (trace geometry).
+    /// Partitions in the message (trace geometry).
     pub(crate) parts: u16,
 }
 
@@ -112,31 +110,8 @@ pub(crate) struct PinChunk {
 // shipping the chunk reads through it.
 unsafe impl Send for PinChunk {}
 
-/// The chunks one [`StreamSend::push`] made ready. Never more than two
-/// (a gap-flushed window plus the new range, or the tail flush), so the
-/// per-`pready` path keeps them on the stack.
-pub(crate) struct Ready {
-    n: usize,
-    chunks: [PinChunk; 2],
-}
-
-impl Ready {
-    fn add(&mut self, chunk: PinChunk) {
-        self.chunks[self.n] = chunk;
-        self.n += 1;
-    }
-}
-
-impl std::ops::Deref for Ready {
-    type Target = [PinChunk];
-
-    fn deref(&self) -> &[PinChunk] {
-        &self.chunks[..self.n]
-    }
-}
-
-/// Sender-side state of one stream: the aggregation window, the
-/// receiver's credits, and the ranges queued until their round's.
+/// Sender-side state of one stream: the receiver's credits, and the
+/// ranges queued until their round's.
 struct StreamSend {
     dst: usize,
     /// A rendezvous retires once its one round has left; a partitioned
@@ -149,71 +124,20 @@ struct StreamSend {
     credits: u64,
     /// The carrier's grant, as the last credit carried it.
     grant: Option<u64>,
-    /// Every byte of the round was pushed and the tail auto-flushed.
-    flushed: bool,
-    /// Whole-buffer length; pushes auto-flush the tail on reaching it.
+    /// Whole-buffer length.
     total_len: usize,
-    /// Bytes pushed so far.
+    /// Bytes pushed in the open round.
     pushed: usize,
-    /// The open aggregation window: grows while pushes stay adjacent.
-    pend: Option<PinChunk>,
-    /// Threshold-complete chunks waiting for the round's credit.
+    /// Ranges waiting for the round's credit.
     queued: Vec<PinChunk>,
     /// What the carrier counts chunks off as they leave.
     span: Arc<SendSpan>,
 }
 
 impl StreamSend {
-    /// Fold one pushed range into the aggregation window and return the
-    /// chunks (if any) that are now ready for the wire: adjacent ranges
-    /// coalesce until they reach `aggr`, a gap flushes the open window,
-    /// an already-threshold-sized range goes out directly, and the final
-    /// byte of the buffer flushes whatever remains (no separate flush
-    /// call, so `wait` can never deadlock against an unshipped tail).
-    fn push(&mut self, offset: u64, ptr: *const u8, len: usize, parts: u16, aggr: usize) -> Ready {
-        self.pushed += len;
-        let chunk = PinChunk {
-            offset,
-            ptr,
-            len,
-            parts,
-        };
-        let mut out = Ready {
-            n: 0,
-            chunks: [chunk; 2],
-        };
-        match &mut self.pend {
-            Some(p) if p.offset + p.len as u64 == offset => {
-                // Adjacent in the source buffer ⇒ contiguous memory:
-                // extend the pinned run in place.
-                // SAFETY: `p.ptr + p.len` stays within (one past) the
-                // same pinned allocation the run came from.
-                debug_assert_eq!(unsafe { p.ptr.add(p.len) }, ptr, "adjacent ⇒ contiguous");
-                p.len += len;
-                p.parts = p.parts.saturating_add(parts);
-                if p.len >= aggr {
-                    out.add(*p);
-                    self.pend = None;
-                }
-            }
-            _ => {
-                if let Some(p) = self.pend.take() {
-                    out.add(p);
-                }
-                if len >= aggr {
-                    out.add(chunk);
-                } else {
-                    self.pend = Some(chunk);
-                }
-            }
-        }
-        if self.pushed >= self.total_len {
-            self.flushed = true;
-            if let Some(p) = self.pend.take() {
-                out.add(p);
-            }
-        }
-        out
+    /// A rendezvous whose every byte was pushed leaves the tables.
+    fn retires(&self) -> bool {
+        self.one_round && self.pushed == self.total_len
     }
 }
 
@@ -307,8 +231,6 @@ pub(crate) struct WireProtocol {
     carrier: Arc<dyn Transport>,
     rank: usize,
     n_ranks: usize,
-    /// The carrier's partition-stream aggregation threshold.
-    aggr: usize,
     next_rdv_id: AtomicU64,
     /// Sender side: open streams (partitioned sends and rendezvous), by
     /// stream id.
@@ -340,7 +262,6 @@ impl WireProtocol {
         WireProtocol {
             rank: carrier.local_rank().unwrap_or(0),
             n_ranks,
-            aggr: carrier.stream_aggr(),
             carrier,
             next_rdv_id: AtomicU64::new(0),
             streams_out: Mutex::new(HashMap::new()),
@@ -490,15 +411,15 @@ impl WireProtocol {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned streams: pairing once, credits, send window, receive ledger.
+// Partitioned streams: pairing once, credits, send queue, receive ledger.
 // ---------------------------------------------------------------------
 
 impl WireProtocol {
     /// Sender: start round `round` of partitioned stream `id` toward
     /// `dst`, `total_len` pinned bytes on `ctx`. The first announces it
     /// with the request's one `PartRts`; a later one only resets the
-    /// window and the span. `done` (re-armed by the caller) fires once
-    /// the round's last byte has left; its ranges move once the
+    /// pushed count and the span. `done` (re-armed by the caller) fires
+    /// once the round's last byte has left; its ranges move once the
     /// receiver's `round`-th credit is in.
     #[allow(clippy::too_many_arguments)] // one per stream field
     pub(crate) fn part_send_start(
@@ -521,7 +442,7 @@ impl WireProtocol {
             return self.open_stream(fabric, dst, id, total_len, done, false, rts);
         }
         if let Some(s) = self.streams_out.lock().get_mut(&id) {
-            (s.round, s.pushed, s.flushed, s.pend) = (round, 0, false, None);
+            (s.round, s.pushed) = (round, 0);
             // ORDERING: the round's pushes take this lock before any
             // carrier can count a byte off.
             s.span.remaining.store(total_len, Ordering::Relaxed);
@@ -550,10 +471,8 @@ impl WireProtocol {
                 round: 1,
                 credits: 0,
                 grant: None,
-                flushed: false,
                 total_len,
                 pushed: 0,
-                pend: None,
                 queued: Vec::new(),
                 span: Arc::new(SendSpan {
                     remaining: AtomicUsize::new(total_len),
@@ -566,23 +485,23 @@ impl WireProtocol {
     }
 
     /// Sender: the request of stream `id` drops. What no carrier holds
-    /// (unpushed, windowed or queued bytes) will never leave: it counts as
-    /// gone, so a drain of `done` waits only for what a carrier holds.
+    /// (unpushed or queued bytes) will never leave: it counts as gone,
+    /// so a drain of `done` waits only for what a carrier holds.
     pub(crate) fn part_send_close(&self, id: u64) {
         let Some(s) = self.streams_out.lock().remove(&id) else {
             return;
         };
-        let held: usize = s.queued.iter().chain(&s.pend).map(|c| c.len).sum();
+        let held: usize = s.queued.iter().map(|c| c.len).sum();
         s.span.left(s.total_len - s.pushed + held);
     }
 
-    /// Hand one ready byte range (`parts` coalesced partitions ending
-    /// their `pready`s) to the stream. `data` is *pinned*, not copied:
-    /// it must stay alive and unmodified until the stream's span `done`
-    /// fires (fabric invariant (1) — partitioned storage lives until its
-    /// completion drains). Ranges queue until the round's credit arrives,
-    /// then flow. Runs on an app thread (inside `pready`): one lock, no
-    /// allocation once the credit is in.
+    /// Hand one issued message's byte range (its `parts` partitions) to
+    /// the stream. `data` is *pinned*, not copied: it must stay alive and
+    /// unmodified until the stream's span `done` fires (fabric invariant
+    /// (1) — partitioned storage lives until its completion drains). A
+    /// range queues until the round's credit arrives, then leaves at
+    /// once as one chunk. Runs on an app thread (inside `pready`): one
+    /// lock, no allocation once the credit is in.
     pub(crate) fn part_stream_push(
         &self,
         fabric: &Fabric,
@@ -610,28 +529,33 @@ impl WireProtocol {
         data: &[u8],
         parts: u16,
     ) -> Option<usize> {
-        let (dst, grant, span, ready) = {
+        let chunk = PinChunk {
+            offset,
+            ptr: data.as_ptr(),
+            len: data.len(),
+            parts,
+        };
+        let (dst, grant, span) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&stream_id) else {
                 return None; // post-abort straggler
             };
-            let ready = stream.push(offset, data.as_ptr(), data.len(), parts, self.aggr);
+            stream.pushed += chunk.len;
             if stream.credits < stream.round {
-                // The credit handler drains `queued` (auto-flushed tail
-                // included) when the round's credit arrives.
-                stream.queued.extend_from_slice(&ready);
+                // The credit handler drains `queued` when the round's
+                // credit arrives.
+                stream.queued.push(chunk);
                 return Some(stream.dst);
             }
             let (dst, grant, span) = (stream.dst, stream.grant, Arc::clone(&stream.span));
-            if stream.flushed && stream.one_round {
+            if stream.retires() {
                 out.remove(&stream_id);
             }
-            (dst, grant, span, ready)
+            (dst, grant, span)
         };
-        if !ready.is_empty() {
-            self.carrier
-                .ship_chunks(fabric, dst, stream_id, grant, &span, &ready);
-        }
+        let chunk = std::slice::from_ref(&chunk);
+        self.carrier
+            .ship_chunks(fabric, dst, stream_id, grant, &span, chunk);
         None
     }
 
@@ -784,7 +708,7 @@ impl WireProtocol {
             // credit ahead of the sender's start finds nothing queued.
             let chunks = std::mem::take(&mut stream.queued);
             let (dst, span) = (stream.dst, Arc::clone(&stream.span));
-            if stream.flushed && stream.one_round {
+            if stream.retires() {
                 out.remove(&rdv_id);
             }
             (dst, span, chunks)
@@ -1389,7 +1313,8 @@ mod tests {
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
-            ranges: Vec<(u64, usize)>,
+            /// `(offset, len, parts)` of each chunk handed over.
+            ranges: Vec<(u64, usize, u16)>,
         },
     }
 
@@ -1397,17 +1322,12 @@ mod tests {
     /// is handed counts as gone at once.
     struct Recorder {
         rank: usize,
-        aggr: usize,
         log: Mutex<Vec<Sent>>,
     }
 
     impl Transport for Recorder {
         fn local_rank(&self) -> Option<usize> {
             Some(self.rank)
-        }
-
-        fn stream_aggr(&self) -> usize {
-            self.aggr
         }
 
         fn start(self: Arc<Self>, _: &Arc<Fabric>) -> Result<(), PcommError> {
@@ -1442,7 +1362,7 @@ mod tests {
                 dst,
                 rdv_id,
                 grant,
-                ranges: chunks.iter().map(|c| (c.offset, c.len)).collect(),
+                ranges: chunks.iter().map(|c| (c.offset, c.len, c.parts)).collect(),
             });
         }
 
@@ -1454,11 +1374,10 @@ mod tests {
     }
 
     /// A fabric of `n_ranks` whose local rank is `rank`, over a
-    /// recording carrier with aggregation threshold `aggr`.
-    fn engine(n_ranks: usize, rank: usize, aggr: usize) -> (Arc<Fabric>, Arc<Recorder>) {
+    /// recording carrier.
+    fn engine(n_ranks: usize, rank: usize) -> (Arc<Fabric>, Arc<Recorder>) {
         let carrier = Arc::new(Recorder {
             rank,
-            aggr,
             log: Mutex::new(Vec::new()),
         });
         let fabric = Fabric::new_configured(
@@ -1521,7 +1440,7 @@ mod tests {
                 }
                 Sent::Chunks { rdv_id, ranges, .. } => ranges
                     .iter()
-                    .map(|&(at, len)| part_data(rdv_id, at, &src[at as usize..][..len]))
+                    .map(|&(at, len, _)| part_data(rdv_id, at, &src[at as usize..][..len]))
                     .collect(),
             };
             for frame in frames {
@@ -1554,8 +1473,8 @@ mod tests {
     #[test]
     fn a_partitioned_stream_pairs_once_and_then_costs_one_credit_per_round() {
         for receiver_first in [true, false] {
-            let (tx, tx_log) = engine(2, 0, 0);
-            let (rx, rx_log) = engine(2, 1, 0);
+            let (tx, tx_log) = engine(2, 0);
+            let (rx, rx_log) = engine(2, 1);
             let mut buf = vec![0u8; 64];
             let stream = dest(&mut buf, 32);
             let (id, sent) = (tx.wire().stream_id(), Completion::new());
@@ -1594,7 +1513,7 @@ mod tests {
     /// round's bytes stay. After the abort, stragglers are discarded.
     #[test]
     fn a_range_for_a_landed_round_never_lands() {
-        let (fabric, _carrier) = engine(2, 0, 0);
+        let (fabric, _carrier) = engine(2, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
         let stream = dest(&mut buf, 32);
@@ -1614,7 +1533,7 @@ mod tests {
     /// needs no carrier: nothing of its round is held by one.
     #[test]
     fn a_thousand_open_drop_cycles_leave_no_stream_behind() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
         for cycle in 0..1000u64 {
@@ -1644,7 +1563,7 @@ mod tests {
 
     #[test]
     fn a_replayed_barrier_arrive_does_not_release_early() {
-        let (fabric, carrier) = engine(3, 0, 0);
+        let (fabric, carrier) = engine(3, 0);
         let wire = fabric.wire();
         wire.dispatch(&fabric, 1, Frame::BarrierArrive { gen: 0 });
         wire.dispatch(&fabric, 1, Frame::BarrierArrive { gen: 0 });
@@ -1665,7 +1584,7 @@ mod tests {
 
     #[test]
     fn overlapping_commits_complete_each_message_once() {
-        let (fabric, _carrier) = engine(2, 0, 0);
+        let (fabric, _carrier) = engine(2, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
         let stream = dest(&mut buf, 32);
@@ -1695,7 +1614,7 @@ mod tests {
 
     #[test]
     fn stream_length_mismatch_is_misuse() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let mut buf = vec![0u8; 64];
         let stream = dest(&mut buf, 32);
         fabric.wire().part_recv_start(&fabric, 1, 7, &stream, 1);
@@ -1712,7 +1631,7 @@ mod tests {
     #[test]
     fn stream_range_overflow_is_misuse() {
         for offset in [60u64, u64::MAX - 3] {
-            let (fabric, _carrier) = engine(2, 0, 0);
+            let (fabric, _carrier) = engine(2, 0);
             let mut buf = vec![0u8; 64];
             let stream = dest(&mut buf, 32);
             fabric.wire().part_recv_start(&fabric, 1, 7, &stream, 1);
@@ -1727,7 +1646,7 @@ mod tests {
 
     #[test]
     fn get_outside_its_window_is_misuse() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let req = Frame::GetReq {
             win_ctx: 99,
             offset: 0,
@@ -1760,7 +1679,7 @@ mod tests {
             mem
         };
         for offset in [u64::MAX - 3, 9] {
-            let (fabric, _) = engine(2, 0, 0);
+            let (fabric, _) = engine(2, 0);
             let mem = window(&fabric);
             let put = Frame::Put {
                 win_ctx: 7,
@@ -1772,7 +1691,7 @@ mod tests {
             assert!(detail.contains("overflows 16-byte window"), "{detail}");
             assert_eq!(mem.read_range(0, 16), [0u8; 16], "refused put landed");
 
-            let (fabric, carrier) = engine(2, 0, 0);
+            let (fabric, carrier) = engine(2, 0);
             window(&fabric);
             let get = Frame::GetReq {
                 win_ctx: 7,
@@ -1788,7 +1707,7 @@ mod tests {
             assert!(!taken(&carrier).iter().any(resp), "a refused get answered");
         }
         // The last in-bounds range still works.
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let mem = window(&fabric);
         let put = Frame::Put {
             win_ctx: 7,
@@ -1816,7 +1735,7 @@ mod tests {
 
     #[test]
     fn broadcast_abort_reaches_every_peer_once() {
-        let (fabric, carrier) = engine(4, 2, 0);
+        let (fabric, carrier) = engine(4, 2);
         let err = PcommError::misuse(2, "boom".to_string());
         fabric.fail(err.clone());
         fabric.wire().broadcast_abort(&fabric, &err); // latched: no second round
@@ -1879,7 +1798,7 @@ mod tests {
 
     #[test]
     fn a_rendezvous_is_a_one_message_stream() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         // Sender: the `Rts` leaves with the whole buffer queued behind
         // it; the stream's CTS releases one range, a replayed CTS nothing.
@@ -1892,7 +1811,7 @@ mod tests {
             dst: 1,
             rdv_id: 0,
             grant: None,
-            ranges: vec![(0, 2048)],
+            ranges: vec![(0, 2048, 1)],
         };
         let frame = |frame| Sent::Frame {
             dst: 1,
@@ -1926,7 +1845,7 @@ mod tests {
 
     #[test]
     fn an_empty_rendezvous_travels_eager() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let done = Completion::new();
         wire.ship_rts(&fabric, 1, 0, 0, 4, &[], &done);
@@ -1954,7 +1873,7 @@ mod tests {
 
     #[test]
     fn an_eager_message_is_one_buffer_from_sender_to_receive() {
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let eager = |payload: Vec<u8>| Frame::Eager {
             shard: 0,
@@ -1998,7 +1917,7 @@ mod tests {
         // `u64::MAX - 3` wraps `offset + len` in release builds; 6
         // simply runs past the end.
         for offset in [u64::MAX - 3, 6] {
-            let (fabric, _carrier) = engine(2, 0, 0);
+            let (fabric, _carrier) = engine(2, 0);
             let mut buf = vec![0u8; 8];
             let (completion, _) = matched_rdv(&fabric, &mut buf);
             fabric
@@ -2019,7 +1938,7 @@ mod tests {
         const ARENA: u64 = 1 << 20;
         // Past the arena by one byte, and an offset that overflows.
         for grant in [ARENA - 4096 + 1, u64::MAX - 100] {
-            let (fabric, carrier) = engine(2, 0, 0);
+            let (fabric, carrier) = engine(2, 0);
             let wire = fabric.wire();
             let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
             wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
@@ -2035,7 +1954,7 @@ mod tests {
             );
         }
         // The largest grant that fits is accepted and releases the queue.
-        let (fabric, carrier) = engine(2, 0, 0);
+        let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
         wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
@@ -2048,11 +1967,11 @@ mod tests {
             grant: Some(ARENA - 4096),
             ranges,
         };
-        assert_eq!(taken(&carrier), vec![chunks(vec![(0, 1024)])]);
+        assert_eq!(taken(&carrier), vec![chunks(vec![(0, 1024, 1)])]);
         // Credited pushes flow straight through; the stream outlives its
         // round until its request drops.
         wire.part_stream_push(&fabric, id, 1024, &src[1024..], 3);
-        assert_eq!(taken(&carrier), vec![chunks(vec![(1024, 3072)])]);
+        assert_eq!(taken(&carrier), vec![chunks(vec![(1024, 3072, 3)])]);
         assert!(done.is_set());
         wire.part_send_close(id);
         assert!(wire.streams_out.lock().is_empty());
@@ -2117,81 +2036,52 @@ mod tests {
         assert!(detail.contains("peer stalled"), "{detail}");
     }
 
-    fn fresh_stream(total_len: usize) -> StreamSend {
-        StreamSend {
-            dst: 1,
-            one_round: false,
-            round: 1,
-            credits: 0,
-            grant: None,
-            flushed: false,
-            total_len,
-            pushed: 0,
-            pend: None,
-            queued: Vec::new(),
-            span: Arc::new(SendSpan {
-                remaining: AtomicUsize::new(0),
-                done: Completion::new(),
-            }),
+    /// Each push of a credited stream ships at once as one chunk at its
+    /// own offset, length and `parts`, whatever its size: adjacent small
+    /// ranges stay apart and a range past a gap waits for nothing. A
+    /// one-round stream retires once its whole buffer is pushed.
+    #[test]
+    fn every_push_ships_as_one_chunk_and_a_whole_rendezvous_retires() {
+        let (fabric, carrier) = engine(2, 0);
+        let wire = fabric.wire();
+        let src = vec![0u8; 4096 + (1 << 19)];
+        let (id, done) = (wire.stream_id(), Completion::new());
+        wire.part_send_start(&fabric, 1, 7, id, src.len(), &done, 1);
+        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: id });
+        taken(&carrier);
+        let pushes = [
+            (0, 100, 1),
+            (100, 100, 1),
+            (4096, 1 << 19, 8),
+            (200, 3896, 3),
+        ];
+        for (at, len, parts) in pushes {
+            assert!(!done.is_set());
+            wire.part_stream_push(&fabric, id, at, &src[at as usize..][..len], parts);
+            let chunk = Sent::Chunks {
+                dst: 1,
+                rdv_id: id,
+                grant: None,
+                ranges: vec![(at, len, parts)],
+            };
+            assert_eq!(taken(&carrier), vec![chunk], "push at {at}");
         }
-    }
-
-    #[test]
-    fn adjacent_ranges_coalesce_until_the_threshold() {
-        let buf = vec![0u8; 4096];
-        let mut s = fresh_stream(1 << 20);
-        assert!(s.push(0, buf.as_ptr(), 100, 1, 256).is_empty());
-        assert!(s.push(100, buf[100..].as_ptr(), 100, 1, 256).is_empty());
-        let out = s.push(200, buf[200..].as_ptr(), 100, 2, 256);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].offset, 0);
-        assert_eq!(out[0].len, 300);
-        assert_eq!(out[0].parts, 4);
-        assert!(s.pend.is_none(), "dispatched chunk leaves no window");
-    }
-
-    #[test]
-    fn a_gap_flushes_the_open_window() {
-        let buf = vec![0u8; 1024];
-        let mut s = fresh_stream(1 << 20);
-        assert!(s.push(0, buf.as_ptr(), 100, 1, 256).is_empty());
-        let out = s.push(500, buf[500..].as_ptr(), 100, 1, 256);
-        assert_eq!(out.len(), 1);
-        assert_eq!((out[0].offset, out[0].len), (0, 100));
-        let tail = s.pend.take().expect("gap range opens a new window");
-        assert_eq!((tail.offset, tail.len), (500, 100));
-    }
-
-    #[test]
-    fn threshold_sized_ranges_skip_the_window() {
-        let buf = vec![0u8; 8192];
-        let mut s = fresh_stream(1 << 20);
-        let out = s.push(0, buf.as_ptr(), 512, 4, 256);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].len, 512);
-        assert!(s.pend.is_none());
-        // And with a non-adjacent window open, both come out in order.
-        assert!(s.push(4096, buf[4096..].as_ptr(), 10, 1, 256).is_empty());
-        let out = s.push(0, buf.as_ptr(), 512, 4, 256);
-        assert_eq!(out.len(), 2);
-        assert_eq!((out[0].offset, out[0].len), (4096, 10));
-        assert_eq!((out[1].offset, out[1].len), (0, 512));
-    }
-
-    #[test]
-    fn the_final_push_flushes_the_tail_window() {
-        let buf = vec![0u8; 300];
-        let mut s = fresh_stream(300);
-        assert!(s.push(0, buf.as_ptr(), 100, 1, 1 << 20).is_empty());
-        let out = s.push(100, buf[100..].as_ptr(), 200, 3, 1 << 20);
-        assert_eq!(
-            out.len(),
-            1,
-            "reaching total_len flushes without an explicit call"
+        assert!(done.is_set(), "the round's last byte left");
+        assert!(
+            wire.streams_out.lock().contains_key(&id),
+            "kept until closed"
         );
-        assert_eq!((out[0].offset, out[0].len, out[0].parts), (0, 300, 4));
-        assert!(s.flushed, "stream retires itself once fully pushed");
-        assert!(s.pend.is_none());
+        wire.part_send_close(id);
+        // A rendezvous: its one push queues behind the `Rts`, its credit
+        // ships it, and the stream leaves the tables.
+        let done = Completion::new();
+        wire.ship_rts(&fabric, 1, 0, 0, 4, &src[..100], &done);
+        let rdv_id = id + 1;
+        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id });
+        let sent = taken(&carrier);
+        assert!(matches!(&sent[1], Sent::Chunks { ranges, .. } if *ranges == [(0, 100, 1)]));
+        assert!(done.is_set() && wire.streams_out.lock().is_empty());
+        assert!(!fabric.aborted());
     }
 
     #[test]

@@ -101,6 +101,50 @@ pub fn transfer(comm: &Comm, n_parts: usize, part_bytes: usize, pready_gap: Dura
     }
 }
 
+/// How long the early-bird receiver polls for the first partition.
+const EARLY_BIRD_DEADLINE: Duration = Duration::from_secs(10);
+/// Tag of the early-bird receiver's eager "go".
+const GO_TAG: i64 = 9;
+
+/// The early-bird scenario: rank 1 readies partition 0 of `n_parts`
+/// alone and then blocks on an eager "go" from rank 0 before it readies
+/// the rest; rank 0 sends "go" once `parrived(0)` holds. A carrier that
+/// held the lone partition back would stall the pair until the
+/// receiver's [`EARLY_BIRD_DEADLINE`]: then rank 0 sends "go" anyway,
+/// finishes the transfer and returns `Err`. `Ok`: rank 0's digest, 0 at
+/// the sender.
+pub fn early_bird(comm: &Comm, n_parts: usize, part_bytes: usize) -> Result<u64, String> {
+    if comm.rank() == 0 {
+        let pr = comm.precv_init(1, 7, n_parts, part_bytes, PartOptions::default());
+        pr.start();
+        let t0 = Instant::now();
+        while !pr.parrived(0) && t0.elapsed() < EARLY_BIRD_DEADLINE {
+            std::thread::yield_now();
+        }
+        let arrived = pr.parrived(0);
+        comm.send(1, GO_TAG, &[1]);
+        pr.wait();
+        if !arrived {
+            return Err(format!(
+                "timeout: partition 0 had not arrived {EARLY_BIRD_DEADLINE:?} after its pready"
+            ));
+        }
+        Ok((0..n_parts).fold(FNV_OFFSET, |acc, p| fnv1a(acc, pr.partition(p))))
+    } else {
+        let ps = comm.psend_init(0, 7, n_parts, part_bytes, PartOptions::default());
+        ps.start();
+        ps.write_partition(0, |buf| fill_pattern(0, buf));
+        ps.pready(0);
+        comm.recv_into(Some(0), Some(GO_TAG), &mut [0u8; 1]);
+        for p in 1..n_parts {
+            ps.write_partition(p, |buf| fill_pattern(p, buf));
+            ps.pready(p);
+        }
+        ps.wait();
+        Ok(0)
+    }
+}
+
 /// SplitMix64: the stress scenarios' seeded source of traffic shapes
 /// and timing (both ranks derive the same sequence from the seed).
 pub struct SplitMix(pub u64);
@@ -515,6 +559,8 @@ pub fn maybe_run_child() -> bool {
     let body_done = std::sync::Mutex::new(None);
     // Per-pass figures a scenario reports beside its digest.
     let pass_wakes = std::sync::Mutex::new(Vec::new());
+    // A failure a scenario reports instead of its digest.
+    let failed = std::sync::Mutex::new(None);
     let universe = match scenario.as_str() {
         // Every message, the empty one included, goes by rendezvous.
         "zero-rdv" => Universe::new(env.n_ranks).with_eager_max(0),
@@ -542,6 +588,13 @@ pub fn maybe_run_child() -> bool {
                 Duration::ZERO,
             ),
             "echo" => (echo(&comm), Duration::ZERO),
+            "early-bird" => {
+                let digest = early_bird(&comm, n_parts, part_bytes).unwrap_or_else(|e| {
+                    *failed.lock().unwrap() = Some(e);
+                    0
+                });
+                (digest, Duration::ZERO)
+            }
             "stream-repeat" => {
                 let (digest, wakes) = stream_repeat(&comm, n_parts, part_bytes, iters);
                 *pass_wakes.lock().unwrap() = wakes;
@@ -557,8 +610,9 @@ pub fn maybe_run_child() -> bool {
         .lock()
         .unwrap()
         .map_or(Duration::ZERO, |t| t.elapsed());
-    let line = match result {
-        Ok(vals) => {
+    let line = match (result, failed.into_inner().unwrap()) {
+        (Ok(_), Some(e)) => format!("err {e}"),
+        (Ok(vals), None) => {
             let (digest, slowest, bell) = vals[0];
             format!(
                 "ok {digest:016x} slowest_us={} teardown_us={} rings={} wakes={} \
@@ -575,7 +629,7 @@ pub fn maybe_run_child() -> bool {
                 list_field("pass_wakes", &pass_wakes.lock().unwrap())
             )
         }
-        Err(e) => format!("err {}", format!("{e}").replace('\n', " | ")),
+        (Err(e), _) => format!("err {}", format!("{e}").replace('\n', " | ")),
     };
     write_out(line);
     true

@@ -120,6 +120,51 @@ fn a_buffer_rewritten_after_wait_never_reaches_the_receiver() {
     }
 }
 
+/// Early-bird on both socket backends: a partition readied alone
+/// reaches the receiver before the sender readies another, so the
+/// receiver's `parrived(0)` holds while the sender waits for its "go".
+/// A carrier that held the lone 16 KiB range back until more joined it
+/// would leave the receiver's poll to time out (a typed `err`, never a
+/// hang).
+#[test]
+fn a_partition_readied_alone_arrives_before_the_rest_are_readied() {
+    if common::maybe_run_child() {
+        return;
+    }
+    let (n_parts, part_bytes) = (8, 16 * 1024);
+    for backend in ["uds", "tcp"] {
+        let outs = common::run_wire_pair(
+            "a_partition_readied_alone_arrives_before_the_rest_are_readied",
+            "early-bird",
+            &[
+                ("PCOMM_NET_BACKEND", backend.to_string()),
+                (ENV_PARTS, n_parts.to_string()),
+                (ENV_PART_BYTES, part_bytes.to_string()),
+            ],
+            [vec![], vec![]],
+            TIMEOUT,
+        );
+        for (rank, o) in outs.iter().enumerate() {
+            assert!(
+                o.out.starts_with("ok "),
+                "{backend} rank {rank}: `{}`",
+                o.out
+            );
+        }
+        assert_eq!(
+            outs[0].digest(),
+            Some(common::expected_digest(n_parts, part_bytes)),
+            "{backend}: `{}`",
+            outs[0].out
+        );
+        assert_eq!(
+            outs[1].digest(),
+            Some(0),
+            "{backend}: rank 1 fell back in-process"
+        );
+    }
+}
+
 /// The full verification stack on every carrier: both rank processes
 /// persist analysis-grade `.events` rings and the merged cross-process
 /// audit — wire FSM, stream ledger, happens-before — comes back clean,

@@ -41,9 +41,6 @@ pub const ENV_BACKEND: &str = "PCOMM_NET_BACKEND";
 /// reports usable, otherwise falls back to sockets with a note).
 pub const ENV_FABRIC: &str = "PCOMM_NET_FABRIC";
 
-/// The socket carrier's partition-stream aggregation threshold in bytes
-/// (the paper's `MPIR_CVAR_PART_AGGR_SIZE` analogue).
-pub const DEFAULT_AGGR: usize = 256 * 1024;
 /// The ipc segment's descriptor-ring capacity, slots per directed
 /// channel. Every rank of a run uses the same geometry; the segment
 /// header checks it again at attach.

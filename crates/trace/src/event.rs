@@ -461,14 +461,13 @@ self::taxonomy! {
 
     // ---- Wire: chunk geometry and link health on the socket carrier.
 
-    /// A run of ready partitions was coalesced into one `PartData`
-    /// chunk and handed to a writer lane — the wire-streaming analogue
-    /// of [`EventKind::EarlyBird`], recording chunk geometry under the
-    /// aggregation threshold. Instant, attributed to the sender.
+    /// One issued message's range was handed to the socket carrier as
+    /// one `PartData` chunk — the wire-streaming analogue of
+    /// [`EventKind::EarlyBird`]. Instant, attributed to the sender.
     StreamChunk = 28 "stream_chunk" perf lane(lane) {
         /// Writer lane the chunk was queued on.
         lane: u16 @ aux1,
-        /// Partitions coalesced into the chunk.
+        /// Partitions in the chunk's message.
         parts: u16 @ aux2,
         /// Byte offset of the chunk in the whole buffer.
         offset: u64 @ w2,

@@ -24,8 +24,7 @@
 //!    whole and data only inside an open round (a reconnect never
 //!    repeats a credit, nor replays a range whose round landed), commits
 //!    pairwise disjoint within a round and covered by bytes the sender
-//!    put on the wire in it, and `MessageLost` only when the round's
-//!    ledger really has a hole.
+//!    put on the wire in it.
 //! 3. **Cross-process happens-before** — wire send→recv pairs bound
 //!    each rank's clock offset (send precedes recv in wall time, both
 //!    directions), request ids are unified through the stream layout
@@ -39,7 +38,10 @@
 //! what happened, so every *absence*-based check (recv-without-send,
 //! data-before-rts, commit coverage) is demoted to a statistic for
 //! channels touching that rank. Presence-based checks (op mismatch on
-//! matched frames, overlapping commits, premature loss) stay on.
+//! matched frames, overlapping commits) stay on. A race is absence-based
+//! where it begins: before an overflowed ring's coverage start (the
+//! latest of its threads' earliest surviving events) the event that
+//! ordered it may be gone, so such a race is demoted too.
 //!
 //! The fabric is invisible to all three passes by design. The `ipc`
 //! transport (same-host shared segment) brackets its ring traffic with
@@ -89,8 +91,6 @@ pub enum AuditKind {
     CommitBeyondStream,
     /// A commit covers bytes the sender never put on the wire.
     CommitUncovered,
-    /// `MessageLost` was raised for a stream whose ledger is complete.
-    PrematureLost,
 }
 
 impl fmt::Display for AuditKind {
@@ -108,7 +108,6 @@ impl fmt::Display for AuditKind {
             AuditKind::CommitOverlap => "commit-overlap",
             AuditKind::CommitBeyondStream => "commit-beyond-stream",
             AuditKind::CommitUncovered => "commit-uncovered",
-            AuditKind::PrematureLost => "premature-lost",
         };
         f.write_str(s)
     }
@@ -169,6 +168,10 @@ pub struct AuditStats {
     pub clock_offsets_ns: Vec<(u16, i64)>,
     /// Events fed to the merged happens-before pass.
     pub hb_events: usize,
+    /// Races withheld because their earlier access precedes an
+    /// overflowed ring's coverage start: what ordered them may have
+    /// been evicted.
+    pub demoted_races: usize,
 }
 
 /// Everything [`audit`] found.
@@ -223,6 +226,13 @@ impl fmt::Display for AuditReport {
             writeln!(
                 f,
                 "  clean: wire protocol, stream ledgers, and cross-process ordering hold"
+            )?;
+        }
+        if s.demoted_races > 0 {
+            writeln!(
+                f,
+                "  note: {} race(s) demoted: they begin before an overflowed ring's coverage",
+                s.demoted_races
             )?;
         }
         Ok(())
@@ -288,8 +298,6 @@ struct Round {
     rx_data: Vec<(u64, u32, u16, usize)>,
     /// Ledger commits: `(lo, len, lane, seq)`.
     commits: Vec<(u64, u32, u16, usize)>,
-    /// Sender-side `MessageLost` escalations: `(missing, seq)`.
-    lost: Vec<(u64, usize)>,
 }
 
 /// Everything the ledger pass gathers about one `(sender, stream)`.
@@ -516,17 +524,6 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                     info.receiver.get_or_insert(peer);
                     info.tx_credits += 1;
                 }
-                EventKind::VerifyStreamLost {
-                    peer: _,
-                    stream,
-                    missing,
-                } => {
-                    abort_seen = true;
-                    let info = streams.entry((ev.rank, stream)).or_default();
-                    info.sender = ev.rank;
-                    let round = info.round(info.tx_credits);
-                    round.lost.push((missing, i));
-                }
                 _ => {}
             }
         }
@@ -611,11 +608,15 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
         // IS the k-th frame sent into it (single FIFO byte stream).
         let n = tx.len().min(rx.len());
         stats.matched_frames += n;
+        // Clock bounds need only true pairs: a send and a recv of one
+        // wire ordinal are one frame, whatever either ring dropped.
+        let sent_at: HashMap<u32, u64> = tx.iter().map(|w| (w.wseq, w.ts_ns)).collect();
+        let p = pairs.entry((src, dst)).or_default();
+        p.extend(
+            rx.iter()
+                .filter_map(|w| Some((*sent_at.get(&w.wseq)?, w.ts_ns))),
+        );
         if complete {
-            let p = pairs.entry((src, dst)).or_default();
-            for i in 0..n {
-                p.push((tx[i].ts_ns, rx[i].ts_ns));
-            }
             for i in 0..n {
                 if tx[i].op != rx[i].op {
                     findings.push(AuditFinding {
@@ -794,23 +795,6 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
                 }
             }
 
-            // MessageLost is only sound when the round's ledger truly has
-            // a hole.
-            for &(missing, seq) in &round.lost {
-                if let Some(total) = total {
-                    if committed.covers(0, total) {
-                        findings.push(mk(
-                            AuditKind::PrematureLost,
-                            *sender,
-                            seq,
-                            format!(
-                                "MessageLost ({missing} bytes claimed missing) but the receiver committed all {total} bytes"
-                            ),
-                        ));
-                    }
-                }
-            }
-
             let rx_bytes: u64 = round.rx_data.iter().map(|&(_, len, _, _)| len as u64).sum();
             stats.replayed_bytes += rx_bytes.saturating_sub(committed.len());
         }
@@ -821,7 +805,17 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
     stats.clock_offsets_ns = offsets.iter().map(|(rank, off)| (*rank, *off)).collect();
     let merged = merge_for_hb(ranks, &offsets, &rx_stream_src);
     stats.hb_events = merged.len();
-    let races = hb::detect_races(&Model::build(&merged));
+    let mut races = hb::detect_races(&Model::build(&merged));
+    let whole_from = ranks
+        .iter()
+        .filter(|r| r.dropped > 0)
+        .filter_map(|r| coverage_start(r, offsets.get(&r.rank).copied().unwrap_or(0)))
+        .max();
+    if let Some(from) = whole_from {
+        let found = races.len();
+        races.retain(|r| r.first.ts_ns >= from);
+        stats.demoted_races = found - races.len();
+    }
 
     AuditReport {
         findings,
@@ -885,6 +879,28 @@ fn clock_offsets(
         offsets.entry(r).or_insert(0);
     }
     offsets
+}
+
+/// `ts_ns` of a rank whose clock is `off` ns behind the lowest rank's.
+fn aligned(ts_ns: u64, off: i64) -> u64 {
+    (ts_ns as i64 + off).max(0) as u64
+}
+
+/// Where an overflowed ring's record is whole, on the aligned clock:
+/// each thread's ring keeps a suffix, so the latest of the threads'
+/// earliest surviving events. `None` when no event names a thread.
+fn coverage_start(r: &RankEvents, off: i64) -> Option<u64> {
+    let mut first: HashMap<u16, u64> = HashMap::new();
+    for ev in &r.events {
+        if let Some(tid) = hb::verify_tid(&ev.kind) {
+            let ts = aligned(ev.ts_ns, off);
+            first
+                .entry(tid)
+                .and_modify(|t| *t = (*t).min(ts))
+                .or_insert(ts);
+        }
+    }
+    first.into_values().max()
 }
 
 /// Build the merged, clock-aligned, globally-renamed event stream the
@@ -978,7 +994,7 @@ fn merge_for_hb(
             };
             let mut out = *ev;
             out.kind = kind;
-            out.ts_ns = (ev.ts_ns as i64 + off).max(0) as u64;
+            out.ts_ns = aligned(ev.ts_ns, off);
             merged.push(out);
         }
     }

@@ -336,7 +336,7 @@ pub(crate) fn detect_races(model: &Model) -> Vec<RaceFinding> {
 }
 
 /// The thread id a verify event executes on, when it has one.
-fn verify_tid(kind: &EventKind) -> Option<u16> {
+pub(crate) fn verify_tid(kind: &EventKind) -> Option<u16> {
     match *kind {
         EventKind::VerifyStart { tid, .. }
         | EventKind::VerifyPready { tid, .. }

@@ -512,91 +512,10 @@ fn planted_overlapping_commit_is_flagged() {
     assert!(f.detail.contains("[2048, 4096)"), "detail: {}", f.detail);
 }
 
-#[test]
-fn planted_premature_lost_is_flagged() {
-    let r0 = vec![
-        ev(
-            10,
-            0,
-            EventKind::VerifyStreamRts {
-                peer: 1,
-                tx: true,
-                stream: 2,
-                total_len: 4096,
-            },
-        ),
-        ev(
-            20,
-            0,
-            EventKind::VerifyStreamData {
-                peer: 1,
-                lane: 1,
-                tx: true,
-                stream: 2,
-                offset: 0,
-                len: 4096,
-            },
-        ),
-        // Sender escalates MessageLost even though every byte landed.
-        ev(
-            50,
-            0,
-            EventKind::VerifyStreamLost {
-                peer: 1,
-                stream: 2,
-                missing: 1024,
-            },
-        ),
-    ];
-    let r1 = vec![
-        ev(
-            15,
-            1,
-            EventKind::VerifyStreamRts {
-                peer: 0,
-                tx: false,
-                stream: 2,
-                total_len: 4096,
-            },
-        ),
-        ev(
-            30,
-            1,
-            EventKind::VerifyStreamData {
-                peer: 0,
-                lane: 1,
-                tx: false,
-                stream: 2,
-                offset: 0,
-                len: 4096,
-            },
-        ),
-        ev(
-            31,
-            1,
-            EventKind::VerifyStreamCommit {
-                peer: 0,
-                lane: 1,
-                stream: 2,
-                lo: 0,
-                len: 4096,
-            },
-        ),
-    ];
-    let report = audit(&[ring(0, r0), ring(1, r1)]);
-    assert_eq!(report.finding_count(), 1, "report:\n{report}");
-    let f = &report.findings[0];
-    assert_eq!(f.kind, AuditKind::PrematureLost);
-    assert_eq!(f.rank, 0);
-    assert_eq!(f.seq, 2);
-    assert_eq!(f.stream, Some(2));
-}
-
-#[test]
-fn planted_read_before_commit_race_is_flagged() {
-    // Rank 1 reads partition 0 without ever probing parrived: the
-    // transport's commit (TransferWrite at MsgRecv) and the user read
-    // are unordered across the two processes.
+/// Rank 1 reads partition 0 without ever probing parrived: the
+/// transport's commit (TransferWrite at MsgRecv, tid 200, 50 ns) and the
+/// user read (tid 201, 60 ns) are unordered across the two processes.
+fn read_before_commit() -> Vec<RankEvents> {
     let r0 = vec![
         ev(
             10,
@@ -724,7 +643,12 @@ fn planted_read_before_commit_race_is_flagged() {
             },
         ),
     ];
-    let report = audit(&[ring(0, r0), ring(1, r1)]);
+    vec![ring(0, r0), ring(1, r1)]
+}
+
+#[test]
+fn planted_read_before_commit_race_is_flagged() {
+    let report = audit(&read_before_commit());
     assert!(report.findings.is_empty(), "report:\n{report}");
     assert_eq!(report.races.len(), 1, "report:\n{report}");
     let race = &report.races[0];
@@ -737,6 +661,51 @@ fn planted_read_before_commit_race_is_flagged() {
     // req 0 and receiver's req 6 resolved to one global id (2 inits,
     // 2 layouts, send, recv, read — stream bookkeeping stays out).
     assert_eq!(report.stats.hb_events, 7);
+    assert_eq!(report.stats.demoted_races, 0);
+}
+
+/// Overflowed rings whose every thread reaches back to the race's
+/// first access still hold what could have ordered it: flagged.
+#[test]
+fn a_race_every_ring_covers_is_flagged_despite_drops() {
+    let mut rings = read_before_commit();
+    let start = EventKind::VerifyStart {
+        req: 6,
+        sender: false,
+        iter: 0,
+        tid: 201,
+    };
+    rings[1].events.insert(4, ev(45, 1, start));
+    for r in &mut rings {
+        r.dropped = 7;
+    }
+    let report = audit(&rings);
+    assert_eq!(report.races.len(), 1, "report:\n{report}");
+    assert_eq!(report.stats.demoted_races, 0);
+}
+
+/// The exchange ordered by a `parrived` probe audits clean. With the
+/// probe evicted from an overflowed ring whose reading thread now
+/// begins after the commit, the race left is demoted, not reported.
+#[test]
+fn a_race_before_an_overflowed_rings_coverage_is_demoted() {
+    let mut rings = read_before_commit();
+    let probe = EventKind::VerifyParrived {
+        req: 6,
+        part: 0,
+        iter: 0,
+        tid: 201,
+        arrived: true,
+    };
+    rings[1].events.insert(5, ev(55, 1, probe));
+    let report = audit(&rings);
+    assert!(report.is_clean(), "report:\n{report}");
+    rings[1].events.remove(5);
+    rings[1].dropped = 1;
+    let report = audit(&rings);
+    assert!(report.is_clean(), "report:\n{report}");
+    assert_eq!(report.stats.demoted_races, 1);
+    assert!(report.to_string().contains("1 race(s) demoted"), "{report}");
 }
 
 /// A reconnect replays frames; it never repeats a handshake. A second
@@ -791,6 +760,36 @@ fn overflowed_ring_demotes_absence_findings() {
     let report = audit(&[ring(0, vec![]), r1]);
     assert!(report.is_clean(), "report:\n{report}");
     assert_eq!(report.stats.dropped_events, 12);
+}
+
+/// Clocks align from the frames both rings still hold: a ring that
+/// overflowed and lost its first arrivals still pairs each surviving
+/// one with the send of its wire ordinal. Rank 1's clock reads 1000 ns
+/// behind rank 0's, and frames take 5 ns each way.
+#[test]
+fn an_overflowed_ring_still_aligns_clocks_by_wire_ordinal() {
+    let (mut r0, mut r1) = (Vec::new(), Vec::new());
+    for k in 0..4u32 {
+        let t = 1100 + 20 * u64::from(k);
+        let (send, mut recv) = frame(t, 0, 1, 0, 0, k, op::HEARTBEAT);
+        recv.ts_ns -= 1000;
+        r0.push(send);
+        if k >= 2 {
+            r1.push(recv);
+        }
+        let (mut send, recv) = frame(t + 10, 1, 0, 0, 0, k, op::HEARTBEAT);
+        send.ts_ns -= 1000;
+        r1.push(send);
+        r0.push(recv);
+    }
+    let r1 = RankEvents {
+        rank: 1,
+        dropped: 2,
+        events: r1,
+    };
+    let report = audit(&[ring(0, r0), r1]);
+    assert!(report.is_clean(), "report:\n{report}");
+    assert_eq!(report.stats.clock_offsets_ns, vec![(0, 0), (1, 1000)]);
 }
 
 #[test]
