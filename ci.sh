@@ -250,10 +250,12 @@ echo "== size (ROADMAP's tracked counts; the transport family has a ceiling) =="
 # per socket peer (4067 before it: the engine's stream-only resync
 # went), pairing a wire partitioned request once (3960 before it:
 # per-iteration streams went), counting a pinned range off on ack
-# (3955 before it: the lost-range path went) and one chunk per issued
-# message (3952 before it: the socket carrier's stream window went)
-# reached; lower the ceiling whenever a PR lands below it.
-TRANSPORT_CEILING=3866
+# (3955 before it: the lost-range path went), one chunk per issued
+# message (3952 before it: the socket carrier's stream window went) and
+# the wire sender's claim written once (3866 before it: the stream's
+# send queue went) reached; lower the ceiling whenever a PR lands below
+# it.
+TRANSPORT_CEILING=3853
 nontest() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
 family=0
 for f in wire transport transport_ipc; do
@@ -297,12 +299,13 @@ done
 # part.rs, fabric.rs, universe.rs and the carrier interface are
 # tracked too; same rule (the interface had 14 methods before the
 # reconnect epoch left it; part.rs had 1462 lines and fabric.rs 1462
-# before a wire request paired once, and part.rs 1402 before the old
-# protocol became one deferred message on the one path; fabric.rs
+# before a wire request paired once, part.rs 1402 before the old
+# protocol became one deferred message on the one path and 1262 before
+# the wire sender shared the binding's claim; fabric.rs
 # (1449 before the eager pool went) and universe.rs 585 before it).
 # (Test-only items sit after all non-test code, so the count is the
 # whole non-test file.)
-PART_CEILING=1262
+PART_CEILING=1257
 FABRIC_CEILING=1339
 UNIVERSE_CEILING=582
 TRAIT_CEILING=12

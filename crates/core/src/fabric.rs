@@ -929,29 +929,20 @@ impl Fabric {
         self.flush_held_for(dst);
     }
 
-    /// Start round `round` of the partitioned wire stream `id` toward
-    /// `dst` (the first announces it); `done` fires once the round's
-    /// last byte has left.
-    pub(crate) fn part_send_start(
-        &self,
-        dst: usize,
-        ctx: u64,
-        id: u64,
-        total_len: usize,
-        done: &Arc<Completion>,
-        round: u64,
-    ) {
-        self.wire
-            .part_send_start(self, dst, ctx, id, total_len, done, round);
+    /// Start round `round` of the partitioned wire stream `s` on `ctx`
+    /// (the first announces it); its `done` fires once the round's last
+    /// byte has left.
+    pub(crate) fn part_send_start(&self, ctx: u64, s: &Arc<crate::wire::StreamSend>, round: u64) {
+        self.wire.part_send_start(self, ctx, s, round);
         self.touch();
     }
 
-    /// Ship one ready partition range on wire stream `id`. The range
+    /// Issue message `m` of wire stream `s` in round `round`. Its range
     /// stays pinned in the sender's buffer: the carrier counts it off
     /// the stream's span once the bytes are on the wire, so there is no
     /// local copy to declare done here.
-    pub(crate) fn part_stream_push(&self, id: u64, offset: u64, data: &[u8], parts: u16) {
-        self.wire.part_stream_push(self, id, offset, data, parts);
+    pub(crate) fn part_issue(&self, s: &crate::wire::StreamSend, m: usize, round: u64) {
+        self.wire.part_issue(self, s, m, round);
         self.touch();
     }
 

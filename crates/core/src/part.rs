@@ -28,7 +28,7 @@ use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
 use crate::fabric::Fabric;
 use crate::sync::Completion;
-use crate::wire::StreamRecv;
+use crate::wire::{StreamRecv, StreamSend};
 
 /// Options for a partitioned request.
 #[derive(Debug, Clone, Default)]
@@ -276,17 +276,6 @@ impl PartStorage {
         self.states[p].compare_exchange(PART_WRITABLE, to, Ordering::AcqRel, Ordering::Relaxed)
     }
 
-    /// A read-only view of a byte range whose partitions are all READY.
-    ///
-    /// # Safety
-    /// Caller must ensure every partition in the range is READY (no
-    /// writers) and remains READY while the slice is used.
-    unsafe fn ready_slice(&self, byte_off: usize, len: usize) -> &[u8] {
-        // SAFETY: bounds and aliasing forwarded from the caller's
-        // contract (every covered partition READY for the lifetime).
-        unsafe { std::slice::from_raw_parts(self.base().add(byte_off), len) }
-    }
-
     fn read_partition(&self, p: usize) -> &[u8] {
         let off = p * self.part_bytes;
         // SAFETY: PrecvRequest exposes reads after wait() (no writer
@@ -298,6 +287,59 @@ impl PartStorage {
     }
 }
 
+/// Who moves each message of a pairing, one rule for both movers. The
+/// receiver posts its iteration `k`, the sender stamps each message it
+/// issues with `k`: `SeqCst` stores each followed by a `SeqCst` load of
+/// the other word, so at least one side sees both, and one CAS on
+/// `turn[m]` (`k − 1 → k`) lets exactly one of them move `m`. The post is
+/// the receiver's `start` in process ([`Binding`]), its credit on the
+/// wire ([`StreamSend`], whose close claims what is left).
+pub(crate) struct Claims {
+    /// The receiver's current iteration.
+    posted: AtomicU64,
+    /// The last iteration each message was claimed in.
+    turn: Box<[AtomicU64]>,
+}
+
+impl Claims {
+    pub(crate) fn new(n_msgs: usize) -> Claims {
+        let turn = (0..n_msgs).map(|_| AtomicU64::new(0)).collect();
+        let posted = AtomicU64::new(0);
+        Claims { posted, turn }
+    }
+
+    /// The receiver's iteration (0 before its first post).
+    pub(crate) fn posted(&self) -> u64 {
+        self.posted.load(Ordering::SeqCst)
+    }
+
+    /// The receiver posts `k`: `moves` runs for each message the sender
+    /// already stamped `k` in `issued` that this post claims.
+    pub(crate) fn post(&self, k: u64, issued: &[AtomicU64], mut moves: impl FnMut(usize)) {
+        self.posted.store(k, Ordering::SeqCst);
+        for (m, stamp) in issued.iter().enumerate() {
+            if stamp.load(Ordering::SeqCst) == k && self.claim(m, k) {
+                moves(m);
+            }
+        }
+    }
+
+    /// The sender issues message `m` in `k`: stamp it, and return whether
+    /// the receiver already posted `k` and this issue claimed `m`.
+    pub(crate) fn issue(&self, issued: &[AtomicU64], m: usize, k: u64) -> bool {
+        issued[m].store(k, Ordering::SeqCst);
+        self.posted() == k && self.claim(m, k)
+    }
+
+    /// Whether the caller moves message `m` of iteration `k`: the one
+    /// decision, made once per message and iteration.
+    pub(crate) fn claim(&self, m: usize, k: u64) -> bool {
+        let turn = &self.turn[m];
+        turn.compare_exchange(k - 1, k, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+    }
+}
+
 /// One side of a [`Binding`]: its buffer, its per-message iteration
 /// stamps (`issued` on the sender, `landed` on the receiver) and its
 /// request's one completion.
@@ -306,24 +348,20 @@ type Side = (Arc<PartStorage>, Arc<[AtomicU64]>, Arc<Completion>);
 /// The in-process pairing of a `psend_init` with its
 /// `precv_init`, made once by the second of the two (the first waits in
 /// the fabric's `pairs` table). Both sides count iterations from 1. The
-/// receiver's `start` of iteration `k` posts `k`; the sender's issue of
-/// message `m` stamps `issued[m] = k`. Each side then reads the other's
-/// word, and one CAS on `turn[m]` (`k − 1 → k`) picks which of the two
-/// copies `m` into the receiver's buffer. The copy stamps `landed[m] =
-/// k`, and the one that takes the countdown `left` to zero completes
-/// both requests. The binding holds both buffers: no drop frees memory a
-/// copy may still touch.
+/// receiver's `start` of iteration `k` posts `k`, the sender's issue of
+/// message `m` stamps it, and whichever side [`Claims`] picks copies `m`
+/// into the receiver's buffer. The copy stamps `landed[m] = k`, and the
+/// one that takes the countdown `left` to zero completes both requests.
+/// The binding holds both buffers: no drop frees memory a copy may still
+/// touch.
 pub(crate) struct Binding {
     /// `(part ctx, src, dst)`: inits of one key pair oldest first.
     key: (u64, usize, usize),
     layout: MsgLayout,
     vreq: u16,
-    /// The receiver's current iteration.
-    posted: AtomicU64,
+    claims: Claims,
     /// Messages of the posted iteration not yet copied.
     left: AtomicUsize,
-    /// The last iteration each message was claimed in.
-    turn: Vec<AtomicU64>,
     /// `[receiver, sender]`, each set by its own side's init.
     sides: [OnceLock<Side>; 2],
 }
@@ -349,9 +387,8 @@ impl Binding {
                     key,
                     layout: layout.clone(),
                     vreq,
-                    posted: AtomicU64::new(0),
+                    claims: Claims::new(layout.n_msgs()),
                     left: AtomicUsize::new(0),
-                    turn: layout.msgs.iter().map(|_| AtomicU64::new(0)).collect(),
                     sides: Default::default(),
                 });
                 pairs.push(Arc::clone(&b));
@@ -365,42 +402,19 @@ impl Binding {
     }
 
     /// The receiver's start of iteration `k`: re-arm the countdown and
-    /// its completion, post `k`, then copy what the sender already
+    /// its completion, post `k`, and copy what the sender already
     /// issued in `k`.
     fn post(&self, fabric: &Fabric, k: u64) {
         let (_, _, done) = self.sides[0].get().expect("receiver side set");
         self.left.store(self.layout.n_msgs(), Ordering::Relaxed);
         done.reset();
-        self.posted.store(k, Ordering::SeqCst);
-        if let Some((_, issued, _)) = self.sides[1].get() {
-            for (m, stamp) in issued.iter().enumerate() {
-                if stamp.load(Ordering::SeqCst) == k {
-                    self.claim(fabric, m, k);
-                }
-            }
-        }
+        let issued = self.sides[1].get().map_or(&[][..], |(_, issued, _)| issued);
+        self.claims.post(k, issued, |m| self.copy(fabric, m, k));
     }
 
-    /// The sender's issue of message `m` in iteration `k`: stamp it,
-    /// then copy it if the receiver already posted `k`.
-    fn issue(&self, fabric: &Fabric, m: usize, k: u64) {
-        let (_, issued, _) = self.sides[1].get().expect("sender side set");
-        issued[m].store(k, Ordering::SeqCst);
-        if self.posted.load(Ordering::SeqCst) == k {
-            self.claim(fabric, m, k);
-        }
-    }
-
-    /// Copy message `m` of iteration `k` unless the other side claimed
-    /// it first (at one offset: the layout puts it at the same byte on
-    /// both sides). The stamp and the post are SeqCst stores each
-    /// followed by a SeqCst load of the other, so at least one side sees
-    /// both and gets here; the CAS lets exactly one of them copy.
-    fn claim(&self, fabric: &Fabric, m: usize, k: u64) {
-        let claimed = self.turn[m].compare_exchange(k - 1, k, Ordering::AcqRel, Ordering::Relaxed);
-        if claimed.is_err() {
-            return;
-        }
+    /// Copy message `m` of iteration `k`, which the caller claimed (at
+    /// one offset: the layout puts it at the same byte on both sides).
+    fn copy(&self, fabric: &Fabric, m: usize, k: u64) {
         let (rbuf, landed, rdone) = self.sides[0].get().expect("receiver side set");
         let (sbuf, _, sdone) = self.sides[1].get().expect("sender side set");
         let spec = self.layout.msgs[m];
@@ -443,8 +457,8 @@ impl Binding {
 enum Mover {
     /// The pairing with a local peer.
     Bound(Arc<Binding>),
-    /// Toward a remote peer: the id of the request's one wire stream.
-    Send(u64),
+    /// Toward a remote peer: the request's one wire stream.
+    Send(Arc<StreamSend>),
     /// From a remote peer: where the request's one wire stream lands.
     Recv(Arc<StreamRecv>),
 }
@@ -457,7 +471,6 @@ struct Core {
     /// same on both sides; 0 when verification is off.
     vreq: u16,
     n_parts: usize,
-    part_bytes: usize,
     layout: MsgLayout,
     mover: Mover,
     storage: Arc<PartStorage>,
@@ -575,7 +588,14 @@ impl Core {
                 let (key, me) = ((ctx, src, dst), usize::from(sender));
                 Mover::Bound(Binding::pair(comm, key, me, &layout, vreq, side))
             }
-            (true, true) => Mover::Send(comm.fabric().wire().stream_id()),
+            (true, true) => {
+                let msgs = layout.msgs.iter();
+                let msgs = msgs.map(|m| (m.first_spart * part_bytes, m.bytes, m.n_sparts as u16));
+                let (id, base) = (comm.fabric().wire().stream_id(), storage.base());
+                let (issued, vreq) = (stamps.clone(), Some(vreq));
+                let s = StreamSend::new(id, peer, base, msgs, issued, &done, vreq, false);
+                Mover::Send(s)
+            }
             (true, false) => {
                 let msgs = layout.msgs.iter();
                 let msgs = msgs
@@ -591,7 +611,6 @@ impl Core {
             comm: comm.with_ctx(ctx, comm.fabric().shard_of_ctx(ctx)),
             vreq,
             n_parts,
-            part_bytes,
             layout,
             mover,
             storage,
@@ -644,19 +663,19 @@ impl Drop for PsendShared {
     fn drop(&mut self) {
         // A binding holds both buffers: nothing to drain. Otherwise, mid-
         // iteration (a rank unwinding on abort or a panic), a range a
-        // carrier holds pins a pointer into `storage`: the stream gives
-        // up what no carrier holds, then the one completion drains
+        // carrier holds pins a pointer into `storage`: the stream counts
+        // off what no carrier holds, then the one completion drains
         // (abort-aware) before the buffer is freed.
         let fabric = self.comm.fabric();
         if let Mover::Bound(b) = &self.mover {
             return b.unpair(fabric);
         }
-        if let Mover::Send(id) = self.mover {
-            fabric.wire().part_send_close(id);
+        if let Mover::Send(s) = &self.mover {
+            fabric
+                .wire()
+                .part_send_close(s, self.iters.load(Ordering::Relaxed));
         }
-        let k = self.iters.load(Ordering::Relaxed);
-        let issued = |stamp: &AtomicU64| stamp.load(Ordering::Acquire) == k;
-        if self.started.load(Ordering::Acquire) && self.stamps.iter().any(issued) {
+        if self.started.load(Ordering::Acquire) {
             fabric.drain_completion(&self.done);
         }
     }
@@ -833,33 +852,14 @@ impl PsendRequest {
         for (m, spec) in s.layout.msgs.iter().enumerate() {
             s.counters[m].store(spec.n_sparts as i64, Ordering::Release);
         }
-        let Mover::Send(id) = s.mover else {
+        let Mover::Send(stream) = &s.mover else {
             return;
         };
         // Wire stream: the first start announces the whole buffer, so the
         // receiver's first credit can race the first pready; every start
-        // re-arms the stream's window, whose ranges move once the
-        // receiver's start of this iteration credits them.
-        let total = s.n_parts * s.part_bytes;
-        let fabric = s.comm.fabric();
-        fabric.part_send_start(s.dst, s.comm.ctx(), id, total, &s.done, k);
-        let trace = fabric.trace();
-        if k == 1 && trace.is_verify() {
-            // Tie this process's interned request id to the wire stream
-            // id, per message, once: the offline auditor joins both
-            // ranks' id spaces through these events.
-            for (m, spec) in s.layout.msgs.iter().enumerate() {
-                let offset = (spec.first_spart * s.part_bytes) as u64;
-                trace.emit_verify(s.comm.rank() as u16, || EventKind::VerifyStreamMsg {
-                    stream: id as u32,
-                    req: s.vreq,
-                    msg: m as u16,
-                    tx: true,
-                    offset,
-                    len: spec.bytes as u32,
-                });
-            }
-        }
+        // re-arms the stream's span, and each message moves once the
+        // receiver's start of this iteration credits it.
+        s.comm.fabric().part_send_start(s.comm.ctx(), stream, k);
     }
 
     /// Fill partition `p`'s bytes. Misuse (out of range, already
@@ -1017,7 +1017,6 @@ impl PsendRequest {
     fn issue(&self, m: usize, pready_ns: Option<u64>) {
         let s = &self.inner;
         let spec = s.layout.msgs[m];
-        let byte_off = spec.first_spart * s.part_bytes;
         let fabric = s.comm.fabric();
         // The transfer's read of the send partitions, for the analyzer.
         s.verify(|| EventKind::VerifyMsgSend {
@@ -1031,19 +1030,15 @@ impl PsendRequest {
         // for good fails the universe and is never stamped.
         if fabric.chaos_survives(s.dst, s.comm.ctx(), s.comm.rank(), m as i64) {
             match &s.mover {
-                Mover::Bound(b) => b.issue(fabric, m, k),
+                // In process: copy it if the receiver already posted `k`
+                // (the request's stamps are the binding's sender side).
+                Mover::Bound(b) if b.claims.issue(&s.stamps, m, k) => b.copy(fabric, m, k),
+                Mover::Bound(_) => {}
                 // Wire streaming: the message's range ships pinned, as
-                // one chunk — no copy, no per-message envelope.
-                // Stamped before the fabric sees the pointer: teardown
-                // drains the completion whenever the fabric might hold one.
-                Mover::Send(id) => {
-                    s.stamps[m].store(k, Ordering::Release);
-                    // SAFETY: every partition of message m is READY (counted
-                    // down, or its only one) and stays READY until `done`,
-                    // which the next start() observes before resetting them.
-                    let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
-                    fabric.part_stream_push(*id, byte_off as u64, data, spec.n_sparts as u16);
-                }
+                // one chunk — no copy, no per-message envelope. Every
+                // partition of it is READY (counted down, or its only
+                // one) until `done`, which the next start() observes.
+                Mover::Send(stream) => fabric.part_issue(stream, m, k),
                 Mover::Recv(_) => unreachable!("a send request moves no receive stream"),
             }
         }
@@ -1263,6 +1258,7 @@ impl PrecvRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
     use crate::Universe;
 
     fn opts() -> PartOptions {
@@ -2178,23 +2174,60 @@ mod tests {
             .unwrap();
     }
 
+    /// Run `body` as ranks 0 and 1 of an in-process universe.
+    fn in_process(body: &(dyn Fn(Comm) + Sync)) -> Result<(), PcommError> {
+        Universe::new(2)
+            .with_watchdog_ms(10_000)
+            .run(body)
+            .map(drop)
+    }
+
+    /// Run `body` as ranks 0 and 1 of two fabrics in this process joined
+    /// by one socketpair, each rank on its own thread beside its
+    /// carrier's progress thread, as in a multi-process run.
+    fn over_a_socket(body: &(dyn Fn(Comm) + Sync)) -> Result<(), PcommError> {
+        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let ranks = [(0, a), (1, b)].map(|(rank, sock)| {
+            let trace = pcomm_trace::Trace::disabled();
+            let dir = std::env::temp_dir();
+            let (fabric, carrier) =
+                crate::transport::tests::carrier_on(rank, sock, dir, trace, None);
+            Arc::clone(&carrier).start(&fabric).unwrap();
+            fabric
+        });
+        std::thread::scope(|s| {
+            for (rank, fabric) in ranks.iter().enumerate() {
+                s.spawn(move || {
+                    crate::universe::run_ranks(fabric, rank..rank + 1, Some(10_000), &body);
+                    fabric.wire().finalize(fabric);
+                });
+            }
+        });
+        ranks
+            .iter()
+            .find_map(|f| f.take_failure())
+            .map_or(Ok(()), Err)
+    }
+
+    /// The one claim rule, over both movers. Both ranks leave a barrier
+    /// together every iteration, so the receiver's post (its `start` in
+    /// process, its credit on the wire) races the sender's stamps:
+    /// either side may see the other first, or both may. A message
+    /// claimed twice trips a debug assertion (the binding's countdown, or
+    /// the wire span's), one claimed by neither stalls the waits until
+    /// the watchdog fails the run, and a stale copy fails the fill check.
+    /// Layouts: eight one-partition messages (no countdown in `pready`),
+    /// and four of two partitions each (8 sender against 4 receiver
+    /// partitions).
     #[test]
     fn binding_claims_each_message_once() {
-        // Both ranks leave a barrier together every iteration, so the
-        // receiver's post races the sender's stamps: either side may see
-        // the other first, or both may. A message claimed twice trips the
-        // countdown's debug assertion, one claimed by neither stalls the
-        // waits until the watchdog fails the run, and a stale copy fails
-        // the fill check. Layouts: eight one-partition messages (no
-        // countdown in `pready`), and four of two partitions each (8
-        // sender against 4 receiver partitions).
+        type Run = fn(&(dyn Fn(Comm) + Sync)) -> Result<(), PcommError>;
         const ITERS: u32 = 10_000;
         let fill = |it: u32, p: usize| (it as usize * 31 + p * 7) as u8;
-        for n_recv in [8, 4] {
-            let go = std::sync::Barrier::new(2);
-            Universe::new(2)
-                .with_watchdog_ms(10_000)
-                .run(|comm| {
+        for run in [in_process as Run, over_a_socket] {
+            for n_recv in [8, 4] {
+                let go = std::sync::Barrier::new(2);
+                let body = |comm: Comm| {
                     if comm.rank() == 0 {
                         let ps = comm.psend_init_general(1, 5, 8, 16, n_recv, opts());
                         for it in 0..ITERS {
@@ -2219,8 +2252,9 @@ mod tests {
                             }
                         }
                     }
-                })
-                .unwrap();
+                };
+                run(&body).unwrap();
+            }
         }
     }
 

@@ -188,16 +188,17 @@ pub(crate) trait Transport: Send + Sync {
         total_len: usize,
     );
 
-    /// Move ready chunks of stream `rdv_id` to `dst` under the `grant`
-    /// its credit carried; bytes count off `span` once reusable (acked).
-    fn ship_chunks(
+    /// Move one issued message of stream `rdv_id` to `dst` under the
+    /// `grant` its credit carried; its bytes count off `span` once
+    /// reusable (acked).
+    fn ship_chunk(
         &self,
         fabric: &Fabric,
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
         span: &Arc<SendSpan>,
-        chunks: &[PinChunk],
+        chunk: PinChunk,
     );
 
     /// Connection health per peer, for stall reports (`pending_rdv` is
@@ -1394,28 +1395,17 @@ impl Transport for SocketTransport {
         self.send(fabric, src, Frame::PartCts { rdv_id }, false);
     }
 
-    fn ship_chunks(
+    fn ship_chunk(
         &self,
         fabric: &Fabric,
         dst: usize,
         rdv_id: u64,
         _grant: Option<u64>,
         span: &Arc<SendSpan>,
-        chunks: &[PinChunk],
+        chunk: PinChunk,
     ) {
-        for &chunk in chunks {
-            let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
-            fabric
-                .trace()
-                .emit(self.rank as u16, || EventKind::StreamChunk {
-                    lane: 0,
-                    parts,
-                    offset,
-                    bytes,
-                });
-            let out = Out::Pinned(PinnedWrite::new(rdv_id, chunk, span));
-            self.push(fabric, dst, out);
-        }
+        let out = Out::Pinned(PinnedWrite::new(rdv_id, chunk, span));
+        self.push(fabric, dst, out);
     }
 
     fn peer_states(&self) -> Vec<PeerSocketState> {
@@ -1520,14 +1510,14 @@ impl Transport for SharedMemTransport {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
-    fn ship_chunks(
+    fn ship_chunk(
         &self,
         _: &Fabric,
         _: usize,
         _: u64,
         _: Option<u64>,
         _: &Arc<SendSpan>,
-        _: &[PinChunk],
+        _: PinChunk,
     ) {
         unreachable!("shared-memory fabric never routes through the wire")
     }
@@ -1540,16 +1530,17 @@ impl Transport for SharedMemTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
+    use crate::wire::tests::source;
     use crate::wire::StreamRecv;
     use pcomm_trace::Trace;
 
     /// Rank `rank`'s socket carrier of a 2-rank universe over `sock`,
     /// armed as `new` arms it, with no progress thread: each test is the
     /// only thread moving bytes. A reconnect meets in `dir`.
-    fn carrier_on(
+    pub(crate) fn carrier_on(
         rank: usize,
         sock: UnixStream,
         dir: std::path::PathBuf,
@@ -1650,19 +1641,20 @@ mod tests {
         let (fabric, transport, mut far) = carrier(Trace::disabled());
         let wire = fabric.wire();
         let src = vec![0x5Au8; 4096];
-        let (done, id) = (Completion::new(), wire.stream_id());
+        let (s, done) = source(wire, 1, &src, &[(0, 4096, 1)]);
+        let id = s.id;
         // `start`: its PartRts is on the socket before the call returns.
-        wire.part_send_start(&fabric, 1, 7, id, src.len(), &done, 1);
+        wire.part_send_start(&fabric, 7, &s, 1);
         let rts = Frame::PartRts {
             ctx: 7,
             total_len: 4096,
             rdv_id: id,
         };
         assert_eq!(Frame::read_from(&mut far).unwrap(), rts);
-        // The CTS arrives while the sender computes. The next `pready`
+        // The CTS arrives while the sender computes. The next issue
         // reads it first, and its range leaves with it.
         Frame::PartCts { rdv_id: id }.write_to(&mut far).unwrap();
-        wire.part_stream_push(&fabric, id, 0, &src, 1);
+        wire.part_issue(&fabric, &s, 0, 1);
         assert_eq!(
             waiting(&transport),
             0,
@@ -2178,11 +2170,10 @@ mod tests {
             false,
         );
         f1.wire().part_recv_start(&f1, 0, 7, &recv, 1);
-        let (sent, id) = (Completion::new(), f0.wire().stream_id());
-        f0.wire()
-            .part_send_start(&f0, 1, 7, id, src.len(), &sent, 1);
+        let (s, sent) = source(f0.wire(), 1, &src, &[(0, src.len(), 2)]);
+        f0.wire().part_send_start(&f0, 7, &s, 1);
         t1.read_in(&f1, 0);
-        f0.wire().part_stream_push(&f0, id, 0, &src, 2);
+        f0.wire().part_issue(&f0, &s, 0, 1);
         assert_eq!(waiting(&t0), 0, "the range is not all in the socket");
         t1.send(&f1, 0, Frame::Heartbeat { received: 0 }, false);
         assert!(t1.peers[0].as_ref().unwrap().broken.load(Ordering::Acquire));

@@ -496,83 +496,6 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Sender: put one ready range in the receiver's hands. With a
-    /// grant, a range of at least [`PULL_FLOOR`] bytes whose source the
-    /// peer can read in the arena is published as a `K_READY` for
-    /// either side to claim; any other is copied at once
-    /// ([`Self::copy_out`]). Without a grant: stage `K_PARTF` chunks
-    /// through the FIFO slab.
-    fn ship_range(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        rdv_id: u64,
-        grant: Option<u64>,
-        span: &Arc<SendSpan>,
-        chunk: PinChunk,
-    ) {
-        let Some(peer) = &self.peers[dst] else {
-            return;
-        };
-        let (offset, len, op) = (chunk.offset, chunk.len, frame::op::PART_DATA);
-        let emit_data = |offset: u64, len: usize| {
-            let (peer, stream, len) = (dst as u16, rdv_id as u32, len as u32);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                    peer,
-                    lane: 0,
-                    tx: true,
-                    stream,
-                    offset,
-                    len,
-                })
-        };
-        if let Some(grant) = grant {
-            emit_data(offset, len);
-            // Where the peer can read the source (the window is the
-            // arena we keep for the peer), the range waits for a claim.
-            let window = (len >= PULL_FLOOR).then(|| peer.inb_ch.arena_offset(chunk.ptr, len));
-            let opened = window.flatten().and_then(|src| {
-                let pull = Pull {
-                    rdv_id,
-                    grant,
-                    span: Arc::clone(span),
-                    chunk,
-                };
-                let (idx, seq) = peer.pulls.lock().open(&peer.out_ch.claims(), pull)?;
-                Some(ReadyRange {
-                    src,
-                    idx: idx as u64,
-                    seq,
-                })
-            });
-            match opened {
-                Some(ready) => {
-                    let desc = SlotDesc::new(K_READY, chunk.parts, rdv_id, offset, len as u64);
-                    self.push_record(fabric, dst, op, desc, &ready.encode(), None, false);
-                }
-                None => self.copy_out(fabric, dst, rdv_id, grant, span, chunk),
-            }
-            return;
-        }
-        let mut done = 0usize;
-        while done < len {
-            let (n, at) = (self.rdv_chunk.min(len - done), offset + done as u64);
-            // SAFETY: invariant (1) — the source stays pinned until its
-            // bytes count off the span below.
-            let body = unsafe { std::slice::from_raw_parts(chunk.ptr.add(done), n) };
-            emit_data(at, n);
-            let parts = if done + n == len { chunk.parts } else { 0 };
-            let desc = SlotDesc::new(K_PARTF, parts, rdv_id, at, 0);
-            if !self.push_record(fabric, dst, op, desc, body, None, false) {
-                return; // aborted mid-stream
-            }
-            span.left(n);
-            done += n;
-        }
-    }
-
     /// Sender: copy a range into the receiver's granted destination and
     /// publish its payload-less `K_PART` commit, so the receiver commits
     /// in place. Called at once for a range nobody pulls, and from a
@@ -889,17 +812,80 @@ impl Transport for IpcTransport {
         self.push_record(fabric, src, frame::op::PART_CTS, desc, &[], None, false);
     }
 
-    fn ship_chunks(
+    /// Sender: put one ready range in the receiver's hands. With a
+    /// grant, a range of at least [`PULL_FLOOR`] bytes whose source the
+    /// peer can read in the arena is published as a `K_READY` for
+    /// either side to claim; any other is copied at once
+    /// ([`Self::copy_out`]). Without a grant: stage `K_PARTF` chunks
+    /// through the FIFO slab.
+    fn ship_chunk(
         &self,
         fabric: &Fabric,
         dst: usize,
         rdv_id: u64,
         grant: Option<u64>,
         span: &Arc<SendSpan>,
-        chunks: &[PinChunk],
+        chunk: PinChunk,
     ) {
-        for &chunk in chunks {
-            self.ship_range(fabric, dst, rdv_id, grant, span, chunk);
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        let (offset, len, op) = (chunk.offset, chunk.len, frame::op::PART_DATA);
+        let emit_data = |offset: u64, len: usize| {
+            let (peer, stream, len) = (dst as u16, rdv_id as u32, len as u32);
+            fabric
+                .trace()
+                .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
+                    peer,
+                    lane: 0,
+                    tx: true,
+                    stream,
+                    offset,
+                    len,
+                })
+        };
+        if let Some(grant) = grant {
+            emit_data(offset, len);
+            // Where the peer can read the source (the window is the
+            // arena we keep for the peer), the range waits for a claim.
+            let window = (len >= PULL_FLOOR).then(|| peer.inb_ch.arena_offset(chunk.ptr, len));
+            let opened = window.flatten().and_then(|src| {
+                let pull = Pull {
+                    rdv_id,
+                    grant,
+                    span: Arc::clone(span),
+                    chunk,
+                };
+                let (idx, seq) = peer.pulls.lock().open(&peer.out_ch.claims(), pull)?;
+                Some(ReadyRange {
+                    src,
+                    idx: idx as u64,
+                    seq,
+                })
+            });
+            match opened {
+                Some(ready) => {
+                    let desc = SlotDesc::new(K_READY, chunk.parts, rdv_id, offset, len as u64);
+                    self.push_record(fabric, dst, op, desc, &ready.encode(), None, false);
+                }
+                None => self.copy_out(fabric, dst, rdv_id, grant, span, chunk),
+            }
+            return;
+        }
+        let mut done = 0usize;
+        while done < len {
+            let (n, at) = (self.rdv_chunk.min(len - done), offset + done as u64);
+            // SAFETY: invariant (1) — the source stays pinned until its
+            // bytes count off the span below.
+            let body = unsafe { std::slice::from_raw_parts(chunk.ptr.add(done), n) };
+            emit_data(at, n);
+            let parts = if done + n == len { chunk.parts } else { 0 };
+            let desc = SlotDesc::new(K_PARTF, parts, rdv_id, at, 0);
+            if !self.push_record(fabric, dst, op, desc, body, None, false) {
+                return; // aborted mid-stream
+            }
+            span.left(n);
+            done += n;
         }
     }
 
@@ -1033,6 +1019,7 @@ mod tests {
     use super::*;
     use crate::fabric::PostedRecv;
     use crate::part::PartOptions;
+    use crate::wire::tests::source;
     use crate::Comm;
     use pcomm_net::ipc::claim::CLAIM_SLOTS;
     use pcomm_net::sys;
@@ -1131,15 +1118,13 @@ mod tests {
             let Some((fabric, carrier, peer_out)) = hostile_peer() else {
                 return;
             };
-            let (src, id) = (vec![7u8; 4096], fabric.wire().stream_id());
-            let done = Completion::new();
-            fabric
-                .wire()
-                .part_send_start(&fabric, 1, 9, id, 4096, &done, 1);
+            let src = vec![7u8; 4096];
+            let (s, _) = source(fabric.wire(), 1, &src, &[(0, 4096, 1)]);
+            fabric.wire().part_send_start(&fabric, 9, &s, 1);
             let desc = SlotDesc {
                 kind: K_PART_CTS,
                 parts: 0,
-                a: id,
+                a: s.id,
                 b: grant,
                 c: 0,
             };
@@ -1150,13 +1135,13 @@ mod tests {
                 detail.contains("exceeds the 1048576-byte arena"),
                 "{detail}"
             );
-            // The stream never got its CTS: a later `pready` only queues.
+            // The stream never got its CTS: a later issue only waits.
             let sent = carrier.peers[1]
                 .as_ref()
                 .unwrap()
                 .frames_sent
                 .load(Ordering::Relaxed);
-            fabric.wire().part_stream_push(&fabric, id, 0, &src, 1);
+            fabric.wire().part_issue(&fabric, &s, 0, 1);
             let after = carrier.peers[1]
                 .as_ref()
                 .unwrap()
@@ -1254,17 +1239,15 @@ mod tests {
         };
         let src: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
         assert!(receiver.alloc_part_buf(1, src.len()).is_none());
-        let (id, done) = (fabric1.wire().stream_id(), Completion::new());
-        fabric1
-            .wire()
-            .part_send_start(&fabric1, 0, 9, id, src.len(), &done, 1);
-        let dest = vec![0u8; src.len()];
+        let (s, _) = source(fabric1.wire(), 0, &src, &[(0, src.len(), 1)]);
+        fabric1.wire().part_send_start(&fabric1, 9, &s, 1);
+        let (id, dest) = (s.id, vec![0u8; src.len()]);
         receiver.ship_part_cts(&fabric0, 1, id, dest.as_ptr(), dest.len());
         assert!(
             sender.drain_peer(&fabric1, 0, false),
             "the CTS never arrived"
         );
-        fabric1.wire().part_stream_push(&fabric1, id, 0, &src, 1);
+        fabric1.wire().part_issue(&fabric1, &s, 0, 1);
         let inbound = receiver.segment.channel(1, 0);
         let (mut kinds, mut offsets, mut landed) = (Vec::new(), Vec::new(), vec![0u8; src.len()]);
         let mut pop = |desc: &SlotDesc, body: &[u8]| {

@@ -417,7 +417,7 @@ impl Universe {
 /// Run `ranks` of `fabric`, with the watchdog supervisor beside them
 /// when `watchdog_ms` is set, and return each rank's result in order.
 /// A lone rank runs on the calling thread; several get a thread each.
-fn run_ranks<T, F>(
+pub(crate) fn run_ranks<T, F>(
     fabric: &Arc<Fabric>,
     ranks: std::ops::Range<usize>,
     watchdog_ms: Option<u64>,

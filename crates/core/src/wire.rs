@@ -13,27 +13,31 @@
 //! * **Rendezvous**: a one-round stream of one message. The sender pins
 //!   its buffer as a stream whose span carries the send's completion,
 //!   announced by an `Rts` that carries the match envelope instead of a
-//!   pairing context. The receiver matches the `Rts` like any message;
-//!   the posted buffer becomes the stream's destination and the round's
-//!   credit goes back. From there the bytes move and land exactly as
-//!   below, and the stream retires when its round has landed. An empty
-//!   message has no byte to stream and travels eager.
+//!   pairing context, and issues its message in round 1. The receiver
+//!   matches the `Rts` like any message; the posted buffer becomes the
+//!   stream's destination and the round's credit goes back. From there
+//!   the bytes move and land exactly as below; the sender's stream
+//!   retires once its message ships, the receiver's once it landed. An
+//!   empty message has no byte to stream and travels eager.
 //! * **Partitioned streaming**: a request pairs once. The sender's first
 //!   `start` announces its whole buffer with one `PartRts`, which pairs
 //!   FIFO per `(src, ctx)` with the receiver's one pinned destination.
 //!   Each receiver `start` opens a round and sends one credit, a
 //!   `PartCts` (extended with a *grant* by a carrier with
-//!   receiver-visible memory); no range of the sender's round `k` moves
-//!   before the `k`-th. Each message its last `pready` issues ships at
-//!   once, straight out of the pinned source, as one order-independent
-//!   `offset..offset+len` range (the layout's `aggr_size` is the one
-//!   place partitions aggregate). The receiver claims each landed range
-//!   against the round's interval ledger (a range a reconnect sends again
-//!   whole lands over the prefix that arrived: only never-seen bytes
-//!   count), stamps each message it finishes with the round, and sets
-//!   its one completion with the round's last byte, as the sender's
-//!   flips with the last byte out. A range for a landed round is
-//!   `Misuse`.
+//!   receiver-visible memory). The sender claims each message as an
+//!   in-process binding does ([`Claims`]): the `k`-th credit posts round
+//!   `k`, the `pready` that completes a message stamps it with its round,
+//!   and whichever of the two sees both ships it — straight out of the
+//!   pinned source, as one order-independent `offset..offset+len` range
+//!   (the layout's `aggr_size` is the one place partitions aggregate). A
+//!   request dropped mid-round claims the rest and counts it off. No
+//!   message of round `k` moves before the `k`-th credit. The receiver
+//!   claims each landed range against the round's interval ledger (a
+//!   range a reconnect sends again whole lands over the prefix that
+//!   arrived: only never-seen bytes count), stamps each message it
+//!   finishes with the round, and sets its one completion with the
+//!   round's last byte, as the sender's flips with the last byte out. A
+//!   range for a landed round is `Misuse`.
 //! * **Barrier**: rank 0 coordinates; everyone ships `BarrierArrive`,
 //!   rank 0 broadcasts `BarrierRelease` for the generation. Arrivals are
 //!   a set, not a count, so a repeated arrival cannot release early. The
@@ -65,6 +69,7 @@ use pcomm_trace::EventKind;
 
 use crate::error::{PcommError, PeerSocketState};
 use crate::fabric::{Fabric, MsgInfo, PostedRecv};
+use crate::part::Claims;
 use crate::sync::{Completion, Mutex};
 use crate::transport::Transport;
 
@@ -82,16 +87,22 @@ pub(crate) struct SendSpan {
 }
 
 impl SendSpan {
-    /// `len` more bytes left. Every byte leaves once, so the countdown
-    /// never underflows; AcqRel chains the movers' progress.
+    /// `len` more bytes left. Every message is claimed once, so the
+    /// countdown never underflows; AcqRel chains the movers' progress.
     pub(crate) fn left(&self, len: usize) {
-        if len > 0 && self.remaining.fetch_sub(len, Ordering::AcqRel) == len {
+        if len == 0 {
+            return;
+        }
+        let was = self.remaining.fetch_sub(len, Ordering::AcqRel);
+        debug_assert!(was >= len, "span underflow: {len} B off {was} B left");
+        if was == len {
             self.done.set();
         }
     }
 }
 
-/// One issued message's byte range, pinned in the source buffer.
+/// One message of a stream, pinned in the source buffer: what a carrier
+/// ships, once per claim.
 #[derive(Clone, Copy)]
 pub(crate) struct PinChunk {
     /// Byte offset of the range in the whole source buffer.
@@ -106,38 +117,80 @@ pub(crate) struct PinChunk {
 
 // SAFETY: the pointed-to source buffer stays alive and unmodified until
 // the stream's span `done` fires (fabric invariant (1) — the request
-// drains it before its storage drops), and only the carrier context
-// shipping the chunk reads through it.
+// drains it before its storage drops), and only the one mover that
+// claimed the message reads through it.
 unsafe impl Send for PinChunk {}
+unsafe impl Sync for PinChunk {}
 
-/// Sender-side state of one stream: the receiver's credits, and the
-/// ranges queued until their round's.
-struct StreamSend {
+/// No grant: the carrier's receiver pinned memory its sender cannot
+/// reach.
+const NO_GRANT: u64 = u64::MAX;
+
+/// Sender-side state of one stream: its pinned messages and a
+/// binding's [`Claims`], whose posts are the receiver's credits. Held by
+/// its request (a rendezvous: by `streams_out` alone), and found there
+/// by id when a credit arrives.
+pub(crate) struct StreamSend {
+    pub(crate) id: u64,
     dst: usize,
-    /// A rendezvous retires once its one round has left; a partitioned
+    /// A rendezvous retires once its one message ships; a partitioned
     /// stream, when its request drops.
     one_round: bool,
-    /// The sender's round (from 1) and the receiver's credits so far: a
-    /// range moves once `credits >= round` (the carriers are
-    /// exactly-once FIFOs: a count needs no generation).
-    round: u64,
-    credits: u64,
-    /// The carrier's grant, as the last credit carried it.
-    grant: Option<u64>,
+    /// Verify-layer request id: message `m` is `(vreq, m)`.
+    vreq: Option<u16>,
+    /// Each message's pinned range, in buffer order.
+    msgs: Vec<PinChunk>,
     /// Whole-buffer length.
     total_len: usize,
-    /// Bytes pushed in the open round.
-    pushed: usize,
-    /// Ranges waiting for the round's credit.
-    queued: Vec<PinChunk>,
-    /// What the carrier counts chunks off as they leave.
+    /// The round each message was last issued in.
+    issued: Arc<[AtomicU64]>,
+    /// Who ships each message of a round: its issue, the round's credit,
+    /// or the close.
+    claims: Claims,
+    /// The carrier's grant, as the last credit carried it.
+    grant: AtomicU64,
+    /// What the carrier counts each shipped message off as it leaves.
     span: Arc<SendSpan>,
 }
 
 impl StreamSend {
-    /// A rendezvous whose every byte was pushed leaves the tables.
-    fn retires(&self) -> bool {
-        self.one_round && self.pushed == self.total_len
+    /// A stream `id` toward `dst` of the messages `(offset, len, parts)`
+    /// pinned at `base`, stamped in `issued`; `done` fires once a round's
+    /// last byte has left.
+    #[allow(clippy::too_many_arguments)] // one per stream field
+    pub(crate) fn new(
+        id: u64,
+        dst: usize,
+        base: *const u8,
+        msgs: impl Iterator<Item = (usize, usize, u16)>,
+        issued: Arc<[AtomicU64]>,
+        done: &Arc<Completion>,
+        vreq: Option<u16>,
+        one_round: bool,
+    ) -> Arc<StreamSend> {
+        let chunk = |(offset, len, parts)| PinChunk {
+            offset: offset as u64,
+            ptr: base.wrapping_add(offset),
+            len,
+            parts,
+        };
+        let msgs: Vec<PinChunk> = msgs.map(chunk).collect();
+        let total_len = msgs.iter().map(|c| c.len).sum();
+        Arc::new(StreamSend {
+            id,
+            dst,
+            one_round,
+            vreq,
+            claims: Claims::new(msgs.len()),
+            msgs,
+            total_len,
+            issued,
+            grant: AtomicU64::new(NO_GRANT),
+            span: Arc::new(SendSpan {
+                remaining: AtomicUsize::new(total_len),
+                done: Arc::clone(done),
+            }),
+        })
     }
 }
 
@@ -233,8 +286,8 @@ pub(crate) struct WireProtocol {
     n_ranks: usize,
     next_rdv_id: AtomicU64,
     /// Sender side: open streams (partitioned sends and rendezvous), by
-    /// stream id.
-    streams_out: Mutex<HashMap<u64, StreamSend>>,
+    /// stream id, for the credit handler.
+    streams_out: Mutex<HashMap<u64, Arc<StreamSend>>>,
     /// Receiver side: RTS/start pairing per partitioned (src, ctx) pair.
     part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
     /// Receiver side: paired streams taking ranges, by (src, id).
@@ -347,7 +400,9 @@ impl WireProtocol {
             done.set();
             return;
         }
-        let id = self.stream_id();
+        let (id, stamp) = (self.stream_id(), Arc::new([AtomicU64::new(0)]));
+        let one = std::iter::once((0, len, 1));
+        let s = StreamSend::new(id, dst, data.as_ptr(), one, stamp, done, None, true);
         let rts = Frame::Rts {
             shard: shard as u16,
             ctx,
@@ -355,10 +410,13 @@ impl WireProtocol {
             len: len as u64,
             rdv_id: id,
         };
-        self.open_stream(fabric, dst, id, len, done, true, rts);
-        // The `Rts` has only just left, so no credit can be in: the
-        // range queues without a look at the peer.
-        self.push_range(fabric, id, 0, data, 1);
+        self.open_stream(fabric, &s, rts);
+        // Its one message, in round 1, shipped by whichever of this issue
+        // and the credit claims it; with no look at the peer: the `Rts`
+        // has only just left.
+        if s.claims.issue(&s.issued, 0, 1) {
+            self.ship(fabric, &s, 0);
+        }
     }
 
     /// Receiver: a matched rendezvous `Rts`. The posted buffer becomes
@@ -411,152 +469,110 @@ impl WireProtocol {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned streams: pairing once, credits, send queue, receive ledger.
+// Partitioned streams: pairing once, credits as posts, receive ledger.
 // ---------------------------------------------------------------------
 
 impl WireProtocol {
-    /// Sender: start round `round` of partitioned stream `id` toward
-    /// `dst`, `total_len` pinned bytes on `ctx`. The first announces it
-    /// with the request's one `PartRts`; a later one only resets the
-    /// pushed count and the span. `done` (re-armed by the caller) fires
-    /// once the round's last byte has left; its ranges move once the
-    /// receiver's `round`-th credit is in.
-    #[allow(clippy::too_many_arguments)] // one per stream field
+    /// Sender: start round `round` of stream `s` on `ctx`. The first
+    /// announces it with the request's one `PartRts`; every round re-arms
+    /// its span, whose `done` (re-armed by the caller) fires once the
+    /// round's last byte has left.
     pub(crate) fn part_send_start(
         &self,
         fabric: &Fabric,
-        dst: usize,
         ctx: u64,
-        id: u64,
-        total_len: usize,
-        done: &Arc<Completion>,
+        s: &Arc<StreamSend>,
         round: u64,
     ) {
-        if round == 1 {
-            let total = total_len as u64;
-            let rts = Frame::PartRts {
-                ctx,
-                total_len: total,
-                rdv_id: id,
-            };
-            return self.open_stream(fabric, dst, id, total_len, done, false, rts);
-        }
-        if let Some(s) = self.streams_out.lock().get_mut(&id) {
-            (s.round, s.pushed) = (round, 0);
-            // ORDERING: the round's pushes take this lock before any
-            // carrier can count a byte off.
-            s.span.remaining.store(total_len, Ordering::Relaxed);
-        }
-    }
-
-    /// Open stream `id` of `total_len` pinned bytes toward `dst`, in its
-    /// first round, announced by `announce`.
-    #[allow(clippy::too_many_arguments)] // one per stream field
-    fn open_stream(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        id: u64,
-        total_len: usize,
-        done: &Arc<Completion>,
-        one_round: bool,
-        announce: Frame,
-    ) {
-        // Register before the announcement leaves so a fast credit finds us.
-        self.streams_out.lock().insert(
-            id,
-            StreamSend {
-                dst,
-                one_round,
-                round: 1,
-                credits: 0,
-                grant: None,
-                total_len,
-                pushed: 0,
-                queued: Vec::new(),
-                span: Arc::new(SendSpan {
-                    remaining: AtomicUsize::new(total_len),
-                    done: Arc::clone(done),
-                }),
-            },
-        );
-        self.note_rts(fabric, dst, id, total_len as u64, true);
-        self.send(fabric, dst, announce);
-    }
-
-    /// Sender: the request of stream `id` drops. What no carrier holds
-    /// (unpushed or queued bytes) will never leave: it counts as gone,
-    /// so a drain of `done` waits only for what a carrier holds.
-    pub(crate) fn part_send_close(&self, id: u64) {
-        let Some(s) = self.streams_out.lock().remove(&id) else {
+        // ORDERING: no mover counts a byte of the round off before it
+        // claims a message stamped with the round, after this store.
+        s.span.remaining.store(s.total_len, Ordering::Relaxed);
+        if round > 1 {
             return;
+        }
+        let (total_len, rdv_id) = (s.total_len as u64, s.id);
+        let rts = Frame::PartRts {
+            ctx,
+            total_len,
+            rdv_id,
         };
-        let held: usize = s.queued.iter().map(|c| c.len).sum();
-        s.span.left(s.total_len - s.pushed + held);
-    }
-
-    /// Hand one issued message's byte range (its `parts` partitions) to
-    /// the stream. `data` is *pinned*, not copied: it must stay alive and
-    /// unmodified until the stream's span `done` fires (fabric invariant
-    /// (1) — partitioned storage lives until its completion drains). A
-    /// range queues until the round's credit arrives, then leaves at
-    /// once as one chunk. Runs on an app thread (inside `pready`): one
-    /// lock, no allocation once the credit is in.
-    pub(crate) fn part_stream_push(
-        &self,
-        fabric: &Fabric,
-        stream_id: u64,
-        offset: u64,
-        data: &[u8],
-        parts: u16,
-    ) {
-        if let Some(dst) = self.push_range(fabric, stream_id, offset, data, parts) {
-            // The credit may have arrived while the caller computed: an
-            // empty burst is one inline look at the peer, which finds
-            // it, and its handler ships the queue — this range included.
-            self.carrier.poll_burst(fabric, Some(dst), &[]);
+        self.open_stream(fabric, s, rts);
+        let trace = fabric.trace();
+        if let Some(req) = s.vreq.filter(|_| trace.is_verify()) {
+            // Tie this process's interned request id to the stream id,
+            // per message, once, as the receiver's pairing does.
+            for (m, c) in s.msgs.iter().enumerate() {
+                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamMsg {
+                    stream: rdv_id as u32,
+                    req,
+                    msg: m as u16,
+                    tx: true,
+                    offset: c.offset,
+                    len: c.len as u32,
+                });
+            }
         }
     }
 
-    /// The body of [`part_stream_push`](Self::part_stream_push): ship
-    /// the range, or queue it and return the peer when the round has
-    /// no credit yet.
-    fn push_range(
-        &self,
-        fabric: &Fabric,
-        stream_id: u64,
-        offset: u64,
-        data: &[u8],
-        parts: u16,
-    ) -> Option<usize> {
-        let chunk = PinChunk {
-            offset,
-            ptr: data.as_ptr(),
-            len: data.len(),
-            parts,
-        };
-        let (dst, grant, span) = {
-            let mut out = self.streams_out.lock();
-            let Some(stream) = out.get_mut(&stream_id) else {
-                return None; // post-abort straggler
-            };
-            stream.pushed += chunk.len;
-            if stream.credits < stream.round {
-                // The credit handler drains `queued` when the round's
-                // credit arrives.
-                stream.queued.push(chunk);
-                return Some(stream.dst);
+    /// Register stream `s` and send its announcement: registered first,
+    /// so a fast credit finds it.
+    fn open_stream(&self, fabric: &Fabric, s: &Arc<StreamSend>, announce: Frame) {
+        self.streams_out.lock().insert(s.id, Arc::clone(s));
+        self.note_rts(fabric, s.dst, s.id, s.total_len as u64, true);
+        self.send(fabric, s.dst, announce);
+    }
+
+    /// Sender: the request of stream `s` drops in round `round`. The
+    /// stream leaves the tables, and the closer claims every message
+    /// still unclaimed in the round and counts its bytes off the span:
+    /// a drain of `done` then waits only for what a carrier holds.
+    pub(crate) fn part_send_close(&self, s: &StreamSend, round: u64) {
+        if round == 0 {
+            return; // never started, so never announced
+        }
+        self.streams_out.lock().remove(&s.id);
+        for (m, chunk) in s.msgs.iter().enumerate() {
+            if s.claims.claim(m, round) {
+                s.span.left(chunk.len);
             }
-            let (dst, grant, span) = (stream.dst, stream.grant, Arc::clone(&stream.span));
-            if stream.retires() {
-                out.remove(&stream_id);
-            }
-            (dst, grant, span)
-        };
-        let chunk = std::slice::from_ref(&chunk);
+        }
+    }
+
+    /// Sender: message `m` of stream `s` was issued in round `round`
+    /// (its partitions are pinned, not copied, until the span's `done`
+    /// fires). It ships at once if the round's credit is in, else when
+    /// the credit arrives. Runs on an app thread (inside `pready`): no
+    /// lock, no allocation.
+    pub(crate) fn part_issue(&self, fabric: &Fabric, s: &StreamSend, m: usize, round: u64) {
+        if s.claims.issue(&s.issued, m, round) {
+            return self.ship(fabric, s, m);
+        }
+        // The credit may have arrived while the caller computed: an empty
+        // burst is one inline look at the peer, which finds it, and its
+        // handler ships this message.
+        self.carrier.poll_burst(fabric, Some(s.dst), &[]);
+    }
+
+    /// Hand message `m` of `s`, which the caller claimed, to the carrier
+    /// as one chunk; a rendezvous, whose one message it is, retires.
+    fn ship(&self, fabric: &Fabric, s: &StreamSend, m: usize) {
+        if s.one_round {
+            self.streams_out.lock().remove(&s.id);
+        }
+        let chunk = s.msgs[m];
+        let (parts, offset, bytes) = (chunk.parts, chunk.offset, chunk.len as u64);
+        fabric
+            .trace()
+            .emit(self.rank as u16, || EventKind::StreamChunk {
+                lane: 0,
+                parts,
+                offset,
+                bytes,
+            });
+        // ORDERING: stored before the post of the credit this claim saw.
+        let grant = Some(s.grant.load(Ordering::Relaxed)).filter(|&g| g != NO_GRANT);
         self.carrier
-            .ship_chunks(fabric, dst, stream_id, grant, &span, chunk);
-        None
+            .ship_chunk(fabric, s.dst, s.id, grant, &s.span, chunk);
     }
 
     /// Receiver: open round `round` of `stream` from `src` on `ctx` and
@@ -668,11 +684,12 @@ impl WireProtocol {
             .ship_part_cts(fabric, src, rdv_id, stream.base, stream.total_len);
     }
 
-    /// Sender: one more credit — release every queued chunk of the round
-    /// it opens to the carrier. `grant` is what the carrier's credit
-    /// carried beyond the stream id (an offset into receiver-visible
-    /// memory of `grant_cap` bytes, or nothing); it is the peer's word,
-    /// so the whole stream must fit under the cap before it is stored.
+    /// Sender: one more credit, the receiver's post of the sender's next
+    /// round: it claims and ships every message already issued in it.
+    /// `grant` is what the carrier's credit carried beyond the stream id
+    /// (an offset into receiver-visible memory of `grant_cap` bytes, or
+    /// nothing); it is the peer's word, so the whole stream must fit
+    /// under the cap before it is stored.
     pub(crate) fn handle_part_cts(
         &self,
         fabric: &Fabric,
@@ -685,37 +702,28 @@ impl WireProtocol {
             return;
         }
         self.note_cts(fabric, peer, rdv_id, false);
-        let (dst, span, chunks) = {
-            let mut out = self.streams_out.lock();
-            let Some(stream) = out.get_mut(&rdv_id) else {
-                return; // post-abort straggler, or its request dropped
-            };
-            let total = stream.total_len as u64;
-            if grant.is_some_and(|g| g.checked_add(total).is_none_or(|end| end > grant_cap)) {
-                drop(out);
-                fabric.fail(PcommError::misuse(
-                    peer,
-                    format!(
-                        "partitioned stream grant {grant:?} for {total} B exceeds the \
-                         {grant_cap}-byte arena"
-                    ),
-                ));
-                return;
-            }
-            (stream.credits, stream.grant) = (stream.credits + 1, grant);
-            // What is queued belongs to the round this credit opens (the
-            // sender's previous round needed the previous credit); a
-            // credit ahead of the sender's start finds nothing queued.
-            let chunks = std::mem::take(&mut stream.queued);
-            let (dst, span) = (stream.dst, Arc::clone(&stream.span));
-            if stream.retires() {
-                out.remove(&rdv_id);
-            }
-            (dst, span, chunks)
+        let Some(s) = self.streams_out.lock().get(&rdv_id).cloned() else {
+            return; // post-abort straggler, or its request dropped
         };
-        debug_assert_eq!(dst, peer, "PartCts must come from the stream's receiver");
-        self.carrier
-            .ship_chunks(fabric, dst, rdv_id, grant, &span, &chunks);
+        let total = s.total_len as u64;
+        if grant.is_some_and(|g| g.checked_add(total).is_none_or(|end| end > grant_cap)) {
+            fabric.fail(PcommError::misuse(
+                peer,
+                format!(
+                    "partitioned stream grant {grant:?} for {total} B exceeds the \
+                     {grant_cap}-byte arena"
+                ),
+            ));
+            return;
+        }
+        debug_assert_eq!(s.dst, peer, "PartCts must come from the stream's receiver");
+        // ORDERING: published by the post's SeqCst store below.
+        s.grant.store(grant.unwrap_or(NO_GRANT), Ordering::Relaxed);
+        // Credits come one round apart: the receiver credits round k only
+        // once round k − 1 landed, which took the post of credit k − 1.
+        let round = s.claims.posted() + 1;
+        s.claims
+            .post(round, &s.issued, |m| self.ship(fabric, &s, m));
     }
 
     /// Receiver: the range `offset..offset+len` of stream `rdv_id` is
@@ -904,8 +912,8 @@ impl WireProtocol {
 
     /// Shut the wire down after the rank's closure returned. Clean runs
     /// pass a closing barrier first — nobody says goodbye while a peer
-    /// might still need them, and no queued stream chunk can be
-    /// outstanding (a receiver cannot reach the barrier until its data
+    /// might still need them, and no stream message can be left
+    /// unshipped (a receiver cannot reach the barrier until its data
     /// landed). Aborted runs skip the barrier and make sure the abort
     /// was broadcast. Then the carrier says `Bye` and stops its threads.
     /// Never unwinds: failures found here are recorded on the fabric.
@@ -1059,13 +1067,16 @@ impl WireProtocol {
 
     /// Per-peer health for stall reports: the carrier's view of each
     /// connection plus the streams this engine still waits on a credit
-    /// for.
+    /// for (a message issued in a round the receiver has not posted).
     pub(crate) fn peer_states(&self) -> Vec<PeerSocketState> {
         let mut states = self.carrier.peer_states();
         let streams = self.streams_out.lock();
-        for s in &mut states {
-            let waits = |st: &&StreamSend| st.dst == s.peer && st.credits < st.round;
-            s.pending_rdv = streams.values().filter(waits).count();
+        for p in &mut states {
+            let waits = |s: &&Arc<StreamSend>| {
+                let posted = s.claims.posted();
+                s.dst == p.peer && s.issued.iter().any(|k| k.load(Ordering::Acquire) > posted)
+            };
+            p.pending_rdv = streams.values().filter(waits).count();
         }
         states
     }
@@ -1294,7 +1305,7 @@ fn decode_abort(kind: u8, a: u64, b: u64, tag: i64, attempts: u64, detail: Strin
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// What the engine asked its carrier to do, in order.
@@ -1309,17 +1320,17 @@ mod tests {
             src: usize,
             rdv_id: u64,
         },
-        Chunks {
+        Chunk {
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
-            /// `(offset, len, parts)` of each chunk handed over.
-            ranges: Vec<(u64, usize, u16)>,
+            /// `(offset, len, parts)` of the chunk handed over.
+            range: (u64, usize, u16),
         },
     }
 
     /// A carrier that moves nothing and records every call; a chunk it
-    /// is handed counts as gone at once.
+    /// is handed counts as gone at once. Every peer looks healthy.
     struct Recorder {
         rank: usize,
         log: Mutex<Vec<Sent>>,
@@ -1346,28 +1357,35 @@ mod tests {
             self.log.lock().push(Sent::PartCts { src, rdv_id });
         }
 
-        fn ship_chunks(
+        fn ship_chunk(
             &self,
             _: &Fabric,
             dst: usize,
             rdv_id: u64,
             grant: Option<u64>,
             span: &Arc<SendSpan>,
-            chunks: &[PinChunk],
+            c: PinChunk,
         ) {
-            for c in chunks {
-                span.left(c.len);
-            }
-            self.log.lock().push(Sent::Chunks {
+            span.left(c.len);
+            self.log.lock().push(Sent::Chunk {
                 dst,
                 rdv_id,
                 grant,
-                ranges: chunks.iter().map(|c| (c.offset, c.len, c.parts)).collect(),
+                range: (c.offset, c.len, c.parts),
             });
         }
 
         fn peer_states(&self) -> Vec<PeerSocketState> {
-            Vec::new()
+            let peer = |peer| PeerSocketState {
+                peer,
+                connected: true,
+                frames_sent: 0,
+                frames_received: 0,
+                pending_rdv: 0,
+                queued: 0,
+                quiet_ms: 0,
+            };
+            (0..2).filter(|&p| p != self.rank).map(peer).collect()
         }
 
         fn close(&self, _: &Fabric) {}
@@ -1418,6 +1436,21 @@ mod tests {
         StreamRecv::new(base, len, msgs, landed, Completion::new(), None, false)
     }
 
+    /// A partitioned stream toward `dst` over `src`, cut into the
+    /// `(offset, len, parts)` messages `msgs`, and its `done`.
+    pub(crate) fn source(
+        wire: &WireProtocol,
+        dst: usize,
+        src: &[u8],
+        msgs: &[(usize, usize, u16)],
+    ) -> (Arc<StreamSend>, Arc<Completion>) {
+        let (id, done) = (wire.stream_id(), Completion::new());
+        let issued = msgs.iter().map(|_| AtomicU64::new(0)).collect();
+        let msgs = msgs.iter().copied();
+        let s = StreamSend::new(id, dst, src.as_ptr(), msgs, issued, &done, None, false);
+        (s, done)
+    }
+
     /// Whether message `m` of `stream` landed in round `round`.
     fn landed(stream: &StreamRecv, m: usize, round: u64) -> bool {
         stream.landed[m].load(Ordering::Acquire) == round
@@ -1438,10 +1471,11 @@ mod tests {
                     cts += 1;
                     vec![Frame::PartCts { rdv_id }]
                 }
-                Sent::Chunks { rdv_id, ranges, .. } => ranges
-                    .iter()
-                    .map(|&(at, len, _)| part_data(rdv_id, at, &src[at as usize..][..len]))
-                    .collect(),
+                Sent::Chunk {
+                    rdv_id,
+                    range: (at, len, _),
+                    ..
+                } => vec![part_data(rdv_id, at, &src[at as usize..][..len])],
             };
             for frame in frames {
                 to.wire().dispatch(to, from_rank, frame);
@@ -1477,9 +1511,10 @@ mod tests {
             let (rx, rx_log) = engine(2, 1);
             let mut buf = vec![0u8; 64];
             let stream = dest(&mut buf, 32);
-            let (id, sent) = (tx.wire().stream_id(), Completion::new());
+            let mut src = vec![0u8; 64];
+            let (s, sent) = source(tx.wire(), 1, &src, &[(0, 32, 1), (32, 32, 1)]);
             for round in 1..=3u64 {
-                let src = vec![round as u8; 64];
+                src.fill(round as u8);
                 let (mut rts, mut cts) = (0, 0);
                 let mut count = |(r, c): (usize, usize)| (rts, cts) = (rts + r, cts + c);
                 if receiver_first {
@@ -1487,10 +1522,9 @@ mod tests {
                     count(shuttle(&rx_log, 1, &tx, &src));
                 }
                 sent.reset();
-                tx.wire().part_send_start(&tx, 1, 7, id, 64, &sent, round);
-                for at in [0, 32] {
-                    tx.wire()
-                        .part_stream_push(&tx, id, at, &src[at as usize..][..32], 1);
+                tx.wire().part_send_start(&tx, 7, &s, round);
+                for m in 0..2 {
+                    tx.wire().part_issue(&tx, &s, m, round);
                 }
                 if !receiver_first {
                     rx.wire().part_recv_start(&rx, 0, 7, &stream, round);
@@ -1529,21 +1563,34 @@ mod tests {
     }
 
     /// Streams opened and dropped on both sides, paired or not, leave
-    /// nothing in the engine's tables, and a dropped sender's `done`
-    /// needs no carrier: nothing of its round is held by one.
+    /// nothing in the engine's tables. A sender drops mid-round with up
+    /// to three of its four messages issued ahead of the credit, the
+    /// rest never, while the round's credit arrives: every message is
+    /// counted off once, by the carrier it shipped on (here: at once) or
+    /// by the close, so `done` is set and the span at zero, never below.
     #[test]
     fn a_thousand_open_drop_cycles_leave_no_stream_behind() {
         let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let mut buf = vec![0u8; 64];
+        let go = std::sync::Barrier::new(2);
+        let msgs = [(0, 16, 1), (16, 16, 1), (32, 16, 1), (48, 16, 1)];
         for cycle in 0..1000u64 {
-            let (id, done) = (wire.stream_id(), Completion::new());
-            wire.part_send_start(&fabric, 1, 7, id, 64, &done, 1);
-            if cycle % 2 == 0 {
-                wire.part_stream_push(&fabric, id, 0, &buf[..32], 1);
+            let (s, done) = source(wire, 1, &buf, &msgs);
+            wire.part_send_start(&fabric, 7, &s, 1);
+            for m in 0..cycle as usize % 4 {
+                wire.part_issue(&fabric, &s, m, 1);
             }
-            wire.part_send_close(id);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    go.wait();
+                    wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: s.id });
+                });
+                go.wait();
+                wire.part_send_close(&s, 1);
+            });
             assert!(done.is_set(), "cycle {cycle}");
+            assert_eq!(s.span.remaining.load(Ordering::Acquire), 0);
             let stream = dest(&mut buf, 32);
             wire.part_recv_start(&fabric, 1, 7, &stream, 1);
             if cycle % 2 == 0 {
@@ -1800,18 +1847,18 @@ mod tests {
     fn a_rendezvous_is_a_one_message_stream() {
         let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
-        // Sender: the `Rts` leaves with the whole buffer queued behind
-        // it; the stream's CTS releases one range, a replayed CTS nothing.
+        // Sender: the `Rts` leaves with the whole buffer issued as one
+        // message; the stream's CTS ships it, a replayed CTS nothing.
         let src = [7u8; 2048];
         let done = Completion::new();
         wire.ship_rts(&fabric, 1, 0, 0, 4, &src, &done);
         wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: 0 });
         wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: 0 });
-        let chunks = Sent::Chunks {
+        let chunks = Sent::Chunk {
             dst: 1,
             rdv_id: 0,
             grant: None,
-            ranges: vec![(0, 2048, 1)],
+            range: (0, 2048, 1),
         };
         let frame = |frame| Sent::Frame {
             dst: 1,
@@ -1937,43 +1984,45 @@ mod tests {
     fn a_stream_grant_must_fit_the_arena() {
         const ARENA: u64 = 1 << 20;
         // Past the arena by one byte, and an offset that overflows.
+        let (src, msgs) = (vec![0u8; 4096], [(0, 1024, 1), (1024, 3072, 3)]);
         for grant in [ARENA - 4096 + 1, u64::MAX - 100] {
             let (fabric, carrier) = engine(2, 0);
             let wire = fabric.wire();
-            let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
-            wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
-            wire.part_stream_push(&fabric, id, 0, &src[..1024], 1);
+            let (s, _) = source(wire, 1, &src, &msgs);
+            wire.part_send_start(&fabric, 7, &s, 1);
+            wire.part_issue(&fabric, &s, 0, 1);
             taken(&carrier);
-            wire.handle_part_cts(&fabric, 1, id, Some(grant), ARENA);
+            wire.handle_part_cts(&fabric, 1, s.id, Some(grant), ARENA);
             assert!(misuse_of(&fabric, 1).contains("exceeds the 1048576-byte arena"));
             assert!(
                 !taken(&carrier)
                     .iter()
-                    .any(|s| matches!(s, Sent::Chunks { .. })),
+                    .any(|s| matches!(s, Sent::Chunk { .. })),
                 "nothing ships under a refused grant"
             );
         }
-        // The largest grant that fits is accepted and releases the queue.
+        // The largest grant that fits is accepted and ships the message
+        // issued ahead of it.
         let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
-        let (src, id, done) = (vec![0u8; 4096], wire.stream_id(), Completion::new());
-        wire.part_send_start(&fabric, 1, 7, id, 4096, &done, 1);
-        wire.part_stream_push(&fabric, id, 0, &src[..1024], 1);
+        let (s, done) = source(wire, 1, &src, &msgs);
+        wire.part_send_start(&fabric, 7, &s, 1);
+        wire.part_issue(&fabric, &s, 0, 1);
         taken(&carrier);
-        wire.handle_part_cts(&fabric, 1, id, Some(ARENA - 4096), ARENA);
-        let chunks = |ranges| Sent::Chunks {
+        wire.handle_part_cts(&fabric, 1, s.id, Some(ARENA - 4096), ARENA);
+        let chunk = |range| Sent::Chunk {
             dst: 1,
-            rdv_id: id,
+            rdv_id: s.id,
             grant: Some(ARENA - 4096),
-            ranges,
+            range,
         };
-        assert_eq!(taken(&carrier), vec![chunks(vec![(0, 1024, 1)])]);
-        // Credited pushes flow straight through; the stream outlives its
-        // round until its request drops.
-        wire.part_stream_push(&fabric, id, 1024, &src[1024..], 3);
-        assert_eq!(taken(&carrier), vec![chunks(vec![(1024, 3072, 3)])]);
+        assert_eq!(taken(&carrier), vec![chunk((0, 1024, 1))]);
+        // A credited issue ships straight under the same grant; the
+        // stream outlives its round until its request drops.
+        wire.part_issue(&fabric, &s, 1, 1);
+        assert_eq!(taken(&carrier), vec![chunk((1024, 3072, 3))]);
         assert!(done.is_set());
-        wire.part_send_close(id);
+        wire.part_send_close(&s, 1);
         assert!(wire.streams_out.lock().is_empty());
         assert!(!fabric.aborted());
     }
@@ -2036,52 +2085,83 @@ mod tests {
         assert!(detail.contains("peer stalled"), "{detail}");
     }
 
-    /// Each push of a credited stream ships at once as one chunk at its
+    /// Each issue of a credited stream ships at once as one chunk at its
     /// own offset, length and `parts`, whatever its size: adjacent small
-    /// ranges stay apart and a range past a gap waits for nothing. A
-    /// one-round stream retires once its whole buffer is pushed.
+    /// messages stay apart and one past a gap waits for nothing. A
+    /// rendezvous retires once its one message ships.
     #[test]
-    fn every_push_ships_as_one_chunk_and_a_whole_rendezvous_retires() {
+    fn every_issue_ships_as_one_chunk_and_a_whole_rendezvous_retires() {
         let (fabric, carrier) = engine(2, 0);
         let wire = fabric.wire();
         let src = vec![0u8; 4096 + (1 << 19)];
-        let (id, done) = (wire.stream_id(), Completion::new());
-        wire.part_send_start(&fabric, 1, 7, id, src.len(), &done, 1);
-        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: id });
-        taken(&carrier);
-        let pushes = [
+        let msgs = [
             (0, 100, 1),
             (100, 100, 1),
-            (4096, 1 << 19, 8),
             (200, 3896, 3),
+            (4096, 1 << 19, 8),
         ];
-        for (at, len, parts) in pushes {
+        let (s, done) = source(wire, 1, &src, &msgs);
+        wire.part_send_start(&fabric, 7, &s, 1);
+        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: s.id });
+        taken(&carrier);
+        for m in [0, 1, 3, 2] {
             assert!(!done.is_set());
-            wire.part_stream_push(&fabric, id, at, &src[at as usize..][..len], parts);
-            let chunk = Sent::Chunks {
+            wire.part_issue(&fabric, &s, m, 1);
+            let (at, len, parts) = msgs[m];
+            let chunk = Sent::Chunk {
                 dst: 1,
-                rdv_id: id,
+                rdv_id: s.id,
                 grant: None,
-                ranges: vec![(at, len, parts)],
+                range: (at as u64, len, parts),
             };
-            assert_eq!(taken(&carrier), vec![chunk], "push at {at}");
+            assert_eq!(taken(&carrier), vec![chunk], "message {m}");
         }
         assert!(done.is_set(), "the round's last byte left");
         assert!(
-            wire.streams_out.lock().contains_key(&id),
+            wire.streams_out.lock().contains_key(&s.id),
             "kept until closed"
         );
-        wire.part_send_close(id);
-        // A rendezvous: its one push queues behind the `Rts`, its credit
-        // ships it, and the stream leaves the tables.
+        wire.part_send_close(&s, 1);
+        // A rendezvous: its one message waits behind the `Rts`, its
+        // credit ships it, and the stream leaves the tables.
         let done = Completion::new();
         wire.ship_rts(&fabric, 1, 0, 0, 4, &src[..100], &done);
-        let rdv_id = id + 1;
+        let rdv_id = s.id + 1;
         wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id });
         let sent = taken(&carrier);
-        assert!(matches!(&sent[1], Sent::Chunks { ranges, .. } if *ranges == [(0, 100, 1)]));
+        assert!(matches!(&sent[1], Sent::Chunk { range, .. } if *range == (0, 100, 1)));
         assert!(done.is_set() && wire.streams_out.lock().is_empty());
         assert!(!fabric.aborted());
+    }
+
+    /// A stall report counts a stream toward its receiver while one of
+    /// its messages waits for the credit of the sender's round, and
+    /// none once that credit is in: round after round, and for a
+    /// rendezvous until its one credit.
+    #[test]
+    fn a_stall_report_counts_a_stream_waiting_for_its_rounds_credit() {
+        let (fabric, _carrier) = engine(2, 0);
+        let wire = fabric.wire();
+        let pending = || wire.peer_states()[0].pending_rdv;
+        let src = [0u8; 64];
+        let (s, done) = source(wire, 1, &src, &[(0, 32, 1), (32, 32, 1)]);
+        for round in 1..=3 {
+            done.reset();
+            wire.part_send_start(&fabric, 7, &s, round);
+            assert_eq!(pending(), 0, "round {round}: nothing issued yet");
+            wire.part_issue(&fabric, &s, 0, round);
+            assert_eq!(pending(), 1, "round {round}: issued ahead of its credit");
+            wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: s.id });
+            assert_eq!(pending(), 0, "round {round}: credited");
+            wire.part_issue(&fabric, &s, 1, round);
+            assert!(done.is_set() && pending() == 0, "round {round}");
+        }
+        let done = Completion::new();
+        wire.ship_rts(&fabric, 1, 0, 0, 4, &src, &done);
+        assert_eq!(pending(), 1, "a rendezvous before its credit");
+        wire.dispatch(&fabric, 1, Frame::PartCts { rdv_id: s.id + 1 });
+        assert!(done.is_set() && pending() == 0, "a rendezvous credited");
+        wire.part_send_close(&s, 3);
     }
 
     #[test]
