@@ -2,22 +2,18 @@
 //! shared memory segment (memfd + `MAP_SHARED`, see
 //! [`pcomm_net::ipc`]) holding, per directed pair, an SPSC descriptor
 //! ring plus a FIFO slab and a partition arena. The protocol is
-//! [`crate::wire`]'s; this file only moves its bytes. Small frames ride
-//! inline in ring slots (bcopy); stream ranges without an arena grant —
-//! every rendezvous, a one-message stream into a posted buffer — stream
-//! through the slab in `K_PARTF` chunks. A partitioned stream whose
-//! destination lives in the arena moves each range with **one copy**,
-//! made by whichever side claims it: the `K_PART_CTS` carries the
-//! destination's arena offset as the grant, and a sender whose buffer
-//! lives in the arena too publishes each ready range of at least
-//! [`PULL_FLOOR`] bytes as a payload-less `K_READY` naming its source.
-//! The receiver claims and copies it in any drain (then acks it with
-//! `K_PULLED`); the sender's app thread, while it polls in a wait,
-//! claims from its newest range down, copies into the grant and
-//! publishes a `K_PART` commit (see [`pcomm_net::ipc::claim`]). Smaller
-//! ranges, and ranges from heap buffers, take that sender copy at once.
-//! So two cores move one stream, and `parrived` flips without a
-//! reader-thread hop.
+//! [`crate::wire`]'s; this file only moves its bytes. Frames ride
+//! inline in ring slots (bcopy), or in the slab when too large for one.
+//! A stream range moves with **one copy**, made by whichever side claims
+//! its `K_READY` ([`pcomm_net::ipc::claim`]): the receiver in any drain
+//! (then a `K_PULLED` ack), the sender's app thread while it polls in a
+//! wait (newest first, then a `K_PART` commit). The `K_PART_CTS` grants
+//! the destination's arena offset — a `memcpy` from a source in the
+//! arena — or else its address, as for every rendezvous: then each
+//! [`PULL_FLOOR`]-sized piece is one cross-memory call to or from the
+//! pid the kernel attested for the peer. A smaller range, or a heap
+//! source into the arena, is copied by its sender at once. So two cores
+//! move one stream, and `parrived` flips without a reader-thread hop.
 //!
 //! Wakeups are futex doorbells ([`pcomm_net::ipc::doorbell`]): the
 //! steady state is zero syscalls per transfer (spin-then-futex on both
@@ -47,12 +43,12 @@ use pcomm_net::frame::{self, Frame};
 use pcomm_net::ipc::claim::Pulls;
 use pcomm_net::ipc::doorbell::Handoff;
 use pcomm_net::ipc::ring::{
-    Channel, ReadyRange, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_PULLED,
-    K_READY, K_SLAB,
+    Channel, ReadyRange, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PART_CTS, K_PULLED, K_READY,
+    K_SLAB,
 };
 use pcomm_net::ipc::slab::ArenaAlloc;
-use pcomm_net::ipc::{self, IpcParams, Segment, Tallies};
-use pcomm_net::Mesh;
+use pcomm_net::ipc::{Segment, Tallies};
+use pcomm_net::sys;
 use pcomm_trace::EventKind;
 
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
@@ -80,8 +76,14 @@ const TEARDOWN_PUSH_BUDGET: Duration = Duration::from_secs(1);
 /// being copied by its sender at once: below it, the claim, the
 /// receiver's ack and a second core's cache misses cost more than the
 /// copy they split (`EXPERIMENTS.md`, "Two cores move an ipc partitioned
-/// stream").
+/// stream"). Also the most a range toward an address moves in one claim:
+/// the smallest pieces either side can claim let the receiver read them
+/// oldest first while the sender writes them newest first.
 const PULL_FLOOR: usize = 64 << 10;
+
+/// Marks a grant as the destination's address in the receiver's
+/// process, not an arena offset (no user address sets the top bit).
+const ADDR_GRANT: u64 = 1 << 63;
 
 /// Per-peer shared-memory channel pair plus this process's send/recv
 /// bookkeeping for the peer.
@@ -111,13 +113,18 @@ struct IpcPeer {
     /// Allocator over the *inbound* channel's partition arena: the
     /// buffers of partitioned streams from and toward this peer.
     arena: Mutex<ArenaAlloc>,
-    /// Our ready ranges toward this peer that either side may still
-    /// claim, by claim slot of the outbound channel.
+    /// Our ready ranges toward this peer not moved yet, by claim slot of
+    /// the outbound channel.
     pulls: Mutex<Pulls<Pull>>,
 }
 
-/// A ready range of a stream toward a peer whose destination is granted
-/// (`grant` is its arena offset): everything either mover needs.
+/// The destination's address in the receiver's process, for a grant
+/// that is one; `None` for an arena offset.
+fn grant_addr(grant: u64) -> Option<u64> {
+    (grant & ADDR_GRANT != 0).then_some(grant & !ADDR_GRANT)
+}
+
+/// A ready range of a stream toward a peer: everything its movers need.
 struct Pull {
     rdv_id: u64,
     grant: u64,
@@ -131,11 +138,12 @@ struct Pull {
 /// deadlock two ranks symmetrically: both blocked pushing into full
 /// rings, both drain passes skipping the channel they hold. So pushy
 /// records are deferred until the guard drops and the slot is free;
-/// everything else dispatches inline (zero extra copies).
+/// everything else dispatches inline (zero extra copies). `Pulled` is
+/// the `K_PULLED` ack of a range this side copied.
 enum Deferred {
     Frame(Frame),
-    PartCts { rdv_id: u64, grant: Option<u64> },
-    Pulled { idx: u64, seq: u64 },
+    PartCts { rdv_id: u64, grant: u64, cap: u64 },
+    Pulled(SlotDesc),
 }
 
 /// The shared-memory carrier for one rank of a same-host run.
@@ -143,10 +151,6 @@ pub(crate) struct IpcTransport {
     rank: usize,
     n_ranks: usize,
     segment: Segment,
-    /// FIFO slab capacity per channel (caps one frame's body).
-    fifo_bytes: u64,
-    /// Chunk size for slab-staged stream ranges (`K_PARTF`).
-    rdv_chunk: usize,
     peers: Vec<Option<IpcPeer>>,
     progress: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
@@ -159,7 +163,6 @@ pub(crate) struct IpcTransport {
 
 impl IpcTransport {
     pub(crate) fn new(segment: Segment, rank: usize, n_ranks: usize) -> IpcTransport {
-        let params = *segment.params();
         let mut peers = Vec::with_capacity(n_ranks);
         for r in 0..n_ranks {
             if r == rank {
@@ -179,17 +182,14 @@ impl IpcTransport {
                 frames_received: AtomicU64::new(0),
                 saw_bye: AtomicBool::new(false),
                 hb_seen: Mutex::new(None),
-                arena: Mutex::new(ArenaAlloc::new(params.arena_bytes)),
+                arena: Mutex::new(ArenaAlloc::new(segment.params().arena_bytes)),
                 pulls: Mutex::new(Pulls::default()),
             }));
         }
-        let fifo_bytes = params.fifo_bytes;
         IpcTransport {
             rank,
             n_ranks,
             segment,
-            fifo_bytes,
-            rdv_chunk: ((fifo_bytes / 2).max(1) as usize).min(256 << 10),
             peers,
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
@@ -205,7 +205,7 @@ impl IpcTransport {
 
 impl IpcTransport {
     /// Publish one record toward `dst` — its payload copied into the
-    /// FIFO slab for the slab kinds, into the ring slot for the others
+    /// FIFO slab for `K_SLAB`, into the ring slot for the others
     /// — blocking on the peer's space doorbell while the ring (or FIFO)
     /// is full. Returns `false` when
     /// the push was abandoned: the run aborted (unless `force`), the
@@ -238,7 +238,7 @@ impl IpcTransport {
                 let trace = fabric.trace();
                 let t_send = trace.verify_now_ns();
                 let ok = match desc.kind {
-                    K_SLAB | K_PARTF => out.try_push_slab(desc, &[body]).is_ok(),
+                    K_SLAB => out.try_push_slab(desc, &[body]).is_ok(),
                     _ => out.try_push(desc, body).is_ok(),
                 };
                 if ok {
@@ -290,7 +290,7 @@ impl IpcTransport {
                 return false;
             }
             waited_since.get_or_insert_with(Instant::now);
-            if self.progress_pass(fabric) {
+            if self.drain_all(fabric, false) {
                 continue;
             }
             let _ = peer.out_ch.space_doorbell().wait(seen, PUSH_SLICE_NS);
@@ -311,15 +311,15 @@ impl IpcTransport {
     ) -> bool {
         let mut buf = Vec::with_capacity(64);
         frame.encode_into(&mut buf);
-        let body = frame::body_of(&buf); // rings are record-framed
-        if body.len() as u64 > self.fifo_bytes {
+        let (body, fifo_bytes) = (frame::body_of(&buf), self.segment.params().fifo_bytes);
+        if body.len() as u64 > fifo_bytes {
             fabric.fail(PcommError::misuse(
                 self.rank,
                 format!(
                     "ipc frame body of {} B exceeds the {}-byte FIFO slab \
                      (one RMA transfer larger than that must be split)",
                     body.len(),
-                    self.fifo_bytes
+                    fifo_bytes
                 ),
             ));
             return false;
@@ -339,13 +339,8 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Drain every peer's inbound channel once; returns whether any
-    /// record was consumed.
-    fn progress_pass(&self, fabric: &Fabric) -> bool {
-        self.drain_all(fabric, false)
-    }
-
-    /// One drain pass over every peer. `wait_for_drainer` is for the
+    /// One drain pass over every peer; returns whether any record was
+    /// consumed. `wait_for_drainer` is for the
     /// last poller out (see `poll_until_none`): it owes the rings one look
     /// of its *own* after re-counting the progress thread, so it waits
     /// for a concurrent drainer's (record-sized) critical section
@@ -388,7 +383,7 @@ impl IpcTransport {
                         // serialises this counter.
                         let seq = peer.rx_seq.fetch_add(1, Ordering::Relaxed);
                         let op16 = match desc.kind {
-                            K_PART | K_PARTF | K_READY => frame::op::PART_DATA as u16,
+                            K_PART | K_READY => frame::op::PART_DATA as u16,
                             K_PART_CTS => frame::op::PART_CTS as u16,
                             K_PULLED => frame::op::HEARTBEAT as u16,
                             _ => frame::body_opcode(payload).map_or(0, u16::from),
@@ -404,31 +399,27 @@ impl IpcTransport {
                     }
                     // ORDERING: advisory stat for diagnostics snapshots.
                     peer.frames_received.fetch_add(1, Ordering::Relaxed);
-                    let wire = fabric.wire();
                     // Offsets and lengths in `desc` are the peer's word;
                     // the engine bounds-checks them before `dest` exists.
-                    let copy_in = |dest: &mut [u8]| {
-                        dest.copy_from_slice(payload);
-                        Ok(payload.len())
-                    };
-                    let (id, at) = (desc.a, desc.b as usize);
+                    let wire = fabric.wire();
+                    let (id, at, len) = (desc.a, desc.b as usize, desc.c as usize);
                     match desc.kind {
                         // Commit: the sender copied the range into the
-                        // granted arena destination; bookkeeping remains.
+                        // granted destination; bookkeeping remains.
                         K_PART => {
-                            let len = desc.c as usize;
                             let _ = wire.land_part(fabric, src, id, at, len, |_| Ok(len));
-                        }
-                        K_PARTF => {
-                            let _ = wire.land_part(fabric, src, id, at, payload.len(), copy_in);
                         }
                         K_READY => deferred = self.pull(fabric, src, peer, desc, payload),
                         K_PULLED => self.pulled(fabric, src, peer, desc.a, desc.b),
+                        // An arena offset (the engine checks it against
+                        // the arena), or else the destination's address.
                         K_PART_CTS => {
-                            deferred = Some(Deferred::PartCts {
-                                rdv_id: desc.a,
-                                grant: (desc.b != u64::MAX).then_some(desc.b),
-                            });
+                            let (grant, cap) = match desc.b {
+                                u64::MAX => (desc.c | ADDR_GRANT, u64::MAX),
+                                offset => (offset, peer.out_ch.arena_bytes()),
+                            };
+                            let rdv_id = desc.a;
+                            deferred = Some(Deferred::PartCts { rdv_id, grant, cap });
                         }
                         K_FRAME | K_SLAB => match Frame::decode(payload) {
                             // Handlers that answer with a push of their
@@ -463,16 +454,13 @@ impl IpcTransport {
             any = true;
             match deferred {
                 Some(Deferred::Frame(f)) => self.dispatch_frame(fabric, src, f),
-                Some(Deferred::PartCts { rdv_id, grant }) => {
-                    let cap = peer.out_ch.arena_bytes();
+                Some(Deferred::PartCts { rdv_id, grant, cap }) => {
                     fabric
                         .wire()
-                        .handle_part_cts(fabric, src, rdv_id, grant, cap)
+                        .handle_part_cts(fabric, src, rdv_id, Some(grant), cap)
                 }
-                Some(Deferred::Pulled { idx, seq }) => {
-                    let desc = SlotDesc::new(K_PULLED, 0, idx, seq, 0);
-                    let op = frame::op::HEARTBEAT;
-                    self.push_record(fabric, src, op, desc, &[], None, false);
+                Some(Deferred::Pulled(ack)) => {
+                    self.push_record(fabric, src, frame::op::HEARTBEAT, ack, &[], None, false);
                 }
                 None => {}
             }
@@ -492,44 +480,50 @@ impl IpcTransport {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned streams: one copy by whichever side claims, FIFO fallback.
+// Stream ranges: one copy, by whichever side claims it.
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Sender: copy a range into the receiver's granted destination and
-    /// publish its payload-less `K_PART` commit, so the receiver commits
-    /// in place. Called at once for a range nobody pulls, and from a
-    /// polling app thread for a ready range it claimed.
-    fn copy_out(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        rdv_id: u64,
-        grant: u64,
-        span: &SendSpan,
-        chunk: PinChunk,
-    ) {
+    /// Sender: copy a range into the receiver's destination — into the
+    /// arena, or with cross-memory writes into the receiver's process —
+    /// and publish its payload-less `K_PART` commit, so the receiver
+    /// commits in place. Called at once for a range nobody pulls, and
+    /// from a polling app thread for a ready range it claimed.
+    fn copy_out(&self, fabric: &Fabric, dst: usize, pull: &Pull) {
         let Some(peer) = &self.peers[dst] else {
             return;
         };
-        let (offset, len) = (chunk.offset, chunk.len);
-        // SAFETY: the receiver granted `grant .. grant + total_len` of
-        // the outbound channel's arena to this stream (checked against
-        // the arena size when the CTS arrived) and will not read
-        // `offset..offset+len` of it until the K_PART below publishes;
-        // nobody else copies the range (it was never published, or this
-        // side won its claim); the source side is invariant (1).
-        unsafe {
-            std::ptr::copy_nonoverlapping(chunk.ptr, peer.out_ch.arena_ptr(grant + offset), len);
+        let (chunk, offset, len) = (pull.chunk, pull.chunk.offset, pull.chunk.len);
+        match grant_addr(pull.grant) {
+            // SAFETY: the receiver granted `grant .. grant + total_len` of
+            // the outbound channel's arena to this stream (checked against
+            // the arena size when the CTS arrived) and will not read
+            // `offset..offset+len` of it until the K_PART below publishes;
+            // nobody else copies the range (it was never published, or this
+            // side won its claim); the source side is invariant (1).
+            None => unsafe {
+                let dest = peer.out_ch.arena_ptr(pull.grant + offset);
+                std::ptr::copy_nonoverlapping(chunk.ptr, dest, len);
+            },
+            Some(base) => {
+                // SAFETY: invariant (1) — the source stays pinned until
+                // its bytes count off the span below.
+                let src = unsafe { std::slice::from_raw_parts(chunk.ptr, len) };
+                // The kernel checks the receiver's word against its mappings.
+                if let Err(e) = sys::process_vm_writev(self.segment.pid(dst), src, base + offset) {
+                    let what = format!("destination {base:#x}+{offset}+{len} of rank {dst}");
+                    return fabric.fail(PcommError::misuse(dst, format!("{what} unwritten: {e}")));
+                }
+            }
         }
-        let desc = SlotDesc::new(K_PART, chunk.parts, rdv_id, offset, len as u64);
+        let desc = SlotDesc::new(K_PART, chunk.parts, pull.rdv_id, offset, len as u64);
         if self.push_record(fabric, dst, frame::op::PART_DATA, desc, &[], None, false) {
-            span.left(len);
+            pull.span.left(len);
         }
     }
 
-    /// Sender, from a polling app thread: claim the newest ready range
-    /// no peer has claimed and copy it here. Returns whether it did.
+    /// Sender, from a polling app thread: claim the newest ready range no
+    /// peer has claimed and copy it here. Returns whether it did.
     fn claim_own(&self, fabric: &Fabric) -> bool {
         if fabric.aborted() {
             return false;
@@ -537,8 +531,8 @@ impl IpcTransport {
         for (dst, peer) in self.peers.iter().enumerate() {
             let Some(peer) = peer else { continue };
             let claimed = peer.pulls.lock().claim_newest(&peer.out_ch.claims());
-            if let Some(p) = claimed {
-                self.copy_out(fabric, dst, p.rdv_id, p.grant, &p.span, p.chunk);
+            if let Some(pull) = claimed {
+                self.copy_out(fabric, dst, &pull);
                 return true;
             }
         }
@@ -546,8 +540,10 @@ impl IpcTransport {
     }
 
     /// Receiver: `src` has a range ready (`K_READY`). Check the peer's
-    /// words, then claim it and copy it out of the peer's window into
-    /// the destination; the `K_PULLED` to send once this side copied.
+    /// words, then claim it and copy it into the destination: out of the
+    /// peer's window, or with cross-memory reads from the peer's process,
+    /// whose pid the kernel attested, for a range at an address. The
+    /// `K_PULLED` to send once this side claimed it.
     fn pull(
         &self,
         fabric: &Fabric,
@@ -560,34 +556,40 @@ impl IpcTransport {
         let ready = (ReadyRange::check(payload, len, window))
             .map_err(|detail| fabric.fail(PcommError::misuse(src, detail)))
             .ok()?;
-        let claims = peer.inb_ch.claims();
-        let mut won = false;
-        let _ = fabric
-            .wire()
-            .land_part(fabric, src, desc.a, at, len, |dest| {
-                won = claims.claim(ready.idx as usize, ready.seq);
-                if won {
-                    // SAFETY: `ReadyRange::check` put `src..src+len`
-                    // inside the window, and the won claim keeps the
-                    // sender off the range until our `K_PULLED` reaches it.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            window.arena_ptr(ready.src),
-                            dest.as_mut_ptr(),
-                            len,
-                        )
-                    };
+        let (claims, idx, seq) = (peer.inb_ch.claims(), ready.idx as usize, ready.seq);
+        let (mut won, wire) = (false, fabric.wire());
+        let _ = wire.land_part(fabric, src, desc.a, at, len, |dest| {
+            if !claims.claim(idx, seq) {
+                return Ok(0);
+            }
+            if ready.addr {
+                // The kernel checks the peer's word against its mappings.
+                if let Err(e) = sys::process_vm_readv(self.segment.pid(src), dest, ready.src) {
+                    let what = format!("ready range {:#x}+{len} of rank {src}", ready.src);
+                    fabric.fail(PcommError::misuse(src, format!("{what} unread: {e}")));
+                    return Ok(0);
                 }
-                Ok(if won { len } else { 0 })
-            });
+            } else {
+                // SAFETY: `ReadyRange::check` put `src..src+len` inside the
+                // window, and the won claim keeps the sender off the range
+                // until our `K_PULLED` reaches it.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        window.arena_ptr(ready.src),
+                        dest.as_mut_ptr(),
+                        len,
+                    )
+                };
+            }
+            won = true;
+            Ok(len)
+        });
         if !won {
             return None; // the sender copied it (or the stream is gone)
         }
         Tallies::bump(&self.tallies.copied_for_peers);
-        Some(Deferred::Pulled {
-            idx: ready.idx,
-            seq: ready.seq,
-        })
+        let ack = SlotDesc::new(K_PULLED, 0, ready.idx, seq, 0);
+        Some(Deferred::Pulled(ack))
     }
 
     /// Sender: `src` claimed and copied our ready range `(idx, seq)`
@@ -632,7 +634,7 @@ impl IpcTransport {
                 self.heartbeat_tick(fabric);
                 last_tick = Instant::now();
             }
-            if self.progress_pass(fabric) {
+            if self.drain_all(fabric, false) {
                 last_work = Instant::now();
                 continue;
             }
@@ -649,7 +651,7 @@ impl IpcTransport {
             // rang between the drain above and here bumped the bell, so
             // the park below would return immediately anyway — this
             // just skips the syscall.
-            if self.progress_pass(fabric) {
+            if self.drain_all(fabric, false) {
                 continue;
             }
             // Counted only while no app thread polls (the hand-off);
@@ -685,7 +687,7 @@ impl IpcTransport {
         let bell = self.segment.doorbell(self.rank);
         self.handoff.poller_enter(&bell);
         let done = poll_window(
-            || self.progress_pass(fabric) | self.claim_own(fabric),
+            || self.drain_all(fabric, false) | self.claim_own(fabric),
             pending,
         );
         if self.handoff.poller_exit(&bell) {
@@ -791,9 +793,9 @@ impl Transport for IpcTransport {
         self.push_frame(fabric, dst, &frame, deadline, teardown);
     }
 
-    /// Answer with a `K_PART_CTS` carrying the arena grant or
-    /// `u64::MAX` (FIFO fallback: the destination is ordinary heap
-    /// memory the sender cannot reach).
+    /// Answer with a `K_PART_CTS` carrying the arena grant, or `u64::MAX`
+    /// and the destination's address: ordinary heap memory, which either
+    /// side reaches with cross-memory attach.
     fn ship_part_cts(
         &self,
         fabric: &Fabric,
@@ -808,16 +810,16 @@ impl Transport for IpcTransport {
         // side can copy a ready range straight into it.
         let grant =
             (self.peers[src].as_ref()).and_then(|peer| peer.inb_ch.arena_offset(base, total_len));
-        let desc = SlotDesc::new(K_PART_CTS, 0, rdv_id, grant.unwrap_or(u64::MAX), 0);
+        let (b, c) = grant.map_or((u64::MAX, base as u64), |offset| (offset, 0));
+        let desc = SlotDesc::new(K_PART_CTS, 0, rdv_id, b, c);
         self.push_record(fabric, src, frame::op::PART_CTS, desc, &[], None, false);
     }
 
-    /// Sender: put one ready range in the receiver's hands. With a
-    /// grant, a range of at least [`PULL_FLOOR`] bytes whose source the
-    /// peer can read in the arena is published as a `K_READY` for
-    /// either side to claim; any other is copied at once
-    /// ([`Self::copy_out`]). Without a grant: stage `K_PARTF` chunks
-    /// through the FIFO slab.
+    /// Sender: put one ready range in the receiver's hands: toward an
+    /// address, one `K_READY` per [`PULL_FLOOR`]-sized piece, naming the
+    /// piece's address in this process; into the arena, one naming the
+    /// source's offset there if it has one. Either side may claim a
+    /// `K_READY`; any other piece is copied at once ([`Self::copy_out`]).
     fn ship_chunk(
         &self,
         fabric: &Fabric,
@@ -830,62 +832,65 @@ impl Transport for IpcTransport {
         let Some(peer) = &self.peers[dst] else {
             return;
         };
-        let (offset, len, op) = (chunk.offset, chunk.len, frame::op::PART_DATA);
-        let emit_data = |offset: u64, len: usize| {
-            let (peer, stream, len) = (dst as u16, rdv_id as u32, len as u32);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                    peer,
-                    lane: 0,
-                    tx: true,
-                    stream,
-                    offset,
-                    len,
-                })
+        let (p16, stream, len32) = (dst as u16, rdv_id as u32, chunk.len as u32);
+        fabric
+            .trace()
+            .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
+                peer: p16,
+                lane: 0,
+                tx: true,
+                stream,
+                offset: chunk.offset,
+                len: len32,
+            });
+        // Every `K_PART_CTS` this carrier reads carries a grant.
+        let Some(grant) = grant else {
+            return fabric.fail(PcommError::misuse(dst, "a credit without a grant"));
         };
-        if let Some(grant) = grant {
-            emit_data(offset, len);
-            // Where the peer can read the source (the window is the
-            // arena we keep for the peer), the range waits for a claim.
-            let window = (len >= PULL_FLOOR).then(|| peer.inb_ch.arena_offset(chunk.ptr, len));
-            let opened = window.flatten().and_then(|src| {
-                let pull = Pull {
-                    rdv_id,
-                    grant,
-                    span: Arc::clone(span),
-                    chunk,
-                };
-                let (idx, seq) = peer.pulls.lock().open(&peer.out_ch.claims(), pull)?;
-                Some(ReadyRange {
+        let addr = grant_addr(grant).is_some();
+        let piece = if addr { PULL_FLOOR } else { chunk.len.max(1) };
+        for at in (0..chunk.len).step_by(piece) {
+            let len = piece.min(chunk.len - at);
+            let part = PinChunk {
+                offset: chunk.offset + at as u64,
+                // SAFETY: `at < chunk.len`: inside the pinned source.
+                ptr: unsafe { chunk.ptr.add(at) },
+                len,
+                parts: chunk.parts,
+            };
+            // Open a claim slot where the peer can read the source (at its
+            // address, or in the arena we keep for the peer), or copy at
+            // once: a range the peer cannot read, or one the table lacks
+            // room for.
+            let src = match addr {
+                _ if len < PULL_FLOOR => None,
+                true => Some(part.ptr as u64),
+                false => peer.inb_ch.arena_offset(part.ptr, len),
+            };
+            let (claims, span) = (peer.out_ch.claims(), Arc::clone(span));
+            let pull = Pull {
+                rdv_id,
+                grant,
+                span,
+                chunk: part,
+            };
+            let opened = match src {
+                Some(src) => (peer.pulls.lock().open(&claims, pull)).map(|(idx, seq)| ReadyRange {
                     src,
                     idx: idx as u64,
                     seq,
-                })
-            });
+                    addr,
+                }),
+                None => Err(pull),
+            };
             match opened {
-                Some(ready) => {
-                    let desc = SlotDesc::new(K_READY, chunk.parts, rdv_id, offset, len as u64);
+                Ok(ready) => {
+                    let desc = SlotDesc::new(K_READY, part.parts, rdv_id, part.offset, len as u64);
+                    let op = frame::op::PART_DATA;
                     self.push_record(fabric, dst, op, desc, &ready.encode(), None, false);
                 }
-                None => self.copy_out(fabric, dst, rdv_id, grant, span, chunk),
+                Err(pull) => self.copy_out(fabric, dst, &pull),
             }
-            return;
-        }
-        let mut done = 0usize;
-        while done < len {
-            let (n, at) = (self.rdv_chunk.min(len - done), offset + done as u64);
-            // SAFETY: invariant (1) — the source stays pinned until its
-            // bytes count off the span below.
-            let body = unsafe { std::slice::from_raw_parts(chunk.ptr.add(done), n) };
-            emit_data(at, n);
-            let parts = if done + n == len { chunk.parts } else { 0 };
-            let desc = SlotDesc::new(K_PARTF, parts, rdv_id, at, 0);
-            if !self.push_record(fabric, dst, op, desc, body, None, false) {
-                return; // aborted mid-stream
-            }
-            span.left(n);
-            done += n;
         }
     }
 
@@ -940,7 +945,7 @@ impl Transport for IpcTransport {
                 if all_bye || fabric.aborted() || Instant::now() >= deadline {
                     break;
                 }
-                if !self.progress_pass(fabric) {
+                if !self.drain_all(fabric, false) {
                     std::thread::sleep(TEARDOWN_SLICE);
                 }
             }
@@ -1003,17 +1008,6 @@ impl Transport for IpcTransport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Bootstrap: segment fd exchange over the already-established mesh.
-// ---------------------------------------------------------------------
-
-/// Create (rank 0) or attach (everyone else) the shared segment over
-/// the mesh ([`ipc::bootstrap`]).
-pub(crate) fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> Result<Segment, PcommError> {
-    let rank = mesh.rank;
-    ipc::bootstrap(mesh, params).map_err(|e| PcommError::misuse(rank, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1022,6 +1016,7 @@ mod tests {
     use crate::wire::tests::source;
     use crate::Comm;
     use pcomm_net::ipc::claim::CLAIM_SLOTS;
+    use pcomm_net::ipc::IpcParams;
     use pcomm_net::sys;
 
     /// Both ranks' carriers over one fresh segment of `params` (two
@@ -1071,43 +1066,17 @@ mod tests {
 
     #[test]
     fn a_peer_written_range_offset_cannot_leave_a_rendezvous_destination() {
-        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
-            return;
+        // `offset + len` wraps to 0 in a release build; the source is a
+        // real 4-byte range of the peer's (this process's) memory.
+        let source = [1u8, 2, 3, 4];
+        let ready = ReadyRange {
+            src: source.as_ptr() as u64,
+            idx: 0,
+            seq: 1,
+            addr: true,
         };
-        // A canary on both sides of the 8-byte destination of a live
-        // one-message stream.
-        let mut mem = [0xaau8; 24];
-        let completion = Completion::new();
-        let posted = PostedRecv {
-            ctx: 0,
-            src: Some(1),
-            tag: Some(4),
-            dest_ptr: mem[8..16].as_mut_ptr(),
-            dest_cap: 8,
-            info: Arc::new(Mutex::new(None)),
-            completion: Arc::clone(&completion),
-            verify_msg: None,
-        };
-        fabric.wire().accept_remote_rdv(&fabric, 1, 3, 8, posted, 4);
-        // `offset + len` wraps to 0 in a release build.
-        let desc = SlotDesc {
-            kind: K_PARTF,
-            parts: 1,
-            a: 3,
-            b: (usize::MAX - 3) as u64,
-            c: 0,
-        };
-        peer_out
-            .try_push_slab(desc, &[&[1, 2, 3, 4]])
-            .expect("ring has room");
-        assert!(carrier.drain_peer(&fabric, 1, false));
-        let detail = misuse_naming_the_peer(&fabric);
-        assert!(
-            detail.contains("overflows a 8-byte destination"),
-            "{detail}"
-        );
-        assert!(!completion.is_set());
-        assert_eq!(mem, [0xaau8; 24]);
+        let at = (usize::MAX - 3) as u64;
+        refused_ready(ready, at, 4, "overflows a 8-byte destination");
     }
 
     #[test]
@@ -1223,11 +1192,14 @@ mod tests {
     }
 
     /// An arena too small for the transfer refuses the grant: the
-    /// receiver gets no destination in it, so its `K_PART_CTS` grants
-    /// nothing and the sender streams every byte through the FIFO slab
-    /// as `K_PARTF` chunks of half the slab — in order and bit-exact.
+    /// receiver's destination is heap memory, so its `K_PART_CTS` grants
+    /// its address, and the sender's range goes out in [`PULL_FLOOR`]s — three
+    /// address-form `K_READY`s and a short tail the sender writes at
+    /// once; no slab record carries stream bytes. The sender, polling,
+    /// claims and writes the newest piece; the receiver reads the other
+    /// two and acks them, which completes the sender. Every byte lands.
     #[test]
-    fn an_arena_too_small_for_the_transfer_falls_back_to_the_slab() {
+    fn an_arena_too_small_for_the_transfer_is_moved_by_both_sides_in_pieces() {
         let params = IpcParams {
             n_ranks: 2,
             ring_slots: 64,
@@ -1237,31 +1209,95 @@ mod tests {
         let Some([(fabric0, receiver), (fabric1, sender)]) = both_ranks(params) else {
             return;
         };
-        let src: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
+        let src: Vec<u8> = (0..3 * PULL_FLOOR as u32 + 4096)
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
         assert!(receiver.alloc_part_buf(1, src.len()).is_none());
-        let (s, _) = source(fabric1.wire(), 0, &src, &[(0, src.len(), 1)]);
+        let (s, done) = source(fabric1.wire(), 0, &src, &[(0, src.len(), 1)]);
         fabric1.wire().part_send_start(&fabric1, 9, &s, 1);
-        let (id, dest) = (s.id, vec![0u8; src.len()]);
-        receiver.ship_part_cts(&fabric0, 1, id, dest.as_ptr(), dest.len());
+        let mut dest = vec![0u8; src.len()];
+        let landed = Completion::new();
+        let posted = PostedRecv {
+            ctx: 9,
+            src: Some(1),
+            tag: Some(0),
+            dest_ptr: dest.as_mut_ptr(),
+            dest_cap: dest.len(),
+            info: Arc::new(Mutex::new(None)),
+            completion: Arc::clone(&landed),
+            verify_msg: None,
+        };
+        // Pins the heap destination and answers with an address-form CTS.
+        let wire0 = fabric0.wire();
+        wire0.accept_remote_rdv(&fabric0, 1, s.id, src.len(), posted, 0);
         assert!(
             sender.drain_peer(&fabric1, 0, false),
             "the CTS never arrived"
         );
         fabric1.wire().part_issue(&fabric1, &s, 0, 1);
-        let inbound = receiver.segment.channel(1, 0);
-        let (mut kinds, mut offsets, mut landed) = (Vec::new(), Vec::new(), vec![0u8; src.len()]);
+        assert!(sender.claim_own(&fabric1), "the sender claimed no piece");
+        let (inbound, peer) = (receiver.segment.channel(1, 0), receiver.peers[1].as_ref());
+        let (mut kinds, mut acks) = (Vec::new(), Vec::new());
         let mut pop = |desc: &SlotDesc, body: &[u8]| {
-            kinds.push(desc.kind);
-            if desc.kind == K_PARTF {
-                assert_eq!(desc.a, id);
-                offsets.push(desc.b);
-                landed[desc.b as usize..][..body.len()].copy_from_slice(body);
+            kinds.push((desc.kind, desc.b));
+            if desc.kind == K_READY {
+                let ready = ReadyRange::decode(body).expect("a ready range");
+                assert!(ready.addr && ready.src == src.as_ptr() as u64 + desc.b);
+                acks.extend(receiver.pull(&fabric0, 1, peer.unwrap(), desc, body));
+            } else if desc.kind == K_PART {
+                let (at, len) = (desc.b as usize, desc.c as usize);
+                let _ = wire0.land_part(&fabric0, 1, desc.a, at, len, |_| Ok(len));
             }
         };
         while inbound.try_pop(&mut pop).unwrap() {}
-        assert_eq!(kinds, [K_FRAME, K_PARTF, K_PARTF]);
-        assert_eq!(offsets, [0, 2048]);
-        assert_eq!(landed, src);
+        // The PartRts (an inline frame), the three pieces, the tail the
+        // sender wrote at once and the piece it claimed: nothing else.
+        let piece = |k: usize| (k * PULL_FLOOR) as u64;
+        let want = [
+            (K_FRAME, 0),
+            (K_READY, piece(0)),
+            (K_READY, piece(1)),
+            (K_READY, piece(2)),
+            (K_PART, piece(3)),
+            (K_PART, piece(2)),
+        ];
+        assert_eq!(kinds, want);
+        assert!(landed.is_set() && dest == src, "the transfer did not land");
+        assert_eq!(acks.len(), 2, "the receiver did not ack its two pieces");
+        for ack in acks {
+            let Deferred::Pulled(ack) = ack else {
+                panic!("a pull answered with something but an ack");
+            };
+            assert!(receiver.push_record(&fabric0, 1, frame::op::HEARTBEAT, ack, &[], None, false));
+            assert!(!done.is_set(), "the sender let go before the last ack");
+            assert!(sender.drain_peer(&fabric1, 0, false));
+        }
+        assert!(done.is_set(), "the acks did not complete the sender");
+        let (r, w) = (receiver.doorbell_stats_now(), sender.doorbell_stats_now());
+        assert_eq!((r.copied_for_peers, w.copied_by_peers), (2, 2));
+        assert!(fabric0.failure_snapshot().is_none() && fabric1.failure_snapshot().is_none());
+    }
+
+    /// A peer's `K_PART_CTS` granting an address it does not map: the
+    /// sender's write fails as a typed `Misuse` naming the peer (the
+    /// kernel checked the word), and no commit follows.
+    #[test]
+    fn a_destination_address_the_peer_does_not_map_is_refused_not_a_fault() {
+        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            return;
+        };
+        let src = vec![7u8; 4096];
+        let (s, _) = source(fabric.wire(), 1, &src, &[(0, 4096, 1)]);
+        fabric.wire().part_send_start(&fabric, 9, &s, 1);
+        let desc = SlotDesc::new(K_PART_CTS, 0, s.id, u64::MAX, 8);
+        peer_out.try_push(desc, &[]).expect("ring has room");
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        fabric.wire().part_issue(&fabric, &s, 0, 1);
+        let detail = misuse_naming_the_peer(&fabric);
+        assert!(detail.contains("unwritten: Bad address"), "{detail}");
+        let (toward_peer, mut kinds) = (carrier.segment.channel(0, 1), Vec::new());
+        while toward_peer.try_pop(|d, _| kinds.push(d.kind)).unwrap() {}
+        assert!(!kinds.contains(&K_PART), "a commit followed a failed write");
     }
 
     /// A live 8-byte rendezvous destination at rank 0 for stream 3 from
@@ -1282,16 +1318,16 @@ mod tests {
         peer_out.claims().open(0, 1);
     }
 
-    /// A peer's `K_READY` the receiver must refuse: a typed `Misuse`
-    /// naming the peer, with the destination, the peer's window and the
-    /// claim word untouched.
-    fn refused_ready(ready: ReadyRange, want: &str) {
+    /// A peer's `K_READY` for `at..at+len` of the destination the
+    /// receiver must refuse: a typed `Misuse` naming the peer, with the
+    /// destination, the peer's window and the claim word untouched.
+    fn refused_ready(ready: ReadyRange, at: u64, len: u64, want: &str) {
         let Some((fabric, carrier, peer_out)) = hostile_peer() else {
             return;
         };
         let mut mem = [0xaau8; 24];
         live_destination(&fabric, &peer_out, &mut mem);
-        let desc = SlotDesc::new(K_READY, 1, 3, 0, 8);
+        let desc = SlotDesc::new(K_READY, 1, 3, at, len);
         peer_out
             .try_push(desc, &ready.encode())
             .expect("ring has room");
@@ -1315,7 +1351,10 @@ mod tests {
                     src,
                     idx: 0,
                     seq: 1,
+                    addr: false,
                 },
+                0,
+                8,
                 "leaves the peer's 1048576-byte window",
             );
         }
@@ -1329,9 +1368,81 @@ mod tests {
                 src: 0,
                 idx,
                 seq: 1,
+                addr: false,
             },
+            0,
+            8,
             "outside the 64-slot table",
         );
+    }
+
+    #[test]
+    fn a_ready_range_past_the_posted_buffer_is_refused_before_any_read() {
+        let source = [9u8; 16];
+        let ready = ReadyRange {
+            src: source.as_ptr() as u64,
+            idx: 0,
+            seq: 1,
+            addr: true,
+        };
+        refused_ready(ready, 0, 16, "overflows a 8-byte destination");
+    }
+
+    /// A peer's address-form `K_READY` for the whole 8-byte destination
+    /// whose read fails: a typed `Misuse` naming the peer, nothing
+    /// written outside the destination, no ack, no completion.
+    fn unreadable_ready(src: u64, want: &str) {
+        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            return;
+        };
+        let mut mem = [0xaau8; 24];
+        live_destination(&fabric, &peer_out, &mut mem);
+        let ready = ReadyRange {
+            src,
+            idx: 0,
+            seq: 1,
+            addr: true,
+        };
+        let desc = SlotDesc::new(K_READY, 1, 3, 0, 8);
+        peer_out
+            .try_push(desc, &ready.encode())
+            .expect("ring has room");
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        let detail = misuse_naming_the_peer(&fabric);
+        assert!(detail.contains(want), "{detail}");
+        assert_eq!((&mem[..8], &mem[16..]), (&[0xaa; 8][..], &[0xaa; 8][..]));
+        assert_eq!(carrier.doorbell_stats_now().copied_for_peers, 0);
+        let (toward_peer, mut acked) = (carrier.segment.channel(0, 1), false);
+        while toward_peer
+            .try_pop(|d, _| acked |= d.kind == K_PULLED)
+            .unwrap()
+        {}
+        assert!(!acked, "a failed read was acked");
+    }
+
+    #[test]
+    fn a_ready_address_the_peer_does_not_map_is_refused_not_a_fault() {
+        // The zero page, and a range that wraps the address space.
+        for src in [8, u64::MAX - 4] {
+            unreadable_ready(src, "Bad address");
+        }
+    }
+
+    #[test]
+    fn a_ready_source_shorter_than_it_claims_is_refused() {
+        if !sys::supported() {
+            return;
+        }
+        // Two mapped pages over a one-page file: the second page is in
+        // the mapping but has nothing behind it, so a read stops there.
+        let fd = sys::memfd_create("pcomm-short-source").unwrap();
+        sys::ftruncate(fd, 4096).unwrap();
+        let base = sys::mmap_shared(fd, 8192).unwrap();
+        sys::close(fd).unwrap();
+        unreadable_ready(base as u64 + 4092, "4 of 8 B moved");
+        // SAFETY: `base..base + 8192` is the one mapping made above, and
+        // nothing reads it any more.
+        unsafe { sys::munmap(base, 8192).unwrap() };
     }
 
     #[test]
@@ -1473,6 +1584,59 @@ mod tests {
         };
         assert_eq!(receiver.copied_for_peers, 2 * PARTS as u64);
         assert_eq!(sender.copied_by_peers, 2 * PARTS as u64);
+    }
+
+    /// A range that finds every claim word of the channel taken is
+    /// written by its sender at once; the open ones wait for a mover. The
+    /// receiver here has no stream for the ranges (say its request
+    /// dropped), so it discards them unclaimed, and the sender's own
+    /// claims move them.
+    #[test]
+    fn a_range_that_finds_the_claim_table_full_is_written_at_once() {
+        let Some([(fabric0, receiver), (fabric1, sender)]) = both_ranks(stream_params()) else {
+            return;
+        };
+        let n = CLAIM_SLOTS + 1;
+        let src: Vec<u8> = (0..n * PULL_FLOOR).map(|i| (i % 251) as u8).collect();
+        let mut dest = vec![0u8; src.len()];
+        let span = Arc::new(SendSpan {
+            remaining: std::sync::atomic::AtomicUsize::new(src.len()),
+            done: Completion::new(),
+        });
+        let grant = Some(dest.as_mut_ptr() as u64 | ADDR_GRANT);
+        for k in 0..n {
+            let chunk = PinChunk {
+                offset: (k * PULL_FLOOR) as u64,
+                ptr: src[k * PULL_FLOOR..].as_ptr(),
+                len: PULL_FLOOR,
+                parts: 1,
+            };
+            sender.ship_chunk(&fabric1, 0, 5, grant, &span, chunk);
+        }
+        let sent = sender.peers[0]
+            .as_ref()
+            .unwrap()
+            .frames_sent
+            .load(Ordering::Relaxed);
+        assert_eq!(sent, n as u64, "one record per range");
+        let opened = CLAIM_SLOTS * PULL_FLOOR;
+        assert_eq!(span.remaining.load(Ordering::Relaxed), opened);
+        assert!(
+            dest[opened..] == src[opened..],
+            "the last range was not written"
+        );
+        assert!(
+            dest[..opened].iter().all(|&b| b == 0),
+            "an open range moved"
+        );
+        assert!(receiver.drain_peer(&fabric0, 1, false));
+        while sender.claim_own(&fabric1) {}
+        assert!(
+            span.done.is_set() && dest == src,
+            "the open ranges did not move"
+        );
+        assert_eq!(receiver.doorbell_stats_now().copied_for_peers, 0);
+        assert!(fabric0.failure_snapshot().is_none() && fabric1.failure_snapshot().is_none());
     }
 
     /// Send windows come from the arena the rank keeps for the peer and

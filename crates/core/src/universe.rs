@@ -339,12 +339,12 @@ impl Universe {
     {
         install_quiet_abort_hook();
         // The ipc fabric needs a same-host UDS mesh (to pass the memfd),
-        // a platform with the raw syscall funnel, and a fault-free plan
+        // cross-memory attach (`sys::cma_works`), and a fault-free plan
         // (wire chaos is a socket concept: the shared segment has no
         // byte stream to corrupt). Anything else falls back to sockets.
         let want_ipc = pcomm_net::launch::fabric_from_env() == pcomm_net::launch::FabricKind::Ipc;
         let use_ipc = want_ipc
-            && pcomm_net::sys::supported()
+            && pcomm_net::sys::cma_works()
             && env.backend == pcomm_net::Backend::Uds
             && !self
                 .fault_plan
@@ -353,8 +353,8 @@ impl Universe {
         if want_ipc && !use_ipc {
             eprintln!(
                 "pcomm: PCOMM_NET_FABRIC=ipc unavailable here \
-                 (needs linux x86_64/aarch64, a UDS mesh, and no wire faults); \
-                 falling back to the socket fabric"
+                 (needs linux x86_64/aarch64, cross-memory attach (CMA), a UDS mesh \
+                 and no wire faults); falling back to the socket fabric"
             );
         }
         let cfg = pcomm_net::MeshConfig {
@@ -375,9 +375,9 @@ impl Universe {
                 fifo_bytes: pcomm_net::launch::DEFAULT_IPC_SLAB,
                 arena_bytes: pcomm_net::launch::DEFAULT_IPC_ARENA,
             };
-            let segment = crate::transport_ipc::bootstrap(&mut mesh, params)?;
-            // The mesh sockets carried the fd exchange; the segment is
-            // the wire from here on.
+            let segment = pcomm_net::ipc::bootstrap(&mut mesh, params)
+                .map_err(|e| PcommError::misuse(env.rank, e.to_string()))?;
+            // The mesh sockets carried the fd exchange; the segment is the wire now.
             drop(mesh);
             Arc::new(crate::transport_ipc::IpcTransport::new(
                 segment,

@@ -645,9 +645,9 @@ fn list_field(key: &str, values: &[u64]) -> String {
 }
 
 /// The `PCOMM_NET_FABRIC` values a cell covers: the socket carrier
-/// always, ipc where the raw-syscall layer exists.
+/// always, ipc where the runtime picks it (cross-memory attach works).
 pub fn carriers() -> Vec<&'static str> {
-    if pcomm_net::sys::supported() {
+    if pcomm_net::sys::cma_works() {
         vec!["socket", "ipc"]
     } else {
         vec!["socket"]

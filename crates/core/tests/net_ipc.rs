@@ -17,13 +17,14 @@ use common::{ENV_ITERS, ENV_PARTS, ENV_PART_BYTES, ENV_ROUNDS, ENV_SEED};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Every test in this file needs the raw-syscall layer; off-platform
-/// builds skip rather than fail.
+/// Every test in this file needs the ipc fabric, which the runtime
+/// picks only where cross-memory attach works; elsewhere they skip
+/// rather than fail.
 fn ipc_supported() -> bool {
-    if pcomm_net::sys::supported() {
+    if pcomm_net::sys::cma_works() {
         return true;
     }
-    eprintln!("skipping: pcomm ipc fabric unsupported on this platform");
+    eprintln!("skipping: pcomm ipc fabric unavailable on this host");
     false
 }
 

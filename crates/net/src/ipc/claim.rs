@@ -110,19 +110,21 @@ impl<T> Default for Pulls<T> {
 
 impl<T> Pulls<T> {
     /// Open `range` under the next sequence number in the first free
-    /// slot from `seq % CLAIM_SLOTS` on: its `(idx, seq)`, or `None`
-    /// when every slot holds a range (the caller copies this one at
-    /// once).
-    pub fn open(&mut self, claims: &Claims, range: T) -> Option<(usize, u64)> {
+    /// slot from `seq % CLAIM_SLOTS` on: its `(idx, seq)`, or the range
+    /// back when every slot holds one.
+    pub fn open(&mut self, claims: &Claims, range: T) -> Result<(usize, u64), T> {
         let seq = self.next_seq;
         let from = (seq % CLAIM_SLOTS as u64) as usize;
-        let idx = (0..CLAIM_SLOTS)
+        let Some(idx) = (0..CLAIM_SLOTS)
             .map(|k| (from + k) % CLAIM_SLOTS)
-            .find(|&i| self.seqs[i] == 0)?;
+            .find(|&i| self.seqs[i] == 0)
+        else {
+            return Err(range);
+        };
         self.next_seq += 1;
         claims.open(idx, seq);
         (self.seqs[idx], self.ranges[idx], self.open) = (seq, Some(range), self.open + 1);
-        Some((idx, seq))
+        Ok((idx, seq))
     }
 
     /// The publisher's own claim: win the newest open range it can and
@@ -264,7 +266,7 @@ mod tests {
         for r in 0..CLAIM_SLOTS {
             pulls.open(&claims, r).unwrap();
         }
-        assert_eq!(pulls.open(&claims, 99), None);
+        assert_eq!(pulls.open(&claims, 99), Err(99));
         assert_eq!(pulls.claim_newest(&claims), Some(CLAIM_SLOTS - 1));
         // Sequence CLAIM_SLOTS + 1 takes the one slot just freed.
         let (idx, seq) = pulls.open(&claims, 100).unwrap();

@@ -17,13 +17,20 @@
 //! * **channels** — one region per *directed* rank pair `src → dst`
 //!   holding a lock-free SPSC descriptor ring, the claim words of the
 //!   partition ranges `src` has ready for `dst` to pull, a FIFO payload
-//!   slab for frames too large to inline, and a partition arena that
+//!   slab for frames too large for a ring slot, and a partition arena that
 //!   `dst` carves its partitioned buffers toward and from `src` out of
 //!   (see [`ring`], [`claim`] and [`slab`]).
 //!
 //! Every cross-process reference inside the segment is an **offset** —
 //! each rank maps the segment at a different address, so pointers never
-//! cross the boundary. All queue positions are monotonic counters
+//! cross the boundary. The one exception names memory outside it: a
+//! destination outside the arena is granted by its address in the
+//! receiver's process, and a range toward it gives its source's address
+//! in the sender's process. Either side moves it with cross-memory
+//! attach ([`sys::process_vm_readv`], [`sys::process_vm_writev`]) to or
+//! from the pid the kernel attested for that peer ([`Segment::pid`]),
+//! so a peer's word can only name its own memory.
+//! All queue positions are monotonic counters
 //! (`wrapping_sub` distances), which keeps full/empty disambiguation
 //! trivial and makes the state legible to a post-mortem debugger.
 //!
@@ -46,7 +53,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Segment magic: `b"pcommipc"` as a little-endian u64.
 pub const SEG_MAGIC: u64 = u64::from_le_bytes(*b"pcommipc");
 /// Segment layout version; bumped on any incompatible layout change.
-pub const SEG_VERSION: u32 = 2;
+pub const SEG_VERSION: u32 = 3;
 
 /// Size of the validation/geometry header at offset 0.
 const HEADER_BYTES: usize = 4096;
@@ -128,6 +135,8 @@ pub struct Segment {
     base: *mut u8,
     len: usize,
     params: IpcParams,
+    /// Each rank's process id (see [`Segment::pid`]).
+    pids: Vec<i32>,
 }
 
 // SAFETY: the segment is MAP_SHARED memory accessed only through the
@@ -149,7 +158,7 @@ impl Segment {
         let fd = sys::memfd_create("pcomm-ipc-seg")?;
         sys::ftruncate(fd, len)?;
         let base = sys::mmap_shared(fd, len)?;
-        let seg = Segment { base, len, params };
+        let seg = Segment::mapped(base, len, params);
         // Geometry stores are Relaxed because the magic is written last
         // with Release — a peer that Acquire-loads the magic is
         // guaranteed to see the fully initialised header.
@@ -174,7 +183,7 @@ impl Segment {
     pub fn attach(fd: i32, params: IpcParams) -> io::Result<Segment> {
         let len = params.segment_len();
         let base = sys::mmap_shared(fd, len)?;
-        let seg = Segment { base, len, params };
+        let seg = Segment::mapped(base, len, params);
         if seg.header_u64(0).load(Ordering::Acquire) != SEG_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -209,9 +218,26 @@ impl Segment {
         Ok(seg)
     }
 
+    fn mapped(base: *mut u8, len: usize, params: IpcParams) -> Segment {
+        let pids = vec![std::process::id() as i32; params.n_ranks];
+        Segment {
+            base,
+            len,
+            params,
+            pids,
+        }
+    }
+
     /// The agreed geometry.
     pub fn params(&self) -> &IpcParams {
         &self.params
+    }
+
+    /// The process id of `rank`: for a peer, what the kernel recorded
+    /// on its mesh socket ([`bootstrap`]); this process's own until then,
+    /// as for a segment one process maps twice.
+    pub fn pid(&self, rank: usize) -> i32 {
+        self.pids[rank]
     }
 
     fn header_u32(&self, off: usize) -> &AtomicU32 {
@@ -280,7 +306,9 @@ impl Drop for Segment {
 
 /// Create (rank 0) or attach (everyone else) the shared segment,
 /// passing the memfd over the mesh's Unix sockets with `SCM_RIGHTS`,
-/// tagged with the sender's rank. Rank 0 waits for a one-byte ACK from
+/// tagged with the sender's rank, and read each peer's pid off its
+/// socket (`SO_PEERCRED`), having let those peers reach this process's
+/// memory ([`sys::allow_cma_from_peers`]). Rank 0 waits for a one-byte ACK from
 /// every peer before returning, so no rank starts pushing before every
 /// mapping exists (the heartbeat monitor keys off the attach flags the
 /// ACKs order). Consumes nothing from the mesh — the sockets stay open
@@ -308,7 +336,19 @@ pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
     for ep in mesh.peers.iter().flatten() {
         let _ = ep.set_read_timeout(Some(crate::mesh::ESTABLISH_TIMEOUT));
     }
-    let segment = if rank == 0 {
+    // Before any peer can learn an address of ours.
+    sys::allow_cma_from_peers().map_err(|e| fail("allowing cross-memory attach", e))?;
+    // The kernel's word for who is at the far end of each socket: the
+    // process whose memory that peer's descriptors name.
+    let pids = (0..n_ranks)
+        .map(|r| {
+            if r == rank {
+                return Ok(std::process::id() as i32);
+            }
+            sys::peer_pid(sock(mesh, r)?).map_err(|e| fail("reading a peer's pid", e))
+        })
+        .collect::<io::Result<Vec<i32>>>()?;
+    let mut segment = if rank == 0 {
         let (segment, fd) = Segment::create(params).map_err(|e| fail("creating the segment", e))?;
         // ORDERING: attach latch — Release pairs with the monitors'
         // Acquire loads so a set flag implies a live mapping.
@@ -350,6 +390,7 @@ pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
     for ep in mesh.peers.iter().flatten() {
         let _ = ep.set_read_timeout(None);
     }
+    segment.pids = pids;
     Ok(segment)
 }
 

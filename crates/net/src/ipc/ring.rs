@@ -2,12 +2,12 @@
 //!
 //! Each directed rank pair owns a fixed array of 1 KiB slots: a
 //! 32-byte descriptor header plus up to [`INLINE_MAX`] bytes of
-//! bcopy-style inline payload. Larger payloads live in the channel's
-//! FIFO slab ([`super::slab`]) and the slot carries their cursor.
-//! Partition ranges whose bytes sit in the segment carry offsets only:
-//! a commit (`K_PART`) names a destination range the sender already
-//! wrote, a ready range (`K_READY`) names a source range either side
-//! may claim and copy ([`super::claim`]).
+//! bcopy-style inline payload. Larger frames live in the channel's
+//! FIFO slab ([`super::slab`]) and the slot carries their cursor; the
+//! slab carries nothing else. Partition ranges carry no bytes: a commit
+//! (`K_PART`) names a destination range the sender already wrote, a
+//! ready range (`K_READY`) names a source range the receiver may read
+//! ([`super::claim`] decides who copies one both sides can reach).
 //!
 //! Protocol: the producer fully writes a slot, then publishes it with a
 //! Release store of the *head* cursor; the consumer Acquire-loads the
@@ -49,47 +49,47 @@ pub const K_FRAME: u16 = 1;
 pub const K_SLAB: u16 = 2;
 /// Slot kind: partition commit — `a` = rdv id, `b` = offset of the
 /// committed range inside the *receiver's* destination, `c` bytes the
-/// sender already copied into the granted arena range. No payload.
+/// sender already copied into the granted destination. No payload.
 pub const K_PART: u16 = 3;
-/// Slot kind: partition data without an arena grant — `a` = rdv id,
-/// `b` = destination offset, bytes in the FIFO slab at cursor `c`.
-pub const K_PARTF: u16 = 4;
 /// Slot kind: partition clear-to-send — `a` = rdv id, `b` = arena
-/// offset granted to the sender (`u64::MAX` = no grant, use
-/// [`K_PARTF`]). No payload.
+/// offset granted to the sender, or `u64::MAX` and `c` = the
+/// destination's address in the receiver's process. No payload.
 pub const K_PART_CTS: u16 = 5;
 /// Slot kind: a ready partition range, not yet copied — `a` = rdv id,
 /// `b` = destination offset, `c` = length; the inline payload is a
 /// [`ReadyRange`]. Whoever wins its claim word copies it: the receiver
-/// from the sender's arena (then answers [`K_PULLED`]), or the sender
-/// into the granted destination (then publishes [`K_PART`]).
+/// from the sender's arena or process (then answers [`K_PULLED`]), or
+/// the sender into the granted destination (then publishes [`K_PART`]).
 pub const K_READY: u16 = 6;
 /// Slot kind: the receiver claimed and copied a [`K_READY`] range —
 /// `a` = claim index, `b` = claim sequence. No payload.
 pub const K_PULLED: u16 = 7;
 
 /// Where a [`K_READY`] range's bytes are and which claim word decides
-/// who copies them: the inline payload of the descriptor, three
+/// who copies them: the inline payload of the descriptor, four
 /// little-endian `u64`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadyRange {
-    /// Offset of the source range in the arena of the channel the
-    /// *receiver* publishes on (the arena its sender manages).
+    /// Offset of the source in the arena of the channel the *receiver*
+    /// publishes on (its sender's), or its address in the sender's process.
     pub src: u64,
     /// Claim index in this channel's table.
     pub idx: u64,
     /// Claim sequence number.
     pub seq: u64,
+    /// `src` is an address, and so is the destination's grant.
+    pub addr: bool,
 }
 
 impl ReadyRange {
     /// Encoded length.
-    pub const BYTES: usize = 24;
+    pub const BYTES: usize = 32;
 
     /// The inline payload.
     pub fn encode(&self) -> [u8; Self::BYTES] {
         let mut out = [0u8; Self::BYTES];
-        for (i, w) in [self.src, self.idx, self.seq].into_iter().enumerate() {
+        let words = [self.src, self.idx, self.seq, self.addr.into()];
+        for (i, w) in words.into_iter().enumerate() {
             out[i * 8..][..8].copy_from_slice(&w.to_le_bytes());
         }
         out
@@ -98,15 +98,15 @@ impl ReadyRange {
     /// Decode a peer's `K_READY` payload for a range of `len` bytes and
     /// check it against `window`, the channel whose arena holds the
     /// peer's source: the claim index must lie in the table and the
-    /// range, non-empty, in the arena. Everything is checked before
-    /// anything is touched; the error says what was wrong.
+    /// range, non-empty, in the arena (an address, the kernel checks).
+    /// Everything is checked before anything is touched.
     pub fn check(payload: &[u8], len: usize, window: &Channel) -> Result<ReadyRange, String> {
         match ReadyRange::decode(payload) {
             Some(r) if r.idx >= CLAIM_SLOTS as u64 => Err(format!(
                 "ready range names claim {} outside the {CLAIM_SLOTS}-slot table",
                 r.idx
             )),
-            Some(r) if len == 0 || !window.arena_holds(r.src, len) => Err(format!(
+            Some(r) if len == 0 || !(r.addr || window.arena_holds(r.src, len)) => Err(format!(
                 "ready range {}+{len} leaves the peer's {}-byte window",
                 r.src, window.arena_bytes
             )),
@@ -129,6 +129,7 @@ impl ReadyRange {
             src: word(0),
             idx: word(1),
             seq: word(2),
+            addr: word(3) != 0,
         })
     }
 }
@@ -139,13 +140,13 @@ impl ReadyRange {
 pub struct SlotDesc {
     /// Slot kind (`K_*`).
     pub kind: u16,
-    /// Partition count hint for `K_PART`/`K_PARTF` commits.
+    /// Partition count hint for `K_PART` commits and `K_READY` ranges.
     pub parts: u16,
     /// First kind-specific word (typically an rdv/stream id).
     pub a: u64,
     /// Second kind-specific word (typically a byte offset).
     pub b: u64,
-    /// Third kind-specific word: the FIFO cursor for slab kinds (set
+    /// Third kind-specific word: the FIFO cursor for `K_SLAB` (set
     /// by the push itself — callers leave it 0); free for inline and
     /// payload-less kinds (`K_PART` carries the range length here).
     pub c: u64,
@@ -347,10 +348,9 @@ impl Channel {
         Ok(())
     }
 
-    /// Producer: publish a descriptor whose payload (the concatenation
-    /// of `chunks`) goes through the FIFO slab; the slot's `c` is set
-    /// to the record's cursor. The record must fit the slab
-    /// (`total <= fifo_bytes`) — callers bound their chunk size.
+    /// Producer: publish a frame (the concatenation of `chunks`) through
+    /// the FIFO slab; the slot's `c` is set to the record's cursor. It
+    /// must fit the slab (`total <= fifo_bytes`).
     pub fn try_push_slab(&self, desc: SlotDesc, chunks: &[&[u8]]) -> Result<(), Full> {
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert!(
@@ -401,7 +401,7 @@ impl Channel {
     }
 
     /// Consumer: pop one descriptor if available, handing `f` the
-    /// descriptor and its payload (slab slice for the slab kinds, else
+    /// descriptor and its payload (slab slice for `K_SLAB`, else
     /// the inline slice — empty for payload-less kinds). Slot and FIFO bytes are recycled after
     /// `f` returns, and the producer's space doorbell is rung.
     pub fn try_pop(&self, f: impl FnOnce(&SlotDesc, &[u8])) -> std::io::Result<bool> {
@@ -418,7 +418,7 @@ impl Channel {
         // advance tail.
         let (len, desc) = unsafe { read_hdr(slot) };
         let payload: &[u8] = match desc.kind {
-            K_SLAB | K_PARTF => {
+            K_SLAB => {
                 // SAFETY: slab record at cursor `c`, contiguous by
                 // construction, released only when we advance fifo_tail
                 // below.
@@ -437,7 +437,7 @@ impl Channel {
             },
         };
         f(&desc, payload);
-        if matches!(desc.kind, K_SLAB | K_PARTF) {
+        if desc.kind == K_SLAB {
             self.fifo_tail()
                 .store(desc.c + len as u64, Ordering::Release);
         }

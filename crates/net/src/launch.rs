@@ -46,7 +46,7 @@ pub const ENV_FABRIC: &str = "PCOMM_NET_FABRIC";
 /// header checks it again at attach.
 pub const DEFAULT_IPC_SLOTS: u32 = 128;
 /// The ipc FIFO slab per directed channel, bytes: frames too large for
-/// a ring slot and stream chunks without an arena grant.
+/// a ring slot.
 pub const DEFAULT_IPC_SLAB: u64 = 1 << 20;
 /// The ipc partition arena per directed channel, bytes: where the
 /// buffers of partitioned streams live on both sides, so one copy moves

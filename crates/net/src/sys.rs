@@ -4,12 +4,14 @@
 //! The workspace is std-only and offline, so neither carrier can lean on
 //! `libc`: the handful of kernel entry points they need — anonymous
 //! memory files, shared mappings, cross-process futexes, `SCM_RIGHTS`
-//! fd passing, `epoll`, and the pipe and splice calls that move a pinned
+//! fd passing and a socket peer's credentials, cross-memory reads and
+//! writes of a peer's buffer, `epoll`, and the pipe and splice calls that move a pinned
 //! payload into a socket by reference — are issued directly with `std::arch::asm!`
 //! on the two supported Linux targets (x86_64 and aarch64). Everywhere
 //! else [`supported`] reports `false`: the transport layer stays off the
-//! ipc fabric, and the `epoll` wrappers fail with `ENOSYS`, which the
-//! socket carrier turns into a typed error at start.
+//! ipc fabric (as it does wherever [`cma_works`] is false), and the
+//! `epoll` wrappers fail with `ENOSYS`, which the socket carrier turns
+//! into a typed error at start.
 //!
 //! Why raw syscalls are sound here (see also DESIGN.md §12):
 //!
@@ -77,6 +79,10 @@ mod nr {
     pub const FCNTL: usize = 72;
     pub const VMSPLICE: usize = 278;
     pub const SPLICE: usize = 275;
+    pub const GETSOCKOPT: usize = 55;
+    pub const PROCESS_VM_READV: usize = 310;
+    pub const PROCESS_VM_WRITEV: usize = 311;
+    pub const PRCTL: usize = 157;
 }
 
 // aarch64 has no plain `epoll_wait`: `epoll_pwait` with a null mask is
@@ -98,6 +104,10 @@ mod nr {
     pub const FCNTL: usize = 25;
     pub const VMSPLICE: usize = 75;
     pub const SPLICE: usize = 76;
+    pub const GETSOCKOPT: usize = 209;
+    pub const PROCESS_VM_READV: usize = 270;
+    pub const PROCESS_VM_WRITEV: usize = 271;
+    pub const PRCTL: usize = 167;
 }
 
 /// Issue one syscall with up to six arguments and return the raw kernel
@@ -223,6 +233,10 @@ mod nr {
     pub const FCNTL: usize = 0;
     pub const VMSPLICE: usize = 0;
     pub const SPLICE: usize = 0;
+    pub const GETSOCKOPT: usize = 0;
+    pub const PROCESS_VM_READV: usize = 0;
+    pub const PROCESS_VM_WRITEV: usize = 0;
+    pub const PRCTL: usize = 0;
 }
 
 /// Convert a raw kernel return into `io::Result`.
@@ -494,6 +508,181 @@ pub fn recv_fd(sock_fd: i32) -> io::Result<(i32, u8)> {
         ));
     }
     Ok((cmsg.fd, byte[0]))
+}
+
+/// `SO_PEERCRED`: the credentials of a Unix socket's peer.
+const SO_PEERCRED: usize = 17;
+
+/// `struct ucred` as `SO_PEERCRED` fills it.
+#[repr(C)]
+#[derive(Default)]
+struct Ucred {
+    pid: i32,
+    uid: u32,
+    gid: u32,
+}
+
+/// `getsockopt(SO_PEERCRED)`: the process id of the peer of the Unix
+/// socket `sock_fd`, as the kernel recorded it at connect time — not a
+/// word the peer wrote, so a peer cannot name another process's memory
+/// for [`process_vm_readv`].
+pub fn peer_pid(sock_fd: i32) -> io::Result<i32> {
+    let mut cred = Ucred::default();
+    let mut len = std::mem::size_of::<Ucred>() as u32;
+    // SYSCALL: getsockopt(sock, SOL_SOCKET, SO_PEERCRED, &cred, &len) —
+    // std's `peer_cred` is unstable.
+    // SAFETY: `cred` and `len` are live and writable for the call, and
+    // `len` holds the size of `cred`; the kernel writes at most that.
+    let ret = unsafe {
+        syscall6(
+            nr::GETSOCKOPT,
+            sock_fd as usize,
+            SOL_SOCKET as usize,
+            SO_PEERCRED,
+            &mut cred as *mut Ucred as usize,
+            &mut len as *mut u32 as usize,
+            0,
+        )
+    };
+    check(ret)?;
+    if cred.pid <= 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("SO_PEERCRED named no process (pid {})", cred.pid),
+        ));
+    }
+    Ok(cred.pid)
+}
+
+/// `process_vm_readv(2)` with one iovec on each side: fill all of
+/// `dest` from the bytes at address `src` in process `pid` (cross-memory
+/// attach, one copy). A remote address the process does not map is
+/// `EFAULT`, and a process this one may not trace (another user, Yama)
+/// is `EPERM`: an `io::Error` saying how far the range got, never a
+/// fault in this process, which the kernel checks the range of.
+pub fn process_vm_readv(pid: i32, dest: &mut [u8], src: u64) -> io::Result<()> {
+    moved_all(dest.len(), |k| {
+        let local = Iovec {
+            base: dest[k..].as_mut_ptr(),
+            len: dest.len() - k,
+        };
+        // SAFETY: `local` describes the live, writable tail of `dest`,
+        // the only memory of this process the kernel writes.
+        unsafe { cma(nr::PROCESS_VM_READV, pid, local, src.wrapping_add(k as u64)) }
+    })
+}
+
+/// `process_vm_writev(2)`, the other direction: copy all of `src` to
+/// address `dest` in process `pid`. Fails as [`process_vm_readv`] does;
+/// this process's memory is only read.
+pub fn process_vm_writev(pid: i32, src: &[u8], dest: u64) -> io::Result<()> {
+    moved_all(src.len(), |k| {
+        let local = Iovec {
+            base: src[k..].as_ptr(),
+            len: src.len() - k,
+        };
+        // SAFETY: `local` describes the live tail of `src`, which the
+        // kernel only reads.
+        unsafe {
+            cma(
+                nr::PROCESS_VM_WRITEV,
+                pid,
+                local,
+                dest.wrapping_add(k as u64),
+            )
+        }
+    })
+}
+
+/// Move `len` bytes with calls that may stop short: `step(k)` moves from
+/// byte `k` on and says how many it moved. The kernel stops a
+/// cross-memory call at unmapped memory, or past its cap on one call
+/// (just under 2 GiB), so a call that made progress is followed by
+/// another; one that moved nothing, or failed, is the error, with how
+/// far the range got (a failed first call's error as the kernel gave it).
+fn moved_all(len: usize, mut step: impl FnMut(usize) -> io::Result<usize>) -> io::Result<()> {
+    let mut k = 0;
+    while k < len {
+        match step(k) {
+            Ok(0) => return Err(io::Error::other(format!("short: {k} of {len} B moved"))),
+            Ok(n) => k += n,
+            Err(e) if k == 0 => return Err(e),
+            Err(e) => {
+                return Err(io::Error::new(
+                    e.kind(),
+                    format!("{e}, {k} of {len} B moved"),
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One cross-memory call of `local.len` bytes between `local` and the
+/// address `remote` in process `pid`.
+///
+/// # Safety
+/// `local` must describe live memory of this process that the call
+/// may write (a read) or read (a write) for its whole length.
+unsafe fn cma(nr: usize, pid: i32, local: Iovec, remote: u64) -> io::Result<usize> {
+    let remote = Iovec {
+        base: remote as usize as *const u8,
+        len: local.len,
+    };
+    // SYSCALL: process_vm_{readv,writev}(pid, &local, 1, &remote, 1, 0)
+    // — the ipc carrier moves a stream range between rank processes.
+    // SAFETY: the caller vouches for `local`; the remote iovec names
+    // memory of `pid`, which the kernel checks against its mappings.
+    let ret = unsafe {
+        syscall6(
+            nr,
+            pid as usize,
+            &local as *const Iovec as usize,
+            1,
+            &remote as *const Iovec as usize,
+            1,
+            0,
+        )
+    };
+    check(ret)
+}
+
+/// Yama's `ptrace_scope`, or `None` where the kernel has no Yama.
+fn yama_scope() -> Option<String> {
+    let scope = std::fs::read_to_string("/proc/sys/kernel/yama/ptrace_scope").ok()?;
+    Some(scope.trim().to_owned())
+}
+
+/// `prctl(PR_SET_PTRACER, PR_SET_PTRACER_ANY)`: under Yama's
+/// `ptrace_scope` 1, let the sibling rank processes of this user move
+/// ranges in and out of this one with cross-memory attach, as scope 0
+/// already does. A no-op without Yama.
+pub fn allow_cma_from_peers() -> io::Result<()> {
+    const PR_SET_PTRACER: usize = 0x5961_6d61;
+    const PR_SET_PTRACER_ANY: usize = usize::MAX;
+    if yama_scope().is_none() {
+        return Ok(());
+    }
+    // SYSCALL: prctl(PR_SET_PTRACER, PR_SET_PTRACER_ANY, 0, 0, 0).
+    // SAFETY: no pointer arguments; it changes only who may trace us.
+    let ret = unsafe { syscall6(nr::PRCTL, PR_SET_PTRACER, PR_SET_PTRACER_ANY, 0, 0, 0, 0) };
+    check(ret).map(drop)
+}
+
+/// Whether ranks of this host can move bytes between each other's
+/// memory with [`process_vm_readv`] and [`process_vm_writev`]: the raw
+/// syscalls exist, a read of this process's own memory succeeds (no
+/// seccomp filter refuses the call), and Yama's `ptrace_scope` is
+/// absent, 0, or 1 — which [`allow_cma_from_peers`] opens to sibling
+/// processes (2 and 3 refuse them). The same answer on every rank of a
+/// host, so it picks the ipc fabric before any mesh exists.
+pub fn cma_works() -> bool {
+    let probe = [0x5au8; 8];
+    let mut got = [0u8; 8];
+    supported()
+        && yama_scope().is_none_or(|scope| scope == "0" || scope == "1")
+        && process_vm_readv(std::process::id() as i32, &mut got, probe.as_ptr() as u64).is_ok()
+        && got == probe
 }
 
 /// `EPOLLIN`: readable, or the peer hung up.
@@ -839,6 +1028,112 @@ mod tests {
         got.extend(rest);
         assert!(got[..filler].iter().all(|&x| x == 0xEE));
         assert!(got[filler..] == payload[..], "the resumed bytes differ");
+    }
+
+    #[test]
+    fn cma_reads_this_processes_own_memory_bit_exact() {
+        if !supported() {
+            return;
+        }
+        let src = pattern(300 * 1024);
+        let mut got = vec![0u8; src.len()];
+        let pid = std::process::id() as i32;
+        process_vm_readv(pid, &mut got, src.as_ptr() as u64).unwrap();
+        assert!(got == src, "the read bytes differ");
+    }
+
+    #[test]
+    fn a_bad_source_address_is_an_io_error_not_a_fault() {
+        if !supported() {
+            return;
+        }
+        let pid = std::process::id() as i32;
+        let mut got = [0u8; 64];
+        // The zero page, and a range that wraps the address space.
+        for addr in [8u64, u64::MAX - 16] {
+            let err = process_vm_readv(pid, &mut got, addr).unwrap_err();
+            assert_eq!(err.raw_os_error(), Some(14), "{addr:#x}: {err}"); // EFAULT
+        }
+        assert_eq!(got, [0u8; 64]);
+    }
+
+    #[test]
+    fn cma_writes_into_this_processes_own_memory_bit_exact() {
+        if !supported() {
+            return;
+        }
+        let src = pattern(300 * 1024);
+        let mut got = vec![0u8; src.len() + 2];
+        let pid = std::process::id() as i32;
+        process_vm_writev(pid, &src, got[1..].as_mut_ptr() as u64).unwrap();
+        assert!(got[1..=src.len()] == src[..], "the written bytes differ");
+        assert_eq!(
+            (got[0], got[src.len() + 1]),
+            (0, 0),
+            "a write left its range"
+        );
+        let err = process_vm_writev(pid, &src[..64], 8).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(14)); // EFAULT
+    }
+
+    /// A cross-memory call the kernel stops short is followed by another
+    /// from where it stopped (past 2 GiB, one call never moves it all);
+    /// only a call that moves nothing, or fails, is an error.
+    #[test]
+    fn a_short_cross_memory_call_goes_on_from_where_it_stopped() {
+        let (src, mut dest) = ((0..100u8).collect::<Vec<u8>>(), [0u8; 100]);
+        let mut calls = Vec::new();
+        moved_all(100, |k| {
+            calls.push(k);
+            let n = if k == 0 { 37 } else { 100 - k };
+            dest[k..k + n].copy_from_slice(&src[k..k + n]);
+            Ok(n)
+        })
+        .unwrap();
+        assert_eq!((calls, &dest[..]), (vec![0, 37], &src[..]));
+        let mut steps = [Ok(40), Ok(0)].into_iter();
+        let stopped = moved_all(100, |_| steps.next().unwrap()).unwrap_err();
+        assert!(
+            stopped.to_string().contains("short: 40 of 100 B moved"),
+            "{stopped}"
+        );
+        let mut steps = [Ok(40), Err(io::Error::from_raw_os_error(14))].into_iter();
+        let failed = moved_all(100, |_| steps.next().unwrap()).unwrap_err();
+        assert_eq!(failed.kind(), io::Error::from_raw_os_error(14).kind());
+        assert!(failed.to_string().contains("40 of 100 B moved"), "{failed}");
+    }
+
+    /// A source whose second page has nothing behind it: the first
+    /// call stops at the page, the next fails there, and the error says
+    /// how far the read got.
+    #[test]
+    fn a_source_that_ends_part_way_is_a_short_read_error() {
+        if !supported() {
+            return;
+        }
+        let fd = memfd_create("pcomm-short-source").unwrap();
+        ftruncate(fd, 4096).unwrap();
+        let base = mmap_shared(fd, 8192).unwrap();
+        close(fd).unwrap();
+        let mut got = [0u8; 8];
+        let pid = std::process::id() as i32;
+        let err = process_vm_readv(pid, &mut got, base as u64 + 4092).unwrap_err();
+        assert!(err.to_string().contains("4 of 8 B moved"), "{err}");
+        // SAFETY: `base..base + 8192` is the one mapping made above, and
+        // nothing reads it any more.
+        unsafe { munmap(base, 8192).unwrap() };
+    }
+
+    /// True here; wherever Yama's `ptrace_scope` is 2 or 3 the check must
+    /// say no, since sibling rank processes could not reach each other
+    /// whatever they allow.
+    #[test]
+    fn the_cma_check_agrees_with_this_host() {
+        let yama_allows = yama_scope().is_none_or(|s| s == "0" || s == "1");
+        assert_eq!(cma_works(), supported() && yama_allows);
+        if supported() && yama_allows {
+            allow_cma_from_peers().unwrap();
+        }
     }
 
     #[test]
