@@ -84,8 +84,8 @@ pub struct PeerSocketState {
     /// Entries waiting in this peer's outbox (it is unbounded,
     /// so backlog depth — not blocking — is the congestion signal).
     pub queued: u64,
-    /// Milliseconds since the last frame arrived from this peer (the
-    /// liveness signal the heartbeat monitor escalates on).
+    /// Milliseconds since the last frame arrived from this peer: the socket
+    /// carrier's heartbeat signal (0 on ipc, where a death is a hang-up).
     pub quiet_ms: u64,
 }
 

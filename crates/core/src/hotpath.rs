@@ -4,7 +4,7 @@
 //! completed-operation probes (`Completion::is_set`, `parrived`) are a
 //! single atomic load. This module makes it *testable* with per-thread
 //! counters ([`thread_stats`]): every acquisition of a runtime mutex
-//! ([`crate::sync::Mutex`]) and every completion fast-probe / slow-wait
+//! (`crate::sync::Mutex`) and every completion fast-probe / slow-wait
 //! is counted in a thread-local `Cell` (a plain non-atomic increment,
 //! ~1 ns). A test can assert "this probe loop acquired zero locks"
 //! without interference from concurrently running tests, because only

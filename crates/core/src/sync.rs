@@ -1,6 +1,6 @@
 //! Small synchronization helpers for the real runtime.
 //!
-//! [`Mutex`] and [`Condvar`] are thin std-only shims with the ergonomic
+//! `Mutex` and `Condvar` are thin std-only shims with the ergonomic
 //! (`parking_lot`-style) API the runtime uses: `lock()` returns the guard
 //! directly and `Condvar::wait_timeout` takes the guard by `&mut`.
 //! Poisoning is
@@ -11,7 +11,7 @@
 //! bumps a per-thread counter ([`crate::hotpath`]) so tests can assert
 //! that probe paths acquire zero locks.
 //!
-//! [`Completion`] is the runtime's one-shot completion flag, rebuilt as a
+//! `Completion` is the runtime's one-shot completion flag, rebuilt as a
 //! futex-style atomic state machine: the probe path is a single atomic
 //! load, setters take no lock unless a waiter actually parked, and
 //! waiters spin briefly before registering for `thread::park`.
@@ -357,7 +357,7 @@ pub(crate) fn spin_target(micros: f64) -> Option<std::time::Duration> {
 /// for injecting the µs-scale compute delays the benchmarks need; a
 /// calibrated busy-wait keeps the thread hot, like real compute would.
 /// Non-positive, NaN and overflowing inputs are sanitized by
-/// [`spin_target`] rather than cast blindly.
+/// `spin_target` rather than cast blindly.
 pub fn spin_for_micros(micros: f64) {
     let Some(target) = spin_target(micros) else {
         return;

@@ -144,11 +144,11 @@ const ABORT_GRACE: Duration = Duration::from_secs(1);
 /// Progress-loop timeout while closing, ms: re-check the goodbyes.
 const CLOSE_TICK_MS: i32 = 10;
 
-/// The heartbeat interval, ms, one rule for both carriers: a socket
-/// rank sends a `Heartbeat` frame toward every live peer this often, an
-/// ipc rank bumps its segment word every [`HEARTBEAT_TICK`], and a peer
-/// silent for [`HEARTBEAT_MISS`] is presumed dead — a typed
-/// `PeerPanicked`, not a hang.
+/// The socket carrier's heartbeat interval, ms: a rank sends a
+/// `Heartbeat` frame toward every live peer this often, and a peer
+/// silent for 7/4 of it is presumed dead — a typed `PeerPanicked`, not
+/// a hang. Only a half-open socket needs it: a peer whose process exits
+/// is seen dead when the kernel closes its socket, on both carriers.
 pub const HEARTBEAT_MS: u64 = 500;
 
 /// How often a rank's progress thread looks at its peers' liveness.

@@ -22,10 +22,11 @@
 //! Progress discipline: there are no reader/writer threads. The app
 //! thread makes progress inline from [`Transport::wait_slice`], and a
 //! single low-duty "pcomm-ipc" thread per process backstops
-//! completions nobody is actively waiting on and runs the heartbeat
-//! monitor: the socket carrier's rule, a segment word bumped every
-//! tick and a peer whose word stands still for [`HEARTBEAT_MISS`]
-//! presumed dead (a typed [`PcommError::PeerPanicked`], not a hang).
+//! completions nobody is actively waiting on and watches the peers:
+//! every [`HEARTBEAT_TICK`] it reads each peer's mesh socket once. The
+//! peer writes nothing there after bootstrap, so a hang-up means its
+//! process exited, and with no `Bye` in its drained ring that is a
+//! typed [`PcommError::PeerPanicked`], not a hang.
 //! The two share the rank's inbound doorbell through a [`Handoff`]: while an app thread polls, the progress
 //! thread's park is not counted in `sleepers`, so a peer's push costs
 //! no `FUTEX_WAKE`; the last poller out hands the doorbell back.
@@ -34,6 +35,7 @@
 //! segment never reconnects, so there is a single always-epoch-0 lane
 //! per pair).
 
+use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,14 +50,13 @@ use pcomm_net::ipc::ring::{
 };
 use pcomm_net::ipc::slab::ArenaAlloc;
 use pcomm_net::ipc::{Segment, Tallies};
-use pcomm_net::sys;
+use pcomm_net::{sys, Endpoint, Mesh};
 use pcomm_trace::EventKind;
 
 use crate::error::{DoorbellStats, PcommError, PeerSocketState};
 use crate::fabric::{Fabric, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
-use crate::transport::{poll_window, unset_in, Transport, SPIN_WINDOW};
-use crate::transport::{HEARTBEAT_MISS, HEARTBEAT_TICK};
+use crate::transport::{poll_window, unset_in, Transport, HEARTBEAT_TICK, SPIN_WINDOW};
 use crate::wire::{answers_with_push, PinChunk, SendSpan, FINALIZE_TIMEOUT};
 
 /// Sleep between drain passes while teardown waits for the peers'
@@ -69,7 +70,7 @@ const PUSH_SLICE_NS: u64 = 200_000;
 
 /// Hard bound on force-pushes during teardown (abort broadcast, `Bye`):
 /// past this the peer is not draining and the record is dropped — the
-/// heartbeat monitor or the universe watchdog carries the diagnosis.
+/// peer's death or the universe watchdog carries the diagnosis.
 const TEARDOWN_PUSH_BUDGET: Duration = Duration::from_secs(1);
 
 /// Smallest ready range that waits to be claimed (`K_READY`) instead of
@@ -106,10 +107,11 @@ struct IpcPeer {
     frames_sent: AtomicU64,
     /// Descriptors drained from this peer (diagnostics).
     frames_received: AtomicU64,
-    /// The peer's `Bye` arrived; its heartbeat may legitimately stop.
+    /// The peer's `Bye` arrived; its process may legitimately exit.
     saw_bye: AtomicBool,
-    /// Last observed heartbeat value and when it last changed.
-    hb_seen: Mutex<Option<(u64, Instant)>>,
+    /// The mesh socket toward the peer, nonblocking and silent since
+    /// bootstrap: it hangs up when the peer's process exits.
+    link: Mutex<Endpoint>,
     /// Allocator over the *inbound* channel's partition arena: the
     /// buffers of partitioned streams from and toward this peer.
     arena: Mutex<ArenaAlloc>,
@@ -161,31 +163,63 @@ pub(crate) struct IpcTransport {
     tallies: Tallies,
 }
 
-impl IpcTransport {
-    pub(crate) fn new(segment: Segment, rank: usize, n_ranks: usize) -> IpcTransport {
-        let mut peers = Vec::with_capacity(n_ranks);
-        for r in 0..n_ranks {
-            if r == rank {
-                peers.push(None);
-                continue;
-            }
-            let out_ch = segment.channel(rank, r);
-            let inb_ch = segment.channel(r, rank);
-            peers.push(Some(IpcPeer {
-                out: Mutex::new(out_ch),
-                out_ch,
-                inb: Mutex::new(inb_ch),
-                inb_ch,
-                tx_seq: AtomicU32::new(0),
-                rx_seq: AtomicU32::new(0),
-                frames_sent: AtomicU64::new(0),
-                frames_received: AtomicU64::new(0),
-                saw_bye: AtomicBool::new(false),
-                hb_seen: Mutex::new(None),
-                arena: Mutex::new(ArenaAlloc::new(segment.params().arena_bytes)),
-                pulls: Mutex::new(Pulls::default()),
-            }));
+/// Whether `peer`'s mesh socket hung up, which it does once the peer's
+/// process has exited: a live peer writes nothing there, so the read
+/// would block.
+fn hung_up(peer: &IpcPeer) -> bool {
+    match peer.link.lock().read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    }
+}
+
+/// The error for a peer whose process exited without saying `Bye`.
+fn died(rank: usize) -> PcommError {
+    let message = "rank process exited unexpectedly (its mesh socket hung up, no Bye)".into();
+    PcommError::PeerPanicked { rank, message }
+}
+
+/// What a failed cross-memory call toward rank `r` means: its death
+/// if its mesh socket hangs up within a tick (a process that exits
+/// loses its memory before its sockets close), else misuse: the
+/// peer named memory it does not have.
+fn cma_failed(r: usize, peer: &IpcPeer, misuse: String) -> PcommError {
+    let deadline = Instant::now() + HEARTBEAT_TICK;
+    while !hung_up(peer) {
+        if Instant::now() >= deadline {
+            return PcommError::misuse(r, misuse);
         }
+        std::thread::sleep(TEARDOWN_SLICE);
+    }
+    died(r)
+}
+
+impl IpcTransport {
+    /// The carrier over `segment` for `mesh.rank`, keeping the mesh's
+    /// sockets ([`pcomm_net::ipc::bootstrap`] made them nonblocking) as
+    /// the peers' death signal.
+    pub(crate) fn new(segment: Segment, mesh: Mesh) -> IpcTransport {
+        let (rank, n_ranks) = (mesh.rank, mesh.n_ranks);
+        let peers = (mesh.peers.into_iter().enumerate())
+            .map(|(r, link)| {
+                let link = Mutex::new(link?);
+                let (out_ch, inb_ch) = (segment.channel(rank, r), segment.channel(r, rank));
+                Some(IpcPeer {
+                    out: Mutex::new(out_ch),
+                    out_ch,
+                    inb: Mutex::new(inb_ch),
+                    inb_ch,
+                    tx_seq: AtomicU32::new(0),
+                    rx_seq: AtomicU32::new(0),
+                    frames_sent: AtomicU64::new(0),
+                    frames_received: AtomicU64::new(0),
+                    saw_bye: AtomicBool::new(false),
+                    link,
+                    arena: Mutex::new(ArenaAlloc::new(segment.params().arena_bytes)),
+                    pulls: Mutex::new(Pulls::default()),
+                })
+            })
+            .collect();
         IpcTransport {
             rank,
             n_ranks,
@@ -468,8 +502,8 @@ impl IpcTransport {
     }
 
     /// Hand one decoded frame to the engine (bulk data uses the `K_*`
-    /// descriptor kinds instead); a `Bye` means the peer's heartbeat may
-    /// legitimately stop.
+    /// descriptor kinds instead); a `Bye` means the peer's process may
+    /// legitimately exit.
     fn dispatch_frame(&self, fabric: &Fabric, src: usize, frame: Frame) {
         if !fabric.wire().dispatch(fabric, src, frame) {
             if let Some(p) = &self.peers[src] {
@@ -512,7 +546,7 @@ impl IpcTransport {
                 // The kernel checks the receiver's word against its mappings.
                 if let Err(e) = sys::process_vm_writev(self.segment.pid(dst), src, base + offset) {
                     let what = format!("destination {base:#x}+{offset}+{len} of rank {dst}");
-                    return fabric.fail(PcommError::misuse(dst, format!("{what} unwritten: {e}")));
+                    return fabric.fail(cma_failed(dst, peer, format!("{what} unwritten: {e}")));
                 }
             }
         }
@@ -566,7 +600,7 @@ impl IpcTransport {
                 // The kernel checks the peer's word against its mappings.
                 if let Err(e) = sys::process_vm_readv(self.segment.pid(src), dest, ready.src) {
                     let what = format!("ready range {:#x}+{len} of rank {src}", ready.src);
-                    fabric.fail(PcommError::misuse(src, format!("{what} unread: {e}")));
+                    fabric.fail(cma_failed(src, peer, format!("{what} unread: {e}")));
                     return Ok(0);
                 }
             } else {
@@ -614,15 +648,15 @@ impl IpcTransport {
 }
 
 // ---------------------------------------------------------------------
-// Progress loop, heartbeat monitor.
+// Progress loop, peer-death watch.
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// The "pcomm-ipc" thread body: drain inbound channels, publish the
-    /// heartbeat, watch peers' heartbeats, and park on this rank's
-    /// doorbell while idle. App threads waiting in `wait_slice` do the
-    /// latency-critical progress inline; this thread is the backstop
-    /// for completions nobody is spinning on.
+    /// The "pcomm-ipc" thread body: drain inbound channels, watch the
+    /// peers' mesh sockets, and park on this rank's doorbell while idle.
+    /// App threads waiting in `wait_slice` do the latency-critical
+    /// progress inline; this is the backstop for completions nobody is
+    /// spinning on.
     fn progress_loop(self: &Arc<IpcTransport>, fabric: &Arc<Fabric>) {
         let tick_ns = HEARTBEAT_TICK.as_nanos() as u64;
         let (mut last_tick, mut last_work) = (Instant::now(), Instant::now());
@@ -631,7 +665,7 @@ impl IpcTransport {
                 return;
             }
             if last_tick.elapsed() >= HEARTBEAT_TICK {
-                self.heartbeat_tick(fabric);
+                self.watch_peers(fabric);
                 last_tick = Instant::now();
             }
             if self.drain_all(fabric, false) {
@@ -655,8 +689,8 @@ impl IpcTransport {
                 continue;
             }
             // Counted only while no app thread polls (the hand-off);
-            // either way bounded by the tick, so heartbeats and
-            // peer-death detection keep their cadence.
+            // either way bounded by the tick, so peer-death detection
+            // keeps its cadence.
             let Ok(parked) = self.handoff.park(&bell, seen, tick_ns) else {
                 continue;
             };
@@ -713,46 +747,21 @@ impl IpcTransport {
         }
     }
 
-    /// Publish this rank's liveness and check every attached peer's:
-    /// a heartbeat word that has not moved for [`HEARTBEAT_MISS`] while
-    /// the peer never said `Bye` means its process died mid-run.
-    fn heartbeat_tick(&self, fabric: &Fabric) {
-        let beat = self.segment.heartbeat(self.rank);
-        // ORDERING: liveness counter only; peers poll for movement, no
-        // memory is published through it.
-        beat.fetch_add(1, Ordering::Relaxed);
+    /// Judge every peer that has not said `Bye` by its mesh socket: one
+    /// that hung up has exited. A peer pushes its `Bye` before it exits,
+    /// so its ring is drained once more before the verdict.
+    fn watch_peers(&self, fabric: &Fabric) {
         for (r, peer) in self.peers.iter().enumerate() {
             let Some(peer) = peer else { continue };
-            if peer.saw_bye.load(Ordering::Acquire) {
+            if peer.saw_bye.load(Ordering::Acquire) || !hung_up(peer) {
                 continue;
             }
-            // ORDERING: attach flag is a rendezvous latch; Acquire pairs
-            // with the attaching store so a set flag implies the peer's
-            // mapping (and first heartbeat) exists.
-            if self.segment.attached(r).load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            // ORDERING: liveness counter (see above).
-            let val = self.segment.heartbeat(r).load(Ordering::Relaxed);
-            let mut seen = peer.hb_seen.lock();
-            match *seen {
-                Some((prev, since)) if prev == val => {
-                    if since.elapsed() >= HEARTBEAT_MISS
-                        && !fabric.aborted()
-                        && !self.stop.load(Ordering::Acquire)
-                    {
-                        fabric.fail(PcommError::PeerPanicked {
-                            rank: r,
-                            message: format!(
-                                "ipc heartbeat from rank {r} stale for {} ms (bound {} ms): \
-                                 the peer process likely died",
-                                since.elapsed().as_millis(),
-                                HEARTBEAT_MISS.as_millis()
-                            ),
-                        });
-                    }
-                }
-                _ => *seen = Some((val, Instant::now())),
+            self.drain_peer(fabric, r, true);
+            if !peer.saw_bye.load(Ordering::Acquire)
+                && !fabric.aborted()
+                && !self.stop.load(Ordering::Acquire)
+            {
+                fabric.fail(died(r));
             }
         }
     }
@@ -767,12 +776,8 @@ impl Transport for IpcTransport {
         Some(self.rank)
     }
 
-    /// Publish the first heartbeat and spawn the progress/heartbeat
-    /// thread.
+    /// Spawn the progress thread.
     fn start(self: Arc<Self>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
-        let beat = self.segment.heartbeat(self.rank);
-        // ORDERING: liveness counter only; peers poll for movement.
-        beat.fetch_add(1, Ordering::Relaxed);
         let me = Arc::clone(&self);
         let fab = Arc::clone(fabric);
         let handle = std::thread::Builder::new()
@@ -900,22 +905,16 @@ impl Transport for IpcTransport {
             .enumerate()
             .filter_map(|(rank, peer)| {
                 let peer = peer.as_ref()?;
-                let quiet_ms = peer
-                    .hb_seen
-                    .lock()
-                    .map(|(_, since)| since.elapsed().as_millis() as u64)
-                    .unwrap_or(0);
                 Some(PeerSocketState {
                     peer: rank,
-                    connected: self.segment.attached(rank).load(Ordering::Acquire) != 0
-                        && !peer.saw_bye.load(Ordering::Acquire),
+                    connected: !peer.saw_bye.load(Ordering::Acquire),
                     // ORDERING: advisory stats for the racy snapshot.
                     frames_sent: peer.frames_sent.load(Ordering::Relaxed),
                     // ORDERING: advisory stats for the racy snapshot.
                     frames_received: peer.frames_received.load(Ordering::Relaxed),
                     pending_rdv: 0,
-                    queued: 0, // no writer queues: producers push inline
-                    quiet_ms,
+                    queued: 0,   // no writer queues: producers push inline
+                    quiet_ms: 0, // death is a hang-up, not a silence
                 })
             })
             .collect()
@@ -1018,10 +1017,11 @@ mod tests {
     use pcomm_net::ipc::claim::CLAIM_SLOTS;
     use pcomm_net::ipc::IpcParams;
     use pcomm_net::sys;
+    use std::os::unix::net::UnixStream;
 
     /// Both ranks' carriers over one fresh segment of `params` (two
-    /// mappings of one memfd), each with its own traced fabric. Never
-    /// started: the test moves every record.
+    /// mappings of one memfd) and a socketpair, their mesh, each with its
+    /// own traced fabric. Never started: the test moves every record.
     fn both_ranks(params: IpcParams) -> Option<[(Arc<Fabric>, Arc<IpcTransport>); 2]> {
         if !sys::supported() {
             return None;
@@ -1029,8 +1029,20 @@ mod tests {
         let (segment, fd) = Segment::create(params).expect("memfd segment");
         let attached = Segment::attach(fd, params).expect("second mapping");
         let _ = sys::close(fd);
+        let (a, b) = UnixStream::pair().expect("a socketpair");
+        let link = |s: UnixStream| {
+            s.set_nonblocking(true).expect("a nonblocking socket");
+            Some(Endpoint::Uds(s))
+        };
+        let mut links = [vec![None, link(b)], vec![link(a), None]];
         Some([(segment, 0), (attached, 1)].map(|(segment, rank)| {
-            let carrier = Arc::new(IpcTransport::new(segment, rank, 2));
+            let peers = std::mem::take(&mut links[rank]);
+            let mesh = Mesh {
+                rank,
+                n_ranks: 2,
+                peers,
+            };
+            let carrier = Arc::new(IpcTransport::new(segment, mesh));
             let trace = pcomm_trace::Trace::ring(1024);
             let as_dyn = Arc::clone(&carrier) as Arc<dyn Transport>;
             (
@@ -1040,18 +1052,22 @@ mod tests {
         }))
     }
 
+    type Carrier = Arc<IpcTransport>;
+
     /// Rank 0's carrier, plus rank 1's producer end of the 1→0 ring for
-    /// writing hostile descriptors. The test is the drainer.
-    fn hostile_peer() -> Option<(Arc<Fabric>, Arc<IpcTransport>, Channel)> {
+    /// writing hostile descriptors. The test is the drainer. Rank 1's
+    /// carrier comes last: holding it keeps the peer alive (its mesh
+    /// socket open).
+    fn hostile_peer() -> Option<(Arc<Fabric>, Carrier, Channel, Carrier)> {
         let params = IpcParams {
             n_ranks: 2,
             ring_slots: 8,
             fifo_bytes: 64 << 10,
             arena_bytes: 1 << 20,
         };
-        let [(fabric, carrier), _] = both_ranks(params)?;
+        let [(fabric, carrier), (_, peer)] = both_ranks(params)?;
         let peer_out = carrier.segment.channel(1, 0);
-        Some((fabric, carrier, peer_out))
+        Some((fabric, carrier, peer_out, peer))
     }
 
     fn misuse_naming_the_peer(fabric: &Fabric) -> String {
@@ -1084,7 +1100,7 @@ mod tests {
         // One byte past the arena, and one that overflows `grant + len`
         // (`u64::MAX` itself is the "no grant" sentinel).
         for grant in [(1u64 << 20) - 4096 + 1, u64::MAX - 1] {
-            let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+            let Some((fabric, carrier, peer_out, _peer)) = hostile_peer() else {
                 return;
             };
             let src = vec![7u8; 4096];
@@ -1283,7 +1299,7 @@ mod tests {
     /// kernel checked the word), and no commit follows.
     #[test]
     fn a_destination_address_the_peer_does_not_map_is_refused_not_a_fault() {
-        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+        let Some((fabric, carrier, peer_out, _peer)) = hostile_peer() else {
             return;
         };
         let src = vec![7u8; 4096];
@@ -1322,7 +1338,7 @@ mod tests {
     /// receiver must refuse: a typed `Misuse` naming the peer, with the
     /// destination, the peer's window and the claim word untouched.
     fn refused_ready(ready: ReadyRange, at: u64, len: u64, want: &str) {
-        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+        let Some((fabric, carrier, peer_out, _peer)) = hostile_peer() else {
             return;
         };
         let mut mem = [0xaau8; 24];
@@ -1392,7 +1408,7 @@ mod tests {
     /// whose read fails: a typed `Misuse` naming the peer, nothing
     /// written outside the destination, no ack, no completion.
     fn unreadable_ready(src: u64, want: &str) {
-        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+        let Some((fabric, carrier, peer_out, _peer)) = hostile_peer() else {
             return;
         };
         let mut mem = [0xaau8; 24];
@@ -1447,7 +1463,7 @@ mod tests {
 
     #[test]
     fn an_ack_for_a_range_never_published_is_refused() {
-        let Some((fabric, carrier, peer_out)) = hostile_peer() else {
+        let Some((fabric, carrier, peer_out, _peer)) = hostile_peer() else {
             return;
         };
         // Rank 0 opened nothing toward rank 1; claim 0 of its table even
@@ -1465,6 +1481,63 @@ mod tests {
             "{detail}"
         );
         assert_eq!(carrier.doorbell_stats_now().copied_by_peers, 0);
+    }
+
+    /// A peer that pushed its `Bye` and then exited is done, not dead:
+    /// the watch drains its ring before it judges the hang-up. One that
+    /// exited without a `Bye` died. A live peer is never judged.
+    #[test]
+    fn a_hung_up_peer_is_dead_only_without_a_bye_in_its_ring() {
+        for bye in [true, false] {
+            let Some([(fabric, carrier), (fabric1, peer)]) = both_ranks(stream_params()) else {
+                return;
+            };
+            if bye {
+                assert!(peer.push_frame(&fabric1, 0, &Frame::Bye, None, false));
+            }
+            carrier.watch_peers(&fabric);
+            assert!(
+                fabric.failure_snapshot().is_none(),
+                "a live peer was judged"
+            );
+            // The peer's process exits: its end of the mesh hangs up.
+            peer.peers[0].as_ref().unwrap().link.lock().shutdown();
+            carrier.watch_peers(&fabric);
+            match (bye, fabric.failure_snapshot()) {
+                (true, None) => {}
+                (false, Some(PcommError::PeerPanicked { rank: 1, message })) => {
+                    assert!(message.contains("hung up, no Bye"), "{message}")
+                }
+                (_, other) => panic!("Bye pushed: {bye}; got {other:?}"),
+            }
+        }
+    }
+
+    /// A cross-memory read that fails because the peer exited is its
+    /// death, not misuse: by then its mesh socket has hung up.
+    #[test]
+    fn a_failed_read_from_a_peer_that_exited_reports_its_death() {
+        let Some((fabric, carrier, peer_out, peer)) = hostile_peer() else {
+            return;
+        };
+        let mut mem = [0xaau8; 24];
+        live_destination(&fabric, &peer_out, &mut mem);
+        peer.peers[0].as_ref().unwrap().link.lock().shutdown();
+        let ready = ReadyRange {
+            src: 8,
+            idx: 0,
+            seq: 1,
+            addr: true,
+        };
+        let desc = SlotDesc::new(K_READY, 1, 3, 0, 8);
+        peer_out
+            .try_push(desc, &ready.encode())
+            .expect("ring has room");
+        assert!(carrier.drain_peer(&fabric, 1, false));
+        match fabric.failure_snapshot() {
+            Some(PcommError::PeerPanicked { rank: 1, .. }) => {}
+            other => panic!("expected PeerPanicked naming rank 1, got {other:?}"),
+        }
     }
 
     /// Geometry with room for a 16 x 256 KiB stream both ways.

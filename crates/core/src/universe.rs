@@ -377,13 +377,8 @@ impl Universe {
             };
             let segment = pcomm_net::ipc::bootstrap(&mut mesh, params)
                 .map_err(|e| PcommError::misuse(env.rank, e.to_string()))?;
-            // The mesh sockets carried the fd exchange; the segment is the wire now.
-            drop(mesh);
-            Arc::new(crate::transport_ipc::IpcTransport::new(
-                segment,
-                env.rank,
-                env.n_ranks,
-            ))
+            // The segment is the wire now; a mesh socket's hang-up is its peer's death.
+            Arc::new(crate::transport_ipc::IpcTransport::new(segment, mesh))
         } else {
             let plan = self.fault_plan.as_ref();
             Arc::new(crate::transport::SocketTransport::new(mesh, cfg, plan)?)

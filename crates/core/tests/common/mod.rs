@@ -507,6 +507,39 @@ pub fn barrier_storm(comm: &Comm, rounds: usize) -> u64 {
     0
 }
 
+/// The one message of the kill-mid-rendezvous scenario: 256 pieces of
+/// the ipc carrier's 64 KiB, so the sender is still moving it when the
+/// receiver dies.
+pub const KILL_RDV_BYTES: usize = 16 << 20;
+
+/// The kill-mid-rendezvous scenario (ipc, 3 ranks): rank 0 posts a
+/// receive of [`KILL_RDV_BYTES`] from rank 1 and aborts its process as
+/// soon as its grant is out (its first push after the barrier, the
+/// answer to rank 1's request), while rank 1 sends into it; rank 2, and
+/// rank 1 if it gets that far, then storm barriers with the dead rank.
+pub fn kill_mid_rdv(comm: &Comm) -> u64 {
+    match comm.rank() {
+        0 => {
+            let rdv = comm.recv_init(1, 5, KILL_RDV_BYTES);
+            rdv.start();
+            comm.barrier();
+            let pushed = || comm.doorbell_stats().unwrap_or_default().rings;
+            let before = pushed();
+            while pushed() == before {
+                std::thread::yield_now();
+            }
+            std::process::abort();
+        }
+        1 => {
+            let big = vec![7u8; KILL_RDV_BYTES];
+            comm.barrier();
+            comm.send(0, 5, &big);
+        }
+        _ => comm.barrier(),
+    }
+    barrier_storm(comm, 10_000)
+}
+
 /// The threads this rank process runs at steady state, read from
 /// `/proc/self/task` between two barriers: every carrier thread is up
 /// and nothing is tearing down yet. The test harness's own main thread
@@ -561,6 +594,8 @@ pub fn maybe_run_child() -> bool {
     let pass_wakes = std::sync::Mutex::new(Vec::new());
     // A failure a scenario reports instead of its digest.
     let failed = std::sync::Mutex::new(None);
+    // When `abort-mid` left its first barrier: an error's detection time.
+    let first_barrier = std::sync::Mutex::new(None);
     let universe = match scenario.as_str() {
         // Every message, the empty one included, goes by rendezvous.
         "zero-rdv" => Universe::new(env.n_ranks).with_eager_max(0),
@@ -574,11 +609,13 @@ pub fn maybe_run_child() -> bool {
             // keeps hammering barriers until liveness monitoring notices.
             "abort-mid" => {
                 comm.barrier();
+                *first_barrier.lock().unwrap() = Some(Instant::now());
                 if comm.rank() == 1 {
                     std::process::abort();
                 }
                 (barrier_storm(&comm, 10_000), Duration::ZERO)
             }
+            "kill-mid-rdv" => (kill_mid_rdv(&comm), Duration::ZERO),
             "handoff-stress" => handoff_stress(&comm, seed, rounds),
             "async-progress" => async_progress(&comm, Duration::from_millis(400)),
             "threads" => (threads_at_steady_state(&comm), Duration::ZERO),
@@ -629,7 +666,14 @@ pub fn maybe_run_child() -> bool {
                 list_field("pass_wakes", &pass_wakes.lock().unwrap())
             )
         }
-        (Err(e), _) => format!("err {}", format!("{e}").replace('\n', " | ")),
+        (Err(e), _) => {
+            let detected = first_barrier.lock().unwrap().map(|t| t.elapsed());
+            format!(
+                "err {}{}",
+                format!("{e}").replace('\n', " | "),
+                detected.map_or(String::new(), |d| format!(" detected_ms={}", d.as_millis()))
+            )
+        }
     };
     write_out(line);
     true
@@ -684,8 +728,9 @@ impl RankOutcome {
             })
     }
 
-    /// A `key=<n>` figure from the `ok` line (`slowest_us`,
-    /// `teardown_us`, the doorbell and copy tallies).
+    /// A `key=<n>` figure from the out line (`slowest_us`,
+    /// `teardown_us`, the doorbell and copy tallies; an error's
+    /// `detected_ms`).
     pub fn figure(&self, key: &str) -> Option<u64> {
         self.out
             .split_whitespace()

@@ -316,3 +316,40 @@ fn ipc_teardown_is_bounded() {
         );
     }
 }
+
+/// A rank killed mid-rendezvous, at 3 ranks: rank 0 dies as soon as its
+/// 16 MiB grant is out, while rank 1 moves pieces into its memory with
+/// cross-memory calls. A call that fails on the dead process reports
+/// its death, not misuse, and so does every survivor: `PeerPanicked`
+/// naming rank 0 on ranks 1 and 2.
+#[test]
+fn ipc_rank_killed_mid_rendezvous_is_a_death_on_every_survivor() {
+    if common::maybe_run_child() {
+        return;
+    }
+    if !ipc_supported() {
+        return;
+    }
+    let _cores = timing_cell();
+    let outs = common::run_wire_ranks(
+        "ipc_rank_killed_mid_rendezvous_is_a_death_on_every_survivor",
+        "kill-mid-rdv",
+        &[fabric_env()],
+        &[vec![], vec![], vec![]],
+        TIMEOUT,
+        None,
+    );
+    assert!(
+        !outs[0].status.success(),
+        "rank 0 was to die, yet exited clean: `{}`",
+        outs[0].out
+    );
+    for (rank, o) in outs.iter().enumerate().skip(1) {
+        assert!(o.status.success(), "rank {rank}: {:?}", o.status);
+        assert!(
+            o.out.starts_with("err rank 0 panicked: "),
+            "rank {rank} must report rank 0's death: `{}`",
+            o.out
+        );
+    }
+}

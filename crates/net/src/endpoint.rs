@@ -40,7 +40,7 @@ fn refused(e: &io::Error) -> bool {
 }
 
 impl Pipe {
-    /// A pipe sized once to [`PIPE_BYTES`] (a kernel that grants less
+    /// A pipe sized once to `PIPE_BYTES` (a kernel that grants less
     /// leaves the default size), or a copying stand-in where the kernel
     /// refuses pipes.
     pub fn new() -> io::Result<Pipe> {

@@ -11,9 +11,8 @@
 //! * **header page** — magic/version plus the geometry knobs, so every
 //!   rank can validate it mapped the same segment with the same
 //!   parameters before touching a byte of it;
-//! * **rank blocks** — one 128-byte block per rank holding its
-//!   heartbeat word, attach flag and inbound doorbell
-//!   (see [`doorbell`]);
+//! * **rank blocks** — one 128-byte block per rank holding its inbound
+//!   doorbell (see [`doorbell`]);
 //! * **channels** — one region per *directed* rank pair `src → dst`
 //!   holding a lock-free SPSC descriptor ring, the claim words of the
 //!   partition ranges `src` has ready for `dst` to pull, a FIFO payload
@@ -36,10 +35,11 @@
 //!
 //! The segment file descriptor travels from rank 0 to every peer as an
 //! `SCM_RIGHTS` control message over the already-established
-//! UDS bootstrap stream ([`bootstrap`]),
-//! after which the sockets are dropped — steady state does zero
-//! syscalls per message (doorbell futexes fire only when a peer is
-//! actually asleep).
+//! UDS bootstrap stream ([`bootstrap`]). The sockets then stay open and
+//! silent: nothing is written to them again, so a peer's socket hangs up
+//! exactly when that peer's process exits, which is how the carrier
+//! learns of a death. Steady state does zero syscalls per message
+//! (doorbell futexes fire only when a peer is actually asleep).
 
 pub mod claim;
 pub mod doorbell;
@@ -53,11 +53,12 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Segment magic: `b"pcommipc"` as a little-endian u64.
 pub const SEG_MAGIC: u64 = u64::from_le_bytes(*b"pcommipc");
 /// Segment layout version; bumped on any incompatible layout change.
-pub const SEG_VERSION: u32 = 3;
+pub const SEG_VERSION: u32 = 4;
 
 /// Size of the validation/geometry header at offset 0.
 const HEADER_BYTES: usize = 4096;
-/// Stride of one per-rank block (heartbeat + doorbell words).
+/// Stride of one per-rank block (the doorbell words, a cache line apart
+/// from the next rank's).
 const RANK_BLOCK_BYTES: usize = 128;
 
 /// Geometry of one segment: everything a rank needs to recompute every
@@ -259,23 +260,9 @@ impl Segment {
         unsafe { &*(self.base.add(at) as *const AtomicU32) }
     }
 
-    /// This rank's heartbeat word: bumped by its progress thread every
-    /// tick; peers watch it for staleness to detect silent death.
-    pub fn heartbeat(&self, rank: usize) -> &AtomicU64 {
-        debug_assert!(rank < self.params.n_ranks);
-        let at = HEADER_BYTES + rank * RANK_BLOCK_BYTES;
-        // SAFETY: as `rank_word_u32`, 8-aligned block start.
-        unsafe { &*(self.base.add(at) as *const AtomicU64) }
-    }
-
-    /// Attach flag a rank sets once it has validated the segment.
-    pub fn attached(&self, rank: usize) -> &AtomicU32 {
-        self.rank_word_u32(rank, 8)
-    }
-
     /// A rank's inbound doorbell (covers all channels targeting it).
     pub fn doorbell(&self, rank: usize) -> doorbell::Doorbell<'_> {
-        doorbell::Doorbell::new(self.rank_word_u32(rank, 12), self.rank_word_u32(rank, 16))
+        doorbell::Doorbell::new(self.rank_word_u32(rank, 0), self.rank_word_u32(rank, 4))
     }
 
     /// The directed channel `src → dst`.
@@ -310,9 +297,9 @@ impl Drop for Segment {
 /// socket (`SO_PEERCRED`), having let those peers reach this process's
 /// memory ([`sys::allow_cma_from_peers`]). Rank 0 waits for a one-byte ACK from
 /// every peer before returning, so no rank starts pushing before every
-/// mapping exists (the heartbeat monitor keys off the attach flags the
-/// ACKs order). Consumes nothing from the mesh — the sockets stay open
-/// (and are dropped by the caller once the transport is built).
+/// mapping exists. Reads every byte written to the mesh and consumes
+/// nothing else: the sockets stay open, and the caller keeps them as
+/// the peers' death signal.
 pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
     let fail =
         |what: &str, e: io::Error| io::Error::new(e.kind(), format!("ipc bootstrap: {what}: {e}"));
@@ -350,9 +337,6 @@ pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
         .collect::<io::Result<Vec<i32>>>()?;
     let mut segment = if rank == 0 {
         let (segment, fd) = Segment::create(params).map_err(|e| fail("creating the segment", e))?;
-        // ORDERING: attach latch — Release pairs with the monitors'
-        // Acquire loads so a set flag implies a live mapping.
-        segment.attached(0).store(1, Ordering::Release);
         for r in 1..n_ranks {
             sys::send_fd(sock(mesh, r)?, fd, 0).map_err(|e| fail("passing the segment fd", e))?;
         }
@@ -379,16 +363,16 @@ pub fn bootstrap(mesh: &mut Mesh, params: IpcParams) -> io::Result<Segment> {
         };
         let _ = sys::close(fd);
         let segment = attached?;
-        // ORDERING: attach latch (see above).
-        segment.attached(rank).store(1, Ordering::Release);
         if let Some(ep) = mesh.peers[0].as_mut() {
             ep.write_all(&[1u8])
                 .map_err(|e| fail("sending the attach ACK", e))?;
         }
         segment
     };
+    // Silent from here on: the caller only probes them for a hang-up.
     for ep in mesh.peers.iter().flatten() {
-        let _ = ep.set_read_timeout(None);
+        ep.set_nonblocking(true)
+            .map_err(|e| fail("making the mesh nonblocking", e))?;
     }
     segment.pids = pids;
     Ok(segment)
@@ -415,8 +399,8 @@ mod tests {
         let (seg, fd) = Segment::create(tiny_params()).unwrap();
         let seg2 = Segment::attach(fd, tiny_params()).unwrap();
         sys::close(fd).unwrap();
-        seg.heartbeat(0).store(42, Ordering::Release);
-        assert_eq!(seg2.heartbeat(0).load(Ordering::Acquire), 42);
+        seg.doorbell(1).ring().unwrap();
+        assert_eq!(seg2.doorbell(1).seq(), 1);
         // Geometry disagreement must be rejected.
         let (_seg3, fd3) = Segment::create(tiny_params()).unwrap();
         let bad = IpcParams {

@@ -272,34 +272,44 @@ fn kill_ranks(children: &mut [Child]) {
     }
 }
 
+/// Whether `child` has exited, left unreaped where the kernel can say
+/// so without reaping (elsewhere reaped, as `try_wait` does).
+fn exited(child: &mut Child) -> io::Result<bool> {
+    match crate::sys::child_exited(child.id() as i32) {
+        Err(e) if e.raw_os_error() == Some(38) => child.try_wait().map(|s| s.is_some()), // ENOSYS
+        known => known,
+    }
+}
+
 /// Wait for every rank and return the exit statuses, in spawn order. A
-/// rank still running at the deadline fails the whole launch: every child
-/// is killed and reaped (none outlives the caller) and the error is
-/// `TimedOut`, naming the rank's place in `children`.
+/// rank that exits stays unreaped, a zombie holding its pid, until
+/// every rank has exited: a rank still running may aim a cross-memory
+/// call at that pid, which must not name another process by then. A
+/// rank still running at the deadline fails the whole launch: every
+/// child is killed and reaped (none outlives the caller) and the error
+/// is `TimedOut`, naming the rank's place in `children`.
 pub fn wait_ranks(
     mut children: Vec<Child>,
     deadline: Option<Instant>,
 ) -> io::Result<Vec<ExitStatus>> {
-    let mut statuses = Vec::with_capacity(children.len());
-    for i in 0..children.len() {
-        statuses.push(loop {
-            match deadline {
-                None => break children[i].wait()?,
-                Some(deadline) => match children[i].try_wait()? {
-                    Some(status) => break status,
-                    None if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    None => {
-                        kill_ranks(&mut children);
-                        let what = format!("child {i} of {} outlived the deadline", children.len());
-                        return Err(io::Error::new(io::ErrorKind::TimedOut, what));
-                    }
-                },
+    loop {
+        let mut running = None;
+        for (i, child) in children.iter_mut().enumerate() {
+            if !exited(child)? {
+                running = Some(i);
+                break;
             }
-        });
+        }
+        let Some(i) = running else {
+            return children.iter_mut().map(Child::wait).collect();
+        };
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            kill_ranks(&mut children);
+            let what = format!("child {i} of {} outlived the deadline", children.len());
+            return Err(io::Error::new(io::ErrorKind::TimedOut, what));
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
-    Ok(statuses)
 }
 
 /// Spawn `n_ranks` copies of `argv` (program + args) with the rank
@@ -400,6 +410,43 @@ mod tests {
         }
         let said = rank_output(&env.dir, 1);
         assert!(said.contains("up-1"), "{said}");
+        let _ = std::fs::remove_dir_all(&env.dir);
+    }
+
+    /// A rank that exits first stays a zombie while its sibling runs:
+    /// its pid is not free for another process to take.
+    #[test]
+    fn an_exited_rank_keeps_its_pid_while_a_sibling_runs() {
+        if !crate::sys::supported() {
+            return;
+        }
+        let env = MultiprocEnv::in_fresh_dir(2, Backend::Uds).unwrap();
+        let children = spawn_ranks(&env, 0..2, RankOutput::Files, |rank| {
+            let mut cmd = Command::new("sleep");
+            cmd.arg(["0", "0.6"][rank]);
+            cmd
+        })
+        .unwrap();
+        let short = children[0].id();
+        let waiter = std::thread::spawn(move || wait_ranks(children, None));
+        std::thread::sleep(Duration::from_millis(300));
+        // `pid (comm) state ...`
+        let stat = std::fs::read_to_string(format!("/proc/{short}/stat")).unwrap_or_default();
+        let state = stat
+            .rsplit(") ")
+            .next()
+            .and_then(|rest| rest.chars().next());
+        assert_eq!(
+            state,
+            Some('Z'),
+            "rank 0 (pid {short}) is not a zombie: `{stat}`"
+        );
+        let statuses = waiter.join().unwrap().unwrap();
+        assert!(statuses.iter().all(ExitStatus::success), "{statuses:?}");
+        assert!(
+            !Path::new(&format!("/proc/{short}")).exists(),
+            "never reaped"
+        );
         let _ = std::fs::remove_dir_all(&env.dir);
     }
 

@@ -1,12 +1,13 @@
-//! Raw Linux syscall wrappers for the same-host ipc fabric and the
-//! socket carrier's readiness loop.
+//! Raw Linux syscall wrappers for the same-host ipc fabric, the
+//! socket carrier's readiness loop and the launcher.
 //!
 //! The workspace is std-only and offline, so neither carrier can lean on
 //! `libc`: the handful of kernel entry points they need — anonymous
 //! memory files, shared mappings, cross-process futexes, `SCM_RIGHTS`
 //! fd passing and a socket peer's credentials, cross-memory reads and
-//! writes of a peer's buffer, `epoll`, and the pipe and splice calls that move a pinned
-//! payload into a socket by reference — are issued directly with `std::arch::asm!`
+//! writes of a peer's buffer, `epoll`, the pipe and splice calls that move a pinned
+//! payload into a socket by reference, and a look at an exited child
+//! that leaves it unreaped — are issued directly with `std::arch::asm!`
 //! on the two supported Linux targets (x86_64 and aarch64). Everywhere
 //! else [`supported`] reports `false`: the transport layer stays off the
 //! ipc fabric (as it does wherever [`cma_works`] is false), and the
@@ -83,6 +84,7 @@ mod nr {
     pub const PROCESS_VM_READV: usize = 310;
     pub const PROCESS_VM_WRITEV: usize = 311;
     pub const PRCTL: usize = 157;
+    pub const WAITID: usize = 247;
 }
 
 // aarch64 has no plain `epoll_wait`: `epoll_pwait` with a null mask is
@@ -108,6 +110,7 @@ mod nr {
     pub const PROCESS_VM_READV: usize = 270;
     pub const PROCESS_VM_WRITEV: usize = 271;
     pub const PRCTL: usize = 167;
+    pub const WAITID: usize = 95;
 }
 
 /// Issue one syscall with up to six arguments and return the raw kernel
@@ -237,6 +240,7 @@ mod nr {
     pub const PROCESS_VM_READV: usize = 0;
     pub const PROCESS_VM_WRITEV: usize = 0;
     pub const PRCTL: usize = 0;
+    pub const WAITID: usize = 0;
 }
 
 /// Convert a raw kernel return into `io::Result`.
@@ -647,6 +651,34 @@ unsafe fn cma(nr: usize, pid: i32, local: Iovec, remote: u64) -> io::Result<usiz
     check(ret)
 }
 
+/// `waitid(P_PID, pid, WEXITED | WNOHANG | WNOWAIT)`: whether the child
+/// `pid` has exited, leaving it unreaped. A zombie keeps its pid, so no
+/// other process takes the pid while a sibling rank may still name it.
+pub fn child_exited(pid: i32) -> io::Result<bool> {
+    const P_PID: usize = 1;
+    const WNOHANG_WEXITED_WNOWAIT: usize = 0x1 | 0x4 | 0x0100_0000;
+    // `siginfo_t`: 128 bytes, `si_pid` at byte 16 on both targets.
+    let mut info = [0i32; 32];
+    // SYSCALL: waitid(P_PID, pid, &info, WEXITED | WNOHANG | WNOWAIT,
+    // NULL) — std's `try_wait` reaps the child it finds exited.
+    // SAFETY: `info` is a live, writable `siginfo_t` for the call, and
+    // the `rusage` pointer is null.
+    let ret = unsafe {
+        syscall6(
+            nr::WAITID,
+            P_PID,
+            pid as usize,
+            info.as_mut_ptr() as usize,
+            WNOHANG_WEXITED_WNOWAIT,
+            0,
+            0,
+        )
+    };
+    check(ret)?;
+    // With WNOHANG, a child still running leaves `si_pid` at 0.
+    Ok(info[4] != 0)
+}
+
 /// Yama's `ptrace_scope`, or `None` where the kernel has no Yama.
 fn yama_scope() -> Option<String> {
     let scope = std::fs::read_to_string("/proc/sys/kernel/yama/ptrace_scope").ok()?;
@@ -669,18 +701,24 @@ pub fn allow_cma_from_peers() -> io::Result<()> {
     check(ret).map(drop)
 }
 
+/// Whether Yama's `ptrace_scope` (`None`: no Yama) lets the sibling
+/// rank processes of one user reach each other's memory: absent, 0, or
+/// 1, which [`allow_cma_from_peers`] opens to them (2 and 3 refuse them).
+fn scope_allows_cma(scope: Option<&str>) -> bool {
+    scope.is_none_or(|scope| scope == "0" || scope == "1")
+}
+
 /// Whether ranks of this host can move bytes between each other's
 /// memory with [`process_vm_readv`] and [`process_vm_writev`]: the raw
 /// syscalls exist, a read of this process's own memory succeeds (no
-/// seccomp filter refuses the call), and Yama's `ptrace_scope` is
-/// absent, 0, or 1 — which [`allow_cma_from_peers`] opens to sibling
-/// processes (2 and 3 refuse them). The same answer on every rank of a
-/// host, so it picks the ipc fabric before any mesh exists.
+/// seccomp filter refuses the call), and Yama allows it
+/// (`scope_allows_cma`). The same answer on every rank of a host, so
+/// it picks the ipc fabric before any mesh exists.
 pub fn cma_works() -> bool {
     let probe = [0x5au8; 8];
     let mut got = [0u8; 8];
     supported()
-        && yama_scope().is_none_or(|scope| scope == "0" || scope == "1")
+        && scope_allows_cma(yama_scope().as_deref())
         && process_vm_readv(std::process::id() as i32, &mut got, probe.as_ptr() as u64).is_ok()
         && got == probe
 }
@@ -1129,10 +1167,29 @@ mod tests {
     /// whatever they allow.
     #[test]
     fn the_cma_check_agrees_with_this_host() {
-        let yama_allows = yama_scope().is_none_or(|s| s == "0" || s == "1");
+        let yama_allows = scope_allows_cma(yama_scope().as_deref());
         assert_eq!(cma_works(), supported() && yama_allows);
         if supported() && yama_allows {
             allow_cma_from_peers().unwrap();
+        }
+    }
+
+    /// Every Yama scope against the carrier it allows: cross-memory
+    /// attach between sibling ranks without Yama and at scopes 0 and 1
+    /// (which `allow_cma_from_peers` opens), none at 2, 3 or a value
+    /// the kernel never writes.
+    #[test]
+    fn each_yama_scope_decides_cross_memory_attach() {
+        let cases = [
+            (None, true),
+            (Some("0"), true),
+            (Some("1"), true),
+            (Some("2"), false),
+            (Some("3"), false),
+            (Some("garbage"), false),
+        ];
+        for (scope, allows) in cases {
+            assert_eq!(scope_allows_cma(scope), allows, "scope {scope:?}");
         }
     }
 

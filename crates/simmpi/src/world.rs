@@ -234,7 +234,7 @@ impl World {
     /// Enable chaos fault injection on the simulated transport. Every
     /// transmission consults the plan; drops are charged as
     /// retransmission round trips in virtual time (the simulated link
-    /// layer is reliable — see [`FaultOutcome`]) and delays as extra
+    /// layer is reliable — see `FaultOutcome`) and delays as extra
     /// virtual sleeps, each traced as a [`EventKind::FaultInjected`]
     /// event with a virtual timestamp when tracing is on.
     pub fn enable_faults(&self, plan: FaultPlan) {

@@ -282,7 +282,7 @@ self::taxonomy! {
 
     // ---- Verify: the analysis-grade stream `pcomm-verify` proves races and deadlocks from.
 
-    /// [verify] A partitioned request was created. One per side; `req`
+    /// \[verify\] A partitioned request was created. One per side; `req`
     /// is the low 16 bits of the partitioned context, identical on the
     /// sender and the receiver. Instant.
     VerifyPartInit = 17 "verify_part_init" verify {
@@ -298,7 +298,7 @@ self::taxonomy! {
         "verify: {} req {req} init ({parts} parts, {msgs} msgs)",
         if sender { "psend" } else { "precv" }
     );
-    /// [verify] Layout of one wire message within a partitioned request:
+    /// \[verify\] Layout of one wire message within a partitioned request:
     /// the send- and recv-partition ranges it covers. Emitted once per
     /// message at init so the analyzer can map partitions to transfer
     /// accesses. Instant.
@@ -321,7 +321,7 @@ self::taxonomy! {
         "verify: req {req} msg {msg} = sparts {first_spart}+{n_sparts} \
           rparts {first_rpart}+{n_rparts} ({bytes} B)"
     );
-    /// [verify] `start()` activated a partitioned request for one
+    /// \[verify\] `start()` activated a partitioned request for one
     /// iteration. Instant.
     VerifyStart = 19 "verify_start" verify {
         /// Request id.
@@ -336,7 +336,7 @@ self::taxonomy! {
         "verify: {} req {req} start iter {iter} (tid {tid})",
         if sender { "psend" } else { "precv" }
     );
-    /// [verify] `pready(part)` was observed — emitted *before* the state
+    /// \[verify\] `pready(part)` was observed — emitted *before* the state
     /// gate, so a double pready leaves two events. Instant.
     VerifyPready = 20 "verify_pready" verify {
         /// Request id.
@@ -348,7 +348,7 @@ self::taxonomy! {
         /// Calling thread id.
         tid: u16 @ aux2,
     } => ("verify: req {req} pready part {part} iter {iter} (tid {tid})");
-    /// [verify] A checked user write into a send partition. Span.
+    /// \[verify\] A checked user write into a send partition. Span.
     VerifyWrite = 21 "verify_write" verify span(dur_ns) {
         /// Request id.
         req: u16 @ aux1,
@@ -361,7 +361,7 @@ self::taxonomy! {
         /// Time inside the write closure, ns.
         dur_ns: u64 @ w3,
     } => ("verify: req {req} write part {part} iter {iter} (tid {tid}, {dur_ns} ns)");
-    /// [verify] A checked user read of a recv partition. Span.
+    /// \[verify\] A checked user read of a recv partition. Span.
     VerifyRead = 22 "verify_read" verify span(dur_ns) {
         /// Request id.
         req: u16 @ aux1,
@@ -374,7 +374,7 @@ self::taxonomy! {
         /// Time inside the read closure, ns.
         dur_ns: u64 @ w3,
     } => ("verify: req {req} read part {part} iter {iter} (tid {tid}, {dur_ns} ns)");
-    /// [verify] Wire message `msg` was handed to the fabric — the
+    /// \[verify\] Wire message `msg` was handed to the fabric — the
     /// transfer's read of the send partitions it covers. Instant.
     VerifyMsgSend = 23 "verify_msg_send" verify {
         /// Request id.
@@ -386,7 +386,7 @@ self::taxonomy! {
         /// Issuing thread id.
         tid: u16 @ aux2,
     } => ("verify: req {req} msg {msg} sent iter {iter} (tid {tid})");
-    /// [verify] Wire message `msg` landed in the recv buffer — the
+    /// \[verify\] Wire message `msg` landed in the recv buffer — the
     /// transfer's write of the recv partitions it covers. The analyzer
     /// pairs the k-th recv of a (req, msg) channel with its k-th send
     /// (per-channel FIFO). Instant.
@@ -404,7 +404,7 @@ self::taxonomy! {
         "verify: req {req} msg {msg} landed (tid {tid}, {})",
         if eager { "eager" } else { "rendezvous" }
     );
-    /// [verify] A `parrived(part)` probe observation. Observing `true`
+    /// \[verify\] A `parrived(part)` probe observation. Observing `true`
     /// is a synchronization edge from the delivering message. Instant.
     VerifyParrived = 25 "verify_parrived" verify {
         /// Request id.
@@ -418,7 +418,7 @@ self::taxonomy! {
         /// The probe's answer.
         arrived: bool @ w3,
     } => ("verify: req {req} parrived({part}) iter {iter} -> {arrived} (tid {tid})");
-    /// [verify] `wait()` returned for an iteration — all messages of the
+    /// \[verify\] `wait()` returned for an iteration — all messages of the
     /// request are complete on this side. Instant.
     VerifyWaitDone = 26 "verify_wait_done" verify {
         /// Request id.
@@ -433,7 +433,7 @@ self::taxonomy! {
         "verify: {} req {req} wait done iter {iter} (tid {tid})",
         if sender { "psend" } else { "precv" }
     );
-    /// [verify] At stall time, the event's rank was blocked waiting on
+    /// \[verify\] At stall time, the event's rank was blocked waiting on
     /// `peer` (wait-for-graph edge). Emitted by the supervisor, one per
     /// blocked wait in the `StallReport`. Instant.
     VerifyBlocked = 27 "verify_blocked" verify {
@@ -537,7 +537,7 @@ self::taxonomy! {
 
     // ---- Wire verify: the frame and stream record `pcomm-audit` replays the wire FSM from.
 
-    /// [verify] A wire frame was put on a lane's socket, in wire order
+    /// \[verify\] A wire frame was put on a lane's socket, in wire order
     /// (emitted under the lane's write mutex, *before* the write, so a
     /// partially transmitted frame is still recorded). `seq` is a
     /// monotone per-lane counter; `epoch` counts lane-0 reconnects, and
@@ -557,7 +557,7 @@ self::taxonomy! {
         /// dropped ring slots, not dropped frames).
         seq: u32 @ w3[0..32],
     } => ("verify: wire send op {op} -> rank {peer} lane {lane} epoch {epoch} seq {seq}");
-    /// [verify] A wire frame was read off a lane's socket, in wire
+    /// \[verify\] A wire frame was read off a lane's socket, in wire
     /// order (one reader at a time per lane). Fields as in
     /// [`VerifyWireSend`](EventKind::VerifyWireSend). Instant.
     VerifyWireRecv = 36 "verify_wire_recv" verify lane(lane) {
@@ -572,7 +572,7 @@ self::taxonomy! {
         /// Monotone per-lane receive ordinal.
         seq: u32 @ w3[0..32],
     } => ("verify: wire recv op {op} <- rank {peer} lane {lane} epoch {epoch} seq {seq}");
-    /// [verify] A `PartRts` stream announcement: `tx` at the sender's
+    /// \[verify\] A `PartRts` stream announcement: `tx` at the sender's
     /// `part_stream_begin`, `rx` when the receiver handles the frame.
     /// `stream` is the low 32 bits of the rdv id — unique per *sender*,
     /// so the audit keys streams by `(sender rank, stream)`. Instant.
@@ -589,7 +589,7 @@ self::taxonomy! {
         "verify: stream {stream} rts {} rank {peer} ({total_len} B)",
         if tx { "->" } else { "<-" }
     );
-    /// [verify] A `PartCts` stream release: `tx` when the receiver
+    /// \[verify\] A `PartCts` stream release: `tx` when the receiver
     /// activates the stream and releases the sender, `rx` when the
     /// sender handles the release. Instant.
     VerifyStreamCts = 38 "verify_stream_cts" verify {
@@ -606,7 +606,7 @@ self::taxonomy! {
         "verify: stream {stream} cts {} rank {peer} epoch {epoch}",
         if tx { "->" } else { "<-" }
     );
-    /// [verify] A `PartData` range: `tx` per chunk put on the wire
+    /// \[verify\] A `PartData` range: `tx` per chunk put on the wire
     /// (inline or writer-thread path), `rx` when the receiver commits
     /// bytes against the pinned buffer. Instant.
     VerifyStreamData = 39 "verify_stream_data" verify lane(lane) {
@@ -626,7 +626,7 @@ self::taxonomy! {
         "verify: stream {stream} data {} rank {peer} lane {lane} @ {offset} ({len} B)",
         if tx { "->" } else { "<-" }
     );
-    /// [verify] `claim_range` granted a *fresh* sub-range of an
+    /// \[verify\] `claim_range` granted a *fresh* sub-range of an
     /// incoming stream — one event per disjoint fresh range, none for a
     /// pure duplicate (replays absorbed by the ledger leave no commit).
     /// Instant, receiver side.
@@ -642,7 +642,7 @@ self::taxonomy! {
         /// Fresh bytes granted.
         len: u32 @ w2[32..64],
     } => ("verify: stream {stream} commit <- rank {peer} lane {lane} @ {lo} ({len} B fresh)");
-    /// [verify] The sender declared a stream's bytes unrecoverable
+    /// \[verify\] The sender declared a stream's bytes unrecoverable
     /// (`MessageLost`): a pinned range left whole on a socket that died
     /// before the peer read it, so it cannot go again. Instant, sender.
     VerifyStreamLost = 41 "verify_stream_lost" verify {
@@ -653,7 +653,7 @@ self::taxonomy! {
         /// Bytes of the lost range.
         missing: u64 @ w3,
     } => ("verify: stream {stream} declared lost (rank {peer} missing {missing} B)");
-    /// [verify] Binds one wire message of a partitioned request to its
+    /// \[verify\] Binds one wire message of a partitioned request to its
     /// byte range inside a stream — emitted by both sides (sender at
     /// `part_stream_begin`, receiver at stream activation), so the
     /// audit can join each side's locally interned request ids across

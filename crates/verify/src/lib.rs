@@ -8,13 +8,13 @@
 //! the simulator's `enable_verify`). This crate consumes that stream
 //! with three passes:
 //!
-//! 1. [vector-clock happens-before race detection](mod@hb) — two
+//! 1. vector-clock happens-before race detection (`hb`) — two
 //!    accesses to the same partition, at least one a write, with no
 //!    synchronization edge ordering them;
-//! 2. [wait-for-graph deadlock analysis](mod@waitgraph) — cycles among
+//! 2. wait-for-graph deadlock analysis (`waitgraph`) — cycles among
 //!    blocked ranks are true deadlocks, acyclic blocked ranks are
 //!    orphan waits (lost message / missing `pready`);
-//! 3. [protocol lints](mod@lints) — MPI-4 partitioned rules checked per
+//! 3. protocol lints (`lints`) — MPI-4 partitioned rules checked per
 //!    request lifetime (`pready` exactly once per partition per
 //!    `start`, layout compatibility between the sides, no unsynchronized
 //!    mid-iteration buffer access, balanced `start`/`wait`).
